@@ -41,24 +41,6 @@ func Compile(e Expr, cols map[Var]int) (CompiledEval, bool) {
 	return fn, true
 }
 
-// Compilable reports whether Compile accepts e — i.e. the tree is free
-// of comprehensions and name references. The optimizer's specialization
-// pass uses this to mark operators before column layouts exist.
-func Compilable(e Expr) bool {
-	switch x := e.(type) {
-	case Const, VarRef:
-		return true
-	case Call:
-		for _, a := range x.Args {
-			if !Compilable(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // compileExpr returns the closure, whether the subtree is variable-free
 // (and therefore foldable), and whether compilation succeeded.
 func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool, bool) {

@@ -151,10 +151,6 @@ type Op struct {
 	// standalone assign would have put them.
 	FusedAssignVars  []Var
 	FusedAssignExprs []Expr
-	// Compiled marks an operator whose expressions the specialization
-	// pass cleared for closure compilation; job generation resolves
-	// algebra.Compile evaluators for it and EXPLAIN annotates it.
-	Compiled bool
 
 	// OpJoin physical choice
 	Phys      JoinPhys
@@ -516,11 +512,7 @@ func Print(root *Op) string {
 		}
 		ids[o] = next
 		next++
-		mark := ""
-		if o.Compiled {
-			mark = " [compiled]"
-		}
-		fmt.Fprintf(&b, "%s#%d %s%s%s\n", indent, ids[o], o.Kind, opDetail(o), mark)
+		fmt.Fprintf(&b, "%s#%d %s%s\n", indent, ids[o], o.Kind, opDetail(o))
 		for _, in := range o.Inputs {
 			rec(in, depth+1)
 		}

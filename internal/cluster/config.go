@@ -56,14 +56,6 @@ type Config struct {
 	// PlanCacheSize bounds the compiled-plan cache (entries, LRU).
 	// 0 takes the default of 256; negative disables the cache.
 	PlanCacheSize int
-	// SpecializeAfterHits is the plan-cache hit count at which a hot plan
-	// is recompiled with the optimizer's specialization pass (constant
-	// folding, assign/select fusion, compiled expression evaluators).
-	// Cold queries interpret and pay no compile overhead; the Nth hit on
-	// a cached plan triggers one specialized recompile whose result is
-	// cached under its own key and served from then on. 0 takes the
-	// default of 3; negative disables promotion entirely.
-	SpecializeAfterHits int
 	// SlowQueryThreshold, when positive, makes Execute emit one
 	// structured JSON log line for every query whose total wall time
 	// (admission + compile + execution) reaches it. 0 disables the log.
@@ -193,9 +185,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StallThreshold <= 0 {
 		c.StallThreshold = 4
-	}
-	if c.SpecializeAfterHits == 0 {
-		c.SpecializeAfterHits = 3
 	}
 	if c.StorageFormat == "" {
 		c.StorageFormat = "columnar"

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"simdb/internal/datagen"
 )
 
 func TestQueryIDStamping(t *testing.T) {
@@ -168,6 +170,60 @@ func TestExplainBypassesPlanCache(t *testing.T) {
 	res2 := exec(t, c, sess, `explain analyze for $r in dataset Reviews return $r.id`)
 	if res2.Stats.PlanCacheHit {
 		t.Fatal("repeated explain analyze hit the plan cache")
+	}
+}
+
+// TestExplainMatchesWhatRuns pins that there is one plan per query: the
+// text `explain q` prints, the plan inside `explain analyze q`, and the
+// plan a cold and a warm execution of q report are identical from the
+// first execution on, for the CANON Jaccard and edit-distance
+// selections over their indexes.
+func TestExplainMatchesWhatRuns(t *testing.T) {
+	c := newTestCluster(t, 1, 2)
+	sess := NewSession()
+	loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 200)
+	exec(t, c, sess, `create index xkw on ARevs(summary) type keyword;`)
+	exec(t, c, sess, `create index xng on ARevs(reviewerName) type ngram(2);`)
+
+	const ret = ` return {'id': $r.id, 'summary': $r.summary, 'reviewerName': $r.reviewerName}`
+	for name, q := range map[string]string{
+		"jaccard": `for $r in dataset ARevs
+			where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.5` + ret,
+		"edit-distance": `for $r in dataset ARevs
+			where edit-distance($r.reviewerName, 'Mogo Bani') <= 1` + ret,
+	} {
+		explained := rowsText(exec(t, c, sess, "explain "+q))
+		cold := exec(t, c, sess, q)
+		warm := exec(t, c, sess, q)
+		if cold.Stats.PlanCacheHit || !warm.Stats.PlanCacheHit {
+			t.Fatalf("%s: cold hit=%v warm hit=%v", name, cold.Stats.PlanCacheHit, warm.Stats.PlanCacheHit)
+		}
+		if cold.Stats.IndexSearches == 0 {
+			t.Errorf("%s: selection did not use its index:\n%s", name, cold.Stats.LogicalPlan)
+		}
+		analyzed := exec(t, c, sess, "explain analyze "+q)
+		for what, plan := range map[string]string{
+			"cold run":        cold.Stats.LogicalPlan,
+			"warm run":        warm.Stats.LogicalPlan,
+			"explain analyze": analyzed.Stats.LogicalPlan,
+		} {
+			if plan != explained {
+				t.Errorf("%s: plan of the %s differs from explain:\n%s\nexplain:\n%s", name, what, plan, explained)
+			}
+		}
+		// The report embeds that same plan, indented under its header.
+		var indented strings.Builder
+		for _, line := range strings.Split(strings.TrimRight(explained, "\n"), "\n") {
+			indented.WriteString("  " + line + "\n")
+		}
+		if report := rowsText(analyzed); !strings.Contains(report, "logical plan:\n"+indented.String()) {
+			t.Errorf("%s: explain analyze report does not carry the explain plan:\n%s", name, report)
+		}
+		// Every expression of these plans compiles: no operator is marked
+		// as an interpreter fallback.
+		if report := rowsText(analyzed); strings.Contains(report, "[interpreted]") {
+			t.Errorf("%s: an operator fell back to the interpreter:\n%s", name, report)
+		}
 	}
 }
 

@@ -260,8 +260,7 @@ func scanFields(project []string, pkField string) []string {
 
 // selectState is the per-instance state of a (possibly fused) select:
 // the fused-assign evaluators run first, extending the tuple, then the
-// condition evaluator decides. For specialized plans the evaluators are
-// shared compiled closures; otherwise each is a reused interpreter Env.
+// condition evaluator decides.
 type selectState struct {
 	fused []tupleEval
 	cond  tupleEval
@@ -284,8 +283,8 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 	}
 	if op.BatchVerify {
 		cols := colMap(in.schema)
-		if fn, ok := batchedVerifyOp(op.Cond, cols, verifier, counters); ok {
-			node := g.job.Add(compiledMark(name+"[batched]", op), in.parts, fn,
+		if fn, compiled, ok := batchedVerifyOp(op.Cond, cols, verifier, counters); ok {
+			node := g.job.Add(interpretedMark(name+"[batched]", compiled), in.parts, fn,
 				g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 			return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: in.sortCols}, nil
 		}
@@ -296,18 +295,11 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 		name += "(fused-assign)"
 	}
 	cols := colMap(schema)
-	newCond := evalFactory(op.Cond, cols, op.Compiled)
-	newFused := make([]func() tupleEval, len(op.FusedAssignExprs))
-	for i, e := range op.FusedAssignExprs {
-		newFused[i] = evalFactory(e, cols, op.Compiled)
-	}
-	node := g.job.Add(compiledMark(name, op), in.parts, hyracks.MapStateful(
+	newCond, condCompiled := evalFactory(op.Cond, cols)
+	newFused, fusedCompiled := evalFactories(op.FusedAssignExprs, cols)
+	node := g.job.Add(interpretedMark(name, condCompiled && fusedCompiled), in.parts, hyracks.MapStateful(
 		func() *selectState {
-			st := &selectState{cond: newCond(), fused: make([]tupleEval, len(newFused))}
-			for i, nf := range newFused {
-				st.fused[i] = nf()
-			}
-			return st
+			return &selectState{cond: newCond(), fused: instantiate(newFused)}
 		},
 		func(ctx *hyracks.TaskCtx, st *selectState, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
 			row := t
@@ -337,23 +329,25 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 	return &genOut{node: node, schema: schema, parts: in.parts, sortCols: in.sortCols}, nil
 }
 
+// batchVerifyState is one verifier instance's state: the checker's
+// mutable count map and the instance's evaluators (rest is nil when the
+// similarity conjunct is the whole condition).
+type batchVerifyState struct {
+	checker          *sim.JaccardChecker
+	cand, orig, rest tupleEval
+}
+
 // batchedVerifyOp lowers a BatchVerify-marked select condition to a
 // vectorized operator: the Jaccard conjunct's constant query side is
 // tokenized once here at job-generation time, each operator instance
 // gets its own JaccardChecker (the count map is mutable scratch), and
 // candidates are checked a frame at a time with the length filter and
 // early termination of similarity-jaccard-check. Remaining conjuncts
-// evaluate per survivor. Returns ok=false when the condition does not
+// evaluate per survivor. compiled reports whether every per-tuple
+// expression compiled. Returns ok=false when the condition does not
 // decompose after all — the caller falls back to the per-tuple select,
 // which is always semantically equivalent.
-// batchVerifyState is one verifier instance's mutable scratch: the
-// checker's count map and a reused interpreter Env.
-type batchVerifyState struct {
-	checker *sim.JaccardChecker
-	env     *algebra.Env
-}
-
-func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool, counters *QueryCounters) (func() hyracks.Operator, bool) {
+func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool, counters *QueryCounters) (newOp func() hyracks.Operator, compiled, ok bool) {
 	conjs := algebra.Conjuncts(cond)
 	simIdx := -1
 	var sc optimizer.SimConjunct
@@ -374,47 +368,55 @@ func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool,
 		break
 	}
 	if simIdx < 0 {
-		return nil, false
+		return nil, false, false
 	}
 	qv, err := algebra.Eval(sc.Left, algebra.NewEnv(nil, nil))
 	if err != nil {
-		return nil, false
+		return nil, false, false
 	}
 	queryToks, ok := algebra.TokensOf(qv)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
-	candExpr, delta := sc.Right, sc.Threshold
-	var rest algebra.Expr
+	delta := sc.Threshold
+	newCand, candCompiled := evalFactory(sc.Right, cols)
+	// Null or non-list candidates defer to the original conjunct, so
+	// edge-case semantics stay identical.
+	newOrig, origCompiled := evalFactory(sc.Orig, cols)
+	compiled = candCompiled && origCompiled
+	var newRest func() tupleEval
 	if len(conjs) > 1 {
 		others := make([]algebra.Expr, 0, len(conjs)-1)
 		others = append(others, conjs[:simIdx]...)
 		others = append(others, conjs[simIdx+1:]...)
-		rest = algebra.AndAll(others)
+		var restCompiled bool
+		newRest, restCompiled = evalFactory(algebra.AndAll(others), cols)
+		compiled = compiled && restCompiled
 	}
 	return hyracks.FlatMapBatch(
 		func() *batchVerifyState {
-			return &batchVerifyState{
+			st := &batchVerifyState{
 				checker: sim.NewJaccardChecker(queryToks),
-				env:     algebra.NewEnv(cols, nil),
+				cand:    newCand(),
+				orig:    newOrig(),
 			}
+			if newRest != nil {
+				st.rest = newRest()
+			}
+			return st
 		},
 		func(ctx *hyracks.TaskCtx, st *batchVerifyState, batch []hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			checker, env := st.checker, st.env
 			for _, t := range batch {
-				env.Reset(t)
-				cv, err := algebra.Eval(candExpr, env)
+				cv, err := st.cand(t)
 				if err != nil {
 					return err
 				}
 				if toks, ok := algebra.TokensOf(cv); ok {
-					if _, pass := checker.Check(toks, delta); !pass {
+					if _, pass := st.checker.Check(toks, delta); !pass {
 						continue
 					}
 				} else {
-					// Null or non-list candidate: defer to the original
-					// conjunct so edge-case semantics stay identical.
-					v, err := algebra.Eval(sc.Orig, env)
+					v, err := st.orig(t)
 					if err != nil {
 						return err
 					}
@@ -422,8 +424,8 @@ func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool,
 						continue
 					}
 				}
-				if rest != nil {
-					v, err := algebra.Eval(rest, env)
+				if st.rest != nil {
+					v, err := st.rest(t)
 					if err != nil {
 						return err
 					}
@@ -437,7 +439,7 @@ func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool,
 				emit(t)
 			}
 			return nil
-		}), true
+		}), compiled, true
 }
 
 func (g *jobGen) genAssign(op *algebra.Op) (*genOut, error) {
@@ -446,18 +448,9 @@ func (g *jobGen) genAssign(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	cols := colMap(in.schema)
-	newEvals := make([]func() tupleEval, len(op.AssignExprs))
-	for i, e := range op.AssignExprs {
-		newEvals[i] = evalFactory(e, cols, op.Compiled)
-	}
-	node := g.job.Add(compiledMark("Assign", op), in.parts, hyracks.MapStateful(
-		func() []tupleEval {
-			evals := make([]tupleEval, len(newEvals))
-			for i, ne := range newEvals {
-				evals[i] = ne()
-			}
-			return evals
-		},
+	newEvals, compiled := evalFactories(op.AssignExprs, cols)
+	node := g.job.Add(interpretedMark("Assign", compiled), in.parts, hyracks.MapStateful(
+		func() []tupleEval { return instantiate(newEvals) },
 		func(ctx *hyracks.TaskCtx, evals []tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
 			nt := make(hyracks.Tuple, len(t), len(t)+len(evals))
 			copy(nt, t)
@@ -507,9 +500,9 @@ func (g *jobGen) genUnnest(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	cols := colMap(in.schema)
-	newEval := evalFactory(op.Expr, cols, op.Compiled)
+	newEval, compiled := evalFactory(op.Expr, cols)
 	withPos := op.PosVar != 0
-	node := g.job.Add(compiledMark("Unnest", op), in.parts, hyracks.MapStateful(
+	node := g.job.Add(interpretedMark("Unnest", compiled), in.parts, hyracks.MapStateful(
 		newEval,
 		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
 			v, err := ev(t)

@@ -243,7 +243,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		} else {
 			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		newEval := evalFactory(cond, outCols, op.Compiled)
+		newEval, compiled := evalFactory(cond, outCols)
 		newPred := func() func(b, p hyracks.Tuple) (bool, error) {
 			ev := newEval()
 			// One reused concatenation buffer per instance: pred runs
@@ -259,7 +259,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 				return algebra.Truthy(v), nil
 			}
 		}
-		node = g.job.Add(compiledMark("NestedLoopJoin", op), g.parts, hyracks.NestedLoopJoin(newPred),
+		node = g.job.Add(interpretedMark("NestedLoopJoin", compiled), g.parts, hyracks.NestedLoopJoin(newPred),
 			g.inputFrom(buildOut, hyracks.ConnectorSpec{Type: hyracks.Broadcast}),
 			g.inputFrom(probeOut, probeConn))
 		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: left.fromIndex || right.fromIndex}, nil
@@ -276,8 +276,8 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	// Re-applying the full condition doubles as the global verification
 	// when an index subtree feeds the join.
 	counters := g.counters
-	newEval := evalFactory(cond, outCols, op.Compiled)
-	post := g.job.Add(compiledMark("JoinPostSelect", op), g.parts, hyracks.MapStateful(
+	newEval, compiled := evalFactory(cond, outCols)
+	post := g.job.Add(interpretedMark("JoinPostSelect", compiled), g.parts, hyracks.MapStateful(
 		newEval,
 		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
 			v, err := ev(t)
@@ -343,12 +343,12 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	cols := colMap(in.schema)
-	newKeyEval := evalFactory(op.KeyExpr, cols, op.Compiled)
-	newTEval := evalFactory(op.TExpr, cols, op.Compiled)
+	newKeyEval, keyCompiled := evalFactory(op.KeyExpr, cols)
+	newTEval, tCompiled := evalFactory(op.TExpr, cols)
 	dv, ds, ixName := op.Dataverse, op.Dataset, op.IndexName
 	c := g.c
 	counters := g.counters
-	node := g.job.Add(compiledMark("SecondaryIndexSearch("+ixName+")", op), g.parts, hyracks.MapStateful(
+	node := g.job.Add(interpretedMark("SecondaryIndexSearch("+ixName+")", keyCompiled && tCompiled), g.parts, hyracks.MapStateful(
 		func() *searchEvals { return &searchEvals{key: newKeyEval(), t: newTEval()} },
 		func(ctx *hyracks.TaskCtx, ev *searchEvals, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
 			keyVal, err := ev.key(t)
@@ -425,11 +425,11 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 		return nil, fmt.Errorf("jobgen: unknown dataset %s.%s", op.Dataverse, op.Dataset)
 	}
 	cols := colMap(in.schema)
-	newEval := evalFactory(op.PKExpr, cols, op.Compiled)
+	newEval, compiled := evalFactory(op.PKExpr, cols)
 	raw := op.RawPK
 	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField
 	c := g.c
-	node := g.job.Add(compiledMark("PrimaryIndexLookup("+ds+")", op), g.parts, hyracks.MapStateful(
+	node := g.job.Add(interpretedMark("PrimaryIndexLookup("+ds+")", compiled), g.parts, hyracks.MapStateful(
 		newEval,
 		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
 			v, err := ev(t)

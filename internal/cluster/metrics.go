@@ -15,9 +15,6 @@ var (
 	queryLatency   = obs.H("cluster.query_latency_ns")
 	slowQueries    = obs.C("cluster.slow_queries")
 	profileQueries = obs.C("cluster.profiled_queries")
-	// plancachePromotions counts hot plans recompiled with the
-	// specialization pass after crossing Config.SpecializeAfterHits.
-	plancachePromotions = obs.C("cluster.plancache.promotions")
 )
 
 // SetSlowQueryThreshold changes the slow-query log latency threshold at

@@ -8,13 +8,18 @@ import (
 	"simdb/internal/adm"
 	"simdb/internal/datagen"
 	"simdb/internal/optimizer"
+	"simdb/internal/sim"
+	"simdb/internal/tokenizer"
 )
 
-// loadSynthetic populates a dataset from the datagen generators.
-func loadSynthetic(t *testing.T, c *Cluster, sess *Session, name string, kind datagen.Kind, n int) {
+// loadSynthetic populates a dataset from the datagen generators and
+// returns the records it inserted.
+func loadSynthetic(t *testing.T, c *Cluster, sess *Session, name string, kind datagen.Kind, n int) []adm.Value {
 	t.Helper()
 	exec(t, c, sess, fmt.Sprintf(`create dataset %s primary key id;`, name))
+	var recs []adm.Value
 	err := datagen.Generate(kind, n, datagen.Options{Seed: 33}, func(v adm.Value) error {
+		recs = append(recs, v)
 		return c.Insert("Default", name, v)
 	})
 	if err != nil {
@@ -23,6 +28,7 @@ func loadSynthetic(t *testing.T, c *Cluster, sess *Session, name string, kind da
 	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	return recs
 }
 
 // TestJoinPlansAgreeOnSyntheticData is the paper's core correctness
@@ -141,58 +147,121 @@ func TestSelectionPlansAgreeOnSyntheticData(t *testing.T) {
 	}
 }
 
-// TestSpecializedPlansAgreeOnSyntheticData forces the specialization
-// pass (constant folding, assign/select fusion, compiled evaluators) on
-// the selection and join workloads and checks the answers are identical
-// to the default interpreted plans — the cluster-level counterpart of
-// the algebra package's compiled-vs-interpreted property tests.
-func TestSpecializedPlansAgreeOnSyntheticData(t *testing.T) {
+// TestEngineAgreesWithNaiveReference checks the engine's answers
+// against a reference computed right here from the generated records
+// with internal/sim and internal/tokenizer — nested loops, no
+// optimizer, no index, no evaluator. Two index-backed selections, a
+// Jaccard 0.8 self-join, and a selection whose let holds a nested FLWOR
+// over word-tokens (a comprehension, which the closure compiler
+// declines, so that one operator runs the interpreter).
+func TestEngineAgreesWithNaiveReference(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()
-	loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 400)
+	recs := loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 400)
 	exec(t, c, sess, `create index spx on ARevs(summary) type keyword;`)
 
-	spec := sessionOpts(func(o *optimizer.Options) { o.Specialize = true })
-	selections := []string{
-		`for $r in dataset ARevs
-		 where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.5
-		 return $r.id`,
-		`for $r in dataset ARevs
-		 where edit-distance($r.reviewerName, 'Mogo Bani') <= 2
-		 return $r.id`,
+	type row struct {
+		id      int64
+		name    string
+		summary []string
 	}
-	sawCompiled := false
-	for i, q := range selections {
-		ref := exec(t, c, sessionOpts(nil), q)
-		got := exec(t, c, spec, q)
-		if fmt.Sprint(rowInts(t, got.Rows)) != fmt.Sprint(rowInts(t, ref.Rows)) {
-			t.Errorf("selection %d: specialized %v != interpreted %v",
-				i, rowInts(t, got.Rows), rowInts(t, ref.Rows))
-		}
-		if strings.Contains(got.Stats.LogicalPlan, "[compiled]") {
-			sawCompiled = true
-		}
+	rows := make([]row, len(recs))
+	for i, r := range recs {
+		id, _ := r.Rec().Get("id")
+		name, _ := r.Rec().Get("reviewerName")
+		summary, _ := r.Rec().Get("summary")
+		rows[i] = row{id.Int(), name.Str(), tokenizer.WordTokens(summary.Str())}
 	}
-	if !sawCompiled {
-		t.Error("no specialized selection plan carried a [compiled] operator")
+	selectIDs := func(keep func(row) bool) []int64 {
+		var ids []int64
+		for _, r := range rows {
+			if keep(r) {
+				ids = append(ids, r.id)
+			}
+		}
+		return ids
 	}
 
-	join := `
+	query := tokenizer.WordTokens("the great product of love")
+	// The edit-distance constant is a name from the data, so the typo
+	// variants the generator injected are what the selection finds.
+	name := rows[0].name
+	selections := []struct {
+		name, q     string
+		keep        func(row) bool
+		interpreted bool
+	}{
+		{"jaccard", `for $r in dataset ARevs
+			 where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.5
+			 return $r.id`,
+			func(r row) bool { return sim.Jaccard(r.summary, query) >= 0.5 }, false},
+		{"edit-distance", fmt.Sprintf(`for $r in dataset ARevs
+			 where edit-distance($r.reviewerName, '%s') <= 2
+			 return $r.id`, name),
+			func(r row) bool { return sim.EditDistance(r.name, name) <= 2 }, false},
+		{"comprehension", `for $r in dataset ARevs
+			 let $long := for $tok in word-tokens($r.summary) where string-length($tok) >= 6 return $tok
+			 where count($long) >= 2
+			 return $r.id`,
+			func(r row) bool {
+				n := 0
+				for _, tok := range r.summary {
+					if len([]rune(tok)) >= 6 {
+						n++
+					}
+				}
+				return n >= 2
+			}, true},
+	}
+	for _, sel := range selections {
+		res := exec(t, c, NewSession(), sel.q)
+		want := selectIDs(sel.keep)
+		if len(want) == 0 {
+			t.Errorf("%s: reference is empty; test is vacuous", sel.name)
+		}
+		if got := rowInts(t, res.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: engine %v != reference %v", sel.name, got, want)
+		}
+		if got := ranInterpreter(res); got != sel.interpreted {
+			t.Errorf("%s: interpreter fallback = %v, want %v:\n%+v",
+				sel.name, got, sel.interpreted, res.Stats.PhysicalOps)
+		}
+	}
+
+	join := exec(t, c, NewSession(), `
 		set simfunction 'jaccard';
 		set simthreshold '0.8';
 		for $a in dataset ARevs
 		for $b in dataset ARevs
 		where word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id < $b.id
 		return { 'l': $a.id, 'r': $b.id }
-	`
-	ref := exec(t, c, sessionOpts(nil), join)
-	got := exec(t, c, spec, join)
-	if pairKey(ref) != pairKey(got) {
-		t.Errorf("specialized join differs: %d rows vs %d", len(got.Rows), len(ref.Rows))
+	`)
+	var want []string
+	for _, a := range rows {
+		for _, b := range rows {
+			if a.id < b.id && sim.Jaccard(a.summary, b.summary) >= 0.8 {
+				want = append(want, fmt.Sprintf("%d-%d", a.id, b.id))
+			}
+		}
 	}
-	if len(ref.Rows) == 0 {
-		t.Error("join produced no similar pairs; test is vacuous")
+	if len(want) == 0 {
+		t.Error("join reference is empty; test is vacuous")
 	}
+	sortStrings(want)
+	if got := pairKey(join); got != fmt.Sprint(want) {
+		t.Errorf("join: engine has %d pairs, reference %d", len(join.Rows), len(want))
+	}
+}
+
+// ranInterpreter reports whether any physical operator of the query was
+// marked as falling back to the tree interpreter.
+func ranInterpreter(res *Result) bool {
+	for _, op := range res.Stats.PhysicalOps {
+		if strings.Contains(op.Name, "[interpreted]") {
+			return true
+		}
+	}
+	return false
 }
 
 func sessionOpts(mod func(*optimizer.Options)) *Session {

@@ -64,10 +64,6 @@ type planEntry struct {
 	logicalPlan string
 	ruleTrace   []string
 	cornerCases int
-	// hits counts how many times this entry served a query; the
-	// specialization pass promotes a plan to a compiled build once its
-	// base entry crosses Config.SpecializeAfterHits.
-	hits atomic.Int64
 }
 
 // NewPlanCache returns a cache bounded to capacity entries (LRU
@@ -110,34 +106,6 @@ func (pc *PlanCache) get(key planKey, epoch uint64) (*planEntry, bool) {
 		pc.mu.Unlock()
 		pc.invalidations.Add(1)
 		pc.misses.Add(1)
-		return nil, false
-	}
-	pc.lru.MoveToFront(el)
-	pc.mu.Unlock()
-	pc.hits.Add(1)
-	return e, true
-}
-
-// peek is get without the miss accounting: an absent key costs nothing.
-// The executor uses it to probe for a promoted (specialized) build of a
-// plan before the base-key lookup — most queries have none, and that
-// probe must not inflate the miss counter.
-func (pc *PlanCache) peek(key planKey, epoch uint64) (*planEntry, bool) {
-	if pc.disabled.Load() {
-		return nil, false
-	}
-	pc.mu.Lock()
-	el, ok := pc.entries[key]
-	if !ok {
-		pc.mu.Unlock()
-		return nil, false
-	}
-	e := el.Value.(*planEntry)
-	if e.epoch != epoch {
-		pc.lru.Remove(el)
-		delete(pc.entries, key)
-		pc.mu.Unlock()
-		pc.invalidations.Add(1)
 		return nil, false
 	}
 	pc.lru.MoveToFront(el)

@@ -38,13 +38,6 @@ type QueryStats struct {
 	// their Ns fields are zero.
 	PlanCacheHit bool
 
-	// Specialized is true when the query ran a specialized plan build:
-	// the optimizer's specialization pass (constant folding,
-	// assign/select fusion, compiled expression evaluators) was applied,
-	// either because the session asked for it or because the plan crossed
-	// the promotion hit threshold.
-	Specialized bool
-
 	// EstimatedParallel is the cost model's makespan estimate for the
 	// configured node count (see Config.CostModel) — the number the
 	// scale-out/speed-up experiments report.
@@ -244,7 +237,8 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	}
 	// Admission charges the budget in effect at request entry; a `set
 	// memorybudget` inside this request applies from the next one.
-	qctx, release, admitNs, err := c.qm.admit(cctx, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
+	entry := c.snapshotSession(sess)
+	qctx, release, admitNs, err := c.qm.admit(cctx, entry.Opts.MemoryBudgetBytes)
 	if err != nil {
 		queryErrors.Inc()
 		err = &QueryError{QueryID: qid, Err: err}
@@ -253,7 +247,7 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	}
 	qr.tr.SpanAt(trace.RootSpan, "admission", trace.CatPhase,
 		time.Now().Add(-time.Duration(admitNs)), time.Duration(admitNs))
-	res, err := c.execute(qctx, sess, src, admitNs, qr)
+	res, err := c.execute(qctx, sess, entry, src, admitNs, qr)
 	if stream != nil && err == nil && res != nil && len(res.Rows) > 0 {
 		// Paths that buffer by nature (explain, explain analyze) deliver
 		// their rows through the stream here so streamed requests never
@@ -292,58 +286,28 @@ func isExplainRequest(norm string) bool {
 }
 
 // execute runs one admitted request: plan-cache fast path, else
-// parse → statements → compile (+ cache store) → run.
-func (c *Cluster) execute(ctx context.Context, sess *Session, src string, admitNs int64, qr *queryRun) (*Result, error) {
+// parse → statements → compile (+ cache store) → run. entry is the
+// session snapshot taken at request entry, before any statement ran.
+func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src string, admitNs int64, qr *queryRun) (*Result, error) {
 	norm := normalizeAQL(src)
 	key := planKey{
 		text:         norm,
-		dataverse:    sess.Dataverse,
-		simFunction:  sess.SimFunction,
-		simThreshold: sess.SimThreshold,
-		profile:      sess.Profile,
-		opts:         c.snapshotSession(sess).Opts,
+		dataverse:    entry.Dataverse,
+		simFunction:  entry.SimFunction,
+		simThreshold: entry.SimThreshold,
+		profile:      entry.Profile,
+		opts:         entry.Opts,
 	}
 	explain := isExplainRequest(norm)
 	// Epoch is read before the lookup AND before any compile below: an
 	// entry stored under this epoch can never reflect catalog state
 	// newer than what its key claims, so DDL invalidation is sound.
 	epoch := c.Catalog.Epoch()
-	// promote is set when a cached base plan crosses the hit threshold:
-	// the lookup below declines to serve it and the compile path instead
-	// rebuilds the plan with the specialization pass, caching the result
-	// under its own (Specialize=true) key.
-	promote := false
-	specThresh := c.cfg.SpecializeAfterHits
 	if !explain {
 		qr.setPhase(phasePlanCache)
 		lookup := qr.tr.StartSpan(trace.RootSpan, "plan-cache", trace.CatPhase)
-		var (
-			e  *planEntry
-			ok bool
-		)
-		if !key.opts.Specialize && specThresh > 0 {
-			// A promoted build of this plan, if one exists, serves ahead of
-			// the base entry. peek counts no miss: most plans never promote
-			// and the probe must not distort the miss rate.
-			sk := key
-			sk.opts.Specialize = true
-			e, ok = c.planCache.peek(sk, epoch)
-		}
-		if !ok {
-			e, ok = c.planCache.get(key, epoch)
-			if ok && !key.opts.Specialize && specThresh > 0 &&
-				e.hits.Add(1) >= int64(specThresh) {
-				ok = false
-				promote = true
-				plancachePromotions.Inc()
-			}
-		}
-		switch {
-		case promote:
-			lookup.End(trace.S("outcome", "promote"))
-		default:
-			lookup.End(trace.S("outcome", cacheOutcome(ok)))
-		}
+		e, ok := c.planCache.get(key, epoch)
+		lookup.End(trace.S("outcome", cacheOutcome(ok)))
 		if ok {
 			// Warm hit: skip parse, translate, and optimize entirely. Replay
 			// the request's session effects (use/set), then execute a private
@@ -356,7 +320,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, src string, admitN
 			stats := &QueryStats{
 				AdmissionNs:         admitNs,
 				PlanCacheHit:        true,
-				Specialized:         e.key.opts.Specialize,
 				PlanOps:             e.planOps,
 				LogicalPlan:         e.logicalPlan,
 				RuleTrace:           append([]string(nil), e.ruleTrace...),
@@ -409,30 +372,10 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, src string, admitN
 
 	qr.setPhase(phaseCompile)
 	st := c.snapshotSession(sess)
-	if promote {
-		// Hot-plan promotion: recompile with the specialization pass and
-		// store under the Specialize=true key, so the base (interpreted)
-		// entry stays intact for sessions that pin Specialize off via
-		// explicit Opts and future lookups find the promoted build first.
-		st.Opts.Specialize = true
-		key.opts.Specialize = true
-	}
 	if q.Analyze {
 		// explain analyze always measures: force span collection for this
 		// run without flipping the session's profile setting.
 		st.Profile = true
-		// Reflect what the server would actually run: when the bare query
-		// has a promoted (specialized) build in the cache, compile this
-		// analyze run specialized too, so its operator table carries the
-		// same [compiled] annotations the promoted plan executes with.
-		if !st.Opts.Specialize && specThresh > 0 {
-			sk := key
-			sk.text = strings.TrimPrefix(strings.TrimPrefix(norm, "explain analyze"), " ")
-			sk.opts.Specialize = true
-			if _, promoted := c.planCache.peek(sk, epoch); promoted {
-				st.Opts.Specialize = true
-			}
-		}
 	}
 	compileSpan := qr.tr.StartSpan(trace.RootSpan, "compile", trace.CatPhase)
 	plan, stats, err := c.compileState(st, q.Body)
@@ -447,7 +390,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, src string, admitN
 	)
 	stats.ParseNs = parseNs
 	stats.AdmissionNs = admitNs
-	stats.Specialized = st.Opts.Specialize
 
 	if q.Explain && !q.Analyze {
 		// Bare explain: compile only, rows are the optimized plan text.

@@ -174,6 +174,25 @@ func TestTransportEquivalence(t *testing.T) {
 		}
 	})
 
+	t.Run("interpreter-fallback", func(t *testing.T) {
+		// A nested FLWOR over word-tokens is a comprehension, which the
+		// closure compiler declines: the worker recompiling the shipped
+		// text must fall back to the interpreter for it like node 0 does.
+		a, b := assertEquivalent(t, inproc, tcp, plainSession, `
+			for $r in dataset EqReviews
+			let $long := for $tok in word-tokens($r.summary) where string-length($tok) >= 6 return $tok
+			where count($long) >= 2
+			return $r.id`)
+		if len(a.Rows) == 0 {
+			t.Error("comprehension selection found nothing")
+		}
+		for name, res := range map[string]*Result{"inproc": a, "tcp": b} {
+			if !ranInterpreter(res) {
+				t.Errorf("%s: no operator ran the interpreter: %+v", name, res.Stats.PhysicalOps)
+			}
+		}
+	})
+
 	t.Run("count", func(t *testing.T) {
 		res, _ := assertEquivalent(t, inproc, tcp, plainSession,
 			`count(for $r in dataset EqReviews return $r.id)`)

@@ -66,12 +66,6 @@ type Config struct {
 	// PlanCacheSize bounds the compiled-plan cache in entries (0 takes
 	// the default of 256; negative disables the cache).
 	PlanCacheSize int
-	// SpecializeAfterHits is the plan-cache hit count at which a hot
-	// plan is recompiled with the optimizer's specialization pass
-	// (constant folding, assign/select fusion, compiled expression
-	// evaluators) and served specialized from then on. 0 takes the
-	// default of 3; negative disables promotion.
-	SpecializeAfterHits int
 	// SlowQueryThreshold logs any query slower than this as one
 	// structured JSON line on stderr; 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
@@ -195,7 +189,6 @@ func Open(cfg Config) (*Database, error) {
 		QueryTimeout:            cfg.QueryTimeout,
 		AdmissionTimeout:        cfg.AdmissionTimeout,
 		PlanCacheSize:           cfg.PlanCacheSize,
-		SpecializeAfterHits:     cfg.SpecializeAfterHits,
 		SlowQueryThreshold:      cfg.SlowQueryThreshold,
 		QueryMemoryBudget:       cfg.QueryMemoryBudget,
 		ClusterMemoryBudget:     cfg.ClusterMemoryBudget,

@@ -59,15 +59,6 @@ type Options struct {
 	// very tight budget demotes hash-hinted group-bys to the sort-based
 	// path, whose streaming aggregation never needs the whole table.
 	MemoryBudgetBytes int64
-	// Specialize enables the plan-specialization pass: constant
-	// subtrees (tokenized similarity arguments, prefix lengths,
-	// T-occurrence bounds) fold once per plan, Assign+Select pairs fuse
-	// into one evaluator, and operators are marked for closure
-	// compilation. Off by default: cold queries interpret and pay no
-	// compilation cost; the plan cache recompiles a plan with this set
-	// once its hit count crosses the promotion threshold. Participates
-	// in the plan-cache key like every option.
-	Specialize bool
 }
 
 // DefaultOptions enables everything, like stock AsterixDB.

@@ -442,3 +442,25 @@ func TestOptimizerTrace(t *testing.T) {
 	}
 	_ = strings.Join(trace, ",")
 }
+
+// TestSpecializationIsUnconditional pins that every plan gets the
+// specialization pass, whatever the ablation switches say: the constant
+// side of the predicate folds to a token list and the let's assign fuses
+// into the select above it.
+func TestSpecializationIsUnconditional(t *testing.T) {
+	src := `
+		for $t in dataset ARevs
+		let $toks := word-tokens($t.summary)
+		where similarity-jaccard($toks, word-tokens('great product')) >= 0.5
+		return $t.id
+	`
+	for name, opts := range map[string]Options{"all off": {}, "defaults": DefaultOptions()} {
+		plan := algebra.Print(compile(t, newTestCatalog(), opts, src))
+		if strings.Contains(plan, `word-tokens("great product")`) || !strings.Contains(plan, `["great", "product"]`) {
+			t.Errorf("%s: constant query side not folded:\n%s", name, plan)
+		}
+		if name == "all off" && !strings.Contains(plan, "[fused-assign $") {
+			t.Errorf("%s: assign not fused into its select:\n%s", name, plan)
+		}
+	}
+}

@@ -4,32 +4,22 @@ import (
 	"simdb/internal/algebra"
 )
 
-// specializeRule is the plan-specialization pass behind the compile-
-// once, run-many promotion path. It runs only when Opts.Specialize is
-// set — the plan cache recompiles a hot plan with the option on, so
-// cold queries never pay for it — and performs three rewrites:
+// specializeRule is the plan-specialization pass every plan gets: what
+// can be decided once per plan is decided here, so the per-tuple
+// evaluators job generation resolves never redo it. Two rewrites:
 //
 //  1. Constant folding over every operator expression: a variable-free
 //     subtree (the constant side of a similarity predicate, its
 //     word-tokens call, a prefix length, a T-occurrence bound)
-//     evaluates once here and becomes a literal, so the per-tuple
-//     evaluator never recomputes it. Subtrees whose evaluation errors
-//     are left in place — the error belongs at run time, where
-//     short-circuiting may legitimately skip it.
+//     evaluates once here and becomes a literal. Subtrees whose
+//     evaluation errors are left in place — the error belongs at run
+//     time, where short-circuiting may legitimately skip it.
 //
 //  2. Assign+Select fusion: a select over a single-parent assign
 //     absorbs the assign's bindings, so one evaluator pass computes
 //     the bindings and the condition per tuple instead of two
 //     operators exchanging tuples.
-//
-//  3. Compilation marking: operators whose expressions are all
-//     closure-compilable (no comprehensions) are marked Compiled; job
-//     generation resolves algebra.Compile evaluators for them and
-//     EXPLAIN renders the [compiled] annotation.
 func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
-	if !o.Opts.Specialize {
-		return root, false, nil
-	}
 	changed := false
 
 	// 1. Fold variable-free subtrees in every expression position.
@@ -91,30 +81,6 @@ func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 		op.FusedAssignVars = append(append([]algebra.Var(nil), in.AssignVars...), op.FusedAssignVars...)
 		op.FusedAssignExprs = append(append([]algebra.Expr(nil), in.AssignExprs...), op.FusedAssignExprs...)
 		op.Inputs[0] = in.Inputs[0]
-		changed = true
-	})
-
-	// 3. Mark operators whose per-tuple expressions all compile.
-	algebra.Walk(root, func(op *algebra.Op) {
-		if op.Compiled {
-			return
-		}
-		switch op.Kind {
-		case algebra.OpSelect, algebra.OpAssign, algebra.OpUnnest, algebra.OpJoin,
-			algebra.OpSecondarySearch, algebra.OpPrimaryLookup:
-		default:
-			return
-		}
-		exprs := op.UsedExprs()
-		if len(exprs) == 0 {
-			return
-		}
-		for _, e := range exprs {
-			if !algebra.Compilable(e) {
-				return
-			}
-		}
-		op.Compiled = true
 		changed = true
 	})
 

@@ -61,7 +61,6 @@ type querySummary struct {
 	ExecNs       int64  `json:"exec_ns"`
 	AdmissionNs  int64  `json:"admission_ns"`
 	PlanCacheHit bool   `json:"plan_cache_hit"`
-	Specialized  bool   `json:"specialized,omitempty"`
 	MemBudget    int64  `json:"mem_budget,omitempty"`
 	MemHighWater int64  `json:"mem_high_water,omitempty"`
 	SpillRuns    int64  `json:"spill_runs,omitempty"`

@@ -366,7 +366,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ExecNs:       res.Stats.ExecNs,
 		AdmissionNs:  res.Stats.AdmissionNs,
 		PlanCacheHit: res.Stats.PlanCacheHit,
-		Specialized:  res.Stats.Specialized,
 		MemBudget:    res.Stats.MemBudget,
 		MemHighWater: res.Stats.MemHighWater,
 		SpillRuns:    res.Stats.SpillRuns,
