@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -591,4 +592,553 @@ func (g *jobGen) genMaterialize(op *algebra.Op) (*genOut, error) {
 	node := g.job.Add("Materialize", in.parts, hyracks.Materialize(),
 		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 	return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: in.sortCols, fromIndex: in.fromIndex}, nil
+}
+
+// aggKindOf maps algebra aggregate kinds to runtime kinds.
+func aggKindOf(k algebra.AggKind) hyracks.AggKind {
+	switch k {
+	case algebra.AggCount:
+		return hyracks.AggCount
+	case algebra.AggSum:
+		return hyracks.AggSum
+	case algebra.AggMin:
+		return hyracks.AggMin
+	case algebra.AggMax:
+		return hyracks.AggMax
+	case algebra.AggAvg:
+		return hyracks.AggAvg
+	case algebra.AggListify:
+		return hyracks.AggListify
+	case algebra.AggFirst:
+		return hyracks.AggFirst
+	}
+	return hyracks.AggCount
+}
+
+// decomposable reports whether all aggregates support local
+// pre-aggregation with a combining final pass.
+func decomposable(aggs []algebra.AggDef) bool {
+	for _, a := range aggs {
+		switch a.Kind {
+		case algebra.AggCount, algebra.AggSum, algebra.AggMin, algebra.AggMax:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// combineKind gives the final-pass aggregate for a partial column.
+func combineKind(k algebra.AggKind) hyracks.AggKind {
+	if k == algebra.AggCount {
+		return hyracks.AggSum // partial counts are summed
+	}
+	return aggKindOf(k)
+}
+
+// aggSpecsFor resolves aggregate input columns through the schema.
+func aggSpecsFor(aggs []algebra.AggDef, cols map[algebra.Var]int) ([]hyracks.AggSpec, error) {
+	out := make([]hyracks.AggSpec, len(aggs))
+	for i, a := range aggs {
+		spec := hyracks.AggSpec{Kind: aggKindOf(a.Kind)}
+		if a.Kind != algebra.AggCount {
+			vr, ok := a.E.(algebra.VarRef)
+			if !ok {
+				return nil, fmt.Errorf("jobgen: aggregate input not normalized: %s", a.E)
+			}
+			c, ok := cols[vr.V]
+			if !ok {
+				return nil, fmt.Errorf("jobgen: aggregate var %v missing", vr.V)
+			}
+			spec.In = c
+		}
+		out[i] = spec
+	}
+	return out, nil
+}
+
+func (g *jobGen) genAggregate(op *algebra.Op) (*genOut, error) {
+	in, err := g.gen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	cols := colMap(in.schema)
+	specs, err := aggSpecsFor(op.Aggs, cols)
+	if err != nil {
+		return nil, err
+	}
+	schema := make([]algebra.Var, len(op.Aggs))
+	for i, a := range op.Aggs {
+		schema[i] = a.V
+	}
+	if decomposable(op.Aggs) && in.parts > 1 {
+		local := g.job.Add("AggregateLocal", in.parts, hyracks.Aggregate(specs),
+			g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+		finalSpecs := make([]hyracks.AggSpec, len(op.Aggs))
+		for i, a := range op.Aggs {
+			finalSpecs[i] = hyracks.AggSpec{Kind: combineKind(a.Kind), In: i}
+		}
+		final := g.job.Add("AggregateFinal", 1, hyracks.Aggregate(finalSpecs),
+			hyracks.Input{From: local, Conn: hyracks.ConnectorSpec{Type: hyracks.GatherOne}})
+		return &genOut{node: final, schema: schema, parts: 1}, nil
+	}
+	node := g.job.Add("Aggregate", 1, hyracks.Aggregate(specs),
+		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.GatherOne}))
+	return &genOut{node: node, schema: schema, parts: 1}, nil
+}
+
+func (g *jobGen) genGroupBy(op *algebra.Op) (*genOut, error) {
+	in, err := g.gen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	cols := colMap(in.schema)
+	keyCols := make([]int, len(op.Keys))
+	for i, k := range op.Keys {
+		vr, ok := k.E.(algebra.VarRef)
+		if !ok {
+			return nil, fmt.Errorf("jobgen: group key not normalized: %s", k.E)
+		}
+		c, ok := cols[vr.V]
+		if !ok {
+			return nil, fmt.Errorf("jobgen: group key var %v missing", vr.V)
+		}
+		keyCols[i] = c
+	}
+	specs, err := aggSpecsFor(op.Aggs, cols)
+	if err != nil {
+		return nil, err
+	}
+	schema := make([]algebra.Var, 0, len(op.Keys)+len(op.Aggs))
+	for _, k := range op.Keys {
+		schema = append(schema, k.V)
+	}
+	for _, a := range op.Aggs {
+		schema = append(schema, a.V)
+	}
+
+	if op.HashHint {
+		// The paper's /*+ hash */ path: local hash pre-aggregation when
+		// the aggregates decompose, then a hash-repartitioned final
+		// aggregation (Figure 12's stage 1 shape).
+		if decomposable(op.Aggs) && in.parts > 1 {
+			local := g.job.Add("HashGroupLocal", in.parts, hyracks.HashGroup(keyCols, specs),
+				g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+			// Local output layout: keys 0..k-1, partials k..k+n-1.
+			finalKeys := make([]int, len(keyCols))
+			for i := range finalKeys {
+				finalKeys[i] = i
+			}
+			finalSpecs := make([]hyracks.AggSpec, len(op.Aggs))
+			for i, a := range op.Aggs {
+				finalSpecs[i] = hyracks.AggSpec{Kind: combineKind(a.Kind), In: len(keyCols) + i}
+			}
+			final := g.job.Add("HashGroupFinal", g.parts, hyracks.HashGroup(finalKeys, finalSpecs),
+				hyracks.Input{From: local, Conn: hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: finalKeys}})
+			return &genOut{node: final, schema: schema, parts: g.parts}, nil
+		}
+		node := g.job.Add("HashGroup", g.parts, hyracks.HashGroup(keyCols, specs),
+			g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: keyCols}))
+		return &genOut{node: node, schema: schema, parts: g.parts}, nil
+	}
+
+	// Default sort-based aggregation: hash-repartition on the keys,
+	// sort each partition, then stream-group. (Repartition-then-sort
+	// rather than sort-then-merge: bounded merge connectors can
+	// deadlock when skewed producers fill one consumer's buffer while
+	// another consumer still waits for that producer's first frame.)
+	sortCols := make([]hyracks.SortCol, len(keyCols))
+	for i, c := range keyCols {
+		sortCols[i] = hyracks.SortCol{Col: c}
+	}
+	sorted := g.job.Add("SortForGroup", g.parts, hyracks.Sort(sortCols),
+		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: keyCols}))
+	node := g.job.Add("SortGroup", g.parts, hyracks.SortGroup(keyCols, specs),
+		hyracks.Input{From: sorted, Conn: hyracks.ConnectorSpec{Type: hyracks.OneToOne}})
+	return &genOut{node: node, schema: schema, parts: g.parts}, nil
+}
+
+func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
+	if op.Phys == algebra.JoinPhysUnset {
+		return nil, fmt.Errorf("jobgen: join without a physical algorithm (optimizer bug)")
+	}
+	left, err := g.gen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	right, err := g.gen(op.Inputs[1])
+	if err != nil {
+		return nil, err
+	}
+	sides := [2]*genOut{left, right}
+	build := op.BuildSide
+	probe := 1 - build
+	buildOut, probeOut := sides[build], sides[probe]
+	outSchema := append(append([]algebra.Var(nil), buildOut.schema...), probeOut.schema...)
+	cond := op.Cond
+	outCols := colMap(outSchema)
+
+	var node *hyracks.OpNode
+	switch op.Phys {
+	case algebra.JoinPhysHash, algebra.JoinPhysBroadcastHash:
+		keysOf := func(exprs []algebra.Expr, schema []algebra.Var) ([]int, error) {
+			cols := colMap(schema)
+			out := make([]int, len(exprs))
+			for i, e := range exprs {
+				vr, ok := e.(algebra.VarRef)
+				if !ok {
+					return nil, fmt.Errorf("jobgen: join key not normalized: %s", e)
+				}
+				c, ok := cols[vr.V]
+				if !ok {
+					return nil, fmt.Errorf("jobgen: join key var %v missing", vr.V)
+				}
+				out[i] = c
+			}
+			return out, nil
+		}
+		sideKeys := [2][]algebra.Expr{op.JoinLeftKeys, op.JoinRightKeys}
+		buildKeys, err := keysOf(sideKeys[build], buildOut.schema)
+		if err != nil {
+			return nil, err
+		}
+		probeKeys, err := keysOf(sideKeys[probe], probeOut.schema)
+		if err != nil {
+			return nil, err
+		}
+		var buildConn, probeConn hyracks.ConnectorSpec
+		if op.Phys == algebra.JoinPhysBroadcastHash {
+			buildConn = hyracks.ConnectorSpec{Type: hyracks.Broadcast}
+			if probeOut.parts == g.parts {
+				probeConn = hyracks.ConnectorSpec{Type: hyracks.OneToOne}
+			} else {
+				probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
+			}
+		} else {
+			buildConn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: buildKeys}
+			probeConn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: probeKeys}
+		}
+		node = g.job.Add("HashJoin", g.parts, hyracks.HashJoin(buildKeys, probeKeys),
+			g.inputFrom(buildOut, buildConn),
+			g.inputFrom(probeOut, probeConn))
+	case algebra.JoinPhysNestedLoop:
+		var probeConn hyracks.ConnectorSpec
+		if probeOut.parts == g.parts {
+			probeConn = hyracks.ConnectorSpec{Type: hyracks.OneToOne}
+		} else {
+			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
+		}
+		newEval, compiled := evalFactory(cond, outCols)
+		newPred := func() func(b, p hyracks.Tuple) (bool, error) {
+			ev := newEval()
+			// One reused concatenation buffer per instance: pred runs
+			// serially within an instance and evaluators do not retain
+			// the row.
+			var row hyracks.Tuple
+			return func(b, p hyracks.Tuple) (bool, error) {
+				row = append(append(row[:0], b...), p...)
+				v, err := ev(row)
+				if err != nil {
+					return false, err
+				}
+				return algebra.Truthy(v), nil
+			}
+		}
+		node = g.job.Add(interpretedMark("NestedLoopJoin", compiled), g.parts, hyracks.NestedLoopJoin(newPred),
+			g.inputFrom(buildOut, hyracks.ConnectorSpec{Type: hyracks.Broadcast}),
+			g.inputFrom(probeOut, probeConn))
+		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: left.fromIndex || right.fromIndex}, nil
+	default:
+		return nil, fmt.Errorf("jobgen: unknown join phys %v", op.Phys)
+	}
+
+	// Hash joins verify key equality only; re-apply the full condition
+	// for any extra conjuncts.
+	fromIndex := left.fromIndex || right.fromIndex
+	if isAlwaysTrue(cond) {
+		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}, nil
+	}
+	// Re-applying the full condition doubles as the global verification
+	// when an index subtree feeds the join.
+	counters := g.counters
+	newEval, compiled := evalFactory(cond, outCols)
+	post := g.job.Add(interpretedMark("JoinPostSelect", compiled), g.parts, hyracks.MapStateful(
+		newEval,
+		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
+			v, err := ev(t)
+			if err != nil {
+				return err
+			}
+			if algebra.Truthy(v) {
+				if fromIndex {
+					counters.VerifiedTotal.Add(1)
+				}
+				emit(t)
+			}
+			return nil
+		}, nil), hyracks.Input{From: node, Conn: hyracks.ConnectorSpec{Type: hyracks.OneToOne}})
+	return &genOut{node: post, schema: outSchema, parts: g.parts}, nil
+}
+
+func isAlwaysTrue(e algebra.Expr) bool {
+	c, ok := e.(algebra.Const)
+	return ok && c.Val.Kind() == adm.KindBool && c.Val.Bool()
+}
+
+func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
+	inputs := make([]hyracks.Input, len(op.Inputs))
+	var fromIndex bool
+	for i, child := range op.Inputs {
+		in, err := g.gen(child)
+		if err != nil {
+			return nil, err
+		}
+		fromIndex = fromIndex || in.fromIndex
+		cols := colMap(in.schema)
+		idx := make([]int, len(op.InVars[i]))
+		for j, v := range op.InVars[i] {
+			c, ok := cols[v]
+			if !ok {
+				return nil, fmt.Errorf("jobgen: union input var %v missing", v)
+			}
+			idx[j] = c
+		}
+		proj := g.job.Add("UnionProject", in.parts, hyracks.FlatMap(
+			func(ctx *hyracks.TaskCtx, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
+				nt := make(hyracks.Tuple, len(idx))
+				for j, c := range idx {
+					nt[j] = t[c]
+				}
+				emit(nt)
+				return nil
+			}), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+		conn := hyracks.ConnectorSpec{Type: hyracks.OneToOne}
+		if in.parts != g.parts {
+			conn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
+		}
+		inputs[i] = hyracks.Input{From: proj, Conn: conn}
+	}
+	node := g.job.Add("Union", g.parts, hyracks.Union(), inputs...)
+	return &genOut{node: node, schema: append([]algebra.Var(nil), op.OutVars...), parts: g.parts, fromIndex: fromIndex}, nil
+}
+
+func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
+	in, err := g.gen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	cols := colMap(in.schema)
+	newKeyEval, keyCompiled := evalFactory(op.KeyExpr, cols)
+	newTEval, tCompiled := evalFactory(op.TExpr, cols)
+	dv, ds, ixName := op.Dataverse, op.Dataset, op.IndexName
+	c := g.c
+	counters := g.counters
+	node := g.job.Add(interpretedMark("SecondaryIndexSearch("+ixName+")", keyCompiled && tCompiled), g.parts, hyracks.MapStateful(
+		func() *searchEvals { return &searchEvals{key: newKeyEval(), t: newTEval()} },
+		func(ctx *hyracks.TaskCtx, ev *searchEvals, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
+			keyVal, err := ev.key(t)
+			if err != nil {
+				return err
+			}
+			if keyVal.IsNull() {
+				return nil
+			}
+			tVal, err := ev.t(t)
+			if err != nil {
+				return err
+			}
+			tNum, ok := tVal.Num()
+			if !ok {
+				return fmt.Errorf("secondary search: non-numeric T %v", tVal)
+			}
+			if int(tNum) <= 0 {
+				return fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
+			}
+			tokens, err := tokensFromValue(keyVal)
+			if err != nil {
+				return err
+			}
+			pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, int(tNum), counters)
+			if err != nil {
+				return err
+			}
+			for _, pk := range pks {
+				nt := make(hyracks.Tuple, len(t), len(t)+1)
+				copy(nt, t)
+				nt = append(nt, pk)
+				emit(nt)
+			}
+			return nil
+		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Broadcast}))
+	schema := append(append([]algebra.Var(nil), in.schema...), op.OutVar)
+	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: true}, nil
+}
+
+// searchEvals is one secondary-search instance's pair of evaluators.
+type searchEvals struct {
+	key, t tupleEval
+}
+
+// tokensFromValue converts a token-list value to strings. Non-string
+// elements use their binary encoding, mirroring IndexTokens.
+func tokensFromValue(v adm.Value) ([]string, error) {
+	switch v.Kind() {
+	case adm.KindList, adm.KindBag:
+		elems := v.Elems()
+		out := make([]string, len(elems))
+		for i, e := range elems {
+			if e.Kind() == adm.KindString {
+				out[i] = e.Str()
+			} else {
+				out[i] = string(adm.Encode(e))
+			}
+		}
+		return out, nil
+	case adm.KindString:
+		return []string{v.Str()}, nil
+	}
+	return nil, fmt.Errorf("secondary search key is %v, want a token list", v.Kind())
+}
+
+func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
+	in, err := g.gen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	meta, ok := g.c.Catalog.Dataset(op.Dataverse, op.Dataset)
+	if !ok {
+		return nil, fmt.Errorf("jobgen: unknown dataset %s.%s", op.Dataverse, op.Dataset)
+	}
+	cols := colMap(in.schema)
+	newEval, compiled := evalFactory(op.PKExpr, cols)
+	raw := op.RawPK
+	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField
+	c := g.c
+	node := g.job.Add(interpretedMark("PrimaryIndexLookup("+ds+")", compiled), g.parts, hyracks.MapStateful(
+		newEval,
+		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
+			v, err := ev(t)
+			if err != nil {
+				return err
+			}
+			if v.IsNull() {
+				return nil
+			}
+			var key []byte
+			if raw {
+				if v.Kind() != adm.KindString {
+					return fmt.Errorf("primary lookup: raw key is %v", v.Kind())
+				}
+				key = []byte(v.Str())
+			} else {
+				key = adm.OrderedKey(v)
+			}
+			rec, found, err := c.lookupRaw(dv, ds, ctx.Part, key)
+			if err != nil {
+				return err
+			}
+			if !found {
+				return nil
+			}
+			pkVal, _ := rec.Rec().GetPath(pkField)
+			nt := make(hyracks.Tuple, len(t), len(t)+2)
+			copy(nt, t)
+			nt = append(nt, pkVal, rec)
+			emit(nt)
+			return nil
+		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+	schema := append(append([]algebra.Var(nil), in.schema...), op.PKVar, op.RecVar)
+	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: in.fromIndex}, nil
+}
+
+// scanPartition streams one partition of a dataset as (pk, record)
+// tuples. The scan reads a refcounted LSM snapshot (never blocking
+// concurrent writers) and honors ctx cancellation between batches.
+// A non-nil fields list restricts the scan to those top-level record
+// fields: columnar components read only the matching column blocks,
+// and row components skip decoding the unreferenced fields. The
+// emitted records then carry just the projected fields, which is
+// only correct because the optimizer proved no other field is used.
+func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fields []string, part int, emit func(hyracks.Tuple)) error {
+	node := c.nodeOfPartition(part)
+	tree, err := node.primary(dv, ds, part)
+	if err != nil {
+		return err
+	}
+	var keep map[string]bool
+	if fields != nil {
+		keep = make(map[string]bool, len(fields))
+		for _, f := range fields {
+			keep[f] = true
+		}
+	}
+	var scanErr error
+	err = tree.ScanProjectedContext(ctx, nil, nil, fields, func(key, val []byte) bool {
+		var rec adm.Value
+		if keep != nil {
+			if r, ok := adm.DecodeRecordProjected(val, keep); ok {
+				rec = r
+			}
+		}
+		if rec.Kind() != adm.KindRecord {
+			r, _, derr := adm.Decode(val)
+			if derr != nil {
+				scanErr = derr
+				return false
+			}
+			rec = r
+		}
+		pk, _ := rec.Rec().GetPath(pkField)
+		emit(hyracks.Tuple{pk, rec})
+		return true
+	})
+	if scanErr != nil {
+		return scanErr
+	}
+	return err
+}
+
+// lookupRaw fetches a record by its encoded primary key from the local
+// partition.
+func (c *Cluster) lookupRaw(dv, ds string, part int, key []byte) (adm.Value, bool, error) {
+	node := c.nodeOfPartition(part)
+	tree, err := node.primary(dv, ds, part)
+	if err != nil {
+		return adm.Null, false, err
+	}
+	val, ok, err := tree.Get(key)
+	if err != nil || !ok {
+		return adm.Null, false, err
+	}
+	rec, _, err := adm.Decode(val)
+	if err != nil {
+		return adm.Null, false, err
+	}
+	return rec, true, nil
+}
+
+// searchIndex runs a T-occurrence search on the local partition of an
+// inverted index, returning candidate keys as raw-key string values in
+// sorted order.
+func (c *Cluster) searchIndex(dv, ds, ixName string, part int, tokens []string, t int, counters *QueryCounters) ([]adm.Value, error) {
+	node := c.nodeOfPartition(part)
+	inv, err := node.invIndex(dv, ds, ixName, part)
+	if err != nil {
+		return nil, err
+	}
+	pks, stats, err := inv.Search(tokens, t, c.tOccurrenceAlgorithm())
+	if err != nil {
+		return nil, err
+	}
+	if counters != nil {
+		counters.IndexSearches.Add(1)
+		counters.CandidatesTotal.Add(int64(stats.Candidates))
+		counters.PostingsRead.Add(stats.PostingsRead)
+		counters.noteOccurrenceT(int64(t))
+	}
+	out := make([]adm.Value, len(pks))
+	for i, pk := range pks {
+		out[i] = adm.NewString(string(pk))
+	}
+	return out, nil
 }
