@@ -34,10 +34,10 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 	}
 	// Physical operators in job order (not sorted by cost): the table
 	// should read like the plan it annotates.
-	fmt.Fprintf(&b, "%-32s %5s %12s %12s %10s %10s %6s %10s\n",
+	fmt.Fprintf(&b, "%-34s %5s %12s %12s %10s %10s %6s %10s\n",
 		"operator", "inst", "wall", "busy", "in", "out", "spills", "spillbytes")
 	for _, op := range st.PhysicalOps {
-		fmt.Fprintf(&b, "%-32s %5d %12s %12s %10d %10d %6d %10d\n",
+		fmt.Fprintf(&b, "%-34s %5d %12s %12s %10d %10d %6d %10d\n",
 			op.Name, op.Instances, time.Duration(op.WallNs), time.Duration(op.BusyNs),
 			op.TuplesIn, op.TuplesOut, op.SpillRuns, op.SpilledBytes)
 	}
