@@ -130,11 +130,12 @@ type Op struct {
 	PKVar     Var
 	RecVar    Var
 
-	// ProjectFields, on OpScan, is the projection-pushdown result: the
-	// set of top-level record fields the rest of the plan reads from
-	// RecVar. Nil means unknown or opaque (scan everything); a non-nil
-	// slice — possibly empty — lets the scan decode only those fields
-	// and, on columnar components, skip unreferenced column blocks.
+	// ProjectFields, on OpScan and OpPrimaryLookup, is the
+	// projection-pushdown result: the set of top-level record fields
+	// the rest of the plan reads from RecVar. Nil means unknown or
+	// opaque (fetch whole records); a non-nil slice — possibly empty —
+	// lets the scan or lookup decode only those fields and, on columnar
+	// components, skip unreferenced column blocks.
 	ProjectFields []string
 
 	// OpSelect / OpJoin
@@ -524,11 +525,7 @@ func Print(root *Op) string {
 func opDetail(o *Op) string {
 	switch o.Kind {
 	case OpScan:
-		d := fmt.Sprintf(" %s.%s -> pk:%v rec:%v", o.Dataverse, o.Dataset, o.PKVar, o.RecVar)
-		if o.ProjectFields != nil {
-			d += fmt.Sprintf(" project:[%s]", strings.Join(o.ProjectFields, ", "))
-		}
-		return d
+		return fmt.Sprintf(" %s.%s -> pk:%v rec:%v", o.Dataverse, o.Dataset, o.PKVar, o.RecVar) + projectDetail(o)
 	case OpSelect, OpJoin:
 		d := fmt.Sprintf(" (%s)", o.Cond)
 		if o.Kind == OpJoin && o.Phys != JoinPhysUnset {
@@ -596,7 +593,15 @@ func opDetail(o *Op) string {
 	case OpSecondarySearch:
 		return fmt.Sprintf(" %s.%s.%s keys=%s T=%s -> %v", o.Dataverse, o.Dataset, o.IndexName, o.KeyExpr, o.TExpr, o.OutVar)
 	case OpPrimaryLookup:
-		return fmt.Sprintf(" %s.%s pk=%s -> %v,%v", o.Dataverse, o.Dataset, o.PKExpr, o.PKVar, o.RecVar)
+		return fmt.Sprintf(" %s.%s pk=%s -> %v,%v", o.Dataverse, o.Dataset, o.PKExpr, o.PKVar, o.RecVar) + projectDetail(o)
 	}
 	return ""
+}
+
+// projectDetail renders a record source's projection annotation.
+func projectDetail(o *Op) string {
+	if o.ProjectFields == nil {
+		return ""
+	}
+	return fmt.Sprintf(" project:[%s]", strings.Join(o.ProjectFields, ", "))
 }

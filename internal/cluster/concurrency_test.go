@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,5 +239,77 @@ func TestConcurrentServingStress(t *testing.T) {
 	}
 	if qs.Failed != 0 {
 		t.Fatalf("queries failed during the storm: %+v", qs)
+	}
+}
+
+// TestLookupSnapshotReleasedOnEveryExit kills index-plan queries while
+// their primary-lookup operators hold a tree snapshot — once by a
+// runtime error raised in the verification select above the lookup,
+// then by client deadlines of a few lengths — and then forces a full
+// merge of every primary partition. A snapshot the dying operator did
+// not close would pin the merged-away components: their files would
+// stay on disk although the tree no longer lists them.
+func TestLookupSnapshotReleasedOnEveryExit(t *testing.T) {
+	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 2, DataDir: t.TempDir(), PlanCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess := NewSession()
+	exec(t, c, sess, `create dataset Leak primary key id;`)
+	insert := func(from, to int) {
+		for i := from; i < to; i++ {
+			rec := adm.EmptyRecord(2)
+			rec.Set("id", adm.NewInt(int64(i)))
+			rec.Set("summary", adm.NewString(fmt.Sprintf("common words here w%d", i%7)))
+			if err := c.Insert("Default", "Leak", adm.NewRecord(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two flushes: every partition has two components for Merge to retire.
+	insert(0, 1500)
+	insert(1500, 3000)
+	exec(t, c, sess, `create index lkx on Leak(summary) type keyword;`)
+
+	// Every record is a candidate; id 1700 divides by zero in the select
+	// above the lookup, which fails the job while lookups are streaming.
+	const sel = `for $r in dataset Leak
+		where similarity-jaccard(word-tokens($r.summary), word-tokens('common words here')) >= 0.5`
+	res, qerr := c.Execute(context.Background(), NewSession(), sel+` and 100 / ($r.id - 1700) > -1000 return $r.id`)
+	if qerr == nil {
+		t.Fatalf("division by zero did not fail the query (%d rows)", len(res.Rows))
+	}
+	for _, delay := range []time.Duration{200 * time.Microsecond, time.Millisecond, 4 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), delay)
+		c.Execute(ctx, NewSession(), sel+` return $r.id`) // may also finish in time
+		cancel()
+	}
+	ok := exec(t, c, NewSession(), sel+` return $r.id`)
+	if ok.Stats.IndexSearches == 0 || len(ok.Rows) != 3000 {
+		t.Fatalf("selection ran %d index searches and returned %d rows, want the index plan and 3000",
+			ok.Stats.IndexSearches, len(ok.Rows))
+	}
+
+	for part := 0; part < c.Config().Partitions(); part++ {
+		tree, err := c.nodeOfPartition(part).primary("Default", "Leak", part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Merge(); err != nil {
+			t.Fatal(err)
+		}
+		st := tree.Stats()
+		files, err := filepath.Glob(filepath.Join(c.Config().DataDir, "*", "Default", "Leak", fmt.Sprintf("p%d", part), "*.cmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DiskComponents != 1 || len(files) != st.DiskComponents {
+			t.Errorf("partition %d after merge: Stats() has %d disk components, the directory has %v",
+				part, st.DiskComponents, files)
+		}
 	}
 }

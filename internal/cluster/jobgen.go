@@ -11,6 +11,7 @@ import (
 	"simdb/internal/hyracks"
 	"simdb/internal/optimizer"
 	"simdb/internal/sim"
+	"simdb/internal/storage"
 )
 
 // QueryCounters collects similarity-specific work metrics during one
@@ -1013,40 +1014,61 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 	newEval, compiled := evalFactory(op.PKExpr, cols)
 	raw := op.RawPK
 	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField
+	fields := scanFields(op.ProjectFields, pkField)
+	proj, keep := storage.NewProjection(fields), keepSet(fields)
 	c := g.c
-	node := g.job.Add(interpretedMark("PrimaryIndexLookup("+ds+")", compiled), g.parts, hyracks.MapStateful(
-		newEval,
-		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			v, err := ev(t)
+	// One tree resolution and one snapshot per operator instance: every
+	// lookup of the query reads the same version of the partition, and
+	// the deferred Close runs on every exit path (error, cancellation,
+	// end of input), so a dying query never pins retired components.
+	node := g.job.Add(interpretedMark("PrimaryIndexLookup("+ds+")", compiled), g.parts, func() hyracks.Operator {
+		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
+			tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() {
-				return nil
-			}
-			var key []byte
-			if raw {
-				if v.Kind() != adm.KindString {
-					return fmt.Errorf("primary lookup: raw key is %v", v.Kind())
+			snap := tree.Snapshot()
+			defer snap.Close()
+			ev := newEval()
+			for {
+				t, ok := in[0].Next()
+				if !ok {
+					return ctx.Ctx.Err()
 				}
-				key = []byte(v.Str())
-			} else {
-				key = adm.OrderedKey(v)
+				v, err := ev(t)
+				if err != nil {
+					return err
+				}
+				if v.IsNull() {
+					continue
+				}
+				var key []byte
+				if raw {
+					if v.Kind() != adm.KindString {
+						return fmt.Errorf("primary lookup: raw key is %v", v.Kind())
+					}
+					key = []byte(v.Str())
+				} else {
+					key = adm.OrderedKey(v)
+				}
+				val, found, err := snap.GetProjected(key, proj)
+				if err != nil {
+					return err
+				}
+				if !found {
+					continue
+				}
+				rec, err := decodeRecord(val, keep)
+				if err != nil {
+					return err
+				}
+				pkVal, _ := rec.Rec().GetPath(pkField)
+				nt := make(hyracks.Tuple, len(t), len(t)+2)
+				copy(nt, t)
+				out[0].Emit(append(nt, pkVal, rec))
 			}
-			rec, found, err := c.lookupRaw(dv, ds, ctx.Part, key)
-			if err != nil {
-				return err
-			}
-			if !found {
-				return nil
-			}
-			pkVal, _ := rec.Rec().GetPath(pkField)
-			nt := make(hyracks.Tuple, len(t), len(t)+2)
-			copy(nt, t)
-			nt = append(nt, pkVal, rec)
-			emit(nt)
-			return nil
-		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+		})
+	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 	schema := append(append([]algebra.Var(nil), in.schema...), op.PKVar, op.RecVar)
 	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: in.fromIndex}, nil
 }
@@ -1065,28 +1087,13 @@ func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fie
 	if err != nil {
 		return err
 	}
-	var keep map[string]bool
-	if fields != nil {
-		keep = make(map[string]bool, len(fields))
-		for _, f := range fields {
-			keep[f] = true
-		}
-	}
+	keep := keepSet(fields)
 	var scanErr error
 	err = tree.ScanProjectedContext(ctx, nil, nil, fields, func(key, val []byte) bool {
-		var rec adm.Value
-		if keep != nil {
-			if r, ok := adm.DecodeRecordProjected(val, keep); ok {
-				rec = r
-			}
-		}
-		if rec.Kind() != adm.KindRecord {
-			r, _, derr := adm.Decode(val)
-			if derr != nil {
-				scanErr = derr
-				return false
-			}
-			rec = r
+		rec, derr := decodeRecord(val, keep)
+		if derr != nil {
+			scanErr = derr
+			return false
 		}
 		pk, _ := rec.Rec().GetPath(pkField)
 		emit(hyracks.Tuple{pk, rec})
@@ -1098,23 +1105,32 @@ func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fie
 	return err
 }
 
-// lookupRaw fetches a record by its encoded primary key from the local
-// partition.
-func (c *Cluster) lookupRaw(dv, ds string, part int, key []byte) (adm.Value, bool, error) {
-	node := c.nodeOfPartition(part)
-	tree, err := node.primary(dv, ds, part)
-	if err != nil {
-		return adm.Null, false, err
+// keepSet is the field list of a projected scan or lookup as the set
+// adm.DecodeRecordProjected takes; nil (no projection) stays nil.
+func keepSet(fields []string) map[string]bool {
+	if fields == nil {
+		return nil
 	}
-	val, ok, err := tree.Get(key)
-	if err != nil || !ok {
-		return adm.Null, false, err
+	keep := make(map[string]bool, len(fields))
+	for _, f := range fields {
+		keep[f] = true
+	}
+	return keep
+}
+
+// decodeRecord decodes a stored record value. Under a projection it
+// materializes only the kept fields and skips over the rest — the
+// value may be a partial record (columnar component) or a whole one
+// (memtable, row component); a value the projected decoder does not
+// take falls back to the full decode.
+func decodeRecord(val []byte, keep map[string]bool) (adm.Value, error) {
+	if keep != nil {
+		if rec, ok := adm.DecodeRecordProjected(val, keep); ok {
+			return rec, nil
+		}
 	}
 	rec, _, err := adm.Decode(val)
-	if err != nil {
-		return adm.Null, false, err
-	}
-	return rec, true, nil
+	return rec, err
 }
 
 // searchIndex runs a T-occurrence search on the local partition of an

@@ -147,6 +147,157 @@ func TestSelectionPlansAgreeOnSyntheticData(t *testing.T) {
 	}
 }
 
+// loadWide populates dataset Wide with Amazon-shaped records made wide:
+// a long reviewText, seventy filler fields — more than a columnar row
+// group keeps as columns, so the rarest fields live in the group's
+// overflow block — and, on every ninth record only, a nested open field
+// extra.tag, which is therefore one of those. The last few records are
+// inserted after the flush and stay in the memtable. It returns the
+// first record's reviewerName, a constant edit-distance selections find
+// typo variants of.
+func loadWide(t *testing.T, c *Cluster, sess *Session, n int) (name string) {
+	t.Helper()
+	exec(t, c, sess, `create dataset Wide primary key id;`)
+	i := 0
+	err := datagen.Generate(datagen.Amazon, n, datagen.Options{Seed: 33}, func(v adm.Value) error {
+		rec := v.Rec()
+		if i == 0 {
+			nm, _ := rec.Get("reviewerName")
+			name = nm.Str()
+		}
+		rec.Set("reviewText", adm.NewString(strings.Repeat("lorem ipsum dolor sit amet ", 12)))
+		for f := 0; f < 70; f++ {
+			rec.Set(fmt.Sprintf("f%02d", f), adm.NewInt(int64(f)))
+		}
+		if i%9 == 0 {
+			extra := adm.EmptyRecord(2)
+			extra.Set("tag", adm.NewString(fmt.Sprintf("tag-%d", i)))
+			extra.Set("n", adm.NewInt(int64(i)))
+			rec.Set("extra", adm.NewRecord(extra))
+		}
+		if i == n-5 {
+			if err := c.FlushAll(); err != nil {
+				return err
+			}
+		}
+		i++
+		return c.Insert("Default", "Wide", v)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return name
+}
+
+// TestProjectedLookupPlansAgree checks index plan ≡ scan plan on wide
+// records with the primary lookup projected, on both storage formats:
+// the CANON selections (three fields kept out of eighty), a selection
+// whose returned field lives in the columnar overflow block, and a
+// `return $r` query, for which the lookup must keep fetching whole
+// records. Each index plan is also compared with itself under
+// ProjectionPushdown off.
+func TestProjectedLookupPlansAgree(t *testing.T) {
+	const jaccard = `for $r in dataset Wide
+		where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.2`
+	const canonRet = ` return {'id': $r.id, 'summary': $r.summary, 'reviewerName': $r.reviewerName}`
+	type query struct {
+		name, q string
+		project string // the lookup's annotation; "" = none (whole records)
+	}
+	for _, format := range []string{"row", "columnar"} {
+		t.Run(format, func(t *testing.T) {
+			c := newTestClusterFormat(t, format)
+			name := loadWide(t, c, NewSession(), 400)
+			queries := []query{
+				{"canon-jaccard", jaccard + canonRet, "project:[id, reviewerName, summary]"},
+				{"canon-edit-distance", fmt.Sprintf(`for $r in dataset Wide where edit-distance($r.reviewerName, '%s') <= 2`, name) + canonRet,
+					"project:[id, reviewerName, summary]"},
+				{"overflow-field", jaccard + ` return {'id': $r.id, 'tag': $r.extra.tag}`, "project:[extra, id, summary]"},
+				{"whole-record", jaccard + ` return $r`, ""},
+			}
+			exec(t, c, NewSession(), `create index wkw on Wide(summary) type keyword;`)
+			exec(t, c, NewSession(), `create index wng on Wide(reviewerName) type ngram(2);`)
+			scan := sessionOpts(func(o *optimizer.Options) { o.UseIndexes = false })
+			noProj := sessionOpts(func(o *optimizer.Options) { o.ProjectionPushdown = false })
+			for _, q := range queries {
+				want := exec(t, c, scan, q.q)
+				if len(want.Rows) == 0 || want.Stats.IndexSearches != 0 {
+					t.Fatalf("%s: scan reference has %d rows, %d index searches", q.name, len(want.Rows), want.Stats.IndexSearches)
+				}
+				got := exec(t, c, sessionOpts(nil), q.q)
+				if got.Stats.IndexSearches == 0 {
+					t.Errorf("%s: did not use the index:\n%s", q.name, got.Stats.LogicalPlan)
+				}
+				lookup := planLine(got.Stats.LogicalPlan, "primary-index-lookup")
+				if q.project == "" && strings.Contains(lookup, "project:[") {
+					t.Errorf("%s: whole-record lookup got a projection: %s", q.name, lookup)
+				}
+				if q.project != "" && !strings.HasSuffix(lookup, q.project) {
+					t.Errorf("%s: lookup is %q, want it to end in %q", q.name, lookup, q.project)
+				}
+				if resultKey(got) != resultKey(want) {
+					t.Errorf("%s: index plan with projected lookup differs from the scan plan (%d vs %d rows)",
+						q.name, len(got.Rows), len(want.Rows))
+				}
+				if wide := exec(t, c, noProj, q.q); resultKey(wide) != resultKey(want) {
+					t.Errorf("%s: index plan without pushdown differs from the scan plan", q.name)
+				}
+			}
+			// The whole-record rows really are whole, and the overflow field
+			// came back from the records that have it.
+			whole := exec(t, c, sessionOpts(nil), queries[3].q)
+			for _, r := range whole.Rows {
+				if _, ok := r.Rec().Get("reviewText"); !ok || r.Rec().Len() < 78 {
+					t.Fatalf("whole-record lookup returned a partial record with %d fields", r.Rec().Len())
+				}
+			}
+			tags := 0
+			for _, r := range exec(t, c, sessionOpts(nil), queries[2].q).Rows {
+				if tag, ok := r.Rec().Get("tag"); ok && tag.Kind() == adm.KindString {
+					tags++
+				}
+			}
+			if tags == 0 {
+				t.Error("no row carried extra.tag; the overflow case is vacuous")
+			}
+		})
+	}
+}
+
+// planLine returns the first line of plan naming op, trimmed.
+func planLine(plan, op string) string {
+	for _, line := range strings.Split(plan, "\n") {
+		if strings.Contains(line, " "+op+" ") {
+			return strings.TrimSpace(line)
+		}
+	}
+	return ""
+}
+
+// TestExplainShowsLookupProjection pins the explain text of the CANON
+// index selection: the projection annotation sits on the primary-index
+// lookup, naming the three fields the plan reads from the record.
+func TestExplainShowsLookupProjection(t *testing.T) {
+	c := newTestCluster(t, 1, 2)
+	sess := NewSession()
+	loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 200)
+	exec(t, c, sess, `create index xkw on ARevs(summary) type keyword;`)
+	got := rowsText(exec(t, c, sess, `explain for $r in dataset ARevs
+		where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.5
+		return {'id': $r.id, 'summary': $r.summary, 'reviewerName': $r.reviewerName}`))
+	const golden = `#0 distribute-result $3
+  #1 assign $3 := record("id", field-access($2, "id"), "summary", field-access($2, "summary"), "reviewerName", field-access($2, "reviewerName"))
+    #2 select (ge(similarity-jaccard(word-tokens(field-access($2, "summary")), ["the", "great", "product", "of", "love"]), 0.5)) [batched]
+      #3 primary-index-lookup Default.ARevs pk=$4 -> $1,$2 project:[id, reviewerName, summary]
+        #4 order $4 asc
+          #5 secondary-index-search Default.ARevs.xkw keys=["the#1", "great#1", "product#1", "of#1", "love#1"] T=3 -> $4
+            #6 empty-tuple-source
+`
+	if strings.TrimRight(got, "\n") != strings.TrimRight(golden, "\n") {
+		t.Errorf("explain:\n%s\nwant:\n%s", got, golden)
+	}
+}
+
 // TestEngineAgreesWithNaiveReference checks the engine's answers
 // against a reference computed right here from the generated records
 // with internal/sim and internal/tokenizer — nested loops, no

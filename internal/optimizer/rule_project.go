@@ -7,34 +7,35 @@ import (
 	"simdb/internal/algebra"
 )
 
-// projectionPushdownRule annotates every dataset scan with the set of
-// top-level record fields the rest of the plan reads from the scan's
-// record variable. The scan layer uses the annotation to decode only
-// those fields — and, on columnar components, to read only their
-// column blocks. The analysis is conservative: any use of the record
-// variable that is not a field-access chain (the record escaping whole
-// into an assign, a union rename, or the query result) leaves the
-// annotation nil, meaning "scan everything".
+// projectionPushdownRule annotates every record source — dataset scans
+// and primary-index lookups alike — with the set of top-level record
+// fields the rest of the plan reads from the source's record variable.
+// The storage layer uses the annotation to decode only those fields —
+// and, on columnar components, to read only their column blocks. The
+// analysis is conservative: any use of the record variable that is not
+// a field-access chain (the record escaping whole into an assign, a
+// union rename, or the query result) leaves the annotation nil, meaning
+// "fetch everything".
 //
-// The rule recomputes the full set for every scan each pass and reports
-// a change only when an annotation differs, so it coexists with the
-// other physical rules in the fixpoint loop: once the plan shape
+// The rule recomputes the full set for every source each pass and
+// reports a change only when an annotation differs, so it coexists with
+// the other physical rules in the fixpoint loop: once the plan shape
 // stabilizes, the deterministic recomputation stabilizes with it.
 func projectionPushdownRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 	if !o.Opts.ProjectionPushdown {
 		return root, false, nil
 	}
-	var scans []*algebra.Op
+	var sources []*algebra.Op
 	algebra.Walk(root, func(op *algebra.Op) {
-		if op.Kind == algebra.OpScan {
-			scans = append(scans, op)
+		if op.Kind == algebra.OpScan || op.Kind == algebra.OpPrimaryLookup {
+			sources = append(sources, op)
 		}
 	})
 	changed := false
-	for _, scan := range scans {
-		want := referencedFields(root, scan.RecVar)
-		if !sameFieldSet(scan.ProjectFields, want) {
-			scan.ProjectFields = want
+	for _, src := range sources {
+		want := referencedFields(root, src.RecVar)
+		if !sameFieldSet(src.ProjectFields, want) {
+			src.ProjectFields = want
 			changed = true
 		}
 	}

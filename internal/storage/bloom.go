@@ -75,6 +75,11 @@ func unmarshalBloom(buf []byte) (*Bloom, error) {
 	if uint32(len(buf)-8) < n {
 		return nil, errCorrupt("bloom bits")
 	}
+	// Writers always store bloomHashes; a damaged count would otherwise
+	// be taken at its word and make every lookup loop up to 2^32 times.
+	if k > 4*bloomHashes {
+		return nil, errCorrupt("bloom hash count")
+	}
 	bits := make([]byte, n)
 	copy(bits, buf[8:8+n])
 	return &Bloom{bits: bits, k: k}, nil

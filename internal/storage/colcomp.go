@@ -40,12 +40,16 @@ import (
 //	          referencing it, in row order
 //
 // Reads materialize a group back into the row-format page wire image
-// (uint16 count + packed entries), so the point-lookup and iterator
-// machinery is shared between both versions; the reconstruction is
-// byte-identical to the original entries, which is what lets merges mix
-// row and columnar inputs freely. A projected read fetches only the
-// keys/desc/overflow blocks plus the referenced columns and emits
-// partial records containing just the projected fields.
+// (uint16 count + packed entries), so the iterator machinery is shared
+// between both versions; the reconstruction is byte-identical to the
+// original entries, which is what lets merges mix row and columnar
+// inputs freely. A projected read fetches only the keys/desc/overflow
+// blocks plus the referenced columns and emits partial records
+// containing just the projected fields. Either image ends with an
+// entry-offset table (one little-endian uint32 per row, after the
+// entries the count announces, so iterators never see it) that point
+// reads binary-search (pageIter.seek). The table exists only in the
+// cached image; the file format does not change for it.
 
 const (
 	componentVersionColumnar = 2
@@ -453,10 +457,11 @@ func pagesFromGroups(groups []colGroupMeta) []pageMeta {
 }
 
 // buildGroupPage materializes group i into the row-format page wire
-// image. With keep == nil it reconstructs every entry byte-identically
-// from the whole group region; with a projection it fetches only the
-// keys, desc, and overflow blocks plus the kept columns through the
-// buffer cache and emits partial records holding just the kept fields.
+// image followed by its entry-offset table. With keep == nil it
+// reconstructs every entry byte-identically from the whole group
+// region; with a projection it fetches only the keys, desc, and
+// overflow blocks plus the kept columns through the buffer cache and
+// emits partial records holding just the kept fields.
 func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) {
 	g := c.groups[i]
 	var keysB, descB, overB []byte
@@ -517,11 +522,13 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 		return r.bytes(l)
 	}
 
-	out := make([]byte, 2, int(g.length)+int(g.length)/8+64)
+	out := make([]byte, 2, int(g.length)+int(g.length)/8+64+4*g.rows)
 	binary.LittleEndian.PutUint16(out, uint16(g.rows))
+	offs := make([]uint32, 0, g.rows) // entry offsets, appended after the entries
 	var fields []adm.RawField
 	tombEntry := []byte{1}
 	for row := 0; row < g.rows; row++ {
+		offs = append(offs, uint32(len(out)))
 		key, ok := lenPrefixed(keys)
 		if !ok {
 			return nil, errCorrupt("group key")
@@ -583,6 +590,9 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 		out = append(out, key...)
 		out = binary.AppendUvarint(out, uint64(len(entry)))
 		out = append(out, entry...)
+	}
+	for _, off := range offs {
+		out = binary.LittleEndian.AppendUint32(out, off)
 	}
 	return out, nil
 }

@@ -19,6 +19,17 @@ var (
 	bloomNegatives = obs.C("storage.bloom.negatives")
 )
 
+// Point-read cost counters: probes / calls is the number of key
+// comparisons a point read spends inside the one page it searches
+// (≈ log2 of the group's rows on a columnar component, ≈ half a page's
+// entries on a row component). calls counts the reads that reached a
+// page — bloom negatives and keys below the first fence never do — and
+// both are added once per read.
+var (
+	getCalls  = obs.C("storage.get.calls")
+	getProbes = obs.C("storage.get.probes")
+)
+
 // An on-disk component: an immutable sorted run of (key, value) entries
 // — the disk half of an LSM B+-tree. Layout:
 //
@@ -430,23 +441,39 @@ func (c *Component) readPage(i int) ([]byte, error) {
 	return c.cache.ReadRegion(c.fileID, c.f, uint32(i), p.off, int(p.length))
 }
 
-// readPageView returns page i with an optional field projection. Row
+// readPageView returns page i under an optional projection. Row
 // components ignore the projection (their pages hold whole entries);
 // columnar components assemble a partial image on first use and cache
-// it under the projection's signature, so repeated projected scans hit
-// the buffer cache like full scans do.
-func (c *Component) readPageView(i int, keep map[string]bool, projTag string) ([]byte, error) {
-	if keep == nil || c.groups == nil {
+// it under the projection's tag, so repeated projected reads hit the
+// buffer cache like full reads do.
+func (c *Component) readPageView(i int, proj *Projection) ([]byte, error) {
+	if proj == nil || c.groups == nil {
 		return c.readPage(i)
 	}
-	return c.cache.ReadBuiltTagged(c.fileID, uint32(i)*colRegionStride, projTag, func() ([]byte, error) {
-		return c.buildGroupPage(i, keep)
+	return c.cache.ReadBuiltTagged(c.fileID, uint32(i)*colRegionStride, proj.tag, func() ([]byte, error) {
+		return c.buildGroupPage(i, proj.keep)
 	})
 }
 
 // Get returns the value stored for key, a boolean for presence, or an
 // error. It consults the bloom filter first.
 func (c *Component) Get(key []byte) ([]byte, bool, error) {
+	return c.GetProjected(key, nil)
+}
+
+// GetProjected is Get under a projection: on a columnar component the
+// value comes from the projected group image — only the key, descriptor
+// and overflow blocks and the kept columns are read — and is a partial
+// record holding just the kept fields (tombstones and opaque entries
+// pass through whole); a row component returns the full entry. Callers
+// treat the value as "at least the projected fields". A nil projection
+// is a plain Get.
+//
+// The search inside the page depends on the component's format and on
+// nothing else: a materialized group image carries an entry-offset
+// table and is binary-searched; a version-1 row page has no offsets on
+// disk, is at most about one PageSize long, and is walked.
+func (c *Component) GetProjected(key []byte, proj *Projection) ([]byte, bool, error) {
 	bloomChecks.Inc()
 	if !c.bloom.MayContain(key) {
 		bloomNegatives.Inc()
@@ -456,7 +483,7 @@ func (c *Component) Get(key []byte) ([]byte, bool, error) {
 	if i < 0 {
 		return nil, false, nil
 	}
-	page, err := c.readPage(i)
+	page, err := c.readPageView(i, proj)
 	if err != nil {
 		return nil, false, err
 	}
@@ -464,15 +491,26 @@ func (c *Component) Get(key []byte) ([]byte, bool, error) {
 	if err := it.init(); err != nil {
 		return nil, false, err
 	}
-	for it.next() {
-		switch bytes.Compare(it.key, key) {
-		case 0:
-			return it.val, true, nil
-		case 1:
-			return nil, false, nil
+	probes := 0
+	if c.groups != nil {
+		if probes, err = it.seek(key); err != nil {
+			return nil, false, err
 		}
 	}
-	return nil, false, it.err
+	// After a seek the first entry is already >= key and the loop runs
+	// once; on a row page it is the walk.
+	var val []byte
+	found := false
+	for it.next() {
+		probes++
+		if cmp := bytes.Compare(it.key, key); cmp >= 0 {
+			val, found = it.val, cmp == 0
+			break
+		}
+	}
+	getCalls.Inc()
+	getProbes.Add(int64(probes))
+	return val, found, it.err
 }
 
 // pageIter walks the entries of a single data page.
@@ -528,19 +566,88 @@ func (it *pageIter) next() bool {
 	return true
 }
 
-// projSignature canonicalizes a projection for use as a cache-key tag:
-// "" for no projection, otherwise "p:" plus the sorted field names. Two
-// iterators projecting the same field set share cached partial pages.
-func projSignature(keep map[string]bool) string {
-	if keep == nil {
-		return ""
+// seek positions the iterator so that the following next yields the
+// first entry whose key is >= target, and returns the number of key
+// comparisons it took. It requires the page to be a materialized group
+// image (see buildGroupPage): the entries are followed by one
+// little-endian uint32 per entry giving that entry's offset in the
+// image, and seek binary-searches that table. Row pages have no such
+// table; Component.GetProjected never calls seek on one. The image is
+// built in memory from validated blocks, but every offset and length is
+// still bounds-checked, so a damaged image reads as errCorrupt and
+// never past its end.
+func (it *pageIter) seek(target []byte) (probes int, err error) {
+	n := it.left
+	table := len(it.page) - 4*n
+	if table < it.pos {
+		return 0, errCorrupt("group image offset table")
 	}
-	fields := make([]string, 0, len(keep))
-	for f := range keep {
-		fields = append(fields, f)
+	offs := it.page[table:]
+	it.page = it.page[:table] // next must not read entries out of the table
+	keyAt := func(i int) ([]byte, bool) {
+		off := uint64(binary.LittleEndian.Uint32(offs[4*i:]))
+		if off < 2 || off >= uint64(table) {
+			return nil, false
+		}
+		kl, w := binary.Uvarint(it.page[off:])
+		if w <= 0 || kl > uint64(table)-off-uint64(w) {
+			return nil, false
+		}
+		start := int(off) + w
+		return it.page[start : start+int(kl)], true
 	}
-	sort.Strings(fields)
-	return "p:" + strings.Join(fields, "\x00")
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		k, ok := keyAt(mid)
+		if !ok {
+			return probes, errCorrupt("group image entry offset")
+		}
+		probes++
+		if bytes.Compare(k, target) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	it.left = n - lo
+	if lo < n {
+		it.pos = int(binary.LittleEndian.Uint32(offs[4*lo:]))
+	}
+	return probes, nil
+}
+
+// Projection is a prepared field projection for reads of record-valued
+// trees: the set of top-level fields to keep and the tag under which
+// the buffer cache holds the partial group images built for it. Build
+// one per query operator with NewProjection and reuse it across reads;
+// two projections of the same field set share cached images. A nil
+// *Projection means "whole entries".
+type Projection struct {
+	keep map[string]bool
+	tag  string
+}
+
+// NewProjection prepares a projection onto the named top-level record
+// fields. A nil slice means no projection and returns nil; an empty
+// non-nil slice keeps no field at all (keys only). The cache tag is
+// "p:" plus the sorted distinct field names, so projections of the same
+// field set share cached partial images whatever order they were named
+// in, and none collides with the untagged full image.
+func NewProjection(fields []string) *Projection {
+	if fields == nil {
+		return nil
+	}
+	keep := make(map[string]bool, len(fields))
+	sorted := make([]string, 0, len(fields))
+	for _, f := range fields {
+		if !keep[f] {
+			keep[f] = true
+			sorted = append(sorted, f)
+		}
+	}
+	sort.Strings(sorted)
+	return &Projection{keep: keep, tag: "p:" + strings.Join(sorted, "\x00")}
 }
 
 // Iterator iterates entries with key in [start, end) in key order. A
@@ -550,8 +657,7 @@ type Iterator struct {
 	pageIdx int
 	it      pageIter
 	end     []byte
-	keep    map[string]bool // non-nil: project columnar entries to these fields
-	projTag string          // cache-key signature of keep ("" when keep is nil)
+	proj    *Projection // non-nil: project columnar entries to its fields
 	key     []byte
 	val     []byte
 	err     error
@@ -573,18 +679,11 @@ func (c *Component) NewIterator(start, end []byte) *Iterator {
 // returned — callers must treat the values as "at least the projected
 // fields". A nil fields slice means no projection.
 func (c *Component) NewProjectedIterator(start, end []byte, fields []string) *Iterator {
-	if fields == nil || c.groups == nil {
-		return c.newIterator(start, end, nil)
-	}
-	keep := make(map[string]bool, len(fields))
-	for _, f := range fields {
-		keep[f] = true
-	}
-	return c.newIterator(start, end, keep)
+	return c.newIterator(start, end, NewProjection(fields))
 }
 
-func (c *Component) newIterator(start, end []byte, keep map[string]bool) *Iterator {
-	it := &Iterator{c: c, end: end, keep: keep, projTag: projSignature(keep)}
+func (c *Component) newIterator(start, end []byte, proj *Projection) *Iterator {
+	it := &Iterator{c: c, end: end, proj: proj}
 	if len(c.pages) == 0 {
 		it.done = true
 		return it
@@ -631,7 +730,7 @@ func (it *Iterator) loadPage() error {
 		it.done = true
 		return nil
 	}
-	page, err := it.c.readPageView(it.pageIdx, it.keep, it.projTag)
+	page, err := it.c.readPageView(it.pageIdx, it.proj)
 	if err != nil {
 		return err
 	}

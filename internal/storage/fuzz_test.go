@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -127,16 +129,63 @@ func FuzzComponentPage(f *testing.F) {
 				t.Fatalf("iterator did not terminate after %d steps", steps)
 			}
 		}
+		// The same bytes read as a group image: the tail is taken for an
+		// entry-offset table, which may point anywhere. The seek must land
+		// inside the image or report corruption.
+		sk := pageIter{page: data}
+		if err := sk.init(); err != nil {
+			return
+		}
+		if _, err := sk.seek([]byte("beta")); err != nil {
+			if !errors.As(err, new(corruptError)) {
+				t.Fatalf("seek error is not errCorrupt: %v", err)
+			}
+			return
+		}
+		if sk.next() && len(sk.key)+len(sk.val) > len(data) {
+			t.Fatalf("entry after seek larger than page: k=%d v=%d page=%d", len(sk.key), len(sk.val), len(data))
+		}
 	})
 }
 
 // FuzzColumnarComponent feeds arbitrary bytes to the full version-2
 // read path: the file is opened as a component (footer + group index
-// validation) and, if accepted, scanned end to end both whole and
-// projected. Corruption must surface as an error — never a panic, an
-// unbounded allocation, or a runaway loop.
+// validation) and, if accepted, scanned end to end and point-read, both
+// whole and projected. Corruption must surface as an error — errCorrupt
+// for point reads — never a panic, an unbounded allocation, a runaway
+// loop, or a read past a group image.
 func FuzzColumnarComponent(f *testing.F) {
-	// Seed with a genuine columnar component image.
+	seed := columnarFuzzSeed(f)
+	f.Add(seed)
+	trunc := append([]byte(nil), seed...)
+	f.Add(trunc[:len(trunc)/2])
+	flip := append([]byte(nil), seed...)
+	flip[len(flip)/3] ^= 0xFF
+	f.Add(flip)
+	f.Add([]byte{})
+	f.Fuzz(readColumnarBytes)
+}
+
+// TestColumnarReadSurvivesBitRot runs FuzzColumnarComponent's body over
+// a few hundred seeded corruptions of a genuine component — one to
+// three bytes overwritten anywhere in the file — so the point-read and
+// scan paths meet damaged groups on every plain `go test`, not only
+// when the fuzzer happens to get there.
+func TestColumnarReadSurvivesBitRot(t *testing.T) {
+	seed := columnarFuzzSeed(t)
+	r := rand.New(rand.NewSource(18))
+	for i := 0; i < 300; i++ {
+		data := append([]byte(nil), seed...)
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			data[r.Intn(len(data))] = byte(r.Intn(256))
+		}
+		readColumnarBytes(t, data)
+	}
+}
+
+// columnarFuzzSeed returns the bytes of a genuine columnar component:
+// 40 two-field records, every seventh entry a tombstone.
+func columnarFuzzSeed(f testing.TB) []byte {
 	seedPath := filepath.Join(f.TempDir(), "seed.cmp")
 	cw, err := NewColumnarComponentWriterFS(OS, seedPath, 4096)
 	if err != nil {
@@ -161,39 +210,51 @@ func FuzzColumnarComponent(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
-	trunc := append([]byte(nil), seed...)
-	f.Add(trunc[:len(trunc)/2])
-	flip := append([]byte(nil), seed...)
-	flip[len(flip)/3] ^= 0xFF
-	f.Add(flip)
-	f.Add([]byte{})
+	return seed
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := parseColGroupIndex(data, int64(len(data))); err != nil {
-			_ = err // must simply not panic
+// readColumnarBytes is the body of FuzzColumnarComponent.
+func readColumnarBytes(t *testing.T, data []byte) {
+	if _, err := parseColGroupIndex(data, int64(len(data))); err != nil {
+		_ = err // must simply not panic
+	}
+	path := filepath.Join(t.TempDir(), "f.cmp")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenComponent(path, NewBufferCache(1<<20, 4096))
+	if err != nil {
+		return
+	}
+	defer c.Close()
+	limit := (len(data) + 2) * colMaxGroupRows
+	scan := func(it *Iterator) {
+		steps := 0
+		for it.Next() {
+			steps++
+			if steps > limit {
+				t.Fatalf("iterator did not terminate after %d steps", steps)
+			}
 		}
-		path := filepath.Join(t.TempDir(), "f.cmp")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c, err := OpenComponent(path, NewBufferCache(1<<20, 4096))
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		limit := (len(data) + 2) * colMaxGroupRows
-		scan := func(it *Iterator) {
-			steps := 0
-			for it.Next() {
-				steps++
-				if steps > limit {
-					t.Fatalf("iterator did not terminate after %d steps", steps)
+	}
+	scan(c.NewIterator(nil, nil))
+	scan(c.NewProjectedIterator(nil, nil, []string{"id"}))
+	// Point reads of stored, absent and fence keys; the bloom filter
+	// is saturated so every one of them searches a group image.
+	for i := range c.bloom.bits {
+		c.bloom.bits[i] = 0xFF
+	}
+	probes := [][]byte{[]byte("k0003"), []byte("k0007"), []byte("k0039"), []byte("k9"), {}}
+	for _, p := range c.pages {
+		probes = append(probes, p.firstKey)
+	}
+	for _, proj := range []*Projection{nil, NewProjection([]string{"id"})} {
+		for _, key := range probes {
+			if _, _, err := c.GetProjected(key, proj); err != nil {
+				if !errors.As(err, new(corruptError)) {
+					t.Fatalf("Get(%q) error is not errCorrupt: %v", key, err)
 				}
 			}
 		}
-		scan(c.NewIterator(nil, nil))
-		scan(c.NewProjectedIterator(nil, nil, []string{"id"}))
-		_, _, _ = c.Get([]byte("k0003"))
-	})
+	}
 }

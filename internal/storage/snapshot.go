@@ -70,6 +70,16 @@ func (s *TreeSnapshot) Components() int { return len(s.components) }
 // memtable generations newest-first and then disk components
 // newest-first through their bloom filters. No tree lock is held.
 func (s *TreeSnapshot) Get(key []byte) ([]byte, bool, error) {
+	return s.GetProjected(key, nil)
+}
+
+// GetProjected is Get under a projection (see NewProjection): columnar
+// components answer from the projected group image, reading only the
+// key, descriptor and overflow blocks and the kept columns, and return
+// a partial record; memtables and row-format components return the
+// full value. The caller receives at least the projected fields either
+// way. A nil projection is a plain Get.
+func (s *TreeSnapshot) GetProjected(key []byte, proj *Projection) ([]byte, bool, error) {
 	for _, m := range s.mems {
 		if v, dead, ok := m.get(key); ok {
 			if dead {
@@ -79,7 +89,7 @@ func (s *TreeSnapshot) Get(key []byte) ([]byte, bool, error) {
 		}
 	}
 	for _, c := range s.components {
-		v, ok, err := c.Get(key)
+		v, ok, err := c.GetProjected(key, proj)
 		if err != nil {
 			return nil, false, err
 		}
@@ -158,9 +168,10 @@ func (s *TreeSnapshot) Scan(ctx context.Context, start, end []byte, fn func(key,
 // full entries — fn receives at least the projected fields either way.
 // A nil fields slice scans everything.
 func (s *TreeSnapshot) ScanProjected(ctx context.Context, start, end []byte, fields []string, fn func(key, value []byte) bool) error {
+	proj := NewProjection(fields)
 	iters := make([]*Iterator, len(s.components))
 	for i, c := range s.components {
-		iters[i] = c.NewProjectedIterator(start, end, fields)
+		iters[i] = c.newIterator(start, end, proj)
 	}
 	merge := newMergeIter(iters)
 	diskValid := merge.next()
