@@ -118,10 +118,6 @@ func run(db *core.Database, sess *core.Session, src string, showPlan bool) error
 		fmt.Println("--- optimized plan ---")
 		fmt.Print(res.Stats.LogicalPlan)
 	}
-	if res.Profile != nil {
-		fmt.Println("--- profile ---")
-		fmt.Print(res.Profile.Tree())
-	}
 	if res.Stats.ExecNs > 0 {
 		fmt.Printf("(%d rows, %.1f ms exec, %d plan ops, %.1f ms est. parallel)\n",
 			len(res.Rows), float64(res.Stats.ExecNs)/1e6, res.Stats.PlanOps,

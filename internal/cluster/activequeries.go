@@ -13,7 +13,7 @@ import (
 )
 
 // QueryError stamps a failed query's stable query ID onto its error so
-// log lines, traces, profiles, and client-visible errors all
+// log lines, traces, stats, and client-visible errors all
 // cross-reference the same execution. errors.Is/As see through it to
 // the typed serving errors (ErrQueryTimeout and friends).
 type QueryError struct {

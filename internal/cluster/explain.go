@@ -10,10 +10,11 @@ import (
 
 // explainAnalyzeRows renders the EXPLAIN ANALYZE report for a finished
 // query: a header line, the compile-phase breakdown, the optimized
-// logical plan, and the physical operator table annotated with measured
-// wall/busy/tuple/spill columns. Each report line is one string row, so
-// every client (CLI, tests, a future network protocol) receives the
-// report through the ordinary result path.
+// logical plan, and the physical operator table — one row per operator
+// of the job, folded from the instance records of every process that
+// ran part of it — with measured wall/busy/tuple/traffic/spill columns.
+// Each report line is one string row, so every client (CLI, tests, the
+// HTTP front end) receives the report through the ordinary result path.
 func explainAnalyzeRows(res *Result) []adm.Value {
 	st := &res.Stats
 	var b strings.Builder
@@ -34,12 +35,12 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 	}
 	// Physical operators in job order (not sorted by cost): the table
 	// should read like the plan it annotates.
-	fmt.Fprintf(&b, "%-34s %5s %12s %12s %10s %10s %6s %10s\n",
-		"operator", "inst", "wall", "busy", "in", "out", "spills", "spillbytes")
-	for _, op := range st.PhysicalOps {
-		fmt.Fprintf(&b, "%-34s %5d %12s %12s %10d %10d %6d %10d\n",
+	fmt.Fprintf(&b, "%-34s %5s %12s %12s %10s %10s %8s %10s %6s %10s\n",
+		"operator", "inst", "wall", "busy", "in", "out", "frames", "netbytes", "spills", "spillbytes")
+	for _, op := range st.PhysicalOps() {
+		fmt.Fprintf(&b, "%-34s %5d %12s %12s %10d %10d %8d %10d %6d %10d\n",
 			op.Name, op.Instances, time.Duration(op.WallNs), time.Duration(op.BusyNs),
-			op.TuplesIn, op.TuplesOut, op.SpillRuns, op.SpilledBytes)
+			op.TuplesIn, op.TuplesOut, op.FramesSent, op.BytesMoved, op.SpillRuns, op.SpilledBytes)
 	}
 	if st.IndexSearches > 0 || st.CandidatesTotal > 0 || st.CornerCaseFallbacks > 0 {
 		fmt.Fprintf(&b, "similarity: T=%d searches=%d postings=%d candidates=%d verified=%d corner_fallbacks=%d\n",

@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"simdb/internal/adm"
 	"simdb/internal/datagen"
+	"simdb/internal/hyracks"
 )
 
 func TestQueryIDStamping(t *testing.T) {
@@ -26,23 +30,14 @@ func TestQueryIDStamping(t *testing.T) {
 		t.Fatalf("query IDs not increasing: %d then %d", r1.Stats.QueryID, r2.Stats.QueryID)
 	}
 
-	// Profiles carry the same ID.
-	rp := exec(t, c, sess, `set profile 'on'; for $r in dataset Reviews return $r.id`)
-	if rp.Profile == nil {
-		t.Fatal("no profile")
-	}
-	if rp.Profile.QueryID != rp.Stats.QueryID {
-		t.Fatalf("profile id %d != stats id %d", rp.Profile.QueryID, rp.Stats.QueryID)
-	}
-
 	// Errors carry the ID in a typed payload.
 	_, err := c.Execute(context.Background(), sess, `for $r in dataset Nope return $r`)
 	var qe *QueryError
 	if !errors.As(err, &qe) {
 		t.Fatalf("error is %T, want *QueryError", err)
 	}
-	if qe.QueryID <= rp.Stats.QueryID {
-		t.Fatalf("error query id %d not after %d", qe.QueryID, rp.Stats.QueryID)
+	if qe.QueryID <= r2.Stats.QueryID {
+		t.Fatalf("error query id %d not after %d", qe.QueryID, r2.Stats.QueryID)
 	}
 	if !strings.Contains(err.Error(), "unknown dataset") {
 		t.Fatalf("wrapped error lost its message: %v", err)
@@ -317,8 +312,45 @@ func TestSlowQueryRing(t *testing.T) {
 	if recs[0].QueryID != res.Stats.QueryID {
 		t.Fatalf("ring head id %d, want %d", recs[0].QueryID, res.Stats.QueryID)
 	}
-	if recs[0].Query == "" || recs[0].WallNs <= 0 {
+	if recs[0].Query == "" || recs[0].WallNs <= 0 || recs[0].Rows != len(res.Rows) {
 		t.Fatalf("ring record incomplete: %+v", recs[0])
+	}
+
+	// A streamed query keeps Result.Rows nil; its record still counts the
+	// rows it delivered.
+	var streamed int
+	sres, err := c.ExecuteStream(context.Background(), sess, `for $r in dataset Reviews return $r.id`,
+		StreamHandler{OnRow: func(adm.Value) error { streamed++; return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed == 0 || sres.Rows != nil {
+		t.Fatalf("streamed %d rows, Result.Rows = %v", streamed, sres.Rows)
+	}
+	if rec := c.SlowQueries()[0]; rec.QueryID != sres.Stats.QueryID || rec.Rows != streamed {
+		t.Fatalf("streamed query's ring record = %+v, want query %d with %d rows", rec, sres.Stats.QueryID, streamed)
+	}
+}
+
+// TestLocalJobCarriesQueryLabel checks the half of a job a process runs
+// through localJob.run — the coordinator's and every tcp worker's alike —
+// from inside an operator: its goroutine shows up in a goroutine profile
+// under the query's query_id label.
+func TestLocalJobCarriesQueryLabel(t *testing.T) {
+	var profile bytes.Buffer
+	job := &hyracks.Job{}
+	n := job.Add("Probe", 1, func() hyracks.Operator {
+		return hyracks.OpFunc(func(*hyracks.TaskCtx, []*hyracks.PortReader, []*hyracks.Emitter) error {
+			return pprof.Lookup("goroutine").WriteTo(&profile, 1)
+		})
+	})
+	n.OutPorts = 0
+	lj := &localJob{job: job, topo: hyracks.Topology{Partitions: 1, PartsPerNode: 1, JobID: 4242}}
+	if _, err := lj.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(profile.String(), `"query_id":"4242"`) {
+		t.Fatalf("no goroutine labeled query_id=4242 in:\n%s", profile.String())
 	}
 }
 

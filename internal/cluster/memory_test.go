@@ -42,7 +42,7 @@ func rowStrings(rows []adm.Value) []string {
 // TestQueryMemoryBudgetEndToEnd is the acceptance scenario: a query
 // whose working set exceeds the budget completes with results identical
 // to the unbudgeted run, the accountant's high water stays within the
-// budget, and the profile reports nonzero spill activity.
+// budget, and the stats report nonzero spill activity.
 func TestQueryMemoryBudgetEndToEnd(t *testing.T) {
 	// One partition: with several partitions sharing the accountant, the
 	// final merge pass may Force past the budget, which is allowed but
@@ -62,7 +62,7 @@ func TestQueryMemoryBudgetEndToEnd(t *testing.T) {
 		ref := exec(t, c, NewSession(), q)
 
 		bsess := NewSession()
-		exec(t, c, bsess, `set memorybudget '256k'; set profile 'on';`)
+		exec(t, c, bsess, `set memorybudget '256k';`)
 		res := exec(t, c, bsess, q)
 
 		if fmt.Sprint(rowStrings(res.Rows)) != fmt.Sprint(rowStrings(ref.Rows)) {
@@ -79,16 +79,12 @@ func TestQueryMemoryBudgetEndToEnd(t *testing.T) {
 		if st.MemHighWater == 0 || st.MemHighWater > st.MemBudget {
 			t.Fatalf("query %d: high water %d outside budget %d", qi, st.MemHighWater, st.MemBudget)
 		}
-		if res.Profile == nil {
-			t.Fatalf("query %d: missing profile", qi)
+		var opRuns int64
+		for _, op := range st.PhysicalOps() {
+			opRuns += op.SpillRuns
 		}
-		ops := res.Profile.Operators
-		var profRuns int64
-		for _, op := range ops {
-			profRuns += op.SpillRuns
-		}
-		if profRuns != st.SpillRuns {
-			t.Fatalf("query %d: profile spill runs %d != stats %d", qi, profRuns, st.SpillRuns)
+		if opRuns != st.SpillRuns {
+			t.Fatalf("query %d: per-operator spill runs %d != stats %d", qi, opRuns, st.SpillRuns)
 		}
 		// Spill-free queries report nothing: run a tiny query on the same
 		// budgeted session.

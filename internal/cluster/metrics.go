@@ -10,11 +10,10 @@ import (
 // Process-wide query-serving counters. Handles are resolved once; each
 // event is a single atomic add.
 var (
-	queriesTotal   = obs.C("cluster.queries")
-	queryErrors    = obs.C("cluster.query_errors")
-	queryLatency   = obs.H("cluster.query_latency_ns")
-	slowQueries    = obs.C("cluster.slow_queries")
-	profileQueries = obs.C("cluster.profiled_queries")
+	queriesTotal = obs.C("cluster.queries")
+	queryErrors  = obs.C("cluster.query_errors")
+	queryLatency = obs.H("cluster.query_latency_ns")
+	slowQueries  = obs.C("cluster.slow_queries")
 )
 
 // SetSlowQueryThreshold changes the slow-query log latency threshold at
@@ -67,7 +66,7 @@ func (c *Cluster) logSlowQuery(qid uint64, src string, wallNs int64, res *Result
 	}
 	if res != nil {
 		rec.PlanCacheHit = res.Stats.PlanCacheHit
-		rec.Rows = len(res.Rows)
+		rec.Rows = int(res.Stats.RowsOut)
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -92,7 +91,7 @@ func (c *Cluster) logSlowQuery(qid uint64, src string, wallNs int64, res *Result
 			"compile_ms", float64(st.ParseNs+st.TranslateNs+st.OptimizeNs+st.JobGenNs)/1e6,
 			"exec_ms", float64(st.ExecNs)/1e6,
 			"plan_cache_hit", st.PlanCacheHit,
-			"rows", len(res.Rows),
+			"rows", res.Stats.RowsOut,
 		)
 		if st.MemBudget > 0 {
 			kv = append(kv, "mem_budget", st.MemBudget, "mem_high_water", st.MemHighWater)

@@ -375,7 +375,7 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 		}
 		if got := ranInterpreter(res); got != sel.interpreted {
 			t.Errorf("%s: interpreter fallback = %v, want %v:\n%+v",
-				sel.name, got, sel.interpreted, res.Stats.PhysicalOps)
+				sel.name, got, sel.interpreted, res.Stats.PhysicalOps())
 		}
 	}
 
@@ -407,7 +407,7 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 // ranInterpreter reports whether any physical operator of the query was
 // marked as falling back to the tree interpreter.
 func ranInterpreter(res *Result) bool {
-	for _, op := range res.Stats.PhysicalOps {
+	for _, op := range res.Stats.PhysicalOps() {
 		if strings.Contains(op.Name, "[interpreted]") {
 			return true
 		}

@@ -48,7 +48,6 @@ type planKey struct {
 	dataverse    string
 	simFunction  string
 	simThreshold string
-	profile      bool // profiled runs key separately (span collection differs)
 	opts         optimizer.Options
 }
 

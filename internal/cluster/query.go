@@ -22,8 +22,8 @@ import (
 // QueryStats reports one query's execution profile.
 type QueryStats struct {
 	// QueryID is the process-wide stable ID assigned at admission; the
-	// same ID stamps the trace, profile, slow-log line, spill directory,
-	// and any error payload.
+	// same ID stamps the trace, slow-log line, spill directory, pprof
+	// label and any error payload.
 	QueryID uint64
 	// AdmissionNs is the time spent waiting for a QueryManager slot.
 	AdmissionNs int64
@@ -77,17 +77,21 @@ type QueryStats struct {
 
 	PlanOps     int
 	LogicalPlan string
-	PhysicalOps []hyracks.OpStats
 	RuleTrace   []string
+
+	// Spans is the job's one execution record: an entry per operator
+	// instance, from every process that ran part of it. The busy, tuple
+	// and spill figures above and PhysicalOps are folds over it.
+	Spans []hyracks.OpSpan
 }
+
+// PhysicalOps returns the per-operator table in job order.
+func (s *QueryStats) PhysicalOps() []hyracks.OpStats { return hyracks.AggregateOps(s.Spans) }
 
 // Result is a query's outcome.
 type Result struct {
 	Rows  []adm.Value
 	Stats QueryStats
-	// Profile is the operator-level runtime profile, populated only when
-	// the session ran `set profile 'on';` (EXPLAIN ANALYZE-style).
-	Profile *obs.QueryProfile
 }
 
 // Session carries statement-scoped state (use/set) across Execute
@@ -103,10 +107,6 @@ type Session struct {
 	Dataverse    string
 	SimFunction  string
 	SimThreshold string
-	// Profile requests an operator-level runtime profile with each query
-	// result (`set profile 'on';`). Off by default: span collection only
-	// happens when a profile was asked for.
-	Profile bool
 	// MemoryBudget is this session's per-query operator memory budget:
 	// 0 inherits Config.QueryMemoryBudget, a positive value overrides it,
 	// and -1 (`set memorybudget 'unlimited';`) disables budgeting even
@@ -126,7 +126,6 @@ type sessionState struct {
 	Dataverse    string
 	SimFunction  string
 	SimThreshold string
-	Profile      bool
 	MemoryBudget int64
 	Opts         optimizer.Options
 }
@@ -141,7 +140,6 @@ func (c *Cluster) snapshotSession(s *Session) sessionState {
 		Dataverse:    s.Dataverse,
 		SimFunction:  s.SimFunction,
 		SimThreshold: s.SimThreshold,
-		Profile:      s.Profile,
 		MemoryBudget: s.MemoryBudget,
 		Opts:         optimizer.DefaultOptions(),
 	}
@@ -266,9 +264,6 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	}
 	if res != nil {
 		res.Stats.QueryID = qid
-		if res.Profile != nil {
-			res.Profile.QueryID = qid
-		}
 	}
 	c.unregisterQuery(qr, err)
 	if th := c.slowThresh.Load(); th > 0 && wallNs >= th {
@@ -295,7 +290,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		dataverse:    entry.Dataverse,
 		simFunction:  entry.SimFunction,
 		simThreshold: entry.SimThreshold,
-		profile:      entry.Profile,
 		opts:         entry.Opts,
 	}
 	explain := isExplainRequest(norm)
@@ -315,7 +309,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 			sess.Dataverse = e.post.Dataverse
 			sess.SimFunction = e.post.SimFunction
 			sess.SimThreshold = e.post.SimThreshold
-			sess.Profile = e.post.Profile
 			sess.MemoryBudget = e.post.MemoryBudget
 			stats := &QueryStats{
 				AdmissionNs:         admitNs,
@@ -372,11 +365,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 
 	qr.setPhase(phaseCompile)
 	st := c.snapshotSession(sess)
-	if q.Analyze {
-		// explain analyze always measures: force span collection for this
-		// run without flipping the session's profile setting.
-		st.Profile = true
-	}
 	compileSpan := qr.tr.StartSpan(trace.RootSpan, "compile", trace.CatPhase)
 	plan, stats, err := c.compileState(st, q.Body)
 	if err != nil {
@@ -419,9 +407,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 	res, err := c.runJob(ctx, plan, stats, src, st, qr)
 	if err == nil && q.Analyze {
 		res.Stats.QueryID = qr.id
-		if res.Profile != nil {
-			res.Profile.QueryID = qr.id
-		}
 		res.Rows = explainAnalyzeRows(res)
 	}
 	return res, err
@@ -459,15 +444,6 @@ func (c *Cluster) executeStmt(sess *Session, stmt aqlp.Stmt) error {
 			sess.SimFunction = s.Val
 		case "simthreshold":
 			sess.SimThreshold = s.Val
-		case "profile":
-			switch strings.ToLower(s.Val) {
-			case "on", "true", "1":
-				sess.Profile = true
-			case "off", "false", "0":
-				sess.Profile = false
-			default:
-				return fmt.Errorf("cluster: set profile wants on/off, got %q", s.Val)
-			}
 		case "memorybudget":
 			b, err := aqlp.ParseMemorySize(s.Val)
 			if err != nil {
@@ -575,26 +551,101 @@ func (c *Cluster) compileState(st sessionState, body aqlp.Node) (*algebra.Op, *Q
 	return plan, stats, nil
 }
 
+// localJob is one process's half of a query job: the generated DAG and
+// the topology it runs on, under a memory accountant with this process's
+// own spill directory when budgeted. The coordinator and every tcp
+// worker build and run theirs through newLocalJob and run, so placement,
+// budgeting, spill cleanup and the pprof label cannot differ between
+// them.
+type localJob struct {
+	job       *hyracks.Job
+	collector *hyracks.Collector
+	topo      hyracks.Topology
+}
+
+// newLocalJob generates the job for plan and lays out its topology. net
+// is nil unless nodes live in other processes.
+func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport) (*localJob, error) {
+	job, collector, err := c.GenerateJob(plan, counters)
+	if err != nil {
+		return nil, err
+	}
+	lj := &localJob{job: job, collector: collector, topo: hyracks.Topology{
+		Partitions:      c.cfg.Partitions(),
+		PartsPerNode:    c.cfg.PartitionsPerNode,
+		NetFrameLatency: time.Duration(c.simNetLat.Load()),
+		FrameSize:       c.cfg.FrameSize,
+		ChanCap:         c.cfg.ChanCap,
+		Transport:       net,
+		JobID:           id,
+	}}
+	if acct := hyracks.NewMemoryAccountant(memBudget); acct != nil {
+		// The coordinator spills under q<id>, worker k under q<id>n<k>, so
+		// processes sharing DataDir never collide.
+		dir := fmt.Sprintf("q%d", id)
+		if c.localNode > 0 {
+			dir = fmt.Sprintf("q%dn%d", id, c.localNode)
+		}
+		lj.topo.Mem = acct
+		lj.topo.Spill = storage.NewRunFileManager(filepath.Join(c.spillTmpRoot(), dir))
+	}
+	return lj, nil
+}
+
+// run executes the instances placed on this process and removes the
+// spill directory before returning on every path (success, error,
+// cancel, timeout, panic). Executor goroutines inherit the query_id
+// pprof label, so CPU and goroutine profiles of any process attribute
+// work to specific queries.
+func (lj *localJob) run(ctx context.Context) (jstats *hyracks.JobStats, err error) {
+	if lj.topo.Spill != nil {
+		defer lj.topo.Spill.Close()
+	}
+	pprof.Do(ctx, pprof.Labels("query_id", strconv.FormatUint(lj.topo.JobID, 10)), func(ctx context.Context) {
+		jstats, err = hyracks.Run(ctx, lj.job, lj.topo)
+	})
+	return jstats, err
+}
+
+// traceOperators writes a job's instance records into the query's trace
+// under the execute span, each on its node's lane. A span sits at its
+// offset from execStart: the coordinator's own instances exactly, a
+// worker's shifted by the dispatch delay its process started the job
+// with — offsets, because the clocks of two processes are not comparable.
+func traceOperators(tr *trace.Trace, parent int32, execStart time.Time, spans []hyracks.OpSpan) {
+	if tr == nil {
+		return
+	}
+	for i := range spans {
+		sp := &spans[i]
+		tr.SpanAtOn(parent, sp.Op, trace.CatOperator, sp.Node, sp.Part,
+			execStart.Add(time.Duration(sp.StartNs)), time.Duration(sp.WallNs),
+			trace.I("busy_ns", sp.BusyNs),
+			trace.I("tuples_in", sp.TuplesIn),
+			trace.I("tuples_out", sp.TuplesOut),
+		)
+	}
+}
+
 // runJob generates and executes the hyracks job for a compiled plan,
-// filling in the runtime half of stats. With st.Profile set, the
-// runtime collects one span per operator instance and the result
-// carries the assembled QueryProfile. A positive memory budget runs the
-// job under a memory accountant with a per-query spill directory; the
-// directory is removed before returning on every path (success, error,
-// cancel, timeout, panic).
+// filling in the runtime half of stats.
 //
 // In tcp mode the job is dispatched to every worker process BEFORE the
 // local run starts: the local run hosts node 0's instances (among them
 // the collector) and is what drains the frames the workers ship here.
-// Workers recompile the shipped request text to the identical DAG; the
-// coordinator merges their stats halves into the result.
+// Workers recompile the shipped request text to the identical DAG and
+// return the instance records of their half, which the coordinator
+// merges into the result and into the query's trace.
 func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStats, src string, st sessionState, qr *queryRun) (*Result, error) {
-	profile := st.Profile
 	memBudget := st.Opts.MemoryBudgetBytes
 	qr.setPhase(phaseJobGen)
 	counters := &QueryCounters{}
+	var net hyracks.Transport
+	if c.remote != nil {
+		net = c.remote.net
+	}
 	t0 := time.Now()
-	job, collector, err := c.GenerateJob(plan, counters)
+	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net)
 	if err != nil {
 		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan)
 	}
@@ -608,23 +659,9 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 		// the job through the bounded frame channels; a handler error
 		// (client gone) aborts the job.
 		onRow := qr.stream.OnRow
-		collector.Sink = func(t hyracks.Tuple) error { return onRow(t[0]) }
+		lj.collector.Sink = func(t hyracks.Tuple) error { return onRow(t[0]) }
 	}
-
-	topo := hyracks.Topology{
-		Partitions:      c.cfg.Partitions(),
-		PartsPerNode:    c.cfg.PartitionsPerNode,
-		NetFrameLatency: time.Duration(c.simNetLat.Load()),
-		CollectSpans:    profile,
-		FrameSize:       c.cfg.FrameSize,
-		ChanCap:         c.cfg.ChanCap,
-	}
-	if acct := hyracks.NewMemoryAccountant(memBudget); acct != nil {
-		spill := storage.NewRunFileManager(
-			filepath.Join(c.spillTmpRoot(), fmt.Sprintf("q%d", qr.id)))
-		defer spill.Close()
-		topo.Mem = acct
-		topo.Spill = spill
+	if acct := lj.topo.Mem; acct != nil {
 		stats.MemBudget = acct.Budget()
 		if qr.aq != nil {
 			qr.aq.mem.Store(acct)
@@ -632,31 +669,22 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	}
 	var remoteCh <-chan remoteJobResult
 	if c.remote != nil {
-		topo.Transport = c.remote.net
-		topo.JobID = qr.id
 		rctx, cancelLocal := context.WithCancel(ctx)
 		defer cancelLocal()
 		ctx = rctx
 		remoteCh = c.remote.startJob(ctx, cancelLocal, jobReq{
-			JobID:        qr.id,
-			Src:          src,
-			State:        st,
-			Epoch:        c.Catalog.Epoch(),
-			MemBudget:    memBudget,
-			CollectSpans: profile,
-			TOccAlgo:     c.tOccAlgo.Load(),
+			JobID:     qr.id,
+			Src:       src,
+			State:     st,
+			Epoch:     c.Catalog.Epoch(),
+			MemBudget: memBudget,
+			TOccAlgo:  c.tOccAlgo.Load(),
 		})
 	}
 	qr.setPhase(phaseExecute)
+	execStart := time.Now()
 	execSpan := qr.tr.StartSpan(trace.RootSpan, "execute", trace.CatPhase)
-	topo.Trace = qr.tr
-	topo.TraceParent = execSpan.ID
-	// Executor goroutines inherit the query_id pprof label, so CPU and
-	// goroutine profiles attribute work to specific queries.
-	var jstats *hyracks.JobStats
-	pprof.Do(ctx, pprof.Labels("query_id", strconv.FormatUint(qr.id, 10)), func(ctx context.Context) {
-		jstats, err = hyracks.Run(ctx, job, topo)
-	})
+	jstats, err := lj.run(ctx)
 	if remoteCh != nil {
 		if err != nil {
 			// The local half died (error or cancellation): abort the
@@ -678,20 +706,20 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 			}
 		}
 	}
-	if jstats != nil {
-		execSpan.End(
-			trace.I("bytes_shuffled", jstats.BytesShuffled),
-			trace.I("net_messages", jstats.NetMessages),
-		)
-	} else {
+	if jstats == nil {
 		execSpan.End()
+		return nil, err
 	}
-	if topo.Mem != nil {
-		stats.MemHighWater = topo.Mem.HighWater()
-		stats.SpillRuns, stats.SpilledBytes = jstats.SpillTotals()
-	}
+	execSpan.End(
+		trace.I("bytes_shuffled", jstats.BytesShuffled),
+		trace.I("net_messages", jstats.NetMessages),
+	)
+	traceOperators(qr.tr, execSpan.ID, execStart, jstats.Spans)
 	if err != nil {
 		return nil, err
+	}
+	if lj.topo.Mem != nil {
+		stats.MemHighWater = lj.topo.Mem.HighWater()
 	}
 	stats.ExecNs = jstats.WallNs
 	stats.MaxNodeBusyNs = jstats.MaxNodeBusyNs()
@@ -699,7 +727,8 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	stats.MaxNodeTuples = jstats.MaxNodeTuples()
 	stats.BytesShuffled = jstats.BytesShuffled
 	stats.NetMessages = jstats.NetMessages
-	stats.PhysicalOps = jstats.Ops
+	stats.SpillRuns, stats.SpilledBytes = jstats.SpillTotals()
+	stats.Spans = jstats.Spans
 	stats.IndexSearches = counters.IndexSearches.Load()
 	stats.CandidatesTotal = counters.CandidatesTotal.Load()
 	stats.PostingsRead = counters.PostingsRead.Load()
@@ -709,62 +738,14 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	model := CostModel{NetBandwidthMBps: c.cfg.NetBandwidthMBps, NetLatencyUs: c.cfg.NetLatencyUs, Nodes: c.cfg.NumNodes}
 	stats.EstimatedParallel = model.EstimateParallel(stats.MaxNodeTuples, stats.BytesShuffled, stats.NetMessages)
 
-	nrows := int(collector.Delivered.Load())
 	var rows []adm.Value
 	if qr.stream == nil {
-		rows = make([]adm.Value, len(collector.Tuples))
-		for i, t := range collector.Tuples {
+		rows = make([]adm.Value, len(lj.collector.Tuples))
+		for i, t := range lj.collector.Tuples {
 			rows[i] = t[0]
 		}
 	}
 	res := &Result{Rows: rows, Stats: *stats}
-	res.Stats.RowsOut = int64(nrows)
-	if profile {
-		profileQueries.Inc()
-		res.Profile = buildProfile(src, stats, jstats, nrows)
-	}
+	res.Stats.RowsOut = lj.collector.Delivered.Load()
 	return res, nil
-}
-
-// buildProfile assembles the PROFILE payload from the filled stats and
-// the job's per-instance spans.
-func buildProfile(src string, stats *QueryStats, jstats *hyracks.JobStats, rows int) *obs.QueryProfile {
-	p := &obs.QueryProfile{
-		Query: truncateQuery(src),
-		Compile: obs.CompileProfile{
-			AdmissionNs:  stats.AdmissionNs,
-			ParseNs:      stats.ParseNs,
-			TranslateNs:  stats.TranslateNs,
-			OptimizeNs:   stats.OptimizeNs,
-			JobGenNs:     stats.JobGenNs,
-			PlanCacheHit: stats.PlanCacheHit,
-		},
-		ExecNs:      stats.ExecNs,
-		RowsOut:     int64(rows),
-		Spans:       jstats.Spans,
-		LogicalPlan: stats.LogicalPlan,
-		Similarity: obs.SimilarityProfile{
-			OccurrenceT:         stats.OccurrenceT,
-			IndexSearches:       stats.IndexSearches,
-			PostingsRead:        stats.PostingsRead,
-			Candidates:          stats.CandidatesTotal,
-			Verified:            stats.VerifiedTotal,
-			CornerCaseFallbacks: int64(stats.CornerCaseFallbacks),
-		},
-	}
-	for _, op := range jstats.Ops {
-		p.Operators = append(p.Operators, obs.OpProfile{
-			Name:         op.Name,
-			Instances:    op.Instances,
-			WallNs:       op.WallNs,
-			BusyNs:       op.BusyNs,
-			TuplesIn:     op.TuplesIn,
-			TuplesOut:    op.TuplesOut,
-			FramesSent:   op.FramesSent,
-			BytesMoved:   op.BytesMoved,
-			SpillRuns:    op.SpillRuns,
-			SpilledBytes: op.SpilledBytes,
-		})
-	}
-	return p
 }

@@ -86,14 +86,13 @@ type dropReq struct {
 // catalog version both sides compiled under; a mismatch fails the job
 // cleanly instead of hanging on mismatched stream IDs.
 type jobReq struct {
-	ReqID        uint64       `json:"req_id"`
-	JobID        uint64       `json:"job_id"`
-	Src          string       `json:"src"`
-	State        sessionState `json:"state"`
-	Epoch        uint64       `json:"epoch"`
-	MemBudget    int64        `json:"mem_budget"`
-	CollectSpans bool         `json:"collect_spans"`
-	TOccAlgo     int32        `json:"tocc_algo"`
+	ReqID     uint64       `json:"req_id"`
+	JobID     uint64       `json:"job_id"`
+	Src       string       `json:"src"`
+	State     sessionState `json:"state"`
+	Epoch     uint64       `json:"epoch"`
+	MemBudget int64        `json:"mem_budget"`
+	TOccAlgo  int32        `json:"tocc_algo"`
 }
 
 type cancelReq struct {
@@ -129,7 +128,8 @@ func mergeCounters(dst *QueryCounters, v counterVals) {
 	dst.noteOccurrenceT(v.OccurrenceT)
 }
 
-// jobReply is a worker's per-job result: its half of the merged stats.
+// jobReply is a worker's per-job result: the instance records and
+// traffic totals of its half of the job, and its similarity counters.
 type jobReply struct {
 	Stats    *hyracks.JobStats `json:"stats"`
 	Counters counterVals       `json:"counters"`

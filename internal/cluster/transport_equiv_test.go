@@ -10,6 +10,7 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/obs"
+	"simdb/internal/obs/trace"
 	"simdb/internal/optimizer"
 )
 
@@ -188,7 +189,7 @@ func TestTransportEquivalence(t *testing.T) {
 		}
 		for name, res := range map[string]*Result{"inproc": a, "tcp": b} {
 			if !ranInterpreter(res) {
-				t.Errorf("%s: no operator ran the interpreter: %+v", name, res.Stats.PhysicalOps)
+				t.Errorf("%s: no operator ran the interpreter: %+v", name, res.Stats.PhysicalOps())
 			}
 		}
 	})
@@ -261,6 +262,84 @@ func TestTransportEquivalence(t *testing.T) {
 			/*+ hash */ group by $g := $tok with $r
 			order by $g
 			return { 't': $g, 'n': count($r) }`)
+	})
+
+	t.Run("one-operator-record", func(t *testing.T) {
+		// The worker's instances reach the coordinator's result, operator
+		// table and trace through the job reply: a tcp query reports what
+		// the same query reports inproc, up to timings and wire framing.
+		budgeted := func() *Session {
+			sess := NewSession()
+			sess.MemoryBudget = 64 << 10
+			return sess
+		}
+		const q = `
+			explain analyze
+			for $r in dataset EqReviews
+			for $tok in word-tokens($r.summary)
+			/*+ hash */ group by $g := $tok with $r
+			order by $g
+			return { 't': $g, 'n': count($r) }`
+		a, b := exec(t, inproc, budgeted(), q), exec(t, tcp, budgeted(), q)
+		ra, rb := parseOpTable(t, rowsText(a)), parseOpTable(t, rowsText(b))
+		if len(ra) == 0 || len(ra) != len(rb) {
+			t.Fatalf("operator tables: inproc %d rows, tcp %d rows", len(ra), len(rb))
+		}
+		for i := range ra {
+			x, y := ra[i], rb[i]
+			if x.name != y.name || x.inst != y.inst || x.in != y.in || x.out != y.out || x.frames != y.frames {
+				t.Errorf("operator row %d differs:\n inproc: %s\n tcp:    %s", i, x.raw, y.raw)
+			}
+		}
+
+		// The stats fields the benchmark harness reads keep their meaning.
+		sa, sb := a.Stats, b.Stats
+		if sa.NetMessages == 0 || sa.NetMessages != sb.NetMessages || sa.MaxNodeTuples != sb.MaxNodeTuples {
+			t.Errorf("NetMessages %d vs %d, MaxNodeTuples %d vs %d", sa.NetMessages, sb.NetMessages, sa.MaxNodeTuples, sb.MaxNodeTuples)
+		}
+		// tcp charges actual wire bytes (frame header included), inproc the
+		// encoded-size estimate: close, not equal.
+		if lo, hi := sa.BytesShuffled*3/4, sa.BytesShuffled*5/4; sb.BytesShuffled < lo || sb.BytesShuffled > hi {
+			t.Errorf("BytesShuffled: inproc %d, tcp %d", sa.BytesShuffled, sb.BytesShuffled)
+		}
+		for name, st := range map[string]QueryStats{"inproc": sa, "tcp": sb} {
+			// Two nodes: the busier one carries between half and all of it.
+			if st.TotalBusyNs <= 0 || st.MaxNodeBusyNs < st.TotalBusyNs/2 || st.MaxNodeBusyNs >= st.TotalBusyNs {
+				t.Errorf("%s: MaxNodeBusyNs %d of TotalBusyNs %d", name, st.MaxNodeBusyNs, st.TotalBusyNs)
+			}
+			var opRuns, node1 int64
+			for _, sp := range st.Spans {
+				opRuns += sp.SpillRuns
+				if sp.Node == 1 {
+					node1++
+				}
+			}
+			if st.SpillRuns == 0 || st.SpilledBytes == 0 || st.SpillRuns != opRuns {
+				t.Errorf("%s: SpillRuns %d (instances sum to %d), SpilledBytes %d", name, st.SpillRuns, opRuns, st.SpilledBytes)
+			}
+			if node1 == 0 || node1 >= int64(len(st.Spans)) {
+				t.Errorf("%s: %d of %d instance records on node 1", name, node1, len(st.Spans))
+			}
+		}
+
+		// The coordinator's trace of the tcp query has every instance as an
+		// operator span, the worker's on node 1's lane.
+		tr, ok := tcp.Tracer().Get(sb.QueryID)
+		if !ok {
+			t.Fatalf("no trace for tcp query %d", sb.QueryID)
+		}
+		var opSpans, onNode1 int
+		for _, s := range tr.Spans() {
+			if s.Cat == trace.CatOperator {
+				opSpans++
+				if s.Node == 1 {
+					onNode1++
+				}
+			}
+		}
+		if opSpans != len(sb.Spans) || onNode1 == 0 {
+			t.Errorf("tcp trace: %d operator spans (%d on node 1) for %d instances", opSpans, onNode1, len(sb.Spans))
+		}
 	})
 
 	t.Run("cancel-mid-flight", func(t *testing.T) {

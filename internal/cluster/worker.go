@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"simdb/internal/adm"
 	"simdb/internal/aqlp"
-	"simdb/internal/hyracks"
 	"simdb/internal/obs"
-	"simdb/internal/storage"
 	"simdb/internal/transport"
 )
 
@@ -266,7 +263,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	job, _, err := c.GenerateJob(plan, counters)
+	lj, err := c.newLocalJob(plan, counters, req.JobID, req.MemBudget, w.net)
 	if err != nil {
 		return nil, err
 	}
@@ -283,25 +280,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 		w.net.EndJob(req.JobID)
 	}()
 
-	topo := hyracks.Topology{
-		Partitions:   c.cfg.Partitions(),
-		PartsPerNode: c.cfg.PartitionsPerNode,
-		CollectSpans: req.CollectSpans,
-		FrameSize:    c.cfg.FrameSize,
-		ChanCap:      c.cfg.ChanCap,
-		Transport:    w.net,
-		JobID:        req.JobID,
-	}
-	if acct := hyracks.NewMemoryAccountant(req.MemBudget); acct != nil {
-		// Per-process spill directory: the coordinator uses q<id>, worker
-		// k uses q<id>n<k>, so processes sharing DataDir never collide.
-		spill := storage.NewRunFileManager(
-			filepath.Join(c.spillTmpRoot(), fmt.Sprintf("q%dn%d", req.JobID, w.node)))
-		defer spill.Close()
-		topo.Mem = acct
-		topo.Spill = spill
-	}
-	jstats, err := hyracks.Run(ctx, job, topo)
+	jstats, err := lj.run(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -141,13 +141,7 @@ type Database struct {
 // Result is a query result: one ADM value per row plus the execution
 // profile (plan, per-stage timings, network bytes, index candidates,
 // and the cost model's parallel-makespan estimate).
-type Result struct {
-	Rows  []adm.Value
-	Stats cluster.QueryStats
-	// Profile is the operator-level runtime profile, populated only when
-	// the session ran `set profile 'on';`.
-	Profile *obs.QueryProfile
-}
+type Result = cluster.Result
 
 // Session carries use/set state and optimizer option overrides across
 // statements, like one AsterixDB client connection.
@@ -271,11 +265,7 @@ func (db *Database) ServeAddr() string {
 // A slow h.OnRow backpressures the job through the runtime's bounded
 // frame channels; an OnRow error aborts the query.
 func (db *Database) ExecuteStream(ctx context.Context, sess *Session, aql string, h cluster.StreamHandler) (*Result, error) {
-	res, err := db.c.ExecuteStream(ctx, sess, aql, h)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rows: res.Rows, Stats: res.Stats, Profile: res.Profile}, nil
+	return db.c.ExecuteStream(ctx, sess, aql, h)
 }
 
 // StreamHandler re-exports the streaming delivery callbacks.
@@ -291,11 +281,7 @@ func (db *Database) NewSession() *Session { return cluster.NewSession() }
 // Execute runs an AQL request in a session (nil for a throwaway one)
 // and returns its result. DDL-only requests return empty Rows.
 func (db *Database) Execute(ctx context.Context, sess *Session, aql string) (*Result, error) {
-	res, err := db.c.Execute(ctx, sess, aql)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rows: res.Rows, Stats: res.Stats, Profile: res.Profile}, nil
+	return db.c.Execute(ctx, sess, aql)
 }
 
 // Query runs AQL with a default session and background context.

@@ -66,9 +66,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /queries", s.handleQueries)
-	mux.HandleFunc("POST /queries/{id}/cancel", s.handleCancel)
+	MountQueryAdmin(mux, s.c)
 	mux.HandleFunc("GET /traces", s.handleTraces)
 	mux.HandleFunc("GET /traces/{id}", s.handleTrace)
 	mux.HandleFunc("GET /slowlog", s.handleSlowlog)
@@ -95,14 +93,57 @@ GET  /debug/pprof/         pprof index (queries carry a query_id label)
 `)
 }
 
-// handleMetrics renders the cluster's refreshed metrics snapshot in
-// Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.c.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := snap.WritePrometheus(w); err != nil {
-		obs.Log().Error("metrics write failed", "err", err)
+// MountQueryAdmin registers the routes every HTTP front end of a
+// cluster serves the same way — the introspection server here and the
+// simdbd query server: GET /metrics (the refreshed metrics snapshot as
+// Prometheus text exposition), GET /queries (the live query list) and
+// POST /queries/{id}/cancel, which goes through the cluster's single
+// queryID→cancel registry, so a query admitted through either front end
+// is cancellable through both.
+func MountQueryAdmin(mux *http.ServeMux, c *cluster.Cluster) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		snap := c.Metrics()
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := snap.WritePrometheus(w); err != nil {
+			obs.Log().Error("metrics write failed", "err", err)
+		}
+	})
+	mux.HandleFunc("GET /queries", func(w http.ResponseWriter, _ *http.Request) {
+		qs := c.ActiveQueries()
+		if qs == nil {
+			qs = []cluster.ActiveQueryInfo{}
+		}
+		writeWire(w, http.StatusOK, qs)
+	})
+	mux.HandleFunc("POST /queries/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad-query", fmt.Sprintf("bad query id %q", r.PathValue("id")))
+			return
+		}
+		if !c.CancelQuery(id) {
+			writeError(w, http.StatusNotFound, "not-found", fmt.Sprintf("no active query %d", id))
+			return
+		}
+		writeWire(w, http.StatusOK, map[string]any{"canceled": id})
+	})
+}
+
+// writeWire answers one of the shared routes: compact single-line JSON,
+// as simdbd's line-oriented clients expect, under the given status.
+func writeWire(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		obs.Log().Error("response encode failed", "err", err)
 	}
+}
+
+// writeError answers with simdbd's wire error object (proto.go there).
+func writeError(w http.ResponseWriter, status int, code, msg string) {
+	writeWire(w, status, map[string]any{"error": map[string]any{
+		"code": code, "http_status": status, "message": msg,
+	}})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -112,27 +153,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := enc.Encode(v); err != nil {
 		obs.Log().Error("debug response encode failed", "err", err)
 	}
-}
-
-func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
-	qs := s.c.ActiveQueries()
-	if qs == nil {
-		qs = []cluster.ActiveQueryInfo{}
-	}
-	writeJSON(w, qs)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad query id", http.StatusBadRequest)
-		return
-	}
-	if !s.c.CancelQuery(id) {
-		http.Error(w, fmt.Sprintf("no active query %d", id), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, map[string]any{"canceled": id})
 }
 
 // traceSummary is one row of the GET /traces listing.

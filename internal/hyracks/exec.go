@@ -3,136 +3,161 @@ package hyracks
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"simdb/internal/obs"
-	"simdb/internal/obs/trace"
 )
 
-// OpStats is the per-operator aggregate over all instances. BusyNs,
-// tuple, frame and byte counts are summed across instances; WallNs is
-// the slowest instance's wall time.
-type OpStats struct {
-	Name       string
-	Instances  int
-	TuplesIn   int64
-	TuplesOut  int64
-	BusyNs     int64
-	WallNs     int64
-	FramesSent int64
-	BytesMoved int64
+// OpSpan is the one record hyracks.Run writes per operator instance.
+// Every other figure about a job — the per-operator table, per-node
+// busy time and tuple counts, spill totals — is a fold over these.
+// Short JSON names: a worker's job reply carries its list on every
+// query.
+type OpSpan struct {
+	ID   int    `json:"id"` // operator ID, in job order
+	Op   string `json:"op"`
+	Part int    `json:"p,omitempty"`
+	Node int    `json:"n,omitempty"`
+	// StartNs is the instance's start as an offset from the start of Run
+	// in the process that ran it, so spans of different processes line up
+	// without comparing their wall clocks.
+	StartNs    int64 `json:"s"`
+	WallNs     int64 `json:"w"`
+	BusyNs     int64 `json:"b"` // wall minus time blocked on connectors
+	TuplesIn   int64 `json:"i,omitempty"`
+	TuplesOut  int64 `json:"o,omitempty"`
+	FramesSent int64 `json:"f,omitempty"`
+	BytesMoved int64 `json:"x,omitempty"` // cross-node bytes only
 	// SpillRuns and SpilledBytes count runs written to temp storage when
-	// the operator exceeded its memory grant (0 when everything fit).
+	// the instance exceeded its memory grant (0 when everything fit).
+	SpillRuns    int64 `json:"sr,omitempty"`
+	SpilledBytes int64 `json:"sb,omitempty"`
+}
+
+// OpStats is the per-operator aggregate over all instances. BusyNs,
+// tuple, frame, byte and spill counts are summed across instances;
+// WallNs is the slowest instance's wall time.
+type OpStats struct {
+	ID           int
+	Name         string
+	Instances    int
+	TuplesIn     int64
+	TuplesOut    int64
+	BusyNs       int64
+	WallNs       int64
+	FramesSent   int64
+	BytesMoved   int64
 	SpillRuns    int64
 	SpilledBytes int64
 }
 
-// JobStats summarizes one job execution: real wall time, per-node
-// operator busy time (time not spent blocked on connectors), and the
-// simulated network traffic. The cluster layer's cost model combines
-// these into an estimated parallel makespan for the scale-out and
-// speed-up experiments.
+// AggregateOps folds instance records into one row per operator ID, in
+// ID order — job order, whatever order the instances finished in and
+// whichever process ran them. Operators that share a name (the two
+// scans of a self-join) stay separate rows.
+func AggregateOps(spans []OpSpan) []OpStats {
+	at := map[int]int{} // operator ID → index in ops
+	var ops []OpStats
+	for i := range spans {
+		sp := &spans[i]
+		j, ok := at[sp.ID]
+		if !ok {
+			j = len(ops)
+			at[sp.ID] = j
+			ops = append(ops, OpStats{ID: sp.ID, Name: sp.Op})
+		}
+		o := &ops[j]
+		o.Instances++
+		o.TuplesIn += sp.TuplesIn
+		o.TuplesOut += sp.TuplesOut
+		o.BusyNs += sp.BusyNs
+		o.FramesSent += sp.FramesSent
+		o.BytesMoved += sp.BytesMoved
+		o.SpillRuns += sp.SpillRuns
+		o.SpilledBytes += sp.SpilledBytes
+		if sp.WallNs > o.WallNs {
+			o.WallNs = sp.WallNs
+		}
+	}
+	sort.Slice(ops, func(a, b int) bool { return ops[a].ID < ops[b].ID })
+	return ops
+}
+
+// JobStats summarizes one job execution: real wall time, the simulated
+// or real network traffic, and one OpSpan per operator instance. The
+// cluster layer's cost model combines the per-node folds below into an
+// estimated parallel makespan for the scale-out and speed-up
+// experiments.
 //
-// Under a multi-process Transport each process fills only the slots of
+// Under a multi-process Transport each process records only the
 // instances it ran; the coordinator merges the partial JobStats of
 // every process into the query's totals.
 type JobStats struct {
-	WallNs        int64
-	PerNodeBusyNs []int64
-	// PerNodeTuples counts tuples emitted by each node's operator
-	// instances — a contention-free work measure the cost model uses
-	// for the scale-out/speed-up estimates (goroutine time-sharing on a
-	// small host inflates busy time across configurations; tuple counts
-	// do not).
-	PerNodeTuples []int64
-	BytesShuffled int64
-	NetMessages   int64
-	Ops           []OpStats
-	// Spans holds one record per operator instance, populated only when
-	// Topology.CollectSpans is set (PROFILE queries).
-	Spans []obs.OpSpan
+	WallNs        int64    `json:"w"`
+	BytesShuffled int64    `json:"bytes,omitempty"`
+	NetMessages   int64    `json:"msgs,omitempty"`
+	Spans         []OpSpan `json:"spans"`
 }
 
 // SpillTotals returns the job-wide spill run and byte counts.
 func (s *JobStats) SpillTotals() (runs, bytes int64) {
-	for _, op := range s.Ops {
-		runs += op.SpillRuns
-		bytes += op.SpilledBytes
+	for i := range s.Spans {
+		runs += s.Spans[i].SpillRuns
+		bytes += s.Spans[i].SpilledBytes
 	}
 	return runs, bytes
 }
 
-// MaxNodeTuples returns the busiest node's tuple count.
-func (s *JobStats) MaxNodeTuples() int64 {
+// maxPerNode sums f over each node's instances and returns the busiest
+// node's sum.
+func (s *JobStats) maxPerNode(f func(*OpSpan) int64) int64 {
+	perNode := map[int]int64{}
 	var max int64
-	for _, b := range s.PerNodeTuples {
-		if b > max {
-			max = b
+	for i := range s.Spans {
+		sp := &s.Spans[i]
+		perNode[sp.Node] += f(sp)
+		if perNode[sp.Node] > max {
+			max = perNode[sp.Node]
 		}
 	}
 	return max
 }
 
-// MaxNodeBusyNs returns the busiest node's operator time.
+// MaxNodeTuples returns the busiest node's emitted-tuple count — a
+// contention-free work measure the cost model uses for the
+// scale-out/speed-up estimates (goroutine time-sharing on a small host
+// inflates busy time across configurations; tuple counts do not).
+func (s *JobStats) MaxNodeTuples() int64 {
+	return s.maxPerNode(func(sp *OpSpan) int64 { return sp.TuplesOut })
+}
+
+// MaxNodeBusyNs returns the busiest node's operator time (time not
+// spent blocked on connectors).
 func (s *JobStats) MaxNodeBusyNs() int64 {
-	var max int64
-	for _, b := range s.PerNodeBusyNs {
-		if b > max {
-			max = b
-		}
-	}
-	return max
+	return s.maxPerNode(func(sp *OpSpan) int64 { return sp.BusyNs })
 }
 
 // TotalBusyNs returns the summed operator time across nodes.
 func (s *JobStats) TotalBusyNs() int64 {
 	var sum int64
-	for _, b := range s.PerNodeBusyNs {
-		sum += b
+	for i := range s.Spans {
+		sum += s.Spans[i].BusyNs
 	}
 	return sum
 }
 
 // Merge folds another process's partial JobStats for the same job into
-// s: per-node and per-operator figures add element-wise (each instance
-// ran in exactly one process, so slots never overlap), traffic totals
-// add (bytes are counted on the sending side only), operator wall
-// times take the slowest instance, and spans append.
+// s: each instance ran in exactly one process, so instance records
+// append, and traffic totals add (bytes are counted on the sending side
+// only). WallNs stays the receiver's — the coordinator's run spans the
+// workers'.
 func (s *JobStats) Merge(o *JobStats) {
 	if o == nil {
 		return
 	}
-	for i := range o.PerNodeBusyNs {
-		if i < len(s.PerNodeBusyNs) {
-			s.PerNodeBusyNs[i] += o.PerNodeBusyNs[i]
-		}
-	}
-	for i := range o.PerNodeTuples {
-		if i < len(s.PerNodeTuples) {
-			s.PerNodeTuples[i] += o.PerNodeTuples[i]
-		}
-	}
 	s.BytesShuffled += o.BytesShuffled
 	s.NetMessages += o.NetMessages
-	for i := range o.Ops {
-		if i >= len(s.Ops) {
-			break
-		}
-		dst, src := &s.Ops[i], &o.Ops[i]
-		dst.Instances += src.Instances
-		dst.TuplesIn += src.TuplesIn
-		dst.TuplesOut += src.TuplesOut
-		dst.BusyNs += src.BusyNs
-		dst.FramesSent += src.FramesSent
-		dst.BytesMoved += src.BytesMoved
-		dst.SpillRuns += src.SpillRuns
-		dst.SpilledBytes += src.SpilledBytes
-		if src.WallNs > dst.WallNs {
-			dst.WallNs = src.WallNs
-		}
-	}
 	s.Spans = append(s.Spans, o.Spans...)
 }
 
@@ -308,11 +333,11 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 		defer stop()
 	}
 
-	nNodes := topo.Nodes()
-	perNodeBusy := make([]int64, nNodes)
-	perNodeTuples := make([]int64, nNodes)
-	opAgg := make([]OpStats, len(job.nodes))
-	var spans []obs.OpSpan
+	nInstances := 0
+	for _, n := range job.nodes {
+		nInstances += n.Parts
+	}
+	spans := make([]OpSpan, 0, nInstances)
 	var statsMu sync.Mutex
 
 	var firstErr error
@@ -459,36 +484,14 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 					busy = 0
 				}
 				statsMu.Lock()
-				perNodeBusy[node] += busy
-				perNodeTuples[node] += tuplesOut
-				agg := &opAgg[n.ID]
-				agg.Instances++
-				agg.TuplesIn += tuplesIn
-				agg.TuplesOut += tuplesOut
-				agg.BusyNs += busy
-				agg.FramesSent += frames
-				agg.BytesMoved += crossBytes
-				agg.SpillRuns += tc.SpillRuns
-				agg.SpilledBytes += tc.SpilledBytes
-				if wall > agg.WallNs {
-					agg.WallNs = wall
-				}
-				if topo.CollectSpans {
-					spans = append(spans, obs.OpSpan{
-						Op: n.Name, Part: p, Node: node,
-						WallNs: wall, BusyNs: busy,
-						TuplesIn: tuplesIn, TuplesOut: tuplesOut,
-						FramesSent: frames, BytesMoved: crossBytes,
-						SpillRuns: tc.SpillRuns, SpilledBytes: tc.SpilledBytes,
-					})
-				}
+				spans = append(spans, OpSpan{
+					ID: n.ID, Op: n.Name, Part: p, Node: node,
+					StartNs: t0.Sub(start).Nanoseconds(), WallNs: wall, BusyNs: busy,
+					TuplesIn: tuplesIn, TuplesOut: tuplesOut,
+					FramesSent: frames, BytesMoved: crossBytes,
+					SpillRuns: tc.SpillRuns, SpilledBytes: tc.SpilledBytes,
+				})
 				statsMu.Unlock()
-				topo.Trace.SpanAtOn(topo.TraceParent, n.Name, trace.CatOperator,
-					node, p, t0, time.Duration(wall),
-					trace.I("busy_ns", busy),
-					trace.I("tuples_in", tuplesIn),
-					trace.I("tuples_out", tuplesOut),
-				)
 				if err != nil {
 					fail(fmt.Errorf("%s[%d]: %w", n.Name, p, err))
 				}
@@ -500,18 +503,10 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 	if firstErr == nil && ctx.Err() != nil {
 		firstErr = ctx.Err()
 	}
-	stats := &JobStats{
+	return &JobStats{
 		WallNs:        time.Since(start).Nanoseconds(),
-		PerNodeBusyNs: perNodeBusy,
-		PerNodeTuples: perNodeTuples,
 		BytesShuffled: bytesShuffled.Load(),
 		NetMessages:   netMessages.Load(),
 		Spans:         spans,
-	}
-	for _, n := range job.nodes {
-		st := opAgg[n.ID]
-		st.Name = n.Name
-		stats.Ops = append(stats.Ops, st)
-	}
-	return stats, firstErr
+	}, firstErr
 }

@@ -88,7 +88,7 @@ type PortReader struct {
 
 	// tuplesIn counts tuples delivered through this port. It is owned by
 	// the reading instance's goroutine (no atomics needed) and summed
-	// into the operator profile when the instance finishes.
+	// into the instance's OpSpan when it finishes.
 	tuplesIn int64
 
 	buf    []Tuple

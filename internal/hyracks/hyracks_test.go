@@ -83,8 +83,49 @@ func TestSourceToSinkGather(t *testing.T) {
 	if stats.WallNs <= 0 {
 		t.Error("missing wall time")
 	}
-	if len(stats.Ops) != 2 {
-		t.Errorf("op stats: %v", stats.Ops)
+	// One record per instance (two sources, one sink), folded per
+	// operator in job order.
+	ops := AggregateOps(stats.Spans)
+	if len(stats.Spans) != 3 || len(ops) != 2 || ops[0].Name != "Src" || ops[0].Instances != 2 || ops[1].Name != "Sink" {
+		t.Errorf("spans %+v fold to %+v", stats.Spans, ops)
+	}
+	if ops[0].TuplesOut != 5 || ops[1].TuplesIn != 5 {
+		t.Errorf("tuple counts: %+v", ops)
+	}
+}
+
+// TestAggregateOpsByID pins the fold every reader of JobStats shares:
+// rows are keyed by operator ID (two operators with one name stay
+// apart), come out in ID order whatever order instances finished in or
+// were merged from other processes, sum counts and keep the slowest
+// instance's wall time.
+func TestAggregateOpsByID(t *testing.T) {
+	local := &JobStats{BytesShuffled: 10, NetMessages: 1, Spans: []OpSpan{
+		{ID: 2, Op: "Join", Node: 0, WallNs: 50, BusyNs: 40, TuplesIn: 8, TuplesOut: 2},
+		{ID: 0, Op: "Scan", Part: 0, Node: 0, WallNs: 100, BusyNs: 80, TuplesOut: 4, SpillRuns: 1, SpilledBytes: 64},
+		{ID: 1, Op: "Scan", Part: 0, Node: 0, WallNs: 30, BusyNs: 30, TuplesOut: 4},
+	}}
+	local.Merge(&JobStats{WallNs: 999, BytesShuffled: 5, NetMessages: 2, Spans: []OpSpan{
+		{ID: 1, Op: "Scan", Part: 1, Node: 1, WallNs: 70, BusyNs: 60, TuplesOut: 3},
+		{ID: 0, Op: "Scan", Part: 1, Node: 1, WallNs: 150, BusyNs: 120, TuplesOut: 6, FramesSent: 2, BytesMoved: 33},
+	}})
+	local.Merge(nil)
+	want := []OpStats{
+		{ID: 0, Name: "Scan", Instances: 2, TuplesOut: 10, BusyNs: 200, WallNs: 150, FramesSent: 2, BytesMoved: 33, SpillRuns: 1, SpilledBytes: 64},
+		{ID: 1, Name: "Scan", Instances: 2, TuplesOut: 7, BusyNs: 90, WallNs: 70},
+		{ID: 2, Name: "Join", Instances: 1, TuplesIn: 8, TuplesOut: 2, BusyNs: 40, WallNs: 50},
+	}
+	if got := AggregateOps(local.Spans); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("AggregateOps:\n got %+v\nwant %+v", got, want)
+	}
+	if local.WallNs != 0 || local.BytesShuffled != 15 || local.NetMessages != 3 {
+		t.Errorf("merged totals: %+v", local)
+	}
+	if b, n, tot := local.MaxNodeBusyNs(), local.MaxNodeTuples(), local.TotalBusyNs(); b != 180 || n != 10 || tot != 330 {
+		t.Errorf("MaxNodeBusyNs %d MaxNodeTuples %d TotalBusyNs %d, want 180 10 330", b, n, tot)
+	}
+	if runs, bytes := local.SpillTotals(); runs != 1 || bytes != 64 {
+		t.Errorf("SpillTotals = %d, %d", runs, bytes)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"simdb/internal/adm"
-	"simdb/internal/obs/trace"
 	"simdb/internal/storage"
 )
 
@@ -150,17 +149,6 @@ type Topology struct {
 	// concurrent queries overlap them — the effect the concurrent-serving
 	// experiment measures. Zero (the default) keeps sends instantaneous.
 	NetFrameLatency time.Duration
-	// CollectSpans, when true, makes Run record one obs.OpSpan per
-	// operator instance in JobStats.Spans (the PROFILE payload). Off by
-	// default: per-instance aggregation always happens, spans only when
-	// a profile was requested.
-	CollectSpans bool
-	// Trace, when non-nil, receives one operator-instance span per task
-	// under parent TraceParent (the query's "execute" phase span). Unlike
-	// CollectSpans this is always on when the cluster traces queries;
-	// recording costs one mutex append per instance.
-	Trace       *trace.Trace
-	TraceParent int32
 	// Mem, when non-nil, enforces a query-wide memory budget on blocking
 	// operators (shared by all instances of all operators in the job).
 	Mem *MemoryAccountant
@@ -213,19 +201,6 @@ func (t Topology) NodeOf(p, n int) int {
 		ppn = 1
 	}
 	return p / ppn
-}
-
-// Nodes returns the number of nodes implied by the topology.
-func (t Topology) Nodes() int {
-	ppn := t.PartsPerNode
-	if ppn <= 0 {
-		ppn = 1
-	}
-	n := t.Partitions / ppn
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Emitter is one output port of one operator instance. Emit routes a

@@ -1,8 +1,7 @@
 // Package obs is SimDB's observability layer: a process-wide metrics
 // registry (atomic counters, gauges, and bounded histograms with
-// p50/p95/p99, all snapshot-able to deterministic JSON), per-query
-// profiles (compile-phase timings, per-operator spans, similarity
-// statistics), and a leveled structured logger that is quiet by
+// p50/p95/p99, all snapshot-able to deterministic JSON), query traces
+// (package trace), and a leveled structured logger that is quiet by
 // default. Everything is stdlib-only and designed for hot paths: one
 // atomic operation per event, no locks on the record side.
 package obs

@@ -145,29 +145,3 @@ func TestRegistrySameHandle(t *testing.T) {
 		t.Error("Histogram should return a stable handle")
 	}
 }
-
-func TestAggregateSpans(t *testing.T) {
-	spans := []OpSpan{
-		{Op: "scan", Part: 0, WallNs: 100, BusyNs: 90, TuplesOut: 10},
-		{Op: "scan", Part: 1, WallNs: 150, BusyNs: 120, TuplesOut: 12},
-		{Op: "select", Part: 0, WallNs: 50, BusyNs: 40, TuplesIn: 22, TuplesOut: 5},
-	}
-	ops := AggregateSpans(spans)
-	if len(ops) != 2 {
-		t.Fatalf("got %d ops, want 2", len(ops))
-	}
-	if ops[0].Name != "scan" || ops[0].Instances != 2 || ops[0].WallNs != 150 ||
-		ops[0].BusyNs != 210 || ops[0].TuplesOut != 22 {
-		t.Errorf("scan aggregate = %+v", ops[0])
-	}
-	if ops[1].Name != "select" || ops[1].TuplesIn != 22 {
-		t.Errorf("select aggregate = %+v", ops[1])
-	}
-	p := &QueryProfile{Operators: ops, ExecNs: 200}
-	if tr := p.Tree(); tr == "" {
-		t.Error("Tree() empty")
-	}
-	if _, err := p.JSON(); err != nil {
-		t.Errorf("JSON: %v", err)
-	}
-}

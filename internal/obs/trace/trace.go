@@ -133,7 +133,7 @@ func (t *Trace) SpanAt(parent int32, name, cat string, start time.Time, dur time
 }
 
 // SpanAtOn is SpanAt with an explicit (node, partition) placement, used
-// by the executor for operator-instance spans.
+// for operator-instance spans.
 func (t *Trace) SpanAtOn(parent int32, name, cat string, node, part int, start time.Time, dur time.Duration, args ...Arg) int32 {
 	if t == nil {
 		return RootSpan
@@ -265,8 +265,8 @@ func Default() *Tracer { return defaultTracer }
 var queryIDs atomic.Uint64
 
 // NextQueryID returns a fresh process-unique query ID. The same ID
-// stamps the query's trace, profile, slow-log line, spill directory,
-// and typed-error payload, so every observability surface
+// stamps the query's trace, stats, slow-log line, spill directory,
+// pprof label and typed-error payload, so every observability surface
 // cross-references.
 func NextQueryID() uint64 { return queryIDs.Add(1) }
 

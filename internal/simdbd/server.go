@@ -13,9 +13,10 @@
 // context, and shutdown drains: the listener closes, in-flight queries
 // finish under their own deadlines, then the server exits.
 //
-// Cancellation shares the cluster's single queryID→cancel registry
-// with debugsrv: a query is cancellable by ID through either front
-// end, whichever one admitted it.
+// GET /metrics, GET /queries and POST /queries/{id}/cancel are
+// debugsrv's handlers mounted here too: both front ends answer them
+// identically, and a query is cancellable by ID through either one,
+// whichever admitted it.
 package simdbd
 
 import (
@@ -26,12 +27,12 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"simdb/internal/adm"
 	"simdb/internal/aqlp"
 	"simdb/internal/cluster"
+	"simdb/internal/debugsrv"
 	"simdb/internal/obs"
 )
 
@@ -169,9 +170,7 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("POST /sessions", s.handleSessionCreate)
 	mux.HandleFunc("DELETE /sessions/{token}", s.handleSessionClose)
 	mux.HandleFunc("POST /ingest/{dataset}", s.handleIngest)
-	mux.HandleFunc("GET /queries", s.handleQueries)
-	mux.HandleFunc("POST /queries/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	debugsrv.MountQueryAdmin(mux, s.c)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	return mux
@@ -197,41 +196,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":   "ok",
 		"sessions": s.sessions.count(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.c.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := snap.WritePrometheus(w); err != nil {
-		obs.Log().Error("simdbd metrics write failed", "err", err)
-	}
-}
-
-// handleCancel kills an in-flight query by ID through the cluster's
-// single queryID→cancel registry — the same one debugsrv's cancel
-// endpoint uses, so a query admitted by either front end is
-// cancellable through both.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		s.fail(w, wireErrf(codeBadQuery, http.StatusBadRequest,
-			fmt.Sprintf("simdbd: bad query id %q", r.PathValue("id"))))
-		return
-	}
-	if !s.c.CancelQuery(id) {
-		s.fail(w, wireErrf(codeNotFound, http.StatusNotFound,
-			fmt.Sprintf("simdbd: no active query %d", id)))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"canceled": id})
-}
-
-func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
-	qs := s.c.ActiveQueries()
-	if qs == nil {
-		qs = []cluster.ActiveQueryInfo{}
-	}
-	writeJSON(w, http.StatusOK, qs)
 }
 
 // sessionCreateRequest is the optional JSON body of POST /sessions.

@@ -405,6 +405,11 @@ func TestCancelEndpointAndRegistry(t *testing.T) {
 	if again.StatusCode != http.StatusNotFound {
 		t.Errorf("second cancel status = %d, want 404", again.StatusCode)
 	}
+	// The handler is debugsrv's, mounted on this mux; its error body is
+	// still this protocol's error object.
+	if _, _, werr := readStream(t, again.Body); werr.Code != "not-found" || werr.Status != http.StatusNotFound {
+		t.Errorf("second cancel body = %+v, want a not-found wire error", werr)
+	}
 }
 
 // TestMetricsExposure asserts the serving counters surface through the
