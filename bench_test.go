@@ -76,12 +76,6 @@ func BenchmarkFig27Scale(b *testing.B) { runExperiment(b, "fig27") }
 // BenchmarkAblations runs the design-choice ablations.
 func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablation") }
 
-// BenchmarkConcurrentQueryThroughput measures parallel Jaccard
-// selections at 1/4/16 clients with the plan cache off and on,
-// emitting BENCH_concurrency.json (full scale via
-// `benchrunner concurrency`).
-func BenchmarkConcurrentQueryThroughput(b *testing.B) { runExperiment(b, "concurrency") }
-
 // BenchmarkServingHTTPLoad drives the simdbd HTTP front end with
 // open-loop load at rising session counts, emitting BENCH_serving.json
 // (full scale via `benchrunner serving`).

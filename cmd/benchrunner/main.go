@@ -5,9 +5,7 @@
 //	benchrunner all
 //
 // Experiments: table3 table4 table5 table6 fig15 fig22a fig22b fig24a
-// fig24b fig25a fig25b fig27 ablation concurrency spill ingest scan
-// serving transport env all ("all" excludes transport; ask for it by
-// name or with -transport)
+// fig24b fig25a fig25b fig27 ablation spill ingest scan serving env all
 package main
 
 import (
@@ -20,13 +18,9 @@ import (
 
 	"simdb/internal/aqlp"
 	"simdb/internal/bench"
-	"simdb/internal/core"
 )
 
 func main() {
-	// The transport experiment re-executes this binary as tcp-mode worker
-	// processes; the hook must run before anything else.
-	core.MaybeRunWorker()
 	var (
 		scale   = flag.Int("scale", 20000, "Amazon record count (other datasets scale relative to it)")
 		nodes   = flag.Int("nodes", 2, "simulated node count")
@@ -37,10 +31,9 @@ func main() {
 		metrics = flag.String("metrics", "", "write the final process metrics snapshot as JSON to this file (\"-\" for stdout)")
 		budgets = flag.String("membudget", "", "comma-separated per-query memory budgets for the spill sweep (e.g. \"0,16m,2m,256k\"; 0 = unlimited)")
 		dbgAddr = flag.String("debug-addr", "", "start the introspection HTTP server on this address while experiments run")
-		transp  = flag.Bool("transport", false, "run the inproc-vs-tcp transport comparison (emits BENCH_transport.json)")
 	)
 	flag.Parse()
-	if flag.NArg() < 1 && !*transp {
+	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchrunner [flags] <experiment|all>")
 		flag.PrintDefaults()
 		os.Exit(2)
@@ -72,11 +65,7 @@ func main() {
 	}
 	defer env.Close()
 
-	names := flag.Args()
-	if *transp {
-		names = append(names, "transport")
-	}
-	for _, name := range names {
+	for _, name := range flag.Args() {
 		if name == "env" {
 			printEnv(env)
 			continue

@@ -119,9 +119,8 @@ func run(db *core.Database, sess *core.Session, src string, showPlan bool) error
 		fmt.Print(res.Stats.LogicalPlan)
 	}
 	if res.Stats.ExecNs > 0 {
-		fmt.Printf("(%d rows, %.1f ms exec, %d plan ops, %.1f ms est. parallel)\n",
-			len(res.Rows), float64(res.Stats.ExecNs)/1e6, res.Stats.PlanOps,
-			float64(res.Stats.EstimatedParallel.Microseconds())/1000)
+		fmt.Printf("(%d rows, %.1f ms exec, %d plan ops)\n",
+			len(res.Rows), float64(res.Stats.ExecNs)/1e6, res.Stats.PlanOps)
 	}
 	return nil
 }

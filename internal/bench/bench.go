@@ -224,16 +224,17 @@ func quoteAQL(s string) string {
 
 // measured is one timed query run.
 type measured struct {
-	Wall     time.Duration
-	Estimate time.Duration
-	Rows     int64 // count() result when the query returns one int
-	Stats    coreStats
+	Wall  time.Duration
+	Rows  int64 // count() result when the query returns one int
+	Stats coreStats
 }
 
 type coreStats struct {
 	Candidates    int64
 	IndexSearches int64
 	BytesShuffled int64
+	MaxNodeTuples int64
+	NetMessages   int64
 	PlanOps       int
 	CompileNs     int64
 }
@@ -249,12 +250,13 @@ func (e *Env) runTimed(sess *core.Session, query string) (measured, error) {
 		return measured{}, fmt.Errorf("%w\nquery:\n%s", err, query)
 	}
 	m := measured{
-		Wall:     time.Duration(res.Stats.ExecNs),
-		Estimate: res.Stats.EstimatedParallel,
+		Wall: time.Duration(res.Stats.ExecNs),
 		Stats: coreStats{
 			Candidates:    res.Stats.CandidatesTotal,
 			IndexSearches: res.Stats.IndexSearches,
 			BytesShuffled: res.Stats.BytesShuffled,
+			MaxNodeTuples: res.Stats.MaxNodeTuples,
+			NetMessages:   res.Stats.NetMessages,
 			PlanOps:       res.Stats.PlanOps,
 			CompileNs:     res.Stats.TranslateNs + res.Stats.OptimizeNs,
 		},
@@ -267,26 +269,37 @@ func (e *Env) runTimed(sess *core.Session, query string) (measured, error) {
 	return m, nil
 }
 
-// average runs the query n times and averages wall and estimate.
-func (e *Env) average(sess *core.Session, n int, queryFn func() (string, error)) (measured, error) {
-	var total measured
+// each runs n queries drawn from queryFn, handing every measurement to
+// visit.
+func (e *Env) each(sess *core.Session, n int, queryFn func() (string, error), visit func(measured)) error {
 	for i := 0; i < n; i++ {
 		q, err := queryFn()
 		if err != nil {
-			return measured{}, err
+			return err
 		}
 		m, err := e.runTimed(sess, q)
 		if err != nil {
-			return measured{}, err
+			return err
 		}
+		visit(m)
+	}
+	return nil
+}
+
+// average runs the query n times and averages wall time, rows and
+// candidates.
+func (e *Env) average(sess *core.Session, n int, queryFn func() (string, error)) (measured, error) {
+	var total measured
+	err := e.each(sess, n, queryFn, func(m measured) {
 		total.Wall += m.Wall
-		total.Estimate += m.Estimate
 		total.Rows += m.Rows
 		total.Stats.Candidates += m.Stats.Candidates
 		total.Stats.IndexSearches += m.Stats.IndexSearches
+	})
+	if err != nil {
+		return measured{}, err
 	}
 	total.Wall /= time.Duration(n)
-	total.Estimate /= time.Duration(n)
 	total.Rows /= int64(n)
 	total.Stats.Candidates /= int64(n)
 	return total, nil

@@ -12,14 +12,8 @@ import (
 	"simdb/internal/tokenizer"
 )
 
-// Run dispatches one experiment by name; "all" runs everything except
-// "transport", which spawns worker child processes and therefore needs
-// the embedding binary to have the core.MaybeRunWorker hook — it must
-// be asked for by name (benchrunner's -transport flag does).
+// Run dispatches one experiment by name; "all" runs every one in order.
 func (e *Env) Run(name string) error {
-	if name == "transport" {
-		return e.TransportBench()
-	}
 	type exp struct {
 		name string
 		fn   func() error
@@ -38,7 +32,6 @@ func (e *Env) Run(name string) error {
 		{"fig25b", e.Fig25b},
 		{"fig27", e.Fig27},
 		{"ablation", e.Ablations},
-		{"concurrency", e.Concurrency},
 		{"spill", e.SpillSweep},
 		{"ingest", e.IngestBench},
 		{"scan", e.ScanBench},

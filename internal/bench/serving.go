@@ -242,9 +242,6 @@ type ServingReport struct {
 	MaxConcurrent    int           `json:"max_concurrent_queries"`
 	AdmissionTimeout string        `json:"admission_timeout"`
 	Cells            []ServingCell `json:"cells"`
-	// Metrics is the process-wide snapshot after the last cell — the
-	// simdbd.http.* serving counters land here alongside engine totals.
-	Metrics obs.Snapshot `json:"metrics"`
 }
 
 // Serving measures the HTTP serving front end under open-loop load:
@@ -358,7 +355,6 @@ func (e *Env) Serving() error {
 			clients, opt.Rate, lr.AchievedQPS, lr.Rejected503, lr.Timeout504,
 			lr.OtherErrors+lr.Client4xx, lr.P50Ms, lr.P95Ms, lr.P99Ms)
 	}
-	report.Metrics = db.Cluster().Metrics()
 
 	outDir := e.ReportDir
 	if outDir == "" {

@@ -39,7 +39,7 @@ type Cluster struct {
 
 	autoPK    atomic.Int64
 	tOccAlgo  atomic.Int32
-	simNetLat atomic.Int64 // nanoseconds of simulated cross-node frame latency
+	simNetLat atomic.Int64 // test seam, see SetSimNetLatency (nanoseconds)
 
 	// activeQ is the live registry of in-flight queries (introspection
 	// and cancellation); tracer records per-query traces. Each budgeted
@@ -149,9 +149,6 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 	}
 	c.tOccAlgo.Store(int32(cfg.TOccurrenceAlgorithm))
 	c.slowThresh.Store(int64(cfg.SlowQueryThreshold))
-	if cfg.PlanCacheSize < 0 {
-		c.planCache.SetEnabled(false)
-	}
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {
 			c.nodes = append(c.nodes, nil)
@@ -226,16 +223,16 @@ func (c *Cluster) tOccurrenceAlgorithm() invindex.Algorithm {
 	return invindex.Algorithm(c.tOccAlgo.Load())
 }
 
-// SetSimNetLatency sets the real time each cross-node frame transfer
-// occupies during execution (0, the default, keeps transfers
-// instantaneous and leaves network cost to the post-hoc model). The
-// concurrent-serving experiment uses it so per-query latency has a
-// network component that concurrent queries genuinely overlap.
+// SetSimNetLatency is a test seam: it makes every cross-node frame
+// transfer of the inproc transport sleep for d (0, the default, keeps
+// transfers instantaneous), so a test can hold a query in flight long
+// enough to cancel it, list it or disconnect from it. No production
+// code calls it and the tcp transport ignores it.
 func (c *Cluster) SetSimNetLatency(d time.Duration) {
 	c.simNetLat.Store(int64(d))
 }
 
-// PlanCache exposes the compiled-plan cache (stats, runtime toggling).
+// PlanCache exposes the compiled-plan cache (stats).
 func (c *Cluster) PlanCache() *PlanCache { return c.planCache }
 
 // QueryManager exposes the admission controller's counters.

@@ -509,7 +509,4 @@ func TestQueryStatsPopulated(t *testing.T) {
 	if s.ExecNs <= 0 || s.PlanOps <= 0 || s.LogicalPlan == "" {
 		t.Errorf("stats incomplete: %+v", s)
 	}
-	if s.EstimatedParallel <= 0 {
-		t.Error("cost model estimate missing")
-	}
 }

@@ -5,8 +5,7 @@
 // Queries go through the full lifecycle — AQL parse, translate,
 // rule-based optimization (including AQL+), job generation, parallel
 // execution on the hyracks runtime — and return rows plus execution
-// statistics, including a cost-model estimate of the parallel makespan
-// on real hardware.
+// statistics.
 package cluster
 
 import (
@@ -37,10 +36,6 @@ type Config struct {
 	MemComponentBudgetBytes int64
 	// TOccurrenceAlgorithm selects the inverted-index merge algorithm.
 	TOccurrenceAlgorithm invindex.Algorithm
-	// NetBandwidthMBps and NetLatencyUs drive the cost model's network
-	// term (defaults approximate the paper's 1 GbE).
-	NetBandwidthMBps float64
-	NetLatencyUs     float64
 	// MaxConcurrentQueries bounds admission: at most this many queries
 	// execute at once; excess callers wait (default 64).
 	MaxConcurrentQueries int
@@ -165,12 +160,6 @@ func (c Config) WithDefaults() Config {
 	if c.MemComponentBudgetBytes <= 0 {
 		c.MemComponentBudgetBytes = 16 << 20
 	}
-	if c.NetBandwidthMBps <= 0 {
-		c.NetBandwidthMBps = 117 // ~1 GbE payload rate
-	}
-	if c.NetLatencyUs <= 0 {
-		c.NetLatencyUs = 100
-	}
 	if c.IngestWorkers <= 0 {
 		c.IngestWorkers = c.Partitions()
 		if p := runtime.GOMAXPROCS(0); p < c.IngestWorkers {
@@ -212,49 +201,3 @@ func (c Config) WithDefaults() Config {
 
 // Partitions returns the total data partition count.
 func (c Config) Partitions() int { return c.NumNodes * c.PartitionsPerNode }
-
-// CostModel converts measured job statistics into an estimated parallel
-// makespan on a real cluster. This is the substitution for physical
-// scale-out/speed-up measurements documented in DESIGN.md §3.
-//
-// The compute term is work-based — the busiest node's emitted-tuple
-// count times a calibrated per-tuple cost — rather than time-based:
-// when N simulated nodes time-share a small host's cores, measured busy
-// time inflates with N and would mask the very scaling behavior the
-// experiment studies, while tuple counts are deterministic. The network
-// term charges each node's NIC for its share of shuffled bytes plus
-// per-message latency, and a fixed coordinator overhead models job
-// startup (the floor that limits speed-up for short queries, §6.5.2).
-type CostModel struct {
-	NetBandwidthMBps float64
-	NetLatencyUs     float64
-	Nodes            int
-	// TupleCostNs is the modeled per-tuple operator cost (default 800ns,
-	// roughly one tokenize-hash-compare step on the paper's 2 GHz
-	// Opterons).
-	TupleCostNs float64
-	// FixedOverheadUs models per-job coordination (default 3000µs).
-	FixedOverheadUs float64
-}
-
-// EstimateParallel returns the modeled makespan.
-func (m CostModel) EstimateParallel(maxNodeTuples, bytesShuffled, netMessages int64) time.Duration {
-	nodes := m.Nodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	tupleCost := m.TupleCostNs
-	if tupleCost <= 0 {
-		tupleCost = 800
-	}
-	overhead := m.FixedOverheadUs
-	if overhead <= 0 {
-		overhead = 3000
-	}
-	computeNs := float64(maxNodeTuples) * tupleCost
-	// Bytes leave/enter each node roughly evenly; each node's NIC moves
-	// its share at the configured bandwidth.
-	xferNs := float64(bytesShuffled) / float64(nodes) / (m.NetBandwidthMBps * 1e6) * 1e9
-	latNs := float64(netMessages) / float64(nodes) * m.NetLatencyUs * 1e3
-	return time.Duration(computeNs + xferNs + latNs + overhead*1e3)
-}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"simdb/internal/algebra"
-	"simdb/internal/optimizer"
 )
 
 // PlanCache caches compiled (translated + optimized) query plans so a
@@ -16,8 +15,10 @@ import (
 // §6.4.1 measures and amortizes across a workload.
 //
 // Entries are keyed by the normalized AQL request text plus everything
-// else that feeds compilation: the session's dataverse, simfunction,
-// and simthreshold at request entry, and the optimizer options. Each
+// else a client can send that feeds compilation: the session's
+// dataverse, simfunction, simthreshold and resolved memory budget at
+// request entry. A session carrying an optimizer-options override is an
+// ablation run and never reaches the cache (see Session.Opts). Each
 // entry records the catalog epoch it was compiled under; any DDL bumps
 // the epoch, so a hit is served only when no catalog change happened
 // since compilation — a cached plan can never be stale with respect to
@@ -30,10 +31,9 @@ import (
 // bypass the cache entirely.
 type PlanCache struct {
 	mu       sync.Mutex
-	capacity int
+	capacity int // negative: the cache is disabled
 	entries  map[planKey]*list.Element
 	lru      *list.List // front = most recently used
-	disabled atomic.Bool
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -48,7 +48,7 @@ type planKey struct {
 	dataverse    string
 	simFunction  string
 	simThreshold string
-	opts         optimizer.Options
+	memBudget    int64 // resolved per-query operator budget in bytes, 0 = unlimited
 }
 
 // planEntry is one cached compilation result.
@@ -66,9 +66,10 @@ type planEntry struct {
 }
 
 // NewPlanCache returns a cache bounded to capacity entries (LRU
-// eviction). A capacity <= 0 falls back to the default of 256.
+// eviction); 0 takes the default of 256. A negative capacity builds a
+// disabled cache, which misses every lookup and drops every store.
 func NewPlanCache(capacity int) *PlanCache {
-	if capacity <= 0 {
+	if capacity == 0 {
 		capacity = 256
 	}
 	return &PlanCache{
@@ -78,17 +79,13 @@ func NewPlanCache(capacity int) *PlanCache {
 	}
 }
 
-// SetEnabled toggles the cache at run time (benchmark ablations). A
-// disabled cache misses every lookup and drops every store.
-func (pc *PlanCache) SetEnabled(on bool) { pc.disabled.Store(!on) }
-
 // Enabled reports whether the cache serves hits.
-func (pc *PlanCache) Enabled() bool { return !pc.disabled.Load() }
+func (pc *PlanCache) Enabled() bool { return pc.capacity >= 0 }
 
 // get returns the cached entry for key if present and compiled under
 // the current epoch. Stale entries are evicted on sight.
 func (pc *PlanCache) get(key planKey, epoch uint64) (*planEntry, bool) {
-	if pc.disabled.Load() {
+	if !pc.Enabled() {
 		return nil, false
 	}
 	pc.mu.Lock()
@@ -116,7 +113,7 @@ func (pc *PlanCache) get(key planKey, epoch uint64) (*planEntry, bool) {
 // put stores a freshly compiled plan, evicting the least recently used
 // entry when over capacity.
 func (pc *PlanCache) put(e *planEntry) {
-	if pc.disabled.Load() {
+	if !pc.Enabled() {
 		return
 	}
 	pc.mu.Lock()

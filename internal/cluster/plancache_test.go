@@ -136,16 +136,25 @@ func TestPlanCacheKeysOnSessionState(t *testing.T) {
 			len(b.Rows), len(a.Rows))
 	}
 
-	// Different optimizer options: separate entry too.
+	// A session with an optimizer-options override stays out of the cache
+	// in both directions, however often it runs; sessA's entry survives.
 	sessC := NewSession()
 	sessC.SimFunction = "edit-distance"
 	sessC.SimThreshold = "1"
 	opts := optimizer.DefaultOptions()
 	opts.UseIndexes = false
 	sessC.Opts = &opts
-	cold := exec(t, c, sessC, q)
-	if cold.Stats.PlanCacheHit {
-		t.Fatal("different optimizer options hit a cached plan")
+	before := c.PlanCache().Stats()
+	for run := 0; run < 2; run++ {
+		if res := exec(t, c, sessC, q); res.Stats.PlanCacheHit {
+			t.Fatalf("run %d: override session hit a cached plan", run)
+		}
+	}
+	if after := c.PlanCache().Stats(); after != before {
+		t.Fatalf("override session moved the cache: %+v -> %+v", before, after)
+	}
+	if res := exec(t, c, sessA, q); !res.Stats.PlanCacheHit {
+		t.Fatal("base session's entry no longer hits after an override run")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"simdb/internal/aqlp"
 	"simdb/internal/optimizer"
 )
 
@@ -109,11 +108,7 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			qsess := NewSession()
 			qsess.Opts = tc.opts
 			// Job order, from a compile of the same text that runs nothing.
-			q, err := aqlp.Parse(tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, _, err := c.Compile(qsess, q.Body)
+			plan, _, err := c.Compile(qsess, tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,32 +88,40 @@ func TestProjectionPushdownInPlan(t *testing.T) {
 	}
 }
 
-// TestPlanCacheKeyedByOptions verifies that sessions with different
-// optimizer options never share a cached plan: the same query text
-// compiles once per distinct option set.
-func TestPlanCacheKeyedByOptions(t *testing.T) {
+// TestOptionOverridesBypassPlanCache verifies that a session overriding
+// optimizer options compiles its own plan every time and never shares
+// one through the cache: select-a and select-* plans cannot meet there.
+func TestOptionOverridesBypassPlanCache(t *testing.T) {
 	c := newTestCluster(t, 1, 2)
 	sess := NewSession()
 	loadReviews(t, c, sess)
 
-	base := sessWith(nil)
-	noProj := sessWith(func(o *optimizer.Options) { o.ProjectionPushdown = false })
-	noBatch := sessWith(func(o *optimizer.Options) { o.BatchedVerify = false })
-
-	if res := exec(t, c, base, jaccardQuery); res.Stats.PlanCacheHit {
+	if res := exec(t, c, sess, jaccardQuery); res.Stats.PlanCacheHit {
 		t.Fatal("cold execution hit the cache")
 	}
-	if res := exec(t, c, base, jaccardQuery); !res.Stats.PlanCacheHit {
-		t.Fatal("same options missed the cache")
+	cached := c.PlanCache().Stats()
+	for _, tc := range []struct {
+		name        string
+		mod         func(*optimizer.Options)
+		wantProject bool
+	}{
+		{"defaults spelled out", nil, true},
+		{"no projection", func(o *optimizer.Options) { o.ProjectionPushdown = false }, false},
+		{"no batched verify", func(o *optimizer.Options) { o.BatchedVerify = false }, true},
+	} {
+		res := exec(t, c, sessWith(tc.mod), jaccardQuery)
+		if res.Stats.PlanCacheHit {
+			t.Errorf("%s: override session reused a cached plan", tc.name)
+		}
+		if got := strings.Contains(res.Stats.LogicalPlan, "project:["); got != tc.wantProject {
+			t.Errorf("%s: plan has projection = %v:\n%s", tc.name, got, res.Stats.LogicalPlan)
+		}
 	}
-	if res := exec(t, c, noProj, jaccardQuery); res.Stats.PlanCacheHit {
-		t.Fatal("different ProjectionPushdown reused a cached plan")
+	if st := c.PlanCache().Stats(); st != cached {
+		t.Fatalf("override sessions moved the cache: %+v -> %+v", cached, st)
 	}
-	if res := exec(t, c, noBatch, jaccardQuery); res.Stats.PlanCacheHit {
-		t.Fatal("different BatchedVerify reused a cached plan")
-	}
-	if st := c.PlanCache().Stats(); st.Entries != 3 {
-		t.Fatalf("cache entries = %d, want 3 (one per option set): %+v", st.Entries, st)
+	if res := exec(t, c, sess, jaccardQuery); !res.Stats.PlanCacheHit {
+		t.Fatal("base session missed its own entry after the override runs")
 	}
 }
 

@@ -38,11 +38,6 @@ type QueryStats struct {
 	// their Ns fields are zero.
 	PlanCacheHit bool
 
-	// EstimatedParallel is the cost model's makespan estimate for the
-	// configured node count (see Config.CostModel) — the number the
-	// scale-out/speed-up experiments report.
-	EstimatedParallel time.Duration
-
 	MaxNodeBusyNs int64
 	TotalBusyNs   int64
 	MaxNodeTuples int64
@@ -112,7 +107,10 @@ type Session struct {
 	// and -1 (`set memorybudget 'unlimited';`) disables budgeting even
 	// when the config sets a default.
 	MemoryBudget int64
-	// Opts overrides the optimizer options; nil means defaults.
+	// Opts overrides the optimizer options; nil means defaults. A session
+	// carrying an override is an ablation run: like `explain`, its
+	// requests neither probe nor store in the plan cache, so a cache entry
+	// is a function of what a client can send.
 	Opts *optimizer.Options
 }
 
@@ -132,9 +130,8 @@ type sessionState struct {
 
 // snapshotSession captures the compile-relevant session state. The
 // session's memory budget resolves against the cluster default into
-// Opts.MemoryBudgetBytes, so budget-aware optimizer rules see the
-// effective value and the plan-cache key separates plans compiled under
-// different budgets.
+// Opts.MemoryBudgetBytes, the value budget-aware optimizer rules see,
+// admission charges, the job runs under and the plan-cache key carries.
 func (c *Cluster) snapshotSession(s *Session) sessionState {
 	st := sessionState{
 		Dataverse:    s.Dataverse,
@@ -290,14 +287,15 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		dataverse:    entry.Dataverse,
 		simFunction:  entry.SimFunction,
 		simThreshold: entry.SimThreshold,
-		opts:         entry.Opts,
+		memBudget:    entry.Opts.MemoryBudgetBytes,
 	}
-	explain := isExplainRequest(norm)
+	// Explain requests and ablation sessions stay out of the plan cache.
+	useCache := !isExplainRequest(norm) && sess.Opts == nil
 	// Epoch is read before the lookup AND before any compile below: an
 	// entry stored under this epoch can never reflect catalog state
 	// newer than what its key claims, so DDL invalidation is sound.
 	epoch := c.Catalog.Epoch()
-	if !explain {
+	if useCache {
 		qr.setPhase(phasePlanCache)
 		lookup := qr.tr.StartSpan(trace.RootSpan, "plan-cache", trace.CatPhase)
 		e, ok := c.planCache.get(key, epoch)
@@ -338,7 +336,7 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 	// are cacheable: their full effect is captured by the key's entry
 	// state and the entry's recorded post state. DDL and other
 	// statements bypass the cache (and bump the catalog epoch).
-	cacheable := !q.Explain
+	cacheable := useCache && !q.Explain
 	for _, stmt := range q.Stmts {
 		switch stmt.(type) {
 		case aqlp.UseStmt, aqlp.SetStmt:
@@ -430,6 +428,25 @@ func planRows(plan string) []adm.Value {
 	return rows
 }
 
+// sessionSettings is every key a `set` statement accepts, with how its
+// value lands on the session.
+var sessionSettings = map[string]func(sess *Session, val string) error{
+	"simfunction":  func(sess *Session, val string) error { sess.SimFunction = val; return nil },
+	"simthreshold": func(sess *Session, val string) error { sess.SimThreshold = val; return nil },
+	"memorybudget": func(sess *Session, val string) error {
+		b, err := aqlp.ParseMemorySize(val)
+		if err != nil {
+			return fmt.Errorf("cluster: set memorybudget: %w", err)
+		}
+		if b == 0 {
+			// Explicitly unlimited, overriding any configured default.
+			b = -1
+		}
+		sess.MemoryBudget = b
+		return nil
+	},
+}
+
 func (c *Cluster) executeStmt(sess *Session, stmt aqlp.Stmt) error {
 	switch s := stmt.(type) {
 	case aqlp.UseStmt:
@@ -439,26 +456,11 @@ func (c *Cluster) executeStmt(sess *Session, stmt aqlp.Stmt) error {
 		sess.Dataverse = s.Dataverse
 		return nil
 	case aqlp.SetStmt:
-		switch s.Key {
-		case "simfunction":
-			sess.SimFunction = s.Val
-		case "simthreshold":
-			sess.SimThreshold = s.Val
-		case "memorybudget":
-			b, err := aqlp.ParseMemorySize(s.Val)
-			if err != nil {
-				return fmt.Errorf("cluster: set memorybudget: %w", err)
-			}
-			if b == 0 {
-				// Explicitly unlimited, overriding any configured default.
-				sess.MemoryBudget = -1
-			} else {
-				sess.MemoryBudget = b
-			}
-		default:
+		apply, ok := sessionSettings[s.Key]
+		if !ok {
 			return fmt.Errorf("cluster: unknown set property %q", s.Key)
 		}
-		return nil
+		return apply(sess, s.Val)
 	case aqlp.CreateDataverseStmt:
 		return c.Catalog.CreateDataverse(s.Name)
 	case aqlp.CreateDatasetStmt:
@@ -508,13 +510,33 @@ func (c *Cluster) executeStmt(sess *Session, stmt aqlp.Stmt) error {
 	return fmt.Errorf("cluster: unsupported statement %T", stmt)
 }
 
-// Compile parses, translates, and optimizes a query without running it;
-// used by plan-inspection tooling and the Figure 15 experiment.
-func (c *Cluster) Compile(sess *Session, body aqlp.Node) (*algebra.Op, *QueryStats, error) {
+// Compile parses a request, applies its use/set statements to sess the
+// way Execute does, and translates and optimizes the body without
+// running it; used by plan-inspection tooling and the Figure 15
+// experiment. Any other statement, or a request without a body, is an
+// error.
+func (c *Cluster) Compile(sess *Session, src string) (*algebra.Op, *QueryStats, error) {
 	if sess == nil {
 		sess = NewSession()
 	}
-	return c.compileState(c.snapshotSession(sess), body)
+	q, err := aqlp.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, stmt := range q.Stmts {
+		switch stmt.(type) {
+		case aqlp.UseStmt, aqlp.SetStmt:
+		default:
+			return nil, nil, fmt.Errorf("cluster: Compile accepts only use/set statements")
+		}
+		if err := c.executeStmt(sess, stmt); err != nil {
+			return nil, nil, err
+		}
+	}
+	if q.Body == nil {
+		return nil, nil, fmt.Errorf("cluster: Compile needs a query body")
+	}
+	return c.compileState(c.snapshotSession(sess), q.Body)
 }
 
 // compileState translates and optimizes against an immutable session
@@ -673,12 +695,11 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 		defer cancelLocal()
 		ctx = rctx
 		remoteCh = c.remote.startJob(ctx, cancelLocal, jobReq{
-			JobID:     qr.id,
-			Src:       src,
-			State:     st,
-			Epoch:     c.Catalog.Epoch(),
-			MemBudget: memBudget,
-			TOccAlgo:  c.tOccAlgo.Load(),
+			JobID:    qr.id,
+			Src:      src,
+			State:    st,
+			Epoch:    c.Catalog.Epoch(),
+			TOccAlgo: c.tOccAlgo.Load(),
 		})
 	}
 	qr.setPhase(phaseExecute)
@@ -734,9 +755,6 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	stats.PostingsRead = counters.PostingsRead.Load()
 	stats.VerifiedTotal = counters.VerifiedTotal.Load()
 	stats.OccurrenceT = counters.OccurrenceT.Load()
-
-	model := CostModel{NetBandwidthMBps: c.cfg.NetBandwidthMBps, NetLatencyUs: c.cfg.NetLatencyUs, Nodes: c.cfg.NumNodes}
-	stats.EstimatedParallel = model.EstimateParallel(stats.MaxNodeTuples, stats.BytesShuffled, stats.NetMessages)
 
 	var rows []adm.Value
 	if qr.stream == nil {

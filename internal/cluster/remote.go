@@ -79,20 +79,20 @@ type dropReq struct {
 }
 
 // jobReq ships one query job: the original request text plus the
-// compile-relevant session snapshot. The worker re-parses the text,
+// compile-relevant session snapshot, whose Opts.MemoryBudgetBytes is also
+// the budget the worker's half runs under. The worker re-parses the text,
 // ignores its statements (their effects are in State and the synced
 // catalog), and compiles the body to the identical plan and job DAG —
 // SPMD-style, so no serialized plan format is needed. Epoch pins the
 // catalog version both sides compiled under; a mismatch fails the job
 // cleanly instead of hanging on mismatched stream IDs.
 type jobReq struct {
-	ReqID     uint64       `json:"req_id"`
-	JobID     uint64       `json:"job_id"`
-	Src       string       `json:"src"`
-	State     sessionState `json:"state"`
-	Epoch     uint64       `json:"epoch"`
-	MemBudget int64        `json:"mem_budget"`
-	TOccAlgo  int32        `json:"tocc_algo"`
+	ReqID    uint64       `json:"req_id"`
+	JobID    uint64       `json:"job_id"`
+	Src      string       `json:"src"`
+	State    sessionState `json:"state"`
+	Epoch    uint64       `json:"epoch"`
+	TOccAlgo int32        `json:"tocc_algo"`
 }
 
 type cancelReq struct {

@@ -263,7 +263,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	lj, err := c.newLocalJob(plan, counters, req.JobID, req.MemBudget, w.net)
+	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net)
 	if err != nil {
 		return nil, err
 	}

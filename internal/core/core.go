@@ -26,7 +26,6 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
-	"simdb/internal/aqlp"
 	"simdb/internal/cluster"
 	"simdb/internal/debugsrv"
 	"simdb/internal/invindex"
@@ -139,8 +138,7 @@ type Database struct {
 }
 
 // Result is a query result: one ADM value per row plus the execution
-// profile (plan, per-stage timings, network bytes, index candidates,
-// and the cost model's parallel-makespan estimate).
+// profile (plan, per-stage timings, network bytes, index candidates).
 type Result = cluster.Result
 
 // Session carries use/set state and optimizer option overrides across
@@ -380,22 +378,9 @@ func (db *Database) IndexFootprint(dataset, index string) (bytes, entries int64,
 	return s.DiskBytes, s.DiskEntries, nil
 }
 
-// SetSimNetLatency sets the real time each cross-node frame transfer
-// occupies during query execution (default 0: instantaneous, network
-// cost estimated post-hoc only). Used by the concurrent-serving
-// benchmark to give queries a network wait that concurrency overlaps.
-func (db *Database) SetSimNetLatency(d time.Duration) {
-	db.c.SetSimNetLatency(d)
-}
-
 // PlanCacheStats reports the compiled-plan cache's counters.
 func (db *Database) PlanCacheStats() cluster.PlanCacheStats {
 	return db.c.PlanCache().Stats()
-}
-
-// SetPlanCacheEnabled toggles the compiled-plan cache at run time.
-func (db *Database) SetPlanCacheEnabled(on bool) {
-	db.c.PlanCache().SetEnabled(on)
 }
 
 // ServingStats reports the admission controller's counters.
@@ -420,11 +405,6 @@ func (db *Database) SetSlowQueryThreshold(d time.Duration) {
 // via the SIMDB_LOG environment variable).
 func (db *Database) SetLogLevel(level string) {
 	obs.Log().SetLevel(obs.ParseLevel(level))
-}
-
-// EstimateParallel re-exposes the cost model for external callers.
-func (db *Database) EstimateParallel(stats cluster.QueryStats) time.Duration {
-	return stats.EstimatedParallel
 }
 
 // SetTOccurrence switches the inverted-index merge algorithm at run
@@ -452,36 +432,12 @@ type Explained struct {
 	OptimizeNs  int64
 }
 
-// Explain compiles a query and reports its optimized plan: the
-// operator total and per-kind counts reproduce the paper's Figure 15,
-// and the timing split its §6.4.1 compile-overhead discussion.
+// Explain compiles a request (use/set statements, then a query) and
+// reports its optimized plan, the plan `explain` prints and the run
+// executes: the operator total and per-kind counts reproduce the paper's
+// Figure 15, and the timing split its §6.4.1 compile-overhead discussion.
 func (db *Database) Explain(sess *Session, aql string) (*Explained, error) {
-	if sess == nil {
-		sess = cluster.NewSession()
-	}
-	q, err := aqlp.Parse(aql)
-	if err != nil {
-		return nil, err
-	}
-	for _, stmt := range q.Stmts {
-		switch s := stmt.(type) {
-		case aqlp.SetStmt:
-			switch s.Key {
-			case "simfunction":
-				sess.SimFunction = s.Val
-			case "simthreshold":
-				sess.SimThreshold = s.Val
-			}
-		case aqlp.UseStmt:
-			sess.Dataverse = s.Dataverse
-		default:
-			return nil, fmt.Errorf("core: Explain accepts only use/set statements")
-		}
-	}
-	if q.Body == nil {
-		return nil, fmt.Errorf("core: Explain needs a query body")
-	}
-	plan, stats, err := db.c.Compile(sess, q.Body)
+	plan, stats, err := db.c.Compile(sess, aql)
 	if err != nil {
 		return nil, err
 	}

@@ -170,6 +170,43 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainMatchesExplainStatement pins Explain to the cluster's own
+// statement handling: under a budget tight enough to demote hash
+// group-bys, Explain reports the plan `explain` prints (and the run
+// executes), and a statement Execute rejects is rejected here too.
+func TestExplainMatchesExplainStatement(t *testing.T) {
+	db := openTestDB(t)
+	db.MustExecute(`create dataset D primary key id;`)
+	req := `set memorybudget '128k';
+		for $a in dataset D for $b in dataset D
+		where similarity-jaccard(word-tokens($a.t), word-tokens($b.t)) >= 0.5 and $a.id < $b.id
+		return {'a': $a.id, 'b': $b.id}`
+	ex, err := db.Explain(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("explain " + req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, r := range res.Rows {
+		rows = append(rows, r.Str())
+	}
+	if got, want := strings.TrimRight(ex.Plan, "\n"), strings.Join(rows, "\n"); got != want {
+		t.Errorf("Explain plan differs from explain rows:\n--- Explain\n%s\n--- explain\n%s", got, want)
+	}
+	for _, bad := range []string{
+		`set bogus 'x'; for $d in dataset D return $d`,
+		`set memorybudget 'lots'; for $d in dataset D return $d`,
+		`use dataverse Nowhere; for $d in dataset D return $d`,
+	} {
+		if _, err := db.Explain(nil, bad); err == nil {
+			t.Errorf("Explain(%q) should fail", bad)
+		}
+	}
+}
+
 func TestSetTOccurrence(t *testing.T) {
 	db := openTestDB(t)
 	for _, a := range []string{"scancount", "mergeskip", "divideskip"} {

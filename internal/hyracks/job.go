@@ -143,11 +143,10 @@ type Topology struct {
 	Partitions int
 	// PartsPerNode maps partition indexes to nodes: node = part / PartsPerNode.
 	PartsPerNode int
-	// NetFrameLatency, when positive, makes every cross-node frame send
-	// occupy that much real time, modeling wire transfer instead of only
-	// estimating it post-hoc. A single client pays these waits serially;
-	// concurrent queries overlap them — the effect the concurrent-serving
-	// experiment measures. Zero (the default) keeps sends instantaneous.
+	// NetFrameLatency is a test seam: when positive, every cross-node
+	// frame send over a channel sleeps that long, which holds a query in
+	// flight for tests of cancellation and streaming. Production code
+	// leaves it zero; frames sent over a Transport never sleep.
 	NetFrameLatency time.Duration
 	// Mem, when non-nil, enforces a query-wide memory budget on blocking
 	// operators (shared by all instances of all operators in the job).

@@ -46,7 +46,7 @@ type Options struct {
 	// ProjectionPushdown annotates each dataset scan with the set of
 	// top-level record fields the plan actually reads, so the scan can
 	// skip decoding (and, on columnar components, skip reading) the
-	// rest. Participates in the plan-cache key like every option.
+	// rest.
 	ProjectionPushdown bool
 	// BatchedVerify marks selects whose condition carries a similarity
 	// conjunct with a constant query side, so job generation lowers

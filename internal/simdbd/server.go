@@ -173,7 +173,37 @@ func (s *Server) handler() http.Handler {
 	debugsrv.MountQueryAdmin(mux, s.c)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sr := &statusRecorder{ResponseWriter: w}
+		mux.ServeHTTP(sr, r)
+		countStatus(sr.status)
+	})
+}
+
+// statusRecorder notes the status a route answered with, so the mux
+// boundary counts every response once, whichever package's handler
+// wrote it. Zero means no WriteHeader call: net/http's implicit 200. A
+// handler whose outcome differs from its status line (an error record
+// ending a stream that began under 200) overwrites status before it
+// returns.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (sr *statusRecorder) WriteHeader(code int) {
+	if sr.status == 0 {
+		sr.status = code
+	}
+	sr.ResponseWriter.WriteHeader(code)
+}
+
+// Flush keeps NDJSON streaming: each row still reaches the wire as it is
+// produced.
+func (sr *statusRecorder) Flush() {
+	if fl, ok := sr.ResponseWriter.(http.Flusher); ok {
+		fl.Flush()
+	}
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
@@ -316,7 +346,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// Rows already went out under a 200: terminate the stream with
 			// an error record instead of a status line.
 			mStreamErrors.Inc()
-			countStatus(we.Status)
+			if sr, ok := w.(*statusRecorder); ok {
+				sr.status = we.Status
+			}
 			sw.writeRecord(errorRecord{Error: we})
 			return
 		}
@@ -335,7 +367,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SpillRuns:    res.Stats.SpillRuns,
 	}}
 	sw.start() // zero-row queries still open the stream
-	countStatus(http.StatusOK)
 	sw.writeRecord(sum)
 }
 
@@ -464,7 +495,6 @@ func readIngestBatches(r io.Reader, batchSize int, apply func([]adm.Value) error
 // fail writes a structured error response with the mapped HTTP status
 // (Retry-After on 503s).
 func (s *Server) fail(w http.ResponseWriter, we *wireError) {
-	countStatus(we.Status)
 	if we.RetryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprint(we.RetryAfter))
 	}
@@ -480,7 +510,7 @@ func (s *Server) fail(w http.ResponseWriter, we *wireError) {
 	writeJSON(w, status, errorRecord{Error: we})
 }
 
-// countStatus feeds the per-class status counters.
+// countStatus feeds the per-class status counters, once per response.
 func countStatus(status int) {
 	switch {
 	case status == http.StatusServiceUnavailable:
@@ -493,7 +523,7 @@ func countStatus(status int) {
 		mStatus5xx.Inc()
 	case status >= 400:
 		mStatus4xx.Inc()
-	default:
+	default: // 2xx, and 0: a response that never called WriteHeader
 		mStatus2xx.Inc()
 	}
 }

@@ -167,8 +167,8 @@ func TestErrorMapping(t *testing.T) {
 		// The holder streams a cross-join with per-frame latency and an
 		// unread response body, so it keeps its admission slot (the
 		// backpressured job can't finish) until the drain at the end.
-		db.SetSimNetLatency(10 * time.Millisecond)
-		defer db.SetSimNetLatency(0)
+		db.Cluster().SetSimNetLatency(10 * time.Millisecond)
+		defer db.Cluster().SetSimNetLatency(0)
 		hold := postQuery(t, base, "", `
 			for $a in dataset Reviews
 			for $b in dataset Reviews
@@ -369,7 +369,7 @@ func TestCancelEndpointAndRegistry(t *testing.T) {
 		cfg.FrameSize = 4
 	})
 	seedReviews(t, base, 80)
-	db.SetSimNetLatency(5 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(5 * time.Millisecond)
 
 	resp := postQuery(t, base, "", `
 		for $a in dataset Reviews
@@ -409,6 +409,20 @@ func TestCancelEndpointAndRegistry(t *testing.T) {
 	// still this protocol's error object.
 	if _, _, werr := readStream(t, again.Body); werr.Code != "not-found" || werr.Status != http.StatusNotFound {
 		t.Errorf("second cancel body = %+v, want a not-found wire error", werr)
+	}
+	// Routes mounted from debugsrv count in this server's status classes
+	// like its own: a malformed id is one more 4xx.
+	before := scrapeMetric(t, base, "simdb_simdbd_http_status_4xx")
+	bad, err := http.Post(base+"/queries/not-a-number/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Errorf("bad cancel id status = %d, want 400", bad.StatusCode)
+	}
+	if got := scrapeMetric(t, base, "simdb_simdbd_http_status_4xx") - before; got != 1 {
+		t.Errorf("status_4xx moved by %g for one bad cancel id, want 1", got)
 	}
 }
 
@@ -460,7 +474,7 @@ func TestActiveQueriesEndpoint(t *testing.T) {
 	// framing the whole job can finish before the first GET /queries.
 	db, base := bootServer(t, func(c *core.Config) { c.FrameSize = 4 })
 	seedReviews(t, base, 60)
-	db.SetSimNetLatency(5 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(5 * time.Millisecond)
 	resp := postQuery(t, base, "", `
 		for $a in dataset Reviews
 		for $b in dataset Reviews

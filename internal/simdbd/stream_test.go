@@ -26,7 +26,7 @@ func TestStreamingFirstRowBeforeCompletion(t *testing.T) {
 		cfg.FrameSize = 8
 	})
 	seedReviews(t, base, 400)
-	db.SetSimNetLatency(2 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(2 * time.Millisecond)
 
 	resp := postQuery(t, base, "", `for $r in dataset Reviews return $r.id`)
 	defer resp.Body.Close()
@@ -143,7 +143,7 @@ func TestMidStreamQueryTimeout(t *testing.T) {
 		cfg.FrameSize = 4
 	})
 	seedReviews(t, base, 300)
-	db.SetSimNetLatency(3 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(3 * time.Millisecond)
 
 	resp := postQuery(t, base, "", `
 		for $a in dataset Reviews
@@ -185,7 +185,7 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 		cfg.QueryMemoryBudget = 1 << 20
 	})
 	seedReviews(t, base, 300)
-	db.SetSimNetLatency(2 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(2 * time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, "POST", base+"/query", strings.NewReader(`
@@ -235,7 +235,7 @@ func TestCrossFrontEndCancel(t *testing.T) {
 		cfg.FrameSize = 4
 	})
 	seedReviews(t, base, 80)
-	db.SetSimNetLatency(5 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(5 * time.Millisecond)
 	dbg := "http://" + db.DebugAddr()
 
 	resp := postQuery(t, base, "", `
@@ -288,7 +288,7 @@ func TestGracefulDrain(t *testing.T) {
 	}()
 	base := "http://" + db.ServeAddr()
 	seedReviews(t, base, 400)
-	db.SetSimNetLatency(2 * time.Millisecond)
+	db.Cluster().SetSimNetLatency(2 * time.Millisecond)
 
 	resp := postQuery(t, base, "", `for $r in dataset Reviews return $r.id`)
 	defer resp.Body.Close()

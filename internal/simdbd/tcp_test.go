@@ -25,7 +25,7 @@ func TestServingOverTCPTransport(t *testing.T) {
 		cfg.FrameSize = 8
 	})
 	seedReviews(t, base, 200)
-	db.SetSimNetLatency(time.Millisecond)
+	db.Cluster().SetSimNetLatency(time.Millisecond)
 
 	resp := postQuery(t, base, "", `for $r in dataset Reviews return $r.id`)
 	defer resp.Body.Close()
