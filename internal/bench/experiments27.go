@@ -215,7 +215,7 @@ func (e *Env) Ablations() error {
 		}
 		e.logf("%-12s %14s %14s\n", algo, ms(lo.Wall), ms(hi.Wall))
 	}
-	if err := db.SetTOccurrence("scancount"); err != nil {
+	if err := db.SetTOccurrence("divideskip"); err != nil { // the default
 		return err
 	}
 

@@ -218,11 +218,6 @@ func (c *Cluster) SetTOccurrenceAlgorithm(a invindex.Algorithm) {
 	c.tOccAlgo.Store(int32(a))
 }
 
-// tOccurrenceAlgorithm reads the current merge algorithm.
-func (c *Cluster) tOccurrenceAlgorithm() invindex.Algorithm {
-	return invindex.Algorithm(c.tOccAlgo.Load())
-}
-
 // SetSimNetLatency is a test seam: it makes every cross-node frame
 // transfer of the inproc transport sleep for d (0, the default, keeps
 // transfers instantaneous), so a test can hold a query in flight long

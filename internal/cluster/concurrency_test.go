@@ -12,6 +12,7 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/optimizer"
+	"simdb/internal/storage"
 )
 
 func TestQueryManagerAdmission(t *testing.T) {
@@ -243,10 +244,11 @@ func TestConcurrentServingStress(t *testing.T) {
 }
 
 // TestLookupSnapshotReleasedOnEveryExit kills index-plan queries while
-// their primary-lookup operators hold a tree snapshot — once by a
-// runtime error raised in the verification select above the lookup,
-// then by client deadlines of a few lengths — and then forces a full
-// merge of every primary partition. A snapshot the dying operator did
+// their index searches hold posting cursors and their primary-lookup
+// operators hold a tree snapshot — once by a runtime error raised in the
+// verification select above the lookup, then by client deadlines of a
+// few lengths — and then forces a full merge of every primary and every
+// inverted-index partition. A snapshot or cursor the dying operator did
 // not close would pin the merged-away components: their files would
 // stay on disk although the tree no longer lists them.
 func TestLookupSnapshotReleasedOnEveryExit(t *testing.T) {
@@ -270,10 +272,11 @@ func TestLookupSnapshotReleasedOnEveryExit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Two flushes: every partition has two components for Merge to retire.
+	// Two flushes, one before the index build and one after: every primary
+	// and every index partition has two components for Merge to retire.
 	insert(0, 1500)
-	insert(1500, 3000)
 	exec(t, c, sess, `create index lkx on Leak(summary) type keyword;`)
+	insert(1500, 3000)
 
 	// Every record is a candidate; id 1700 divides by zero in the select
 	// above the lookup, which fails the job while lookups are streaming.
@@ -295,21 +298,37 @@ func TestLookupSnapshotReleasedOnEveryExit(t *testing.T) {
 	}
 
 	for part := 0; part < c.Config().Partitions(); part++ {
-		tree, err := c.nodeOfPartition(part).primary("Default", "Leak", part)
+		node := c.nodeOfPartition(part)
+		primary, err := node.primary("Default", "Leak", part)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.Merge(); err != nil {
-			t.Fatal(err)
-		}
-		st := tree.Stats()
-		files, err := filepath.Glob(filepath.Join(c.Config().DataDir, "*", "Default", "Leak", fmt.Sprintf("p%d", part), "*.cmp"))
+		inv, err := node.invIndex("Default", "Leak", "lkx", part)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.DiskComponents != 1 || len(files) != st.DiskComponents {
-			t.Errorf("partition %d after merge: Stats() has %d disk components, the directory has %v",
-				part, st.DiskComponents, files)
+		for _, tr := range []struct {
+			name, dir string
+			tree      *storage.LSMTree
+		}{
+			{"primary", "", primary},
+			{"index", "idx_lkx", inv.Tree()},
+		} {
+			if before := tr.tree.Stats().DiskComponents; before < 2 {
+				t.Fatalf("partition %d %s: %d components before the merge, want at least 2", part, tr.name, before)
+			}
+			if err := tr.tree.Merge(); err != nil {
+				t.Fatal(err)
+			}
+			st := tr.tree.Stats()
+			files, err := filepath.Glob(filepath.Join(c.Config().DataDir, "*", "Default", "Leak", tr.dir, fmt.Sprintf("p%d", part), "*.cmp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DiskComponents != 1 || len(files) != st.DiskComponents {
+				t.Errorf("partition %d %s after merge: Stats() has %d disk components, the directory has %v",
+					part, tr.name, st.DiskComponents, files)
+			}
 		}
 	}
 }

@@ -34,7 +34,8 @@ type Config struct {
 	// MemComponentBudgetBytes is the in-memory LSM component budget per
 	// dataset partition (paper: 1.5 GB per dataset per node).
 	MemComponentBudgetBytes int64
-	// TOccurrenceAlgorithm selects the inverted-index merge algorithm.
+	// TOccurrenceAlgorithm selects the inverted-index T-occurrence solver;
+	// the zero value is the default, DivideSkip.
 	TOccurrenceAlgorithm invindex.Algorithm
 	// MaxConcurrentQueries bounds admission: at most this many queries
 	// execute at once; excess callers wait (default 64).

@@ -9,6 +9,7 @@ import (
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/hyracks"
+	"simdb/internal/invindex"
 	"simdb/internal/optimizer"
 	"simdb/internal/sim"
 	"simdb/internal/storage"
@@ -47,6 +48,9 @@ type jobGen struct {
 	parents  map[*algebra.Op]int
 	portUsed map[*algebra.Op]int
 	counters *QueryCounters
+	// tOccAlgo is the job's T-occurrence solver, resolved once when the
+	// job is generated: every search of the job runs the same one.
+	tOccAlgo invindex.Algorithm
 }
 
 // genOut is the generated form of one algebra operator.
@@ -76,8 +80,8 @@ func colMap(schema []algebra.Var) map[algebra.Var]int {
 }
 
 // GenerateJob compiles the plan (rooted at OpWrite) and returns the
-// job plus the result collector.
-func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters) (*hyracks.Job, *hyracks.Collector, error) {
+// job plus the result collector. The job's index searches run tOccAlgo.
+func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters, tOccAlgo invindex.Algorithm) (*hyracks.Job, *hyracks.Collector, error) {
 	if root.Kind != algebra.OpWrite {
 		return nil, nil, fmt.Errorf("jobgen: plan root is %v, want distribute-result", root.Kind)
 	}
@@ -92,6 +96,7 @@ func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters) (*hyrac
 		parents:  map[*algebra.Op]int{},
 		portUsed: map[*algebra.Op]int{},
 		counters: counters,
+		tOccAlgo: tOccAlgo,
 	}
 	algebra.Walk(root, func(op *algebra.Op) {
 		for _, in := range op.Inputs {
@@ -933,7 +938,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 	newTEval, tCompiled := evalFactory(op.TExpr, cols)
 	dv, ds, ixName := op.Dataverse, op.Dataset, op.IndexName
 	c := g.c
-	counters := g.counters
+	counters, algo := g.counters, g.tOccAlgo
 	node := g.job.Add(interpretedMark("SecondaryIndexSearch("+ixName+")", keyCompiled && tCompiled), g.parts, hyracks.MapStateful(
 		func() *searchEvals { return &searchEvals{key: newKeyEval(), t: newTEval()} },
 		func(ctx *hyracks.TaskCtx, ev *searchEvals, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
@@ -959,7 +964,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 			if err != nil {
 				return err
 			}
-			pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, int(tNum), counters)
+			pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, int(tNum), algo, counters)
 			if err != nil {
 				return err
 			}
@@ -1136,13 +1141,13 @@ func decodeRecord(val []byte, keep map[string]bool) (adm.Value, error) {
 // searchIndex runs a T-occurrence search on the local partition of an
 // inverted index, returning candidate keys as raw-key string values in
 // sorted order.
-func (c *Cluster) searchIndex(dv, ds, ixName string, part int, tokens []string, t int, counters *QueryCounters) ([]adm.Value, error) {
+func (c *Cluster) searchIndex(dv, ds, ixName string, part int, tokens []string, t int, algo invindex.Algorithm, counters *QueryCounters) ([]adm.Value, error) {
 	node := c.nodeOfPartition(part)
 	inv, err := node.invIndex(dv, ds, ixName, part)
 	if err != nil {
 		return nil, err
 	}
-	pks, stats, err := inv.Search(tokens, t, c.tOccurrenceAlgorithm())
+	pks, stats, err := inv.Search(tokens, t, algo)
 	if err != nil {
 		return nil, err
 	}

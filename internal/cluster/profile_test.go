@@ -112,7 +112,7 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job, _, err := c.GenerateJob(plan, nil)
+			job, _, err := c.GenerateJob(plan, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

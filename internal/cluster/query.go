@@ -13,6 +13,7 @@ import (
 	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
 	"simdb/internal/hyracks"
+	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/obs/trace"
 	"simdb/internal/optimizer"
@@ -586,9 +587,11 @@ type localJob struct {
 }
 
 // newLocalJob generates the job for plan and lays out its topology. net
-// is nil unless nodes live in other processes.
-func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport) (*localJob, error) {
-	job, collector, err := c.GenerateJob(plan, counters)
+// is nil unless nodes live in other processes. tOccAlgo is the solver
+// the coordinator chose for the job; a worker is handed it in the job
+// request.
+func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, tOccAlgo invindex.Algorithm) (*localJob, error) {
+	job, collector, err := c.GenerateJob(plan, counters, tOccAlgo)
 	if err != nil {
 		return nil, err
 	}
@@ -667,7 +670,8 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 		net = c.remote.net
 	}
 	t0 := time.Now()
-	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net)
+	tOccAlgo := c.tOccAlgo.Load()
+	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, invindex.Algorithm(tOccAlgo))
 	if err != nil {
 		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan)
 	}
@@ -699,7 +703,7 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 			Src:      src,
 			State:    st,
 			Epoch:    c.Catalog.Epoch(),
-			TOccAlgo: c.tOccAlgo.Load(),
+			TOccAlgo: tOccAlgo,
 		})
 	}
 	qr.setPhase(phaseExecute)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"simdb/internal/adm"
+	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/obs/trace"
 	"simdb/internal/optimizer"
@@ -411,4 +412,38 @@ func TestTransportEquivalenceInsertAndDDL(t *testing.T) {
 	// The original dataset is untouched by the drop on both transports.
 	assertEquivalent(t, inproc, tcp, plainSession,
 		`count(for $r in dataset EqReviews return $r.id)`)
+}
+
+// TestSolverTravelsWithTheJob: the T-occurrence solver is resolved once
+// per job on the coordinator and handed to the worker in the job
+// request, so the worker's half of a search reads what the
+// coordinator's half of the same search would — under every solver the
+// postings read over tcp equal the postings read inproc — and a worker
+// keeps no solver of its own between jobs: switching back and forth
+// never leaves it on the previous one.
+func TestSolverTravelsWithTheJob(t *testing.T) {
+	inproc, tcp := transportPair(t)
+	for _, c := range []*Cluster{inproc, tcp} {
+		exec(t, c, NewSession(), `create index eqkw on EqReviews(summary) type keyword;`)
+	}
+	const q = `for $r in dataset EqReviews
+		where similarity-jaccard(word-tokens($r.summary), word-tokens('great heart works product')) >= 0.5
+		return $r.id`
+	read := map[invindex.Algorithm]int64{}
+	for _, algo := range []invindex.Algorithm{invindex.ScanCount, invindex.DivideSkip, invindex.MergeSkip, invindex.ScanCount} {
+		inproc.SetTOccurrenceAlgorithm(algo)
+		tcp.SetTOccurrenceAlgorithm(algo)
+		a, b := assertEquivalent(t, inproc, tcp, plainSession, q)
+		if a.Stats.IndexSearches == 0 || len(a.Rows) == 0 {
+			t.Fatalf("%v: %d index searches, %d rows: the query does not search the index", algo, a.Stats.IndexSearches, len(a.Rows))
+		}
+		if a.Stats.PostingsRead != b.Stats.PostingsRead {
+			t.Errorf("%v: %d postings read inproc, %d over tcp: the worker ran another solver",
+				algo, a.Stats.PostingsRead, b.Stats.PostingsRead)
+		}
+		read[algo] = a.Stats.PostingsRead
+	}
+	if read[invindex.DivideSkip] >= read[invindex.ScanCount] {
+		t.Fatalf("postings read %v: the solvers cannot be told apart on this query", read)
+	}
 }

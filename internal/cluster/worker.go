@@ -10,6 +10,7 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/aqlp"
+	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/transport"
 )
@@ -257,13 +258,12 @@ func (w *worker) runJob(req jobReq) (any, error) {
 	}
 	// Statements are NOT replayed: session effects arrived in req.State,
 	// catalog effects through the snapshot sync.
-	c.tOccAlgo.Store(req.TOccAlgo)
 	plan, _, err := c.compileState(req.State, q.Body)
 	if err != nil {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net)
+	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, invindex.Algorithm(req.TOccAlgo))
 	if err != nil {
 		return nil, err
 	}

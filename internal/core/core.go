@@ -49,8 +49,12 @@ type Config struct {
 	DiskBufferCacheBytes int64
 	// MemComponentBudgetBytes is the per-partition LSM memtable budget.
 	MemComponentBudgetBytes int64
-	// TOccurrence selects the inverted-index merge algorithm:
-	// "scancount" (default), "mergeskip", or "divideskip".
+	// TOccurrence selects the inverted-index T-occurrence solver:
+	// "divideskip" (the default, also ""), "mergeskip", or "scancount".
+	// All three read posting lists through seekable cursors and return
+	// the same candidates; DivideSkip merges the short lists and probes
+	// the long ones, so it decodes the fewest postings, and it won the
+	// paired sel_index runs against the other two (EXPERIMENTS.md, PR 26).
 	TOccurrence string
 	// MaxConcurrentQueries bounds concurrent query admission (default
 	// 64); excess callers wait for a slot.
@@ -159,15 +163,12 @@ func MaybeRunWorker() {
 
 // Open creates (or reopens) a database under cfg.DataDir.
 func Open(cfg Config) (*Database, error) {
-	algo := invindex.ScanCount
-	switch cfg.TOccurrence {
-	case "", "scancount":
-	case "mergeskip":
-		algo = invindex.MergeSkip
-	case "divideskip":
-		algo = invindex.DivideSkip
-	default:
-		return nil, fmt.Errorf("core: unknown TOccurrence %q", cfg.TOccurrence)
+	algo := invindex.DivideSkip
+	if cfg.TOccurrence != "" {
+		var err error
+		if algo, err = parseTOccurrence(cfg.TOccurrence); err != nil {
+			return nil, err
+		}
 	}
 	c, err := cluster.New(cluster.Config{
 		NumNodes:                cfg.NumNodes,
@@ -410,17 +411,24 @@ func (db *Database) SetLogLevel(level string) {
 // SetTOccurrence switches the inverted-index merge algorithm at run
 // time ("scancount", "mergeskip", "divideskip").
 func (db *Database) SetTOccurrence(name string) error {
+	algo, err := parseTOccurrence(name)
+	if err != nil {
+		return err
+	}
+	db.c.SetTOccurrenceAlgorithm(algo)
+	return nil
+}
+
+func parseTOccurrence(name string) (invindex.Algorithm, error) {
 	switch name {
 	case "scancount":
-		db.c.SetTOccurrenceAlgorithm(invindex.ScanCount)
+		return invindex.ScanCount, nil
 	case "mergeskip":
-		db.c.SetTOccurrenceAlgorithm(invindex.MergeSkip)
+		return invindex.MergeSkip, nil
 	case "divideskip":
-		db.c.SetTOccurrenceAlgorithm(invindex.DivideSkip)
-	default:
-		return fmt.Errorf("core: unknown algorithm %q", name)
+		return invindex.DivideSkip, nil
 	}
-	return nil
+	return 0, fmt.Errorf("core: unknown TOccurrence %q", name)
 }
 
 // Explained describes a compiled (not executed) query plan.

@@ -7,16 +7,18 @@
 // The index is token-agnostic: callers tokenize field values (word
 // tokens for keyword indexes, padded n-grams for n-gram indexes) and
 // the index stores one entry per (token, primaryKey) pair, keyed by the
-// order-preserving concatenation of the two. Posting-list retrieval is
-// a range scan over one token's prefix. Everything sits on the same LSM
-// component/page/bloom/buffer-cache substrate as the primary index.
+// order-preserving concatenation of the two. A posting list is the key
+// range of one token's prefix, read through a seekable storage cursor.
+// Everything sits on the same LSM component/page/bloom/buffer-cache
+// substrate as the primary index.
 package invindex
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"simdb/internal/adm"
+	"simdb/internal/obs"
 	"simdb/internal/storage"
 )
 
@@ -57,7 +59,11 @@ func tokenPrefix(token string) []byte {
 // prefixEnd returns the smallest key greater than every key starting
 // with prefix.
 func prefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
+	return prefixEndInPlace(append([]byte(nil), prefix...))
+}
+
+// prefixEndInPlace is prefixEnd overwriting its argument.
+func prefixEndInPlace(end []byte) []byte {
 	for i := len(end) - 1; i >= 0; i-- {
 		if end[i] != 0xFF {
 			end[i]++
@@ -72,16 +78,7 @@ func prefixEnd(prefix []byte) []byte {
 // set-of-grams semantics of the T-occurrence bound. All entries are
 // applied under one tree lock acquisition.
 func (ix *Index) Insert(tokens []string, pk PK) error {
-	keys := make([][]byte, 0, len(tokens))
-	seen := make(map[string]struct{}, len(tokens))
-	for _, tok := range tokens {
-		if _, dup := seen[tok]; dup {
-			continue
-		}
-		seen[tok] = struct{}{}
-		keys = append(keys, entryKey(tok, pk))
-	}
-	return ix.tree.PutMulti(keys, nil)
+	return ix.tree.PutMulti(ix.EntryKeys(tokens, pk), nil)
 }
 
 // EntryKeys returns the deduplicated composite (token, pk) entry keys
@@ -106,13 +103,8 @@ func (ix *Index) Tree() *storage.LSMTree { return ix.tree }
 
 // Remove deletes the (token, pk) entries for the given tokens.
 func (ix *Index) Remove(tokens []string, pk PK) error {
-	seen := make(map[string]struct{}, len(tokens))
-	for _, tok := range tokens {
-		if _, dup := seen[tok]; dup {
-			continue
-		}
-		seen[tok] = struct{}{}
-		if err := ix.tree.Delete(entryKey(tok, pk)); err != nil {
+	for _, key := range ix.EntryKeys(tokens, pk) {
+		if err := ix.tree.Delete(key); err != nil {
 			return err
 		}
 	}
@@ -144,30 +136,24 @@ func (ix *Index) Stats() storage.Stats { return ix.tree.Stats() }
 
 // Postings returns the sorted primary keys containing token.
 func (ix *Index) Postings(token string) ([]PK, error) {
-	snap := ix.tree.Snapshot()
-	defer snap.Close()
-	return snapPostings(snap, token)
-}
-
-// snapPostings fetches one token's posting list from a tree snapshot.
-func snapPostings(snap *storage.TreeSnapshot, token string) ([]PK, error) {
 	prefix := tokenPrefix(token)
 	var out []PK
-	err := snap.Scan(nil, prefix, prefixEnd(prefix), func(k, _ []byte) bool {
+	err := ix.tree.Scan(prefix, prefixEnd(prefix), func(k, _ []byte) bool {
 		out = append(out, PK(k[len(prefix):]))
 		return true
 	})
 	return out, err
 }
 
-// Algorithm selects the T-occurrence list-merging algorithm.
+// Algorithm selects the T-occurrence list-merging algorithm. The zero
+// value is the default solver.
 type Algorithm int
 
 // The available T-occurrence algorithms.
 const (
-	ScanCount Algorithm = iota
+	DivideSkip Algorithm = iota
 	MergeSkip
-	DivideSkip
+	ScanCount
 )
 
 // String names the algorithm.
@@ -183,81 +169,103 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
+// Cursor work, summed over every search: seeks / searches and pages /
+// searches explain a moved invindex.postings_per_query from /metrics.
+var (
+	cursorSeeks = obs.C("invindex.cursor.seeks")
+	cursorPages = obs.C("invindex.cursor.pages")
+)
+
 // SearchStats reports the work a T-occurrence search performed.
 type SearchStats struct {
-	Lists        int   // posting lists fetched
-	PostingsRead int64 // total posting entries materialized
-	Candidates   int   // candidates produced
+	Lists int // posting cursors opened: the distinct query tokens
+	// PostingsRead counts the postings actually decoded: the ones a
+	// solver stopped on and the ones a seek walked over inside a page.
+	// Postings skipped by a fence-key jump, left unread behind the last
+	// candidate, or never reached because the search ended early are not
+	// in it, so the number depends on the solver.
+	PostingsRead int64
+	Candidates   int // candidates produced
 }
 
-// Search retrieves the posting lists for the query tokens (duplicates
-// collapse) and returns the primary keys occurring on at least T lists,
-// in sorted order. All posting lists are read from one refcounted tree
-// snapshot, so every token sees the same index version even while
-// concurrent inserts, flushes, or merges run. T must be positive: a
-// T <= 0 query is the paper's corner case, where the index cannot prune
-// and the caller must fall back to a scan-based plan.
+// Search returns the primary keys occurring on the posting lists of at
+// least T of the query tokens (duplicates collapse), in sorted order.
+// Each distinct token is read through one seekable cursor, all opened on
+// one refcounted tree snapshot, so every token sees the same index
+// version even while concurrent inserts, flushes, or merges run, and a
+// skipping solver never decodes the pages it jumps over. T must be
+// positive: a T <= 0 query is the paper's corner case, where the index
+// cannot prune and the caller must fall back to a scan-based plan. A
+// T above the number of distinct tokens has no answer and is decided
+// before the index is touched.
 func (ix *Index) Search(tokens []string, t int, algo Algorithm) ([]PK, SearchStats, error) {
 	var stats SearchStats
 	if t <= 0 {
 		return nil, stats, fmt.Errorf("invindex: non-positive occurrence threshold %d (corner case: use a scan)", t)
 	}
-	snap := ix.tree.Snapshot()
-	defer snap.Close()
-	seen := make(map[string]struct{}, len(tokens))
-	lists := make([][]PK, 0, len(tokens))
-	for _, tok := range tokens {
-		if _, dup := seen[tok]; dup {
-			continue
-		}
-		seen[tok] = struct{}{}
-		l, err := snapPostings(snap, tok)
-		if err != nil {
-			return nil, stats, err
-		}
-		lists = append(lists, l)
-		stats.PostingsRead += int64(len(l))
+	if algo != ScanCount && algo != MergeSkip && algo != DivideSkip {
+		return nil, stats, fmt.Errorf("invindex: unknown algorithm %v", algo)
 	}
-	stats.Lists = len(lists)
-	if t > len(lists) {
+	// Sorted distinct tokens are sorted disjoint key ranges: the ordered
+	// encoding preserves string order and is self-terminating.
+	toks := slices.Clone(tokens)
+	slices.Sort(toks)
+	toks = slices.Compact(toks)
+	stats.Lists = len(toks)
+	if t > len(toks) {
 		return nil, stats, nil // cannot possibly reach T occurrences
 	}
-	var cands []PK
-	switch algo {
-	case ScanCount:
-		cands = scanCount(lists, t)
-	case MergeSkip:
-		cands = mergeSkip(lists, t)
-	case DivideSkip:
-		cands = divideSkip(lists, t)
-	default:
-		return nil, stats, fmt.Errorf("invindex: unknown algorithm %v", algo)
+
+	// One buffer holds every token's prefix and range end: twice the
+	// token and its tag and terminator bytes, more if a token needs
+	// escaping, and append grows it then.
+	ranges := make([]storage.KeyRange, len(toks))
+	size := 0
+	for _, tok := range toks {
+		size += 2 * (len(tok) + 4)
+	}
+	buf := make([]byte, 0, size)
+	for i, tok := range toks {
+		n := len(buf)
+		buf = adm.AppendOrderedKey(buf, adm.NewString(tok))
+		ranges[i].Start = buf[n:len(buf):len(buf)]
+		n = len(buf)
+		buf = append(buf, ranges[i].Start...)
+		ranges[i].End = prefixEndInPlace(buf[n:len(buf):len(buf)])
+	}
+	snap := ix.tree.Snapshot()
+	cursors := snap.Cursors(ranges)
+	snap.Close() // the cursors hold their own component references
+	trees := make([]treePostings, len(cursors))
+	lists := make([]postings, len(cursors))
+	for i, c := range cursors {
+		trees[i] = treePostings{cur: c, prefix: ranges[i].Start}
+		lists[i] = &trees[i]
+	}
+	cands := solve(lists, t, algo)
+	var err error
+	for _, c := range cursors {
+		st := c.Stats()
+		stats.PostingsRead += st.Entries
+		cursorSeeks.Add(st.Seeks)
+		cursorPages.Add(st.Pages)
+		if err == nil {
+			err = c.Err()
+		}
+		c.Close()
+	}
+	if err != nil {
+		// A cursor that failed looks like a list that ended: the
+		// candidates are short, not wrong, and are not returned.
+		return nil, stats, fmt.Errorf("invindex: %w", err)
 	}
 	stats.Candidates = len(cands)
 	return cands, stats, nil
 }
 
-// ScanCountMerge, MergeSkipMerge, and DivideSkipMerge expose the
-// T-occurrence solvers directly over in-memory posting lists (for
-// benchmarks and algorithm comparisons outside an index).
-func ScanCountMerge(lists [][]PK, t int) []PK  { return scanCount(lists, t) }
-func MergeSkipMerge(lists [][]PK, t int) []PK  { return mergeSkip(lists, t) }
-func DivideSkipMerge(lists [][]PK, t int) []PK { return divideSkip(lists, t) }
-
-// scanCount counts occurrences with a hash map, then sorts the result.
-func scanCount(lists [][]PK, t int) []PK {
-	counts := make(map[PK]int)
-	for _, l := range lists {
-		for _, pk := range l {
-			counts[pk]++
-		}
-	}
-	var out []PK
-	for pk, c := range counts {
-		if c >= t {
-			out = append(out, pk)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// ScanCountMerge, MergeSkipMerge, and DivideSkipMerge run the
+// T-occurrence solvers over in-memory posting lists (for benchmarks and
+// algorithm comparisons outside an index).
+func ScanCountMerge(lists [][]PK, t int) []PK  { return solve(slicePostings(lists), t, ScanCount) }
+func MergeSkipMerge(lists [][]PK, t int) []PK  { return solve(slicePostings(lists), t, MergeSkip) }
+func DivideSkipMerge(lists [][]PK, t int) []PK { return solve(slicePostings(lists), t, DivideSkip) }

@@ -222,15 +222,15 @@ func TestMergeAlgorithmsAgreeProperty(t *testing.T) {
 		lists := randomLists(r, 8, 40, 30)
 		for tt := 1; tt <= len(lists); tt++ {
 			want := naiveTOccurrence(lists, tt)
-			if got := mergeSkip(lists, tt); !equalPKs(got, want) {
+			if got := MergeSkipMerge(lists, tt); !equalPKs(got, want) {
 				t.Fatalf("trial %d T=%d: MergeSkip = %d results, oracle %d\nlists: %v",
 					trial, tt, len(got), len(want), listLens(lists))
 			}
-			if got := divideSkip(lists, tt); !equalPKs(got, want) {
+			if got := DivideSkipMerge(lists, tt); !equalPKs(got, want) {
 				t.Fatalf("trial %d T=%d: DivideSkip = %d results, oracle %d\nlists: %v",
 					trial, tt, len(got), len(want), listLens(lists))
 			}
-			if got := scanCount(lists, tt); !equalPKs(got, want) {
+			if got := ScanCountMerge(lists, tt); !equalPKs(got, want) {
 				t.Fatalf("trial %d T=%d: ScanCount disagrees with oracle", trial, tt)
 			}
 		}
@@ -248,7 +248,7 @@ func TestMergeSkipSkewedLists(t *testing.T) {
 	short2 := []PK{pkOf(100), pkOf(4999)}
 	lists := [][]PK{long, short1, short2}
 	want := []PK{pkOf(100), pkOf(4999)}
-	for _, algo := range []func([][]PK, int) []PK{mergeSkip, divideSkip, scanCount} {
+	for _, algo := range []func([][]PK, int) []PK{MergeSkipMerge, DivideSkipMerge, ScanCountMerge} {
 		if got := algo(lists, 3); !equalPKs(got, want) {
 			t.Errorf("skewed lists: got %d results, want 2", len(got))
 		}
@@ -256,13 +256,13 @@ func TestMergeSkipSkewedLists(t *testing.T) {
 }
 
 func TestMergeSkipEmptyLists(t *testing.T) {
-	if got := mergeSkip(nil, 1); len(got) != 0 {
+	if got := MergeSkipMerge(nil, 1); len(got) != 0 {
 		t.Error("no lists should give no candidates")
 	}
-	if got := mergeSkip([][]PK{{}, {}}, 1); len(got) != 0 {
+	if got := MergeSkipMerge([][]PK{{}, {}}, 1); len(got) != 0 {
 		t.Error("empty lists should give no candidates")
 	}
-	if got := divideSkip([][]PK{{}, {pkOf(1)}}, 1); !equalPKs(got, []PK{pkOf(1)}) {
+	if got := DivideSkipMerge([][]PK{{}, {pkOf(1)}}, 1); !equalPKs(got, []PK{pkOf(1)}) {
 		t.Errorf("divideSkip single-entry = %v", got)
 	}
 }

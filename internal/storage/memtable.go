@@ -114,10 +114,15 @@ func (m *memtable) sortedKeys(start, end []byte) []string {
 
 // snapshotRange materializes the entries with key in [start, end) in
 // key order under one brief lock, so a scan can iterate them without
-// holding any lock while it runs user callbacks.
+// holding any lock while it runs user callbacks. Only an unbounded range
+// is pre-sized to the memtable: a bounded one (one token's postings out
+// of thousands of entries) grows to what it holds.
 func (m *memtable) snapshotRange(start, end []byte) []memKV {
 	m.mu.RLock()
-	out := make([]memKV, 0, len(m.entries))
+	var out []memKV
+	if start == nil && end == nil {
+		out = make([]memKV, 0, len(m.entries))
+	}
 	for k, e := range m.entries {
 		kb := []byte(k)
 		if start != nil && bytes.Compare(kb, start) < 0 {
