@@ -100,17 +100,10 @@ type Config struct {
 	// default) fsyncs the per-partition write-ahead log before
 	// acknowledging, with concurrent committers coalesced into one
 	// fsync; "interval" acknowledges immediately and fsyncs on a timer
-	// (WALSyncInterval), trading the last interval's tail for latency;
+	// (every 25ms), trading the last interval's tail for latency;
 	// "off" disables logging entirely — unflushed memtables die with
 	// the process.
 	WALSyncMode string
-	// WALSegmentBytes rotates WAL segment files at this size (default
-	// 4 MiB); retired segments are deleted once flush checkpoints cover
-	// them.
-	WALSegmentBytes int64
-	// WALSyncInterval is the background fsync period in interval mode
-	// (default 25ms).
-	WALSyncInterval time.Duration
 	// FS routes all storage file operations; nil uses the real
 	// filesystem. Crash-recovery tests inject a fault-injecting
 	// implementation. Must be nil under the tcp transport: a VFS cannot
@@ -135,13 +128,6 @@ type Config struct {
 	// TestMain). Empty runs os.Executable() with no arguments — correct
 	// for binaries and `go test` processes that install the hook.
 	WorkerCmd []string
-	// WorkerListenAddr is the coordinator's transport listen address in
-	// tcp mode (default "127.0.0.1:0"). Workers always bind an ephemeral
-	// loopback port.
-	WorkerListenAddr string
-	// WorkerStartTimeout bounds how long New waits for the worker mesh
-	// to form (default 30s).
-	WorkerStartTimeout time.Duration
 }
 
 // WithDefaults fills unset fields.
@@ -182,20 +168,8 @@ func (c Config) WithDefaults() Config {
 	if c.WALSyncMode == "" {
 		c.WALSyncMode = string(storage.WALSyncCommit)
 	}
-	if c.WALSegmentBytes <= 0 {
-		c.WALSegmentBytes = 4 << 20
-	}
-	if c.WALSyncInterval <= 0 {
-		c.WALSyncInterval = 25 * time.Millisecond
-	}
 	if c.Transport == "" {
 		c.Transport = "inproc"
-	}
-	if c.WorkerListenAddr == "" {
-		c.WorkerListenAddr = "127.0.0.1:0"
-	}
-	if c.WorkerStartTimeout <= 0 {
-		c.WorkerStartTimeout = 30 * time.Second
 	}
 	return c
 }

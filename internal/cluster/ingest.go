@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +15,9 @@ import (
 )
 
 var (
-	ingestRecords   = obs.C("cluster.ingest.records")
-	ingestBatches   = obs.C("cluster.ingest.batches")
-	ingestRollbacks = obs.C("cluster.ingest.rollbacks")
-	ingestBatchH    = obs.H("cluster.ingest.batch_size")
+	ingestRecords = obs.C("cluster.ingest.records")
+	ingestBatches = obs.C("cluster.ingest.batches")
+	ingestBatchH  = obs.H("cluster.ingest.batch_size")
 )
 
 // ingestOp is one record routed to its partition's ingestion worker.
@@ -180,14 +181,14 @@ func (ing *ingester) worker(q chan ingestChunk) {
 			wals:      map[int]*storage.WAL{},
 		}
 		applied := int64(0)
-		// WAL-attached records accumulate per partition log and commit
-		// through one CommitGroups call per (chunk, WAL): each record
-		// keeps its own atomic commit record, but the whole chunk pays
-		// one lock acquisition and one syncer wakeup. Per-record commits
-		// made the group-commit path drain the log as thousands of tiny
-		// segment writes.
+		// Records accumulate per partition log — nil when the partition
+		// has none — and commit through one CommitGroups call per (chunk,
+		// log): each record keeps its own atomic commit record, but the
+		// whole chunk pays one lock acquisition and one syncer wakeup.
+		// Per-record commits made the group-commit path drain the log as
+		// thousands of tiny segment writes.
 		var walOrder []*storage.WAL
-		var walGroups map[*storage.WAL][][]storage.GroupWrite
+		walGroups := map[*storage.WAL][][]storage.GroupWrite{}
 		// One arena for the chunk's write groups: a group sliced off an
 		// earlier allocation stays valid after the arena grows, and the
 		// hot no-index path stops paying one slice allocation per record.
@@ -197,24 +198,14 @@ func (ing *ingester) worker(q chan ingestChunk) {
 			var writes []storage.GroupWrite
 			var err error
 			wal, arena, writes, err = ing.prepare(op, &cache, arena)
-			switch {
-			case err != nil:
+			if err != nil {
 				chunk.batch.fail(err)
-			case wal == nil:
-				if err := ing.applyDirect(op, &cache); err != nil {
-					chunk.batch.fail(err)
-				} else {
-					applied++
-				}
-			default:
-				if walGroups == nil {
-					walGroups = map[*storage.WAL][][]storage.GroupWrite{}
-				}
-				if _, ok := walGroups[wal]; !ok {
-					walOrder = append(walOrder, wal)
-				}
-				walGroups[wal] = append(walGroups[wal], writes)
+				continue
 			}
+			if _, ok := walGroups[wal]; !ok {
+				walOrder = append(walOrder, wal)
+			}
+			walGroups[wal] = append(walGroups[wal], writes)
 		}
 		for _, wal := range walOrder {
 			groups := walGroups[wal]
@@ -223,6 +214,10 @@ func (ing *ingester) worker(q chan ingestChunk) {
 				for range groups {
 					chunk.batch.fail(err)
 				}
+				continue
+			}
+			applied += int64(len(groups))
+			if wal == nil {
 				continue
 			}
 			hi := lsns[len(lsns)-1]
@@ -235,7 +230,6 @@ func (ing *ingester) worker(q chan ingestChunk) {
 			if wal.Mode() == storage.WALSyncCommit {
 				wal.RequestSync(hi)
 			}
-			applied += int64(len(groups))
 		}
 		ingestRecords.Add(applied)
 		ing.pending.Add(-int64(len(chunk.ops)))
@@ -244,14 +238,13 @@ func (ing *ingester) worker(q chan ingestChunk) {
 }
 
 // prepare resolves one record's trees and builds its atomic write
-// group. With a WAL attached it returns the partition's log plus the
-// primary row and every secondary-index posting as GroupWrites —
-// tokenization and index resolution happen here, before anything is
+// group: the primary row and every secondary-index posting as
+// GroupWrites, plus the partition's log (nil under WALSyncMode "off").
+// Tokenization and index resolution happen here, before anything is
 // written, so a failure leaves no partial state and there is nothing to
 // roll back; the worker commits whole chunks of prepared groups through
-// storage.CommitGroups. Without a WAL the returned group is nil and the
-// record goes through applyDirect. The group is appended to arena and
-// sliced off it; the updated arena is returned either way.
+// storage.CommitGroups. The group is appended to arena and sliced off
+// it; the updated arena is returned either way.
 func (ing *ingester) prepare(op *ingestOp, cache *treeCache, arena []storage.GroupWrite) (*storage.WAL, []storage.GroupWrite, []storage.GroupWrite, error) {
 	node := ing.c.nodeOfPartition(op.part)
 	tree, ok := cache.primaries[op.part]
@@ -271,9 +264,6 @@ func (ing *ingester) prepare(op *ingestOp, cache *treeCache, arena []storage.Gro
 			return nil, arena, nil, err
 		}
 		cache.wals[op.part] = wal
-	}
-	if wal == nil {
-		return nil, arena, nil, nil
 	}
 
 	start := len(arena)
@@ -303,87 +293,6 @@ func (ing *ingester) prepare(op *ingestOp, cache *treeCache, arena []storage.Gro
 		}
 	}
 	return wal, arena, arena[start:len(arena):len(arena)], nil
-}
-
-// applyDirect is the legacy no-WAL write path: it applies the primary
-// entry and index postings directly and rolls back on index failure
-// (postings removed, primary pre-image restored) so no query can
-// observe a half-indexed record. Caller has already run prepare, so the
-// partition's primary tree is in the cache.
-func (ing *ingester) applyDirect(op *ingestOp, cache *treeCache) error {
-	node := ing.c.nodeOfPartition(op.part)
-	tree := cache.primaries[op.part]
-
-	// Pre-image for rollback, only needed when index maintenance can
-	// fail after the primary write.
-	var preImage []byte
-	var preExisted bool
-	if len(op.meta.Indexes) > 0 {
-		var err error
-		preImage, preExisted, err = tree.Get(op.key)
-		if err != nil {
-			return err
-		}
-	}
-
-	if err := tree.Put(op.key, adm.Encode(op.rec)); err != nil {
-		return err
-	}
-
-	type applied struct {
-		inv    *invindex.Index
-		tokens []string
-	}
-	var done []applied
-	rollback := func(cause error) error {
-		ingestRollbacks.Inc()
-		errs := []error{cause}
-		for _, a := range done {
-			if rerr := a.inv.Remove(a.tokens, invindex.PK(op.key)); rerr != nil {
-				errs = append(errs, fmt.Errorf("cluster: rollback index entry: %w", rerr))
-			}
-		}
-		var rerr error
-		if preExisted {
-			rerr = tree.Put(op.key, preImage)
-		} else {
-			rerr = tree.Delete(op.key)
-		}
-		if rerr != nil {
-			errs = append(errs, fmt.Errorf("cluster: rollback primary entry: %w", rerr))
-		}
-		return errors.Join(errs...)
-	}
-
-	for _, ix := range op.meta.Indexes {
-		// Tokenization runs here, on the worker — off the caller's
-		// goroutine — which is where batched ingestion wins its
-		// parallelism for tokenized (keyword/ngram) datasets.
-		tokens := IndexTokens(ix, op.rec)
-		if len(tokens) == 0 {
-			continue
-		}
-		ixKey := fmt.Sprintf("%s/%d", ix.Name, op.part)
-		inv, ok := cache.inverted[ixKey]
-		if !ok {
-			var err error
-			inv, err = node.invIndex(op.dv, op.ds, ix.Name, op.part)
-			if err != nil {
-				return rollback(err)
-			}
-			cache.inverted[ixKey] = inv
-		}
-		if hook := ing.c.testIndexFail.Load(); hook != nil {
-			if err := (*hook)(op.dv, op.ds, ix.Name); err != nil {
-				return rollback(err)
-			}
-		}
-		if err := inv.Insert(tokens, invindex.PK(op.key)); err != nil {
-			return rollback(err)
-		}
-		done = append(done, applied{inv, tokens})
-	}
-	return nil
 }
 
 // InsertBatch ingests a batch of records into a dataset through the
@@ -474,6 +383,54 @@ func (c *Cluster) InsertBatch(dv, ds string, recs []adm.Value) error {
 		return errors.Join(append(walErrs, b.err())...)
 	}
 	return b.err()
+}
+
+const (
+	// loadBatchRecords is how many NDJSON records LoadJSONLines hands to
+	// one InsertBatch call.
+	loadBatchRecords = 512
+	// maxJSONLineBytes bounds one NDJSON record; a longer line fails the
+	// load instead of growing the line buffer without limit.
+	maxJSONLineBytes = 16 << 20
+)
+
+// LoadJSONLines reads newline-delimited JSON records off r and inserts
+// them through InsertBatch in batches of loadBatchRecords, never holding
+// more than one batch of the input. It returns the number of records
+// inserted and the first error; a malformed or oversize line is reported
+// with its 1-based record number (blank lines are skipped and not
+// counted), and the batch it arrived in is not inserted. The shell's
+// `load dataset` and simdbd's /ingest both load through here.
+func (c *Cluster) LoadJSONLines(dv, ds string, r io.Reader) (int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), maxJSONLineBytes)
+	batch := make([]adm.Value, 0, loadBatchRecords)
+	n := 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		v, err := adm.FromJSON(line)
+		if err != nil {
+			return n, fmt.Errorf("cluster: record %d: %w", n+len(batch)+1, err)
+		}
+		batch = append(batch, v)
+		if len(batch) == loadBatchRecords {
+			if err := c.InsertBatch(dv, ds, batch); err != nil {
+				return n, err
+			}
+			n += len(batch)
+			batch = batch[:0]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return n, fmt.Errorf("cluster: record %d: %w", n+len(batch)+1, err)
+	}
+	if err := c.InsertBatch(dv, ds, batch); err != nil {
+		return n, err
+	}
+	return n + len(batch), nil
 }
 
 // prepareOp validates one record and resolves its routing: primary-key

@@ -86,11 +86,23 @@ func TestInsertBatchBasic(t *testing.T) {
 }
 
 // TestInsertAtomicOnIndexFailure is the regression test for the
-// partial-write inconsistency: when a secondary-index insert fails,
-// the already-applied primary entry (and entries in other indexes)
-// must be rolled back so queries never see a half-indexed record.
+// partial-write inconsistency: when a secondary index cannot take a
+// record, queries must never see a half-indexed one. Under every
+// WALSyncMode the record's whole write group is prepared before
+// anything is written, so a failure leaves no primary row and no
+// posting — there is nothing to undo.
 func TestInsertAtomicOnIndexFailure(t *testing.T) {
-	c := newTestCluster(t, 1, 2)
+	for _, mode := range []string{"commit", "interval", "off"} {
+		t.Run(mode, func(t *testing.T) { testInsertAtomicOnIndexFailure(t, mode) })
+	}
+}
+
+func testInsertAtomicOnIndexFailure(t *testing.T, mode string) {
+	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 2, DataDir: t.TempDir(), WALSyncMode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	sess := NewSession()
 	exec(t, c, sess, `create dataset D primary key id;`)
 	if err := c.Catalog.AddIndex("Default", "D", optimizer.IndexMeta{Name: "kix", Field: "summary", Type: "keyword"}); err != nil {
@@ -100,8 +112,9 @@ func TestInsertAtomicOnIndexFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Failing the SECOND index exercises rollback of both the primary
-	// entry and the first index's already-inserted postings.
+	// Failing the SECOND index: by then the group already holds the
+	// primary row and the first index's postings, none of which may
+	// reach a memtable.
 	hook := func(dv, ds, ix string) error {
 		if ix == "nix" {
 			return fmt.Errorf("injected index failure")
@@ -109,7 +122,7 @@ func TestInsertAtomicOnIndexFailure(t *testing.T) {
 		return nil
 	}
 	c.testIndexFail.Store(&hook)
-	err := c.Insert("Default", "D", mkRec(1, "zebra quagga"))
+	err = c.Insert("Default", "D", mkRec(1, "zebra quagga"))
 	c.testIndexFail.Store(nil)
 	if err == nil || !strings.Contains(err.Error(), "injected index failure") {
 		t.Fatalf("expected injected failure, got %v", err)
@@ -124,11 +137,11 @@ func TestInsertAtomicOnIndexFailure(t *testing.T) {
 			t.Fatal(ierr)
 		}
 		if pks, perr := inv.Postings("zebra#1"); perr != nil || len(pks) != 0 {
-			t.Errorf("part %d: orphaned postings after rollback: %v, %v", part, pks, perr)
+			t.Errorf("part %d: orphaned postings after failed insert: %v, %v", part, pks, perr)
 		}
 	}
 
-	// Pre-image restore: a failed overwrite leaves the old version.
+	// A failed overwrite leaves the old version.
 	if err := c.Insert("Default", "D", mkRec(2, "original text")); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +153,7 @@ func TestInsertAtomicOnIndexFailure(t *testing.T) {
 	}
 	res := exec(t, c, sess, `for $r in dataset D where $r.id = 2 return $r.summary`)
 	if len(res.Rows) != 1 || res.Rows[0].Str() != "original text" {
-		t.Errorf("pre-image not restored: %v", res.Rows)
+		t.Errorf("old version did not survive the failed overwrite: %v", res.Rows)
 	}
 
 	// With the hook cleared the same inserts succeed and are indexed.
@@ -346,7 +359,8 @@ func TestIngestQueryStress(t *testing.T) {
 // TestIngestSoak is the CI soak job: a sustained ingest under a
 // deliberately tight pipeline (short queues, one maintenance worker)
 // so backpressure and stalls engage, verified for completeness at the
-// end. Scaled down unless SIMDB_SOAK is set.
+// end. Scaled down unless SIMDB_SOAK is set; SIMDB_WAL_MODE picks the
+// sync mode (the CI job runs "commit" and "off").
 func TestIngestSoak(t *testing.T) {
 	batches := 40
 	if os.Getenv("SIMDB_SOAK") == "" {
@@ -358,6 +372,7 @@ func TestIngestSoak(t *testing.T) {
 		IngestQueueDepth:        4,
 		MaintenanceWorkers:      1,
 		StallThreshold:          2,
+		WALSyncMode:             os.Getenv("SIMDB_WAL_MODE"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -92,10 +92,8 @@ func (n *NodeController) walForLocked(dv, ds string, part int) (*storage.WAL, er
 	}
 	dir := filepath.Join(n.dir, sanitize(dv), sanitize(ds), fmt.Sprintf("w%d", part))
 	w, err := storage.OpenWAL(dir, storage.WALOptions{
-		Mode:         storage.WALSyncMode(n.cfg.WALSyncMode),
-		SegmentBytes: n.cfg.WALSegmentBytes,
-		SyncInterval: n.cfg.WALSyncInterval,
-		FS:           n.fs,
+		Mode: storage.WALSyncMode(n.cfg.WALSyncMode),
+		FS:   n.fs,
 	})
 	if err != nil {
 		return nil, err

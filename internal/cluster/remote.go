@@ -173,6 +173,15 @@ type workerProc struct {
 	stdin *os.File
 }
 
+const (
+	// workerListenAddr is where the coordinator's transport listens in
+	// tcp mode; workers bind an ephemeral loopback port the same way.
+	workerListenAddr = "127.0.0.1:0"
+	// workerStartTimeout bounds how long New waits for the worker mesh
+	// to form.
+	workerStartTimeout = 30 * time.Second
+)
+
 // startRemote launches the worker processes and forms the full mesh.
 // Called from New after node 0's local storage is up.
 func startRemote(c *Cluster) (*remoteCoordinator, error) {
@@ -185,7 +194,7 @@ func startRemote(c *Cluster) (*remoteCoordinator, error) {
 	}
 	r.net.OnControl(r.onControl)
 	r.net.OnPeerDown(r.onPeerDown)
-	addr, err := r.net.Listen(cfg.WorkerListenAddr)
+	addr, err := r.net.Listen(workerListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: coordinator listen: %w", err)
 	}
@@ -240,7 +249,7 @@ func startRemote(c *Cluster) (*remoteCoordinator, error) {
 	// Mesh formation: every worker dials the coordinator; once all have
 	// arrived, each learns the full address map and dials its
 	// lower-numbered peers, so exactly one connection exists per pair.
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.WorkerStartTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), workerStartTimeout)
 	defer cancel()
 	workers := make([]int, 0, cfg.NumNodes-1)
 	for k := 1; k < cfg.NumNodes; k++ {

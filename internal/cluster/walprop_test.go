@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"simdb/internal/adm"
 	"simdb/internal/optimizer"
+	"simdb/internal/storage"
 	"simdb/internal/storage/errfs"
 )
 
@@ -185,55 +187,131 @@ func runWALCrashProperty(t *testing.T, mode string, seed int64) {
 		mode, seed, nops, crashAt, crashed, submitted, recovered)
 }
 
-// TestInsertAtomicOnIndexFailureNoWAL pins the legacy rollback path:
-// with the WAL off, a failed secondary-index insert must undo the
-// already-applied primary entry and postings in other indexes (the WAL
-// path never needs the rollback — it validates before committing).
-func TestInsertAtomicOnIndexFailureNoWAL(t *testing.T) {
-	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 2, DataDir: t.TempDir(), WALSyncMode: "off"})
+// TestWALModesLeaveIdenticalState feeds the three sync modes the same
+// seeded batches — same-PK overwrites inside and across batches,
+// records without a primary key, and batches in which the ngram index
+// refuses every record that has a title — and demands byte-identical
+// primary scans and postings at the end: the mode chooses whether a
+// log is written, not what reaches the trees.
+func TestWALModesLeaveIdenticalState(t *testing.T) {
+	var first string
+	for _, mode := range []string{"commit", "interval", "off"} {
+		state := runModeWorkload(t, mode)
+		if first == "" {
+			first = state
+		} else if state != first {
+			got, want := strings.Split(state, "\n"), strings.Split(first, "\n")
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("mode %s ends in a different state than commit (%d vs %d lines), first at line %d:\n%s\nwant\n%s",
+				mode, len(got), len(want), i, strings.Join(got[i:min(i+3, len(got))], "\n"), strings.Join(want[i:min(i+3, len(want))], "\n"))
+		}
+	}
+}
+
+func runModeWorkload(t *testing.T, mode string) string {
+	t.Helper()
+	c, err := New(Config{
+		NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(), WALSyncMode: mode,
+		// Small memtables: every mode flushes and merges mid-workload.
+		MemComponentBudgetBytes: 4 << 10,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	defer c.Close()
 	sess := NewSession()
 	exec(t, c, sess, `create dataset D primary key id;`)
 	if err := c.Catalog.AddIndex("Default", "D", optimizer.IndexMeta{Name: "kix", Field: "summary", Type: "keyword"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Catalog.AddIndex("Default", "D", optimizer.IndexMeta{Name: "nix", Field: "summary", Type: "ngram", GramLen: 2}); err != nil {
+	if err := c.Catalog.AddIndex("Default", "D", optimizer.IndexMeta{Name: "nix", Field: "title", Type: "ngram", GramLen: 2}); err != nil {
 		t.Fatal(err)
 	}
-
-	hook := func(dv, ds, ix string) error {
+	failNix := func(dv, ds, ix string) error {
 		if ix == "nix" {
 			return fmt.Errorf("injected index failure")
 		}
 		return nil
 	}
-	c.testIndexFail.Store(&hook)
-	if err := c.InsertBatch("Default", "D", []adm.Value{mkRec(1, "hello")}); err == nil {
-		t.Fatal("insert with failing index should error")
-	}
-	if got := countDataset(t, c, sess, "D"); got != 0 {
-		t.Errorf("count after rolled-back insert = %d, want 0", got)
-	}
-	pk := adm.NewInt(1)
-	part := c.partitionOfPK(pk)
-	ix, err := c.nodeOfPartition(part).invIndex("Default", "D", "kix", part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pks, err := ix.Postings("hello#1"); err != nil || len(pks) != 0 {
-		t.Errorf("orphaned kix postings after rollback: %v (err %v)", pks, err)
+
+	rng := rand.New(rand.NewSource(42))
+	live := map[int64]string{} // pk → summary of the last accepted version
+	for b := 0; b < 60; b++ {
+		failing := b%3 == 2
+		wantErr := false
+		recs := make([]adm.Value, 0, 40)
+		for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+			id := int64(rng.Intn(150))
+			summary := fmt.Sprintf("tok%03d ver%d.%d", id, b, i)
+			rec := adm.EmptyRecord(3)
+			rec.Set("summary", adm.NewString(summary))
+			titled := rng.Intn(2) == 0
+			if titled {
+				rec.Set("title", adm.NewString(fmt.Sprintf("title %d", id)))
+			}
+			switch {
+			case rng.Intn(15) == 0: // no primary key: refused on the caller's side
+				wantErr = true
+			case failing && titled: // refused in prepare, by the index seam
+				rec.Set("id", adm.NewInt(id))
+				wantErr = true
+			default:
+				rec.Set("id", adm.NewInt(id))
+				live[id] = summary
+			}
+			recs = append(recs, adm.NewRecord(rec))
+		}
+		if failing {
+			c.testIndexFail.Store(&failNix)
+		}
+		err := c.InsertBatch("Default", "D", recs)
+		c.testIndexFail.Store(nil)
+		if (err != nil) != wantErr {
+			t.Fatalf("mode %s batch %d: err = %v, want error: %v", mode, b, err, wantErr)
+		}
 	}
 
-	c.testIndexFail.Store(nil)
-	if err := c.InsertBatch("Default", "D", []adm.Value{mkRec(1, "hello")}); err != nil {
-		t.Fatal(err)
+	// The accepted versions, and only those, are what queries see.
+	if got := countDataset(t, c, sess, "D"); got != int64(len(live)) {
+		t.Errorf("mode %s: count = %d, want %d", mode, got, len(live))
 	}
-	if got := countDataset(t, c, sess, "D"); got != 1 {
-		t.Errorf("count after retry = %d, want 1", got)
+	for id, summary := range live {
+		res := exec(t, c, sess, fmt.Sprintf(`for $r in dataset D where $r.id = %d return $r.summary`, id))
+		if len(res.Rows) != 1 || res.Rows[0].Str() != summary {
+			t.Fatalf("mode %s: record %d = %v, want %q", mode, id, res.Rows, summary)
+		}
 	}
+
+	var state strings.Builder
+	dump := func(name string, tree *storage.LSMTree) {
+		fmt.Fprintf(&state, "%s\n", name)
+		err := tree.Scan(nil, nil, func(k, v []byte) bool {
+			fmt.Fprintf(&state, "%x=%x\n", k, v)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for part := 0; part < c.cfg.Partitions(); part++ {
+		node := c.nodeOfPartition(part)
+		prim, err := node.primary("Default", "D", part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump(fmt.Sprintf("primary/%d", part), prim)
+		for _, ix := range []string{"kix", "nix"} {
+			inv, err := node.invIndex("Default", "D", ix, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dump(fmt.Sprintf("%s/%d", ix, part), inv.Tree())
+		}
+	}
+	return state.String()
 }
 
 // TestCornerCaseQuerySurvivesCrash exercises the compile-time corner

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"os"
@@ -35,7 +34,7 @@ import (
 )
 
 // Config configures a Database; zero values take sensible defaults
-// (2 nodes × 2 partitions, 32 KiB pages, ScanCount merging).
+// (2 nodes × 2 partitions, 32 KiB pages, DivideSkip merging).
 type Config struct {
 	// DataDir holds all node storage. Required.
 	DataDir string
@@ -331,37 +330,9 @@ func (db *Database) LoadJSONLines(dataset, path string) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	const batchSize = 512
-	batch := make([]adm.Value, 0, batchSize)
-	n := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		v, err := adm.FromJSON(line)
-		if err != nil {
-			return n, fmt.Errorf("core: line %d: %w", n+1, err)
-		}
-		batch = append(batch, v)
-		if len(batch) == batchSize {
-			if err := db.InsertBatch(dataset, batch); err != nil {
-				return n, err
-			}
-			n += len(batch)
-			batch = batch[:0]
-		}
-	}
-	if err := sc.Err(); err != nil {
+	n, err := db.c.LoadJSONLines("Default", dataset, f)
+	if err != nil {
 		return n, err
-	}
-	if len(batch) > 0 {
-		if err := db.InsertBatch(dataset, batch); err != nil {
-			return n, err
-		}
-		n += len(batch)
 	}
 	return n, db.c.FlushAll()
 }

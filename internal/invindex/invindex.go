@@ -84,7 +84,7 @@ func (ix *Index) Insert(tokens []string, pk PK) error {
 // EntryKeys returns the deduplicated composite (token, pk) entry keys
 // Insert would write — the ingestion pipeline uses them to commit a
 // record's postings atomically with its primary row via
-// storage.CommitGroup.
+// storage.CommitGroups.
 func (ix *Index) EntryKeys(tokens []string, pk PK) [][]byte {
 	keys := make([][]byte, 0, len(tokens))
 	seen := make(map[string]struct{}, len(tokens))

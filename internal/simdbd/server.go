@@ -20,7 +20,6 @@
 package simdbd
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -390,9 +389,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("simdbd: unknown dataset %s.%s", dv, ds)))
 		return
 	}
-	n, err := readIngestBatches(r.Body, 512, func(batch []adm.Value) error {
-		return s.c.InsertBatch(dv, ds, batch)
-	})
+	n, err := s.c.LoadJSONLines(dv, ds, r.Body)
 	mIngested.Add(int64(n))
 	if err != nil {
 		s.fail(w, wireErrf(codeBadQuery, http.StatusBadRequest,
@@ -450,46 +447,6 @@ func (sw *streamWriter) writeRecord(rec any) error {
 		fl.Flush()
 	}
 	return nil
-}
-
-// readIngestBatches scans NDJSON records off r, applying them in
-// batches of batchSize. It returns the count applied before any error.
-func readIngestBatches(r io.Reader, batchSize int, apply func([]adm.Value) error) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 8<<20)
-	batch := make([]adm.Value, 0, batchSize)
-	n := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := apply(batch); err != nil {
-			return err
-		}
-		n += len(batch)
-		batch = batch[:0]
-		return nil
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		v, err := adm.FromJSON(line)
-		if err != nil {
-			return n, fmt.Errorf("record %d: %w", n+len(batch)+1, err)
-		}
-		batch = append(batch, v)
-		if len(batch) == batchSize {
-			if err := flush(); err != nil {
-				return n, err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return n, err
-	}
-	return n, flush()
 }
 
 // fail writes a structured error response with the mapped HTTP status

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -496,4 +498,101 @@ func TestActiveQueriesEndpoint(t *testing.T) {
 		return len(infos) > 0
 	})
 	io.Copy(io.Discard, resp.Body)
+}
+
+// TestLoadAndIngestRejectTheSameLines: the shell's `load dataset`
+// (core.LoadJSONLines) and POST /ingest read NDJSON through one loader,
+// so the same input is accepted or refused the same way — same count
+// inserted, same record number and cause in the error — whichever door
+// it comes through.
+func TestLoadAndIngestRejectTheSameLines(t *testing.T) {
+	db, base := bootServer(t, nil)
+	line := func(id int, pad int) string {
+		return fmt.Sprintf("{\"id\": %d, \"summary\": %q}\n", id, strings.Repeat("x", pad))
+	}
+	many := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			b.WriteString(line(i, 8))
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name, input string
+		inserted    int
+		errHas      []string // empty: the load succeeds
+	}{
+		{"blank lines are skipped", "\n" + line(1, 8) + "\n\n" + line(2, 8), 2, nil},
+		// Accepted by the old shell limit (16 MiB), refused by the old
+		// /ingest limit (8 MiB).
+		{"10 MiB record", line(1, 10<<20), 1, nil},
+		{"malformed third record", line(1, 8) + "\n" + line(2, 8) + "{\"id\": 3,\n" + line(4, 8), 0, []string{"record 3:"}},
+		{"malformed record after a full batch", many(600) + "not json\n", 512, []string{"record 601:"}},
+		{"oversize second record", line(1, 8) + line(2, 17<<20) + line(3, 8), 0, []string{"record 2:", "token too long"}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			loadDS, ingestDS := fmt.Sprintf("L%d", i), fmt.Sprintf("I%d", i)
+			for _, ds := range []string{loadDS, ingestDS} {
+				runQuery(t, base, "", fmt.Sprintf(`create dataset %s primary key id;`, ds))
+			}
+
+			path := filepath.Join(t.TempDir(), "in.jsonl")
+			if err := os.WriteFile(path, []byte(tc.input), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, lerr := db.LoadJSONLines(loadDS, path)
+			loadMsg := ""
+			if lerr != nil {
+				loadMsg = lerr.Error()
+			}
+
+			resp, err := http.Post(base+"/ingest/"+ingestDS, "application/x-ndjson", strings.NewReader(tc.input))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var out struct {
+				Inserted int `json:"inserted"`
+				Error    struct {
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatalf("ingest response %q: %v", body, err)
+			}
+
+			if len(tc.errHas) == 0 {
+				if lerr != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("load err = %v, ingest status %d (%s); want both to succeed", lerr, resp.StatusCode, out.Error.Message)
+				}
+				if loaded != tc.inserted || out.Inserted != tc.inserted {
+					t.Errorf("inserted: load %d, ingest %d, want %d", loaded, out.Inserted, tc.inserted)
+				}
+			} else {
+				if lerr == nil || resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("load err = %v, ingest status %d; want both refused", lerr, resp.StatusCode)
+				}
+				if loaded != tc.inserted {
+					t.Errorf("load inserted %d before the error, want %d", loaded, tc.inserted)
+				}
+				for _, want := range append(tc.errHas, fmt.Sprintf("after %d records", tc.inserted)) {
+					if !strings.Contains(out.Error.Message, want) {
+						t.Errorf("ingest error %q lacks %q", out.Error.Message, want)
+					}
+				}
+				// One loader, one message: /ingest only prefixes it.
+				if !strings.HasSuffix(out.Error.Message, loadMsg) {
+					t.Errorf("ingest error %q does not end in the load error %q", out.Error.Message, loadMsg)
+				}
+			}
+			for _, ds := range []string{loadDS, ingestDS} {
+				rows, _ := runQuery(t, base, "", fmt.Sprintf(`count(for $r in dataset %s return $r)`, ds))
+				if got := fmt.Sprint(rows[0]); got != fmt.Sprint(tc.inserted) {
+					t.Errorf("%s holds %s records, want %d", ds, got, tc.inserted)
+				}
+			}
+		})
+	}
 }

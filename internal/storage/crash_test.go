@@ -118,15 +118,15 @@ func runCrashScript(fs *errfs.FS, columnar bool) (acked int) {
 	barrier := func() bool { return env.wal.Barrier() == nil }
 	put := func(i int) bool {
 		toks := crashToks(i)
-		lsn, err := storage.CommitGroup(env.wal, []storage.GroupWrite{
+		lsns, err := storage.CommitGroups(env.wal, [][]storage.GroupWrite{{
 			{Tree: env.prim, Key: []byte(crashKey(i)), Val: crashValBytes(i, columnar)},
 			{Tree: env.kw, Key: []byte(toks[0])},
 			{Tree: env.kw, Key: []byte(toks[1])},
-		})
+		}})
 		if err != nil {
 			return false
 		}
-		if env.wal.WaitDurable(lsn) != nil {
+		if env.wal.WaitDurable(lsns[0]) != nil {
 			return false
 		}
 		acked++
@@ -368,15 +368,15 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		toks := crashToks(i)
-		lsn, err := storage.CommitGroup(env.wal, []storage.GroupWrite{
+		lsns, err := storage.CommitGroups(env.wal, [][]storage.GroupWrite{{
 			{Tree: env.prim, Key: []byte(crashKey(i)), Val: []byte(crashVal(i))},
 			{Tree: env.kw, Key: []byte(toks[0])},
 			{Tree: env.kw, Key: []byte(toks[1])},
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := env.wal.WaitDurable(lsn); err != nil {
+		if err := env.wal.WaitDurable(lsns[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,10 +79,10 @@ type LSMOptions struct {
 	// FS routes the tree's file operations; nil takes OS. Crash-
 	// recovery tests inject a fault-injecting filesystem here.
 	FS VFS
-	// WAL, when non-nil, write-ahead-logs every Put/Delete/PutMulti
-	// under the name WALTree: acknowledged writes survive a crash and
-	// are replayed into the memtable at open. One WAL is shared by a
-	// partition's primary tree and its index trees so CommitGroup can
+	// WAL, when non-nil, write-ahead-logs every write to the tree under
+	// the name WALTree: acknowledged writes survive a crash and are
+	// replayed into the memtable at open. One WAL is shared by a
+	// partition's primary tree and its index trees so CommitGroups can
 	// commit a row and its postings atomically. WALTree must be unique
 	// among the WAL's trees and stable across restarts.
 	WAL     *WAL
@@ -498,33 +499,43 @@ func (t *LSMTree) Close() error {
 // stalls only when maintenance has fallen behind the configured
 // thresholds.
 func (t *LSMTree) Put(key, value []byte) error {
-	return t.write(key, value, false)
+	return t.commit([]GroupWrite{{Tree: t, Key: key, Val: value}})
 }
 
 // Delete removes a key (writes a tombstone). Like Put, it never
 // performs disk I/O on the caller's goroutine.
 func (t *LSMTree) Delete(key []byte) error {
-	return t.write(key, nil, true)
+	return t.commit([]GroupWrite{{Tree: t, Key: key, Tombstone: true}})
 }
 
-func (t *LSMTree) write(key, value []byte, tombstone bool) error {
-	if t.wal != nil {
-		return t.writeLogged([]walOp{{tree: t.walTree, key: key, val: value, tombstone: tombstone}})
+// PutMulti applies several puts as one group — one stall check, one
+// lock acquisition and, on a logged tree, one commit record: the shape
+// of a secondary-index insert, where one record expands to many small
+// (token, pk) entries. values may be nil, meaning every key maps to a
+// nil value. The memtable may overshoot its budget by the group's
+// footprint before rotating.
+func (t *LSMTree) PutMulti(keys [][]byte, values [][]byte) error {
+	if len(keys) == 0 {
+		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.writableLocked(); err != nil {
+	writes := make([]GroupWrite, len(keys))
+	for i, k := range keys {
+		writes[i] = GroupWrite{Tree: t, Key: k}
+		if values != nil {
+			writes[i].Val = values[i]
+		}
+	}
+	return t.commit(writes)
+}
+
+// commit lands one single-tree group through CommitGroups and, on a
+// logged tree in commit mode, waits for its fsync before acknowledging.
+func (t *LSMTree) commit(writes []GroupWrite) error {
+	lsns, err := CommitGroups(t.wal, [][]GroupWrite{writes})
+	if err != nil || t.wal == nil {
 		return err
 	}
-	if tombstone {
-		t.mem.del(key)
-	} else {
-		t.mem.put(key, value)
-	}
-	if t.mem.sizeBytes() >= t.opts.MemBudgetBytes {
-		t.rotateLocked()
-	}
-	return nil
+	return t.wal.WaitDurable(lsns[0])
 }
 
 // writableLocked rejects writes to a closed or failed tree and applies
@@ -539,40 +550,17 @@ func (t *LSMTree) writableLocked() error {
 	return t.stallLocked()
 }
 
-// writeLogged is the write path for a WAL-attached tree: append the
-// commit record and apply it to the memtable while holding the WAL's
-// commitMu, so ops land in memtables in LSN order; then (commit mode)
-// wait for the group-commit fsync before acknowledging.
-func (t *LSMTree) writeLogged(ops []walOp) error {
-	w := t.wal
-	w.commitMu.Lock()
-	t.mu.Lock()
-	if err := t.writableLocked(); err != nil {
-		t.mu.Unlock()
-		w.commitMu.Unlock()
-		return err
-	}
-	lsn, err := w.appendOps(ops)
-	if err != nil {
-		t.mu.Unlock()
-		w.commitMu.Unlock()
-		return err
-	}
-	t.applyLoggedLocked(ops, lsn)
-	t.mu.Unlock()
-	w.commitMu.Unlock()
-	return w.WaitDurable(lsn)
-}
-
-// applyLoggedLocked lands already-logged ops in the memtable, tracking
-// the LSN bounds a later flush will sync and checkpoint. Caller holds
-// the WAL's commitMu and t.mu.
-func (t *LSMTree) applyLoggedLocked(ops []walOp, lsn uint64) {
-	for _, op := range ops {
-		if op.tombstone {
-			t.mem.del(op.key)
+// applyLocked lands one group's run of writes to this tree in its
+// active memtable, tracking the LSN bounds a later flush will sync and
+// checkpoint (lsn is 0, and stays 0, on a tree without a log). Caller
+// holds t.mu and, for a logged tree, the WAL's commitMu. Recovery
+// replay aside, this is the only place a write enters a memtable.
+func (t *LSMTree) applyLocked(run []GroupWrite, lsn uint64) {
+	for _, wr := range run {
+		if wr.Tombstone {
+			t.mem.del(wr.Key)
 		} else {
-			t.mem.put(op.key, op.val)
+			t.mem.put(wr.Key, wr.Val)
 		}
 	}
 	if t.memMinLSN == 0 {
@@ -591,110 +579,55 @@ type GroupWrite struct {
 	Tombstone bool
 }
 
-// CommitGroup logs one commit record spanning several trees attached
-// to the same WAL — a primary row and its secondary-index postings —
-// and applies it to their memtables. Recovery replays the record
-// entirely or not at all, so the trees stay mutually consistent across
-// a crash. It does not wait for durability: callers acknowledge after
-// WaitDurable on the returned LSN, letting a batch share one fsync.
-func CommitGroup(w *WAL, writes []GroupWrite) (uint64, error) {
-	if len(writes) == 0 {
-		return 0, nil
-	}
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	ops := make([]walOp, len(writes))
-	for i, wr := range writes {
-		if wr.Tree.wal != w {
-			return 0, fmt.Errorf("storage: CommitGroup tree %s not attached to wal %s", wr.Tree.dir, w.dir)
-		}
-		ops[i] = walOp{tree: wr.Tree.walTree, key: wr.Key, val: wr.Val, tombstone: wr.Tombstone}
-	}
-	// Stall/validate every tree up front. Releasing a tree's lock after
-	// its stall clears is safe: all writers to these trees serialize on
-	// commitMu, so only flushes (which shrink, never grow) can touch
-	// them before we apply below.
-	for i, wr := range writes {
-		if i > 0 && wr.Tree == writes[i-1].Tree {
-			continue
-		}
-		wr.Tree.mu.Lock()
-		err := wr.Tree.writableLocked()
-		wr.Tree.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-	}
-	lsn, err := w.appendOps(ops)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < len(writes); {
-		j := i
-		for j < len(writes) && writes[j].Tree == writes[i].Tree {
-			j++
-		}
-		tr := writes[i].Tree
-		tr.mu.Lock()
-		tr.applyLoggedLocked(ops[i:j], lsn)
-		tr.mu.Unlock()
-		i = j
-	}
-	return lsn, nil
-}
-
-// CommitGroups commits many independent atomic groups in one pass:
-// every group still gets its own commit record and LSN, so recovery
-// applies each all-or-nothing exactly as with CommitGroup, but LSN
-// assignment, the log append, and the syncer wakeup happen once for the
-// whole batch. Batched ingestion commits a chunk of records this way —
-// per-record CommitGroup calls dominate the group-commit overhead
-// otherwise. Returns one LSN per group, in order. Like CommitGroup it
-// does not wait for durability.
+// CommitGroups is the one write path into memtables. Each group — a
+// primary row and its secondary-index postings, or a single Put — is
+// applied to its trees' memtables as a unit; many independent groups
+// commit in one pass. Every distinct tree is checked (closed, sticky
+// maintenance error, stall backpressure) before the first memtable is
+// touched, so a refused commit leaves nothing behind.
+//
+// With a log (every tree attached to w), each group gets its own commit
+// record and LSN, so recovery replays it entirely or not at all and the
+// trees stay mutually consistent across a crash, while LSN assignment,
+// the log append and the syncer wakeup happen once for the whole batch —
+// per-record appends would drain the log as thousands of tiny segment
+// writes. It does not wait for durability: callers acknowledge after
+// WaitDurable on the last returned LSN, letting a batch share one fsync.
+//
+// With w == nil the trees have no log: nothing is appended and every
+// LSN is 0. Such writes are durable only once flushed.
+//
+// Returns one LSN per group, in order.
 func CommitGroups(w *WAL, groups [][]GroupWrite) ([]uint64, error) {
 	if len(groups) == 0 {
 		return nil, nil
 	}
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
+	if w != nil {
+		w.commitMu.Lock()
+		defer w.commitMu.Unlock()
+	}
 	total := 0
+	var checked [4]*LSMTree // groups touch few distinct trees
+	seen := checked[:0]
 	for gi, writes := range groups {
 		if len(writes) == 0 {
 			return nil, fmt.Errorf("storage: CommitGroups: empty group %d", gi)
 		}
 		total += len(writes)
-	}
-	// One backing array for every group's ops: per-group slices would
-	// cost an allocation per record on the batched-ingest hot path.
-	opsBuf := make([]walOp, 0, total)
-	opGroups := make([][]walOp, len(groups))
-	for gi, writes := range groups {
-		start := len(opsBuf)
 		for _, wr := range writes {
-			if wr.Tree.wal != w {
-				return nil, fmt.Errorf("storage: CommitGroups tree %s not attached to wal %s", wr.Tree.dir, w.dir)
-			}
-			opsBuf = append(opsBuf, walOp{tree: wr.Tree.walTree, key: wr.Key, val: wr.Val, tombstone: wr.Tombstone})
-		}
-		opGroups[gi] = opsBuf[start:len(opsBuf):len(opsBuf)]
-	}
-	// Stall/validate every distinct tree up front (see CommitGroup for
-	// why dropping the lock between the check and the apply is safe).
-	var checked [4]*LSMTree // groups touch few distinct trees
-	seen := checked[:0]
-	for _, writes := range groups {
-		for _, wr := range writes {
-			dup := false
-			for _, tr := range seen {
-				if tr == wr.Tree {
-					dup = true
-					break
-				}
-			}
-			if dup {
+			if slices.Contains(seen, wr.Tree) {
 				continue
 			}
 			seen = append(seen, wr.Tree)
+			if wr.Tree.wal != w {
+				return nil, fmt.Errorf("storage: CommitGroups: tree %s is not attached to the committing log", wr.Tree.dir)
+			}
+			// Releasing the lock after the stall clears is safe on the
+			// logged path: all writers to these trees serialize on
+			// commitMu, so only flushes (which shrink, never grow) can
+			// touch them before the apply below. Log-less writers do not
+			// serialize, so there the stall thresholds are soft by the
+			// number of concurrent writers.
 			wr.Tree.mu.Lock()
 			err := wr.Tree.writableLocked()
 			wr.Tree.mu.Unlock()
@@ -703,19 +636,32 @@ func CommitGroups(w *WAL, groups [][]GroupWrite) ([]uint64, error) {
 			}
 		}
 	}
-	first, err := w.appendOpsBatch(opGroups)
-	if err != nil {
-		return nil, err
-	}
 	lsns := make([]uint64, len(groups))
+	if w != nil {
+		// One backing array for every group's ops: per-group slices would
+		// cost an allocation per record on the batched-ingest hot path.
+		opsBuf := make([]walOp, 0, total)
+		opGroups := make([][]walOp, len(groups))
+		for gi, writes := range groups {
+			start := len(opsBuf)
+			for _, wr := range writes {
+				opsBuf = append(opsBuf, walOp{tree: wr.Tree.walTree, key: wr.Key, val: wr.Val, tombstone: wr.Tombstone})
+			}
+			opGroups[gi] = opsBuf[start:len(opsBuf):len(opsBuf)]
+		}
+		first, err := w.appendOpsBatch(opGroups)
+		if err != nil {
+			return nil, err
+		}
+		for gi := range lsns {
+			lsns[gi] = first + uint64(gi)
+		}
+	}
 	// Apply with the tree lock held across consecutive runs of the same
 	// tree — for a chunk of single-tree groups this is one lock
 	// acquisition per chunk instead of one per record.
 	var cur *LSMTree
 	for gi, writes := range groups {
-		lsn := first + uint64(gi)
-		lsns[gi] = lsn
-		ops := opGroups[gi]
 		for i := 0; i < len(writes); {
 			j := i
 			for j < len(writes) && writes[j].Tree == writes[i].Tree {
@@ -728,8 +674,16 @@ func CommitGroups(w *WAL, groups [][]GroupWrite) ([]uint64, error) {
 				}
 				tr.mu.Lock()
 				cur = tr
+				// A logged tree's Close holds commitMu, so it cannot have
+				// closed since the check above; a log-less tree's can.
+				// Its final flush has then drained the memtable, and a
+				// write landed now would be acknowledged and lost.
+				if w == nil && tr.closed {
+					tr.mu.Unlock()
+					return nil, fmt.Errorf("storage: write to closed tree %s", tr.dir)
+				}
 			}
-			tr.applyLoggedLocked(ops[i:j], lsn)
+			tr.applyLocked(writes[i:j], lsns[gi])
 			i = j
 		}
 	}
@@ -737,44 +691,6 @@ func CommitGroups(w *WAL, groups [][]GroupWrite) ([]uint64, error) {
 		cur.mu.Unlock()
 	}
 	return lsns, nil
-}
-
-// PutMulti applies several puts under a single lock acquisition and
-// stall check — the batched-ingest fast path for secondary indexes,
-// where one record expands to many small (token, pk) entries. values
-// may be nil, meaning every key maps to a nil value. Like Put, it
-// never performs disk I/O on the caller's goroutine; the memtable may
-// overshoot its budget by the batch's footprint before rotating.
-func (t *LSMTree) PutMulti(keys [][]byte, values [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if t.wal != nil {
-		ops := make([]walOp, len(keys))
-		for i, k := range keys {
-			ops[i] = walOp{tree: t.walTree, key: k}
-			if values != nil {
-				ops[i].val = values[i]
-			}
-		}
-		return t.writeLogged(ops)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.writableLocked(); err != nil {
-		return err
-	}
-	for i, k := range keys {
-		var v []byte
-		if values != nil {
-			v = values[i]
-		}
-		t.mem.put(k, v)
-	}
-	if t.mem.sizeBytes() >= t.opts.MemBudgetBytes {
-		t.rotateLocked()
-	}
-	return nil
 }
 
 // stallLocked applies write backpressure: it blocks while rotated

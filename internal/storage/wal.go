@@ -660,20 +660,14 @@ func (w *WAL) FlushCovered(treeID string, seq uint64) bool {
 	return ok && maxLSN > w.ckpt[treeID]
 }
 
-// appendOps encodes one commit record covering ops, assigns its LSN,
-// and wakes the syncer. The caller applies the ops to memtables before
-// releasing commitMu, and — if it wants durability — calls WaitDurable
-// afterwards.
-func (w *WAL) appendOps(ops []walOp) (uint64, error) {
-	return w.appendOpsBatch([][]walOp{ops})
-}
-
 // appendOpsBatch encodes one commit record per group — each group stays
-// individually atomic on replay — under a single lock acquisition and a
-// single syncer wakeup. Batched ingestion commits a whole chunk this
-// way: per-record appends would wake the syncer once per record and
-// drain the pending buffer as thousands of tiny segment writes. Returns
-// the first group's LSN; group i committed at first+i.
+// individually atomic on replay — and assigns their LSNs under a single
+// lock acquisition and a single syncer wakeup. Batched ingestion commits
+// a whole chunk this way: per-record appends would wake the syncer once
+// per record and drain the pending buffer as thousands of tiny segment
+// writes. Returns the first group's LSN; group i committed at first+i.
+// The caller applies the ops to memtables before releasing commitMu,
+// and — if it wants durability — calls WaitDurable afterwards.
 func (w *WAL) appendOpsBatch(groups [][]walOp) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

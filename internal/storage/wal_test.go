@@ -25,7 +25,7 @@ func openTestWAL(t *testing.T, dir string, opts WALOptions) *WAL {
 // become deterministic functions of record sizes.
 func commitOne(t *testing.T, w *WAL, tree string, key, val string) uint64 {
 	t.Helper()
-	lsn, err := w.appendOps([]walOp{{tree: tree, key: []byte(key), val: []byte(val)}})
+	lsn, err := w.appendOpsBatch([][]walOp{{{tree: tree, key: []byte(key), val: []byte(val)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		lsns = append(lsns, commitOne(t, w, "p", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)))
 	}
 	// A tombstone and a multi-tree group in one record.
-	glsn, err := w.appendOps([]walOp{
+	glsn, err := w.appendOpsBatch([][]walOp{{
 		{tree: "p", key: []byte("k1"), tombstone: true},
 		{tree: "i:kw", key: []byte("tok#1")},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestWALGroupCommitCoalescesFsyncs(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				lsn, err := w.appendOps([]walOp{{tree: "p", key: []byte(fmt.Sprintf("g%d-%d", g, i))}})
+				lsn, err := w.appendOpsBatch([][]walOp{{{tree: "p", key: []byte(fmt.Sprintf("g%d-%d", g, i))}}})
 				if err != nil {
 					t.Error(err)
 					return
