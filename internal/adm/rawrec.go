@@ -163,12 +163,30 @@ func skipValue(b []byte) (int, error) {
 	return 0, fmt.Errorf("adm: skip: unknown kind %d", b[0])
 }
 
+// KeepSet is the set of top-level field names a projected decode
+// materializes. Each name maps to itself, so a decoded record names its
+// fields with the set's strings — built once per operator — instead of
+// allocating a name per kept field per record.
+type KeepSet map[string]string
+
+// NewKeepSet builds the set of fields; nil (no projection) stays nil.
+func NewKeepSet(fields []string) KeepSet {
+	if fields == nil {
+		return nil
+	}
+	keep := make(KeepSet, len(fields))
+	for _, f := range fields {
+		keep[f] = f
+	}
+	return keep
+}
+
 // DecodeRecordProjected decodes the encoded record at the front of b,
-// materializing only the fields named in keep and skipping over the
-// rest without allocation. ok is false when b does not start with a
+// materializing only the fields in keep and skipping over the rest
+// without allocation. ok is false when b does not start with a
 // well-formed record — callers fall back to a full Decode. Projected
 // fields keep their record order.
-func DecodeRecordProjected(b []byte, keep map[string]bool) (Value, bool) {
+func DecodeRecordProjected(b []byte, keep KeepSet) (Value, bool) {
 	if len(b) == 0 || Kind(b[0]) != KindRecord {
 		return Null, false
 	}
@@ -187,12 +205,12 @@ func DecodeRecordProjected(b []byte, keep map[string]bool) (Value, bool) {
 		p += n
 		name := b[p : p+int(nl)]
 		p += int(nl)
-		if keep[string(name)] {
+		if own, ok := keep[string(name)]; ok {
 			fv, vn, err := Decode(b[p:])
 			if err != nil {
 				return Null, false
 			}
-			rec.Set(string(name), fv)
+			rec.Set(own, fv)
 			p += vn
 		} else {
 			vn, err := skipValue(b[p:])
@@ -203,4 +221,44 @@ func DecodeRecordProjected(b []byte, keep map[string]bool) (Value, bool) {
 		}
 	}
 	return NewRecord(rec), true
+}
+
+// RawStringField returns the bytes of the top-level string field name
+// of the encoded record at the front of b, as a sub-slice of b and
+// without decoding anything. ok is false when b is not a well-formed
+// record, has no such field, or the field is not a string. The walk
+// covers every field, as Decode's does: a repeated name resolves to its
+// last occurrence, and a record Decode would reject is not ok.
+func RawStringField(b []byte, name string) (s []byte, ok bool) {
+	if len(b) == 0 || Kind(b[0]) != KindRecord {
+		return nil, false
+	}
+	p := 1
+	nf, n := binary.Uvarint(b[p:])
+	if n <= 0 {
+		return nil, false
+	}
+	p += n
+	for i := uint64(0); i < nf; i++ {
+		nl, n := binary.Uvarint(b[p:])
+		if n <= 0 || nl > uint64(len(b)-p-n) {
+			return nil, false
+		}
+		p += n
+		match := string(b[p:p+int(nl)]) == name
+		p += int(nl)
+		vn, err := skipValue(b[p:])
+		if err != nil {
+			return nil, false
+		}
+		if match {
+			s, ok = nil, Kind(b[p]) == KindString
+			if ok {
+				_, ln := binary.Uvarint(b[p+1:])
+				s = b[p+1+ln : p+vn]
+			}
+		}
+		p += vn
+	}
+	return s, ok
 }

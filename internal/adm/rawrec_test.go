@@ -124,10 +124,10 @@ func TestDecodeRecordProjected(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		rec := randRecord(r, 3)
 		enc := Encode(NewRecord(rec))
-		keep := map[string]bool{}
+		keep := KeepSet{}
 		for j := 0; j < rec.Len(); j++ {
 			if name, _ := rec.FieldAt(j); r.Intn(2) == 0 {
-				keep[name] = true
+				keep[name] = name
 			}
 		}
 		got, ok := DecodeRecordProjected(enc, keep)
@@ -137,7 +137,7 @@ func TestDecodeRecordProjected(t *testing.T) {
 		want := EmptyRecord(len(keep))
 		for j := 0; j < rec.Len(); j++ {
 			name, v := rec.FieldAt(j)
-			if keep[name] {
+			if _, kept := keep[name]; kept {
 				want.Set(name, v)
 			}
 		}
@@ -145,8 +145,57 @@ func TestDecodeRecordProjected(t *testing.T) {
 			t.Fatalf("projected %s, want %s (keep %v of %s)", got, NewRecord(want), keep, NewRecord(rec))
 		}
 	}
-	if _, ok := DecodeRecordProjected(Encode(NewString("x")), map[string]bool{"a": true}); ok {
+	if _, ok := DecodeRecordProjected(Encode(NewString("x")), NewKeepSet([]string{"a"})); ok {
 		t.Error("projected decode accepted a non-record")
+	}
+}
+
+// TestRawStringField: on any well-formed record the raw lookup returns
+// the string Decode would give the field — the last one of that name —
+// and is not ok for an absent or non-string field; on a truncated or
+// corrupted record it never disagrees with Decode about a string it
+// does return, and never panics.
+func TestRawStringField(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 500; i++ {
+		rec := randRecord(r, 2)
+		enc := Encode(NewRecord(rec))
+		names := append([]string{"absent"}, rec.Names()...)
+		for _, name := range names {
+			want, present := rec.Get(name)
+			got, ok := RawStringField(enc, name)
+			if ok != (present && want.Kind() == KindString) || (ok && string(got) != want.Str()) {
+				t.Fatalf("RawStringField(%s, %q) = %q, %v; record has %v, %v", NewRecord(rec), name, got, ok, want, present)
+			}
+		}
+		// Damage: a field found in a record Decode rejects would let a
+		// filter drop a row whose decode must fail the query.
+		for _, name := range names {
+			cut := enc[:r.Intn(len(enc)+1)]
+			if _, ok := RawStringField(cut, name); ok {
+				if _, _, err := Decode(cut); err != nil {
+					t.Fatalf("RawStringField found %q in a record Decode rejects: %v", name, err)
+				}
+			}
+		}
+	}
+	// A repeated name resolves like Decode does: the last one wins.
+	dup := AppendRecordFromRaw(nil, []RawField{
+		{Name: []byte("f"), Val: Encode(NewString("first"))},
+		{Name: []byte("f"), Val: Encode(NewInt(1))},
+	})
+	if s, ok := RawStringField(dup, "f"); ok {
+		t.Errorf("repeated name ending in an int: got %q, want not ok", s)
+	}
+	dup = AppendRecordFromRaw(nil, []RawField{
+		{Name: []byte("f"), Val: Encode(NewInt(1))},
+		{Name: []byte("f"), Val: Encode(NewString("last"))},
+	})
+	if s, ok := RawStringField(dup, "f"); !ok || string(s) != "last" {
+		t.Errorf("repeated name ending in a string: got %q, %v", s, ok)
+	}
+	if _, ok := RawStringField(Encode(NewString("x")), "f"); ok {
+		t.Error("found a field in a non-record")
 	}
 }
 
@@ -162,6 +211,18 @@ func FuzzSplitRecord(f *testing.F) {
 	f.Add([]byte{byte(KindRecord), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The raw field lookup runs on whatever a scan reads, before any
+		// decode: it must not panic, and a string it finds must be the
+		// one a full decode finds.
+		if s, ok := RawStringField(data, "txt"); ok {
+			v, _, err := Decode(data)
+			if err != nil {
+				t.Fatalf("RawStringField found txt in a record Decode rejects: %v", err)
+			}
+			if f, _ := v.Rec().Get("txt"); f.Kind() != KindString || f.Str() != string(s) {
+				t.Fatalf("RawStringField found txt = %q, Decode has %v", s, f)
+			}
+		}
 		fields, ok := SplitRecord(data)
 		if !ok {
 			return
@@ -170,7 +231,7 @@ func FuzzSplitRecord(f *testing.F) {
 		if !bytes.Equal(back, data) {
 			t.Fatalf("accepted input does not round-trip:\n got %x\nwant %x", back, data)
 		}
-		if _, ok := DecodeRecordProjected(data, map[string]bool{}); !ok {
+		if _, ok := DecodeRecordProjected(data, KeepSet{}); !ok {
 			// A splittable record must at minimum project to empty; a
 			// mismatch between the two walkers would corrupt scans.
 			t.Fatalf("splittable record failed projected decode")

@@ -137,14 +137,14 @@ type Op struct {
 	// lets the scan or lookup decode only those fields and, on columnar
 	// components, skip unreferenced column blocks.
 	ProjectFields []string
+	// Filter, on OpScan and OpPrimaryLookup, is a similarity conjunct of
+	// the select directly above the source, which the source checks on
+	// each stored record before decoding it (see RecordFilter). Nil
+	// means every record read is decoded and emitted.
+	Filter *RecordFilter
 
 	// OpSelect / OpJoin
 	Cond Expr
-	// BatchVerify, on OpSelect, marks a condition carrying a similarity
-	// conjunct with a constant query side. Job generation lowers such
-	// selects to the vectorized verify operator, which tokenizes the
-	// query once per instance and checks candidates in batches.
-	BatchVerify bool
 	// FusedAssignVars/FusedAssignExprs, on OpSelect, hold an Assign the
 	// specialization pass folded into the select: the evaluator computes
 	// these bindings and the condition in one pass over each tuple. The
@@ -525,7 +525,7 @@ func Print(root *Op) string {
 func opDetail(o *Op) string {
 	switch o.Kind {
 	case OpScan:
-		return fmt.Sprintf(" %s.%s -> pk:%v rec:%v", o.Dataverse, o.Dataset, o.PKVar, o.RecVar) + projectDetail(o)
+		return fmt.Sprintf(" %s.%s -> pk:%v rec:%v", o.Dataverse, o.Dataset, o.PKVar, o.RecVar) + sourceDetail(o)
 	case OpSelect, OpJoin:
 		d := fmt.Sprintf(" (%s)", o.Cond)
 		if o.Kind == OpJoin && o.Phys != JoinPhysUnset {
@@ -537,9 +537,6 @@ func opDetail(o *Op) string {
 				parts[i] = fmt.Sprintf("%v := %s", o.FusedAssignVars[i], o.FusedAssignExprs[i])
 			}
 			d += fmt.Sprintf(" [fused-assign %s]", strings.Join(parts, ", "))
-		}
-		if o.Kind == OpSelect && o.BatchVerify {
-			d += " [batched]"
 		}
 		return d
 	case OpAssign:
@@ -593,15 +590,20 @@ func opDetail(o *Op) string {
 	case OpSecondarySearch:
 		return fmt.Sprintf(" %s.%s.%s keys=%s T=%s -> %v", o.Dataverse, o.Dataset, o.IndexName, o.KeyExpr, o.TExpr, o.OutVar)
 	case OpPrimaryLookup:
-		return fmt.Sprintf(" %s.%s pk=%s -> %v,%v", o.Dataverse, o.Dataset, o.PKExpr, o.PKVar, o.RecVar) + projectDetail(o)
+		return fmt.Sprintf(" %s.%s pk=%s -> %v,%v", o.Dataverse, o.Dataset, o.PKExpr, o.PKVar, o.RecVar) + sourceDetail(o)
 	}
 	return ""
 }
 
-// projectDetail renders a record source's projection annotation.
-func projectDetail(o *Op) string {
-	if o.ProjectFields == nil {
-		return ""
+// sourceDetail renders a record source's projection and filter
+// annotations.
+func sourceDetail(o *Op) string {
+	d := ""
+	if o.ProjectFields != nil {
+		d = fmt.Sprintf(" project:[%s]", strings.Join(o.ProjectFields, ", "))
 	}
-	return fmt.Sprintf(" project:[%s]", strings.Join(o.ProjectFields, ", "))
+	if o.Filter != nil {
+		d += fmt.Sprintf(" filter:[%s]", o.Filter)
+	}
+	return d
 }

@@ -1,0 +1,74 @@
+package algebra
+
+import (
+	"fmt"
+	"strconv"
+
+	"simdb/internal/adm"
+	"simdb/internal/sim"
+	"simdb/internal/tokenizer"
+)
+
+// RecordFilter is one similarity conjunct of the select directly above
+// a record source, restated on the stored bytes of a top-level field:
+//
+//	similarity-jaccard(word-tokens($rec.Field), Tokens) >= Delta
+//	edit-distance($rec.Field, Query) <= K
+//
+// The source evaluates it on each encoded record before decoding it and
+// drops the rows it rejects. The select stays as it is and decides;
+// the filter only has to be sound — it may reject a row only when the
+// conjunct, evaluated on that row, is not true and raises no error. It
+// therefore speaks only about rows whose field is a string: a missing
+// or null field, a pre-tokenized list, a value word-tokens or
+// edit-distance would raise on, and a record that does not decode all
+// pass.
+type RecordFilter struct {
+	Field string
+	// Jaccard selects the first form (Tokens, Delta > 0); otherwise the
+	// second (Query, K).
+	Jaccard bool
+	Tokens  []string
+	Delta   float64
+	Query   string
+	K       int
+}
+
+// String renders the filter for the source's plan line.
+func (f *RecordFilter) String() string {
+	if f.Jaccard {
+		return fmt.Sprintf("similarity-jaccard(word-tokens(%s), %s) >= %s",
+			f.Field, adm.NewStringList(f.Tokens), strconv.FormatFloat(f.Delta, 'g', -1, 64))
+	}
+	return fmt.Sprintf("edit-distance(%s, %s) <= %d", f.Field, strconv.Quote(f.Query), f.K)
+}
+
+// New compiles the filter for one operator instance: the query side is
+// set up once, and the returned function finds the field in an encoded
+// record (whole or projected) without decoding it, tokenizes into
+// scratch it owns, and checks with the length filter and early
+// termination of the check builtins. A rejected row allocates nothing.
+// The function is not safe for concurrent use. A nil filter compiles to
+// a nil function.
+func (f *RecordFilter) New() func(val []byte) bool {
+	if f == nil {
+		return nil
+	}
+	if f.Jaccard {
+		checker := sim.NewJaccardChecker(f.Tokens)
+		var scratch tokenizer.WordScratch
+		return func(val []byte) bool {
+			s, ok := adm.RawStringField(val, f.Field)
+			if !ok {
+				return true
+			}
+			_, pass := checker.Check(scratch.WordTokens(s), f.Delta)
+			return pass
+		}
+	}
+	checker := sim.NewEditDistanceChecker(f.Query)
+	return func(val []byte) bool {
+		s, ok := adm.RawStringField(val, f.Field)
+		return !ok || checker.Check(s, f.K)
+	}
+}

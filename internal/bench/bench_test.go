@@ -104,8 +104,8 @@ func TestScanBench(t *testing.T) {
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Cells) != 5 {
-		t.Fatalf("report has %d cells, want 5", len(report.Cells))
+	if len(report.Cells) != 4 {
+		t.Fatalf("report has %d cells, want 4", len(report.Cells))
 	}
 	if report.Cells[0].Rows == 0 {
 		t.Error("scan query matched no rows; the sweep measured nothing")

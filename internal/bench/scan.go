@@ -17,13 +17,12 @@ import (
 )
 
 // ScanCell is one configuration point of the scan sweep: a storage
-// format crossed with the projection-pushdown and batched-verify
-// toggles, all running the same two-field similarity query.
+// format crossed with the projection-pushdown toggle, all running the
+// same two-field similarity query.
 type ScanCell struct {
 	Label    string  `json:"label"`
 	Format   string  `json:"format"`
 	Pushdown bool    `json:"pushdown"`
-	Batched  bool    `json:"batched"`
 	Rows     int64   `json:"rows"`
 	WallMs   float64 `json:"wall_ms"`
 }
@@ -39,22 +38,20 @@ type ScanReport struct {
 	// the end-to-end gain of columnar components plus projection for a
 	// query touching 2 of the record's fields.
 	SpeedupColumnar float64 `json:"speedup_columnar"`
-	// SpeedupBatched is per-tuple verify wall over batched verify wall
-	// on the columnar/pushdown configuration.
-	SpeedupBatched float64 `json:"speedup_batched"`
 }
 
 // ScanBench measures the full-scan similarity query path across the
-// storage-format and executor toggles this reproduction adds on top of
-// the paper: row versus columnar components, projection pushdown on
-// versus off, and per-tuple versus batched verification. The dataset
+// storage-format toggles this reproduction adds on top of the paper:
+// row versus columnar components, projection pushdown on versus off.
+// Every cell runs with the scan's record filter, which has no toggle.
+// The dataset
 // is deliberately wide — eight fields, most of them bulky payload the
 // query never reads — so the two-field query (summary for the
 // similarity predicate, id for the result) isolates how much decode
 // and read work each configuration avoids. Each format loads the same
 // records into its own fresh database; results go to BENCH_scan.json.
 func (e *Env) ScanBench() error {
-	e.logf("\n=== Scan: columnar + projection pushdown + batched verify ===\n")
+	e.logf("\n=== Scan: columnar + projection pushdown ===\n")
 	n := e.Scale
 	recs := genWideRecords(n)
 
@@ -67,18 +64,16 @@ func (e *Env) ScanBench() error {
 	type cellSpec struct {
 		format   string
 		pushdown bool
-		batched  bool
 	}
 	specs := []cellSpec{
-		{"row", false, false},
-		{"row", true, false},
-		{"columnar", false, false},
-		{"columnar", true, false},
-		{"columnar", true, true},
+		{"row", false},
+		{"row", true},
+		{"columnar", false},
+		{"columnar", true},
 	}
 
 	report := ScanReport{Experiment: "scan", Scale: n, Nodes: e.Nodes, Fields: wideFieldCount}
-	e.logf("%-22s %10s %9s %9s %8s %12s\n", "config", "format", "pushdown", "batched", "rows", "wall(ms)")
+	e.logf("%-22s %10s %9s %8s %12s\n", "config", "format", "pushdown", "rows", "wall(ms)")
 	walls := map[string]time.Duration{}
 	for _, format := range []string{"row", "columnar"} {
 		dir := filepath.Join(e.Dir, "scan-"+format)
@@ -90,7 +85,7 @@ func (e *Env) ScanBench() error {
 			if spec.format != format {
 				continue
 			}
-			wall, rows, err := timeScanQuery(db, query, spec.pushdown, spec.batched)
+			wall, rows, err := timeScanQuery(db, query, spec.pushdown)
 			if err != nil {
 				db.Close()
 				return fmt.Errorf("scan %s: %w", format, err)
@@ -101,21 +96,17 @@ func (e *Env) ScanBench() error {
 			} else {
 				label += "/scan-all"
 			}
-			if spec.batched {
-				label += "/batched"
-			}
 			walls[label] = wall
 			cell := ScanCell{
 				Label:    label,
 				Format:   spec.format,
 				Pushdown: spec.pushdown,
-				Batched:  spec.batched,
 				Rows:     rows,
 				WallMs:   float64(wall.Microseconds()) / 1000,
 			}
 			report.Cells = append(report.Cells, cell)
-			e.logf("%-22s %10s %9v %9v %8d %12.2f\n",
-				label, spec.format, spec.pushdown, spec.batched, rows, cell.WallMs)
+			e.logf("%-22s %10s %9v %8d %12.2f\n",
+				label, spec.format, spec.pushdown, rows, cell.WallMs)
 		}
 		db.Close()
 		_ = os.RemoveAll(dir)
@@ -133,11 +124,7 @@ func (e *Env) ScanBench() error {
 	if w := walls["columnar/pushdown"]; w > 0 {
 		report.SpeedupColumnar = float64(walls["row/scan-all"]) / float64(w)
 	}
-	if w := walls["columnar/pushdown/batched"]; w > 0 {
-		report.SpeedupBatched = float64(walls["columnar/pushdown"]) / float64(w)
-	}
 	e.logf("columnar+pushdown speedup over row scan-all: %.2fx\n", report.SpeedupColumnar)
-	e.logf("batched verify speedup over per-tuple:       %.2fx\n", report.SpeedupBatched)
 
 	dir := e.ReportDir
 	if dir == "" {
@@ -233,13 +220,12 @@ func openScanDB(dir string, nodes, parts int, format string, recs []adm.Value) (
 	return db, nil
 }
 
-// timeScanQuery runs the query with the given toggles — one warmup,
+// timeScanQuery runs the query with the given toggle — one warmup,
 // then the median wall of three timed runs — and returns the median
 // and the row count.
-func timeScanQuery(db *core.Database, query string, pushdown, batched bool) (time.Duration, int64, error) {
+func timeScanQuery(db *core.Database, query string, pushdown bool) (time.Duration, int64, error) {
 	sess := sessionWith(func(o *optimizer.Options) {
 		o.ProjectionPushdown = pushdown
-		o.BatchedVerify = batched
 		o.UseIndexes = false
 	})
 	var rows int64

@@ -189,6 +189,9 @@ func TestExplainMatchesWhatRuns(t *testing.T) {
 			where edit-distance($r.reviewerName, 'Mogo Bani') <= 1` + ret,
 	} {
 		explained := rowsText(exec(t, c, sess, "explain "+q))
+		if lookup := planLine(explained, "primary-index-lookup"); !strings.Contains(lookup, "filter:[") {
+			t.Errorf("%s: the lookup carries no record filter: %q", name, lookup)
+		}
 		plans := map[string]string{}
 		// Several warm runs: however hot the text gets, its plan stays the
 		// one explain printed.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -10,8 +9,6 @@ import (
 	"simdb/internal/algebra"
 	"simdb/internal/hyracks"
 	"simdb/internal/invindex"
-	"simdb/internal/optimizer"
-	"simdb/internal/sim"
 	"simdb/internal/storage"
 )
 
@@ -233,10 +230,11 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 	}
 	pkField := meta.PKField
 	fields := scanFields(op.ProjectFields, pkField)
+	keep, filter := adm.NewKeepSet(fields), op.Filter
 	c := g.c
 	node := g.job.Add("DataScan("+ds+")", g.parts, hyracks.SourceFunc(
 		func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-			return c.scanPartition(ctx.Ctx, dv, ds, pkField, fields, ctx.Part, emit)
+			return c.scanPartition(ctx, dv, ds, pkField, fields, keep, filter, emit)
 		}))
 	return &genOut{node: node, schema: []algebra.Var{op.PKVar, op.RecVar}, parts: g.parts}, nil
 }
@@ -288,14 +286,6 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 	if verifier {
 		name = "Select(verify)"
 	}
-	if op.BatchVerify {
-		cols := colMap(in.schema)
-		if fn, compiled, ok := batchedVerifyOp(op.Cond, cols, verifier, counters); ok {
-			node := g.job.Add(interpretedMark(name+"[batched]", compiled), in.parts, fn,
-				g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-			return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: in.sortCols}, nil
-		}
-	}
 	schema := in.schema
 	if len(op.FusedAssignVars) > 0 {
 		schema = append(append([]algebra.Var(nil), in.schema...), op.FusedAssignVars...)
@@ -334,119 +324,6 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 			return nil
 		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 	return &genOut{node: node, schema: schema, parts: in.parts, sortCols: in.sortCols}, nil
-}
-
-// batchVerifyState is one verifier instance's state: the checker's
-// mutable count map and the instance's evaluators (rest is nil when the
-// similarity conjunct is the whole condition).
-type batchVerifyState struct {
-	checker          *sim.JaccardChecker
-	cand, orig, rest tupleEval
-}
-
-// batchedVerifyOp lowers a BatchVerify-marked select condition to a
-// vectorized operator: the Jaccard conjunct's constant query side is
-// tokenized once here at job-generation time, each operator instance
-// gets its own JaccardChecker (the count map is mutable scratch), and
-// candidates are checked a frame at a time with the length filter and
-// early termination of similarity-jaccard-check. Remaining conjuncts
-// evaluate per survivor. compiled reports whether every per-tuple
-// expression compiled. Returns ok=false when the condition does not
-// decompose after all — the caller falls back to the per-tuple select,
-// which is always semantically equivalent.
-func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool, counters *QueryCounters) (newOp func() hyracks.Operator, compiled, ok bool) {
-	conjs := algebra.Conjuncts(cond)
-	simIdx := -1
-	var sc optimizer.SimConjunct
-	for i, conj := range conjs {
-		c, ok := optimizer.ParseSimConjunct(conj)
-		if !ok || c.Fn != "jaccard" {
-			continue
-		}
-		lConst := len(algebra.UsedVars(c.Left, nil)) == 0
-		rConst := len(algebra.UsedVars(c.Right, nil)) == 0
-		if lConst == rConst {
-			continue
-		}
-		if !lConst {
-			c.Left, c.Right = c.Right, c.Left
-		}
-		simIdx, sc = i, c
-		break
-	}
-	if simIdx < 0 {
-		return nil, false, false
-	}
-	qv, err := algebra.Eval(sc.Left, algebra.NewEnv(nil, nil))
-	if err != nil {
-		return nil, false, false
-	}
-	queryToks, ok := algebra.TokensOf(qv)
-	if !ok {
-		return nil, false, false
-	}
-	delta := sc.Threshold
-	newCand, candCompiled := evalFactory(sc.Right, cols)
-	// Null or non-list candidates defer to the original conjunct, so
-	// edge-case semantics stay identical.
-	newOrig, origCompiled := evalFactory(sc.Orig, cols)
-	compiled = candCompiled && origCompiled
-	var newRest func() tupleEval
-	if len(conjs) > 1 {
-		others := make([]algebra.Expr, 0, len(conjs)-1)
-		others = append(others, conjs[:simIdx]...)
-		others = append(others, conjs[simIdx+1:]...)
-		var restCompiled bool
-		newRest, restCompiled = evalFactory(algebra.AndAll(others), cols)
-		compiled = compiled && restCompiled
-	}
-	return hyracks.FlatMapBatch(
-		func() *batchVerifyState {
-			st := &batchVerifyState{
-				checker: sim.NewJaccardChecker(queryToks),
-				cand:    newCand(),
-				orig:    newOrig(),
-			}
-			if newRest != nil {
-				st.rest = newRest()
-			}
-			return st
-		},
-		func(ctx *hyracks.TaskCtx, st *batchVerifyState, batch []hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			for _, t := range batch {
-				cv, err := st.cand(t)
-				if err != nil {
-					return err
-				}
-				if toks, ok := algebra.TokensOf(cv); ok {
-					if _, pass := st.checker.Check(toks, delta); !pass {
-						continue
-					}
-				} else {
-					v, err := st.orig(t)
-					if err != nil {
-						return err
-					}
-					if !algebra.Truthy(v) {
-						continue
-					}
-				}
-				if st.rest != nil {
-					v, err := st.rest(t)
-					if err != nil {
-						return err
-					}
-					if !algebra.Truthy(v) {
-						continue
-					}
-				}
-				if verifier {
-					counters.VerifiedTotal.Add(1)
-				}
-				emit(t)
-			}
-			return nil
-		}), compiled, true
 }
 
 func (g *jobGen) genAssign(op *algebra.Op) (*genOut, error) {
@@ -1020,7 +897,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 	raw := op.RawPK
 	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField
 	fields := scanFields(op.ProjectFields, pkField)
-	proj, keep := storage.NewProjection(fields), keepSet(fields)
+	proj, keep, filter := storage.NewProjection(fields), adm.NewKeepSet(fields), op.Filter
 	c := g.c
 	// One tree resolution and one snapshot per operator instance: every
 	// lookup of the query reads the same version of the partition, and
@@ -1035,6 +912,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 			snap := tree.Snapshot()
 			defer snap.Close()
 			ev := newEval()
+			pass := filter.New()
 			for {
 				t, ok := in[0].Next()
 				if !ok {
@@ -1060,7 +938,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 				if err != nil {
 					return err
 				}
-				if !found {
+				if !found || (pass != nil && !pass(val)) {
 					continue
 				}
 				rec, err := decodeRecord(val, keep)
@@ -1086,15 +964,22 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 // and row components skip decoding the unreferenced fields. The
 // emitted records then carry just the projected fields, which is
 // only correct because the optimizer proved no other field is used.
-func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fields []string, part int, emit func(hyracks.Tuple)) error {
-	node := c.nodeOfPartition(part)
-	tree, err := node.primary(dv, ds, part)
+// A non-nil filter is checked on each stored value first: a row it
+// rejects is not decoded, and the instance reports the rows it read as
+// its tuples in.
+func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, emit func(hyracks.Tuple)) error {
+	tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 	if err != nil {
 		return err
 	}
-	keep := keepSet(fields)
+	pass := filter.New()
 	var scanErr error
-	err = tree.ScanProjectedContext(ctx, nil, nil, fields, func(key, val []byte) bool {
+	var read int64
+	err = tree.ScanProjectedContext(ctx.Ctx, nil, nil, fields, func(key, val []byte) bool {
+		read++
+		if pass != nil && !pass(val) {
+			return true
+		}
 		rec, derr := decodeRecord(val, keep)
 		if derr != nil {
 			scanErr = derr
@@ -1104,23 +989,13 @@ func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fie
 		emit(hyracks.Tuple{pk, rec})
 		return true
 	})
+	if pass != nil {
+		ctx.RowsRead = read
+	}
 	if scanErr != nil {
 		return scanErr
 	}
 	return err
-}
-
-// keepSet is the field list of a projected scan or lookup as the set
-// adm.DecodeRecordProjected takes; nil (no projection) stays nil.
-func keepSet(fields []string) map[string]bool {
-	if fields == nil {
-		return nil
-	}
-	keep := make(map[string]bool, len(fields))
-	for _, f := range fields {
-		keep[f] = true
-	}
-	return keep
 }
 
 // decodeRecord decodes a stored record value. Under a projection it
@@ -1128,7 +1003,7 @@ func keepSet(fields []string) map[string]bool {
 // value may be a partial record (columnar component) or a whole one
 // (memtable, row component); a value the projected decoder does not
 // take falls back to the full decode.
-func decodeRecord(val []byte, keep map[string]bool) (adm.Value, error) {
+func decodeRecord(val []byte, keep adm.KeepSet) (adm.Value, error) {
 	if keep != nil {
 		if rec, ok := adm.DecodeRecordProjected(val, keep); ok {
 			return rec, nil

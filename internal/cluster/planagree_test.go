@@ -232,8 +232,8 @@ func TestProjectedLookupPlansAgree(t *testing.T) {
 				if q.project == "" && strings.Contains(lookup, "project:[") {
 					t.Errorf("%s: whole-record lookup got a projection: %s", q.name, lookup)
 				}
-				if q.project != "" && !strings.HasSuffix(lookup, q.project) {
-					t.Errorf("%s: lookup is %q, want it to end in %q", q.name, lookup, q.project)
+				if q.project != "" && !strings.Contains(lookup, q.project+" filter:[") {
+					t.Errorf("%s: lookup is %q, want %q and a filter", q.name, lookup, q.project)
 				}
 				if resultKey(got) != resultKey(want) {
 					t.Errorf("%s: index plan with projected lookup differs from the scan plan (%d vs %d rows)",
@@ -276,7 +276,8 @@ func planLine(plan, op string) string {
 
 // TestExplainShowsLookupProjection pins the explain text of the CANON
 // index selection: the projection annotation sits on the primary-index
-// lookup, naming the three fields the plan reads from the record.
+// lookup, naming the three fields the plan reads from the record, and
+// the filter annotation restates the select's similarity conjunct.
 func TestExplainShowsLookupProjection(t *testing.T) {
 	c := newTestCluster(t, 1, 2)
 	sess := NewSession()
@@ -287,8 +288,8 @@ func TestExplainShowsLookupProjection(t *testing.T) {
 		return {'id': $r.id, 'summary': $r.summary, 'reviewerName': $r.reviewerName}`))
 	const golden = `#0 distribute-result $3
   #1 assign $3 := record("id", field-access($2, "id"), "summary", field-access($2, "summary"), "reviewerName", field-access($2, "reviewerName"))
-    #2 select (ge(similarity-jaccard(word-tokens(field-access($2, "summary")), ["the", "great", "product", "of", "love"]), 0.5)) [batched]
-      #3 primary-index-lookup Default.ARevs pk=$4 -> $1,$2 project:[id, reviewerName, summary]
+    #2 select (ge(similarity-jaccard(word-tokens(field-access($2, "summary")), ["the", "great", "product", "of", "love"]), 0.5))
+      #3 primary-index-lookup Default.ARevs pk=$4 -> $1,$2 project:[id, reviewerName, summary] filter:[similarity-jaccard(word-tokens(summary), ["the", "great", "product", "of", "love"]) >= 0.5]
         #4 order $4 asc
           #5 secondary-index-search Default.ARevs.xkw keys=["the#1", "great#1", "product#1", "of#1", "love#1"] T=3 -> $4
             #6 empty-tuple-source

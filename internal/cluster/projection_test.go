@@ -107,7 +107,7 @@ func TestOptionOverridesBypassPlanCache(t *testing.T) {
 	}{
 		{"defaults spelled out", nil, true},
 		{"no projection", func(o *optimizer.Options) { o.ProjectionPushdown = false }, false},
-		{"no batched verify", func(o *optimizer.Options) { o.BatchedVerify = false }, true},
+		{"no indexes", func(o *optimizer.Options) { o.UseIndexes = false }, true},
 	} {
 		res := exec(t, c, sessWith(tc.mod), jaccardQuery)
 		if res.Stats.PlanCacheHit {
@@ -122,65 +122,6 @@ func TestOptionOverridesBypassPlanCache(t *testing.T) {
 	}
 	if res := exec(t, c, sess, jaccardQuery); !res.Stats.PlanCacheHit {
 		t.Fatal("base session missed its own entry after the override runs")
-	}
-}
-
-// TestBatchedVerifyEquivalence runs similarity selections with the
-// vectorized verifier on and off and demands identical rows, covering
-// extra conjuncts, strict comparison, the flipped argument order, and
-// the index-candidate verification path.
-func TestBatchedVerifyEquivalence(t *testing.T) {
-	for _, format := range []string{"row", "columnar"} {
-		t.Run(format, func(t *testing.T) {
-			c := newTestClusterFormat(t, format)
-			sess := NewSession()
-			loadReviews(t, c, sess)
-
-			queries := []string{
-				jaccardQuery,
-				// Extra conjunct alongside the similarity predicate.
-				`for $r in dataset Reviews
-				 where similarity-jaccard(word-tokens($r.summary),
-				                          word-tokens('great product fantastic')) >= 0.3
-				   and $r.id >= 4
-				 return $r.id`,
-				// Strict comparison and flipped argument order.
-				`for $r in dataset Reviews
-				 where similarity-jaccard(word-tokens('best product ever'),
-				                          word-tokens($r.summary)) > 0.4
-				 return $r.id`,
-				// Zero threshold keeps every record.
-				`for $r in dataset Reviews
-				 where similarity-jaccard(word-tokens($r.summary),
-				                          word-tokens('nothing shared here')) >= 0.0
-				 return $r.id`,
-			}
-			on := sessWith(nil)
-			off := sessWith(func(o *optimizer.Options) { o.BatchedVerify = false })
-			for _, q := range queries {
-				got := exec(t, c, on, q)
-				want := exec(t, c, off, q)
-				if gs, ws := resultKey(got), resultKey(want); gs != ws {
-					t.Errorf("query %q: batched %q, per-tuple %q", q, gs, ws)
-				}
-			}
-			if res := exec(t, c, on, jaccardQuery); !strings.Contains(res.Stats.LogicalPlan, "[batched]") {
-				t.Errorf("batched plan not marked:\n%s", res.Stats.LogicalPlan)
-			}
-
-			// Index plan: the batched select is the global verification
-			// stage, so it must also keep the verified-count bookkeeping.
-			exec(t, c, sess, `create index rsum on Reviews(summary) type keyword;`)
-			idxOn := exec(t, c, on, jaccardQuery)
-			idxOff := exec(t, c, off, jaccardQuery)
-			if gs, ws := resultKey(idxOn), resultKey(idxOff); gs != ws {
-				t.Errorf("index plan: batched %q, per-tuple %q", gs, ws)
-			}
-			if idxOn.Stats.VerifiedTotal != int64(len(idxOn.Rows)) {
-				t.Errorf("batched verifier counted %d, want %d survivors",
-					idxOn.Stats.VerifiedTotal, len(idxOn.Rows))
-			}
-		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,6 +147,40 @@ func TestTransportEquivalence(t *testing.T) {
 			return $r.id`)
 		if len(res.Rows) == 0 {
 			t.Error("scan selection found nothing")
+		}
+	})
+
+	t.Run("scan-filter", func(t *testing.T) {
+		// The worker re-derives the plan from the query text, so it must
+		// derive the scan's record filter too. A scan instance reports rows
+		// read as its tuples in only when it ran with a filter: were the
+		// worker's scans unfiltered, the table would show fewer rows read
+		// than the dataset has and more emitted than the query returns.
+		const q = `
+			for $r in dataset EqReviews
+			where similarity-jaccard(word-tokens($r.summary), word-tokens('great heart works')) >= 0.6
+			return $r.id`
+		res, _ := assertEquivalent(t, inproc, tcp, noIndexSession, q)
+		if len(res.Rows) == 0 || len(res.Rows) >= 120 {
+			t.Fatalf("selection returned %d of 240 rows; the case needs a selective query with an answer", len(res.Rows))
+		}
+		for name, c := range map[string]*Cluster{"inproc": inproc, "tcp": tcp} {
+			report := rowsText(exec(t, c, noIndexSession(), "explain analyze "+q))
+			if !strings.Contains(report, "filter:[similarity-jaccard(word-tokens(summary), ") {
+				t.Errorf("%s: plan carries no filter:\n%s", name, report)
+			}
+			found := false
+			for _, row := range parseOpTable(t, report) {
+				if row.name == "DataScan(EqReviews)" {
+					found = true
+					if row.inst != 4 || row.in != 240 || row.out != int64(len(res.Rows)) {
+						t.Errorf("%s: scan row %q, want 4 instances reading 240 rows and emitting %d", name, row.raw, len(res.Rows))
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s: no DataScan(EqReviews) row:\n%s", name, report)
+			}
 		}
 	})
 

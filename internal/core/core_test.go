@@ -177,24 +177,31 @@ func TestExplain(t *testing.T) {
 func TestExplainMatchesExplainStatement(t *testing.T) {
 	db := openTestDB(t)
 	db.MustExecute(`create dataset D primary key id;`)
-	req := `set memorybudget '128k';
+	for _, tc := range []struct{ req, must string }{
+		// A 128 KiB budget flips the group-by plan; both routes must show it.
+		{`set memorybudget '128k';
 		for $a in dataset D for $b in dataset D
 		where similarity-jaccard(word-tokens($a.t), word-tokens($b.t)) >= 0.5 and $a.id < $b.id
-		return {'a': $a.id, 'b': $b.id}`
-	ex, err := db.Explain(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query("explain " + req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []string
-	for _, r := range res.Rows {
-		rows = append(rows, r.Str())
-	}
-	if got, want := strings.TrimRight(ex.Plan, "\n"), strings.Join(rows, "\n"); got != want {
-		t.Errorf("Explain plan differs from explain rows:\n--- Explain\n%s\n--- explain\n%s", got, want)
+		return {'a': $a.id, 'b': $b.id}`, "data-scan"},
+		// A selection's record filter is part of the plan on both routes.
+		{`for $d in dataset D where edit-distance($d.t, 'marla') <= 1 return $d.id`,
+			`filter:[edit-distance(t, "marla") <= 1]`},
+	} {
+		ex, err := db.Explain(nil, tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query("explain " + tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			rows = append(rows, r.Str())
+		}
+		if got, want := strings.TrimRight(ex.Plan, "\n"), strings.Join(rows, "\n"); got != want || !strings.Contains(got, tc.must) {
+			t.Errorf("Explain plan differs from explain rows, or lacks %q:\n--- Explain\n%s\n--- explain\n%s", tc.must, got, want)
+		}
 	}
 	for _, bad := range []string{
 		`set bogus 'x'; for $d in dataset D return $d`,

@@ -463,7 +463,7 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 						err = em.sendErr
 					}
 				}
-				var tuplesIn int64
+				tuplesIn := tc.RowsRead
 				for _, pr := range ins {
 					tuplesIn += pr.tuplesIn
 				}

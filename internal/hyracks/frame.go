@@ -99,9 +99,6 @@ type PortReader struct {
 	inited bool
 	bufs   [][]Tuple
 	poss   []int
-
-	// one is NextBatch's reusable single-tuple batch for merging ports.
-	one [1]Tuple
 }
 
 // Next returns the next tuple, or ok=false when the port is exhausted
@@ -132,46 +129,6 @@ func (r *PortReader) Next() (Tuple, bool) {
 	r.bufPos++
 	r.tuplesIn++
 	return t, true
-}
-
-// NextBatch returns the next run of tuples from the port: the unread
-// remainder of the current frame for plain ports (zero-copy, up to one
-// frame's worth), or a single tuple for merging ports (batching
-// would break the merge order). ok=false means exhausted or cancelled,
-// like Next. The returned slice is valid only until the next call;
-// batch-oriented operators iterate it in place to amortize per-tuple
-// dispatch without changing delivery order.
-func (r *PortReader) NextBatch() ([]Tuple, bool) {
-	if r.chans != nil {
-		t, ok := r.nextMerged()
-		if !ok {
-			return nil, false
-		}
-		r.one[0] = t
-		return r.one[:], true
-	}
-	for r.bufPos >= len(r.buf) {
-		t0 := time.Now()
-		r.state.set("recv", r.portIdx, r.ch)
-		select {
-		case f, ok := <-r.ch:
-			r.state.clear()
-			*r.waitNs += time.Since(t0).Nanoseconds()
-			if !ok {
-				return nil, false
-			}
-			r.buf = f.tuples
-			r.bufPos = 0
-		case <-r.ctx.Done():
-			r.state.clear()
-			*r.waitNs += time.Since(t0).Nanoseconds()
-			return nil, false
-		}
-	}
-	batch := r.buf[r.bufPos:]
-	r.bufPos = len(r.buf)
-	r.tuplesIn += int64(len(batch))
-	return batch, true
 }
 
 // Drain consumes and discards any remaining input (used on early exit

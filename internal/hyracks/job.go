@@ -132,6 +132,11 @@ type TaskCtx struct {
 	// executor after Run returns.
 	SpillRuns    int64
 	SpilledBytes int64
+	// RowsRead is set by a source that reads more rows than it emits (a
+	// scan with a record filter): the executor reports it as the
+	// instance's tuples in, so read versus emitted shows on the source's
+	// line. Owned and harvested like the spill counters.
+	RowsRead int64
 }
 
 // canSpill reports whether this instance may write spill runs.

@@ -41,34 +41,6 @@ func FlatMap(fn func(ctx *TaskCtx, t Tuple, emit func(Tuple)) error) func() Oper
 	}
 }
 
-// FlatMapBatch is FlatMap over tuple vectors: fn receives each run of
-// buffered tuples (a frame's worth for plain ports) plus per-instance
-// state from newState, created once per operator instance — closures
-// are shared across partitions, so any mutable scratch must live in
-// the state, never in the closure. The batched similarity verifier
-// uses this to build its query token map once and reuse it across
-// every candidate the instance sees.
-func FlatMapBatch[S any](
-	newState func() S,
-	fn func(ctx *TaskCtx, st S, batch []Tuple, emit func(Tuple)) error,
-) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			st := newState()
-			emit := func(t Tuple) { out[0].Emit(t) }
-			for {
-				batch, ok := in[0].NextBatch()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				if err := fn(ctx, st, batch, emit); err != nil {
-					return err
-				}
-			}
-		})
-	}
-}
-
 // MapStateful is FlatMap with per-instance state created by newState
 // and a finish hook for emitting trailing tuples.
 func MapStateful[S any](

@@ -48,12 +48,6 @@ type Options struct {
 	// skip decoding (and, on columnar components, skip reading) the
 	// rest.
 	ProjectionPushdown bool
-	// BatchedVerify marks selects whose condition carries a similarity
-	// conjunct with a constant query side, so job generation lowers
-	// them to the vectorized verifier (query tokenized once per
-	// operator instance, candidates checked in batches with early
-	// termination).
-	BatchedVerify bool
 	// MemoryBudgetBytes is the per-query operator memory budget the plan
 	// will execute under (0 = unlimited). Physical rules consult it: a
 	// very tight budget demotes hash-hinted group-bys to the sort-based
@@ -65,7 +59,7 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		UseIndexes: true, UseThreeStageJoin: true, SurrogateINLJ: true,
-		ReuseSubplans: true, ProjectionPushdown: true, BatchedVerify: true,
+		ReuseSubplans: true, ProjectionPushdown: true,
 	}
 }
 
@@ -156,8 +150,8 @@ func (o *Optimizer) Optimize(root *algebra.Op) (*algebra.Op, error) {
 			{"group-by-hash-to-sort", hashGroupBudgetRule},
 			{"normalize-keys", normalizeKeys},
 			{"projection-pushdown", projectionPushdownRule},
-			{"batch-similarity-verify", batchVerifyRule},
 			{"specialize-plan", specializeRule},
+			{"source-filter", sourceFilterRule},
 		},
 	}
 	for _, rs := range ruleSets {

@@ -446,7 +446,8 @@ func TestOptimizerTrace(t *testing.T) {
 // TestSpecializationIsUnconditional pins that every plan gets the
 // specialization pass, whatever the ablation switches say: the constant
 // side of the predicate folds to a token list and the let's assign fuses
-// into the select above it.
+// into the select above it — which is what lets the source filter see
+// through the let to the scan.
 func TestSpecializationIsUnconditional(t *testing.T) {
 	src := `
 		for $t in dataset ARevs
@@ -454,19 +455,19 @@ func TestSpecializationIsUnconditional(t *testing.T) {
 		where similarity-jaccard($toks, word-tokens('great product')) >= 0.5
 		return $t.id
 	`
-	// With the defaults the select is lowered to the batched verifier,
-	// which keeps its shape, so fusion shows with the switches off.
 	for _, tc := range []struct {
-		name  string
-		opts  Options
-		fused bool
-	}{{"all off", Options{}, true}, {"defaults", DefaultOptions(), false}} {
+		name string
+		opts Options
+	}{{"all off", Options{}}, {"defaults", DefaultOptions()}} {
 		plan := algebra.Print(compile(t, newTestCatalog(), tc.opts, src))
 		if strings.Contains(plan, `word-tokens("great product")`) || !strings.Contains(plan, `["great", "product"]`) {
 			t.Errorf("%s: constant query side not folded:\n%s", tc.name, plan)
 		}
-		if got := strings.Contains(plan, "[fused-assign $"); got != tc.fused {
-			t.Errorf("%s: assign fused into its select = %v, want %v:\n%s", tc.name, got, tc.fused, plan)
+		if !strings.Contains(plan, "[fused-assign $") {
+			t.Errorf("%s: assign not fused into its select:\n%s", tc.name, plan)
+		}
+		if !strings.Contains(plan, `filter:[similarity-jaccard(word-tokens(summary), ["great", "product"]) >= 0.5]`) {
+			t.Errorf("%s: scan carries no filter:\n%s", tc.name, plan)
 		}
 	}
 }

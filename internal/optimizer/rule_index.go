@@ -227,6 +227,10 @@ func (o *Optimizer) tryContainsSelection(sel, scan *algebra.Op, conj algebra.Exp
 func compileTimeTokens(sc simCond, cval adm.Value, ix IndexMeta) (tokens []string, t int, ok bool, err error) {
 	switch sc.Fn {
 	case "jaccard":
+		if !(sc.Threshold > 0) {
+			// Every record qualifies, sharing a token or not: no T prunes.
+			return nil, 0, false, nil
+		}
 		switch cval.Kind() {
 		case adm.KindList, adm.KindBag:
 			for _, e := range cval.Elems() {

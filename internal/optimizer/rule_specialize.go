@@ -64,12 +64,11 @@ func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 	})
 
 	// 2. Fuse each select with the single-parent assign directly below
-	// it. Batched-verify selects keep their shape: their lowering
-	// consumes the condition structurally. Chains of assigns fuse one
-	// per fixpoint iteration through the surrounding rule loop.
+	// it. Chains of assigns fuse one per fixpoint iteration through the
+	// surrounding rule loop.
 	parents := parentsOf(root)
 	algebra.Walk(root, func(op *algebra.Op) {
-		if op.Kind != algebra.OpSelect || op.BatchVerify || len(op.Inputs) != 1 {
+		if op.Kind != algebra.OpSelect || len(op.Inputs) != 1 {
 			return
 		}
 		in := op.Inputs[0]

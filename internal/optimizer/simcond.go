@@ -14,7 +14,6 @@ type simCond struct {
 	Left      algebra.Expr
 	Right     algebra.Expr
 	Threshold float64 // delta for jaccard, k for edit distance
-	Orig      algebra.Expr
 	// OrigIdx is the conjunct's position within the condition it was
 	// parsed from (expressions are not comparable, so rules filter the
 	// remaining conjuncts by index).
@@ -27,7 +26,8 @@ type simCond struct {
 //	similarity-jaccard(a, b) >= d      d <= similarity-jaccard(a, b)
 //	edit-distance(a, b) <= k           k >= edit-distance(a, b)
 //
-// plus the strict variants (>, <) which round the threshold.
+// plus the strict variants (>, <), which fold into the threshold: the
+// next double up for Jaccard, the next integer down for edit distance.
 func parseSimCond(e algebra.Expr) (simCond, bool) {
 	call, ok := e.(algebra.Call)
 	if !ok || len(call.Args) != 2 {
@@ -61,16 +61,18 @@ func parseSimCond(e algebra.Expr) (simCond, bool) {
 		default:
 			return simCond{}, false
 		}
-		return simCond{Fn: "jaccard", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th, Orig: e}, true
+		return simCond{Fn: "jaccard", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th}, true
 	case "edit-distance":
+		// A distance is an integer: d <= 1.5 is d <= 1, d < 1.5 too.
 		switch cmp {
 		case "le":
+			th = math.Floor(th)
 		case "lt":
-			th = th - 1
+			th = math.Ceil(th) - 1
 		default:
 			return simCond{}, false
 		}
-		return simCond{Fn: "edit-distance", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th, Orig: e}, true
+		return simCond{Fn: "edit-distance", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th}, true
 	}
 	return simCond{}, false
 }

@@ -75,30 +75,43 @@ func JaccardCheck(a, b []string, delta float64) (float64, bool) {
 	return sim, true
 }
 
-// JaccardChecker amortizes JaccardCheck's per-call setup across many
-// candidates sharing one query token multiset: the query's count map
-// is built once, and each check restores it afterwards by replaying
-// only the tokens it decremented. Not safe for concurrent use — give
-// each goroutine its own checker.
+// JaccardChecker checks many candidates against one fixed query token
+// multiset without allocating: the query's tokens are numbered once
+// into a read-only token → slot map, and each check counts matches in
+// a per-slot scratch that is reset afterwards by replaying only the
+// slots it touched. Candidates arrive as byte slices (tokens cut out of
+// a stored record) and are looked up with slot[string(tok)], which does
+// not allocate. Not safe for concurrent use — give each goroutine its
+// own checker.
 type JaccardChecker struct {
-	counts  map[string]int
+	slot    map[string]int // token → index into count; never written after construction
+	count   []int          // multiplicity of each distinct query token
+	used    []int          // scratch: matches consumed per slot during one check
+	touched []int          // scratch: slots with used > 0
 	qLen    int
-	touched []string
 }
 
 // NewJaccardChecker builds a checker for a fixed query token multiset.
 func NewJaccardChecker(query []string) *JaccardChecker {
-	c := &JaccardChecker{counts: make(map[string]int, len(query)), qLen: len(query)}
+	c := &JaccardChecker{slot: make(map[string]int, len(query)), qLen: len(query)}
 	for _, t := range query {
-		c.counts[t]++
+		i, ok := c.slot[t]
+		if !ok {
+			i = len(c.count)
+			c.slot[t] = i
+			c.count = append(c.count, 0)
+		}
+		c.count[i]++
 	}
+	c.used = make([]int, len(c.count))
+	c.touched = make([]int, 0, len(c.count))
 	return c
 }
 
 // Check reports whether Jaccard(query, cand) >= delta, exactly like
 // JaccardCheck(query, cand, delta) — length filter, early termination,
-// and float behavior included — without rebuilding the count map.
-func (c *JaccardChecker) Check(cand []string, delta float64) (float64, bool) {
+// and float behavior included.
+func (c *JaccardChecker) Check(cand [][]byte, delta float64) (float64, bool) {
 	la, lb := c.qLen, len(cand)
 	if delta <= 0 {
 		inter := c.intersect(cand, 0)
@@ -131,23 +144,25 @@ func (c *JaccardChecker) Check(cand []string, delta float64) (float64, bool) {
 }
 
 // intersect counts the multiset overlap with cand, stopping early once
-// the remaining candidate tokens cannot reach required, then restores
-// the count map. required <= 0 disables early termination.
-func (c *JaccardChecker) intersect(cand []string, required int) int {
+// the remaining candidate tokens cannot reach required, then clears the
+// scratch. required <= 0 disables early termination.
+func (c *JaccardChecker) intersect(cand [][]byte, required int) int {
 	inter := 0
 	lb := len(cand)
 	for i, t := range cand {
-		if cnt := c.counts[t]; cnt > 0 {
-			c.counts[t] = cnt - 1
-			c.touched = append(c.touched, t)
+		if s, ok := c.slot[string(t)]; ok && c.used[s] < c.count[s] {
+			if c.used[s] == 0 {
+				c.touched = append(c.touched, s)
+			}
+			c.used[s]++
 			inter++
 		}
 		if required > 0 && inter+(lb-i-1) < required {
 			break
 		}
 	}
-	for _, t := range c.touched {
-		c.counts[t]++
+	for _, s := range c.touched {
+		c.used[s] = 0
 	}
 	c.touched = c.touched[:0]
 	return inter

@@ -7,7 +7,10 @@
 // inverted-index searches, including corner-case (T <= 0) detection.
 package sim
 
-import "math"
+import (
+	"math"
+	"unicode/utf8"
+)
 
 // EditDistance returns the Levenshtein distance between two strings,
 // computed over runes.
@@ -67,6 +70,12 @@ func EditDistanceCheck(a, b string, k int) (int, bool) {
 
 // EditDistanceCheckSeq is EditDistanceCheck over element sequences.
 func EditDistanceCheckSeq[T comparable](a, b []T, k int) (int, bool) {
+	return editDistanceCheckRow(a, b, k, new([]int))
+}
+
+// editDistanceCheckRow is EditDistanceCheckSeq with the DP row kept in
+// *scratch, so a caller checking many candidates allocates it once.
+func editDistanceCheckRow[T comparable](a, b []T, k int, scratch *[]int) (int, bool) {
 	if k < 0 {
 		return 0, false
 	}
@@ -81,7 +90,10 @@ func EditDistanceCheckSeq[T comparable](a, b []T, k int) (int, bool) {
 		return len(a), len(a) <= k
 	}
 	const inf = math.MaxInt32
-	row := make([]int, len(b)+1)
+	if cap(*scratch) < len(b)+1 {
+		*scratch = make([]int, len(b)+1)
+	}
+	row := (*scratch)[:len(b)+1]
 	for j := range row {
 		if j <= k {
 			row[j] = j
@@ -149,6 +161,38 @@ func EditDistanceCheckSeq[T comparable](a, b []T, k int) (int, bool) {
 		return 0, false
 	}
 	return d, true
+}
+
+// EditDistanceChecker checks many candidates against one fixed string
+// without allocating per candidate: the query's runes are decoded once
+// and the candidate's runes and the DP row live in reused scratch.
+// Candidates arrive as the bytes of a stored string. Not safe for
+// concurrent use.
+type EditDistanceChecker struct {
+	query, cand []rune
+	row         []int
+}
+
+// NewEditDistanceChecker builds a checker for a fixed query string.
+func NewEditDistanceChecker(query string) *EditDistanceChecker {
+	return &EditDistanceChecker{query: []rune(query)}
+}
+
+// Check reports whether EditDistance(query, string(cand)) <= k, like
+// EditDistanceCheck. The rune-count filter runs before any rune is
+// decoded: most candidates of a selective query end there.
+func (c *EditDistanceChecker) Check(cand []byte, k int) bool {
+	if d := utf8.RuneCount(cand) - len(c.query); d > k || -d > k {
+		return false
+	}
+	c.cand = c.cand[:0]
+	for len(cand) > 0 {
+		r, n := utf8.DecodeRune(cand)
+		c.cand = append(c.cand, r)
+		cand = cand[n:]
+	}
+	_, ok := editDistanceCheckRow(c.query, c.cand, k, &c.row)
+	return ok
 }
 
 // HammingDistance returns the number of rune positions at which the two

@@ -208,7 +208,7 @@ func TestColumnarColumnCapOverflow(t *testing.T) {
 	if !pit.Next() {
 		t.Fatalf("projected overflow-field scan empty (err %v)", pit.Err())
 	}
-	v, ok := adm.DecodeRecordProjected(pit.Value()[1:], map[string]bool{"unique_50": true})
+	v, ok := adm.DecodeRecordProjected(pit.Value()[1:], adm.NewKeepSet([]string{"unique_50"}))
 	if !ok {
 		t.Fatal("projected value is not a record")
 	}
@@ -331,7 +331,7 @@ func TestMixedFormatTreeIdentical(t *testing.T) {
 
 	// Projected scans on the mixed tree must deliver the projected field
 	// for every record the row tree holds.
-	keep := map[string]bool{"id": true}
+	keep := adm.NewKeepSet([]string{"id"})
 	mk, mv := collect(mixed, []string{"id"})
 	rk, rv := collect(row, nil)
 	if len(mk) != len(rk) {

@@ -237,7 +237,7 @@ func TestSnapshotGetProjectedMatchesScan(t *testing.T) {
 			// Whatever the source — memtable, full or partial image — the
 			// projected decode sees the same kept fields.
 			if live && fields != nil {
-				keep := proj.keep
+				keep := adm.NewKeepSet(fields)
 				got, ok1 := adm.DecodeRecordProjected(v, keep)
 				full, _, _ := tree.Get(key)
 				ref, ok2 := adm.DecodeRecordProjected(full, keep)

@@ -36,6 +36,52 @@ func WordTokens(s string) []string {
 	return tokens
 }
 
+// WordScratch holds the reusable buffers of its WordTokens method, for
+// callers that tokenize many stored values and keep none of the tokens.
+// Not safe for concurrent use.
+type WordScratch struct {
+	lower []byte
+	toks  [][]byte
+}
+
+// WordTokens is the package's WordTokens over the bytes of a stored
+// string: the same tokens in the same order, as byte slices valid until
+// the next call. A value that is all ASCII — letters and digits are
+// [0-9A-Za-z], lower-casing is one bit — is cut out of one lower-cased
+// copy without allocating once the scratch has grown; any byte >= 0x80
+// sends the whole value through WordTokens, which knows Unicode.
+func (s *WordScratch) WordTokens(b []byte) [][]byte {
+	s.toks = s.toks[:0]
+	s.lower = append(s.lower[:0], b...)
+	start := -1
+	for i, c := range s.lower {
+		switch {
+		case c >= 0x80:
+			s.toks = s.toks[:0]
+			for _, t := range WordTokens(string(b)) {
+				s.toks = append(s.toks, []byte(t))
+			}
+			return s.toks
+		case 'A' <= c && c <= 'Z':
+			s.lower[i] = c | 0x20
+			fallthrough
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			if start < 0 {
+				start = i
+			}
+		default:
+			if start >= 0 {
+				s.toks = append(s.toks, s.lower[start:i])
+				start = -1
+			}
+		}
+	}
+	if start >= 0 {
+		s.toks = append(s.toks, s.lower[start:])
+	}
+	return s.toks
+}
+
 // UniqueWordTokens returns WordTokens with duplicates removed,
 // preserving first-occurrence order.
 func UniqueWordTokens(s string) []string {

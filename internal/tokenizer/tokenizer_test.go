@@ -150,3 +150,67 @@ func TestWordTokensLowercases(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wordTokensBytesAgree reports whether the byte tokenizer yields
+// exactly WordTokens(s), twice over one scratch (reuse must not leak
+// the previous value's tokens).
+func wordTokensBytesAgree(t *testing.T, sc *WordScratch, s string) {
+	t.Helper()
+	want := WordTokens(s)
+	for pass := 0; pass < 2; pass++ {
+		got := sc.WordTokens([]byte(s))
+		if len(got) != len(want) {
+			t.Fatalf("WordTokens(%q) over bytes = %q, want %q", s, got, want)
+		}
+		for i := range got {
+			if string(got[i]) != want[i] {
+				t.Fatalf("WordTokens(%q) over bytes = %q, want %q", s, got, want)
+			}
+		}
+	}
+}
+
+// wordTokenSeeds are the byte tokenizer's corner cases: the ASCII fast
+// path's boundaries, and letters and digits only Unicode knows —
+// including ones whose lower case has another byte length ('İ' shrinks
+// to "i", the Kelvin sign to "k") or is a title-case digraph.
+var wordTokenSeeds = []string{
+	"", " ", "a", "A", "z9", "Great Product - Fantastic Gift", "dup dup DUP", "C3PO and R2-D2!",
+	"@[`{/:", "tab\tnew\nline", "trailing ", " leading", "café olé", "İstanbul", "ǅemal", "Kelvin",
+	"٣ apples ٤٥", "x\xffy", "\xc3", "日本語 テキスト", "ß SS ſ",
+	// SNIPPETS.md 1 and 2: AsterixDB's parser-test plans.
+	"Transactions for Cooperative Environments",
+	"FunctionCall test.similarity-jaccard-check@3[",
+	"DatasetDecl DBLP(DBLPType) partitioned by [[nested, id]]",
+	"WriteOutputTo asterix_nc1:rttest/inverted-index-complex_ngram-jaccard-check-multi-let.adm",
+	"LiteralExpr [STRING] [Transactions for Cooperative Environments]",
+}
+
+func TestWordTokensBytesMatchesWordTokens(t *testing.T) {
+	var sc WordScratch
+	for _, s := range wordTokenSeeds {
+		wordTokensBytesAgree(t, &sc, s)
+	}
+	f := func(s string) bool {
+		wordTokensBytesAgree(t, &sc, s)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	long := []byte(strings.Repeat("Great Product ", 40))
+	if n := testing.AllocsPerRun(100, func() { sc.WordTokens(long) }); n != 0 {
+		t.Errorf("ASCII value tokenized with %v allocations per run, want 0", n)
+	}
+}
+
+// FuzzWordTokensBytes: the byte tokenizer is WordTokens, on any input.
+func FuzzWordTokensBytes(f *testing.F) {
+	for _, s := range wordTokenSeeds {
+		f.Add([]byte(s))
+	}
+	var sc WordScratch
+	f.Fuzz(func(t *testing.T, b []byte) {
+		wordTokensBytesAgree(t, &sc, string(b))
+	})
+}
