@@ -529,3 +529,62 @@ func countInPlan(plan, op string) int {
 	}
 	return n
 }
+
+// TestJaccardJoinNonPositiveThreshold: with δ <= 0 every pair qualifies,
+// sharing a token or not, so neither the T-occurrence search of an
+// index-nested-loop join nor the prefix filter of the three-stage join
+// may be used: both find only pairs that share a token. The join is a
+// compile-time corner case (the nested-loop plan keeps the predicate),
+// checked against a reference computed here, with indexes and the
+// three-stage rewrite each on and off.
+func TestJaccardJoinNonPositiveThreshold(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	recs := loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 60)
+	exec(t, c, sess, `create index agx on ARevs(summary) type keyword;`)
+	for _, delta := range []float64{0, -0.5} {
+		var want []string
+		disjoint := 0
+		for _, a := range recs {
+			for _, b := range recs {
+				ai, _ := a.Rec().Get("id")
+				bi, _ := b.Rec().Get("id")
+				as, _ := a.Rec().Get("summary")
+				bs, _ := b.Rec().Get("summary")
+				j := sim.Jaccard(tokenizer.WordTokens(as.Str()), tokenizer.WordTokens(bs.Str()))
+				if ai.Int() < bi.Int() && j >= delta {
+					want = append(want, fmt.Sprintf("%d-%d", ai.Int(), bi.Int()))
+					if j == 0 {
+						disjoint++
+					}
+				}
+			}
+		}
+		sortStrings(want)
+		if disjoint == 0 {
+			t.Fatal("no qualifying pair without a shared token; the test is vacuous")
+		}
+		// Through ~= and the session threshold, so that the negative δ
+		// reaches the rules as a constant and not as neg(0.5).
+		query := fmt.Sprintf(`
+			set simfunction 'jaccard';
+			set simthreshold '%v';
+			for $a in dataset ARevs
+			for $b in dataset ARevs
+			where word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id < $b.id
+			return { 'l': $a.id, 'r': $b.id }`, delta)
+		for _, useIndexes := range []bool{true, false} {
+			for _, threeStage := range []bool{true, false} {
+				s := sessionOpts(func(o *optimizer.Options) { o.UseIndexes, o.UseThreeStageJoin = useIndexes, threeStage })
+				res := exec(t, c, s, query)
+				if got := pairKey(res); got != fmt.Sprint(want) {
+					t.Errorf("δ=%v indexes=%v three-stage=%v: %d pairs, want %d (%d of them share no token)",
+						delta, useIndexes, threeStage, len(res.Rows), len(want), disjoint)
+				}
+				if (useIndexes || threeStage) && res.Stats.CornerCaseFallbacks == 0 {
+					t.Errorf("δ=%v indexes=%v three-stage=%v: no compile-time corner case recorded", delta, useIndexes, threeStage)
+				}
+			}
+		}
+	}
+}

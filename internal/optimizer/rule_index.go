@@ -332,6 +332,12 @@ func indexJoinRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 			}
 			switch sc.Fn {
 			case "jaccard":
+				if !(sc.Threshold > 0) {
+					// As in compileTimeTokens: no T prunes, and a search
+					// with any T loses the pairs sharing no token.
+					o.noteCornerCase()
+					continue
+				}
 				nop, ch, err := o.buildJaccardINLJ(op, outer, inner, outerArg, sc, ix, conjs)
 				if ch {
 					o.noteIndexRewrite()

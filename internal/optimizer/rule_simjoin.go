@@ -109,6 +109,13 @@ func similarityJoinRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 					}
 				}
 			}
+			if !(sc.Threshold > 0) {
+				// Every pair qualifies, sharing a token or not, and the
+				// prefix filter of stage 2 finds only pairs that share one:
+				// keep the nested-loop join and its predicate.
+				o.noteCornerCase()
+				continue
+			}
 			// Both inputs must expose a record identifier for the
 			// RID-pair stages. A plain scan provides its primary key;
 			// a composite branch (e.g. the output of an earlier

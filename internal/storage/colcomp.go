@@ -40,14 +40,14 @@ import (
 //	          referencing it, in row order
 //
 // Reads materialize a group back into the row-format page wire image
-// (uint16 count + packed entries), so the iterator machinery is shared
+// (uint16 count + packed entries), so pageIter and the cursor are shared
 // between both versions; the reconstruction is byte-identical to the
 // original entries, which is what lets merges mix row and columnar
 // inputs freely. A projected read fetches only the keys/desc/overflow
 // blocks plus the referenced columns and emits partial records
 // containing just the projected fields. Either image ends with an
 // entry-offset table (one little-endian uint32 per row, after the
-// entries the count announces, so iterators never see it) that point
+// entries the count announces, so a page walk never sees it) that point
 // reads binary-search (pageIter.seek). The table exists only in the
 // cached image; the file format does not change for it.
 
@@ -447,7 +447,7 @@ func (r *byteReader) bytes(n uint64) ([]byte, bool) {
 }
 
 // pagesFromGroups derives the fence-key page table the shared lookup
-// and iterator machinery navigates by: one logical page per group.
+// and cursor machinery navigates by: one logical page per group.
 func pagesFromGroups(groups []colGroupMeta) []pageMeta {
 	pages := make([]pageMeta, len(groups))
 	for i, g := range groups {

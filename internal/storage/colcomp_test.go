@@ -60,7 +60,7 @@ func writeColumnarFixture(t *testing.T, path string, n int) map[string][]byte {
 }
 
 // TestColumnarComponentRoundTrip: every entry written into a columnar
-// component must come back byte-identical through both the iterator and
+// component must come back byte-identical through both a cursor and
 // point lookups — records reassembled from their columns, opaque and
 // tombstone entries straight from the overflow stream.
 func TestColumnarComponentRoundTrip(t *testing.T) {
@@ -79,15 +79,16 @@ func TestColumnarComponentRoundTrip(t *testing.T) {
 	if len(c.groups) < 2 {
 		t.Fatalf("expected multiple row groups, got %d", len(c.groups))
 	}
-	it := c.NewIterator(nil, nil)
+	it := componentCursor(c, nil, nil, nil)
+	defer it.Close()
 	seen := 0
 	for it.Next() {
 		w, ok := want[string(it.Key())]
 		if !ok {
 			t.Fatalf("unexpected key %q", it.Key())
 		}
-		if !bytes.Equal(it.Value(), w) {
-			t.Fatalf("key %q: value %x, want %x", it.Key(), it.Value(), w)
+		if !bytes.Equal(it.entry(), w) {
+			t.Fatalf("key %q: value %x, want %x", it.Key(), it.entry(), w)
 		}
 		seen++
 	}
@@ -107,7 +108,8 @@ func TestColumnarComponentRoundTrip(t *testing.T) {
 		}
 	}
 	// Range iteration must behave like the row format.
-	rit := c.NewIterator(colTestKey(100), colTestKey(110))
+	rit := componentCursor(c, colTestKey(100), colTestKey(110), nil)
+	defer rit.Close()
 	var got []string
 	for rit.Next() {
 		got = append(got, string(rit.Key()))
@@ -132,7 +134,8 @@ func TestColumnarProjectedIterator(t *testing.T) {
 	}
 	defer c.Close()
 	keep := map[string]bool{"id": true}
-	it := c.NewProjectedIterator(nil, nil, []string{"id"})
+	it := componentCursor(c, nil, nil, []string{"id"})
+	defer it.Close()
 	seen := 0
 	for it.Next() {
 		w := want[string(it.Key())]
@@ -148,8 +151,8 @@ func TestColumnarProjectedIterator(t *testing.T) {
 		} else {
 			expect = w // opaque or tombstone: passes through whole
 		}
-		if !bytes.Equal(it.Value(), expect) {
-			t.Fatalf("key %q: projected value %x, want %x", it.Key(), it.Value(), expect)
+		if !bytes.Equal(it.entry(), expect) {
+			t.Fatalf("key %q: projected value %x, want %x", it.Key(), it.entry(), expect)
 		}
 		seen++
 	}
@@ -194,9 +197,10 @@ func TestColumnarColumnCapOverflow(t *testing.T) {
 		t.Fatalf("groups=%d cols=%d, want 1 group with <= %d columns",
 			len(c.groups), len(c.groups[0].cols), colMaxColumns)
 	}
-	it := c.NewIterator(nil, nil)
+	it := componentCursor(c, nil, nil, nil)
+	defer it.Close()
 	for it.Next() {
-		if !bytes.Equal(it.Value(), want[string(it.Key())]) {
+		if !bytes.Equal(it.entry(), want[string(it.Key())]) {
 			t.Fatalf("key %q differs after column-cap overflow", it.Key())
 		}
 	}
@@ -204,11 +208,12 @@ func TestColumnarColumnCapOverflow(t *testing.T) {
 		t.Fatal(it.Err())
 	}
 	// Projecting the overflowed field must still find it.
-	pit := c.NewProjectedIterator(colTestKey(50), colTestKey(51), []string{"unique_50"})
+	pit := componentCursor(c, colTestKey(50), colTestKey(51), []string{"unique_50"})
+	defer pit.Close()
 	if !pit.Next() {
 		t.Fatalf("projected overflow-field scan empty (err %v)", pit.Err())
 	}
-	v, ok := adm.DecodeRecordProjected(pit.Value()[1:], adm.NewKeepSet([]string{"unique_50"}))
+	v, ok := adm.DecodeRecordProjected(pit.Value(), adm.NewKeepSet([]string{"unique_50"}))
 	if !ok {
 		t.Fatal("projected value is not a record")
 	}

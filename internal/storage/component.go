@@ -649,139 +649,3 @@ func NewProjection(fields []string) *Projection {
 	sort.Strings(sorted)
 	return &Projection{keep: keep, tag: "p:" + strings.Join(sorted, "\x00")}
 }
-
-// Iterator iterates entries with key in [start, end) in key order. A
-// nil start begins at the first key; a nil end runs to the last.
-type Iterator struct {
-	c       *Component
-	pageIdx int
-	it      pageIter
-	end     []byte
-	proj    *Projection // non-nil: project columnar entries to its fields
-	key     []byte
-	val     []byte
-	err     error
-	done    bool
-	pending bool // a row was buffered by the initial seek
-}
-
-// NewIterator returns an iterator positioned before the first entry >=
-// start.
-func (c *Component) NewIterator(start, end []byte) *Iterator {
-	return c.newIterator(start, end, nil)
-}
-
-// NewProjectedIterator is NewIterator restricted to the named top-level
-// record fields. On columnar components only the referenced column
-// blocks are read and values come back as partial records holding just
-// those fields (tombstones and opaque entries pass through whole); on
-// row components the projection is ignored and full entries are
-// returned — callers must treat the values as "at least the projected
-// fields". A nil fields slice means no projection.
-func (c *Component) NewProjectedIterator(start, end []byte, fields []string) *Iterator {
-	return c.newIterator(start, end, NewProjection(fields))
-}
-
-func (c *Component) newIterator(start, end []byte, proj *Projection) *Iterator {
-	it := &Iterator{c: c, end: end, proj: proj}
-	if len(c.pages) == 0 {
-		it.done = true
-		return it
-	}
-	idx := 0
-	if start != nil {
-		idx = c.findPage(start)
-		if idx < 0 {
-			idx = 0
-		}
-	}
-	it.pageIdx = idx
-	if err := it.loadPage(); err != nil {
-		it.err = err
-		it.done = true
-		return it
-	}
-	if start != nil {
-		// Skip entries before start within the page.
-		for it.it.next() {
-			if bytes.Compare(it.it.key, start) >= 0 {
-				it.key, it.val = it.it.key, it.it.val
-				it.pending = true
-				return it
-			}
-		}
-		if it.it.err != nil {
-			it.err = it.it.err
-			it.done = true
-			return it
-		}
-		// start was past this page; advance pages.
-		it.pageIdx++
-		if err := it.loadPage(); err != nil {
-			it.err = err
-			it.done = true
-		}
-	}
-	return it
-}
-
-func (it *Iterator) loadPage() error {
-	if it.pageIdx >= len(it.c.pages) {
-		it.done = true
-		return nil
-	}
-	page, err := it.c.readPageView(it.pageIdx, it.proj)
-	if err != nil {
-		return err
-	}
-	it.it = pageIter{page: page}
-	return it.it.init()
-}
-
-// Next advances to the next entry, returning false at the end or on
-// error.
-func (it *Iterator) Next() bool {
-	if it.done || it.err != nil {
-		return false
-	}
-	if it.pending {
-		it.pending = false
-		return it.checkEnd()
-	}
-	for {
-		if it.it.next() {
-			it.key, it.val = it.it.key, it.it.val
-			return it.checkEnd()
-		}
-		if it.it.err != nil {
-			it.err = it.it.err
-			return false
-		}
-		it.pageIdx++
-		if it.pageIdx >= len(it.c.pages) {
-			it.done = true
-			return false
-		}
-		if err := it.loadPage(); err != nil {
-			it.err = err
-			return false
-		}
-	}
-}
-
-func (it *Iterator) checkEnd() bool {
-	if it.end != nil && bytes.Compare(it.key, it.end) >= 0 {
-		it.done = true
-		return false
-	}
-	return true
-}
-
-// Key returns the current key; valid until the next call to Next.
-func (it *Iterator) Key() []byte { return it.key }
-
-// Value returns the current value; valid until the next call to Next.
-func (it *Iterator) Value() []byte { return it.val }
-
-// Err returns the first error the iterator encountered, if any.
-func (it *Iterator) Err() error { return it.err }

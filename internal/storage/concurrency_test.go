@@ -116,7 +116,7 @@ func TestSnapshotSurvivesMerge(t *testing.T) {
 	}
 	// The snapshot still reads a complete, consistent view.
 	n := 0
-	if err := snap.Scan(nil, nil, nil, func(key, value []byte) bool { n++; return true }); err != nil {
+	if err := snap.ScanProjected(nil, nil, nil, nil, func(key, value []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 100 {
@@ -140,7 +140,7 @@ func TestScanContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	n := 0
-	err := tree.ScanContext(ctx, nil, nil, func(key, value []byte) bool { n++; return true })
+	err := tree.ScanProjectedContext(ctx, nil, nil, nil, func(key, value []byte) bool { n++; return true })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -25,42 +25,54 @@ type CursorStats struct {
 	Pages int64
 }
 
-// Cursor is a forward-only, seekable read of the live keys of one key
-// range of a tree snapshot: memtable generations and disk components
-// merged, the newest version of a key winning and tombstones dropped.
-// It is the read primitive for callers that want to skip — a T-occurrence
-// search jumping ahead in a posting list — where Scan is the one for
-// callers that want every entry.
+// Cursor is the one merged reader of a tree: a forward-only, seekable
+// read of the live entries of one key range, memtable generations and
+// disk components merged, the newest version of a key winning and
+// tombstones dropped. Scans call Next until it returns false; a
+// T-occurrence search jumps ahead in a posting list with SeekGE; flush
+// and compaction open one over their inputs only, with tombstones
+// surfaced, and write what it yields.
 //
-// Keys are handed out as slices of the cached page (or of the
-// memtable's copy) and stay valid after the cursor moves on; callers
+// Keys and values are handed out as slices of the cached page (or of
+// the memtable's copy) and stay valid after the cursor moves on; callers
 // must not modify them. A cursor holds its own reference on every
 // component it reads, so it may outlive the snapshot it came from;
 // Close releases them. A cursor is not safe for concurrent use.
 type Cursor struct {
-	r       KeyRange
-	srcs    []cursorSource // newest first: memtable runs, then components
-	key     []byte
-	valid   bool
-	started bool
-	err     error
-	stats   CursorStats
+	r    KeyRange
+	srcs []cursorSource // newest first: memtable runs, then components
+	// proj, when non-nil, is the projection columnar pages are read under
+	// (see readPageView): their values are partial records.
+	proj *Projection
+	// tombstones makes the cursor stop on keys whose newest version is a
+	// tombstone instead of skipping them: what flush and compaction need,
+	// since a tombstone must keep shadowing the components below.
+	tombstones bool
+	cur        *cursorSource // the source the cursor stands on
+	key, val   []byte
+	valid      bool
+	started    bool
+	err        error
+	scratch    []byte // entry's encoding of a memtable value
+	stats      CursorStats
 }
 
-// memKey is one memtable entry of a cursor's range.
-type memKey struct {
-	key  []byte
-	dead bool
+// runEntry is one memtable entry of a cursor's range.
+type runEntry struct {
+	key, val []byte
+	dead     bool
 }
 
-// cursorSource is one sorted input of a Cursor: the range's run of one
-// memtable generation, or one component read page by page.
+// cursorSource is one sorted input of a Cursor, and the only code that
+// walks a memtable generation or a component for a range read: the
+// range's run of one memtable generation, or one component read page by
+// page.
 type cursorSource struct {
-	key  []byte
-	dead bool // the current entry is a tombstone
-	ok   bool // positioned on an entry of the range
+	key, val []byte
+	dead     bool // the current entry is a tombstone
+	ok       bool // positioned on an entry of the range
 
-	run []memKey // memtable run, when comp is nil
+	run []runEntry // memtable run, when comp is nil
 	pos int
 
 	comp *Component
@@ -75,14 +87,20 @@ type cursorSource struct {
 // active memtable is read once, here: a cursor sees the writes applied
 // before it was opened.
 func (s *TreeSnapshot) Cursors(ranges []KeyRange) []*Cursor {
+	return openCursors(ranges, s.mems, s.components, nil, false)
+}
+
+// openCursors opens one cursor per range over the given memtable
+// generations and components, both newest first.
+func openCursors(ranges []KeyRange, mems []*memtable, comps []*Component, proj *Projection, tombstones bool) []*Cursor {
 	for i := 1; i < len(ranges); i++ {
 		if end := ranges[i-1].End; end == nil || bytes.Compare(end, ranges[i].Start) > 0 {
 			panic("storage: Cursors ranges are not sorted and disjoint")
 		}
 	}
-	runs := make([][][]memKey, len(s.mems))
-	nsrc := len(ranges) * len(s.components)
-	for g, m := range s.mems {
+	runs := make([][][]runEntry, len(mems))
+	nsrc := len(ranges) * len(comps)
+	for g, m := range mems {
 		runs[g] = m.collectRanges(ranges)
 		for _, run := range runs[g] {
 			if len(run) > 0 {
@@ -102,11 +120,11 @@ func (s *TreeSnapshot) Cursors(ranges []KeyRange) []*Cursor {
 				srcs = append(srcs, cursorSource{run: runs[g][i]})
 			}
 		}
-		for _, comp := range s.components {
+		for _, comp := range comps {
 			comp.acquire()
 			srcs = append(srcs, cursorSource{comp: comp, page: -1})
 		}
-		slab[i] = Cursor{r: r, srcs: srcs[first:len(srcs):len(srcs)]}
+		slab[i] = Cursor{r: r, srcs: srcs[first:len(srcs):len(srcs)], proj: proj, tombstones: tombstones}
 		out[i] = &slab[i]
 	}
 	return out
@@ -115,14 +133,22 @@ func (s *TreeSnapshot) Cursors(ranges []KeyRange) []*Cursor {
 // collectRanges returns, for each of the sorted disjoint ranges, the
 // memtable's entries inside it in key order — nil when the memtable is
 // empty. It is one pass over the hash map for all ranges together,
-// under one brief lock.
-func (m *memtable) collectRanges(ranges []KeyRange) [][]memKey {
+// under one brief lock, so whoever walks the runs holds no lock while it
+// runs user callbacks. Entry values are never mutated in place, so the
+// runs stay valid after the lock is gone.
+func (m *memtable) collectRanges(ranges []KeyRange) [][]runEntry {
 	m.mu.RLock()
 	if len(m.entries) == 0 {
 		m.mu.RUnlock()
 		return nil
 	}
-	out := make([][]memKey, len(ranges))
+	out := make([][]runEntry, len(ranges))
+	if len(ranges) == 1 && ranges[0].Start == nil && ranges[0].End == nil {
+		// Only the unbounded range is pre-sized to the memtable: a bounded
+		// one (one token's postings out of thousands of entries) grows to
+		// what it holds.
+		out[0] = make([]runEntry, 0, len(m.entries))
+	}
 	for k, e := range m.entries {
 		// The last range starting at or before k is the only one that can
 		// hold it.
@@ -130,12 +156,12 @@ func (m *memtable) collectRanges(ranges []KeyRange) [][]memKey {
 		if i < 0 || (ranges[i].End != nil && k >= string(ranges[i].End)) {
 			continue
 		}
-		out[i] = append(out[i], memKey{key: []byte(k), dead: e.tombstone})
+		out[i] = append(out[i], runEntry{key: []byte(k), val: e.value, dead: e.tombstone})
 	}
 	m.mu.RUnlock()
 	for _, run := range out {
 		if len(run) > 1 {
-			slices.SortFunc(run, func(a, b memKey) int { return bytes.Compare(a.key, b.key) })
+			slices.SortFunc(run, func(a, b runEntry) int { return bytes.Compare(a.key, b.key) })
 		}
 	}
 	return out
@@ -185,6 +211,26 @@ func (c *Cursor) SeekGE(key []byte) bool {
 // SeekGE returned true.
 func (c *Cursor) Key() []byte { return c.key }
 
+// Value returns the current key's value, under the same condition: the
+// whole value from a memtable or a row component, at least the projected
+// fields from a columnar component read under a projection.
+func (c *Cursor) Value() []byte { return c.val }
+
+// entry returns the current entry as components store it, tombstone
+// flag byte first. A memtable value is encoded into the cursor's scratch
+// buffer, so the result is valid until the next call.
+func (c *Cursor) entry() []byte {
+	if c.cur.comp != nil {
+		return c.cur.it.val
+	}
+	c.scratch = append(c.scratch[:0], 0)
+	if c.cur.dead {
+		c.scratch[0] = 1
+	}
+	c.scratch = append(c.scratch, c.val...)
+	return c.scratch
+}
+
 // Err returns the error that ended the cursor early, if any: a failed
 // or corrupt page read. A cursor that returned false with a nil Err
 // reached the end of its range.
@@ -226,31 +272,32 @@ func (c *Cursor) Close() {
 			comp.release()
 		}
 	}
-	c.srcs, c.valid = nil, false
+	c.srcs, c.cur, c.valid = nil, nil, false
 }
 
 // settle puts the cursor on the smallest key any source is positioned
-// on, skipping keys whose newest version is a tombstone.
+// on, skipping — unless the cursor surfaces them — keys whose newest
+// version is a tombstone.
 func (c *Cursor) settle() bool {
 	for c.err == nil {
-		best := -1
+		var best *cursorSource
 		for i := range c.srcs {
 			// Strictly smaller only: on equal keys the earlier, newer
 			// source stays the winner.
-			if c.srcs[i].ok && (best < 0 || bytes.Compare(c.srcs[i].key, c.srcs[best].key) < 0) {
-				best = i
+			if s := &c.srcs[i]; s.ok && (best == nil || bytes.Compare(s.key, best.key) < 0) {
+				best = s
 			}
 		}
-		if best < 0 {
+		if best == nil {
 			break
 		}
-		if !c.srcs[best].dead {
-			c.key, c.valid = c.srcs[best].key, true
+		if !best.dead || c.tombstones {
+			c.cur, c.key, c.val, c.valid = best, best.key, best.val, true
 			return true
 		}
-		c.stepPast(c.srcs[best].key)
+		c.stepPast(best.key)
 	}
-	c.key, c.valid = nil, false
+	c.cur, c.key, c.val, c.valid = nil, nil, nil, false
 	return false
 }
 
@@ -318,7 +365,8 @@ func (s *cursorSource) seekGE(c *Cursor, target []byte) {
 // takeMem makes the run entry at pos the current one.
 func (s *cursorSource) takeMem(c *Cursor) {
 	if s.ok = s.pos < len(s.run); s.ok {
-		s.key, s.dead = s.run[s.pos].key, s.run[s.pos].dead
+		e := &s.run[s.pos]
+		s.key, s.val, s.dead = e.key, e.val, e.dead
 		c.stats.Entries++
 	}
 }
@@ -347,18 +395,19 @@ func (s *cursorSource) take(c *Cursor) {
 		return
 	}
 	s.key, s.ok = s.it.key, true
-	_, s.dead = decodeEntry(s.it.val)
+	s.val, s.dead = decodeEntry(s.it.val)
 	c.stats.Entries++
 }
 
-// load fetches page p through the buffer cache and readies the page
-// iterator; false at the end of the component or on error.
+// load fetches page p through the buffer cache, under the cursor's
+// projection if it has one, and readies the page iterator; false at the
+// end of the component or on error.
 func (s *cursorSource) load(c *Cursor, p int) bool {
 	s.ok = false
 	if p >= len(s.comp.pages) {
 		return false
 	}
-	page, err := s.comp.readPage(p)
+	page, err := s.comp.readPageView(p, c.proj)
 	if err == nil {
 		s.it = pageIter{page: page}
 		err = s.it.init()

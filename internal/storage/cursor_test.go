@@ -10,15 +10,20 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"simdb/internal/adm"
 )
 
-// cursorTestTree fills a tree the way a cursor can meet one: disk
+// cursorTestTree fills a tree the way a reader can meet one: disk
 // components left by flushes and merges (tiny pages, so a range crosses
 // many fence keys), rotated memtables whose flush is held back, and an
-// active memtable, with puts, overwrites and deletes in every layer. It
-// returns the keys it ever deleted. The caller must call release before
-// closing the tree.
-func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, deleted [][]byte, release func()) {
+// active memtable, with puts, overwrites and deletes in every layer.
+// Values are records (so a projection has something to drop) and now and
+// then an opaque string. It returns the model the reader is checked
+// against — the last write of every key ever written, nil for a delete —
+// which is kept by the writer and never read back from the tree. The
+// caller must call release before closing the tree.
+func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, model map[string][]byte, release func()) {
 	t.Helper()
 	tree, err := OpenLSM(t.TempDir(), LSMOptions{
 		PageSize: 96, MemBudgetBytes: 1 << 20, MaxComponents: 1000, MaxImmutable: 100, Columnar: columnar,
@@ -26,6 +31,7 @@ func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, d
 	if err != nil {
 		t.Fatal(err)
 	}
+	model = map[string][]byte{}
 	key := func() []byte {
 		k := fmt.Sprintf("k%03d", r.Intn(200))
 		if r.Intn(3) == 0 {
@@ -37,11 +43,18 @@ func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, d
 		for i := 0; i < n; i++ {
 			k := key()
 			var err error
-			if r.Intn(4) == 0 {
-				deleted = append(deleted, k)
+			switch r.Intn(8) {
+			case 0, 1:
+				model[string(k)] = nil
 				err = tree.Delete(k)
-			} else {
-				err = tree.Put(k, []byte(fmt.Sprintf("v%d", r.Intn(1000))))
+			case 2:
+				v := []byte(fmt.Sprintf("v%d", r.Intn(1000)))
+				model[string(k)] = v
+				err = tree.Put(k, v)
+			default:
+				v := colTestRecord(r.Intn(1000))[1:]
+				model[string(k)] = v
+				err = tree.Put(k, v)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -70,19 +83,81 @@ func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, d
 		tree.mu.Unlock()
 	}
 	write(r.Intn(60))
-	return tree, deleted, func() { close(gate) }
+	return tree, model, func() { close(gate) }
 }
 
-// TestCursorMatchesScanProperty: over random trees, cursors opened on
-// random sorted disjoint ranges yield, under any interleaving of Next
-// and forward SeekGE, exactly the keys Scan yields for the range on the
-// same snapshot. Seek targets are drawn from the places a seek can go
-// wrong: a live key, just past one, a fence key of a component, a
-// deleted key, before the range, past its end, and behind the cursor.
-func TestCursorMatchesScanProperty(t *testing.T) {
+// componentCursor opens a cursor over one component alone with
+// tombstones surfaced — the read compaction performs. Its entry() is the
+// stored entry, flag byte first.
+func componentCursor(c *Component, start, end []byte, fields []string) *Cursor {
+	return openCursors([]KeyRange{{Start: start, End: end}}, nil, []*Component{c}, NewProjection(fields), true)[0]
+}
+
+// modelRange returns the model's live keys in [start, end), sorted.
+func modelRange(model map[string][]byte, start, end []byte) [][]byte {
+	var keys [][]byte
+	for k, v := range model {
+		if v != nil && (start == nil || k >= string(start)) && (end == nil || k < string(end)) {
+			keys = append(keys, []byte(k))
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	return keys
+}
+
+// sameUnder reports whether got is what a read under the projection may
+// return for a stored value want: the value itself without a projection
+// or for a value that is no record, otherwise any record whose kept
+// fields are want's.
+func sameUnder(fields []string, got, want []byte) bool {
+	if fields == nil {
+		return bytes.Equal(got, want)
+	}
+	keep := adm.NewKeepSet(fields)
+	w, isRecord := adm.DecodeRecordProjected(want, keep)
+	if !isRecord {
+		return bytes.Equal(got, want)
+	}
+	g, ok := adm.DecodeRecordProjected(got, keep)
+	return ok && bytes.Equal(adm.Encode(g), adm.Encode(w))
+}
+
+// scanMatchesModel runs scan and reports how what it yields differs from
+// the model's live entries of rng under the projection: nil when it is
+// exactly them, in order.
+func scanMatchesModel(model map[string][]byte, rng KeyRange, fields []string, scan func(fn func(k, v []byte) bool) error) error {
+	ref := modelRange(model, rng.Start, rng.End)
+	n := 0
+	good := true
+	err := scan(func(k, v []byte) bool {
+		good = n < len(ref) && bytes.Equal(k, ref[n]) && sameUnder(fields, v, model[string(k)])
+		n++
+		return good
+	})
+	if err != nil || !good || n != len(ref) {
+		return fmt.Errorf("scan of [%q,%q) fields %v: entry %d of %d wrong (err %v)", rng.Start, rng.End, fields, n, len(ref), err)
+	}
+	return nil
+}
+
+// readerViews are the projections the reader is checked under: none,
+// one column, a column and a rare field, and keys only.
+var readerViews = [][]string{nil, {"id"}, {"text", "open_10_1"}, {}}
+
+// TestReaderMatchesModelProperty: over random trees, row and columnar,
+// everything the one merged reader serves agrees with a model kept by
+// the writer. Cursors opened on random sorted disjoint ranges yield,
+// under any interleaving of Next and forward SeekGE, exactly the model's
+// live keys of the range with their values; Scan and ScanProjected
+// (whole and projected) yield the same entries; Get and GetProjected
+// find every live key and no deleted or unwritten one. Seek targets are
+// drawn from the places a seek can go wrong: a live key, just past one,
+// a fence key of a component, a deleted key, before the range, past its
+// end, and behind the cursor.
+func TestReaderMatchesModelProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tree, deleted, release := cursorTestTree(t, r, seed%2 == 0)
+		tree, model, release := cursorTestTree(t, r, seed%2 == 0)
 		defer tree.Close()
 		defer release()
 		snap := tree.Snapshot()
@@ -105,23 +180,23 @@ func TestCursorMatchesScanProperty(t *testing.T) {
 		if r.Intn(3) == 0 {
 			ranges[len(ranges)-1].End = nil
 		}
-		var fences [][]byte
+		var fences, deleted [][]byte
 		for _, c := range snap.components {
 			for _, p := range c.pages {
 				fences = append(fences, p.firstKey)
 			}
 		}
+		for k, v := range model {
+			if v == nil {
+				deleted = append(deleted, []byte(k))
+			}
+		}
+		sort.Slice(deleted, func(i, j int) bool { return bytes.Compare(deleted[i], deleted[j]) < 0 })
 
 		cursors := snap.Cursors(ranges)
 		for ci, c := range cursors {
 			rng := ranges[ci]
-			var ref [][]byte
-			if err := snap.Scan(nil, rng.Start, rng.End, func(k, _ []byte) bool {
-				ref = append(ref, append([]byte(nil), k...))
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
+			ref := modelRange(model, rng.Start, rng.End)
 			pos := -1 // index in ref the cursor stands on; len(ref) = exhausted
 			landed := false
 			target := func() []byte {
@@ -175,6 +250,10 @@ func TestCursorMatchesScanProperty(t *testing.T) {
 						seed, rng.Start, rng.End, step, what, ok, c.Key(), pos, len(ref))
 					return false
 				}
+				if ok && !bytes.Equal(c.Value(), model[string(c.Key())]) {
+					t.Logf("seed %d %s: key %q has value %x, model %x", seed, what, c.Key(), c.Value(), model[string(c.Key())])
+					return false
+				}
 				landed = landed || ok
 			}
 			if st := c.Stats(); landed && st.Entries == 0 {
@@ -188,10 +267,163 @@ func TestCursorMatchesScanProperty(t *testing.T) {
 				return false
 			}
 		}
+
+		// Scans: the whole tree and one of the ranges, under every view.
+		var scanErr error
+		for _, rng := range []KeyRange{{}, ranges[r.Intn(len(ranges))]} {
+			scanErr = errors.Join(scanErr, scanMatchesModel(model, rng, nil, func(fn func(k, v []byte) bool) error {
+				return tree.Scan(rng.Start, rng.End, fn)
+			}))
+			for _, fields := range readerViews {
+				scanErr = errors.Join(scanErr, scanMatchesModel(model, rng, fields, func(fn func(k, v []byte) bool) error {
+					return snap.ScanProjected(nil, rng.Start, rng.End, fields, fn)
+				}))
+			}
+		}
+		if scanErr != nil {
+			t.Logf("seed %d: %v", seed, scanErr)
+			return false
+		}
+
+		// Point reads of every key ever written and of some never written.
+		probes := [][]byte{[]byte("a"), []byte("k100\x01"), []byte("z"), {}}
+		for k := range model {
+			probes = append(probes, []byte(k))
+		}
+		for _, fields := range readerViews {
+			proj := NewProjection(fields)
+			for _, k := range probes {
+				want := model[string(k)]
+				v, found, err := snap.GetProjected(k, proj)
+				if err != nil || found != (want != nil) || (found && !sameUnder(fields, v, want)) {
+					t.Logf("seed %d: GetProjected(%q, %v) = %x, %v, %v; model %x", seed, k, fields, v, found, err, want)
+					return false
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompactionMatchesModel: a merge is one cursor over its input
+// components only, tombstones surfaced. Merging the newest components of
+// a tree with drop unset must write the last version of every key those
+// components hold — tombstones included, or a deleted key of the oldest
+// component would come back — and merging all of them with drop set must
+// write the live keys alone. The merged component is read back entry by
+// entry against the writer's own fold of what it wrote.
+func TestCompactionMatchesModel(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tree := newTestLSM(t, LSMOptions{PageSize: 96, MemBudgetBytes: 1 << 20, MaxComponents: 1000, Columnar: seed%2 == 1})
+		// One component per round; the oldest holds every key, so later
+		// deletes always shadow something.
+		rounds := make([]map[string][]byte, 3+r.Intn(3))
+		for ri := range rounds {
+			rounds[ri] = map[string][]byte{}
+			for i := 0; i < 80; i++ {
+				k := fmt.Sprintf("k%03d", i)
+				switch {
+				case ri == 0 || r.Intn(6) == 0:
+					v := colTestRecord(r.Intn(1000))[1:]
+					rounds[ri][k] = v
+					if err := tree.Put([]byte(k), v); err != nil {
+						t.Fatal(err)
+					}
+				case r.Intn(6) == 0:
+					rounds[ri][k] = nil
+					if err := tree.Delete([]byte(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fold := func(rounds []map[string][]byte) map[string][]byte {
+			m := map[string][]byte{}
+			for _, round := range rounds {
+				for k, v := range round {
+					m[k] = v
+				}
+			}
+			return m
+		}
+		// matches reads component c whole and compares it with want, where
+		// a nil value stands for a tombstone entry.
+		matches := func(c *Component, want map[string][]byte) (tombstones int) {
+			t.Helper()
+			cur := componentCursor(c, nil, nil, nil)
+			defer cur.Close()
+			n := 0
+			for cur.Next() {
+				v, written := want[string(cur.Key())]
+				if !written {
+					t.Fatalf("seed %d: merged component holds unwritten key %q", seed, cur.Key())
+				}
+				entry := append([]byte{0}, v...)
+				if v == nil {
+					entry = []byte{1}
+					tombstones++
+				}
+				if !bytes.Equal(cur.entry(), entry) {
+					t.Fatalf("seed %d: key %q merged to %x, want %x", seed, cur.Key(), cur.entry(), entry)
+				}
+				n++
+			}
+			if cur.Err() != nil || n != len(want) {
+				t.Fatalf("seed %d: merged component has %d entries, want %d (err %v)", seed, n, len(want), cur.Err())
+			}
+			return tombstones
+		}
+		scanMatches := func(want map[string][]byte) {
+			t.Helper()
+			if err := scanMatchesModel(want, KeyRange{}, nil, func(fn func(k, v []byte) bool) error { return tree.Scan(nil, nil, fn) }); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		all := fold(rounds)
+
+		// Newest n of the components, something older left below.
+		n := 2 + r.Intn(len(rounds)-2)
+		tree.mu.RLock()
+		inputs := append([]*Component(nil), tree.components[:n]...)
+		tree.mu.RUnlock()
+		if err := tree.mergeComponents(inputs, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		tree.mu.RLock()
+		merged, left := tree.components[0], len(tree.components)
+		tree.mu.RUnlock()
+		if left != len(rounds)-n+1 {
+			t.Fatalf("seed %d: %d components after merging %d of %d", seed, left, n, len(rounds))
+		}
+		if matches(merged, fold(rounds[len(rounds)-n:])) == 0 {
+			t.Fatalf("seed %d: the merged rounds deleted nothing; the case tests no tombstone", seed)
+		}
+		scanMatches(all)
+
+		// Everything, tombstones dropped.
+		if err := tree.Merge(); err != nil {
+			t.Fatal(err)
+		}
+		live := map[string][]byte{}
+		for k, v := range all {
+			if v != nil {
+				live[k] = v
+			}
+		}
+		tree.mu.RLock()
+		merged, left = tree.components[0], len(tree.components)
+		tree.mu.RUnlock()
+		if left != 1 || matches(merged, live) != 0 {
+			t.Fatalf("seed %d: full merge left %d components or a tombstone", seed, left)
+		}
+		scanMatches(all)
 	}
 }
 

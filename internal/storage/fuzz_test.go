@@ -150,8 +150,8 @@ func FuzzComponentPage(f *testing.F) {
 
 // FuzzColumnarComponent feeds arbitrary bytes to the full version-2
 // read path: the file is opened as a component (footer + group index
-// validation) and, if accepted, scanned end to end and point-read, both
-// whole and projected. Corruption must surface as an error — errCorrupt
+// validation) and, if accepted, walked end to end by a one-component
+// cursor and point-read, both whole and projected. Corruption must surface as an error — errCorrupt
 // for point reads — never a panic, an unbounded allocation, a runaway
 // loop, or a read past a group image.
 func FuzzColumnarComponent(f *testing.F) {
@@ -228,17 +228,22 @@ func readColumnarBytes(t *testing.T, data []byte) {
 	}
 	defer c.Close()
 	limit := (len(data) + 2) * colMaxGroupRows
-	scan := func(it *Iterator) {
+	scan := func(fields []string) {
+		cur := componentCursor(c, nil, nil, fields)
+		defer cur.Close()
 		steps := 0
-		for it.Next() {
+		for cur.Next() {
 			steps++
 			if steps > limit {
-				t.Fatalf("iterator did not terminate after %d steps", steps)
+				t.Fatalf("cursor did not terminate after %d steps", steps)
 			}
 		}
+		if err := cur.Err(); err != nil && !errors.As(err, new(corruptError)) {
+			t.Fatalf("cursor error is not errCorrupt: %v", err)
+		}
 	}
-	scan(c.NewIterator(nil, nil))
-	scan(c.NewProjectedIterator(nil, nil, []string{"id"}))
+	scan(nil)
+	scan([]string{"id"})
 	// Point reads of stored, absent and fence keys; the bloom filter
 	// is saturated so every one of them searches a group image.
 	for i := range c.bloom.bits {

@@ -16,7 +16,6 @@
 package storage
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -793,6 +792,9 @@ func (t *LSMTree) flushTask() {
 			return
 		}
 		t.components = append([]*Component{c}, t.components...)
+		// Nil the slot before reslicing: the backing array would otherwise
+		// keep the flushed memtable reachable until the next rotation.
+		t.imms[len(t.imms)-1] = nil
 		t.imms = t.imms[:len(t.imms)-1]
 		pendingFlushG.Add(-1)
 		if t.wal != nil && im.maxLSN > 0 {
@@ -842,11 +844,8 @@ func (t *LSMTree) writeMemtable(im *immMem) (*Component, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, kv := range im.mt.snapshotRange(nil, nil) {
-		if err := cw.Add([]byte(kv.key), encodeEntry(kv.e)); err != nil {
-			cw.Abort()
-			return nil, err
-		}
+	if err := writeEntries(cw, []*memtable{im.mt}, nil, false); err != nil {
+		return nil, err
 	}
 	if err := cw.Finish(); err != nil {
 		return nil, err
@@ -868,6 +867,30 @@ func (t *LSMTree) writeMemtable(im *immMem) (*Component, error) {
 	trace.Default().Event("flush", trace.CatStorage, t.dir, start, time.Since(start),
 		trace.I("bytes", c.SizeBytes()), trace.I("entries", c.Len()))
 	return c, nil
+}
+
+// writeEntries adds to cw, in key order, the newest version of every key
+// in the given memtable generations and components — what one Cursor
+// over them yields with tombstones surfaced. A tombstone is written like
+// any entry, so that it keeps shadowing what lies below the new
+// component, unless dropTombstones says nothing does. On error the sink
+// is aborted.
+func writeEntries(cw componentSink, mems []*memtable, comps []*Component, dropTombstones bool) error {
+	c := openCursors([]KeyRange{{}}, mems, comps, nil, true)[0]
+	defer c.Close()
+	for c.Next() {
+		if dropTombstones && c.cur.dead {
+			continue
+		}
+		if err := cw.Add(c.key, c.entry()); err != nil {
+			cw.Abort()
+			return err
+		}
+	}
+	if c.err != nil {
+		cw.Abort()
+	}
+	return c.err
 }
 
 // Flush synchronously forces every memtable generation to disk: it
@@ -1005,23 +1028,8 @@ func (t *LSMTree) mergeComponents(inputs []*Component, drop bool, delay func()) 
 	if err != nil {
 		return err
 	}
-	iters := make([]*Iterator, len(inputs))
-	for i, c := range inputs {
-		iters[i] = c.NewIterator(nil, nil)
-	}
-	merge := newMergeIter(iters)
-	for merge.next() {
-		if _, dead := decodeEntry(merge.val); dead && drop {
-			continue
-		}
-		if err := cw.Add(merge.key, merge.val); err != nil {
-			cw.Abort()
-			return err
-		}
-	}
-	if merge.err != nil {
-		cw.Abort()
-		return merge.err
+	if err := writeEntries(cw, nil, inputs, drop); err != nil {
+		return err
 	}
 	if delay != nil {
 		delay()
@@ -1111,76 +1119,13 @@ func (t *LSMTree) Merge() error {
 	return err
 }
 
-// encodeEntry prefixes a component value with a tombstone flag byte.
-func encodeEntry(e memEntry) []byte {
-	out := make([]byte, 1+len(e.value))
-	if e.tombstone {
-		out[0] = 1
-	}
-	copy(out[1:], e.value)
-	return out
-}
-
+// decodeEntry splits a component entry into its value and its leading
+// tombstone flag byte (Cursor.entry is the encoder).
 func decodeEntry(v []byte) (value []byte, tombstone bool) {
 	if len(v) == 0 {
 		return nil, true
 	}
 	return v[1:], v[0] == 1
-}
-
-// mergeIter merges component iterators newest-first: on equal keys the
-// lower-indexed (newer) iterator wins and older duplicates are skipped.
-type mergeIter struct {
-	iters []*Iterator
-	valid []bool
-	key   []byte
-	val   []byte
-	err   error
-}
-
-func newMergeIter(iters []*Iterator) *mergeIter {
-	m := &mergeIter{iters: iters, valid: make([]bool, len(iters))}
-	for i, it := range iters {
-		m.valid[i] = it.Next()
-		if it.Err() != nil {
-			m.err = it.Err()
-		}
-	}
-	return m
-}
-
-func (m *mergeIter) next() bool {
-	if m.err != nil {
-		return false
-	}
-	best := -1
-	for i, ok := range m.valid {
-		if !ok {
-			continue
-		}
-		if best < 0 || bytes.Compare(m.iters[i].Key(), m.iters[best].Key()) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		return false
-	}
-	m.key = append(m.key[:0], m.iters[best].Key()...)
-	m.val = append(m.val[:0], m.iters[best].Value()...)
-	// Advance the winner and any older iterator positioned on the same key.
-	for i := range m.iters {
-		if !m.valid[i] {
-			continue
-		}
-		if i == best || bytes.Equal(m.iters[i].Key(), m.key) {
-			m.valid[i] = m.iters[i].Next()
-			if err := m.iters[i].Err(); err != nil {
-				m.err = err
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Get returns the newest value for key, consulting the memtable
@@ -1199,24 +1144,17 @@ func (t *LSMTree) Get(key []byte) ([]byte, bool, error) {
 // false. fn runs with no tree lock held — it may take arbitrarily long
 // without blocking writers.
 func (t *LSMTree) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	return t.ScanContext(nil, start, end, fn)
+	return t.ScanProjectedContext(nil, start, end, nil, fn)
 }
 
-// ScanContext is Scan with cooperative cancellation: once ctx is
-// cancelled the scan stops within a few hundred entries and returns
-// ctx's error. A nil ctx behaves like Scan.
-func (t *LSMTree) ScanContext(ctx context.Context, start, end []byte, fn func(key, value []byte) bool) error {
-	s := t.Snapshot()
-	defer s.Close()
-	return s.Scan(ctx, start, end, fn)
-}
-
-// ScanProjectedContext is ScanContext restricted to the named top-level
-// record fields: columnar components read only the referenced column
-// blocks and deliver partial records, while memtables and row-format
-// components deliver full entries. fn therefore receives values
-// guaranteed to contain at least the projected fields; it must not
-// assume the others are absent. A nil fields slice scans everything.
+// ScanProjectedContext is Scan with cooperative cancellation — once ctx
+// is cancelled the scan stops within a few hundred entries and returns
+// ctx's error; a nil ctx never cancels — restricted to the named
+// top-level record fields: columnar components read only the referenced
+// column blocks and deliver partial records, while memtables and
+// row-format components deliver full entries. fn therefore receives
+// values guaranteed to contain at least the projected fields; it must
+// not assume the others are absent. A nil fields slice scans everything.
 func (t *LSMTree) ScanProjectedContext(ctx context.Context, start, end []byte, fields []string, fn func(key, value []byte) bool) error {
 	s := t.Snapshot()
 	defer s.Close()

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -395,4 +396,36 @@ func TestSchedulerSharedAcrossTrees(t *testing.T) {
 	if st.Pending != 0 || st.Running != 0 {
 		t.Errorf("scheduler not drained after closes: %+v", st)
 	}
+}
+
+// TestFlushedMemtableIsCollectable: once its component is installed a
+// flushed memtable is garbage. The flush queue used to be popped by
+// reslicing alone, which left the memtable reachable from the queue's
+// backing array until the tree's next rotation — on a loaded, read-only
+// tree, for ever.
+func TestFlushedMemtableIsCollectable(t *testing.T) {
+	tree := newTestLSM(t, LSMOptions{MemBudgetBytes: 1 << 30})
+	for i := 0; i < 1000; i++ {
+		if err := tree.Put([]byte(fmt.Sprintf("k%05d", i)), make([]byte, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := make(chan struct{})
+	func() { // its own frame, so no reference stays on this stack
+		tree.mu.RLock()
+		defer tree.mu.RUnlock()
+		runtime.SetFinalizer(tree.mem, func(*memtable) { close(collected) })
+	}()
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("the flushed memtable is still reachable after Flush and 50 collections")
 }

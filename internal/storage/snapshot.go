@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"context"
 	"sync"
 )
@@ -104,124 +103,32 @@ func (s *TreeSnapshot) GetProjected(key []byte, proj *Projection) ([]byte, bool,
 	return nil, false, nil
 }
 
-// memCursor merges the sorted ranges of several memtable generations
-// (newest first) into one logical stream where the newest generation
-// shadows older ones on equal keys.
-type memCursor struct {
-	lists [][]memKV
-	pos   []int
-}
-
-func newMemCursor(mems []*memtable, start, end []byte) *memCursor {
-	mc := &memCursor{
-		lists: make([][]memKV, len(mems)),
-		pos:   make([]int, len(mems)),
-	}
-	for i, m := range mems {
-		mc.lists[i] = m.snapshotRange(start, end)
-	}
-	return mc
-}
-
-// peek returns the smallest current key; on ties the newest
-// (lowest-index) generation wins.
-func (mc *memCursor) peek() (memKV, bool) {
-	best := -1
-	for i := range mc.lists {
-		if mc.pos[i] >= len(mc.lists[i]) {
-			continue
-		}
-		if best < 0 || mc.lists[i][mc.pos[i]].key < mc.lists[best][mc.pos[best]].key {
-			best = i
-		}
-	}
-	if best < 0 {
-		return memKV{}, false
-	}
-	return mc.lists[best][mc.pos[best]], true
-}
-
-// advance steps every generation positioned on key past it, consuming
-// shadowed duplicates.
-func (mc *memCursor) advance(key string) {
-	for i := range mc.lists {
-		if mc.pos[i] < len(mc.lists[i]) && mc.lists[i][mc.pos[i]].key == key {
-			mc.pos[i]++
-		}
-	}
-}
-
-// Scan calls fn for each live (key, value) with key in [start, end) in
-// key order, merging the memtable generations and all snapshot
-// components. fn must not retain its arguments. Iteration stops early
-// if fn returns false, or with ctx.Err() once ctx is cancelled
-// (checked every few hundred entries). fn runs with no lock held, so a
-// slow consumer never starves writers. A nil ctx disables cancellation
+// ScanProjected calls fn for each live (key, value) with key in
+// [start, end) in key order — a Next loop over one Cursor of the
+// snapshot. fn must not retain its arguments. Iteration stops early if
+// fn returns false, or with ctx.Err() once ctx is cancelled (checked
+// every few hundred entries). fn runs with no lock held, so a slow
+// consumer never starves writers. A nil ctx disables cancellation
 // checks.
-func (s *TreeSnapshot) Scan(ctx context.Context, start, end []byte, fn func(key, value []byte) bool) error {
-	return s.ScanProjected(ctx, start, end, nil, fn)
-}
-
-// ScanProjected is Scan restricted to the named top-level record
-// fields. Columnar components read only the referenced column blocks
-// and yield partial records; memtables and row-format components yield
-// full entries — fn receives at least the projected fields either way.
-// A nil fields slice scans everything.
+//
+// A non-nil fields slice restricts the scan to the named top-level
+// record fields: columnar components read only the referenced column
+// blocks and yield partial records; memtables and row-format components
+// yield full entries — fn receives at least the projected fields either
+// way. A nil fields slice scans everything.
 func (s *TreeSnapshot) ScanProjected(ctx context.Context, start, end []byte, fields []string, fn func(key, value []byte) bool) error {
-	proj := NewProjection(fields)
-	iters := make([]*Iterator, len(s.components))
-	for i, c := range s.components {
-		iters[i] = c.newIterator(start, end, proj)
-	}
-	merge := newMergeIter(iters)
-	diskValid := merge.next()
-
-	mems := newMemCursor(s.mems, start, end)
-
+	c := openCursors([]KeyRange{{Start: start, End: end}}, s.mems, s.components, NewProjection(fields), false)[0]
+	defer c.Close()
 	const cancelCheckEvery = 512
-	steps := 0
-	for {
-		if ctx != nil {
-			if steps++; steps%cancelCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+	for steps := 1; c.Next(); steps++ {
+		if ctx != nil && steps%cancelCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-		mkv, memValid := mems.peek()
-		var useMem bool
-		switch {
-		case memValid && diskValid:
-			c := bytes.Compare([]byte(mkv.key), merge.key)
-			useMem = c <= 0
-			if c == 0 {
-				// Memtable shadows disk: skip the disk version.
-				diskValid = merge.next()
-			}
-		case memValid:
-			useMem = true
-		case diskValid:
-			useMem = false
-		default:
-			return merge.err
-		}
-		if useMem {
-			mems.advance(mkv.key)
-			if mkv.e.tombstone {
-				continue
-			}
-			if !fn([]byte(mkv.key), mkv.e.value) {
-				return nil
-			}
-		} else {
-			val, dead := decodeEntry(merge.val)
-			k := merge.key
-			if !dead {
-				if !fn(k, val) {
-					return nil
-				}
-			}
-			diskValid = merge.next()
+		if !fn(c.key, c.val) {
+			return nil
 		}
 	}
+	return c.err
 }

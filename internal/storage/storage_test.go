@@ -195,7 +195,8 @@ func TestComponentIterator(t *testing.T) {
 
 	collect := func(start, end []byte) []string {
 		var got []string
-		it := c.NewIterator(start, end)
+		it := componentCursor(c, start, end, nil)
+		defer it.Close()
 		for it.Next() {
 			got = append(got, string(it.Key()))
 		}
