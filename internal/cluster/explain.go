@@ -34,11 +34,17 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 		b.WriteString("  " + line + "\n")
 	}
 	// Physical operators in job order (not sorted by cost): the table
-	// should read like the plan it annotates.
-	fmt.Fprintf(&b, "%-34s %5s %12s %12s %10s %10s %8s %10s %6s %10s\n",
+	// should read like the plan it annotates. The name column fits the
+	// longest name: a fused chain is named by all its stages.
+	ops := st.PhysicalOps()
+	width := 34
+	for _, op := range ops {
+		width = max(width, len(op.Name))
+	}
+	fmt.Fprintf(&b, "%-*s %5s %12s %12s %10s %10s %8s %10s %6s %10s\n", width,
 		"operator", "inst", "wall", "busy", "in", "out", "frames", "netbytes", "spills", "spillbytes")
-	for _, op := range st.PhysicalOps() {
-		fmt.Fprintf(&b, "%-34s %5d %12s %12s %10d %10d %8d %10d %6d %10d\n",
+	for _, op := range ops {
+		fmt.Fprintf(&b, "%-*s %5d %12s %12s %10d %10d %8d %10d %6d %10d\n", width,
 			op.Name, op.Instances, time.Duration(op.WallNs), time.Duration(op.BusyNs),
 			op.TuplesIn, op.TuplesOut, op.FramesSent, op.BytesMoved, op.SpillRuns, op.SpilledBytes)
 	}

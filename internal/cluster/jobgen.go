@@ -41,9 +41,12 @@ type jobGen struct {
 	c        *Cluster
 	job      *hyracks.Job
 	parts    int
-	memo     map[*algebra.Op]*genOut
+	memo     map[*algebra.Op]*genOut // shared nodes only: the others are generated once
 	parents  map[*algebra.Op]int
 	portUsed map[*algebra.Op]int
+	// live is algebra.LiveVars of the plan: what the end of a pipeline
+	// keeps of the chain's variables.
+	live     map[*algebra.Op]map[algebra.Var]bool
 	counters *QueryCounters
 	// tOccAlgo is the job's T-occurrence solver, resolved once when the
 	// job is generated: every search of the job runs the same one.
@@ -65,6 +68,10 @@ type genOut struct {
 	// candidates; the first Select above it is the global verification
 	// and counts its survivors into QueryCounters.VerifiedTotal.
 	fromIndex bool
+	// pipe, when non-nil, is all there is: a chain of per-row stages that
+	// no job node runs yet. The next per-row operator extends it; anything
+	// else reads it through gen, which seals it into one node.
+	pipe *pipeline
 }
 
 // colMap maps schema variables to column positions.
@@ -92,6 +99,7 @@ func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters, tOccAlg
 		memo:     map[*algebra.Op]*genOut{},
 		parents:  map[*algebra.Op]int{},
 		portUsed: map[*algebra.Op]int{},
+		live:     algebra.LiveVars(root),
 		counters: counters,
 		tOccAlgo: tOccAlgo,
 	}
@@ -100,39 +108,24 @@ func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters, tOccAlg
 			g.parents[in]++
 		}
 	})
-	child, err := g.gen(root.Inputs[0])
+	child, err := g.genOpen(root.Inputs[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	cols := colMap(child.schema)
-	col, ok := cols[root.Var]
-	if !ok {
-		return nil, nil, fmt.Errorf("jobgen: result variable %v not in schema %v", root.Var, child.schema)
-	}
 	// Project to the result column; keep any sort columns so a MergeOne
 	// sink can preserve a top-level order-by.
-	keep := []int{col}
-	var sinkSort []hyracks.SortCol
-	for _, sc := range child.sortCols {
-		sinkSort = append(sinkSort, hyracks.SortCol{Col: len(keep), Desc: sc.Desc})
-		keep = append(keep, sc.Col)
+	p := openPipeline(child)
+	p.add("ResultProject", nil)
+	res, err := g.seal(p, append([]algebra.Var{root.Var}, p.sortVars()...))
+	if err != nil {
+		return nil, nil, err
 	}
-	proj := g.job.Add("ResultProject", child.parts, hyracks.FlatMap(
-		func(ctx *hyracks.TaskCtx, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			nt := make(hyracks.Tuple, len(keep))
-			for i, c := range keep {
-				nt[i] = t[c]
-			}
-			emit(nt)
-			return nil
-		}), g.inputFrom(child, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 	collector := &hyracks.Collector{}
 	conn := hyracks.ConnectorSpec{Type: hyracks.GatherOne}
-	if sinkSort != nil {
-		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: sinkSort}
+	if res.sortCols != nil {
+		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: res.sortCols}
 	}
-	hyracks.MakeSink(g.job, "DistributeResult", collector,
-		hyracks.Input{From: proj, Conn: conn})
+	hyracks.MakeSink(g.job, "DistributeResult", collector, g.inputFrom(res, conn))
 	return g.job, collector, nil
 }
 
@@ -141,23 +134,44 @@ func (g *jobGen) inputFrom(child *genOut, conn hyracks.ConnectorSpec) hyracks.In
 	return hyracks.Input{From: child.node, FromPort: child.port, Conn: conn}
 }
 
-// gen compiles one algebra node (memoized; shared nodes get a
-// materializing Replicate so each parent reads a private port).
+// gen compiles one algebra node into something a job node can read.
 func (g *jobGen) gen(op *algebra.Op) (*genOut, error) {
-	if out, ok := g.memo[op]; ok {
-		// Shared node: route this parent through the replicate port.
-		return g.sharedPort(op, out)
-	}
-	out, err := g.genFresh(op)
+	out, err := g.genOpen(op)
 	if err != nil {
 		return nil, err
 	}
-	g.memo[op] = out
-	if g.parents[op] > 1 {
-		// First parent also reads through the replicate.
-		return g.sharedPort(op, out)
+	return g.sealed(out, op)
+}
+
+// sealed closes the pipeline out ends in, if any, keeping the variables
+// live above op.
+func (g *jobGen) sealed(out *genOut, op *algebra.Op) (*genOut, error) {
+	if out.pipe == nil {
+		return out, nil
 	}
-	return out, nil
+	return g.seal(out.pipe, out.pipe.liveVars(g.live[op]))
+}
+
+// genOpen compiles one algebra node and leaves a pipeline it ends in
+// open for the caller to extend. Shared nodes are sealed, memoized and
+// get a materializing Replicate so each parent reads a private port.
+func (g *jobGen) genOpen(op *algebra.Op) (*genOut, error) {
+	if g.parents[op] <= 1 {
+		return g.genFresh(op)
+	}
+	out, ok := g.memo[op]
+	if !ok {
+		fresh, err := g.genFresh(op)
+		if err != nil {
+			return nil, err
+		}
+		if out, err = g.sealed(fresh, op); err != nil {
+			return nil, err
+		}
+		g.memo[op] = out
+	}
+	// Every parent, the first included, reads through the replicate.
+	return g.sharedPort(op, out)
 }
 
 // sharedPort wraps a shared node with a materializing Replicate (once)
@@ -190,14 +204,13 @@ func (g *jobGen) genFresh(op *algebra.Op) (*genOut, error) {
 		return &genOut{node: node, parts: 1}, nil
 	case algebra.OpScan:
 		return g.genScan(op)
-	case algebra.OpSelect:
-		return g.genSelect(op)
-	case algebra.OpAssign:
-		return g.genAssign(op)
-	case algebra.OpProject:
-		return g.genProject(op)
-	case algebra.OpUnnest:
-		return g.genUnnest(op)
+	case algebra.OpSelect, algebra.OpAssign, algebra.OpProject, algebra.OpUnnest:
+		in, err := g.genOpen(op.Inputs[0])
+		if err != nil {
+			return nil, err
+		}
+		p := openPipeline(in)
+		return p.out, p.stage(op, g.counters)
 	case algebra.OpOrder:
 		return g.genOrder(op)
 	case algebra.OpRank:
@@ -263,158 +276,307 @@ func scanFields(project []string, pkField string) []string {
 	return dedup
 }
 
-// selectState is the per-instance state of a (possibly fused) select:
-// the fused-assign evaluators run first, extending the tuple, then the
-// condition evaluator decides.
-type selectState struct {
-	fused []tupleEval
-	cond  tupleEval
+// step runs one stage of a pipeline over the scratch row, and the stages
+// after it.
+type step func(row hyracks.Tuple) error
+
+// stage is one per-row operator compiled into a pipeline: given the step
+// that follows it, it builds one instance's step, instantiating the
+// evaluators that carry per-instance state.
+type stage func(next step) step
+
+// pipeline builds the one job node of a maximal chain of per-row
+// operators (select, assign, project, unnest, and the select or project
+// a join, a union input and the result add). Every instance owns one
+// scratch row: the input tuple is copied into its first slots, a stage
+// writes the variables it defines into slots of their own, and the
+// compiled evaluators index the row by slot, so nothing is allocated
+// until the last stage builds the output tuple of a surviving row from
+// the slots that are still live. An evaluator may read the row only
+// while it runs (the next input overwrites it); a value it returns is
+// immutable and may be kept.
+type pipeline struct {
+	in     *genOut             // the sealed producer the chain reads
+	out    *genOut             // the open genOut that stands for the chain
+	schema []algebra.Var       // variables visible after the last stage
+	cols   map[algebra.Var]int // visible variable -> slot
+	width  int                 // slots of the scratch row
+	stages []stage
+	names  []string // stage names, in order: the node's name
+	// ordered: the stages so far keep in.sortCols meaningful.
+	ordered   bool
+	fromIndex bool
 }
 
-func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
+// openPipeline returns the pipeline out ends in, or starts one above it.
+func openPipeline(out *genOut) *pipeline {
+	if out.pipe != nil {
+		return out.pipe
 	}
-	// The first Select above an index subtree is the global verification
-	// of the paper's index plans: its survivors are the true results
-	// among the T-occurrence candidates. Output tuples here are few, so
-	// one atomic add per survivor stays off the per-tuple hot path.
-	verifier := in.fromIndex
-	counters := g.counters
-	name := "Select"
-	if verifier {
-		name = "Select(verify)"
+	p := &pipeline{
+		in:      out,
+		schema:  append([]algebra.Var(nil), out.schema...),
+		cols:    colMap(out.schema),
+		width:   len(out.schema),
+		ordered: true, fromIndex: out.fromIndex,
 	}
-	schema := in.schema
-	if len(op.FusedAssignVars) > 0 {
-		schema = append(append([]algebra.Var(nil), in.schema...), op.FusedAssignVars...)
-		name += "(fused-assign)"
-	}
-	cols := colMap(schema)
-	newCond, condCompiled := evalFactory(op.Cond, cols)
-	newFused, fusedCompiled := evalFactories(op.FusedAssignExprs, cols)
-	node := g.job.Add(interpretedMark(name, condCompiled && fusedCompiled), in.parts, hyracks.MapStateful(
-		func() *selectState {
-			return &selectState{cond: newCond(), fused: instantiate(newFused)}
-		},
-		func(ctx *hyracks.TaskCtx, st *selectState, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			row := t
-			if len(st.fused) > 0 {
-				row = make(hyracks.Tuple, len(t), len(t)+len(st.fused))
-				copy(row, t)
-				for _, fe := range st.fused {
-					v, err := fe(row)
-					if err != nil {
-						return err
-					}
-					row = append(row, v)
-				}
-			}
-			v, err := st.cond(row)
-			if err != nil {
-				return err
-			}
-			if algebra.Truthy(v) {
-				if verifier {
-					counters.VerifiedTotal.Add(1)
-				}
-				emit(row)
-			}
-			return nil
-		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	return &genOut{node: node, schema: schema, parts: in.parts, sortCols: in.sortCols}, nil
+	p.out = &genOut{pipe: p}
+	return p
 }
 
-func (g *jobGen) genAssign(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
+// bind gives each variable a fresh slot of the scratch row.
+func (p *pipeline) bind(vars ...algebra.Var) []int {
+	slots := make([]int, len(vars))
+	for i, v := range vars {
+		slots[i] = p.width
+		p.cols[v] = p.width
+		p.width++
 	}
-	cols := colMap(in.schema)
-	newEvals, compiled := evalFactories(op.AssignExprs, cols)
-	node := g.job.Add(interpretedMark("Assign", compiled), in.parts, hyracks.MapStateful(
-		func() []tupleEval { return instantiate(newEvals) },
-		func(ctx *hyracks.TaskCtx, evals []tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			nt := make(hyracks.Tuple, len(t), len(t)+len(evals))
-			copy(nt, t)
-			for _, ev := range evals {
-				v, err := ev(t)
-				if err != nil {
-					return err
-				}
-				nt = append(nt, v)
-			}
-			emit(nt)
-			return nil
-		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	schema := append(append([]algebra.Var(nil), in.schema...), op.AssignVars...)
-	return &genOut{node: node, schema: schema, parts: in.parts, sortCols: in.sortCols, fromIndex: in.fromIndex}, nil
+	p.schema = append(p.schema, vars...)
+	return slots
 }
 
-func (g *jobGen) genProject(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
+func (p *pipeline) add(name string, st stage) {
+	p.names = append(p.names, name)
+	if st != nil {
+		p.stages = append(p.stages, st)
 	}
-	cols := colMap(in.schema)
-	idx := make([]int, len(op.Vars))
-	for i, v := range op.Vars {
-		c, ok := cols[v]
-		if !ok {
-			return nil, fmt.Errorf("jobgen: project var %v missing from schema", v)
+}
+
+// sortVars names the variables the input's sort order is on, while the
+// chain keeps that order.
+func (p *pipeline) sortVars() []algebra.Var {
+	if !p.ordered {
+		return nil
+	}
+	vars := make([]algebra.Var, len(p.in.sortCols))
+	for i, sc := range p.in.sortCols {
+		vars[i] = p.in.schema[sc.Col]
+	}
+	return vars
+}
+
+// liveVars is what the end of the chain keeps: the visible variables
+// that are live above it or carry its sort order, in schema order.
+func (p *pipeline) liveVars(live map[algebra.Var]bool) []algebra.Var {
+	sorted := p.sortVars()
+	var keep []algebra.Var
+	for _, v := range p.schema {
+		if live[v] || containsVar(sorted, v) {
+			keep = append(keep, v)
 		}
-		idx[i] = c
 	}
-	node := g.job.Add("Project", in.parts, hyracks.FlatMap(
-		func(ctx *hyracks.TaskCtx, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			nt := make(hyracks.Tuple, len(idx))
-			for i, c := range idx {
-				nt[i] = t[c]
-			}
-			emit(nt)
-			return nil
-		}), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	return &genOut{node: node, schema: append([]algebra.Var(nil), op.Vars...), parts: in.parts, fromIndex: in.fromIndex}, nil
+	return keep
 }
 
-func (g *jobGen) genUnnest(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
+func containsVar(vars []algebra.Var, v algebra.Var) bool {
+	for _, x := range vars {
+		if x == v {
+			return true
+		}
 	}
-	cols := colMap(in.schema)
-	newEval, compiled := evalFactory(op.Expr, cols)
-	withPos := op.PosVar != 0
-	node := g.job.Add(interpretedMark("Unnest", compiled), in.parts, hyracks.MapStateful(
-		newEval,
-		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			v, err := ev(t)
-			if err != nil {
+	return false
+}
+
+// sel adds a select: the fused-assign evaluators run first, filling
+// their slots, then the condition evaluator decides. The first select
+// above an index subtree is the global verification of the paper's index
+// plans: its survivors are the true results among the T-occurrence
+// candidates. Survivors are few, so one atomic add each stays off the
+// per-row hot path.
+func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, fusedExprs []algebra.Expr, counters *QueryCounters) {
+	verifier := p.fromIndex
+	p.fromIndex = false
+	slots := p.bind(fusedVars...)
+	newCond, condCompiled := evalFactory(cond, p.cols)
+	newFused, fusedCompiled := evalFactories(fusedExprs, p.cols)
+	p.add(interpretedMark(name, condCompiled && fusedCompiled), func(next step) step {
+		ev, fused := newCond(), instantiate(newFused)
+		return func(row hyracks.Tuple) error {
+			if err := fill(row, slots, fused); err != nil {
 				return err
 			}
-			if v.IsNull() {
-				return nil
+			v, err := ev(row)
+			if err != nil || !algebra.Truthy(v) {
+				return err
+			}
+			if verifier {
+				counters.VerifiedTotal.Add(1)
+			}
+			return next(row)
+		}
+	})
+}
+
+// stage compiles one per-row algebra operator onto the end of the chain.
+func (p *pipeline) stage(op *algebra.Op, counters *QueryCounters) error {
+	switch op.Kind {
+	case algebra.OpSelect:
+		name := "Select"
+		if p.fromIndex {
+			name = "Select(verify)"
+		}
+		if len(op.FusedAssignVars) > 0 {
+			name += "(fused-assign)"
+		}
+		p.sel(name, op.Cond, op.FusedAssignVars, op.FusedAssignExprs, counters)
+	case algebra.OpAssign:
+		p.assign(op.AssignVars, op.AssignExprs)
+	case algebra.OpProject:
+		p.ordered = false
+		return p.project(op.Vars)
+	case algebra.OpUnnest:
+		p.unnest(op.Expr, op.UnnestVar, op.PosVar)
+	}
+	return nil
+}
+
+func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
+	// The expressions see the input only, not one another's variables.
+	newEvals, compiled := evalFactories(exprs, p.cols)
+	slots := p.bind(vars...)
+	p.add(interpretedMark("Assign", compiled), func(next step) step {
+		evals := instantiate(newEvals)
+		return func(row hyracks.Tuple) error {
+			if err := fill(row, slots, evals); err != nil {
+				return err
+			}
+			return next(row)
+		}
+	})
+}
+
+// fill evaluates evals over the row, in order, each into its slot.
+func fill(row hyracks.Tuple, slots []int, evals []tupleEval) error {
+	for i, ev := range evals {
+		v, err := ev(row)
+		if err != nil {
+			return err
+		}
+		row[slots[i]] = v
+	}
+	return nil
+}
+
+// project narrows the visible schema to vars. It has no runtime step:
+// the slots stay where they are and the end of the chain picks.
+func (p *pipeline) project(vars []algebra.Var) error {
+	cols := make(map[algebra.Var]int, len(vars))
+	for _, v := range vars {
+		c, ok := p.cols[v]
+		if !ok {
+			return fmt.Errorf("jobgen: project var %v missing from schema", v)
+		}
+		cols[v] = c
+	}
+	p.schema, p.cols = append([]algebra.Var(nil), vars...), cols
+	p.add("Project", nil)
+	return nil
+}
+
+// unnest loops over the collection in its slot: the stages after it run
+// once per element.
+func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
+	newEval, compiled := evalFactory(e, p.cols)
+	slot, posSlot := p.bind(elemVar)[0], -1
+	if posVar != 0 {
+		posSlot = p.bind(posVar)[0]
+	}
+	p.ordered = false
+	p.add(interpretedMark("Unnest", compiled), func(next step) step {
+		ev := newEval()
+		return func(row hyracks.Tuple) error {
+			v, err := ev(row)
+			if err != nil || v.IsNull() {
+				return err
 			}
 			if v.Kind() != adm.KindList && v.Kind() != adm.KindBag {
 				return fmt.Errorf("unnest over %v value", v.Kind())
 			}
 			for i, e := range v.Elems() {
-				nt := make(hyracks.Tuple, len(t), len(t)+2)
-				copy(nt, t)
-				nt = append(nt, e)
-				if withPos {
-					nt = append(nt, adm.NewInt(int64(i+1)))
+				row[slot] = e
+				if posSlot >= 0 {
+					row[posSlot] = adm.NewInt(int64(i + 1))
 				}
-				emit(nt)
+				if err := next(row); err != nil {
+					return err
+				}
 			}
 			return nil
-		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	schema := append(append([]algebra.Var(nil), in.schema...), op.UnnestVar)
-	if withPos {
-		schema = append(schema, op.PosVar)
+		}
+	})
+}
+
+// seal ends the chain in one job node that emits vars. Only here is a
+// tuple allocated, one per surviving row; a chain that hands its input
+// on unchanged emits the input tuple itself, and one with nothing to run
+// and nothing to drop adds no node at all.
+func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
+	in := p.in
+	slots := make([]int, len(vars))
+	same := len(vars) == len(in.schema)
+	for i, v := range vars {
+		c, ok := p.cols[v]
+		if !ok {
+			return nil, fmt.Errorf("jobgen: pipeline output var %v missing from schema %v", v, p.schema)
+		}
+		slots[i] = c
+		same = same && c == i
 	}
-	return &genOut{node: node, schema: schema, parts: in.parts, fromIndex: in.fromIndex}, nil
+	out := &genOut{node: in.node, port: in.port, schema: vars, parts: in.parts, fromIndex: p.fromIndex}
+	// The output is sorted as the input was if every sort variable
+	// survives (liveVars and the result keep them).
+	for k, sv := range p.sortVars() {
+		i := 0
+		for i < len(vars) && vars[i] != sv {
+			i++
+		}
+		if i == len(vars) {
+			out.sortCols = nil
+			break
+		}
+		out.sortCols = append(out.sortCols, hyracks.SortCol{Col: i, Desc: in.sortCols[k].Desc})
+	}
+	if len(p.stages) == 0 && same {
+		return out, nil
+	}
+	stages, width := p.stages, p.width
+	out.port = 0
+	out.node = g.job.Add(strings.Join(p.names, "+"), in.parts, func() hyracks.Operator {
+		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, ports []*hyracks.PortReader, outs []*hyracks.Emitter) error {
+			row := make(hyracks.Tuple, width)
+			var cur hyracks.Tuple
+			first := step(func(row hyracks.Tuple) error {
+				nt := make(hyracks.Tuple, len(slots))
+				for i, s := range slots {
+					nt[i] = row[s]
+				}
+				outs[0].Emit(nt)
+				return nil
+			})
+			if same {
+				first = func(hyracks.Tuple) error {
+					outs[0].Emit(cur)
+					return nil
+				}
+			}
+			for i := len(stages) - 1; i >= 0; i-- {
+				first = stages[i](first)
+			}
+			for {
+				t, ok := ports[0].Next()
+				if !ok {
+					return ctx.Ctx.Err()
+				}
+				cur = t
+				copy(row, t)
+				if err := first(row); err != nil {
+					return err
+				}
+			}
+		})
+	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+	return out, nil
 }
 
 func (g *jobGen) genOrder(op *algebra.Op) (*genOut, error) {
@@ -659,7 +821,6 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	buildOut, probeOut := sides[build], sides[probe]
 	outSchema := append(append([]algebra.Var(nil), buildOut.schema...), probeOut.schema...)
 	cond := op.Cond
-	outCols := colMap(outSchema)
 
 	var node *hyracks.OpNode
 	switch op.Phys {
@@ -711,7 +872,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		} else {
 			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		newEval, compiled := evalFactory(cond, outCols)
+		newEval, compiled := evalFactory(cond, colMap(outSchema))
 		newPred := func() func(b, p hyracks.Tuple) (bool, error) {
 			ev := newEval()
 			// One reused concatenation buffer per instance: pred runs
@@ -736,31 +897,16 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	}
 
 	// Hash joins verify key equality only; re-apply the full condition
-	// for any extra conjuncts.
-	fromIndex := left.fromIndex || right.fromIndex
+	// for any extra conjuncts, as the first stage of the pipeline above.
+	// That doubles as the global verification when an index subtree feeds
+	// the join.
+	out := &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: left.fromIndex || right.fromIndex}
 	if isAlwaysTrue(cond) {
-		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}, nil
+		return out, nil
 	}
-	// Re-applying the full condition doubles as the global verification
-	// when an index subtree feeds the join.
-	counters := g.counters
-	newEval, compiled := evalFactory(cond, outCols)
-	post := g.job.Add(interpretedMark("JoinPostSelect", compiled), g.parts, hyracks.MapStateful(
-		newEval,
-		func(ctx *hyracks.TaskCtx, ev tupleEval, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			v, err := ev(t)
-			if err != nil {
-				return err
-			}
-			if algebra.Truthy(v) {
-				if fromIndex {
-					counters.VerifiedTotal.Add(1)
-				}
-				emit(t)
-			}
-			return nil
-		}, nil), hyracks.Input{From: node, Conn: hyracks.ConnectorSpec{Type: hyracks.OneToOne}})
-	return &genOut{node: post, schema: outSchema, parts: g.parts}, nil
+	p := openPipeline(out)
+	p.sel("JoinPostSelect", cond, nil, nil, g.counters)
+	return p.out, nil
 }
 
 func isAlwaysTrue(e algebra.Expr) bool {
@@ -772,34 +918,24 @@ func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
 	inputs := make([]hyracks.Input, len(op.Inputs))
 	var fromIndex bool
 	for i, child := range op.Inputs {
-		in, err := g.gen(child)
+		open, err := g.genOpen(child)
+		if err != nil {
+			return nil, err
+		}
+		// Align the input's columns with the union's as the last stage of
+		// the pipeline below it.
+		p := openPipeline(open)
+		p.add("UnionProject", nil)
+		in, err := g.seal(p, op.InVars[i])
 		if err != nil {
 			return nil, err
 		}
 		fromIndex = fromIndex || in.fromIndex
-		cols := colMap(in.schema)
-		idx := make([]int, len(op.InVars[i]))
-		for j, v := range op.InVars[i] {
-			c, ok := cols[v]
-			if !ok {
-				return nil, fmt.Errorf("jobgen: union input var %v missing", v)
-			}
-			idx[j] = c
-		}
-		proj := g.job.Add("UnionProject", in.parts, hyracks.FlatMap(
-			func(ctx *hyracks.TaskCtx, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-				nt := make(hyracks.Tuple, len(idx))
-				for j, c := range idx {
-					nt[j] = t[c]
-				}
-				emit(nt)
-				return nil
-			}), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 		conn := hyracks.ConnectorSpec{Type: hyracks.OneToOne}
 		if in.parts != g.parts {
 			conn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		inputs[i] = hyracks.Input{From: proj, Conn: conn}
+		inputs[i] = g.inputFrom(in, conn)
 	}
 	node := g.job.Add("Union", g.parts, hyracks.Union(), inputs...)
 	return &genOut{node: node, schema: append([]algebra.Var(nil), op.OutVars...), parts: g.parts, fromIndex: fromIndex}, nil

@@ -195,7 +195,10 @@ func loadWide(t *testing.T, c *Cluster, sess *Session, n int) (name string) {
 // whose returned field lives in the columnar overflow block, and a
 // `return $r` query, for which the lookup must keep fetching whole
 // records. Each index plan is also compared with itself under
-// ProjectionPushdown off.
+// ProjectionPushdown off. Last, a self-join that reads Wide through one
+// reused scan: the projection reaches the scan through the aliases of
+// its branches, and the pairs agree with the unprojected and the
+// unshared plans, and between the formats.
 func TestProjectedLookupPlansAgree(t *testing.T) {
 	const jaccard = `for $r in dataset Wide
 		where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.2`
@@ -204,6 +207,10 @@ func TestProjectedLookupPlansAgree(t *testing.T) {
 		name, q string
 		project string // the lookup's annotation; "" = none (whole records)
 	}
+	const selfJoin = `for $a in dataset Wide for $b in dataset Wide
+		where similarity-jaccard(word-tokens($a.summary), word-tokens($b.summary)) >= 0.8 and $a.id < $b.id
+		return {'a': $a.id, 'b': $b.id, 'name': $b.reviewerName}`
+	pairsByFormat := map[string]string{}
 	for _, format := range []string{"row", "columnar"} {
 		t.Run(format, func(t *testing.T) {
 			c := newTestClusterFormat(t, format)
@@ -260,7 +267,28 @@ func TestProjectedLookupPlansAgree(t *testing.T) {
 			if tags == 0 {
 				t.Error("no row carried extra.tag; the overflow case is vacuous")
 			}
+
+			reused := exec(t, c, scan, selfJoin)
+			plan := reused.Stats.LogicalPlan
+			if got := planLine(plan, "data-scan"); !strings.Contains(plan, "^shared(") || !strings.HasSuffix(got, " project:[id, reviewerName, summary]") {
+				t.Errorf("self-join: want one shared scan projected to three fields, scan is %q in:\n%s", got, plan)
+			}
+			if len(reused.Rows) == 0 {
+				t.Error("self-join found no pairs; the reused-scan case is vacuous")
+			}
+			for what, mod := range map[string]func(*optimizer.Options){
+				"without pushdown": func(o *optimizer.Options) { o.UseIndexes, o.ProjectionPushdown = false, false },
+				"without reuse":    func(o *optimizer.Options) { o.UseIndexes, o.ReuseSubplans = false, false },
+			} {
+				if other := exec(t, c, sessionOpts(mod), selfJoin); resultKey(other) != resultKey(reused) {
+					t.Errorf("self-join %s differs from the projected reused scan (%d vs %d rows)", what, len(other.Rows), len(reused.Rows))
+				}
+			}
+			pairsByFormat[format] = resultKey(reused)
 		})
+	}
+	if pairsByFormat["row"] != pairsByFormat["columnar"] {
+		t.Error("self-join over a projected reused scan: row and columnar storage disagree")
 	}
 }
 

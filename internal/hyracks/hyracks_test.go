@@ -631,3 +631,22 @@ func TestReplicateInterdependentPortsNoDeadlock(t *testing.T) {
 		t.Errorf("join rows = %v, want %d", c.Tuples, 2*n)
 	}
 }
+
+// FlatMap builds a stateless per-tuple test operator: fn emits zero or
+// more output tuples for each input tuple.
+func FlatMap(fn func(ctx *TaskCtx, t Tuple, emit func(Tuple)) error) func() Operator {
+	return func() Operator {
+		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			emit := func(t Tuple) { out[0].Emit(t) }
+			for {
+				t, ok := in[0].Next()
+				if !ok {
+					return ctx.Ctx.Err()
+				}
+				if err := fn(ctx, t, emit); err != nil {
+					return err
+				}
+			}
+		})
+	}
+}

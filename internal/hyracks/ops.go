@@ -21,28 +21,9 @@ func SourceFunc(produce func(ctx *TaskCtx, emit func(Tuple)) error) func() Opera
 	}
 }
 
-// FlatMap builds an operator applying fn to each input tuple; fn emits
-// zero or more output tuples. Select, Assign, Project, Unnest, and the
-// index-search operators are all FlatMaps with different closures.
-func FlatMap(fn func(ctx *TaskCtx, t Tuple, emit func(Tuple)) error) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			emit := func(t Tuple) { out[0].Emit(t) }
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				if err := fn(ctx, t, emit); err != nil {
-					return err
-				}
-			}
-		})
-	}
-}
-
-// MapStateful is FlatMap with per-instance state created by newState
-// and a finish hook for emitting trailing tuples.
+// MapStateful builds an operator applying fn to each input tuple, with
+// per-instance state created by newState; fn emits zero or more output
+// tuples. finish, when non-nil, may emit trailing tuples.
 func MapStateful[S any](
 	newState func() S,
 	fn func(ctx *TaskCtx, st S, t Tuple, emit func(Tuple)) error,
@@ -315,10 +296,6 @@ func HashGroup(keys []int, aggs []AggSpec) func() Operator {
 // the key columns and streams one output tuple per key run. It is the
 // default AsterixDB aggregation the paper's "/*+ hash */" hint replaces.
 func SortGroup(keys []int, aggs []AggSpec) func() Operator {
-	sortCols := make([]SortCol, len(keys))
-	for i, k := range keys {
-		sortCols[i] = SortCol{Col: k}
-	}
 	return func() Operator {
 		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
 			var curKey Tuple
@@ -339,13 +316,18 @@ func SortGroup(keys []int, aggs []AggSpec) func() Operator {
 				if !ok {
 					break
 				}
-				key := make(Tuple, len(keys))
-				for i, k := range keys {
-					key[i] = t[k]
+				// A new key run starts where a key column differs; only then
+				// is the key copied out of the tuple.
+				same := curKey != nil
+				for i := 0; same && i < len(keys); i++ {
+					same = adm.Compare(t[keys[i]], curKey[i]) == 0
 				}
-				if curKey == nil || CompareTuples(key, curKey, sortColsIdentity(len(keys))) != 0 {
+				if !same {
 					flush()
-					curKey = key
+					curKey = make(Tuple, len(keys))
+					for i, k := range keys {
+						curKey[i] = t[k]
+					}
 					states = make([]aggState, len(aggs))
 				}
 				for i, spec := range aggs {
@@ -356,16 +338,6 @@ func SortGroup(keys []int, aggs []AggSpec) func() Operator {
 			return ctx.Ctx.Err()
 		})
 	}
-}
-
-// sortColsIdentity returns sort columns 0..n-1 ascending (keys copied
-// into a fresh tuple are compared positionally).
-func sortColsIdentity(n int) []SortCol {
-	out := make([]SortCol, n)
-	for i := range out {
-		out[i] = SortCol{Col: i}
-	}
-	return out
 }
 
 // Aggregate computes scalar aggregates over its entire input and emits

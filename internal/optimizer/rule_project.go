@@ -13,9 +13,11 @@ import (
 // The storage layer uses the annotation to decode only those fields —
 // and, on columnar components, to read only their column blocks. The
 // analysis is conservative: any use of the record variable that is not
-// a field-access chain (the record escaping whole into an assign, a
+// a field-access chain (the record escaping whole into an expression, a
 // union rename, or the query result) leaves the annotation nil, meaning
-// "fetch everything".
+// "fetch everything". An assign that merely copies the variable (the
+// alias reuse-scans puts above a shared scan) is followed to the fields
+// read through the alias.
 //
 // The rule recomputes the full set for every source each pass and
 // reports a change only when an annotation differs, so it coexists with
@@ -72,8 +74,19 @@ func referencedFields(root *algebra.Op, rec algebra.Var) []string {
 				}
 			}
 		}
-		for _, e := range op.UsedExprs() {
-			if !collectRecFields(e, rec, fields) {
+		for i, e := range op.UsedExprs() {
+			// A pure copy (an assign's used expressions are its AssignExprs,
+			// in order): the alias's uses are the record's.
+			if vr, ok := e.(algebra.VarRef); ok && vr.V == rec && op.Kind == algebra.OpAssign {
+				through := referencedFields(root, op.AssignVars[i])
+				if through == nil {
+					opaque = true
+					return
+				}
+				for _, f := range through {
+					fields[f] = true
+				}
+			} else if !collectRecFields(e, rec, fields) {
 				opaque = true
 				return
 			}
