@@ -2,22 +2,23 @@ package algebra
 
 import (
 	"fmt"
+	"maps"
 
 	"simdb/internal/adm"
 )
 
 // CompiledEval is a specialized evaluator: the expression tree has been
 // translated into a closure over column slots, so running it is a chain
-// of direct calls with no tree walk, no name lookups, and no Env. A
-// compiled evaluator is pure and carries no mutable state, so one
-// closure is safely shared across operator instances and goroutines.
+// of direct calls with no tree walk and no variable lookups (outside a
+// comprehension, which the interpreter runs). A compiled evaluator is
+// pure and carries no mutable state, so one closure is safely shared
+// across operator instances and goroutines.
 type CompiledEval func(row []adm.Value) (adm.Value, error)
 
 // Compile translates e into a closure evaluating it over tuples whose
-// layout is described by cols (plan variable → column index). It
-// returns ok=false when the expression contains a form the compiler
-// declines (comprehensions and their name references, which need the
-// Env binding stack); callers fall back to the Eval interpreter.
+// layout is described by cols (plan variable → column index). Every
+// expression form this package defines compiles; ok is false only for
+// an Expr type it does not define.
 //
 // The compiler performs:
 //   - column-slot resolution: VarRef compiles to a direct row index,
@@ -28,7 +29,10 @@ type CompiledEval func(row []adm.Value) (adm.Value, error)
 //     short-circuit semantics);
 //   - fused forms: comparisons, int/double arithmetic, field access,
 //     not/is-null compile to inlined closures that skip the registry
-//     dispatch and per-call argument slice.
+//     dispatch and per-call argument slice;
+//   - comprehensions (and a name reference outside one) run Eval with a
+//     fresh Env per call, over a copy of cols taken here: the binding
+//     stack lives in that Env, so the closure stays pure like the rest.
 //
 // Semantics match Eval exactly — same values, same errors, same
 // evaluation order — which the differential tests in compile_test.go
@@ -63,9 +67,14 @@ func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool, bool) {
 		}, false, true
 	case Call:
 		return compileCall(x, cols)
+	case Comprehension, NameRef:
+		cols := maps.Clone(cols)
+		fn := CompiledEval(func(row []adm.Value) (adm.Value, error) { return Eval(e, &Env{Cols: cols, Row: row}) })
+		if len(UsedVars(e, nil)) == 0 {
+			return foldConst(fn), true, true
+		}
+		return fn, false, true
 	}
-	// Comprehension and NameRef need the Env binding stack; decline and
-	// let the caller interpret.
 	return nil, false, false
 }
 

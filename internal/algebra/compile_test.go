@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,16 +91,104 @@ func TestCompileMatchesEvalFixed(t *testing.T) {
 	}
 }
 
-// TestCompileDeclinesComprehension: anything containing a comprehension
-// or name reference falls back to the interpreter.
-func TestCompileDeclinesComprehension(t *testing.T) {
-	comp := Comprehension{
-		Clauses: []CompClause{{Kind: "for", V: "x", E: V(2)}},
-		Ret:     NameRef{Name: "x"},
+// longTokens is the comprehension of the engine's tests: the tokens of $2
+// at least six characters long.
+var longTokens = Comprehension{
+	Clauses: []CompClause{
+		{Kind: "for", V: "tok", E: F("word-tokens", V(2))},
+		{Kind: "where", E: F("ge", F("string-length", NameRef{Name: "tok"}), CInt(6))},
+	},
+	Ret: NameRef{Name: "tok"},
+}
+
+// TestCompileAcceptsComprehension: a comprehension compiles wherever it
+// sits, and so does a name reference outside any comprehension (to the
+// interpreter's unbound-name error).
+func TestCompileAcceptsComprehension(t *testing.T) {
+	constant := Comprehension{
+		Clauses: []CompClause{{Kind: "for", V: "x", PosV: "i", E: F("list", CInt(3), CInt(1))}, {Kind: "order", E: NameRef{Name: "x"}, Desc: true}},
+		Ret:     F("list", NameRef{Name: "i"}, NameRef{Name: "x"}),
 	}
-	for _, e := range []Expr{comp, F("len", comp), NameRef{Name: "x"}} {
-		if _, ok := Compile(e, testCols); ok {
-			t.Fatalf("Compile accepted %s; want decline", e)
+	for _, e := range []Expr{
+		longTokens,
+		F("len", longTokens),
+		F("and", C(adm.NewBool(false)), longTokens),
+		F("ge", F("count", longTokens), CInt(2)),
+		constant,
+		NameRef{Name: "x"},
+		Comprehension{Clauses: []CompClause{{Kind: "for", V: "x", E: CInt(1)}}, Ret: NameRef{Name: "x"}}, // for over an int
+	} {
+		assertSame(t, e)
+	}
+
+	// A variable-free comprehension folds: every call returns the one
+	// value computed at compile time.
+	fn, ok := Compile(constant, testCols)
+	if !ok {
+		t.Fatal("Compile declined")
+	}
+	a, _ := fn(nil)
+	b, _ := fn(testRows[0])
+	if len(a.Elems()) != 2 || &a.Elems()[0] != &b.Elems()[0] {
+		t.Errorf("variable-free comprehension %s was not folded: %v, %v", constant, a, b)
+	}
+
+	// The layout is resolved at compile time, as for a VarRef: a later
+	// change to the map does not reach the closure.
+	cols := map[Var]int{2: 1}
+	fn, _ = Compile(F("len", longTokens), cols)
+	delete(cols, 2)
+	if v, err := fn([]adm.Value{adm.Null, adm.NewString("jumping quickly")}); err != nil || v.Int() != 2 {
+		t.Errorf("len(long tokens of 'jumping quickly') = %v, %v; want 2", v, err)
+	}
+}
+
+// TestCompiledComprehensionShared: one compiled comprehension, shared by
+// goroutines the way operator instances share it. Each call binds its
+// names in an Env of its own; a shared one is a race under -race and
+// wrong answers without it.
+func TestCompiledComprehensionShared(t *testing.T) {
+	nested := Comprehension{
+		Clauses: []CompClause{{Kind: "for", V: "a", E: longTokens}},
+		Ret: F("count", Comprehension{
+			Clauses: []CompClause{{Kind: "for", V: "b", E: F("word-tokens", V(2))}, {Kind: "where", E: F("lt", NameRef{Name: "b"}, NameRef{Name: "a"})}},
+			Ret:     NameRef{Name: "b"},
+		}),
+	}
+	fn, ok := Compile(nested, testCols)
+	if !ok {
+		t.Fatal("Compile declined")
+	}
+	rows := make([][]adm.Value, 16)
+	want := make([]string, len(rows))
+	for i := range rows {
+		rows[i] = []adm.Value{adm.NewInt(int64(i)), adm.NewString(fmt.Sprintf("alphabet %d quickly boxes %d jumping %d", i, i*i, i%3))}
+		v, err := Eval(nested, NewEnv(testCols, rows[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v.String()
+	}
+	done := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			for n := 0; n < 200; n++ {
+				i := (g + n) % len(rows)
+				v, err := fn(rows[i])
+				if err == nil && v.String() != want[i] {
+					err = fmt.Errorf("row %d: %v, want %s", i, v, want[i])
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -142,13 +231,19 @@ type tokenCountError struct{}
 
 func (*tokenCountError) Error() string { return "unexpected token count" }
 
-// genExpr builds a random expression over the test layout. It only
-// emits compilable forms (no comprehensions), including unknown
-// functions, wrong arities, unbound variables, and nulls, so the error
-// paths are compared too.
-func genExpr(r *rand.Rand, depth int) Expr {
+// genExpr builds a random expression over the test layout, including
+// unknown functions, wrong arities, unbound variables and names, and
+// nulls, so the error paths are compared too.
+func genExpr(r *rand.Rand, depth int) Expr { return genExprIn(r, depth, nil) }
+
+// genExprIn builds an expression that may read the comprehension names
+// in scope.
+func genExprIn(r *rand.Rand, depth int, names []string) Expr {
 	if depth <= 0 {
-		switch r.Intn(7) {
+		if len(names) > 0 && r.Intn(3) == 0 {
+			return NameRef{Name: names[r.Intn(len(names))]}
+		}
+		switch r.Intn(8) {
 		case 0:
 			return CInt(int64(r.Intn(21) - 10))
 		case 1:
@@ -159,12 +254,14 @@ func genExpr(r *rand.Rand, depth int) Expr {
 			return C(adm.NewBool(r.Intn(2) == 0))
 		case 4:
 			return C(adm.Null)
+		case 5:
+			return NameRef{Name: "unbound"} // outside any comprehension's scope
 		default:
 			return V(Var(r.Intn(5))) // 0 and 4 are unbound
 		}
 	}
-	sub := func() Expr { return genExpr(r, depth-1) }
-	switch r.Intn(14) {
+	sub := func() Expr { return genExprIn(r, depth-1, names) }
+	switch r.Intn(17) {
 	case 0:
 		return F([]string{"eq", "neq", "lt", "le", "gt", "ge"}[r.Intn(6)], sub(), sub())
 	case 1:
@@ -192,8 +289,78 @@ func genExpr(r *rand.Rand, depth int) Expr {
 	case 12:
 		// Wrong arities and unknown functions: error paths must agree too.
 		return F([]string{"eq", "not", "no-such-fn"}[r.Intn(3)], sub())
+	case 13:
+		return genComp(r, depth, names)
+	case 14:
+		return F("len", genComp(r, depth, names))
+	case 15:
+		// Short-circuit past a comprehension, which may raise.
+		return F("and", C(adm.NewBool(false)), genComp(r, depth, names))
 	default:
 		return F("neg", sub())
+	}
+}
+
+// genComp builds a comprehension of one to three clauses — for (with and
+// without at), let, where, order ascending and descending — and a
+// return, each of which may read every name bound before it, the
+// enclosing comprehensions' included.
+func genComp(r *rand.Rand, depth int, names []string) Expr {
+	scope := append([]string(nil), names...)
+	fresh := func() string {
+		scope = append(scope, fmt.Sprintf("n%d", len(scope)))
+		return scope[len(scope)-1]
+	}
+	sub := func() Expr { return genExprIn(r, depth-1, scope) }
+	var c Comprehension
+	for n := 1 + r.Intn(3); n > 0; n-- {
+		switch r.Intn(6) {
+		case 0, 1:
+			cl := CompClause{Kind: "for", E: genColl(r, depth-1, scope)}
+			cl.V = fresh()
+			if r.Intn(2) == 0 {
+				cl.PosV = fresh()
+			}
+			c.Clauses = append(c.Clauses, cl)
+		case 2:
+			cl := CompClause{Kind: "let", E: sub()}
+			cl.V = fresh()
+			c.Clauses = append(c.Clauses, cl)
+		case 3:
+			c.Clauses = append(c.Clauses, CompClause{Kind: "where", E: sub()})
+		default:
+			c.Clauses = append(c.Clauses, CompClause{Kind: "order", E: sub(), Desc: r.Intn(2) == 0})
+		}
+	}
+	c.Ret = sub()
+	return c
+}
+
+// genColl builds what a for clause ranges over: a list, a bag, null, a
+// value that is not a collection (the interpreter's "for over" error),
+// a column that holds a list on one test row and a string on the
+// others, or a nested comprehension.
+func genColl(r *rand.Rand, depth int, names []string) Expr {
+	switch r.Intn(8) {
+	case 0:
+		return C(adm.NewList([]adm.Value{adm.NewInt(3), adm.NewString("fox"), adm.NewInt(1)}))
+	case 1:
+		return C(adm.NewBag([]adm.Value{adm.NewInt(2), adm.NewInt(2), adm.Null}))
+	case 2:
+		return C(adm.Null)
+	case 3:
+		return CInt(4)
+	case 4:
+		return V(2)
+	case 5:
+		return F("word-tokens", V(2))
+	case 6:
+		if depth > 0 {
+			return genComp(r, depth, names)
+		}
+		return F("list", V(1), V(3))
+	default:
+		return F("list", genExprIn(r, depth, names), genExprIn(r, depth, names))
 	}
 }
 
@@ -202,46 +369,85 @@ func genExpr(r *rand.Rand, depth int) Expr {
 // the interpreter.
 func TestCompileMatchesEvalRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(20260809))
+	seen := map[string]int{}
 	for i := 0; i < 2000; i++ {
-		assertSame(t, genExpr(r, 1+r.Intn(4)))
+		e := genExpr(r, 1+r.Intn(4))
+		countForms(e, false, seen)
+		assertSame(t, e)
+	}
+	t.Logf("forms generated: %v", seen)
+	for _, form := range []string{"comprehension", "nested", "for", "for-at", "for-null", "for-non-list", "for-bag",
+		"let", "where", "order-asc", "order-desc", "name", "unbound-name"} {
+		if seen[form] < 10 {
+			t.Errorf("the generator no longer covers %s: %d of 2000 expressions", form, seen[form])
+		}
+	}
+}
+
+// countForms counts the comprehension forms in e.
+func countForms(e Expr, inComp bool, seen map[string]int) {
+	switch x := e.(type) {
+	case NameRef:
+		if x.Name == "unbound" {
+			seen["unbound-name"]++
+		} else {
+			seen["name"]++
+		}
+	case Call:
+		for _, a := range x.Args {
+			countForms(a, inComp, seen)
+		}
+	case Comprehension:
+		seen["comprehension"]++
+		if inComp {
+			seen["nested"]++
+		}
+		for _, cl := range x.Clauses {
+			kind := cl.Kind
+			switch {
+			case kind == "order" && cl.Desc:
+				kind = "order-desc"
+			case kind == "order":
+				kind = "order-asc"
+			}
+			seen[kind]++
+			if kind == "for" {
+				if cl.PosV != "" {
+					seen["for-at"]++
+				}
+				if c, ok := cl.E.(Const); ok {
+					switch c.Val.Kind() {
+					case adm.KindNull:
+						seen["for-null"]++
+					case adm.KindBag:
+						seen["for-bag"]++
+					case adm.KindInt:
+						seen["for-non-list"]++
+					}
+				}
+			}
+			countForms(cl.E, true, seen)
+		}
+		countForms(x.Ret, true, seen)
 	}
 }
 
 // FuzzCompiledEval drives the same differential property from a fuzzed
 // seed: the input bytes seed the expression generator, so the corpus
-// explores expression shapes rather than raw syntax.
+// explores expression shapes rather than raw syntax. The last three
+// seeds generate comprehensions nested one, two and three deep.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add(int64(1), 3)
 	f.Add(int64(42), 5)
 	f.Add(int64(-7), 2)
+	f.Add(int64(113), 5)
+	f.Add(int64(1), 5)
+	f.Add(int64(11), 4)
 	f.Fuzz(func(t *testing.T, seed int64, depth int) {
 		if depth < 0 || depth > 6 {
 			t.Skip()
 		}
-		r := rand.New(rand.NewSource(seed))
-		e := genExpr(r, depth)
-		fn, ok := Compile(e, testCols)
-		if !ok {
-			t.Fatalf("generator emitted a non-compilable expression: %s", e)
-		}
-		env := NewEnv(testCols, nil)
-		for _, row := range testRows {
-			env.Reset(row)
-			iv, ierr := Eval(e, env)
-			cv, cerr := fn(row)
-			if (ierr == nil) != (cerr == nil) {
-				t.Fatalf("expr %s: interpreted err=%v, compiled err=%v", e, ierr, cerr)
-			}
-			if ierr != nil {
-				if ierr.Error() != cerr.Error() {
-					t.Fatalf("expr %s: error text diverged: %v vs %v", e, ierr, cerr)
-				}
-				continue
-			}
-			if iv.Kind() != cv.Kind() || iv.String() != cv.String() {
-				t.Fatalf("expr %s: interpreted %v, compiled %v", e, iv, cv)
-			}
-		}
+		assertSame(t, genExpr(rand.New(rand.NewSource(seed)), depth))
 	})
 }
 
@@ -272,11 +478,21 @@ func BenchmarkEvalInterpretedReusedEnv(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalCompiled(b *testing.B) {
-	fn, ok := Compile(benchExpr, testCols)
+func BenchmarkEvalCompiled(b *testing.B) { benchCompiled(b, benchExpr) }
+
+// BenchmarkEvalCompiledComprehension times the engine tests' select
+// condition, count(long tokens) >= 2: the interpreter under a compiled
+// call, with one Env per evaluation.
+func BenchmarkEvalCompiledComprehension(b *testing.B) {
+	benchCompiled(b, F("ge", F("count", longTokens), CInt(2)))
+}
+
+func benchCompiled(b *testing.B, e Expr) {
+	fn, ok := Compile(e, testCols)
 	if !ok {
 		b.Fatal("Compile declined")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fn(benchRow); err != nil {

@@ -28,8 +28,7 @@ func NewEnv(cols map[Var]int, row []adm.Value) *Env {
 
 // Reset rebinds the environment to a new tuple and drops any leftover
 // comprehension bindings, so one Env can be reused across tuples
-// instead of allocating per call. An Env is single-goroutine; operator
-// instances each own one.
+// instead of allocating per call. An Env is single-goroutine.
 func (e *Env) Reset(row []adm.Value) {
 	e.Row = row
 	e.names = e.names[:0]

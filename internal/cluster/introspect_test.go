@@ -212,16 +212,11 @@ func TestExplainMatchesWhatRuns(t *testing.T) {
 				t.Errorf("%s: plan of %s differs from explain:\n%s\nexplain:\n%s", name, what, plan, explained)
 			}
 		}
-		// The report embeds that same plan, indented under its header, and
-		// marks no operator as an interpreter fallback: every expression of
-		// these plans compiles.
+		// The report embeds that same plan, indented under its header.
 		report := rowsText(analyzed)
 		indented := "  " + strings.ReplaceAll(strings.TrimRight(explained, "\n"), "\n", "\n  ") + "\n"
 		if !strings.Contains(report, "logical plan:\n"+indented) {
 			t.Errorf("%s: explain analyze report does not carry the explain plan:\n%s", name, report)
-		}
-		if strings.Contains(report, "[interpreted]") {
-			t.Errorf("%s: an operator fell back to the interpreter:\n%s", name, report)
 		}
 	}
 }

@@ -281,8 +281,7 @@ func scanFields(project []string, pkField string) []string {
 type step func(row hyracks.Tuple) error
 
 // stage is one per-row operator compiled into a pipeline: given the step
-// that follows it, it builds one instance's step, instantiating the
-// evaluators that carry per-instance state.
+// that follows it, it builds one instance's step.
 type stage func(next step) step
 
 // pipeline builds the one job node of a maximal chain of per-row
@@ -384,14 +383,16 @@ func containsVar(vars []algebra.Var, v algebra.Var) bool {
 // plans: its survivors are the true results among the T-occurrence
 // candidates. Survivors are few, so one atomic add each stays off the
 // per-row hot path.
-func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, fusedExprs []algebra.Expr, counters *QueryCounters) {
+func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, fusedExprs []algebra.Expr, counters *QueryCounters) error {
 	verifier := p.fromIndex
 	p.fromIndex = false
 	slots := p.bind(fusedVars...)
-	newCond, condCompiled := evalFactory(cond, p.cols)
-	newFused, fusedCompiled := evalFactories(fusedExprs, p.cols)
-	p.add(interpretedMark(name, condCompiled && fusedCompiled), func(next step) step {
-		ev, fused := newCond(), instantiate(newFused)
+	evals, err := compileEvals(p.cols, append([]algebra.Expr{cond}, fusedExprs...)...)
+	if err != nil {
+		return err
+	}
+	ev, fused := evals[0], evals[1:]
+	p.add(name, func(next step) step {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, fused); err != nil {
 				return err
@@ -406,6 +407,7 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 			return next(row)
 		}
 	})
+	return nil
 }
 
 // stage compiles one per-row algebra operator onto the end of the chain.
@@ -419,24 +421,26 @@ func (p *pipeline) stage(op *algebra.Op, counters *QueryCounters) error {
 		if len(op.FusedAssignVars) > 0 {
 			name += "(fused-assign)"
 		}
-		p.sel(name, op.Cond, op.FusedAssignVars, op.FusedAssignExprs, counters)
+		return p.sel(name, op.Cond, op.FusedAssignVars, op.FusedAssignExprs, counters)
 	case algebra.OpAssign:
-		p.assign(op.AssignVars, op.AssignExprs)
+		return p.assign(op.AssignVars, op.AssignExprs)
 	case algebra.OpProject:
 		p.ordered = false
 		return p.project(op.Vars)
 	case algebra.OpUnnest:
-		p.unnest(op.Expr, op.UnnestVar, op.PosVar)
+		return p.unnest(op.Expr, op.UnnestVar, op.PosVar)
 	}
 	return nil
 }
 
-func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
+func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) error {
 	// The expressions see the input only, not one another's variables.
-	newEvals, compiled := evalFactories(exprs, p.cols)
+	evals, err := compileEvals(p.cols, exprs...)
+	if err != nil {
+		return err
+	}
 	slots := p.bind(vars...)
-	p.add(interpretedMark("Assign", compiled), func(next step) step {
-		evals := instantiate(newEvals)
+	p.add("Assign", func(next step) step {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, evals); err != nil {
 				return err
@@ -444,10 +448,11 @@ func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
 			return next(row)
 		}
 	})
+	return nil
 }
 
 // fill evaluates evals over the row, in order, each into its slot.
-func fill(row hyracks.Tuple, slots []int, evals []tupleEval) error {
+func fill(row hyracks.Tuple, slots []int, evals []algebra.CompiledEval) error {
 	for i, ev := range evals {
 		v, err := ev(row)
 		if err != nil {
@@ -476,15 +481,18 @@ func (p *pipeline) project(vars []algebra.Var) error {
 
 // unnest loops over the collection in its slot: the stages after it run
 // once per element.
-func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
-	newEval, compiled := evalFactory(e, p.cols)
+func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) error {
+	evals, err := compileEvals(p.cols, e)
+	if err != nil {
+		return err
+	}
+	ev := evals[0]
 	slot, posSlot := p.bind(elemVar)[0], -1
 	if posVar != 0 {
 		posSlot = p.bind(posVar)[0]
 	}
 	p.ordered = false
-	p.add(interpretedMark("Unnest", compiled), func(next step) step {
-		ev := newEval()
+	p.add("Unnest", func(next step) step {
 		return func(row hyracks.Tuple) error {
 			v, err := ev(row)
 			if err != nil || v.IsNull() {
@@ -505,6 +513,7 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 			return nil
 		}
 	})
+	return nil
 }
 
 // seal ends the chain in one job node that emits vars. Only here is a
@@ -872,23 +881,19 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		} else {
 			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		newEval, compiled := evalFactory(cond, colMap(outSchema))
-		newPred := func() func(b, p hyracks.Tuple) (bool, error) {
-			ev := newEval()
-			// One reused concatenation buffer per instance: pred runs
-			// serially within an instance and evaluators do not retain
-			// the row.
-			var row hyracks.Tuple
-			return func(b, p hyracks.Tuple) (bool, error) {
-				row = append(append(row[:0], b...), p...)
-				v, err := ev(row)
-				if err != nil {
-					return false, err
-				}
-				return algebra.Truthy(v), nil
-			}
+		evals, err := compileEvals(colMap(outSchema), cond)
+		if err != nil {
+			return nil, err
 		}
-		node = g.job.Add(interpretedMark("NestedLoopJoin", compiled), g.parts, hyracks.NestedLoopJoin(newPred),
+		ev := evals[0]
+		pred := func(row hyracks.Tuple) (bool, error) {
+			v, err := ev(row)
+			if err != nil {
+				return false, err
+			}
+			return algebra.Truthy(v), nil
+		}
+		node = g.job.Add("NestedLoopJoin", g.parts, hyracks.NestedLoopJoin(pred),
 			g.inputFrom(buildOut, hyracks.ConnectorSpec{Type: hyracks.Broadcast}),
 			g.inputFrom(probeOut, probeConn))
 		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: left.fromIndex || right.fromIndex}, nil
@@ -905,8 +910,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		return out, nil
 	}
 	p := openPipeline(out)
-	p.sel("JoinPostSelect", cond, nil, nil, g.counters)
-	return p.out, nil
+	return p.out, p.sel("JoinPostSelect", cond, nil, nil, g.counters)
 }
 
 func isAlwaysTrue(e algebra.Expr) bool {
@@ -947,55 +951,58 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	cols := colMap(in.schema)
-	newKeyEval, keyCompiled := evalFactory(op.KeyExpr, cols)
-	newTEval, tCompiled := evalFactory(op.TExpr, cols)
+	evals, err := compileEvals(cols, op.KeyExpr, op.TExpr)
+	if err != nil {
+		return nil, err
+	}
+	keyEval, tEval := evals[0], evals[1]
 	dv, ds, ixName := op.Dataverse, op.Dataset, op.IndexName
 	c := g.c
 	counters, algo := g.counters, g.tOccAlgo
-	node := g.job.Add(interpretedMark("SecondaryIndexSearch("+ixName+")", keyCompiled && tCompiled), g.parts, hyracks.MapStateful(
-		func() *searchEvals { return &searchEvals{key: newKeyEval(), t: newTEval()} },
-		func(ctx *hyracks.TaskCtx, ev *searchEvals, t hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			keyVal, err := ev.key(t)
-			if err != nil {
-				return err
+	node := g.job.Add("SecondaryIndexSearch("+ixName+")", g.parts, func() hyracks.Operator {
+		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
+			for {
+				t, ok := in[0].Next()
+				if !ok {
+					return ctx.Ctx.Err()
+				}
+				keyVal, err := keyEval(t)
+				if err != nil {
+					return err
+				}
+				if keyVal.IsNull() {
+					continue
+				}
+				tVal, err := tEval(t)
+				if err != nil {
+					return err
+				}
+				tNum, ok := tVal.Num()
+				if !ok {
+					return fmt.Errorf("secondary search: non-numeric T %v", tVal)
+				}
+				if int(tNum) <= 0 {
+					return fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
+				}
+				tokens, err := tokensFromValue(keyVal)
+				if err != nil {
+					return err
+				}
+				pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, int(tNum), algo, counters)
+				if err != nil {
+					return err
+				}
+				for _, pk := range pks {
+					nt := make(hyracks.Tuple, len(t), len(t)+1)
+					copy(nt, t)
+					nt = append(nt, pk)
+					out[0].Emit(nt)
+				}
 			}
-			if keyVal.IsNull() {
-				return nil
-			}
-			tVal, err := ev.t(t)
-			if err != nil {
-				return err
-			}
-			tNum, ok := tVal.Num()
-			if !ok {
-				return fmt.Errorf("secondary search: non-numeric T %v", tVal)
-			}
-			if int(tNum) <= 0 {
-				return fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
-			}
-			tokens, err := tokensFromValue(keyVal)
-			if err != nil {
-				return err
-			}
-			pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, int(tNum), algo, counters)
-			if err != nil {
-				return err
-			}
-			for _, pk := range pks {
-				nt := make(hyracks.Tuple, len(t), len(t)+1)
-				copy(nt, t)
-				nt = append(nt, pk)
-				emit(nt)
-			}
-			return nil
-		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Broadcast}))
+		})
+	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Broadcast}))
 	schema := append(append([]algebra.Var(nil), in.schema...), op.OutVar)
 	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: true}, nil
-}
-
-// searchEvals is one secondary-search instance's pair of evaluators.
-type searchEvals struct {
-	key, t tupleEval
 }
 
 // tokensFromValue converts a token-list value to strings. Non-string
@@ -1029,7 +1036,11 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 		return nil, fmt.Errorf("jobgen: unknown dataset %s.%s", op.Dataverse, op.Dataset)
 	}
 	cols := colMap(in.schema)
-	newEval, compiled := evalFactory(op.PKExpr, cols)
+	evals, err := compileEvals(cols, op.PKExpr)
+	if err != nil {
+		return nil, err
+	}
+	ev := evals[0]
 	raw := op.RawPK
 	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField
 	fields := scanFields(op.ProjectFields, pkField)
@@ -1039,7 +1050,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 	// lookup of the query reads the same version of the partition, and
 	// the deferred Close runs on every exit path (error, cancellation,
 	// end of input), so a dying query never pins retired components.
-	node := g.job.Add(interpretedMark("PrimaryIndexLookup("+ds+")", compiled), g.parts, func() hyracks.Operator {
+	node := g.job.Add("PrimaryIndexLookup("+ds+")", g.parts, func() hyracks.Operator {
 		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
 			tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 			if err != nil {
@@ -1047,7 +1058,6 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 			}
 			snap := tree.Snapshot()
 			defer snap.Close()
-			ev := newEval()
 			pass := filter.New()
 			for {
 				t, ok := in[0].Next()

@@ -14,8 +14,10 @@ import (
 
 // The property below holds a fused pipeline against its definition: the
 // chain's operators applied one at a time, each building the wider tuple
-// the standalone operator used to emit, evaluated by the tree interpreter
-// (the pipeline runs the compiled closures over its scratch row).
+// the standalone operator used to emit and compiling its expressions
+// against that tuple's own layout (the pipeline compiles them once
+// against slots of its scratch row). That the compiled closures agree
+// with the interpreter is internal/algebra's differential test.
 
 // chainGen draws random chains of per-row operators over a four-column
 // input: $1 int, $2 string, $3 a list, a bag, null or (rarely) a number,
@@ -167,7 +169,11 @@ func applyOneAtATime(ops []*algebra.Op, schema []algebra.Var, t hyracks.Tuple, e
 	}
 	op, rest := ops[0], ops[1:]
 	eval := func(e algebra.Expr, schema []algebra.Var, row hyracks.Tuple) (adm.Value, error) {
-		return algebra.Eval(e, algebra.NewEnv(colMap(schema), row))
+		fn, ok := algebra.Compile(e, colMap(schema))
+		if !ok {
+			panic("expression does not compile: " + e.String())
+		}
+		return fn(row)
 	}
 	extend := func(vars ...algebra.Var) []algebra.Var {
 		return append(append([]algebra.Var(nil), schema...), vars...)

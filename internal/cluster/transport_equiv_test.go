@@ -211,21 +211,24 @@ func TestTransportEquivalence(t *testing.T) {
 		}
 	})
 
-	t.Run("interpreter-fallback", func(t *testing.T) {
-		// A nested FLWOR over word-tokens is a comprehension, which the
-		// closure compiler declines: the worker recompiling the shipped
-		// text must fall back to the interpreter for it like node 0 does.
-		a, b := assertEquivalent(t, inproc, tcp, plainSession, `
-			for $r in dataset EqReviews
-			let $long := for $tok in word-tokens($r.summary) where string-length($tok) >= 6 return $tok
-			where count($long) >= 2
-			return $r.id`)
-		if len(a.Rows) == 0 {
-			t.Error("comprehension selection found nothing")
-		}
-		for name, res := range map[string]*Result{"inproc": a, "tcp": b} {
-			if !ranInterpreter(res) {
-				t.Errorf("%s: no operator ran the interpreter: %+v", name, res.Stats.PhysicalOps())
+	t.Run("comprehension", func(t *testing.T) {
+		// Every comprehension shape: the worker compiles the shipped text
+		// to the same job, so both sides return the reference's rows from
+		// the same operators.
+		recs := compRecs(equivRecords())
+		for _, s := range compShapes {
+			a, b := assertEquivalent(t, inproc, tcp, plainSession, s.q("EqReviews"))
+			checkCompShape(t, s, a, recs)
+			checkCompShape(t, s, b, recs)
+			var na, nb []string
+			for _, op := range a.Stats.PhysicalOps() {
+				na = append(na, op.Name)
+			}
+			for _, op := range b.Stats.PhysicalOps() {
+				nb = append(nb, op.Name)
+			}
+			if fmt.Sprint(na) != fmt.Sprint(nb) {
+				t.Errorf("%s: operators differ:\n inproc: %v\n tcp:    %v", s.name, na, nb)
 			}
 		}
 	})

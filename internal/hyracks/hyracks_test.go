@@ -367,10 +367,9 @@ func TestNestedLoopJoinWithPredicate(t *testing.T) {
 	job := &Job{}
 	left := job.Add("L", 1, partitionedSource([][]int64{{1, 2, 3}}))
 	right := job.Add("R", 2, partitionedSource([][]int64{{10, 20}, {30}}))
-	join := job.Add("NLJoin", 2, NestedLoopJoin(func() func(b, p Tuple) (bool, error) {
-		return func(b, p Tuple) (bool, error) {
-			return p[0].Int()/10 == b[0].Int(), nil
-		}
+	// The predicate sees build ++ probe: column 0 is the build's, 1 the probe's.
+	join := job.Add("NLJoin", 2, NestedLoopJoin(func(row Tuple) (bool, error) {
+		return row[1].Int()/10 == row[0].Int(), nil
 	}),
 		Input{From: left, Conn: ConnectorSpec{Type: Broadcast}},
 		Input{From: right, Conn: ConnectorSpec{Type: OneToOne}})
@@ -522,17 +521,22 @@ func TestHashMergeConnector(t *testing.T) {
 	job := &Job{}
 	src := job.Add("Src", 2, partitionedSource([][]int64{{9, 5, 1, 7}, {8, 2, 6, 4}}))
 	srt := job.Add("Sort", 2, Sort([]SortCol{{Col: 0}}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-	check := job.Add("Check", 2, MapStateful(
-		func() *int64 { v := int64(-1); return &v },
-		func(ctx *TaskCtx, last *int64, tu Tuple, emit func(Tuple)) error {
-			if tu[0].Int() < *last {
-				return fmt.Errorf("out of order: %d after %d", tu[0].Int(), *last)
+	check := job.Add("Check", 2, func() Operator {
+		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			last := int64(-1) // per instance: each consumer's own order
+			for {
+				tu, ok := in[0].Next()
+				if !ok {
+					return ctx.Ctx.Err()
+				}
+				if tu[0].Int() < last {
+					return fmt.Errorf("out of order: %d after %d", tu[0].Int(), last)
+				}
+				last = tu[0].Int()
+				out[0].Emit(tu)
 			}
-			*last = tu[0].Int()
-			emit(tu)
-			return nil
-		}, nil),
-		Input{From: srt, Conn: ConnectorSpec{Type: HashMerge, HashCols: []int{0}, SortCols: []SortCol{{Col: 0}}}})
+		})
+	}, Input{From: srt, Conn: ConnectorSpec{Type: HashMerge, HashCols: []int{0}, SortCols: []SortCol{{Col: 0}}}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: check, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {

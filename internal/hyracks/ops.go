@@ -21,37 +21,6 @@ func SourceFunc(produce func(ctx *TaskCtx, emit func(Tuple)) error) func() Opera
 	}
 }
 
-// MapStateful builds an operator applying fn to each input tuple, with
-// per-instance state created by newState; fn emits zero or more output
-// tuples. finish, when non-nil, may emit trailing tuples.
-func MapStateful[S any](
-	newState func() S,
-	fn func(ctx *TaskCtx, st S, t Tuple, emit func(Tuple)) error,
-	finish func(ctx *TaskCtx, st S, emit func(Tuple)) error,
-) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			st := newState()
-			emit := func(t Tuple) { out[0].Emit(t) }
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				if err := fn(ctx, st, t, emit); err != nil {
-					return err
-				}
-			}
-			if finish != nil {
-				if err := finish(ctx, st, emit); err != nil {
-					return err
-				}
-			}
-			return ctx.Ctx.Err()
-		})
-	}
-}
-
 // Sort consumes all input, sorts it by cols, and emits it. Per
 // partition; a MergeOne/HashMerge connector downstream extends the
 // order across partitions. Under a memory budget it runs as an external
@@ -396,21 +365,15 @@ func HashJoin(buildKeys, probeKeys []int) func() Operator {
 }
 
 // NestedLoopJoin materializes input port 0 and, for each tuple of port
-// 1, emits build ++ probe rows satisfying the predicate. newPred is a
-// factory invoked once per operator instance — operator closures are
-// shared across partitions, so any per-instance evaluator state (a
-// reused expression Env, scratch buffers) must come from the factory.
-// newPred may be nil, or may return nil, for a cross product.
+// 1, emits build ++ probe rows satisfying pred. pred sees a pair as that
+// concatenation in a scratch row the instance reuses, so it may read the
+// row only while it runs; a nil pred joins every pair (a cross product).
 // Under a memory budget, the build side overflows to a spill run; the
 // spilled path then joins in probe blocks (block-nested-loop), re-
 // scanning the build buffer once per block instead of once per tuple.
-func NestedLoopJoin(newPred func() func(build, probe Tuple) (bool, error)) func() Operator {
+func NestedLoopJoin(pred func(row Tuple) (bool, error)) func() Operator {
 	return func() Operator {
 		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			var pred func(build, probe Tuple) (bool, error)
-			if newPred != nil {
-				pred = newPred()
-			}
 			g := ctx.Grant()
 			defer g.ReleaseAll()
 			build := newSpillableBuffer(ctx, g, "nlj-build")
@@ -427,21 +390,19 @@ func NestedLoopJoin(newPred func() func(build, probe Tuple) (bool, error)) func(
 			if err := build.finish(); err != nil {
 				return err
 			}
+			var scratch Tuple
 			joinPair := func(b, t Tuple) error {
-				okPair := true
 				if pred != nil {
-					var err error
-					okPair, err = pred(b, t)
-					if err != nil {
+					scratch = append(append(scratch[:0], b...), t...)
+					ok, err := pred(scratch)
+					if err != nil || !ok {
 						return err
 					}
 				}
-				if okPair {
-					row := make(Tuple, 0, len(b)+len(t))
-					row = append(row, b...)
-					row = append(row, t...)
-					out[0].Emit(row)
-				}
+				row := make(Tuple, 0, len(b)+len(t))
+				row = append(row, b...)
+				row = append(row, t...)
+				out[0].Emit(row)
 				return nil
 			}
 			if !build.spilled() {

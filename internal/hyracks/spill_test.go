@@ -268,9 +268,8 @@ func TestNestedLoopJoinSpillMatchesInMemory(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		probe = append(probe, Tuple{adm.NewInt(int64(i % 40))})
 	}
-	pred := func() func(b, p Tuple) (bool, error) {
-		return func(b, p Tuple) (bool, error) { return b[0].Int() == p[0].Int(), nil }
-	}
+	// The predicate sees build ++ probe: the build's two columns, then the probe's.
+	pred := func(row Tuple) (bool, error) { return row[0].Int() == row[2].Int(), nil }
 	mk := func() (*Job, *Collector) {
 		job := &Job{}
 		bn := job.Add("Build", 1, tupleSource(build))
