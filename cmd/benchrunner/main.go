@@ -30,7 +30,7 @@ func main() {
 		workDir = flag.String("dir", "", "scratch directory (default: a temp dir, removed afterwards)")
 		metrics = flag.String("metrics", "", "write the final process metrics snapshot as JSON to this file (\"-\" for stdout)")
 		budgets = flag.String("membudget", "", "comma-separated per-query memory budgets for the spill sweep (e.g. \"0,16m,2m,256k\"; 0 = unlimited)")
-		dbgAddr = flag.String("debug-addr", "", "start the introspection HTTP server on this address while experiments run")
+		addr    = flag.String("addr", "", "serve HTTP on this address while experiments run: queries, /metrics, /traces, pprof")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -53,7 +53,7 @@ func main() {
 	env.PartsPerNode = *parts
 	env.SelQueries = *selQ
 	env.JoinQueries = *joinQ
-	env.DebugAddr = *dbgAddr
+	env.ServeAddr = *addr
 	if *budgets != "" {
 		for _, s := range strings.Split(*budgets, ",") {
 			b, err := aqlp.ParseMemorySize(strings.TrimSpace(s))

@@ -32,7 +32,7 @@ func main() {
 		nodes     = flag.Int("nodes", 2, "simulated node count")
 		parts     = flag.Int("parts", 2, "partitions per node")
 		query     = flag.String("q", "", "run one request and exit")
-		dbgAddr   = flag.String("debug-addr", "", "start the introspection HTTP server on this address (e.g. localhost:6060)")
+		addr      = flag.String("addr", "", "also serve HTTP on this address (e.g. localhost:6060): queries, /metrics, /traces, pprof")
 		transport = flag.String("transport", "", `frame transport: "inproc" (default, single process) or "tcp" (nodes run as child processes over TCP loopback)`)
 	)
 	flag.Parse()
@@ -40,13 +40,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simdb: -data is required")
 		os.Exit(2)
 	}
-	db, err := core.Open(core.Config{DataDir: *dataDir, NumNodes: *nodes, PartitionsPerNode: *parts, DebugAddr: *dbgAddr, Transport: *transport})
+	db, err := core.Open(core.Config{DataDir: *dataDir, NumNodes: *nodes, PartitionsPerNode: *parts, ServeAddr: *addr, Transport: *transport})
 	if err != nil {
 		fatal(err)
 	}
 	defer db.Close()
-	if addr := db.DebugAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "introspection server on http://%s/\n", addr)
+	if a := db.ServeAddr(); a != "" {
+		fmt.Fprintf(os.Stderr, "serving on http://%s/\n", a)
 	}
 	sess := db.NewSession()
 

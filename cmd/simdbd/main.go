@@ -4,7 +4,8 @@
 //
 // Clients create sessions (POST /sessions), run AQL (POST /query) and
 // read results as a chunked NDJSON stream, bulk-ingest records (POST
-// /ingest/{dataset}), and cancel in-flight queries by ID. Admission
+// /ingest/{dataset}), and cancel in-flight queries by ID; the same port
+// serves /metrics, /traces, /slowlog and /debug/pprof. Admission
 // rejections come back as 503 + Retry-After, execution deadlines as
 // 504, and parse/plan errors as structured 400s. SIGINT/SIGTERM drains
 // gracefully: the listener closes, in-flight queries finish under
@@ -31,7 +32,6 @@ func main() {
 		addr      = flag.String("addr", ":8095", "serve address (host:port; :0 picks a free port)")
 		nodes     = flag.Int("nodes", 2, "simulated node count")
 		parts     = flag.Int("parts", 2, "partitions per node")
-		dbgAddr   = flag.String("debug-addr", "", "also start the introspection server on this address")
 		transport = flag.String("transport", "", `frame transport: "inproc" (default) or "tcp"`)
 		maxConc   = flag.Int("max-concurrent", 0, "admission bound on concurrent queries (0 = engine default)")
 		admitTO   = flag.Duration("admission-timeout", 2*time.Second, "max admission wait before a 503 (0 = wait forever)")
@@ -49,7 +49,6 @@ func main() {
 		DataDir:              *dataDir,
 		NumNodes:             *nodes,
 		PartitionsPerNode:    *parts,
-		DebugAddr:            *dbgAddr,
 		Transport:            *transport,
 		MaxConcurrentQueries: *maxConc,
 		AdmissionTimeout:     *admitTO,
@@ -66,16 +65,13 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "simdbd serving on http://%s/\n", db.ServeAddr())
-	if a := db.DebugAddr(); a != "" {
-		fmt.Fprintf(os.Stderr, "introspection server on http://%s/\n", a)
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "simdbd: %s — draining (up to %s)\n", s, *drainTO)
-	// Close drains the serving listener first (in-flight queries finish),
-	// then stops the debug server and the cluster.
+	// Close drains the listener first (in-flight queries finish), then
+	// stops the cluster.
 	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "simdbd: shutdown:", err)
 		os.Exit(1)

@@ -46,9 +46,9 @@ type Env struct {
 	// MemBudgets are the per-query memory budgets (bytes) the spill
 	// sweep measures; 0 means unlimited. Empty takes the default sweep.
 	MemBudgets []int64
-	// DebugAddr, when set, starts the introspection HTTP server on the
-	// environment's database so long experiment runs can be watched live.
-	DebugAddr string
+	// ServeAddr, when set, starts the HTTP front end on the environment's
+	// database so long experiment runs can be watched live.
+	ServeAddr string
 
 	db     *core.Database
 	loaded map[datagen.Kind]int
@@ -83,7 +83,7 @@ func (e *Env) DB() (*core.Database, error) {
 		DataDir:           filepath.Join(e.Dir, "data"),
 		NumNodes:          e.Nodes,
 		PartitionsPerNode: e.PartsPerNode,
-		DebugAddr:         e.DebugAddr,
+		ServeAddr:         e.ServeAddr,
 	})
 	if err != nil {
 		return nil, err

@@ -47,13 +47,12 @@ type Cluster struct {
 	activeQ *activeQueries
 	tracer  *trace.Tracer
 
-	// slowThresh is the slow-query log latency threshold in nanoseconds
-	// (0 = disabled); slowLog renders the records and slowRing retains
-	// the most recent ones for GET /slowlog.
-	slowThresh atomic.Int64
-	slowLog    *obs.Logger
-	slowMu     sync.Mutex
-	slowRing   []SlowQueryRecord
+	// slowLog renders the records of queries slower than
+	// cfg.SlowQueryThreshold and slowRing retains the most recent ones
+	// for GET /slowlog.
+	slowLog  *obs.Logger
+	slowMu   sync.Mutex
+	slowRing []SlowQueryRecord
 
 	planCache *PlanCache
 	qm        *QueryManager
@@ -148,7 +147,6 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		tracer:    trace.Default(),
 	}
 	c.tOccAlgo.Store(int32(cfg.TOccurrenceAlgorithm))
-	c.slowThresh.Store(int64(cfg.SlowQueryThreshold))
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {
 			c.nodes = append(c.nodes, nil)

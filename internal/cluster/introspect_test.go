@@ -296,11 +296,15 @@ func TestActiveQueriesAndCancel(t *testing.T) {
 }
 
 func TestSlowQueryRing(t *testing.T) {
-	c := newTestCluster(t, 1, 1)
+	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 1, DataDir: t.TempDir(),
+		SlowQueryThreshold: time.Nanosecond}) // everything is slow
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.SetSlowQueryLogOutput(nopWriter{})
 	sess := NewSession()
 	loadReviews(t, c, sess)
-	c.SetSlowQueryLogOutput(nopWriter{})
-	c.SetSlowQueryThreshold(time.Nanosecond) // everything is slow
 
 	res := exec(t, c, sess, `for $r in dataset Reviews return $r.id`)
 	recs := c.SlowQueries()

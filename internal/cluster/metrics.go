@@ -16,12 +16,6 @@ var (
 	slowQueries  = obs.C("cluster.slow_queries")
 )
 
-// SetSlowQueryThreshold changes the slow-query log latency threshold at
-// run time (0 disables). Safe to call while queries execute.
-func (c *Cluster) SetSlowQueryThreshold(d time.Duration) {
-	c.slowThresh.Store(int64(d))
-}
-
 // SetSlowQueryLogOutput redirects the slow-query log (default stderr);
 // tests and embedders point it at a buffer or a file.
 func (c *Cluster) SetSlowQueryLogOutput(w io.Writer) {

@@ -264,7 +264,7 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 		res.Stats.QueryID = qid
 	}
 	c.unregisterQuery(qr, err)
-	if th := c.slowThresh.Load(); th > 0 && wallNs >= th {
+	if th := c.cfg.SlowQueryThreshold; th > 0 && wallNs >= th.Nanoseconds() {
 		c.logSlowQuery(qid, src, wallNs, res, err)
 	}
 	return res, err

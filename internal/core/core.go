@@ -26,7 +26,6 @@ import (
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/cluster"
-	"simdb/internal/debugsrv"
 	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/optimizer"
@@ -101,15 +100,11 @@ type Config struct {
 	// "columnar" (default) or "row". Reading is version-agnostic, so
 	// the setting can change between runs on existing data.
 	StorageFormat string
-	// DebugAddr, when set (e.g. "localhost:6060" or ":0" for an
-	// ephemeral port), starts the introspection HTTP server: /metrics
-	// (Prometheus), /queries (+ cancel), /traces, /slowlog, and
-	// /debug/pprof. Empty (the default) starts no listener.
-	DebugAddr string
-	// ServeAddr, when set (e.g. ":8095" or ":0"), starts the simdbd
-	// query-serving HTTP front end: sessions, streaming NDJSON query
-	// results, bulk ingest, and cancellation. Empty (the default) starts
-	// no listener. Resolve the bound address with Database.ServeAddr.
+	// ServeAddr, when set (e.g. ":8095" or ":0"), starts the simdbd HTTP
+	// front end: sessions, streaming NDJSON query results, bulk ingest,
+	// cancellation, /metrics, /queries, /traces, /slowlog and
+	// /debug/pprof. Empty (the default) starts no listener. Resolve the
+	// bound address with Database.ServeAddr.
 	ServeAddr string
 	// Serve tunes the query-serving front end (drain timeout, session
 	// cap, idle eviction, request size cap); zero values take simdbd's
@@ -136,7 +131,6 @@ type Config struct {
 // Database is an open SimDB instance.
 type Database struct {
 	c   *cluster.Cluster
-	dbg *debugsrv.Server
 	srv *simdbd.Server
 }
 
@@ -199,27 +193,19 @@ func Open(cfg Config) (*Database, error) {
 		return nil, err
 	}
 	db := &Database{c: c}
-	if cfg.DebugAddr != "" {
-		db.dbg, err = debugsrv.Start(cfg.DebugAddr, c)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
 	if cfg.ServeAddr != "" {
 		db.srv, err = simdbd.Start(cfg.ServeAddr, c, cfg.Serve)
 		if err != nil {
-			db.Close()
+			c.Close()
 			return nil, err
 		}
 	}
 	return db, nil
 }
 
-// Close shuts the database down: the serving front end drains first
-// (stop accepting, let in-flight queries finish under its configured
-// DrainTimeout), then the debug listener, then the cluster flushes and
-// stops.
+// Close shuts the database down: the HTTP front end drains first (stop
+// accepting, let in-flight queries finish under its configured
+// DrainTimeout), then the cluster flushes and stops.
 func (db *Database) Close() error {
 	if db.srv != nil {
 		if err := db.srv.Close(); err != nil {
@@ -227,27 +213,10 @@ func (db *Database) Close() error {
 		}
 		db.srv = nil
 	}
-	if db.dbg != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := db.dbg.Shutdown(ctx); err != nil {
-			obs.Log().Error("debug server shutdown failed", "err", err)
-		}
-		db.dbg = nil
-	}
 	return db.c.Close()
 }
 
-// DebugAddr returns the introspection server's bound address ("" when
-// Config.DebugAddr was unset). With ":0" this resolves the real port.
-func (db *Database) DebugAddr() string {
-	if db.dbg == nil {
-		return ""
-	}
-	return db.dbg.Addr()
-}
-
-// ServeAddr returns the query-serving front end's bound address (""
+// ServeAddr returns the HTTP front end's bound address (""
 // when Config.ServeAddr was unset). With ":0" this resolves the real
 // port.
 func (db *Database) ServeAddr() string {
@@ -365,12 +334,6 @@ func (db *Database) ServingStats() cluster.QueryManagerStats {
 // quantiles, storage flush/merge activity, buffer-cache and
 // bloom-filter effectiveness, plan-cache and admission counters.
 func (db *Database) Metrics() obs.Snapshot { return db.c.Metrics() }
-
-// SetSlowQueryThreshold changes the slow-query log latency threshold at
-// run time (0 disables).
-func (db *Database) SetSlowQueryThreshold(d time.Duration) {
-	db.c.SetSlowQueryThreshold(d)
-}
 
 // SetLogLevel sets the process-wide structured logger's level
 // ("debug", "info", "warn", "error", "off"; default off, also settable

@@ -1,5 +1,6 @@
-// Package simdbd is SimDB's query-serving HTTP/JSON front end: the
-// wire that turns the embedded engine into a multi-user service.
+// Package simdbd is SimDB's HTTP/JSON front end, the database's one
+// HTTP server: the wire that turns the embedded engine into a
+// multi-user service.
 // Clients create sessions (the same use/set surface the REPL carries,
 // bound to a token, optionally pinned to one tenant dataverse), submit
 // AQL over POST /query, and read results as a chunked NDJSON stream —
@@ -13,25 +14,28 @@
 // context, and shutdown drains: the listener closes, in-flight queries
 // finish under their own deadlines, then the server exits.
 //
-// GET /metrics, GET /queries and POST /queries/{id}/cancel are
-// debugsrv's handlers mounted here too: both front ends answer them
-// identically, and a query is cancellable by ID through either one,
-// whichever admitted it.
+// The same listener carries the admin and introspection routes: the
+// Prometheus exposition (GET /metrics), the live query list and
+// cancellation by ID (GET /queries, POST /queries/{id}/cancel — any
+// query, whether it came in here or through the embedded API), recent
+// query traces as Chrome trace-event JSON (GET /traces, /traces/{id}),
+// the slow-query ring (GET /slowlog) and net/http/pprof.
 package simdbd
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"simdb/internal/adm"
 	"simdb/internal/aqlp"
 	"simdb/internal/cluster"
-	"simdb/internal/debugsrv"
 	"simdb/internal/obs"
 )
 
@@ -86,7 +90,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is a running query-serving front end bound to one cluster.
+// Server is the running HTTP front end of one cluster.
 type Server struct {
 	c        *cluster.Cluster
 	cfg      Config
@@ -96,8 +100,8 @@ type Server struct {
 	done     chan struct{}
 }
 
-// Start binds addr (host:port; ":0" picks a free port) and serves
-// queries for c until Shutdown.
+// Start binds addr (host:port; ":0" picks a free port) and serves every
+// route for c until Shutdown.
 func Start(addr string, c *cluster.Cluster, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -169,8 +173,18 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("POST /sessions", s.handleSessionCreate)
 	mux.HandleFunc("DELETE /sessions/{token}", s.handleSessionClose)
 	mux.HandleFunc("POST /ingest/{dataset}", s.handleIngest)
-	debugsrv.MountQueryAdmin(mux, s.c)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /queries", s.handleQueries)
+	mux.HandleFunc("POST /queries/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("GET /traces", s.handleTraces)
+	mux.HandleFunc("GET /traces/{id}", s.handleTrace)
+	mux.HandleFunc("GET /slowlog", s.handleSlowlog)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sr := &statusRecorder{ResponseWriter: w}
@@ -180,11 +194,10 @@ func (s *Server) handler() http.Handler {
 }
 
 // statusRecorder notes the status a route answered with, so the mux
-// boundary counts every response once, whichever package's handler
-// wrote it. Zero means no WriteHeader call: net/http's implicit 200. A
-// handler whose outcome differs from its status line (an error record
-// ending a stream that began under 200) overwrites status before it
-// returns.
+// boundary counts every response once, net/http/pprof's included. Zero
+// means no WriteHeader call: net/http's implicit 200. A handler whose
+// outcome differs from its status line (an error record ending a stream
+// that began under 200) overwrites status before it returns.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -207,16 +220,20 @@ func (sr *statusRecorder) Flush() {
 
 func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `simdbd query server
+	fmt.Fprint(w, `simdbd: the SimDB HTTP front end
 
 POST   /query                  run AQL; NDJSON stream: {"row":...}* then {"summary":...}|{"error":...}
 POST   /sessions               create a session ({"dataverse": "X"} pins a tenant); token in response
 DELETE /sessions/{token}       close a session
 POST   /ingest/{dataset}       bulk-ingest NDJSON records into a dataset (session's dataverse)
-GET    /queries                active queries (id, text, phase, elapsed)
-POST   /queries/{id}/cancel    cancel an in-flight query (shared registry with debugsrv)
-GET    /metrics                Prometheus text exposition (simdb_simdbd_http_*)
 GET    /healthz                liveness
+GET    /metrics                Prometheus text exposition
+GET    /queries                active queries (id, text, phase, elapsed, mem)
+POST   /queries/{id}/cancel    cancel an in-flight query, however it was submitted
+GET    /traces                 recent query traces (newest first)
+GET    /traces/{id}            one trace as Chrome trace-event JSON (Perfetto)
+GET    /slowlog                recent slow-query records
+GET    /debug/pprof/           pprof index (queries carry a query_id label)
 `)
 }
 
@@ -238,12 +255,11 @@ type sessionCreateRequest struct {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionCreateRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			s.fail(w, wireErrf(codeBadQuery, http.StatusBadRequest,
-				fmt.Sprintf("simdbd: bad session request: %v", err)))
-			return
-		}
+	// An empty body, sized or chunked, is the empty request.
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		s.fail(w, wireErrf(codeBadQuery, http.StatusBadRequest,
+			fmt.Sprintf("simdbd: bad session request: %v", err)))
+		return
 	}
 	if req.Dataverse != "" && !s.c.Catalog.HasDataverse(req.Dataverse) {
 		s.fail(w, wireErrf(codeNotFound, http.StatusNotFound,

@@ -285,6 +285,32 @@ func TestSessionLimit(t *testing.T) {
 	newSession(t, base, "") // freed slot admits again
 }
 
+// TestEmptySessionRequest: POST /sessions with an empty body creates an
+// unpinned session whether the body is sized (Content-Length: 0) or
+// chunked (length unknown until the terminating chunk).
+func TestEmptySessionRequest(t *testing.T) {
+	_, base := bootServer(t, nil)
+	for name, body := range map[string]io.Reader{
+		"sized": strings.NewReader(""),
+		// A reader net/http cannot size goes out chunked.
+		"chunked": io.NopCloser(strings.NewReader("")),
+	} {
+		req, err := http.NewRequest("POST", base+"/sessions", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s empty body: status %d: %s", name, resp.StatusCode, out)
+		}
+	}
+}
+
 // TestTenantScoping pins a session to one dataverse and asserts the
 // other tenant's data is unreachable through it: use-switching and
 // dataverse DDL are 403s, and names resolve only within the pin.
@@ -407,13 +433,11 @@ func TestCancelEndpointAndRegistry(t *testing.T) {
 	if again.StatusCode != http.StatusNotFound {
 		t.Errorf("second cancel status = %d, want 404", again.StatusCode)
 	}
-	// The handler is debugsrv's, mounted on this mux; its error body is
-	// still this protocol's error object.
 	if _, _, werr := readStream(t, again.Body); werr.Code != "not-found" || werr.Status != http.StatusNotFound {
 		t.Errorf("second cancel body = %+v, want a not-found wire error", werr)
 	}
-	// Routes mounted from debugsrv count in this server's status classes
-	// like its own: a malformed id is one more 4xx.
+	// Admin routes count in the status classes like the query routes: a
+	// malformed id is one more 4xx.
 	before := scrapeMetric(t, base, "simdb_simdbd_http_status_4xx")
 	bad, err := http.Post(base+"/queries/not-a-number/cancel", "", nil)
 	if err != nil {
@@ -447,25 +471,18 @@ func TestMetricsExposure(t *testing.T) {
 	}
 }
 
-// TestIndexAndHealth covers the non-query surface.
+// TestIndexAndHealth covers the non-query surface: liveness and the
+// index page.
 func TestIndexAndHealth(t *testing.T) {
 	_, base := bootServer(t, nil)
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := get(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz status = %d", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
-	}
-	iresp, err := http.Get(base + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer iresp.Body.Close()
-	body, _ := io.ReadAll(iresp.Body)
-	if !strings.Contains(string(body), "/query") {
-		t.Error("index page does not describe /query")
+	_, body := get(t, base+"/")
+	for _, route := range []string{"/query", "/metrics", "/traces", "/slowlog", "/debug/pprof/"} {
+		if !strings.Contains(body, route) {
+			t.Errorf("index page does not describe %s", route)
+		}
 	}
 }
 

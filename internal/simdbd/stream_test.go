@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"simdb/internal/cluster"
 	"simdb/internal/core"
 )
 
@@ -226,42 +228,53 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 	}
 }
 
-// TestCrossFrontEndCancel pins satellite 4: the debug server and the
-// serving front end share one queryID→cancel registry, so a query
-// admitted through simdbd is cancellable through debugsrv's endpoint.
+// TestCrossFrontEndCancel: the embedded API and the HTTP front end share
+// one queryID→cancel registry, so a query admitted through db.Execute is
+// listed by GET /queries and cancelled by POST /queries/{id}/cancel.
 func TestCrossFrontEndCancel(t *testing.T) {
 	db, base := bootServer(t, func(cfg *core.Config) {
-		cfg.DebugAddr = "127.0.0.1:0"
 		cfg.FrameSize = 4
 	})
 	seedReviews(t, base, 80)
 	db.Cluster().SetSimNetLatency(5 * time.Millisecond)
-	dbg := "http://" + db.DebugAddr()
 
-	resp := postQuery(t, base, "", `
-		for $a in dataset Reviews
-		for $b in dataset Reviews
-		where $a.username = $b.username
-		return $a.id`)
-	defer resp.Body.Close()
-	qid := resp.Header.Get("X-Simdb-Query-Id")
-	if qid == "" {
-		t.Fatal("no query ID header")
-	}
-	cresp, err := http.Post(dbg+"/queries/"+qid+"/cancel", "", nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Execute(context.Background(), nil, `
+			for $a in dataset Reviews
+			for $b in dataset Reviews
+			where $a.username = $b.username
+			return $a.id`)
+		done <- err
+	}()
+	var qid uint64
+	waitFor(t, 5*time.Second, "embedded query listed", func() bool {
+		resp, err := http.Get(base + "/queries")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var infos []struct {
+			ID uint64 `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil || len(infos) == 0 {
+			return false
+		}
+		qid = infos[0].ID
+		return true
+	})
+	cresp, err := http.Post(fmt.Sprintf("%s/queries/%d/cancel", base, qid), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cresp.Body.Close()
 	if cresp.StatusCode != http.StatusOK {
-		t.Fatalf("debugsrv cancel status = %d", cresp.StatusCode)
+		t.Fatalf("cancel status = %d", cresp.StatusCode)
 	}
-	_, sum, werr := readStream(t, resp.Body)
-	if sum != nil {
-		t.Fatal("query canceled via debugsrv still delivered a summary")
-	}
-	if werr.Code != "canceled" {
-		t.Errorf("terminal error code = %q, want canceled", werr.Code)
+	err = <-done
+	var qe *cluster.QueryError
+	if !errors.As(err, &qe) || qe.QueryID != qid || !errors.Is(err, context.Canceled) {
+		t.Fatalf("embedded query cancelled over HTTP returned %v, want query %d canceled", err, qid)
 	}
 }
 
