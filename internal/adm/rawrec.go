@@ -223,13 +223,13 @@ func DecodeRecordProjected(b []byte, keep KeepSet) (Value, bool) {
 	return NewRecord(rec), true
 }
 
-// RawStringField returns the bytes of the top-level string field name
-// of the encoded record at the front of b, as a sub-slice of b and
-// without decoding anything. ok is false when b is not a well-formed
-// record, has no such field, or the field is not a string. The walk
-// covers every field, as Decode's does: a repeated name resolves to its
-// last occurrence, and a record Decode would reject is not ok.
-func RawStringField(b []byte, name string) (s []byte, ok bool) {
+// RawFieldValue returns the encoded value (tag byte first) of the
+// top-level field name of the encoded record at the front of b, as a
+// sub-slice of b and without decoding anything. ok is false when b is
+// not a well-formed record or has no such field. The walk covers every
+// field, as Decode's does: a repeated name resolves to its last
+// occurrence, and a record Decode would reject is not ok.
+func RawFieldValue(b []byte, name string) (val []byte, ok bool) {
 	if len(b) == 0 || Kind(b[0]) != KindRecord {
 		return nil, false
 	}
@@ -252,13 +252,23 @@ func RawStringField(b []byte, name string) (s []byte, ok bool) {
 			return nil, false
 		}
 		if match {
-			s, ok = nil, Kind(b[p]) == KindString
-			if ok {
-				_, ln := binary.Uvarint(b[p+1:])
-				s = b[p+1+ln : p+vn]
-			}
+			val, ok = b[p:p+vn], true
 		}
 		p += vn
 	}
-	return s, ok
+	return val, ok
+}
+
+// RawString returns the bytes of the string encoded at the front of v,
+// as a sub-slice of v. ok is false when v does not start with a whole
+// encoded string.
+func RawString(v []byte) (s []byte, ok bool) {
+	if len(v) == 0 || Kind(v[0]) != KindString {
+		return nil, false
+	}
+	l, n := binary.Uvarint(v[1:])
+	if n <= 0 || l > uint64(len(v)-1-n) {
+		return nil, false
+	}
+	return v[1+n : 1+n+int(l)], true
 }

@@ -150,12 +150,12 @@ func TestDecodeRecordProjected(t *testing.T) {
 	}
 }
 
-// TestRawStringField: on any well-formed record the raw lookup returns
-// the string Decode would give the field — the last one of that name —
-// and is not ok for an absent or non-string field; on a truncated or
-// corrupted record it never disagrees with Decode about a string it
-// does return, and never panics.
-func TestRawStringField(t *testing.T) {
+// TestRawFieldValue: on any well-formed record the raw lookup returns
+// the encoding of the value Decode would give the field — the last one
+// of that name — and is not ok for an absent field; RawString of it is
+// the string exactly when the value is one. On a truncated or corrupted
+// record it never finds a field Decode would reject, and never panics.
+func TestRawFieldValue(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 500; i++ {
 		rec := randRecord(r, 2)
@@ -163,18 +163,22 @@ func TestRawStringField(t *testing.T) {
 		names := append([]string{"absent"}, rec.Names()...)
 		for _, name := range names {
 			want, present := rec.Get(name)
-			got, ok := RawStringField(enc, name)
-			if ok != (present && want.Kind() == KindString) || (ok && string(got) != want.Str()) {
-				t.Fatalf("RawStringField(%s, %q) = %q, %v; record has %v, %v", NewRecord(rec), name, got, ok, want, present)
+			got, ok := RawFieldValue(enc, name)
+			if ok != present || (ok && !bytes.Equal(got, Encode(want))) {
+				t.Fatalf("RawFieldValue(%s, %q) = %x, %v; record has %v, %v", NewRecord(rec), name, got, ok, want, present)
+			}
+			s, isStr := RawString(got)
+			if isStr != (present && want.Kind() == KindString) || (isStr && string(s) != want.Str()) {
+				t.Fatalf("RawString(%x) = %q, %v; field %q is %v", got, s, isStr, name, want)
 			}
 		}
 		// Damage: a field found in a record Decode rejects would let a
 		// filter drop a row whose decode must fail the query.
 		for _, name := range names {
 			cut := enc[:r.Intn(len(enc)+1)]
-			if _, ok := RawStringField(cut, name); ok {
+			if _, ok := RawFieldValue(cut, name); ok {
 				if _, _, err := Decode(cut); err != nil {
-					t.Fatalf("RawStringField found %q in a record Decode rejects: %v", name, err)
+					t.Fatalf("RawFieldValue found %q in a record Decode rejects: %v", name, err)
 				}
 			}
 		}
@@ -184,18 +188,23 @@ func TestRawStringField(t *testing.T) {
 		{Name: []byte("f"), Val: Encode(NewString("first"))},
 		{Name: []byte("f"), Val: Encode(NewInt(1))},
 	})
-	if s, ok := RawStringField(dup, "f"); ok {
-		t.Errorf("repeated name ending in an int: got %q, want not ok", s)
+	if v, ok := RawFieldValue(dup, "f"); !ok || !bytes.Equal(v, Encode(NewInt(1))) {
+		t.Errorf("repeated name ending in an int: got %x, %v", v, ok)
 	}
 	dup = AppendRecordFromRaw(nil, []RawField{
 		{Name: []byte("f"), Val: Encode(NewInt(1))},
 		{Name: []byte("f"), Val: Encode(NewString("last"))},
 	})
-	if s, ok := RawStringField(dup, "f"); !ok || string(s) != "last" {
-		t.Errorf("repeated name ending in a string: got %q, %v", s, ok)
+	if v, ok := RawFieldValue(dup, "f"); !ok || !bytes.Equal(v, Encode(NewString("last"))) {
+		t.Errorf("repeated name ending in a string: got %x, %v", v, ok)
 	}
-	if _, ok := RawStringField(Encode(NewString("x")), "f"); ok {
+	if _, ok := RawFieldValue(Encode(NewString("x")), "f"); ok {
 		t.Error("found a field in a non-record")
+	}
+	for _, v := range [][]byte{nil, {byte(KindString)}, {byte(KindString), 5, 'a'}, Encode(NewInt(3))} {
+		if s, ok := RawString(v); ok {
+			t.Errorf("RawString(%x) = %q, want not ok", v, s)
+		}
 	}
 }
 
@@ -214,13 +223,17 @@ func FuzzSplitRecord(f *testing.F) {
 		// The raw field lookup runs on whatever a scan reads, before any
 		// decode: it must not panic, and a string it finds must be the
 		// one a full decode finds.
-		if s, ok := RawStringField(data, "txt"); ok {
+		if val, ok := RawFieldValue(data, "txt"); ok {
 			v, _, err := Decode(data)
 			if err != nil {
-				t.Fatalf("RawStringField found txt in a record Decode rejects: %v", err)
+				t.Fatalf("RawFieldValue found txt in a record Decode rejects: %v", err)
 			}
-			if f, _ := v.Rec().Get("txt"); f.Kind() != KindString || f.Str() != string(s) {
-				t.Fatalf("RawStringField found txt = %q, Decode has %v", s, f)
+			f, _ := v.Rec().Get("txt")
+			if got, _, err := Decode(val); err != nil || got.String() != f.String() {
+				t.Fatalf("RawFieldValue found txt = %x (%v), Decode has %v", val, err, f)
+			}
+			if s, ok := RawString(val); ok != (f.Kind() == KindString) || ok && string(s) != f.Str() {
+				t.Fatalf("RawString(%x) = %q, %v; Decode has %v", val, s, ok, f)
 			}
 		}
 		fields, ok := SplitRecord(data)

@@ -15,8 +15,10 @@ import (
 //	similarity-jaccard(word-tokens($rec.Field), Tokens) >= Delta
 //	edit-distance($rec.Field, Query) <= K
 //
-// The source evaluates it on each encoded record before decoding it and
-// drops the rows it rejects. The select stays as it is and decides;
+// The source evaluates it on each row's stored field value before
+// decoding the row — a data scan hands it to storage, which judges a
+// columnar group on its column block — and drops the rows it rejects.
+// The select stays as it is and decides;
 // the filter only has to be sound — it may reject a row only when the
 // conjunct, evaluated on that row, is not true and raises no error. It
 // therefore speaks only about rows whose field is a string: a missing
@@ -43,13 +45,14 @@ func (f *RecordFilter) String() string {
 	return fmt.Sprintf("edit-distance(%s, %s) <= %d", f.Field, strconv.Quote(f.Query), f.K)
 }
 
-// New compiles the filter for one operator instance: the query side is
-// set up once, and the returned function finds the field in an encoded
-// record (whole or projected) without decoding it, tokenizes into
-// scratch it owns, and checks with the length filter and early
-// termination of the check builtins. A rejected row allocates nothing.
-// The function is not safe for concurrent use. A nil filter compiles to
-// a nil function.
+// New compiles the filter for one operator instance into a check of the
+// field's encoded value, tag byte first — a column value, or the field's
+// bytes found in a record (storage.RowFilter.PassRecord). The query side
+// is set up once; the check reads a string in place, tokenizes into
+// scratch it owns, and decides with the length filter and early
+// termination of the check builtins. A value that is not a string
+// passes. A rejected value allocates nothing. The function is not safe
+// for concurrent use. A nil filter compiles to a nil function.
 func (f *RecordFilter) New() func(val []byte) bool {
 	if f == nil {
 		return nil
@@ -58,7 +61,7 @@ func (f *RecordFilter) New() func(val []byte) bool {
 		checker := sim.NewJaccardChecker(f.Tokens)
 		var scratch tokenizer.WordScratch
 		return func(val []byte) bool {
-			s, ok := adm.RawStringField(val, f.Field)
+			s, ok := adm.RawString(val)
 			if !ok {
 				return true
 			}
@@ -68,7 +71,7 @@ func (f *RecordFilter) New() func(val []byte) bool {
 	}
 	checker := sim.NewEditDistanceChecker(f.Query)
 	return func(val []byte) bool {
-		s, ok := adm.RawStringField(val, f.Field)
+		s, ok := adm.RawString(val)
 		return !ok || checker.Check(s, f.K)
 	}
 }

@@ -1058,7 +1058,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 			}
 			snap := tree.Snapshot()
 			defer snap.Close()
-			pass := filter.New()
+			rf := rowFilter(filter)
 			for {
 				t, ok := in[0].Next()
 				if !ok {
@@ -1084,7 +1084,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 				if err != nil {
 					return err
 				}
-				if !found || (pass != nil && !pass(val)) {
+				if !found || (rf != nil && !rf.PassRecord(val)) {
 					continue
 				}
 				rec, err := decodeRecord(val, keep)
@@ -1110,22 +1110,17 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 // and row components skip decoding the unreferenced fields. The
 // emitted records then carry just the projected fields, which is
 // only correct because the optimizer proved no other field is used.
-// A non-nil filter is checked on each stored value first: a row it
-// rejects is not decoded, and the instance reports the rows it read as
-// its tuples in.
+// A non-nil filter goes to storage with the projection: a row it
+// rejects is never assembled or decoded, and the instance reports the
+// rows storage read as its tuples in.
 func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, emit func(hyracks.Tuple)) error {
 	tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 	if err != nil {
 		return err
 	}
-	pass := filter.New()
+	rf := rowFilter(filter)
 	var scanErr error
-	var read int64
-	err = tree.ScanProjectedContext(ctx.Ctx, nil, nil, fields, func(key, val []byte) bool {
-		read++
-		if pass != nil && !pass(val) {
-			return true
-		}
+	read, err := tree.ScanProjectedContext(ctx.Ctx, nil, nil, fields, rf, func(key, val []byte) bool {
 		rec, derr := decodeRecord(val, keep)
 		if derr != nil {
 			scanErr = derr
@@ -1135,13 +1130,22 @@ func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, fi
 		emit(hyracks.Tuple{pk, rec})
 		return true
 	})
-	if pass != nil {
+	if rf != nil {
 		ctx.RowsRead = read
 	}
 	if scanErr != nil {
 		return scanErr
 	}
 	return err
+}
+
+// rowFilter compiles a source's record filter for one operator
+// instance; nil stays nil.
+func rowFilter(f *algebra.RecordFilter) *storage.RowFilter {
+	if f == nil {
+		return nil
+	}
+	return &storage.RowFilter{Field: f.Field, Pass: f.New()}
 }
 
 // decodeRecord decodes a stored record value. Under a projection it

@@ -6,6 +6,7 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
+	"simdb/internal/storage"
 )
 
 // Shape bits of a generated selection (filterCase.shape).
@@ -177,6 +178,17 @@ func evalSelect(t *testing.T, sel, scan *algebra.Op, rec adm.Value) (truthy bool
 	return algebra.Truthy(row[len(row)-1]), nil
 }
 
+// passRecord compiles the filter's record-level form — find the field's
+// stored value, then the value check — which judges a memtable entry, a
+// row page's entry and a primary-index lookup's record; a columnar scan
+// runs the value check alone on the column. Nil for no filter.
+func passRecord(f *algebra.RecordFilter) func(rec []byte) bool {
+	if f == nil {
+		return nil
+	}
+	return (&storage.RowFilter{Field: f.Field, Pass: f.New()}).PassRecord
+}
+
 // checkSound is the property: whenever the compiled filter rejects the
 // stored bytes of a record — whole, or projected to what the plan reads
 // — the select evaluated on that record is not true and raises nothing.
@@ -185,7 +197,7 @@ func evalSelect(t *testing.T, sel, scan *algebra.Op, rec adm.Value) (truthy bool
 func checkSound(t *testing.T, fc filterCase) (sel, scan *algebra.Op, rejected bool) {
 	t.Helper()
 	sel, scan = fc.plan(t)
-	pass := scan.Filter.New()
+	pass := passRecord(scan.Filter)
 	if pass == nil {
 		return sel, scan, false
 	}
@@ -245,7 +257,7 @@ func TestRecordFilterSoundness(t *testing.T) {
 					}
 					if k == kindString && shape>>4 == 0 {
 						truthy, err := evalSelect(t, sel, scan, fc.record())
-						if pass := scan.Filter.New()(adm.Encode(fc.record())); err != nil || pass != truthy {
+						if pass := passRecord(scan.Filter)(adm.Encode(fc.record())); err != nil || pass != truthy {
 							t.Fatalf("filter [%s] passes = %v, select is %v (err %v) on %s", scan.Filter, pass, truthy, err, fc.record())
 						}
 						exact++
@@ -294,7 +306,7 @@ func TestRecordFilterRejectsWithoutAllocating(t *testing.T) {
 		{shape: shapeEditDistance, query: "marla", threshold: 1, field: "mario"},
 	} {
 		_, scan := fc.plan(t)
-		pass := scan.Filter.New()
+		pass := passRecord(scan.Filter)
 		val := adm.Encode(fc.record())
 		if pass(val) {
 			t.Fatalf("filter [%s] passes %q; the case must be a rejection", scan.Filter, fc.field)

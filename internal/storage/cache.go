@@ -11,14 +11,19 @@ import (
 // BufferCache is a node-wide LRU page cache. All component files of all
 // partitions on a node read their data pages through one cache, like
 // AsterixDB's per-node disk buffer cache (Table 2: "Disk buffer cache
-// size"). Thread safe.
+// size"). It holds byte slices of any length — a row page, a column
+// block of a few bytes, a group image of a few hundred KiB — and
+// charges each its length: the least recently used go while the
+// resident bytes exceed the capacity, so at most one entry (the newest,
+// when it alone is larger) sits above it. Thread safe.
 type BufferCache struct {
 	pageSize int
-	capacity int // in pages
+	capacity int // in bytes
 
-	mu      sync.Mutex
-	entries map[pageKey]*list.Element
-	lru     *list.List // front = most recently used
+	mu       sync.Mutex
+	entries  map[pageKey]*list.Element
+	lru      *list.List // front = most recently used
+	resident int        // bytes of the cached entries
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -40,16 +45,12 @@ type cacheEntry struct {
 	data []byte
 }
 
-// NewBufferCache creates a cache of capacityBytes total with the given
-// page size.
+// NewBufferCache creates a cache of capacityBytes total, at least four
+// pages of the given page size.
 func NewBufferCache(capacityBytes, pageSize int) *BufferCache {
-	pages := capacityBytes / pageSize
-	if pages < 4 {
-		pages = 4
-	}
 	return &BufferCache{
 		pageSize: pageSize,
-		capacity: pages,
+		capacity: max(capacityBytes, 4*pageSize),
 		entries:  make(map[pageKey]*list.Element),
 		lru:      list.New(),
 	}
@@ -60,47 +61,64 @@ func (c *BufferCache) PageSize() int { return c.pageSize }
 
 // ReadRegion returns bytes [off, off+length) of the reader identified
 // by fileID, fetched through the cache and keyed by the region ordinal
-// regionNo (component data pages are variable-length regions of
-// roughly one page each, so one region ≈ one cache page). The returned
+// regionNo (a row page, or one block of a columnar group). The returned
 // slice is shared — callers must not modify it.
 func (c *BufferCache) ReadRegion(fileID uint64, r io.ReaderAt, regionNo uint32, off int64, length int) ([]byte, error) {
 	key := pageKey{fileID: fileID, pageNo: regionNo}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		c.hits.Add(1)
+	if data, ok := c.lookup(key); ok {
 		return data, nil
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-
 	data := make([]byte, length)
 	n, err := r.ReadAt(data, off)
 	if err != nil && !(err == io.EOF && n == length) {
 		return nil, fmt.Errorf("storage: read region %d of file %d: %w", regionNo, fileID, err)
 	}
 	c.pagesRead.Add(1)
+	return c.insert(key, data), nil
+}
 
+// lookup returns the cached bytes of key, counting a hit or a miss.
+func (c *BufferCache) lookup(key pageKey) ([]byte, bool) {
+	var data []byte
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// Raced with another reader; keep the resident copy.
+	el, ok := c.entries[key]
+	if ok {
 		c.lru.MoveToFront(el)
 		data = el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		return data, nil
-	}
-	el := c.lru.PushFront(&cacheEntry{key: key, data: data})
-	c.entries[key] = el
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
 	}
 	c.mu.Unlock()
-	return data, nil
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return data, ok
+}
+
+// insert caches data under key and evicts from the cold end while the
+// resident bytes exceed the capacity, the new entry excepted. If another
+// reader cached the key first, its copy is kept and returned.
+func (c *BufferCache) insert(key pageKey, data []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*cacheEntry).data
+	}
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, data: data})
+	c.resident += len(data)
+	for c.resident > c.capacity && c.lru.Len() > 1 {
+		c.remove(c.lru.Back())
+		c.evictions.Add(1)
+	}
+	return data
+}
+
+// remove drops one entry; c.mu must be held.
+func (c *BufferCache) remove(el *list.Element) {
+	e := c.lru.Remove(el).(*cacheEntry)
+	delete(c.entries, e.key)
+	c.resident -= len(e.data)
 }
 
 // ReadBuilt is ReadRegion for derived pages: on miss it calls build to
@@ -120,40 +138,14 @@ func (c *BufferCache) ReadBuilt(fileID uint64, regionNo uint32, build func() ([]
 // and the reassembly, the same way full scans do.
 func (c *BufferCache) ReadBuiltTagged(fileID uint64, regionNo uint32, tag string, build func() ([]byte, error)) ([]byte, error) {
 	key := pageKey{fileID: fileID, pageNo: regionNo, tag: tag}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		c.hits.Add(1)
+	if data, ok := c.lookup(key); ok {
 		return data, nil
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-
 	data, err := build()
 	if err != nil {
 		return nil, err
 	}
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// Raced with another reader; keep the resident copy.
-		c.lru.MoveToFront(el)
-		data = el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		return data, nil
-	}
-	el := c.lru.PushFront(&cacheEntry{key: key, data: data})
-	c.entries[key] = el
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-	c.mu.Unlock()
-	return data, nil
+	return c.insert(key, data), nil
 }
 
 // Evict drops every cached page of fileID (called when a component file
@@ -163,8 +155,7 @@ func (c *BufferCache) Evict(fileID uint64) {
 	defer c.mu.Unlock()
 	for key, el := range c.entries {
 		if key.fileID == fileID {
-			c.lru.Remove(el)
-			delete(c.entries, key)
+			c.remove(el)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"simdb/internal/adm"
@@ -85,7 +86,7 @@ type colGroupMeta struct {
 }
 
 type colMeta struct {
-	name string
+	name []byte
 	off  uint32 // relative to the group's off
 	len  uint32
 }
@@ -254,7 +255,7 @@ func (cw *ColumnarComponentWriter) flushGroup() {
 	g.cols = make([]colMeta, len(colNames))
 	for i, nm := range colNames {
 		off, l := place(colBs[i])
-		g.cols[i] = colMeta{name: nm, off: off, len: l}
+		g.cols[i] = colMeta{name: []byte(nm), off: off, len: l}
 	}
 	g.length = int32(pos)
 	cw.off += int64(pos)
@@ -415,7 +416,7 @@ func parseColGroupIndex(buf []byte, dataLimit int64) ([]colGroupMeta, error) {
 			if !ok {
 				return nil, errCorrupt("column block")
 			}
-			g.cols = append(g.cols, colMeta{name: string(nm), off: co, len: cl})
+			g.cols = append(g.cols, colMeta{name: append([]byte(nil), nm...), off: co, len: cl})
 		}
 		groups = append(groups, g)
 	}
@@ -428,13 +429,20 @@ type byteReader struct {
 	pos int
 }
 
+// uvarint reads one uvarint. It is binary.Uvarint written out so that
+// it inlines into the per-row loops of a group read, where it is most of
+// the work: not ok past the buffer's end or past 64 bits.
 func (r *byteReader) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, false
+	var v uint64
+	for shift := uint(0); shift < 64 && r.pos < len(r.b); shift += 7 {
+		c := r.b[r.pos]
+		r.pos++
+		if c < 0x80 {
+			return v | uint64(c)<<shift, shift < 63 || c <= 1
+		}
+		v |= uint64(c&0x7f) << shift
 	}
-	r.pos += n
-	return v, true
+	return 0, false
 }
 
 func (r *byteReader) bytes(n uint64) ([]byte, bool) {
@@ -446,6 +454,15 @@ func (r *byteReader) bytes(n uint64) ([]byte, bool) {
 	return b, true
 }
 
+// lenPrefixed reads one uvarint length and that many bytes.
+func (r *byteReader) lenPrefixed() ([]byte, bool) {
+	l, ok := r.uvarint()
+	if !ok {
+		return nil, false
+	}
+	return r.bytes(l)
+}
+
 // pagesFromGroups derives the fence-key page table the shared lookup
 // and cursor machinery navigates by: one logical page per group.
 func pagesFromGroups(groups []colGroupMeta) []pageMeta {
@@ -454,6 +471,32 @@ func pagesFromGroups(groups []colGroupMeta) []pageMeta {
 		pages[i] = pageMeta{off: g.off, length: g.length, firstKey: g.firstKey}
 	}
 	return pages
+}
+
+// groupBlock reads block b of group i (keys, desc, overflow, then one
+// per column) through the buffer cache; an empty block reads as nil.
+func (c *Component) groupBlock(i, b int, off, length uint32) ([]byte, error) {
+	if length == 0 {
+		return nil, nil
+	}
+	g := &c.groups[i]
+	return c.cache.ReadRegion(c.fileID, c.f, uint32(i)*colRegionStride+1+uint32(b), g.off+int64(off), int(length))
+}
+
+// groupHead reads the keys, descriptor and overflow blocks of group i,
+// which every row of the group needs, through the buffer cache.
+func (c *Component) groupHead(i int) (keys, desc, over []byte, err error) {
+	g := &c.groups[i]
+	if keys, err = c.groupBlock(i, 0, g.keysOff, g.keysLen); err != nil {
+		return nil, nil, nil, err
+	}
+	if desc, err = c.groupBlock(i, 1, g.descOff, g.descLen); err != nil {
+		return nil, nil, nil, err
+	}
+	if over, err = c.groupBlock(i, 2, g.overOff, g.overLen); err != nil {
+		return nil, nil, nil, err
+	}
+	return keys, desc, over, nil
 }
 
 // buildGroupPage materializes group i into the row-format page wire
@@ -479,26 +522,13 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 			colBs[j] = raw[cm.off : cm.off+cm.len]
 		}
 	} else {
-		base := uint32(i) * colRegionStride
-		readBlock := func(b int, off, length uint32) ([]byte, error) {
-			if length == 0 {
-				return nil, nil
-			}
-			return c.cache.ReadRegion(c.fileID, c.f, base+1+uint32(b), g.off+int64(off), int(length))
-		}
 		var err error
-		if keysB, err = readBlock(0, g.keysOff, g.keysLen); err != nil {
-			return nil, err
-		}
-		if descB, err = readBlock(1, g.descOff, g.descLen); err != nil {
-			return nil, err
-		}
-		if overB, err = readBlock(2, g.overOff, g.overLen); err != nil {
+		if keysB, descB, overB, err = c.groupHead(i); err != nil {
 			return nil, err
 		}
 		for j, cm := range g.cols {
-			if keep[cm.name] {
-				if colBs[j], err = readBlock(3+j, cm.off, cm.len); err != nil {
+			if keep[string(cm.name)] {
+				if colBs[j], err = c.groupBlock(i, 3+j, cm.off, cm.len); err != nil {
 					return nil, err
 				}
 			}
@@ -508,28 +538,18 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 	keys := &byteReader{b: keysB}
 	desc := &byteReader{b: descB}
 	over := &byteReader{b: overB}
-	colPos := make([]*byteReader, len(g.cols))
-	colName := make([][]byte, len(g.cols))
+	colPos := make([]byteReader, len(g.cols))
 	for j := range g.cols {
-		colPos[j] = &byteReader{b: colBs[j]}
-		colName[j] = []byte(g.cols[j].name)
-	}
-	lenPrefixed := func(r *byteReader) ([]byte, bool) {
-		l, ok := r.uvarint()
-		if !ok {
-			return nil, false
-		}
-		return r.bytes(l)
+		colPos[j] = byteReader{b: colBs[j]}
 	}
 
 	out := make([]byte, 2, int(g.length)+int(g.length)/8+64+4*g.rows)
 	binary.LittleEndian.PutUint16(out, uint16(g.rows))
 	offs := make([]uint32, 0, g.rows) // entry offsets, appended after the entries
 	var fields []adm.RawField
-	tombEntry := []byte{1}
 	for row := 0; row < g.rows; row++ {
 		offs = append(offs, uint32(len(out)))
-		key, ok := lenPrefixed(keys)
+		key, ok := keys.lenPrefixed()
 		if !ok {
 			return nil, errCorrupt("group key")
 		}
@@ -542,7 +562,7 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 		case 0:
 			entry = tombEntry
 		case 1:
-			if entry, ok = lenPrefixed(over); !ok {
+			if entry, ok = over.lenPrefixed(); !ok {
 				return nil, errCorrupt("group overflow entry")
 			}
 		default:
@@ -557,8 +577,8 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 					return nil, errCorrupt("group field ref")
 				}
 				if ref == 0 {
-					name, ok1 := lenPrefixed(over)
-					val, ok2 := lenPrefixed(over)
+					name, ok1 := over.lenPrefixed()
+					val, ok2 := over.lenPrefixed()
 					if !ok1 || !ok2 {
 						return nil, errCorrupt("group overflow field")
 					}
@@ -570,13 +590,11 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 					if colPos[ci].b == nil {
 						continue // projected away: its block was not read
 					}
-					val, ok := lenPrefixed(colPos[ci])
+					val, ok := colPos[ci].lenPrefixed()
 					if !ok {
 						return nil, errCorrupt("group column value")
 					}
-					if keep == nil || keep[g.cols[ci].name] {
-						fields = append(fields, adm.RawField{Name: colName[ci], Val: val})
-					}
+					fields = append(fields, adm.RawField{Name: g.cols[ci].name, Val: val})
 				}
 			}
 			out = binary.AppendUvarint(out, uint64(len(key)))
@@ -595,4 +613,155 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 		out = binary.LittleEndian.AppendUint32(out, off)
 	}
 	return out, nil
+}
+
+// tombEntry is the stored form of a tombstone.
+var tombEntry = []byte{1}
+
+// groupWalk reads a columnar group straight from its blocks for a
+// filtered range read, in place of a group image. It fetches the keys,
+// descriptor and overflow blocks, the kept columns and the filter
+// field's column through the buffer cache, judges each row on the
+// stored value of the filter field — the column bytes, or an overflow
+// field's — and assembles only a row that passes, into a scratch entry
+// it owns. Opaque entries are judged whole, the way a row page's entry
+// is. A row without the field passes. The walk builds and caches no
+// image, so once its scratch has grown it allocates nothing; a cursor
+// source keeps one walk for all its groups.
+type groupWalk struct {
+	filter *RowFilter
+	left   int // rows not yet walked
+
+	keys, desc, over byteReader
+	cols             []walkCol
+	keep             map[string]bool // the projection; nil keeps every field
+
+	fields []adm.RawField // the current row's kept fields
+	entry  []byte         // the current row's assembled entry
+}
+
+// walkCol is one column of the group a walk is on.
+type walkCol struct {
+	r      byteReader // a nil block was not read
+	name   []byte
+	kept   bool // its values go into assembled rows
+	filter bool // it holds the filter field
+}
+
+// load readies the walk for group i of c under proj (nil: whole rows).
+func (w *groupWalk) load(c *Component, i int, proj *Projection) error {
+	g := &c.groups[i]
+	keys, desc, over, err := c.groupHead(i)
+	if err != nil {
+		return err
+	}
+	w.keys, w.desc, w.over = byteReader{b: keys}, byteReader{b: desc}, byteReader{b: over}
+	w.keep = nil
+	if proj != nil {
+		w.keep = proj.keep
+	}
+	w.cols = slices.Grow(w.cols[:0], len(g.cols))
+	w.fields = slices.Grow(w.fields[:0], len(g.cols))
+	for j, cm := range g.cols {
+		col := walkCol{name: cm.name, kept: w.keep == nil || w.keep[string(cm.name)], filter: string(cm.name) == w.filter.Field}
+		if col.kept || col.filter {
+			if col.r.b, err = c.groupBlock(i, 3+j, cm.off, cm.len); err != nil {
+				return err
+			}
+		}
+		w.cols = append(w.cols, col)
+	}
+	w.left = g.rows
+	return nil
+}
+
+// next is pageIter.next for a walk: it moves to the group's next row,
+// setting it.key and either it.val (the entry, flag byte first) or
+// it.rejected.
+func (w *groupWalk) next(it *pageIter) bool {
+	if w.left == 0 || it.err != nil {
+		return false
+	}
+	key, ok := w.keys.lenPrefixed()
+	if !ok {
+		it.err = errCorrupt("group key")
+		return false
+	}
+	d, ok := w.desc.uvarint()
+	if !ok {
+		it.err = errCorrupt("group row descriptor")
+		return false
+	}
+	it.key, it.val, it.rejected = key, nil, false
+	switch d {
+	case 0:
+		it.val = tombEntry
+	case 1:
+		if it.val, ok = w.over.lenPrefixed(); !ok {
+			it.err = errCorrupt("group overflow entry")
+			return false
+		}
+		if v, dead := decodeEntry(it.val); !dead && !w.filter.PassRecord(v) {
+			it.val, it.rejected = nil, true
+		}
+	default:
+		if it.err = w.record(it, d-2); it.err != nil {
+			return false
+		}
+	}
+	w.left--
+	return true
+}
+
+// record walks the nf field references of a record row, then judges it
+// and, if it passes, assembles its kept fields.
+func (w *groupWalk) record(it *pageIter, nf uint64) error {
+	if nf > uint64(len(w.desc.b)) {
+		return errCorrupt("group field count")
+	}
+	w.fields = w.fields[:0]
+	var val []byte // the filter field's stored value
+	found := false
+	for j := uint64(0); j < nf; j++ {
+		ref, ok := w.desc.uvarint()
+		if !ok || ref > uint64(len(w.cols)) {
+			return errCorrupt("group field ref")
+		}
+		if ref == 0 {
+			name, ok1 := w.over.lenPrefixed()
+			v, ok2 := w.over.lenPrefixed()
+			if !ok1 || !ok2 {
+				return errCorrupt("group overflow field")
+			}
+			if string(name) == w.filter.Field {
+				val, found = v, true
+			}
+			if w.keep == nil || w.keep[string(name)] {
+				w.fields = append(w.fields, adm.RawField{Name: name, Val: v})
+			}
+			continue
+		}
+		col := &w.cols[ref-1]
+		if col.r.b == nil {
+			continue // neither kept nor filtered: its block was not read
+		}
+		v, ok := col.r.lenPrefixed()
+		if !ok {
+			return errCorrupt("group column value")
+		}
+		if col.filter {
+			val, found = v, true
+		}
+		if col.kept {
+			w.fields = append(w.fields, adm.RawField{Name: col.name, Val: v})
+		}
+	}
+	if found && !w.filter.Pass(val) {
+		it.rejected = true
+		return nil
+	}
+	w.entry = slices.Grow(w.entry[:0], 1+adm.RawRecordSize(w.fields))
+	w.entry = adm.AppendRecordFromRaw(append(w.entry, 0), w.fields)
+	it.val = w.entry
+	return nil
 }

@@ -289,7 +289,7 @@ func TestMixedFormatTreeIdentical(t *testing.T) {
 	defer row.Close()
 
 	collect := func(tree *LSMTree, fields []string) (keys []string, vals [][]byte) {
-		err := tree.ScanProjectedContext(context.Background(), nil, nil, fields, func(k, v []byte) bool {
+		_, err := tree.ScanProjectedContext(context.Background(), nil, nil, fields, nil, func(k, v []byte) bool {
 			keys = append(keys, string(k))
 			vals = append(vals, append([]byte(nil), v...))
 			return true
@@ -348,5 +348,40 @@ func TestMixedFormatTreeIdentical(t *testing.T) {
 		if wok != gok || (wok && got.String() != want.String()) {
 			t.Fatalf("projected row %d (%s): %v/%v vs %v/%v", i, mk[i], got, gok, want, wok)
 		}
+	}
+}
+
+// TestFilteredScanAllocationsFlat: a filtered scan of warm columnar
+// groups whose filter rejects every row builds no image and assembles no
+// row, so what it allocates is opening the cursor and its walk, the same
+// for two groups as for eight.
+func TestFilteredScanAllocationsFlat(t *testing.T) {
+	allocs := func(rows int) float64 {
+		tree := newTestLSM(t, LSMOptions{MemBudgetBytes: 1 << 30, Columnar: true, Cache: NewBufferCache(64<<20, 32<<10)})
+		for i := 0; i < rows; i++ {
+			if err := tree.Put(colTestKey(i), colTestRecord(i)[1:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		filter := &RowFilter{Field: "text", Pass: func([]byte) bool { return false }}
+		scan := func() {
+			read, err := tree.ScanProjectedContext(nil, nil, nil, []string{"id", "text"}, filter, func(k, _ []byte) bool {
+				t.Fatalf("a rejected row reached the callback: %q", k)
+				return false
+			})
+			if err != nil || read != int64(rows) {
+				t.Fatalf("filtered scan read %d of %d rows, err %v", read, rows, err)
+			}
+		}
+		scan() // fills the cache
+		return testing.AllocsPerRun(10, scan)
+	}
+	small, large := allocs(2*colMaxGroupRows), allocs(8*colMaxGroupRows)
+	t.Logf("%v allocations over 2 groups, %v over 8", small, large)
+	if large > small {
+		t.Errorf("a scan rejecting every row allocates %v over 8 groups and %v over 2: it grows with the rows", large, small)
 	}
 }

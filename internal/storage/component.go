@@ -287,7 +287,7 @@ func OpenComponentFS(fs VFS, path string, cache *BufferCache) (*Component, error
 	indexOff := int64(binary.LittleEndian.Uint64(footer[20:]))
 	bloomOff := int64(binary.LittleEndian.Uint64(footer[28:]))
 	total := int64(binary.LittleEndian.Uint64(footer[36:]))
-	if total != st.Size() || indexOff > bloomOff || bloomOff > st.Size()-footerSize {
+	if total != st.Size() || indexOff < 0 || indexOff > bloomOff || bloomOff > st.Size()-footerSize {
 		f.Close()
 		return nil, errCorrupt("inconsistent footer offsets")
 	}
@@ -513,7 +513,8 @@ func (c *Component) GetProjected(key []byte, proj *Projection) ([]byte, bool, er
 	return val, found, it.err
 }
 
-// pageIter walks the entries of a single data page.
+// pageIter walks the entries of a single data page, or, with walk set,
+// the rows of a columnar group read under a row filter (groupWalk).
 type pageIter struct {
 	page []byte
 	pos  int
@@ -521,6 +522,10 @@ type pageIter struct {
 	key  []byte
 	val  []byte
 	err  error
+
+	walk *groupWalk
+	// rejected marks an entry the walk's filter rejected; val is nil.
+	rejected bool
 }
 
 func (it *pageIter) init() error {
@@ -533,6 +538,9 @@ func (it *pageIter) init() error {
 }
 
 func (it *pageIter) next() bool {
+	if it.walk != nil {
+		return it.walk.next(it)
+	}
 	if it.left == 0 || it.err != nil {
 		return false
 	}

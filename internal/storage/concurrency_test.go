@@ -116,7 +116,7 @@ func TestSnapshotSurvivesMerge(t *testing.T) {
 	}
 	// The snapshot still reads a complete, consistent view.
 	n := 0
-	if err := snap.ScanProjected(nil, nil, nil, nil, func(key, value []byte) bool { n++; return true }); err != nil {
+	if _, err := snap.ScanProjected(nil, nil, nil, nil, nil, func(key, value []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 100 {
@@ -131,7 +131,10 @@ func TestSnapshotSurvivesMerge(t *testing.T) {
 }
 
 // TestScanContextCancel verifies cooperative cancellation: a cancelled
-// context stops a scan early with the context's error.
+// context stops a scan early with the context's error — also a filtered
+// scan of columnar groups whose filter rejects every row, so that the
+// callback never runs and only the rows read can count towards the
+// check.
 func TestScanContextCancel(t *testing.T) {
 	tree := newConcTree(t, 1<<30)
 	for i := 0; i < 5000; i++ {
@@ -140,12 +143,49 @@ func TestScanContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	n := 0
-	err := tree.ScanProjectedContext(ctx, nil, nil, nil, func(key, value []byte) bool { n++; return true })
+	_, err := tree.ScanProjectedContext(ctx, nil, nil, nil, nil, func(key, value []byte) bool { n++; return true })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n >= 5000 {
 		t.Fatalf("cancelled scan still visited all %d keys", n)
+	}
+
+	const rows = 12 * colMaxGroupRows
+	col, err := OpenLSM(t.TempDir(), LSMOptions{MemBudgetBytes: 1 << 30, Columnar: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	for i := 0; i < rows; i++ {
+		if err := col.Put(colTestKey(i), colTestRecord(i)[1:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := col.Snapshot()
+	groups := len(snap.components[0].groups)
+	snap.Close()
+	if groups < 10 {
+		t.Fatalf("%d rows made %d groups, want at least 10", rows, groups)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	judged := 0
+	filter := &RowFilter{Field: "text", Pass: func([]byte) bool {
+		if judged++; judged == rows/3 {
+			cancel()
+		}
+		return false
+	}}
+	read, err := col.ScanProjectedContext(ctx, nil, nil, []string{"id"}, filter, func(key, value []byte) bool {
+		t.Fatalf("a rejected row reached the callback: %q", key)
+		return false
+	})
+	if err != context.Canceled || read >= rows || judged >= rows {
+		t.Fatalf("filtered scan cancelled after %d rows: err %v, %d of %d rows read, %d judged", rows/3, err, read, rows, judged)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"slices"
 	"sort"
+
+	"simdb/internal/adm"
 )
 
 // KeyRange is the half-open key interval [Start, End). A nil Start
@@ -44,18 +46,52 @@ type Cursor struct {
 	// proj, when non-nil, is the projection columnar pages are read under
 	// (see readPageView): their values are partial records.
 	proj *Projection
+	// filter, when non-nil, judges every entry it reads (see RowFilter);
+	// only TreeSnapshot.ScanProjected opens such a cursor. An entry the
+	// filter rejects is dead for this cursor: it shadows the older
+	// versions of its key as a tombstone does. The cursor still stops on
+	// it, with rejected set and no value, so that the scan counts it as a
+	// row read; it is never handed to the scan's callback. A passing
+	// value read from a columnar group lives in the source's scratch and
+	// is valid only until the cursor moves.
+	filter *RowFilter
 	// tombstones makes the cursor stop on keys whose newest version is a
 	// tombstone instead of skipping them: what flush and compaction need,
 	// since a tombstone must keep shadowing the components below.
 	tombstones bool
 	cur        *cursorSource // the source the cursor stands on
 	key, val   []byte
+	rejected   bool // the filter rejected the current key's newest version
 	valid      bool
 	started    bool
 	err        error
 	scratch    []byte // entry's encoding of a memtable value
 	stats      CursorStats
 }
+
+// RowFilter is the row predicate of a filtered scan
+// (TreeSnapshot.ScanProjected): Pass judges the stored value of the
+// top-level record field Field — its encoding, tag byte first — and a
+// row is kept when the field is absent or Pass returns true. A columnar
+// group is judged on its column bytes, so a rejected row is never
+// assembled; a memtable entry or a row page's entry is judged whole,
+// through PassRecord. A filter belongs to one scan at a time: Pass may
+// keep scratch state.
+type RowFilter struct {
+	Field string
+	Pass  func(val []byte) bool
+}
+
+// PassRecord judges an encoded record: it finds Field's value without
+// decoding anything and calls Pass on it. A value that is no
+// well-formed record, or lacks the field, passes.
+func (f *RowFilter) PassRecord(rec []byte) bool {
+	v, ok := adm.RawFieldValue(rec, f.Field)
+	return !ok || f.Pass(v)
+}
+
+// rejects reports whether a filter is set and rejects the record.
+func (f *RowFilter) rejects(rec []byte) bool { return f != nil && !f.PassRecord(rec) }
 
 // runEntry is one memtable entry of a cursor's range.
 type runEntry struct {
@@ -70,6 +106,7 @@ type runEntry struct {
 type cursorSource struct {
 	key, val []byte
 	dead     bool // the current entry is a tombstone
+	rejected bool // the cursor's filter rejected the current entry
 	ok       bool // positioned on an entry of the range
 
 	run []runEntry // memtable run, when comp is nil
@@ -78,6 +115,9 @@ type cursorSource struct {
 	comp *Component
 	page int // index of the loaded page, -1 before the first seek
 	it   pageIter
+	// walk reads this component's columnar groups under the cursor's
+	// filter; allocated by the first such load.
+	walk *groupWalk
 }
 
 // Cursors opens one cursor per range. The ranges must be sorted by
@@ -87,12 +127,12 @@ type cursorSource struct {
 // active memtable is read once, here: a cursor sees the writes applied
 // before it was opened.
 func (s *TreeSnapshot) Cursors(ranges []KeyRange) []*Cursor {
-	return openCursors(ranges, s.mems, s.components, nil, false)
+	return openCursors(ranges, s.mems, s.components, nil, nil, false)
 }
 
 // openCursors opens one cursor per range over the given memtable
 // generations and components, both newest first.
-func openCursors(ranges []KeyRange, mems []*memtable, comps []*Component, proj *Projection, tombstones bool) []*Cursor {
+func openCursors(ranges []KeyRange, mems []*memtable, comps []*Component, proj *Projection, filter *RowFilter, tombstones bool) []*Cursor {
 	for i := 1; i < len(ranges); i++ {
 		if end := ranges[i-1].End; end == nil || bytes.Compare(end, ranges[i].Start) > 0 {
 			panic("storage: Cursors ranges are not sorted and disjoint")
@@ -124,7 +164,7 @@ func openCursors(ranges []KeyRange, mems []*memtable, comps []*Component, proj *
 			comp.acquire()
 			srcs = append(srcs, cursorSource{comp: comp, page: -1})
 		}
-		slab[i] = Cursor{r: r, srcs: srcs[first:len(srcs):len(srcs)], proj: proj, tombstones: tombstones}
+		slab[i] = Cursor{r: r, srcs: srcs[first:len(srcs):len(srcs)], proj: proj, filter: filter, tombstones: tombstones}
 		out[i] = &slab[i]
 	}
 	return out
@@ -292,7 +332,7 @@ func (c *Cursor) settle() bool {
 			break
 		}
 		if !best.dead || c.tombstones {
-			c.cur, c.key, c.val, c.valid = best, best.key, best.val, true
+			c.cur, c.key, c.val, c.rejected, c.valid = best, best.key, best.val, best.rejected, true
 			return true
 		}
 		c.stepPast(best.key)
@@ -367,6 +407,7 @@ func (s *cursorSource) takeMem(c *Cursor) {
 	if s.ok = s.pos < len(s.run); s.ok {
 		e := &s.run[s.pos]
 		s.key, s.val, s.dead = e.key, e.val, e.dead
+		s.rejected = !e.dead && c.filter.rejects(e.val)
 		c.stats.Entries++
 	}
 }
@@ -395,22 +436,37 @@ func (s *cursorSource) take(c *Cursor) {
 		return
 	}
 	s.key, s.ok = s.it.key, true
-	s.val, s.dead = decodeEntry(s.it.val)
 	c.stats.Entries++
+	if s.rejected = s.it.rejected; s.rejected {
+		s.val, s.dead = nil, false // judged by the walk on its column
+		return
+	}
+	s.val, s.dead = decodeEntry(s.it.val)
+	s.rejected = !s.dead && s.it.walk == nil && c.filter.rejects(s.val)
 }
 
 // load fetches page p through the buffer cache, under the cursor's
 // projection if it has one, and readies the page iterator; false at the
-// end of the component or on error.
+// end of the component or on error. Under a filter a columnar group is
+// walked from its blocks instead (see groupWalk).
 func (s *cursorSource) load(c *Cursor, p int) bool {
 	s.ok = false
 	if p >= len(s.comp.pages) {
 		return false
 	}
-	page, err := s.comp.readPageView(p, c.proj)
-	if err == nil {
-		s.it = pageIter{page: page}
-		err = s.it.init()
+	var err error
+	if c.filter != nil && s.comp.groups != nil {
+		if s.walk == nil {
+			s.walk = &groupWalk{filter: c.filter}
+		}
+		s.it = pageIter{walk: s.walk}
+		err = s.walk.load(s.comp, p, c.proj)
+	} else {
+		var page []byte
+		if page, err = s.comp.readPageView(p, c.proj); err == nil {
+			s.it = pageIter{page: page}
+			err = s.it.init()
+		}
 	}
 	if err != nil {
 		c.err = err

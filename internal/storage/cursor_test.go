@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,7 +19,8 @@ import (
 // components left by flushes and merges (tiny pages, so a range crosses
 // many fence keys), rotated memtables whose flush is held back, and an
 // active memtable, with puts, overwrites and deletes in every layer.
-// Values are records (so a projection has something to drop) and now and
+// Values are records (propRecord: a projection has something to drop, a
+// filter field of every kind, in a column or in overflow) and now and
 // then an opaque string. It returns the model the reader is checked
 // against — the last write of every key ever written, nil for a delete —
 // which is kept by the writer and never read back from the tree. The
@@ -40,6 +42,7 @@ func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, m
 		return []byte(k)
 	}
 	write := func(n int) {
+		wide := r.Intn(3) == 0
 		for i := 0; i < n; i++ {
 			k := key()
 			var err error
@@ -52,7 +55,7 @@ func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, m
 				model[string(k)] = v
 				err = tree.Put(k, v)
 			default:
-				v := colTestRecord(r.Intn(1000))[1:]
+				v := propRecord(r, wide)
 				model[string(k)] = v
 				err = tree.Put(k, v)
 			}
@@ -86,11 +89,47 @@ func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, m
 	return tree, model, func() { close(gate) }
 }
 
+// propWide is the number of extra fields a wide round's records share.
+const propWide = colMaxColumns + 6
+
+// propRecord builds a record for the reader properties: id, text, and in
+// two of three records f — a string, an int or a list, so a filter on f
+// meets every kind. The records of a wide round also share propWide
+// fields w00, w01, ...: more than a group has columns, and every one of
+// them more frequent than f, so a columnar flush of the round puts f in
+// the overflow stream. One record in eight has an over-long field count,
+// which the columnar writer cannot split and stores opaque.
+func propRecord(r *rand.Rand, wide bool) []byte {
+	rec := adm.EmptyRecord(3)
+	rec.Set("id", adm.NewInt(int64(r.Intn(1000))))
+	rec.Set("text", adm.NewString(fmt.Sprintf("payload %d", r.Intn(50))))
+	words := []string{"great", "product", "marla", ""}
+	switch r.Intn(6) {
+	case 0, 1:
+		rec.Set("f", adm.NewString(words[r.Intn(len(words))]))
+	case 2:
+		rec.Set("f", adm.NewInt(int64(r.Intn(3))))
+	case 3:
+		rec.Set("f", adm.NewStringList([]string{words[r.Intn(len(words))]}))
+	}
+	if wide {
+		for i := 0; i < propWide; i++ {
+			rec.Set(fmt.Sprintf("w%02d", i), adm.NewInt(int64(i)))
+		}
+	}
+	v := adm.Encode(adm.NewRecord(rec))
+	if r.Intn(8) == 0 && v[1] < 0x80 {
+		// The same record with its one-byte field count spelt in two.
+		v = append([]byte{v[0], v[1] | 0x80, 0}, v[2:]...)
+	}
+	return v
+}
+
 // componentCursor opens a cursor over one component alone with
 // tombstones surfaced — the read compaction performs. Its entry() is the
 // stored entry, flag byte first.
 func componentCursor(c *Component, start, end []byte, fields []string) *Cursor {
-	return openCursors([]KeyRange{{Start: start, End: end}}, nil, []*Component{c}, NewProjection(fields), true)[0]
+	return openCursors([]KeyRange{{Start: start, End: end}}, nil, []*Component{c}, NewProjection(fields), nil, true)[0]
 }
 
 // modelRange returns the model's live keys in [start, end), sorted.
@@ -141,16 +180,40 @@ func scanMatchesModel(model map[string][]byte, rng KeyRange, fields []string, sc
 }
 
 // readerViews are the projections the reader is checked under: none,
-// one column, a column and a rare field, and keys only.
-var readerViews = [][]string{nil, {"id"}, {"text", "open_10_1"}, {}}
+// one column, a column and two fields that are in overflow after a wide
+// round, and keys only.
+var readerViews = [][]string{nil, {"id"}, {"text", "f", "w69"}, {}}
+
+// propFilters are the row filters the reader is checked under: on a
+// field of every kind, on a column every record has, and on a field no
+// record has. Pass is a fixed function of the stored bytes, so versions
+// of one key differ in pass or fail at random.
+var propFilters = []string{"f", "f", "text", "nowhere"}
+
+func propPass(val []byte) bool { return crc32.ChecksumIEEE(val)%3 != 0 }
+
+// modelPasses is the filter applied to a model value, by a full decode:
+// a value that is no record, or a record without the field, passes.
+func modelPasses(field string, val []byte) bool {
+	v, _, err := adm.Decode(val)
+	if err != nil || v.Kind() != adm.KindRecord {
+		return true
+	}
+	f, ok := v.Rec().Get(field)
+	return !ok || propPass(adm.Encode(f))
+}
 
 // TestReaderMatchesModelProperty: over random trees, row and columnar,
 // everything the one merged reader serves agrees with a model kept by
 // the writer. Cursors opened on random sorted disjoint ranges yield,
 // under any interleaving of Next and forward SeekGE, exactly the model's
 // live keys of the range with their values; Scan and ScanProjected
-// (whole and projected) yield the same entries; Get and GetProjected
-// find every live key and no deleted or unwritten one. Seek targets are
+// (whole and projected) yield the same entries; a filtered ScanProjected
+// yields the model's entries after newest-wins, then the filter, then
+// dropping the dead — an older version that passes never comes back
+// from under a newer one that fails — and counts every live row as read;
+// Get and GetProjected find every live key and no deleted or unwritten
+// one. Seek targets are
 // drawn from the places a seek can go wrong: a live key, just past one,
 // a fence key of a component, a deleted key, before the range, past its
 // end, and behind the cursor.
@@ -276,7 +339,31 @@ func TestReaderMatchesModelProperty(t *testing.T) {
 			}))
 			for _, fields := range readerViews {
 				scanErr = errors.Join(scanErr, scanMatchesModel(model, rng, fields, func(fn func(k, v []byte) bool) error {
-					return snap.ScanProjected(nil, rng.Start, rng.End, fields, fn)
+					_, err := snap.ScanProjected(nil, rng.Start, rng.End, fields, nil, fn)
+					return err
+				}))
+			}
+		}
+		field := propFilters[r.Intn(len(propFilters))]
+		passing := map[string][]byte{}
+		for k, v := range model {
+			if v != nil && modelPasses(field, v) {
+				passing[k] = v
+			}
+		}
+		for _, rng := range []KeyRange{{}, ranges[r.Intn(len(ranges))]} {
+			live := int64(len(modelRange(model, rng.Start, rng.End)))
+			for _, fields := range readerViews {
+				filter := &RowFilter{Field: field, Pass: propPass}
+				scanErr = errors.Join(scanErr, scanMatchesModel(passing, rng, fields, func(fn func(k, v []byte) bool) error {
+					read, err := snap.ScanProjected(nil, rng.Start, rng.End, fields, filter, func(k, v []byte) bool {
+						// A passing value may live in scratch the scan reuses.
+						return fn(k, append([]byte(nil), v...))
+					})
+					if err == nil && read != live {
+						err = fmt.Errorf("filter on %s read %d rows, %d are live", field, read, live)
+					}
+					return err
 				}))
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"simdb/internal/adm"
@@ -151,9 +152,13 @@ func FuzzComponentPage(f *testing.F) {
 // FuzzColumnarComponent feeds arbitrary bytes to the full version-2
 // read path: the file is opened as a component (footer + group index
 // validation) and, if accepted, walked end to end by a one-component
-// cursor and point-read, both whole and projected. Corruption must surface as an error — errCorrupt
-// for point reads — never a panic, an unbounded allocation, a runaway
-// loop, or a read past a group image.
+// cursor — whole, projected and filtered — and point-read, whole and
+// projected. Corruption must surface as an error — errCorrupt for reads
+// — never a panic, an unbounded allocation, a runaway loop, or a read
+// past a group image. The same bytes also drive the entries of a
+// component the writer builds, on which the filtered block walk must
+// yield what the group image does with the filter applied to each
+// record (walkMatchesImage).
 func FuzzColumnarComponent(f *testing.F) {
 	seed := columnarFuzzSeed(f)
 	f.Add(seed)
@@ -162,8 +167,19 @@ func FuzzColumnarComponent(f *testing.F) {
 	flip := append([]byte(nil), seed...)
 	flip[len(flip)/3] ^= 0xFF
 	f.Add(flip)
+	// An index offset past the int64 range: it must not size a buffer.
+	neg := append([]byte(nil), seed...)
+	binary.LittleEndian.PutUint64(neg[len(neg)-footerSize+20:], 1<<63)
+	f.Add(neg)
 	f.Add([]byte{})
-	f.Fuzz(readColumnarBytes)
+	// For walkMatchesImage: two wide records, f in the second only, so f
+	// is the rarest field and lands in overflow, where propPass rejects
+	// it; a record with an over-long field count; a tombstone.
+	f.Add([]byte{0x01, 0x81, 'a', 'b', 'c', 0x05, 'g', 'r', 'e', 'a', 't', 0x02, 'x', 'y', 0x0D, 'z'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readColumnarBytes(t, data)
+		walkMatchesImage(t, data)
+	})
 }
 
 // TestColumnarReadSurvivesBitRot runs FuzzColumnarComponent's body over
@@ -244,6 +260,19 @@ func readColumnarBytes(t *testing.T, data []byte) {
 	}
 	scan(nil)
 	scan([]string{"id"})
+	for _, field := range []string{"text", "id"} {
+		cur := openCursors([]KeyRange{{}}, nil, []*Component{c}, NewProjection([]string{"id"}),
+			&RowFilter{Field: field, Pass: propPass}, false)[0]
+		for steps := 0; cur.Next(); steps++ {
+			if steps > limit {
+				t.Fatalf("filtered cursor did not terminate after %d steps", steps)
+			}
+		}
+		if err := cur.Err(); err != nil && !errors.As(err, new(corruptError)) {
+			t.Fatalf("filtered cursor error is not errCorrupt: %v", err)
+		}
+		cur.Close()
+	}
 	// Point reads of stored, absent and fence keys; the bloom filter
 	// is saturated so every one of them searches a group image.
 	for i := range c.bloom.bits {
@@ -260,6 +289,128 @@ func readColumnarBytes(t *testing.T, data []byte) {
 					t.Fatalf("Get(%q) error is not errCorrupt: %v", key, err)
 				}
 			}
+		}
+	}
+}
+
+// walkMatchesImage builds a columnar component from entries drawn from
+// data and scans it under a row filter on each of its fields, two ways:
+// the filtered block walk, and the unfiltered group image with the
+// filter's record form (PassRecord) applied to each whole value. Both
+// must yield the same keys and values, and both must count the same
+// rows read. The first byte picks a wide component, whose records share
+// more fields than a group has columns, so that f lands in the overflow
+// stream. Entries are records with id, text and usually f (a string, an
+// int or a list), with now and then a tombstone, an opaque value, or a
+// record with an over-long field count, which the writer stores opaque.
+func walkMatchesImage(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	wide := data[0]&1 == 1
+	path := filepath.Join(t.TempDir(), "w.cmp")
+	cw, err := NewColumnarComponentWriterFS(OS, path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := 0, 1; p < len(data) && i < 3*colMaxGroupRows; i++ {
+		ctl := data[p]
+		chunk := data[p+1 : min(len(data), p+1+int(ctl%6))]
+		p += 1 + len(chunk)
+		rec := adm.EmptyRecord(3)
+		rec.Set("id", adm.NewInt(int64(i)))
+		rec.Set("text", adm.NewString(string(chunk)))
+		switch ctl >> 5 {
+		case 0, 1:
+			rec.Set("f", adm.NewString(string(chunk[:len(chunk)/2])))
+		case 2:
+			rec.Set("f", adm.NewInt(int64(ctl)))
+		case 3:
+			rec.Set("f", adm.NewStringList([]string{string(chunk)}))
+		}
+		if wide && ctl%4 != 0 {
+			for j := 0; j < propWide; j++ {
+				rec.Set(fmt.Sprintf("w%02d", j), adm.NewInt(int64(j)))
+			}
+		}
+		entry := adm.Append([]byte{0}, adm.NewRecord(rec))
+		switch ctl % 13 {
+		case 0:
+			entry = []byte{1}
+		case 1:
+			entry = append([]byte{0}, chunk...)
+		case 2:
+			if entry[2] < 0x80 {
+				entry = append([]byte{0, entry[1], entry[2] | 0x80, 0}, entry[3:]...)
+			}
+		}
+		if err := cw.Add([]byte(fmt.Sprintf("k%05d", i)), entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenComponent(path, NewBufferCache(1<<20, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	snap := &TreeSnapshot{components: []*Component{c}}
+	type row struct{ key, val string }
+	scan := func(fields []string, filter *RowFilter) (rows []row, read int64) {
+		read, err := snap.ScanProjected(nil, nil, nil, fields, filter, func(k, v []byte) bool {
+			rows = append(rows, row{string(k), string(v)})
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, read
+	}
+	whole, _ := scan(nil, nil)
+	for _, fields := range [][]string{nil, {"id"}, {"text", "f"}} {
+		image, live := scan(fields, nil)
+		for _, field := range []string{"f", "text", "id", "w03"} {
+			filter := &RowFilter{Field: field, Pass: propPass}
+			var want []row
+			for i, r := range image {
+				if filter.PassRecord([]byte(whole[i].val)) {
+					want = append(want, r)
+				}
+			}
+			got, read := scan(fields, filter)
+			if read != live || !slices.Equal(got, want) {
+				t.Fatalf("filter on %s, fields %v: walk read %d rows and kept %d, image read %d and kept %d\nwalk  %q\nimage %q",
+					field, fields, read, len(got), live, len(want), got, want)
+			}
+		}
+	}
+}
+
+// TestByteReaderUvarint: the block reader's inlined uvarint accepts and
+// rejects exactly what binary.Uvarint does, with the same value and
+// length, on random buffers rich in continuation bytes and in the small
+// tenth bytes where 64 bits overflow.
+func TestByteReaderUvarint(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for i := 0; i < 200000; i++ {
+		b := make([]byte, r.Intn(12))
+		for j := range b {
+			switch r.Intn(3) {
+			case 0:
+				b[j] = 0xFF
+			case 1:
+				b[j] = byte(r.Intn(256))
+			default:
+				b[j] = byte(r.Intn(3))
+			}
+		}
+		want, n := binary.Uvarint(b)
+		br := byteReader{b: b}
+		got, ok := br.uvarint()
+		if ok != (n > 0) || ok && (got != want || br.pos != n) {
+			t.Fatalf("%x: binary.Uvarint = %d, %d; uvarint = %d, %v at %d", b, want, n, got, ok, br.pos)
 		}
 	}
 }

@@ -223,7 +223,7 @@ func TestSnapshotGetProjectedMatchesScan(t *testing.T) {
 	for _, fields := range [][]string{nil, {"id"}, {"text", "open_10_1"}, {}} {
 		proj := NewProjection(fields)
 		scanned := map[string][]byte{}
-		err := snap.ScanProjected(nil, nil, nil, fields, func(k, v []byte) bool {
+		_, err := snap.ScanProjected(nil, nil, nil, fields, nil, func(k, v []byte) bool {
 			scanned[string(k)] = append([]byte(nil), v...)
 			return true
 		})

@@ -876,7 +876,7 @@ func (t *LSMTree) writeMemtable(im *immMem) (*Component, error) {
 // component, unless dropTombstones says nothing does. On error the sink
 // is aborted.
 func writeEntries(cw componentSink, mems []*memtable, comps []*Component, dropTombstones bool) error {
-	c := openCursors([]KeyRange{{}}, mems, comps, nil, true)[0]
+	c := openCursors([]KeyRange{{}}, mems, comps, nil, nil, true)[0]
 	defer c.Close()
 	for c.Next() {
 		if dropTombstones && c.cur.dead {
@@ -1144,21 +1144,22 @@ func (t *LSMTree) Get(key []byte) ([]byte, bool, error) {
 // false. fn runs with no tree lock held — it may take arbitrarily long
 // without blocking writers.
 func (t *LSMTree) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	return t.ScanProjectedContext(nil, start, end, nil, fn)
+	_, err := t.ScanProjectedContext(nil, start, end, nil, nil, fn)
+	return err
 }
 
-// ScanProjectedContext is Scan with cooperative cancellation — once ctx
-// is cancelled the scan stops within a few hundred entries and returns
-// ctx's error; a nil ctx never cancels — restricted to the named
-// top-level record fields: columnar components read only the referenced
-// column blocks and deliver partial records, while memtables and
-// row-format components deliver full entries. fn therefore receives
-// values guaranteed to contain at least the projected fields; it must
-// not assume the others are absent. A nil fields slice scans everything.
-func (t *LSMTree) ScanProjectedContext(ctx context.Context, start, end []byte, fields []string, fn func(key, value []byte) bool) error {
+// ScanProjectedContext is TreeSnapshot.ScanProjected over a snapshot
+// taken for the scan: cooperative cancellation — once ctx is cancelled
+// the scan stops within a few hundred rows read and returns ctx's error;
+// a nil ctx never cancels — a projection onto the named top-level record
+// fields, under which fn receives values guaranteed to contain at least
+// those fields (it must not assume the others are absent; a nil fields
+// slice scans everything), and an optional row filter. It returns the
+// number of rows read.
+func (t *LSMTree) ScanProjectedContext(ctx context.Context, start, end []byte, fields []string, filter *RowFilter, fn func(key, value []byte) bool) (int64, error) {
 	s := t.Snapshot()
 	defer s.Close()
-	return s.ScanProjected(ctx, start, end, fields, fn)
+	return s.ScanProjected(ctx, start, end, fields, filter, fn)
 }
 
 // BulkLoad streams pre-sorted entries directly into a single on-disk

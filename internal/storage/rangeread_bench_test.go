@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,13 +12,13 @@ import (
 // BenchmarkRangeRead times the merged range reader in isolation, on the
 // shapes the engine reads through it: a full scan of one warm 20 000-row
 // component (row pages, columnar groups, columnar groups under a
-// three-field projection — what a scan-plan selection does per
-// partition), the same scan over three components and two memtable
-// generations with overwrites and deletes between the layers, a cursor
-// hopping through that tree by SeekGE (a T-occurrence probe), and a
-// compaction of four components. It uses only calls older commits have
-// too, so one file measures both sides of a reader change. CI runs it
-// once per case as a smoke test (-benchtime=1x).
+// three-field projection, and the same under a row filter that keeps one
+// row in a thousand — what a scan-plan selection does per partition),
+// the same scan over three components and two memtable generations with
+// overwrites and deletes between the layers, a cursor hopping through
+// that tree by SeekGE (a T-occurrence probe), and a compaction of four
+// components. ns/row is per row read. CI runs it once per case as a
+// smoke test (-benchtime=1x).
 func BenchmarkRangeRead(b *testing.B) {
 	const n = 20000
 	record := func(i int) []byte {
@@ -59,36 +60,45 @@ func BenchmarkRangeRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	scanOnce := func(b *testing.B, tree *LSMTree, fields []string, want int) {
+	// rare keeps the rows whose reviewerName ends in 999: 20 of 20 000.
+	rare := &RowFilter{Field: "reviewerName", Pass: func(v []byte) bool {
+		s, ok := adm.RawString(v)
+		return !ok || bytes.HasSuffix(s, []byte("999"))
+	}}
+	scanOnce := func(b *testing.B, tree *LSMTree, fields []string, filter *RowFilter, want int) (read int64) {
 		rows := 0
-		err := tree.ScanProjectedContext(nil, nil, nil, fields, func(_, _ []byte) bool { rows++; return true })
+		read, err := tree.ScanProjectedContext(nil, nil, nil, fields, filter, func(_, _ []byte) bool { rows++; return true })
 		if err != nil || rows != want {
 			b.Fatalf("scan saw %d of %d rows, err %v", rows, want, err)
 		}
+		return read
 	}
-	scan := func(b *testing.B, tree *LSMTree, fields []string, want int) {
-		scanOnce(b, tree, fields, want) // warms the cache
+	scan := func(b *testing.B, tree *LSMTree, fields []string, filter *RowFilter, want int) {
+		read := scanOnce(b, tree, fields, filter, want) // warms the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scanOnce(b, tree, fields, want)
+			scanOnce(b, tree, fields, filter, want)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*want), "ns/row")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*read), "ns/row")
 	}
 
 	for _, view := range []struct {
 		name     string
 		columnar bool
 		fields   []string
+		filter   *RowFilter
+		want     int
 	}{
-		{"row", false, nil},
-		{"columnar", true, nil},
-		{"columnar-projected", true, []string{"id", "reviewerName", "summary"}},
+		{"row", false, nil, nil, n},
+		{"columnar", true, nil, nil, n},
+		{"columnar-projected", true, []string{"id", "reviewerName", "summary"}, nil, n},
+		{"columnar-filtered", true, []string{"id", "reviewerName", "summary"}, rare, n / 1000},
 	} {
 		b.Run("scan/"+view.name, func(b *testing.B) {
 			tree := open(b, view.columnar)
 			fill(b, tree, 0, 1, false)
 			flush(b, tree)
-			scan(b, tree, view.fields, n)
+			scan(b, tree, view.fields, view.filter, view.want)
 		})
 	}
 
@@ -122,7 +132,7 @@ func BenchmarkRangeRead(b *testing.B) {
 	}
 	b.Run("scan/3-components-2-memtables", func(b *testing.B) {
 		tree, live := layered(b)
-		scan(b, tree, nil, live)
+		scan(b, tree, nil, nil, live)
 	})
 	b.Run("seek/3-components-2-memtables", func(b *testing.B) {
 		tree, _ := layered(b)

@@ -105,9 +105,10 @@ func (s *TreeSnapshot) GetProjected(key []byte, proj *Projection) ([]byte, bool,
 
 // ScanProjected calls fn for each live (key, value) with key in
 // [start, end) in key order — a Next loop over one Cursor of the
-// snapshot. fn must not retain its arguments. Iteration stops early if
-// fn returns false, or with ctx.Err() once ctx is cancelled (checked
-// every few hundred entries). fn runs with no lock held, so a slow
+// snapshot — and returns the number of rows it read. fn must not retain
+// its arguments. Iteration stops early if fn returns false, or with
+// ctx.Err() once ctx is cancelled (checked every few hundred rows read,
+// whether or not fn saw them). fn runs with no lock held, so a slow
 // consumer never starves writers. A nil ctx disables cancellation
 // checks.
 //
@@ -116,19 +117,25 @@ func (s *TreeSnapshot) GetProjected(key []byte, proj *Projection) ([]byte, bool,
 // blocks and yield partial records; memtables and row-format components
 // yield full entries — fn receives at least the projected fields either
 // way. A nil fields slice scans everything.
-func (s *TreeSnapshot) ScanProjected(ctx context.Context, start, end []byte, fields []string, fn func(key, value []byte) bool) error {
-	c := openCursors([]KeyRange{{Start: start, End: end}}, s.mems, s.components, NewProjection(fields), false)[0]
+//
+// A non-nil filter drops the rows it rejects before fn (see RowFilter):
+// a columnar group is judged on the filter field's column and only the
+// rows that pass are assembled. The rows read are the keys whose newest
+// version is not a tombstone, rejected or not.
+func (s *TreeSnapshot) ScanProjected(ctx context.Context, start, end []byte, fields []string, filter *RowFilter, fn func(key, value []byte) bool) (rowsRead int64, err error) {
+	c := openCursors([]KeyRange{{Start: start, End: end}}, s.mems, s.components, NewProjection(fields), filter, false)[0]
 	defer c.Close()
 	const cancelCheckEvery = 512
-	for steps := 1; c.Next(); steps++ {
-		if ctx != nil && steps%cancelCheckEvery == 0 {
+	for c.Next() {
+		rowsRead++
+		if ctx != nil && rowsRead%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return rowsRead, err
 			}
 		}
-		if !fn(c.key, c.val) {
-			return nil
+		if !c.rejected && !fn(c.key, c.val) {
+			return rowsRead, nil
 		}
 	}
-	return c.err
+	return rowsRead, c.err
 }

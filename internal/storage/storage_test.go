@@ -109,6 +109,66 @@ func TestBufferCacheLRUAndStats(t *testing.T) {
 	}
 }
 
+// TestBufferCacheChargesBytes: the cache charges an entry its length,
+// not a page. Under a random mix of column-block, page and group-image
+// sizes the resident bytes are the sum of what is cached and never
+// exceed the capacity by more than the largest single entry; a thousand
+// small blocks that fit in the capacity all stay resident, where one
+// slot per page would keep sixteen; Evict returns their bytes.
+func TestBufferCacheChargesBytes(t *testing.T) {
+	const capacity, pageSize = 512 << 10, 32 << 10
+	cache := NewBufferCache(capacity, pageSize)
+	state := func() (resident, sum int) {
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		for el := cache.lru.Front(); el != nil; el = el.Next() {
+			sum += len(el.Value.(*cacheEntry).data)
+		}
+		return cache.resident, sum
+	}
+	r := rand.New(rand.NewSource(33))
+	id := NewFileID()
+	largest := 0
+	for i := 0; i < 3000; i++ {
+		var n int
+		switch r.Intn(3) {
+		case 0:
+			n = 3 + r.Intn(60) // a short column block
+		case 1:
+			n = 1 + r.Intn(40<<10) // a block or a row page
+		default:
+			n = 60<<10 + r.Intn(200<<10) // a group image
+		}
+		largest = max(largest, n)
+		tag := [...]string{"", "p:id"}[r.Intn(2)]
+		if _, err := cache.ReadBuiltTagged(id, uint32(r.Intn(500)), tag, func() ([]byte, error) { return make([]byte, n), nil }); err != nil {
+			t.Fatal(err)
+		}
+		if resident, sum := state(); resident != sum || resident > capacity+largest {
+			t.Fatalf("after %d reads: resident %d, cached %d, capacity %d + largest %d", i+1, resident, sum, capacity, largest)
+		}
+	}
+	cache.Evict(id)
+	if resident, _ := state(); resident != 0 {
+		t.Fatalf("resident %d after evicting the only file", resident)
+	}
+
+	blocks := NewFileID()
+	read := func() {
+		for i := 0; i < 1000; i++ {
+			if _, err := cache.ReadBuilt(blocks, uint32(i), func() ([]byte, error) { return make([]byte, 100), nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read()
+	before := cache.Stats()
+	read()
+	if hits := cache.Stats().Hits - before.Hits; hits != 1000 {
+		t.Errorf("second pass over 1000 blocks of 100 bytes in a %d-byte cache: %d hits, want 1000", capacity, hits)
+	}
+}
+
 func TestComponentWriteReadGet(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c1.cmp")
