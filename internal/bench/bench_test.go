@@ -87,9 +87,9 @@ func TestRunUnknown(t *testing.T) {
 }
 
 // TestScanBench smoke-runs the scan sweep at test scale. It checks the
-// report exists and that every cell agreed on the row count (ScanBench
-// itself fails on disagreement); speedups are not asserted here — the
-// tiny scale and test-machine noise make them meaningless.
+// report holds its two cells and that they agreed on the row count
+// (ScanBench itself fails on disagreement); the speedup is not asserted
+// here — the tiny scale and test-machine noise make it meaningless.
 func TestScanBench(t *testing.T) {
 	e := tinyEnv(t)
 	e.ReportDir = t.TempDir()
@@ -104,8 +104,8 @@ func TestScanBench(t *testing.T) {
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Cells) != 4 {
-		t.Fatalf("report has %d cells, want 4", len(report.Cells))
+	if len(report.Cells) != 2 || report.Cells[0].Pushdown || !report.Cells[1].Pushdown {
+		t.Fatalf("report cells %+v, want scan-all then pushdown", report.Cells)
 	}
 	if report.Cells[0].Rows == 0 {
 		t.Error("scan query matched no rows; the sweep measured nothing")

@@ -16,12 +16,10 @@ import (
 	"simdb/internal/optimizer"
 )
 
-// ScanCell is one configuration point of the scan sweep: a storage
-// format crossed with the projection-pushdown toggle, all running the
-// same two-field similarity query.
+// ScanCell is one configuration point of the scan sweep: projection
+// pushdown on or off, both running the same two-field similarity query.
 type ScanCell struct {
 	Label    string  `json:"label"`
-	Format   string  `json:"format"`
 	Pushdown bool    `json:"pushdown"`
 	Rows     int64   `json:"rows"`
 	WallMs   float64 `json:"wall_ms"`
@@ -34,103 +32,67 @@ type ScanReport struct {
 	Nodes      int        `json:"nodes"`
 	Fields     int        `json:"fields_per_record"`
 	Cells      []ScanCell `json:"cells"`
-	// SpeedupColumnar is row/scan-all wall over columnar/pushdown wall:
-	// the end-to-end gain of columnar components plus projection for a
-	// query touching 2 of the record's fields.
-	SpeedupColumnar float64 `json:"speedup_columnar"`
+	// SpeedupPushdown is scan-all wall over pushdown wall: what reading
+	// only the referenced columns gains for a query touching 2 of the
+	// record's fields.
+	SpeedupPushdown float64 `json:"speedup_pushdown"`
 }
 
-// ScanBench measures the full-scan similarity query path across the
-// storage-format toggles this reproduction adds on top of the paper:
-// row versus columnar components, projection pushdown on versus off.
-// Every cell runs with the scan's record filter, which has no toggle.
-// The dataset
+// ScanBench measures the full-scan similarity query path over columnar
+// primary components with projection pushdown off and on. Every cell
+// runs with the scan's record filter, which has no toggle. The dataset
 // is deliberately wide — eight fields, most of them bulky payload the
 // query never reads — so the two-field query (summary for the
 // similarity predicate, id for the result) isolates how much decode
-// and read work each configuration avoids. Each format loads the same
-// records into its own fresh database; results go to BENCH_scan.json.
+// and read work the projection avoids. Both cells query one freshly
+// loaded database; results go to BENCH_scan.json.
 func (e *Env) ScanBench() error {
-	e.logf("\n=== Scan: columnar + projection pushdown ===\n")
-	n := e.Scale
-	recs := genWideRecords(n)
-
+	e.logf("\n=== Scan: projection pushdown over columnar components ===\n")
 	query := `
 		for $r in dataset ScanBench
 		where similarity-jaccard(word-tokens($r.summary),
 		                         word-tokens('orange banana cherry')) >= 0.4
 		return $r.id`
 
-	type cellSpec struct {
-		format   string
-		pushdown bool
+	report := ScanReport{Experiment: "scan", Scale: e.Scale, Nodes: e.Nodes, Fields: wideFieldCount}
+	dir := filepath.Join(e.Dir, "scan")
+	db, err := openScanDB(dir, e.Nodes, e.PartsPerNode, genWideRecords(e.Scale))
+	if err != nil {
+		return fmt.Errorf("scan: %w", err)
 	}
-	specs := []cellSpec{
-		{"row", false},
-		{"row", true},
-		{"columnar", false},
-		{"columnar", true},
-	}
-
-	report := ScanReport{Experiment: "scan", Scale: n, Nodes: e.Nodes, Fields: wideFieldCount}
-	e.logf("%-22s %10s %9s %8s %12s\n", "config", "format", "pushdown", "rows", "wall(ms)")
-	walls := map[string]time.Duration{}
-	for _, format := range []string{"row", "columnar"} {
-		dir := filepath.Join(e.Dir, "scan-"+format)
-		db, err := openScanDB(dir, e.Nodes, e.PartsPerNode, format, recs)
+	e.logf("%-22s %9s %8s %12s\n", "config", "pushdown", "rows", "wall(ms)")
+	for _, pushdown := range []bool{false, true} {
+		wall, rows, err := timeScanQuery(db, query, pushdown)
 		if err != nil {
-			return fmt.Errorf("scan %s: %w", format, err)
+			db.Close()
+			return fmt.Errorf("scan: %w", err)
 		}
-		for _, spec := range specs {
-			if spec.format != format {
-				continue
-			}
-			wall, rows, err := timeScanQuery(db, query, spec.pushdown)
-			if err != nil {
-				db.Close()
-				return fmt.Errorf("scan %s: %w", format, err)
-			}
-			label := spec.format
-			if spec.pushdown {
-				label += "/pushdown"
-			} else {
-				label += "/scan-all"
-			}
-			walls[label] = wall
-			cell := ScanCell{
-				Label:    label,
-				Format:   spec.format,
-				Pushdown: spec.pushdown,
-				Rows:     rows,
-				WallMs:   float64(wall.Microseconds()) / 1000,
-			}
-			report.Cells = append(report.Cells, cell)
-			e.logf("%-22s %10s %9v %8d %12.2f\n",
-				label, spec.format, spec.pushdown, rows, cell.WallMs)
+		label := "columnar/scan-all"
+		if pushdown {
+			label = "columnar/pushdown"
 		}
-		db.Close()
-		_ = os.RemoveAll(dir)
+		cell := ScanCell{Label: label, Pushdown: pushdown, Rows: rows, WallMs: float64(wall.Microseconds()) / 1000}
+		report.Cells = append(report.Cells, cell)
+		e.logf("%-22s %9v %8d %12.2f\n", label, pushdown, rows, cell.WallMs)
 	}
+	db.Close()
+	_ = os.RemoveAll(dir)
 
-	// Every cell answers the same query, so any row-count disagreement
+	// Both cells answer the same query, so a row-count disagreement
 	// means a correctness bug, not a performance difference.
-	for _, c := range report.Cells {
-		if c.Rows != report.Cells[0].Rows {
-			return fmt.Errorf("scan: cell %s returned %d rows, %s returned %d",
-				c.Label, c.Rows, report.Cells[0].Label, report.Cells[0].Rows)
-		}
+	if a, b := report.Cells[0], report.Cells[1]; a.Rows != b.Rows {
+		return fmt.Errorf("scan: cell %s returned %d rows, %s returned %d", b.Label, b.Rows, a.Label, a.Rows)
 	}
+	if w := report.Cells[1].WallMs; w > 0 {
+		report.SpeedupPushdown = report.Cells[0].WallMs / w
+	}
+	e.logf("pushdown speedup over scan-all: %.2fx\n", report.SpeedupPushdown)
 
-	if w := walls["columnar/pushdown"]; w > 0 {
-		report.SpeedupColumnar = float64(walls["row/scan-all"]) / float64(w)
+	out := e.ReportDir
+	if out == "" {
+		out = "."
 	}
-	e.logf("columnar+pushdown speedup over row scan-all: %.2fx\n", report.SpeedupColumnar)
-
-	dir := e.ReportDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_scan.json")
+	path := filepath.Join(out, "BENCH_scan.json")
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -186,14 +148,13 @@ func genWideRecords(n int) []adm.Value {
 	return recs
 }
 
-// openScanDB opens a fresh database with the given storage format and
-// bulk-loads the scan dataset into it.
-func openScanDB(dir string, nodes, parts int, format string, recs []adm.Value) (*core.Database, error) {
+// openScanDB opens a fresh database and bulk-loads the scan dataset
+// into it.
+func openScanDB(dir string, nodes, parts int, recs []adm.Value) (*core.Database, error) {
 	db, err := core.Open(core.Config{
 		DataDir:           dir,
 		NumNodes:          nodes,
 		PartitionsPerNode: parts,
-		StorageFormat:     format,
 	})
 	if err != nil {
 		return nil, err

@@ -88,9 +88,6 @@ func New(cfg Config) (*Cluster, error) {
 	if !storage.ValidWALSyncMode(cfg.WALSyncMode) {
 		return nil, fmt.Errorf("cluster: invalid WALSyncMode %q (want commit, interval, or off)", cfg.WALSyncMode)
 	}
-	if cfg.StorageFormat != "columnar" && cfg.StorageFormat != "row" {
-		return nil, fmt.Errorf("cluster: invalid StorageFormat %q (want columnar or row)", cfg.StorageFormat)
-	}
 	if cfg.QueryMemoryBudget == 0 {
 		// The CI low-memory job forces spill paths under the whole test
 		// suite through this; an explicit config wins over it.

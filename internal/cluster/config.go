@@ -87,15 +87,6 @@ type Config struct {
 	// in-memory components: writers stall once this many pile up until
 	// background flushing catches up. Default 4.
 	StallThreshold int
-	// StorageFormat selects the on-disk layout of flushed and merged
-	// primary-index components. "columnar" (the default) infers a
-	// per-component schema and writes column-major row groups, letting
-	// projected scans read only the referenced columns; "row" keeps the
-	// version-1 row-major pages. Reading is version-agnostic either way:
-	// a tree may mix both formats, so the knob can change between runs
-	// on existing data. Secondary inverted indexes always use the row
-	// format (their entries are postings, not records).
-	StorageFormat string
 	// WALSyncMode selects crash durability for ingestion. "commit" (the
 	// default) fsyncs the per-partition write-ahead log before
 	// acknowledging, with concurrent committers coalesced into one
@@ -161,9 +152,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StallThreshold <= 0 {
 		c.StallThreshold = 4
-	}
-	if c.StorageFormat == "" {
-		c.StorageFormat = "columnar"
 	}
 	if c.WALSyncMode == "" {
 		c.WALSyncMode = string(storage.WALSyncCommit)

@@ -1084,7 +1084,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 				if err != nil {
 					return err
 				}
-				if !found || (rf != nil && !rf.PassRecord(val)) {
+				if !found || !rf.PassRecord(val) {
 					continue
 				}
 				rec, err := decodeRecord(val, keep)

@@ -111,7 +111,8 @@ func (n *NodeController) partitionWAL(dv, ds string, part int) (*storage.WAL, er
 }
 
 // primary opens (or creates) the local partition of a dataset's primary
-// index.
+// index. Its flushes and merges write columnar components; components
+// of either version already on disk stay readable.
 func (n *NodeController) primary(dv, ds string, part int) (*storage.LSMTree, error) {
 	key := fmt.Sprintf("%s.%s/p%d", dv, ds, part)
 	n.mu.Lock()
@@ -125,8 +126,7 @@ func (n *NodeController) primary(dv, ds string, part int) (*storage.LSMTree, err
 	}
 	dir := filepath.Join(n.dir, sanitize(dv), sanitize(ds), fmt.Sprintf("p%d", part))
 	opts := n.lsmOptions()
-	opts.WAL, opts.WALTree = wal, "p"
-	opts.Columnar = n.cfg.StorageFormat == "columnar"
+	opts.WAL, opts.WALTree, opts.Columnar = wal, "p", true
 	t, err := storage.OpenLSM(dir, opts)
 	if err != nil {
 		return nil, err

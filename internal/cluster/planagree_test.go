@@ -190,15 +190,14 @@ func loadWide(t *testing.T, c *Cluster, sess *Session, n int) (name string) {
 }
 
 // TestProjectedLookupPlansAgree checks index plan ≡ scan plan on wide
-// records with the primary lookup projected, on both storage formats:
-// the CANON selections (three fields kept out of eighty), a selection
-// whose returned field lives in the columnar overflow block, and a
-// `return $r` query, for which the lookup must keep fetching whole
-// records. Each index plan is also compared with itself under
-// ProjectionPushdown off. Last, a self-join that reads Wide through one
-// reused scan: the projection reaches the scan through the aliases of
-// its branches, and the pairs agree with the unprojected and the
-// unshared plans, and between the formats.
+// records with the primary lookup projected: the CANON selections
+// (three fields kept out of eighty), a selection whose returned field
+// lives in the columnar overflow block, and a `return $r` query, for
+// which the lookup must keep fetching whole records. Each index plan is
+// also compared with itself under ProjectionPushdown off. Last, a
+// self-join that reads Wide through one reused scan: the projection
+// reaches the scan through the aliases of its branches, and the pairs
+// agree with the unprojected and the unshared plans.
 func TestProjectedLookupPlansAgree(t *testing.T) {
 	const jaccard = `for $r in dataset Wide
 		where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.2`
@@ -210,86 +209,80 @@ func TestProjectedLookupPlansAgree(t *testing.T) {
 	const selfJoin = `for $a in dataset Wide for $b in dataset Wide
 		where similarity-jaccard(word-tokens($a.summary), word-tokens($b.summary)) >= 0.8 and $a.id < $b.id
 		return {'a': $a.id, 'b': $b.id, 'name': $b.reviewerName}`
-	pairsByFormat := map[string]string{}
-	for _, format := range []string{"row", "columnar"} {
-		t.Run(format, func(t *testing.T) {
-			c := newTestClusterFormat(t, format)
-			name := loadWide(t, c, NewSession(), 400)
-			queries := []query{
-				{"canon-jaccard", jaccard + canonRet, "project:[id, reviewerName, summary]"},
-				{"canon-edit-distance", fmt.Sprintf(`for $r in dataset Wide where edit-distance($r.reviewerName, '%s') <= 2`, name) + canonRet,
-					"project:[id, reviewerName, summary]"},
-				{"overflow-field", jaccard + ` return {'id': $r.id, 'tag': $r.extra.tag}`, "project:[extra, id, summary]"},
-				{"whole-record", jaccard + ` return $r`, ""},
+	// Primary components have one layout; the subtest names it.
+	t.Run("columnar", func(t *testing.T) {
+		c := newTestCluster(t, 2, 1)
+		name := loadWide(t, c, NewSession(), 400)
+		queries := []query{
+			{"canon-jaccard", jaccard + canonRet, "project:[id, reviewerName, summary]"},
+			{"canon-edit-distance", fmt.Sprintf(`for $r in dataset Wide where edit-distance($r.reviewerName, '%s') <= 2`, name) + canonRet,
+				"project:[id, reviewerName, summary]"},
+			{"overflow-field", jaccard + ` return {'id': $r.id, 'tag': $r.extra.tag}`, "project:[extra, id, summary]"},
+			{"whole-record", jaccard + ` return $r`, ""},
+		}
+		exec(t, c, NewSession(), `create index wkw on Wide(summary) type keyword;`)
+		exec(t, c, NewSession(), `create index wng on Wide(reviewerName) type ngram(2);`)
+		scan := sessionOpts(func(o *optimizer.Options) { o.UseIndexes = false })
+		noProj := sessionOpts(func(o *optimizer.Options) { o.ProjectionPushdown = false })
+		for _, q := range queries {
+			want := exec(t, c, scan, q.q)
+			if len(want.Rows) == 0 || want.Stats.IndexSearches != 0 {
+				t.Fatalf("%s: scan reference has %d rows, %d index searches", q.name, len(want.Rows), want.Stats.IndexSearches)
 			}
-			exec(t, c, NewSession(), `create index wkw on Wide(summary) type keyword;`)
-			exec(t, c, NewSession(), `create index wng on Wide(reviewerName) type ngram(2);`)
-			scan := sessionOpts(func(o *optimizer.Options) { o.UseIndexes = false })
-			noProj := sessionOpts(func(o *optimizer.Options) { o.ProjectionPushdown = false })
-			for _, q := range queries {
-				want := exec(t, c, scan, q.q)
-				if len(want.Rows) == 0 || want.Stats.IndexSearches != 0 {
-					t.Fatalf("%s: scan reference has %d rows, %d index searches", q.name, len(want.Rows), want.Stats.IndexSearches)
-				}
-				got := exec(t, c, sessionOpts(nil), q.q)
-				if got.Stats.IndexSearches == 0 {
-					t.Errorf("%s: did not use the index:\n%s", q.name, got.Stats.LogicalPlan)
-				}
-				lookup := planLine(got.Stats.LogicalPlan, "primary-index-lookup")
-				if q.project == "" && strings.Contains(lookup, "project:[") {
-					t.Errorf("%s: whole-record lookup got a projection: %s", q.name, lookup)
-				}
-				if q.project != "" && !strings.Contains(lookup, q.project+" filter:[") {
-					t.Errorf("%s: lookup is %q, want %q and a filter", q.name, lookup, q.project)
-				}
-				if resultKey(got) != resultKey(want) {
-					t.Errorf("%s: index plan with projected lookup differs from the scan plan (%d vs %d rows)",
-						q.name, len(got.Rows), len(want.Rows))
-				}
-				if wide := exec(t, c, noProj, q.q); resultKey(wide) != resultKey(want) {
-					t.Errorf("%s: index plan without pushdown differs from the scan plan", q.name)
-				}
+			got := exec(t, c, sessionOpts(nil), q.q)
+			if got.Stats.IndexSearches == 0 {
+				t.Errorf("%s: did not use the index:\n%s", q.name, got.Stats.LogicalPlan)
 			}
-			// The whole-record rows really are whole, and the overflow field
-			// came back from the records that have it.
-			whole := exec(t, c, sessionOpts(nil), queries[3].q)
-			for _, r := range whole.Rows {
-				if _, ok := r.Rec().Get("reviewText"); !ok || r.Rec().Len() < 78 {
-					t.Fatalf("whole-record lookup returned a partial record with %d fields", r.Rec().Len())
-				}
+			lookup := planLine(got.Stats.LogicalPlan, "primary-index-lookup")
+			if q.project == "" && strings.Contains(lookup, "project:[") {
+				t.Errorf("%s: whole-record lookup got a projection: %s", q.name, lookup)
 			}
-			tags := 0
-			for _, r := range exec(t, c, sessionOpts(nil), queries[2].q).Rows {
-				if tag, ok := r.Rec().Get("tag"); ok && tag.Kind() == adm.KindString {
-					tags++
-				}
+			if q.project != "" && !strings.Contains(lookup, q.project+" filter:[") {
+				t.Errorf("%s: lookup is %q, want %q and a filter", q.name, lookup, q.project)
 			}
-			if tags == 0 {
-				t.Error("no row carried extra.tag; the overflow case is vacuous")
+			if resultKey(got) != resultKey(want) {
+				t.Errorf("%s: index plan with projected lookup differs from the scan plan (%d vs %d rows)",
+					q.name, len(got.Rows), len(want.Rows))
 			}
+			if wide := exec(t, c, noProj, q.q); resultKey(wide) != resultKey(want) {
+				t.Errorf("%s: index plan without pushdown differs from the scan plan", q.name)
+			}
+		}
+		// The whole-record rows really are whole, and the overflow field
+		// came back from the records that have it.
+		whole := exec(t, c, sessionOpts(nil), queries[3].q)
+		for _, r := range whole.Rows {
+			if _, ok := r.Rec().Get("reviewText"); !ok || r.Rec().Len() < 78 {
+				t.Fatalf("whole-record lookup returned a partial record with %d fields", r.Rec().Len())
+			}
+		}
+		tags := 0
+		for _, r := range exec(t, c, sessionOpts(nil), queries[2].q).Rows {
+			if tag, ok := r.Rec().Get("tag"); ok && tag.Kind() == adm.KindString {
+				tags++
+			}
+		}
+		if tags == 0 {
+			t.Error("no row carried extra.tag; the overflow case is vacuous")
+		}
 
-			reused := exec(t, c, scan, selfJoin)
-			plan := reused.Stats.LogicalPlan
-			if got := planLine(plan, "data-scan"); !strings.Contains(plan, "^shared(") || !strings.HasSuffix(got, " project:[id, reviewerName, summary]") {
-				t.Errorf("self-join: want one shared scan projected to three fields, scan is %q in:\n%s", got, plan)
+		reused := exec(t, c, scan, selfJoin)
+		plan := reused.Stats.LogicalPlan
+		if got := planLine(plan, "data-scan"); !strings.Contains(plan, "^shared(") || !strings.HasSuffix(got, " project:[id, reviewerName, summary]") {
+			t.Errorf("self-join: want one shared scan projected to three fields, scan is %q in:\n%s", got, plan)
+		}
+		if len(reused.Rows) == 0 {
+			t.Error("self-join found no pairs; the reused-scan case is vacuous")
+		}
+		for what, mod := range map[string]func(*optimizer.Options){
+			"without pushdown": func(o *optimizer.Options) { o.UseIndexes, o.ProjectionPushdown = false, false },
+			"without reuse":    func(o *optimizer.Options) { o.UseIndexes, o.ReuseSubplans = false, false },
+		} {
+			if other := exec(t, c, sessionOpts(mod), selfJoin); resultKey(other) != resultKey(reused) {
+				t.Errorf("self-join %s differs from the projected reused scan (%d vs %d rows)", what, len(other.Rows), len(reused.Rows))
 			}
-			if len(reused.Rows) == 0 {
-				t.Error("self-join found no pairs; the reused-scan case is vacuous")
-			}
-			for what, mod := range map[string]func(*optimizer.Options){
-				"without pushdown": func(o *optimizer.Options) { o.UseIndexes, o.ProjectionPushdown = false, false },
-				"without reuse":    func(o *optimizer.Options) { o.UseIndexes, o.ReuseSubplans = false, false },
-			} {
-				if other := exec(t, c, sessionOpts(mod), selfJoin); resultKey(other) != resultKey(reused) {
-					t.Errorf("self-join %s differs from the projected reused scan (%d vs %d rows)", what, len(other.Rows), len(reused.Rows))
-				}
-			}
-			pairsByFormat[format] = resultKey(reused)
-		})
-	}
-	if pairsByFormat["row"] != pairsByFormat["columnar"] {
-		t.Error("self-join over a projected reused scan: row and columnar storage disagree")
-	}
+		}
+	})
 }
 
 // planLine returns the first line of plan naming op, trimmed.

@@ -21,53 +21,41 @@ func sessWith(mod func(*optimizer.Options)) *Session {
 	return sess
 }
 
-func newTestClusterFormat(t *testing.T, format string) *Cluster {
-	t.Helper()
-	c, err := New(Config{NumNodes: 2, PartitionsPerNode: 1, DataDir: t.TempDir(), StorageFormat: format})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 // TestProjectionPushdownResults runs the same queries with projection
-// pushdown on and off over both storage formats and demands identical
-// answers. The pushdown run also covers the unflushed-memtable path:
-// one row is inserted after FlushAll, so the scan mixes a columnar (or
-// row) component with in-memory rows.
+// pushdown on and off and demands identical answers. The pushdown run
+// also covers the unflushed-memtable path: one row is inserted after
+// FlushAll, so the scan mixes a columnar component with in-memory rows.
 func TestProjectionPushdownResults(t *testing.T) {
-	for _, format := range []string{"row", "columnar"} {
-		t.Run(format, func(t *testing.T) {
-			c := newTestClusterFormat(t, format)
-			sess := NewSession()
-			loadReviews(t, c, sess)
-			rec := adm.EmptyRecord(3)
-			rec.Set("id", adm.NewInt(9))
-			rec.Set("username", adm.NewString("marge"))
-			rec.Set("summary", adm.NewString("great value product"))
-			if err := c.Insert("Default", "Reviews", adm.NewRecord(rec)); err != nil {
-				t.Fatal(err)
-			}
+	// Primary components have one layout; the subtest names it.
+	t.Run("columnar", func(t *testing.T) {
+		c := newTestCluster(t, 2, 1)
+		sess := NewSession()
+		loadReviews(t, c, sess)
+		rec := adm.EmptyRecord(3)
+		rec.Set("id", adm.NewInt(9))
+		rec.Set("username", adm.NewString("marge"))
+		rec.Set("summary", adm.NewString("great value product"))
+		if err := c.Insert("Default", "Reviews", adm.NewRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
 
-			queries := []string{
-				`for $r in dataset Reviews where $r.username = 'maria' return $r.id`,
-				`for $r in dataset Reviews return $r.id`,
-				// Whole-record return: no projection applies, scan stays wide.
-				`for $r in dataset Reviews where $r.id = 9 return $r`,
-				jaccardQuery,
+		queries := []string{
+			`for $r in dataset Reviews where $r.username = 'maria' return $r.id`,
+			`for $r in dataset Reviews return $r.id`,
+			// Whole-record return: no projection applies, scan stays wide.
+			`for $r in dataset Reviews where $r.id = 9 return $r`,
+			jaccardQuery,
+		}
+		on := sessWith(nil)
+		off := sessWith(func(o *optimizer.Options) { o.ProjectionPushdown = false })
+		for _, q := range queries {
+			got := exec(t, c, on, q)
+			want := exec(t, c, off, q)
+			if gs, ws := resultKey(got), resultKey(want); gs != ws {
+				t.Errorf("query %q: pushdown %q, no pushdown %q", q, gs, ws)
 			}
-			on := sessWith(nil)
-			off := sessWith(func(o *optimizer.Options) { o.ProjectionPushdown = false })
-			for _, q := range queries {
-				got := exec(t, c, on, q)
-				want := exec(t, c, off, q)
-				if gs, ws := resultKey(got), resultKey(want); gs != ws {
-					t.Errorf("query %q: pushdown %q, no pushdown %q", q, gs, ws)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestProjectionPushdownInPlan checks that the optimized plan makes the

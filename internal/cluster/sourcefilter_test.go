@@ -23,10 +23,10 @@ func sourceLine(plan string) string {
 }
 
 // TestSourceFilter is the plan-level suite of the record-source filter:
-// on both storage formats, with rows in flushed components and in the
-// memtable, every recognized selection shape returns what a naive
-// evaluation with internal/sim returns (the engine has no switch that
-// turns the filter off, so the reference is computed here), the filter
+// with rows in flushed components and in the memtable, every recognized
+// selection shape returns what a naive evaluation with internal/sim
+// returns (the engine has no switch that turns the filter off, so the
+// reference is computed here), the filter
 // shows on the source's explain line exactly when it should, and the
 // source reports read versus emitted. Two flushed rows are overwritten
 // in the memtable by versions that differ from them in pass or fail: a
@@ -130,95 +130,94 @@ func TestSourceFilter(t *testing.T) {
 			ed("Marla", 1), `filter:[edit-distance(username, "Marla") <= 1]`},
 	}
 
-	for _, format := range []string{"row", "columnar"} {
-		t.Run(format, func(t *testing.T) {
-			c := newTestClusterFormat(t, format)
-			sess := NewSession()
-			loadReviews(t, c, sess)
-			for i := range reviews {
-				if s, ok := overwrites[reviews[i].id]; ok {
-					reviews[i].summary = s
-				} else if i < 8 {
-					continue
+	// Primary components have one layout; the subtest names it.
+	t.Run("columnar", func(t *testing.T) {
+		c := newTestCluster(t, 2, 1)
+		sess := NewSession()
+		loadReviews(t, c, sess)
+		for i := range reviews {
+			if s, ok := overwrites[reviews[i].id]; ok {
+				reviews[i].summary = s
+			} else if i < 8 {
+				continue
+			}
+			r := reviews[i]
+			rec := adm.EmptyRecord(3)
+			rec.Set("id", adm.NewInt(r.id))
+			rec.Set("username", adm.NewString(r.username))
+			rec.Set("summary", adm.NewString(r.summary))
+			if err := c.Insert("Default", "Reviews", adm.NewRecord(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(plan string) {
+			for _, tc := range cases {
+				res := exec(t, c, sess, tc.query)
+				var want []int64
+				for _, r := range reviews {
+					if tc.keep(r) {
+						want = append(want, r.id)
+					}
 				}
-				r := reviews[i]
-				rec := adm.EmptyRecord(3)
-				rec.Set("id", adm.NewInt(r.id))
-				rec.Set("username", adm.NewString(r.username))
-				rec.Set("summary", adm.NewString(r.summary))
-				if err := c.Insert("Default", "Reviews", adm.NewRecord(rec)); err != nil {
-					t.Fatal(err)
+				if len(want) == 0 || len(want) == len(reviews) && tc.filter != "" {
+					t.Errorf("%s: reference keeps %d of %d rows; the case is vacuous", tc.name, len(want), len(reviews))
+				}
+				if got := rowInts(t, res.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s (%s plan): engine %v != reference %v\n%s", tc.name, plan, got, want, res.Stats.LogicalPlan)
+				}
+				line := sourceLine(res.Stats.LogicalPlan)
+				if tc.filter == "" && strings.Contains(line, "filter:[") || !strings.Contains(line, tc.filter) {
+					t.Errorf("%s (%s plan): source line %q, want filter %q", tc.name, plan, line, tc.filter)
 				}
 			}
-			check := func(plan string) {
-				for _, tc := range cases {
-					res := exec(t, c, sess, tc.query)
-					var want []int64
-					for _, r := range reviews {
-						if tc.keep(r) {
-							want = append(want, r.id)
-						}
-					}
-					if len(want) == 0 || len(want) == len(reviews) && tc.filter != "" {
-						t.Errorf("%s: reference keeps %d of %d rows; the case is vacuous", tc.name, len(want), len(reviews))
-					}
-					if got := rowInts(t, res.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("%s (%s plan): engine %v != reference %v\n%s", tc.name, plan, got, want, res.Stats.LogicalPlan)
-					}
-					line := sourceLine(res.Stats.LogicalPlan)
-					if tc.filter == "" && strings.Contains(line, "filter:[") || !strings.Contains(line, tc.filter) {
-						t.Errorf("%s (%s plan): source line %q, want filter %q", tc.name, plan, line, tc.filter)
-					}
-				}
-			}
-			check("scan")
+		}
+		check("scan")
 
-			// The filtered scan reports what it read and what it let through.
-			res := exec(t, c, sess, jaccardQuery)
-			for _, op := range res.Stats.PhysicalOps() {
-				if op.Name == "DataScan(Reviews)" && (op.TuplesIn != int64(len(reviews)) || op.TuplesOut != int64(len(res.Rows))) {
-					t.Errorf("filtered scan reports in=%d out=%d, want %d read and %d emitted", op.TuplesIn, op.TuplesOut, len(reviews), len(res.Rows))
-				}
+		// The filtered scan reports what it read and what it let through.
+		res := exec(t, c, sess, jaccardQuery)
+		for _, op := range res.Stats.PhysicalOps() {
+			if op.Name == "DataScan(Reviews)" && (op.TuplesIn != int64(len(reviews)) || op.TuplesOut != int64(len(res.Rows))) {
+				t.Errorf("filtered scan reports in=%d out=%d, want %d read and %d emitted", op.TuplesIn, op.TuplesOut, len(reviews), len(res.Rows))
 			}
+		}
 
-			// Index plans: the same filter sits on the primary-index lookup,
-			// and the select above it still counts the verified candidates.
-			exec(t, c, sess, `create index rsum on Reviews(summary) type keyword;`)
-			exec(t, c, sess, `create index rname on Reviews(username) type ngram(2);`)
-			check("index")
-			res = exec(t, c, sess, jaccardQuery)
-			if line := sourceLine(res.Stats.LogicalPlan); !strings.Contains(line, "primary-index-lookup") || !strings.Contains(line, "filter:[") {
-				t.Errorf("index plan's lookup carries no filter:\n%s", res.Stats.LogicalPlan)
+		// Index plans: the same filter sits on the primary-index lookup,
+		// and the select above it still counts the verified candidates.
+		exec(t, c, sess, `create index rsum on Reviews(summary) type keyword;`)
+		exec(t, c, sess, `create index rname on Reviews(username) type ngram(2);`)
+		check("index")
+		res = exec(t, c, sess, jaccardQuery)
+		if line := sourceLine(res.Stats.LogicalPlan); !strings.Contains(line, "primary-index-lookup") || !strings.Contains(line, "filter:[") {
+			t.Errorf("index plan's lookup carries no filter:\n%s", res.Stats.LogicalPlan)
+		}
+		if res.Stats.IndexSearches == 0 || res.Stats.VerifiedTotal != int64(len(res.Rows)) || res.Stats.CandidatesTotal < res.Stats.VerifiedTotal {
+			t.Errorf("funnel: searches=%d candidates=%d verified=%d rows=%d",
+				res.Stats.IndexSearches, res.Stats.CandidatesTotal, res.Stats.VerifiedTotal, len(res.Rows))
+		}
+		for _, op := range res.Stats.PhysicalOps() {
+			if op.Name == "PrimaryIndexLookup(Reviews)" && (op.TuplesIn != res.Stats.CandidatesTotal || op.TuplesOut != int64(len(res.Rows))) {
+				t.Errorf("filtered lookup reports in=%d out=%d, want %d candidates and %d survivors",
+					op.TuplesIn, op.TuplesOut, res.Stats.CandidatesTotal, len(res.Rows))
 			}
-			if res.Stats.IndexSearches == 0 || res.Stats.VerifiedTotal != int64(len(res.Rows)) || res.Stats.CandidatesTotal < res.Stats.VerifiedTotal {
-				t.Errorf("funnel: searches=%d candidates=%d verified=%d rows=%d",
-					res.Stats.IndexSearches, res.Stats.CandidatesTotal, res.Stats.VerifiedTotal, len(res.Rows))
-			}
-			for _, op := range res.Stats.PhysicalOps() {
-				if op.Name == "PrimaryIndexLookup(Reviews)" && (op.TuplesIn != res.Stats.CandidatesTotal || op.TuplesOut != int64(len(res.Rows))) {
-					t.Errorf("filtered lookup reports in=%d out=%d, want %d candidates and %d survivors",
-						op.TuplesIn, op.TuplesOut, res.Stats.CandidatesTotal, len(res.Rows))
-				}
-			}
+		}
 
-			// The T <= 0 corner case keeps the scan plan (paper §5.1.1), and
-			// that scan is filtered like any other.
-			res = exec(t, c, sess, `for $r in dataset Reviews where edit-distance($r.username, 'ma') <= 3 return $r.id`)
-			if line := sourceLine(res.Stats.LogicalPlan); res.Stats.IndexSearches != 0 || !strings.Contains(line, `data-scan`) ||
-				!strings.Contains(line, `filter:[edit-distance(username, "ma") <= 3]`) {
-				t.Errorf("corner-case fallback: searches=%d, source line %q", res.Stats.IndexSearches, line)
+		// The T <= 0 corner case keeps the scan plan (paper §5.1.1), and
+		// that scan is filtered like any other.
+		res = exec(t, c, sess, `for $r in dataset Reviews where edit-distance($r.username, 'ma') <= 3 return $r.id`)
+		if line := sourceLine(res.Stats.LogicalPlan); res.Stats.IndexSearches != 0 || !strings.Contains(line, `data-scan`) ||
+			!strings.Contains(line, `filter:[edit-distance(username, "ma") <= 3]`) {
+			t.Errorf("corner-case fallback: searches=%d, source line %q", res.Stats.IndexSearches, line)
+		}
+		var want []int64
+		for _, r := range reviews {
+			if ed("ma", 3)(r) {
+				want = append(want, r.id)
 			}
-			var want []int64
-			for _, r := range reviews {
-				if ed("ma", 3)(r) {
-					want = append(want, r.id)
-				}
-			}
-			if got := rowInts(t, res.Rows); fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
-				t.Errorf("corner-case fallback: engine %v != reference %v", got, want)
-			}
-		})
-	}
+		}
+		if got := rowInts(t, res.Rows); fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+			t.Errorf("corner-case fallback: engine %v != reference %v", got, want)
+		}
+	})
 }
 
 // TestSourceFilterSharedScan: a scan read by two parents feeds every

@@ -96,10 +96,6 @@ type Config struct {
 	// milliseconds of acknowledged writes), or "off" (no logging;
 	// unflushed memtables are lost on crash).
 	WALSyncMode string
-	// StorageFormat selects the primary-index component layout:
-	// "columnar" (default) or "row". Reading is version-agnostic, so
-	// the setting can change between runs on existing data.
-	StorageFormat string
 	// ServeAddr, when set (e.g. ":8095" or ":0"), starts the simdbd HTTP
 	// front end: sessions, streaming NDJSON query results, bulk ingest,
 	// cancellation, /metrics, /queries, /traces, /slowlog and
@@ -183,7 +179,6 @@ func Open(cfg Config) (*Database, error) {
 		MaintenanceWorkers:      cfg.MaintenanceWorkers,
 		StallThreshold:          cfg.StallThreshold,
 		WALSyncMode:             cfg.WALSyncMode,
-		StorageFormat:           cfg.StorageFormat,
 		Transport:               cfg.Transport,
 		FrameSize:               cfg.FrameSize,
 		ChanCap:                 cfg.ChanCap,

@@ -13,9 +13,10 @@ import (
 // AsterixDB's per-node disk buffer cache (Table 2: "Disk buffer cache
 // size"). It holds byte slices of any length — a row page, a column
 // block of a few bytes, a group image of a few hundred KiB — and
-// charges each its length: the least recently used go while the
-// resident bytes exceed the capacity, so at most one entry (the newest,
-// when it alone is larger) sits above it. Thread safe.
+// charges each the memory it holds, its capacity: the least recently
+// used go while the resident bytes exceed the capacity of the cache, so
+// at most one entry (the newest, when it alone is larger) sits above
+// it. Thread safe.
 type BufferCache struct {
 	pageSize int
 	capacity int // in bytes
@@ -23,7 +24,7 @@ type BufferCache struct {
 	mu       sync.Mutex
 	entries  map[pageKey]*list.Element
 	lru      *list.List // front = most recently used
-	resident int        // bytes of the cached entries
+	resident int        // capacity of the cached entries' slices
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -106,7 +107,7 @@ func (c *BufferCache) insert(key pageKey, data []byte) []byte {
 		return el.Value.(*cacheEntry).data
 	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, data: data})
-	c.resident += len(data)
+	c.resident += cap(data)
 	for c.resident > c.capacity && c.lru.Len() > 1 {
 		c.remove(c.lru.Back())
 		c.evictions.Add(1)
@@ -118,7 +119,7 @@ func (c *BufferCache) insert(key pageKey, data []byte) []byte {
 func (c *BufferCache) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.entries, e.key)
-	c.resident -= len(e.data)
+	c.resident -= cap(e.data)
 }
 
 // ReadBuilt is ReadRegion for derived pages: on miss it calls build to

@@ -40,17 +40,21 @@ import (
 //	columns:  per column, packed uvarint valLen + value for the rows
 //	          referencing it, in row order
 //
-// Reads materialize a group back into the row-format page wire image
-// (uint16 count + packed entries), so pageIter and the cursor are shared
-// between both versions; the reconstruction is byte-identical to the
-// original entries, which is what lets merges mix row and columnar
-// inputs freely. A projected read fetches only the keys/desc/overflow
-// blocks plus the referenced columns and emits partial records
-// containing just the projected fields. Either image ends with an
-// entry-offset table (one little-endian uint32 per row, after the
-// entries the count announces, so a page walk never sees it) that point
-// reads binary-search (pageIter.seek). The table exists only in the
-// cached image; the file format does not change for it.
+// Primary trees write every component in this format; version-1 row
+// components — inverted indexes, and primary data of a store written
+// while the row layout was still an option — are read beside it. A
+// group has one decoder, groupWalk. A filtered range read walks the
+// group's blocks directly; every other read has the walk materialize the
+// group into the row-format page wire image (uint16 count + packed
+// entries), so pageIter and the cursor are shared between both versions.
+// The reconstruction is byte-identical to the original entries, which is
+// what lets merges mix row and columnar inputs freely. A projected read
+// fetches only the keys/desc/overflow blocks plus the referenced columns
+// and emits partial records containing just the projected fields. Either
+// image ends with an entry-offset table (one little-endian uint32 per
+// row, after the entries the count announces, so a page walk never sees
+// it) that point reads binary-search (pageIter.seek). The table exists
+// only in the cached image; the file format does not change for it.
 
 const (
 	componentVersionColumnar = 2
@@ -120,10 +124,9 @@ type ColumnarComponentWriter struct {
 }
 
 // NewColumnarComponentWriterFS creates a columnar component writer at
-// path through an explicit filesystem. pageSize is accepted for
-// signature parity with the row writer; groups are sized by row count
-// and payload bytes instead.
-func NewColumnarComponentWriterFS(fs VFS, path string, pageSize int) (*ColumnarComponentWriter, error) {
+// path through an explicit filesystem. Groups are sized by row count
+// and payload bytes, not by a page size.
+func NewColumnarComponentWriterFS(fs VFS, path string) (*ColumnarComponentWriter, error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create component: %w", err)
@@ -500,114 +503,56 @@ func (c *Component) groupHead(i int) (keys, desc, over []byte, err error) {
 }
 
 // buildGroupPage materializes group i into the row-format page wire
-// image followed by its entry-offset table. With keep == nil it
-// reconstructs every entry byte-identically from the whole group
-// region; with a projection it fetches only the keys, desc, and
-// overflow blocks plus the kept columns through the buffer cache and
-// emits partial records holding just the kept fields.
-func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) {
-	g := c.groups[i]
-	var keysB, descB, overB []byte
-	colBs := make([][]byte, len(g.cols))
-	if keep == nil {
+// image followed by its entry-offset table: it walks the group with no
+// filter (groupWalk) and appends each row's key and entry, then the
+// table. With a nil projection it reads the whole group region in one
+// read and every entry comes back byte-identical; under a projection it
+// reads the keys, descriptor and overflow blocks plus the kept columns
+// through the buffer cache, and records come back partial, holding just
+// the kept fields. The image is sized from the blocks it is built from.
+func (c *Component) buildGroupPage(i int, proj *Projection) ([]byte, error) {
+	g := &c.groups[i]
+	w := groupWalk{image: true}
+	if proj == nil {
 		raw := make([]byte, g.length)
 		if n, err := c.f.ReadAt(raw, g.off); err != nil && n != len(raw) {
 			return nil, fmt.Errorf("storage: read group %d of %s: %w", i, c.path, err)
 		}
 		c.cache.pagesRead.Add(1)
-		keysB = raw[g.keysOff : g.keysOff+g.keysLen]
-		descB = raw[g.descOff : g.descOff+g.descLen]
-		overB = raw[g.overOff : g.overOff+g.overLen]
+		w.reset(g, raw[g.keysOff:g.keysOff+g.keysLen], raw[g.descOff:g.descOff+g.descLen], raw[g.overOff:g.overOff+g.overLen], nil)
 		for j, cm := range g.cols {
-			colBs[j] = raw[cm.off : cm.off+cm.len]
+			w.cols[j].r.b = raw[cm.off : cm.off+cm.len]
 		}
-	} else {
-		var err error
-		if keysB, descB, overB, err = c.groupHead(i); err != nil {
-			return nil, err
-		}
-		for j, cm := range g.cols {
-			if keep[string(cm.name)] {
-				if colBs[j], err = c.groupBlock(i, 3+j, cm.off, cm.len); err != nil {
-					return nil, err
-				}
-			}
+	} else if err := w.load(c, i, proj); err != nil {
+		return nil, err
+	}
+	// A row's key is stored as in the keys block and a column value
+	// without its length; on top come the field's name, the entry's
+	// length, flag and record header, and the row's offset.
+	size := 2 + len(w.keys.b) + len(w.over.b) + 10*g.rows
+	for _, col := range w.cols {
+		if col.r.b != nil {
+			size += len(col.r.b) + g.rows*len(col.name)
 		}
 	}
-
-	keys := &byteReader{b: keysB}
-	desc := &byteReader{b: descB}
-	over := &byteReader{b: overB}
-	colPos := make([]byteReader, len(g.cols))
-	for j := range g.cols {
-		colPos[j] = byteReader{b: colBs[j]}
-	}
-
-	out := make([]byte, 2, int(g.length)+int(g.length)/8+64+4*g.rows)
+	out := make([]byte, 2, size)
 	binary.LittleEndian.PutUint16(out, uint16(g.rows))
 	offs := make([]uint32, 0, g.rows) // entry offsets, appended after the entries
-	var fields []adm.RawField
-	for row := 0; row < g.rows; row++ {
+	var it pageIter
+	for w.next(&it) {
 		offs = append(offs, uint32(len(out)))
-		key, ok := keys.lenPrefixed()
-		if !ok {
-			return nil, errCorrupt("group key")
-		}
-		d, ok := desc.uvarint()
-		if !ok {
-			return nil, errCorrupt("group row descriptor")
-		}
-		var entry []byte
-		switch d {
-		case 0:
-			entry = tombEntry
-		case 1:
-			if entry, ok = over.lenPrefixed(); !ok {
-				return nil, errCorrupt("group overflow entry")
-			}
-		default:
-			nf := d - 2
-			if nf > uint64(g.descLen) {
-				return nil, errCorrupt("group field count")
-			}
-			fields = fields[:0]
-			for j := uint64(0); j < nf; j++ {
-				ref, ok := desc.uvarint()
-				if !ok || ref > uint64(len(g.cols)) {
-					return nil, errCorrupt("group field ref")
-				}
-				if ref == 0 {
-					name, ok1 := over.lenPrefixed()
-					val, ok2 := over.lenPrefixed()
-					if !ok1 || !ok2 {
-						return nil, errCorrupt("group overflow field")
-					}
-					if keep == nil || keep[string(name)] {
-						fields = append(fields, adm.RawField{Name: name, Val: val})
-					}
-				} else {
-					ci := int(ref - 1)
-					if colPos[ci].b == nil {
-						continue // projected away: its block was not read
-					}
-					val, ok := colPos[ci].lenPrefixed()
-					if !ok {
-						return nil, errCorrupt("group column value")
-					}
-					fields = append(fields, adm.RawField{Name: g.cols[ci].name, Val: val})
-				}
-			}
-			out = binary.AppendUvarint(out, uint64(len(key)))
-			out = append(out, key...)
-			out = binary.AppendUvarint(out, uint64(1+adm.RawRecordSize(fields)))
-			out = append(out, 0)
-			out = adm.AppendRecordFromRaw(out, fields)
+		out = binary.AppendUvarint(out, uint64(len(it.key)))
+		out = append(out, it.key...)
+		if it.val == nil { // a record, assembled in place from its kept fields
+			out = binary.AppendUvarint(out, uint64(1+adm.RawRecordSize(w.fields)))
+			out = adm.AppendRecordFromRaw(append(out, 0), w.fields)
 			continue
 		}
-		out = binary.AppendUvarint(out, uint64(len(key)))
-		out = append(out, key...)
-		out = binary.AppendUvarint(out, uint64(len(entry)))
-		out = append(out, entry...)
+		out = binary.AppendUvarint(out, uint64(len(it.val)))
+		out = append(out, it.val...)
+	}
+	if it.err != nil {
+		return nil, it.err
 	}
 	for _, off := range offs {
 		out = binary.LittleEndian.AppendUint32(out, off)
@@ -618,19 +563,24 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 // tombEntry is the stored form of a tombstone.
 var tombEntry = []byte{1}
 
-// groupWalk reads a columnar group straight from its blocks for a
-// filtered range read, in place of a group image. It fetches the keys,
-// descriptor and overflow blocks, the kept columns and the filter
-// field's column through the buffer cache, judges each row on the
-// stored value of the filter field — the column bytes, or an overflow
-// field's — and assembles only a row that passes, into a scratch entry
-// it owns. Opaque entries are judged whole, the way a row page's entry
-// is. A row without the field passes. The walk builds and caches no
-// image, so once its scratch has grown it allocates nothing; a cursor
-// source keeps one walk for all its groups.
+// groupWalk is the one decoder of a columnar group: it reads the rows
+// straight from the group's blocks. A filtered range read walks a group
+// in place of an image. It fetches the keys, descriptor and overflow
+// blocks, the kept columns and the filter field's column through the
+// buffer cache, judges each row on the stored value of the filter field
+// — the column bytes, or an overflow field's — and assembles only a row
+// that passes, into a scratch entry it owns. Opaque entries are judged
+// whole, the way a row page's entry is. A row without the field passes.
+// Such a walk builds and caches no image, so once its scratch has grown
+// it allocates nothing; a cursor source keeps one walk for all its
+// groups. buildGroupPage walks a group with no filter to build the
+// cached image, and assembles each record straight into it.
 type groupWalk struct {
-	filter *RowFilter
-	left   int // rows not yet walked
+	filter *RowFilter // nil: every row passes
+	// image leaves a record row's kept fields unassembled in fields, for
+	// buildGroupPage to append to the image.
+	image bool
+	left  int // rows not yet walked
 
 	keys, desc, over byteReader
 	cols             []walkCol
@@ -648,36 +598,48 @@ type walkCol struct {
 	filter bool // it holds the filter field
 }
 
-// load readies the walk for group i of c under proj (nil: whole rows).
+// reset readies the walk for group g over its keys, descriptor and
+// overflow blocks, keeping the fields in keep (nil: every field). Every
+// column starts unread: the caller sets the block of each one it read.
+func (w *groupWalk) reset(g *colGroupMeta, keys, desc, over []byte, keep map[string]bool) {
+	w.keys, w.desc, w.over = byteReader{b: keys}, byteReader{b: desc}, byteReader{b: over}
+	w.keep = keep
+	w.cols = slices.Grow(w.cols[:0], len(g.cols))
+	w.fields = slices.Grow(w.fields[:0], len(g.cols))
+	for _, cm := range g.cols {
+		w.cols = append(w.cols, walkCol{name: cm.name, kept: keep == nil || keep[string(cm.name)], filter: w.filter.on(cm.name)})
+	}
+	w.left = g.rows
+}
+
+// load readies the walk for group i of c under proj (nil: whole rows),
+// fetching the keys, descriptor and overflow blocks and each column it
+// reads — kept or filtered — through the buffer cache.
 func (w *groupWalk) load(c *Component, i int, proj *Projection) error {
-	g := &c.groups[i]
 	keys, desc, over, err := c.groupHead(i)
 	if err != nil {
 		return err
 	}
-	w.keys, w.desc, w.over = byteReader{b: keys}, byteReader{b: desc}, byteReader{b: over}
-	w.keep = nil
+	var keep map[string]bool
 	if proj != nil {
-		w.keep = proj.keep
+		keep = proj.keep
 	}
-	w.cols = slices.Grow(w.cols[:0], len(g.cols))
-	w.fields = slices.Grow(w.fields[:0], len(g.cols))
-	for j, cm := range g.cols {
-		col := walkCol{name: cm.name, kept: w.keep == nil || w.keep[string(cm.name)], filter: string(cm.name) == w.filter.Field}
-		if col.kept || col.filter {
-			if col.r.b, err = c.groupBlock(i, 3+j, cm.off, cm.len); err != nil {
+	g := &c.groups[i]
+	w.reset(g, keys, desc, over, keep)
+	for j := range w.cols {
+		if col := &w.cols[j]; col.kept || col.filter {
+			if col.r.b, err = c.groupBlock(i, 3+j, g.cols[j].off, g.cols[j].len); err != nil {
 				return err
 			}
 		}
-		w.cols = append(w.cols, col)
 	}
-	w.left = g.rows
 	return nil
 }
 
 // next is pageIter.next for a walk: it moves to the group's next row,
 // setting it.key and either it.val (the entry, flag byte first) or
-// it.rejected.
+// it.rejected. In an image walk a record row's it.val is nil and its
+// kept fields are in w.fields.
 func (w *groupWalk) next(it *pageIter) bool {
 	if w.left == 0 || it.err != nil {
 		return false
@@ -714,7 +676,8 @@ func (w *groupWalk) next(it *pageIter) bool {
 }
 
 // record walks the nf field references of a record row, then judges it
-// and, if it passes, assembles its kept fields.
+// and, if it passes, assembles its kept fields (unless the walk builds
+// an image).
 func (w *groupWalk) record(it *pageIter, nf uint64) error {
 	if nf > uint64(len(w.desc.b)) {
 		return errCorrupt("group field count")
@@ -733,7 +696,7 @@ func (w *groupWalk) record(it *pageIter, nf uint64) error {
 			if !ok1 || !ok2 {
 				return errCorrupt("group overflow field")
 			}
-			if string(name) == w.filter.Field {
+			if w.filter.on(name) {
 				val, found = v, true
 			}
 			if w.keep == nil || w.keep[string(name)] {
@@ -758,6 +721,9 @@ func (w *groupWalk) record(it *pageIter, nf uint64) error {
 	}
 	if found && !w.filter.Pass(val) {
 		it.rejected = true
+		return nil
+	}
+	if w.image {
 		return nil
 	}
 	w.entry = slices.Grow(w.entry[:0], 1+adm.RawRecordSize(w.fields))

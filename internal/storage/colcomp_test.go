@@ -31,7 +31,7 @@ func colTestKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 // value[0]==0 prefix followed by bytes the splitter must reject.
 func writeColumnarFixture(t *testing.T, path string, n int) map[string][]byte {
 	t.Helper()
-	cw, err := NewColumnarComponentWriterFS(OS, path, 4096)
+	cw, err := NewColumnarComponentWriterFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestColumnarProjectedIterator(t *testing.T) {
 // and still round-trip byte-identically.
 func TestColumnarColumnCapOverflow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.cmp")
-	cw, err := NewColumnarComponentWriterFS(OS, path, 4096)
+	cw, err := NewColumnarComponentWriterFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -451,7 +451,7 @@ func (c *Component) readPageView(i int, proj *Projection) ([]byte, error) {
 		return c.readPage(i)
 	}
 	return c.cache.ReadBuiltTagged(c.fileID, uint32(i)*colRegionStride, proj.tag, func() ([]byte, error) {
-		return c.buildGroupPage(i, proj.keep)
+		return c.buildGroupPage(i, proj)
 	})
 }
 

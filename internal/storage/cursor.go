@@ -84,14 +84,18 @@ type RowFilter struct {
 
 // PassRecord judges an encoded record: it finds Field's value without
 // decoding anything and calls Pass on it. A value that is no
-// well-formed record, or lacks the field, passes.
+// well-formed record, or lacks the field, passes; so does every value
+// under a nil filter.
 func (f *RowFilter) PassRecord(rec []byte) bool {
+	if f == nil {
+		return true
+	}
 	v, ok := adm.RawFieldValue(rec, f.Field)
 	return !ok || f.Pass(v)
 }
 
-// rejects reports whether a filter is set and rejects the record.
-func (f *RowFilter) rejects(rec []byte) bool { return f != nil && !f.PassRecord(rec) }
+// on reports whether a filter is set and judges the field name.
+func (f *RowFilter) on(name []byte) bool { return f != nil && string(name) == f.Field }
 
 // runEntry is one memtable entry of a cursor's range.
 type runEntry struct {
@@ -407,7 +411,7 @@ func (s *cursorSource) takeMem(c *Cursor) {
 	if s.ok = s.pos < len(s.run); s.ok {
 		e := &s.run[s.pos]
 		s.key, s.val, s.dead = e.key, e.val, e.dead
-		s.rejected = !e.dead && c.filter.rejects(e.val)
+		s.rejected = !e.dead && !c.filter.PassRecord(e.val)
 		c.stats.Entries++
 	}
 }
@@ -442,7 +446,7 @@ func (s *cursorSource) take(c *Cursor) {
 		return
 	}
 	s.val, s.dead = decodeEntry(s.it.val)
-	s.rejected = !s.dead && s.it.walk == nil && c.filter.rejects(s.val)
+	s.rejected = !s.dead && s.it.walk == nil && !c.filter.PassRecord(s.val)
 }
 
 // load fetches page p through the buffer cache, under the cursor's

@@ -203,7 +203,7 @@ func TestColumnarReadSurvivesBitRot(t *testing.T) {
 // 40 two-field records, every seventh entry a tombstone.
 func columnarFuzzSeed(f testing.TB) []byte {
 	seedPath := filepath.Join(f.TempDir(), "seed.cmp")
-	cw, err := NewColumnarComponentWriterFS(OS, seedPath, 4096)
+	cw, err := NewColumnarComponentWriterFS(OS, seedPath)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func walkMatchesImage(t *testing.T, data []byte) {
 	}
 	wide := data[0]&1 == 1
 	path := filepath.Join(t.TempDir(), "w.cmp")
-	cw, err := NewColumnarComponentWriterFS(OS, path, 4096)
+	cw, err := NewColumnarComponentWriterFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func openTestComponent(tb testing.TB, columnar bool, keys [][]byte, val func(i i
 	var cw componentSink
 	var err error
 	if columnar {
-		cw, err = NewColumnarComponentWriterFS(OS, path, 4096)
+		cw, err = NewColumnarComponentWriterFS(OS, path)
 	} else {
 		cw, err = NewComponentWriterFS(OS, path, 4096)
 	}

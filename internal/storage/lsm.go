@@ -105,7 +105,7 @@ type componentSink interface {
 // newComponentSink creates the configured component writer for path.
 func (t *LSMTree) newComponentSink(path string) (componentSink, error) {
 	if t.opts.Columnar {
-		return NewColumnarComponentWriterFS(t.fs, path, t.opts.PageSize)
+		return NewColumnarComponentWriterFS(t.fs, path)
 	}
 	return NewComponentWriterFS(t.fs, path, t.opts.PageSize)
 }

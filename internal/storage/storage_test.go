@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
+
+	"simdb/internal/adm"
 )
 
 func TestBloomBasics(t *testing.T) {
@@ -109,23 +112,27 @@ func TestBufferCacheLRUAndStats(t *testing.T) {
 	}
 }
 
-// TestBufferCacheChargesBytes: the cache charges an entry its length,
-// not a page. Under a random mix of column-block, page and group-image
-// sizes the resident bytes are the sum of what is cached and never
-// exceed the capacity by more than the largest single entry; a thousand
-// small blocks that fit in the capacity all stay resident, where one
-// slot per page would keep sixteen; Evict returns their bytes.
+// cacheBytes returns the cache's resident count and, summed over what
+// it holds, the capacity of the cached slices.
+func cacheBytes(cache *BufferCache) (resident, sum int) {
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	for el := cache.lru.Front(); el != nil; el = el.Next() {
+		sum += cap(el.Value.(*cacheEntry).data)
+	}
+	return cache.resident, sum
+}
+
+// TestBufferCacheChargesBytes: the cache charges an entry the memory it
+// holds — its slice's capacity — not a page. Under a random mix of
+// column-block, page and group-image sizes, half of them built with
+// spare capacity, the resident bytes are the sum of what is cached and
+// never exceed the capacity by more than the largest single entry; a
+// thousand small blocks that fit in the capacity all stay resident,
+// where one slot per page would keep sixteen; Evict returns their bytes.
 func TestBufferCacheChargesBytes(t *testing.T) {
 	const capacity, pageSize = 512 << 10, 32 << 10
 	cache := NewBufferCache(capacity, pageSize)
-	state := func() (resident, sum int) {
-		cache.mu.Lock()
-		defer cache.mu.Unlock()
-		for el := cache.lru.Front(); el != nil; el = el.Next() {
-			sum += len(el.Value.(*cacheEntry).data)
-		}
-		return cache.resident, sum
-	}
 	r := rand.New(rand.NewSource(33))
 	id := NewFileID()
 	largest := 0
@@ -139,17 +146,18 @@ func TestBufferCacheChargesBytes(t *testing.T) {
 		default:
 			n = 60<<10 + r.Intn(200<<10) // a group image
 		}
-		largest = max(largest, n)
+		spare := [...]int{0, r.Intn(n + 1)}[r.Intn(2)]
+		largest = max(largest, n+spare)
 		tag := [...]string{"", "p:id"}[r.Intn(2)]
-		if _, err := cache.ReadBuiltTagged(id, uint32(r.Intn(500)), tag, func() ([]byte, error) { return make([]byte, n), nil }); err != nil {
+		if _, err := cache.ReadBuiltTagged(id, uint32(r.Intn(500)), tag, func() ([]byte, error) { return make([]byte, n, n+spare), nil }); err != nil {
 			t.Fatal(err)
 		}
-		if resident, sum := state(); resident != sum || resident > capacity+largest {
+		if resident, sum := cacheBytes(cache); resident != sum || resident > capacity+largest {
 			t.Fatalf("after %d reads: resident %d, cached %d, capacity %d + largest %d", i+1, resident, sum, capacity, largest)
 		}
 	}
 	cache.Evict(id)
-	if resident, _ := state(); resident != 0 {
+	if resident, _ := cacheBytes(cache); resident != 0 {
 		t.Fatalf("resident %d after evicting the only file", resident)
 	}
 
@@ -166,6 +174,56 @@ func TestBufferCacheChargesBytes(t *testing.T) {
 	read()
 	if hits := cache.Stats().Hits - before.Hits; hits != 1000 {
 		t.Errorf("second pass over 1000 blocks of 100 bytes in a %d-byte cache: %d hits, want 1000", capacity, hits)
+	}
+}
+
+// TestGroupImageSizedFromBlocks: a group image is allocated for what it
+// holds, whole or projected to three of eight fields — its capacity is
+// at most a quarter above its length — and the buffer cache charges
+// exactly the capacity of the images and blocks it holds.
+func TestGroupImageSizedFromBlocks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.cmp")
+	cw, err := NewColumnarComponentWriterFS(OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		rec := adm.EmptyRecord(8)
+		rec.Set("id", adm.NewInt(int64(i)))
+		rec.Set("reviewerID", adm.NewString(fmt.Sprintf("A%013d", i*7919)))
+		rec.Set("reviewerName", adm.NewString(fmt.Sprintf("reviewer %d", i%97)))
+		rec.Set("helpful", adm.NewInt(int64(i%5)))
+		rec.Set("reviewText", adm.NewString(strings.Repeat(fmt.Sprintf("text %d ", i), 1+i%60)))
+		rec.Set("overall", adm.NewDouble(float64(i%5)))
+		rec.Set("summary", adm.NewString(fmt.Sprintf("great product %d", i)))
+		rec.Set("unixReviewTime", adm.NewInt(1400000000+int64(i)))
+		if err := cw.Add(colTestKey(i), adm.Append([]byte{0}, adm.NewRecord(rec))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewBufferCache(64<<20, 4096)
+	c, err := OpenComponent(path, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if len(c.groups) != 1 {
+		t.Fatalf("%d groups, want 1", len(c.groups))
+	}
+	for _, proj := range []*Projection{nil, NewProjection([]string{"id", "reviewerName", "summary"})} {
+		image, err := c.readPageView(0, proj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(image) > len(image)+len(image)/4 {
+			t.Errorf("projection %v: image of %d bytes holds %d", proj, len(image), cap(image))
+		}
+	}
+	if resident, sum := cacheBytes(cache); resident != sum {
+		t.Errorf("cache charges %d bytes for slices holding %d", resident, sum)
 	}
 }
 
