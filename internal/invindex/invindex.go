@@ -179,11 +179,13 @@ var (
 // SearchStats reports the work a T-occurrence search performed.
 type SearchStats struct {
 	Lists int // posting cursors opened: the distinct query tokens
-	// PostingsRead counts the postings actually decoded: the ones a
-	// solver stopped on and the ones a seek walked over inside a page.
-	// Postings skipped by a fence-key jump, left unread behind the last
-	// candidate, or never reached because the search ended early are not
-	// in it, so the number depends on the solver.
+	// PostingsRead counts the postings actually decoded, each once: the
+	// ones a solver stopped on and the ones a seek's search of a page
+	// compared and moved past (storage.CursorStats.Entries). Postings
+	// skipped by a fence-key jump or between two probes of a search, left
+	// unread behind the last candidate, or never reached because the
+	// search ended early are not in it, so the number depends on the
+	// solver.
 	PostingsRead int64
 	Candidates   int // candidates produced
 }

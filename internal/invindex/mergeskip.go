@@ -25,8 +25,10 @@ type postings interface {
 	// the current posting leaves the list where it is.
 	seekGE(pk []byte) bool
 	pk() []byte
-	// sizeHint estimates the list's length without reading it; only the
-	// order of the hints of one search's lists matters.
+	// sizeHint estimates the list's length, exactly for a list that is
+	// shorter than a page, reading no page but the one the list's first
+	// move reads; only the order of the hints of one search's lists
+	// matters.
 	sizeHint() int64
 }
 
@@ -228,8 +230,11 @@ func divideSkip(lists []postings, t int, emit func(pk []byte)) {
 			lists[j], lists[j-1] = lists[j-1], lists[j]
 		}
 	}
-	// The hint of a list shorter than a page may be 0; the heuristic then
-	// sits at its bound, T-1 long lists.
+	// A tree list's hint is exact where it lies inside one page of each
+	// component and a fence-key estimate where it spans pages
+	// (storage.Cursor.SizeHint), so short lists are ranked by their
+	// lengths too. When the longest holds at most one posting, log2 says
+	// nothing and the heuristic sits at its bound, T-1 long lists.
 	l := t - 1
 	if longest := hints[0]; longest > 1 {
 		l = min(l, int(float64(t)/(divideSkipMu*math.Log2(float64(longest))+1)))

@@ -52,9 +52,10 @@ import (
 // fetches only the keys/desc/overflow blocks plus the referenced columns
 // and emits partial records containing just the projected fields. Either
 // image ends with an entry-offset table (one little-endian uint32 per
-// row, after the entries the count announces, so a page walk never sees
-// it) that point reads binary-search (pageIter.seek). The table exists
-// only in the cached image; the file format does not change for it.
+// row, after the entries the count announces), as a row page's image
+// does (appendEntryOffsets): cursors and point reads search it
+// (pageIter.seek). The table exists only in the cached image; the file
+// format does not change for it.
 
 const (
 	componentVersionColumnar = 2

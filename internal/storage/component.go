@@ -20,11 +20,12 @@ var (
 )
 
 // Point-read cost counters: probes / calls is the number of key
-// comparisons a point read spends inside the one page it searches
-// (≈ log2 of the group's rows on a columnar component, ≈ half a page's
-// entries on a row component). calls counts the reads that reached a
-// page — bloom negatives and keys below the first fence never do — and
-// both are added once per read.
+// comparisons a point read spends inside the one page it searches, a
+// binary search of the page image's entry-offset table: ≈ log2 of the
+// page's entries (≈ 11 on a 1024-row columnar group, ≈ 8–11 on a row
+// page). calls counts the reads that reached a page — bloom negatives
+// and keys below the first fence never do — and both are added once per
+// read.
 var (
 	getCalls  = obs.C("storage.get.calls")
 	getProbes = obs.C("storage.get.probes")
@@ -41,7 +42,9 @@ var (
 // than a page gets a page of its own. The page index holds each page's
 // offset, length, and first key and is resident in memory once the
 // component is open (fence keys); data pages are read through the
-// node's BufferCache.
+// node's BufferCache, as page images: the page followed by an
+// entry-offset table built when it is read (appendEntryOffsets), which
+// the file does not hold.
 
 const (
 	componentMagic   = 0x53494d44422d4331 // "SIMDB-C1"
@@ -431,14 +434,77 @@ func (c *Component) findPage(key []byte) int {
 	return i - 1
 }
 
+// readPage returns the image of page i through the buffer cache: a row
+// page with its entry-offset table (buildRowPage), or a columnar group
+// materialized whole (buildGroupPage). Either is searched through the
+// table (pageIter.seek).
 func (c *Component) readPage(i int) ([]byte, error) {
 	if c.groups != nil {
 		return c.cache.ReadBuilt(c.fileID, uint32(i)*colRegionStride, func() ([]byte, error) {
 			return c.buildGroupPage(i, nil)
 		})
 	}
+	return c.cache.ReadBuilt(c.fileID, uint32(i), func() ([]byte, error) { return c.buildRowPage(i) })
+}
+
+// buildRowPage reads row page i into its image, one allocation of
+// exactly the page's length plus four bytes per entry: the entry count
+// is read first, then the page straight into the image, and the table is
+// appended in place.
+func (c *Component) buildRowPage(i int) ([]byte, error) {
 	p := c.pages[i]
-	return c.cache.ReadRegion(c.fileID, c.f, uint32(i), p.off, int(p.length))
+	read := func(b []byte) error {
+		if n, err := c.f.ReadAt(b, p.off); err != nil && n != len(b) {
+			return fmt.Errorf("storage: read page %d of %s: %w", i, c.path, err)
+		}
+		return nil
+	}
+	if p.length < 2 {
+		return nil, errCorrupt("short page")
+	}
+	var count [2]byte
+	if err := read(count[:]); err != nil {
+		return nil, err
+	}
+	// Every entry takes at least two bytes: a larger count is corrupt and
+	// must not size the image.
+	n := int(binary.LittleEndian.Uint16(count[:]))
+	if 2+2*n > int(p.length) {
+		return nil, errCorrupt("page entry count")
+	}
+	img := make([]byte, p.length, int(p.length)+4*n)
+	if err := read(img); err != nil {
+		return nil, err
+	}
+	c.cache.pagesRead.Add(1)
+	return appendEntryOffsets(img)
+}
+
+// appendEntryOffsets turns a row page as stored into its image: it
+// decodes the entries the page's count announces, checking that each
+// lies inside the page and that the keys strictly increase, and appends
+// one little-endian uint32 per entry, that entry's offset, directly
+// after the last of them; bytes past it are dropped. A page that fails a
+// check is errCorrupt. The table is appended in place when page has the
+// capacity for it.
+func appendEntryOffsets(page []byte) ([]byte, error) {
+	if len(page) < 2 {
+		return nil, errCorrupt("short page")
+	}
+	it := pageIter{page: page, n: int(binary.LittleEndian.Uint16(page)), pos: 2}
+	img := page
+	var prev []byte
+	for off := it.pos; it.next(); off = it.pos {
+		if it.i > 1 && bytes.Compare(prev, it.key) >= 0 {
+			return nil, errCorrupt("page keys out of order")
+		}
+		prev = it.key
+		img = binary.LittleEndian.AppendUint32(img, uint32(off))
+	}
+	if it.err != nil {
+		return nil, it.err
+	}
+	return append(img[:it.pos], img[len(page):]...), nil
 }
 
 // readPageView returns page i under an optional projection. Row
@@ -469,10 +535,8 @@ func (c *Component) Get(key []byte) ([]byte, bool, error) {
 // treat the value as "at least the projected fields". A nil projection
 // is a plain Get.
 //
-// The search inside the page depends on the component's format and on
-// nothing else: a materialized group image carries an entry-offset
-// table and is binary-searched; a version-1 row page has no offsets on
-// disk, is at most about one PageSize long, and is walked.
+// The page is searched the same way whatever the component's version:
+// a binary search of the image's entry-offset table (pageIter.seek).
 func (c *Component) GetProjected(key []byte, proj *Projection) ([]byte, bool, error) {
 	bloomChecks.Inc()
 	if !c.bloom.MayContain(key) {
@@ -491,34 +555,27 @@ func (c *Component) GetProjected(key []byte, proj *Projection) ([]byte, bool, er
 	if err := it.init(); err != nil {
 		return nil, false, err
 	}
-	probes := 0
-	if c.groups != nil {
-		if probes, err = it.seek(key); err != nil {
-			return nil, false, err
-		}
-	}
-	// After a seek the first entry is already >= key and the loop runs
-	// once; on a row page it is the walk.
-	var val []byte
-	found := false
-	for it.next() {
-		probes++
-		if cmp := bytes.Compare(it.key, key); cmp >= 0 {
-			val, found = it.val, cmp == 0
-			break
-		}
-	}
+	found, probes := it.seek(key, nil)
 	getCalls.Inc()
 	getProbes.Add(int64(probes))
-	return val, found, it.err
+	if !found || !bytes.Equal(it.key, key) {
+		return nil, false, it.err
+	}
+	return it.val, true, nil
 }
 
-// pageIter walks the entries of a single data page, or, with walk set,
-// the rows of a columnar group read under a row filter (groupWalk).
+// pageIter reads the entries of a page image (see readPage): the page's
+// uint16 count and packed entries, then one little-endian uint32 per
+// entry giving its offset in the image. next decodes the entries in
+// order; seek moves forward through the table. With walk set it reads
+// instead the rows of a columnar group under a row filter (groupWalk),
+// which has no table.
 type pageIter struct {
-	page []byte
-	pos  int
-	left int
+	page []byte // the count and the entries, the table split off by init
+	offs []byte // the entry-offset table
+	n    int    // entries on the page
+	i    int    // index of the entry next decodes
+	pos  int    // its offset in page
 	key  []byte
 	val  []byte
 	err  error
@@ -528,12 +585,18 @@ type pageIter struct {
 	rejected bool
 }
 
+// init splits the image into the entries and the offset table, so that
+// next never reads an entry out of the table.
 func (it *pageIter) init() error {
 	if len(it.page) < 2 {
 		return errCorrupt("short page")
 	}
-	it.left = int(binary.LittleEndian.Uint16(it.page))
-	it.pos = 2
+	it.n = int(binary.LittleEndian.Uint16(it.page))
+	table := len(it.page) - 4*it.n
+	if table < 2 {
+		return errCorrupt("page offset table")
+	}
+	it.page, it.offs, it.i, it.pos = it.page[:table], it.page[table:], 0, 2
 	return nil
 }
 
@@ -541,88 +604,122 @@ func (it *pageIter) next() bool {
 	if it.walk != nil {
 		return it.walk.next(it)
 	}
-	if it.left == 0 || it.err != nil {
+	if it.i >= it.n || it.err != nil {
 		return false
 	}
-	kl, n := binary.Uvarint(it.page[it.pos:])
-	if n <= 0 {
-		it.err = errCorrupt("entry key length")
+	r := byteReader{b: it.page, pos: it.pos}
+	kl, ok1 := r.uvarint()
+	key, ok2 := r.bytes(kl)
+	vl, ok3 := r.uvarint()
+	val, ok4 := r.bytes(vl)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		it.err = errCorrupt("page entry")
 		return false
 	}
-	it.pos += n
-	// Compare in uint64: a huge corrupt length would wrap int(kl)
-	// negative and slip past an int-typed bounds check.
-	if kl > uint64(len(it.page)-it.pos) {
-		it.err = errCorrupt("entry key")
-		return false
-	}
-	it.key = it.page[it.pos : it.pos+int(kl)]
-	it.pos += int(kl)
-	vl, n := binary.Uvarint(it.page[it.pos:])
-	if n <= 0 {
-		it.err = errCorrupt("entry value length")
-		return false
-	}
-	it.pos += n
-	if vl > uint64(len(it.page)-it.pos) {
-		it.err = errCorrupt("entry value")
-		return false
-	}
-	it.val = it.page[it.pos : it.pos+int(vl)]
-	it.pos += int(vl)
-	it.left--
+	it.key, it.val, it.pos = key, val, r.pos
+	it.i++
 	return true
 }
 
-// seek positions the iterator so that the following next yields the
-// first entry whose key is >= target, and returns the number of key
-// comparisons it took. It requires the page to be a materialized group
-// image (see buildGroupPage): the entries are followed by one
-// little-endian uint32 per entry giving that entry's offset in the
-// image, and seek binary-searches that table. Row pages have no such
-// table; Component.GetProjected never calls seek on one. The image is
-// built in memory from validated blocks, but every offset and length is
-// still bounds-checked, so a damaged image reads as errCorrupt and
-// never past its end.
-func (it *pageIter) seek(target []byte) (probes int, err error) {
-	n := it.left
-	table := len(it.page) - 4*n
-	if table < it.pos {
-		return 0, errCorrupt("group image offset table")
-	}
-	offs := it.page[table:]
-	it.page = it.page[:table] // next must not read entries out of the table
-	keyAt := func(i int) ([]byte, bool) {
-		off := uint64(binary.LittleEndian.Uint32(offs[4*i:]))
-		if off < 2 || off >= uint64(table) {
-			return nil, false
+// seek moves forward to the first entry, from the one next would decode
+// on, whose key is >= target, and decodes it as next does; false when
+// the page holds none, or on a damaged page (err). It returns the number
+// of keys it compared. From the start of the page it binary-searches the
+// entry-offset table: a point read, or the first read of a page a cursor
+// jumped to. Further on it first decodes the entry next would, which is
+// most often the answer of a dense seek, and then gallops — it probes 1,
+// 2, 4, … entries past that one until a key is not below target — and
+// binary-searches that bracket, so a target d entries ahead costs about
+// 2·log2(d) probes. pc, when not nil, counts the keys it moved past
+// inside a cursor's range. Every offset is bounds-checked against the
+// image, so a damaged one reads as errCorrupt and never past its end. A
+// group walk has no table and steps.
+func (it *pageIter) seek(target []byte, pc *probeCount) (found bool, probes int) {
+	if it.walk != nil {
+		for it.next() {
+			probes++
+			if bytes.Compare(it.key, target) >= 0 {
+				return true, probes
+			}
+			pc.below(it.key)
 		}
-		kl, w := binary.Uvarint(it.page[off:])
-		if w <= 0 || kl > uint64(table)-off-uint64(w) {
-			return nil, false
-		}
-		start := int(off) + w
-		return it.page[start : start+int(kl)], true
+		return false, probes
 	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		k, ok := keyAt(mid)
-		if !ok {
-			return probes, errCorrupt("group image entry offset")
+	if it.i > 0 && it.next() {
+		probes++
+		if bytes.Compare(it.key, target) >= 0 {
+			return true, probes
+		}
+		pc.below(it.key)
+	}
+	j, searched := it.search(target, pc)
+	if it.err != nil {
+		j = it.n
+	}
+	it.skipTo(j)
+	return it.next(), probes + searched
+}
+
+// skipTo makes entry j, an entry search returned, the one next decodes.
+func (it *pageIter) skipTo(j int) {
+	if it.i = j; j < it.n {
+		it.pos = int(binary.LittleEndian.Uint32(it.offs[4*j:]))
+	}
+}
+
+// search returns the index of the first entry, from entry i on, whose
+// key is >= target (n when there is none) and the keys it compared: a
+// binary search from the start of the page, a gallop from anywhere
+// else. It does not move the iterator.
+func (it *pageIter) search(target []byte, pc *probeCount) (j, probes int) {
+	lo, hi := it.i, it.n // the answer lies in [lo, hi]
+	gallop := lo > 0
+	for step := 1; lo < hi; step *= 2 {
+		p := it.i - 1 + step
+		if !gallop || p >= hi {
+			gallop, p = false, int(uint(lo+hi)>>1)
+		}
+		// An offset past the entries reads as the end of the page, where
+		// no key can be decoded.
+		off := binary.LittleEndian.Uint32(it.offs[4*p:])
+		r := byteReader{b: it.page, pos: int(min(off, uint32(len(it.page))))}
+		kl, ok1 := r.uvarint()
+		k, ok2 := r.bytes(kl)
+		if off < 2 || !ok1 || !ok2 {
+			it.err = errCorrupt("page entry offset")
+			return it.n, probes
 		}
 		probes++
 		if bytes.Compare(k, target) < 0 {
-			lo = mid + 1
+			pc.below(k)
+			lo = p + 1
 		} else {
-			hi = mid
+			hi, gallop = p, false
 		}
 	}
-	it.left = n - lo
-	if lo < n {
-		it.pos = int(binary.LittleEndian.Uint32(offs[4*lo:]))
+	return hi, probes
+}
+
+// probeCount counts the keys a cursor's seek decodes and moves past —
+// the keys it probes below its target — that lie at or above the
+// cursor's range start: entries the cursor decoded
+// (CursorStats.Entries). A key probed at or above the target is counted
+// when the cursor stops on it or moves past it later, so no entry counts
+// twice. The keys probed below the target rise within a seek, so once
+// one is at or above start, every later one is and start is dropped
+// (nil: no lower bound).
+type probeCount struct {
+	start []byte
+	n     int64
+}
+
+// below counts k, a probed key below the seek's target, if it is at or
+// above start.
+func (pc *probeCount) below(k []byte) {
+	if pc != nil && (pc.start == nil || bytes.Compare(k, pc.start) >= 0) {
+		pc.start = nil
+		pc.n++
 	}
-	return probes, nil
 }
 
 // Projection is a prepared field projection for reads of record-valued

@@ -17,9 +17,11 @@ type KeyRange struct {
 // CursorStats is the work one Cursor did.
 type CursorStats struct {
 	// Entries counts the entries inside the range the cursor decoded:
-	// those it stopped on and those a SeekGE walked over inside a page.
-	// Entries a seek jumped over by a fence key or a binary search are
-	// not in it.
+	// those it stopped on, and those whose key a SeekGE compared inside a
+	// page and moved past (the probes of its search below the target, or
+	// the rows a filtered group walk stepped over). No entry counts
+	// twice. Entries a seek jumped over by a fence key or between two
+	// probes are not in it.
 	Entries int64
 	// Seeks counts the SeekGE calls that had to move the cursor.
 	Seeks int64
@@ -227,9 +229,11 @@ func (c *Cursor) Next() bool {
 // SeekGE moves forward to the first live key >= key and reports whether
 // there is one. A key at or before the current position leaves the
 // cursor where it is, and a key before the range's start means the
-// start. Inside a component the seek walks forward within the loaded
-// page while key can still lie on it and otherwise jumps by the resident
-// fence keys, so the pages in between are never read.
+// start. Inside a component the seek searches the loaded page's image
+// while key can still lie on it — galloping forward from the current
+// entry — and otherwise jumps by the resident fence keys and
+// binary-searches the page it lands on, so the pages in between are
+// never read.
 func (c *Cursor) SeekGE(key []byte) bool {
 	if c.err != nil {
 		return false
@@ -283,12 +287,17 @@ func (c *Cursor) Err() error { return c.err }
 // Stats returns the work done so far.
 func (c *Cursor) Stats() CursorStats { return c.stats }
 
-// SizeHint estimates the number of entries in the range without
-// reading a page: the memtable runs exactly, and for each component its
-// mean entries per page for every fence key inside the range. A range
-// that lies inside one page of every component therefore counts as
-// empty on disk — the hint orders long ranges before short ones and
-// says nothing about ranges shorter than a page.
+// SizeHint estimates the number of entries in the range; it is meant to
+// be asked before the cursor first moves, as a solver ranks its lists.
+// Memtable runs count exactly, and so does a component on which the
+// range lies inside one page: the hint loads that page — the one the
+// first move reads — for that move, and counts the range by two searches
+// of its image, leaving the source on the range's first entry. A longer
+// range, or any range once the cursor has moved or under a row filter,
+// counts the component's mean entries per page for every fence key
+// inside it, which orders long ranges before short ones. The page the
+// hint loads counts in Stats().Pages, and a failed read ends the cursor
+// (Err).
 func (c *Cursor) SizeHint() int64 {
 	var n int64
 	for i := range c.srcs {
@@ -297,13 +306,34 @@ func (c *Cursor) SizeHint() int64 {
 			n += int64(len(s.run))
 			continue
 		}
-		last := len(s.comp.pages) - 1
+		pages := s.comp.pages
+		if len(pages) == 0 {
+			continue // a merge that dropped every entry
+		}
+		p := max(s.comp.findPage(c.r.Start), 0)
+		inside := p+1 == len(pages) || c.r.End != nil && bytes.Compare(c.r.End, pages[p+1].firstKey) <= 0
+		if c.started || c.filter != nil || !inside {
+			last := len(pages) - 1
+			if c.r.End != nil {
+				last = s.comp.findPage(c.r.End)
+			}
+			n += int64(last-p) * s.comp.n / int64(len(pages))
+			continue
+		}
+		if !s.load(c, p) {
+			return n
+		}
+		lo, _ := s.it.search(c.r.Start, nil)
+		s.it.skipTo(lo)
+		hi := s.it.n
 		if c.r.End != nil {
-			last = s.comp.findPage(c.r.End)
+			hi, _ = s.it.search(c.r.End, nil)
 		}
-		if fences := last - max(s.comp.findPage(c.r.Start), 0); fences > 0 {
-			n += int64(fences) * s.comp.n / int64(len(s.comp.pages))
+		if s.it.err != nil {
+			c.err = s.it.err
+			return n
 		}
+		n += int64(hi - lo)
 	}
 	return n
 }
@@ -373,37 +403,26 @@ func (s *cursorSource) seekGE(c *Cursor, target []byte) {
 		s.takeMem(c)
 		return
 	}
+	pc := probeCount{start: c.r.Start}
+	if s.ok {
+		pc.start = nil // every key after an entry of the range is at or above its start
+	}
 	pages := s.comp.pages
-	// inRange: the entries walked over below belong to the range (they
-	// follow an entry that does, or their page starts inside it).
-	inRange := s.ok
 	if s.page < 0 || (s.page+1 < len(pages) && bytes.Compare(pages[s.page+1].firstKey, target) <= 0) {
-		p := max(s.comp.findPage(target), 0)
-		if !s.load(c, p) {
+		if !s.load(c, max(s.comp.findPage(target), 0)) {
 			return
 		}
-		inRange = bytes.Compare(pages[p].firstKey, c.r.Start) >= 0
 	}
 	s.ok = false
-	for s.it.next() {
-		if bytes.Compare(s.it.key, target) >= 0 {
-			s.take(c)
-			return
-		}
-		if inRange || bytes.Compare(s.it.key, c.r.Start) >= 0 {
-			inRange = true
-			c.stats.Entries++
-		}
-	}
-	if s.it.err != nil {
-		c.err = s.it.err
+	found, _ := s.it.seek(target, &pc)
+	c.stats.Entries += pc.n
+	if found {
+		s.take(c)
 		return
 	}
-	// The whole page is below target and the next page's fence key is
-	// not: its first entry is the answer.
-	if s.load(c, s.page+1) {
-		s.takeNext(c)
-	}
+	// The rest of the page is below target and the next page's fence key
+	// is not: its first entry is the answer.
+	s.takeNext(c)
 }
 
 // takeMem makes the run entry at pos the current one.

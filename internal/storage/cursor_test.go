@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,9 +17,12 @@ import (
 )
 
 // cursorTestTree fills a tree the way a reader can meet one: disk
-// components left by flushes and merges (tiny pages, so a range crosses
-// many fence keys), rotated memtables whose flush is held back, and an
-// active memtable, with puts, overwrites and deletes in every layer.
+// components left by flushes and merges (small pages, so a range
+// crosses many fence keys: of 96 bytes, where most records have a page
+// of their own and a wide one is an oversize page, or of 1 KiB, where a
+// page holds tens of entries to search), rotated memtables whose flush
+// is held back, and an active memtable, with puts, overwrites and
+// deletes in every layer.
 // Values are records (propRecord: a projection has something to drop, a
 // filter field of every kind, in a column or in overflow) and now and
 // then an opaque string. It returns the model the reader is checked
@@ -28,7 +32,7 @@ import (
 func cursorTestTree(t *testing.T, r *rand.Rand, columnar bool) (tree *LSMTree, model map[string][]byte, release func()) {
 	t.Helper()
 	tree, err := OpenLSM(t.TempDir(), LSMOptions{
-		PageSize: 96, MemBudgetBytes: 1 << 20, MaxComponents: 1000, MaxImmutable: 100, Columnar: columnar,
+		PageSize: []int{96, 1024}[r.Intn(2)], MemBudgetBytes: 1 << 20, MaxComponents: 1000, MaxImmutable: 100, Columnar: columnar,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +219,11 @@ func modelPasses(field string, val []byte) bool {
 // Get and GetProjected find every live key and no deleted or unwritten
 // one. Seek targets are
 // drawn from the places a seek can go wrong: a live key, just past one,
-// a fence key of a component, a deleted key, before the range, past its
-// end, and behind the cursor.
+// a fence key of a component, a deleted key, before every key and past
+// every key, behind the cursor; and, measured from where the cursor
+// stands, the next entry, a few entries on (mostly on the same page),
+// the next page of some component, several pages ahead, a key before
+// the range's start, and the range's end or just past it.
 func TestReaderMatchesModelProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -254,7 +261,11 @@ func TestReaderMatchesModelProperty(t *testing.T) {
 				deleted = append(deleted, []byte(k))
 			}
 		}
-		sort.Slice(deleted, func(i, j int) bool { return bytes.Compare(deleted[i], deleted[j]) < 0 })
+		byKey := func(keys [][]byte) {
+			sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+		}
+		byKey(fences)
+		byKey(deleted)
 
 		cursors := snap.Cursors(ranges)
 		for ci, c := range cursors {
@@ -269,7 +280,19 @@ func TestReaderMatchesModelProperty(t *testing.T) {
 					}
 					return keys[r.Intn(len(keys))]
 				}
-				switch r.Intn(8) {
+				// ahead returns the skip-th of the sorted keys above the
+				// cursor's key, or a key past every key.
+				ahead := func(keys [][]byte, skip int) []byte {
+					var cur []byte
+					if pos >= 0 && pos < len(ref) {
+						cur = ref[pos]
+					}
+					if i := sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], cur) > 0 }) + skip; i < len(keys) {
+						return keys[i]
+					}
+					return []byte("z")
+				}
+				switch r.Intn(13) {
 				case 0:
 					return pick(ref)
 				case 1:
@@ -285,6 +308,22 @@ func TestReaderMatchesModelProperty(t *testing.T) {
 				case 6:
 					if pos >= 0 && pos < len(ref) {
 						return ref[r.Intn(pos+1)] // at or behind the cursor
+					}
+				case 7:
+					return ahead(ref, 0) // the next entry
+				case 8:
+					return ahead(ref, 1+r.Intn(4)) // a few entries on
+				case 9:
+					return ahead(fences, 0) // the next page of a component
+				case 10:
+					return ahead(fences, 1+r.Intn(6)) // several pages ahead
+				case 11:
+					if rng.Start != nil {
+						return pick(modelRange(model, nil, rng.Start)) // before the range
+					}
+				case 12:
+					if rng.End != nil {
+						return append(append([]byte(nil), rng.End...), []byte{0}[:r.Intn(2)]...) // its end, or just past it
 					}
 				}
 				return []byte(fmt.Sprintf("k%03d", r.Intn(220)))
@@ -514,8 +553,122 @@ func TestCompactionMatchesModel(t *testing.T) {
 	}
 }
 
+// TestSizeHintExactInsideAPage: on a one-component tree, row or
+// columnar, the size hint of every range that lies inside one page —
+// both ends on a stored key, just past one, or on the page's fence keys,
+// the last page's range also open above — is the number of entries the
+// component holds in it, tombstones included, and reads that one page.
+// A range across a fence key is estimated without a read.
+func TestSizeHintExactInsideAPage(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		tree := newTestLSM(t, LSMOptions{PageSize: 512, Columnar: columnar})
+		r := rand.New(rand.NewSource(35))
+		for i := 0; i < 600; i++ {
+			k := []byte(fmt.Sprintf("k%05d", i))
+			var err error
+			if r.Intn(5) == 0 {
+				err = tree.Delete(k)
+			} else {
+				err = tree.Put(k, make([]byte, r.Intn(40)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		snap := tree.Snapshot()
+		comp := snap.components[0]
+		var stored [][]byte
+		all := componentCursor(comp, nil, nil, nil)
+		for all.Next() {
+			stored = append(stored, all.Key())
+		}
+		all.Close()
+		count := func(start, end []byte) int64 {
+			at := func(k []byte) int {
+				return sort.Search(len(stored), func(i int) bool { return bytes.Compare(stored[i], k) >= 0 })
+			}
+			hi := len(stored)
+			if end != nil {
+				hi = at(end)
+			}
+			return int64(hi - at(start))
+		}
+		hint := func(rng KeyRange) (int64, CursorStats) {
+			c := snap.Cursors([]KeyRange{rng})[0]
+			defer c.Close()
+			h := c.SizeHint()
+			if c.Err() != nil {
+				t.Fatalf("columnar %v: SizeHint [%q, %q): %v", columnar, rng.Start, rng.End, c.Err())
+			}
+			return h, c.Stats()
+		}
+		pages := comp.pages
+		for p := range pages {
+			// The page's ends: its fence keys, every key on it, and every
+			// other one just past it.
+			ends := [][]byte{pages[p].firstKey}
+			for i, k := range stored {
+				if bytes.Compare(k, pages[p].firstKey) > 0 && (p+1 == len(pages) || bytes.Compare(k, pages[p+1].firstKey) < 0) {
+					ends = append(ends, append(k[:len(k):len(k)], []byte{0}[:i%2]...))
+				}
+			}
+			if p+1 < len(pages) {
+				ends = append(ends, pages[p+1].firstKey)
+			} else {
+				ends = append(ends, nil)
+			}
+			for i, start := range ends[:len(ends)-1] {
+				for _, end := range ends[i:] {
+					got, st := hint(KeyRange{Start: start, End: end})
+					if want := count(start, end); got != want || st.Pages != 1 {
+						t.Fatalf("columnar %v, page %d of %d: SizeHint [%q, %q) = %d reading %d pages, want %d reading 1",
+							columnar, p, len(pages), start, end, got, st.Pages, want)
+					}
+				}
+			}
+		}
+		if !columnar {
+			if len(pages) < 3 {
+				t.Fatalf("%d row pages: no range spans a fence key", len(pages))
+			}
+			if _, st := hint(KeyRange{Start: pages[0].firstKey, End: pages[2].firstKey}); st.Pages != 0 {
+				t.Errorf("a hint across a fence key read %d pages", st.Pages)
+			}
+		}
+		snap.Close()
+
+		// A full merge after deleting every key leaves a component without
+		// a page: it counts nothing.
+		for _, k := range stored {
+			if err := tree.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Merge(); err != nil {
+			t.Fatal(err)
+		}
+		snap = tree.Snapshot()
+		if len(snap.components) != 1 || len(snap.components[0].pages) != 0 {
+			t.Fatalf("columnar %v: the full merge left %d components", columnar, len(snap.components))
+		}
+		for _, rng := range []KeyRange{{}, {Start: stored[0], End: stored[1]}} {
+			if got, st := hint(rng); got != 0 || st.Pages != 0 {
+				t.Errorf("columnar %v: SizeHint over an empty component = %d reading %d pages", columnar, got, st.Pages)
+			}
+		}
+		snap.Close()
+	}
+}
+
 // TestCursorSkipsPages: a seek across a long range fetches the page it
-// lands on and none of the pages in between.
+// lands on and none of the pages in between, and decodes no more of it
+// than a binary search does.
 func TestCursorSkipsPages(t *testing.T) {
 	cache := NewBufferCache(1<<20, 256)
 	tree, err := OpenLSM(t.TempDir(), LSMOptions{PageSize: 256, Cache: cache})
@@ -546,11 +699,34 @@ func TestCursorSkipsPages(t *testing.T) {
 	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads != st.Pages || st.Pages > 4 {
 		t.Errorf("3 moves over %d pages fetched %d (cursor counted %d), want at most 4", pages, reads, st.Pages)
 	}
-	if hint := c.SizeHint(); hint < n/2 || hint > 2*n {
-		t.Errorf("SizeHint = %d for a %d-entry range over %d pages", hint, n, pages)
+	if hint := c.SizeHint(); hint < n/2 || hint > 2*n || c.Stats().Pages != st.Pages {
+		t.Errorf("SizeHint = %d for a %d-entry range over %d pages, reading %d", hint, n, pages, c.Stats().Pages-st.Pages)
 	}
-	if st.Entries >= n/4 {
-		t.Errorf("two long seeks decoded %d of %d entries", st.Entries, n)
+	// Each move searched the one page it landed on, which decodes about
+	// log2 of a page's entries.
+	if perMove := bits.Len(uint(n/pages)) + 1; st.Entries > int64(3*perMove) {
+		t.Errorf("three moves over pages of %d entries decoded %d, want at most %d", n/pages, st.Entries, 3*perMove)
+	}
+
+	// The hint of a range inside one page loads that page for the
+	// cursor's first move and counts it exactly. The page is fetched once
+	// and counts in Pages like the cursor's own reads; the scan fetches
+	// one more, the next page, to find the range's end.
+	comp := snap.components[0]
+	short := snap.Cursors([]KeyRange{{Start: comp.pages[10].firstKey, End: comp.pages[11].firstKey}})[0]
+	defer short.Close()
+	before = cache.Stats()
+	hint := short.SizeHint()
+	var entries int64
+	for short.Next() {
+		entries++
+	}
+	after = cache.Stats()
+	if hint != entries || entries == 0 {
+		t.Errorf("SizeHint = %d for a range of one page holding %d entries", hint, entries)
+	}
+	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads != short.Stats().Pages || reads != 2 {
+		t.Errorf("the hint and a scan of one page fetched %d pages, the cursor counted %d, want 2", reads, short.Stats().Pages)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"simdb/internal/adm"
@@ -92,11 +93,17 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzComponentPage feeds arbitrary bytes to the on-disk component
-// readers: the footer page index parser and the data page iterator.
-// Both run over bytes read straight from disk, so bit rot must come
-// back as errCorrupt, never as a panic or a runaway allocation.
+// readers: the footer page index parser, and the builder of a row page's
+// image (appendEntryOffsets), which the buffer cache runs on every page
+// it reads from disk. Bit rot must come back as errCorrupt, never as a
+// panic or a runaway allocation. The builder must reject exactly the
+// pages a decoding of the format rejects (rawEntries), and on an image
+// it accepts, next must yield those entries and a seek to any target,
+// from any position, must land on the entry a linear walk from that
+// position lands on.
 func FuzzComponentPage(f *testing.F) {
-	f.Add(buildPage([][2]string{{"alpha", "1"}, {"beta", "2"}, {"gamma", ""}}))
+	three := buildPage([][2]string{{"alpha", "1"}, {"beta", "2"}, {"gamma", ""}})
+	f.Add(three)
 	f.Add(buildIndex([]pageMeta{
 		{off: 0, length: 64, firstKey: []byte("alpha")},
 		{off: 64, length: 32, firstKey: []byte("m")},
@@ -106,6 +113,14 @@ func FuzzComponentPage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // index: huge uvarint count
 	trunc := buildPage([][2]string{{"key", "value"}})
 	f.Add(trunc[:len(trunc)-3])
+	over, under := slices.Clone(three), slices.Clone(three)
+	over[0], under[0] = 4, 2 // a count above and below the entries present
+	f.Add(over)
+	f.Add(under)
+	f.Add(append(slices.Clone(three), 0, 1, 2))                         // trailing bytes
+	f.Add(buildPage([][2]string{{"k", strings.Repeat("v", 300)}}))      // one oversize entry
+	f.Add(buildPage([][2]string{{"b", "1"}, {"a", "2"}}))               // keys out of order
+	f.Add(append(buildPage([][2]string{{"a", "1"}}), 0xFF, 0xFF, 0, 0)) // read as an image: an offset past the entries
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if pages, err := parsePageIndex(data); err == nil {
@@ -116,37 +131,108 @@ func FuzzComponentPage(f *testing.F) {
 				_ = bytes.Compare(pages[i-1].firstKey, pages[i].firstKey)
 			}
 		}
-		it := pageIter{page: data}
-		if err := it.init(); err != nil {
-			return
-		}
-		steps := 0
-		for it.next() {
-			if len(it.key)+len(it.val) > len(data) {
-				t.Fatalf("entry larger than page: k=%d v=%d page=%d", len(it.key), len(it.val), len(data))
-			}
-			steps++
-			if steps > len(data)+1 {
-				t.Fatalf("iterator did not terminate after %d steps", steps)
-			}
-		}
-		// The same bytes read as a group image: the tail is taken for an
-		// entry-offset table, which may point anywhere. The seek must land
-		// inside the image or report corruption.
-		sk := pageIter{page: data}
-		if err := sk.init(); err != nil {
-			return
-		}
-		if _, err := sk.seek([]byte("beta")); err != nil {
+		seekStaysInside(t, data)
+		ref, refOK := rawEntries(data)
+		img, err := appendEntryOffsets(slices.Clip(data))
+		if err != nil {
 			if !errors.As(err, new(corruptError)) {
-				t.Fatalf("seek error is not errCorrupt: %v", err)
+				t.Fatalf("builder error is not errCorrupt: %v", err)
+			}
+			if refOK {
+				t.Fatalf("builder rejected a well-formed page: %v", err)
 			}
 			return
 		}
-		if sk.next() && len(sk.key)+len(sk.val) > len(data) {
-			t.Fatalf("entry after seek larger than page: k=%d v=%d page=%d", len(sk.key), len(sk.val), len(data))
+		if !refOK {
+			t.Fatalf("builder accepted a malformed page")
+		}
+		// Positions and targets are sampled on long pages: a seek is
+		// checked against a walk from its position, so all of them would
+		// be cubic in the entries.
+		stride := max(1, len(ref)/16)
+		targets := [][]byte{nil, {0xFF, 0xFF}}
+		for i := 0; i < len(ref); i += stride {
+			k := ref[i][0]
+			targets = append(targets, k, append(slices.Clone(k), 0), k[:len(k)/2])
+		}
+		for from := 0; from <= len(ref); from += stride {
+			for _, tg := range targets {
+				it := pageIter{page: img}
+				if err := it.init(); err != nil {
+					t.Fatalf("image: %v", err)
+				}
+				for i := 0; i < from; i++ {
+					if !it.next() || !bytes.Equal(it.key, ref[i][0]) || !bytes.Equal(it.val, ref[i][1]) {
+						t.Fatalf("entry %d of the image is not the page's", i)
+					}
+				}
+				want := from
+				for want < len(ref) && bytes.Compare(ref[want][0], tg) < 0 {
+					want++
+				}
+				found, _ := it.seek(tg, nil)
+				if it.err != nil || found != (want < len(ref)) || found && (!bytes.Equal(it.key, ref[want][0]) || !bytes.Equal(it.val, ref[want][1])) {
+					t.Fatalf("seek(%q) from entry %d of %d: found %v key %q (err %v), the walk lands on entry %d",
+						tg, from, len(ref), found, it.key, it.err, want)
+				}
+				if found && it.next() != (want+1 < len(ref)) {
+					t.Fatalf("next after seek(%q) from entry %d does not continue at entry %d", tg, from, want+1)
+				}
+			}
 		}
 	})
+}
+
+// rawEntries decodes a row page by the format alone, without pageIter:
+// a uint16 count, then that many entries of uvarint key length, key,
+// uvarint value length, value, keys strictly increasing; anything after
+// them is ignored. ok is false when the page breaks any of that.
+func rawEntries(page []byte) (entries [][2][]byte, ok bool) {
+	if len(page) < 2 {
+		return nil, false
+	}
+	rest := page[2:]
+	field := func() ([]byte, bool) {
+		l, w := binary.Uvarint(rest)
+		if w <= 0 || l > uint64(len(rest)-w) {
+			return nil, false
+		}
+		b := rest[w : w+int(l)]
+		rest = rest[w+int(l):]
+		return b, true
+	}
+	for n := int(binary.LittleEndian.Uint16(page)); n > 0; n-- {
+		k, ok1 := field()
+		v, ok2 := field()
+		if !ok1 || !ok2 || len(entries) > 0 && bytes.Compare(entries[len(entries)-1][0], k) >= 0 {
+			return nil, false
+		}
+		entries = append(entries, [2][]byte{k, v})
+	}
+	return entries, true
+}
+
+// seekStaysInside reads arbitrary bytes as a page image — the tail
+// taken for an entry-offset table that may point anywhere — and seeks
+// on it from the start and from one entry in: the seek must land inside
+// the image or report corruption.
+func seekStaysInside(t *testing.T, data []byte) {
+	for _, from := range []int{0, 1} {
+		it := pageIter{page: data}
+		if it.init() != nil {
+			return
+		}
+		if from == 1 && !it.next() {
+			return
+		}
+		found, _ := it.seek([]byte("beta"), nil)
+		if it.err != nil && !errors.As(it.err, new(corruptError)) {
+			t.Fatalf("seek error is not errCorrupt: %v", it.err)
+		}
+		if found && len(it.key)+len(it.val) > len(data) {
+			t.Fatalf("entry after seek larger than page: k=%d v=%d page=%d", len(it.key), len(it.val), len(data))
+		}
+	}
 }
 
 // FuzzColumnarComponent feeds arbitrary bytes to the full version-2

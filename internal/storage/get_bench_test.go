@@ -11,11 +11,13 @@ import (
 // BenchmarkComponentGet times one point read of a warm component
 // holding 1024 review-shaped records — one row group in the columnar
 // format, some ninety 4 KiB pages in the row format — on each read
-// path: row page (walked), columnar group (offset table), projected
-// columnar group. Hits cycle through the stored keys; misses are keys
-// that fall between stored ones, with the bloom filter saturated so
-// that every miss searches a page instead of stopping at the filter.
-// CI runs it once per case as a smoke test (-benchtime=1x).
+// path: row page, columnar group, projected columnar group, each
+// searched through its image's entry-offset table; probes/op is the
+// keys one read compares (storage.get.probes). Hits cycle through the
+// stored keys; misses are keys that fall between stored ones, with the
+// bloom filter saturated so that every miss searches a page instead of
+// stopping at the filter. CI runs it once per case as a smoke test
+// (-benchtime=1x).
 func BenchmarkComponentGet(b *testing.B) {
 	const n = colMaxGroupRows
 	hits, misses := make([][]byte, n), make([][]byte, n)
@@ -47,12 +49,14 @@ func BenchmarkComponentGet(b *testing.B) {
 			keys [][]byte
 		}{{"hit", hits}, {"miss", misses}} {
 			b.Run(view.name+"/"+probe.name, func(b *testing.B) {
+				before := getProbes.Load()
 				for i := 0; i < b.N; i++ {
 					_, found, err := c.GetProjected(probe.keys[(i*31)%n], view.proj)
 					if err != nil || found != (probe.name == "hit") {
 						b.Fatalf("Get = found %v, err %v", found, err)
 					}
 				}
+				b.ReportMetric(float64(getProbes.Load()-before)/float64(b.N), "probes/op")
 			})
 		}
 	}
