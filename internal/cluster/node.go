@@ -216,16 +216,16 @@ func (n *NodeController) close() error {
 	return first
 }
 
-// WALSegments returns the total live WAL segment-file count across the
-// node's partitions (metrics).
-func (n *NodeController) WALSegments() int {
+// WALStats returns the live WAL segment files across the node's
+// partitions: their count and their bytes (metrics).
+func (n *NodeController) WALStats() (segments int, bytes int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	total := 0
 	for _, w := range n.wals {
-		total += w.SegmentCount()
+		segments += w.SegmentCount()
+		bytes += w.LiveBytes()
 	}
-	return total
+	return segments, bytes
 }
 
 // CacheStats exposes the node's buffer-cache counters.

@@ -270,7 +270,15 @@ func (e *Emitter) flush(dest int) {
 	if len(buf) == 0 {
 		return
 	}
-	e.bufs[dest] = nil
+	// The consumer owns buf now. A stream that filled one frame is likely
+	// to fill the next, so that one starts at full size instead of
+	// regrowing by doubling; after a partial frame (a selection's one
+	// tuple, or the end of a stream) the next buffer is left to grow.
+	if len(buf) >= e.frameSize {
+		e.bufs[dest] = make([]Tuple, 0, e.frameSize)
+	} else {
+		e.bufs[dest] = nil
+	}
 	e.framesSent++
 	if e.senders != nil && e.senders[dest] != nil {
 		// Remote consumer: ship the frame over the transport, charging

@@ -577,6 +577,62 @@ func TestCorruptedCheckpointedComponentSurfaces(t *testing.T) {
 	}
 }
 
+// TestWALCommitAfterCoverageRotationSurvivesCrash: a coverage rotation
+// publishes its fresh segment lazily, at the segment's first data sync,
+// so a commit acknowledged after the rotation survives a crash that
+// drops every unsynced directory entry — and the covered segment's
+// deletion, published by the same directory sync, stays.
+func TestWALCommitAfterCoverageRotationSurvivesCrash(t *testing.T) {
+	fs := errfs.New()
+	fs.SetPhase("run")
+	w, err := storage.OpenWAL("wal", storage.WALOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := storage.OpenLSM("d", storage.LSMOptions{FS: fs, WAL: w, WALTree: "p", MemBudgetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := tree.Put([]byte(crashKey(i)), []byte(crashVal(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.SegmentCount(); n != 1 {
+		t.Fatalf("SegmentCount = %d after a covering flush, want 1", n)
+	}
+	if err := tree.Put([]byte(crashKey(3)), []byte(crashVal(3))); err != nil {
+		t.Fatal(err)
+	}
+	crashNow(fs)
+	tree.Close()
+	w.Close()
+	fs.Reopen()
+	if names, err := fs.ReadDir("wal"); err != nil || len(names) != 1 {
+		t.Fatalf("log segments after the crash: %v (%v), want the fresh one alone", names, err)
+	}
+
+	fs.SetPhase("recover")
+	w, err = storage.OpenWAL("wal", storage.WALOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	tree, err = storage.OpenLSM("d", storage.LSMOptions{FS: fs, WAL: w, WALTree: "p", MemBudgetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	for i := 0; i < 4; i++ {
+		if v, ok, err := tree.Get([]byte(crashKey(i))); err != nil || !ok || string(v) != crashVal(i) {
+			t.Fatalf("%s after the crash: %q ok=%v err=%v", crashKey(i), v, ok, err)
+		}
+	}
+}
+
 // TestFlushFailureSticky covers the maintenance-failure surface: an
 // injected fsync failure during flush must surface through Flush and
 // Close, raise the storage.maintenance.failed gauge, and leave the

@@ -135,6 +135,7 @@ type walRecord struct {
 type walSegment struct {
 	name  string
 	start uint64 // first LSN the segment may contain
+	size  int64  // bytes written to it
 }
 
 // WAL is a per-partition write-ahead log shared by the partition's
@@ -144,6 +145,14 @@ type walSegment struct {
 // the current segment file and fsyncs only when some caller is waiting
 // on durability — that is the group commit: every committer that
 // arrived during the previous fsync rides the next one.
+//
+// The log is a sequence of segment files, each named by the first LSN
+// it may hold. The active segment is sealed and a fresh one opened on
+// two triggers, both through rotateSegment: size (the next write would
+// pass SegmentBytes) and coverage (a checkpoint left no record any tree
+// still needs). Truncation deletes sealed segments wholly below the
+// oldest needed LSN, so a covered log shrinks to the fresh segment and
+// the checkpoint records written into it.
 type WAL struct {
 	fs       VFS
 	dir      string
@@ -166,6 +175,13 @@ type WAL struct {
 	curName  string
 	curStart uint64
 	curSize  int64 // syncer-owned after open
+	curBytes int64 // curSize as last published under mu
+	dirDirty bool  // syncer-owned: cur's dir entry is not yet published
+
+	// liveFrom is the LSN of the last checkpoint that covered the log: no
+	// record below it is needed. Until that record is written, the syncer
+	// owes a coverage rotation before writing the batch that holds it.
+	liveFrom uint64
 
 	nextLSN     uint64
 	pending     []byte
@@ -182,8 +198,9 @@ type WAL struct {
 	ckpt         map[string]uint64     // per tree: replay-skip boundary
 	replay       map[string][]ReplayOp // recovered ops awaiting Attach
 	// flushed records, per tree, each flushed component's logged-op
-	// boundary (component seq → maxLSN), from flush-begin records.
-	// Consulted by FlushCovered at tree recovery.
+	// boundary (component seq → maxLSN), from flush-begin records, while
+	// it lies above the tree's checkpoint: the flush-begin records still
+	// witnessing a component. Consulted by FlushCovered at tree recovery.
 	flushed map[string]map[uint64]uint64
 
 	syncerDone chan struct{}
@@ -321,7 +338,11 @@ func (w *WAL) recover() error {
 				return fmt.Errorf("storage: wal truncate %s: %w", seg.name, err)
 			}
 		}
+		seg.size = valid
 		live = append(live, seg)
+	}
+	for tree := range w.flushed {
+		w.pruneFlushedLocked(tree)
 	}
 
 	// Keep only ops newer than each tree's checkpoint.
@@ -380,6 +401,7 @@ func (w *WAL) recover() error {
 	}
 	w.cur = f
 	w.curSize = st.Size()
+	w.curBytes = w.curSize
 	w.writtenLSN = w.nextLSN - 1
 	w.durableLSN = w.nextLSN - 1
 	return nil
@@ -660,6 +682,22 @@ func (w *WAL) FlushCovered(treeID string, seq uint64) bool {
 	return ok && maxLSN > w.ckpt[treeID]
 }
 
+// pruneFlushedLocked forgets treeID's flush-begin boundaries at or below
+// its checkpoint: FlushCovered is false for them either way, and what
+// remains in w.flushed is exactly the records still witnessing a
+// component.
+func (w *WAL) pruneFlushedLocked(treeID string) {
+	m := w.flushed[treeID]
+	for seq, maxLSN := range m {
+		if maxLSN <= w.ckpt[treeID] {
+			delete(m, seq)
+		}
+	}
+	if len(m) == 0 {
+		delete(w.flushed, treeID)
+	}
+}
+
 // appendOpsBatch encodes one commit record per group — each group stays
 // individually atomic on replay — and assigns their LSNs under a single
 // lock acquisition and a single syncer wakeup. Batched ingestion commits
@@ -758,6 +796,13 @@ func (w *WAL) syncThrough(lsn uint64) error {
 // in components: replay will skip them, and segments wholly below
 // every tree's boundary are deleted. The record itself is not force-
 // synced — losing it only costs idempotent re-replay of flushed ops.
+//
+// When the checkpoint leaves no record any tree still needs, the
+// active segment is covered too: the syncer rotates it out before
+// writing this record, so the record lands in the fresh segment and
+// truncation deletes the covered one. Checkpoint returns once that is
+// done, so a flush that checkpoints the last dirty tree of a log
+// returns with the log's old bytes gone.
 func (w *WAL) Checkpoint(treeID string, through uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -767,18 +812,39 @@ func (w *WAL) Checkpoint(treeID string, through uint64) {
 	if through > w.ckpt[treeID] {
 		w.ckpt[treeID] = through
 	}
+	w.pruneFlushedLocked(treeID)
 	lsn := w.nextLSN
 	w.nextLSN++
 	w.pending = appendWALFrame(w.pending, encodeCheckpoint(lsn, through, treeID))
 	w.pendingHi = lsn
 	walCheckpoints.Inc()
+	covered := w.coveredLocked()
+	if covered {
+		w.liveFrom = lsn
+	}
 	w.work.Signal()
 	w.truncateLocked()
+	for covered && w.writtenLSN < lsn && w.syncErr == nil {
+		w.done.Wait()
+	}
+}
+
+// coveredLocked reports whether no logged record is needed any more:
+// every tree's checkpoint has reached its last commit (recovered but
+// unattached trees included) and no flush-begin record is a witness.
+func (w *WAL) coveredLocked() bool {
+	for tree, last := range w.lastAppended {
+		if last > w.ckpt[tree] {
+			return false
+		}
+	}
+	return len(w.flushed) == 0
 }
 
 // truncateLocked deletes sealed segments no longer needed by any tree:
-// those entirely below the oldest un-checkpointed LSN. Trees recovered
-// from the log but not yet attached hold truncation via lastAppended.
+// those entirely below the oldest un-checkpointed LSN, and all of those
+// below the last checkpoint that covered the log. Trees recovered from
+// the log but not yet attached hold truncation via lastAppended.
 func (w *WAL) truncateLocked() {
 	low := uint64(math.MaxUint64)
 	for tree, last := range w.lastAppended {
@@ -786,6 +852,8 @@ func (w *WAL) truncateLocked() {
 			low = m + 1
 		}
 	}
+	// A commit appended after a covering checkpoint has an LSN above it.
+	low = max(low, w.liveFrom)
 	kept := w.segs[:0]
 	for i, seg := range w.segs {
 		end := w.curStart - 1
@@ -808,6 +876,19 @@ func (w *WAL) SegmentCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.segs) + 1
+}
+
+// LiveBytes returns the bytes of the live segment files, from the log's
+// own accounting: what was written to each sealed segment plus what the
+// syncer has written to the active one.
+func (w *WAL) LiveBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := w.curBytes
+	for _, s := range w.segs {
+		n += s.size
+	}
+	return n
 }
 
 // Close drains and syncs pending records, stops the syncer, and closes
@@ -903,12 +984,15 @@ func (w *WAL) syncerLoop() {
 		w.pendingRecs = 0
 		hi := w.pendingHi
 		target := w.syncTarget
+		// buf holds the checkpoint that last covered the log.
+		cover := written < w.liveFrom && w.liveFrom <= hi
 		w.mu.Unlock()
 
 		var err error
 		if len(buf) > 0 {
-			if w.curSize > 0 && w.curSize+int64(len(buf)) > w.segBytes {
-				durable, err = w.rotateSegment(written, durable)
+			// An empty segment never rotates: there is nothing to seal.
+			if w.curSize > 0 && (cover || w.curSize+int64(len(buf)) > w.segBytes) {
+				durable, err = w.rotateSegment(written, durable, cover)
 			}
 			if err == nil {
 				if _, werr := w.cur.Write(buf); werr != nil {
@@ -921,6 +1005,13 @@ func (w *WAL) syncerLoop() {
 		}
 		synced := false
 		w.sinceSync += recs
+		if err == nil && target > durable && written > durable && w.dirDirty {
+			// A coverage rotation's fresh segment (and the covered one's
+			// deletion) is published before anything in it is acknowledged.
+			if err = w.fs.SyncDir(w.dir); err == nil {
+				w.dirDirty = false
+			}
+		}
 		if err == nil && target > durable && written > durable {
 			syncStart := time.Now()
 			if serr := syncWALData(w.cur); serr != nil {
@@ -940,11 +1031,15 @@ func (w *WAL) syncerLoop() {
 
 		w.mu.Lock()
 		w.writtenLSN = written
+		w.curBytes = w.curSize
 		// Recycle the drained buffer when no append raced in — the hot
 		// path then runs allocation-free. Oversized buffers are dropped
 		// so one burst cannot pin memory forever.
 		if w.pending == nil && cap(buf) <= 1<<20 {
 			w.pending = buf[:0]
+		}
+		if cover {
+			w.done.Broadcast() // the covering Checkpoint waits for its write
 		}
 		if err != nil {
 			w.syncErr = fmt.Errorf("storage: wal %s: %w", w.dir, err)
@@ -959,14 +1054,30 @@ func (w *WAL) syncerLoop() {
 	}
 }
 
-// rotateSegment seals the current segment (sync + close) and opens the
-// next. Called only by the syncer, off w.mu. Sealing syncs first so
-// every sealed segment is fully durable — recovery relies on a tear
-// appearing only in the final segment. Returns the advanced durable
-// LSN (sealing makes everything written durable).
-func (w *WAL) rotateSegment(written, durable uint64) (uint64, error) {
-	if err := w.cur.Sync(); err != nil {
-		return durable, err
+// rotateSegment seals the current segment and opens the next, on either
+// trigger. Called only by the syncer, off w.mu.
+//
+// A segment sealed for size is synced first, so it is fully durable —
+// recovery relies on a tear appearing only in the final segment — and
+// the returned durable LSN advances to written; the next segment's
+// directory entry is published before the rotation returns.
+//
+// A covered segment is closed unsynced and deleted at once: every commit
+// and flush-begin in it was synced before the checkpoint that covered
+// it, so its unsynced tail is checkpoint records nobody needs. Neither
+// the fresh segment's creation nor the deletion is published here — a
+// flush that covers its log pays no directory sync. The syncer publishes
+// both before the first data sync of the fresh segment, so nothing in it
+// is acknowledged until its entry is durable (and the deletion with it).
+// A crash before then loses the fresh segment, whose records nobody
+// waited for, and brings the covered one back with its synced prefix:
+// its commits are in components, so recovery lands on the same rows.
+func (w *WAL) rotateSegment(written, durable uint64, covered bool) (uint64, error) {
+	if !covered {
+		if err := w.cur.Sync(); err != nil {
+			return durable, err
+		}
+		durable = max(durable, written)
 	}
 	if err := w.cur.Close(); err != nil {
 		return durable, err
@@ -976,27 +1087,32 @@ func (w *WAL) rotateSegment(written, durable uint64) (uint64, error) {
 	if err != nil {
 		return durable, err
 	}
-	// Make the new segment's dir entry durable before any record lands
-	// in it — fsyncing the file alone would not stop a crash from
-	// dropping the entry (and the acknowledged records inside) on a real
-	// filesystem. This also publishes any pending truncation removals.
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		return durable, err
-	}
-	if written > durable {
-		durable = written
+	// The new segment's dir entry must be durable before any record in
+	// it is acknowledged — fsyncing the file alone would not stop a crash
+	// from dropping the entry (and the acknowledged records inside) on a
+	// real filesystem. The sync also publishes any pending truncation
+	// removals. A coverage rotation leaves it to the syncer (dirDirty).
+	w.dirDirty = covered
+	if !covered {
+		if err := w.fs.SyncDir(w.dir); err != nil {
+			f.Close()
+			return durable, err
+		}
 	}
 	w.mu.Lock()
 	if durable > w.durableLSN {
 		w.durableLSN = durable
 		w.done.Broadcast()
 	}
-	w.segs = append(w.segs, walSegment{name: w.curName, start: w.curStart})
+	w.segs = append(w.segs, walSegment{name: w.curName, start: w.curStart, size: w.curSize})
 	w.curName = walSegmentName(newStart)
 	w.curStart = newStart
-	w.mu.Unlock()
 	w.cur = f
 	w.curSize = 0
+	w.curBytes = 0
+	if covered {
+		w.truncateLocked()
+	}
+	w.mu.Unlock()
 	return durable, nil
 }

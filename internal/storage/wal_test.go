@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,28 +84,86 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// walSegmentFiles lists dir's segment files, oldest first, with sizes.
+func walSegmentFiles(t *testing.T, dir string) (names []string, bytes int64) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if _, ok := parseWALSegmentName(e.Name()); !ok {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, e.Name())
+		bytes += info.Size()
+	}
+	return names, bytes
+}
+
+// walFileRecords decodes every record of one segment file.
+func walFileRecords(t *testing.T, path string) []walRecord {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []walRecord
+	if n := scanWALRecords(data, func(r walRecord) { recs = append(recs, r) }); n != int64(len(data)) {
+		t.Fatalf("%s: %d of %d bytes decode", path, n, len(data))
+	}
+	return recs
+}
+
 func TestWALRotationAndTruncation(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, WALOptions{SegmentBytes: 128})
-	last := uint64(0)
+	const segBytes = 128
+	w := openTestWAL(t, dir, WALOptions{SegmentBytes: segBytes})
+	// The size trigger, replayed from the frame sizes: a segment that
+	// holds something is sealed when the next write would pass segBytes,
+	// and its successor is named by the write's first LSN.
+	var lsns []uint64
+	want := []string{walSegmentName(1)}
+	size := int64(0)
 	for i := 0; i < 30; i++ {
-		last = commitOne(t, w, "p", fmt.Sprintf("key-%02d", i), "some value payload")
+		key, val := fmt.Sprintf("key-%02d", i), "some value payload"
+		lsn := commitOne(t, w, "p", key, val)
+		lsns = append(lsns, lsn)
+		frame := int64(len(appendWALFrame(nil, encodeCommit(lsn, []walOp{{tree: "p", key: []byte(key), val: []byte(val)}}))))
+		if size > 0 && size+frame > segBytes {
+			want = append(want, walSegmentName(lsn))
+			size = 0
+		}
+		size += frame
 	}
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if n := w.SegmentCount(); n < 3 {
-		t.Fatalf("SegmentCount = %d after 30 oversized appends, want >= 3", n)
+	if got, _ := walSegmentFiles(t, dir); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("segments after 30 oversized appends:\n got %v\nwant %v", got, want)
 	}
-	// Checkpointing everything retires all sealed segments. Writing the
-	// checkpoint record itself may seal one more segment, so up to two
-	// files (one sealed + the active tail) can remain.
-	w.Checkpoint("p", last)
+	if n := w.SegmentCount(); n != len(want) || n < 3 {
+		t.Fatalf("SegmentCount = %d, want %d (>= 3)", n, len(want))
+	}
+	// A checkpoint that leaves a commit to replay retires the sealed
+	// segments wholly below it and keeps the one holding that commit (its
+	// own record may seal that one for size and start another).
+	w.Checkpoint("p", lsns[len(lsns)-2])
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if n := w.SegmentCount(); n > 2 {
-		t.Fatalf("SegmentCount = %d after full checkpoint, want <= 2", n)
+	if got, _ := walSegmentFiles(t, dir); got[0] != want[len(want)-1] || len(got) > 2 {
+		t.Fatalf("segments after a partial checkpoint: %v, want %s and at most one after it", got, want[len(want)-1])
+	}
+	// Checkpointing everything covers the active segment too: it is
+	// rotated out and deleted, and the checkpoint record alone remains.
+	w.Checkpoint("p", lsns[len(lsns)-1])
+	if n := w.SegmentCount(); n != 1 {
+		t.Fatalf("SegmentCount = %d after full checkpoint, want 1", n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -424,6 +484,340 @@ func TestWALRecoverTornTailDoesNotResurrectRemovedSegments(t *testing.T) {
 	ops := w2.Attach("p")
 	if len(ops) != 1 || ops[0].LSN != 50 {
 		t.Fatalf("replay: %+v, want one op at LSN 50", ops)
+	}
+}
+
+// flushTree logs what a tree's flush logs around its component: a
+// force-synced flush-begin through the given LSN, then the checkpoint.
+func flushTree(t *testing.T, w *WAL, tree string, seq, through uint64) {
+	t.Helper()
+	fb, err := w.FlushBegin(tree, seq, through)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SyncThrough(fb); err != nil {
+		t.Fatal(err)
+	}
+	w.Checkpoint(tree, through)
+}
+
+func TestWALCoveringCheckpointRotatesActiveSegment(t *testing.T) {
+	// Two trees share the log; neither flush alone covers it. Once both
+	// are checkpointed, the active segment — far under SegmentBytes — is
+	// rotated out and deleted before Checkpoint returns: one segment is
+	// left, named above every commit, holding only checkpoint records.
+	dir := t.TempDir()
+	w := openTestWAL(t, dir, WALOptions{})
+	var lastP, lastQ uint64
+	for i := 0; i < 20; i++ {
+		lastP = commitOne(t, w, "p", fmt.Sprintf("k%02d", i), "v")
+		lastQ = commitOne(t, w, "i:kw", fmt.Sprintf("tok%02d", i), "")
+	}
+	flushTree(t, w, "p", 1, lastP)
+	if names, _ := walSegmentFiles(t, dir); len(names) != 1 || names[0] != walSegmentName(1) {
+		t.Fatalf("after one tree's flush: %v, want the first segment kept", names)
+	}
+	flushTree(t, w, "i:kw", 1, lastQ)
+	names, bytes := walSegmentFiles(t, dir)
+	if w.SegmentCount() != 1 || len(names) != 1 {
+		t.Fatalf("after both flushes: SegmentCount %d, files %v, want one", w.SegmentCount(), names)
+	}
+	if start, _ := parseWALSegmentName(names[0]); start <= lastQ {
+		t.Fatalf("live segment %s starts at or below the last commit %d", names[0], lastQ)
+	}
+	for _, r := range walFileRecords(t, filepath.Join(dir, names[0])) {
+		if r.typ != walRecCheckpoint {
+			t.Errorf("live segment holds a record of type %d at LSN %d", r.typ, r.lsn)
+		}
+	}
+	if got := w.LiveBytes(); got != bytes {
+		t.Errorf("LiveBytes = %d, segment files hold %d", got, bytes)
+	}
+	// The LSN floor holds across a reopen, and nothing replays.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openTestWAL(t, dir, WALOptions{})
+	defer w2.Close()
+	if ops := append(w2.Attach("p"), w2.Attach("i:kw")...); len(ops) != 0 {
+		t.Errorf("%d ops replayed from a covered log", len(ops))
+	}
+	if lsn := commitOne(t, w2, "p", "after", "v"); lsn <= lastQ {
+		t.Errorf("first LSN after reopen = %d, at or below the pre-rotation commit %d", lsn, lastQ)
+	}
+}
+
+// TestWALCoveredSegmentReappearingRecoversAlike: a crash between a
+// coverage rotation and the directory sync that publishes the covered
+// segment's deletion can bring that segment back beside its successor.
+// A hard link keeps its bytes; putting it back under its name must
+// recover to the same replay set and the same next LSN as without it.
+func TestWALCoveredSegmentReappearingRecoversAlike(t *testing.T) {
+	dir := t.TempDir()
+	w := openTestWAL(t, dir, WALOptions{})
+	var last uint64
+	for i := 0; i < 5; i++ {
+		last = commitOne(t, w, "p", fmt.Sprintf("k%d", i), "v")
+	}
+	covered := walSegmentName(1)
+	keep := filepath.Join(t.TempDir(), covered)
+	if err := os.Link(filepath.Join(dir, covered), keep); err != nil {
+		t.Fatal(err)
+	}
+	flushTree(t, w, "p", 1, last)
+	after := commitOne(t, w, "p", "after", "v")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recoverFrom := func(dir string) (lsns []uint64, next uint64) {
+		w := openTestWAL(t, dir, WALOptions{})
+		defer w.Close()
+		for _, op := range w.Attach("p") {
+			lsns = append(lsns, op.LSN)
+		}
+		return lsns, commitOne(t, w, "p", "next", "v")
+	}
+	back := t.TempDir()
+	copyFile := func(src, dst string) {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, _ := walSegmentFiles(t, dir)
+	if len(names) != 1 || names[0] == covered {
+		t.Fatalf("segments after the covering flush: %v", names)
+	}
+	copyFile(filepath.Join(dir, names[0]), filepath.Join(back, names[0]))
+	copyFile(keep, filepath.Join(back, covered))
+	goneOps, goneNext := recoverFrom(dir)
+	backOps, backNext := recoverFrom(back)
+	if fmt.Sprint(goneOps) != fmt.Sprint([]uint64{after}) || fmt.Sprint(backOps) != fmt.Sprint(goneOps) {
+		t.Fatalf("replay with the covered segment back %v, without %v, want [%d]", backOps, goneOps, after)
+	}
+	if backNext != goneNext {
+		t.Fatalf("next LSN with the covered segment back %d, without %d", backNext, goneNext)
+	}
+}
+
+// TestWALLiveBytesProperty drives two trees sharing one log through
+// random commits and flushes — some of a tree's whole backlog, some of
+// an older generation only — with a small SegmentBytes so both rotation
+// triggers fire. After every step the log's own byte accounting matches
+// its files, the live bytes never exceed the records from the oldest
+// one some tree still needs onward plus one segment, and a log whose
+// every commit is checkpointed is one segment of checkpoint records. At
+// the end recovery replays exactly the unflushed commits.
+func TestWALLiveBytesProperty(t *testing.T) {
+	const segBytes = 256
+	trees := []string{"p", "i:kw"}
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			w := openTestWAL(t, dir, WALOptions{SegmentBytes: segBytes})
+			type rec struct {
+				lsn   uint64
+				bytes int64
+			}
+			var log []rec // every record appended, in LSN order
+			commits := map[string][]uint64{}
+			ckpt := map[string]uint64{}
+			seq := uint64(0)
+			maxFrame := int64(0)
+			note := func(lsn uint64, payload []byte) {
+				n := int64(len(appendWALFrame(nil, payload)))
+				log = append(log, rec{lsn, n})
+				maxFrame = max(maxFrame, n)
+			}
+			for step := 0; step < 60; step++ {
+				tree := trees[rng.Intn(len(trees))]
+				backlog := []uint64{}
+				for _, l := range commits[tree] {
+					if l > ckpt[tree] {
+						backlog = append(backlog, l)
+					}
+				}
+				if len(backlog) == 0 || rng.Intn(3) > 0 {
+					key, val := fmt.Sprintf("k%d", step), strings.Repeat("v", rng.Intn(40))
+					lsn := commitOne(t, w, tree, key, val)
+					note(lsn, encodeCommit(lsn, []walOp{{tree: tree, key: []byte(key), val: []byte(val)}}))
+					commits[tree] = append(commits[tree], lsn)
+				} else {
+					through := backlog[len(backlog)-1]
+					if rng.Intn(2) == 0 {
+						through = backlog[rng.Intn(len(backlog))]
+					}
+					seq++
+					fb, err := w.FlushBegin(tree, seq, through)
+					if err != nil {
+						t.Fatal(err)
+					}
+					note(fb, encodeFlushBegin(fb, seq, through, tree))
+					if err := w.SyncThrough(fb); err != nil {
+						t.Fatal(err)
+					}
+					w.Checkpoint(tree, through)
+					note(fb+1, encodeCheckpoint(fb+1, through, tree))
+					ckpt[tree] = through
+				}
+				if err := w.Barrier(); err != nil {
+					t.Fatal(err)
+				}
+
+				names, files := walSegmentFiles(t, dir)
+				live := w.LiveBytes()
+				if live != files || w.SegmentCount() != len(names) {
+					t.Fatalf("step %d: LiveBytes %d, SegmentCount %d; files %v hold %d", step, live, w.SegmentCount(), names, files)
+				}
+				// The oldest LSN some tree still needs: past its checkpoint.
+				need := uint64(math.MaxUint64)
+				for _, tr := range trees {
+					if c := commits[tr]; len(c) > 0 && c[len(c)-1] > ckpt[tr] {
+						need = min(need, ckpt[tr]+1)
+					}
+				}
+				needed := int64(0)
+				for _, r := range log {
+					if r.lsn >= need {
+						needed += r.bytes
+					}
+				}
+				if live > needed+segBytes+maxFrame {
+					t.Fatalf("step %d: %d live bytes, %d needed from LSN %d on, plus one segment", step, live, needed, need)
+				}
+				if need == math.MaxUint64 && len(log) > 0 {
+					if len(names) != 1 {
+						t.Fatalf("step %d: covered log has segments %v", step, names)
+					}
+					for _, r := range walFileRecords(t, filepath.Join(dir, names[0])) {
+						if r.typ != walRecCheckpoint {
+							t.Fatalf("step %d: covered log holds a record of type %d", step, r.typ)
+						}
+					}
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2 := openTestWAL(t, dir, WALOptions{SegmentBytes: segBytes})
+			defer w2.Close()
+			for _, tr := range trees {
+				var want []uint64
+				for _, l := range commits[tr] {
+					if l > ckpt[tr] {
+						want = append(want, l)
+					}
+				}
+				var got []uint64
+				for _, op := range w2.Attach(tr) {
+					got = append(got, op.LSN)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("tree %s replays LSNs %v, want %v", tr, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWALCoverageRotationUnderConcurrentCommits: writers commit groups
+// to two trees sharing a log while a flusher flushes both, so covering
+// checkpoints (which wait for the syncer while the flushing tree is
+// locked) race commits that arrive between the coverage decision and
+// the rotation. Every acknowledged group reads back after a reopen, and
+// a final flush of both trees leaves one segment.
+func TestWALCoverageRotationUnderConcurrentCommits(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*WAL, *LSMTree, *LSMTree) {
+		w := openTestWAL(t, filepath.Join(dir, "w"), WALOptions{})
+		p, err := OpenLSM(filepath.Join(dir, "p"), LSMOptions{WAL: w, WALTree: "p", MemBudgetBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := OpenLSM(filepath.Join(dir, "q"), LSMOptions{WAL: w, WALTree: "i:kw", MemBudgetBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, p, q
+	}
+	w, p, q := open()
+	const writers, each = 3, 150
+	done := make(chan struct{})
+	var flushErr error
+	var fwg sync.WaitGroup
+	fwg.Add(1)
+	go func() {
+		defer fwg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, tr := range []*LSMTree{p, q} {
+				if err := tr.Flush(); err != nil && flushErr == nil {
+					flushErr = err
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				key := []byte(fmt.Sprintf("g%d-%03d", g, i))
+				lsns, err := CommitGroups(w, [][]GroupWrite{{{Tree: p, Key: key, Val: key}, {Tree: q, Key: key}}})
+				if err == nil {
+					err = w.WaitDurable(lsns[0])
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	fwg.Wait()
+	if flushErr != nil {
+		t.Fatal(flushErr)
+	}
+	for _, tr := range []*LSMTree{p, q} {
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := w.SegmentCount(); n != 1 {
+		t.Errorf("SegmentCount = %d after flushing both trees, want 1", n)
+	}
+	p.Close()
+	q.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, p, q = open()
+	defer func() {
+		p.Close()
+		q.Close()
+		w.Close()
+	}()
+	for g := 0; g < writers; g++ {
+		for i := 0; i < each; i++ {
+			key := []byte(fmt.Sprintf("g%d-%03d", g, i))
+			for _, tr := range []*LSMTree{p, q} {
+				if _, ok, err := tr.Get(key); err != nil || !ok {
+					t.Fatalf("%s in %s after reopen: ok=%v err=%v", key, tr.dir, ok, err)
+				}
+			}
+		}
 	}
 }
 
