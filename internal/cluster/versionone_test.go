@@ -18,14 +18,18 @@ import (
 )
 
 // TestVersionOneStoreReadsBack: primary trees are written columnar, but a
-// store may hold version-1 row components written before that was the
-// only layout. The dataset is loaded, a few records are overwritten, the
-// cluster is closed, and each primary partition is rewritten as one
-// version-1 component by a merge under storage's row writer. On the
-// reopened store the index plan (a projected, filtered primary lookup),
-// the scan plan (a filtered scan) and a reference computed here agree on
-// the CANON selections; then again once one more row is flushed beside
-// the old component, so the tree holds both versions.
+// store may hold row components written before that was the only
+// layout. The dataset is loaded, a few records are overwritten, the
+// cluster is closed, and each primary partition is rewritten as one row
+// component by a merge under storage's row writer — which writes the
+// front-coded row format (version 3), so what this proves is that
+// primary records in row components, whose values a projected read
+// cannot shred, answer every plan; storage's TestVersionOneComponentReads
+// reads a version-1 component itself. On the reopened store the index
+// plan (a projected, filtered primary lookup), the scan plan (a filtered
+// scan) and a reference computed here agree on the CANON selections;
+// then again once one more row is flushed beside the old component, so
+// the tree holds a row and a columnar component.
 func TestVersionOneStoreReadsBack(t *testing.T) {
 	cfg := Config{NumNodes: 2, PartitionsPerNode: 1, DataDir: t.TempDir()}
 	c, err := New(cfg)
@@ -88,8 +92,8 @@ func TestVersionOneStoreReadsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := binary.LittleEndian.Uint32(data[len(data)-36:]); len(cmps) != 1 || v != 1 {
-				t.Fatalf("%s: %d components, this one version %d; want one of version 1", dir, len(cmps), v)
+			if v := binary.LittleEndian.Uint32(data[len(data)-36:]); len(cmps) != 1 || v != 3 {
+				t.Fatalf("%s: %d components, this one version %d; want one of version 3", dir, len(cmps), v)
 			}
 		}
 	}

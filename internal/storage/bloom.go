@@ -30,8 +30,10 @@ func NewBloomBuilder(expectedKeys int) *Bloom {
 }
 
 // Add inserts a key into the filter.
-func (b *Bloom) Add(key []byte) {
-	h1, h2 := bloomHash(key)
+func (b *Bloom) Add(key []byte) { b.addHash(bloomHash(key)) }
+
+// addHash inserts a key by its two bloomHash values.
+func (b *Bloom) addHash(h1, h2 uint64) {
 	n := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) % n
@@ -39,11 +41,19 @@ func (b *Bloom) Add(key []byte) {
 	}
 }
 
+// bloomFromHashes builds the filter of the keys whose bloomHash values
+// hashes holds, two per key: what the component writers keep per key
+// instead of a copy of it.
+func bloomFromHashes(hashes []uint64) *Bloom {
+	b := NewBloomBuilder(len(hashes) / 2)
+	for i := 0; i+1 < len(hashes); i += 2 {
+		b.addHash(hashes[i], hashes[i+1])
+	}
+	return b
+}
+
 // MayContain reports whether the key may be present (no false negatives).
 func (b *Bloom) MayContain(key []byte) bool {
-	if len(b.bits) == 0 {
-		return false
-	}
 	h1, h2 := bloomHash(key)
 	n := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {
@@ -72,7 +82,9 @@ func unmarshalBloom(buf []byte) (*Bloom, error) {
 	}
 	k := binary.LittleEndian.Uint32(buf)
 	n := binary.LittleEndian.Uint32(buf[4:])
-	if uint32(len(buf)-8) < n {
+	// Writers size a filter for at least one key, two bytes; a shorter one
+	// would answer "absent" for every key and silently fail point reads.
+	if uint32(len(buf)-8) < n || n < 2 {
 		return nil, errCorrupt("bloom bits")
 	}
 	// Writers always store bloomHashes; a damaged count would otherwise

@@ -40,10 +40,10 @@ import (
 //	columns:  per column, packed uvarint valLen + value for the rows
 //	          referencing it, in row order
 //
-// Primary trees write every component in this format; version-1 row
-// components — inverted indexes, and primary data of a store written
-// while the row layout was still an option — are read beside it. A
-// group has one decoder, groupWalk. A filtered range read walks the
+// Primary trees write every component in this format; row components
+// (version 1 or 3) — inverted indexes, and primary data of a store
+// written while the row layout was still an option — are read beside
+// it. A group has one decoder, groupWalk. A filtered range read walks the
 // group's blocks directly; every other read has the walk materialize the
 // group into the row-format page wire image (uint16 count + packed
 // entries), so pageIter and the cursor are shared between both versions.
@@ -120,7 +120,7 @@ type ColumnarComponentWriter struct {
 	off     int64
 	lastKey []byte
 	n       int64
-	keys    [][]byte // retained to build the bloom filter at Finish
+	hashes  []uint64 // each key's two bloomHash values, for the filter built at Finish
 	err     error
 }
 
@@ -166,7 +166,8 @@ func (cw *ColumnarComponentWriter) Add(key, value []byte) error {
 	cw.rowBytes += len(row.key) + len(row.entry)
 	cw.n++
 	cw.lastKey = append(cw.lastKey[:0], key...)
-	cw.keys = append(cw.keys, row.key)
+	h1, h2 := bloomHash(key)
+	cw.hashes = append(cw.hashes, h1, h2)
 	if len(cw.rows) >= colMaxGroupRows || cw.rowBytes >= colGroupTargetBytes {
 		cw.flushGroup()
 	}
@@ -311,11 +312,7 @@ func (cw *ColumnarComponentWriter) Finish() error {
 	cw.off += int64(len(idx))
 
 	bloomOff := cw.off
-	bloom := NewBloomBuilder(len(cw.keys))
-	for _, k := range cw.keys {
-		bloom.Add(k)
-	}
-	bl := bloom.marshal(nil)
+	bl := bloomFromHashes(cw.hashes).marshal(nil)
 	cw.write(bl)
 	cw.off += int64(len(bl))
 

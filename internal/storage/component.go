@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"simdb/internal/obs"
@@ -37,23 +40,47 @@ var (
 //	[data pages][page index][bloom filter][footer]
 //
 // Data pages are variable-length regions of roughly the configured page
-// size; each starts with a uint16 entry count followed by packed
-// entries (uvarint keyLen, key, uvarint valLen, value). An entry larger
-// than a page gets a page of its own. The page index holds each page's
-// offset, length, and first key and is resident in memory once the
-// component is open (fence keys); data pages are read through the
-// node's BufferCache, as page images: the page followed by an
-// entry-offset table built when it is read (appendEntryOffsets), which
-// the file does not hold.
+// size. The page index holds each page's offset, length, and first key
+// and is resident in memory once the component is open (fence keys);
+// data pages are read through the node's BufferCache, as page images.
+// A row page's image is the same whatever the footer's version: a
+// uint16 entry count, the packed entries (uvarint keyLen, key, uvarint
+// valLen, value), then one little-endian uint32 per entry giving its
+// offset (the entry-offset table, appendEntryOffsets). pageIter, the
+// cursor and point reads read only images.
+//
+// Two row formats exist on disk, told apart by the footer's version:
+//
+//   - version 1 stores each page as its image without the table. Stores
+//     written before the front-coded format still hold such components;
+//     they are read, never written.
+//   - version 3, what ComponentWriter writes, front-codes each page. Its
+//     header is the uint16 entry count and a uvarint giving the image's
+//     length; each entry is a header byte, then a uvarint shared-prefix
+//     length, the key's bytes past that prefix and before its trailing
+//     zeros, and the value (frontEntry). A page decodes on its own: the
+//     first entry shares nothing.
+//
+// An index posting's key is a token followed by a primary key whose
+// ordered encoding ends in zero bytes, and its value is the one-byte
+// live flag, so version 3 spends a few bytes on what version 1 stored
+// as a whole key. Pages are cut where version 1 cuts them — at the
+// configured size of the image without its table — and a cache miss
+// decodes the page into exactly the image version 1 reads
+// (decodeFrontCodedPage): the buffer cache holds the same bytes, and
+// everything above it does the same work, whichever version a page came
+// from.
 
 const (
-	componentMagic   = 0x53494d44422d4331 // "SIMDB-C1"
-	footerSize       = 8 + 4 + 8 + 8 + 8 + 8
-	componentVersion = 1
+	componentMagic = 0x53494d44422d4331 // "SIMDB-C1"
+	footerSize     = 8 + 4 + 8 + 8 + 8 + 8
+
+	componentVersionRow        = 1 // pages stored as their images; read only
+	componentVersionFrontCoded = 3 // front-coded pages; ComponentWriter's output
 )
 
-// ComponentWriter builds a component file. Add must be called with
-// strictly increasing keys.
+// ComponentWriter builds a version-3 (front-coded) row component file.
+// Add must be called with strictly increasing keys.
 type ComponentWriter struct {
 	fs       VFS
 	f        File
@@ -61,13 +88,14 @@ type ComponentWriter struct {
 	path     string
 	pageSize int
 
-	cur     []byte // current page payload (after the count header)
+	cur     []byte // current page's front-coded entries (after the header)
 	curN    int    // entries in current page
+	curSize int    // the current page's image length without its table
 	pages   []pageMeta
 	off     int64
 	lastKey []byte
 	n       int64
-	keys    [][]byte // retained only to size the bloom filter accurately
+	hashes  []uint64 // each key's two bloomHash values, for the filter built at Finish
 	err     error
 }
 
@@ -109,34 +137,90 @@ func (cw *ComponentWriter) Add(key, value []byte) error {
 		return cw.err
 	}
 	entrySize := uvarintSize(uint64(len(key))) + len(key) + uvarintSize(uint64(len(value))) + len(value)
-	if cw.curN > 0 && 2+len(cw.cur)+entrySize > cw.pageSize {
+	if cw.curN > 0 && cw.curSize+entrySize > cw.pageSize {
 		cw.flushPage()
 	}
+	shared := 0
 	if cw.curN == 0 {
 		cw.pages = append(cw.pages, pageMeta{off: cw.off, firstKey: append([]byte(nil), key...)})
+		cw.curSize = 2
+	} else {
+		for shared < len(key) && shared < len(cw.lastKey) && key[shared] == cw.lastKey[shared] {
+			shared++
+		}
 	}
-	cw.cur = binary.AppendUvarint(cw.cur, uint64(len(key)))
-	cw.cur = append(cw.cur, key...)
-	cw.cur = binary.AppendUvarint(cw.cur, uint64(len(value)))
-	cw.cur = append(cw.cur, value...)
+	cw.cur = appendFrontEntry(cw.cur, key, shared, value)
+	cw.curSize += entrySize
 	cw.curN++
 	cw.n++
 	cw.lastKey = append(cw.lastKey[:0], key...)
-	cw.keys = append(cw.keys, append([]byte(nil), key...))
+	h1, h2 := bloomHash(key)
+	cw.hashes = append(cw.hashes, h1, h2)
 	return nil
+}
+
+// A front-coded entry's header byte: the form of its value in the low
+// two bits, the trailing zero bytes its key leaves out in the next three
+// (at most frontMaxZeros), and the length of the key's bytes between
+// the shared prefix and those zeros in the top three — frontLongMid
+// there means that length follows the shared-prefix length as a uvarint.
+// After the header come the shared-prefix length (uvarint), the middle
+// bytes, and the value's bytes if its form has any.
+const (
+	frontLive    = 0 // the value is [0]: a live entry with no payload
+	frontTomb    = 1 // the value is [1]: a tombstone
+	frontPayload = 2 // the value is [0] and a payload: uvarint payload length, payload
+	frontRaw     = 3 // any other value: uvarint length, value
+
+	frontMaxZeros = 7
+	frontLongMid  = 7
+)
+
+// appendFrontEntry appends the front-coded form of (key, value) to dst;
+// key shares its first shared bytes with the previous key on the page.
+func appendFrontEntry(dst, key []byte, shared int, value []byte) []byte {
+	suffix := key[shared:]
+	zeros := 0
+	for zeros < frontMaxZeros && zeros < len(suffix) && suffix[len(suffix)-1-zeros] == 0 {
+		zeros++
+	}
+	mid := suffix[:len(suffix)-zeros]
+	form := byte(frontRaw)
+	switch {
+	case len(value) == 1 && value[0] <= 1:
+		form = value[0] // frontLive or frontTomb
+	case len(value) > 1 && value[0] == 0:
+		form = frontPayload
+	}
+	h := form | byte(zeros)<<2 | byte(min(len(mid), frontLongMid))<<5
+	dst = binary.AppendUvarint(append(dst, h), uint64(shared))
+	if len(mid) >= frontLongMid {
+		dst = binary.AppendUvarint(dst, uint64(len(mid)))
+	}
+	dst = append(dst, mid...)
+	switch form {
+	case frontPayload:
+		dst = binary.AppendUvarint(dst, uint64(len(value)-1))
+		dst = append(dst, value[1:]...)
+	case frontRaw:
+		dst = binary.AppendUvarint(dst, uint64(len(value)))
+		dst = append(dst, value...)
+	}
+	return dst
 }
 
 func (cw *ComponentWriter) flushPage() {
 	if cw.curN == 0 {
 		return
 	}
-	var hdr [2]byte
+	var hdr [2 + binary.MaxVarintLen64]byte
 	binary.LittleEndian.PutUint16(hdr[:], uint16(cw.curN))
-	cw.write(hdr[:])
+	h := binary.AppendUvarint(hdr[:2], uint64(cw.curSize+4*cw.curN))
+	cw.write(h)
 	cw.write(cw.cur)
 	p := &cw.pages[len(cw.pages)-1]
-	p.length = int32(2 + len(cw.cur))
-	cw.off += int64(2 + len(cw.cur))
+	p.length = int32(len(h) + len(cw.cur))
+	cw.off += int64(p.length)
 	cw.cur = cw.cur[:0]
 	cw.curN = 0
 }
@@ -171,17 +255,13 @@ func (cw *ComponentWriter) Finish() error {
 	cw.off += int64(len(idx))
 
 	bloomOff := cw.off
-	bloom := NewBloomBuilder(len(cw.keys))
-	for _, k := range cw.keys {
-		bloom.Add(k)
-	}
-	bl := bloom.marshal(nil)
+	bl := bloomFromHashes(cw.hashes).marshal(nil)
 	cw.write(bl)
 	cw.off += int64(len(bl))
 
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:], componentMagic)
-	binary.LittleEndian.PutUint32(footer[8:], componentVersion)
+	binary.LittleEndian.PutUint32(footer[8:], componentVersionFrontCoded)
 	binary.LittleEndian.PutUint64(footer[12:], uint64(cw.n))
 	binary.LittleEndian.PutUint64(footer[20:], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[28:], uint64(bloomOff))
@@ -229,7 +309,9 @@ type Component struct {
 	path   string
 	fileID uint64
 	cache  *BufferCache
-	pages  []pageMeta
+	// version is the footer's format version; only buildRowPage reads it.
+	version uint32
+	pages   []pageMeta
 	// groups is non-nil for columnar (version 2) components; pages then
 	// holds one fence-key entry per row group and data is materialized
 	// through buildGroupPage instead of read directly.
@@ -282,7 +364,7 @@ func OpenComponentFS(fs VFS, path string, cache *BufferCache) (*Component, error
 		return nil, errCorrupt("bad magic")
 	}
 	version := binary.LittleEndian.Uint32(footer[8:])
-	if version != componentVersion && version != componentVersionColumnar {
+	if version != componentVersionRow && version != componentVersionColumnar && version != componentVersionFrontCoded {
 		f.Close()
 		return nil, errCorrupt(fmt.Sprintf("unsupported version %d", version))
 	}
@@ -310,7 +392,7 @@ func OpenComponentFS(fs VFS, path string, cache *BufferCache) (*Component, error
 		}
 		pages = pagesFromGroups(groups)
 	} else {
-		pages, err = parsePageIndex(idxBuf)
+		pages, err = parsePageIndex(idxBuf, indexOff)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -327,22 +409,26 @@ func OpenComponentFS(fs VFS, path string, cache *BufferCache) (*Component, error
 		return nil, err
 	}
 	c := &Component{
-		fs:     fs,
-		f:      f,
-		path:   path,
-		fileID: NewFileID(),
-		cache:  cache,
-		pages:  pages,
-		groups: groups,
-		bloom:  bloom,
-		n:      n,
-		size:   st.Size(),
+		fs:      fs,
+		f:       f,
+		path:    path,
+		fileID:  NewFileID(),
+		cache:   cache,
+		version: version,
+		pages:   pages,
+		groups:  groups,
+		bloom:   bloom,
+		n:       n,
+		size:    st.Size(),
 	}
 	c.refs.Store(1)
 	return c, nil
 }
 
-func parsePageIndex(buf []byte) ([]pageMeta, error) {
+// parsePageIndex decodes a row component's page index; every page must
+// lie below dataEnd, the index's own offset, so that no damaged length
+// sizes a read.
+func parsePageIndex(buf []byte, dataEnd int64) ([]pageMeta, error) {
 	count, p := binary.Uvarint(buf)
 	if p <= 0 {
 		return nil, errCorrupt("page index count")
@@ -373,7 +459,7 @@ func parsePageIndex(buf []byte) ([]pageMeta, error) {
 		key := make([]byte, kl)
 		copy(key, buf[p:p+int(kl)])
 		p += int(kl)
-		if off > uint64(1)<<62 || length > uint64(1)<<31 {
+		if off > uint64(dataEnd) || length > uint64(dataEnd)-off || length >= 1<<31 {
 			return nil, errCorrupt("page bounds")
 		}
 		pages = append(pages, pageMeta{off: int64(off), length: int32(length), firstKey: key})
@@ -447,10 +533,12 @@ func (c *Component) readPage(i int) ([]byte, error) {
 	return c.cache.ReadBuilt(c.fileID, uint32(i), func() ([]byte, error) { return c.buildRowPage(i) })
 }
 
-// buildRowPage reads row page i into its image, one allocation of
-// exactly the page's length plus four bytes per entry: the entry count
-// is read first, then the page straight into the image, and the table is
-// appended in place.
+// buildRowPage reads row page i into its image, in one allocation of
+// the image's exact length. It is the one place that tells the row
+// formats apart. A version-3 page is read into a pooled buffer and
+// decoded (decodeFrontCodedPage). A version-1 page is read straight into
+// the image: the entry count is read first, then the page, and the
+// table is appended in place.
 func (c *Component) buildRowPage(i int) ([]byte, error) {
 	p := c.pages[i]
 	read := func(b []byte) error {
@@ -461,6 +549,16 @@ func (c *Component) buildRowPage(i int) ([]byte, error) {
 	}
 	if p.length < 2 {
 		return nil, errCorrupt("short page")
+	}
+	if c.version == componentVersionFrontCoded {
+		bp := pageBufs.Get().(*[]byte)
+		defer pageBufs.Put(bp)
+		*bp = slices.Grow((*bp)[:0], int(p.length))[:p.length]
+		if err := read(*bp); err != nil {
+			return nil, err
+		}
+		c.cache.pagesRead.Add(1)
+		return decodeFrontCodedPage(*bp)
 	}
 	var count [2]byte
 	if err := read(count[:]); err != nil {
@@ -477,6 +575,139 @@ func (c *Component) buildRowPage(i int) ([]byte, error) {
 		return nil, err
 	}
 	c.cache.pagesRead.Add(1)
+	return appendEntryOffsets(img)
+}
+
+// zeroBytes supplies the trailing zeros a front-coded key leaves out.
+var zeroBytes [frontMaxZeros]byte
+
+// pageBufs holds the buffers version-3 pages are read into before they
+// are decoded.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// frontEntry is one entry of a version-3 page as read
+// (byteReader.frontEntry): its
+// key is the previous key's first shared bytes, then mid, then zeros
+// zero bytes; val holds the value's stored bytes — the payload alone
+// for frontPayload, nothing for frontLive and frontTomb.
+type frontEntry struct {
+	form          byte
+	shared, zeros int
+	mid, val      []byte
+}
+
+func (e *frontEntry) keyLen() int { return e.shared + len(e.mid) + e.zeros }
+
+func (e *frontEntry) valLen() int {
+	switch e.form {
+	case frontLive, frontTomb:
+		return 1
+	case frontPayload:
+		return 1 + len(e.val)
+	}
+	return len(e.val)
+}
+
+// frontEntry reads the next entry of a version-3 page; prevLen is the
+// previous key's length. ok is false when the entry runs past the page
+// or shares more than the previous key holds.
+func (r *byteReader) frontEntry(prevLen int) (e frontEntry, ok bool) {
+	if r.pos >= len(r.b) {
+		return e, false
+	}
+	h := r.b[r.pos]
+	r.pos++
+	e.form, e.zeros = h&3, int(h>>2&7)
+	shared, ok := r.uvarint()
+	if !ok || shared > uint64(prevLen) {
+		return e, false
+	}
+	e.shared = int(shared)
+	midLen := uint64(h >> 5)
+	if midLen == frontLongMid {
+		if midLen, ok = r.uvarint(); !ok {
+			return e, false
+		}
+	}
+	if e.mid, ok = r.bytes(midLen); !ok {
+		return e, false
+	}
+	if e.form >= frontPayload {
+		vl, ok := r.uvarint()
+		if !ok {
+			return e, false
+		}
+		if e.val, ok = r.bytes(vl); !ok {
+			return e, false
+		}
+	}
+	return e, true
+}
+
+// decodeFrontCodedPage turns a version-3 page as stored into its image,
+// the one a version-1 page of the same entries has. It walks the entries
+// twice. The first walk checks that each lies inside the page and shares
+// no more than the previous key holds, that the count's entries end
+// exactly at the page's end, and that the image they make has the length
+// the header announces; only then is the image allocated, at that
+// length, so a damaged header never sizes it. (Shared prefixes let an
+// image outgrow its page many times over, but no image reaches 4 GiB,
+// the reach of the table's uint32 offsets.) The second walk writes the
+// entries, and appendEntryOffsets checks their order and appends the
+// table into the remaining capacity. A page that fails a check is
+// errCorrupt.
+func decodeFrontCodedPage(page []byte) ([]byte, error) {
+	if len(page) < 2 {
+		return nil, errCorrupt("short page")
+	}
+	n := int(binary.LittleEndian.Uint16(page))
+	r := byteReader{b: page, pos: 2}
+	want, ok := r.uvarint()
+	if !ok {
+		return nil, errCorrupt("page image length")
+	}
+	first := r.pos
+	size, prevLen := 2+4*n, 0
+	for i := 0; i < n; i++ {
+		e, ok := r.frontEntry(prevLen)
+		if !ok {
+			return nil, errCorrupt("page entry")
+		}
+		prevLen = e.keyLen()
+		size += uvarintSize(uint64(prevLen)) + prevLen + uvarintSize(uint64(e.valLen())) + e.valLen()
+		// The table's offsets are uint32s: no image reaches 4 GiB.
+		if size > math.MaxUint32 {
+			return nil, errCorrupt("page image length")
+		}
+	}
+	if r.pos != len(page) {
+		return nil, errCorrupt("page trailing bytes")
+	}
+	if uint64(size) != want {
+		return nil, errCorrupt("page image length")
+	}
+	img := make([]byte, 2, size)
+	copy(img, page)
+	r.pos, prevLen = first, 0
+	for prevKey := 0; n > 0; n-- {
+		e, _ := r.frontEntry(prevLen)
+		prevLen = e.keyLen()
+		img = binary.AppendUvarint(img, uint64(prevLen))
+		key := len(img)
+		img = append(img, img[prevKey:prevKey+e.shared]...)
+		img = append(img, e.mid...)
+		img = append(img, zeroBytes[:e.zeros]...)
+		img = binary.AppendUvarint(img, uint64(e.valLen()))
+		switch e.form {
+		case frontLive, frontTomb:
+			img = append(img, e.form)
+		case frontPayload:
+			img = append(append(img, 0), e.val...)
+		default:
+			img = append(img, e.val...)
+		}
+		prevKey = key
+	}
 	return appendEntryOffsets(img)
 }
 

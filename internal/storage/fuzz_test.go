@@ -93,14 +93,17 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzComponentPage feeds arbitrary bytes to the on-disk component
-// readers: the footer page index parser, and the builder of a row page's
-// image (appendEntryOffsets), which the buffer cache runs on every page
-// it reads from disk. Bit rot must come back as errCorrupt, never as a
-// panic or a runaway allocation. The builder must reject exactly the
-// pages a decoding of the format rejects (rawEntries), and on an image
-// it accepts, next must yield those entries and a seek to any target,
-// from any position, must land on the entry a linear walk from that
-// position lands on.
+// readers: the footer page index parser, and the two builders of a row
+// page's image, which the buffer cache runs on every page it reads from
+// disk — appendEntryOffsets for a version-1 page and
+// decodeFrontCodedPage for a version-3 one. Bit rot must come back as
+// errCorrupt, never as a panic, a runaway allocation or a read past the
+// page. Each builder must reject exactly the pages a plain decoding of
+// its format rejects (rawEntries, plainFrontEntries); the front-coded
+// decoder must build for every other page the image of the entries the
+// plain decoding reads. On a version-1 image it accepts, next must yield
+// the entries and a seek to any target, from any position, must land on
+// the entry a linear walk from that position lands on.
 func FuzzComponentPage(f *testing.F) {
 	three := buildPage([][2]string{{"alpha", "1"}, {"beta", "2"}, {"gamma", ""}})
 	f.Add(three)
@@ -121,9 +124,34 @@ func FuzzComponentPage(f *testing.F) {
 	f.Add(buildPage([][2]string{{"k", strings.Repeat("v", 300)}}))      // one oversize entry
 	f.Add(buildPage([][2]string{{"b", "1"}, {"a", "2"}}))               // keys out of order
 	f.Add(append(buildPage([][2]string{{"a", "1"}}), 0xFF, 0xFF, 0, 0)) // read as an image: an offset past the entries
+	// Version-3 pages as the row writer makes them: postings of two tokens
+	// with tombstones, payloads and odd values, and one oversize entry.
+	front := frontPages(f, [][2][]byte{
+		{[]byte("ab\x00\x40\x10\x00\x00\x00\x00\x00"), {0}},
+		{[]byte("ab\x00\x40\x20\x00\x00\x00\x00\x00"), {1}},
+		{[]byte("ab\x00\x40\x20\x00\x00\x00\x00\x00\x00"), {0, 'p'}},
+		{[]byte("abc"), {}},
+		{[]byte("abc\x00"), {7, 7}},
+		{[]byte("abcdefghijkl"), {0}},
+		{[]byte("b"), append([]byte{0}, strings.Repeat("v", 80)...)},
+	}, 48)
+	for _, p := range front {
+		f.Add(p)
+	}
+	shared := slices.Clone(front[0])
+	shared[len(shared)-3] = 0x7F // the last entry ("abc", empty value) shares more than its predecessor holds
+	f.Add(shared)
+	long := slices.Clone(front[0])
+	long[2]++ // an image length the entries do not make
+	f.Add(long)
+	// Two entries, "a" and one sharing two bytes of it, with the image
+	// length that sharing would make: only the shared-prefix check stops
+	// the second key from copying past the first.
+	f.Add([]byte{2, 0, 20, 0x20, 0, 'a', 0x20, 2, 'b'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if pages, err := parsePageIndex(data); err == nil {
+		frontPageMatchesPlain(t, data)
+		if pages, err := parsePageIndex(data, int64(len(data))); err == nil {
 			if uint64(len(pages)) > uint64(len(data)) {
 				t.Fatalf("parsed %d page entries from %d bytes", len(pages), len(data))
 			}

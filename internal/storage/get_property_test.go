@@ -12,10 +12,10 @@ import (
 	"simdb/internal/adm"
 )
 
-// getViews are the three ways a component answers a point read: a
-// version-1 row page (walked), a materialized columnar group
-// (binary-searched through its offset table), and a projected columnar
-// group (the same, over the partial image).
+// getViews are the three ways a component answers a point read: a row
+// page, a materialized columnar group (each binary-searched through its
+// image's offset table), and a projected columnar group (the same, over
+// the partial image).
 var getViews = []struct {
 	name     string
 	columnar bool
