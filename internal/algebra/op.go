@@ -3,6 +3,8 @@ package algebra
 import (
 	"fmt"
 	"strings"
+
+	"simdb/internal/sim"
 )
 
 // OpKind enumerates logical (and a few physical) operators.
@@ -195,13 +197,46 @@ type Op struct {
 	IndexName string
 	KeyExpr   Expr // expression producing the token list to probe
 	TExpr     Expr // expression producing the occurrence threshold T
-	OutVar    Var  // candidate primary keys (one per output tuple)
+	// Bound is the similarity predicate the search serves, from which it
+	// bounds each candidate's token count; the zero value, a plain
+	// T-occurrence probe, bounds nothing.
+	Bound  SearchBound
+	OutVar Var // candidate primary keys (one per output tuple)
 
 	// OpPrimaryLookup input key
 	PKExpr Expr
 	// RawPK marks PKExpr as yielding an already-encoded storage key (a
 	// candidate produced by OpSecondarySearch) rather than a key value.
 	RawPK bool
+}
+
+// SearchBound names the similarity predicate a secondary search serves:
+// Measure "jaccard" with Threshold delta, or "edit-distance" with
+// Threshold k over the index's GramLen-grams. An empty Measure is a
+// plain T-occurrence probe (contains(), a btree equality).
+type SearchBound struct {
+	Measure   string
+	Threshold float64
+	GramLen   int
+}
+
+// Bounds returns the search bounds for a query of q counted tokens:
+// the measure's (sim.MeasureBounds), or the plain threshold t of a probe
+// that serves none.
+func (b SearchBound) Bounds(q, t int) sim.Bounds {
+	if bounds, ok := sim.MeasureBounds(b.Measure, q, b.Threshold, b.GramLen); ok {
+		return bounds
+	}
+	return sim.CountBounds(t)
+}
+
+// String renders the predicate as explain prints it: the measure and
+// its threshold, nothing for a plain probe.
+func (b SearchBound) String() string {
+	if b.Measure == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s(%g)", b.Measure, b.Threshold)
 }
 
 // NewOp builds an operator with inputs.
@@ -588,7 +623,11 @@ func opDetail(o *Op) string {
 	case OpWrite:
 		return fmt.Sprintf(" %v", o.Var)
 	case OpSecondarySearch:
-		return fmt.Sprintf(" %s.%s.%s keys=%s T=%s -> %v", o.Dataverse, o.Dataset, o.IndexName, o.KeyExpr, o.TExpr, o.OutVar)
+		bound := ""
+		if b := o.Bound.String(); b != "" {
+			bound = " bound=" + b
+		}
+		return fmt.Sprintf(" %s.%s.%s keys=%s T=%s%s -> %v", o.Dataverse, o.Dataset, o.IndexName, o.KeyExpr, o.TExpr, bound, o.OutVar)
 	case OpPrimaryLookup:
 		return fmt.Sprintf(" %s.%s pk=%s -> %v,%v", o.Dataverse, o.Dataset, o.PKExpr, o.PKVar, o.RecVar) + sourceDetail(o)
 	}

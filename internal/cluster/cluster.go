@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,25 +292,15 @@ func IndexTokens(ix optimizer.IndexMeta, rec adm.Value) []string {
 		default:
 			return nil
 		}
-		return countedStrings(toks)
+		return tokenizer.CountedStrings(toks)
 	case "ngram":
 		if v.Kind() == adm.KindString {
-			return countedStrings(tokenizer.GramTokens(v.Str(), ix.GramLen, true))
+			return tokenizer.CountedStrings(tokenizer.GramTokens(v.Str(), ix.GramLen, true))
 		}
 	case "btree":
 		return []string{string(adm.OrderedKey(v))}
 	}
 	return nil
-}
-
-// countedStrings renders counted-token form ("tok#1", "tok#2", ...).
-func countedStrings(toks []string) []string {
-	counted := tokenizer.CountTokens(toks)
-	out := make([]string, len(counted))
-	for i, c := range counted {
-		out[i] = fmt.Sprintf("%s#%d", c.Token, c.Count)
-	}
-	return out
 }
 
 // FlushAll drains the ingestion pipeline, forces every open LSM
@@ -372,9 +363,9 @@ func (c *Cluster) flushLocal() error {
 }
 
 // BuildIndex bulk-builds one secondary index from the dataset's current
-// contents: it scans each partition, tokenizes, sorts the (token, pk)
-// pairs, and bulk-loads them into a single component — the build path
-// Table 5 times.
+// contents: it scans each partition, tokenizes, sorts the records'
+// entry keys, and bulk-loads them into a single component — the build
+// path Table 5 times.
 func (c *Cluster) BuildIndex(dv, ds string, ix optimizer.IndexMeta) error {
 	if err := c.buildIndexLocal(dv, ds, ix); err != nil {
 		return err
@@ -400,43 +391,33 @@ func (c *Cluster) buildIndexLocal(dv, ds string, ix optimizer.IndexMeta) error {
 		if err != nil {
 			return err
 		}
-		type pair struct {
-			tok string
-			pk  invindex.PK
+		inv, err := node.invIndex(dv, ds, ix.Name, part)
+		if err != nil {
+			return err
 		}
-		var pairs []pair
+		var keys [][]byte
 		err = tree.Scan(nil, nil, func(key, val []byte) bool {
 			rec, _, derr := adm.Decode(val)
 			if derr != nil {
 				err = derr
 				return false
 			}
-			for _, tok := range IndexTokens(ix, rec) {
-				pairs = append(pairs, pair{tok, invindex.PK(key)})
+			if tokens := IndexTokens(ix, rec); len(tokens) > 0 {
+				keys = append(keys, inv.EntryKeys(tokens, invindex.PK(key))...)
 			}
 			return true
 		})
 		if err != nil {
 			return err
 		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].tok != pairs[b].tok {
-				return pairs[a].tok < pairs[b].tok
-			}
-			return pairs[a].pk < pairs[b].pk
-		})
-		inv, err := node.invIndex(dv, ds, ix.Name, part)
-		if err != nil {
-			return err
-		}
+		slices.SortFunc(keys, bytes.Compare)
 		i := 0
-		err = inv.BulkLoad(func() (string, invindex.PK, bool, error) {
-			if i >= len(pairs) {
-				return "", "", false, nil
+		err = inv.BulkLoad(func() ([]byte, bool, error) {
+			if i >= len(keys) {
+				return nil, false, nil
 			}
-			p := pairs[i]
 			i++
-			return p.tok, p.pk, true, nil
+			return keys[i-1], true, nil
 		})
 		if err != nil {
 			return err

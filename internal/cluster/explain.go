@@ -49,8 +49,8 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 			op.TuplesIn, op.TuplesOut, op.FramesSent, op.BytesMoved, op.SpillRuns, op.SpilledBytes)
 	}
 	if st.IndexSearches > 0 || st.CandidatesTotal > 0 || st.CornerCaseFallbacks > 0 {
-		fmt.Fprintf(&b, "similarity: T=%d searches=%d postings=%d candidates=%d verified=%d corner_fallbacks=%d\n",
-			st.OccurrenceT, st.IndexSearches, st.PostingsRead,
+		fmt.Fprintf(&b, "similarity: T=%d searches=%d postings=%d pruned=%d candidates=%d verified=%d corner_fallbacks=%d\n",
+			st.OccurrenceT, st.IndexSearches, st.PostingsRead, st.PrunedTotal,
 			st.CandidatesTotal, st.VerifiedTotal, st.CornerCaseFallbacks)
 	}
 	if st.MemBudget > 0 {

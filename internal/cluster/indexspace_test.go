@@ -12,17 +12,18 @@ import (
 )
 
 // indexBytesCeiling is what each secondary index may take on disk per
-// entry — component bytes (pages, page index, bloom filter, footer) over
-// entries — after 20 000 generated Amazon records are loaded and the
-// three indexes of the benchmark are built and flushed. Measured: 6.10
-// (keyword), 4.95 (2-gram), 15.45 (btree); the ceilings leave 5 %.
-// Front-coded row pages put a 2-gram posting in under four bytes of page
-// data beside the bloom filter's ten bits per key, where whole keys took
-// 19. A change that raises a figure stores more per posting.
+// entry — component bytes (pages, page index, footer) over entries —
+// after 20 000 generated Amazon records are loaded and the three indexes
+// of the benchmark are built and flushed. Measured: 5.57 (keyword), 4.29
+// (2-gram), 14.87 (btree); the ceilings leave 5 %. Front-coded row pages
+// put a 2-gram posting, with the record's token-count byte, in under
+// four bytes of page data, where whole keys took 19, and index
+// components carry no bloom filter (ten bits per key before). A change
+// that raises a figure stores more per posting.
 var indexBytesCeiling = map[string]float64{
-	"akw": 6.4,  // keyword over summary
-	"ang": 5.2,  // 2-gram over reviewerName
-	"abt": 16.2, // btree over reviewerName
+	"akw": 5.8,  // keyword over summary
+	"ang": 4.5,  // 2-gram over reviewerName
+	"abt": 15.6, // btree over reviewerName
 }
 
 func TestIndexBytesPerEntryCeiling(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"simdb/internal/algebra"
 	"simdb/internal/hyracks"
 	"simdb/internal/invindex"
+	"simdb/internal/sim"
 	"simdb/internal/storage"
 )
 
@@ -17,7 +18,10 @@ import (
 type QueryCounters struct {
 	IndexSearches   atomic.Int64
 	CandidatesTotal atomic.Int64
-	PostingsRead    atomic.Int64
+	// PrunedTotal counts the ids the searches' count filter dropped
+	// (invindex.SearchStats.Pruned): they reached T, not their own bound.
+	PrunedTotal  atomic.Int64
+	PostingsRead atomic.Int64
 	// VerifiedTotal counts candidates that survived the global
 	// verification Select above an index subtree.
 	VerifiedTotal atomic.Int64
@@ -956,7 +960,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	keyEval, tEval := evals[0], evals[1]
-	dv, ds, ixName := op.Dataverse, op.Dataset, op.IndexName
+	dv, ds, ixName, bound := op.Dataverse, op.Dataset, op.IndexName, op.Bound
 	c := g.c
 	counters, algo := g.counters, g.tOccAlgo
 	node := g.job.Add("SecondaryIndexSearch("+ixName+")", g.parts, func() hyracks.Operator {
@@ -988,7 +992,8 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 				if err != nil {
 					return err
 				}
-				pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, int(tNum), algo, counters)
+				b := bound.Bounds(len(tokens), int(tNum))
+				pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, b, algo, counters)
 				if err != nil {
 					return err
 				}
@@ -1163,24 +1168,25 @@ func decodeRecord(val []byte, keep adm.KeepSet) (adm.Value, error) {
 	return rec, err
 }
 
-// searchIndex runs a T-occurrence search on the local partition of an
-// inverted index, returning candidate keys as raw-key string values in
-// sorted order.
-func (c *Cluster) searchIndex(dv, ds, ixName string, part int, tokens []string, t int, algo invindex.Algorithm, counters *QueryCounters) ([]adm.Value, error) {
+// searchIndex runs a bounded T-occurrence search on the local partition
+// of an inverted index, returning candidate keys as raw-key string
+// values in sorted order.
+func (c *Cluster) searchIndex(dv, ds, ixName string, part int, tokens []string, b sim.Bounds, algo invindex.Algorithm, counters *QueryCounters) ([]adm.Value, error) {
 	node := c.nodeOfPartition(part)
 	inv, err := node.invIndex(dv, ds, ixName, part)
 	if err != nil {
 		return nil, err
 	}
-	pks, stats, err := inv.Search(tokens, t, algo)
+	pks, stats, err := inv.SearchBounded(tokens, b, algo)
 	if err != nil {
 		return nil, err
 	}
 	if counters != nil {
 		counters.IndexSearches.Add(1)
 		counters.CandidatesTotal.Add(int64(stats.Candidates))
+		counters.PrunedTotal.Add(int64(stats.Pruned))
 		counters.PostingsRead.Add(stats.PostingsRead)
-		counters.noteOccurrenceT(int64(t))
+		counters.noteOccurrenceT(int64(stats.T))
 	}
 	out := make([]adm.Value, len(pks))
 	for i, pk := range pks {

@@ -96,6 +96,8 @@ func (c *Cluster) logSlowQuery(qid uint64, src string, wallNs int64, res *Result
 		if st.IndexSearches > 0 {
 			kv = append(kv,
 				"occurrence_t", st.OccurrenceT,
+				"postings", st.PostingsRead,
+				"pruned", st.PrunedTotal,
 				"candidates", st.CandidatesTotal,
 				"verified", st.VerifiedTotal,
 			)

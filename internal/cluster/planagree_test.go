@@ -312,7 +312,7 @@ func TestExplainShowsLookupProjection(t *testing.T) {
     #2 select (ge(similarity-jaccard(word-tokens(field-access($2, "summary")), ["the", "great", "product", "of", "love"]), 0.5))
       #3 primary-index-lookup Default.ARevs pk=$4 -> $1,$2 project:[id, reviewerName, summary] filter:[similarity-jaccard(word-tokens(summary), ["the", "great", "product", "of", "love"]) >= 0.5]
         #4 order $4 asc
-          #5 secondary-index-search Default.ARevs.xkw keys=["the#1", "great#1", "product#1", "of#1", "love#1"] T=3 -> $4
+          #5 secondary-index-search Default.ARevs.xkw keys=["the#1", "great#1", "product#1", "of#1", "love#1"] T=3 bound=jaccard(0.5) -> $4
             #6 empty-tuple-source
 `
 	if strings.TrimRight(got, "\n") != strings.TrimRight(golden, "\n") {

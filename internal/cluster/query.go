@@ -61,7 +61,10 @@ type QueryStats struct {
 
 	IndexSearches   int64
 	CandidatesTotal int64
-	PostingsRead    int64
+	// PrunedTotal counts the ids the index searches' count filter
+	// dropped after they reached T.
+	PrunedTotal  int64
+	PostingsRead int64
 	// VerifiedTotal counts index candidates that survived the global
 	// verification select; OccurrenceT is the largest T-occurrence
 	// threshold any index search used.
@@ -756,6 +759,7 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	stats.Spans = jstats.Spans
 	stats.IndexSearches = counters.IndexSearches.Load()
 	stats.CandidatesTotal = counters.CandidatesTotal.Load()
+	stats.PrunedTotal = counters.PrunedTotal.Load()
 	stats.PostingsRead = counters.PostingsRead.Load()
 	stats.VerifiedTotal = counters.VerifiedTotal.Load()
 	stats.OccurrenceT = counters.OccurrenceT.Load()

@@ -103,6 +103,7 @@ type cancelReq struct {
 type counterVals struct {
 	IndexSearches   int64 `json:"index_searches"`
 	CandidatesTotal int64 `json:"candidates"`
+	PrunedTotal     int64 `json:"pruned"`
 	PostingsRead    int64 `json:"postings_read"`
 	VerifiedTotal   int64 `json:"verified"`
 	OccurrenceT     int64 `json:"occurrence_t"`
@@ -112,6 +113,7 @@ func loadCounters(c *QueryCounters) counterVals {
 	return counterVals{
 		IndexSearches:   c.IndexSearches.Load(),
 		CandidatesTotal: c.CandidatesTotal.Load(),
+		PrunedTotal:     c.PrunedTotal.Load(),
 		PostingsRead:    c.PostingsRead.Load(),
 		VerifiedTotal:   c.VerifiedTotal.Load(),
 		OccurrenceT:     c.OccurrenceT.Load(),
@@ -123,6 +125,7 @@ func loadCounters(c *QueryCounters) counterVals {
 func mergeCounters(dst *QueryCounters, v counterVals) {
 	dst.IndexSearches.Add(v.IndexSearches)
 	dst.CandidatesTotal.Add(v.CandidatesTotal)
+	dst.PrunedTotal.Add(v.PrunedTotal)
 	dst.PostingsRead.Add(v.PostingsRead)
 	dst.VerifiedTotal.Add(v.VerifiedTotal)
 	dst.noteOccurrenceT(v.OccurrenceT)

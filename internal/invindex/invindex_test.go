@@ -1,9 +1,11 @@
 package invindex
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,28 +137,18 @@ func TestRemove(t *testing.T) {
 
 func TestBulkLoad(t *testing.T) {
 	ix := newTestIndex(t)
-	type pair struct {
-		tok string
-		pk  PK
-	}
-	var pairs []pair
+	var keys [][]byte
 	for id := int64(0); id < 50; id++ {
-		pairs = append(pairs, pair{fmt.Sprintf("t%02d", id%7), pkOf(id)})
+		keys = append(keys, ix.EntryKeys([]string{fmt.Sprintf("t%02d", id%7)}, pkOf(id))...)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].tok != pairs[j].tok {
-			return pairs[i].tok < pairs[j].tok
-		}
-		return pairs[i].pk < pairs[j].pk
-	})
+	slices.SortFunc(keys, bytes.Compare)
 	i := 0
-	err := ix.BulkLoad(func() (string, PK, bool, error) {
-		if i >= len(pairs) {
-			return "", "", false, nil
+	err := ix.BulkLoad(func() ([]byte, bool, error) {
+		if i >= len(keys) {
+			return nil, false, nil
 		}
-		p := pairs[i]
 		i++
-		return p.tok, p.pk, true, nil
+		return keys[i-1], true, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"simdb/internal/sim"
 	"simdb/internal/storage"
 )
 
@@ -15,15 +16,16 @@ import (
 // cursors: a skip that crosses a page never reads the pages in between,
 // and a list the search is done with is not read to its end.
 
-// postings is one token's posting list read forward in pk order. A list
-// starts before its first posting: next or seekGE moves onto one. pk is
-// valid while the list stays on a posting; the bytes stay valid after it
-// moves on.
+// postings is one token's posting list read forward in id order: an id
+// is len ‖ pk in an index (a length byte and a primary key), a plain pk
+// in an in-memory list. A list starts before its first posting: next or
+// seekGE moves onto one. pk, the id, is valid while the list stays on a
+// posting; the bytes stay valid after it moves on.
 type postings interface {
 	next() bool
-	// seekGE moves forward to the first posting >= pk; a pk at or before
+	// seekGE moves forward to the first posting >= id; an id at or before
 	// the current posting leaves the list where it is.
-	seekGE(pk []byte) bool
+	seekGE(id []byte) bool
 	pk() []byte
 	// sizeHint estimates the list's length, exactly for a list that is
 	// shorter than a page, reading no page but the one the list's first
@@ -33,22 +35,21 @@ type postings interface {
 }
 
 // treePostings reads a token's postings through a storage cursor over
-// the token's key range; a posting is the key minus the token prefix.
+// the token's key range; a posting's id is the key minus the token
+// prefix.
 type treePostings struct {
 	cur    *storage.Cursor
-	prefix []byte // the token's key prefix, the start of the cursor's range
-	seek   []byte // scratch: prefix followed by the seek target
+	prefix int      // the length of the token's key prefix
+	seek   []byte   // scratch: the prefix, then the seek target
+	room   [48]byte // seek's first backing array: a prefix and an id fit
 }
 
 func (p *treePostings) next() bool      { return p.cur.Next() }
-func (p *treePostings) pk() []byte      { return p.cur.Key()[len(p.prefix):] }
+func (p *treePostings) pk() []byte      { return p.cur.Key()[p.prefix:] }
 func (p *treePostings) sizeHint() int64 { return p.cur.SizeHint() }
 
-func (p *treePostings) seekGE(pk []byte) bool {
-	if p.seek == nil {
-		p.seek = append(make([]byte, 0, len(p.prefix)+2*len(pk)), p.prefix...)
-	}
-	p.seek = append(p.seek[:len(p.prefix)], pk...)
+func (p *treePostings) seekGE(id []byte) bool {
+	p.seek = append(p.seek[:p.prefix], id...)
 	return p.cur.SeekGE(p.seek)
 }
 
@@ -148,31 +149,72 @@ func (h *frontierHeap) fixTop(ok bool) {
 	}
 }
 
-// solve runs algo over the lists and returns every pk on at least t of
-// them, in sorted order.
-func solve(lists []postings, t int, algo Algorithm) []PK {
-	if t <= 0 || t > len(lists) {
-		return nil
+// threshold is the count an id must reach: the bound's Need of the
+// token count in the id's length byte. A list is ordered by length, so
+// the ids of one length come in runs and Need is computed once a run.
+type threshold struct {
+	b    sim.Bounds
+	min  int  // Need at the smallest length searched: the search's T
+	flat bool // every id needs min and carries no length that is read
+	l, n int  // the length byte last seen and its Need
+}
+
+// newThreshold is the threshold of a search under b from length byte
+// lo up. The top byte stands for lengthBucket or more, and Need at
+// lengthBucket is the least of those.
+func newThreshold(b sim.Bounds, lo byte) threshold {
+	n := b.Need(int(lo))
+	return threshold{b: b, min: n, flat: b.Flat(), l: int(lo), n: n}
+}
+
+// of returns the count id must reach.
+func (th *threshold) of(id []byte) int {
+	if th.flat {
+		return th.min
 	}
-	var out []PK
+	if l := int(id[0]); l != th.l {
+		th.l, th.n = l, th.b.Need(l)
+	}
+	return th.n
+}
+
+// solve runs algo over the lists and returns, in id order, every id on
+// at least th.of(id) of them, and how many ids reached th.min without
+// reaching that (SearchStats.Pruned).
+func solve(lists []postings, th *threshold, algo Algorithm) (ids []PK, pruned int) {
+	if th.min <= 0 || th.min > len(lists) {
+		return nil, 0
+	}
+	keep := func(id []byte, count, need int) {
+		if count >= need {
+			ids = append(ids, PK(id))
+		} else if count >= th.min {
+			pruned++
+		}
+	}
 	switch algo {
 	case DivideSkip:
-		divideSkip(lists, t, func(pk []byte) { out = append(out, PK(pk)) })
+		divideSkip(lists, th, keep)
 	default:
-		mergeCount(lists, t, algo == MergeSkip, func(pk []byte, _ int) { out = append(out, PK(pk)) })
+		mergeCount(lists, th, 0, algo == MergeSkip, func(id []byte, count int) {
+			keep(id, count, th.of(id))
+		})
 	}
-	return out
+	return ids, pruned
 }
 
 // mergeCount is the heap merge both ScanCount and MergeSkip are: the
-// lists standing on the smallest pk move on by one posting each, which
-// counts it, and emit is called for every pk on at least t lists, in pk
-// order, with the exact count. Without skip that is all, and every
-// posting is read — ScanCount. With skip, a pk that fell short takes the
-// t-1 smallest frontiers off the heap and seeks them to the smallest pk
-// left on it, since nothing below that can still reach t, and the merge
-// ends once fewer than t lists have postings left — MergeSkip.
-func mergeCount(lists []postings, t int, skip bool, emit func(pk []byte, count int)) {
+// lists standing on the smallest id move on by one posting each, which
+// counts it, and emit is called, in id order and with the exact count,
+// for every id on at least th.min-slack lists — slack is what other
+// lists may still add. Without skip that is all, and every posting is
+// read — ScanCount. With skip, an id that fell short of t =
+// th.of(id)-slack takes the t-1 smallest frontiers off the heap and
+// seeks them to the smallest id left on it, since every id below that
+// is at least as long, so needs at least t, and is on at most t-1
+// lists; and the merge ends once fewer than t lists have postings left
+// — MergeSkip.
+func mergeCount(lists []postings, th *threshold, slack int, skip bool, emit func(id []byte, count int)) {
 	h := make(frontierHeap, 0, len(lists))
 	for _, l := range lists {
 		if l.next() {
@@ -180,17 +222,20 @@ func mergeCount(lists []postings, t int, skip bool, emit func(pk []byte, count i
 		}
 	}
 	var popped []frontier
-	for len(h) > 0 && (!skip || len(h) >= t) {
-		pk, count := h[0].pk, 0
-		for len(h) > 0 && bytes.Equal(h[0].pk, pk) {
+	for len(h) > 0 {
+		id, count := h[0].pk, 0
+		t := th.of(id) - slack
+		if skip && len(h) < t {
+			return
+		}
+		for len(h) > 0 && bytes.Equal(h[0].pk, id) {
 			count++
 			h.fixTop(h[0].list.next())
 		}
-		if count >= t {
-			emit(pk, count)
-			continue
+		if count >= th.min-slack {
+			emit(id, count)
 		}
-		if !skip || len(h) < t {
+		if count >= t || !skip || len(h) < t {
 			continue
 		}
 		// The heap holds at least t lists, so t-1 come off it and its top
@@ -214,13 +259,16 @@ func mergeCount(lists []postings, t int, skip bool, emit func(pk []byte, count i
 const divideSkipMu = 0.01
 
 // divideSkip sets the L lists with the largest size hints aside as
-// "long", runs MergeSkip over the rest with threshold T-L, and completes
-// each candidate's count by seeking the long lists to it — they are
-// probed, never merged, so what lies between two candidates is skipped.
-// Correct because a pk on fewer than T-L short lists can gather at most
-// L < T total occurrences; candidates arrive in pk order, so the probes
-// only move forward. At T = 1 no list is long and this is a plain merge.
-func divideSkip(lists []postings, t int, emit func(pk []byte)) {
+// "long", runs MergeSkip over the rest with threshold Need-L, and
+// completes each candidate's count by seeking the long lists to it —
+// they are probed, never merged, so what lies between two candidates is
+// skipped. Correct because an id on fewer than Need-L short lists can
+// gather at most L more; candidates arrive in id order, so the probes
+// only move forward. L comes from T = th.min, the least Need, so that
+// L < Need for every id. At T = 1 no list is long and this is a plain
+// merge.
+func divideSkip(lists []postings, th *threshold, keep func(id []byte, count, need int)) {
+	t := th.min
 	// Longest hint first; an insertion sort, stable, over a dozen lists.
 	hints := make([]int64, len(lists))
 	for i, l := range lists {
@@ -240,16 +288,16 @@ func divideSkip(lists []postings, t int, emit func(pk []byte)) {
 		l = min(l, int(float64(t)/(divideSkipMu*math.Log2(float64(longest))+1)))
 	}
 	long, short := lists[:l], lists[l:]
-	mergeCount(short, t-l, true, func(pk []byte, count int) {
+	mergeCount(short, th, l, true, func(id []byte, count int) {
 		// Shortest long list first: it is the likeliest to miss, and a
-		// candidate that can no longer reach t leaves the longer ones alone.
-		for i := len(long) - 1; i >= 0 && count < t && count+i+1 >= t; i-- {
-			if long[i].seekGE(pk) && bytes.Equal(long[i].pk(), pk) {
+		// candidate that can no longer reach its Need leaves the longer
+		// ones alone.
+		need := th.of(id)
+		for i := len(long) - 1; i >= 0 && count < need && count+i+1 >= need; i-- {
+			if long[i].seekGE(id) && bytes.Equal(long[i].pk(), id) {
 				count++
 			}
 		}
-		if count >= t {
-			emit(pk)
-		}
+		keep(id, count, need)
 	})
 }

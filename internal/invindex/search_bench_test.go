@@ -6,18 +6,21 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/datagen"
+	"simdb/internal/sim"
 	"simdb/internal/storage"
 	"simdb/internal/tokenizer"
 )
 
 // canonShape is one of the four query shapes of the canonical selection
 // workload: which index it searches, which stored value supplies the
-// query tokens, and the occurrence threshold.
+// query tokens, the occurrence threshold, and the bounds the engine
+// searches it under.
 type canonShape struct {
-	name  string
-	gram  bool
-	value string
-	t     int
+	name   string
+	gram   bool
+	value  string
+	t      int
+	bounds sim.Bounds
 }
 
 // canonIndexes builds a flushed keyword index over the summaries and a
@@ -74,10 +77,10 @@ func canonIndexes(tb testing.TB, n int) (kw, ng *Index, shapes []canonShape) {
 		tb.Fatalf("no 4-token summary (%q) or 11-gram name (%q) in the data", summary, name)
 	}
 	return kw, ng, []canonShape{
-		{"jaccard_08", false, summary, 4},
-		{"jaccard_05", false, summary, 2},
-		{"ed_1", true, name, 9},
-		{"ed_2", true, name, 7},
+		{"jaccard_08", false, summary, 4, sim.JaccardBounds(4, 0.8)},
+		{"jaccard_05", false, summary, 2, sim.JaccardBounds(4, 0.5)},
+		{"ed_1", true, name, 9, sim.EditDistanceBounds(11, 1, 2)},
+		{"ed_2", true, name, 7, sim.EditDistanceBounds(11, 2, 2)},
 	}
 }
 
@@ -103,49 +106,74 @@ func (s canonShape) index(kw, ng *Index) *Index {
 	return kw
 }
 
-// searchCeiling is what a warm Search of each CANON shape may cost under
-// the default solver, over 5000 records. allocs is dominated by the
-// answer itself — one string per candidate — and the rest is a dozen
-// allocations of per-search scratch sized by the token count. postings
-// is the work: the postings the solver decoded (SearchStats.PostingsRead),
-// which depends on how a seek searches a page and on how exactly the
-// size hints rank the lists. Both repeat exactly and may only move down:
-// a change that raises allocs has put an allocation on the per-posting
-// path, one that raises postings decodes more to find the same answer.
+// searchCeiling is what a warm search of each CANON shape may cost
+// under the default solver, over 5000 records: the bounded search the
+// engine runs (SearchBounded under the shape's bounds), and, under
+// "<shape>/plain", the plain Search at the shape's T that contains(),
+// btree probes and the benchmark harness run — the whole length range
+// with need ≡ T. allocs is dominated by the answer itself — one string
+// per candidate — and the rest is a dozen allocations of per-search
+// scratch sized by the token count. postings is the work: the postings
+// the solver decoded (SearchStats.PostingsRead), which depends on how a
+// seek searches a page, on how exactly the size hints rank the lists,
+// and on the length range the bounds admit. candidates is what the
+// filters leave for the primary lookup to fetch and verify. All three
+// repeat exactly and may only move down: a change that raises allocs
+// has put an allocation on the per-posting path, one that raises
+// postings decodes more to find the same answer, one that raises
+// candidates prunes less.
 var searchCeiling = map[string]struct {
-	allocs   float64
-	postings int64
+	allocs     float64
+	postings   int64
+	candidates int
 }{
-	"jaccard_08": {19, 74},    // 1 candidate
-	"jaccard_05": {406, 2943}, // 381 candidates
-	"ed_1":       {31, 1004},  // 5 candidates
-	"ed_2":       {30, 1672},  // 7 candidates
+	"jaccard_08":       {17, 45, 1},
+	"jaccard_05":       {50, 766, 27},
+	"ed_1":             {23, 423, 4},
+	"ed_2":             {27, 839, 6},
+	"jaccard_08/plain": {17, 67, 1},
+	"jaccard_05/plain": {406, 2870, 381},
+	"ed_1/plain":       {24, 914, 5},
+	"ed_2/plain":       {26, 1591, 7},
 }
 
 func TestSearchAllocationCeiling(t *testing.T) {
 	kw, ng, shapes := canonIndexes(t, 5000)
 	for _, s := range shapes {
 		ix, toks := s.index(kw, ng), s.tokens()
-		var cands int
-		var stats SearchStats
-		allocs := testing.AllocsPerRun(20, func() {
-			pks, st, err := ix.Search(toks, s.t, DivideSkip)
-			if err != nil {
-				t.Fatal(err)
+		for _, plain := range []bool{false, true} {
+			name, search := s.name, func() ([]PK, SearchStats, error) {
+				return ix.SearchBounded(toks, s.bounds, DivideSkip)
 			}
-			cands, stats = len(pks), st
-		})
-		t.Logf("%s: %d tokens, T=%d: %.0f allocations and %d postings for %d candidates",
-			s.name, len(toks), s.t, allocs, stats.PostingsRead, cands)
-		if cands == 0 {
-			t.Errorf("%s: no candidates: the shape searches nothing", s.name)
-		}
-		ceiling := searchCeiling[s.name]
-		if allocs > ceiling.allocs {
-			t.Errorf("%s: %.0f allocations per warm Search, ceiling %.0f", s.name, allocs, ceiling.allocs)
-		}
-		if stats.PostingsRead > ceiling.postings {
-			t.Errorf("%s: %d postings decoded per Search, ceiling %d", s.name, stats.PostingsRead, ceiling.postings)
+			if plain {
+				name, search = s.name+"/plain", func() ([]PK, SearchStats, error) {
+					return ix.Search(toks, s.t, DivideSkip)
+				}
+			}
+			var cands int
+			var stats SearchStats
+			allocs := testing.AllocsPerRun(20, func() {
+				pks, st, err := search()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cands, stats = len(pks), st
+			})
+			t.Logf("%s: %d tokens, T=%d: %.0f allocations and %d postings for %d candidates (%d pruned)",
+				name, len(toks), s.t, allocs, stats.PostingsRead, cands, stats.Pruned)
+			if cands == 0 {
+				t.Errorf("%s: no candidates: the shape searches nothing", name)
+			}
+			ceiling := searchCeiling[name]
+			if allocs > ceiling.allocs {
+				t.Errorf("%s: %.0f allocations per warm search, ceiling %.0f", name, allocs, ceiling.allocs)
+			}
+			if stats.PostingsRead > ceiling.postings {
+				t.Errorf("%s: %d postings decoded per search, ceiling %d", name, stats.PostingsRead, ceiling.postings)
+			}
+			if cands > ceiling.candidates {
+				t.Errorf("%s: %d candidates per search, ceiling %d", name, cands, ceiling.candidates)
+			}
 		}
 	}
 }
@@ -159,12 +187,13 @@ func benchmarkSearch(b *testing.B, algo Algorithm) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if _, stats, err = ix.Search(toks, s.t, algo); err != nil {
+				if _, stats, err = ix.SearchBounded(toks, s.bounds, algo); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(stats.PostingsRead), "postings/op")
 			b.ReportMetric(float64(stats.Candidates), "candidates/op")
+			b.ReportMetric(float64(stats.Pruned), "pruned/op")
 		})
 	}
 }

@@ -423,9 +423,12 @@ func TestSearchCorruptPage(t *testing.T) {
 	if len(files) != 3 {
 		t.Fatalf("component files: %v", files)
 	}
-	// Data pages fill the front of a component file: a run of 0xFF a third
-	// of the way in lands inside one and reads as a key length far past
-	// the page's end.
+	// Data pages fill the front of a component file, and "even"'s
+	// postings the first third of them, which every solver reads at T=2
+	// (at T=2 the skipping solvers jump over "every"'s one-token records,
+	// the middle third): a run of 0xFF a sixth of the way in lands inside
+	// one of "even"'s pages and reads as a key length far past the page's
+	// end.
 	info, err := os.Stat(files[1])
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +437,7 @@ func TestSearchCorruptPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte(strings.Repeat("\xff", 64)), info.Size()/3); err != nil {
+	if _, err := f.WriteAt([]byte(strings.Repeat("\xff", 64)), info.Size()/6); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -79,6 +79,7 @@ func indexSelectionRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			search.IndexName = ix.Name
 			search.KeyExpr = algebra.C(adm.NewStringList(tokens))
 			search.TExpr = algebra.CInt(int64(t))
+			search.Bound = algebra.SearchBound{Measure: sc.Fn, Threshold: sc.Threshold, GramLen: ix.GramLen}
 			search.OutVar = o.Alloc.New()
 
 			sort := algebra.NewOp(algebra.OpOrder, search)
@@ -197,7 +198,7 @@ func (o *Optimizer) tryContainsSelection(sel, scan *algebra.Op, conj algebra.Exp
 		o.noteCornerCase() // substring shorter than a gram: keep the scan
 		return false, nil
 	}
-	tokens := countedTokens(grams)
+	tokens := tokenizer.CountedStrings(grams)
 	search := algebra.NewOp(algebra.OpSecondarySearch, algebra.NewOp(algebra.OpEmpty))
 	search.Dataverse, search.Dataset = scan.Dataverse, scan.Dataset
 	search.IndexName = ix.Name
@@ -245,7 +246,7 @@ func compileTimeTokens(sc simCond, cval adm.Value, ix IndexMeta) (tokens []strin
 			return nil, 0, false, nil
 		}
 		// Counted form matches the index contents (multiset-safe).
-		return countedTokens(tokens), sim.TOccurrenceJaccard(len(tokens), sc.Threshold), true, nil
+		return tokenizer.CountedStrings(tokens), sim.TOccurrenceJaccard(len(tokens), sc.Threshold), true, nil
 	case "edit-distance":
 		if cval.Kind() != adm.KindString {
 			return nil, 0, false, nil
@@ -256,19 +257,9 @@ func compileTimeTokens(sc simCond, cval adm.Value, ix IndexMeta) (tokens []strin
 		if t <= 0 {
 			return nil, 0, false, nil // corner case
 		}
-		return countedTokens(tokens), t, true, nil
+		return tokenizer.CountedStrings(tokens), t, true, nil
 	}
 	return nil, 0, false, nil
-}
-
-// countedTokens renders the counted-token strings an index stores.
-func countedTokens(toks []string) []string {
-	counted := tokenizer.CountTokens(toks)
-	out := make([]string, len(counted))
-	for i, c := range counted {
-		out[i] = fmt.Sprintf("%s#%d", c.Token, c.Count)
-	}
-	return out
 }
 
 // replaceInput substitutes `from` with `to` anywhere in the subtree.
@@ -374,6 +365,7 @@ func (o *Optimizer) buildJaccardINLJ(join, outer, inner *algebra.Op, outerArg al
 	search.IndexName = ix.Name
 	search.KeyExpr = algebra.F("counted-tokens", algebra.V(keyVar))
 	search.TExpr = algebra.F("t-occurrence-jaccard", algebra.F("len", algebra.V(keyVar)), algebra.C(adm.NewDouble(sc.Threshold)))
+	search.Bound = algebra.SearchBound{Measure: sc.Fn, Threshold: sc.Threshold}
 	search.OutVar = o.Alloc.New()
 
 	sort := algebra.NewOp(algebra.OpOrder, search)
@@ -412,6 +404,7 @@ func (o *Optimizer) buildSurrogateINLJ(join, outer, inner *algebra.Op, outerArg 
 	search.IndexName = ix.Name
 	search.KeyExpr = algebra.F("counted-tokens", algebra.V(keyVar))
 	search.TExpr = algebra.F("t-occurrence-jaccard", algebra.F("len", algebra.V(keyVar)), algebra.C(adm.NewDouble(sc.Threshold)))
+	search.Bound = algebra.SearchBound{Measure: sc.Fn, Threshold: sc.Threshold}
 	search.OutVar = o.Alloc.New()
 
 	sort := algebra.NewOp(algebra.OpOrder, search)
@@ -485,6 +478,7 @@ func (o *Optimizer) buildEditDistanceINLJ(join, outer, inner *algebra.Op, outerA
 	search.IndexName = ix.Name
 	search.KeyExpr = algebra.F("counted-tokens", algebra.V(keyVar))
 	search.TExpr = algebra.V(tVar)
+	search.Bound = algebra.SearchBound{Measure: sc.Fn, Threshold: sc.Threshold, GramLen: ix.GramLen}
 	search.OutVar = o.Alloc.New()
 
 	sort := algebra.NewOp(algebra.OpOrder, search)

@@ -40,7 +40,7 @@ func JaccardCheck(a, b []string, delta float64) (float64, bool) {
 	if minLen > maxLen {
 		minLen, maxLen = maxLen, minLen
 	}
-	if float64(minLen) < delta*float64(maxLen)-1e-9 {
+	if float64(minLen) < delta*float64(maxLen)-jaccardEps {
 		return 0, false
 	}
 	// Required overlap o: o/(la+lb-o) >= delta  <=>  o >= delta/(1+delta)*(la+lb).
@@ -48,7 +48,7 @@ func JaccardCheck(a, b []string, delta float64) (float64, bool) {
 	// bound (e.g. 3.0000000000000004 must not become 4); the exact
 	// similarity test below still rejects any false positive this lets
 	// through.
-	required := int(math.Ceil(delta/(1+delta)*float64(la+lb) - 1e-9))
+	required := int(math.Ceil(delta/(1+delta)*float64(la+lb) - jaccardEps))
 	counts := make(map[string]int, la)
 	for _, t := range a {
 		counts[t]++
@@ -128,10 +128,10 @@ func (c *JaccardChecker) Check(cand [][]byte, delta float64) (float64, bool) {
 	if minLen > maxLen {
 		minLen, maxLen = maxLen, minLen
 	}
-	if float64(minLen) < delta*float64(maxLen)-1e-9 {
+	if float64(minLen) < delta*float64(maxLen)-jaccardEps {
 		return 0, false
 	}
-	required := int(math.Ceil(delta/(1+delta)*float64(la+lb) - 1e-9))
+	required := int(math.Ceil(delta/(1+delta)*float64(la+lb) - jaccardEps))
 	inter := c.intersect(cand, required)
 	if inter < required {
 		return 0, false

@@ -2,9 +2,11 @@ package storage
 
 import "encoding/binary"
 
-// Bloom filter over keys, one per on-disk component (AsterixDB attaches
-// a bloom filter to every LSM component so point lookups can skip
-// components that cannot contain the key).
+// Bloom filter over keys, one per on-disk component that is point-read
+// (AsterixDB attaches a bloom filter to every LSM component so point
+// lookups can skip components that cannot contain the key). Row trees
+// are the secondary indexes, which are only ever read by range, and
+// write none.
 
 // bloomBitsPerKey controls the false-positive rate; 10 bits/key gives
 // roughly 1% false positives with 7 hash functions.
@@ -42,7 +44,7 @@ func (b *Bloom) addHash(h1, h2 uint64) {
 }
 
 // bloomFromHashes builds the filter of the keys whose bloomHash values
-// hashes holds, two per key: what the component writers keep per key
+// hashes holds, two per key: what the columnar writer keeps per key
 // instead of a copy of it.
 func bloomFromHashes(hashes []uint64) *Bloom {
 	b := NewBloomBuilder(len(hashes) / 2)
@@ -53,7 +55,12 @@ func bloomFromHashes(hashes []uint64) *Bloom {
 }
 
 // MayContain reports whether the key may be present (no false negatives).
+// A nil filter, a component's that was written without one, may hold
+// every key.
 func (b *Bloom) MayContain(key []byte) bool {
+	if b == nil {
+		return true
+	}
 	h1, h2 := bloomHash(key)
 	n := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {
@@ -75,13 +82,22 @@ func (b *Bloom) marshal(dst []byte) []byte {
 	return append(dst, b.bits...)
 }
 
-// unmarshalBloom decodes a filter serialized by marshal.
+// noBloom is the filter section of a component written without a
+// filter, as the row writer writes every one: a header of no hash
+// functions and no bits.
+var noBloom = make([]byte, 8)
+
+// unmarshalBloom decodes a filter serialized by marshal; the noBloom
+// header decodes to the nil filter.
 func unmarshalBloom(buf []byte) (*Bloom, error) {
 	if len(buf) < 8 {
 		return nil, errCorrupt("bloom header")
 	}
 	k := binary.LittleEndian.Uint32(buf)
 	n := binary.LittleEndian.Uint32(buf[4:])
+	if k == 0 && n == 0 {
+		return nil, nil
+	}
 	// Writers size a filter for at least one key, two bytes; a shorter one
 	// would answer "absent" for every key and silently fail point reads.
 	if uint32(len(buf)-8) < n || n < 2 {

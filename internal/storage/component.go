@@ -80,7 +80,10 @@ const (
 )
 
 // ComponentWriter builds a version-3 (front-coded) row component file.
-// Add must be called with strictly increasing keys.
+// Add must be called with strictly increasing keys. Its filter section
+// is the noBloom header: row trees are the secondary indexes, read by
+// range only, while point reads go to the columnar primaries, so a
+// filter would be bytes no read consults.
 type ComponentWriter struct {
 	fs       VFS
 	f        File
@@ -95,7 +98,6 @@ type ComponentWriter struct {
 	off     int64
 	lastKey []byte
 	n       int64
-	hashes  []uint64 // each key's two bloomHash values, for the filter built at Finish
 	err     error
 }
 
@@ -154,8 +156,6 @@ func (cw *ComponentWriter) Add(key, value []byte) error {
 	cw.curN++
 	cw.n++
 	cw.lastKey = append(cw.lastKey[:0], key...)
-	h1, h2 := bloomHash(key)
-	cw.hashes = append(cw.hashes, h1, h2)
 	return nil
 }
 
@@ -234,8 +234,8 @@ func (cw *ComponentWriter) write(b []byte) {
 	}
 }
 
-// Finish flushes the final page, writes the page index, bloom filter,
-// and footer, and closes the file. The writer is unusable afterwards.
+// Finish flushes the final page, writes the page index, the noBloom
+// header and the footer, and closes the file. The writer is unusable afterwards.
 func (cw *ComponentWriter) Finish() error {
 	if cw.err != nil {
 		cw.f.Close()
@@ -255,9 +255,8 @@ func (cw *ComponentWriter) Finish() error {
 	cw.off += int64(len(idx))
 
 	bloomOff := cw.off
-	bl := bloomFromHashes(cw.hashes).marshal(nil)
-	cw.write(bl)
-	cw.off += int64(len(bl))
+	cw.write(noBloom)
+	cw.off += int64(len(noBloom))
 
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:], componentMagic)
@@ -769,10 +768,12 @@ func (c *Component) Get(key []byte) ([]byte, bool, error) {
 // The page is searched the same way whatever the component's version:
 // a binary search of the image's entry-offset table (pageIter.seek).
 func (c *Component) GetProjected(key []byte, proj *Projection) ([]byte, bool, error) {
-	bloomChecks.Inc()
-	if !c.bloom.MayContain(key) {
-		bloomNegatives.Inc()
-		return nil, false, nil
+	if c.bloom != nil {
+		bloomChecks.Inc()
+		if !c.bloom.MayContain(key) {
+			bloomNegatives.Inc()
+			return nil, false, nil
+		}
 	}
 	i := c.findPage(key)
 	if i < 0 {

@@ -289,15 +289,17 @@ func (c *Cursor) Stats() CursorStats { return c.stats }
 
 // SizeHint estimates the number of entries in the range; it is meant to
 // be asked before the cursor first moves, as a solver ranks its lists.
-// Memtable runs count exactly, and so does a component on which the
-// range lies inside one page: the hint loads that page — the one the
-// first move reads — for that move, and counts the range by two searches
-// of its image, leaving the source on the range's first entry. A longer
-// range, or any range once the cursor has moved or under a row filter,
-// counts the component's mean entries per page for every fence key
-// inside it, which orders long ranges before short ones. The page the
-// hint loads counts in Stats().Pages, and a failed read ends the cursor
-// (Err).
+// Memtable runs count exactly. On a component the hint counts the
+// range's entries on the page it starts on and on the page it ends on
+// by searches of their images, and adds the component's mean entries
+// per page for every page in between, so a range over one or two pages
+// is counted exactly and a longer one is off by its middle pages' spread
+// around the mean. The first page is the one the first move reads: the
+// hint loads it for that move and leaves the source at its start, as a
+// fresh load would. Any range once the cursor has moved, or under a row
+// filter, reads nothing and counts the mean for every fence key inside
+// it. The pages the hint reads count in Stats().Pages, and a failed read
+// ends the cursor (Err).
 func (c *Cursor) SizeHint() int64 {
 	var n int64
 	for i := range c.srcs {
@@ -310,23 +312,25 @@ func (c *Cursor) SizeHint() int64 {
 		if len(pages) == 0 {
 			continue // a merge that dropped every entry
 		}
+		perPage := s.comp.n / int64(len(pages))
 		p := max(s.comp.findPage(c.r.Start), 0)
-		inside := p+1 == len(pages) || c.r.End != nil && bytes.Compare(c.r.End, pages[p+1].firstKey) <= 0
-		if c.started || c.filter != nil || !inside {
-			last := len(pages) - 1
-			if c.r.End != nil {
-				last = s.comp.findPage(c.r.End)
-			}
-			n += int64(last-p) * s.comp.n / int64(len(pages))
+		last := len(pages) - 1
+		if c.r.End != nil {
+			last = s.comp.findPage(c.r.End)
+		}
+		if c.started || c.filter != nil {
+			n += int64(last-p) * perPage
 			continue
+		}
+		if c.r.End != nil && last > p && bytes.Equal(pages[last].firstKey, c.r.End) {
+			last-- // the range ends at a fence key: page last holds none of it
 		}
 		if !s.load(c, p) {
 			return n
 		}
 		lo, _ := s.it.search(c.r.Start, nil)
-		s.it.skipTo(lo)
 		hi := s.it.n
-		if c.r.End != nil {
+		if c.r.End != nil && last <= p {
 			hi, _ = s.it.search(c.r.End, nil)
 		}
 		if s.it.err != nil {
@@ -334,6 +338,29 @@ func (c *Cursor) SizeHint() int64 {
 			return n
 		}
 		n += int64(hi - lo)
+		if last <= p {
+			continue
+		}
+		n += int64(last-p-1) * perPage
+		page, err := s.comp.readPageView(last, c.proj)
+		it := pageIter{page: page}
+		if err == nil {
+			err = it.init()
+		}
+		if err != nil {
+			c.err = err
+			return n
+		}
+		c.stats.Pages++
+		hi = it.n
+		if c.r.End != nil {
+			hi, _ = it.search(c.r.End, nil)
+		}
+		if it.err != nil {
+			c.err = it.err
+			return n
+		}
+		n += int64(hi)
 	}
 	return n
 }

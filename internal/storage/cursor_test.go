@@ -558,7 +558,9 @@ func TestCompactionMatchesModel(t *testing.T) {
 // both ends on a stored key, just past one, or on the page's fence keys,
 // the last page's range also open above — is the number of entries the
 // component holds in it, tombstones included, and reads that one page.
-// A range across a fence key is estimated without a read.
+// A range over two pages is counted exactly from both, and a longer one
+// counts its end pages exactly and the component's mean for each page
+// between; either reads its two end pages.
 func TestSizeHintExactInsideAPage(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		tree := newTestLSM(t, LSMOptions{PageSize: 512, Columnar: columnar})
@@ -634,8 +636,28 @@ func TestSizeHintExactInsideAPage(t *testing.T) {
 			if len(pages) < 3 {
 				t.Fatalf("%d row pages: no range spans a fence key", len(pages))
 			}
-			if _, st := hint(KeyRange{Start: pages[0].firstKey, End: pages[2].firstKey}); st.Pages != 0 {
-				t.Errorf("a hint across a fence key read %d pages", st.Pages)
+			// A key from inside page p: the entries of the pages before
+			// it, and then half of page p's.
+			inside := func(p int) []byte {
+				j := sort.Search(len(stored), func(i int) bool { return bytes.Compare(stored[i], pages[p].firstKey) >= 0 })
+				k := sort.Search(len(stored), func(i int) bool {
+					return p+1 == len(pages) || bytes.Compare(stored[i], pages[p+1].firstKey) >= 0
+				})
+				return stored[(j+k)/2]
+			}
+			perPage := comp.n / int64(len(pages))
+			for _, tc := range []struct {
+				rng  KeyRange
+				want int64
+			}{
+				{KeyRange{Start: inside(0), End: inside(1)}, count(inside(0), inside(1))},
+				{KeyRange{Start: pages[0].firstKey, End: pages[2].firstKey}, count(pages[0].firstKey, pages[2].firstKey)},
+				{KeyRange{Start: inside(0), End: inside(2)}, count(inside(0), pages[1].firstKey) + perPage + count(pages[2].firstKey, inside(2))},
+			} {
+				if got, st := hint(tc.rng); got != tc.want || st.Pages != 2 {
+					t.Errorf("SizeHint [%q, %q) across a fence key = %d reading %d pages, want %d reading 2",
+						tc.rng.Start, tc.rng.End, got, st.Pages, tc.want)
+				}
 			}
 		}
 		snap.Close()

@@ -212,9 +212,10 @@ func rowFixtureEntries() [][2][]byte {
 // TestVersionOneComponentReads: a version-1 component, as stores written
 // before the front-coded format hold them, still opens and reads: every
 // page image is the one its entries make, a cursor yields the entries
-// and point reads find them. Rewriting it — what a merge does — writes
-// version 3, with the same pages and byte-identical images, and the same
-// bloom filter.
+// and point reads find them through its bloom filter. Rewriting it — what
+// a merge does — writes version 3, with the same pages and
+// byte-identical images, and no filter: point reads still find every
+// entry through the fence keys.
 func TestVersionOneComponentReads(t *testing.T) {
 	entries := rowFixtureEntries()
 	c, err := OpenComponent(filepath.Join("testdata", "rowv1.cmp"), NewBufferCache(1<<20, 256))
@@ -222,8 +223,9 @@ func TestVersionOneComponentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.version != componentVersionRow || len(c.pages) < 5 {
-		t.Fatalf("fixture: version %d, %d pages; want version 1, several pages", c.version, len(c.pages))
+	if c.version != componentVersionRow || len(c.pages) < 5 || c.bloom == nil {
+		t.Fatalf("fixture: version %d, %d pages, filter %v; want version 1, several pages, a filter",
+			c.version, len(c.pages), c.bloom != nil)
 	}
 	checkImages(t, c, entries, 256)
 	cur := componentCursor(c, nil, nil, nil)
@@ -264,8 +266,13 @@ func TestVersionOneComponentReads(t *testing.T) {
 		t.Fatalf("rewrite is version %d, want %d", c3.version, componentVersionFrontCoded)
 	}
 	checkImages(t, c3, entries, 256)
-	if !bytes.Equal(c3.bloom.marshal(nil), c.bloom.marshal(nil)) {
-		t.Error("the rewrite's bloom filter differs from the version-1 component's")
+	if c3.bloom != nil {
+		t.Error("the rewrite carries a bloom filter")
+	}
+	for _, e := range entries {
+		if v, ok, err := c3.Get(e[0]); err != nil || !ok || !bytes.Equal(v, e[1]) {
+			t.Fatalf("rewrite: Get(%x) = %x, %v, %v; want %x", e[0], v, ok, err, e[1])
+		}
 	}
 	if c3.size*2 > c.size {
 		t.Errorf("rewrite takes %d bytes, the version-1 component %d", c3.size, c.size)
@@ -274,10 +281,12 @@ func TestVersionOneComponentReads(t *testing.T) {
 
 // TestBloomWithoutBitsIsCorrupt: a component whose bloom header claims
 // no bits is rejected at open. Taken at its word, such a filter answers
-// "absent" for every key, and every point read would miss silently.
+// "absent" for every key, and every point read would miss silently. The
+// columnar writer is the one that writes a filter; only the no-filter
+// header (no hash functions as well as no bits) opens without one.
 func TestBloomWithoutBitsIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.cmp")
-	cw, err := NewComponentWriter(path, 64)
+	cw, err := NewColumnarComponentWriterFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +310,7 @@ func TestBloomWithoutBitsIsCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c, err := OpenComponent(path, NewBufferCache(1<<20, 64))
+		c, err := OpenComponent(path, NewBufferCache(1<<20, 4096))
 		if err == nil {
 			_, found, gerr := c.Get([]byte("k07"))
 			c.Close()
@@ -331,17 +340,87 @@ func TestPageIndexStaysInsideData(t *testing.T) {
 	}
 }
 
-// TestBloomSectionFromHashes: the filter the writers build from the keys'
-// hashes is the filter built by adding the keys themselves.
+// TestRowTreeWritesNoBloom: a row tree — an index — flushes components
+// that end with the no-filter header (no hash functions, no bits), which
+// open as the nil filter: every stored key is found through the fence
+// keys and an absent one is a miss, with no bloom check counted.
+func TestRowTreeWritesNoBloom(t *testing.T) {
+	dir := t.TempDir()
+	tree, err := OpenLSM(dir, LSMOptions{PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	for i := 0; i < 200; i++ {
+		if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.cmp"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("components %v, %v", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bloomOff := binary.LittleEndian.Uint64(data[len(data)-footerSize+28:])
+	if section := data[bloomOff : len(data)-footerSize]; !bytes.Equal(section, noBloom) {
+		t.Fatalf("bloom section %x, want the no-filter header", section)
+	}
+	c, err := OpenComponent(files[0], NewBufferCache(1<<20, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.bloom != nil {
+		t.Fatal("a component without a filter opened with one")
+	}
+	checks := bloomChecks.Load()
+	for i := 0; i < 200; i++ {
+		if _, ok, err := c.Get([]byte(fmt.Sprintf("k%03d", i))); !ok || err != nil {
+			t.Fatalf("Get(k%03d) = %v, %v", i, ok, err)
+		}
+	}
+	if _, ok, err := c.Get([]byte("k2000")); ok || err != nil {
+		t.Fatalf("Get of an absent key = %v, %v", ok, err)
+	}
+	if n := bloomChecks.Load() - checks; n != 0 {
+		t.Errorf("%d bloom checks counted on a component without a filter", n)
+	}
+}
+
+// TestBloomSectionFromHashes: the filter the columnar writer builds from
+// the keys' hashes is the filter built by adding the keys themselves.
 func TestBloomSectionFromHashes(t *testing.T) {
 	entries := randomEntries(rand.New(rand.NewSource(5)), 300)
 	want := NewBloomBuilder(len(entries))
 	for _, e := range entries {
 		want.Add(e[0])
 	}
-	c := writeRowComponent(t, entries, 512)
+	path := filepath.Join(t.TempDir(), "c.cmp")
+	cw, err := NewColumnarComponentWriterFS(OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := cw.Add(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenComponent(path, NewBufferCache(1<<20, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	if !bytes.Equal(c.bloom.marshal(nil), want.marshal(nil)) {
-		t.Fatal("the row writer's bloom filter is not the one the keys make")
+		t.Fatal("the columnar writer's bloom filter is not the one the keys make")
 	}
 }
 

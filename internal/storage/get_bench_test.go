@@ -15,8 +15,8 @@ import (
 // searched through its image's entry-offset table; probes/op is the
 // keys one read compares (storage.get.probes). Hits cycle through the
 // stored keys; misses are keys that fall between stored ones, with the
-// bloom filter saturated so that every miss searches a page instead of
-// stopping at the filter. CI runs it once per case as a smoke test
+// columnar bloom filter saturated (a row component has none) so that
+// every miss searches a page instead of stopping at the filter. CI runs it once per case as a smoke test
 // (-benchtime=1x).
 func BenchmarkComponentGet(b *testing.B) {
 	const n = colMaxGroupRows

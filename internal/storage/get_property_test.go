@@ -101,9 +101,10 @@ func TestGetMatchesScanProperty(t *testing.T) {
 }
 
 // openTestComponent writes keys (sorted) with their values into a
-// component of the given format and opens it with the bloom filter
-// saturated, so that reads of absent keys search a page instead of
-// stopping at the filter. The caller closes it.
+// component of the given format and opens it with the columnar writer's
+// bloom filter saturated (the row writer writes none), so that reads of
+// absent keys search a page instead of stopping at the filter. The
+// caller closes it.
 func openTestComponent(tb testing.TB, columnar bool, keys [][]byte, val func(i int) []byte) *Component {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "c.cmp")
@@ -129,8 +130,10 @@ func openTestComponent(tb testing.TB, columnar bool, keys [][]byte, val func(i i
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := range c.bloom.bits {
-		c.bloom.bits[i] = 0xFF
+	if c.bloom != nil {
+		for i := range c.bloom.bits {
+			c.bloom.bits[i] = 0xFF
+		}
 	}
 	return c
 }

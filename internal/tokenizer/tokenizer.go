@@ -6,6 +6,7 @@
 package tokenizer
 
 import (
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -166,6 +167,16 @@ func dedupe(tokens []string) []string {
 type CountedToken struct {
 	Token string
 	Count int
+}
+
+// CountedStrings renders tokens in the counted form an inverted index
+// stores: "tok#1", "tok#2", ....
+func CountedStrings(tokens []string) []string {
+	out := make([]string, len(tokens))
+	for i, c := range CountTokens(tokens) {
+		out[i] = c.Token + "#" + strconv.Itoa(c.Count)
+	}
+	return out
 }
 
 // CountTokens converts a token multiset into counted (set) form,
