@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -63,15 +64,27 @@ func (k Kind) String() string {
 // Value is a single ADM value. The zero Value is null. Values are
 // immutable by convention: callers must not modify a list or record
 // after constructing a Value from it.
+//
+// A Value is a 24-byte tagged word with one pointer for the collector
+// to scan: n holds a boolean, the int64, or the float64 bits, or the
+// length of a string or list; p points to the string's bytes, the
+// list's first element, or the *Record. Only the six accessors below
+// (str, elems, rec, boolean, integer, double) read the payload. Values
+// are not comparable with ==; compare them with Compare, not with
+// reflect.DeepEqual, which would compare payload addresses.
 type Value struct {
-	kind  Kind
-	b     bool
-	i     int64
-	f     float64
-	s     string
-	elems []Value // list / bag elements
-	rec   *Record
+	_    [0]func() // not comparable
+	p    unsafe.Pointer
+	n    uint64
+	kind Kind
 }
+
+func (v Value) str() string     { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) elems() []Value  { return unsafe.Slice((*Value)(v.p), int(v.n)) }
+func (v Value) rec() *Record    { return (*Record)(v.p) }
+func (v Value) boolean() bool   { return v.n != 0 }
+func (v Value) integer() int64  { return int64(v.n) }
+func (v Value) double() float64 { return math.Float64frombits(v.n) }
 
 // Record is an ordered collection of (field name, value) pairs with
 // unique names. Field order is the insertion order; comparisons and
@@ -85,25 +98,36 @@ type Record struct {
 var Null = Value{kind: KindNull}
 
 // NewBool returns a boolean value.
-func NewBool(b bool) Value { return Value{kind: KindBool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // NewInt returns an int64 value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewDouble returns a double value.
-func NewDouble(f float64) Value { return Value{kind: KindDouble, f: f} }
+func NewDouble(f float64) Value { return Value{kind: KindDouble, n: math.Float64bits(f)} }
 
 // NewString returns a string value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+func NewString(s string) Value {
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // NewList returns an ordered list value wrapping elems (not copied).
-func NewList(elems []Value) Value { return Value{kind: KindList, elems: elems} }
+func NewList(elems []Value) Value { return newElems(KindList, elems) }
 
 // NewBag returns an unordered list (bag) value wrapping elems (not copied).
-func NewBag(elems []Value) Value { return Value{kind: KindBag, elems: elems} }
+func NewBag(elems []Value) Value { return newElems(KindBag, elems) }
+
+func newElems(k Kind, elems []Value) Value {
+	return Value{kind: k, p: unsafe.Pointer(unsafe.SliceData(elems)), n: uint64(len(elems))}
+}
 
 // NewRecord returns a record value wrapping rec.
-func NewRecord(rec *Record) Value { return Value{kind: KindRecord, rec: rec} }
+func NewRecord(rec *Record) Value { return Value{kind: KindRecord, p: unsafe.Pointer(rec)} }
 
 // NewStringList returns an ordered list of string values.
 func NewStringList(ss []string) Value {
@@ -123,40 +147,41 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // Bool returns the boolean payload; it panics on other kinds.
 func (v Value) Bool() bool {
 	v.check(KindBool)
-	return v.b
+	return v.boolean()
 }
 
 // Int returns the int64 payload; it panics on other kinds.
 func (v Value) Int() int64 {
 	v.check(KindInt)
-	return v.i
+	return v.integer()
 }
 
 // Double returns the double payload; it panics on other kinds.
 func (v Value) Double() float64 {
 	v.check(KindDouble)
-	return v.f
+	return v.double()
 }
 
 // Str returns the string payload; it panics on other kinds.
 func (v Value) Str() string {
 	v.check(KindString)
-	return v.s
+	return v.str()
 }
 
 // Elems returns the elements of a list or bag; it panics on other kinds.
-// Callers must not modify the returned slice.
+// Callers must not modify the returned slice. Its capacity is its
+// length, so an append onto it copies.
 func (v Value) Elems() []Value {
 	if v.kind != KindList && v.kind != KindBag {
 		panic(fmt.Sprintf("adm: Elems on %v value", v.kind))
 	}
-	return v.elems
+	return v.elems()
 }
 
 // Rec returns the record payload; it panics on other kinds.
 func (v Value) Rec() *Record {
 	v.check(KindRecord)
-	return v.rec
+	return v.rec()
 }
 
 // Num returns the value as a float64 for numeric kinds (int, double)
@@ -164,9 +189,9 @@ func (v Value) Rec() *Record {
 func (v Value) Num() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.integer()), true
 	case KindDouble:
-		return v.f, true
+		return v.double(), true
 	}
 	return 0, false
 }
@@ -227,7 +252,7 @@ func (r *Record) GetPath(path string) (Value, bool) {
 		if cur.kind != KindRecord {
 			return Null, false
 		}
-		v, ok := cur.rec.Get(name)
+		v, ok := cur.rec().Get(name)
 		if !ok {
 			return Null, false
 		}
@@ -273,28 +298,29 @@ func (v Value) appendTo(b *strings.Builder) {
 	case KindNull:
 		b.WriteString("null")
 	case KindBool:
-		b.WriteString(strconv.FormatBool(v.b))
+		b.WriteString(strconv.FormatBool(v.boolean()))
 	case KindInt:
-		b.WriteString(strconv.FormatInt(v.i, 10))
+		b.WriteString(strconv.FormatInt(v.integer(), 10))
 	case KindDouble:
-		if math.IsInf(v.f, 0) || math.IsNaN(v.f) {
-			fmt.Fprintf(b, "%q", fmt.Sprint(v.f))
+		f := v.double()
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			fmt.Fprintf(b, "%q", fmt.Sprint(f))
 			return
 		}
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		s := strconv.FormatFloat(f, 'g', -1, 64)
 		b.WriteString(s)
 		if !strings.ContainsAny(s, ".eE") {
 			b.WriteString(".0")
 		}
 	case KindString:
-		b.WriteString(strconv.Quote(v.s))
+		b.WriteString(strconv.Quote(v.str()))
 	case KindList, KindBag:
 		open, close := "[", "]"
 		if v.kind == KindBag {
 			open, close = "{{", "}}"
 		}
 		b.WriteString(open)
-		for i, e := range v.elems {
+		for i, e := range v.elems() {
 			if i > 0 {
 				b.WriteString(", ")
 			}
@@ -303,11 +329,12 @@ func (v Value) appendTo(b *strings.Builder) {
 		b.WriteString(close)
 	case KindRecord:
 		b.WriteByte('{')
-		for i := 0; i < v.rec.Len(); i++ {
+		r := v.rec()
+		for i := 0; i < r.Len(); i++ {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			n, fv := v.rec.FieldAt(i)
+			n, fv := r.FieldAt(i)
 			b.WriteString(strconv.Quote(n))
 			b.WriteString(": ")
 			fv.appendTo(b)

@@ -22,23 +22,23 @@ func Compare(a, b Value) int {
 	case KindNull:
 		return 0
 	case KindBool:
-		if a.b == b.b {
+		if a.boolean() == b.boolean() {
 			return 0
 		}
-		if !a.b {
+		if !a.boolean() {
 			return -1
 		}
 		return 1
 	case KindInt, KindDouble:
 		return compareNum(a, b)
 	case KindString:
-		return compareStr(a.s, b.s)
+		return compareStr(a.str(), b.str())
 	case KindList:
-		return compareElems(a.elems, b.elems)
+		return compareElems(a.elems(), b.elems())
 	case KindBag:
-		return compareElems(sortedCopy(a.elems), sortedCopy(b.elems))
+		return compareElems(sortedCopy(a.elems()), sortedCopy(b.elems()))
 	case KindRecord:
-		return compareRecords(a.rec, b.rec)
+		return compareRecords(a.rec(), b.rec())
 	}
 	return 0
 }
@@ -68,9 +68,9 @@ func rankOf(k Kind) int {
 func compareNum(a, b Value) int {
 	if a.kind == KindInt && b.kind == KindInt {
 		switch {
-		case a.i < b.i:
+		case a.integer() < b.integer():
 			return -1
-		case a.i > b.i:
+		case a.integer() > b.integer():
 			return 1
 		}
 		return 0
@@ -183,7 +183,7 @@ func hashInto(h uint64, v Value) uint64 {
 	case KindNull:
 		return hashByte(h, 0)
 	case KindBool:
-		if v.b {
+		if v.boolean() {
 			return hashByte(hashByte(h, 1), 1)
 		}
 		return hashByte(hashByte(h, 1), 0)
@@ -202,20 +202,21 @@ func hashInto(h uint64, v Value) uint64 {
 		return h
 	case KindString:
 		h = hashByte(h, 3)
-		for i := 0; i < len(v.s); i++ {
-			h = hashByte(h, v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = hashByte(h, s[i])
 		}
 		return h
 	case KindList:
 		h = hashByte(h, 4)
-		for _, e := range v.elems {
+		for _, e := range v.elems() {
 			h = hashInto(h, e)
 		}
 		return h
 	case KindBag:
 		// Order-insensitive: combine element hashes commutatively.
 		var sum uint64
-		for _, e := range v.elems {
+		for _, e := range v.elems() {
 			sum += hashInto(fnvOffset, e)
 		}
 		h = hashByte(h, 5)
@@ -225,9 +226,10 @@ func hashInto(h uint64, v Value) uint64 {
 		return h
 	case KindRecord:
 		h = hashByte(h, 6)
-		for _, i := range v.rec.sortedIdx() {
-			h = hashInto(h, NewString(v.rec.names[i]))
-			h = hashInto(h, v.rec.vals[i])
+		r := v.rec()
+		for _, i := range r.sortedIdx() {
+			h = hashInto(h, NewString(r.names[i]))
+			h = hashInto(h, r.vals[i])
 		}
 		return h
 	}

@@ -19,27 +19,30 @@ func Append(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		if v.b {
+		if v.boolean() {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
 		}
 	case KindInt:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, v.integer())
 	case KindDouble:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.double()))
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		s := v.str()
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	case KindList, KindBag:
-		dst = binary.AppendUvarint(dst, uint64(len(v.elems)))
-		for _, e := range v.elems {
+		elems := v.elems()
+		dst = binary.AppendUvarint(dst, uint64(len(elems)))
+		for _, e := range elems {
 			dst = Append(dst, e)
 		}
 	case KindRecord:
-		dst = binary.AppendUvarint(dst, uint64(v.rec.Len()))
-		for i := 0; i < v.rec.Len(); i++ {
-			n, fv := v.rec.FieldAt(i)
+		r := v.rec()
+		dst = binary.AppendUvarint(dst, uint64(r.Len()))
+		for i := 0; i < r.Len(); i++ {
+			n, fv := r.FieldAt(i)
 			dst = binary.AppendUvarint(dst, uint64(len(n)))
 			dst = append(dst, n...)
 			dst = Append(dst, fv)
@@ -61,21 +64,24 @@ func EncodedSize(v Value) int {
 		return 2
 	case KindInt:
 		var tmp [binary.MaxVarintLen64]byte
-		return 1 + binary.PutVarint(tmp[:], v.i)
+		return 1 + binary.PutVarint(tmp[:], v.integer())
 	case KindDouble:
 		return 9
 	case KindString:
-		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+		s := v.str()
+		return 1 + uvarintLen(uint64(len(s))) + len(s)
 	case KindList, KindBag:
-		n := 1 + uvarintLen(uint64(len(v.elems)))
-		for _, e := range v.elems {
+		elems := v.elems()
+		n := 1 + uvarintLen(uint64(len(elems)))
+		for _, e := range elems {
 			n += EncodedSize(e)
 		}
 		return n
 	case KindRecord:
-		n := 1 + uvarintLen(uint64(v.rec.Len()))
-		for i := 0; i < v.rec.Len(); i++ {
-			name, fv := v.rec.FieldAt(i)
+		r := v.rec()
+		n := 1 + uvarintLen(uint64(r.Len()))
+		for i := 0; i < r.Len(); i++ {
+			name, fv := r.FieldAt(i)
 			n += uvarintLen(uint64(len(name))) + len(name) + EncodedSize(fv)
 		}
 		return n
@@ -136,6 +142,9 @@ func Decode(buf []byte) (Value, int, error) {
 			return Null, 0, fmt.Errorf("adm: decode list: bad length")
 		}
 		p += n
+		if uint64(len(buf)-p) < l { // every element takes at least one byte
+			return Null, 0, fmt.Errorf("adm: decode list: short buffer")
+		}
 		elems := make([]Value, 0, l)
 		for i := uint64(0); i < l; i++ {
 			e, n, err := Decode(buf[p:])
@@ -155,6 +164,9 @@ func Decode(buf []byte) (Value, int, error) {
 			return Null, 0, fmt.Errorf("adm: decode record: bad length")
 		}
 		p += n
+		if l > uint64(len(buf)-p)/2 { // every field takes at least two bytes
+			return Null, 0, fmt.Errorf("adm: decode record: short buffer")
+		}
 		rec := EmptyRecord(int(l))
 		for i := uint64(0); i < l; i++ {
 			nl, n := binary.Uvarint(buf[p:])

@@ -79,26 +79,29 @@ func ToJSONish(v Value) any {
 	case KindNull:
 		return nil
 	case KindBool:
-		return v.b
+		return v.boolean()
 	case KindInt:
-		return v.i
+		return v.integer()
 	case KindDouble:
-		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
-			return fmt.Sprint(v.f)
+		f := v.double()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Sprint(f)
 		}
-		return v.f
+		return f
 	case KindString:
-		return v.s
+		return v.str()
 	case KindList, KindBag:
-		out := make([]any, len(v.elems))
-		for i, e := range v.elems {
+		elems := v.elems()
+		out := make([]any, len(elems))
+		for i, e := range elems {
 			out[i] = ToJSONish(e)
 		}
 		return out
 	case KindRecord:
-		out := make(map[string]any, v.rec.Len())
-		for i := 0; i < v.rec.Len(); i++ {
-			n, fv := v.rec.FieldAt(i)
+		r := v.rec()
+		out := make(map[string]any, r.Len())
+		for i := 0; i < r.Len(); i++ {
+			n, fv := r.FieldAt(i)
 			out[n] = ToJSONish(fv)
 		}
 		return out

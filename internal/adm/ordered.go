@@ -13,10 +13,13 @@ import (
 // yields an order-preserving composite key — the inverted indexes rely
 // on this for their (token, primary key) entries.
 //
-// Scalars are fully supported. Lists, bags, and records fall back to an
-// encoding that is consistent (equal values encode equally) and totally
-// ordered but only aligned with Compare within same-length prefixes;
-// SimDB never range-scans composite-valued keys, so this suffices.
+// Scalars are supported, with one gap: every numeric is keyed by its
+// float64 image, so two int64 values beyond ±2^53 that round to the same
+// double share a key (their order is never inverted). Lists, bags, and
+// records fall back to an encoding that is consistent (equal values
+// encode equally) and totally ordered but only aligned with Compare
+// within same-length prefixes; SimDB never range-scans composite-valued
+// keys, so this suffices.
 
 // AppendOrderedKey appends the ordered-key encoding of v to dst.
 func AppendOrderedKey(dst []byte, v Value) []byte {
@@ -24,7 +27,7 @@ func AppendOrderedKey(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		if v.b {
+		if v.boolean() {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
@@ -33,29 +36,31 @@ func AppendOrderedKey(dst []byte, v Value) []byte {
 		f, _ := v.Num()
 		dst = appendOrderedFloat(dst, f)
 	case KindString:
-		dst = appendOrderedBytes(dst, v.s)
+		dst = appendOrderedBytes(dst, v.str())
 	case KindList, KindBag, KindRecord:
 		// Composite fallback: element count then recursively ordered
 		// elements. Bags use their sorted view, records their
 		// name-sorted view, so equal values still encode equally.
 		switch v.kind {
 		case KindList:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.elems)))
-			for _, e := range v.elems {
+			elems := v.elems()
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(elems)))
+			for _, e := range elems {
 				dst = AppendOrderedKey(dst, e)
 			}
 		case KindBag:
-			sorted := sortedCopy(v.elems)
+			sorted := sortedCopy(v.elems())
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(sorted)))
 			for _, e := range sorted {
 				dst = AppendOrderedKey(dst, e)
 			}
 		case KindRecord:
-			idx := v.rec.sortedIdx()
+			r := v.rec()
+			idx := r.sortedIdx()
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(idx)))
 			for _, i := range idx {
-				dst = appendOrderedBytes(dst, v.rec.names[i])
-				dst = AppendOrderedKey(dst, v.rec.vals[i])
+				dst = appendOrderedBytes(dst, r.names[i])
+				dst = AppendOrderedKey(dst, r.vals[i])
 			}
 		}
 	}
