@@ -30,12 +30,16 @@ func LiveVars(root *Op) map[*Op]map[Var]bool {
 // needs lists what the operator requires of input i when out is required
 // of the operator itself: the variables its own expressions read and,
 // unless the operator cuts pass-through (group-by, aggregate, union and
-// write rebuild their output; a project hands on only what is asked of
-// it), all of out — what the operator defines itself no input has.
+// write rebuild their output, a memo keeps exactly its own; a project
+// hands on only what is asked of it), all of out — what the operator defines itself no input has.
 func (o *Op) needs(i int, out map[Var]bool) []Var {
 	switch o.Kind {
 	case OpUnion:
 		return o.InVars[i]
+	case OpMemo:
+		// An entry serves every plan with the key: it keeps all of Vars,
+		// whatever this plan reads of them.
+		return o.Vars
 	case OpWrite:
 		return []Var{o.Var}
 	}

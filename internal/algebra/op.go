@@ -31,6 +31,7 @@ const (
 	OpWrite                         // root: emit Var to the coordinator
 	OpSecondarySearch               // inverted-index T-occurrence search
 	OpPrimaryLookup                 // primary-index point lookup
+	OpMemo                          // MemoKey names the input's output, a function of one dataset's data
 )
 
 // String names the kind like the paper's plan figures.
@@ -70,6 +71,8 @@ func (k OpKind) String() string {
 		return "secondary-index-search"
 	case OpPrimaryLookup:
 		return "primary-index-lookup"
+	case OpMemo:
+		return "memo"
 	}
 	return fmt.Sprintf("op(%d)", int(k))
 }
@@ -167,8 +170,16 @@ type Op struct {
 	AssignVars  []Var
 	AssignExprs []Expr
 
-	// OpProject
+	// OpProject; OpMemo's output, in the order its entries store it
 	Vars []Var
+
+	// OpMemo: the semantic key of the input's output, such as
+	// order(Default.R, word-tokens(field-access($1, "summary"))). The
+	// output depends on nothing but the stored records of
+	// Dataverse.Dataset, so job generation may replay a copy captured
+	// from an earlier run over the same data instead of running the
+	// input.
+	MemoKey string
 
 	// OpUnnest / OpRank
 	UnnestVar Var
@@ -329,7 +340,7 @@ func (o *Op) UsedVarsOf() []Var {
 	for _, e := range o.UsedExprs() {
 		out = UsedVars(e, out)
 	}
-	if o.Kind == OpProject {
+	if o.Kind == OpProject || o.Kind == OpMemo {
 		out = append(out, o.Vars...)
 	}
 	if o.Kind == OpUnion {
@@ -351,7 +362,7 @@ func (o *Op) Schema() []Var {
 		return nil
 	case OpScan:
 		return []Var{o.PKVar, o.RecVar}
-	case OpProject:
+	case OpProject, OpMemo:
 		return append([]Var(nil), o.Vars...)
 	case OpGroupBy, OpAggregate:
 		return o.DefinedVars()
@@ -582,6 +593,8 @@ func opDetail(o *Op) string {
 		return " " + strings.Join(parts, ", ")
 	case OpProject:
 		return fmt.Sprintf(" %v", o.Vars)
+	case OpMemo:
+		return fmt.Sprintf(" %s -> %v", o.MemoKey, o.Vars)
 	case OpUnnest:
 		if o.PosVar != 0 {
 			return fmt.Sprintf(" %v at %v in %s", o.UnnestVar, o.PosVar, o.Expr)

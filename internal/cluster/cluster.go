@@ -58,6 +58,15 @@ type Cluster struct {
 	planCache *PlanCache
 	qm        *QueryManager
 
+	// memo holds the join memo's entries; versions maps dsKey to the
+	// dataset's *dataVersion, the write counters an entry is valid for.
+	memo     *memoStore
+	versions sync.Map
+	// memoResolved, when set, is called with a memo's key once job
+	// generation has resolved it: a test seam for writes that land
+	// between job generation and execution.
+	memoResolved func(key string)
+
 	// ddlMu serializes structural DDL against writers: InsertBatch holds
 	// the read side for the whole batch so the catalog view it acts on
 	// (which indexes exist) cannot change mid-batch, and create index /
@@ -139,6 +148,7 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		Catalog:   NewCatalog(),
 		localNode: localNode,
 		planCache: NewPlanCache(cfg.PlanCacheSize),
+		memo:      newMemoStore(),
 		qm:        newQueryManager(cfg.MaxConcurrentQueries, cfg.QueryTimeout, cfg.AdmissionTimeout, cfg.ClusterMemoryBudget),
 		slowLog:   obs.NewLogger(os.Stderr, obs.LevelInfo),
 		activeQ:   newActiveQueries(),

@@ -31,7 +31,7 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 		time.Duration(st.JobGenNs))
 	b.WriteString("logical plan:\n")
 	for _, line := range strings.Split(strings.TrimRight(st.LogicalPlan, "\n"), "\n") {
-		b.WriteString("  " + line + "\n")
+		b.WriteString("  " + line + memoNote(line, st.Memo) + "\n")
 	}
 	// Physical operators in job order (not sorted by cost): the table
 	// should read like the plan it annotates. The name column fits the
@@ -58,4 +58,18 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 			st.MemBudget, st.MemHighWater, st.SpillRuns, st.SpilledBytes)
 	}
 	return planRows(b.String())
+}
+
+// memoNote annotates a plan line of a memo operator with its outcome in
+// this execution.
+func memoNote(line string, outcomes map[string]string) string {
+	_, rest, ok := strings.Cut(line, " memo ")
+	if !ok || !strings.HasPrefix(strings.TrimLeft(line, " "), "#") {
+		return ""
+	}
+	key, _, _ := strings.Cut(rest, " -> ")
+	if o, ok := outcomes[key]; ok {
+		return "  memo: " + o
+	}
+	return ""
 }

@@ -306,6 +306,8 @@ func (ing *ingester) prepare(op *ingestOp, cache *treeCache, arena []storage.Gro
 // InsertBatch holds the DDL read lock for its duration, so the set of
 // indexes it maintains matches one catalog snapshot and structural DDL
 // (create index, drop dataset, close) cannot interleave with a batch.
+// It is the one write entry point, so it is where the dataset's data
+// version (dataVersion) counts writes.
 func (c *Cluster) InsertBatch(dv, ds string, recs []adm.Value) error {
 	if len(recs) == 0 {
 		return nil
@@ -321,6 +323,11 @@ func (c *Cluster) InsertBatch(dv, ds string, recs []adm.Value) error {
 	}
 	ingestBatches.Inc()
 	ingestBatchH.Observe(int64(len(recs)))
+	// The batch is a write from here on, whether it fails or not: the
+	// join memo serves no entry of this dataset until it has returned.
+	ver := c.dataVersion(dv, ds)
+	ver.begun.Add(1)
+	defer ver.ended.Add(1)
 
 	b := &ingestBatch{done: make(chan struct{})}
 	b.pending.Store(int64(len(recs)))

@@ -45,8 +45,8 @@ type jobGen struct {
 	c        *Cluster
 	job      *hyracks.Job
 	parts    int
-	memo     map[*algebra.Op]*genOut // shared nodes only: the others are generated once
-	parents  map[*algebra.Op]int
+	shared   map[*algebra.Op]*genOut // shared nodes only: the others are generated once
+	parents  map[*algebra.Op]int     // over the operators the job runs: none below a memo hit
 	portUsed map[*algebra.Op]int
 	// live is algebra.LiveVars of the plan: what the end of a pipeline
 	// keeps of the chain's variables.
@@ -55,6 +55,17 @@ type jobGen struct {
 	// tOccAlgo is the job's T-occurrence solver, resolved once when the
 	// job is generated: every search of the job runs the same one.
 	tOccAlgo invindex.Algorithm
+	// replay is whether the job may replay memo entries. memoHits are
+	// the memo operators this job replays, memoCaps those it captures,
+	// memoUse every memo key's outcome, memoReads the one reading of each
+	// memo's dataset version by dsKey, and memoEpoch the catalog epoch
+	// they are resolved at (memo.go); nil in a plan without memo.
+	replay    bool
+	memoHits  map[*algebra.Op]*memoEntry
+	memoCaps  map[*algebra.Op]*memoCapture
+	memoUse   map[string]string
+	memoReads map[string]memoReading
+	memoEpoch uint64
 }
 
 // genOut is the generated form of one algebra operator.
@@ -87,9 +98,11 @@ func colMap(schema []algebra.Var) map[algebra.Var]int {
 	return m
 }
 
-// GenerateJob compiles the plan (rooted at OpWrite) and returns the
-// job plus the result collector. The job's index searches run tOccAlgo.
-func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters, tOccAlgo invindex.Algorithm) (*hyracks.Job, *hyracks.Collector, error) {
+// generateJob compiles the plan (rooted at OpWrite) into a job and
+// returns its generator, which holds the job and its memo outcomes and
+// captures, plus the result collector. The job's index searches run
+// tOccAlgo; it replays memo entries only if replay is set.
+func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, tOccAlgo invindex.Algorithm, replay bool) (*jobGen, *hyracks.Collector, error) {
 	if root.Kind != algebra.OpWrite {
 		return nil, nil, fmt.Errorf("jobgen: plan root is %v, want distribute-result", root.Kind)
 	}
@@ -100,18 +113,33 @@ func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters, tOccAlg
 		c:        c,
 		job:      &hyracks.Job{},
 		parts:    c.cfg.Partitions(),
-		memo:     map[*algebra.Op]*genOut{},
+		shared:   map[*algebra.Op]*genOut{},
 		parents:  map[*algebra.Op]int{},
 		portUsed: map[*algebra.Op]int{},
 		live:     algebra.LiveVars(root),
 		counters: counters,
 		tOccAlgo: tOccAlgo,
+		replay:   replay,
 	}
-	algebra.Walk(root, func(op *algebra.Op) {
+	// Count each operator's readers over what the job will run: a memo
+	// hit replays its entry, so nothing below it is generated, and a
+	// node shared with that subtree has fewer readers.
+	seen := map[*algebra.Op]bool{}
+	var visit func(op *algebra.Op)
+	visit = func(op *algebra.Op) {
+		if seen[op] {
+			return
+		}
+		seen[op] = true
+		if op.Kind == algebra.OpMemo && g.resolveMemo(op) {
+			return
+		}
 		for _, in := range op.Inputs {
 			g.parents[in]++
+			visit(in)
 		}
-	})
+	}
+	visit(root)
 	child, err := g.genOpen(root.Inputs[0])
 	if err != nil {
 		return nil, nil, err
@@ -130,7 +158,7 @@ func (c *Cluster) GenerateJob(root *algebra.Op, counters *QueryCounters, tOccAlg
 		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: res.sortCols}
 	}
 	hyracks.MakeSink(g.job, "DistributeResult", collector, g.inputFrom(res, conn))
-	return g.job, collector, nil
+	return g, collector, nil
 }
 
 // inputFrom builds the Input edge from a generated child.
@@ -157,13 +185,13 @@ func (g *jobGen) sealed(out *genOut, op *algebra.Op) (*genOut, error) {
 }
 
 // genOpen compiles one algebra node and leaves a pipeline it ends in
-// open for the caller to extend. Shared nodes are sealed, memoized and
-// get a materializing Replicate so each parent reads a private port.
+// open for the caller to extend. Shared nodes are sealed, generated once
+// and get a materializing Replicate so each parent reads a private port.
 func (g *jobGen) genOpen(op *algebra.Op) (*genOut, error) {
 	if g.parents[op] <= 1 {
 		return g.genFresh(op)
 	}
-	out, ok := g.memo[op]
+	out, ok := g.shared[op]
 	if !ok {
 		fresh, err := g.genFresh(op)
 		if err != nil {
@@ -172,7 +200,7 @@ func (g *jobGen) genOpen(op *algebra.Op) (*genOut, error) {
 		if out, err = g.sealed(fresh, op); err != nil {
 			return nil, err
 		}
-		g.memo[op] = out
+		g.shared[op] = out
 	}
 	// Every parent, the first included, reads through the replicate.
 	return g.sharedPort(op, out)
@@ -235,6 +263,8 @@ func (g *jobGen) genFresh(op *algebra.Op) (*genOut, error) {
 		return g.genSecondarySearch(op)
 	case algebra.OpPrimaryLookup:
 		return g.genPrimaryLookup(op)
+	case algebra.OpMemo:
+		return g.genMemo(op)
 	}
 	return nil, fmt.Errorf("jobgen: unsupported operator %v", op.Kind)
 }
@@ -284,9 +314,18 @@ func scanFields(project []string, pkField string) []string {
 // after it.
 type step func(row hyracks.Tuple) error
 
-// stage is one per-row operator compiled into a pipeline: given the step
-// that follows it, it builds one instance's step.
-type stage func(next step) step
+// stage is one per-row operator compiled into a pipeline: given the
+// instance it runs in and the step that follows it, it builds that
+// instance's step.
+type stage func(inst *instance, next step) step
+
+// instance is what a stage sees of the operator instance running its
+// pipeline: the task context, and the functions to call once the input
+// has ended without an error.
+type instance struct {
+	ctx   *hyracks.TaskCtx
+	atEnd []func()
+}
 
 // pipeline builds the one job node of a maximal chain of per-row
 // operators (select, assign, project, unnest, and the select or project
@@ -396,7 +435,7 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 		return err
 	}
 	ev, fused := evals[0], evals[1:]
-	p.add(name, func(next step) step {
+	p.add(name, func(_ *instance, next step) step {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, fused); err != nil {
 				return err
@@ -444,7 +483,7 @@ func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) error {
 		return err
 	}
 	slots := p.bind(vars...)
-	p.add("Assign", func(next step) step {
+	p.add("Assign", func(_ *instance, next step) step {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, evals); err != nil {
 				return err
@@ -496,7 +535,7 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) error {
 		posSlot = p.bind(posVar)[0]
 	}
 	p.ordered = false
-	p.add("Unnest", func(next step) step {
+	p.add("Unnest", func(_ *instance, next step) step {
 		return func(row hyracks.Tuple) error {
 			v, err := ev(row)
 			if err != nil || v.IsNull() {
@@ -573,13 +612,20 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 					return nil
 				}
 			}
+			inst := &instance{ctx: ctx}
 			for i := len(stages) - 1; i >= 0; i-- {
-				first = stages[i](first)
+				first = stages[i](inst, first)
 			}
 			for {
 				t, ok := ports[0].Next()
 				if !ok {
-					return ctx.Ctx.Err()
+					if err := ctx.Ctx.Err(); err != nil {
+						return err
+					}
+					for _, f := range inst.atEnd {
+						f()
+					}
+					return nil
 				}
 				cur = t
 				copy(row, t)
@@ -615,6 +661,10 @@ func (g *jobGen) genOrder(op *algebra.Op) (*genOut, error) {
 	return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: sortCols, fromIndex: in.fromIndex}, nil
 }
 
+// genRank numbers the tuples of its input in order, keeping the columns
+// live above it. Its one instance emits in order, so the output stays
+// ordered for a single-instance reader even where it drops a sort
+// column and with it sortCols.
 func (g *jobGen) genRank(op *algebra.Op) (*genOut, error) {
 	in, err := g.gen(op.Inputs[0])
 	if err != nil {
@@ -624,9 +674,28 @@ func (g *jobGen) genRank(op *algebra.Op) (*genOut, error) {
 	if in.sortCols != nil {
 		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: in.sortCols}
 	}
-	node := g.job.Add("Rank", 1, hyracks.Rank(), g.inputFrom(in, conn))
-	schema := append(append([]algebra.Var(nil), in.schema...), op.PosVar)
-	return &genOut{node: node, schema: schema, parts: 1, sortCols: in.sortCols, fromIndex: in.fromIndex}, nil
+	live := g.live[op]
+	var cols []int
+	var schema []algebra.Var
+	at := make(map[int]int, len(in.schema)) // input column -> output column
+	for c, v := range in.schema {
+		if live[v] {
+			at[c] = len(cols)
+			cols = append(cols, c)
+			schema = append(schema, v)
+		}
+	}
+	var sortCols []hyracks.SortCol
+	for _, sc := range in.sortCols {
+		c, ok := at[sc.Col]
+		if !ok {
+			sortCols = nil
+			break
+		}
+		sortCols = append(sortCols, hyracks.SortCol{Col: c, Desc: sc.Desc})
+	}
+	node := g.job.Add("Rank", 1, hyracks.Rank(cols), g.inputFrom(in, conn))
+	return &genOut{node: node, schema: append(schema, op.PosVar), parts: 1, sortCols: sortCols, fromIndex: in.fromIndex}, nil
 }
 
 func (g *jobGen) genLimit(op *algebra.Op) (*genOut, error) {

@@ -1,0 +1,473 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"simdb/internal/adm"
+	"simdb/internal/sim"
+	"simdb/internal/tokenizer"
+)
+
+// memoJoinAQL is the benchmark join's shape over dataset ds: the outer
+// records with lo <= id < hi, every inner record with a larger id.
+func memoJoinAQL(ds string, lo, hi int64, delta float64) string {
+	return fmt.Sprintf(`for $o in dataset %[1]s for $i in dataset %[1]s
+		where similarity-jaccard(word-tokens($o.t), word-tokens($i.t)) >= %[4]g
+		and $o.id >= %[2]d and $o.id < %[3]d and $o.id < $i.id
+		return {'o': $o.id, 'i': $i.id}`, ds, lo, hi, delta)
+}
+
+// nestedLoopPairs is memoJoinAQL's answer by a nested loop over texts,
+// keyed by id, in joinPairs' form.
+func nestedLoopPairs(texts map[int64]string, lo, hi int64, delta float64) []string {
+	pairs := []string{}
+	for o, ot := range texts {
+		if o < lo || o >= hi {
+			continue
+		}
+		for i, it := range texts {
+			if o < i && sim.Jaccard(tokenizer.WordTokens(ot), tokenizer.WordTokens(it)) >= delta {
+				pairs = append(pairs, fmt.Sprintf("%d-%d", o, i))
+			}
+		}
+	}
+	sort.Strings(pairs)
+	return pairs
+}
+
+// memoText is a record text over a vocabulary small enough that many
+// pairs pass the thresholds the tests use.
+func memoText(r *rand.Rand) string {
+	words := make([]string, 3+r.Intn(6))
+	for i := range words {
+		words[i] = fmt.Sprintf("w%d", r.Intn(14))
+	}
+	return strings.Join(words, " ")
+}
+
+// memoWrite inserts n records with ids in [1, maxID] — overwrites once
+// the ids repeat — into every dataset of dss, one batch each, and notes
+// the texts.
+func memoWrite(c *Cluster, r *rand.Rand, texts map[int64]string, n int, maxID int64, dss ...string) error {
+	recs := make([]adm.Value, n)
+	for k := range recs {
+		id, text := 1+r.Int63n(maxID), memoText(r)
+		texts[id] = text
+		recs[k] = memoRecord(id, text)
+	}
+	for _, ds := range dss {
+		if err := c.InsertBatch("Default", ds, recs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// memoOutcomes returns the outcome of every memo operator of a run, or
+// fails unless the plan has the two the three-stage join gets.
+func memoOutcomes(t *testing.T, res *Result) map[string]string {
+	t.Helper()
+	if len(res.Stats.Memo) != 2 {
+		t.Fatalf("memo outcomes %v, want the token order and the ranked lists", res.Stats.Memo)
+	}
+	return res.Stats.Memo
+}
+
+// TestThreeStageJoinKeepsPairsAtTheThreshold is a pair whose Jaccard is
+// exactly the threshold: 55 of 100 words. 0.55*100 rounds to
+// 55.000000000000007, and a prefix cut from it without the epsilon was
+// one token short, so the three-stage join lost the pair that
+// similarity-jaccard itself evaluates to 0.55.
+func TestThreeStageJoinKeepsPairsAtTheThreshold(t *testing.T) {
+	c := newTestCluster(t, 1, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset E primary key id;`)
+	words := make([]string, 100)
+	for i := range words {
+		words[i] = fmt.Sprintf("word%03d", i)
+	}
+	for id, text := range map[int64]string{1: strings.Join(words, " "), 2: strings.Join(words[:55], " ")} {
+		if err := c.Insert("Default", "E", adm.NewRecord(adm.NewRecordFromFields([]string{"id", "t"},
+			[]adm.Value{adm.NewInt(id), adm.NewString(text)}))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	simRes := exec(t, c, sess, `for $a in dataset E for $b in dataset E where $a.id = 1 and $b.id = 2
+		return similarity-jaccard(word-tokens($a.t), word-tokens($b.t))`)
+	if len(simRes.Rows) != 1 || simRes.Rows[0].Double() != 0.55 {
+		t.Fatalf("similarity-jaccard of the pair is %v, want [0.55]", simRes.Rows)
+	}
+	res := exec(t, c, sess, `for $a in dataset E for $b in dataset E
+		where similarity-jaccard(word-tokens($a.t), word-tokens($b.t)) >= 0.55 and $a.id < $b.id
+		return {'o': $a.id, 'i': $b.id}`)
+	if !strings.Contains(res.Stats.LogicalPlan, "rank") {
+		t.Fatalf("not the three-stage plan:\n%s", res.Stats.LogicalPlan)
+	}
+	if got := joinPairs(res); fmt.Sprint(got) != "[1-2]" {
+		t.Errorf("pairs %v, want [1-2]", got)
+	}
+}
+
+// TestJoinMemoMatchesNestedLoopAndIndexJoin is the memo's property test:
+// rounds of inserts and overwrites, and between them three-stage joins at
+// three thresholds, each against a nested loop over the written texts and
+// against the index-nested-loop join of an indexed twin of the dataset.
+// The first join after a write misses the memo; the joins after it, at
+// other thresholds and other outer ranges, replay its entries.
+func TestJoinMemoMatchesNestedLoopAndIndexJoin(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset M primary key id;`)
+	exec(t, c, sess, `create dataset MI primary key id;`)
+	exec(t, c, sess, `create index mit on MI(t) type keyword;`)
+	r := rand.New(rand.NewSource(41))
+	texts := map[int64]string{}
+	if err := memoWrite(c, r, texts, 150, 200, "M", "MI"); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		for k, delta := range []float64{0.5, 0.55, 0.8} {
+			lo := 1 + r.Int63n(180)
+			want := nestedLoopPairs(texts, lo, lo+20, delta)
+			three := exec(t, c, sess, memoJoinAQL("M", lo, lo+20, delta))
+			if !strings.Contains(three.Stats.LogicalPlan, "rank") {
+				t.Fatalf("M: not the three-stage plan:\n%s", three.Stats.LogicalPlan)
+			}
+			wantMemo := memoHit
+			if k == 0 {
+				wantMemo = memoMiss
+			}
+			for key, o := range memoOutcomes(t, three) {
+				if o != wantMemo {
+					t.Errorf("round %d, delta %g: memo %s is %s, want %s", round, delta, key, o, wantMemo)
+				}
+			}
+			inlj := exec(t, c, sess, memoJoinAQL("MI", lo, lo+20, delta))
+			if !strings.Contains(inlj.Stats.LogicalPlan, "secondary-index-search") {
+				t.Fatalf("MI: not the index-nested-loop plan:\n%s", inlj.Stats.LogicalPlan)
+			}
+			if got := joinPairs(three); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("round %d, delta %g, ids [%d, %d): three-stage %v, nested loop %v", round, delta, lo, lo+20, got, want)
+			}
+			if got := joinPairs(inlj); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("round %d, delta %g, ids [%d, %d): index join %v, nested loop %v", round, delta, lo, lo+20, got, want)
+			}
+		}
+		if err := memoWrite(c, r, texts, 25, 220, "M", "MI"); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := c.MemoStats(); st.Entries != 2 || st.Bytes <= 0 || st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("memo stats %+v, want two entries, their bytes, hits and misses", st)
+	}
+}
+
+// TestJoinMemoConcurrentWriter races a writer, inserting and overwriting
+// records, with joins. Every pair a join returns during the race
+// satisfies the predicate on the two records it returns, and once the
+// writer stops, the next join — and the one that replays what it
+// captured — equals the nested loop over the final data.
+func TestJoinMemoConcurrentWriter(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset W primary key id;`)
+	r := rand.New(rand.NewSource(7))
+	texts := map[int64]string{}
+	if err := memoWrite(c, r, texts, 120, 150, "W"); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wr := rand.New(rand.NewSource(8))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := memoWrite(c, wr, texts, 5, 160, "W"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const delta = 0.5
+	for k := int64(0); k < 12; k++ {
+		lo, hi := 1+k*10, 21+k*10
+		res, err := c.Execute(context.Background(), sess, fmt.Sprintf(`for $o in dataset W for $i in dataset W
+			where similarity-jaccard(word-tokens($o.t), word-tokens($i.t)) >= %g
+			and $o.id >= %d and $o.id < %d and $o.id < $i.id
+			return {'o': $o.id, 'i': $i.id, 'ot': $o.t, 'it': $i.t}`, delta, lo, hi))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		for _, row := range res.Rows {
+			o, _ := row.Rec().Get("o")
+			i, _ := row.Rec().Get("i")
+			ot, _ := row.Rec().Get("ot")
+			it, _ := row.Rec().Get("it")
+			j := sim.Jaccard(tokenizer.WordTokens(ot.Str()), tokenizer.WordTokens(it.Str()))
+			if o.Int() < lo || o.Int() >= hi || o.Int() >= i.Int() || j < delta {
+				t.Errorf("join %d returned %d-%d with Jaccard %g: %q, %q", k, o.Int(), i.Int(), j, ot.Str(), it.Str())
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	for _, want := range []string{memoMiss, memoHit} {
+		res := exec(t, c, sess, memoJoinAQL("W", 1, 60, delta))
+		if got, naive := joinPairs(res), nestedLoopPairs(texts, 1, 60, delta); fmt.Sprint(got) != fmt.Sprint(naive) {
+			t.Errorf("after the writer stopped (%s): three-stage %v, nested loop %v", want, got, naive)
+		}
+		for key, o := range memoOutcomes(t, res) {
+			if o != want {
+				t.Errorf("after the writer stopped: memo %s is %s, want %s", key, o, want)
+			}
+		}
+	}
+}
+
+// memoRecord is a record of the memo tests' datasets.
+func memoRecord(id int64, text string) adm.Value {
+	return adm.NewRecord(adm.NewRecordFromFields([]string{"id", "t"}, []adm.Value{adm.NewInt(id), adm.NewString(text)}))
+}
+
+// TestJoinMemoWriteBetweenResolutions lands a write between a job's two
+// memo resolutions: the token order, resolved first, hits, and the
+// ranked lists, missing from the memo, are resolved after the write.
+// Both resolve against one reading of the dataset's version, so the
+// lists that job ranks by the replayed order are never stored as the
+// newer version's; the job itself runs again without replaying, and
+// every join after it equals the nested loop. The write makes the words
+// w0…w6 far more frequent than the rest, which reorders the tokens.
+func TestJoinMemoWriteBetweenResolutions(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset B primary key id;`)
+	r := rand.New(rand.NewSource(11))
+	texts := map[int64]string{}
+	if err := memoWrite(c, r, texts, 150, 200, "B"); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		exec(t, c, sess, memoJoinAQL("B", 1, 60, 0.5))
+	}
+	c.memo.mu.Lock()
+	for k, e := range c.memo.entries {
+		if strings.HasPrefix(k, "ranked(") {
+			c.memo.drop(k, e)
+		}
+	}
+	kept := len(c.memo.entries)
+	c.memo.mu.Unlock()
+	if kept != 1 {
+		t.Fatalf("memo holds %d entries after dropping the ranked lists, want the order alone", kept)
+	}
+
+	var resolved []string
+	c.memoResolved = func(key string) {
+		resolved = append(resolved, key)
+		if len(resolved) != 1 {
+			return
+		}
+		recs := []adm.Value{}
+		for id := int64(61); id <= 200; id++ {
+			words := make([]string, 4+r.Intn(4))
+			for i := range words {
+				words[i] = fmt.Sprintf("w%d", r.Intn(7))
+			}
+			texts[id] = strings.Join(words, " ")
+			recs = append(recs, memoRecord(id, texts[id]))
+		}
+		if err := c.InsertBatch("Default", "B", recs); err != nil {
+			t.Error(err)
+		}
+	}
+	res := exec(t, c, sess, memoJoinAQL("B", 1, 60, 0.5))
+	c.memoResolved = nil
+	if len(resolved) < 2 || !strings.HasPrefix(resolved[0], "order(") {
+		t.Fatalf("memos resolved in the order %v, want the token order first", resolved)
+	}
+	if got, naive := joinPairs(res), nestedLoopPairs(texts, 1, 60, 0.5); fmt.Sprint(got) != fmt.Sprint(naive) {
+		t.Errorf("the join the write interrupted: three-stage %v, nested loop %v", got, naive)
+	}
+	if st := c.MemoStats(); st.Reruns != 1 {
+		t.Errorf("memo reruns %d, want 1", st.Reruns)
+	}
+	for k, delta := range []float64{0.5, 0.6, 0.5, 0.8} {
+		lo := 1 + int64(k)*15
+		res := exec(t, c, sess, memoJoinAQL("B", lo, lo+40, delta))
+		if got, naive := joinPairs(res), nestedLoopPairs(texts, lo, lo+40, delta); fmt.Sprint(got) != fmt.Sprint(naive) {
+			t.Errorf("join %d after the write: three-stage %v, nested loop %v", k, got, naive)
+		}
+	}
+}
+
+// TestJoinMemoWriteAfterGenerationReruns lands a write after a job that
+// replays both entries was generated: outer record a becomes record b's
+// words plus twelve words no stored record has. The replayed order has
+// no rank for those, so a run that kept the replay would cut them from
+// a's ranked list and return a-b at Jaccard 1; the job runs again
+// without replaying instead. The query streams, so this also checks
+// that the rows of the abandoned run never reach the client.
+func TestJoinMemoWriteAfterGenerationReruns(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset A primary key id;`)
+	r := rand.New(rand.NewSource(12))
+	texts := map[int64]string{}
+	if err := memoWrite(c, r, texts, 150, 200, "A"); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for id := range texts {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	a, b := ids[0], ids[1]
+	q := memoJoinAQL("A", 1, 60, 0.5)
+	for _, want := range []string{memoMiss, memoHit} {
+		for key, o := range memoOutcomes(t, exec(t, c, sess, q)) {
+			if o != want {
+				t.Fatalf("warm-up: memo %s is %s, want %s", key, o, want)
+			}
+		}
+	}
+
+	resolved := 0
+	c.memoResolved = func(string) {
+		if resolved++; resolved != 2 {
+			return
+		}
+		texts[a] = texts[b]
+		for w := 0; w < 12; w++ {
+			texts[a] += fmt.Sprintf(" new%d", w)
+		}
+		if err := c.Insert("Default", "A", memoRecord(a, texts[a])); err != nil {
+			t.Error(err)
+		}
+	}
+	var rows []adm.Value
+	res, err := c.ExecuteStream(context.Background(), sess, q, StreamHandler{OnRow: func(v adm.Value) error {
+		rows = append(rows, v)
+		return nil
+	}})
+	c.memoResolved = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, naive := joinPairs(&Result{Rows: rows}), nestedLoopPairs(texts, 1, 60, 0.5); fmt.Sprint(got) != fmt.Sprint(naive) {
+		t.Errorf("record %d rewritten during the join: three-stage %v, nested loop %v", a, got, naive)
+	}
+	if st := c.MemoStats(); st.Reruns != 1 {
+		t.Errorf("memo reruns %d, want 1", st.Reruns)
+	}
+	for key, o := range res.Stats.Memo {
+		if o != memoMiss {
+			t.Errorf("the rerun: memo %s is %s, want miss", key, o)
+		}
+	}
+}
+
+// TestJoinMemoHitRunsNoDataOnlyOperators is the attribution: on a hit,
+// the benchmark join runs neither stage 1 (token counts, order, rank)
+// nor the inner side of stage 2 (tokenize, rank join, group, sort), and
+// the scan's Replicate feeds three readers instead of five.
+func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
+	c, sess, recs := loadBenchJoin(t)
+	q := "explain analyze " + benchJoin.AQL("ReviewsPlain")
+	// count counts the job nodes by name; a memo capture is a stage of
+	// the pipeline it ends, so it counts by that too.
+	count := func(res *Result) map[string]int {
+		n := map[string]int{}
+		for _, op := range res.Stats.PhysicalOps() {
+			n[op.Name]++
+			if op.Name != "Memo(capture)" && strings.Contains(op.Name, "Memo(capture)") {
+				n["Memo(capture)"]++
+			}
+		}
+		return n
+	}
+	replicated := func(res *Result) int64 {
+		var out int64
+		for _, op := range res.Stats.PhysicalOps() {
+			if op.Name == "Replicate" && op.Instances == c.cfg.Partitions() {
+				out += op.TuplesOut
+			}
+		}
+		return out
+	}
+	miss := exec(t, c, sess, q)
+	hit := exec(t, c, sess, q)
+	for _, tc := range []struct {
+		res        *Result
+		outcome    string
+		replicated int
+		rank       int
+		hashJoins  int
+	}{
+		{miss, memoMiss, 5 * len(recs), 1, 5},
+		{hit, memoHit, 3 * len(recs), 0, 4},
+	} {
+		text := rowsText(tc.res)
+		if n := strings.Count(text, "  memo: "+tc.outcome+"\n"); n != 2 {
+			t.Errorf("explain analyze prints memo: %s on %d lines, want 2:\n%s", tc.outcome, n, text)
+		}
+		ops := count(tc.res)
+		if ops["Rank"] != tc.rank || ops["HashJoin"] != tc.hashJoins || ops["HashGroupLocal"] != tc.rank {
+			t.Errorf("%s: %d Rank, %d HashGroupLocal and %d HashJoin nodes, want %d, %d and %d",
+				tc.outcome, ops["Rank"], ops["HashGroupLocal"], ops["HashJoin"], tc.rank, tc.rank, tc.hashJoins)
+		}
+		if got := replicated(tc.res); got != int64(tc.replicated) {
+			t.Errorf("%s: the scan's Replicate emits %d tuples, want %d", tc.outcome, got, tc.replicated)
+		}
+	}
+	if ops := count(hit); ops["Memo(replay)"] != 2 || ops["Memo(capture)"] != 0 {
+		t.Errorf("hit: %d replay and %d capture nodes, want 2 and 0", ops["Memo(replay)"], ops["Memo(capture)"])
+	}
+	if ops := count(miss); ops["Memo(capture)"] != 2 {
+		t.Errorf("miss: %d capture nodes, want 2", ops["Memo(capture)"])
+	}
+}
+
+// TestJoinMemoCaptureOverBudgetIsDropped runs the join under the
+// smallest budget (hyracks.MinQueryMemory): the query's grant refuses
+// the capture, the join
+// answers as without memo, and nothing is stored.
+func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
+	c, sess, _ := loadBenchJoin(t)
+	want := joinPairs(exec(t, c, NewSession(), `set memorybudget 'unlimited'; `+benchJoin.AQL("ReviewsPlain")))
+	c.memo = newMemoStore()
+	exec(t, c, sess, `set memorybudget '64k';`)
+	for run := 0; run < 2; run++ {
+		res := exec(t, c, sess, benchJoin.AQL("ReviewsPlain"))
+		if got := joinPairs(res); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("run %d: pairs %v, want %v", run, got, want)
+		}
+		for key, o := range memoOutcomes(t, res) {
+			if o != memoMiss {
+				t.Errorf("run %d: memo %s is %s, want miss", run, key, o)
+			}
+		}
+	}
+	if st := c.MemoStats(); st.Entries != 0 {
+		t.Errorf("memo holds %d entries, want none", st.Entries)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -142,6 +143,7 @@ func (c *Cluster) Metrics() obs.Snapshot {
 		walSegments += int64(segs)
 		walBytes += bytes
 		cs := n.CacheStats()
+		r.Gauge(fmt.Sprintf("storage.cache.node%d.resident_bytes", n.ID)).Set(cs.Resident)
 		cacheHits += cs.Hits
 		cacheMisses += cs.Misses
 		cacheEvictions += cs.Evictions
@@ -196,6 +198,13 @@ func (c *Cluster) Metrics() obs.Snapshot {
 	r.Gauge("cluster.plancache.invalidations").Set(ps.Invalidations)
 	r.Gauge("cluster.plancache.evictions").Set(ps.Evictions)
 	r.Gauge("cluster.plancache.entries").Set(int64(ps.Entries))
+
+	ms := c.MemoStats()
+	r.Gauge("cluster.joinmemo.entries").Set(int64(ms.Entries))
+	r.Gauge("cluster.joinmemo.bytes").Set(ms.Bytes)
+	r.Gauge("cluster.joinmemo.hits").Set(ms.Hits)
+	r.Gauge("cluster.joinmemo.misses").Set(ms.Misses)
+	r.Gauge("cluster.joinmemo.reruns").Set(ms.Reruns)
 
 	qs := c.qm.Stats()
 	r.Gauge("querymanager.admitted").Set(qs.Admitted)

@@ -112,11 +112,11 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job, _, err := c.GenerateJob(plan, nil, 0)
+			g, _, err := c.generateJob(plan, nil, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes := job.Nodes()
+			nodes := g.job.Nodes()
 
 			for run := 0; run < 20; run++ {
 				res := exec(t, c, qsess, "explain analyze "+tc.query)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime/pprof"
@@ -77,6 +78,11 @@ type QueryStats struct {
 	PlanOps     int
 	LogicalPlan string
 	RuleTrace   []string
+
+	// Memo is the outcome of each memo operator of the plan, by key:
+	// "hit" (its entry replayed), "miss" (its input ran) or "off" (the
+	// tcp transport, which runs every input).
+	Memo map[string]string
 
 	// Spans is the job's one execution record: an entry per operator
 	// instance, from every process that ran part of it. The busy, tuple
@@ -173,7 +179,9 @@ func (c *Cluster) resolveMemoryBudget(sessBudget int64) int64 {
 // collector goroutine WHILE the job is still running: a slow OnRow
 // exerts backpressure through the runtime's bounded frame channels, so
 // per-query buffering stays bounded by a frame multiple rather than the
-// result size. An OnRow error aborts the query. OnQueryID, when set, is
+// result size. A job that replays a join memo entry is the exception: it
+// buffers its rows, since it may have to run again, and delivers them
+// once it is done. An OnRow error aborts the query. OnQueryID, when set, is
 // called once with the query's stable ID before admission — front ends
 // use it to expose the ID (for cancellation) ahead of the first row.
 type StreamHandler struct {
@@ -248,9 +256,9 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 		time.Now().Add(-time.Duration(admitNs)), time.Duration(admitNs))
 	res, err := c.execute(qctx, sess, entry, src, admitNs, qr)
 	if stream != nil && err == nil && res != nil && len(res.Rows) > 0 {
-		// Paths that buffer by nature (explain, explain analyze) deliver
-		// their rows through the stream here so streamed requests never
-		// carry rows in the Result.
+		// Paths that buffer (explain, explain analyze, a job that
+		// replays a memo entry) deliver their rows through the stream
+		// here so streamed requests never carry rows in the Result.
 		err = stream.deliver(res.Rows)
 		res.Rows = nil
 	}
@@ -587,18 +595,21 @@ type localJob struct {
 	job       *hyracks.Job
 	collector *hyracks.Collector
 	topo      hyracks.Topology
+	// gen is the job's generator: its memo outcomes, the captures
+	// stored once the job succeeds, and the versions they were read at.
+	gen *jobGen
 }
 
 // newLocalJob generates the job for plan and lays out its topology. net
 // is nil unless nodes live in other processes. tOccAlgo is the solver
 // the coordinator chose for the job; a worker is handed it in the job
 // request.
-func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, tOccAlgo invindex.Algorithm) (*localJob, error) {
-	job, collector, err := c.GenerateJob(plan, counters, tOccAlgo)
+func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, tOccAlgo invindex.Algorithm, replay bool) (*localJob, error) {
+	g, collector, err := c.generateJob(plan, counters, tOccAlgo, replay)
 	if err != nil {
 		return nil, err
 	}
-	lj := &localJob{job: job, collector: collector, topo: hyracks.Topology{
+	lj := &localJob{job: g.job, collector: collector, gen: g, topo: hyracks.Topology{
 		Partitions:      c.cfg.Partitions(),
 		PartsPerNode:    c.cfg.PartitionsPerNode,
 		NetFrameLatency: time.Duration(c.simNetLat.Load()),
@@ -664,7 +675,26 @@ func traceOperators(tr *trace.Trace, parent int32, execStart time.Time, spans []
 // Workers recompile the shipped request text to the identical DAG and
 // return the instance records of their half, which the coordinator
 // merges into the result and into the query's trace.
+//
+// A job that replayed a memo entry and overlapped the start of a write
+// to that entry's dataset is run once more without replaying: its live
+// side may have read records the replayed entry does not reflect.
 func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStats, src string, st sessionState, qr *queryRun) (*Result, error) {
+	res, err := c.runJobOnce(ctx, plan, stats, src, st, qr, true)
+	if err == errMemoMoved {
+		c.memo.reruns.Add(1)
+		res, err = c.runJobOnce(ctx, plan, stats, src, st, qr, false)
+	}
+	return res, err
+}
+
+// errMemoMoved is runJobOnce's report of a job whose replayed memo entry
+// a write began to invalidate while it ran.
+var errMemoMoved = errors.New("cluster: memo entry invalidated during the job")
+
+// runJobOnce is one generation and execution of runJob's job, replaying
+// memo entries if replay is set.
+func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *QueryStats, src string, st sessionState, qr *queryRun, replay bool) (*Result, error) {
 	memBudget := st.Opts.MemoryBudgetBytes
 	qr.setPhase(phaseJobGen)
 	counters := &QueryCounters{}
@@ -674,14 +704,18 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	}
 	t0 := time.Now()
 	tOccAlgo := c.tOccAlgo.Load()
-	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, invindex.Algorithm(tOccAlgo))
+	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, invindex.Algorithm(tOccAlgo), replay)
 	if err != nil {
 		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan)
 	}
 	stats.JobGenNs = time.Since(t0).Nanoseconds()
 	qr.tr.SpanAt(trace.RootSpan, "jobgen", trace.CatPhase, t0, time.Duration(stats.JobGenNs))
 
-	if qr.stream != nil {
+	// A job that replays a memo entry buffers its rows even when the
+	// query streams: it may have to run again, and executeRequest
+	// delivers buffered rows through the stream.
+	stream := qr.stream != nil && len(lj.gen.memoHits) == 0
+	if stream {
 		// Streaming delivery: the collector hands each result tuple to the
 		// handler as it arrives instead of buffering it. The handler runs
 		// on the collector's goroutine, so a slow consumer backpressures
@@ -746,6 +780,11 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	if err != nil {
 		return nil, err
 	}
+	c.commitMemos(lj.gen.memoCaps)
+	if lj.gen.replayMoved() {
+		return nil, errMemoMoved
+	}
+	stats.Memo = lj.gen.memoUse
 	if lj.topo.Mem != nil {
 		stats.MemHighWater = lj.topo.Mem.HighWater()
 	}
@@ -765,7 +804,7 @@ func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStat
 	stats.OccurrenceT = counters.OccurrenceT.Load()
 
 	var rows []adm.Value
-	if qr.stream == nil {
+	if !stream {
 		rows = make([]adm.Value, len(lj.collector.Tuples))
 		for i, t := range lj.collector.Tuples {
 			rows[i] = t[0]

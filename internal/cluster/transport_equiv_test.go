@@ -282,6 +282,36 @@ func TestTransportEquivalence(t *testing.T) {
 		}
 	})
 
+	t.Run("join-memo", func(t *testing.T) {
+		// The three-stage plan twice: the second in-process run replays
+		// the join memo's two entries; tcp runs every subplan both times
+		// (the memo is off).
+		for run := 0; run < 2; run++ {
+			res, tres := assertEquivalent(t, inproc, tcp, noIndexSession, `
+				for $a in dataset EqReviews
+				for $b in dataset EqReviews
+				where similarity-jaccard(word-tokens($a.summary), word-tokens($b.summary)) >= 0.8
+				and $a.id < 60 and $a.id < $b.id
+				return { 'l': $a.id, 'r': $b.id }`)
+			if len(res.Rows) == 0 {
+				t.Error("three-stage jaccard join found no pairs")
+			}
+			if len(res.Stats.Memo) != 2 || len(tres.Stats.Memo) != 2 {
+				t.Fatalf("memo outcomes inproc %v, tcp %v; want two memo operators", res.Stats.Memo, tres.Stats.Memo)
+			}
+			for key, o := range tres.Stats.Memo {
+				if o != memoOff {
+					t.Errorf("tcp run %d: memo %s is %s, want off", run, key, o)
+				}
+			}
+			for key, o := range res.Stats.Memo {
+				if run == 1 && o != memoHit {
+					t.Errorf("second inproc run: memo %s is %s, want hit", key, o)
+				}
+			}
+		}
+	})
+
 	t.Run("spilling-sort-groupby", func(t *testing.T) {
 		budgeted := func() *Session {
 			sess := NewSession()

@@ -263,7 +263,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, invindex.Algorithm(req.TOccAlgo))
+	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, invindex.Algorithm(req.TOccAlgo), false)
 	if err != nil {
 		return nil, err
 	}

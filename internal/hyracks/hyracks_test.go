@@ -239,7 +239,7 @@ func TestRankAssignsPositions(t *testing.T) {
 	job := &Job{}
 	src := job.Add("Src", 1, partitionedSource([][]int64{{30, 10, 20}}))
 	srt := job.Add("Sort", 1, Sort([]SortCol{{Col: 0}}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-	rank := job.Add("Rank", 1, Rank(), Input{From: srt, Conn: ConnectorSpec{Type: OneToOne}})
+	rank := job.Add("Rank", 1, Rank([]int{0}), Input{From: srt, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: rank, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {

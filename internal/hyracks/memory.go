@@ -166,11 +166,11 @@ func (g *MemGrant) ReleaseAll() {
 // Held returns the bytes currently held by this grant.
 func (g *MemGrant) Held() int64 { return g.held }
 
-// tupleMemSize estimates the in-memory footprint of a buffered tuple:
+// TupleMemSize estimates the in-memory footprint of a buffered tuple:
 // its encoded payload plus per-value boxing and slice-header overhead.
 // An estimate is enough — the accountant bounds aggregate buffering, it
 // is not a garbage-collector ledger.
-func tupleMemSize(t Tuple) int64 {
+func TupleMemSize(t Tuple) int64 {
 	return int64(t.EncodedSize()) + 24*int64(len(t)) + 48
 }
 

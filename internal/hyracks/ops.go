@@ -38,10 +38,11 @@ func Sort(cols []SortCol) func() Operator {
 	}
 }
 
-// Rank appends a 1-based int64 position column to each tuple in arrival
-// order. Run it single-instance after a MergeOne connector to implement
-// AQL's positional "at" variable over a globally ordered stream.
-func Rank() func() Operator {
+// Rank emits each tuple's cols followed by its 1-based int64 position in
+// arrival order. Run it single-instance after a MergeOne connector to
+// implement AQL's positional "at" variable over a globally ordered
+// stream.
+func Rank(cols []int) func() Operator {
 	return func() Operator {
 		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
 			var i int64
@@ -51,9 +52,11 @@ func Rank() func() Operator {
 					return ctx.Ctx.Err()
 				}
 				i++
-				nt := make(Tuple, len(t)+1)
-				copy(nt, t)
-				nt[len(t)] = adm.NewInt(i)
+				nt := make(Tuple, len(cols)+1)
+				for j, c := range cols {
+					nt[j] = t[c]
+				}
+				nt[len(cols)] = adm.NewInt(i)
 				out[0].Emit(nt)
 			}
 		})
@@ -451,7 +454,7 @@ func NestedLoopJoin(pred func(row Tuple) (bool, error)) func() Operator {
 				if !ok {
 					break
 				}
-				sz := tupleMemSize(t)
+				sz := TupleMemSize(t)
 				if !g.Reserve(sz) {
 					if err := flush(); err != nil {
 						return err

@@ -271,7 +271,7 @@ func externalSort(ctx *TaskCtx, in *PortReader, cols []SortCol, emit func(Tuple)
 		if !ok {
 			break
 		}
-		sz := tupleMemSize(t)
+		sz := TupleMemSize(t)
 		if !g.Reserve(sz) {
 			// Only cut a run once the buffer is worth a file: when a
 			// concurrent operator holds most of the budget, spilling on
@@ -454,7 +454,7 @@ func (b *spillableBuffer) add(t Tuple) error {
 	if b.sink != nil {
 		return b.sink.add(t)
 	}
-	sz := tupleMemSize(t)
+	sz := TupleMemSize(t)
 	if b.g.Reserve(sz) {
 		b.mem = append(b.mem, t)
 		b.bytes += sz
@@ -877,7 +877,7 @@ func (e *hashJoinExec) run(build, probe tupleStream, depth int) error {
 			}
 			continue
 		}
-		sz := tupleMemSize(t) + 48 // tuple plus its hash-table slot
+		sz := TupleMemSize(t) + 48 // tuple plus its hash-table slot
 		spilled, err := reserveOrSpill(sz, p)
 		if err != nil {
 			return err
@@ -1038,7 +1038,7 @@ func (e *hashJoinExec) blockJoin(bf, pf *storage.RunFile) error {
 					break
 				}
 			}
-			sz := tupleMemSize(t) + 48
+			sz := TupleMemSize(t) + 48
 			if !e.g.Reserve(sz) {
 				if len(block) > 0 {
 					pending = t

@@ -56,7 +56,8 @@ where $ridpair.l = $$LEFTPK_3 and $ridpair.r = $$RIGHTPK_3
 `
 
 // stage1UnionTemplate builds the global token order from both inputs
-// (general joins); stage1SingleTemplate reads one input (self joins).
+// (general joins); stage1SingleTemplate reads one input: the bare scan
+// of a join whose inputs both read one dataset (see tokenSource).
 const stage1UnionTemplate = `
 for $t in union(
     (for $l1 in ##LEFT_1 for $tk1 in $$LEFTTOKS_1 return $tk1),
@@ -150,17 +151,8 @@ func (o *Optimizer) branchKey(branch *algebra.Op) (*algebra.Op, algebra.Var, boo
 	live := schemaSet(branch)
 	var pks []algebra.Var
 	algebra.Walk(branch, func(op *algebra.Op) {
-		if op.Kind == algebra.OpScan || op.Kind == algebra.OpPrimaryLookup {
-			if live[op.PKVar] {
-				pks = append(pks, op.PKVar)
-			}
-		}
-		if op.Kind == algebra.OpUnion {
-			// A union re-defines variables; PKs below it may not
-			// uniquely identify rows. Conservatively include its
-			// out-vars if they carry a PK... they do not in general,
-			// so rely on the scan/lookup vars above.
-			_ = op
+		if (op.Kind == algebra.OpScan || op.Kind == algebra.OpPrimaryLookup) && live[op.PKVar] {
+			pks = append(pks, op.PKVar)
 		}
 	})
 	if len(pks) == 0 {
@@ -197,12 +189,94 @@ func (o *Optimizer) tokensBranch(input *algebra.Op, arg algebra.Expr, pkVar alge
 	return asg, toksVar, newPK, toksVar
 }
 
-// isSelfJoin reports whether both inputs are plain scans of the same
-// dataset (the common case of the paper's experiments), enabling the
-// single-source stage-1 template.
-func isSelfJoin(l, r *algebra.Op) bool {
-	return l.Kind == algebra.OpScan && r.Kind == algebra.OpScan &&
-		l.Dataverse == r.Dataverse && l.Dataset == r.Dataset
+// tokenSource is the input stage 1 reads by itself when one suffices:
+// both join inputs are chains over scans of one dataset, one of them is
+// the bare scan, and both compute the same token expression of their
+// scan's record alone. Every token either side can produce is then a
+// token of some stored record, so an order over the bare scan's tokens
+// ranks all of them, and it depends on the stored data only — not on the
+// query's constants. scan is the bare side's scan (bareLeft tells which
+// side it is); expr is the token expression over record variable $0, the
+// part of the memo keys that names the tokenizer.
+type tokenSource struct {
+	scan     *algebra.Op
+	bareLeft bool
+	expr     string
+}
+
+// singleTokenSource reports the tokenSource of a join, if it has one.
+// The right input is preferred when both are bare scans.
+func singleTokenSource(left, right *algebra.Op, lArg, rArg algebra.Expr) (tokenSource, bool) {
+	ls, rs := scanOfChain(left), scanOfChain(right)
+	if ls == nil || rs == nil || ls.Dataverse != rs.Dataverse || ls.Dataset != rs.Dataset {
+		return tokenSource{}, false
+	}
+	le, lok := recordExpr(lArg, ls)
+	re, rok := recordExpr(rArg, rs)
+	if !lok || !rok || le != re {
+		return tokenSource{}, false
+	}
+	switch {
+	case right == rs:
+		return tokenSource{scan: rs, expr: re}, true
+	case left == ls:
+		return tokenSource{scan: ls, bareLeft: true, expr: le}, true
+	}
+	return tokenSource{}, false
+}
+
+// recordExpr renders arg with scan's record variable as $0, if that is
+// the only variable it reads.
+func recordExpr(arg algebra.Expr, scan *algebra.Op) (string, bool) {
+	if !varsIn(arg, map[algebra.Var]bool{scan.RecVar: true}) {
+		return "", false
+	}
+	return algebra.SubstVars(arg, map[algebra.Var]algebra.Var{scan.RecVar: 0}).String(), true
+}
+
+// newMemo wraps in with a memo operator keyed kind(dataverse.dataset,
+// token expression) that outputs vars.
+func newMemo(in *algebra.Op, kind string, src tokenSource, vars ...algebra.Var) *algebra.Op {
+	m := algebra.NewOp(algebra.OpMemo, in)
+	m.Dataverse, m.Dataset = src.scan.Dataverse, src.scan.Dataset
+	m.MemoKey = fmt.Sprintf("%s(%s.%s, %s)", kind, m.Dataverse, m.Dataset, src.expr)
+	m.Vars = vars
+	return m
+}
+
+// memoRankedSide puts a ranked memo over the bare side's stage-2 branch
+// of an instantiated template, up to its sorted(...) assign: the
+// group-by on the side's primary key pk, and the assign sorting its rank
+// list directly above it. Below the prefix unnest, so the cut holds
+// nothing that depends on the threshold.
+func memoRankedSide(frag *algebra.Op, pk algebra.Var, src tokenSource) error {
+	parents := parentsOf(frag)
+	var sortedAsg *algebra.Op
+	algebra.Walk(frag, func(op *algebra.Op) {
+		if op.Kind != algebra.OpGroupBy || len(op.Keys) != 1 {
+			return
+		}
+		if key, ok := op.Keys[0].E.(algebra.VarRef); !ok || key.V != pk {
+			return
+		}
+		if ps := parents[op]; len(ps) == 1 && ps[0].Kind == algebra.OpAssign && len(ps[0].AssignVars) == 1 {
+			if c, ok := ps[0].AssignExprs[0].(algebra.Call); ok && c.Fn == "sorted" {
+				sortedAsg = ps[0]
+			}
+		}
+	})
+	if sortedAsg == nil || len(parents[sortedAsg]) != 1 {
+		return fmt.Errorf("aql+: no sorted token list over the stage-2 group-by on %v", pk)
+	}
+	group := sortedAsg.Inputs[0]
+	memo := newMemo(sortedAsg, "ranked", src, group.Keys[0].V, sortedAsg.AssignVars[0])
+	p := parents[sortedAsg][0]
+	for i, in := range p.Inputs {
+		if in == sortedAsg {
+			p.Inputs[i] = memo
+		}
+	}
+	return nil
 }
 
 // instantiateThreeStage runs the AQL+ two-step rewrite.
@@ -216,13 +290,23 @@ func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, r
 		MetaVars: map[string]algebra.Var{},
 	}
 
-	// Stage-1 bindings (fresh copies).
-	l1, l1rec, _, l1toks := o.tokensBranch(left, lArg, lPK)
-	tr.Meta["LEFT_1"] = aqlp.MetaBinding{Plan: l1, RecVar: l1rec}
-	tr.MetaVars["LEFTTOKS_1"] = l1toks
+	// Stage-1 bindings (fresh copies): the bare scan alone when one
+	// input is a bare scan the other filters, else both inputs.
+	ts, single := singleTokenSource(left, right, lArg, rArg)
 	stage1Src := stage1SingleTemplate
-	if !isSelfJoin(left, right) {
+	if single {
+		bare, bareArg := right, rArg
+		if ts.bareLeft {
+			bare, bareArg = left, lArg
+		}
+		l1, l1rec, _, l1toks := o.tokensBranch(bare, bareArg, ts.scan.PKVar)
+		tr.Meta["LEFT_1"] = aqlp.MetaBinding{Plan: l1, RecVar: l1rec}
+		tr.MetaVars["LEFTTOKS_1"] = l1toks
+	} else {
+		l1, l1rec, _, l1toks := o.tokensBranch(left, lArg, lPK)
 		r1, r1rec, _, r1toks := o.tokensBranch(right, rArg, rPK)
+		tr.Meta["LEFT_1"] = aqlp.MetaBinding{Plan: l1, RecVar: l1rec}
+		tr.MetaVars["LEFTTOKS_1"] = l1toks
 		tr.Meta["RIGHT_1"] = aqlp.MetaBinding{Plan: r1, RecVar: r1rec}
 		tr.MetaVars["RIGHTTOKS_1"] = r1toks
 		stage1Src = stage1UnionTemplate
@@ -239,9 +323,13 @@ func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, r
 	}
 	rank := algebra.NewOp(algebra.OpRank, s1plan)
 	rank.PosVar = o.Alloc.New()
-	tr.Meta["RANKEDL"] = aqlp.MetaBinding{Plan: rank, RecVar: s1ret}
+	ranked := rank
+	if single {
+		ranked = newMemo(rank, "order", ts, s1ret, rank.PosVar)
+	}
+	tr.Meta["RANKEDL"] = aqlp.MetaBinding{Plan: ranked, RecVar: s1ret}
 	tr.MetaVars["RANKL"] = rank.PosVar
-	tr.Meta["RANKEDR"] = aqlp.MetaBinding{Plan: rank, RecVar: s1ret}
+	tr.Meta["RANKEDR"] = aqlp.MetaBinding{Plan: ranked, RecVar: s1ret}
 	tr.MetaVars["RANKR"] = rank.PosVar
 
 	// Stage-2 bindings (fresh copies) and stage-3 bindings (originals).
@@ -268,6 +356,15 @@ func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, r
 	frag, err := tr.TranslateFragment(fl)
 	if err != nil {
 		return nil, fmt.Errorf("aql+: template translation: %w", err)
+	}
+	if single {
+		barePK := r2pk
+		if ts.bareLeft {
+			barePK = l2pk
+		}
+		if err := memoRankedSide(frag, barePK, ts); err != nil {
+			return nil, err
+		}
 	}
 
 	// Any extra join conjuncts (beyond the similarity predicate) go into

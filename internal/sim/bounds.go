@@ -3,9 +3,10 @@ package sim
 import "math"
 
 // jaccardEps keeps float rounding from over-tightening a Jaccard bound
-// (3.0000000000000004 must not become 4): JaccardCheck, JaccardChecker
-// and JaccardBounds all loosen by it, and the exact similarity test
-// still rejects whatever it lets through.
+// (3.0000000000000004 must not become 4): JaccardCheck, JaccardChecker,
+// JaccardBounds, PrefixLenJaccard and TOccurrenceJaccard all loosen by
+// it, and the exact similarity test still rejects whatever it lets
+// through.
 const jaccardEps = 1e-9
 
 // Bounds is what a similarity predicate says about a candidate record r

@@ -217,7 +217,7 @@ func PrefixLenJaccard(l int, delta float64) int {
 	if l == 0 {
 		return 0
 	}
-	p := l - int(math.Ceil(delta*float64(l))) + 1
+	p := l - int(math.Ceil(delta*float64(l)-jaccardEps)) + 1
 	if p < 0 {
 		p = 0
 	}
@@ -233,7 +233,7 @@ func PrefixLenJaccard(l int, delta float64) int {
 // The result is always >= 1 for a non-empty query, so Jaccard has no
 // corner case (paper §5.1.1).
 func TOccurrenceJaccard(qTokens int, delta float64) int {
-	t := int(math.Ceil(delta * float64(qTokens)))
+	t := int(math.Ceil(delta*float64(qTokens) - jaccardEps))
 	if t < 1 {
 		t = 1
 	}

@@ -302,6 +302,28 @@ func TestPrefixLenJaccard(t *testing.T) {
 	}
 }
 
+// TestJaccardLengthsAgainstRationals compares PrefixLenJaccard and
+// TOccurrenceJaccard with exact rational arithmetic for every threshold
+// k/20 (0.05 … 0.95) and every length 1 … 200: with delta = k/20,
+// ceil(delta*l) is ceil(k*l/20) on integers. The float product rounds
+// up past an integer for some pairs (0.55*100 is 55.000000000000007),
+// which without the epsilon shortened the prefix by one token and
+// raised T by one.
+func TestJaccardLengthsAgainstRationals(t *testing.T) {
+	for k := 1; k <= 19; k++ {
+		delta := float64(k) / 20 // the same double as the literal, e.g. 0.55
+		for l := 1; l <= 200; l++ {
+			ceil := (k*l + 19) / 20
+			if got, want := PrefixLenJaccard(l, delta), l-ceil+1; got != want {
+				t.Errorf("PrefixLenJaccard(%d, %g) = %d, want %d", l, delta, got, want)
+			}
+			if got, want := TOccurrenceJaccard(l, delta), max(ceil, 1); got != want {
+				t.Errorf("TOccurrenceJaccard(%d, %g) = %d, want %d", l, delta, got, want)
+			}
+		}
+	}
+}
+
 func TestPrefixFilterCompletenessProperty(t *testing.T) {
 	// Two sets with Jaccard >= delta, tokens sorted by a global order,
 	// must share a token within their prefix-filter prefixes. This is

@@ -169,15 +169,21 @@ type CacheStats struct {
 	// Evictions counts pages pushed out by capacity pressure (targeted
 	// Evict() calls after compaction are not included).
 	Evictions int64
+	// Resident is the capacity of the cached pages' slices in bytes.
+	Resident int64
 }
 
 // Stats returns the current counters.
 func (c *BufferCache) Stats() CacheStats {
+	c.mu.Lock()
+	resident := c.resident
+	c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		PagesRead: c.pagesRead.Load(),
 		Evictions: c.evictions.Load(),
+		Resident:  int64(resident),
 	}
 }
 
