@@ -17,8 +17,9 @@ type CompiledEval func(row []adm.Value) (adm.Value, error)
 
 // Compile translates e into a closure evaluating it over tuples whose
 // layout is described by cols (plan variable → column index). Every
-// expression form this package defines compiles; ok is false only for
-// an Expr type it does not define.
+// expression compiles: the five Expr forms are closures, and a nil Expr
+// raises Eval's "unknown expression" error when run. ok is always true;
+// it stays in the signature for benchmark/harness, which reads it.
 //
 // The compiler performs:
 //   - column-slot resolution: VarRef compiles to a direct row index,
@@ -38,25 +39,22 @@ type CompiledEval func(row []adm.Value) (adm.Value, error)
 // evaluation order — which the differential tests in compile_test.go
 // and FuzzCompiledEval assert.
 func Compile(e Expr, cols map[Var]int) (CompiledEval, bool) {
-	fn, _, ok := compileExpr(e, cols)
-	if !ok {
-		return nil, false
-	}
+	fn, _ := compileExpr(e, cols)
 	return fn, true
 }
 
-// compileExpr returns the closure, whether the subtree is variable-free
-// (and therefore foldable), and whether compilation succeeded.
-func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool, bool) {
+// compileExpr returns the closure and whether the subtree is
+// variable-free (and therefore foldable).
+func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool) {
 	switch x := e.(type) {
 	case Const:
 		v := x.Val
-		return func([]adm.Value) (adm.Value, error) { return v, nil }, true, true
+		return func([]adm.Value) (adm.Value, error) { return v, nil }, true
 	case VarRef:
 		col, bound := cols[x.V]
 		if !bound {
 			err := fmt.Errorf("algebra: unbound variable %v", x.V)
-			return func([]adm.Value) (adm.Value, error) { return adm.Null, err }, false, true
+			return func([]adm.Value) (adm.Value, error) { return adm.Null, err }, false
 		}
 		v := x.V
 		return func(row []adm.Value) (adm.Value, error) {
@@ -64,28 +62,26 @@ func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool, bool) {
 				return adm.Null, fmt.Errorf("algebra: variable %v column %d out of row", v, col)
 			}
 			return row[col], nil
-		}, false, true
+		}, false
 	case Call:
 		return compileCall(x, cols)
 	case Comprehension, NameRef:
 		cols := maps.Clone(cols)
 		fn := CompiledEval(func(row []adm.Value) (adm.Value, error) { return Eval(e, &Env{Cols: cols, Row: row}) })
 		if len(UsedVars(e, nil)) == 0 {
-			return foldConst(fn), true, true
+			return foldConst(fn), true
 		}
-		return fn, false, true
+		return fn, false
 	}
-	return nil, false, false
+	err := fmt.Errorf("algebra: unknown expression %T", e)
+	return func([]adm.Value) (adm.Value, error) { return adm.Null, err }, false
 }
 
-func compileCall(c Call, cols map[Var]int) (CompiledEval, bool, bool) {
+func compileCall(c Call, cols map[Var]int) (CompiledEval, bool) {
 	args := make([]CompiledEval, len(c.Args))
 	varFree := true
 	for i, a := range c.Args {
-		fn, vf, ok := compileExpr(a, cols)
-		if !ok {
-			return nil, false, false
-		}
+		fn, vf := compileExpr(a, cols)
 		args[i] = fn
 		varFree = varFree && vf
 	}
@@ -95,9 +91,9 @@ func compileCall(c Call, cols map[Var]int) (CompiledEval, bool, bool) {
 		fn = genericCall(c.Fn, args)
 	}
 	if varFree {
-		return foldConst(fn), true, true
+		return foldConst(fn), true
 	}
-	return fn, false, true
+	return fn, false
 }
 
 // foldConst evaluates a variable-free closure once at compile time and

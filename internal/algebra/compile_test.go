@@ -500,3 +500,10 @@ func benchCompiled(b *testing.B, e Expr) {
 		}
 	}
 }
+
+// TestCompileNilExpr: Compile never declines; a nil Expr, bare or as a
+// call argument, compiles to a closure raising Eval's error.
+func TestCompileNilExpr(t *testing.T) {
+	assertSame(t, nil)
+	assertSame(t, F("len", nil))
+}

@@ -143,18 +143,22 @@ func New(cfg Config) (*Cluster, error) {
 // per-process layout of tcp mode, used by both the coordinator and
 // RunWorker).
 func newCluster(cfg Config, localNode int) (*Cluster, error) {
+	algo, err := invindex.ParseAlgorithm(cfg.TOccurrence)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: TOccurrence: %w", err)
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		Catalog:   NewCatalog(),
 		localNode: localNode,
-		planCache: NewPlanCache(cfg.PlanCacheSize),
+		planCache: NewPlanCache(planCacheSize),
 		memo:      newMemoStore(),
 		qm:        newQueryManager(cfg.MaxConcurrentQueries, cfg.QueryTimeout, cfg.AdmissionTimeout, cfg.ClusterMemoryBudget),
 		slowLog:   obs.NewLogger(os.Stderr, obs.LevelInfo),
 		activeQ:   newActiveQueries(),
 		tracer:    trace.Default(),
 	}
-	c.tOccAlgo.Store(int32(cfg.TOccurrenceAlgorithm))
+	c.tOccAlgo.Store(int32(algo))
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {
 			c.nodes = append(c.nodes, nil)

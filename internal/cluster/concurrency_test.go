@@ -252,7 +252,7 @@ func TestConcurrentServingStress(t *testing.T) {
 // not close would pin the merged-away components: their files would
 // stay on disk although the tree no longer lists them.
 func TestLookupSnapshotReleasedOnEveryExit(t *testing.T) {
-	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 2, DataDir: t.TempDir(), PlanCacheSize: -1})
+	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,19 +12,21 @@ import (
 	"runtime"
 	"time"
 
-	"simdb/internal/invindex"
 	"simdb/internal/storage"
 )
 
 // Config mirrors the paper's Table 2 knobs, scaled for a single-host
-// simulation.
+// simulation. It is the database's one configuration: core.Config is
+// this type, and tcp workers receive it in their bootstrap. Zero values
+// take the defaults WithDefaults fills in (2 nodes × 2 partitions,
+// 32 KiB pages, DivideSkip merging).
 type Config struct {
 	// NumNodes is the simulated node-controller count (paper: 8).
 	NumNodes int
 	// PartitionsPerNode is the data partition count per node (paper: 2,
 	// "to provide full I/O parallelism").
 	PartitionsPerNode int
-	// DataDir is the root directory for all node storage.
+	// DataDir is the root directory for all node storage. Required.
 	DataDir string
 	// PageSize is the storage page size (paper: 128 KB; scaled default
 	// 32 KB).
@@ -34,9 +36,14 @@ type Config struct {
 	// MemComponentBudgetBytes is the in-memory LSM component budget per
 	// dataset partition (paper: 1.5 GB per dataset per node).
 	MemComponentBudgetBytes int64
-	// TOccurrenceAlgorithm selects the inverted-index T-occurrence solver;
-	// the zero value is the default, DivideSkip.
-	TOccurrenceAlgorithm invindex.Algorithm
+	// TOccurrence names the inverted-index T-occurrence solver, as
+	// invindex.ParseAlgorithm reads it: "divideskip" (the default),
+	// "mergeskip" or "scancount". All three read posting lists through
+	// seekable cursors and return the same candidates; DivideSkip merges
+	// the short lists and probes the long ones, so it decodes the fewest
+	// postings, and it won the paired sel_index runs against the other
+	// two (EXPERIMENTS.md).
+	TOccurrence string
 	// MaxConcurrentQueries bounds admission: at most this many queries
 	// execute at once; excess callers wait (default 64).
 	MaxConcurrentQueries int
@@ -49,9 +56,6 @@ type Config struct {
 	// serving front end turns into 503 + Retry-After. 0 disables: waits
 	// are bounded only by the caller's context.
 	AdmissionTimeout time.Duration
-	// PlanCacheSize bounds the compiled-plan cache (entries, LRU).
-	// 0 takes the default of 256; negative disables the cache.
-	PlanCacheSize int
 	// SlowQueryThreshold, when positive, makes Execute emit one
 	// structured JSON log line for every query whose total wall time
 	// (admission + compile + execution) reaches it. 0 disables the log.
@@ -119,6 +123,32 @@ type Config struct {
 	// TestMain). Empty runs os.Executable() with no arguments — correct
 	// for binaries and `go test` processes that install the hook.
 	WorkerCmd []string
+	// ServeAddr, when set (e.g. ":8095" or ":0"), makes core.Open start
+	// the simdbd HTTP front end: sessions, streaming NDJSON query
+	// results, bulk ingest, cancellation, /metrics, /queries, /traces,
+	// /slowlog and /debug/pprof. Empty (the default) starts no listener;
+	// core's Database.ServeAddr resolves the bound address. The cluster
+	// itself never reads it.
+	ServeAddr string
+	// Serve tunes that front end; ignored unless ServeAddr is set.
+	Serve ServeConfig
+}
+
+// ServeConfig tunes the simdbd serving front end; zero values take the
+// defaults.
+type ServeConfig struct {
+	// DrainTimeout bounds the graceful drain on Close: how long
+	// in-flight queries get to finish after the listener stops
+	// accepting. Default 30s.
+	DrainTimeout time.Duration
+	// MaxSessions caps concurrently issued session tokens; POST
+	// /sessions past it returns 429. Default 1024.
+	MaxSessions int
+	// SessionIdleTimeout evicts sessions with no request for this long.
+	// Default 15m.
+	SessionIdleTimeout time.Duration
+	// MaxRequestBytes caps a /query request body. Default 1 MiB.
+	MaxRequestBytes int64
 }
 
 // WithDefaults fills unset fields.
@@ -152,6 +182,9 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StallThreshold <= 0 {
 		c.StallThreshold = 4
+	}
+	if c.TOccurrence == "" {
+		c.TOccurrence = "divideskip"
 	}
 	if c.WALSyncMode == "" {
 		c.WALSyncMode = string(storage.WALSyncCommit)

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"simdb/internal/algebra"
 	"simdb/internal/obs"
 )
@@ -16,15 +14,11 @@ var evaluatorCompiles = obs.C("cluster.evaluator.compiles")
 // evaluator: each expression compiles once here into a pure closure
 // (column slots resolved, constants folded, hot forms fused) that every
 // operator instance shares.
-func compileEvals(cols map[algebra.Var]int, es ...algebra.Expr) ([]algebra.CompiledEval, error) {
+func compileEvals(cols map[algebra.Var]int, es ...algebra.Expr) []algebra.CompiledEval {
 	evals := make([]algebra.CompiledEval, len(es))
 	for i, e := range es {
-		fn, ok := algebra.Compile(e, cols)
-		if !ok {
-			return nil, fmt.Errorf("jobgen: expression %T does not compile", e)
-		}
+		evals[i], _ = algebra.Compile(e, cols)
 		evaluatorCompiles.Inc()
-		evals[i] = fn
 	}
-	return evals, nil
+	return evals
 }

@@ -426,14 +426,11 @@ func containsVar(vars []algebra.Var, v algebra.Var) bool {
 // plans: its survivors are the true results among the T-occurrence
 // candidates. Survivors are few, so one atomic add each stays off the
 // per-row hot path.
-func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, fusedExprs []algebra.Expr, counters *QueryCounters) error {
+func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, fusedExprs []algebra.Expr, counters *QueryCounters) {
 	verifier := p.fromIndex
 	p.fromIndex = false
 	slots := p.bind(fusedVars...)
-	evals, err := compileEvals(p.cols, append([]algebra.Expr{cond}, fusedExprs...)...)
-	if err != nil {
-		return err
-	}
+	evals := compileEvals(p.cols, append([]algebra.Expr{cond}, fusedExprs...)...)
 	ev, fused := evals[0], evals[1:]
 	p.add(name, func(_ *instance, next step) step {
 		return func(row hyracks.Tuple) error {
@@ -450,7 +447,6 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 			return next(row)
 		}
 	})
-	return nil
 }
 
 // stage compiles one per-row algebra operator onto the end of the chain.
@@ -464,24 +460,21 @@ func (p *pipeline) stage(op *algebra.Op, counters *QueryCounters) error {
 		if len(op.FusedAssignVars) > 0 {
 			name += "(fused-assign)"
 		}
-		return p.sel(name, op.Cond, op.FusedAssignVars, op.FusedAssignExprs, counters)
+		p.sel(name, op.Cond, op.FusedAssignVars, op.FusedAssignExprs, counters)
 	case algebra.OpAssign:
-		return p.assign(op.AssignVars, op.AssignExprs)
+		p.assign(op.AssignVars, op.AssignExprs)
 	case algebra.OpProject:
 		p.ordered = false
 		return p.project(op.Vars)
 	case algebra.OpUnnest:
-		return p.unnest(op.Expr, op.UnnestVar, op.PosVar)
+		p.unnest(op.Expr, op.UnnestVar, op.PosVar)
 	}
 	return nil
 }
 
-func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) error {
+func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
 	// The expressions see the input only, not one another's variables.
-	evals, err := compileEvals(p.cols, exprs...)
-	if err != nil {
-		return err
-	}
+	evals := compileEvals(p.cols, exprs...)
 	slots := p.bind(vars...)
 	p.add("Assign", func(_ *instance, next step) step {
 		return func(row hyracks.Tuple) error {
@@ -491,7 +484,6 @@ func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) error {
 			return next(row)
 		}
 	})
-	return nil
 }
 
 // fill evaluates evals over the row, in order, each into its slot.
@@ -524,11 +516,8 @@ func (p *pipeline) project(vars []algebra.Var) error {
 
 // unnest loops over the collection in its slot: the stages after it run
 // once per element.
-func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) error {
-	evals, err := compileEvals(p.cols, e)
-	if err != nil {
-		return err
-	}
+func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
+	evals := compileEvals(p.cols, e)
 	ev := evals[0]
 	slot, posSlot := p.bind(elemVar)[0], -1
 	if posVar != 0 {
@@ -556,7 +545,6 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) error {
 			return nil
 		}
 	})
-	return nil
 }
 
 // seal ends the chain in one job node that emits vars. Only here is a
@@ -954,10 +942,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		} else {
 			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		evals, err := compileEvals(colMap(outSchema), cond)
-		if err != nil {
-			return nil, err
-		}
+		evals := compileEvals(colMap(outSchema), cond)
 		ev := evals[0]
 		pred := func(row hyracks.Tuple) (bool, error) {
 			v, err := ev(row)
@@ -983,7 +968,8 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		return out, nil
 	}
 	p := openPipeline(out)
-	return p.out, p.sel("JoinPostSelect", cond, nil, nil, g.counters)
+	p.sel("JoinPostSelect", cond, nil, nil, g.counters)
+	return p.out, nil
 }
 
 func isAlwaysTrue(e algebra.Expr) bool {
@@ -1024,10 +1010,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	cols := colMap(in.schema)
-	evals, err := compileEvals(cols, op.KeyExpr, op.TExpr)
-	if err != nil {
-		return nil, err
-	}
+	evals := compileEvals(cols, op.KeyExpr, op.TExpr)
 	keyEval, tEval := evals[0], evals[1]
 	dv, ds, ixName, bound := op.Dataverse, op.Dataset, op.IndexName, op.Bound
 	c := g.c
@@ -1110,10 +1093,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 		return nil, fmt.Errorf("jobgen: unknown dataset %s.%s", op.Dataverse, op.Dataset)
 	}
 	cols := colMap(in.schema)
-	evals, err := compileEvals(cols, op.PKExpr)
-	if err != nil {
-		return nil, err
-	}
+	evals := compileEvals(cols, op.PKExpr)
 	ev := evals[0]
 	raw := op.RawPK
 	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField

@@ -142,7 +142,7 @@ func TestSessionBudgetOverridesConfig(t *testing.T) {
 // concurrent teardown of spilling operator instances.
 func TestSpillCleanupOnCancel(t *testing.T) {
 	c, err := New(Config{NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(),
-		QueryMemoryBudget: 64 << 10, PlanCacheSize: -1})
+		QueryMemoryBudget: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

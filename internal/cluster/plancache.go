@@ -31,7 +31,7 @@ import (
 // bypass the cache entirely.
 type PlanCache struct {
 	mu       sync.Mutex
-	capacity int // negative: the cache is disabled
+	capacity int
 	entries  map[planKey]*list.Element
 	lru      *list.List // front = most recently used
 
@@ -65,13 +65,12 @@ type planEntry struct {
 	cornerCases int
 }
 
+// planCacheSize is the capacity of every cluster's plan cache.
+const planCacheSize = 256
+
 // NewPlanCache returns a cache bounded to capacity entries (LRU
-// eviction); 0 takes the default of 256. A negative capacity builds a
-// disabled cache, which misses every lookup and drops every store.
+// eviction).
 func NewPlanCache(capacity int) *PlanCache {
-	if capacity == 0 {
-		capacity = 256
-	}
 	return &PlanCache{
 		capacity: capacity,
 		entries:  make(map[planKey]*list.Element),
@@ -79,15 +78,9 @@ func NewPlanCache(capacity int) *PlanCache {
 	}
 }
 
-// Enabled reports whether the cache serves hits.
-func (pc *PlanCache) Enabled() bool { return pc.capacity >= 0 }
-
 // get returns the cached entry for key if present and compiled under
 // the current epoch. Stale entries are evicted on sight.
 func (pc *PlanCache) get(key planKey, epoch uint64) (*planEntry, bool) {
-	if !pc.Enabled() {
-		return nil, false
-	}
 	pc.mu.Lock()
 	el, ok := pc.entries[key]
 	if !ok {
@@ -113,9 +106,6 @@ func (pc *PlanCache) get(key planKey, epoch uint64) (*planEntry, bool) {
 // put stores a freshly compiled plan, evicting the least recently used
 // entry when over capacity.
 func (pc *PlanCache) put(e *planEntry) {
-	if !pc.Enabled() {
-		return
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if el, ok := pc.entries[e.key]; ok {

@@ -194,25 +194,6 @@ func TestPlanCacheDDLRequestsNotCached(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 1, DataDir: t.TempDir(), PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sess := NewSession()
-	exec(t, c, sess, `create dataset D primary key id;`)
-	q := `count(for $d in dataset D return $d)`
-	exec(t, c, sess, q)
-	res := exec(t, c, sess, q)
-	if res.Stats.PlanCacheHit {
-		t.Fatal("disabled cache served a hit")
-	}
-	if st := c.PlanCache().Stats(); st.Entries != 0 {
-		t.Fatalf("disabled cache stored entries: %+v", st)
-	}
-}
-
 // TestPlanCacheAccounting pins the cache's bookkeeping: one query text
 // is one entry however often it runs, every non-explain request is
 // exactly one hit or one miss, explain requests are neither, and a

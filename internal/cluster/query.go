@@ -395,7 +395,7 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		return &Result{Rows: planRows(stats.LogicalPlan), Stats: *stats}, nil
 	}
 
-	if cacheable && c.planCache.Enabled() {
+	if cacheable {
 		cached, _ := algebra.Copy(plan, &algebra.VarAlloc{})
 		c.planCache.put(&planEntry{
 			key:         key,

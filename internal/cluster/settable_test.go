@@ -13,8 +13,8 @@ import (
 )
 
 // TestSettableSurface pins every independently settable value of the
-// engine below core.Config: the fields of the cluster configuration, the
-// optimizer options, the job topology, the plan-cache key and the job
+// engine: the fields of the configuration (core.Config is this Config,
+// and core's test of the same name pins it too), the optimizer options, the job topology, the plan-cache key and the job
 // request, and the keys `set` accepts. A new knob, or a deleted one, is
 // a change to testdata/settable_surface.golden, made on purpose.
 func TestSettableSurface(t *testing.T) {

@@ -30,13 +30,18 @@ func TestMain(m *testing.M) {
 // loopback — so each query class can be asserted transport-equivalent.
 func transportPair(t *testing.T) (inproc, tcp *Cluster) {
 	t.Helper()
+	return transportPairConfig(t, Config{})
+}
+
+// transportPairConfig is transportPair over cfg, whose node, partition,
+// directory and transport settings it overrides.
+func transportPairConfig(t *testing.T, cfg Config) (inproc, tcp *Cluster) {
+	t.Helper()
 	open := func(transport string) *Cluster {
-		c, err := New(Config{
-			NumNodes:          2,
-			PartitionsPerNode: 2,
-			DataDir:           t.TempDir(),
-			Transport:         transport,
-		})
+		cfg := cfg
+		cfg.NumNodes, cfg.PartitionsPerNode = 2, 2
+		cfg.DataDir, cfg.Transport = t.TempDir(), transport
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New(%s): %v", transport, err)
 		}
@@ -513,5 +518,34 @@ func TestSolverTravelsWithTheJob(t *testing.T) {
 	}
 	if read[invindex.DivideSkip] >= read[invindex.ScanCount] {
 		t.Fatalf("postings read %v: the solvers cannot be told apart on this query", read)
+	}
+}
+
+// TestConfigSolverReachesSearch: the solver named in Config.TOccurrence
+// is the one the index search runs, on the coordinator and on a tcp
+// worker alike. Each solver's pair reads equal postings on both
+// transports, and the two solvers read different counts, so the setting
+// was not dropped on the way to either process.
+func TestConfigSolverReachesSearch(t *testing.T) {
+	const q = `for $r in dataset EqReviews
+		where similarity-jaccard(word-tokens($r.summary), word-tokens('great heart works product')) >= 0.5
+		return $r.id`
+	read := map[string]int64{}
+	for _, name := range []string{"scancount", "divideskip"} {
+		inproc, tcp := transportPairConfig(t, Config{TOccurrence: name})
+		for _, c := range []*Cluster{inproc, tcp} {
+			exec(t, c, NewSession(), `create index eqkw on EqReviews(summary) type keyword;`)
+		}
+		a, b := assertEquivalent(t, inproc, tcp, plainSession, q)
+		if a.Stats.IndexSearches == 0 || len(a.Rows) == 0 {
+			t.Fatalf("%s: %d index searches, %d rows: the query does not search the index", name, a.Stats.IndexSearches, len(a.Rows))
+		}
+		if a.Stats.PostingsRead != b.Stats.PostingsRead {
+			t.Errorf("%s: %d postings read inproc, %d over tcp", name, a.Stats.PostingsRead, b.Stats.PostingsRead)
+		}
+		read[name] = a.Stats.PostingsRead
+	}
+	if read["scancount"] == read["divideskip"] {
+		t.Fatalf("postings read %v: both configurations ran the same solver", read)
 	}
 }

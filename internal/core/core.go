@@ -2,7 +2,10 @@
 // AQL (including DDL, similarity queries, and AQL+ machinery under the
 // hood), inspect plans and statistics, and load data. It wraps the
 // simulated cluster with a stable, documented surface that the
-// examples, CLI, and benchmark harness all use.
+// examples, CLI, and benchmark harness all use. Its Config is the
+// cluster's own configuration struct, so every setting is declared,
+// defaulted and documented once, in internal/cluster; Open adds only
+// the optional HTTP front end (Config.ServeAddr).
 //
 // Quick start:
 //
@@ -19,9 +22,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"os"
-	"time"
 
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
@@ -32,97 +33,10 @@ import (
 	"simdb/internal/simdbd"
 )
 
-// Config configures a Database; zero values take sensible defaults
-// (2 nodes × 2 partitions, 32 KiB pages, DivideSkip merging).
-type Config struct {
-	// DataDir holds all node storage. Required.
-	DataDir string
-	// NumNodes is the simulated node count.
-	NumNodes int
-	// PartitionsPerNode is the data parallelism per node.
-	PartitionsPerNode int
-	// PageSize is the storage page size in bytes.
-	PageSize int
-	// DiskBufferCacheBytes is the per-node buffer cache size.
-	DiskBufferCacheBytes int64
-	// MemComponentBudgetBytes is the per-partition LSM memtable budget.
-	MemComponentBudgetBytes int64
-	// TOccurrence selects the inverted-index T-occurrence solver:
-	// "divideskip" (the default, also ""), "mergeskip", or "scancount".
-	// All three read posting lists through seekable cursors and return
-	// the same candidates; DivideSkip merges the short lists and probes
-	// the long ones, so it decodes the fewest postings, and it won the
-	// paired sel_index runs against the other two (EXPERIMENTS.md, PR 26).
-	TOccurrence string
-	// MaxConcurrentQueries bounds concurrent query admission (default
-	// 64); excess callers wait for a slot.
-	MaxConcurrentQueries int
-	// QueryTimeout caps each admitted query's run time; 0 disables.
-	QueryTimeout time.Duration
-	// AdmissionTimeout bounds how long a query may wait for an admission
-	// slot (or a memory grant) before the engine gives up with
-	// ErrAdmissionTimeout — the signal the serving front end turns into
-	// 503 + Retry-After. 0 (default) waits indefinitely.
-	AdmissionTimeout time.Duration
-	// PlanCacheSize bounds the compiled-plan cache in entries (0 takes
-	// the default of 256; negative disables the cache).
-	PlanCacheSize int
-	// SlowQueryThreshold logs any query slower than this as one
-	// structured JSON line on stderr; 0 disables the slow-query log.
-	SlowQueryThreshold time.Duration
-	// QueryMemoryBudget bounds each query's operator working memory in
-	// bytes; blocking operators spill to disk past it. 0 = unlimited
-	// (sessions can still `set memorybudget '32m';` per connection).
-	QueryMemoryBudget int64
-	// ClusterMemoryBudget, when positive, bounds the total budgeted
-	// memory of concurrently admitted queries; excess queries queue.
-	ClusterMemoryBudget int64
-	// IngestWorkers sizes the partition-parallel ingestion pipeline
-	// (default: one worker per partition).
-	IngestWorkers int
-	// IngestQueueDepth bounds each ingestion worker's queue; full queues
-	// backpressure InsertBatch callers (default 256).
-	IngestQueueDepth int
-	// MaintenanceWorkers sizes each node's background LSM flush/merge
-	// pool (default 2).
-	MaintenanceWorkers int
-	// StallThreshold caps flush-pending immutable memtables per tree
-	// before writers stall awaiting maintenance (default 4).
-	StallThreshold int
-	// WALSyncMode selects ingestion crash durability: "commit" (default;
-	// InsertBatch acknowledges only after the write-ahead log is synced,
-	// with concurrent commits coalesced into one fsync), "interval"
-	// (background sync on a timer; a crash may lose the last few
-	// milliseconds of acknowledged writes), or "off" (no logging;
-	// unflushed memtables are lost on crash).
-	WALSyncMode string
-	// ServeAddr, when set (e.g. ":8095" or ":0"), starts the simdbd HTTP
-	// front end: sessions, streaming NDJSON query results, bulk ingest,
-	// cancellation, /metrics, /queries, /traces, /slowlog and
-	// /debug/pprof. Empty (the default) starts no listener. Resolve the
-	// bound address with Database.ServeAddr.
-	ServeAddr string
-	// Serve tunes the query-serving front end (drain timeout, session
-	// cap, idle eviction, request size cap); zero values take simdbd's
-	// defaults. Ignored unless ServeAddr is set.
-	Serve simdbd.Config
-	// Transport selects how query frames move between nodes: "inproc"
-	// (default; every node in this process, channel semantics) or "tcp"
-	// (nodes 1..NumNodes-1 run as child worker processes and frames ship
-	// over real TCP loopback). The tcp transport requires the embedding
-	// binary to call cluster.MaybeRunWorker at the top of main.
-	Transport string
-	// FrameSize is the tuple batch size per connector send (0 takes the
-	// hyracks default, 128).
-	FrameSize int
-	// ChanCap is the per-channel frame buffer — the connector
-	// backpressure bound, mirrored by the tcp transport as its
-	// per-stream credit window (0 takes the hyracks default, 4).
-	ChanCap int
-	// WorkerCmd overrides the command line that launches tcp-mode worker
-	// processes; empty runs this executable again.
-	WorkerCmd []string
-}
+// Config configures a Database. It is cluster.Config, the one
+// configuration struct: each setting is declared, defaulted and
+// documented there, and zero values take its defaults.
+type Config = cluster.Config
 
 // Database is an open SimDB instance.
 type Database struct {
@@ -150,40 +64,10 @@ func MaybeRunWorker() {
 	cluster.MaybeRunWorker()
 }
 
-// Open creates (or reopens) a database under cfg.DataDir.
+// Open creates (or reopens) a database under cfg.DataDir and, when
+// cfg.ServeAddr is set, starts the simdbd HTTP front end on it.
 func Open(cfg Config) (*Database, error) {
-	algo := invindex.DivideSkip
-	if cfg.TOccurrence != "" {
-		var err error
-		if algo, err = parseTOccurrence(cfg.TOccurrence); err != nil {
-			return nil, err
-		}
-	}
-	c, err := cluster.New(cluster.Config{
-		NumNodes:                cfg.NumNodes,
-		PartitionsPerNode:       cfg.PartitionsPerNode,
-		DataDir:                 cfg.DataDir,
-		PageSize:                cfg.PageSize,
-		DiskBufferCacheBytes:    cfg.DiskBufferCacheBytes,
-		MemComponentBudgetBytes: cfg.MemComponentBudgetBytes,
-		TOccurrenceAlgorithm:    algo,
-		MaxConcurrentQueries:    cfg.MaxConcurrentQueries,
-		QueryTimeout:            cfg.QueryTimeout,
-		AdmissionTimeout:        cfg.AdmissionTimeout,
-		PlanCacheSize:           cfg.PlanCacheSize,
-		SlowQueryThreshold:      cfg.SlowQueryThreshold,
-		QueryMemoryBudget:       cfg.QueryMemoryBudget,
-		ClusterMemoryBudget:     cfg.ClusterMemoryBudget,
-		IngestWorkers:           cfg.IngestWorkers,
-		IngestQueueDepth:        cfg.IngestQueueDepth,
-		MaintenanceWorkers:      cfg.MaintenanceWorkers,
-		StallThreshold:          cfg.StallThreshold,
-		WALSyncMode:             cfg.WALSyncMode,
-		Transport:               cfg.Transport,
-		FrameSize:               cfg.FrameSize,
-		ChanCap:                 cfg.ChanCap,
-		WorkerCmd:               cfg.WorkerCmd,
-	})
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -340,24 +224,12 @@ func (db *Database) SetLogLevel(level string) {
 // SetTOccurrence switches the inverted-index merge algorithm at run
 // time ("scancount", "mergeskip", "divideskip").
 func (db *Database) SetTOccurrence(name string) error {
-	algo, err := parseTOccurrence(name)
+	algo, err := invindex.ParseAlgorithm(name)
 	if err != nil {
 		return err
 	}
 	db.c.SetTOccurrenceAlgorithm(algo)
 	return nil
-}
-
-func parseTOccurrence(name string) (invindex.Algorithm, error) {
-	switch name {
-	case "scancount":
-		return invindex.ScanCount, nil
-	case "mergeskip":
-		return invindex.MergeSkip, nil
-	case "divideskip":
-		return invindex.DivideSkip, nil
-	}
-	return 0, fmt.Errorf("core: unknown TOccurrence %q", name)
 }
 
 // Explained describes a compiled (not executed) query plan.

@@ -38,9 +38,10 @@ const minSpillRunBytes int64 = 8 << 10
 
 // ---- tuple codec ----
 
-// encodeTuple appends the run-record encoding of t to dst: a uvarint
-// arity followed by each value's adm binary encoding.
-func encodeTuple(dst []byte, t Tuple) []byte {
+// AppendTuple appends the encoding of t to dst: a uvarint arity
+// followed by each value's adm binary encoding. Spill run records and
+// the tcp transport's frames both carry tuples in this form.
+func AppendTuple(dst []byte, t Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
 		dst = adm.Append(dst, v)
@@ -48,23 +49,29 @@ func encodeTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
-// decodeTuple parses one run record. Values are deep-decoded, so the
-// tuple stays valid after the reader's buffer is reused.
-func decodeTuple(buf []byte) (Tuple, error) {
+// DecodeTuple parses the tuple AppendTuple wrote at the front of buf and
+// returns it with the number of bytes it took. Values are deep-decoded,
+// so the tuple stays valid after buf is reused. Every value takes at
+// least one byte, so an arity larger than the bytes left is corrupt and
+// is rejected before anything is allocated for it.
+func DecodeTuple(buf []byte) (Tuple, int, error) {
 	n, p := binary.Uvarint(buf)
 	if p <= 0 {
-		return nil, fmt.Errorf("hyracks: corrupt spill record header")
+		return nil, 0, fmt.Errorf("hyracks: truncated tuple column count")
+	}
+	if n > uint64(len(buf)-p) {
+		return nil, 0, fmt.Errorf("hyracks: tuple column count %d exceeds payload", n)
 	}
 	t := make(Tuple, n)
 	for i := range t {
 		v, m, err := adm.Decode(buf[p:])
 		if err != nil {
-			return nil, fmt.Errorf("hyracks: corrupt spill record: %w", err)
+			return nil, 0, fmt.Errorf("hyracks: tuple col %d: %w", i, err)
 		}
 		p += m
 		t[i] = v
 	}
-	return t, nil
+	return t, p, nil
 }
 
 // ---- run writing ----
@@ -87,7 +94,7 @@ func (ctx *TaskCtx) newRunSink(label string) (*runSink, error) {
 }
 
 func (s *runSink) add(t Tuple) error {
-	s.buf = encodeTuple(s.buf[:0], t)
+	s.buf = AppendTuple(s.buf[:0], t)
 	return s.w.Append(s.buf)
 }
 
@@ -147,9 +154,9 @@ func (c *runCursor) next() (Tuple, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	t, err := decodeTuple(rec)
+	t, _, err := DecodeTuple(rec)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("hyracks: corrupt spill record: %w", err)
 	}
 	return t, true, nil
 }

@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -369,4 +370,54 @@ func TestAccountantForceAndHighWater(t *testing.T) {
 		t.Fatal("nil accountant must accept any reservation")
 	}
 	ng.ReleaseAll()
+}
+
+// TestDecodeTuple: DecodeTuple reads back what AppendTuple wrote and
+// reports the bytes it took, and rejects a record cut short or whose
+// arity is larger than its bytes could hold.
+func TestDecodeTuple(t *testing.T) {
+	tup := Tuple{adm.NewInt(7), adm.NewString("seven"), adm.Null}
+	buf := AppendTuple(nil, tup)
+	got, n, err := DecodeTuple(append(buf, 0xff))
+	if err != nil || n != len(buf) {
+		t.Fatalf("DecodeTuple = %v, %d, %v; want %d bytes", got, n, err, len(buf))
+	}
+	sameSequence(t, "round trip", []Tuple{got}, []Tuple{tup})
+	for name, rec := range map[string][]byte{
+		"empty":           nil,
+		"cut":             buf[:len(buf)-1],
+		"arity over size": binary.AppendUvarint(nil, 2),
+		"arity 1<<40":     binary.AppendUvarint(nil, 1<<40),
+	} {
+		if _, _, err := DecodeTuple(rec); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// TestRunRecordOversizeArity: a run record whose arity no record of its
+// size could carry (1<<40 in six bytes) fails the read with an error;
+// a tuple sized from that count would exhaust memory.
+func TestRunRecordOversizeArity(t *testing.T) {
+	spill := storage.NewRunFileManager(filepath.Join(t.TempDir(), "spill"))
+	defer spill.Close()
+	w, err := spill.Create("corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(binary.AppendUvarint(nil, 1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := openRun(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	if _, ok, err := c.next(); err == nil {
+		t.Fatalf("corrupt run record read without error (ok=%v)", ok)
+	}
 }

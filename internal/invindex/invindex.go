@@ -18,6 +18,7 @@ package invindex
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"simdb/internal/adm"
 	"simdb/internal/obs"
@@ -188,6 +189,18 @@ func (a Algorithm) String() string {
 		return "DivideSkip"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// ParseAlgorithm returns the algorithm a configuration names:
+// "divideskip", "mergeskip" or "scancount", in any letter case, so
+// String's names parse too.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for _, a := range []Algorithm{DivideSkip, MergeSkip, ScanCount} {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("invindex: unknown T-occurrence algorithm %q (want divideskip, mergeskip or scancount)", name)
 }
 
 // Cursor work, summed over every search: seeks / searches and pages /

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"simdb/internal/adm"
@@ -262,6 +263,21 @@ func TestMergeSkipEmptyLists(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	if ScanCount.String() != "ScanCount" || MergeSkip.String() != "MergeSkip" || DivideSkip.String() != "DivideSkip" {
 		t.Error("algorithm names")
+	}
+}
+
+func TestParseAlgorithm(t *testing.T) {
+	for _, a := range []Algorithm{DivideSkip, MergeSkip, ScanCount} {
+		for _, name := range []string{a.String(), strings.ToLower(a.String())} {
+			if got, err := ParseAlgorithm(name); err != nil || got != a {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, a)
+			}
+		}
+	}
+	for _, name := range []string{"", "nope", "divide-skip"} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", name)
+		}
 	}
 }
 

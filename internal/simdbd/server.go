@@ -58,23 +58,12 @@ var (
 	mInflight     = obs.G("simdbd.http.inflight")
 )
 
-// Config tunes the serving front end; zero values take the defaults.
-type Config struct {
-	// DrainTimeout bounds the graceful drain on Close: how long
-	// in-flight queries get to finish after the listener stops
-	// accepting. Default 30s.
-	DrainTimeout time.Duration
-	// MaxSessions caps concurrently issued session tokens; POST
-	// /sessions past it returns 429. Default 1024.
-	MaxSessions int
-	// SessionIdleTimeout evicts sessions with no request for this long.
-	// Default 15m.
-	SessionIdleTimeout time.Duration
-	// MaxRequestBytes caps a /query request body. Default 1 MiB.
-	MaxRequestBytes int64
-}
+// Config tunes the serving front end; it is the Serve field of the
+// database configuration.
+type Config = cluster.ServeConfig
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the unset fields of c.
+func withDefaults(c Config) Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -103,7 +92,7 @@ type Server struct {
 // Start binds addr (host:port; ":0" picks a free port) and serves every
 // route for c until Shutdown.
 func Start(addr string, c *cluster.Cluster, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = withDefaults(cfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("simdbd: listen %s: %w", addr, err)

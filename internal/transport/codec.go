@@ -13,7 +13,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"simdb/internal/adm"
 	"simdb/internal/hyracks"
 )
 
@@ -106,8 +105,8 @@ func decodeStreamID(buf []byte) (hyracks.StreamID, []byte, error) {
 }
 
 // EncodeFramePayload builds a MsgFrame payload: type byte, stream id,
-// tuple count, then each tuple as a column count followed by its
-// adm-encoded values.
+// tuple count, then each tuple as hyracks.AppendTuple encodes it (a
+// column count followed by its adm-encoded values).
 func EncodeFramePayload(id hyracks.StreamID, tuples []hyracks.Tuple) []byte {
 	// Size hint: framing fields are small; tuple payload dominates.
 	n := 32
@@ -119,10 +118,7 @@ func EncodeFramePayload(id hyracks.StreamID, tuples []hyracks.Tuple) []byte {
 	dst = appendStreamID(dst, id)
 	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
 	for _, t := range tuples {
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		for _, v := range t {
-			dst = adm.Append(dst, v)
-		}
+		dst = hyracks.AppendTuple(dst, t)
 	}
 	return dst
 }
@@ -150,23 +146,11 @@ func DecodeFramePayload(payload []byte) (hyracks.StreamID, []hyracks.Tuple, erro
 	}
 	tuples := make([]hyracks.Tuple, 0, count)
 	for i := uint64(0); i < count; i++ {
-		ncols, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return id, nil, fmt.Errorf("transport: truncated column count")
+		t, n, err := hyracks.DecodeTuple(rest)
+		if err != nil {
+			return id, nil, fmt.Errorf("transport: tuple %d: %w", i, err)
 		}
 		rest = rest[n:]
-		if ncols > uint64(len(rest))+1 {
-			return id, nil, fmt.Errorf("transport: column count %d exceeds payload", ncols)
-		}
-		t := make(hyracks.Tuple, 0, ncols)
-		for j := uint64(0); j < ncols; j++ {
-			v, n, err := adm.Decode(rest)
-			if err != nil {
-				return id, nil, fmt.Errorf("transport: tuple %d col %d: %w", i, j, err)
-			}
-			rest = rest[n:]
-			t = append(t, v)
-		}
 		tuples = append(tuples, t)
 	}
 	if len(rest) != 0 {
