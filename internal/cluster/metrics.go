@@ -144,6 +144,7 @@ func (c *Cluster) Metrics() obs.Snapshot {
 		walBytes += bytes
 		cs := n.CacheStats()
 		r.Gauge(fmt.Sprintf("storage.cache.node%d.resident_bytes", n.ID)).Set(cs.Resident)
+		r.Gauge(fmt.Sprintf("storage.cache.node%d.streamed_reads", n.ID)).Set(cs.Streamed)
 		cacheHits += cs.Hits
 		cacheMisses += cs.Misses
 		cacheEvictions += cs.Evictions

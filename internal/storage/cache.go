@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -30,6 +31,7 @@ type BufferCache struct {
 	misses    atomic.Int64
 	pagesRead atomic.Int64
 	evictions atomic.Int64
+	streamed  atomic.Int64
 }
 
 type pageKey struct {
@@ -66,26 +68,70 @@ func (c *BufferCache) PageSize() int { return c.pageSize }
 // slice is shared — callers must not modify it.
 func (c *BufferCache) ReadRegion(fileID uint64, r io.ReaderAt, regionNo uint32, off int64, length int) ([]byte, error) {
 	key := pageKey{fileID: fileID, pageNo: regionNo}
-	if data, ok := c.lookup(key); ok {
+	if data, ok, _ := c.lookup(key, 0); ok {
 		return data, nil
 	}
-	data := make([]byte, length)
-	n, err := r.ReadAt(data, off)
-	if err != nil && !(err == io.EOF && n == length) {
-		return nil, fmt.Errorf("storage: read region %d of file %d: %w", regionNo, fileID, err)
+	return c.readMiss(key, r, off, make([]byte, length))
+}
+
+// ReadRegionInto is ReadRegion for a scan, which reads each region once
+// per pass: a miss is cached only when it fits beside the resident bytes
+// without evicting anything. Otherwise the region is appended to *buf —
+// the caller's, grown only when it lacks the room — and returned from
+// there, not cached; Stats counts it in Streamed. A scan of more data
+// than the cache holds then neither pushes out what the cache holds nor
+// allocates a block per miss. A returned slice outside *buf is shared,
+// as ReadRegion's is.
+func (c *BufferCache) ReadRegionInto(fileID uint64, r io.ReaderAt, regionNo uint32, off int64, length int, buf *[]byte) ([]byte, error) {
+	key := pageKey{fileID: fileID, pageNo: regionNo}
+	data, ok, fits := c.lookup(key, length)
+	if ok {
+		return data, nil
+	}
+	if fits {
+		return c.readMiss(key, r, off, make([]byte, length))
+	}
+	n := len(*buf)
+	*buf = slices.Grow(*buf, length)[:n+length]
+	data = (*buf)[n : n+length : n+length]
+	if err := readFull(r, data, off, key); err != nil {
+		return nil, err
+	}
+	c.pagesRead.Add(1)
+	c.streamed.Add(1)
+	return data, nil
+}
+
+// readMiss reads the region of key into data, a fresh slice of its
+// length, and caches it.
+func (c *BufferCache) readMiss(key pageKey, r io.ReaderAt, off int64, data []byte) ([]byte, error) {
+	if err := readFull(r, data, off, key); err != nil {
+		return nil, err
 	}
 	c.pagesRead.Add(1)
 	return c.insert(key, data), nil
 }
 
-// lookup returns the cached bytes of key, counting a hit or a miss.
-func (c *BufferCache) lookup(key pageKey) ([]byte, bool) {
-	var data []byte
+// readFull fills buf from r at off.
+func readFull(r io.ReaderAt, buf []byte, off int64, key pageKey) error {
+	n, err := r.ReadAt(buf, off)
+	if err != nil && !(err == io.EOF && n == len(buf)) {
+		return fmt.Errorf("storage: read region %d of file %d: %w", key.pageNo, key.fileID, err)
+	}
+	return nil
+}
+
+// lookup returns the cached bytes of key, counting a hit or a miss. On
+// a miss, fits reports whether an entry of size bytes would fit beside
+// the resident ones without evicting any.
+func (c *BufferCache) lookup(key pageKey, size int) (data []byte, ok, fits bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
 		c.lru.MoveToFront(el)
 		data = el.Value.(*cacheEntry).data
+	} else {
+		fits = c.resident+size <= c.capacity
 	}
 	c.mu.Unlock()
 	if ok {
@@ -93,7 +139,7 @@ func (c *BufferCache) lookup(key pageKey) ([]byte, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	return data, ok
+	return data, ok, fits
 }
 
 // insert caches data under key and evicts from the cold end while the
@@ -139,7 +185,7 @@ func (c *BufferCache) ReadBuilt(fileID uint64, regionNo uint32, build func() ([]
 // and the reassembly, the same way full scans do.
 func (c *BufferCache) ReadBuiltTagged(fileID uint64, regionNo uint32, tag string, build func() ([]byte, error)) ([]byte, error) {
 	key := pageKey{fileID: fileID, pageNo: regionNo, tag: tag}
-	if data, ok := c.lookup(key); ok {
+	if data, ok, _ := c.lookup(key, 0); ok {
 		return data, nil
 	}
 	data, err := build()
@@ -171,6 +217,10 @@ type CacheStats struct {
 	Evictions int64
 	// Resident is the capacity of the cached pages' slices in bytes.
 	Resident int64
+	// Streamed counts the misses the cache declined to keep: regions a
+	// scan read into its own buffers because caching them would have
+	// evicted something (ReadRegionInto). They count in PagesRead too.
+	Streamed int64
 }
 
 // Stats returns the current counters.
@@ -184,6 +234,7 @@ func (c *BufferCache) Stats() CacheStats {
 		PagesRead: c.pagesRead.Load(),
 		Evictions: c.evictions.Load(),
 		Resident:  int64(resident),
+		Streamed:  c.streamed.Load(),
 	}
 }
 

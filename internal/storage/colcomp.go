@@ -476,28 +476,30 @@ func pagesFromGroups(groups []colGroupMeta) []pageMeta {
 
 // groupBlock reads block b of group i (keys, desc, overflow, then one
 // per column) through the buffer cache; an empty block reads as nil.
-func (c *Component) groupBlock(i, b int, off, length uint32) ([]byte, error) {
+// With buf set — the block buffer of a filtered walk of a component
+// that streams — a miss the cache has no room for is appended to *buf
+// instead of being cached (ReadRegionInto).
+func (c *Component) groupBlock(i, b int, off, length uint32, buf *[]byte) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
 	g := &c.groups[i]
-	return c.cache.ReadRegion(c.fileID, c.f, uint32(i)*colRegionStride+1+uint32(b), g.off+int64(off), int(length))
+	region, at := uint32(i)*colRegionStride+1+uint32(b), g.off+int64(off)
+	if buf == nil {
+		return c.cache.ReadRegion(c.fileID, c.f, region, at, int(length))
+	}
+	return c.cache.ReadRegionInto(c.fileID, c.f, region, at, int(length), buf)
 }
 
-// groupHead reads the keys, descriptor and overflow blocks of group i,
-// which every row of the group needs, through the buffer cache.
-func (c *Component) groupHead(i int) (keys, desc, over []byte, err error) {
-	g := &c.groups[i]
-	if keys, err = c.groupBlock(i, 0, g.keysOff, g.keysLen); err != nil {
-		return nil, nil, nil, err
-	}
-	if desc, err = c.groupBlock(i, 1, g.descOff, g.descLen); err != nil {
-		return nil, nil, nil, err
-	}
-	if over, err = c.groupBlock(i, 2, g.overOff, g.overLen); err != nil {
-		return nil, nil, nil, err
-	}
-	return keys, desc, over, nil
+// streams reports whether a filtered walk of c reads its blocks with
+// ReadRegionInto: only when c is larger than the whole cache, so that no
+// pass over it could stay cached and caching its blocks would only push
+// out the rest. The blocks of a smaller component go through
+// ReadRegion, cached and evicting like any other read, so a small
+// dataset that is scanned again and again comes to sit in the cache
+// even when the cache is full of other pages.
+func (c *Component) streams() bool {
+	return c.size > int64(c.cache.capacity)
 }
 
 // buildGroupPage materializes group i into the row-format page wire
@@ -569,20 +571,41 @@ var tombEntry = []byte{1}
 // — the column bytes, or an overflow field's — and assembles only a row
 // that passes, into a scratch entry it owns. Opaque entries are judged
 // whole, the way a row page's entry is. A row without the field passes.
-// Such a walk builds and caches no image, so once its scratch has grown
-// it allocates nothing; a cursor source keeps one walk for all its
-// groups. buildGroupPage walks a group with no filter to build the
-// cached image, and assembles each record straight into it.
+// Such a walk builds and caches no image, and in a component larger
+// than the cache a block the cache has no room for goes into the walk's
+// own buffers (groupBlock, streams), so once its scratch has grown it
+// allocates nothing; a cursor source keeps one walk for all its groups.
+// A group whose rows all share one field list is walked column by
+// column (uniformRow); any other group row by row (record).
+// buildGroupPage walks a group with no filter to build the cached
+// image, and assembles each record straight into it.
 type groupWalk struct {
 	filter *RowFilter // nil: every row passes
 	// image leaves a record row's kept fields unassembled in fields, for
 	// buildGroupPage to append to the image.
 	image bool
 	left  int // rows not yet walked
+	row   int // rows walked
 
 	keys, desc, over byteReader
 	cols             []walkCol
 	keep             map[string]bool // the projection; nil keeps every field
+
+	// uniform: every row's descriptor is one record of the same distinct
+	// column refs (detectUniform), so no row's descriptor is read.
+	// urefs[:nurefs] are those refs' columns that were read, in field
+	// order, and ufilter the filter's column among them, -1 if none.
+	uniform bool
+	urefs   [colMaxColumns]uint8
+	nurefs  int
+	ufilter int
+
+	// bufs are the filtered walk's two generations of block buffers,
+	// for the blocks the cache declines. A load fills the generation the
+	// previous load did not, so the keys of the group before stay valid
+	// while the next one loads (Cursor).
+	bufs [2][]byte
+	gen  int
 
 	fields []adm.RawField // the current row's kept fields
 	entry  []byte         // the current row's assembled entry
@@ -594,6 +617,7 @@ type walkCol struct {
 	name   []byte
 	kept   bool // its values go into assembled rows
 	filter bool // it holds the filter field
+	at     int  // values read or skipped by a uniform walk's passing rows
 }
 
 // reset readies the walk for group g over its keys, descriptor and
@@ -607,31 +631,89 @@ func (w *groupWalk) reset(g *colGroupMeta, keys, desc, over []byte, keep map[str
 	for _, cm := range g.cols {
 		w.cols = append(w.cols, walkCol{name: cm.name, kept: keep == nil || keep[string(cm.name)], filter: w.filter.on(cm.name)})
 	}
-	w.left = g.rows
+	w.left, w.row, w.uniform = g.rows, 0, false
 }
 
 // load readies the walk for group i of c under proj (nil: whole rows),
 // fetching the keys, descriptor and overflow blocks and each column it
-// reads — kept or filtered — through the buffer cache.
+// reads — kept or filtered — through the buffer cache. A filtered walk
+// checks whether the group is uniform and, in a component that streams,
+// reads the blocks the cache declines into its next generation of
+// buffers.
 func (w *groupWalk) load(c *Component, i int, proj *Projection) error {
-	keys, desc, over, err := c.groupHead(i)
-	if err != nil {
-		return err
-	}
 	var keep map[string]bool
 	if proj != nil {
 		keep = proj.keep
 	}
 	g := &c.groups[i]
-	w.reset(g, keys, desc, over, keep)
+	w.reset(g, nil, nil, nil, keep)
+	var spare *[]byte
+	if w.filter != nil && c.streams() {
+		w.gen ^= 1
+		w.bufs[w.gen] = w.bufs[w.gen][:0]
+		spare = &w.bufs[w.gen]
+	}
+	var err error
+	if w.keys.b, err = c.groupBlock(i, 0, g.keysOff, g.keysLen, spare); err != nil {
+		return err
+	}
+	if w.desc.b, err = c.groupBlock(i, 1, g.descOff, g.descLen, spare); err != nil {
+		return err
+	}
+	if w.over.b, err = c.groupBlock(i, 2, g.overOff, g.overLen, spare); err != nil {
+		return err
+	}
 	for j := range w.cols {
 		if col := &w.cols[j]; col.kept || col.filter {
-			if col.r.b, err = c.groupBlock(i, 3+j, g.cols[j].off, g.cols[j].len); err != nil {
+			if col.r.b, err = c.groupBlock(i, 3+j, g.cols[j].off, g.cols[j].len, spare); err != nil {
 				return err
 			}
 		}
 	}
+	if w.filter != nil {
+		w.detectUniform()
+	}
 	return nil
+}
+
+// detectUniform sets w.uniform when the group's descriptor block is one
+// row's descriptor — a record whose refs are distinct columns, with no
+// tombstone, opaque entry or overflow field — repeated once per row:
+// the block then has that descriptor's length as a period, which one
+// comparison of the block with itself shifted checks. The refs are
+// checked against the group's columns here, once for every row.
+func (w *groupWalk) detectUniform() {
+	r := byteReader{b: w.desc.b}
+	d, ok := r.uvarint()
+	if !ok || d < 2 || d-2 > uint64(len(w.cols)) {
+		return
+	}
+	w.nurefs, w.ufilter = 0, -1
+	var seen uint64 // colMaxColumns bits
+	for j := d - 2; j > 0; j-- {
+		ref, ok := r.uvarint()
+		if !ok || ref == 0 || ref > uint64(len(w.cols)) || seen&(1<<(ref-1)) != 0 {
+			return
+		}
+		seen |= 1 << (ref - 1)
+		col := &w.cols[ref-1]
+		if col.r.b == nil {
+			continue // neither kept nor filtered, or empty: read by no row
+		}
+		if col.filter {
+			if w.ufilter >= 0 {
+				return // two columns of the filter's name: take the row walk
+			}
+			w.ufilter = int(ref - 1)
+		}
+		w.urefs[w.nurefs] = uint8(ref - 1)
+		w.nurefs++
+	}
+	n, b := r.pos, w.desc.b
+	if n*w.left > len(b) || !bytes.Equal(b[n:n*w.left], b[:n*(w.left-1)]) {
+		return
+	}
+	w.uniform = true
 }
 
 // next is pageIter.next for a walk: it moves to the group's next row,
@@ -647,12 +729,20 @@ func (w *groupWalk) next(it *pageIter) bool {
 		it.err = errCorrupt("group key")
 		return false
 	}
+	it.key, it.val, it.rejected = key, nil, false
+	if w.uniform {
+		if it.err = w.uniformRow(it); it.err != nil {
+			return false
+		}
+		w.left--
+		w.row++
+		return true
+	}
 	d, ok := w.desc.uvarint()
 	if !ok {
 		it.err = errCorrupt("group row descriptor")
 		return false
 	}
-	it.key, it.val, it.rejected = key, nil, false
 	switch d {
 	case 0:
 		it.val = tombEntry
@@ -670,7 +760,48 @@ func (w *groupWalk) next(it *pageIter) bool {
 		}
 	}
 	w.left--
+	w.row++
 	return true
+}
+
+// uniformRow is record for a row of a uniform group: it judges the row
+// on the filter's column alone, and only if the row passes does it
+// bring each other column read up to the row — skipping the values of
+// the rows rejected since that column was last read — and assemble the
+// row's kept fields.
+func (w *groupWalk) uniformRow(it *pageIter) error {
+	var fv []byte // the filter field's stored value
+	if w.ufilter >= 0 {
+		v, ok := w.cols[w.ufilter].r.lenPrefixed()
+		if !ok {
+			return errCorrupt("group column value")
+		}
+		if !w.filter.Pass(v) {
+			it.rejected = true
+			return nil
+		}
+		fv = v
+	}
+	w.fields = w.fields[:0]
+	for _, j := range w.urefs[:w.nurefs] {
+		col := &w.cols[j]
+		v := fv
+		if int(j) != w.ufilter {
+			for ; col.at <= w.row; col.at++ {
+				var ok bool
+				if v, ok = col.r.lenPrefixed(); !ok {
+					return errCorrupt("group column value")
+				}
+			}
+		}
+		if col.kept {
+			w.fields = append(w.fields, adm.RawField{Name: col.name, Val: v})
+		}
+	}
+	w.entry = slices.Grow(w.entry[:0], 1+adm.RawRecordSize(w.fields))
+	w.entry = adm.AppendRecordFromRaw(append(w.entry, 0), w.fields)
+	it.val = w.entry
+	return nil
 }
 
 // record walks the nf field references of a record row, then judges it

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -354,11 +355,78 @@ func TestMixedFormatTreeIdentical(t *testing.T) {
 // TestFilteredScanAllocationsFlat: a filtered scan of warm columnar
 // groups whose filter rejects every row builds no image and assembles no
 // row, so what it allocates is opening the cursor and its walk, the same
-// for two groups as for eight.
+// for two groups as for eight: under a cache that
+// holds the data, and under one smaller than a group — sel_scan's shape
+// — where every block read misses and goes into the walk's own buffers,
+// in groups of mixed field lists and in uniform ones.
 func TestFilteredScanAllocationsFlat(t *testing.T) {
-	allocs := func(rows int) float64 {
-		tree := newTestLSM(t, LSMOptions{MemBudgetBytes: 1 << 30, Columnar: true, Cache: NewBufferCache(64<<20, 32<<10)})
-		for i := 0; i < rows; i++ {
+	uniform := func(i int) []byte {
+		rec := adm.EmptyRecord(2)
+		rec.Set("id", adm.NewInt(int64(i)))
+		rec.Set("text", adm.NewString(fmt.Sprintf("payload %d lorem ipsum", i)))
+		return adm.Append([]byte{0}, adm.NewRecord(rec))
+	}
+	for _, tc := range []struct {
+		name   string
+		cache  int
+		record func(int) []byte
+	}{
+		{"cache holds the data", 64 << 20, colTestRecord},
+		{"cache smaller than a group", 4 << 10, colTestRecord},
+		{"uniform groups, cache smaller than a group", 4 << 10, uniform},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(rows int) float64 {
+				cache := NewBufferCache(tc.cache, 1<<10)
+				tree := newTestLSM(t, LSMOptions{MemBudgetBytes: 1 << 30, Columnar: true, Cache: cache})
+				for i := 0; i < rows; i++ {
+					if err := tree.Put(colTestKey(i), tc.record(i)[1:]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tree.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				filter := &RowFilter{Field: "text", Pass: func([]byte) bool { return false }}
+				scan := func() {
+					read, err := tree.ScanProjectedContext(nil, nil, nil, []string{"id", "text"}, filter, func(k, _ []byte) bool {
+						t.Fatalf("a rejected row reached the callback: %q", k)
+						return false
+					})
+					if err != nil || read != int64(rows) {
+						t.Fatalf("filtered scan read %d of %d rows, err %v", read, rows, err)
+					}
+				}
+				scan() // fills the cache, or the walk's buffers
+				before := cache.Stats()
+				n := testing.AllocsPerRun(10, scan)
+				if after := cache.Stats(); tc.cache < 1<<20 && after.Streamed == before.Streamed {
+					t.Errorf("no block read was streamed past a %d-byte cache", tc.cache)
+				}
+				return n
+			}
+			small, large := allocs(2*colMaxGroupRows), allocs(8*colMaxGroupRows)
+			t.Logf("%v allocations over 2 groups, %v over 8", small, large)
+			if large > small {
+				t.Errorf("a scan rejecting every row allocates %v over 8 groups and %v over 2: it grows with the rows", large, small)
+			}
+		})
+	}
+}
+
+// TestFilteredScanOfSmallComponentCaches: a component smaller than the
+// cache does not stream. Scanned while the cache is full of other
+// regions, its blocks are cached and evict them, so a second scan reads
+// nothing from the file; a component larger than the cache streams.
+func TestFilteredScanOfSmallComponentCaches(t *testing.T) {
+	const capacity = 64 << 10
+	for _, tc := range []struct {
+		rows    int
+		streams bool
+	}{{200, false}, {4 * colMaxGroupRows, true}} {
+		cache := NewBufferCache(capacity, 1<<10)
+		tree := newTestLSM(t, LSMOptions{MemBudgetBytes: 1 << 30, Columnar: true, Cache: cache})
+		for i := 0; i < tc.rows; i++ {
 			if err := tree.Put(colTestKey(i), colTestRecord(i)[1:]); err != nil {
 				t.Fatal(err)
 			}
@@ -366,22 +434,48 @@ func TestFilteredScanAllocationsFlat(t *testing.T) {
 		if err := tree.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		filter := &RowFilter{Field: "text", Pass: func([]byte) bool { return false }}
-		scan := func() {
-			read, err := tree.ScanProjectedContext(nil, nil, nil, []string{"id", "text"}, filter, func(k, _ []byte) bool {
-				t.Fatalf("a rejected row reached the callback: %q", k)
-				return false
-			})
-			if err != nil || read != int64(rows) {
-				t.Fatalf("filtered scan read %d of %d rows, err %v", read, rows, err)
+		// Fill the cache with the regions of another file.
+		path := filepath.Join(t.TempDir(), "other")
+		if err := os.WriteFile(path, make([]byte, 2*capacity), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		other := NewFileID()
+		for i := 0; i < 2*capacity>>10; i++ {
+			if _, err := cache.ReadRegion(other, f, uint32(i), int64(i)<<10, 1<<10); err != nil {
+				t.Fatal(err)
 			}
 		}
-		scan() // fills the cache
-		return testing.AllocsPerRun(10, scan)
-	}
-	small, large := allocs(2*colMaxGroupRows), allocs(8*colMaxGroupRows)
-	t.Logf("%v allocations over 2 groups, %v over 8", small, large)
-	if large > small {
-		t.Errorf("a scan rejecting every row allocates %v over 8 groups and %v over 2: it grows with the rows", large, small)
+		if st := cache.Stats(); st.Resident != capacity {
+			t.Fatalf("the other file left %d resident bytes, want %d", st.Resident, capacity)
+		}
+		filter := &RowFilter{Field: "text", Pass: func(v []byte) bool { return len(v)%2 == 0 }}
+		scan := func() CacheStats {
+			before := cache.Stats()
+			read, err := tree.ScanProjectedContext(nil, nil, nil, []string{"id", "text"}, filter, func(k, _ []byte) bool { return true })
+			if err != nil || read != int64(tc.rows) {
+				t.Fatalf("filtered scan read %d of %d rows, err %v", read, tc.rows, err)
+			}
+			after := cache.Stats()
+			return CacheStats{Misses: after.Misses - before.Misses, Streamed: after.Streamed - before.Streamed}
+		}
+		first, second := scan(), scan()
+		t.Logf("%d rows: first scan %+v, second %+v", tc.rows, first, second)
+		if tc.streams {
+			if second.Streamed == 0 {
+				t.Errorf("%d rows, larger than the cache: the second scan streamed nothing", tc.rows)
+			}
+			continue
+		}
+		if first.Misses == 0 || first.Streamed != 0 {
+			t.Errorf("%d rows: the first scan missed %d and streamed %d blocks, want misses and no streaming", tc.rows, first.Misses, first.Streamed)
+		}
+		if second.Misses != 0 {
+			t.Errorf("%d rows, smaller than the cache: the second scan missed %d blocks, want every block cached", tc.rows, second.Misses)
+		}
 	}
 }

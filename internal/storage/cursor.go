@@ -39,9 +39,12 @@ type CursorStats struct {
 //
 // Keys and values are handed out as slices of the cached page (or of
 // the memtable's copy) and stay valid after the cursor moves on; callers
-// must not modify them. A cursor holds its own reference on every
-// component it reads, so it may outlive the snapshot it came from;
-// Close releases them. A cursor is not safe for concurrent use.
+// must not modify them. A filtered cursor is the exception (see filter):
+// the key and value of a row it read from a columnar group may live in
+// buffers its group walks reuse, valid until the cursor moves or is
+// closed. A cursor holds its own reference on every component it reads,
+// so it may outlive the snapshot it came from; Close releases them. A
+// cursor is not safe for concurrent use.
 type Cursor struct {
 	r    KeyRange
 	srcs []cursorSource // newest first: memtable runs, then components
@@ -55,7 +58,13 @@ type Cursor struct {
 	// it, with rejected set and no value, so that the scan counts it as a
 	// row read; it is never handed to the scan's callback. A passing
 	// value read from a columnar group lives in the source's scratch and
-	// is valid only until the cursor moves.
+	// is valid only until the cursor moves. Its key may live in the
+	// walk's block buffers, of which the walk keeps two generations and
+	// fills one per group it loads. The invariant that makes this safe:
+	// a filtered source loads at most one group per step (stepPast moves
+	// each source on the key by one entry, and a group has at least one
+	// row), so the key stepPast compares every source with stays valid
+	// while the source that owned it loads its next group.
 	filter *RowFilter
 	// tombstones makes the cursor stop on keys whose newest version is a
 	// tombstone instead of skipping them: what flush and compaction need,
@@ -122,7 +131,8 @@ type cursorSource struct {
 	page int // index of the loaded page, -1 before the first seek
 	it   pageIter
 	// walk reads this component's columnar groups under the cursor's
-	// filter; allocated by the first such load.
+	// filter; taken from the pool by the first such load, and put back
+	// by Close.
 	walk *groupWalk
 }
 

@@ -196,15 +196,16 @@ var propFilters = []string{"f", "f", "text", "nowhere"}
 
 func propPass(val []byte) bool { return crc32.ChecksumIEEE(val)%3 != 0 }
 
-// modelPasses is the filter applied to a model value, by a full decode:
-// a value that is no record, or a record without the field, passes.
-func modelPasses(field string, val []byte) bool {
+// modelPasses is the filter pass on field applied to a model value, by
+// a full decode: a value that is no record, or a record without the
+// field, passes.
+func modelPasses(field string, pass func([]byte) bool, val []byte) bool {
 	v, _, err := adm.Decode(val)
 	if err != nil || v.Kind() != adm.KindRecord {
 		return true
 	}
 	f, ok := v.Rec().Get(field)
-	return !ok || propPass(adm.Encode(f))
+	return !ok || pass(adm.Encode(f))
 }
 
 // TestReaderMatchesModelProperty: over random trees, row and columnar,
@@ -386,7 +387,7 @@ func TestReaderMatchesModelProperty(t *testing.T) {
 		field := propFilters[r.Intn(len(propFilters))]
 		passing := map[string][]byte{}
 		for k, v := range model {
-			if v != nil && modelPasses(field, v) {
+			if v != nil && modelPasses(field, propPass, v) {
 				passing[k] = v
 			}
 		}

@@ -266,15 +266,16 @@ func seekStaysInside(t *testing.T, data []byte) {
 // FuzzColumnarComponent feeds arbitrary bytes to the full version-2
 // read path: the file is opened as a component (footer + group index
 // validation) and, if accepted, walked end to end by a one-component
-// cursor — whole, projected and filtered — and point-read, whole and
-// projected. Corruption must surface as an error — errCorrupt for reads
-// — never a panic, an unbounded allocation, a runaway loop, or a read
-// past a group image. The same bytes also drive the entries of a
-// component the writer builds, on which the filtered block walk must
-// yield what the group image does with the filter applied to each
-// record (walkMatchesImage).
+// cursor — whole, projected and filtered, the filtered walk under a
+// cache that holds its blocks and under one too small to — and
+// point-read, whole and projected. Corruption must surface as an error
+// — errCorrupt for reads — never a panic, an unbounded allocation, a
+// runaway loop, or a read past a group image. The same bytes also drive
+// the entries of a component the writer builds, on which the filtered
+// block walk must yield what the group image does with the filter
+// applied to each record (walkMatchesImage), under both caches.
 func FuzzColumnarComponent(f *testing.F) {
-	seed := columnarFuzzSeed(f)
+	seed := columnarFuzzSeed(f, true)
 	f.Add(seed)
 	trunc := append([]byte(nil), seed...)
 	f.Add(trunc[:len(trunc)/2])
@@ -290,6 +291,13 @@ func FuzzColumnarComponent(f *testing.F) {
 	// is the rarest field and lands in overflow, where propPass rejects
 	// it; a record with an over-long field count; a tombstone.
 	f.Add([]byte{0x01, 0x81, 'a', 'b', 'c', 0x05, 'g', 'r', 'e', 'a', 't', 0x02, 'x', 'y', 0x0D, 'z'})
+	// For walkMatchesImage: a narrow component of records id, text, f —
+	// f a string, an int, a list — and no tombstone or opaque entry: one
+	// uniform group.
+	f.Add([]byte{0x00, 0x03, 'a', 'b', 'c', 0x44, 'g', 'r', 0x65, 'm', 'a', 'r', 'l', 'a', 0x24})
+	// A genuine component of one uniform group: the walk reads it
+	// column by column.
+	f.Add(columnarFuzzSeed(f, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readColumnarBytes(t, data)
 		walkMatchesImage(t, data)
@@ -302,20 +310,23 @@ func FuzzColumnarComponent(f *testing.F) {
 // scan paths meet damaged groups on every plain `go test`, not only
 // when the fuzzer happens to get there.
 func TestColumnarReadSurvivesBitRot(t *testing.T) {
-	seed := columnarFuzzSeed(t)
 	r := rand.New(rand.NewSource(18))
-	for i := 0; i < 300; i++ {
-		data := append([]byte(nil), seed...)
-		for n := 1 + r.Intn(3); n > 0; n-- {
-			data[r.Intn(len(data))] = byte(r.Intn(256))
+	for _, tombstones := range []bool{true, false} {
+		seed := columnarFuzzSeed(t, tombstones)
+		for i := 0; i < 300; i++ {
+			data := append([]byte(nil), seed...)
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				data[r.Intn(len(data))] = byte(r.Intn(256))
+			}
+			readColumnarBytes(t, data)
 		}
-		readColumnarBytes(t, data)
 	}
 }
 
 // columnarFuzzSeed returns the bytes of a genuine columnar component:
-// 40 two-field records, every seventh entry a tombstone.
-func columnarFuzzSeed(f testing.TB) []byte {
+// 40 two-field records, every seventh entry a tombstone — or, without
+// tombstones, one uniform group.
+func columnarFuzzSeed(f testing.TB, tombstones bool) []byte {
 	seedPath := filepath.Join(f.TempDir(), "seed.cmp")
 	cw, err := NewColumnarComponentWriterFS(OS, seedPath)
 	if err != nil {
@@ -326,7 +337,7 @@ func columnarFuzzSeed(f testing.TB) []byte {
 		rec.Set("id", adm.NewInt(int64(i)))
 		rec.Set("text", adm.NewString(fmt.Sprintf("value %d", i)))
 		entry := adm.Append([]byte{0}, adm.NewRecord(rec))
-		if i%7 == 0 {
+		if tombstones && i%7 == 0 {
 			entry = []byte{1} // tombstone
 		}
 		if err := cw.Add([]byte(fmt.Sprintf("k%04d", i)), entry); err != nil {
@@ -374,18 +385,27 @@ func readColumnarBytes(t *testing.T, data []byte) {
 	}
 	scan(nil)
 	scan([]string{"id"})
-	for _, field := range []string{"text", "id"} {
-		cur := openCursors([]KeyRange{{}}, nil, []*Component{c}, NewProjection([]string{"id"}),
-			&RowFilter{Field: field, Pass: propPass}, false)[0]
-		for steps := 0; cur.Next(); steps++ {
-			if steps > limit {
-				t.Fatalf("filtered cursor did not terminate after %d steps", steps)
+	filtered := func(c *Component) {
+		for _, field := range []string{"text", "id"} {
+			cur := openCursors([]KeyRange{{}}, nil, []*Component{c}, NewProjection([]string{"id"}),
+				&RowFilter{Field: field, Pass: propPass}, false)[0]
+			for steps := 0; cur.Next(); steps++ {
+				if steps > limit {
+					t.Fatalf("filtered cursor did not terminate after %d steps", steps)
+				}
 			}
+			if err := cur.Err(); err != nil && !errors.As(err, new(corruptError)) {
+				t.Fatalf("filtered cursor error is not errCorrupt: %v", err)
+			}
+			cur.Close()
 		}
-		if err := cur.Err(); err != nil && !errors.As(err, new(corruptError)) {
-			t.Fatalf("filtered cursor error is not errCorrupt: %v", err)
-		}
-		cur.Close()
+	}
+	filtered(c)
+	// Under a cache too small for any block, the walk reads every block
+	// into its own buffers.
+	if tiny, err := OpenComponent(path, NewBufferCache(0, 1)); err == nil {
+		filtered(tiny)
+		tiny.Close()
 	}
 	// Point reads of stored, absent and fence keys; the bloom filter
 	// is saturated so every one of them searches a group image.
@@ -465,7 +485,17 @@ func walkMatchesImage(t *testing.T, data []byte) {
 	if err := cw.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := OpenComponent(path, NewBufferCache(1<<20, 4096))
+	// A cache that holds every block, and one too small for any: there
+	// the filtered walk reads every block into its own buffers.
+	for _, cache := range []*BufferCache{NewBufferCache(1<<20, 4096), NewBufferCache(0, 1)} {
+		walkMatchesImageUnder(t, path, cache)
+	}
+}
+
+// walkMatchesImageUnder is walkMatchesImage's check of the component at
+// path, read through cache.
+func walkMatchesImageUnder(t *testing.T, path string, cache *BufferCache) {
+	c, err := OpenComponent(path, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,6 +112,69 @@ func TestBufferCacheLRUAndStats(t *testing.T) {
 	}
 }
 
+// TestReadRegionIntoStreamsPastAFullCache: a scan's read is cached while
+// it fits without evicting anything; past that, it goes into the
+// caller's buffer, which grows only when short, is counted as streamed
+// and evicts nothing, so the cached regions keep hitting. A ReadRegion
+// miss is still cached and evicts.
+func TestReadRegionIntoStreamsPastAFullCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	data := make([]byte, 8*256)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	cache := NewBufferCache(4*256, 256)
+	id := NewFileID()
+	buf := make([]byte, 0, 4*256)
+	read := func(i int) []byte {
+		t.Helper()
+		got, err := cache.ReadRegionInto(id, f, uint32(i), int64(i)*256, 256, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[i*256:(i+1)*256]) {
+			t.Fatalf("region %d content mismatch", i)
+		}
+		return got
+	}
+	for i := 0; i < 8; i++ {
+		read(i)
+	}
+	st := cache.Stats()
+	if st.Resident != 4*256 || st.Streamed != 4 || st.Evictions != 0 || st.PagesRead != 8 || len(buf) != 4*256 {
+		t.Fatalf("after 8 reads into a 4-region cache: %+v, %d bytes buffered", st, len(buf))
+	}
+	// The cached four hit; a streamed one lands in the buffer again,
+	// which has room and is not moved.
+	before := &buf[0]
+	buf = buf[:0]
+	for i := 0; i < 4; i++ {
+		read(i)
+	}
+	if got := read(6); &got[0] != before {
+		t.Error("a streamed read with room in the buffer did not land at its start")
+	}
+	if st := cache.Stats(); st.Hits != 4 || st.Streamed != 5 {
+		t.Errorf("after re-reading: %+v", st)
+	}
+	// ReadRegion caches the region and evicts the coldest.
+	if _, err := cache.ReadRegion(id, f, 7, 7*256, 256); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Evictions != 1 || st.Resident != 4*256 {
+		t.Errorf("after a ReadRegion miss: %+v", st)
+	}
+}
+
 // cacheBytes returns the cache's resident count and, summed over what
 // it holds, the capacity of the cached slices.
 func cacheBytes(cache *BufferCache) (resident, sum int) {
