@@ -26,7 +26,6 @@ const (
 	OpLimit                         // Count
 	OpRank                          // defines PosVar: 1-based global position
 	OpUnion                         // bag union; InVars align inputs, OutVars fresh
-	OpMaterialize                   // pipeline breaker
 	OpAggregate                     // scalar aggregation to one tuple
 	OpWrite                         // root: emit Var to the coordinator
 	OpSecondarySearch               // inverted-index T-occurrence search
@@ -61,8 +60,6 @@ func (k OpKind) String() string {
 		return "rank"
 	case OpUnion:
 		return "union"
-	case OpMaterialize:
-		return "materialize"
 	case OpAggregate:
 		return "aggregate"
 	case OpWrite:

@@ -138,8 +138,9 @@ func maxDur(d time.Duration, min time.Duration) time.Duration {
 }
 
 // Ablations measures the design choices DESIGN.md calls out: the
-// surrogate INLJ, subplan reuse in the three-stage join, the
-// T-occurrence algorithm, and hash vs sort-based grouping.
+// surrogate INLJ, subplan reuse in the three-stage join, and hash vs
+// sort-based grouping. The T-occurrence solvers are compared where they
+// act, by the Search benchmarks of internal/invindex.
 func (e *Env) Ablations() error {
 	if err := e.EnsureDataset(datagen.Amazon); err != nil {
 		return err
@@ -192,31 +193,6 @@ func (e *Env) Ablations() error {
 			return err
 		}
 		e.logf("%-12s %14s\n", v.name, ms(m.Wall))
-	}
-
-	e.logf("\n=== Ablation: T-occurrence algorithm (Li et al. 2008) ===\n")
-	e.logf("%-12s %14s %14s\n", "Algorithm", "T=0.2(ms)", "T=0.8(ms)")
-	for _, algo := range []string{"scancount", "mergeskip", "divideskip"} {
-		if err := db.SetTOccurrence(algo); err != nil {
-			return err
-		}
-		sess := sessionWith(nil)
-		lo, err := e.average(sess, e.SelQueries, func() (string, error) {
-			return e.selQuery(datagen.Amazon, "jaccard", "0.2")
-		})
-		if err != nil {
-			return err
-		}
-		hi, err := e.average(sess, e.SelQueries, func() (string, error) {
-			return e.selQuery(datagen.Amazon, "jaccard", "0.8")
-		})
-		if err != nil {
-			return err
-		}
-		e.logf("%-12s %14s %14s\n", algo, ms(lo.Wall), ms(hi.Wall))
-	}
-	if err := db.SetTOccurrence("divideskip"); err != nil { // the default
-		return err
 	}
 
 	e.logf("\n=== Ablation: hash vs sort-based group-by (stage-1 token counting) ===\n")

@@ -38,8 +38,11 @@ type Cluster struct {
 	// mode; nil otherwise (including inside worker processes).
 	remote *remoteCoordinator
 
+	// tOccAlgo is the T-occurrence solver of every secondary-index
+	// search, parsed from cfg.TOccurrence when the cluster is built.
+	tOccAlgo invindex.Algorithm
+
 	autoPK    atomic.Int64
-	tOccAlgo  atomic.Int32
 	simNetLat atomic.Int64 // test seam, see SetSimNetLatency (nanoseconds)
 
 	// activeQ is the live registry of in-flight queries (introspection
@@ -151,6 +154,7 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		cfg:       cfg,
 		Catalog:   NewCatalog(),
 		localNode: localNode,
+		tOccAlgo:  algo,
 		planCache: NewPlanCache(planCacheSize),
 		memo:      newMemoStore(),
 		qm:        newQueryManager(cfg.MaxConcurrentQueries, cfg.QueryTimeout, cfg.AdmissionTimeout, cfg.ClusterMemoryBudget),
@@ -158,7 +162,6 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		activeQ:   newActiveQueries(),
 		tracer:    trace.Default(),
 	}
-	c.tOccAlgo.Store(int32(algo))
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {
 			c.nodes = append(c.nodes, nil)
@@ -220,13 +223,6 @@ func (c *Cluster) spillTmpRoot() string {
 
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// SetTOccurrenceAlgorithm switches the inverted-index merge algorithm
-// at run time (used by the T-occurrence ablation). Safe to call while
-// queries are executing.
-func (c *Cluster) SetTOccurrenceAlgorithm(a invindex.Algorithm) {
-	c.tOccAlgo.Store(int32(a))
-}
 
 // SetSimNetLatency is a test seam: it makes every cross-node frame
 // transfer of the inproc transport sleep for d (0, the default, keeps

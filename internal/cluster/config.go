@@ -61,7 +61,7 @@ type Config struct {
 	// (admission + compile + execution) reaches it. 0 disables the log.
 	SlowQueryThreshold time.Duration
 	// QueryMemoryBudget bounds each query's operator working memory in
-	// bytes: blocking operators (sort, hash join, group-by, materialize)
+	// bytes: blocking operators (sort, hash join, group-by, replicate)
 	// draw grants against it and spill runs to disk past it. 0 (the
 	// default) disables budgets entirely — the legacy in-memory behavior.
 	// Sessions override per connection via `set memorybudget '32m';`.

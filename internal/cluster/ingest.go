@@ -465,7 +465,3 @@ func (c *Cluster) prepareOp(meta *DatasetMeta, dv, ds string, rec adm.Value) (*i
 		part: part,
 	}, nil
 }
-
-// IngestQueueDepth reports the records currently queued in the
-// ingestion pipeline (all workers).
-func (c *Cluster) IngestQueueDepth() int { return c.ing.queued() }

@@ -52,9 +52,6 @@ type jobGen struct {
 	// keeps of the chain's variables.
 	live     map[*algebra.Op]map[algebra.Var]bool
 	counters *QueryCounters
-	// tOccAlgo is the job's T-occurrence solver, resolved once when the
-	// job is generated: every search of the job runs the same one.
-	tOccAlgo invindex.Algorithm
 	// replay is whether the job may replay memo entries. memoHits are
 	// the memo operators this job replays, memoCaps those it captures,
 	// memoUse every memo key's outcome, memoReads the one reading of each
@@ -100,9 +97,9 @@ func colMap(schema []algebra.Var) map[algebra.Var]int {
 
 // generateJob compiles the plan (rooted at OpWrite) into a job and
 // returns its generator, which holds the job and its memo outcomes and
-// captures, plus the result collector. The job's index searches run
-// tOccAlgo; it replays memo entries only if replay is set.
-func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, tOccAlgo invindex.Algorithm, replay bool) (*jobGen, *hyracks.Collector, error) {
+// captures, plus the result collector. It replays memo entries only if
+// replay is set.
+func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay bool) (*jobGen, *hyracks.Collector, error) {
 	if root.Kind != algebra.OpWrite {
 		return nil, nil, fmt.Errorf("jobgen: plan root is %v, want distribute-result", root.Kind)
 	}
@@ -118,7 +115,6 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, tOccAlg
 		portUsed: map[*algebra.Op]int{},
 		live:     algebra.LiveVars(root),
 		counters: counters,
-		tOccAlgo: tOccAlgo,
 		replay:   replay,
 	}
 	// Count each operator's readers over what the job will run: a memo
@@ -249,8 +245,6 @@ func (g *jobGen) genFresh(op *algebra.Op) (*genOut, error) {
 		return g.genRank(op)
 	case algebra.OpLimit:
 		return g.genLimit(op)
-	case algebra.OpMaterialize:
-		return g.genMaterialize(op)
 	case algebra.OpAggregate:
 		return g.genAggregate(op)
 	case algebra.OpGroupBy:
@@ -699,16 +693,6 @@ func (g *jobGen) genLimit(op *algebra.Op) (*genOut, error) {
 	return &genOut{node: node, schema: in.schema, parts: 1, sortCols: in.sortCols, fromIndex: in.fromIndex}, nil
 }
 
-func (g *jobGen) genMaterialize(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	node := g.job.Add("Materialize", in.parts, hyracks.Materialize(),
-		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: in.sortCols, fromIndex: in.fromIndex}, nil
-}
-
 // aggKindOf maps algebra aggregate kinds to runtime kinds.
 func aggKindOf(k algebra.AggKind) hyracks.AggKind {
 	switch k {
@@ -1014,7 +998,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 	keyEval, tEval := evals[0], evals[1]
 	dv, ds, ixName, bound := op.Dataverse, op.Dataset, op.IndexName, op.Bound
 	c := g.c
-	counters, algo := g.counters, g.tOccAlgo
+	counters, algo := g.counters, c.tOccAlgo
 	node := g.job.Add("SecondaryIndexSearch("+ixName+")", g.parts, func() hyracks.Operator {
 		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
 			for {

@@ -122,14 +122,6 @@ func (pc *PlanCache) put(e *planEntry) {
 	}
 }
 
-// Clear drops every entry.
-func (pc *PlanCache) Clear() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.entries = make(map[planKey]*list.Element)
-	pc.lru.Init()
-}
-
 // PlanCacheStats is a point-in-time snapshot of cache counters.
 type PlanCacheStats struct {
 	Hits          int64

@@ -112,7 +112,7 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, _, err := c.generateJob(plan, nil, 0, true)
+			g, _, err := c.generateJob(plan, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}

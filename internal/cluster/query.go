@@ -14,7 +14,6 @@ import (
 	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
 	"simdb/internal/hyracks"
-	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/obs/trace"
 	"simdb/internal/optimizer"
@@ -601,11 +600,9 @@ type localJob struct {
 }
 
 // newLocalJob generates the job for plan and lays out its topology. net
-// is nil unless nodes live in other processes. tOccAlgo is the solver
-// the coordinator chose for the job; a worker is handed it in the job
-// request.
-func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, tOccAlgo invindex.Algorithm, replay bool) (*localJob, error) {
-	g, collector, err := c.generateJob(plan, counters, tOccAlgo, replay)
+// is nil unless nodes live in other processes.
+func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, replay bool) (*localJob, error) {
+	g, collector, err := c.generateJob(plan, counters, replay)
 	if err != nil {
 		return nil, err
 	}
@@ -703,8 +700,7 @@ func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *Query
 		net = c.remote.net
 	}
 	t0 := time.Now()
-	tOccAlgo := c.tOccAlgo.Load()
-	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, invindex.Algorithm(tOccAlgo), replay)
+	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, replay)
 	if err != nil {
 		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan)
 	}
@@ -736,11 +732,10 @@ func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *Query
 		defer cancelLocal()
 		ctx = rctx
 		remoteCh = c.remote.startJob(ctx, cancelLocal, jobReq{
-			JobID:    qr.id,
-			Src:      src,
-			State:    st,
-			Epoch:    c.Catalog.Epoch(),
-			TOccAlgo: tOccAlgo,
+			JobID: qr.id,
+			Src:   src,
+			State: st,
+			Epoch: c.Catalog.Epoch(),
 		})
 	}
 	qr.setPhase(phaseExecute)

@@ -87,12 +87,11 @@ type dropReq struct {
 // catalog version both sides compiled under; a mismatch fails the job
 // cleanly instead of hanging on mismatched stream IDs.
 type jobReq struct {
-	ReqID    uint64       `json:"req_id"`
-	JobID    uint64       `json:"job_id"`
-	Src      string       `json:"src"`
-	State    sessionState `json:"state"`
-	Epoch    uint64       `json:"epoch"`
-	TOccAlgo int32        `json:"tocc_algo"`
+	ReqID uint64       `json:"req_id"`
+	JobID uint64       `json:"job_id"`
+	Src   string       `json:"src"`
+	State sessionState `json:"state"`
+	Epoch uint64       `json:"epoch"`
 }
 
 type cancelReq struct {

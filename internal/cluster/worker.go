@@ -10,7 +10,6 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/aqlp"
-	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/transport"
 )
@@ -263,7 +262,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, invindex.Algorithm(req.TOccAlgo), false)
+	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, false)
 	if err != nil {
 		return nil, err
 	}

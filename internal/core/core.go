@@ -27,7 +27,6 @@ import (
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/cluster"
-	"simdb/internal/invindex"
 	"simdb/internal/obs"
 	"simdb/internal/optimizer"
 	"simdb/internal/simdbd"
@@ -198,39 +197,11 @@ func (db *Database) IndexFootprint(dataset, index string) (bytes, entries int64,
 	return s.DiskBytes, s.DiskEntries, nil
 }
 
-// PlanCacheStats reports the compiled-plan cache's counters.
-func (db *Database) PlanCacheStats() cluster.PlanCacheStats {
-	return db.c.PlanCache().Stats()
-}
-
-// ServingStats reports the admission controller's counters.
-func (db *Database) ServingStats() cluster.QueryManagerStats {
-	return db.c.QueryManager().Stats()
-}
-
 // Metrics returns a point-in-time snapshot of every process-wide
 // counter, gauge, and latency histogram: query throughput and latency
 // quantiles, storage flush/merge activity, buffer-cache and
 // bloom-filter effectiveness, plan-cache and admission counters.
 func (db *Database) Metrics() obs.Snapshot { return db.c.Metrics() }
-
-// SetLogLevel sets the process-wide structured logger's level
-// ("debug", "info", "warn", "error", "off"; default off, also settable
-// via the SIMDB_LOG environment variable).
-func (db *Database) SetLogLevel(level string) {
-	obs.Log().SetLevel(obs.ParseLevel(level))
-}
-
-// SetTOccurrence switches the inverted-index merge algorithm at run
-// time ("scancount", "mergeskip", "divideskip").
-func (db *Database) SetTOccurrence(name string) error {
-	algo, err := invindex.ParseAlgorithm(name)
-	if err != nil {
-		return err
-	}
-	db.c.SetTOccurrenceAlgorithm(algo)
-	return nil
-}
 
 // Explained describes a compiled (not executed) query plan.
 type Explained struct {

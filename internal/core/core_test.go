@@ -214,18 +214,6 @@ func TestExplainMatchesExplainStatement(t *testing.T) {
 	}
 }
 
-func TestSetTOccurrence(t *testing.T) {
-	db := openTestDB(t)
-	for _, a := range []string{"scancount", "mergeskip", "divideskip"} {
-		if err := db.SetTOccurrence(a); err != nil {
-			t.Errorf("SetTOccurrence(%s): %v", a, err)
-		}
-	}
-	if err := db.SetTOccurrence("nope"); err == nil {
-		t.Error("unknown algorithm should fail")
-	}
-}
-
 func TestQueryCancellation(t *testing.T) {
 	db := openTestDB(t)
 	db.MustExecute(`create dataset D primary key id;`)

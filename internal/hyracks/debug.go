@@ -77,11 +77,14 @@ type stateRegistry struct {
 	states []*instanceState
 }
 
+// add registers an instance's state. A nil registry (no watchdog armed)
+// returns nil, whose methods do nothing, so an unwatched job keeps no
+// state at all.
 func (r *stateRegistry) add(name string, part int) *instanceState {
-	st := &instanceState{name: name, part: part}
 	if r == nil {
-		return st
+		return nil
 	}
+	st := &instanceState{name: name, part: part}
 	r.mu.Lock()
 	r.states = append(r.states, st)
 	r.mu.Unlock()

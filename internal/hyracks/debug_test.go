@@ -12,6 +12,11 @@ func TestInstanceStateSnapshot(t *testing.T) {
 	s.set("recv", 0, nil)
 	s.clear()
 	s.finish()
+	// An unwatched job (nil registry) keeps no state.
+	var none *stateRegistry
+	if st := none.add("Join", 2); st != nil {
+		t.Errorf("nil registry returned %+v, want nil", st)
+	}
 
 	reg := &stateRegistry{}
 	st := reg.add("Join", 2)

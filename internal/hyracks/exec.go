@@ -233,7 +233,7 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 			for c := 0; c < n.Parts; c++ {
 				e.consNodes[c] = topo.NodeOf(c, n.Parts)
 			}
-			merging := spec.Type == HashMerge || spec.Type == MergeOne
+			merging := spec.Type == MergeOne
 			if merging {
 				e.merged = make([][]chan frame, n.Parts)
 			} else {
@@ -406,7 +406,7 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 				outs := make([]*Emitter, n.OutPorts)
 				for o, e := range outEdges[n] {
 					emState := instState
-					if n.OutPorts > 1 {
+					if n.OutPorts > 1 && reg != nil {
 						// Replicate-style ops write ports concurrently;
 						// give each emitter its own diagnostic slot.
 						emState = reg.add(fmt.Sprintf("%s/out%d", n.Name, o), p)

@@ -516,37 +516,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestHashMergeConnector(t *testing.T) {
-	// Sorted partitions hash-merged: each consumer sees its keys in order.
-	job := &Job{}
-	src := job.Add("Src", 2, partitionedSource([][]int64{{9, 5, 1, 7}, {8, 2, 6, 4}}))
-	srt := job.Add("Sort", 2, Sort([]SortCol{{Col: 0}}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-	check := job.Add("Check", 2, func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			last := int64(-1) // per instance: each consumer's own order
-			for {
-				tu, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				if tu[0].Int() < last {
-					return fmt.Errorf("out of order: %d after %d", tu[0].Int(), last)
-				}
-				last = tu[0].Int()
-				out[0].Emit(tu)
-			}
-		})
-	}, Input{From: srt, Conn: ConnectorSpec{Type: HashMerge, HashCols: []int{0}, SortCols: []SortCol{{Col: 0}}}})
-	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: check, Conn: ConnectorSpec{Type: GatherOne}})
-	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Tuples) != 8 {
-		t.Errorf("rows = %d", len(c.Tuples))
-	}
-}
-
 func TestNetworkAccountingLocalVsRemote(t *testing.T) {
 	run := func(partsPerNode int) int64 {
 		job := &Job{}
@@ -567,20 +536,6 @@ func TestNetworkAccountingLocalVsRemote(t *testing.T) {
 	// One partition per node: partition 1's gather crosses nodes.
 	if b := run(1); b == 0 {
 		t.Error("cross-node gather should count bytes")
-	}
-}
-
-func TestMaterialize(t *testing.T) {
-	job := &Job{}
-	src := job.Add("Src", 1, partitionedSource([][]int64{{3, 1, 2}}))
-	mat := job.Add("Materialize", 1, Materialize(), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: mat, Conn: ConnectorSpec{Type: GatherOne}})
-	if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := collectInts(t, &c, 0); fmt.Sprint(got) != fmt.Sprint([]int64{3, 1, 2}) {
-		t.Errorf("materialize should preserve order: %v", got)
 	}
 }
 

@@ -15,14 +15,12 @@ type ConnType int
 
 // Connector kinds. OneToOne keeps tuples on their partition ("Local" in
 // the paper's figures); Hash repartitions by key ("Hash repartition");
-// HashMerge repartitions and merges sorted streams ("Hash repartition
-// merge"); Broadcast replicates to every partition ("Broadcast to all
-// nodes"); GatherOne funnels everything to a single instance (the
-// coordinator); MergeOne is GatherOne preserving a sort order.
+// Broadcast replicates to every partition ("Broadcast to all nodes");
+// GatherOne funnels everything to a single instance (the coordinator);
+// MergeOne is GatherOne preserving a sort order.
 const (
 	OneToOne ConnType = iota
 	Hash
-	HashMerge
 	Broadcast
 	GatherOne
 	MergeOne
@@ -38,8 +36,6 @@ func (c ConnType) String() string {
 		return "Local"
 	case Hash:
 		return "HashRepartition"
-	case HashMerge:
-		return "HashRepartitionMerge"
 	case Broadcast:
 		return "Broadcast"
 	case GatherOne:
@@ -55,8 +51,8 @@ func (c ConnType) String() string {
 // ConnectorSpec configures the edge between a producer and a consumer.
 type ConnectorSpec struct {
 	Type     ConnType
-	HashCols []int     // for Hash/HashMerge
-	SortCols []SortCol // for HashMerge/MergeOne
+	HashCols []int     // for Hash
+	SortCols []SortCol // for MergeOne
 	Seed     uint64    // hash seed (defaults to 0)
 }
 
@@ -247,7 +243,7 @@ func (e *Emitter) Emit(t Tuple) {
 		for d := range e.bufs {
 			e.buffer(d, t)
 		}
-	case Hash, HashMerge:
+	case Hash:
 		h := uint64(e.spec.Seed)
 		for _, c := range e.spec.HashCols {
 			h = adm.HashSeed(h+0x9E37, t[c])

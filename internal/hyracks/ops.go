@@ -22,11 +22,11 @@ func SourceFunc(produce func(ctx *TaskCtx, emit func(Tuple)) error) func() Opera
 }
 
 // Sort consumes all input, sorts it by cols, and emits it. Per
-// partition; a MergeOne/HashMerge connector downstream extends the
-// order across partitions. Under a memory budget it runs as an external
-// merge sort — sorted runs spill to disk and a stable k-way merge
-// produces the output — so the sort stays stable and byte-identical to
-// the in-memory path at any budget.
+// partition; a MergeOne connector downstream extends the order across
+// partitions. Under a memory budget it runs as an external merge sort —
+// sorted runs spill to disk and a stable k-way merge produces the
+// output — so the sort stays stable and byte-identical to the in-memory
+// path at any budget.
 func Sort(cols []SortCol) func() Operator {
 	return func() Operator {
 		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
@@ -549,44 +549,6 @@ func Replicate(outPorts int) func() Operator {
 				if err != nil {
 					return err
 				}
-			}
-			return ctx.Ctx.Err()
-		})
-	}
-}
-
-// Materialize buffers its input completely before emitting — a plain
-// pipeline breaker. Under a memory budget the tail of the buffer pages
-// to a spill run; replay order is unchanged.
-func Materialize() func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			g := ctx.Grant()
-			defer g.ReleaseAll()
-			buf := newSpillableBuffer(ctx, g, "materialize")
-			defer buf.close()
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				if err := buf.add(t); err != nil {
-					return err
-				}
-			}
-			if err := buf.finish(); err != nil {
-				return err
-			}
-			if buf.spilled() {
-				if !g.Reserve(mergeStreamMem) {
-					g.Force(mergeStreamMem)
-				}
-			}
-			if err := buf.each(func(t Tuple) error {
-				out[0].Emit(t)
-				return nil
-			}); err != nil {
-				return err
 			}
 			return ctx.Ctx.Err()
 		})

@@ -438,7 +438,7 @@ func partMix(h uint64, depth int) uint64 {
 	return x
 }
 
-// ---- spillable buffer (materialize / replicate / NLJ build) ----
+// ---- spillable buffer (replicate / NLJ build) ----
 
 // spillableBuffer accumulates tuples in arrival order within the grant
 // and overflows to a single run once the budget is hit. The buffered

@@ -389,17 +389,6 @@ func (n *Net) PeerListenAddr(node int) string {
 	return ""
 }
 
-// Peers returns the ids of currently connected peers.
-func (n *Net) Peers() []int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]int, 0, len(n.peers))
-	for id := range n.peers {
-		out = append(out, id)
-	}
-	return out
-}
-
 // WaitPeers blocks until every listed node is connected (or ctx ends).
 func (n *Net) WaitPeers(ctx context.Context, nodes []int) error {
 	deadline := time.Now().Add(peerWaitTimeout)
