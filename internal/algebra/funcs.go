@@ -436,7 +436,7 @@ func fnCountedTokens(args []adm.Value) (adm.Value, error) {
 	if args[0].IsNull() {
 		return adm.Null, nil
 	}
-	toks, ok := tokensOf(args[0])
+	toks, ok := TokensOf(args[0])
 	if !ok {
 		return adm.Null, fmt.Errorf("counted-tokens on %v", args[0].Kind())
 	}
@@ -555,13 +555,13 @@ func fnEditDistanceContains(args []adm.Value) (adm.Value, error) {
 	return adm.NewBool(false), nil
 }
 
-// TokensOf exposes the token-list coercion the similarity builtins use
-// (a list or bag of values becomes string tokens) so runtimes that
-// amortize similarity checks across tuples see exactly the same tokens
-// as per-tuple evaluation.
-func TokensOf(v adm.Value) ([]string, bool) { return tokensOf(v) }
-
-func tokensOf(v adm.Value) ([]string, bool) {
+// TokensOf is the one token-list coercion: a list or bag of values
+// becomes string tokens, a string element its text and any other
+// element its adm encoding. The similarity builtins, the optimizer's
+// constant folding, keyword-index maintenance and the index search all
+// coerce through it, so the tokens an index holds are the tokens a
+// query looks up and the tokens a scan compares.
+func TokensOf(v adm.Value) ([]string, bool) {
 	switch v.Kind() {
 	case adm.KindList, adm.KindBag:
 		elems := v.Elems()
@@ -585,8 +585,8 @@ func fnJaccard(args []adm.Value) (adm.Value, error) {
 	if args[0].IsNull() || args[1].IsNull() {
 		return adm.Null, nil
 	}
-	a, ok1 := tokensOf(args[0])
-	b, ok2 := tokensOf(args[1])
+	a, ok1 := TokensOf(args[0])
+	b, ok2 := TokensOf(args[1])
 	if !ok1 || !ok2 {
 		return adm.Null, fmt.Errorf("similarity-jaccard on %v, %v", args[0].Kind(), args[1].Kind())
 	}
@@ -600,8 +600,8 @@ func fnJaccardCheck(args []adm.Value) (adm.Value, error) {
 	if args[0].IsNull() || args[1].IsNull() {
 		return adm.Null, nil
 	}
-	a, ok1 := tokensOf(args[0])
-	b, ok2 := tokensOf(args[1])
+	a, ok1 := TokensOf(args[0])
+	b, ok2 := TokensOf(args[1])
 	d, okd := args[2].Num()
 	if !ok1 || !ok2 || !okd {
 		return adm.Null, fmt.Errorf("similarity-jaccard-check(list, list, double)")
@@ -623,8 +623,8 @@ func setSim(name string, f func(a, b []string) float64) Builtin {
 		if args[0].IsNull() || args[1].IsNull() {
 			return adm.Null, nil
 		}
-		a, ok1 := tokensOf(args[0])
-		b, ok2 := tokensOf(args[1])
+		a, ok1 := TokensOf(args[0])
+		b, ok2 := TokensOf(args[1])
 		if !ok1 || !ok2 {
 			return adm.Null, fmt.Errorf("%s on %v, %v", name, args[0].Kind(), args[1].Kind())
 		}

@@ -17,7 +17,6 @@ import (
 type IngestCell struct {
 	Label         string  `json:"label"`
 	BatchSize     int     `json:"batch_size"`
-	IngestWorkers int     `json:"ingest_workers"`
 	WithIndex     bool    `json:"with_index"`
 	WAL           string  `json:"wal"`
 	Records       int     `json:"records"`
@@ -33,15 +32,13 @@ type IngestReport struct {
 	Cells      []IngestCell `json:"cells"`
 }
 
-// IngestBench measures the batched, partition-parallel ingestion
-// pipeline: the same record stream loaded through per-record inserts
-// (batch size 1) versus batches of increasing size, with and without a
-// keyword index maintained inline (tokenization is the worker-side
-// cost the pipeline parallelizes), plus a one-worker-per-partition
-// pipeline to show the effect of worker count relative to the host's
-// cores (the default caps workers at GOMAXPROCS). Each cell loads into
-// a fresh database so no cell inherits another's components. Results
-// go to BENCH_ingest.json under Env.ReportDir.
+// IngestBench measures batched, partition-parallel ingestion: the same
+// record stream loaded through per-record inserts (batch size 1) versus
+// batches of increasing size, with and without a keyword index
+// maintained inline (tokenization is the per-partition cost a batch
+// applies in parallel). Each cell loads into a fresh database so no
+// cell inherits another's components. Results go to BENCH_ingest.json
+// under Env.ReportDir.
 func (e *Env) IngestBench() error {
 	e.logf("\n=== Ingestion: batched pipeline vs single-record path ===\n")
 	n := e.Scale
@@ -57,7 +54,6 @@ func (e *Env) IngestBench() error {
 	// with the default commit-durable log unless marked wal=off, and the
 	// batch512 twins make the commit-vs-off comparison directly (the
 	// acceptance bar is commit within 2x of the no-WAL pipeline).
-	allParts := e.Nodes * e.PartsPerNode
 	cells := []IngestCell{
 		{Label: "single", BatchSize: 1, WithIndex: false, WAL: "commit"},
 		{Label: "batch64", BatchSize: 64, WithIndex: false, WAL: "commit"},
@@ -68,7 +64,6 @@ func (e *Env) IngestBench() error {
 		{Label: "batch64+kw", BatchSize: 64, WithIndex: true, WAL: "commit"},
 		{Label: "batch512+kw", BatchSize: 512, WithIndex: true, WAL: "commit"},
 		{Label: "batch512+kw/wal=off", BatchSize: 512, WithIndex: true, WAL: "off"},
-		{Label: "batch512+kw/allparts", BatchSize: 512, IngestWorkers: allParts, WithIndex: true, WAL: "commit"},
 	}
 
 	// Each cell runs three times and reports the median, so one
@@ -76,30 +71,27 @@ func (e *Env) IngestBench() error {
 	// comparison the report exists to make.
 	const repeats = 3
 	report := IngestReport{Experiment: "ingest", Scale: n, Nodes: e.Nodes}
-	e.logf("%-24s %8s %8s %6s %9s %12s %14s\n",
-		"config", "batch", "workers", "index", "wal", "wall(ms)", "records/sec")
+	e.logf("%-24s %8s %6s %9s %12s %14s\n",
+		"config", "batch", "index", "wal", "wall(ms)", "records/sec")
 	for i, cell := range cells {
 		walls := make([]time.Duration, 0, repeats)
-		workers := 0
 		for r := 0; r < repeats; r++ {
 			dir := filepath.Join(e.Dir, fmt.Sprintf("ingest-cell%d-r%d", i, r))
-			wall, w, err := e.runIngestCell(dir, recs, cell)
+			wall, err := e.runIngestCell(dir, recs, cell)
 			if err != nil {
 				return fmt.Errorf("ingest cell %s: %w", cell.Label, err)
 			}
 			walls = append(walls, wall)
-			workers = w
 			_ = os.RemoveAll(dir)
 		}
 		sort.Slice(walls, func(a, b int) bool { return walls[a] < walls[b] })
 		wall := walls[len(walls)/2]
-		cell.IngestWorkers = workers
 		cell.Records = n
 		cell.WallMs = float64(wall.Microseconds()) / 1000
 		cell.RecordsPerSec = float64(n) / wall.Seconds()
 		report.Cells = append(report.Cells, cell)
-		e.logf("%-24s %8d %8d %6v %9s %12.1f %14.0f\n",
-			cell.Label, cell.BatchSize, cell.IngestWorkers, cell.WithIndex,
+		e.logf("%-24s %8d %6v %9s %12.1f %14.0f\n",
+			cell.Label, cell.BatchSize, cell.WithIndex,
 			cell.WAL, cell.WallMs, cell.RecordsPerSec)
 	}
 
@@ -120,35 +112,31 @@ func (e *Env) IngestBench() error {
 }
 
 // runIngestCell loads recs into a fresh database per the cell's
-// configuration and returns the ingest wall time (load + final flush)
-// and the effective worker count.
-func (e *Env) runIngestCell(dir string, recs []adm.Value, cell IngestCell) (time.Duration, int, error) {
+// configuration and returns the ingest wall time (load + final flush).
+func (e *Env) runIngestCell(dir string, recs []adm.Value, cell IngestCell) (time.Duration, error) {
 	db, err := core.Open(core.Config{
 		DataDir:           dir,
 		NumNodes:          e.Nodes,
 		PartitionsPerNode: e.PartsPerNode,
-		IngestWorkers:     cell.IngestWorkers,
 		WALSyncMode:       cell.WAL,
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer db.Close()
 	if _, err := db.Query(`create dataset IngestBench primary key id;`); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if cell.WithIndex {
 		if _, err := db.Query(`create index ib_kw on IngestBench(summary) type keyword;`); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	workers := db.Cluster().Config().IngestWorkers
-
 	t0 := time.Now()
 	if cell.BatchSize <= 1 {
 		for _, r := range recs {
 			if err := db.Insert("IngestBench", r); err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 		}
 	} else {
@@ -158,12 +146,12 @@ func (e *Env) runIngestCell(dir string, recs []adm.Value, cell IngestCell) (time
 				end = len(recs)
 			}
 			if err := db.InsertBatch("IngestBench", recs[off:end]); err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 		}
 	}
 	if err := db.Flush(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	wall := time.Since(t0)
 
@@ -171,10 +159,10 @@ func (e *Env) runIngestCell(dir string, recs []adm.Value, cell IngestCell) (time
 	// every record.
 	res, err := db.Query(`count(for $r in dataset IngestBench return $r)`)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if len(res.Rows) != 1 || res.Rows[0].Int() != int64(len(recs)) {
-		return 0, 0, fmt.Errorf("loaded %v records, want %d", res.Rows, len(recs))
+		return 0, fmt.Errorf("loaded %v records, want %d", res.Rows, len(recs))
 	}
-	return wall, workers, nil
+	return wall, nil
 }

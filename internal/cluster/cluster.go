@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"simdb/internal/adm"
+	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
 	"simdb/internal/hyracks"
 	"simdb/internal/invindex"
@@ -73,15 +74,15 @@ type Cluster struct {
 	// ddlMu serializes structural DDL against writers: InsertBatch holds
 	// the read side for the whole batch so the catalog view it acts on
 	// (which indexes exist) cannot change mid-batch, and create index /
-	// drop dataset / close hold the write side — which also drains the
-	// ingestion pipeline, since batches complete before releasing the
+	// drop dataset / close hold the write side — which also waits out
+	// every batch in flight, since batches complete before releasing the
 	// read side.
 	ddlMu sync.RWMutex
 
-	// ing is the partition-parallel ingestion pipeline; ingClosed (read
-	// and written under ddlMu) rejects inserts after Close.
-	ing       *ingester
+	// ingClosed (read and written under ddlMu) rejects inserts after
+	// Close; ingesting counts the records of InsertBatch calls in flight.
 	ingClosed bool
+	ingesting atomic.Int64
 
 	// testIndexFail, when set by tests, is consulted before every
 	// secondary-index insert to inject failures for the atomicity
@@ -174,24 +175,18 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		}
 		c.nodes = append(c.nodes, n)
 	}
-	c.ing = newIngester(c, cfg.IngestWorkers, cfg.IngestQueueDepth)
 	return c, nil
 }
 
-// Close drains the ingestion pipeline, then shuts down every node
-// (quiescing its background maintenance) and sweeps any leftover spill
-// temp directories (normally already removed per query). Taking the
-// DDL write lock waits out in-flight batches, so no record is dropped
-// from a batch whose InsertBatch call had already been accepted.
+// Close shuts down every node (quiescing its background maintenance)
+// and sweeps any leftover spill temp directories (normally already
+// removed per query). Taking the DDL write lock waits out in-flight
+// batches, so no record is dropped from a batch whose InsertBatch call
+// had already been accepted.
 func (c *Cluster) Close() error {
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
-	if !c.ingClosed {
-		c.ingClosed = true
-		if c.ing != nil {
-			c.ing.close()
-		}
-	}
+	c.ingClosed = true
 	var errs []error
 	if c.remote != nil {
 		// Stop the worker processes before local storage: their last
@@ -233,12 +228,6 @@ func (c *Cluster) SetSimNetLatency(d time.Duration) {
 	c.simNetLat.Store(int64(d))
 }
 
-// PlanCache exposes the compiled-plan cache (stats).
-func (c *Cluster) PlanCache() *PlanCache { return c.planCache }
-
-// QueryManager exposes the admission controller's counters.
-func (c *Cluster) QueryManager() *QueryManager { return c.qm }
-
 // Nodes returns the node controllers (read-only use).
 func (c *Cluster) Nodes() []*NodeController { return c.nodes }
 
@@ -260,9 +249,9 @@ func (c *Cluster) partitionOfPK(pk adm.Value) int {
 }
 
 // Insert adds one record to a dataset, maintaining every secondary
-// index. It is a batch of one through the ingestion pipeline: the
-// record is hash-routed on the primary key to its partition's worker,
-// which applies the primary entry and all index entries as a unit.
+// index. It is a batch of one: the record is hash-routed on the
+// primary key to its partition, whose primary entry and index entries
+// are applied as a unit.
 // Insert is safe to call concurrently with queries and with other
 // inserts; it briefly excludes structural DDL (create index / drop
 // dataset) so the set of indexes it maintains matches the catalog
@@ -287,21 +276,10 @@ func IndexTokens(ix optimizer.IndexMeta, rec adm.Value) []string {
 	}
 	switch ix.Type {
 	case "keyword":
-		var toks []string
-		switch v.Kind() {
-		case adm.KindString:
-			toks = tokenizer.WordTokens(v.Str())
-		case adm.KindList, adm.KindBag:
-			for _, e := range v.Elems() {
-				if e.Kind() == adm.KindString {
-					toks = append(toks, e.Str())
-				} else {
-					toks = append(toks, string(adm.Encode(e)))
-				}
-			}
-		default:
-			return nil
+		if v.Kind() == adm.KindString {
+			return tokenizer.CountedStrings(tokenizer.WordTokens(v.Str()))
 		}
+		toks, _ := algebra.TokensOf(v)
 		return tokenizer.CountedStrings(toks)
 	case "ngram":
 		if v.Kind() == adm.KindString {
@@ -313,7 +291,7 @@ func IndexTokens(ix optimizer.IndexMeta, rec adm.Value) []string {
 	return nil
 }
 
-// FlushAll drains the ingestion pipeline, forces every open LSM
+// FlushAll waits out in-flight batches, forces every open LSM
 // component to disk, and quiesces background maintenance (used after
 // loads to make Table 5's sizes observable and deterministic).
 //

@@ -175,6 +175,41 @@ func TestJaccardSelectionScanVsIndex(t *testing.T) {
 	if idxRes.Stats.CandidatesTotal < int64(len(idxRes.Rows)) {
 		t.Error("candidates should be at least the result count")
 	}
+
+	// A list-valued field whose elements are not all strings: the index
+	// keeps, and the search looks up, the tokens the scan compares.
+	exec(t, c, sess, `create dataset Tagged primary key id;`)
+	tagLists := [][]adm.Value{
+		{adm.NewString("red"), adm.NewInt(5), adm.NewString("blue")},
+		{adm.NewInt(5), adm.NewString("red")},
+		{adm.NewInt(5), adm.NewInt(5), adm.NewString("red")},
+		{adm.NewString("5"), adm.NewString("red"), adm.NewString("blue")},
+		{adm.NewDouble(2.5), adm.NewString("green")},
+		{adm.NewString("red"), adm.NewString("blue"), adm.NewString("green"), adm.NewInt(7)},
+	}
+	for i, tags := range tagLists {
+		rec := adm.EmptyRecord(2)
+		rec.Set("id", adm.NewInt(int64(i)))
+		rec.Set("tags", adm.NewList(tags))
+		if err := c.Insert("Default", "Tagged", adm.NewRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noIdx := sessionOpts(func(o *optimizer.Options) { o.UseIndexes = false })
+	exec(t, c, sess, `create index tagix on Tagged(tags) type keyword;`)
+	for _, q := range []string{
+		`for $r in dataset Tagged where similarity-jaccard(word-tokens($r.tags), ['red', 5, 'blue']) >= 0.6 return $r.id`,
+		`for $r in dataset Tagged where similarity-jaccard(word-tokens($r.tags), [5, 5, 'red']) >= 0.6 return $r.id`,
+		`for $r in dataset Tagged where similarity-jaccard(word-tokens($r.tags), [2.5, 'green']) >= 0.5 return $r.id`,
+	} {
+		if !strings.Contains(rowsText(exec(t, c, sess, "explain "+q)), "secondary-index-search") {
+			t.Errorf("%s\ndoes not search the index", q)
+		}
+		scan, idx := rowInts(t, exec(t, c, noIdx, q).Rows), rowInts(t, exec(t, c, sess, q).Rows)
+		if fmt.Sprint(scan) != fmt.Sprint(idx) || len(scan) == 0 {
+			t.Errorf("%s\nindex %v, scan %v", q, idx, scan)
+		}
+	}
 }
 
 func TestSimilaritySelectionWithTildeOperator(t *testing.T) {

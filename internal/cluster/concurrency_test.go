@@ -99,7 +99,7 @@ func TestQueryTimeoutCancelsScan(t *testing.T) {
 	if errors.Is(qerr, ErrAdmissionTimeout) {
 		t.Fatalf("execution timeout misclassified as admission timeout: %v", qerr)
 	}
-	st := c.QueryManager().Stats()
+	st := c.qm.Stats()
 	if st.Failed == 0 {
 		t.Fatalf("timeout not counted as failure: %+v", st)
 	}
@@ -231,7 +231,7 @@ func TestConcurrentServingStress(t *testing.T) {
 		t.Fatalf("post-DDL query did not use the index: %+v", ixRes.Stats)
 	}
 
-	qs := c.QueryManager().Stats()
+	qs := c.qm.Stats()
 	if qs.Active != 0 {
 		t.Fatalf("queries still marked active after quiesce: %+v", qs)
 	}

@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"runtime"
 	"time"
 
 	"simdb/internal/storage"
@@ -75,15 +74,6 @@ type Config struct {
 	// memory is free (FIFO). It only gates queries that have a per-query
 	// budget; unbudgeted queries claim nothing. 0 disables the pool.
 	ClusterMemoryBudget int64
-	// IngestWorkers is the number of ingestion-pipeline workers; records
-	// route to worker partition%IngestWorkers, so per-partition (and
-	// per-PK) order is preserved. Default: min(Partitions(), GOMAXPROCS)
-	// — one worker per partition caps useful parallelism, and more
-	// workers than cores only adds scheduling overhead.
-	IngestWorkers int
-	// IngestQueueDepth bounds each ingestion worker's queue; enqueuers
-	// block when a queue is full (backpressure). Default 256.
-	IngestQueueDepth int
 	// MaintenanceWorkers sizes each node's background flush/merge worker
 	// pool, shared by every LSM tree on the node. Default 2.
 	MaintenanceWorkers int
@@ -167,15 +157,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MemComponentBudgetBytes <= 0 {
 		c.MemComponentBudgetBytes = 16 << 20
-	}
-	if c.IngestWorkers <= 0 {
-		c.IngestWorkers = c.Partitions()
-		if p := runtime.GOMAXPROCS(0); p < c.IngestWorkers {
-			c.IngestWorkers = p
-		}
-	}
-	if c.IngestQueueDepth <= 0 {
-		c.IngestQueueDepth = 256
 	}
 	if c.MaintenanceWorkers <= 0 {
 		c.MaintenanceWorkers = 2

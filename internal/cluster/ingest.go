@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -20,11 +21,11 @@ var (
 	ingestBatchH  = obs.H("cluster.ingest.batch_size")
 )
 
-// ingestOp is one record routed to its partition's ingestion worker.
-// Everything cheap and order-sensitive (PK extraction, auto-PK
-// assignment, partition routing) happened on the caller's goroutine;
-// everything expensive (tokenization, storage writes) happens in the
-// worker.
+// ingestOp is one record of an InsertBatch call, routed to its
+// partition. Everything cheap and order-sensitive (PK extraction,
+// auto-PK assignment, partition routing) happens first, on the caller's
+// goroutine; everything expensive (tokenization, storage writes)
+// happens when the record's partition is applied.
 type ingestOp struct {
 	meta   *DatasetMeta
 	dv, ds string
@@ -33,239 +34,99 @@ type ingestOp struct {
 	part   int
 }
 
-// ingestBatch tracks the completion of one InsertBatch call: a pending
-// count decremented as ops finish, a done channel closed at zero, and
-// the collected per-record errors.
-type ingestBatch struct {
-	pending atomic.Int64
-	done    chan struct{}
-
-	mu   sync.Mutex
+// partitionBatch is one partition's share of an InsertBatch call: its
+// records in batch order, and what applying them left behind. Exactly
+// one goroutine applies it, so it needs no lock.
+type partitionBatch struct {
+	ops  []*ingestOp
 	errs []error
-
-	// walHigh tracks, per WAL touched by this batch, the highest LSN any
-	// of the batch's commits reached. InsertBatch waits for these LSNs
-	// to become durable before acknowledging — one coalesced fsync per
-	// touched partition per batch instead of one per record.
-	walMu   sync.Mutex
-	walHigh map[*storage.WAL]uint64
+	// wal is the partition's log and hi the highest LSN this call
+	// committed on it (wal stays nil when nothing was logged).
+	// InsertBatch waits for hi to become durable before acknowledging —
+	// one coalesced fsync per touched partition per batch instead of
+	// one per record.
+	wal *storage.WAL
+	hi  uint64
 }
 
-// trackLSN records that this batch committed through lsn on w.
-func (b *ingestBatch) trackLSN(w *storage.WAL, lsn uint64) {
-	b.walMu.Lock()
-	if b.walHigh == nil {
-		b.walHigh = map[*storage.WAL]uint64{}
-	}
-	if lsn > b.walHigh[w] {
-		b.walHigh[w] = lsn
-	}
-	b.walMu.Unlock()
-}
-
-func (b *ingestBatch) fail(err error) {
-	b.mu.Lock()
-	b.errs = append(b.errs, err)
-	b.mu.Unlock()
-}
-
-// finish retires n ops; the last one releases the waiting caller.
-func (b *ingestBatch) finish(n int64) {
-	if b.pending.Add(-n) == 0 {
-		close(b.done)
-	}
-}
-
-func (b *ingestBatch) err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return errors.Join(b.errs...)
-}
-
-// ingestChunk is one worker's contiguous slice of a batch: every op in
-// it routes to the same worker, so one channel transfer moves up to
-// chunkRecords records. Chunking is what makes the batched path
-// cheaper than per-record Insert even on few cores — a batch costs
-// O(records/chunkRecords) sends and wakeups instead of one per record.
-type ingestChunk struct {
-	batch *ingestBatch
-	ops   []*ingestOp
-}
-
-// chunkRecords caps the records carried per queue element, keeping the
-// queue bound meaningful as a memory bound while amortizing channel
-// overhead.
+// chunkRecords is how many records of a partition commit through one
+// storage.CommitGroups call: each record keeps its own atomic commit
+// record, but the chunk pays one log lock acquisition and one syncer
+// wakeup. Per-record commits made the group-commit path drain the log
+// as thousands of tiny segment writes.
 const chunkRecords = 32
 
-// ingester is the partition-parallel ingestion pipeline: W workers,
-// each owning one bounded queue. Records route to queue part%W, so all
-// writes for one partition — and therefore for one primary key — land
-// on the same worker in arrival order. Backpressure is the channel
-// bound: when a worker falls behind (e.g. its trees are stalled on
-// background maintenance), enqueuers block rather than buffer without
-// limit.
-type ingester struct {
-	c       *Cluster
-	queues  []chan ingestChunk
-	pending atomic.Int64 // records enqueued, not yet applied
-	wg      sync.WaitGroup
-}
-
-func newIngester(c *Cluster, workers, depth int) *ingester {
-	ing := &ingester{c: c, queues: make([]chan ingestChunk, workers)}
-	for i := range ing.queues {
-		ing.queues[i] = make(chan ingestChunk, depth)
-		ing.wg.Add(1)
-		go ing.worker(ing.queues[i])
+// applyPartition prepares and commits one partition's records in batch
+// order, chunkRecords at a time, so records with the same primary key
+// (same partition) apply in the order the batch holds them. The trees
+// it resolves stay valid for the whole call: InsertBatch holds the DDL
+// read lock, so no drop or create can invalidate a handle.
+func (c *Cluster) applyPartition(pb *partitionBatch) {
+	op0 := pb.ops[0]
+	node := c.nodeOfPartition(op0.part)
+	tree, err := node.primary(op0.dv, op0.ds, op0.part)
+	var wal *storage.WAL
+	if err == nil {
+		wal, err = node.partitionWAL(op0.dv, op0.ds, op0.part)
 	}
-	return ing
-}
-
-// enqueueBatch groups a batch's ops by destination worker and sends
-// them as chunks. Slice order is preserved per worker, so records with
-// the same primary key (same partition, same worker) apply in batch
-// order. Callers hold c.ddlMu.RLock and wait for the batch before
-// releasing it, which is what makes close (under the write lock) safe:
-// no sender can be mid-enqueue when queues close.
-func (ing *ingester) enqueueBatch(b *ingestBatch, ops []*ingestOp) {
-	w := len(ing.queues)
-	perWorker := make([][]*ingestOp, w)
-	for _, op := range ops {
-		i := op.part % w
-		perWorker[i] = append(perWorker[i], op)
-	}
-	ing.pending.Add(int64(len(ops)))
-	for i, list := range perWorker {
-		for off := 0; off < len(list); off += chunkRecords {
-			end := off + chunkRecords
-			if end > len(list) {
-				end = len(list)
-			}
-			ing.queues[i] <- ingestChunk{batch: b, ops: list[off:end]}
+	if err != nil {
+		for range pb.ops {
+			pb.errs = append(pb.errs, err)
 		}
+		return
 	}
-}
-
-// queued reports the records currently in the pipeline (enqueued or
-// being applied).
-func (ing *ingester) queued() int {
-	return int(ing.pending.Load())
-}
-
-// close drains and stops the workers. Caller must hold the ddl write
-// lock (or otherwise guarantee no enqueuer is active).
-func (ing *ingester) close() {
-	for _, q := range ing.queues {
-		close(q)
-	}
-	ing.wg.Wait()
-}
-
-// treeCache memoizes tree handles for the duration of one chunk,
-// amortizing the node-mutex map lookups across the chunk's records. It
-// must not outlive the chunk: a batch pins the DDL read lock, so
-// within a chunk no drop/create can invalidate a handle, but across
-// chunks it can.
-type treeCache struct {
-	primaries map[int]*storage.LSMTree
-	inverted  map[string]*invindex.Index
-	wals      map[int]*storage.WAL
-}
-
-func (ing *ingester) worker(q chan ingestChunk) {
-	defer ing.wg.Done()
-	for chunk := range q {
-		cache := treeCache{
-			primaries: map[int]*storage.LSMTree{},
-			inverted:  map[string]*invindex.Index{},
-			wals:      map[int]*storage.WAL{},
-		}
-		applied := int64(0)
-		// Records accumulate per partition log — nil when the partition
-		// has none — and commit through one CommitGroups call per (chunk,
-		// log): each record keeps its own atomic commit record, but the
-		// whole chunk pays one lock acquisition and one syncer wakeup.
-		// Per-record commits made the group-commit path drain the log as
-		// thousands of tiny segment writes.
-		var walOrder []*storage.WAL
-		walGroups := map[*storage.WAL][][]storage.GroupWrite{}
+	inverted := map[string]*invindex.Index{}
+	for off := 0; off < len(pb.ops); off += chunkRecords {
+		chunk := pb.ops[off:min(off+chunkRecords, len(pb.ops))]
 		// One arena for the chunk's write groups: a group sliced off an
 		// earlier allocation stays valid after the arena grows, and the
 		// hot no-index path stops paying one slice allocation per record.
-		arena := make([]storage.GroupWrite, 0, 2*len(chunk.ops))
-		for _, op := range chunk.ops {
-			var wal *storage.WAL
+		arena := make([]storage.GroupWrite, 0, 2*len(chunk))
+		groups := make([][]storage.GroupWrite, 0, len(chunk))
+		for _, op := range chunk {
 			var writes []storage.GroupWrite
-			var err error
-			wal, arena, writes, err = ing.prepare(op, &cache, arena)
+			arena, writes, err = c.prepare(op, tree, inverted, arena)
 			if err != nil {
-				chunk.batch.fail(err)
+				pb.errs = append(pb.errs, err)
 				continue
 			}
-			if _, ok := walGroups[wal]; !ok {
-				walOrder = append(walOrder, wal)
-			}
-			walGroups[wal] = append(walGroups[wal], writes)
+			groups = append(groups, writes)
 		}
-		for _, wal := range walOrder {
-			groups := walGroups[wal]
-			lsns, err := storage.CommitGroups(wal, groups)
-			if err != nil {
-				for range groups {
-					chunk.batch.fail(err)
-				}
-				continue
-			}
-			applied += int64(len(groups))
-			if wal == nil {
-				continue
-			}
-			hi := lsns[len(lsns)-1]
-			chunk.batch.trackLSN(wal, hi)
-			// In commit mode, start the fsync now rather than at batch
-			// end: the sync runs while this worker prepares the next
-			// chunk, so the batch-end WaitDurable finds most of the log
-			// already durable instead of paying the whole latency
-			// serially. Interval mode stays on its timer.
-			if wal.Mode() == storage.WALSyncCommit {
-				wal.RequestSync(hi)
-			}
+		if len(groups) == 0 {
+			continue
 		}
-		ingestRecords.Add(applied)
-		ing.pending.Add(-int64(len(chunk.ops)))
-		chunk.batch.finish(int64(len(chunk.ops)))
+		lsns, err := storage.CommitGroups(wal, groups)
+		if err != nil {
+			for range groups {
+				pb.errs = append(pb.errs, err)
+			}
+			continue
+		}
+		ingestRecords.Add(int64(len(groups)))
+		if wal == nil {
+			continue
+		}
+		pb.wal, pb.hi = wal, lsns[len(lsns)-1]
+		// In commit mode, start the fsync now rather than at batch end:
+		// the sync runs while the next chunk is prepared, so the
+		// batch-end WaitDurable finds most of the log already durable
+		// instead of paying the whole latency serially. Interval mode
+		// stays on its timer.
+		if wal.Mode() == storage.WALSyncCommit {
+			wal.RequestSync(pb.hi)
+		}
 	}
 }
 
-// prepare resolves one record's trees and builds its atomic write
-// group: the primary row and every secondary-index posting as
-// GroupWrites, plus the partition's log (nil under WALSyncMode "off").
-// Tokenization and index resolution happen here, before anything is
-// written, so a failure leaves no partial state and there is nothing to
-// roll back; the worker commits whole chunks of prepared groups through
-// storage.CommitGroups. The group is appended to arena and sliced off
-// it; the updated arena is returned either way.
-func (ing *ingester) prepare(op *ingestOp, cache *treeCache, arena []storage.GroupWrite) (*storage.WAL, []storage.GroupWrite, []storage.GroupWrite, error) {
-	node := ing.c.nodeOfPartition(op.part)
-	tree, ok := cache.primaries[op.part]
-	if !ok {
-		var err error
-		tree, err = node.primary(op.dv, op.ds, op.part)
-		if err != nil {
-			return nil, arena, nil, err
-		}
-		cache.primaries[op.part] = tree
-	}
-	wal, ok := cache.wals[op.part]
-	if !ok {
-		var err error
-		wal, err = node.partitionWAL(op.dv, op.ds, op.part)
-		if err != nil {
-			return nil, arena, nil, err
-		}
-		cache.wals[op.part] = wal
-	}
-
+// prepare builds one record's atomic write group: the primary row into
+// tree and every secondary-index posting, as GroupWrites. Tokenization
+// and index resolution happen here, before anything is written, so a
+// failure leaves no partial state and there is nothing to roll back;
+// applyPartition commits whole chunks of prepared groups through
+// storage.CommitGroups. inverted caches the partition's index trees by
+// index name. The group is appended to arena and sliced off it; the
+// updated arena is returned either way.
+func (c *Cluster) prepare(op *ingestOp, tree *storage.LSMTree, inverted map[string]*invindex.Index, arena []storage.GroupWrite) ([]storage.GroupWrite, []storage.GroupWrite, error) {
 	start := len(arena)
 	arena = append(arena, storage.GroupWrite{Tree: tree, Key: op.key, Val: adm.Encode(op.rec)})
 	for _, ix := range op.meta.Indexes {
@@ -273,35 +134,35 @@ func (ing *ingester) prepare(op *ingestOp, cache *treeCache, arena []storage.Gro
 		if len(tokens) == 0 {
 			continue
 		}
-		ixKey := fmt.Sprintf("%s/%d", ix.Name, op.part)
-		inv, ok := cache.inverted[ixKey]
+		inv, ok := inverted[ix.Name]
 		if !ok {
 			var err error
-			inv, err = node.invIndex(op.dv, op.ds, ix.Name, op.part)
+			inv, err = c.nodeOfPartition(op.part).invIndex(op.dv, op.ds, ix.Name, op.part)
 			if err != nil {
-				return nil, arena[:start], nil, err
+				return arena[:start], nil, err
 			}
-			cache.inverted[ixKey] = inv
+			inverted[ix.Name] = inv
 		}
-		if hook := ing.c.testIndexFail.Load(); hook != nil {
+		if hook := c.testIndexFail.Load(); hook != nil {
 			if err := (*hook)(op.dv, op.ds, ix.Name); err != nil {
-				return nil, arena[:start], nil, err
+				return arena[:start], nil, err
 			}
 		}
 		for _, ek := range inv.EntryKeys(tokens, invindex.PK(op.key)) {
 			arena = append(arena, storage.GroupWrite{Tree: inv.Tree(), Key: ek})
 		}
 	}
-	return wal, arena, arena[start:len(arena):len(arena)], nil
+	return arena, arena[start:len(arena):len(arena)], nil
 }
 
-// InsertBatch ingests a batch of records into a dataset through the
-// partition-parallel pipeline: records are validated and hash-routed on
-// the caller's goroutine, then tokenized and applied (primary +
-// secondary indexes together) by per-partition workers. The call
-// returns after every record in the batch has been applied or failed;
-// the result joins all per-record errors. Records with the same
-// primary key are applied in batch order.
+// InsertBatch ingests a batch of records into a dataset: records are
+// validated and hash-routed on the caller's goroutine, then each
+// partition's records are tokenized and applied (primary + secondary
+// indexes together), up to GOMAXPROCS partitions at once with the
+// caller's goroutine as one of the appliers. The call returns after
+// every record in the batch has been applied or failed; the result
+// joins all per-record errors. Records with the same primary key are
+// applied in batch order; concurrent batches interleave.
 //
 // InsertBatch holds the DDL read lock for its duration, so the set of
 // indexes it maintains matches one catalog snapshot and structural DDL
@@ -323,73 +184,92 @@ func (c *Cluster) InsertBatch(dv, ds string, recs []adm.Value) error {
 	}
 	ingestBatches.Inc()
 	ingestBatchH.Observe(int64(len(recs)))
+	c.ingesting.Add(int64(len(recs)))
+	defer c.ingesting.Add(-int64(len(recs)))
 	// The batch is a write from here on, whether it fails or not: the
 	// join memo serves no entry of this dataset until it has returned.
 	ver := c.dataVersion(dv, ds)
 	ver.begun.Add(1)
 	defer ver.ended.Add(1)
 
-	b := &ingestBatch{done: make(chan struct{})}
-	b.pending.Store(int64(len(recs)))
-	ops := make([]*ingestOp, 0, len(recs))
+	var errs []error
+	parts := make([]partitionBatch, c.cfg.Partitions())
+	// tcp mode: records owned by other nodes ship to their worker
+	// process, which applies them itself and acknowledges after its
+	// durability barrier. Routing and auto-PK assignment happen here on
+	// the coordinator, and per-node slice order preserves batch order
+	// per primary key (same PK → same partition → same node).
+	remote := map[int][][]byte{}
+	touched := 0
 	for _, rec := range recs {
 		op, err := c.prepareOp(meta, dv, ds, rec)
 		if err != nil {
-			b.fail(err)
-			b.finish(1)
+			errs = append(errs, err)
 			continue
 		}
-		ops = append(ops, op)
-	}
-	if c.remote != nil {
-		// tcp mode: routing (and auto-PK assignment) happened above on
-		// the coordinator; records owned by other nodes ship to their
-		// worker process, which runs them through its own pipeline and
-		// acknowledges after its durability barrier. Per-node slice
-		// order preserves batch order per primary key (same PK → same
-		// partition → same node).
-		local := ops[:0:0]
-		remote := map[int][][]byte{}
-		for _, op := range ops {
-			nodeID := op.part / c.cfg.PartitionsPerNode
-			if nodeID == c.localNode {
-				local = append(local, op)
-			} else {
+		if c.remote != nil {
+			if nodeID := op.part / c.cfg.PartitionsPerNode; nodeID != c.localNode {
 				remote[nodeID] = append(remote[nodeID], adm.Encode(op.rec))
+				continue
 			}
 		}
-		ops = local
-		for nodeID, encs := range remote {
-			go func(nodeID int, encs [][]byte) {
-				if err := c.remote.insert(nodeID, dv, ds, encs); err != nil {
-					b.fail(err)
-				}
-				b.finish(int64(len(encs)))
-			}(nodeID, encs)
+		if len(parts[op.part].ops) == 0 {
+			touched++
+		}
+		parts[op.part].ops = append(parts[op.part].ops, op)
+	}
+	var wg sync.WaitGroup
+	remoteErrs := make([]error, c.cfg.NumNodes)
+	for nodeID, encs := range remote {
+		wg.Add(1)
+		go func(nodeID int, encs [][]byte) {
+			defer wg.Done()
+			remoteErrs[nodeID] = c.remote.insert(nodeID, dv, ds, encs)
+		}(nodeID, encs)
+	}
+	var next atomic.Int64
+	apply := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(parts) {
+				return
+			}
+			if len(parts[i].ops) > 0 {
+				c.applyPartition(&parts[i])
+			}
 		}
 	}
-	c.ing.enqueueBatch(b, ops)
-	<-b.done
+	for w := min(touched, runtime.GOMAXPROCS(0)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			apply()
+		}()
+	}
+	apply()
+	wg.Wait()
+
 	// Durability barrier: start every touched partition's fsync before
 	// waiting on any, so the per-batch sync cost is the slowest single
 	// fsync, not their sum. In interval/off modes WaitDurable returns
 	// immediately.
-	b.walMu.Lock()
-	walHigh := b.walHigh
-	b.walMu.Unlock()
-	for w, lsn := range walHigh {
-		w.RequestSync(lsn)
+	for i := range parts {
+		if pb := &parts[i]; pb.wal != nil {
+			pb.wal.RequestSync(pb.hi)
+		}
 	}
 	var walErrs []error
-	for w, lsn := range walHigh {
-		if err := w.WaitDurable(lsn); err != nil {
+	for i := range parts {
+		pb := &parts[i]
+		errs = append(errs, pb.errs...)
+		if pb.wal == nil {
+			continue
+		}
+		if err := pb.wal.WaitDurable(pb.hi); err != nil {
 			walErrs = append(walErrs, err)
 		}
 	}
-	if len(walErrs) > 0 {
-		return errors.Join(append(walErrs, b.err())...)
-	}
-	return b.err()
+	return errors.Join(append(append(walErrs, errs...), remoteErrs...)...)
 }
 
 const (

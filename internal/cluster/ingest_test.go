@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"simdb/internal/adm"
+	"simdb/internal/obs"
 	"simdb/internal/optimizer"
 )
 
@@ -48,17 +49,26 @@ func TestInsertBatchBasic(t *testing.T) {
 		t.Errorf("count = %d, want %d", got, n)
 	}
 
-	// Per-PK order: a later record in the same batch wins.
-	dup := []adm.Value{
-		mkRec(7, "first version"),
-		mkRec(7, "second version"),
+	// Per-PK order: a later record in the same batch wins, also when
+	// more than a commit chunk of its partition's records lies between
+	// the two versions.
+	dup := []adm.Value{mkRec(7, "first version")}
+	part := c.partitionOfPK(adm.NewInt(7))
+	for id := int64(n); len(dup) <= chunkRecords+1; id++ {
+		if c.partitionOfPK(adm.NewInt(id)) == part {
+			dup = append(dup, mkRec(id, "filler"))
+		}
 	}
+	dup = append(dup, mkRec(7, "second version"))
 	if err := c.InsertBatch("Default", "D", dup); err != nil {
 		t.Fatal(err)
 	}
 	res := exec(t, c, sess, `for $r in dataset D where $r.id = 7 return $r.summary`)
 	if len(res.Rows) != 1 || res.Rows[0].Str() != "second version" {
 		t.Errorf("duplicate-PK batch: got %v", res.Rows)
+	}
+	if got, want := countDataset(t, c, sess, "D"), int64(n+len(dup)-2); got != want {
+		t.Errorf("count after duplicate-PK batch = %d, want %d", got, want)
 	}
 
 	// Per-record validation errors are collected, valid records land.
@@ -258,12 +268,11 @@ func TestIngestDurability(t *testing.T) {
 
 // TestIngestQueryStress mixes batched ingestion, point and similarity
 // queries, forced flushes, and background merges; run under -race it
-// is the pipeline's concurrency gate.
+// is the write path's concurrency gate.
 func TestIngestQueryStress(t *testing.T) {
 	c, err := New(Config{
 		NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(),
 		MemComponentBudgetBytes: 4 << 10, // constant rotation + merge pressure
-		IngestQueueDepth:        16,
 		MaintenanceWorkers:      2,
 		StallThreshold:          2,
 	})
@@ -356,10 +365,10 @@ func TestIngestQueryStress(t *testing.T) {
 	}
 }
 
-// TestIngestSoak is the CI soak job: a sustained ingest under a
-// deliberately tight pipeline (short queues, one maintenance worker)
-// so backpressure and stalls engage, verified for completeness at the
-// end. Scaled down unless SIMDB_SOAK is set; SIMDB_WAL_MODE picks the
+// TestIngestSoak is the CI soak job: a sustained ingest under
+// deliberately tight maintenance (a stall threshold of 2, one
+// maintenance worker) so write stalls engage, verified for
+// completeness at the end. Scaled down unless SIMDB_SOAK is set; SIMDB_WAL_MODE picks the
 // sync mode (the CI job runs "commit" and "off").
 func TestIngestSoak(t *testing.T) {
 	batches := 40
@@ -369,7 +378,6 @@ func TestIngestSoak(t *testing.T) {
 	c, err := New(Config{
 		NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(),
 		MemComponentBudgetBytes: 2 << 10,
-		IngestQueueDepth:        4,
 		MaintenanceWorkers:      1,
 		StallThreshold:          2,
 		WALSyncMode:             os.Getenv("SIMDB_WAL_MODE"),
@@ -385,6 +393,7 @@ func TestIngestSoak(t *testing.T) {
 	}
 
 	const batchSize = 64
+	stalls := obs.C("storage.stall.count").Load()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 4; w++ {
@@ -435,4 +444,9 @@ func TestIngestSoak(t *testing.T) {
 	if int64(postings) != want {
 		t.Fatalf("soak lost postings: %d, want %d", postings, want)
 	}
+	got := obs.C("storage.stall.count").Load()
+	if got <= stalls {
+		t.Errorf("no write stalled during the soak: storage.stall.count %d → %d", stalls, got)
+	}
+	t.Logf("%d writes stalled", got-stalls)
 }

@@ -1046,22 +1046,14 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: true}, nil
 }
 
-// tokensFromValue converts a token-list value to strings. Non-string
-// elements use their binary encoding, mirroring IndexTokens.
+// tokensFromValue converts a secondary search key to tokens: a token
+// list through algebra.TokensOf, as IndexTokens coerces the indexed
+// field, and a single string as one token.
 func tokensFromValue(v adm.Value) ([]string, error) {
-	switch v.Kind() {
-	case adm.KindList, adm.KindBag:
-		elems := v.Elems()
-		out := make([]string, len(elems))
-		for i, e := range elems {
-			if e.Kind() == adm.KindString {
-				out[i] = e.Str()
-			} else {
-				out[i] = string(adm.Encode(e))
-			}
-		}
-		return out, nil
-	case adm.KindString:
+	if toks, ok := algebra.TokensOf(v); ok {
+		return toks, nil
+	}
+	if v.Kind() == adm.KindString {
 		return []string{v.Str()}, nil
 	}
 	return nil, fmt.Errorf("secondary search key is %v, want a token list", v.Kind())

@@ -187,7 +187,7 @@ func (c *Cluster) Metrics() obs.Snapshot {
 	r.Gauge("storage.index.bytes").Set(indexBytes)
 	r.Gauge("storage.wal.segments").Set(walSegments)
 	r.Gauge("storage.wal.bytes").Set(walBytes)
-	r.Gauge("cluster.ingest.queue_depth").Set(int64(c.ing.queued()))
+	r.Gauge("cluster.ingest.queue_depth").Set(c.ingesting.Load())
 	r.Gauge("storage.cache.hits").Set(cacheHits)
 	r.Gauge("storage.cache.misses").Set(cacheMisses)
 	r.Gauge("storage.cache.evictions").Set(cacheEvictions)

@@ -64,7 +64,7 @@ func TestPlanCacheHitSkipsCompile(t *testing.T) {
 			}
 		}
 	}
-	st := c.PlanCache().Stats()
+	st := c.planCache.Stats()
 	if st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("cache stats = %+v, want 1 hit / 1 entry", st)
 	}
@@ -101,7 +101,7 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	if after.Stats.PlanCacheHit {
 		t.Fatal("cache served a pre-DDL plan after create index")
 	}
-	st := c.PlanCache().Stats()
+	st := c.planCache.Stats()
 	if st.Invalidations == 0 {
 		t.Fatalf("no invalidation recorded: %+v", st)
 	}
@@ -144,13 +144,13 @@ func TestPlanCacheKeysOnSessionState(t *testing.T) {
 	opts := optimizer.DefaultOptions()
 	opts.UseIndexes = false
 	sessC.Opts = &opts
-	before := c.PlanCache().Stats()
+	before := c.planCache.Stats()
 	for run := 0; run < 2; run++ {
 		if res := exec(t, c, sessC, q); res.Stats.PlanCacheHit {
 			t.Fatalf("run %d: override session hit a cached plan", run)
 		}
 	}
-	if after := c.PlanCache().Stats(); after != before {
+	if after := c.planCache.Stats(); after != before {
 		t.Fatalf("override session moved the cache: %+v -> %+v", before, after)
 	}
 	if res := exec(t, c, sessA, q); !res.Stats.PlanCacheHit {
@@ -187,9 +187,9 @@ func TestPlanCacheDDLRequestsNotCached(t *testing.T) {
 	c := newTestCluster(t, 1, 1)
 	sess := NewSession()
 	exec(t, c, sess, `create dataset D primary key id;`)
-	before := c.PlanCache().Stats().Entries
+	before := c.planCache.Stats().Entries
 	exec(t, c, sess, `create dataset E primary key id; count(for $d in dataset D return $d)`)
-	if got := c.PlanCache().Stats().Entries; got != before {
+	if got := c.planCache.Stats().Entries; got != before {
 		t.Fatalf("request containing DDL was cached (entries %d -> %d)", before, got)
 	}
 }
@@ -215,7 +215,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 			c := newTestCluster(t, 1, 2)
 			sess := NewSession()
 			loadReviews(t, c, sess)
-			base := c.PlanCache().Stats()
+			base := c.planCache.Stats()
 			lookups, n := 0, 0
 			for run := 0; run < tc.runs; run++ {
 				for i := 0; i < tc.texts; i++ {
@@ -224,16 +224,16 @@ func TestPlanCacheAccounting(t *testing.T) {
 						                         word-tokens('great product fantastic')) >= 0.%d
 						return $r.id`, i+1)
 					if n++; tc.explainEvery > 0 && n%tc.explainEvery == 0 {
-						before := c.PlanCache().Stats()
+						before := c.planCache.Stats()
 						exec(t, c, sess, "explain "+q)
 						exec(t, c, sess, "explain analyze "+q)
-						if after := c.PlanCache().Stats(); after != before {
+						if after := c.planCache.Stats(); after != before {
 							t.Fatalf("explain requests moved the cache: %+v -> %+v", before, after)
 						}
 					}
-					before := c.PlanCache().Stats()
+					before := c.planCache.Stats()
 					res := exec(t, c, sess, q)
-					after := c.PlanCache().Stats()
+					after := c.planCache.Stats()
 					lookups++
 					if moved := after.Hits > before.Hits; res.Stats.PlanCacheHit != moved {
 						t.Fatalf("run %d text %d: PlanCacheHit=%v but hits %d -> %d",
@@ -244,7 +244,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 					}
 				}
 			}
-			st := c.PlanCache().Stats()
+			st := c.planCache.Stats()
 			if got := st.Entries - base.Entries; got != tc.texts {
 				t.Errorf("entries = %d, want %d (one per text)", got, tc.texts)
 			}

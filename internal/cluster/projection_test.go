@@ -87,7 +87,7 @@ func TestOptionOverridesBypassPlanCache(t *testing.T) {
 	if res := exec(t, c, sess, jaccardQuery); res.Stats.PlanCacheHit {
 		t.Fatal("cold execution hit the cache")
 	}
-	cached := c.PlanCache().Stats()
+	cached := c.planCache.Stats()
 	for _, tc := range []struct {
 		name        string
 		mod         func(*optimizer.Options)
@@ -105,7 +105,7 @@ func TestOptionOverridesBypassPlanCache(t *testing.T) {
 			t.Errorf("%s: plan has projection = %v:\n%s", tc.name, got, res.Stats.LogicalPlan)
 		}
 	}
-	if st := c.PlanCache().Stats(); st != cached {
+	if st := c.planCache.Stats(); st != cached {
 		t.Fatalf("override sessions moved the cache: %+v -> %+v", cached, st)
 	}
 	if res := exec(t, c, sess, jaccardQuery); !res.Stats.PlanCacheHit {

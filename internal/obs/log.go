@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -57,11 +56,11 @@ func ParseLevel(s string) Level {
 }
 
 // Logger is a leveled structured logger emitting one JSON object per
-// line. The level check is a single atomic load, so disabled calls cost
+// line. The level is fixed at construction, so disabled calls cost
 // nearly nothing; rendering happens only for enabled records. Safe for
 // concurrent use.
 type Logger struct {
-	level atomic.Int32
+	level Level
 
 	mu  sync.Mutex
 	out io.Writer
@@ -69,9 +68,7 @@ type Logger struct {
 
 // NewLogger builds a logger writing to w at the given minimum level.
 func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{out: w}
-	l.level.Store(int32(level))
-	return l
+	return &Logger{out: w, level: level}
 }
 
 // std is the process default logger: stderr, level taken from the
@@ -83,9 +80,6 @@ var std = NewLogger(os.Stderr, ParseLevel(os.Getenv("SIMDB_LOG")))
 // Log returns the process default logger.
 func Log() *Logger { return std }
 
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
-
 // SetOutput redirects the logger (tests, log shipping).
 func (l *Logger) SetOutput(w io.Writer) {
 	l.mu.Lock()
@@ -95,7 +89,7 @@ func (l *Logger) SetOutput(w io.Writer) {
 
 // Enabled reports whether records at level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return level >= Level(l.level.Load()) && Level(l.level.Load()) != LevelOff
+	return level >= l.level && l.level != LevelOff
 }
 
 // Debug logs at debug level. kv is alternating key, value pairs.

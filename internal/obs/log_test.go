@@ -22,8 +22,7 @@ func TestLoggerLevelGating(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2: %q", len(lines), buf.String())
 	}
-	l.SetLevel(LevelOff)
-	l.Error("suppressed")
+	NewLogger(&buf, LevelOff).Error("suppressed")
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Errorf("LevelOff still emitted: %q", buf.String())
 	}

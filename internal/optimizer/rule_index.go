@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
-
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/sim"
@@ -63,10 +61,7 @@ func indexSelectionRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			if err != nil {
 				return nil, false, err
 			}
-			tokens, t, ok, err := compileTimeTokens(sc, cval, ix)
-			if err != nil {
-				return nil, false, err
-			}
+			tokens, t, ok := compileTimeTokens(sc, cval, ix)
 			if !ok {
 				// Edit-distance corner case (T <= 0): the optimizer
 				// "simply stops rewriting the plan" (paper §5.1.1).
@@ -225,41 +220,37 @@ func (o *Optimizer) tryContainsSelection(sel, scan *algebra.Op, conj algebra.Exp
 
 // compileTimeTokens computes the probe tokens and occurrence threshold
 // for a constant search key; ok=false signals the corner case.
-func compileTimeTokens(sc simCond, cval adm.Value, ix IndexMeta) (tokens []string, t int, ok bool, err error) {
+func compileTimeTokens(sc simCond, cval adm.Value, ix IndexMeta) (tokens []string, t int, ok bool) {
 	switch sc.Fn {
 	case "jaccard":
 		if !(sc.Threshold > 0) {
 			// Every record qualifies, sharing a token or not: no T prunes.
-			return nil, 0, false, nil
+			return nil, 0, false
 		}
 		switch cval.Kind() {
 		case adm.KindList, adm.KindBag:
-			for _, e := range cval.Elems() {
-				if e.Kind() != adm.KindString {
-					return nil, 0, false, fmt.Errorf("optimizer: non-string token in constant key")
-				}
-				tokens = append(tokens, e.Str())
-			}
+			// The coercion the index applied to the indexed field.
+			tokens, _ = algebra.TokensOf(cval)
 		case adm.KindString:
 			tokens = tokenizer.WordTokens(cval.Str())
 		default:
-			return nil, 0, false, nil
+			return nil, 0, false
 		}
 		// Counted form matches the index contents (multiset-safe).
-		return tokenizer.CountedStrings(tokens), sim.TOccurrenceJaccard(len(tokens), sc.Threshold), true, nil
+		return tokenizer.CountedStrings(tokens), sim.TOccurrenceJaccard(len(tokens), sc.Threshold), true
 	case "edit-distance":
 		if cval.Kind() != adm.KindString {
-			return nil, 0, false, nil
+			return nil, 0, false
 		}
 		n := ix.GramLen
 		tokens = tokenizer.GramTokens(cval.Str(), n, true)
 		t = sim.TOccurrenceEditDistance(len(tokens), int(sc.Threshold), n)
 		if t <= 0 {
-			return nil, 0, false, nil // corner case
+			return nil, 0, false // corner case
 		}
-		return tokenizer.CountedStrings(tokens), t, true, nil
+		return tokenizer.CountedStrings(tokens), t, true
 	}
-	return nil, 0, false, nil
+	return nil, 0, false
 }
 
 // replaceInput substitutes `from` with `to` anywhere in the subtree.

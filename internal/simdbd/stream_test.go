@@ -207,15 +207,16 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 	waitFor(t, 5*time.Second, "query admitted", func() bool {
 		return len(db.Cluster().ActiveQueries()) > 0
 	})
-	failedBefore := db.Cluster().QueryManager().Stats().Failed
+	failedBefore := db.Metrics().Gauges["querymanager.failed"]
 
 	cancel() // client walks away mid-query
 	resp.Body.Close()
 
 	waitFor(t, 10*time.Second, "query canceled and resources released", func() bool {
-		st := db.Cluster().QueryManager().Stats()
+		g := db.Metrics().Gauges
 		return len(db.Cluster().ActiveQueries()) == 0 &&
-			st.Active == 0 && st.MemUsed == 0 && st.Failed > failedBefore
+			g["querymanager.active"] == 0 && g["querymanager.mem_used"] == 0 &&
+			g["querymanager.failed"] > failedBefore
 	})
 	// No leaked spill runs from the aborted sort.
 	tmp := filepath.Join(db.Cluster().Config().DataDir, "tmp")

@@ -19,7 +19,6 @@ import (
 // at most one entry (the newest, when it alone is larger) sits above
 // it. Thread safe.
 type BufferCache struct {
-	pageSize int
 	capacity int // in bytes
 
 	mu       sync.Mutex
@@ -52,15 +51,11 @@ type cacheEntry struct {
 // pages of the given page size.
 func NewBufferCache(capacityBytes, pageSize int) *BufferCache {
 	return &BufferCache{
-		pageSize: pageSize,
 		capacity: max(capacityBytes, 4*pageSize),
 		entries:  make(map[pageKey]*list.Element),
 		lru:      list.New(),
 	}
 }
-
-// PageSize returns the cache's page size.
-func (c *BufferCache) PageSize() int { return c.pageSize }
 
 // ReadRegion returns bytes [off, off+length) of the reader identified
 // by fileID, fetched through the cache and keyed by the region ordinal

@@ -435,13 +435,11 @@ func TestReaderMatchesModelProperty(t *testing.T) {
 	}
 }
 
-// TestCompactionMatchesModel: a merge is one cursor over its input
-// components only, tombstones surfaced. Merging the newest components of
-// a tree with drop unset must write the last version of every key those
-// components hold — tombstones included, or a deleted key of the oldest
-// component would come back — and merging all of them with drop set must
-// write the live keys alone. The merged component is read back entry by
-// entry against the writer's own fold of what it wrote.
+// TestCompactionMatchesModel: a merge is one cursor over every
+// component of the tree, and it must write the last version of every
+// live key alone, each deleted key of an older component dropped with
+// its tombstone. The merged component is read back entry by entry
+// against the writer's own fold of what it wrote.
 func TestCompactionMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -514,38 +512,20 @@ func TestCompactionMatchesModel(t *testing.T) {
 			}
 		}
 		all := fold(rounds)
-
-		// Newest n of the components, something older left below.
-		n := 2 + r.Intn(len(rounds)-2)
-		tree.mu.RLock()
-		inputs := append([]*Component(nil), tree.components[:n]...)
-		tree.mu.RUnlock()
-		if err := tree.mergeComponents(inputs, false, nil); err != nil {
-			t.Fatal(err)
-		}
-		tree.mu.RLock()
-		merged, left := tree.components[0], len(tree.components)
-		tree.mu.RUnlock()
-		if left != len(rounds)-n+1 {
-			t.Fatalf("seed %d: %d components after merging %d of %d", seed, left, n, len(rounds))
-		}
-		if matches(merged, fold(rounds[len(rounds)-n:])) == 0 {
-			t.Fatalf("seed %d: the merged rounds deleted nothing; the case tests no tombstone", seed)
-		}
-		scanMatches(all)
-
-		// Everything, tombstones dropped.
-		if err := tree.Merge(); err != nil {
-			t.Fatal(err)
-		}
 		live := map[string][]byte{}
 		for k, v := range all {
 			if v != nil {
 				live[k] = v
 			}
 		}
+		if len(live) == len(all) {
+			t.Fatalf("seed %d: the rounds deleted nothing; the case tests no tombstone", seed)
+		}
+		if err := tree.Merge(); err != nil {
+			t.Fatal(err)
+		}
 		tree.mu.RLock()
-		merged, left = tree.components[0], len(tree.components)
+		merged, left := tree.components[0], len(tree.components)
 		tree.mu.RUnlock()
 		if left != 1 || matches(merged, live) != 0 {
 			t.Fatalf("seed %d: full merge left %d components or a tombstone", seed, left)

@@ -9,7 +9,8 @@
 // the active memtable, which rotates into an immutable generation when
 // it fills; a background maintenance scheduler (a bounded worker pool,
 // typically shared per node) flushes rotated memtables to disk
-// components and compacts components under a pluggable MergePolicy.
+// components and merges every disk component into one once their count
+// passes MaxComponents.
 // Writers only stall — with backpressure accounted in metrics — when
 // maintenance falls far enough behind that immutable memtables or disk
 // components pile past their thresholds.
@@ -56,8 +57,9 @@ type LSMOptions struct {
 	// MemBudgetBytes rotates the active memtable into the flush queue
 	// once its footprint exceeds this many bytes.
 	MemBudgetBytes int64
-	// MaxComponents parameterizes the default TieredPolicy: a full
-	// size-tiered merge triggers when the component count exceeds it.
+	// MaxComponents triggers background compaction: once the disk
+	// component count exceeds it, every component merges into one.
+	// Writers stall at 4*MaxComponents, giving merges time to catch up.
 	MaxComponents int
 	// Cache is the node's shared buffer cache. Required.
 	Cache *BufferCache
@@ -65,16 +67,9 @@ type LSMOptions struct {
 	// shared by every tree on a node. nil creates a private
 	// single-worker scheduler owned (and closed) by the tree.
 	Maintenance *Scheduler
-	// MergePolicy decides background compaction. nil takes
-	// TieredPolicy{MaxComponents}.
-	MergePolicy MergePolicy
 	// MaxImmutable is how many rotated-but-unflushed memtables may pile
 	// up before Put stalls waiting for a flush (default 4).
 	MaxImmutable int
-	// StallComponents stalls writers when the disk-component count
-	// reaches it, giving merges time to catch up (default
-	// 4*MaxComponents).
-	StallComponents int
 	// FS routes the tree's file operations; nil takes OS. Crash-
 	// recovery tests inject a fault-injecting filesystem here.
 	FS VFS
@@ -124,14 +119,8 @@ func (o *LSMOptions) withDefaults() LSMOptions {
 	if out.Cache == nil {
 		out.Cache = NewBufferCache(32<<20, out.PageSize)
 	}
-	if out.MergePolicy == nil {
-		out.MergePolicy = TieredPolicy{MaxComponents: out.MaxComponents}
-	}
 	if out.MaxImmutable <= 0 {
 		out.MaxImmutable = 4
-	}
-	if out.StallComponents <= 0 {
-		out.StallComponents = 4 * out.MaxComponents
 	}
 	if out.FS == nil {
 		out.FS = OS
@@ -696,7 +685,7 @@ func CommitGroups(w *WAL, groups [][]GroupWrite) ([]uint64, error) {
 // memtables or disk components have piled past their thresholds and
 // maintenance is still able to make progress.
 func (t *LSMTree) stallLocked() error {
-	if len(t.imms) < t.opts.MaxImmutable && len(t.components) < t.opts.StallComponents {
+	if len(t.imms) < t.opts.MaxImmutable && len(t.components) < 4*t.opts.MaxComponents {
 		return nil
 	}
 	stallCount.Inc()
@@ -709,15 +698,14 @@ func (t *LSMTree) stallLocked() error {
 		if t.lastErr != nil {
 			return t.lastErr
 		}
-		if len(t.imms) < t.opts.MaxImmutable && len(t.components) < t.opts.StallComponents {
+		if len(t.imms) < t.opts.MaxImmutable && len(t.components) < 4*t.opts.MaxComponents {
 			return nil
 		}
 		t.scheduleFlushLocked()
 		t.maybeScheduleMergeLocked()
 		if !t.flushScheduled && !t.mergeActive {
-			// Nothing can make progress (e.g. a policy that refuses to
-			// merge below the stall threshold): admit the write rather
-			// than deadlock.
+			// Nothing can make progress: admit the write rather than
+			// deadlock.
 			return nil
 		}
 		t.cond.Wait()
@@ -943,23 +931,13 @@ func (t *LSMTree) Quiesce() error {
 	}
 }
 
-// componentStatsLocked summarizes the disk components for the merge
-// policy, newest first.
-func (t *LSMTree) componentStatsLocked() []ComponentStats {
-	out := make([]ComponentStats, len(t.components))
-	for i, c := range t.components {
-		out[i] = ComponentStats{Entries: c.Len(), Bytes: c.SizeBytes()}
-	}
-	return out
-}
-
-// maybeScheduleMergeLocked queues the merge task when the policy wants
-// one and no merge is already in flight.
+// maybeScheduleMergeLocked queues the merge task when the component
+// count exceeds MaxComponents and no merge is already in flight.
 func (t *LSMTree) maybeScheduleMergeLocked() {
 	if t.mergeActive || t.closed || t.lastErr != nil {
 		return
 	}
-	if t.opts.MergePolicy.Pick(t.componentStatsLocked()) <= 1 {
+	if len(t.components) <= t.opts.MaxComponents {
 		return
 	}
 	t.mergeActive = true
@@ -972,32 +950,25 @@ func (t *LSMTree) maybeScheduleMergeLocked() {
 	}
 }
 
-// mergeTask runs one policy-chosen merge in the background.
+// mergeTask merges every disk component into one in the background.
 func (t *LSMTree) mergeTask() {
 	defer t.bg.Done()
 	t.mu.Lock()
-	if t.closed || t.lastErr != nil {
+	if t.closed || t.lastErr != nil || len(t.components) <= t.opts.MaxComponents {
 		t.finishMergeLocked()
 		t.mu.Unlock()
 		return
 	}
-	n := t.opts.MergePolicy.Pick(t.componentStatsLocked())
-	if n <= 1 || n > len(t.components) {
-		t.finishMergeLocked()
-		t.mu.Unlock()
-		return
-	}
-	inputs := append([]*Component(nil), t.components[:n]...)
-	drop := n == len(t.components)
+	inputs := append([]*Component(nil), t.components...)
 	delay := t.testMergeDelay
 	t.mu.Unlock()
 
-	err := t.mergeComponents(inputs, drop, delay)
+	err := t.mergeComponents(inputs, delay)
 
 	t.mu.Lock()
 	t.setErrLocked(err)
 	t.finishMergeLocked()
-	t.maybeScheduleMergeLocked() // policies may want another round
+	t.maybeScheduleMergeLocked() // flushes during the merge may call for another
 	t.mu.Unlock()
 }
 
@@ -1007,14 +978,13 @@ func (t *LSMTree) finishMergeLocked() {
 	t.cond.Broadcast()
 }
 
-// mergeComponents merges the given newest-prefix of the component list
-// into one component, installs it in the inputs' place, and retires
-// the inputs. Tombstones are dropped only when drop is set (the inputs
-// covered every component, so nothing older can resurface). Runs
-// without the tree lock except for the install; concurrent flushes may
-// prepend newer components meanwhile, which the positional install
-// tolerates.
-func (t *LSMTree) mergeComponents(inputs []*Component, drop bool, delay func()) error {
+// mergeComponents merges inputs, every disk component the tree held
+// when the merge began, into one component, installs it in the inputs'
+// place, and retires the inputs. Tombstones are dropped: nothing older
+// than the inputs can resurface. Runs without the tree lock except for
+// the install; concurrent flushes may prepend newer components
+// meanwhile, which the positional install tolerates.
+func (t *LSMTree) mergeComponents(inputs []*Component, delay func()) error {
 	start := time.Now()
 	seq := inputs[0].seq
 	lo := inputs[len(inputs)-1].lo
@@ -1028,7 +998,7 @@ func (t *LSMTree) mergeComponents(inputs []*Component, drop bool, delay func()) 
 	if err != nil {
 		return err
 	}
-	if err := writeEntries(cw, nil, inputs, drop); err != nil {
+	if err := writeEntries(cw, nil, inputs, true); err != nil {
 		return err
 	}
 	if delay != nil {
@@ -1110,7 +1080,7 @@ func (t *LSMTree) Merge() error {
 	delay := t.testMergeDelay
 	t.mu.Unlock()
 
-	err := t.mergeComponents(inputs, true, delay)
+	err := t.mergeComponents(inputs, delay)
 
 	t.mu.Lock()
 	t.setErrLocked(err)

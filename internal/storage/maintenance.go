@@ -97,88 +97,3 @@ func (s *Scheduler) Stats() SchedulerStats {
 	defer s.mu.Unlock()
 	return SchedulerStats{Pending: len(s.queue), Running: s.running}
 }
-
-// ComponentStats describes one disk component (newest first in the
-// slices handed to a MergePolicy).
-type ComponentStats struct {
-	Entries int64
-	Bytes   int64
-}
-
-// MergePolicy decides when a tree's disk components need compaction.
-// Pick inspects the component list (newest first) and returns how many
-// of the newest components to merge into one; 0 or 1 means no merge.
-//
-// Policies may only pick a newest-prefix of the list: the merged
-// output is sequenced at its newest input, so merging a prefix keeps
-// the recency order of the remaining (strictly older) components
-// intact both in memory and across restart. Tombstones are dropped
-// only when the pick covers every component.
-type MergePolicy interface {
-	Pick(components []ComponentStats) int
-}
-
-// TieredPolicy is the default size-tiered policy extracted from the
-// old inline merge: once the component count exceeds MaxComponents,
-// merge everything into one.
-type TieredPolicy struct {
-	// MaxComponents is the component count that triggers a full merge
-	// (<= 0 takes 8).
-	MaxComponents int
-}
-
-// Pick implements MergePolicy.
-func (p TieredPolicy) Pick(components []ComponentStats) int {
-	max := p.MaxComponents
-	if max <= 0 {
-		max = 8
-	}
-	if len(components) > max {
-		return len(components)
-	}
-	return 0
-}
-
-// StepPolicy merges the newest run of small components once it grows
-// past Step entries of similar size, bounding write amplification for
-// steady ingest: young components merge often and cheaply, the large
-// tail is rewritten only when the policy's ratio test says the run it
-// absorbs is worth it. It is provided as a second MergePolicy to keep
-// the interface honest; TieredPolicy remains the default.
-type StepPolicy struct {
-	// Step is the newest-run length that triggers a partial merge
-	// (<= 0 takes 4).
-	Step int
-	// Ratio caps how much larger the next-older component may be for
-	// the run to absorb it (<= 0 takes 4.0).
-	Ratio float64
-}
-
-// Pick implements MergePolicy.
-func (p StepPolicy) Pick(components []ComponentStats) int {
-	step := p.Step
-	if step <= 0 {
-		step = 4
-	}
-	ratio := p.Ratio
-	if ratio <= 0 {
-		ratio = 4.0
-	}
-	if len(components) <= step {
-		return 0
-	}
-	// Extend the merge past the trigger run while the next-older
-	// component is within Ratio of the run's accumulated size, so a
-	// partial merge cannot leave a tiny component stranded behind a
-	// huge one forever.
-	var runBytes int64
-	n := step
-	for i := 0; i < step; i++ {
-		runBytes += components[i].Bytes
-	}
-	for n < len(components) && float64(components[n].Bytes) <= ratio*float64(runBytes) {
-		runBytes += components[n].Bytes
-		n++
-	}
-	return n
-}

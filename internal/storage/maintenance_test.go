@@ -157,91 +157,6 @@ func TestWriteStallBackpressure(t *testing.T) {
 	}
 }
 
-// pickNewestPolicy merges the newest `at` components whenever at least
-// that many exist — a deliberately different shape from TieredPolicy,
-// proving the policy seam extracted from the old inline merge works.
-type pickNewestPolicy struct{ at int }
-
-func (p pickNewestPolicy) Pick(cs []ComponentStats) int {
-	if len(cs) >= p.at {
-		return p.at
-	}
-	return 0
-}
-
-// TestMergePolicyPluggable runs a custom partial-merge policy and
-// checks both that it is consulted and that partial merges preserve
-// data and recency across restart.
-func TestMergePolicyPluggable(t *testing.T) {
-	dir := t.TempDir()
-	tree, err := OpenLSM(dir, LSMOptions{
-		MemBudgetBytes: 1 << 30,
-		MergePolicy:    pickNewestPolicy{at: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each generation overwrites key "shared" so recency order is
-	// observable, plus a private key so coverage is observable.
-	for g := 0; g < 5; g++ {
-		if err := tree.Put([]byte("shared"), []byte(fmt.Sprintf("gen%d", g))); err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.Put([]byte(fmt.Sprintf("own-%d", g)), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	s := tree.Stats()
-	if s.DiskComponents >= 5 {
-		t.Fatalf("custom policy never merged: %d components", s.DiskComponents)
-	}
-	if v, ok, _ := tree.Get([]byte("shared")); !ok || string(v) != "gen4" {
-		t.Fatalf("recency lost under partial merges: shared=%q ok=%v", v, ok)
-	}
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenLSM(dir, LSMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if v, ok, _ := re.Get([]byte("shared")); !ok || string(v) != "gen4" {
-		t.Fatalf("recency lost across restart: shared=%q ok=%v", v, ok)
-	}
-	for g := 0; g < 5; g++ {
-		if _, ok, _ := re.Get([]byte(fmt.Sprintf("own-%d", g))); !ok {
-			t.Fatalf("own-%d lost across restart", g)
-		}
-	}
-}
-
-// TestStepPolicy exercises the second built-in policy's partial-merge
-// arithmetic directly.
-func TestStepPolicy(t *testing.T) {
-	p := StepPolicy{Step: 2, Ratio: 2}
-	small := ComponentStats{Entries: 10, Bytes: 100}
-	big := ComponentStats{Entries: 1000, Bytes: 1 << 20}
-	if got := p.Pick([]ComponentStats{small, small}); got != 0 {
-		t.Errorf("below step: Pick = %d, want 0", got)
-	}
-	// Run of 3 small: trigger, and the third (similar size) is absorbed.
-	if got := p.Pick([]ComponentStats{small, small, small}); got != 3 {
-		t.Errorf("small run: Pick = %d, want 3", got)
-	}
-	// Big tail outside ratio stays untouched.
-	if got := p.Pick([]ComponentStats{small, small, small, big}); got != 3 {
-		t.Errorf("big tail: Pick = %d, want 3", got)
-	}
-}
-
 // TestBackgroundMaintenanceStress mixes writers, snapshot scans, point
 // reads, forced flushes, and background merges under -race, and then
 // checks the surviving state against a model.
