@@ -295,39 +295,52 @@ func (o *Op) DefinedVars() []Var {
 
 // UsedExprs returns every expression the operator evaluates.
 func (o *Op) UsedExprs() []Expr {
-	var out []Expr
-	add := func(e Expr) {
-		if e != nil {
-			out = append(out, e)
+	slots := o.ExprSlots()
+	out := make([]Expr, len(slots))
+	for i, p := range slots {
+		out[i] = *p
+	}
+	return out
+}
+
+// ExprSlots returns the fields that hold the expressions the operator
+// evaluates, one pointer per non-nil expression, so a rewrite can
+// replace them in place.
+func (o *Op) ExprSlots() []*Expr {
+	var out []*Expr
+	add := func(p *Expr) {
+		if *p != nil {
+			out = append(out, p)
 		}
 	}
-	add(o.Cond)
-	for _, e := range o.AssignExprs {
-		add(e)
+	add(&o.Cond)
+	for _, es := range [][]Expr{o.AssignExprs, o.FusedAssignExprs, o.JoinLeftKeys, o.JoinRightKeys} {
+		for i := range es {
+			add(&es[i])
+		}
 	}
-	for _, e := range o.FusedAssignExprs {
-		add(e)
+	add(&o.Expr)
+	for i := range o.Keys {
+		add(&o.Keys[i].E)
 	}
-	for _, e := range o.JoinLeftKeys {
-		add(e)
+	for i := range o.Aggs {
+		add(&o.Aggs[i].E)
 	}
-	for _, e := range o.JoinRightKeys {
-		add(e)
+	for i := range o.Orders {
+		add(&o.Orders[i].E)
 	}
-	add(o.Expr)
-	for _, k := range o.Keys {
-		add(k.E)
-	}
-	for _, a := range o.Aggs {
-		add(a.E)
-	}
-	for _, os := range o.Orders {
-		add(os.E)
-	}
-	add(o.KeyExpr)
-	add(o.TExpr)
-	add(o.PKExpr)
+	add(&o.KeyExpr)
+	add(&o.TExpr)
+	add(&o.PKExpr)
 	return out
+}
+
+// MapExprs replaces every expression the operator evaluates with fn of
+// it.
+func (o *Op) MapExprs(fn func(Expr) Expr) {
+	for _, p := range o.ExprSlots() {
+		*p = fn(*p)
+	}
 }
 
 // UsedVarsOf returns the variables the operator's expressions and
@@ -337,18 +350,25 @@ func (o *Op) UsedVarsOf() []Var {
 	for _, e := range o.UsedExprs() {
 		out = UsedVars(e, out)
 	}
-	if o.Kind == OpProject || o.Kind == OpMemo {
-		out = append(out, o.Vars...)
-	}
-	if o.Kind == OpUnion {
+	return append(out, o.ListedVars()...)
+}
+
+// ListedVars returns the variables the operator names outside its
+// expressions: what a project, a memo, a union or the result keeps.
+func (o *Op) ListedVars() []Var {
+	switch o.Kind {
+	case OpProject, OpMemo:
+		return o.Vars
+	case OpUnion:
+		var out []Var
 		for _, vs := range o.InVars {
 			out = append(out, vs...)
 		}
+		return out
+	case OpWrite:
+		return []Var{o.Var}
 	}
-	if o.Kind == OpWrite {
-		out = append(out, o.Var)
-	}
-	return out
+	return nil
 }
 
 // Schema returns the variables visible in this operator's output, in a
@@ -572,7 +592,11 @@ func opDetail(o *Op) string {
 	case OpSelect, OpJoin:
 		d := fmt.Sprintf(" (%s)", o.Cond)
 		if o.Kind == OpJoin && o.Phys != JoinPhysUnset {
-			d += fmt.Sprintf(" [phys=%d build=%d]", o.Phys, o.BuildSide)
+			d += fmt.Sprintf(" [phys=%d build=%d", o.Phys, o.BuildSide)
+			for i := range o.JoinLeftKeys {
+				d += fmt.Sprintf(" %s=%s", o.JoinLeftKeys[i], o.JoinRightKeys[i])
+			}
+			d += "]"
 		}
 		if o.Kind == OpSelect && len(o.FusedAssignVars) > 0 {
 			parts := make([]string, len(o.FusedAssignVars))

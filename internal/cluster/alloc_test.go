@@ -55,6 +55,15 @@ import (
 // because stage 1 reads the scan once instead of a union of both inputs
 // and Rank keeps only the columns read above it.
 //
+// Since the memo keeps the stage-2 hash tables themselves, a warm join
+// builds no table: its rank join and its prefix join probe the kept
+// token order and the kept prefix tables with the outer side's tuples,
+// and its result, reading only the two keys, has no stage 3. That is
+// 8 166 allocations and 0.49 MB (25 194 and 2.43 MB when the memo
+// replayed tuples for the joins to build from).
+// join_after_insert builds the prefix join's table on the inner side and
+// keeps it, and skips stage 3 too: 81 450 and 7.74 MB (87 131, 8.11 MB).
+//
 // The numbers may only move down: a change that raises one has put an
 // allocation back on the per-row path, or a fixed cost on every query.
 var executeAllocCeiling = map[string]float64{
@@ -65,8 +74,8 @@ var executeAllocCeiling = map[string]float64{
 	"indexed-edit-distance":   535,
 	"indexed-jaccard-0.8":     490,
 	"indexed-edit-distance-2": 655,
-	"join":                    26600,
-	"join_after_insert":       88000,
+	"join":                    8550,
+	"join_after_insert":       83000,
 }
 
 // executeBytesCeiling is the number of bytes (MemStats.TotalAlloc) one
@@ -79,8 +88,9 @@ var executeAllocCeiling = map[string]float64{
 // join went from 14.93 MB to 8.30 MB and the comprehension from 5.93 MB to
 // 2.87 MB in the same number of allocations; the selections, which keep
 // few rows, by 3 to 9 %. Each ceiling is that measurement plus 5 %: for
-// the join, the memo-hit measurement (2.44 MB); for join_after_insert,
-// 8.12 MB measured.
+// the join, the memo-hit measurement (0.49 MB, 2.44 MB while the memo
+// replayed tuples); for join_after_insert, 7.74 MB measured (8.12 MB
+// before).
 //
 // Like the counts, the bytes may only move down.
 var executeBytesCeiling = map[string]float64{
@@ -91,8 +101,8 @@ var executeBytesCeiling = map[string]float64{
 	"indexed-edit-distance":   52700,
 	"indexed-jaccard-0.8":     46200,
 	"indexed-edit-distance-2": 58150,
-	"join":                    2562000,
-	"join_after_insert":       8525000,
+	"join":                    511000,
+	"join_after_insert":       8125000,
 }
 
 func TestExecuteAllocationCeiling(t *testing.T) {

@@ -38,13 +38,23 @@ type Catalog struct {
 	// serialized form, so catalog snapshots replicate functions by
 	// shipping these sources for the receiver to re-parse.
 	funcDDL []string
+
+	// onEpoch, when set, is given the new epoch whenever it moves.
+	onEpoch func(epoch uint64)
 }
 
 // Epoch returns the current DDL epoch.
 func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
 // bumpEpoch invalidates every plan compiled before this moment.
-func (c *Catalog) bumpEpoch() { c.epoch.Add(1) }
+func (c *Catalog) bumpEpoch() { c.movedTo(c.epoch.Add(1)) }
+
+// movedTo hands onEpoch the epoch the catalog moved to.
+func (c *Catalog) movedTo(epoch uint64) {
+	if c.onEpoch != nil {
+		c.onEpoch(epoch)
+	}
+}
 
 // NewCatalog returns a catalog preloaded with the Default dataverse.
 func NewCatalog() *Catalog {
@@ -217,6 +227,7 @@ func (c *Catalog) Restore(s CatalogSnapshot) error {
 	c.funcs = funcs
 	c.funcDDL = append([]string(nil), s.FuncDDL...)
 	c.epoch.Store(s.Epoch)
+	c.movedTo(s.Epoch)
 	return nil
 }
 

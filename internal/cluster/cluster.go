@@ -163,6 +163,7 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		activeQ:   newActiveQueries(),
 		tracer:    trace.Default(),
 	}
+	c.Catalog.onEpoch = func(epoch uint64) { c.memo.purge(epoch) }
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {
 			c.nodes = append(c.nodes, nil)

@@ -229,6 +229,57 @@ func TestSimilaritySelectionWithTildeOperator(t *testing.T) {
 	}
 }
 
+// TestHashJoinResidualKeepsKeySemantics is an equi-join over keys of
+// mixed kinds: int 1 and double 1.0 are equal, a null or missing key
+// matches nothing, the string "1" matches only itself. The hash join's
+// post-select evaluates the residual conjunct alone, and the answers are
+// those of eq() over every pair, with and without a residual.
+func TestHashJoinResidualKeepsKeySemantics(t *testing.T) {
+	c := newTestCluster(t, 1, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset L primary key id;`)
+	exec(t, c, sess, `create dataset R primary key id;`)
+	row := func(id, v int64, k ...adm.Value) adm.Value {
+		names, vals := []string{"id", "v"}, []adm.Value{adm.NewInt(id), adm.NewInt(v)}
+		if len(k) == 1 {
+			names, vals = append(names, "k"), append(vals, k[0])
+		}
+		return adm.NewRecord(adm.NewRecordFromFields(names, vals))
+	}
+	for ds, recs := range map[string][]adm.Value{
+		"L": {row(1, 10, adm.NewInt(1)), row(2, 20, adm.NewDouble(1)), row(3, 30, adm.Null), row(4, 40),
+			row(5, 50, adm.NewString("1")), row(6, 5, adm.NewDouble(2.5))},
+		"R": {row(11, 15, adm.NewDouble(1)), row(12, 5, adm.NewInt(1)), row(13, 100, adm.Null), row(14, 100),
+			row(15, 60, adm.NewString("1")), row(16, 1, adm.NewDouble(2.5))},
+	} {
+		if err := c.InsertBatch("Default", ds, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		where, plan, want string
+		postSelect        bool
+	}{
+		{"$l.k = $r.k", "join (true) [phys=1", "[1-11 1-12 2-11 2-12 5-15 6-16]", false},
+		{"$l.k = $r.k and $l.v < $r.v", "join (lt(", "[1-11 5-15]", true},
+	} {
+		res := exec(t, c, sess, `for $l in dataset L for $r in dataset R where `+tc.where+` return {'o': $l.id, 'i': $r.id}`)
+		if !strings.Contains(res.Stats.LogicalPlan, tc.plan) {
+			t.Errorf("%s: plan has no %q:\n%s", tc.where, tc.plan, res.Stats.LogicalPlan)
+		}
+		post := false
+		for _, op := range res.Stats.PhysicalOps() {
+			post = post || strings.Contains(op.Name, "JoinPostSelect")
+		}
+		if post != tc.postSelect {
+			t.Errorf("%s: JoinPostSelect %v, want %v", tc.where, post, tc.postSelect)
+		}
+		if got := joinPairs(res); fmt.Sprint(got) != tc.want {
+			t.Errorf("%s: pairs %v, want %v", tc.where, got, tc.want)
+		}
+	}
+}
+
 func TestJaccardJoinThreeStageMatchesNL(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()

@@ -117,9 +117,19 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay 
 		counters: counters,
 		replay:   replay,
 	}
+	// A memo can hit or be captured only if no reader of it is other
+	// than a hash join that can build on it.
+	others := map[*algebra.Op]int{}
+	algebra.Walk(root, func(op *algebra.Op) {
+		for i, in := range op.Inputs {
+			if in.Kind == algebra.OpMemo && memoSide(op) != i {
+				others[in]++
+			}
+		}
+	})
 	// Count each operator's readers over what the job will run: a memo
-	// hit replays its entry, so nothing below it is generated, and a
-	// node shared with that subtree has fewer readers.
+	// hit is probed where it stands, so nothing below it is generated,
+	// and a node shared with that subtree has fewer readers.
 	seen := map[*algebra.Op]bool{}
 	var visit func(op *algebra.Op)
 	visit = func(op *algebra.Op) {
@@ -127,7 +137,7 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay 
 			return
 		}
 		seen[op] = true
-		if op.Kind == algebra.OpMemo && g.resolveMemo(op) {
+		if op.Kind == algebra.OpMemo && g.resolveMemo(op, others[op] == 0) {
 			return
 		}
 		for _, in := range op.Inputs {
@@ -309,17 +319,8 @@ func scanFields(project []string, pkField string) []string {
 type step func(row hyracks.Tuple) error
 
 // stage is one per-row operator compiled into a pipeline: given the
-// instance it runs in and the step that follows it, it builds that
-// instance's step.
-type stage func(inst *instance, next step) step
-
-// instance is what a stage sees of the operator instance running its
-// pipeline: the task context, and the functions to call once the input
-// has ended without an error.
-type instance struct {
-	ctx   *hyracks.TaskCtx
-	atEnd []func()
-}
+// step that follows it, it builds an operator instance's step.
+type stage func(next step) step
 
 // pipeline builds the one job node of a maximal chain of per-row
 // operators (select, assign, project, unnest, and the select or project
@@ -426,7 +427,7 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 	slots := p.bind(fusedVars...)
 	evals := compileEvals(p.cols, append([]algebra.Expr{cond}, fusedExprs...)...)
 	ev, fused := evals[0], evals[1:]
-	p.add(name, func(_ *instance, next step) step {
+	p.add(name, func(next step) step {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, fused); err != nil {
 				return err
@@ -470,7 +471,7 @@ func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
 	// The expressions see the input only, not one another's variables.
 	evals := compileEvals(p.cols, exprs...)
 	slots := p.bind(vars...)
-	p.add("Assign", func(_ *instance, next step) step {
+	p.add("Assign", func(next step) step {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, evals); err != nil {
 				return err
@@ -518,7 +519,7 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 		posSlot = p.bind(posVar)[0]
 	}
 	p.ordered = false
-	p.add("Unnest", func(_ *instance, next step) step {
+	p.add("Unnest", func(next step) step {
 		return func(row hyracks.Tuple) error {
 			v, err := ev(row)
 			if err != nil || v.IsNull() {
@@ -594,20 +595,13 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 					return nil
 				}
 			}
-			inst := &instance{ctx: ctx}
 			for i := len(stages) - 1; i >= 0; i-- {
-				first = stages[i](inst, first)
+				first = stages[i](first)
 			}
 			for {
 				t, ok := ports[0].Next()
 				if !ok {
-					if err := ctx.Ctx.Err(); err != nil {
-						return err
-					}
-					for _, f := range inst.atEnd {
-						f()
-					}
-					return nil
+					return ctx.Ctx.Err()
 				}
 				cur = t
 				copy(row, t)
@@ -861,19 +855,31 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	if op.Phys == algebra.JoinPhysUnset {
 		return nil, fmt.Errorf("jobgen: join without a physical algorithm (optimizer bug)")
 	}
-	left, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := g.gen(op.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	sides := [2]*genOut{left, right}
+	// A hash join builds on a memo that hits or is captured, so its
+	// table is the one kept. A hit is not generated: the join probes the
+	// tables the entry kept, laid out as the memo's Vars.
 	build := op.BuildSide
+	if s := memoSide(op); s >= 0 && (g.memoHits[op.Inputs[s]] != nil || g.memoCaps[op.Inputs[s]] != nil) {
+		build = s
+	}
 	probe := 1 - build
+	memo := op.Inputs[build]
+	hit := g.memoHits[memo]
+	var sides [2]*genOut
+	for i, in := range op.Inputs {
+		if i == build && hit != nil {
+			sides[i] = &genOut{schema: memo.Vars, parts: g.parts}
+			continue
+		}
+		out, err := g.gen(in)
+		if err != nil {
+			return nil, err
+		}
+		sides[i] = out
+	}
 	buildOut, probeOut := sides[build], sides[probe]
 	outSchema := append(append([]algebra.Var(nil), buildOut.schema...), probeOut.schema...)
+	fromIndex := sides[0].fromIndex || sides[1].fromIndex
 	cond := op.Cond
 
 	var node *hyracks.OpNode
@@ -905,6 +911,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 			return nil, err
 		}
 		var buildConn, probeConn hyracks.ConnectorSpec
+		slots := g.parts
 		if op.Phys == algebra.JoinPhysBroadcastHash {
 			buildConn = hyracks.ConnectorSpec{Type: hyracks.Broadcast}
 			if probeOut.parts == g.parts {
@@ -912,11 +919,17 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 			} else {
 				probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 			}
+			slots = 1
 		} else {
 			buildConn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: buildKeys}
 			probeConn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: probeKeys}
 		}
-		node = g.job.Add("HashJoin", g.parts, hyracks.HashJoin(buildKeys, probeKeys),
+		if hit != nil {
+			node = g.job.Add("HashJoin(kept)", g.parts, hyracks.HashJoinKept(hit.table, probeKeys),
+				g.inputFrom(probeOut, probeConn))
+			break
+		}
+		node = g.job.Add("HashJoin", g.parts, hyracks.HashJoin(buildKeys, probeKeys, g.memoCaps[memo].keeper(slots)),
 			g.inputFrom(buildOut, buildConn),
 			g.inputFrom(probeOut, probeConn))
 	case algebra.JoinPhysNestedLoop:
@@ -938,16 +951,16 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		node = g.job.Add("NestedLoopJoin", g.parts, hyracks.NestedLoopJoin(pred),
 			g.inputFrom(buildOut, hyracks.ConnectorSpec{Type: hyracks.Broadcast}),
 			g.inputFrom(probeOut, probeConn))
-		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: left.fromIndex || right.fromIndex}, nil
+		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}, nil
 	default:
 		return nil, fmt.Errorf("jobgen: unknown join phys %v", op.Phys)
 	}
 
-	// Hash joins verify key equality only; re-apply the full condition
-	// for any extra conjuncts, as the first stage of the pipeline above.
-	// That doubles as the global verification when an index subtree feeds
-	// the join.
-	out := &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: left.fromIndex || right.fromIndex}
+	// A hash join's condition is what its keys leave over (the optimizer
+	// took the key equalities out when it chose the algorithm): evaluate
+	// it as the first stage of the pipeline above. That doubles as the
+	// global verification when an index subtree feeds the join.
+	out := &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}
 	if isAlwaysTrue(cond) {
 		return out, nil
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"simdb/internal/adm"
+	"simdb/internal/hyracks"
 	"simdb/internal/sim"
 	"simdb/internal/tokenizer"
 )
@@ -114,12 +115,18 @@ func TestThreeStageJoinKeepsPairsAtTheThreshold(t *testing.T) {
 	}
 }
 
+// memoDeltas are the thresholds the memo's property test joins at.
+var memoDeltas = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
+
 // TestJoinMemoMatchesNestedLoopAndIndexJoin is the memo's property test:
 // rounds of inserts and overwrites, and between them three-stage joins at
-// three thresholds, each against a nested loop over the written texts and
+// five thresholds, each against a nested loop over the written texts and
 // against the index-nested-loop join of an indexed twin of the dataset.
-// The first join after a write misses the memo; the joins after it, at
-// other thresholds and other outer ranges, replay its entries.
+// The first join after a write misses both memos; a join at a threshold
+// the data version has not seen yet probes the kept token order and keeps
+// its prefix tables, and the next join at that threshold, over another
+// outer range, probes both. Between the rounds, joins at two thresholds
+// run concurrently over the same kept tables.
 func TestJoinMemoMatchesNestedLoopAndIndexJoin(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()
@@ -131,34 +138,59 @@ func TestJoinMemoMatchesNestedLoopAndIndexJoin(t *testing.T) {
 	if err := memoWrite(c, r, texts, 150, 200, "M", "MI"); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 6; round++ {
-		for k, delta := range []float64{0.5, 0.55, 0.8} {
-			lo := 1 + r.Int63n(180)
-			want := nestedLoopPairs(texts, lo, lo+20, delta)
-			three := exec(t, c, sess, memoJoinAQL("M", lo, lo+20, delta))
-			if !strings.Contains(three.Stats.LogicalPlan, "rank") {
-				t.Fatalf("M: not the three-stage plan:\n%s", three.Stats.LogicalPlan)
-			}
-			wantMemo := memoHit
-			if k == 0 {
-				wantMemo = memoMiss
-			}
-			for key, o := range memoOutcomes(t, three) {
-				if o != wantMemo {
-					t.Errorf("round %d, delta %g: memo %s is %s, want %s", round, delta, key, o, wantMemo)
+	for round := 0; round < 4; round++ {
+		for k, delta := range memoDeltas {
+			for rep := 0; rep < 2; rep++ {
+				lo := 1 + r.Int63n(180)
+				want := nestedLoopPairs(texts, lo, lo+20, delta)
+				three := exec(t, c, sess, memoJoinAQL("M", lo, lo+20, delta))
+				if !strings.Contains(three.Stats.LogicalPlan, "rank") {
+					t.Fatalf("M: not the three-stage plan:\n%s", three.Stats.LogicalPlan)
+				}
+				wantOrder, wantPrefix := memoHit, memoHit
+				if k == 0 && rep == 0 {
+					wantOrder = memoMiss
+				}
+				if rep == 0 {
+					wantPrefix = memoMiss
+				}
+				for key, o := range memoOutcomes(t, three) {
+					if w := map[bool]string{true: wantOrder, false: wantPrefix}[strings.HasPrefix(key, "order(")]; o != w {
+						t.Errorf("round %d, delta %g, join %d: memo %s is %s, want %s", round, delta, rep, key, o, w)
+					}
+				}
+				inlj := exec(t, c, sess, memoJoinAQL("MI", lo, lo+20, delta))
+				if !strings.Contains(inlj.Stats.LogicalPlan, "secondary-index-search") {
+					t.Fatalf("MI: not the index-nested-loop plan:\n%s", inlj.Stats.LogicalPlan)
+				}
+				if got := joinPairs(three); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("round %d, delta %g, ids [%d, %d): three-stage %v, nested loop %v", round, delta, lo, lo+20, got, want)
+				}
+				if got := joinPairs(inlj); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("round %d, delta %g, ids [%d, %d): index join %v, nested loop %v", round, delta, lo, lo+20, got, want)
 				}
 			}
-			inlj := exec(t, c, sess, memoJoinAQL("MI", lo, lo+20, delta))
-			if !strings.Contains(inlj.Stats.LogicalPlan, "secondary-index-search") {
-				t.Fatalf("MI: not the index-nested-loop plan:\n%s", inlj.Stats.LogicalPlan)
-			}
-			if got := joinPairs(three); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("round %d, delta %g, ids [%d, %d): three-stage %v, nested loop %v", round, delta, lo, lo+20, got, want)
-			}
-			if got := joinPairs(inlj); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("round %d, delta %g, ids [%d, %d): index join %v, nested loop %v", round, delta, lo, lo+20, got, want)
-			}
 		}
+		var wg sync.WaitGroup
+		for g, delta := range []float64{0.6, 0.8} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gsess := NewSession()
+				for q := int64(0); q < 3; q++ {
+					lo := 1 + q*60 + int64(g)*30
+					res, err := c.Execute(context.Background(), gsess, memoJoinAQL("M", lo, lo+30, delta))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, want := joinPairs(res), nestedLoopPairs(texts, lo, lo+30, delta); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("round %d, concurrent delta %g, ids [%d, %d): three-stage %v, nested loop %v", round, delta, lo, lo+30, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 		if err := memoWrite(c, r, texts, 25, 220, "M", "MI"); err != nil {
 			t.Fatal(err)
 		}
@@ -168,16 +200,16 @@ func TestJoinMemoMatchesNestedLoopAndIndexJoin(t *testing.T) {
 			}
 		}
 	}
-	if st := c.MemoStats(); st.Entries != 2 || st.Bytes <= 0 || st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("memo stats %+v, want two entries, their bytes, hits and misses", st)
+	if st := c.MemoStats(); st.Entries != 1+len(memoDeltas) || st.Bytes <= 0 || st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("memo stats %+v, want the order and one prefix entry a threshold, their bytes, hits and misses", st)
 	}
 }
 
 // TestJoinMemoConcurrentWriter races a writer, inserting and overwriting
 // records, with joins. Every pair a join returns during the race
 // satisfies the predicate on the two records it returns, and once the
-// writer stops, the next join — and the one that replays what it
-// captured — equals the nested loop over the final data.
+// writer stops, the next join — and the one that probes the tables it
+// kept — equals the nested loop over the final data.
 func TestJoinMemoConcurrentWriter(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()
@@ -251,12 +283,13 @@ func memoRecord(id int64, text string) adm.Value {
 
 // TestJoinMemoWriteBetweenResolutions lands a write between a job's two
 // memo resolutions: the token order, resolved first, hits, and the
-// ranked lists, missing from the memo, are resolved after the write.
+// prefix tables, missing from the memo, are resolved after the write.
 // Both resolve against one reading of the dataset's version, so the
-// lists that job ranks by the replayed order are never stored as the
-// newer version's; the job itself runs again without replaying, and
-// every join after it equals the nested loop. The write makes the words
-// w0…w6 far more frequent than the rest, which reorders the tokens.
+// tables that job builds from lists ranked by the kept order are never
+// stored as the newer version's; the job itself runs again without the
+// memo, and every join after it equals the nested loop. The write makes
+// the words w0…w6 far more frequent than the rest, which reorders the
+// tokens.
 func TestJoinMemoWriteBetweenResolutions(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()
@@ -321,11 +354,11 @@ func TestJoinMemoWriteBetweenResolutions(t *testing.T) {
 }
 
 // TestJoinMemoWriteAfterGenerationReruns lands a write after a job that
-// replays both entries was generated: outer record a becomes record b's
-// words plus twelve words no stored record has. The replayed order has
-// no rank for those, so a run that kept the replay would cut them from
+// probes both kept tables was generated: outer record a becomes record
+// b's words plus twelve words no stored record has. The kept order has
+// no rank for those, so a run that kept probing it would cut them from
 // a's ranked list and return a-b at Jaccard 1; the job runs again
-// without replaying instead. The query streams, so this also checks
+// without the memo instead. The query streams, so this also checks
 // that the rows of the abandoned run never reach the client.
 func TestJoinMemoWriteAfterGenerationReruns(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
@@ -388,19 +421,24 @@ func TestJoinMemoWriteAfterGenerationReruns(t *testing.T) {
 
 // TestJoinMemoHitRunsNoDataOnlyOperators is the attribution: on a hit,
 // the benchmark join runs neither stage 1 (token counts, order, rank)
-// nor the inner side of stage 2 (tokenize, rank join, group, sort), and
-// the scan's Replicate feeds three readers instead of five.
+// nor the inner side of stage 2 (tokenize, rank join, group, prefix
+// unnest), builds no hash table — its two hash joins probe the tables
+// the memo kept — and, its result reading only the two keys, has no
+// stage 3: the scan feeds the outer select alone, with no Replicate.
 func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 	c, sess, recs := loadBenchJoin(t)
 	q := "explain analyze " + benchJoin.AQL("ReviewsPlain")
-	// count counts the job nodes by name; a memo capture is a stage of
-	// the pipeline it ends, so it counts by that too.
+	// count counts the job nodes by name, as "Unnest" those whose chain
+	// has an unnest, and as "Memo" any that a memo generated itself.
 	count := func(res *Result) map[string]int {
 		n := map[string]int{}
 		for _, op := range res.Stats.PhysicalOps() {
 			n[op.Name]++
-			if op.Name != "Memo(capture)" && strings.Contains(op.Name, "Memo(capture)") {
-				n["Memo(capture)"]++
+			if strings.Contains(op.Name, "Unnest") {
+				n["Unnest"]++
+			}
+			if strings.HasPrefix(op.Name, "Memo") {
+				n["Memo"]++
 			}
 		}
 		return n
@@ -420,37 +458,148 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 		res        *Result
 		outcome    string
 		replicated int
-		rank       int
-		hashJoins  int
+		// rank counts the Rank and HashGroupLocal nodes of stage 1,
+		// built and kept the hash joins that build a table and those
+		// that probe a kept one, unnests the chains with an unnest:
+		// stage 1, both sides' tokens and both sides' prefixes on a
+		// miss, the outer side's two on a hit.
+		rank, built, kept, unnests int
 	}{
-		{miss, memoMiss, 5 * len(recs), 1, 5},
-		{hit, memoHit, 3 * len(recs), 0, 4},
+		{miss, memoMiss, 3 * len(recs), 1, 3, 0, 5},
+		{hit, memoHit, 0, 0, 0, 2, 2},
 	} {
 		text := rowsText(tc.res)
 		if n := strings.Count(text, "  memo: "+tc.outcome+"\n"); n != 2 {
 			t.Errorf("explain analyze prints memo: %s on %d lines, want 2:\n%s", tc.outcome, n, text)
 		}
 		ops := count(tc.res)
-		if ops["Rank"] != tc.rank || ops["HashJoin"] != tc.hashJoins || ops["HashGroupLocal"] != tc.rank {
-			t.Errorf("%s: %d Rank, %d HashGroupLocal and %d HashJoin nodes, want %d, %d and %d",
-				tc.outcome, ops["Rank"], ops["HashGroupLocal"], ops["HashJoin"], tc.rank, tc.rank, tc.hashJoins)
+		if ops["Rank"] != tc.rank || ops["HashGroupLocal"] != tc.rank || ops["HashJoin"] != tc.built || ops["HashJoin(kept)"] != tc.kept || ops["Unnest"] != tc.unnests {
+			t.Errorf("%s: %d Rank, %d HashGroupLocal, %d HashJoin, %d HashJoin(kept) and %d unnesting nodes, want %d, %d, %d, %d and %d",
+				tc.outcome, ops["Rank"], ops["HashGroupLocal"], ops["HashJoin"], ops["HashJoin(kept)"], ops["Unnest"],
+				tc.rank, tc.rank, tc.built, tc.kept, tc.unnests)
+		}
+		if ops["Memo"] != 0 || ops["DataScan(ReviewsPlain)"] != 1 {
+			t.Errorf("%s: %d memo nodes (a replay source or a capture) and %d scans, want none and one", tc.outcome, ops["Memo"], ops["DataScan(ReviewsPlain)"])
 		}
 		if got := replicated(tc.res); got != int64(tc.replicated) {
 			t.Errorf("%s: the scan's Replicate emits %d tuples, want %d", tc.outcome, got, tc.replicated)
 		}
 	}
-	if ops := count(hit); ops["Memo(replay)"] != 2 || ops["Memo(capture)"] != 0 {
-		t.Errorf("hit: %d replay and %d capture nodes, want 2 and 0", ops["Memo(replay)"], ops["Memo(capture)"])
+}
+
+// TestJoinMemoNonKeyResultRunsStage3 returns a field of the inner
+// record: stage 3 joins the rid pairs back to both inputs, on a miss and
+// on a hit, and the pairs and the field agree with the nested loop.
+func TestJoinMemoNonKeyResultRunsStage3(t *testing.T) {
+	c, sess, recs := loadBenchJoin(t)
+	q := strings.Replace(benchJoin.AQL("ReviewsPlain"), "'i': $i.id}", "'i': $i.id, 's': $i.summary}", 1)
+	want := benchJoinReference(recs)
+	summary := map[int64]string{}
+	for _, r := range recs {
+		summary[r.ID] = r.Summary
 	}
-	if ops := count(miss); ops["Memo(capture)"] != 2 {
-		t.Errorf("miss: %d capture nodes, want 2", ops["Memo(capture)"])
+	for _, tc := range []struct {
+		outcome     string
+		built, kept int
+	}{{memoMiss, 5, 0}, {memoHit, 2, 2}} {
+		res := exec(t, c, sess, q)
+		if got := joinPairs(res); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: pairs %v, want %v", tc.outcome, got, want)
+		}
+		for _, row := range res.Rows {
+			i, _ := row.Rec().Get("i")
+			if s, _ := row.Rec().Get("s"); s.Str() != summary[i.Int()] {
+				t.Errorf("%s: pair with %d returns summary %q, want %q", tc.outcome, i.Int(), s.Str(), summary[i.Int()])
+			}
+		}
+		n := map[string]int{}
+		for _, op := range res.Stats.PhysicalOps() {
+			n[op.Name]++
+		}
+		if n["HashJoin"] != tc.built || n["HashJoin(kept)"] != tc.kept {
+			t.Errorf("%s: %d HashJoin and %d HashJoin(kept) nodes, want stage 3's %d and %d", tc.outcome, n["HashJoin"], n["HashJoin(kept)"], tc.built, tc.kept)
+		}
+		for key, o := range memoOutcomes(t, res) {
+			if o != tc.outcome {
+				t.Errorf("memo %s is %s, want %s", key, o, tc.outcome)
+			}
+		}
+	}
+}
+
+// TestJoinMemoKeyEqualityJoin joins on the two keys' equality besides
+// the similarity, alone or beside $o.id < $i.id. The equality becomes a
+// second key of the prefix join, which then reads the ranked memo
+// through an assign and cannot probe its entry. After the plain join has
+// kept that entry, the query misses the ranked memo, keeps nothing and
+// answers as the nested loop, run after run; the plain join still hits.
+func TestJoinMemoKeyEqualityJoin(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset M primary key id;`)
+	texts := map[int64]string{}
+	if err := memoWrite(c, rand.New(rand.NewSource(7)), texts, 150, 200, "M"); err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi, delta = 20, 80, 0.6
+	plain := memoJoinAQL("M", lo, hi, delta)
+	eq := strings.Replace(plain, "$o.id < $i.id", "$o.id = $i.id", 1)
+	both := strings.Replace(plain, "$o.id < $i.id", "$o.id < $i.id and $o.id = $i.id", 1)
+	// Every record is similar to itself: the pairs are the outer range's ids.
+	wantEq := []string{}
+	for id := range texts {
+		if id >= lo && id < hi {
+			wantEq = append(wantEq, fmt.Sprintf("%d-%d", id, id))
+		}
+	}
+	sort.Strings(wantEq)
+	for run, tc := range []struct {
+		q, ranked string
+		want      []string
+	}{
+		{plain, memoMiss, nestedLoopPairs(texts, lo, hi, delta)},
+		{eq, memoMiss, wantEq},
+		{eq, memoMiss, wantEq},
+		{both, memoMiss, []string{}},
+		{plain, memoHit, nestedLoopPairs(texts, lo, hi, delta)},
+	} {
+		res := exec(t, c, sess, tc.q)
+		if got := joinPairs(res); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("run %d: pairs %v, nested loop %v", run, got, tc.want)
+		}
+		for key, o := range memoOutcomes(t, res) {
+			if strings.HasPrefix(key, "ranked(") && o != tc.ranked {
+				t.Errorf("run %d: memo %s is %s, want %s", run, key, o, tc.ranked)
+			}
+		}
+	}
+	if st := c.MemoStats(); st.Entries != 2 {
+		t.Errorf("memo holds %d entries, want the plain join's order and prefix tables", st.Entries)
+	}
+}
+
+// TestJoinMemoFreedByDDL drops the dataset a join kept tables of: the
+// memo frees them with the statement, and the gauges read zero.
+func TestJoinMemoFreedByDDL(t *testing.T) {
+	c, sess, _ := loadBenchJoin(t)
+	exec(t, c, sess, benchJoin.AQL("ReviewsPlain"))
+	if g := c.Metrics().Gauges; g["cluster.joinmemo.entries"] != 2 || g["cluster.joinmemo.bytes"] <= 0 {
+		t.Fatalf("after the join the memo gauges read %d entries and %d bytes, want 2 and their bytes",
+			g["cluster.joinmemo.entries"], g["cluster.joinmemo.bytes"])
+	}
+	exec(t, c, sess, `drop dataset ReviewsPlain;`)
+	if g := c.Metrics().Gauges; g["cluster.joinmemo.entries"] != 0 || g["cluster.joinmemo.bytes"] != 0 {
+		t.Errorf("after drop dataset the memo gauges read %d entries and %d bytes, want 0 and 0",
+			g["cluster.joinmemo.entries"], g["cluster.joinmemo.bytes"])
 	}
 }
 
 // TestJoinMemoCaptureOverBudgetIsDropped runs the join under the
-// smallest budget (hyracks.MinQueryMemory): the query's grant refuses
-// the capture, the join
-// answers as without memo, and nothing is stored.
+// smallest budget (hyracks.MinQueryMemory): the joins' build sides
+// spill, so no table is kept, the join answers as without memo, and
+// nothing is stored. The first run marks both keys unkept, so the next
+// job builds the prefix join on the optimizer's side, the small outer
+// one, as a job that keeps the table would not.
 func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 	c, sess, _ := loadBenchJoin(t)
 	want := joinPairs(exec(t, c, NewSession(), `set memorybudget 'unlimited'; `+benchJoin.AQL("ReviewsPlain")))
@@ -467,7 +616,33 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 			}
 		}
 	}
-	if st := c.MemoStats(); st.Entries != 0 {
-		t.Errorf("memo holds %d entries, want none", st.Entries)
+	if st := c.MemoStats(); st.Entries != 0 || len(c.memo.unkept) != 2 {
+		t.Errorf("memo holds %d entries and %d unkept marks, want none and both keys", st.Entries, len(c.memo.unkept))
+	}
+	// prefixJoin returns the build and probe inputs of the job's prefix
+	// join, the one hash join that repartitions its build side.
+	prefixJoin := func() (build, probe string) {
+		plan, _, err := c.Compile(sess, benchJoin.AQL("ReviewsPlain"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := c.generateJob(plan, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.job.Nodes() {
+			if n.Name == "HashJoin" && n.Inputs[0].Conn.Type == hyracks.Hash {
+				return n.Inputs[0].From.Name, n.Inputs[1].From.Name
+			}
+		}
+		t.Fatal("no prefix join in the job")
+		return "", ""
+	}
+	unkeptBuild, _ := prefixJoin()
+	c.memo = newMemoStore()
+	keptBuild, keptProbe := prefixJoin()
+	if unkeptBuild != keptProbe || keptBuild == keptProbe {
+		t.Errorf("with the keys unkept the prefix join builds on %s, want %s, the input a capturing job probes with (it builds on %s)",
+			unkeptBuild, keptProbe, keptBuild)
 	}
 }

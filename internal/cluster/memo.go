@@ -1,40 +1,48 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/hyracks"
 )
 
-// The join memo: what a memo operator's input emitted, kept per
-// partition across queries. The optimizer puts a memo over the parts of
-// the three-stage join that read nothing but one dataset's stored
-// records — stage 1's token order and the bare side's ranked token lists
-// — and keys it by what it computes (order(dataset, token expression),
-// ranked(dataset, token expression)), so every query with that key, at
-// any threshold, can replay one entry instead of running the subplan.
+// The join memo: hash tables a join built, kept per partition across
+// queries. The optimizer puts a memo over an input of the three-stage
+// join's hash joins where that input reads nothing but one dataset's
+// stored records: stage 1's token order, which the rank joins broadcast
+// and build on, and the bare side's prefix tuples, which the prefix join
+// reads. It keys each by what the input computes —
+// order(dataset, token expression) and ranked(dataset, token expression,
+// threshold) — so every query with that key can probe the tables a
+// former join kept instead of running the input and building them
+// again. Job generation decides which join builds on a memo: one whose
+// memo hits or is captured; any other builds on the side the optimizer
+// chose, so a job that keeps nothing runs the plan it would without the
+// memo.
 //
 // An entry is valid for one data version of its dataset: the number of
 // InsertBatch calls that had finished, with none in flight, when the job
-// that captured it was generated. DDL is covered by the catalog epoch.
+// that captured it was generated. DDL is covered by the catalog epoch,
+// and the catalog frees the entries of older epochs whenever it moves.
 // Job generation reads each dataset's version once and resolves every
 // memo of that dataset against that one reading, so the entries a job
-// replays and the capture it stores agree on the version. It replays an
+// probes and the tables it keeps agree on the version. It probes an
 // entry only when the dataset was quiet at that version; a job stores
-// its capture only when every instance of the capture finished and no
-// write to the dataset began during the job. The rest of the job reads
-// the live records, so a job that replayed an entry and overlapped the
-// start of a write is run again without replaying (runJob): its outer
-// side could hold tokens the replayed order lacks.
+// the tables its joins kept only when every one was kept (no build side
+// spilled) and no write to the dataset began during the job. A key whose
+// tables could not be kept is marked, and no job tries again at that
+// epoch and version: the side the memo sits on can be the larger one,
+// and building it only pays when the table is kept. The rest of
+// the job reads the live records, so a job that probed an entry and
+// overlapped the start of a write is run again without the memo
+// (runJob): its outer side could hold tokens the kept order lacks.
 // The memo is per process, so it is off under the tcp transport: there a
 // worker compiles and generates its half of the job by itself.
 //
-// The memo's bytes are charged to the capturing query's grant only while
-// that query runs; once stored they are held outside the cluster's
+// A kept table's bytes stay charged to the capturing query's budget
+// until that query ends; once stored they are held outside the cluster's
 // memory budget, bounded by memoByteCap alone.
 
 // memoByteCap bounds the bytes the memo holds over all its entries.
@@ -65,57 +73,114 @@ func (c *Cluster) dataVersion(dv, ds string) *dataVersion {
 	return v.(*dataVersion)
 }
 
-// memoEntry is one key's captured output: parts[p] is what partition p
-// emitted, in the memo operator's Vars order.
+// memoEntry is one key's kept build side: tables[p] is the table
+// partition p probes, or tables[0] is every partition's when the join
+// broadcast its build side. ds names the dataset (dsKey).
 type memoEntry struct {
+	ds             string
 	epoch, version uint64
-	parts          [][]hyracks.Tuple
+	tables         []*hyracks.JoinTable
 	bytes          int64
 }
 
+// table returns the table partition part probes.
+func (e *memoEntry) table(part int) *hyracks.JoinTable {
+	if len(e.tables) == 1 {
+		return e.tables[0]
+	}
+	return e.tables[part]
+}
+
 // memoStore holds one entry per key, at most memoByteCap bytes in all.
+// unkept marks the keys whose tables a job could not keep (a build side
+// spilled, or the tables would take the memo over memoByteCap), at the
+// epoch and data version it tried: no job tries again before either
+// moves. epoch is the newest catalog epoch purge was given: no entry or
+// mark of an older one is kept.
 type memoStore struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
+	unkept  map[string]*memoEntry
 	bytes   int64
+	epoch   uint64
 
 	hits, misses, reruns atomic.Int64
 }
 
-func newMemoStore() *memoStore { return &memoStore{entries: map[string]*memoEntry{}} }
+func newMemoStore() *memoStore {
+	return &memoStore{entries: map[string]*memoEntry{}, unkept: map[string]*memoEntry{}}
+}
 
 // get returns key's entry if it was captured at epoch and version, and
-// counts a hit or a miss. An entry of another epoch or version is never
-// served again (versions only grow) and is dropped.
-func (s *memoStore) get(key string, epoch, version uint64) *memoEntry {
+// counts a hit or a miss. On a miss, keep reports whether the job may
+// try to keep key's tables: not if a job at the same epoch and version
+// could not. An entry or mark of another epoch or version is never
+// served again (both only grow) and is dropped.
+func (s *memoStore) get(key string, epoch, version uint64) (e *memoEntry, keep bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[key]
-	if e != nil && (e.epoch != epoch || e.version != version) {
+	stale := func(e *memoEntry) bool { return e != nil && (e.epoch != epoch || e.version != version) }
+	if e = s.entries[key]; stale(e) {
 		s.drop(key, e)
 		e = nil
 	}
+	if m := s.unkept[key]; stale(m) {
+		delete(s.unkept, key)
+	}
 	if e == nil {
 		s.misses.Add(1)
-		return nil
+		return nil, s.unkept[key] == nil
 	}
 	s.hits.Add(1)
-	return e
+	return e, false
 }
 
-// put stores e as key's entry, replacing the one it had, unless that
-// would take the memo over memoByteCap: then e is not kept.
+// put stores e as key's entry, replacing the one it had, and drops the
+// entries and marks of e's dataset at older data versions, which no job
+// serves again. It keeps nothing of an epoch purge has passed, and marks
+// key unkept instead of storing e if e would take the memo over
+// memoByteCap.
 func (s *memoStore) put(key string, e *memoEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.entries[key]; old != nil {
-		s.drop(key, old)
+	for k, old := range s.entries {
+		if k == key || old.ds == e.ds && old.version < e.version {
+			s.drop(k, old)
+		}
 	}
-	if s.bytes+e.bytes > memoByteCap {
+	for k, old := range s.unkept {
+		if old.ds == e.ds && old.version < e.version {
+			delete(s.unkept, k)
+		}
+	}
+	if e.epoch < s.epoch {
+		return
+	}
+	if e.tables == nil || s.bytes+e.bytes > memoByteCap {
+		s.unkept[key] = &memoEntry{ds: e.ds, epoch: e.epoch, version: e.version}
 		return
 	}
 	s.entries[key] = e
 	s.bytes += e.bytes
+}
+
+// purge frees every entry and mark of a catalog epoch older than epoch.
+// The catalog calls it whenever DDL moves the epoch: a dropped dataset's
+// entries go with it.
+func (s *memoStore) purge(epoch uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.epoch = max(s.epoch, epoch)
+	for k, e := range s.entries {
+		if e.epoch < s.epoch {
+			s.drop(k, e)
+		}
+	}
+	for k, e := range s.unkept {
+		if e.epoch < s.epoch {
+			delete(s.unkept, k)
+		}
+	}
 }
 
 func (s *memoStore) drop(key string, e *memoEntry) {
@@ -149,16 +214,35 @@ const (
 	memoOff  = "off"
 )
 
-// memoCapture collects one memo operator's output during a job that
-// missed, for the store once the job is done.
+// memoCapture collects the tables the joins over one memo operator keep
+// during a job that missed, for the store once the job is done: one
+// table per partition, or one in all when the join broadcast its build
+// side and every instance built the whole of it.
 type memoCapture struct {
-	key     string
-	read    memoReading
-	epoch   uint64
-	parts   [][]hyracks.Tuple
-	done    atomic.Int64 // instances that saw their whole input
-	dropped atomic.Bool  // the query's memory grant refused a tuple
-	bytes   atomic.Int64
+	key    string
+	ds     string
+	read   memoReading
+	epoch  uint64
+	tables []atomic.Pointer[hyracks.JoinTable]
+}
+
+// keeper returns the keep function of a HashJoin that builds on the
+// capture's memo in slots tables, nil when there is no capture. With one
+// slot the first table offered is kept.
+func (cp *memoCapture) keeper(slots int) func(part int, t *hyracks.JoinTable) bool {
+	if cp == nil {
+		return nil
+	}
+	if cp.tables == nil {
+		cp.tables = make([]atomic.Pointer[hyracks.JoinTable], slots)
+	}
+	if slots == 1 {
+		return func(_ int, t *hyracks.JoinTable) bool { return cp.tables[0].CompareAndSwap(nil, t) }
+	}
+	return func(part int, t *hyracks.JoinTable) bool {
+		cp.tables[part].Store(t)
+		return true
+	}
 }
 
 // memoReading is one job's one reading of a dataset's data version.
@@ -185,11 +269,14 @@ func (g *jobGen) reading(dv, ds string) memoReading {
 }
 
 // resolveMemo decides a memo operator's outcome for the job being
-// generated and reports a hit, whose entry the job replays; a miss on a
-// quiet dataset also arranges a capture. A dataset with a write in
-// flight counts a miss without looking, and so does every memo of a job
-// that must not replay (g.replay false).
-func (g *jobGen) resolveMemo(op *algebra.Op) bool {
+// generated and reports a hit, whose entry the join above probes; a miss
+// on a quiet dataset also arranges a capture. builds is whether every
+// reader of the memo is a hash join that can build on it (memoSide):
+// only such a join probes an entry or keeps its table, so any other
+// memo is a miss with no capture. A dataset with a write in flight
+// counts a miss without looking, and so does every memo of a job that
+// must not use the memo (g.replay false).
+func (g *jobGen) resolveMemo(op *algebra.Op, builds bool) bool {
 	if g.memoUse == nil {
 		g.memoHits = map[*algebra.Op]*memoEntry{}
 		g.memoCaps = map[*algebra.Op]*memoCapture{}
@@ -206,19 +293,41 @@ func (g *jobGen) resolveMemo(op *algebra.Op) bool {
 	}
 	g.memoUse[op.MemoKey] = memoMiss
 	r := g.reading(op.Dataverse, op.Dataset)
-	if !r.quiet {
+	if !r.quiet || !builds {
 		g.c.memo.misses.Add(1)
 		return false
 	}
 	if !g.replay {
 		g.c.memo.misses.Add(1)
-	} else if e := g.c.memo.get(op.MemoKey, g.memoEpoch, r.version); e != nil {
+	} else if e, keep := g.c.memo.get(op.MemoKey, g.memoEpoch, r.version); e != nil {
 		g.memoUse[op.MemoKey] = memoHit
 		g.memoHits[op] = e
 		return true
+	} else if !keep {
+		return false
 	}
-	g.memoCaps[op] = &memoCapture{key: op.MemoKey, read: r, epoch: g.memoEpoch}
+	g.memoCaps[op] = &memoCapture{key: op.MemoKey, ds: dsKey(op.Dataverse, op.Dataset), read: r, epoch: g.memoEpoch}
 	return false
+}
+
+// memoSide returns the input of a hash join that is a memo it can
+// build on, or -1: a broadcast join's build side, or either input of a
+// partitioned one, whose build side is free to choose. genJoin builds
+// on that input when the memo hits or is captured, and on the
+// optimizer's choice otherwise.
+func memoSide(op *algebra.Op) int {
+	if op.Phys != algebra.JoinPhysHash && op.Phys != algebra.JoinPhysBroadcastHash {
+		return -1
+	}
+	for _, s := range []int{op.BuildSide, 1 - op.BuildSide} {
+		if op.Inputs[s].Kind == algebra.OpMemo {
+			return s
+		}
+		if op.Phys == algebra.JoinPhysBroadcastHash {
+			break // the hint fixed the side it broadcasts and builds on
+		}
+	}
+	return -1
 }
 
 // replayMoved reports whether a write began, since the job was
@@ -232,99 +341,42 @@ func (g *jobGen) replayMoved() bool {
 	return false
 }
 
-// captureChunk is how many tuples a capture allocates at once.
-const captureChunk = 128
-
-// genMemo replays a hit's entry as a source, or generates the input and,
-// when capturing, ends the pipeline it ends in with a stage that keeps a
-// copy of each row in the memo's Vars order.
+// genMemo generates a memo's input with its output in the memo's Vars
+// order: the layout of the build tuples a join keeps under the memo's
+// key, and that a later job's plan reads them in. A hit generates
+// nothing — genJoin probes the entry's tables instead of building — and
+// is resolved only where genJoin consumes it.
 func (g *jobGen) genMemo(op *algebra.Op) (*genOut, error) {
-	vars := append([]algebra.Var(nil), op.Vars...)
-	if e := g.memoHits[op]; e != nil {
-		parts := e.parts
-		node := g.job.Add("Memo(replay)", len(parts), hyracks.SourceFunc(
-			func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-				for _, t := range parts[ctx.Part] {
-					emit(t)
-				}
-				return nil
-			}))
-		return &genOut{node: node, schema: vars, parts: len(parts)}, nil
-	}
 	in, err := g.genOpen(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	cp := g.memoCaps[op]
-	if cp == nil {
-		return in, nil
-	}
 	p := openPipeline(in)
-	slots := make([]int, len(vars))
-	cols := make(map[algebra.Var]int, len(vars))
-	for i, v := range vars {
-		c, ok := p.cols[v]
-		if !ok {
-			return nil, fmt.Errorf("jobgen: memo var %v missing from schema %v", v, p.schema)
-		}
-		slots[i], cols[v] = c, c
+	if len(p.names) == 0 {
+		p.add("Project", nil)
 	}
-	cp.parts = make([][]hyracks.Tuple, p.in.parts)
-	w := len(vars)
-	p.add("Memo(capture)", func(inst *instance, next step) step {
-		grant := inst.ctx.Grant()
-		var kept []hyracks.Tuple
-		var chunk []adm.Value
-		var size int64
-		capturing := true
-		inst.atEnd = append(inst.atEnd, func() {
-			if capturing {
-				// The grant stays held: the tuples live until the query
-				// ends and the store takes them.
-				cp.parts[inst.ctx.Part] = kept
-				cp.bytes.Add(size)
-				cp.done.Add(1)
-			}
-		})
-		return func(row hyracks.Tuple) error {
-			if capturing {
-				if len(chunk) < w {
-					chunk = make([]adm.Value, w*captureChunk)
-				}
-				t := hyracks.Tuple(chunk[:w:w])
-				chunk = chunk[w:]
-				for i, s := range slots {
-					t[i] = row[s]
-				}
-				if n := hyracks.TupleMemSize(t); !cp.dropped.Load() && grant.Reserve(n) {
-					kept = append(kept, t)
-					size += n
-				} else {
-					// Over the query's budget: finish as if nothing were
-					// captured.
-					cp.dropped.Store(true)
-					grant.ReleaseAll()
-					kept, chunk, capturing = nil, nil, false
-				}
-			}
-			return next(row)
-		}
-	})
-	p.schema, p.cols, p.ordered = vars, cols, false
-	return p.out, nil
+	return g.seal(p, op.Vars)
 }
 
-// commitMemos stores the captures of a job that succeeded: those whose
-// every instance finished under the grant, over a dataset no write
-// began on since the job was generated.
+// commitMemos stores the captures of a job that succeeded, over a
+// dataset no write began on since the job was generated: those whose
+// every table was kept, and as unkept those a spilled build side left a
+// table short of.
 func (c *Cluster) commitMemos(caps map[*algebra.Op]*memoCapture) {
 	for _, cp := range caps {
-		if cp.dropped.Load() || cp.done.Load() != int64(len(cp.parts)) {
+		if cp.tables == nil || cp.read.moved() {
 			continue
 		}
-		if cp.read.moved() {
-			continue
+		e := &memoEntry{ds: cp.ds, epoch: cp.epoch, version: cp.read.version, tables: make([]*hyracks.JoinTable, len(cp.tables))}
+		for i := range cp.tables {
+			t := cp.tables[i].Load()
+			if t == nil {
+				e.tables = nil
+				break
+			}
+			e.tables[i] = t
+			e.bytes += t.Bytes()
 		}
-		c.memo.put(cp.key, &memoEntry{epoch: cp.epoch, version: cp.read.version, parts: cp.parts, bytes: cp.bytes.Load()})
+		c.memo.put(cp.key, e)
 	}
 }

@@ -287,9 +287,9 @@ func TestTransportEquivalence(t *testing.T) {
 	})
 
 	t.Run("join-memo", func(t *testing.T) {
-		// The three-stage plan twice: the second in-process run replays
-		// the join memo's two entries; tcp runs every subplan both times
-		// (the memo is off).
+		// The three-stage plan twice: the second in-process run probes
+		// the two tables the join memo kept; tcp runs every subplan both
+		// times (the memo is off).
 		for run := 0; run < 2; run++ {
 			res, tres := assertEquivalent(t, inproc, tcp, noIndexSession, `
 				for $a in dataset EqReviews

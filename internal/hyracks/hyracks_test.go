@@ -344,7 +344,7 @@ func TestHashJoin(t *testing.T) {
 	job := &Job{}
 	left := job.Add("L", 2, partitionedSource([][]int64{{1, 2}, {3, 4}}))
 	right := job.Add("R", 2, partitionedSource([][]int64{{2, 3}, {3, 5}}))
-	join := job.Add("HashJoin", 2, HashJoin([]int{0}, []int{0}),
+	join := job.Add("HashJoin", 2, HashJoin([]int{0}, []int{0}, nil),
 		Input{From: left, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}},
 		Input{From: right, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}})
 	var c Collector
@@ -565,7 +565,7 @@ func TestReplicateInterdependentPortsNoDeadlock(t *testing.T) {
 		Input{From: rep, FromPort: 0, Conn: ConnectorSpec{Type: Hash, HashCols: []int{1}}})
 	// Probe side: port 1 directly. The join reads build first, so this
 	// stream backs up completely.
-	join := job.Add("HashJoin", 2, HashJoin([]int{0}, []int{1}),
+	join := job.Add("HashJoin", 2, HashJoin([]int{0}, []int{1}, nil),
 		Input{From: buildGroup, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}},
 		Input{From: rep, FromPort: 1, Conn: ConnectorSpec{Type: Hash, HashCols: []int{1}}})
 	agg := job.Add("Agg", 1, Aggregate([]AggSpec{{Kind: AggCount}}),

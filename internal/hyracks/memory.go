@@ -163,6 +163,16 @@ func (g *MemGrant) ReleaseAll() {
 	g.held = 0
 }
 
+// Retain hands n held bytes over to the query: they stay reserved
+// against its budget until it ends, and ReleaseAll no longer returns
+// them — memory an operator passes to something that outlives it.
+func (g *MemGrant) Retain(n int64) {
+	if g.acct == nil || n <= 0 {
+		return
+	}
+	g.held -= min(n, g.held)
+}
+
 // Held returns the bytes currently held by this grant.
 func (g *MemGrant) Held() int64 { return g.held }
 

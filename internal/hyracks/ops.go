@@ -346,14 +346,17 @@ func Aggregate(aggs []AggSpec) func() Operator {
 // partitions that outgrow the budget spill to disk (largest-resident
 // first), their probe tuples are deferred to probe runs, and each
 // spilled pair joins recursively — degrading to a block-nested-loop
-// pass for data hashing cannot split.
-func HashJoin(buildKeys, probeKeys []int) func() Operator {
+// pass for data hashing cannot split. keep, when non-nil, is offered
+// each instance's table once its probe is done, if no part of the build
+// side spilled; a table it takes is handed to HashJoinKept by later jobs
+// and must not change.
+func HashJoin(buildKeys, probeKeys []int, keep func(part int, t *JoinTable) bool) func() Operator {
 	return func() Operator {
 		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
 			g := ctx.Grant()
 			defer g.ReleaseAll()
 			e := &hashJoinExec{
-				ctx: ctx, g: g, buildKeys: buildKeys, probeKeys: probeKeys,
+				ctx: ctx, g: g, buildKeys: buildKeys, probeKeys: probeKeys, keep: keep,
 				emit: func(t Tuple) error {
 					out[0].Emit(t)
 					return nil
@@ -363,6 +366,26 @@ func HashJoin(buildKeys, probeKeys []int) func() Operator {
 				return err
 			}
 			return ctx.Ctx.Err()
+		})
+	}
+}
+
+// HashJoinKept is the probe half of a HashJoin whose build half ran in
+// an earlier job: it probes the table a HashJoin kept with its one input
+// port and emits what that HashJoin would have, build ++ probe for
+// key-equal pairs. table returns the table partition part probes.
+func HashJoinKept(table func(part int) *JoinTable, probeKeys []int) func() Operator {
+	return func() Operator {
+		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			e := &hashJoinExec{
+				ctx: ctx, probeKeys: probeKeys,
+				emit: func(t Tuple) error {
+					out[0].Emit(t)
+					return nil
+				},
+			}
+			_, err := e.probe(table(ctx.Part), make([]*runSink, fanout), &portStream{r: in[0]}, 0)
+			return err
 		})
 	}
 }

@@ -802,22 +802,126 @@ func joinHash(t Tuple, keys []int) uint64 {
 	return h
 }
 
-// hashJoinExec is the hybrid hash join. The build side partitions by a
-// depth-varied hash; when a reservation fails, resident partitions are
-// evicted (largest first) to build runs until the tuple fits or its own
-// partition went to disk. Probe tuples for spilled partitions are
-// deferred to probe runs; each (build run, probe run) pair then joins
-// recursively, degrading to block-nested-loop at the depth cap (the
-// one-giant-key case hashing cannot split).
+// JoinTable is a hash join's resident build side: its tuples by the hash
+// of their key columns. Once built it is only read, so a table one job
+// kept can serve the probes of any number of instances and later jobs
+// at once.
+type JoinTable struct {
+	keys    []int
+	buckets map[uint64][]Tuple
+	bytes   int64
+}
+
+// Bytes is the table's accounted footprint: each tuple's TupleMemSize
+// plus its hash-table slot.
+func (t *JoinTable) Bytes() int64 { return t.bytes }
+
+// match emits build ++ probe for every tuple of the table key-equal to
+// probe, whose key columns are probeKeys. Keys compare with adm equality
+// and a null key matches nothing, exactly as eq() is true.
+func (t *JoinTable) match(probe Tuple, probeKeys []int, emit func(Tuple) error) error {
+	for _, b := range t.buckets[joinHash(probe, probeKeys)] {
+		match := true
+		for i, k := range t.keys {
+			bv, pv := b[k], probe[probeKeys[i]]
+			if bv.IsNull() || pv.IsNull() || !adm.Equal(bv, pv) {
+				match = false
+				break
+			}
+		}
+		if match {
+			row := make(Tuple, 0, len(b)+len(probe))
+			row = append(row, b...)
+			row = append(row, probe...)
+			if err := emit(row); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// add files a build tuple of accounted size sz.
+func (t *JoinTable) add(b Tuple, sz int64) {
+	h := joinHash(b, t.keys)
+	t.buckets[h] = append(t.buckets[h], b)
+	t.bytes += sz
+}
+
+// joinSlotMem is the accounted cost of a build tuple's hash-table slot.
+const joinSlotMem = 48
+
+// hashJoinExec is the hybrid hash join, run as a build half and a probe
+// half. The build side partitions by a depth-varied hash; when a
+// reservation fails, resident partitions are evicted (largest first) to
+// build runs until the tuple fits or its own partition went to disk.
+// Probe tuples for spilled partitions are deferred to probe runs; each
+// (build run, probe run) pair then joins recursively, degrading to
+// block-nested-loop at the depth cap (the one-giant-key case hashing
+// cannot split). keep, when set, is offered the table of a build side
+// that stayed wholly resident once the probe is done; a table it takes
+// stays reserved against the query's budget until the query ends.
 type hashJoinExec struct {
 	ctx       *TaskCtx
 	g         *MemGrant
 	buildKeys []int
 	probeKeys []int
 	emit      func(Tuple) error
+	keep      func(part int, t *JoinTable) bool
 }
 
 func (e *hashJoinExec) run(build, probe tupleStream, depth int) error {
+	tbl, buildSinks, err := e.build(build, depth)
+	if err != nil {
+		return err
+	}
+	probeSinks, err := e.probe(tbl, buildSinks, probe, depth)
+	if err != nil {
+		return err
+	}
+	// The resident partitions are fully joined: keep the table, or
+	// release it before recursing so the sub-joins get the whole budget
+	// back.
+	spilled := false
+	for _, s := range buildSinks {
+		spilled = spilled || s != nil
+	}
+	if depth == 0 && !spilled && e.keep != nil && e.keep(e.ctx.Part, tbl) {
+		e.g.Retain(tbl.bytes)
+	} else {
+		e.g.Release(tbl.bytes)
+	}
+	for p := 0; p < fanout; p++ {
+		if buildSinks[p] == nil {
+			continue
+		}
+		bf, err := buildSinks[p].finish()
+		if err != nil {
+			return err
+		}
+		if probeSinks[p] == nil {
+			bf.Close() // no probe tuples landed here: nothing can match
+			continue
+		}
+		pf, err := probeSinks[p].finish()
+		if err != nil {
+			bf.Close()
+			return err
+		}
+		err = e.joinRunPair(bf, pf, depth)
+		bf.Close()
+		pf.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// build is the build half: it reads the build side into the table of
+// the partitions that stay resident, and returns it with the build runs
+// of the partitions that spilled (nil where resident).
+func (e *hashJoinExec) build(src tupleStream, depth int) (*JoinTable, []*runSink, error) {
 	spillable := e.ctx.canSpill() && depth < maxSpillDepth
 	resident := make([][]Tuple, fanout)
 	memPer := make([]int64, fanout)
@@ -868,10 +972,11 @@ func (e *hashJoinExec) run(build, probe tupleStream, depth int) error {
 		}
 	}
 
+	n := 0
 	for {
-		t, ok, err := build.next()
+		t, ok, err := src.next()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if !ok {
 			break
@@ -880,107 +985,76 @@ func (e *hashJoinExec) run(build, probe tupleStream, depth int) error {
 		p := int(partMix(h, depth) % fanout)
 		if buildSinks[p] != nil {
 			if err := buildSinks[p].add(t); err != nil {
-				return err
+				return nil, nil, err
 			}
 			continue
 		}
-		sz := TupleMemSize(t) + 48 // tuple plus its hash-table slot
+		sz := TupleMemSize(t) + joinSlotMem
 		spilled, err := reserveOrSpill(sz, p)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if spilled {
 			if err := buildSinks[p].add(t); err != nil {
-				return err
+				return nil, nil, err
 			}
 			continue
 		}
 		resident[p] = append(resident[p], t)
 		memPer[p] += sz
+		n++
 	}
 	if err := e.ctx.Ctx.Err(); err != nil {
-		return err
+		return nil, nil, err
 	}
 
-	tables := make([]map[uint64][]Tuple, fanout)
+	// One table holds every resident partition: a probe tuple of a
+	// spilled partition goes to its run before it could look.
+	tbl := &JoinTable{keys: e.buildKeys, buckets: make(map[uint64][]Tuple, n)}
 	for p := range resident {
 		if buildSinks[p] != nil {
 			continue
 		}
-		tbl := make(map[uint64][]Tuple, len(resident[p]))
 		for _, bt := range resident[p] {
 			h := joinHash(bt, e.buildKeys)
-			tbl[h] = append(tbl[h], bt)
+			tbl.buckets[h] = append(tbl.buckets[h], bt)
 		}
-		tables[p] = tbl
+		tbl.bytes += memPer[p]
 	}
+	return tbl, buildSinks, nil
+}
 
+// probe is the probe half: it streams the probe side past tbl and
+// defers the tuples of spilled partitions to probe runs, which it
+// returns (nil where nothing was deferred).
+func (e *hashJoinExec) probe(tbl *JoinTable, buildSinks []*runSink, src tupleStream, depth int) ([]*runSink, error) {
 	probeSinks := make([]*runSink, fanout)
 	for {
-		t, ok, err := probe.next()
+		t, ok, err := src.next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
 		}
-		h := joinHash(t, e.probeKeys)
-		p := int(partMix(h, depth) % fanout)
-		if buildSinks[p] != nil {
+		if p := int(partMix(joinHash(t, e.probeKeys), depth) % fanout); buildSinks[p] != nil {
 			if probeSinks[p] == nil {
 				s, err := e.ctx.newRunSink(fmt.Sprintf("join-probe-d%d-p%d", depth, p))
 				if err != nil {
-					return err
+					return nil, err
 				}
 				probeSinks[p] = s
 			}
 			if err := probeSinks[p].add(t); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
-		if err := e.probeBucket(tables[p][h], t); err != nil {
-			return err
+		if err := tbl.match(t, e.probeKeys, e.emit); err != nil {
+			return nil, err
 		}
 	}
-	if err := e.ctx.Ctx.Err(); err != nil {
-		return err
-	}
-
-	// Resident partitions are fully joined; release them before
-	// recursing so the sub-joins get the whole budget back.
-	for p := range resident {
-		resident[p] = nil
-		tables[p] = nil
-		e.g.Release(memPer[p])
-		memPer[p] = 0
-	}
-
-	for p := 0; p < fanout; p++ {
-		if buildSinks[p] == nil {
-			continue
-		}
-		bf, err := buildSinks[p].finish()
-		if err != nil {
-			return err
-		}
-		if probeSinks[p] == nil {
-			bf.Close() // no probe tuples landed here: nothing can match
-			continue
-		}
-		pf, err := probeSinks[p].finish()
-		if err != nil {
-			bf.Close()
-			return err
-		}
-		err = e.joinRunPair(bf, pf, depth)
-		bf.Close()
-		pf.Close()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return probeSinks, e.ctx.Ctx.Err()
 }
 
 // joinRunPair joins one spilled (build, probe) pair: recursively while
@@ -1025,11 +1099,7 @@ func (e *hashJoinExec) blockJoin(bf, pf *storage.RunFile) error {
 	var pending Tuple
 	done := false
 	for !done {
-		var (
-			block    []Tuple
-			blockMem int64
-		)
-		tbl := make(map[uint64][]Tuple)
+		block := &JoinTable{keys: e.buildKeys, buckets: map[uint64][]Tuple{}}
 		for {
 			var t Tuple
 			if pending != nil {
@@ -1045,20 +1115,17 @@ func (e *hashJoinExec) blockJoin(bf, pf *storage.RunFile) error {
 					break
 				}
 			}
-			sz := TupleMemSize(t) + 48
+			sz := TupleMemSize(t) + joinSlotMem
 			if !e.g.Reserve(sz) {
-				if len(block) > 0 {
+				if block.bytes > 0 {
 					pending = t
 					break
 				}
 				e.g.Force(sz) // a single tuple larger than the budget
 			}
-			block = append(block, t)
-			blockMem += sz
-			h := joinHash(t, e.buildKeys)
-			tbl[h] = append(tbl[h], t)
+			block.add(t, sz)
 		}
-		if len(block) > 0 {
+		if block.bytes > 0 {
 			pc, err := openRun(pf)
 			if err != nil {
 				return err
@@ -1072,40 +1139,16 @@ func (e *hashJoinExec) blockJoin(bf, pf *storage.RunFile) error {
 				if !ok {
 					break
 				}
-				if err := e.probeBucket(tbl[joinHash(t, e.probeKeys)], t); err != nil {
+				if err := block.match(t, e.probeKeys, e.emit); err != nil {
 					pc.close()
 					return err
 				}
 			}
 			pc.close()
 		}
-		e.g.Release(blockMem)
+		e.g.Release(block.bytes)
 		if err := e.ctx.Ctx.Err(); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// probeBucket emits build ++ probe for every key-equal pair, with the
-// same null-rejecting equality the in-memory join used.
-func (e *hashJoinExec) probeBucket(bucket []Tuple, probe Tuple) error {
-	for _, b := range bucket {
-		match := true
-		for i := range e.buildKeys {
-			bv, pv := b[e.buildKeys[i]], probe[e.probeKeys[i]]
-			if bv.IsNull() || pv.IsNull() || !adm.Equal(bv, pv) {
-				match = false
-				break
-			}
-		}
-		if match {
-			row := make(Tuple, 0, len(b)+len(probe))
-			row = append(row, b...)
-			row = append(row, probe...)
-			if err := e.emit(row); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -205,11 +205,11 @@ func TestHashGroupSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-func joinJob(build, probe []Tuple) (*Job, *Collector) {
+func joinJob(build, probe []Tuple, keep func(int, *JoinTable) bool) (*Job, *Collector) {
 	job := &Job{}
 	b := job.Add("Build", 1, tupleSource(build))
 	p := job.Add("Probe", 1, tupleSource(probe))
-	j := job.Add("HashJoin", 1, HashJoin([]int{0}, []int{0}),
+	j := job.Add("HashJoin", 1, HashJoin([]int{0}, []int{0}, keep),
 		Input{From: b, Conn: ConnectorSpec{Type: OneToOne}},
 		Input{From: p, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
@@ -244,9 +244,9 @@ func TestHashJoinSpillMatchesInMemory(t *testing.T) {
 						probe = append(probe, Tuple{key, adm.NewInt(int64(10000 + i))})
 					}
 				}
-				refJob, refC := joinJob(build, probe)
+				refJob, refC := joinJob(build, probe, nil)
 				runBudgeted(t, refJob, 0)
-				job, c := joinJob(build, probe)
+				job, c := joinJob(build, probe, nil)
 				stats, acct := runBudgeted(t, job, budget)
 				sameMultiset(t, kind, c.Tuples, refC.Tuples)
 				if runs, _ := stats.SpillTotals(); budget == 64<<10 && runs == 0 {
@@ -257,6 +257,52 @@ func TestHashJoinSpillMatchesInMemory(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHashJoinKeepsAResidentTable offers keep the table of a build side
+// that stayed resident, and nothing when the build side spilled. A kept
+// table stays reserved against the query's budget, and HashJoinKept
+// probing it joins as the HashJoin that built it did.
+func TestHashJoinKeepsAResidentTable(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	var build, probe []Tuple
+	for i := 0; i < 2500; i++ {
+		build = append(build, Tuple{adm.NewInt(int64(r.Intn(500))), adm.NewInt(int64(i)), payload(r)})
+		key := adm.NewInt(int64(r.Intn(500)))
+		if i%97 == 0 {
+			key = adm.Null
+		}
+		probe = append(probe, Tuple{key, adm.NewInt(int64(10000 + i))})
+	}
+	for _, budget := range []int64{64 << 10, 8 << 20} {
+		var kept *JoinTable
+		job, c := joinJob(build, probe, func(_ int, tbl *JoinTable) bool {
+			kept = tbl
+			return true
+		})
+		stats, acct := runBudgeted(t, job, budget)
+		runs, _ := stats.SpillTotals()
+		if (runs == 0) != (budget > 64<<10) || (runs == 0) != (kept != nil) {
+			t.Fatalf("budget %d: %d spill runs, table kept %v: want the tight budget to spill and keep nothing, the other to keep its table", budget, runs, kept != nil)
+		}
+		if kept == nil {
+			if acct.Used() != 0 {
+				t.Fatalf("budget %d: leaked %d reserved bytes", budget, acct.Used())
+			}
+			continue
+		}
+		if acct.Used() != kept.Bytes() || kept.Bytes() <= 0 {
+			t.Fatalf("budget %d: %d bytes reserved after the job, want the kept table's %d", budget, acct.Used(), kept.Bytes())
+		}
+		pjob := &Job{}
+		p := pjob.Add("Probe", 1, tupleSource(probe))
+		j := pjob.Add("HashJoinKept", 1, HashJoinKept(func(int) *JoinTable { return kept }, []int{0}),
+			Input{From: p, Conn: ConnectorSpec{Type: OneToOne}})
+		var pc Collector
+		MakeSink(pjob, "Sink", &pc, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
+		runBudgeted(t, pjob, 0)
+		sameMultiset(t, "kept", pc.Tuples, c.Tuples)
 	}
 }
 

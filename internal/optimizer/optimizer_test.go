@@ -106,8 +106,9 @@ func TestExtractJoinConditions(t *testing.T) {
 	if join == nil {
 		t.Fatal("no join")
 	}
-	if isTrueConst(join.Cond) {
-		t.Error("join condition not extracted")
+	// The equality is the hash join's key, and leaves nothing over.
+	if len(join.JoinLeftKeys) != 1 || !isTrueConst(join.Cond) {
+		t.Errorf("join keys %v, residual condition %v: want the extracted equality as the one key and no residual", join.JoinLeftKeys, join.Cond)
 	}
 	if join.Phys != algebra.JoinPhysHash {
 		t.Errorf("join phys = %v, want hash", join.Phys)
@@ -295,14 +296,15 @@ func TestIndexJoinEditDistanceCornerPath(t *testing.T) {
 
 func TestThreeStageSimilarityJoin(t *testing.T) {
 	cat := newTestCatalog()
-	// Join on a field with NO keyword index -> three-stage plan.
+	// Join on a field with NO keyword index -> three-stage plan. The
+	// result reads a field besides the keys, so stage 3 stays.
 	plan := compile(t, cat, DefaultOptions(), `
 		set simfunction 'jaccard';
 		set simthreshold '0.5';
 		for $t1 in dataset ARevs
 		for $t2 in dataset ARevs
 		where word-tokens($t1.title) ~= word-tokens($t2.title)
-		return { 'a': $t1.id, 'b': $t2.id }
+		return { 'a': $t1.id, 'b': $t2.id, 't': $t2.title }
 	`)
 	if algebra.CountKind(plan, algebra.OpGroupBy) < 3 {
 		t.Fatalf("three-stage plan should have >= 3 group-bys:\n%s", algebra.Print(plan))
@@ -323,6 +325,40 @@ func TestThreeStageSimilarityJoin(t *testing.T) {
 	// Self-join with subplan reuse: exactly one physical scan remains.
 	if scans := algebra.CountKind(plan, algebra.OpScan); scans != 1 {
 		t.Errorf("reuse rule should leave 1 scan, found %d", scans)
+	}
+}
+
+// TestThreeStageKeyOnlyResultElidesStage3 is the AQL+ clean-up of a
+// join whose result reads the two primary keys alone: the conjunct over
+// the keys filters stage 2's candidate pairs, and stage 3's two joins
+// back to the records are left out, the rid pairs assigned to the key
+// variables the result reads.
+func TestThreeStageKeyOnlyResultElidesStage3(t *testing.T) {
+	cat := newTestCatalog()
+	plan := compile(t, cat, DefaultOptions(), `
+		for $t1 in dataset ARevs
+		for $t2 in dataset ARevs
+		where similarity-jaccard(word-tokens($t1.title), word-tokens($t2.title)) >= 0.5 and $t1.id < $t2.id
+		return { 'a': $t1.id, 'b': $t2.id }
+	`)
+	text := algebra.Print(plan)
+	if joins := algebra.CountKind(plan, algebra.OpJoin); joins != 3 {
+		t.Errorf("%d joins, want the two rank joins and the prefix join:\n%s", joins, text)
+	}
+	var prefix *algebra.Op
+	algebra.Walk(plan, func(op *algebra.Op) {
+		if op.Kind == algebra.OpJoin && op.Phys == algebra.JoinPhysHash {
+			prefix = op
+		}
+	})
+	if prefix == nil || prefix.Inputs[1].Kind != algebra.OpMemo {
+		t.Fatalf("the prefix join does not read the ranked memo directly:\n%s", text)
+	}
+	if c, ok := prefix.Cond.(algebra.Call); !ok || c.Fn != "lt" {
+		t.Errorf("the prefix join's residual is %v, want the key comparison:\n%s", prefix.Cond, text)
+	}
+	if strings.Contains(text, `field-access($2, "id")`) || !strings.Contains(text, `field-access($`) {
+		t.Errorf("the result still reads a record's key field:\n%s", text)
 	}
 }
 

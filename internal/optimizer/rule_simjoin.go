@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
 )
@@ -18,38 +19,48 @@ import (
 // template with the AQL+ parser, re-translates it, and splices the
 // resulting plan over the join operator. The surrounding plan and the
 // remaining rule sets then re-optimize the new subplan, exactly as
-// Figure 16 describes.
+// Figure 16 describes. Two clean-ups follow the template: a conjunct
+// that compares the two primary keys moves into stage 2, and stage 3 is
+// left out when nothing above the join reads more of its inputs than
+// their primary keys.
 
-// threeStageTemplate is the AQL+ fragment for the general (two-input)
-// case. Stage 1 (the shared ##RANKED clause) is registered separately so
-// both stage-2 sides share one global token order. The trailing clauses
-// are stage 3: re-joining rid pairs with the original inputs.
-const threeStageTemplate = `
-for $ridpair in (
-    for $left in ##LEFT_2
-    for $ltok in $$LEFTTOKS_2
-    for $rt1 in ##RANKEDL
-    where $ltok = /*+ bcast */ $rt1
-    let $i := $$RANKL
-    group by $lid := $$LEFTPK_2 with $i
-    let $ltokens := sorted($i)
-    for $ptl in subset-collection($ltokens, 0, prefix-len-jaccard(len($ltokens), @THRESHOLD@))
-    join $rpair in (
-        for $right in ##RIGHT_2
-        for $rtok in $$RIGHTTOKS_2
-        for $rt2 in ##RANKEDR
-        where $rtok = /*+ bcast */ $rt2
-        let $j := $$RANKR
-        group by $rid := $$RIGHTPK_2 with $j
-        let $rtokens := sorted($j)
-        for $ptr in subset-collection($rtokens, 0, prefix-len-jaccard(len($rtokens), @THRESHOLD@))
-        return { 'rid': $rid, 'rtokens': $rtokens, 'pt': $ptr }
-    ) on $ptl = $rpair.pt
-    let $sim := similarity-jaccard-check($ltokens, $rpair.rtokens, @THRESHOLD@)
-    where not(is-null($sim))
-    group by $idl := $lid, $idr := $rpair.rid with $sim
-    return { 'l': $idl, 'r': $idr }
-)
+// ridPairTemplate is stage 2's AQL+ fragment for the general
+// (two-input) case: the prefix-filtered, verified and deduplicated rid
+// pairs. Stage 1 (the shared ##RANKED clause) is registered separately
+// so both sides share one global token order. @RIDPAIR_ON@ adds the
+// join's conjuncts over the two primary keys, if any, to the prefix
+// join's condition, so they filter the candidate pairs before the
+// similarity check.
+const ridPairTemplate = `
+for $left in ##LEFT_2
+for $ltok in $$LEFTTOKS_2
+for $rt1 in ##RANKEDL
+where $ltok = /*+ bcast */ $rt1
+let $i := $$RANKL
+group by $lid := $$LEFTPK_2 with $i
+let $ltokens := sorted($i)
+for $ptl in subset-collection($ltokens, 0, prefix-len-jaccard(len($ltokens), @THRESHOLD@))
+join $rpair in (
+    for $right in ##RIGHT_2
+    for $rtok in $$RIGHTTOKS_2
+    for $rt2 in ##RANKEDR
+    where $rtok = /*+ bcast */ $rt2
+    let $j := $$RANKR
+    group by $rid := $$RIGHTPK_2 with $j
+    let $rtokens := sorted($j)
+    for $ptr in subset-collection($rtokens, 0, prefix-len-jaccard(len($rtokens), @THRESHOLD@))
+    return { 'rid': $rid, 'rtokens': $rtokens, 'pt': $ptr }
+) on $ptl = $rpair.pt@RIDPAIR_ON@
+let $sim := similarity-jaccard-check($ltokens, $rpair.rtokens, @THRESHOLD@)
+where not(is-null($sim))
+group by $idl := $lid, $idr := $rpair.rid with $sim
+return { 'l': $idl, 'r': $idr }
+`
+
+// stage3Template is stage 3: it re-joins the rid pairs (ridPairTemplate
+// fills the %s) with the original inputs.
+const stage3Template = `
+for $ridpair in (%s)
 for $ll in ##LEFT_3
 for $rr in ##RIGHT_3
 where $ridpair.l = $$LEFTPK_3 and $ridpair.r = $$RIGHTPK_3
@@ -130,7 +141,7 @@ func similarityJoinRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			if !ok {
 				continue
 			}
-			newOp, err := o.instantiateThreeStage(op, left2, right2, lArg, rArg, sc, conjs, lPK, rPK)
+			newOp, err := o.instantiateThreeStage(root, op, left2, right2, lArg, rArg, sc, conjs, lPK, rPK)
 			if err != nil {
 				return nil, false, err
 			}
@@ -235,23 +246,32 @@ func recordExpr(arg algebra.Expr, scan *algebra.Op) (string, bool) {
 }
 
 // newMemo wraps in with a memo operator keyed kind(dataverse.dataset,
-// token expression) that outputs vars.
-func newMemo(in *algebra.Op, kind string, src tokenSource, vars ...algebra.Var) *algebra.Op {
+// token expression, params...) that outputs vars.
+func newMemo(in *algebra.Op, kind string, src tokenSource, vars []algebra.Var, params ...string) *algebra.Op {
 	m := algebra.NewOp(algebra.OpMemo, in)
 	m.Dataverse, m.Dataset = src.scan.Dataverse, src.scan.Dataset
-	m.MemoKey = fmt.Sprintf("%s(%s.%s, %s)", kind, m.Dataverse, m.Dataset, src.expr)
+	m.MemoKey = fmt.Sprintf("%s(%s)", kind, strings.Join(append([]string{m.Dataverse + "." + m.Dataset, src.expr}, params...), ", "))
 	m.Vars = vars
 	return m
 }
 
-// memoRankedSide puts a ranked memo over the bare side's stage-2 branch
-// of an instantiated template, up to its sorted(...) assign: the
-// group-by on the side's primary key pk, and the assign sorting its rank
-// list directly above it. Below the prefix unnest, so the cut holds
-// nothing that depends on the threshold.
-func memoRankedSide(frag *algebra.Op, pk algebra.Var, src tokenSource) error {
+// memoPrefixSide puts a ranked memo over the inner side of the prefix
+// join of an instantiated template: the side's prefix tuples, each a
+// record of the bare side's key, its ranked tokens and one prefix token
+// pt, found above the group-by on the side's primary key pk. The memo
+// outputs the record and pt, which the join becomes keyed on, so the
+// join can build its table on the memo and a later query with the same
+// threshold can probe that table. The key carries the threshold th,
+// which sets the prefix lengths.
+func memoPrefixSide(o *Optimizer, frag *algebra.Op, pk algebra.Var, src tokenSource, th string) error {
 	parents := parentsOf(frag)
-	var sortedAsg *algebra.Op
+	only := func(op *algebra.Op, kind algebra.OpKind) *algebra.Op {
+		if ps := parents[op]; len(ps) == 1 && ps[0].Kind == kind {
+			return ps[0]
+		}
+		return nil
+	}
+	var rec, join *algebra.Op
 	algebra.Walk(frag, func(op *algebra.Op) {
 		if op.Kind != algebra.OpGroupBy || len(op.Keys) != 1 {
 			return
@@ -259,28 +279,169 @@ func memoRankedSide(frag *algebra.Op, pk algebra.Var, src tokenSource) error {
 		if key, ok := op.Keys[0].E.(algebra.VarRef); !ok || key.V != pk {
 			return
 		}
-		if ps := parents[op]; len(ps) == 1 && ps[0].Kind == algebra.OpAssign && len(ps[0].AssignVars) == 1 {
-			if c, ok := ps[0].AssignExprs[0].(algebra.Call); ok && c.Fn == "sorted" {
-				sortedAsg = ps[0]
+		sortedAsg := only(op, algebra.OpAssign)
+		if sortedAsg == nil {
+			return
+		}
+		if prefix := only(sortedAsg, algebra.OpUnnest); prefix != nil {
+			if rec = only(prefix, algebra.OpAssign); rec != nil {
+				join = only(rec, algebra.OpJoin)
 			}
 		}
 	})
-	if sortedAsg == nil || len(parents[sortedAsg]) != 1 {
-		return fmt.Errorf("aql+: no sorted token list over the stage-2 group-by on %v", pk)
+	if join == nil || join.Inputs[1] != rec || len(rec.AssignVars) != 1 {
+		return fmt.Errorf("aql+: no prefix join over the stage-2 group-by on %v", pk)
 	}
-	group := sortedAsg.Inputs[0]
-	memo := newMemo(sortedAsg, "ranked", src, group.Keys[0].V, sortedAsg.AssignVars[0])
-	p := parents[sortedAsg][0]
-	for i, in := range p.Inputs {
-		if in == sortedAsg {
-			p.Inputs[i] = memo
+	recVar, pt := rec.AssignVars[0], o.Alloc.New()
+	asg := algebra.NewOp(algebra.OpAssign, rec)
+	asg.AssignVars = []algebra.Var{pt}
+	asg.AssignExprs = []algebra.Expr{algebra.F("field-access", algebra.V(recVar), algebra.CStr("pt"))}
+	join.Inputs[1] = newMemo(asg, "ranked", src, []algebra.Var{recVar, pt}, th)
+	join.Cond = algebra.ReplaceExpr(join.Cond, func(e algebra.Expr) algebra.Expr {
+		if v, field, ok := fieldAccess(e); ok && v == recVar && field == "pt" {
+			return algebra.V(pt)
 		}
-	}
+		return e
+	})
 	return nil
 }
 
+// fieldAccess reports the variable and field name of field-access($v,
+// "name").
+func fieldAccess(e algebra.Expr) (algebra.Var, string, bool) {
+	c, ok := e.(algebra.Call)
+	if !ok || c.Fn != "field-access" || len(c.Args) != 2 {
+		return 0, "", false
+	}
+	v, isVar := c.Args[0].(algebra.VarRef)
+	f, isConst := c.Args[1].(algebra.Const)
+	if !isVar || !isConst || f.Val.Kind() != adm.KindString {
+		return 0, "", false
+	}
+	return v.V, f.Val.Str(), true
+}
+
+// keySide is a join input keyed by its scan's primary key: the key
+// variable pk, the scan's record variable rec and top-level key field,
+// and the input's other variables.
+type keySide struct {
+	pk, rec algebra.Var
+	field   string
+	other   map[algebra.Var]bool
+}
+
+// keySideOf returns the keySide of a join input whose key is pk, if the
+// input is a chain over a scan whose primary key pk is.
+func (o *Optimizer) keySideOf(input *algebra.Op, pk algebra.Var) (keySide, bool) {
+	scan := scanOfChain(input)
+	if scan == nil || scan.PKVar != pk {
+		return keySide{}, false
+	}
+	field, ok := o.Catalog.ResolveDataset(scan.Dataverse, scan.Dataset)
+	if !ok || strings.Contains(field, ".") {
+		return keySide{}, false
+	}
+	other := schemaSet(input)
+	delete(other, pk)
+	return keySide{pk: pk, rec: scan.RecVar, field: field, other: other}, true
+}
+
+// isKey reports whether e is the side's primary key: its variable, or
+// the key field of its record, which the scan read the key from.
+func (s keySide) isKey(e algebra.Expr) bool {
+	if x, ok := e.(algebra.VarRef); ok {
+		return x.V == s.pk
+	}
+	v, field, ok := fieldAccess(e)
+	return ok && v == s.rec && field == s.field
+}
+
+// keysOnly rewrites e's references to either side's primary key into
+// the key variables, and reports whether e then reads nothing else of
+// the two sides.
+func keysOnly(e algebra.Expr, sides [2]keySide) (algebra.Expr, bool) {
+	e = algebra.ReplaceExpr(e, func(x algebra.Expr) algebra.Expr {
+		for _, s := range sides {
+			if s.isKey(x) {
+				return algebra.V(s.pk)
+			}
+		}
+		return x
+	})
+	for _, v := range algebra.UsedVars(e, nil) {
+		if sides[0].other[v] || sides[1].other[v] {
+			return e, false
+		}
+	}
+	return e, true
+}
+
+// ridPairOps renders the comparisons the prefix join condition accepts.
+var ridPairOps = map[string]string{"eq": "=", "neq": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+// ridPairPredicate renders a join conjunct that compares the two
+// primary keys as the prefix join's condition reads it, over $lid and
+// $rpair.rid.
+func ridPairPredicate(c algebra.Expr, sides [2]keySide) (string, bool) {
+	call, ok := c.(algebra.Call)
+	if !ok || len(call.Args) != 2 || ridPairOps[call.Fn] == "" {
+		return "", false
+	}
+	names := [2]string{"$lid", "$rpair.rid"}
+	var args [2]string
+	seen := [2]bool{}
+	for i, a := range call.Args {
+		for k, s := range sides {
+			if s.isKey(a) && !seen[k] {
+				args[i], seen[k] = names[k], true
+				break
+			}
+		}
+	}
+	if !seen[0] || !seen[1] {
+		return "", false
+	}
+	return args[0] + " " + ridPairOps[call.Fn] + " " + args[1], true
+}
+
+// keysOnlyAbove reports whether the plan outside join's subtree, and the
+// conjuncts rest that will sit above it, read nothing of the join's
+// output but the two primary keys — then the rid pairs are all stage 3
+// would hand on — and if so rewrites those reads into the key
+// variables.
+func keysOnlyAbove(root, join *algebra.Op, sides [2]keySide, rest []algebra.Expr) bool {
+	below := map[*algebra.Op]bool{}
+	algebra.Walk(join, func(op *algebra.Op) { below[op] = true })
+	var slots []*algebra.Expr
+	for i := range rest {
+		slots = append(slots, &rest[i])
+	}
+	ok := true
+	algebra.Walk(root, func(op *algebra.Op) {
+		if below[op] {
+			return
+		}
+		slots = append(slots, op.ExprSlots()...)
+		for _, v := range op.ListedVars() {
+			ok = ok && !sides[0].other[v] && !sides[1].other[v]
+		}
+	})
+	rewritten := make([]algebra.Expr, len(slots))
+	for i, p := range slots {
+		var keys bool
+		rewritten[i], keys = keysOnly(*p, sides)
+		ok = ok && keys
+	}
+	if ok {
+		for i, p := range slots {
+			*p = rewritten[i]
+		}
+	}
+	return ok
+}
+
 // instantiateThreeStage runs the AQL+ two-step rewrite.
-func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, rArg algebra.Expr, sc simCond, conjs []algebra.Expr, lPK, rPK algebra.Var) (*algebra.Op, error) {
+func (o *Optimizer) instantiateThreeStage(root, join, left, right *algebra.Op, lArg, rArg algebra.Expr, sc simCond, conjs []algebra.Expr, lPK, rPK algebra.Var) (*algebra.Op, error) {
 	th := strconv.FormatFloat(sc.Threshold, 'g', -1, 64)
 
 	tr := &aqlp.Translator{
@@ -290,16 +451,19 @@ func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, r
 		MetaVars: map[string]algebra.Var{},
 	}
 
+	// With one token source the bare side is the template's right side,
+	// whose prefix tuples the memo keeps. The pairs, and every variable
+	// the plan above reads, are the same either way round.
+	ts, single := singleTokenSource(left, right, lArg, rArg)
+	if single && ts.bareLeft {
+		left, right, lArg, rArg, lPK, rPK = right, left, rArg, lArg, rPK, lPK
+	}
+
 	// Stage-1 bindings (fresh copies): the bare scan alone when one
 	// input is a bare scan the other filters, else both inputs.
-	ts, single := singleTokenSource(left, right, lArg, rArg)
 	stage1Src := stage1SingleTemplate
 	if single {
-		bare, bareArg := right, rArg
-		if ts.bareLeft {
-			bare, bareArg = left, lArg
-		}
-		l1, l1rec, _, l1toks := o.tokensBranch(bare, bareArg, ts.scan.PKVar)
+		l1, l1rec, _, l1toks := o.tokensBranch(right, rArg, ts.scan.PKVar)
 		tr.Meta["LEFT_1"] = aqlp.MetaBinding{Plan: l1, RecVar: l1rec}
 		tr.MetaVars["LEFTTOKS_1"] = l1toks
 	} else {
@@ -325,7 +489,7 @@ func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, r
 	rank.PosVar = o.Alloc.New()
 	ranked := rank
 	if single {
-		ranked = newMemo(rank, "order", ts, s1ret, rank.PosVar)
+		ranked = newMemo(rank, "order", ts, []algebra.Var{s1ret, rank.PosVar})
 	}
 	tr.Meta["RANKEDL"] = aqlp.MetaBinding{Plan: ranked, RecVar: s1ret}
 	tr.MetaVars["RANKL"] = rank.PosVar
@@ -344,35 +508,63 @@ func (o *Optimizer) instantiateThreeStage(join, left, right *algebra.Op, lArg, r
 	tr.Meta["RIGHT_3"] = aqlp.MetaBinding{Plan: right, RecVar: 0}
 	tr.MetaVars["LEFTPK_3"], tr.MetaVars["RIGHTPK_3"] = lPK, rPK
 
-	src := strings.ReplaceAll(threeStageTemplate, "@THRESHOLD@", th)
-	q, err := aqlp.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("aql+: three-stage template: %w", err)
+	// The other join conjuncts: those comparing the two primary keys
+	// filter the candidate pairs of stage 2, the rest go into a select
+	// above the fragment, over the original input variables.
+	var rest []algebra.Expr
+	var on []string
+	ls, lok := o.keySideOf(left, lPK)
+	rs, rok := o.keySideOf(right, rPK)
+	sides, keyed := [2]keySide{ls, rs}, lok && rok
+	for i, c := range conjs {
+		if i == sc.OrigIdx {
+			continue
+		}
+		if w, ok := ridPairPredicate(c, sides); keyed && ok {
+			on = append(on, " and "+w)
+			continue
+		}
+		rest = append(rest, c)
 	}
-	fl, ok := q.Body.(aqlp.FLWORNode)
-	if !ok {
-		return nil, fmt.Errorf("aql+: template body is %T", q.Body)
-	}
-	frag, err := tr.TranslateFragment(fl)
-	if err != nil {
-		return nil, fmt.Errorf("aql+: template translation: %w", err)
+	ridSrc := strings.ReplaceAll(ridPairTemplate, "@THRESHOLD@", th)
+	ridSrc = strings.Replace(ridSrc, "@RIDPAIR_ON@", strings.Join(on, ""), 1)
+
+	// Stage 3 re-reads both inputs for what the plan above reads of them;
+	// when that is their primary keys alone, the rid pairs are the keys.
+	var frag *algebra.Op
+	if keyed && keysOnlyAbove(root, join, sides, rest) {
+		q, err := aqlp.Parse(ridSrc)
+		if err != nil {
+			return nil, fmt.Errorf("aql+: rid-pair template: %w", err)
+		}
+		pairs, pair, err := tr.TranslateBranch(q.Body)
+		if err != nil {
+			return nil, fmt.Errorf("aql+: template translation: %w", err)
+		}
+		frag = algebra.NewOp(algebra.OpAssign, pairs)
+		frag.AssignVars = []algebra.Var{lPK, rPK}
+		frag.AssignExprs = []algebra.Expr{
+			algebra.F("field-access", algebra.V(pair), algebra.CStr("l")),
+			algebra.F("field-access", algebra.V(pair), algebra.CStr("r")),
+		}
+	} else {
+		// The rid-pair conjuncts are stage 2's; stage 3 joins on the
+		// keys they compare, so they hold of its output too.
+		q, err := aqlp.Parse(fmt.Sprintf(stage3Template, ridSrc))
+		if err != nil {
+			return nil, fmt.Errorf("aql+: three-stage template: %w", err)
+		}
+		fl, ok := q.Body.(aqlp.FLWORNode)
+		if !ok {
+			return nil, fmt.Errorf("aql+: template body is %T", q.Body)
+		}
+		if frag, err = tr.TranslateFragment(fl); err != nil {
+			return nil, fmt.Errorf("aql+: template translation: %w", err)
+		}
 	}
 	if single {
-		barePK := r2pk
-		if ts.bareLeft {
-			barePK = l2pk
-		}
-		if err := memoRankedSide(frag, barePK, ts); err != nil {
+		if err := memoPrefixSide(o, frag, r2pk, ts, th); err != nil {
 			return nil, err
-		}
-	}
-
-	// Any extra join conjuncts (beyond the similarity predicate) go into
-	// a Select above the fragment, over the original input variables.
-	var rest []algebra.Expr
-	for i, c := range conjs {
-		if i != sc.OrigIdx {
-			rest = append(rest, c)
 		}
 	}
 	if len(rest) == 0 {

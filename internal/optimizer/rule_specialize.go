@@ -24,9 +24,6 @@ func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 
 	// 1. Fold variable-free subtrees in every expression position.
 	foldExpr := func(e algebra.Expr) algebra.Expr {
-		if e == nil {
-			return nil
-		}
 		return algebra.ReplaceExpr(e, func(sub algebra.Expr) algebra.Expr {
 			call, isCall := sub.(algebra.Call)
 			if !isCall || !constFoldable(call) {
@@ -40,28 +37,7 @@ func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 			return algebra.C(v)
 		})
 	}
-	algebra.Walk(root, func(op *algebra.Op) {
-		op.Cond = foldExpr(op.Cond)
-		op.Expr = foldExpr(op.Expr)
-		op.KeyExpr = foldExpr(op.KeyExpr)
-		op.TExpr = foldExpr(op.TExpr)
-		op.PKExpr = foldExpr(op.PKExpr)
-		for i, e := range op.AssignExprs {
-			op.AssignExprs[i] = foldExpr(e)
-		}
-		for i, e := range op.FusedAssignExprs {
-			op.FusedAssignExprs[i] = foldExpr(e)
-		}
-		for i := range op.Keys {
-			op.Keys[i].E = foldExpr(op.Keys[i].E)
-		}
-		for i := range op.Aggs {
-			op.Aggs[i].E = foldExpr(op.Aggs[i].E)
-		}
-		for i := range op.Orders {
-			op.Orders[i].E = foldExpr(op.Orders[i].E)
-		}
-	})
+	algebra.Walk(root, func(op *algebra.Op) { op.MapExprs(foldExpr) })
 
 	// 2. Fuse each select with the single-parent assign directly below
 	// it. Chains of assigns fuse one per fixpoint iteration through the

@@ -251,35 +251,7 @@ func listifyToScalarAgg(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			return x
 		})
 	}
-	algebra.Walk(root, func(op *algebra.Op) {
-		if op.Cond != nil {
-			op.Cond = rewrite(op.Cond)
-		}
-		if op.Expr != nil {
-			op.Expr = rewrite(op.Expr)
-		}
-		for i := range op.AssignExprs {
-			op.AssignExprs[i] = rewrite(op.AssignExprs[i])
-		}
-		for i := range op.Keys {
-			op.Keys[i].E = rewrite(op.Keys[i].E)
-		}
-		for i := range op.Aggs {
-			op.Aggs[i].E = rewrite(op.Aggs[i].E)
-		}
-		for i := range op.Orders {
-			op.Orders[i].E = rewrite(op.Orders[i].E)
-		}
-		if op.KeyExpr != nil {
-			op.KeyExpr = rewrite(op.KeyExpr)
-		}
-		if op.TExpr != nil {
-			op.TExpr = rewrite(op.TExpr)
-		}
-		if op.PKExpr != nil {
-			op.PKExpr = rewrite(op.PKExpr)
-		}
-	})
+	algebra.Walk(root, func(op *algebra.Op) { op.MapExprs(rewrite) })
 	// Drop listifies that no longer have any use.
 	algebra.Walk(root, func(op *algebra.Op) {
 		if op.Kind != algebra.OpGroupBy && op.Kind != algebra.OpAggregate {
@@ -300,7 +272,10 @@ func listifyToScalarAgg(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 }
 
 // chooseJoinAlgorithm picks hash vs nested-loop joins and the build
-// side, honoring the /*+ bcast */ hint on one side of an equality.
+// side, honoring the /*+ bcast */ hint on one side of an equality. A
+// hash join's key equalities leave its condition: the table compares
+// keys exactly as eq() does, so Cond keeps only the residual the
+// operator above the join has to evaluate.
 func chooseJoinAlgorithm(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 	return rewriteEverywhere(root, func(op *algebra.Op) (*algebra.Op, bool, error) {
 		if op.Kind != algebra.OpJoin || op.Phys != algebra.JoinPhysUnset {
@@ -308,11 +283,12 @@ func chooseJoinAlgorithm(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, err
 		}
 		leftSet := schemaSet(op.Inputs[0])
 		rightSet := schemaSet(op.Inputs[1])
-		var lKeys, rKeys []algebra.Expr
+		var lKeys, rKeys, residual []algebra.Expr
 		broadcast := -1
 		for _, c := range algebra.Conjuncts(op.Cond) {
 			call, ok := c.(algebra.Call)
 			if !ok || call.Fn != "eq" || len(call.Args) != 2 {
+				residual = append(residual, c)
 				continue
 			}
 			a, b := call.Args[0], call.Args[1]
@@ -346,6 +322,8 @@ func chooseJoinAlgorithm(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, err
 				if hb {
 					broadcast = 0
 				}
+			default:
+				residual = append(residual, c)
 			}
 		}
 		if len(lKeys) > 0 {
@@ -357,6 +335,7 @@ func chooseJoinAlgorithm(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, err
 				op.BuildSide = 0
 			}
 			op.JoinLeftKeys, op.JoinRightKeys = lKeys, rKeys
+			op.Cond = algebra.AndAll(residual)
 		} else {
 			op.Phys = algebra.JoinPhysNestedLoop
 			op.BuildSide = 0
