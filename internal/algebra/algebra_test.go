@@ -304,7 +304,11 @@ func TestPlanCopyRemapsVars(t *testing.T) {
 		}
 	})
 	Walk(cp, func(o *Op) {
-		for _, v := range o.UsedVarsOf() {
+		used := o.ListedVars()
+		for _, e := range o.UsedExprs() {
+			used = UsedVars(e, used)
+		}
+		for _, v := range used {
 			if orig[v] {
 				t.Errorf("copy references original var %v", v)
 			}

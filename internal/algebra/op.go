@@ -343,16 +343,6 @@ func (o *Op) MapExprs(fn func(Expr) Expr) {
 	}
 }
 
-// UsedVarsOf returns the variables the operator's expressions and
-// structural fields reference (not counting its inputs' own usage).
-func (o *Op) UsedVarsOf() []Var {
-	var out []Var
-	for _, e := range o.UsedExprs() {
-		out = UsedVars(e, out)
-	}
-	return append(out, o.ListedVars()...)
-}
-
 // ListedVars returns the variables the operator names outside its
 // expressions: what a project, a memo, a union or the result keeps.
 func (o *Op) ListedVars() []Var {

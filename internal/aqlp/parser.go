@@ -55,24 +55,6 @@ func Parse(src string) (*Query, error) {
 	}
 }
 
-// ParseExpr parses a single expression (used by tests and the AQL+
-// fragment path).
-func ParseExpr(src string) (Node, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errf("trailing input after expression")
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -188,8 +188,18 @@ func TestParseCreateFunction(t *testing.T) {
 	}
 }
 
+// parseBody parses src, a query with no statements, and returns its
+// body expression.
+func parseBody(src string) (Node, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return q.Body, nil
+}
+
 func TestParseLiteralsAndConstructors(t *testing.T) {
-	e, err := ParseExpr(`{ 'a': [1, 2.5, 'x', true, false, null], 'b': -3 }`)
+	e, err := parseBody(`{ 'a': [1, 2.5, 'x', true, false, null], 'b': -3 }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +227,7 @@ func TestParseLiteralsAndConstructors(t *testing.T) {
 }
 
 func TestParsePrecedence(t *testing.T) {
-	e, err := ParseExpr(`1 + 2 * 3 = 7 and not false`)
+	e, err := parseBody(`1 + 2 * 3 = 7 and not false`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +249,7 @@ func TestParsePrecedence(t *testing.T) {
 }
 
 func TestParseIndexAccess(t *testing.T) {
-	e, err := ParseExpr(`$sim[0]`)
+	e, err := parseBody(`$sim[0]`)
 	if err != nil {
 		t.Fatal(err)
 	}

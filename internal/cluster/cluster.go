@@ -92,7 +92,7 @@ type Cluster struct {
 
 // New creates a cluster with fresh node storage under cfg.DataDir.
 // With Transport "tcp" it also spawns one worker process per non-zero
-// node (Config.WorkerCmd) and forms the TCP mesh before returning; this
+// node (this executable run again; see MaybeRunWorker) and forms the TCP mesh before returning; this
 // process then hosts node 0 and coordinates.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.WithDefaults()
@@ -145,7 +145,7 @@ func New(cfg Config) (*Cluster, error) {
 // newCluster builds the in-process half of a cluster. localNode < 0
 // hosts every node; otherwise only nodes[localNode] gets storage (the
 // per-process layout of tcp mode, used by both the coordinator and
-// RunWorker).
+// runWorker).
 func newCluster(cfg Config, localNode int) (*Cluster, error) {
 	algo, err := invindex.ParseAlgorithm(cfg.TOccurrence)
 	if err != nil {

@@ -18,7 +18,8 @@ import (
 // simulation. It is the database's one configuration: core.Config is
 // this type, and tcp workers receive it in their bootstrap. Zero values
 // take the defaults WithDefaults fills in (2 nodes × 2 partitions,
-// 32 KiB pages, DivideSkip merging).
+// DivideSkip merging). Page size, stall bound and maintenance pool are
+// constants (EXPERIMENTS.md, "The knob sweep").
 type Config struct {
 	// NumNodes is the simulated node-controller count (paper: 8).
 	NumNodes int
@@ -27,9 +28,6 @@ type Config struct {
 	PartitionsPerNode int
 	// DataDir is the root directory for all node storage. Required.
 	DataDir string
-	// PageSize is the storage page size (paper: 128 KB; scaled default
-	// 32 KB).
-	PageSize int
 	// DiskBufferCacheBytes is the per-node buffer cache (paper: 2 GB).
 	DiskBufferCacheBytes int64
 	// MemComponentBudgetBytes is the in-memory LSM component budget per
@@ -74,13 +72,6 @@ type Config struct {
 	// memory is free (FIFO). It only gates queries that have a per-query
 	// budget; unbudgeted queries claim nothing. 0 disables the pool.
 	ClusterMemoryBudget int64
-	// MaintenanceWorkers sizes each node's background flush/merge worker
-	// pool, shared by every LSM tree on the node. Default 2.
-	MaintenanceWorkers int
-	// StallThreshold is the per-tree cap on rotated, flush-pending
-	// in-memory components: writers stall once this many pile up until
-	// background flushing catches up. Default 4.
-	StallThreshold int
 	// WALSyncMode selects crash durability for ingestion. "commit" (the
 	// default) fsyncs the per-partition write-ahead log before
 	// acknowledging, with concurrent committers coalesced into one
@@ -102,17 +93,10 @@ type Config struct {
 	// connections.
 	Transport string
 	// FrameSize is the tuple batch size per connector send (0 takes
-	// hyracks.DefaultFrameSize, 128).
+	// hyracks.DefaultFrameSize, 128). Only the simdbd streaming tests
+	// set it, so that a small result spans many frames (4 000 rows in
+	// frames of 8 in TestBoundedBuffering).
 	FrameSize int
-	// ChanCap is the per-channel frame buffer — the connector
-	// backpressure bound, mirrored by the tcp transport as its
-	// per-stream credit window (0 takes hyracks.DefaultChanCap, 4).
-	ChanCap int
-	// WorkerCmd is the command line that launches one worker process in
-	// tcp mode; the child must call MaybeRunWorker early in main (or
-	// TestMain). Empty runs os.Executable() with no arguments — correct
-	// for binaries and `go test` processes that install the hook.
-	WorkerCmd []string
 	// ServeAddr, when set (e.g. ":8095" or ":0"), makes core.Open start
 	// the simdbd HTTP front end: sessions, streaming NDJSON query
 	// results, bulk ingest, cancellation, /metrics, /queries, /traces,
@@ -149,20 +133,11 @@ func (c Config) WithDefaults() Config {
 	if c.PartitionsPerNode <= 0 {
 		c.PartitionsPerNode = 2
 	}
-	if c.PageSize <= 0 {
-		c.PageSize = 32 << 10
-	}
 	if c.DiskBufferCacheBytes <= 0 {
 		c.DiskBufferCacheBytes = 64 << 20
 	}
 	if c.MemComponentBudgetBytes <= 0 {
 		c.MemComponentBudgetBytes = 16 << 20
-	}
-	if c.MaintenanceWorkers <= 0 {
-		c.MaintenanceWorkers = 2
-	}
-	if c.StallThreshold <= 0 {
-		c.StallThreshold = 4
 	}
 	if c.TOccurrence == "" {
 		c.TOccurrence = "divideskip"

@@ -86,8 +86,7 @@ func TestTinyBufferCacheStillCorrect(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(Config{
 		NumNodes: 1, PartitionsPerNode: 2, DataDir: dir,
-		DiskBufferCacheBytes: 1, // clamped to a handful of pages
-		PageSize:             4096,
+		DiskBufferCacheBytes: 1, // clamped to four pages of storage.DefaultPageSize
 	})
 	if err != nil {
 		t.Fatal(err)

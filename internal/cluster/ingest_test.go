@@ -273,8 +273,6 @@ func TestIngestQueryStress(t *testing.T) {
 	c, err := New(Config{
 		NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(),
 		MemComponentBudgetBytes: 4 << 10, // constant rotation + merge pressure
-		MaintenanceWorkers:      2,
-		StallThreshold:          2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,11 +363,12 @@ func TestIngestQueryStress(t *testing.T) {
 	}
 }
 
-// TestIngestSoak is the CI soak job: a sustained ingest under
-// deliberately tight maintenance (a stall threshold of 2, one
-// maintenance worker) so write stalls engage, verified for
-// completeness at the end. Scaled down unless SIMDB_SOAK is set; SIMDB_WAL_MODE picks the
-// sync mode (the CI job runs "commit" and "off").
+// TestIngestSoak is the CI soak job: a sustained ingest into 2 KiB
+// memtables, so rotations outrun the node's flush workers and write
+// stalls engage at the engine's own stall bound, verified for
+// completeness at the end. Scaled down unless SIMDB_SOAK is set;
+// SIMDB_WAL_MODE picks the sync mode (the CI job runs "commit" and
+// "off").
 func TestIngestSoak(t *testing.T) {
 	batches := 40
 	if os.Getenv("SIMDB_SOAK") == "" {
@@ -378,8 +377,6 @@ func TestIngestSoak(t *testing.T) {
 	c, err := New(Config{
 		NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(),
 		MemComponentBudgetBytes: 2 << 10,
-		MaintenanceWorkers:      1,
-		StallThreshold:          2,
 		WALSyncMode:             os.Getenv("SIMDB_WAL_MODE"),
 	})
 	if err != nil {

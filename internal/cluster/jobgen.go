@@ -56,8 +56,11 @@ type jobGen struct {
 	// the memo operators this job replays, memoCaps those it captures,
 	// memoUse every memo key's outcome, memoReads the one reading of each
 	// memo's dataset version by dsKey, and memoEpoch the catalog epoch
-	// they are resolved at (memo.go); nil in a plan without memo.
+	// they are resolved at (memo.go); nil in a plan without memo. budget
+	// is the job's memory budget (0 unlimited), which decides whether a
+	// key marked unkept may be captured again.
 	replay    bool
+	budget    int64
 	memoHits  map[*algebra.Op]*memoEntry
 	memoCaps  map[*algebra.Op]*memoCapture
 	memoUse   map[string]string
@@ -98,8 +101,8 @@ func colMap(schema []algebra.Var) map[algebra.Var]int {
 // generateJob compiles the plan (rooted at OpWrite) into a job and
 // returns its generator, which holds the job and its memo outcomes and
 // captures, plus the result collector. It replays memo entries only if
-// replay is set.
-func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay bool) (*jobGen, *hyracks.Collector, error) {
+// replay is set; budget is the memory budget the job will run under.
+func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay bool, budget int64) (*jobGen, *hyracks.Collector, error) {
 	if root.Kind != algebra.OpWrite {
 		return nil, nil, fmt.Errorf("jobgen: plan root is %v, want distribute-result", root.Kind)
 	}
@@ -116,6 +119,7 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay 
 		live:     algebra.LiveVars(root),
 		counters: counters,
 		replay:   replay,
+		budget:   budget,
 	}
 	// A memo can hit or be captured only if no reader of it is other
 	// than a hash join that can build on it.

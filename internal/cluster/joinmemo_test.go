@@ -626,7 +626,7 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := c.generateJob(plan, nil, true)
+		g, _, err := c.generateJob(plan, nil, true, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -644,5 +644,64 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 	if unkeptBuild != keptProbe || keptBuild == keptProbe {
 		t.Errorf("with the keys unkept the prefix join builds on %s, want %s, the input a capturing job probes with (it builds on %s)",
 			unkeptBuild, keptProbe, keptBuild)
+	}
+}
+
+// TestJoinMemoSpillMarkYieldsToALargerBudget runs the join where its
+// build sides spill and then unbudgeted: the spill marked both keys
+// unkept under the small budget, and the unbudgeted job captures them
+// again, so a third run hits.
+func TestJoinMemoSpillMarkYieldsToALargerBudget(t *testing.T) {
+	c, sess, _ := loadBenchJoin(t)
+	want := joinPairs(exec(t, c, NewSession(), `set memorybudget 'unlimited'; `+benchJoin.AQL("ReviewsPlain")))
+	c.memo = newMemoStore()
+	exec(t, c, sess, `set memorybudget '64k';`)
+	for run, tc := range []struct {
+		budget  string
+		outcome string
+		entries int
+	}{
+		{"64k", memoMiss, 0},
+		{"unlimited", memoMiss, 2},
+		{"unlimited", memoHit, 2},
+	} {
+		exec(t, c, sess, `set memorybudget '`+tc.budget+`';`)
+		res := exec(t, c, sess, benchJoin.AQL("ReviewsPlain"))
+		if got := joinPairs(res); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("run %d: pairs %v, want %v", run, got, want)
+		}
+		for key, o := range memoOutcomes(t, res) {
+			if o != tc.outcome {
+				t.Errorf("run %d (%s): memo %s is %s, want %s", run, tc.budget, key, o, tc.outcome)
+			}
+		}
+		if st := c.MemoStats(); st.Entries != tc.entries {
+			t.Errorf("run %d (%s): memo holds %d entries, want %d", run, tc.budget, st.Entries, tc.entries)
+		}
+	}
+}
+
+// TestMemoUnkeptMarkBudgets checks which budgets an unkept mark turns
+// away: a spill mark every budget up to the one that spilled, a mark of
+// tables the memo had no room for every budget.
+func TestMemoUnkeptMarkBudgets(t *testing.T) {
+	s := newMemoStore()
+	s.put("spilled", &memoEntry{ds: "d", epoch: 1, version: 1, spilledAt: 64 << 10})
+	s.put("full", &memoEntry{ds: "d", epoch: 1, version: 1, tables: []*hyracks.JoinTable{}, bytes: memoByteCap + 1})
+	for _, tc := range []struct {
+		key    string
+		budget int64
+		keep   bool
+	}{
+		{"spilled", 32 << 10, false},
+		{"spilled", 64 << 10, false},
+		{"spilled", 2 << 20, true},
+		{"spilled", 0, true},
+		{"full", 2 << 20, false},
+		{"full", 0, false},
+	} {
+		if _, keep := s.get(tc.key, 1, 1, tc.budget); keep != tc.keep {
+			t.Errorf("%s mark, budget %d: keep = %v, want %v", tc.key, tc.budget, keep, tc.keep)
+		}
 	}
 }

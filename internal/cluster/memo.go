@@ -33,7 +33,8 @@ import (
 // the tables its joins kept only when every one was kept (no build side
 // spilled) and no write to the dataset began during the job. A key whose
 // tables could not be kept is marked, and no job tries again at that
-// epoch and version: the side the memo sits on can be the larger one,
+// epoch and version unless a build side spilled and the job's memory
+// budget is larger: the side the memo sits on can be the larger one,
 // and building it only pays when the table is kept. The rest of
 // the job reads the live records, so a job that probed an entry and
 // overlapped the start of a write is run again without the memo
@@ -75,12 +76,16 @@ func (c *Cluster) dataVersion(dv, ds string) *dataVersion {
 
 // memoEntry is one key's kept build side: tables[p] is the table
 // partition p probes, or tables[0] is every partition's when the join
-// broadcast its build side. ds names the dataset (dsKey).
+// broadcast its build side. ds names the dataset (dsKey). spilledAt is
+// the memory budget a build side spilled under, on an entry left a table
+// short and on its unkept mark; a mark of 0 is tables the memo had no
+// room for, which no budget changes.
 type memoEntry struct {
 	ds             string
 	epoch, version uint64
 	tables         []*hyracks.JoinTable
 	bytes          int64
+	spilledAt      int64
 }
 
 // table returns the table partition part probes.
@@ -112,11 +117,12 @@ func newMemoStore() *memoStore {
 }
 
 // get returns key's entry if it was captured at epoch and version, and
-// counts a hit or a miss. On a miss, keep reports whether the job may
-// try to keep key's tables: not if a job at the same epoch and version
-// could not. An entry or mark of another epoch or version is never
-// served again (both only grow) and is dropped.
-func (s *memoStore) get(key string, epoch, version uint64) (e *memoEntry, keep bool) {
+// counts a hit or a miss. On a miss, keep reports whether a job running
+// under budget (0 unlimited) may try to keep key's tables: not if a job
+// at the same epoch and version could not, unless that job spilled under
+// a smaller budget. An entry or mark of another epoch or version is
+// never served again (both only grow) and is dropped.
+func (s *memoStore) get(key string, epoch, version uint64, budget int64) (e *memoEntry, keep bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stale := func(e *memoEntry) bool { return e != nil && (e.epoch != epoch || e.version != version) }
@@ -129,7 +135,8 @@ func (s *memoStore) get(key string, epoch, version uint64) (e *memoEntry, keep b
 	}
 	if e == nil {
 		s.misses.Add(1)
-		return nil, s.unkept[key] == nil
+		m := s.unkept[key]
+		return nil, m == nil || m.spilledAt != 0 && (budget == 0 || budget > m.spilledAt)
 	}
 	s.hits.Add(1)
 	return e, false
@@ -157,7 +164,7 @@ func (s *memoStore) put(key string, e *memoEntry) {
 		return
 	}
 	if e.tables == nil || s.bytes+e.bytes > memoByteCap {
-		s.unkept[key] = &memoEntry{ds: e.ds, epoch: e.epoch, version: e.version}
+		s.unkept[key] = &memoEntry{ds: e.ds, epoch: e.epoch, version: e.version, spilledAt: e.spilledAt}
 		return
 	}
 	s.entries[key] = e
@@ -223,6 +230,7 @@ type memoCapture struct {
 	ds     string
 	read   memoReading
 	epoch  uint64
+	budget int64
 	tables []atomic.Pointer[hyracks.JoinTable]
 }
 
@@ -299,14 +307,14 @@ func (g *jobGen) resolveMemo(op *algebra.Op, builds bool) bool {
 	}
 	if !g.replay {
 		g.c.memo.misses.Add(1)
-	} else if e, keep := g.c.memo.get(op.MemoKey, g.memoEpoch, r.version); e != nil {
+	} else if e, keep := g.c.memo.get(op.MemoKey, g.memoEpoch, r.version, g.budget); e != nil {
 		g.memoUse[op.MemoKey] = memoHit
 		g.memoHits[op] = e
 		return true
 	} else if !keep {
 		return false
 	}
-	g.memoCaps[op] = &memoCapture{key: op.MemoKey, ds: dsKey(op.Dataverse, op.Dataset), read: r, epoch: g.memoEpoch}
+	g.memoCaps[op] = &memoCapture{key: op.MemoKey, ds: dsKey(op.Dataverse, op.Dataset), read: r, epoch: g.memoEpoch, budget: g.budget}
 	return false
 }
 
@@ -360,8 +368,8 @@ func (g *jobGen) genMemo(op *algebra.Op) (*genOut, error) {
 
 // commitMemos stores the captures of a job that succeeded, over a
 // dataset no write began on since the job was generated: those whose
-// every table was kept, and as unkept those a spilled build side left a
-// table short of.
+// every table was kept, and as unkept, at the job's budget, those a
+// spilled build side left a table short of.
 func (c *Cluster) commitMemos(caps map[*algebra.Op]*memoCapture) {
 	for _, cp := range caps {
 		if cp.tables == nil || cp.read.moved() {
@@ -371,7 +379,7 @@ func (c *Cluster) commitMemos(caps map[*algebra.Op]*memoCapture) {
 		for i := range cp.tables {
 			t := cp.tables[i].Load()
 			if t == nil {
-				e.tables = nil
+				e.tables, e.spilledAt = nil, cp.budget
 				break
 			}
 			e.tables[i] = t

@@ -37,6 +37,10 @@ type NodeController struct {
 	cfg  Config
 }
 
+// maintenanceWorkers sizes each node's flush/merge pool
+// (EXPERIMENTS.md, "The knob sweep").
+const maintenanceWorkers = 2
+
 func newNodeController(id int, cfg Config) (*NodeController, error) {
 	fs := cfg.FS
 	if fs == nil {
@@ -49,8 +53,8 @@ func newNodeController(id int, cfg Config) (*NodeController, error) {
 	return &NodeController{
 		ID:        id,
 		dir:       dir,
-		cache:     storage.NewBufferCache(int(cfg.DiskBufferCacheBytes), cfg.PageSize),
-		maint:     storage.NewScheduler(cfg.MaintenanceWorkers),
+		cache:     storage.NewBufferCache(int(cfg.DiskBufferCacheBytes), storage.DefaultPageSize),
+		maint:     storage.NewScheduler(maintenanceWorkers),
 		fs:        fs,
 		primaries: map[string]*storage.LSMTree{},
 		inverted:  map[string]*invindex.Index{},
@@ -71,11 +75,9 @@ func sanitize(s string) string {
 
 func (n *NodeController) lsmOptions() storage.LSMOptions {
 	return storage.LSMOptions{
-		PageSize:       n.cfg.PageSize,
 		MemBudgetBytes: n.cfg.MemComponentBudgetBytes,
 		Cache:          n.cache,
 		Maintenance:    n.maint,
-		MaxImmutable:   n.cfg.StallThreshold,
 		FS:             n.fs,
 	}
 }

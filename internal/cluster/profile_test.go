@@ -112,7 +112,7 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, _, err := c.generateJob(plan, nil, true)
+			g, _, err := c.generateJob(plan, nil, true, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -116,10 +116,11 @@ type Session struct {
 	// and -1 (`set memorybudget 'unlimited';`) disables budgeting even
 	// when the config sets a default.
 	MemoryBudget int64
-	// Opts overrides the optimizer options; nil means defaults. A session
-	// carrying an override is an ablation run: like `explain`, its
-	// requests neither probe nor store in the plan cache, so a cache entry
-	// is a function of what a client can send.
+	// Opts overrides the optimizer options; nil means defaults. Its
+	// MemoryBudgetBytes is ignored: the budget comes from MemoryBudget
+	// alone. A session carrying an override is an ablation run: like
+	// `explain`, its requests neither probe nor store in the plan cache,
+	// so a cache entry is a function of what a client can send.
 	Opts *optimizer.Options
 }
 
@@ -152,11 +153,7 @@ func (c *Cluster) snapshotSession(s *Session) sessionState {
 	if s.Opts != nil {
 		st.Opts = *s.Opts
 	}
-	if st.Opts.MemoryBudgetBytes == 0 {
-		st.Opts.MemoryBudgetBytes = c.resolveMemoryBudget(s.MemoryBudget)
-	} else if st.Opts.MemoryBudgetBytes < 0 {
-		st.Opts.MemoryBudgetBytes = 0
-	}
+	st.Opts.MemoryBudgetBytes = c.resolveMemoryBudget(s.MemoryBudget)
 	return st
 }
 
@@ -602,7 +599,7 @@ type localJob struct {
 // newLocalJob generates the job for plan and lays out its topology. net
 // is nil unless nodes live in other processes.
 func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, replay bool) (*localJob, error) {
-	g, collector, err := c.generateJob(plan, counters, replay)
+	g, collector, err := c.generateJob(plan, counters, replay, memBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -611,7 +608,6 @@ func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint
 		PartsPerNode:    c.cfg.PartitionsPerNode,
 		NetFrameLatency: time.Duration(c.simNetLat.Load()),
 		FrameSize:       c.cfg.FrameSize,
-		ChanCap:         c.cfg.ChanCap,
 		Transport:       net,
 		JobID:           id,
 	}}

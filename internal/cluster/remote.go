@@ -190,7 +190,7 @@ func startRemote(c *Cluster) (*remoteCoordinator, error) {
 	cfg := c.cfg
 	r := &remoteCoordinator{
 		c:       c,
-		net:     transport.NewNet(0, cfg.ChanCap),
+		net:     transport.NewNet(0, hyracks.DefaultChanCap),
 		pending: map[uint64]*pendingCall{},
 		synced:  make([]uint64, cfg.NumNodes),
 	}
@@ -201,14 +201,12 @@ func startRemote(c *Cluster) (*remoteCoordinator, error) {
 		return nil, fmt.Errorf("cluster: coordinator listen: %w", err)
 	}
 
-	argv := cfg.WorkerCmd
-	if len(argv) == 0 {
-		self, err := os.Executable()
-		if err != nil {
-			r.net.Close()
-			return nil, fmt.Errorf("cluster: resolve worker binary: %w", err)
-		}
-		argv = []string{self}
+	// A worker is this executable run again: MaybeRunWorker, at the top
+	// of its main, sees SIMDB_WORKER and serves instead.
+	self, err := os.Executable()
+	if err != nil {
+		r.net.Close()
+		return nil, fmt.Errorf("cluster: resolve worker binary: %w", err)
 	}
 	bootCfg := cfg
 	bootCfg.FS = nil // never serialized; validated nil for tcp mode anyway
@@ -218,8 +216,8 @@ func startRemote(c *Cluster) (*remoteCoordinator, error) {
 			r.teardown()
 			return nil, err
 		}
-		cmd := osexec.Command(argv[0], argv[1:]...)
-		cmd.Env = append(os.Environ(), "SIMDB_WORKER=1")
+		cmd := osexec.Command(self)
+		cmd.Env = append(os.Environ(), workerEnv+"=1")
 		// Workers share the coordinator's stderr so their logs (and crash
 		// output) surface; stdout stays quiet.
 		cmd.Stderr = os.Stderr

@@ -10,6 +10,7 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/aqlp"
+	"simdb/internal/hyracks"
 	"simdb/internal/obs"
 	"simdb/internal/transport"
 )
@@ -20,26 +21,26 @@ const workerEnv = "SIMDB_WORKER"
 
 // MaybeRunWorker turns the current process into a cluster worker when
 // the SIMDB_WORKER environment variable is set, never returning in that
-// case. Any binary used as Config.WorkerCmd (including the default —
-// the coordinator's own executable — and `go test` binaries via
-// TestMain) must call it at the top of main, before flag parsing or
-// other side effects.
+// case. A tcp-mode coordinator launches its workers by running its own
+// executable again, so every binary that opens a tcp cluster (and every
+// `go test` binary that does, via TestMain) must call it at the top of
+// main, before flag parsing or other side effects.
 func MaybeRunWorker() {
 	if os.Getenv(workerEnv) == "" {
 		return
 	}
-	if err := RunWorker(os.Stdin); err != nil {
+	if err := runWorker(os.Stdin); err != nil {
 		fmt.Fprintln(os.Stderr, "simdb worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// RunWorker reads the bootstrap line from r, runs one node controller
+// runWorker reads the bootstrap line from r, runs one node controller
 // as a transport peer of the coordinator, and returns when told to shut
 // down (ckShutdown) or when r reaches EOF — the backstop for a crashed
 // or killed coordinator, whose stdin pipe closes with it.
-func RunWorker(r io.Reader) error {
+func runWorker(r io.Reader) error {
 	dec := json.NewDecoder(r)
 	var boot workerBootstrap
 	if err := dec.Decode(&boot); err != nil {
@@ -58,7 +59,7 @@ func RunWorker(r io.Reader) error {
 	w := &worker{
 		c:    c,
 		node: boot.Node,
-		net:  transport.NewNet(boot.Node, cfg.ChanCap),
+		net:  transport.NewNet(boot.Node, hyracks.DefaultChanCap),
 		jobs: map[uint64]context.CancelFunc{},
 		done: make(chan struct{}),
 	}

@@ -195,7 +195,6 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 
 	var bytesShuffled, netMessages atomic.Int64
 	tr := topo.Transport
-	chanCap := topo.chanCap()
 
 	// Validate and build edges, indexed by (consumer op, input port).
 	// Edge indexes are assigned in DAG construction order, so every
@@ -248,10 +247,10 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 					if merging {
 						e.merged[c] = make([]chan frame, in.From.Parts)
 						for p := range e.merged[c] {
-							e.merged[c][p] = make(chan frame, chanCap)
+							e.merged[c][p] = make(chan frame, DefaultChanCap)
 						}
 					} else {
-						rc = &refCountedChan{ch: make(chan frame, chanCap), remaining: in.From.Parts}
+						rc = &refCountedChan{ch: make(chan frame, DefaultChanCap), remaining: in.From.Parts}
 						e.plain[c] = rc
 					}
 					for p := 0; p < in.From.Parts; p++ {

@@ -46,9 +46,10 @@ type frame struct {
 // Topology.FrameSize is unset.
 const DefaultFrameSize = 128
 
-// DefaultChanCap is the per-channel frame buffer (backpressure bound)
-// when Topology.ChanCap is unset. The TCP transport mirrors this bound
-// as its per-stream flow-control credit window.
+// DefaultChanCap is every connector channel's frame buffer (the
+// backpressure bound) and the TCP transport's per-stream credit window,
+// so a stream exerts the same backpressure within a process and across
+// two (EXPERIMENTS.md, "The knob sweep").
 const DefaultChanCap = 4
 
 // SortCol names a sort column and direction for merging connectors and

@@ -158,10 +158,6 @@ type Topology struct {
 	// FrameSize overrides the tuple batch size per connector send;
 	// 0 takes DefaultFrameSize.
 	FrameSize int
-	// ChanCap overrides the per-channel frame buffer — the backpressure
-	// bound, mirrored by the TCP transport as its per-stream credit
-	// window; 0 takes DefaultChanCap.
-	ChanCap int
 	// Transport, when non-nil, carries frames between nodes hosted by
 	// different processes: Run executes only the instances placed on
 	// Transport.LocalNode() and bridges cross-process edges through
@@ -180,14 +176,6 @@ func (t Topology) frameSize() int {
 		return t.FrameSize
 	}
 	return DefaultFrameSize
-}
-
-// chanCap returns the effective per-channel frame buffer.
-func (t Topology) chanCap() int {
-	if t.ChanCap > 0 {
-		return t.ChanCap
-	}
-	return DefaultChanCap
 }
 
 // NodeOf returns the node hosting partition p of an operator with n

@@ -586,7 +586,7 @@ func Replicate(outPorts int) func() Operator {
 // the first row while upstream operators are still producing later
 // ones. A Sink that blocks exerts backpressure through the connector's
 // bounded frame channels — upstream buffering stays bounded by a frame
-// multiple (ChanCap × FrameSize per edge), never by the result size. A
+// multiple (DefaultChanCap × FrameSize per edge), never by the result size. A
 // Sink error aborts the job and propagates out of Run.
 type Collector struct {
 	mu     sync.Mutex

@@ -248,10 +248,3 @@ func TOccurrenceJaccard(qTokens int, delta float64) int {
 func TOccurrenceEditDistance(gramCount, k, n int) int {
 	return gramCount - k*n
 }
-
-// IsEditDistanceCornerCase reports whether an edit-distance query with
-// the given gram count, threshold k, and gram length n hits the
-// T-occurrence corner case (T <= 0).
-func IsEditDistanceCornerCase(gramCount, k, n int) bool {
-	return TOccurrenceEditDistance(gramCount, k, n) <= 0
-}

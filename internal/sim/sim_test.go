@@ -405,12 +405,6 @@ func TestTOccurrenceEditDistancePaperExample(t *testing.T) {
 	if got := TOccurrenceEditDistance(4, 3, 2); got != -2 {
 		t.Errorf("T = %d, want -2", got)
 	}
-	if !IsEditDistanceCornerCase(4, 3, 2) {
-		t.Error("T=-2 should be a corner case")
-	}
-	if IsEditDistanceCornerCase(4, 1, 2) {
-		t.Error("T=2 should not be a corner case")
-	}
 }
 
 func TestTOccurrenceSoundnessProperty(t *testing.T) {

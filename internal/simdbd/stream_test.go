@@ -70,7 +70,6 @@ func TestStreamingFirstRowBeforeCompletion(t *testing.T) {
 func TestBoundedBuffering(t *testing.T) {
 	db, base := bootServer(t, func(cfg *core.Config) {
 		cfg.FrameSize = 8
-		cfg.ChanCap = 2
 	})
 	// Wide rows (8 KiB pad) make the full result ~32 MiB — far past
 	// anything kernel socket buffers could absorb, so an unbounded

@@ -50,9 +50,15 @@ var (
 	quarantinedC  = obs.C("storage.recover.quarantined")
 )
 
+// DefaultPageSize is the target data-page size of row components when
+// LSMOptions.PageSize is unset: the engine's one page size
+// (EXPERIMENTS.md, "The knob sweep").
+const DefaultPageSize = 32 << 10
+
 // LSMOptions configures an LSM tree.
 type LSMOptions struct {
-	// PageSize is the target data-page size of on-disk components.
+	// PageSize is the target data-page size of on-disk components
+	// (default DefaultPageSize).
 	PageSize int
 	// MemBudgetBytes rotates the active memtable into the flush queue
 	// once its footprint exceeds this many bytes.
@@ -108,7 +114,7 @@ func (t *LSMTree) newComponentSink(path string) (componentSink, error) {
 func (o *LSMOptions) withDefaults() LSMOptions {
 	out := *o
 	if out.PageSize <= 0 {
-		out.PageSize = 32 << 10
+		out.PageSize = DefaultPageSize
 	}
 	if out.MemBudgetBytes <= 0 {
 		out.MemBudgetBytes = 8 << 20

@@ -83,12 +83,6 @@ func (s *WordScratch) WordTokens(b []byte) [][]byte {
 	return s.toks
 }
 
-// UniqueWordTokens returns WordTokens with duplicates removed,
-// preserving first-occurrence order.
-func UniqueWordTokens(s string) []string {
-	return dedupe(WordTokens(s))
-}
-
 // GramTokens returns the n-grams of s (lower-cased). If pad is true the
 // string is padded with n-1 leading '#' and trailing '$' characters, so
 // every string of length >= 1 has at least one gram and prefix/suffix
@@ -119,45 +113,6 @@ func GramTokens(s string, n int, pad bool) []string {
 		grams = append(grams, string(runes[i:i+n]))
 	}
 	return grams
-}
-
-// UniqueGramTokens returns GramTokens with duplicates removed,
-// preserving first-occurrence order.
-func UniqueGramTokens(s string, n int, pad bool) []string {
-	return dedupe(GramTokens(s, n, pad))
-}
-
-// GramCount returns the number of (padded or unpadded) n-grams the
-// string would produce, without materializing them. It is the |G(r)|
-// term of the T-occurrence lower bound T = |G(q)| - k*n.
-func GramCount(s string, n int, pad bool) int {
-	l := 0
-	for range s {
-		l++
-	}
-	if pad {
-		l += 2 * (n - 1)
-	}
-	if l < n {
-		return 0
-	}
-	return l - n + 1
-}
-
-func dedupe(tokens []string) []string {
-	if len(tokens) <= 1 {
-		return tokens
-	}
-	seen := make(map[string]struct{}, len(tokens))
-	out := tokens[:0]
-	for _, t := range tokens {
-		if _, ok := seen[t]; ok {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
 }
 
 // CountedToken is a token qualified by its occurrence ordinal: the

@@ -29,14 +29,6 @@ func TestWordTokens(t *testing.T) {
 	}
 }
 
-func TestUniqueWordTokens(t *testing.T) {
-	got := UniqueWordTokens("dup dup other DUP")
-	want := []string{"dup", "other"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueWordTokens = %v, want %v", got, want)
-	}
-}
-
 func TestGramTokensUnpadded(t *testing.T) {
 	got := GramTokens("james", 2, false)
 	want := []string{"ja", "am", "me", "es"}
@@ -82,23 +74,6 @@ func TestGramTokensEdge(t *testing.T) {
 	got := GramTokens("ABC", 3, false)
 	if !reflect.DeepEqual(got, []string{"abc"}) {
 		t.Errorf("case folding: got %v", got)
-	}
-}
-
-func TestGramCountMatchesLen(t *testing.T) {
-	f := func(s string, n8 uint8, pad bool) bool {
-		n := int(n8%4) + 1
-		return GramCount(s, n, pad) == len(GramTokens(s, n, pad))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUniqueGramTokens(t *testing.T) {
-	got := UniqueGramTokens("aaaa", 2, false)
-	if !reflect.DeepEqual(got, []string{"aa"}) {
-		t.Errorf("UniqueGramTokens(aaaa,2) = %v", got)
 	}
 }
 
