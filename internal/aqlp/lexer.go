@@ -36,80 +36,129 @@ type token struct {
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
 // lex tokenizes the whole input up front.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
+	var toks []token
 	for {
 		l.skipSpaceAndComments()
-		if l.pos >= len(l.src) {
-			l.emit(tokEOF, "")
-			return l.toks, nil
-		}
 		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case c == '/' && l.peekAt(1) == '*' && l.peekAt(2) == '+':
-			end := strings.Index(l.src[l.pos:], "*/")
-			if end < 0 {
-				return nil, fmt.Errorf("aql: unterminated hint at %d", start)
-			}
-			body := strings.TrimSpace(l.src[l.pos+3 : l.pos+end])
-			l.pos += end + 2
-			l.toks = append(l.toks, token{tokHint, body, start})
-		case c == '$':
-			if l.peekAt(1) == '$' {
-				l.pos += 2
-				name := l.identPlain()
-				if name == "" {
-					return nil, fmt.Errorf("aql: bad meta variable at %d", start)
-				}
-				l.toks = append(l.toks, token{tokMetaVar, name, start})
-			} else {
-				l.pos++
-				name := l.identPlain()
-				if name == "" {
-					return nil, fmt.Errorf("aql: bad variable at %d", start)
-				}
-				l.toks = append(l.toks, token{tokVar, name, start})
-			}
-		case c == '#' && l.peekAt(1) == '#':
-			l.pos += 2
-			name := l.identPlain()
-			if name == "" {
-				return nil, fmt.Errorf("aql: bad meta clause at %d", start)
-			}
-			l.toks = append(l.toks, token{tokMetaClause, name, start})
-		case c == '\'' || c == '"':
-			s, err := l.lexString(c)
-			if err != nil {
-				return nil, err
-			}
-			l.toks = append(l.toks, token{tokString, s, start})
-		case c >= '0' && c <= '9' || (c == '.' && l.peekAt(1) >= '0' && l.peekAt(1) <= '9'):
-			l.lexNumber(start)
-		case isIdentStart(rune(c)):
-			name := l.ident()
-			l.toks = append(l.toks, token{tokIdent, name, start})
-		default:
-			if op := l.lexOperator(); op != "" {
-				l.toks = append(l.toks, token{tokOp, op, start})
-			} else if strings.ContainsRune("(){}[],;.:", rune(c)) {
-				l.pos++
-				l.toks = append(l.toks, token{tokPunct, string(c), start})
-			} else {
-				return nil, fmt.Errorf("aql: unexpected character %q at %d", c, start)
-			}
+		kind, text, err := l.scan()
+		if err == nil && kind == tokString {
+			text, err = unquote(text, start+1)
+		}
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, token{kind, text, start})
+		if kind == tokEOF {
+			return toks, nil
 		}
 	}
 }
 
-func (l *lexer) emit(k tokKind, text string) {
-	l.toks = append(l.toks, token{k, text, l.pos})
+// Canonical returns a request's text as the lexer reads it: each run of
+// whitespace and comments between two tokens becomes one space, none is
+// left at either end, and every token — literals and hints included —
+// keeps its bytes exactly. The result lexes to the same tokens as src,
+// so two requests whose tokens differ never share a canonical text; a
+// malformed token and everything after it stay as written. It is the
+// plan-cache key and the request text /queries and the slow-query log
+// show. Canonical builds no tokens; on a request that lexes, it
+// allocates at most its result.
+func Canonical(src string) string {
+	l := lexer{src: src}
+	var b strings.Builder
+	n := 0 // the canonical text so far is src[:n] until b holds a copy
+	for {
+		gap := l.pos
+		l.skipSpaceAndComments()
+		start := l.pos
+		if start == len(src) {
+			break
+		}
+		if _, _, err := l.scan(); err != nil {
+			l.pos = len(src)
+		}
+		sep := start > gap && (n > 0 || b.Len() > 0)
+		if b.Len() == 0 && (!sep && start == n || sep && start == n+1 && src[n] == ' ') {
+			n = l.pos
+			continue
+		}
+		if b.Len() == 0 {
+			b.Grow(len(src))
+			b.WriteString(src[:n])
+		}
+		if sep {
+			b.WriteByte(' ')
+		}
+		b.WriteString(src[start:l.pos])
+	}
+	if b.Len() == 0 {
+		return src[:n]
+	}
+	return b.String()
+}
+
+// scan reads the token at l.pos and moves past it. text is what the
+// parser reads of it: a variable or meta name, a hint's trimmed body, a
+// string's body between its quotes with escapes still in, a number
+// without its float suffix, or else the token's bytes. It only slices
+// the source.
+func (l *lexer) scan() (tokKind, string, error) {
+	start := l.pos
+	if start >= len(l.src) {
+		return tokEOF, "", nil
+	}
+	c := l.src[start]
+	switch {
+	case c == '/' && l.peekAt(1) == '*' && l.peekAt(2) == '+':
+		end := strings.Index(l.src[start:], "*/")
+		if end < 0 {
+			return 0, "", fmt.Errorf("aql: unterminated hint at %d", start)
+		}
+		l.pos += end + 2
+		return tokHint, strings.TrimSpace(l.src[start+3 : start+end]), nil
+	case c == '$':
+		kind, what := tokVar, "variable"
+		l.pos++
+		if l.peekAt(0) == '$' {
+			kind, what = tokMetaVar, "meta variable"
+			l.pos++
+		}
+		name := l.identPlain()
+		if name == "" {
+			return 0, "", fmt.Errorf("aql: bad %s at %d", what, start)
+		}
+		return kind, name, nil
+	case c == '#' && l.peekAt(1) == '#':
+		l.pos += 2
+		name := l.identPlain()
+		if name == "" {
+			return 0, "", fmt.Errorf("aql: bad meta clause at %d", start)
+		}
+		return tokMetaClause, name, nil
+	case c == '\'' || c == '"':
+		body, err := l.scanString(c)
+		return tokString, body, err
+	case c >= '0' && c <= '9' || (c == '.' && l.peekAt(1) >= '0' && l.peekAt(1) <= '9'):
+		kind, text := l.scanNumber()
+		return kind, text, nil
+	case isIdentStart(rune(c)):
+		return tokIdent, l.ident(), nil
+	}
+	if op := l.lexOperator(); op != "" {
+		return tokOp, op, nil
+	}
+	if strings.IndexByte("(){}[],;.:", c) >= 0 {
+		l.pos++
+		return tokPunct, l.src[start:l.pos], nil
+	}
+	return 0, "", fmt.Errorf("aql: unexpected character %q at %d", c, start)
 }
 
 func (l *lexer) peekAt(off int) byte {
@@ -191,44 +240,55 @@ func (l *lexer) identPlain() string {
 	return l.src[start:l.pos]
 }
 
-func (l *lexer) lexString(quote byte) (string, error) {
+// scanString moves past the string literal at l.pos and returns its
+// body between the quotes, escapes still in.
+func (l *lexer) scanString(quote byte) (string, error) {
 	start := l.pos
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
+	for l.pos++; l.pos < len(l.src); l.pos++ {
+		switch l.src[l.pos] {
 		case quote:
 			l.pos++
-			return sb.String(), nil
+			return l.src[start+1 : l.pos-1], nil
 		case '\\':
-			l.pos++
-			if l.pos >= len(l.src) {
-				return "", fmt.Errorf("aql: unterminated string at %d", start)
-			}
-			esc := l.src[l.pos]
-			switch esc {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '\\', '\'', '"':
-				sb.WriteByte(esc)
-			default:
-				return "", fmt.Errorf("aql: bad escape \\%c at %d", esc, l.pos)
-			}
-			l.pos++
-		default:
-			sb.WriteByte(c)
-			l.pos++
+			l.pos++ // the escaped byte
 		}
 	}
 	return "", fmt.Errorf("aql: unterminated string at %d", start)
 }
 
-// lexNumber handles ints, doubles, and the paper's ".5f" float-suffix
-// style.
-func (l *lexer) lexNumber(start int) {
+// unquote decodes the escapes of a string literal's body, which starts
+// at byte offset pos of the request.
+func unquote(body string, pos int) (string, error) {
+	if strings.IndexByte(body, '\\') < 0 {
+		return body, nil
+	}
+	var sb strings.Builder
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		if c != '\\' {
+			sb.WriteByte(c)
+			continue
+		}
+		i++
+		switch esc := body[i]; esc {
+		case 'n':
+			sb.WriteByte('\n')
+		case 't':
+			sb.WriteByte('\t')
+		case '\\', '\'', '"':
+			sb.WriteByte(esc)
+		default:
+			return "", fmt.Errorf("aql: bad escape \\%c at %d", esc, pos+i)
+		}
+	}
+	return sb.String(), nil
+}
+
+// scanNumber moves past an int or a double, including the paper's
+// ".5f" float-suffix style, and returns its kind and its text without
+// the suffix.
+func (l *lexer) scanNumber() (tokKind, string) {
+	start := l.pos
 	isDouble := false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -251,10 +311,9 @@ func (l *lexer) lexNumber(start int) {
 		l.pos++
 	}
 	if isDouble {
-		l.toks = append(l.toks, token{tokDouble, text, start})
-	} else {
-		l.toks = append(l.toks, token{tokInt, text, start})
+		return tokDouble, text
 	}
+	return tokInt, text
 }
 
 func (l *lexer) lexOperator() string {
@@ -267,10 +326,9 @@ func (l *lexer) lexOperator() string {
 		l.pos += 2
 		return two
 	}
-	c := l.src[l.pos]
-	if strings.ContainsRune("=<>+-*/%", rune(c)) {
+	if strings.IndexByte("=<>+-*/%", l.src[l.pos]) >= 0 {
 		l.pos++
-		return string(c)
+		return l.src[l.pos-1 : l.pos]
 	}
 	return ""
 }

@@ -139,3 +139,46 @@ func TestLexErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCanonical: Canonical's text lexes to the same tokens as the
+// request (same kinds and texts, or a failure in both), so two requests
+// share a canonical text only if they share their tokens; it is a fixed
+// point, and on a request that lexes it allocates at most once.
+func FuzzCanonical(f *testing.F) {
+	for _, s := range []string{
+		"for $r in dataset R return $r",
+		"  for   $r\n\tin dataset R\nreturn $r  ",
+		"// it's\nfor $r in dataset D where $r.name = 'a  b' return $r.id",
+		"/* it's */ return 'a\\'  b'",
+		"where /*+  indexnl */ $a.id = $b.id /* open",
+		"return a- -1 .5f//x\n*2",
+		"return $$V ##C 'unterminated",
+		"set simthreshold '.8f'; return 1 ~= 2 @",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c := Canonical(src)
+		want, werr := lex(src)
+		got, gerr := lex(c)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("lex(%q) err %v, lex(Canonical) = lex(%q) err %v", src, werr, c, gerr)
+		}
+		if werr == nil {
+			if len(got) != len(want) {
+				t.Fatalf("%q lexes to %d tokens, its canonical %q to %d", src, len(want), c, len(got))
+			}
+			for i := range want {
+				if got[i].kind != want[i].kind || got[i].text != want[i].text {
+					t.Fatalf("token %d of %q is %v, of its canonical %q %v", i, src, want[i], c, got[i])
+				}
+			}
+		}
+		if again := Canonical(c); again != c {
+			t.Fatalf("Canonical(%q) = %q, not a fixed point", c, again)
+		}
+		if n := testing.AllocsPerRun(1, func() { Canonical(src) }); werr == nil && n > 1 {
+			t.Fatalf("Canonical(%q) allocated %v times", src, n)
+		}
+	})
+}

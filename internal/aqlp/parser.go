@@ -1,7 +1,9 @@
 package aqlp
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"strconv"
 
 	"simdb/internal/adm"
@@ -13,7 +15,7 @@ import (
 func Parse(src string) (*Query, error) {
 	toks, err := lex(src)
 	if err != nil {
-		if obs.Log().Enabled(obs.LevelDebug) {
+		if obs.Log().Enabled(context.Background(), slog.LevelDebug) {
 			obs.Log().Debug("aql lex failed", "err", err)
 		}
 		return nil, err
@@ -32,7 +34,7 @@ func Parse(src string) (*Query, error) {
 		}
 		stmt, isStmt, err := p.tryStatement()
 		if err != nil {
-			if obs.Log().Enabled(obs.LevelDebug) {
+			if obs.Log().Enabled(context.Background(), slog.LevelDebug) {
 				obs.Log().Debug("aql parse failed", "err", err)
 			}
 			return nil, err

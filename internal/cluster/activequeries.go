@@ -160,11 +160,12 @@ func (r *activeQueries) list() []*activeQuery {
 	return out
 }
 
-// registerQuery opens a query's live-registry entry and its trace.
-func (c *Cluster) registerQuery(id uint64, src string, cancel context.CancelFunc) *queryRun {
+// registerQuery opens a query's live-registry entry and its trace;
+// norm is the request's canonical text.
+func (c *Cluster) registerQuery(id uint64, norm string, cancel context.CancelFunc) *queryRun {
 	aq := &activeQuery{
 		id:     id,
-		query:  truncateQuery(src),
+		query:  truncateQuery(norm),
 		start:  time.Now(),
 		cancel: cancel,
 	}

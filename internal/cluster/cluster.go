@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,7 +17,6 @@ import (
 	"simdb/internal/aqlp"
 	"simdb/internal/hyracks"
 	"simdb/internal/invindex"
-	"simdb/internal/obs"
 	"simdb/internal/obs/trace"
 	"simdb/internal/optimizer"
 	"simdb/internal/storage"
@@ -55,7 +55,7 @@ type Cluster struct {
 	// slowLog renders the records of queries slower than
 	// cfg.SlowQueryThreshold and slowRing retains the most recent ones
 	// for GET /slowlog.
-	slowLog  *obs.Logger
+	slowLog  atomic.Pointer[slog.Logger]
 	slowMu   sync.Mutex
 	slowRing []SlowQueryRecord
 
@@ -158,11 +158,11 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		tOccAlgo:  algo,
 		planCache: NewPlanCache(planCacheSize),
 		memo:      newMemoStore(),
-		qm:        newQueryManager(cfg.MaxConcurrentQueries, cfg.QueryTimeout, cfg.AdmissionTimeout, cfg.ClusterMemoryBudget),
-		slowLog:   obs.NewLogger(os.Stderr, obs.LevelInfo),
+		qm:        newQueryManager(cfg.MaxConcurrentQueries, cfg.QueryTimeout, cfg.AdmissionTimeout),
 		activeQ:   newActiveQueries(),
 		tracer:    trace.Default(),
 	}
+	c.SetSlowQueryLogOutput(os.Stderr)
 	c.Catalog.onEpoch = func(epoch uint64) { c.memo.purge(epoch) }
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {

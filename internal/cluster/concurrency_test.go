@@ -16,14 +16,14 @@ import (
 )
 
 func TestQueryManagerAdmission(t *testing.T) {
-	qm := newQueryManager(2, 0, 0, 0)
+	qm := newQueryManager(2, 0, 0)
 	ctx := context.Background()
 
-	_, rel1, _, err := qm.admit(ctx, 0)
+	_, rel1, _, err := qm.admit(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rel2, _, err := qm.admit(ctx, 0)
+	_, rel2, _, err := qm.admit(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestQueryManagerAdmission(t *testing.T) {
 	// Third caller must wait; a cancelled context gives up cleanly.
 	shortCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
-	if _, _, _, err := qm.admit(shortCtx, 0); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, _, err := qm.admit(shortCtx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("admit over capacity: err = %v, want deadline exceeded", err)
 	}
 	if got := qm.Stats().Rejected; got != 1 {
@@ -44,7 +44,7 @@ func TestQueryManagerAdmission(t *testing.T) {
 	// Freeing a slot admits the next waiter.
 	done := make(chan struct{})
 	go func() {
-		_, rel3, waitNs, err := qm.admit(ctx, 0)
+		_, rel3, waitNs, err := qm.admit(ctx)
 		if err != nil {
 			t.Error(err)
 		} else {

@@ -46,10 +46,9 @@ type Config struct {
 	MaxConcurrentQueries int
 	// QueryTimeout caps each admitted query's execution; 0 disables.
 	QueryTimeout time.Duration
-	// AdmissionTimeout bounds how long a query may wait for admission (a
-	// slot plus, when a cluster memory pool is configured, budgeted
-	// memory). Past it the query fails with ErrAdmissionTimeout even if
-	// the caller's context has no deadline — the load-shedding signal a
+	// AdmissionTimeout bounds how long a query may wait for an admission
+	// slot. Past it the query fails with ErrAdmissionTimeout even if the
+	// caller's context has no deadline — the load-shedding signal a
 	// serving front end turns into 503 + Retry-After. 0 disables: waits
 	// are bounded only by the caller's context.
 	AdmissionTimeout time.Duration
@@ -67,11 +66,6 @@ type Config struct {
 	// supplies a default — the CI low-memory job uses it to force spill
 	// paths under the whole test suite.
 	QueryMemoryBudget int64
-	// ClusterMemoryBudget, when positive, bounds the SUM of admitted
-	// queries' budgets: admission holds a query until enough budgeted
-	// memory is free (FIFO). It only gates queries that have a per-query
-	// budget; unbudgeted queries claim nothing. 0 disables the pool.
-	ClusterMemoryBudget int64
 	// WALSyncMode selects crash durability for ingestion. "commit" (the
 	// default) fsyncs the per-partition write-ahead log before
 	// acknowledging, with concurrent committers coalesced into one
@@ -121,8 +115,6 @@ type ServeConfig struct {
 	// SessionIdleTimeout evicts sessions with no request for this long.
 	// Default 15m.
 	SessionIdleTimeout time.Duration
-	// MaxRequestBytes caps a /query request body. Default 1 MiB.
-	MaxRequestBytes int64
 }
 
 // WithDefaults fills unset fields.

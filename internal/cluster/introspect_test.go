@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/pprof"
@@ -233,7 +234,7 @@ func TestActiveQueriesAndCancel(t *testing.T) {
 
 	// Occupy the single admission slot directly so the next query is
 	// held deterministically in the admission phase.
-	_, release, _, err := c.qm.admit(context.Background(), 0)
+	_, release, _, err := c.qm.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +303,12 @@ func TestSlowQueryRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	c.SetSlowQueryLogOutput(nopWriter{})
+	var logged bytes.Buffer
+	c.SetSlowQueryLogOutput(&logged)
 	sess := NewSession()
 	loadReviews(t, c, sess)
 
-	res := exec(t, c, sess, `for $r in dataset Reviews return $r.id`)
+	res := exec(t, c, sess, "// it's\nfor $r in dataset Reviews\n\treturn   $r.id")
 	recs := c.SlowQueries()
 	if len(recs) == 0 {
 		t.Fatal("no slow-query records retained")
@@ -314,8 +316,24 @@ func TestSlowQueryRing(t *testing.T) {
 	if recs[0].QueryID != res.Stats.QueryID {
 		t.Fatalf("ring head id %d, want %d", recs[0].QueryID, res.Stats.QueryID)
 	}
-	if recs[0].Query == "" || recs[0].WallNs <= 0 || recs[0].Rows != len(res.Rows) {
+	if recs[0].Query != "for $r in dataset Reviews return $r.id" || recs[0].WallNs <= 0 || recs[0].Rows != len(res.Rows) {
 		t.Fatalf("ring record incomplete: %+v", recs[0])
+	}
+	// The log line of the same query: one JSON object on the last line.
+	lines := bytes.Split(bytes.TrimSpace(logged.Bytes()), []byte("\n"))
+	var line struct {
+		Level   string `json:"level"`
+		Msg     string `json:"msg"`
+		QueryID uint64 `json:"query_id"`
+		Query   string `json:"query"`
+		Rows    int    `json:"rows"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &line); err != nil {
+		t.Fatalf("slow-query log line is not JSON: %v\n%s", err, logged.String())
+	}
+	if line.Level != "WARN" || line.Msg != "slow query" || line.QueryID != recs[0].QueryID ||
+		line.Query != recs[0].Query || line.Rows != recs[0].Rows {
+		t.Fatalf("slow-query log line = %+v, ring record %+v", line, recs[0])
 	}
 
 	// A streamed query keeps Result.Rows nil; its record still counts the
@@ -355,7 +373,3 @@ func TestLocalJobCarriesQueryLabel(t *testing.T) {
 		t.Fatalf("no goroutine labeled query_id=4242 in:\n%s", profile.String())
 	}
 }
-
-type nopWriter struct{}
-
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }

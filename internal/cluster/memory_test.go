@@ -175,106 +175,6 @@ func TestSpillCleanupOnCancel(t *testing.T) {
 	}
 }
 
-func TestMemPoolFIFO(t *testing.T) {
-	p := &memPool{capacity: 100}
-	if err := p.acquire(context.Background(), 60); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan int, 2)
-	go func() {
-		p.acquire(context.Background(), 80) // queued first
-		got <- 1
-	}()
-	// Let the first waiter queue, then add a second that WOULD fit now
-	// (60+30 <= 100); FIFO must hold it behind the first.
-	time.Sleep(10 * time.Millisecond)
-	go func() {
-		p.acquire(context.Background(), 30)
-		got <- 2
-	}()
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case v := <-got:
-		t.Fatalf("waiter %d admitted ahead of the queue", v)
-	default:
-	}
-	p.release(60)
-	if v := <-got; v != 1 {
-		t.Fatalf("waiter %d admitted first, want 1", v)
-	}
-	// Waiter 2 (30) must still wait: 80+30 exceeds capacity.
-	select {
-	case v := <-got:
-		t.Fatalf("waiter %d admitted while pool full", v)
-	case <-time.After(10 * time.Millisecond):
-	}
-	p.release(80)
-	if v := <-got; v != 2 {
-		t.Fatalf("waiter %d admitted, want 2", v)
-	}
-	p.release(30)
-	// Cancellation removes a queued waiter.
-	p2 := &memPool{capacity: 10}
-	if err := p2.acquire(context.Background(), 10); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if err := p2.acquire(ctx, 5); err == nil {
-		t.Fatal("cancelled acquire should fail")
-	}
-	p2.release(10)
-	// Oversized demands clamp to capacity instead of deadlocking.
-	if err := p2.acquire(context.Background(), 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	p2.release(1 << 40)
-	if used, _ := p2.snapshot(); used != 0 {
-		t.Fatalf("pool used = %d after release", used)
-	}
-}
-
-// TestAdmissionQueuesOnMemory runs queries that each claim the whole
-// cluster memory pool and checks they serialize (peak concurrency 1)
-// while an unbudgeted query is never gated.
-func TestAdmissionQueuesOnMemory(t *testing.T) {
-	qm := newQueryManager(8, 0, 0, 1<<20)
-	ctx := context.Background()
-	_, rel1, _, err := qm.admit(ctx, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unbudgeted queries pass the memory gate untouched.
-	_, rel0, _, err := qm.admit(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel0(nil)
-	done := make(chan struct{})
-	go func() {
-		_, rel2, _, err := qm.admit(ctx, 1<<20)
-		if err == nil {
-			rel2(nil)
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("second budgeted query admitted while pool exhausted")
-	case <-time.After(20 * time.Millisecond):
-	}
-	rel1(nil)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("released memory did not admit the waiter")
-	}
-	st := qm.Stats()
-	if st.MemCapacity != 1<<20 || st.MemUsed != 0 {
-		t.Fatalf("pool stats: %+v", st)
-	}
-}
-
 // TestPlanCacheKeyedByBudget: the same query text compiled under
 // different budgets must not collide in the plan cache.
 func TestPlanCacheKeyedByBudget(t *testing.T) {

@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"time"
+	"unicode/utf8"
 
 	"simdb/internal/obs"
 )
@@ -20,7 +22,7 @@ var (
 // SetSlowQueryLogOutput redirects the slow-query log (default stderr);
 // tests and embedders point it at a buffer or a file.
 func (c *Cluster) SetSlowQueryLogOutput(w io.Writer) {
-	c.slowLog.SetOutput(w)
+	c.slowLog.Store(slog.New(slog.NewJSONHandler(w, nil)))
 }
 
 // SlowQueryRecord is one retained slow-query log entry (GET /slowlog).
@@ -50,14 +52,14 @@ func (c *Cluster) SlowQueries() []SlowQueryRecord {
 
 // logSlowQuery emits the structured one-line JSON record for a query
 // whose wall time reached the threshold, and retains it in the slowlog
-// ring.
-func (c *Cluster) logSlowQuery(qid uint64, src string, wallNs int64, res *Result, err error) {
+// ring. query is the request's text as /queries shows it.
+func (c *Cluster) logSlowQuery(qid uint64, query string, wallNs int64, res *Result, err error) {
 	slowQueries.Inc()
 	rec := SlowQueryRecord{
 		QueryID: qid,
 		Time:    time.Now(),
 		WallNs:  wallNs,
-		Query:   truncateQuery(src),
+		Query:   query,
 	}
 	if res != nil {
 		rec.PlanCacheHit = res.Stats.PlanCacheHit
@@ -77,7 +79,7 @@ func (c *Cluster) logSlowQuery(qid uint64, src string, wallNs int64, res *Result
 	kv := []any{
 		"query_id", qid,
 		"wall_ms", float64(wallNs) / 1e6,
-		"query", truncateQuery(src),
+		"query", query,
 	}
 	if res != nil {
 		st := &res.Stats
@@ -107,17 +109,21 @@ func (c *Cluster) logSlowQuery(qid uint64, src string, wallNs int64, res *Result
 	if err != nil {
 		kv = append(kv, "error", err.Error())
 	}
-	c.slowLog.Warn("slow query", kv...)
+	c.slowLog.Load().Warn("slow query", kv...)
 }
 
-// truncateQuery bounds the query text recorded in log lines.
-func truncateQuery(src string) string {
+// truncateQuery bounds the query text recorded in /queries, traces
+// and log lines to about 200 bytes, cut at a rune boundary.
+func truncateQuery(norm string) string {
 	const max = 200
-	src = normalizeAQL(src)
-	if len(src) > max {
-		return src[:max] + "..."
+	if len(norm) <= max {
+		return norm
 	}
-	return src
+	cut := max
+	for cut > 0 && !utf8.RuneStart(norm[cut]) {
+		cut--
+	}
+	return norm[:cut] + "..."
 }
 
 // Metrics refreshes the point-in-time gauges (storage, caches, serving
@@ -215,11 +221,6 @@ func (c *Cluster) Metrics() obs.Snapshot {
 	r.Gauge("querymanager.timed_out").Set(qs.TimedOut)
 	r.Gauge("querymanager.active").Set(qs.Active)
 	r.Gauge("querymanager.peak_active").Set(qs.PeakActive)
-	if qs.MemCapacity > 0 {
-		r.Gauge("querymanager.mem_capacity").Set(qs.MemCapacity)
-		r.Gauge("querymanager.mem_used").Set(qs.MemUsed)
-		r.Gauge("querymanager.mem_waiting").Set(int64(qs.MemWaiting))
-	}
 
 	return r.Snapshot()
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +13,9 @@ import (
 // pipeline — the ~900 ms per-query AQL+ compile overhead the paper's
 // §6.4.1 measures and amortizes across a workload.
 //
-// Entries are keyed by the normalized AQL request text plus everything
+// Entries are keyed by the canonical AQL request text (aqlp.Canonical:
+// comments dropped, whitespace between tokens collapsed, tokens kept
+// byte for byte) plus everything
 // else a client can send that feeds compilation: the session's
 // dataverse, simfunction, simthreshold and resolved memory budget at
 // request entry. A session carrying an optimizer-options override is an
@@ -44,7 +45,7 @@ type PlanCache struct {
 // planKey identifies one compilable request. All fields participate in
 // equality.
 type planKey struct {
-	text         string // normalized AQL request text
+	text         string // aqlp.Canonical of the request
 	dataverse    string
 	simFunction  string
 	simThreshold string
@@ -143,44 +144,4 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 		Evictions:     pc.evictions.Load(),
 		Entries:       n,
 	}
-}
-
-// normalizeAQL canonicalizes a request's text for cache keying:
-// whitespace runs outside string literals collapse to a single space
-// and surrounding whitespace is trimmed. Quoted strings are preserved
-// byte-for-byte — two queries differing only inside a literal must
-// never collide on the same key.
-func normalizeAQL(src string) string {
-	var b strings.Builder
-	b.Grow(len(src))
-	var quote byte // active string delimiter, 0 outside literals
-	pendingSpace := false
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if quote != 0 {
-			b.WriteByte(c)
-			if c == '\\' && i+1 < len(src) {
-				i++
-				b.WriteByte(src[i])
-				continue
-			}
-			if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			pendingSpace = b.Len() > 0
-			continue
-		case '\'', '"':
-			quote = c
-		}
-		if pendingSpace {
-			b.WriteByte(' ')
-			pendingSpace = false
-		}
-		b.WriteByte(c)
-	}
-	return b.String()
 }

@@ -2,11 +2,19 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"simdb/internal/adm"
+	"simdb/internal/aqlp"
 	"simdb/internal/optimizer"
 )
 
+// TestNormalizeAQL: the plan-cache key is aqlp.Canonical of the
+// request: whitespace and comments between tokens collapse to one space,
+// literals and hints keep their bytes, and a quote inside a comment does
+// not open a literal.
 func TestNormalizeAQL(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"for $r in dataset R return $r", "for $r in dataset R return $r"},
@@ -16,15 +24,69 @@ func TestNormalizeAQL(t *testing.T) {
 		{`where $r.s ~= "a   b"  return  $r`, `where $r.s ~= "a   b" return $r`},
 		// Escaped quote does not terminate the literal.
 		{`return 'a\'  b'   ;`, `return 'a\'  b' ;`},
+		// Comments drop out; a quote inside one opens no literal.
+		{"// it's\nreturn 'a  b'", "return 'a  b'"},
+		{"/* it's */ return  'a  b'", "return 'a  b'"},
+		{"return 1/*x*/+ 2 // done", "return 1 + 2"},
+		// Hints are tokens and keep their bytes.
+		{"where /*+  indexnl */ $a.id = $b.id", "where /*+  indexnl */ $a.id = $b.id"},
 	}
 	for _, c := range cases {
-		if got := normalizeAQL(c.in); got != c.want {
-			t.Errorf("normalizeAQL(%q) = %q, want %q", c.in, got, c.want)
+		if got := aqlp.Canonical(c.in); got != c.want {
+			t.Errorf("Canonical(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
-	// Two queries differing only inside a literal must key differently.
-	if normalizeAQL("return 'a  b'") == normalizeAQL("return 'a b'") {
-		t.Error("literals with different spacing collided after normalization")
+	// Two queries differing only inside a literal must key differently,
+	// also after a comment holding a quote.
+	for _, pre := range []string{"", "// it's\n", "/* it's */"} {
+		if aqlp.Canonical(pre+"return 'a  b'") == aqlp.Canonical(pre+"return 'a b'") {
+			t.Errorf("literals with different spacing collided after %q", pre)
+		}
+	}
+}
+
+// TestTruncateQueryRuneBoundary: the text /queries and the slow-query
+// log show is cut on a rune boundary, so it stays valid UTF-8.
+func TestTruncateQueryRuneBoundary(t *testing.T) {
+	long := "return 'x" + strings.Repeat("é", 150) + "'"
+	got := truncateQuery(long)
+	if !utf8.ValidString(got) || !strings.HasSuffix(got, "...") || len(got) > 203 {
+		t.Fatalf("truncateQuery cut %q", got)
+	}
+	if short := "return 'é'"; truncateQuery(short) != short {
+		t.Fatalf("truncateQuery changed a short text: %q", truncateQuery(short))
+	}
+}
+
+// TestPlanCacheCommentQuote: an apostrophe inside a comment must not
+// change how the key reads the rest of the request. Two requests that
+// differ only in the spacing inside a later literal select different
+// records, so they must not share a cached plan.
+func TestPlanCacheCommentQuote(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset D primary key id;`)
+	for id, name := range map[int64]string{1: "a  b", 2: "a b"} {
+		rec := adm.EmptyRecord(2)
+		rec.Set("id", adm.NewInt(id))
+		rec.Set("name", adm.NewString(name))
+		if err := c.Insert("Default", "D", adm.NewRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []struct {
+		src  string
+		want int64
+	}{
+		{"// it's\nfor $r in dataset D where $r.name = 'a  b' return $r.id", 1},
+		{"// it's\nfor $r in dataset D where $r.name = 'a b' return $r.id", 2},
+		{"/* it's */ for $r in dataset D where $r.name = 'a  b' return $r.id", 1},
+		{"/* it's */ for $r in dataset D where $r.name = 'a b' return $r.id", 2},
+	} {
+		got := rowInts(t, exec(t, c, sess, q.src).Rows)
+		if len(got) != 1 || got[0] != q.want {
+			t.Errorf("%q returned %v, want [%d]", q.src, got, q.want)
+		}
 	}
 }
 

@@ -249,8 +249,8 @@ func TestSetProfileIsUnknownProperty(t *testing.T) {
 }
 
 func TestAdmissionTypedErrors(t *testing.T) {
-	m := newQueryManager(1, 0, 0, 0)
-	_, rel, _, err := m.admit(context.Background(), 0)
+	m := newQueryManager(1, 0, 0)
+	_, rel, _, err := m.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAdmissionTypedErrors(t *testing.T) {
 	// Second caller with a deadline: admission times out.
 	shortCtx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, _, _, err = m.admit(shortCtx, 0)
+	_, _, _, err = m.admit(shortCtx)
 	if !errors.Is(err, ErrAdmissionTimeout) {
 		t.Fatalf("err = %v, want ErrAdmissionTimeout", err)
 	}
@@ -272,7 +272,7 @@ func TestAdmissionTypedErrors(t *testing.T) {
 	// Third caller abandons the wait: canceled, not timed out.
 	canceledCtx, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	_, _, _, err = m.admit(canceledCtx, 0)
+	_, _, _, err = m.admit(canceledCtx)
 	if !errors.Is(err, ErrAdmissionCanceled) {
 		t.Fatalf("err = %v, want ErrAdmissionCanceled", err)
 	}
@@ -290,8 +290,8 @@ func TestAdmissionTypedErrors(t *testing.T) {
 }
 
 func TestReleaseClassifiesExecutionTimeout(t *testing.T) {
-	m := newQueryManager(1, time.Millisecond, 0, 0)
-	qctx, rel, _, err := m.admit(context.Background(), 0)
+	m := newQueryManager(1, time.Millisecond, 0)
+	qctx, rel, _, err := m.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestReleaseClassifiesExecutionTimeout(t *testing.T) {
 	// An error with the caller's own context done is NOT an execution
 	// timeout: the client went away.
 	ctx, cancel := context.WithCancel(context.Background())
-	qctx2, rel2, _, err := m.admit(ctx, 0)
+	qctx2, rel2, _, err := m.admit(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ type sessionState struct {
 // snapshotSession captures the compile-relevant session state. The
 // session's memory budget resolves against the cluster default into
 // Opts.MemoryBudgetBytes, the value budget-aware optimizer rules see,
-// admission charges, the job runs under and the plan-cache key carries.
+// the job runs under and the plan-cache key carries.
 func (c *Cluster) snapshotSession(s *Session) sessionState {
 	st := sessionState{
 		Dataverse:    s.Dataverse,
@@ -231,17 +231,16 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	qid := trace.NextQueryID()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	qr := c.registerQuery(qid, src, cancel)
+	norm := aqlp.Canonical(src)
+	qr := c.registerQuery(qid, norm, cancel)
 	qr.stream = stream
 	if stream != nil && stream.OnQueryID != nil {
 		// Announce the ID before admission, so a front end can expose it
 		// (e.g. for cancellation) while the query still waits for a slot.
 		stream.OnQueryID(qid)
 	}
-	// Admission charges the budget in effect at request entry; a `set
-	// memorybudget` inside this request applies from the next one.
 	entry := c.snapshotSession(sess)
-	qctx, release, admitNs, err := c.qm.admit(cctx, entry.Opts.MemoryBudgetBytes)
+	qctx, release, admitNs, err := c.qm.admit(cctx)
 	if err != nil {
 		queryErrors.Inc()
 		err = &QueryError{QueryID: qid, Err: err}
@@ -250,7 +249,7 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	}
 	qr.tr.SpanAt(trace.RootSpan, "admission", trace.CatPhase,
 		time.Now().Add(-time.Duration(admitNs)), time.Duration(admitNs))
-	res, err := c.execute(qctx, sess, entry, src, admitNs, qr)
+	res, err := c.execute(qctx, sess, entry, src, norm, admitNs, qr)
 	if stream != nil && err == nil && res != nil && len(res.Rows) > 0 {
 		// Paths that buffer (explain, explain analyze, a job that
 		// replays a memo entry) deliver their rows through the stream
@@ -272,12 +271,12 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	}
 	c.unregisterQuery(qr, err)
 	if th := c.cfg.SlowQueryThreshold; th > 0 && wallNs >= th.Nanoseconds() {
-		c.logSlowQuery(qid, src, wallNs, res, err)
+		c.logSlowQuery(qid, qr.aq.query, wallNs, res, err)
 	}
 	return res, err
 }
 
-// isExplainRequest reports whether normalized request text carries a
+// isExplainRequest reports whether canonical request text carries a
 // leading `explain` keyword, before any parse happens. Explain requests
 // bypass the plan cache on both lookup and store: a cached plan replay
 // would lose the explain rendering.
@@ -287,9 +286,9 @@ func isExplainRequest(norm string) bool {
 
 // execute runs one admitted request: plan-cache fast path, else
 // parse → statements → compile (+ cache store) → run. entry is the
-// session snapshot taken at request entry, before any statement ran.
-func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src string, admitNs int64, qr *queryRun) (*Result, error) {
-	norm := normalizeAQL(src)
+// session snapshot taken at request entry, before any statement ran;
+// norm is src's aqlp.Canonical text.
+func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src, norm string, admitNs int64, qr *queryRun) (*Result, error) {
 	key := planKey{
 		text:         norm,
 		dataverse:    entry.Dataverse,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -30,18 +29,11 @@ type QueryManager struct {
 	sem     chan struct{}
 	timeout time.Duration
 	// admitWait bounds the admission wait itself: a query that cannot
-	// get a slot (and, if configured, budgeted memory) within admitWait
-	// fails with ErrAdmissionTimeout even when the caller's context has
-	// no deadline. Serving front ends map that onto 503 + Retry-After so
+	// get a slot within admitWait fails with ErrAdmissionTimeout even
+	// when the caller's context has no deadline. Serving front ends map that onto 503 + Retry-After so
 	// overload surfaces as fast rejection instead of unbounded queueing.
 	// 0 means wait as long as the caller's context allows.
 	admitWait time.Duration
-	// mem, when non-nil, additionally gates admission on budgeted query
-	// memory: the sum of admitted queries' budgets stays within the
-	// cluster budget. Acquisition order is always slot THEN memory, so
-	// two queries can never hold one resource each while waiting on the
-	// other.
-	mem *memPool
 
 	admitted  atomic.Int64
 	completed atomic.Int64
@@ -54,123 +46,29 @@ type QueryManager struct {
 
 // newQueryManager builds a manager admitting at most maxConcurrent
 // queries at a time (<= 0 means the default of 64) with an optional
-// per-query timeout (0 means none), an optional bound on the admission
-// wait itself (0 means none), and an optional cluster-wide pool of
-// budgeted query memory (0 means ungated).
-func newQueryManager(maxConcurrent int, timeout, admitWait time.Duration, memBudget int64) *QueryManager {
+// per-query timeout (0 means none) and an optional bound on the
+// admission wait itself (0 means none).
+func newQueryManager(maxConcurrent int, timeout, admitWait time.Duration) *QueryManager {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 64
 	}
-	m := &QueryManager{
+	return &QueryManager{
 		sem:       make(chan struct{}, maxConcurrent),
 		timeout:   timeout,
 		admitWait: admitWait,
 	}
-	if memBudget > 0 {
-		m.mem = &memPool{capacity: memBudget}
-	}
-	return m
 }
 
-// memWaiter is one admission wait queued on the memory pool.
-type memWaiter struct {
-	need    int64
-	ready   chan struct{}
-	granted bool
-}
-
-// memPool is a FIFO pool of budgeted query memory. FIFO (rather than
-// best-fit) keeps large-budget queries from starving behind a stream of
-// small ones.
-type memPool struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	waiters  []*memWaiter
-}
-
-// acquire blocks until need bytes are free (or ctx is done). Demands
-// above the pool capacity are clamped to it, so an oversized budget
-// waits for an idle pool instead of deadlocking.
-func (p *memPool) acquire(ctx context.Context, need int64) error {
-	if need > p.capacity {
-		need = p.capacity
-	}
-	p.mu.Lock()
-	if len(p.waiters) == 0 && p.used+need <= p.capacity {
-		p.used += need
-		p.mu.Unlock()
-		return nil
-	}
-	w := &memWaiter{need: need, ready: make(chan struct{})}
-	p.waiters = append(p.waiters, w)
-	p.mu.Unlock()
-	select {
-	case <-w.ready:
-		return nil
-	case <-ctx.Done():
-		p.mu.Lock()
-		if w.granted {
-			// The grant raced the cancellation: give it straight back.
-			p.used -= need
-			p.grantLocked()
-		} else {
-			for i, q := range p.waiters {
-				if q == w {
-					p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-					break
-				}
-			}
-		}
-		p.mu.Unlock()
-		return ctx.Err()
-	}
-}
-
-// release returns need bytes (clamped like acquire) and wakes waiters.
-func (p *memPool) release(need int64) {
-	if need > p.capacity {
-		need = p.capacity
-	}
-	p.mu.Lock()
-	p.used -= need
-	p.grantLocked()
-	p.mu.Unlock()
-}
-
-// grantLocked admits queued waiters in FIFO order while they fit.
-func (p *memPool) grantLocked() {
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		if p.used+w.need > p.capacity {
-			return
-		}
-		p.used += w.need
-		p.waiters = p.waiters[1:]
-		w.granted = true
-		close(w.ready)
-	}
-}
-
-// snapshot reads the pool's state for stats.
-func (p *memPool) snapshot() (used int64, waiting int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.used, len(p.waiters)
-}
-
-// admit blocks until a slot frees up (and, when a cluster memory pool
-// is configured, until memBudget bytes of budgeted query memory are
-// free) or ctx is done. On success it returns the (possibly
-// deadline-wrapped) query context, a release function, and the time
-// spent waiting for admission. release classifies the query's outcome:
+// admit blocks until a slot frees up or ctx is done. On success it
+// returns the (possibly deadline-wrapped) query context, a release
+// function, and the time spent waiting for admission. release classifies the query's outcome:
 // it returns the error as-is, or wrapped in ErrQueryTimeout when the
 // per-query deadline (not the caller's context) killed the execution.
-func (m *QueryManager) admit(ctx context.Context, memBudget int64) (context.Context, func(err error) error, int64, error) {
+func (m *QueryManager) admit(ctx context.Context) (context.Context, func(err error) error, int64, error) {
 	t0 := time.Now()
 	// actx bounds only the admission wait: once admitted, the query runs
 	// under ctx (plus the per-query execution deadline below). A query
-	// that exhausts admitWait while the pool is full rejects with
+	// that exhausts admitWait while every slot is taken rejects with
 	// ErrAdmissionTimeout regardless of the caller's own deadline.
 	actx := ctx
 	if m.admitWait > 0 {
@@ -178,29 +76,18 @@ func (m *QueryManager) admit(ctx context.Context, memBudget int64) (context.Cont
 		actx, cancelAdmit = context.WithTimeout(ctx, m.admitWait)
 		defer cancelAdmit()
 	}
-	reject := func() error {
-		m.rejected.Add(1)
-		if errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-			// The admission-wait bound fired, not the caller's context.
-			return fmt.Errorf("%w: %w", ErrAdmissionTimeout, actx.Err())
-		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return fmt.Errorf("%w: %w", ErrAdmissionTimeout, ctx.Err())
-		}
-		return fmt.Errorf("%w: %w", ErrAdmissionCanceled, ctx.Err())
-	}
 	select {
 	case m.sem <- struct{}{}:
 	case <-actx.Done():
-		return nil, nil, 0, reject()
-	}
-	memHeld := int64(0)
-	if m.mem != nil && memBudget > 0 {
-		if err := m.mem.acquire(actx, memBudget); err != nil {
-			<-m.sem
-			return nil, nil, 0, reject()
+		m.rejected.Add(1)
+		if errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+			// The admission-wait bound fired, not the caller's context.
+			return nil, nil, 0, fmt.Errorf("%w: %w", ErrAdmissionTimeout, actx.Err())
 		}
-		memHeld = memBudget
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return nil, nil, 0, fmt.Errorf("%w: %w", ErrAdmissionTimeout, ctx.Err())
+		}
+		return nil, nil, 0, fmt.Errorf("%w: %w", ErrAdmissionCanceled, ctx.Err())
 	}
 	waitNs := time.Since(t0).Nanoseconds()
 	m.admitted.Add(1)
@@ -231,9 +118,6 @@ func (m *QueryManager) admit(ctx context.Context, memBudget int64) (context.Cont
 		} else {
 			m.completed.Add(1)
 		}
-		if memHeld > 0 {
-			m.mem.release(memHeld)
-		}
 		<-m.sem
 		return err
 	}
@@ -250,15 +134,11 @@ type QueryManagerStats struct {
 	Active     int64 // currently executing
 	PeakActive int64 // high-water mark of concurrent execution
 	MaxActive  int   // the admission bound
-	// Memory-pool state (zero when no cluster memory budget is set).
-	MemCapacity int64 // the cluster budget for admitted query memory
-	MemUsed     int64 // budgeted memory of currently admitted queries
-	MemWaiting  int   // queries queued waiting for budgeted memory
 }
 
 // Stats returns the current counters.
 func (m *QueryManager) Stats() QueryManagerStats {
-	s := QueryManagerStats{
+	return QueryManagerStats{
 		Admitted:   m.admitted.Load(),
 		Completed:  m.completed.Load(),
 		Failed:     m.failed.Load(),
@@ -268,9 +148,4 @@ func (m *QueryManager) Stats() QueryManagerStats {
 		PeakActive: m.peak.Load(),
 		MaxActive:  cap(m.sem),
 	}
-	if m.mem != nil {
-		s.MemCapacity = m.mem.capacity
-		s.MemUsed, s.MemWaiting = m.mem.snapshot()
-	}
-	return s
 }

@@ -18,7 +18,7 @@ import (
 // testdata/metrics_types.golden, made on purpose.
 func TestMetricsExpositionGolden(t *testing.T) {
 	db, err := Open(Config{DataDir: t.TempDir(), NumNodes: 2, PartitionsPerNode: 1,
-		ServeAddr: "127.0.0.1:0", ClusterMemoryBudget: 64 << 20})
+		ServeAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 
 	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
@@ -171,7 +173,7 @@ func (o *Optimizer) Optimize(root *algebra.Op) (*algebra.Op, error) {
 					if o.Trace != nil {
 						*o.Trace = append(*o.Trace, r.name)
 					}
-					if obs.Log().Enabled(obs.LevelDebug) {
+					if obs.Log().Enabled(context.Background(), slog.LevelDebug) {
 						obs.Log().Debug("optimizer rule applied", "rule", r.name)
 					}
 				}

@@ -84,16 +84,17 @@ type wireError struct {
 	RetryAfter int    `json:"retry_after_s,omitempty"`
 }
 
-// errMaxBody marks a request body over the configured limit.
+// maxRequestBytes caps a /query request body. A similarity query is a
+// few hundred bytes; bulk loads go through /ingest, which streams.
+const maxRequestBytes = 1 << 20
+
+// errMaxBody marks a request body over the limit.
 var errMaxBody = errors.New("simdbd: request body too large")
 
 // decodeStatement extracts the AQL request text from a /query body.
 // JSON bodies must be a {"statement": "..."} envelope; anything else is
 // treated as raw AQL text. The read is capped at maxBytes.
 func decodeStatement(contentType string, body io.Reader, maxBytes int64) (string, error) {
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
-	}
 	lr := &io.LimitedReader{R: body, N: maxBytes + 1}
 	raw, err := io.ReadAll(lr)
 	if err != nil {

@@ -73,9 +73,6 @@ func withDefaults(c Config) Config {
 	if c.SessionIdleTimeout <= 0 {
 		c.SessionIdleTimeout = 15 * time.Minute
 	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 1 << 20
-	}
 	return c
 }
 
@@ -316,7 +313,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer mInflight.Add(-1)
 	defer func() { mReqLatency.Observe(time.Since(t0).Nanoseconds()) }()
 
-	stmt, err := decodeStatement(r.Header.Get("Content-Type"), r.Body, s.cfg.MaxRequestBytes)
+	stmt, err := decodeStatement(r.Header.Get("Content-Type"), r.Body, maxRequestBytes)
 	if err != nil {
 		status := http.StatusBadRequest
 		if err == errMaxBody {

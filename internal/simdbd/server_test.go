@@ -93,7 +93,6 @@ func TestErrorMapping(t *testing.T) {
 	db, base := bootServer(t, func(cfg *core.Config) {
 		cfg.MaxConcurrentQueries = 1
 		cfg.AdmissionTimeout = 60 * time.Millisecond
-		cfg.Serve.MaxRequestBytes = 4096
 		cfg.FrameSize = 4
 	})
 	seedReviews(t, base, 60)
@@ -113,7 +112,8 @@ func TestErrorMapping(t *testing.T) {
 		{name: "empty statement", body: `   `, status: 400, code: "bad-query"},
 		{name: "bad envelope", body: `{"statment": "x"}`, ctype: "application/json",
 			status: 400, code: "bad-query"},
-		{name: "oversized body", body: `return ` + strings.Repeat("'x'||", 4096) + `'x'`,
+		// Just past the 1 MiB request cap.
+		{name: "oversized body", body: `return ` + strings.Repeat("'x'||", 1<<20/5) + `'x'`,
 			status: 413, code: "bad-query"},
 		{name: "unknown session", body: `1 + 1`,
 			session: strings.Repeat("ab", 16), status: 404, code: "not-found"},
