@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"simdb/internal/adm"
 	"simdb/internal/sim"
 )
 
@@ -144,6 +145,10 @@ type Op struct {
 	// each stored record before decoding it (see RecordFilter). Nil
 	// means every record read is decoded and emitted.
 	Filter *RecordFilter
+	// Range, on OpScan, is the interval of primary keys the select
+	// directly above the scan lets through, so storage reads only that
+	// key range. Nil means the whole dataset.
+	Range *KeyRange
 
 	// OpSelect / OpJoin
 	Cond Expr
@@ -245,6 +250,51 @@ func (b SearchBound) String() string {
 		return ""
 	}
 	return fmt.Sprintf("%s(%g)", b.Measure, b.Threshold)
+}
+
+// KeyRange is an interval of primary keys: Lo and Hi are its ends, nil
+// for an unbounded one, and LoIncl and HiIncl say whether each end
+// belongs to it. It is sound, not authoritative: the select it was taken
+// from stays above the scan, so the scan may read more keys than the
+// interval holds, never fewer.
+type KeyRange struct {
+	Lo, Hi         *adm.Value
+	LoIncl, HiIncl bool
+}
+
+// Equal reports whether two ranges (nil for none) are the same interval:
+// ends of one kind that compare equal, with the same inclusivity.
+func (r *KeyRange) Equal(s *KeyRange) bool {
+	if r == nil || s == nil {
+		return r == s
+	}
+	end := func(a, b *adm.Value) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return a.Kind() == b.Kind() && adm.Compare(*a, *b) == 0
+	}
+	return end(r.Lo, s.Lo) && end(r.Hi, s.Hi) && r.LoIncl == s.LoIncl && r.HiIncl == s.HiIncl
+}
+
+// String renders the interval as explain prints it, e.g. [521, 531) or
+// (-inf, "m"].
+func (r *KeyRange) String() string {
+	lo, open := "-inf", "("
+	if r.Lo != nil {
+		lo = r.Lo.String()
+		if r.LoIncl {
+			open = "["
+		}
+	}
+	hi, shut := "+inf", ")"
+	if r.Hi != nil {
+		hi = r.Hi.String()
+		if r.HiIncl {
+			shut = "]"
+		}
+	}
+	return open + lo + ", " + hi + shut
 }
 
 // NewOp builds an operator with inputs.
@@ -456,6 +506,10 @@ func Copy(root *Op, alloc *VarAlloc) (*Op, map[Var]Var) {
 			// record fields needed", which nil does not.
 			c.ProjectFields = append(make([]string, 0, len(o.ProjectFields)), o.ProjectFields...)
 		}
+		if o.Range != nil {
+			r := *o.Range
+			c.Range = &r
+		}
 		c.Inputs = make([]*Op, len(o.Inputs))
 		for i, in := range o.Inputs {
 			c.Inputs[i] = rec(in)
@@ -658,12 +712,15 @@ func opDetail(o *Op) string {
 	return ""
 }
 
-// sourceDetail renders a record source's projection and filter
-// annotations.
+// sourceDetail renders a record source's projection, key range and
+// filter annotations.
 func sourceDetail(o *Op) string {
 	d := ""
 	if o.ProjectFields != nil {
 		d = fmt.Sprintf(" project:[%s]", strings.Join(o.ProjectFields, ", "))
+	}
+	if o.Range != nil {
+		d += " range:" + o.Range.String()
 	}
 	if o.Filter != nil {
 		d += fmt.Sprintf(" filter:[%s]", o.Filter)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates lexer token kinds.
@@ -148,7 +149,7 @@ func (l *lexer) scan() (tokKind, string, error) {
 	case c >= '0' && c <= '9' || (c == '.' && l.peekAt(1) >= '0' && l.peekAt(1) <= '9'):
 		kind, text := l.scanNumber()
 		return kind, text, nil
-	case isIdentStart(rune(c)):
+	case isIdentStart(l.runeAt()):
 		return tokIdent, l.ident(), nil
 	}
 	if op := l.lexOperator(); op != "" {
@@ -191,6 +192,16 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// runeAt decodes the character at l.pos; identifiers may hold any
+// Unicode letter, so a byte past ASCII does not stand for itself.
+func (l *lexer) runeAt() rune {
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
+}
+
 func isIdentStart(r rune) bool {
 	return unicode.IsLetter(r) || r == '_'
 }
@@ -205,7 +216,7 @@ func isIdentCont(r rune) bool {
 func (l *lexer) ident() string {
 	start := l.pos
 	for l.pos < len(l.src) {
-		r := rune(l.src[l.pos])
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
 		if l.pos == start {
 			if !isIdentStart(r) {
 				break
@@ -213,7 +224,7 @@ func (l *lexer) ident() string {
 		} else if !isIdentCont(r) {
 			break
 		}
-		l.pos++
+		l.pos += size
 	}
 	// Do not swallow a trailing '-' (it is a minus operator).
 	for l.pos > start && l.src[l.pos-1] == '-' {
@@ -227,7 +238,7 @@ func (l *lexer) ident() string {
 func (l *lexer) identPlain() string {
 	start := l.pos
 	for l.pos < len(l.src) {
-		r := rune(l.src[l.pos])
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
 		if l.pos == start {
 			if !isIdentStart(r) {
 				break
@@ -235,7 +246,7 @@ func (l *lexer) identPlain() string {
 		} else if !(unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_') {
 			break
 		}
-		l.pos++
+		l.pos += size
 	}
 	return l.src[start:l.pos]
 }

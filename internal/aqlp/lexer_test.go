@@ -124,6 +124,34 @@ func TestLexHyphenatedIdentifiers(t *testing.T) {
 	}
 }
 
+// TestLexNonASCIIIdentifiers: an identifier or a variable name may hold
+// any Unicode letter, read as a character and not byte by byte; a
+// character that is no letter still fails.
+func TestLexNonASCIIIdentifiers(t *testing.T) {
+	toks := lexOK(t, `$é.café _ñame-x $日本`)
+	want := []token{{tokVar, "é", 0}, {tokPunct, ".", 3}, {tokIdent, "café", 4}, {tokIdent, "_ñame-x", 10}, {tokVar, "日本", 19}, {tokEOF, "", 26}}
+	if len(toks) != len(want) {
+		t.Fatalf("tokens = %+v, want %+v", toks, want)
+	}
+	for i := range want {
+		if toks[i] != want[i] {
+			t.Errorf("token %d = %+v, want %+v", i, toks[i], want[i])
+		}
+	}
+	for _, src := range []string{"$€", "€", "\xff"} {
+		if _, err := lex(src); err == nil {
+			t.Errorf("lex(%q) should fail", src)
+		}
+	}
+	c := "for $é in dataset D return $é.café"
+	if Canonical(c) != c {
+		t.Errorf("Canonical(%q) = %q", c, Canonical(c))
+	}
+	if n := testing.AllocsPerRun(10, func() { Canonical(c) }); n != 0 {
+		t.Errorf("Canonical of canonical text allocated %v times", n)
+	}
+}
+
 func TestLexErrors(t *testing.T) {
 	for _, src := range []string{
 		`'unterminated`,
@@ -154,6 +182,7 @@ func FuzzCanonical(f *testing.F) {
 		"return a- -1 .5f//x\n*2",
 		"return $$V ##C 'unterminated",
 		"set simthreshold '.8f'; return 1 ~= 2 @",
+		"for $é in dataset D  return $é.café // ü",
 	} {
 		f.Add(s)
 	}

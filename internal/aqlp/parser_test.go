@@ -259,6 +259,18 @@ func TestParseIndexAccess(t *testing.T) {
 	}
 }
 
+func TestParseNonASCIIFieldAndVariable(t *testing.T) {
+	q := mustParse(t, `for $é in dataset D return $é.café`)
+	fl := q.Body.(FLWORNode)
+	if fc := fl.Clauses[0].(ForClause); fc.V != "é" {
+		t.Errorf("for variable = %q", fc.V)
+	}
+	f := fl.Ret.(FieldNode)
+	if f.Field != "café" || f.Base.(VarNode).Name != "é" {
+		t.Errorf("field access = %+v", f)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		`for`,

@@ -13,8 +13,10 @@ import (
 
 // defaultMemBudgets is the sweep used when Env.MemBudgets is empty:
 // unlimited, a budget blocking operators fit in, one that forces a
-// single spill generation, and one deep into recursive-spill territory.
-var defaultMemBudgets = []int64{0, 16 << 20, 2 << 20, 256 << 10}
+// single spill generation, and two deep into recursive-spill territory.
+// At -scale 2000 the join's table (≈ 260-300 KB) spills at 256 KiB only
+// on some runs, and at 128 KiB on every run.
+var defaultMemBudgets = []int64{0, 16 << 20, 2 << 20, 256 << 10, 128 << 10}
 
 // SpillCell is one (query, budget) point of the spill sweep.
 type SpillCell struct {
@@ -40,8 +42,10 @@ type SpillReport struct {
 // budgets, swept from unlimited down to a few hundred KiB. Every
 // budget must produce the same row count — the sweep doubles as an
 // end-to-end correctness check — while the spill counters and the
-// accountant's high water show the memory/IO trade. Results go to
-// BENCH_spill.json under Env.ReportDir.
+// accountant's high water show the memory/IO trade. Every query must
+// spill at the smallest positive budget, or the sweep fails: a run that
+// stops reaching an operator's spill path says so instead of passing.
+// Results go to BENCH_spill.json under Env.ReportDir.
 func (e *Env) SpillSweep() error {
 	e.logf("\n=== Spill sweep: blocking operators under per-query memory budgets ===\n")
 	if err := e.EnsureDataset(datagen.Amazon); err != nil {
@@ -56,6 +60,9 @@ func (e *Env) SpillSweep() error {
 	if err != nil {
 		return err
 	}
+	// The hash join builds its table on its first input: the whole
+	// dataset. The outer records' id bound becomes a key range on the
+	// second input's scan, so the probe side reads a tenth of it.
 	joinOuter := maxInt(1, e.Scale/10)
 	queries := []struct{ label, src string }{
 		{"sort", fmt.Sprintf(
@@ -64,13 +71,19 @@ func (e *Env) SpillSweep() error {
 			`for $r in dataset %[1]s /*+ hash */ group by $g := $r.%[2]s with $r
 			 order by $g return { 'g': $g, 'n': count($r) }`, name, jf)},
 		{"join", fmt.Sprintf(
-			`count(for $o in dataset %[1]s for $i in dataset %[1]s
+			`count(for $i in dataset %[1]s for $o in dataset %[1]s
 			 where $o.gid = $i.gid and $o.id < $i.id and $o.id <= %[2]d
 			 return $o.id)`, name, joinOuter)},
 	}
 	budgets := e.MemBudgets
 	if len(budgets) == 0 {
 		budgets = defaultMemBudgets
+	}
+	smallest := int64(0) // the smallest positive budget, where every query must spill
+	for _, b := range budgets {
+		if b > 0 && (smallest == 0 || b < smallest) {
+			smallest = b
+		}
 	}
 
 	report := SpillReport{Experiment: "spill", Scale: e.Scale, Nodes: e.Nodes}
@@ -118,6 +131,10 @@ func (e *Env) SpillSweep() error {
 			e.logf("%-8s %12s %10.1f %10d %8d %14d %14d\n",
 				q.label, budgetLabel, cell.WallMs, cell.Rows,
 				cell.SpillRuns, cell.SpilledBytes, cell.MemHighWater)
+			if b == smallest && cell.SpillRuns == 0 {
+				return fmt.Errorf("spill sweep %s: no spill run at the smallest budget %d (high water %d), so the sweep does not cover its spill path",
+					q.label, b, cell.MemHighWater)
+			}
 		}
 	}
 

@@ -94,6 +94,26 @@ func TestExactMatchSelection(t *testing.T) {
 	}
 }
 
+// TestNonASCIIFieldName: a field and a variable named with letters past
+// ASCII read like any other, from the query text to the stored record.
+func TestNonASCIIFieldName(t *testing.T) {
+	c := newTestCluster(t, 1, 2)
+	sess := NewSession()
+	exec(t, c, sess, `create dataset Cafés primary key id;`)
+	for i, name := range []string{"crème", "brûlée"} {
+		rec := adm.EmptyRecord(2)
+		rec.Set("id", adm.NewInt(int64(i)))
+		rec.Set("café", adm.NewString(name))
+		if err := c.Insert("Default", "Cafés", adm.NewRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := exec(t, c, sess, `for $é in dataset Cafés where $é.café = 'brûlée' return $é.café`)
+	if len(res.Rows) != 1 || res.Rows[0].Str() != "brûlée" {
+		t.Errorf("rows = %v, want [brûlée]", res.Rows)
+	}
+}
+
 func TestEditDistanceSelectionScanVsIndex(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()

@@ -286,12 +286,35 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 	pkField := meta.PKField
 	fields := scanFields(op.ProjectFields, pkField)
 	keep, filter := adm.NewKeepSet(fields), op.Filter
+	start, end := scanBounds(op.Range)
 	c := g.c
 	node := g.job.Add("DataScan("+ds+")", g.parts, hyracks.SourceFunc(
 		func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-			return c.scanPartition(ctx, dv, ds, pkField, fields, keep, filter, emit)
+			return c.scanPartition(ctx, dv, ds, pkField, start, end, fields, keep, filter, emit)
 		}))
 	return &genOut{node: node, schema: []algebra.Var{op.PKVar, op.RecVar}, parts: g.parts}, nil
+}
+
+// scanBounds turns a scan's key range into the storage key range
+// [start, end) it reads, nil for an unbounded end. Both ends are closed
+// whatever their strictness: a number's ordered key is its float64 image
+// (adm.OrderedKey), so beyond 2^53 a strict end would drop keys the
+// select keeps, while the select still drops what a closed end lets
+// through. Any scalar end is sound — adm.Compare orders kinds by rank,
+// and the ordered key leads with the same rank. An empty range yields
+// start >= end, which storage reads as no key.
+func scanBounds(r *algebra.KeyRange) (start, end []byte) {
+	if r == nil {
+		return nil, nil
+	}
+	if r.Lo != nil {
+		start = adm.OrderedKey(*r.Lo)
+	}
+	if r.Hi != nil {
+		// The successor of the upper end's key: no key lies between.
+		end = append(adm.OrderedKey(*r.Hi), 0)
+	}
+	return start, end
 }
 
 // scanFields turns a scan's projection annotation into the field list
@@ -1159,15 +1182,16 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 // only correct because the optimizer proved no other field is used.
 // A non-nil filter goes to storage with the projection: a row it
 // rejects is never assembled or decoded, and the instance reports the
-// rows storage read as its tuples in.
-func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, emit func(hyracks.Tuple)) error {
+// rows storage read as its tuples in. Only keys in [start, end) are
+// read (nil: unbounded).
+func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, start, end []byte, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, emit func(hyracks.Tuple)) error {
 	tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 	if err != nil {
 		return err
 	}
 	rf := rowFilter(filter)
 	var scanErr error
-	read, err := tree.ScanProjectedContext(ctx.Ctx, nil, nil, fields, rf, func(key, val []byte) bool {
+	read, err := tree.ScanProjectedContext(ctx.Ctx, start, end, fields, rf, func(key, val []byte) bool {
 		rec, derr := decodeRecord(val, keep)
 		if derr != nil {
 			scanErr = derr

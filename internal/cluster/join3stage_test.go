@@ -65,13 +65,18 @@ func benchJoinValue(r gen.Record) adm.Value {
 var benchJoin = gen.Join{Start: 1}
 
 // TestFig23JoinExplainGolden pins the plan of the benchmark's join: the
-// three-stage template instantiated over one shared scan, which carries
-// the projection of the two fields the five aliases read through.
+// three-stage template instantiated over two scans. The outer side's
+// scan reads only the key range its select keeps, with the projection
+// of the two fields it reads; the two memo subplans share one unranged
+// scan of the summary.
 func TestFig23JoinExplainGolden(t *testing.T) {
 	c, sess, _ := loadBenchJoin(t)
 	got := rowsText(exec(t, c, sess, "explain "+benchJoin.AQL("ReviewsPlain")))
-	if !strings.Contains(got, "data-scan Default.ReviewsPlain -> pk:$14 rec:$15 project:[id, summary]\n") {
-		t.Errorf("the shared scan carries no project:[id, summary]")
+	if !strings.Contains(got, "data-scan Default.ReviewsPlain -> pk:$14 rec:$15 project:[id, summary] range:[1, 11)\n") {
+		t.Errorf("the outer scan carries no project:[id, summary] range:[1, 11)")
+	}
+	if !strings.Contains(got, "data-scan Default.ReviewsPlain -> pk:$6 rec:$7 project:[summary]\n") || strings.Count(got, "^shared(#24 data-scan)") != 1 {
+		t.Errorf("the memo subplans share no unranged scan of project:[summary]")
 	}
 	golden, err := os.ReadFile("testdata/fig23_join_explain.golden")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"simdb/benchmark/gen"
 	"simdb/internal/adm"
 	"simdb/internal/hyracks"
 	"simdb/internal/sim"
@@ -424,7 +425,9 @@ func TestJoinMemoWriteAfterGenerationReruns(t *testing.T) {
 // nor the inner side of stage 2 (tokenize, rank join, group, prefix
 // unnest), builds no hash table — its two hash joins probe the tables
 // the memo kept — and, its result reading only the two keys, has no
-// stage 3: the scan feeds the outer select alone, with no Replicate.
+// stage 3: it runs only the outer side's scan, which reads the key range
+// of its select, and no Replicate. A miss also runs the memo subplans'
+// shared full scan, replicated to both of them.
 func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 	c, sess, recs := loadBenchJoin(t)
 	q := "explain analyze " + benchJoin.AQL("ReviewsPlain")
@@ -465,7 +468,7 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 		// miss, the outer side's two on a hit.
 		rank, built, kept, unnests int
 	}{
-		{miss, memoMiss, 3 * len(recs), 1, 3, 0, 5},
+		{miss, memoMiss, 2 * len(recs), 1, 3, 0, 5},
 		{hit, memoHit, 0, 0, 0, 2, 2},
 	} {
 		text := rowsText(tc.res)
@@ -478,8 +481,21 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 				tc.outcome, ops["Rank"], ops["HashGroupLocal"], ops["HashJoin"], ops["HashJoin(kept)"], ops["Unnest"],
 				tc.rank, tc.rank, tc.built, tc.kept, tc.unnests)
 		}
-		if ops["Memo"] != 0 || ops["DataScan(ReviewsPlain)"] != 1 {
-			t.Errorf("%s: %d memo nodes (a replay source or a capture) and %d scans, want none and one", tc.outcome, ops["Memo"], ops["DataScan(ReviewsPlain)"])
+		scans := 2
+		if tc.outcome == memoHit {
+			scans = 1
+		}
+		if ops["Memo"] != 0 || ops["DataScan(ReviewsPlain)"] != scans {
+			t.Errorf("%s: %d memo nodes (a replay source or a capture) and %d scans, want none and %d", tc.outcome, ops["Memo"], ops["DataScan(ReviewsPlain)"], scans)
+		}
+		if tc.outcome == memoHit {
+			// Both ends of the outer range are closed: the scan reads
+			// the ten keys and the one at the range's strict end.
+			for _, op := range tc.res.Stats.PhysicalOps() {
+				if op.Name == "DataScan(ReviewsPlain)" && op.TuplesOut > gen.JoinOuter+1 {
+					t.Errorf("hit: the outer scan emits %d tuples, want at most %d", op.TuplesOut, gen.JoinOuter+1)
+				}
+			}
 		}
 		if got := replicated(tc.res); got != int64(tc.replicated) {
 			t.Errorf("%s: the scan's Replicate emits %d tuples, want %d", tc.outcome, got, tc.replicated)

@@ -370,6 +370,19 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 			 where edit-distance($r.reviewerName, '%s') <= 2
 			 return $r.id`, name),
 			func(r row) bool { return sim.EditDistance(r.name, name) <= 2 }},
+		// A key range on the scan (primary-key-range), alone and ahead of
+		// a similarity conjunct the index serves.
+		{"id-range", `for $r in dataset ARevs
+			 where $r.id >= 100 and 140 > $r.id
+			 return $r.id`,
+			func(r row) bool { return r.id >= 100 && r.id < 140 }},
+		{"id-range-jaccard", `for $r in dataset ARevs
+			 where $r.id <= 250 and similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.5
+			 return $r.id`,
+			func(r row) bool { return r.id <= 250 && sim.Jaccard(r.summary, query) >= 0.5 }},
+	}
+	if plan := rowsText(exec(t, c, NewSession(), "explain "+selections[2].q)); !strings.Contains(plan, "range:[100, 140)") {
+		t.Errorf("id-range: the scan carries no range:[100, 140):\n%s", plan)
 	}
 	for _, sel := range selections {
 		res := exec(t, c, NewSession(), sel.q)
@@ -404,6 +417,35 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 	sortStrings(want)
 	if got := pairKey(join); got != fmt.Sprint(want) {
 		t.Errorf("join: engine has %d pairs, reference %d", len(join.Rows), len(want))
+	}
+
+	// The same join over an outer key range: the outer side's scan reads
+	// the range, the inner side's stays whole.
+	ranged := `
+		set simfunction 'jaccard';
+		set simthreshold '0.8';
+		for $a in dataset ARevs
+		for $b in dataset ARevs
+		where $a.id >= 50 and $a.id < 200 and word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id < $b.id
+		return { 'l': $a.id, 'r': $b.id }
+	`
+	if plan := rowsText(exec(t, c, NewSession(), "explain "+ranged)); strings.Count(plan, "range:[50, 200)") != 1 {
+		t.Errorf("ranged join: want one scan with range:[50, 200):\n%s", plan)
+	}
+	want = want[:0]
+	for _, a := range rows {
+		for _, b := range rows {
+			if a.id >= 50 && a.id < 200 && a.id < b.id && sim.Jaccard(a.summary, b.summary) >= 0.8 {
+				want = append(want, fmt.Sprintf("%d-%d", a.id, b.id))
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Error("ranged join reference is empty; test is vacuous")
+	}
+	sortStrings(want)
+	if got := pairKey(exec(t, c, NewSession(), ranged)); got != fmt.Sprint(want) {
+		t.Errorf("ranged join: engine %s, reference %v", got, want)
 	}
 }
 

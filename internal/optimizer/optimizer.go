@@ -144,6 +144,7 @@ func (o *Optimizer) Optimize(root *algebra.Op) (*algebra.Op, error) {
 		{
 			{"index-join", indexJoinRule},
 			{"index-selection", indexSelectionRule},
+			{"primary-key-range", primaryKeyRangeRule},
 		},
 		// Subplan reuse and physical preparation.
 		{

@@ -425,19 +425,28 @@ func normalizeKeys(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 // reuseScansRule unifies duplicate scans of the same dataset under one
 // shared node, aliasing the duplicates' variables with Assigns (paper
 // §5.4.2: materialize/reuse of identical subplans). Job generation
-// inserts a materializing Replicate for the shared node.
+// inserts a materializing Replicate for the shared node. Only scans of
+// one key range are the same subplan: a ranged scan is shared only with
+// scans of an equal range.
 func reuseScansRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 	if !o.Opts.ReuseSubplans {
 		return root, false, nil
 	}
-	first := map[string]*algebra.Op{}
+	first := map[string][]*algebra.Op{}
 	changed := false
 	nr, ch, err := rewriteEverywhere(root, func(op *algebra.Op) (*algebra.Op, bool, error) {
 		if op.Kind != algebra.OpScan {
 			return op, false, nil
 		}
 		key := op.Dataverse + "." + op.Dataset
-		if prev, ok := first[key]; ok && prev != op {
+		var prev *algebra.Op
+		for _, s := range first[key] {
+			if s.Range.Equal(op.Range) {
+				prev = s
+				break
+			}
+		}
+		if prev != nil && prev != op {
 			alias := algebra.NewOp(algebra.OpAssign, prev)
 			alias.AssignVars = []algebra.Var{op.PKVar, op.RecVar}
 			alias.AssignExprs = []algebra.Expr{algebra.V(prev.PKVar), algebra.V(prev.RecVar)}
@@ -448,7 +457,9 @@ func reuseScansRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 			changed = true
 			return proj, true, nil
 		}
-		first[key] = op
+		if prev == nil {
+			first[key] = append(first[key], op)
+		}
 		return op, false, nil
 	})
 	return nr, ch || changed, err
