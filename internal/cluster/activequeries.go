@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,66 +48,18 @@ func planErr(err error) error {
 	return &PlanError{Err: err}
 }
 
-// queryPhase is where in its lifecycle an admitted query currently is.
-type queryPhase int32
-
-const (
-	phaseAdmission queryPhase = iota
-	phaseParse
-	phasePlanCache
-	phaseCompile
-	phaseJobGen
-	phaseExecute
-)
-
-// String names the phase for the /queries listing.
-func (p queryPhase) String() string {
-	switch p {
-	case phaseAdmission:
-		return "admission"
-	case phaseParse:
-		return "parse"
-	case phasePlanCache:
-		return "plan-cache"
-	case phaseCompile:
-		return "compile"
-	case phaseJobGen:
-		return "jobgen"
-	case phaseExecute:
-		return "execute"
-	}
-	return fmt.Sprintf("phase(%d)", int32(p))
-}
-
-// queryRun carries one execution's identity through the lifecycle: the
-// stable query ID, the trace being recorded, and the live-registry
-// entry.
+// queryRun is one in-flight query: its trace, which carries the stable
+// query ID, the canonical text, the start time and the current phase;
+// the cancel func; and the memory accountant once the job runs under
+// one.
 type queryRun struct {
-	id uint64
-	tr *trace.Trace
-	aq *activeQuery
+	id     uint64
+	tr     *trace.Trace
+	cancel context.CancelFunc
+	mem    atomic.Pointer[hyracks.MemoryAccountant]
 	// stream, when non-nil, receives result rows as the job produces
 	// them instead of having them buffered into Result.Rows.
 	stream *StreamHandler
-}
-
-// setPhase advances the live phase and is nil-safe like the trace.
-func (qr *queryRun) setPhase(p queryPhase) {
-	if qr.aq != nil {
-		qr.aq.phase.Store(int32(p))
-	}
-}
-
-// activeQuery is one in-flight query in the live registry.
-type activeQuery struct {
-	id     uint64
-	query  string
-	start  time.Time
-	phase  atomic.Int32
-	cancel context.CancelFunc
-	// mem is set once the job runs under a memory accountant, so the
-	// /queries listing can report the live high-water mark.
-	mem atomic.Pointer[hyracks.MemoryAccountant]
 }
 
 // ActiveQueryInfo describes one in-flight query for introspection
@@ -121,83 +72,49 @@ type ActiveQueryInfo struct {
 	MemHighWater int64  `json:"mem_high_water,omitempty"`
 }
 
-// activeQueries is the cluster's registry of in-flight queries.
-type activeQueries struct {
-	mu sync.Mutex
-	m  map[uint64]*activeQuery
+// registerQuery lists qr among the in-flight queries.
+func (c *Cluster) registerQuery(qr *queryRun) {
+	c.runningMu.Lock()
+	c.running[qr.id] = qr
+	c.runningMu.Unlock()
 }
 
-func newActiveQueries() *activeQueries {
-	return &activeQueries{m: map[uint64]*activeQuery{}}
+// unregisterQuery seals the trace, with args annotating the whole
+// query, and then unlists the query, so a reader finds its trace in the
+// list or in the tracer's ring at every moment.
+func (c *Cluster) unregisterQuery(qr *queryRun, err error, args ...trace.Arg) {
+	qr.tr.Finish(err, args...)
+	c.runningMu.Lock()
+	delete(c.running, qr.id)
+	c.runningMu.Unlock()
 }
 
-func (r *activeQueries) add(aq *activeQuery) {
-	r.mu.Lock()
-	r.m[aq.id] = aq
-	r.mu.Unlock()
-}
-
-func (r *activeQueries) remove(id uint64) {
-	r.mu.Lock()
-	delete(r.m, id)
-	r.mu.Unlock()
-}
-
-func (r *activeQueries) get(id uint64) (*activeQuery, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	aq, ok := r.m[id]
-	return aq, ok
-}
-
-func (r *activeQueries) list() []*activeQuery {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*activeQuery, 0, len(r.m))
-	for _, aq := range r.m {
-		out = append(out, aq)
+// runningQueries returns the in-flight queries, oldest first.
+func (c *Cluster) runningQueries() []*queryRun {
+	c.runningMu.Lock()
+	out := make([]*queryRun, 0, len(c.running))
+	for _, qr := range c.running {
+		out = append(out, qr)
 	}
+	c.runningMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
-}
-
-// registerQuery opens a query's live-registry entry and its trace;
-// norm is the request's canonical text.
-func (c *Cluster) registerQuery(id uint64, norm string, cancel context.CancelFunc) *queryRun {
-	aq := &activeQuery{
-		id:     id,
-		query:  truncateQuery(norm),
-		start:  time.Now(),
-		cancel: cancel,
-	}
-	c.activeQ.add(aq)
-	return &queryRun{
-		id: id,
-		tr: c.tracer.Start(id, aq.query),
-		aq: aq,
-	}
-}
-
-// unregisterQuery closes the entry and seals the trace.
-func (c *Cluster) unregisterQuery(qr *queryRun, err error) {
-	c.activeQ.remove(qr.id)
-	qr.tr.Finish(err)
 }
 
 // ActiveQueries lists the in-flight queries, oldest first: stable ID,
 // normalized text, current phase, elapsed time, and the live memory
 // high-water mark for budgeted queries.
 func (c *Cluster) ActiveQueries() []ActiveQueryInfo {
-	live := c.activeQ.list()
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	live := c.runningQueries()
 	out := make([]ActiveQueryInfo, 0, len(live))
-	for _, aq := range live {
+	for _, qr := range live {
 		info := ActiveQueryInfo{
-			ID:        aq.id,
-			Query:     aq.query,
-			Phase:     queryPhase(aq.phase.Load()).String(),
-			ElapsedNs: time.Since(aq.start).Nanoseconds(),
+			ID:        qr.id,
+			Query:     qr.tr.Query,
+			Phase:     qr.tr.Phase(),
+			ElapsedNs: time.Since(qr.tr.Start).Nanoseconds(),
 		}
-		if m := aq.mem.Load(); m != nil {
+		if m := qr.mem.Load(); m != nil {
 			info.MemHighWater = m.HighWater()
 		}
 		out = append(out, info)
@@ -210,12 +127,36 @@ func (c *Cluster) ActiveQueries() []ActiveQueryInfo {
 // query existed. The query's Execute call returns a context
 // cancellation classified by the query manager.
 func (c *Cluster) CancelQuery(id uint64) bool {
-	aq, ok := c.activeQ.get(id)
-	if !ok {
-		return false
+	c.runningMu.Lock()
+	qr, ok := c.running[id]
+	c.runningMu.Unlock()
+	if ok {
+		qr.cancel()
 	}
-	aq.cancel()
-	return true
+	return ok
+}
+
+// Traces returns the running queries' traces, oldest first, then the
+// finished ones, newest first.
+func (c *Cluster) Traces() []*trace.Trace {
+	var out []*trace.Trace
+	for _, qr := range c.runningQueries() {
+		if !qr.tr.Done() { // a finished one is in the ring already
+			out = append(out, qr.tr)
+		}
+	}
+	return append(out, c.tracer.Recent()...)
+}
+
+// Trace finds a query's trace, running or finished, by its ID.
+func (c *Cluster) Trace(id uint64) (*trace.Trace, bool) {
+	c.runningMu.Lock()
+	qr, ok := c.running[id]
+	c.runningMu.Unlock()
+	if ok {
+		return qr.tr, true
+	}
+	return c.tracer.Get(id)
 }
 
 // Tracer exposes the tracer recording this cluster's queries (the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -46,18 +45,15 @@ type Cluster struct {
 	autoPK    atomic.Int64
 	simNetLat atomic.Int64 // test seam, see SetSimNetLatency (nanoseconds)
 
-	// activeQ is the live registry of in-flight queries (introspection
-	// and cancellation); tracer records per-query traces. Each budgeted
-	// query's spill run files live under DataDir/tmp/q<queryID>.
-	activeQ *activeQueries
-	tracer  *trace.Tracer
-
-	// slowLog renders the records of queries slower than
-	// cfg.SlowQueryThreshold and slowRing retains the most recent ones
-	// for GET /slowlog.
-	slowLog  atomic.Pointer[slog.Logger]
-	slowMu   sync.Mutex
-	slowRing []SlowQueryRecord
+	// running holds the in-flight queries by ID (introspection and
+	// cancellation); tracer keeps the traces of finished ones. Each
+	// budgeted query's spill run files live under DataDir/tmp/q<queryID>.
+	runningMu sync.Mutex
+	running   map[uint64]*queryRun
+	tracer    *trace.Tracer
+	// memBudget is the per-query operator memory budget of a session
+	// that sets none (0 = unlimited), read from SIMDB_TEST_MEMORY_BUDGET.
+	memBudget int64
 
 	planCache *PlanCache
 	qm        *QueryManager
@@ -101,17 +97,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if !storage.ValidWALSyncMode(cfg.WALSyncMode) {
 		return nil, fmt.Errorf("cluster: invalid WALSyncMode %q (want commit, interval, or off)", cfg.WALSyncMode)
-	}
-	if cfg.QueryMemoryBudget == 0 {
-		// The CI low-memory job forces spill paths under the whole test
-		// suite through this; an explicit config wins over it.
-		if env := os.Getenv("SIMDB_TEST_MEMORY_BUDGET"); env != "" {
-			if b, err := aqlp.ParseMemorySize(env); err == nil {
-				cfg.QueryMemoryBudget = b
-			} else {
-				return nil, fmt.Errorf("cluster: SIMDB_TEST_MEMORY_BUDGET: %w", err)
-			}
-		}
 	}
 	localNode := hyracks.AllNodes
 	switch cfg.Transport {
@@ -159,10 +144,16 @@ func newCluster(cfg Config, localNode int) (*Cluster, error) {
 		planCache: NewPlanCache(planCacheSize),
 		memo:      newMemoStore(),
 		qm:        newQueryManager(cfg.MaxConcurrentQueries, cfg.QueryTimeout, cfg.AdmissionTimeout),
-		activeQ:   newActiveQueries(),
+		running:   map[uint64]*queryRun{},
 		tracer:    trace.Default(),
 	}
-	c.SetSlowQueryLogOutput(os.Stderr)
+	// The CI low-memory job forces spill paths under the whole test
+	// suite through this.
+	if env := os.Getenv("SIMDB_TEST_MEMORY_BUDGET"); env != "" {
+		if c.memBudget, err = aqlp.ParseMemorySize(env); err != nil {
+			return nil, fmt.Errorf("cluster: SIMDB_TEST_MEMORY_BUDGET: %w", err)
+		}
+	}
 	c.Catalog.onEpoch = func(epoch uint64) { c.memo.purge(epoch) }
 	for i := 0; i < cfg.NumNodes; i++ {
 		if localNode >= 0 && i != localNode {

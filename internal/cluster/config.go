@@ -52,20 +52,6 @@ type Config struct {
 	// serving front end turns into 503 + Retry-After. 0 disables: waits
 	// are bounded only by the caller's context.
 	AdmissionTimeout time.Duration
-	// SlowQueryThreshold, when positive, makes Execute emit one
-	// structured JSON log line for every query whose total wall time
-	// (admission + compile + execution) reaches it. 0 disables the log.
-	SlowQueryThreshold time.Duration
-	// QueryMemoryBudget bounds each query's operator working memory in
-	// bytes: blocking operators (sort, hash join, group-by, replicate)
-	// draw grants against it and spill runs to disk past it. 0 (the
-	// default) disables budgets entirely — the legacy in-memory behavior.
-	// Sessions override per connection via `set memorybudget '32m';`.
-	// Positive budgets are clamped up to hyracks.MinQueryMemory. When 0,
-	// the SIMDB_TEST_MEMORY_BUDGET environment variable (same syntax)
-	// supplies a default — the CI low-memory job uses it to force spill
-	// paths under the whole test suite.
-	QueryMemoryBudget int64
 	// WALSyncMode selects crash durability for ingestion. "commit" (the
 	// default) fsyncs the per-partition write-ahead log before
 	// acknowledging, with concurrent committers coalesced into one

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/pprof"
@@ -296,48 +295,59 @@ func TestActiveQueriesAndCancel(t *testing.T) {
 	}
 }
 
-func TestSlowQueryRing(t *testing.T) {
-	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 1, DataDir: t.TempDir(),
-		SlowQueryThreshold: time.Nanosecond}) // everything is slow
-	if err != nil {
-		t.Fatal(err)
+// slowRecord finds a query's record in the slow-query log.
+func slowRecord(t *testing.T, c *Cluster, id uint64) SlowQueryRecord {
+	t.Helper()
+	recs := c.SlowQueries()
+	for i, rec := range recs {
+		if i > 0 && rec.WallNs > recs[i-1].WallNs {
+			t.Fatalf("slow-query log not slowest first at %d: %+v", i, recs)
+		}
 	}
-	t.Cleanup(func() { c.Close() })
-	var logged bytes.Buffer
-	c.SetSlowQueryLogOutput(&logged)
+	for _, rec := range recs {
+		if rec.QueryID == id {
+			return rec
+		}
+	}
+	t.Fatalf("slow-query log has no query %d", id)
+	return SlowQueryRecord{}
+}
+
+// TestSlowQueryRing reads the slow-query log, a view over the tracer's
+// ring of finished queries, in the default configuration: each record
+// carries the query's canonical text and its rows, which its trace
+// records as arguments beside the plan-cache outcome and the phase
+// split.
+func TestSlowQueryRing(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
 	sess := NewSession()
 	loadReviews(t, c, sess)
 
 	res := exec(t, c, sess, "// it's\nfor $r in dataset Reviews\n\treturn   $r.id")
-	recs := c.SlowQueries()
-	if len(recs) == 0 {
-		t.Fatal("no slow-query records retained")
+	rec := slowRecord(t, c, res.Stats.QueryID)
+	if rec.Query != "for $r in dataset Reviews return $r.id" || rec.WallNs <= 0 || rec.Rows != len(res.Rows) ||
+		rec.PlanCacheHit || rec.Error != "" {
+		t.Fatalf("slow-query record incomplete: %+v", rec)
 	}
-	if recs[0].QueryID != res.Stats.QueryID {
-		t.Fatalf("ring head id %d, want %d", recs[0].QueryID, res.Stats.QueryID)
+	tr, ok := c.Tracer().Get(res.Stats.QueryID)
+	if !ok {
+		t.Fatalf("no trace for query %d", res.Stats.QueryID)
 	}
-	if recs[0].Query != "for $r in dataset Reviews return $r.id" || recs[0].WallNs <= 0 || recs[0].Rows != len(res.Rows) {
-		t.Fatalf("ring record incomplete: %+v", recs[0])
+	args := map[string]int64{}
+	for _, a := range tr.Args() {
+		args[a.Key] = a.Val
 	}
-	// The log line of the same query: one JSON object on the last line.
-	lines := bytes.Split(bytes.TrimSpace(logged.Bytes()), []byte("\n"))
-	var line struct {
-		Level   string `json:"level"`
-		Msg     string `json:"msg"`
-		QueryID uint64 `json:"query_id"`
-		Query   string `json:"query"`
-		Rows    int    `json:"rows"`
+	for _, key := range []string{"rows", "plan_cache_hit", "admission_ns", "compile_ns", "exec_ns"} {
+		if _, ok := args[key]; !ok {
+			t.Fatalf("trace args %v lack %q", args, key)
+		}
 	}
-	if err := json.Unmarshal(lines[len(lines)-1], &line); err != nil {
-		t.Fatalf("slow-query log line is not JSON: %v\n%s", err, logged.String())
-	}
-	if line.Level != "WARN" || line.Msg != "slow query" || line.QueryID != recs[0].QueryID ||
-		line.Query != recs[0].Query || line.Rows != recs[0].Rows {
-		t.Fatalf("slow-query log line = %+v, ring record %+v", line, recs[0])
+	if args["rows"] != int64(len(res.Rows)) || args["compile_ns"] <= 0 || args["exec_ns"] <= 0 {
+		t.Fatalf("trace args = %v", args)
 	}
 
 	// A streamed query keeps Result.Rows nil; its record still counts the
-	// rows it delivered.
+	// rows it delivered, and the warm run is a plan-cache hit.
 	var streamed int
 	sres, err := c.ExecuteStream(context.Background(), sess, `for $r in dataset Reviews return $r.id`,
 		StreamHandler{OnRow: func(adm.Value) error { streamed++; return nil }})
@@ -347,8 +357,68 @@ func TestSlowQueryRing(t *testing.T) {
 	if streamed == 0 || sres.Rows != nil {
 		t.Fatalf("streamed %d rows, Result.Rows = %v", streamed, sres.Rows)
 	}
-	if rec := c.SlowQueries()[0]; rec.QueryID != sres.Stats.QueryID || rec.Rows != streamed {
-		t.Fatalf("streamed query's ring record = %+v, want query %d with %d rows", rec, sres.Stats.QueryID, streamed)
+	if rec := slowRecord(t, c, sres.Stats.QueryID); rec.Rows != streamed || !rec.PlanCacheHit {
+		t.Fatalf("streamed query's record = %+v, want %d rows and a plan-cache hit", rec, streamed)
+	}
+
+	// A failed query is listed with its error.
+	_, err = c.Execute(context.Background(), sess, `for $r in dataset Nope return $r`)
+	var qe *QueryError
+	if !errors.As(err, &qe) {
+		t.Fatalf("error is %T, want *QueryError", err)
+	}
+	if rec := slowRecord(t, c, qe.QueryID); !strings.Contains(rec.Error, "unknown dataset") {
+		t.Fatalf("failed query's record = %+v", rec)
+	}
+}
+
+// TestActiveQueryExecutePhase holds a streamed query inside its OnRow
+// and reads it back from ActiveQueries in the execute phase.
+func TestActiveQueryExecutePhase(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	sess := NewSession()
+	loadReviews(t, c, sess)
+
+	ids := make(chan uint64, 1)
+	blocked := make(chan struct{})
+	gate := make(chan struct{})
+	errCh := make(chan error, 1)
+	go func() {
+		first := true
+		_, err := c.ExecuteStream(context.Background(), NewSession(), `for $r in dataset Reviews return $r.id`,
+			StreamHandler{
+				OnQueryID: func(id uint64) { ids <- id },
+				OnRow: func(adm.Value) error {
+					if first {
+						first = false
+						close(blocked)
+						<-gate
+					}
+					return nil
+				},
+			})
+		errCh <- err
+	}()
+	id := <-ids
+	select {
+	case <-blocked:
+	case err := <-errCh:
+		t.Fatalf("query ended before its first row was held: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no row reached OnRow")
+	}
+	var phase string
+	for _, aq := range c.ActiveQueries() {
+		if aq.ID == id {
+			phase = aq.Phase
+		}
+	}
+	close(gate)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if phase != "execute" {
+		t.Fatalf("query %d held in OnRow is in phase %q, want execute", id, phase)
 	}
 }
 

@@ -115,10 +115,10 @@ func TestSetMemoryBudgetStatement(t *testing.T) {
 }
 
 // TestSessionBudgetOverridesConfig checks the 0=inherit / -1=unlimited
-// session semantics against a configured default.
+// session semantics against the default SIMDB_TEST_MEMORY_BUDGET sets.
 func TestSessionBudgetOverridesConfig(t *testing.T) {
-	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 1, DataDir: t.TempDir(),
-		QueryMemoryBudget: 1 << 20})
+	t.Setenv("SIMDB_TEST_MEMORY_BUDGET", "1m")
+	c, err := New(Config{NumNodes: 1, PartitionsPerNode: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,7 @@ func TestSessionBudgetOverridesConfig(t *testing.T) {
 // run files survive. Run under -race in CI, it also exercises the
 // concurrent teardown of spilling operator instances.
 func TestSpillCleanupOnCancel(t *testing.T) {
-	c, err := New(Config{NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir(),
-		QueryMemoryBudget: 64 << 10})
+	c, err := New(Config{NumNodes: 2, PartitionsPerNode: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,8 @@ func TestSpillCleanupOnCancel(t *testing.T) {
 	sess := NewSession()
 	loadBulk(t, c, sess, 4000)
 
-	q := `for $a in dataset Bulk
+	q := `set memorybudget '64k';
+	      for $a in dataset Bulk
 	      for $b in dataset Bulk
 	      where $a.grp = $b.grp
 	      order by $a.pad

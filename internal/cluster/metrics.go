@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"io"
-	"log/slog"
+	"sort"
 	"time"
 	"unicode/utf8"
 
 	"simdb/internal/obs"
+	"simdb/internal/obs/trace"
 )
 
 // Process-wide query-serving counters. Handles are resolved once; each
@@ -16,16 +16,10 @@ var (
 	queriesTotal = obs.C("cluster.queries")
 	queryErrors  = obs.C("cluster.query_errors")
 	queryLatency = obs.H("cluster.query_latency_ns")
-	slowQueries  = obs.C("cluster.slow_queries")
 )
 
-// SetSlowQueryLogOutput redirects the slow-query log (default stderr);
-// tests and embedders point it at a buffer or a file.
-func (c *Cluster) SetSlowQueryLogOutput(w io.Writer) {
-	c.slowLog.Store(slog.New(slog.NewJSONHandler(w, nil)))
-}
-
-// SlowQueryRecord is one retained slow-query log entry (GET /slowlog).
+// SlowQueryRecord is one finished query of the tracer's ring as GET
+// /slowlog lists it.
 type SlowQueryRecord struct {
 	QueryID      uint64    `json:"query_id"`
 	Time         time.Time `json:"time"`
@@ -36,84 +30,61 @@ type SlowQueryRecord struct {
 	Error        string    `json:"error,omitempty"`
 }
 
-// slowRingCap bounds the retained slow-query records.
-const slowRingCap = 128
-
-// SlowQueries returns the retained slow-query records, newest first.
+// SlowQueries returns the finished queries the tracer retains, slowest
+// first; Time is when each finished.
 func (c *Cluster) SlowQueries() []SlowQueryRecord {
-	c.slowMu.Lock()
-	defer c.slowMu.Unlock()
-	out := make([]SlowQueryRecord, 0, len(c.slowRing))
-	for i := len(c.slowRing) - 1; i >= 0; i-- {
-		out = append(out, c.slowRing[i])
+	recent := c.tracer.Recent()
+	out := make([]SlowQueryRecord, len(recent))
+	for i, t := range recent {
+		rec := SlowQueryRecord{
+			QueryID: t.ID,
+			WallNs:  t.DurNs(),
+			Query:   t.Query,
+			Error:   t.Err(),
+		}
+		rec.Time = t.Start.Add(time.Duration(rec.WallNs))
+		for _, a := range t.Args() {
+			switch a.Key {
+			case "rows":
+				rec.Rows = int(a.Val)
+			case "plan_cache_hit":
+				rec.PlanCacheHit = a.Val != 0
+			}
+		}
+		out[i] = rec
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].WallNs > out[j].WallNs })
 	return out
 }
 
-// logSlowQuery emits the structured one-line JSON record for a query
-// whose wall time reached the threshold, and retains it in the slowlog
-// ring. query is the request's text as /queries shows it.
-func (c *Cluster) logSlowQuery(qid uint64, query string, wallNs int64, res *Result, err error) {
-	slowQueries.Inc()
-	rec := SlowQueryRecord{
-		QueryID: qid,
-		Time:    time.Now(),
-		WallNs:  wallNs,
-		Query:   query,
+// traceArgs are the arguments a finished query's trace carries: the
+// rows and plan-cache outcome the slow-query log reads back, the phase
+// split, the memory budget and spills, and the similarity funnel.
+func (st *QueryStats) traceArgs() []trace.Arg {
+	hit := int64(0)
+	if st.PlanCacheHit {
+		hit = 1
 	}
-	if res != nil {
-		rec.PlanCacheHit = res.Stats.PlanCacheHit
-		rec.Rows = int(res.Stats.RowsOut)
+	return []trace.Arg{
+		trace.I("rows", st.RowsOut),
+		trace.I("plan_cache_hit", hit),
+		trace.I("admission_ns", st.AdmissionNs),
+		trace.I("compile_ns", st.ParseNs+st.TranslateNs+st.OptimizeNs+st.JobGenNs),
+		trace.I("exec_ns", st.ExecNs),
+		trace.I("mem_budget", st.MemBudget),
+		trace.I("mem_high_water", st.MemHighWater),
+		trace.I("spill_runs", st.SpillRuns),
+		trace.I("spilled_bytes", st.SpilledBytes),
+		trace.I("occurrence_t", st.OccurrenceT),
+		trace.I("postings", st.PostingsRead),
+		trace.I("pruned", st.PrunedTotal),
+		trace.I("candidates", st.CandidatesTotal),
+		trace.I("verified", st.VerifiedTotal),
 	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	c.slowMu.Lock()
-	c.slowRing = append(c.slowRing, rec)
-	if len(c.slowRing) > slowRingCap {
-		n := copy(c.slowRing, c.slowRing[len(c.slowRing)-slowRingCap:])
-		c.slowRing = c.slowRing[:n]
-	}
-	c.slowMu.Unlock()
-
-	kv := []any{
-		"query_id", qid,
-		"wall_ms", float64(wallNs) / 1e6,
-		"query", query,
-	}
-	if res != nil {
-		st := &res.Stats
-		kv = append(kv,
-			"admission_ms", float64(st.AdmissionNs)/1e6,
-			"compile_ms", float64(st.ParseNs+st.TranslateNs+st.OptimizeNs+st.JobGenNs)/1e6,
-			"exec_ms", float64(st.ExecNs)/1e6,
-			"plan_cache_hit", st.PlanCacheHit,
-			"rows", res.Stats.RowsOut,
-		)
-		if st.MemBudget > 0 {
-			kv = append(kv, "mem_budget", st.MemBudget, "mem_high_water", st.MemHighWater)
-		}
-		if st.SpillRuns > 0 {
-			kv = append(kv, "spill_runs", st.SpillRuns, "spilled_bytes", st.SpilledBytes)
-		}
-		if st.IndexSearches > 0 {
-			kv = append(kv,
-				"occurrence_t", st.OccurrenceT,
-				"postings", st.PostingsRead,
-				"pruned", st.PrunedTotal,
-				"candidates", st.CandidatesTotal,
-				"verified", st.VerifiedTotal,
-			)
-		}
-	}
-	if err != nil {
-		kv = append(kv, "error", err.Error())
-	}
-	c.slowLog.Load().Warn("slow query", kv...)
 }
 
 // truncateQuery bounds the query text recorded in /queries, traces
-// and log lines to about 200 bytes, cut at a rune boundary.
+// and the slow-query log to about 200 bytes, cut at a rune boundary.
 func truncateQuery(norm string) string {
 	const max = 200
 	if len(norm) <= max {

@@ -23,7 +23,7 @@ import (
 // QueryStats reports one query's execution profile.
 type QueryStats struct {
 	// QueryID is the process-wide stable ID assigned at admission; the
-	// same ID stamps the trace, slow-log line, spill directory, pprof
+	// same ID stamps the trace, slow-log record, spill directory, pprof
 	// label and any error payload.
 	QueryID uint64
 	// AdmissionNs is the time spent waiting for a QueryManager slot.
@@ -111,10 +111,11 @@ type Session struct {
 	Dataverse    string
 	SimFunction  string
 	SimThreshold string
-	// MemoryBudget is this session's per-query operator memory budget:
-	// 0 inherits Config.QueryMemoryBudget, a positive value overrides it,
-	// and -1 (`set memorybudget 'unlimited';`) disables budgeting even
-	// when the config sets a default.
+	// MemoryBudget is this session's per-query operator memory budget
+	// (`set memorybudget '32m';`): 0 inherits the cluster's default —
+	// unlimited unless SIMDB_TEST_MEMORY_BUDGET sets one — a positive
+	// value overrides it, and -1 (`set memorybudget 'unlimited';`)
+	// disables budgeting even under that default.
 	MemoryBudget int64
 	// Opts overrides the optimizer options; nil means defaults. Its
 	// MemoryBudgetBytes is ignored: the budget comes from MemoryBudget
@@ -166,7 +167,7 @@ func (c *Cluster) resolveMemoryBudget(sessBudget int64) int64 {
 	case sessBudget > 0:
 		return sessBudget
 	default:
-		return c.cfg.QueryMemoryBudget
+		return c.memBudget
 	}
 }
 
@@ -232,8 +233,16 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	norm := aqlp.Canonical(src)
-	qr := c.registerQuery(qid, norm, cancel)
-	qr.stream = stream
+	qr := &queryRun{
+		id:     qid,
+		tr:     c.tracer.Start(qid, truncateQuery(norm)),
+		cancel: cancel,
+		stream: stream,
+	}
+	// The admission span opens before the query is listed, so /queries
+	// never shows it without a phase.
+	admission := qr.tr.StartSpan(trace.RootSpan, "admission", trace.CatPhase)
+	c.registerQuery(qr)
 	if stream != nil && stream.OnQueryID != nil {
 		// Announce the ID before admission, so a front end can expose it
 		// (e.g. for cancellation) while the query still waits for a slot.
@@ -241,14 +250,13 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	}
 	entry := c.snapshotSession(sess)
 	qctx, release, admitNs, err := c.qm.admit(cctx)
+	admission.End()
 	if err != nil {
 		queryErrors.Inc()
 		err = &QueryError{QueryID: qid, Err: err}
 		c.unregisterQuery(qr, err)
 		return nil, err
 	}
-	qr.tr.SpanAt(trace.RootSpan, "admission", trace.CatPhase,
-		time.Now().Add(-time.Duration(admitNs)), time.Duration(admitNs))
 	res, err := c.execute(qctx, sess, entry, src, norm, admitNs, qr)
 	if stream != nil && err == nil && res != nil && len(res.Rows) > 0 {
 		// Paths that buffer (explain, explain analyze, a job that
@@ -260,19 +268,17 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	// release classifies the error: a per-query deadline kill comes back
 	// wrapped in ErrQueryTimeout.
 	err = release(err)
-	wallNs := time.Since(t0).Nanoseconds()
-	queryLatency.Observe(wallNs)
+	queryLatency.Observe(time.Since(t0).Nanoseconds())
 	if err != nil {
 		queryErrors.Inc()
 		err = &QueryError{QueryID: qid, Err: err}
 	}
-	if res != nil {
-		res.Stats.QueryID = qid
+	if res == nil {
+		c.unregisterQuery(qr, err)
+		return nil, err
 	}
-	c.unregisterQuery(qr, err)
-	if th := c.cfg.SlowQueryThreshold; th > 0 && wallNs >= th.Nanoseconds() {
-		c.logSlowQuery(qid, qr.aq.query, wallNs, res, err)
-	}
+	res.Stats.QueryID = qid
+	c.unregisterQuery(qr, err, res.Stats.traceArgs()...)
 	return res, err
 }
 
@@ -303,7 +309,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 	// newer than what its key claims, so DDL invalidation is sound.
 	epoch := c.Catalog.Epoch()
 	if useCache {
-		qr.setPhase(phasePlanCache)
 		lookup := qr.tr.StartSpan(trace.RootSpan, "plan-cache", trace.CatPhase)
 		e, ok := c.planCache.get(key, epoch)
 		lookup.End(trace.S("outcome", cacheOutcome(ok)))
@@ -323,18 +328,16 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 				RuleTrace:           append([]string(nil), e.ruleTrace...),
 				CornerCaseFallbacks: e.cornerCases,
 			}
-			sp := qr.tr.StartSpan(trace.RootSpan, "plan-copy", trace.CatPhase)
+			sp := qr.tr.StartSpan(lookup.ID, "plan-copy", trace.CatPhase)
 			plan, _ := algebra.Copy(e.plan, &algebra.VarAlloc{})
 			sp.End()
 			return c.runJob(ctx, plan, stats, src, e.post, qr)
 		}
 	}
 
-	qr.setPhase(phaseParse)
-	t0 := time.Now()
+	parse := qr.tr.StartSpan(trace.RootSpan, "parse", trace.CatPhase)
 	q, err := aqlp.Parse(src)
-	parseNs := time.Since(t0).Nanoseconds()
-	qr.tr.SpanAt(trace.RootSpan, "parse", trace.CatPhase, t0, time.Duration(parseNs))
+	parseNs := parse.End().Nanoseconds()
 	if err != nil {
 		return nil, planErr(err)
 	}
@@ -368,7 +371,6 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		return &Result{Stats: QueryStats{AdmissionNs: admitNs, ParseNs: parseNs}}, nil
 	}
 
-	qr.setPhase(phaseCompile)
 	st := c.snapshotSession(sess)
 	compileSpan := qr.tr.StartSpan(trace.RootSpan, "compile", trace.CatPhase)
 	plan, stats, err := c.compileState(st, q.Body)
@@ -644,9 +646,6 @@ func (lj *localJob) run(ctx context.Context) (jstats *hyracks.JobStats, err erro
 // worker's shifted by the dispatch delay its process started the job
 // with — offsets, because the clocks of two processes are not comparable.
 func traceOperators(tr *trace.Trace, parent int32, execStart time.Time, spans []hyracks.OpSpan) {
-	if tr == nil {
-		return
-	}
 	for i := range spans {
 		sp := &spans[i]
 		tr.SpanAtOn(parent, sp.Op, trace.CatOperator, sp.Node, sp.Part,
@@ -688,19 +687,17 @@ var errMemoMoved = errors.New("cluster: memo entry invalidated during the job")
 // memo entries if replay is set.
 func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *QueryStats, src string, st sessionState, qr *queryRun, replay bool) (*Result, error) {
 	memBudget := st.Opts.MemoryBudgetBytes
-	qr.setPhase(phaseJobGen)
 	counters := &QueryCounters{}
 	var net hyracks.Transport
 	if c.remote != nil {
 		net = c.remote.net
 	}
-	t0 := time.Now()
+	jobgen := qr.tr.StartSpan(trace.RootSpan, "jobgen", trace.CatPhase)
 	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, replay)
+	stats.JobGenNs = jobgen.End().Nanoseconds()
 	if err != nil {
 		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan)
 	}
-	stats.JobGenNs = time.Since(t0).Nanoseconds()
-	qr.tr.SpanAt(trace.RootSpan, "jobgen", trace.CatPhase, t0, time.Duration(stats.JobGenNs))
 
 	// A job that replays a memo entry buffers its rows even when the
 	// query streams: it may have to run again, and executeRequest
@@ -717,9 +714,7 @@ func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *Query
 	}
 	if acct := lj.topo.Mem; acct != nil {
 		stats.MemBudget = acct.Budget()
-		if qr.aq != nil {
-			qr.aq.mem.Store(acct)
-		}
+		qr.mem.Store(acct)
 	}
 	var remoteCh <-chan remoteJobResult
 	if c.remote != nil {
@@ -733,7 +728,6 @@ func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *Query
 			Epoch: c.Catalog.Epoch(),
 		})
 	}
-	qr.setPhase(phaseExecute)
 	execStart := time.Now()
 	execSpan := qr.tr.StartSpan(trace.RootSpan, "execute", trace.CatPhase)
 	jstats, err := lj.run(ctx)

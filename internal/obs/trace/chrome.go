@@ -81,12 +81,18 @@ func (t *Trace) ChromeJSON(tc *Tracer) ([]byte, error) {
 		metaName(chromePidQuery, chromeTidPhases, "thread_name", "phases"),
 	)
 
-	// The whole query as the root event so empty traces still render.
+	// The whole query as the root event so empty traces still render; it
+	// carries the arguments Finish recorded.
+	root := argsMap(t.Args())
+	if root == nil {
+		root = map[string]any{}
+	}
+	root["query"], root["query_id"], root["error"] = t.Query, t.ID, t.Err()
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "query", Cat: CatPhase, Ph: "X",
 		Ts: 0, Dur: float64(t.DurNs()) / 1e3,
 		Pid: chromePidQuery, Tid: chromeTidPhases,
-		Args: map[string]any{"query": t.Query, "query_id": t.ID, "error": t.Err()},
+		Args: root,
 	})
 
 	seenLanes := map[int]string{}

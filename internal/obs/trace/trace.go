@@ -62,7 +62,6 @@ type Span struct {
 }
 
 // SpanRef is a handle for an in-progress span created by StartSpan.
-// The zero SpanRef (from a nil trace) is safe to End.
 type SpanRef struct {
 	tr    *Trace
 	ID    int32
@@ -84,6 +83,10 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []Span
+	// phase names the newest top-level phase span opened.
+	phase string
+	// args annotate the whole query; Finish records them.
+	args  []Arg
 	endNs int64
 	err   string
 	done  bool
@@ -94,11 +97,13 @@ type Trace struct {
 // the cap are dropped and counted.
 const maxSpansPerTrace = 4096
 
-// StartSpan opens a span under parent and returns its handle. Nil-safe:
-// a nil trace returns a zero ref whose End is a no-op.
+// StartSpan opens a span under parent and returns its handle. A
+// top-level phase span becomes the trace's current Phase.
 func (t *Trace) StartSpan(parent int32, name, cat string) SpanRef {
-	if t == nil {
-		return SpanRef{}
+	if cat == CatPhase && parent == RootSpan {
+		t.mu.Lock()
+		t.phase = name
+		t.mu.Unlock()
 	}
 	return SpanRef{
 		tr:    t,
@@ -110,24 +115,23 @@ func (t *Trace) StartSpan(parent int32, name, cat string) SpanRef {
 	}
 }
 
-// End completes the span and records it.
-func (r SpanRef) End(args ...Arg) {
-	if r.tr == nil {
-		return
-	}
+// End completes the span, records it and returns its duration.
+func (r SpanRef) End(args ...Arg) time.Duration {
+	dur := time.Since(r.start)
 	r.tr.append(Span{
 		ID:      r.ID,
 		Parent:  r.par,
 		Name:    r.name,
 		Cat:     r.cat,
 		StartNs: r.start.Sub(r.tr.Start).Nanoseconds(),
-		DurNs:   time.Since(r.start).Nanoseconds(),
+		DurNs:   dur.Nanoseconds(),
 		Args:    args,
 	})
+	return dur
 }
 
 // SpanAt records an already-measured span (start/duration known after
-// the fact) and returns its ID. Nil-safe.
+// the fact) and returns its ID.
 func (t *Trace) SpanAt(parent int32, name, cat string, start time.Time, dur time.Duration, args ...Arg) int32 {
 	return t.SpanAtOn(parent, name, cat, 0, 0, start, dur, args...)
 }
@@ -135,9 +139,6 @@ func (t *Trace) SpanAt(parent int32, name, cat string, start time.Time, dur time
 // SpanAtOn is SpanAt with an explicit (node, partition) placement, used
 // for operator-instance spans.
 func (t *Trace) SpanAtOn(parent int32, name, cat string, node, part int, start time.Time, dur time.Duration, args ...Arg) int32 {
-	if t == nil {
-		return RootSpan
-	}
 	id := t.nextID.Add(1) - 1
 	t.append(Span{
 		ID:      id,
@@ -163,21 +164,15 @@ func (t *Trace) append(s Span) {
 
 // Spans returns a copy of the recorded spans.
 func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.spans...)
 }
 
-// Finish seals the trace (recording the error text, if any) and moves
-// it from the tracer's active set into the recent-trace ring. Nil-safe;
-// double Finish is a no-op.
-func (t *Trace) Finish(err error) {
-	if t == nil {
-		return
-	}
+// Finish seals the trace, recording the error text, if any, and args
+// that annotate the whole query, and moves it into the tracer's
+// recent-trace ring. Double Finish is a no-op.
+func (t *Trace) Finish(err error, args ...Arg) {
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
@@ -185,11 +180,27 @@ func (t *Trace) Finish(err error) {
 	}
 	t.done = true
 	t.endNs = time.Since(t.Start).Nanoseconds()
+	t.args = args
 	if err != nil {
 		t.err = err.Error()
 	}
 	t.mu.Unlock()
 	t.tracer.retire(t)
+}
+
+// Phase names the newest top-level phase span opened ("" before the
+// first).
+func (t *Trace) Phase() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.phase
+}
+
+// Args returns the arguments Finish recorded (nil while active).
+func (t *Trace) Args() []Arg {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.args
 }
 
 // DurNs returns the trace's total duration: end-to-end once finished,
@@ -228,16 +239,14 @@ type Event struct {
 	Args  []Arg
 }
 
-// Tracer owns the recent-trace ring, the active-trace set, and the
-// background event ring. One process-wide Default() instance exists,
-// mirroring the obs metrics registry.
+// Tracer owns the ring of finished traces and the background event
+// ring; the traces of running queries are their owner's to list. One
+// process-wide Default() instance exists, mirroring the obs metrics
+// registry.
 type Tracer struct {
-	enabled atomic.Bool
-
-	mu     sync.Mutex
-	cap    int
-	ring   []*Trace // completed traces, oldest first
-	active map[uint64]*Trace
+	mu   sync.Mutex
+	cap  int
+	ring []*Trace // completed traces, oldest first
 
 	emu    sync.Mutex
 	ecap   int
@@ -245,15 +254,12 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer retaining the last `capacity` finished
-// traces (<= 0 takes 128) and 4x that many background events. Tracing
-// starts enabled.
+// traces (<= 0 takes 128) and 4x that many background events.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	t := &Tracer{cap: capacity, ecap: capacity * 4, active: map[uint64]*Trace{}}
-	t.enabled.Store(true)
-	return t
+	return &Tracer{cap: capacity, ecap: capacity * 4}
 }
 
 var defaultTracer = NewTracer(128)
@@ -265,35 +271,19 @@ func Default() *Tracer { return defaultTracer }
 var queryIDs atomic.Uint64
 
 // NextQueryID returns a fresh process-unique query ID. The same ID
-// stamps the query's trace, stats, slow-log line, spill directory,
+// stamps the query's trace, stats, slow-log record, spill directory,
 // pprof label and typed-error payload, so every observability surface
 // cross-references.
 func NextQueryID() uint64 { return queryIDs.Add(1) }
 
-// SetEnabled turns span/event recording on or off. Start returns nil
-// traces while disabled, and Event becomes a no-op.
-func (tc *Tracer) SetEnabled(on bool) { tc.enabled.Store(on) }
-
-// Enabled reports whether recording is on.
-func (tc *Tracer) Enabled() bool { return tc.enabled.Load() }
-
-// Start opens a trace for query id, or returns nil when disabled
-// (every Trace method is nil-safe, so call sites never branch).
+// Start opens a trace for query id; Finish hands it to the ring.
 func (tc *Tracer) Start(id uint64, query string) *Trace {
-	if !tc.enabled.Load() {
-		return nil
-	}
-	t := &Trace{ID: id, Query: query, Start: time.Now(), tracer: tc}
-	tc.mu.Lock()
-	tc.active[id] = t
-	tc.mu.Unlock()
-	return t
+	return &Trace{ID: id, Query: query, Start: time.Now(), tracer: tc}
 }
 
-// retire moves a finished trace from active to the bounded ring.
+// retire appends a finished trace to the bounded ring.
 func (tc *Tracer) retire(t *Trace) {
 	tc.mu.Lock()
-	delete(tc.active, t.ID)
 	tc.ring = append(tc.ring, t)
 	if len(tc.ring) > tc.cap {
 		n := copy(tc.ring, tc.ring[len(tc.ring)-tc.cap:])
@@ -316,24 +306,10 @@ func (tc *Tracer) Recent() []*Trace {
 	return out
 }
 
-// Active returns the currently-recording traces (unordered).
-func (tc *Tracer) Active() []*Trace {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	out := make([]*Trace, 0, len(tc.active))
-	for _, t := range tc.active {
-		out = append(out, t)
-	}
-	return out
-}
-
-// Get finds a trace by query ID among active then finished traces.
+// Get finds a finished trace by query ID.
 func (tc *Tracer) Get(id uint64) (*Trace, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if t, ok := tc.active[id]; ok {
-		return t, true
-	}
 	for i := len(tc.ring) - 1; i >= 0; i-- {
 		if tc.ring[i].ID == id {
 			return tc.ring[i], true
@@ -342,12 +318,8 @@ func (tc *Tracer) Get(id uint64) (*Trace, bool) {
 	return nil, false
 }
 
-// Event records one background storage/WAL interval. A single atomic
-// load gates the disabled path.
+// Event records one background storage/WAL interval.
 func (tc *Tracer) Event(name, cat, key string, start time.Time, dur time.Duration, args ...Arg) {
-	if !tc.enabled.Load() {
-		return
-	}
 	tc.emu.Lock()
 	tc.events = append(tc.events, Event{
 		Name: name, Cat: cat, Key: key,

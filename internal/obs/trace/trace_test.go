@@ -12,37 +12,51 @@ import (
 func TestTraceSpansAndRing(t *testing.T) {
 	tc := NewTracer(2)
 	tr := tc.Start(1, "for $r in dataset R return $r")
-	if tr == nil {
-		t.Fatal("Start returned nil with tracing enabled")
+	if tr.Phase() != "" {
+		t.Fatalf("phase before any span = %q", tr.Phase())
 	}
 	sp := tr.StartSpan(RootSpan, "parse", CatPhase)
-	sp.End(I("tokens", 12))
+	if tr.Phase() != "parse" {
+		t.Fatalf("phase = %q, want parse", tr.Phase())
+	}
+	// A nested phase span and an operator span leave the phase alone.
+	tr.StartSpan(sp.ID, "plan-copy", CatPhase).End()
+	tr.StartSpan(RootSpan, "scan", CatOperator).End()
+	if tr.Phase() != "parse" {
+		t.Fatalf("phase after nested spans = %q, want parse", tr.Phase())
+	}
+	if d := sp.End(I("tokens", 12)); d <= 0 {
+		t.Fatalf("End returned %v", d)
+	}
 	tr.SpanAtOn(RootSpan, "DataScan", CatOperator, 1, 3, tr.Start, time.Millisecond, I("tuples_out", 10))
 
 	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
+	if len(spans) != 4 {
+		t.Fatalf("got %d spans, want 4", len(spans))
 	}
-	if spans[0].Name != "parse" || spans[0].Cat != CatPhase {
-		t.Fatalf("span 0 = %+v", spans[0])
+	if spans[2].Name != "parse" || spans[2].Cat != CatPhase {
+		t.Fatalf("span 2 = %+v", spans[2])
 	}
-	if spans[1].Node != 1 || spans[1].Part != 3 {
-		t.Fatalf("operator span placement = node %d part %d", spans[1].Node, spans[1].Part)
+	if spans[3].Node != 1 || spans[3].Part != 3 {
+		t.Fatalf("operator span placement = node %d part %d", spans[3].Node, spans[3].Part)
 	}
 
-	if len(tc.Active()) != 1 {
-		t.Fatalf("active = %d, want 1", len(tc.Active()))
+	if _, ok := tc.Get(1); ok || len(tc.Recent()) != 0 {
+		t.Fatal("a running trace is in the ring")
 	}
-	tr.Finish(errors.New("boom"))
+	tr.Finish(errors.New("boom"), I("rows", 3))
 	if tr.Err() != "boom" || !tr.Done() {
 		t.Fatalf("finish: err=%q done=%v", tr.Err(), tr.Done())
 	}
-	tr.Finish(nil) // double finish is a no-op
-	if tr.Err() != "boom" {
-		t.Fatal("double Finish overwrote the error")
+	if args := tr.Args(); len(args) != 1 || args[0] != I("rows", 3) {
+		t.Fatalf("finish args = %+v", args)
 	}
-	if len(tc.Active()) != 0 || len(tc.Recent()) != 1 {
-		t.Fatalf("retire: active=%d recent=%d", len(tc.Active()), len(tc.Recent()))
+	tr.Finish(nil) // double finish is a no-op
+	if tr.Err() != "boom" || len(tr.Args()) != 1 {
+		t.Fatal("double Finish overwrote the error or the args")
+	}
+	if len(tc.Recent()) != 1 {
+		t.Fatalf("retire: recent=%d", len(tc.Recent()))
 	}
 
 	// Ring keeps only the newest `capacity` traces, newest first.
@@ -67,26 +81,6 @@ func ids(ts []*Trace) []uint64 {
 		out[i] = tr.ID
 	}
 	return out
-}
-
-func TestTracerDisabledIsNilSafe(t *testing.T) {
-	tc := NewTracer(4)
-	tc.SetEnabled(false)
-	tr := tc.Start(9, "q")
-	if tr != nil {
-		t.Fatal("Start should return nil when disabled")
-	}
-	// Every Trace method must tolerate the nil receiver.
-	tr.StartSpan(RootSpan, "x", CatPhase).End()
-	tr.SpanAt(RootSpan, "y", CatPhase, time.Now(), time.Millisecond)
-	tr.Finish(nil)
-	if tr.Spans() != nil {
-		t.Fatal("nil trace returned spans")
-	}
-	tc.Event("flush", CatStorage, "dir", time.Now(), time.Millisecond)
-	if len(tc.Events()) != 0 {
-		t.Fatal("Event recorded while disabled")
-	}
 }
 
 func TestSpanCap(t *testing.T) {
@@ -159,7 +153,7 @@ func TestChromeJSONShape(t *testing.T) {
 	tr.SpanAtOn(exec, "DataScan", CatOperator, 0, 1, tr.Start.Add(3*time.Millisecond), 5*time.Millisecond,
 		I("tuples_out", 42))
 	tc.Event("wal-sync", CatWAL, "wal-0", tr.Start.Add(time.Millisecond), time.Millisecond, I("recs", 3))
-	tr.Finish(nil)
+	tr.Finish(nil, I("rows", 5))
 
 	buf, err := tr.ChromeJSON(tc)
 	if err != nil {
@@ -205,6 +199,9 @@ func TestChromeJSONShape(t *testing.T) {
 			if e.Args["key"] != "wal-0" {
 				t.Fatalf("wal event key = %v", e.Args["key"])
 			}
+		}
+		if e.Name == "query" && (e.Args["rows"] != float64(5) || e.Args["query_id"] != float64(7)) {
+			t.Fatalf("query event args = %v, want the Finish args and the query id", e.Args)
 		}
 		if e.Name == "DataScan" {
 			wantTid := operatorLaneBase + 0*operatorLaneStride + 1

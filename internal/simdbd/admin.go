@@ -67,12 +67,8 @@ func summarize(t *trace.Trace) traceSummary {
 // handleTraces answers GET /traces: running queries' traces, then the
 // retired ones, newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	tc := s.c.Tracer()
 	out := []traceSummary{}
-	for _, t := range tc.Active() {
-		out = append(out, summarize(t))
-	}
-	for _, t := range tc.Recent() {
+	for _, t := range s.c.Traces() {
 		out = append(out, summarize(t))
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -87,14 +83,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("simdbd: bad trace id %q", r.PathValue("id"))))
 		return
 	}
-	tc := s.c.Tracer()
-	t, ok := tc.Get(id)
+	t, ok := s.c.Trace(id)
 	if !ok {
 		s.fail(w, wireErrf(codeNotFound, http.StatusNotFound,
 			fmt.Sprintf("simdbd: no trace for query %d", id)))
 		return
 	}
-	buf, err := t.ChromeJSON(tc)
+	buf, err := t.ChromeJSON(s.c.Tracer())
 	if err != nil {
 		s.fail(w, wireErrf(codeInternal, http.StatusInternalServerError,
 			fmt.Sprintf("simdbd: trace %d: %v", id, err)))
@@ -105,8 +100,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, json.RawMessage(buf))
 }
 
-// handleSlowlog answers GET /slowlog: the retained slow-query records,
-// newest first.
+// handleSlowlog answers GET /slowlog: the finished queries the tracer
+// retains, slowest first.
 func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.c.SlowQueries())
 }

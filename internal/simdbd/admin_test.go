@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"simdb/internal/core"
 )
 
 // get fetches url and returns the status and the whole body.
@@ -157,12 +155,9 @@ func splitSample(line string) (name, value string, ok bool) {
 // TestQueriesTracesAndSlowlog reads a query admitted through the
 // embedded API back from the introspection routes: the live list, the
 // trace listing, the trace itself as Chrome trace-event JSON, and the
-// slow-query ring.
+// slow-query log.
 func TestQueriesTracesAndSlowlog(t *testing.T) {
-	db, base := bootServer(t, func(cfg *core.Config) {
-		cfg.SlowQueryThreshold = time.Nanosecond // everything is slow
-	})
-	db.Cluster().SetSlowQueryLogOutput(io.Discard)
+	db, base := bootServer(t, nil)
 	seedReviews(t, base, 5)
 	res, err := db.Query(`for $r in dataset Reviews return $r.id`)
 	if err != nil {
@@ -230,6 +225,61 @@ func TestQueriesTracesAndSlowlog(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("/slowlog missing query %d:\n%s", qid, body)
+	}
+}
+
+// TestSlowlogListsServedQueries: a server in its default configuration
+// lists the queries it served on GET /slowlog, slowest first, each with
+// its canonical text, row count and plan-cache outcome.
+func TestSlowlogListsServedQueries(t *testing.T) {
+	_, base := bootServer(t, nil)
+	seedReviews(t, base, 20)
+	served := map[uint64]int64{}
+	for i := 0; i < 3; i++ {
+		rows, sum := runQuery(t, base, "", "for $r in dataset Reviews\n  return $r.id")
+		if int64(len(rows)) != sum.Rows {
+			t.Fatalf("streamed %d rows, summary says %d", len(rows), sum.Rows)
+		}
+		served[sum.QueryID] = sum.Rows
+	}
+
+	code, body := get(t, base+"/slowlog")
+	if code != http.StatusOK {
+		t.Fatalf("/slowlog status %d", code)
+	}
+	var slow []struct {
+		QueryID      uint64    `json:"query_id"`
+		Time         time.Time `json:"time"`
+		WallNs       int64     `json:"wall_ns"`
+		Query        string    `json:"query"`
+		PlanCacheHit bool      `json:"plan_cache_hit"`
+		Rows         int64     `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(body), &slow); err != nil {
+		t.Fatalf("/slowlog not JSON: %v", err)
+	}
+	hits := 0
+	for i, rec := range slow {
+		if i > 0 && rec.WallNs > slow[i-1].WallNs {
+			t.Fatalf("/slowlog not slowest first at %d:\n%s", i, body)
+		}
+		rows, ok := served[rec.QueryID]
+		if !ok {
+			continue
+		}
+		delete(served, rec.QueryID)
+		if rec.Query != "for $r in dataset Reviews return $r.id" || rec.Rows != rows || rec.WallNs <= 0 || rec.Time.IsZero() {
+			t.Fatalf("/slowlog record of query %d = %+v", rec.QueryID, rec)
+		}
+		if rec.PlanCacheHit {
+			hits++
+		}
+	}
+	if len(served) != 0 {
+		t.Fatalf("/slowlog misses served queries %v:\n%s", served, body)
+	}
+	if hits != 2 {
+		t.Fatalf("%d of the three runs marked plan-cache hits, want the two warm ones", hits)
 	}
 }
 

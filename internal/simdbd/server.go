@@ -19,7 +19,7 @@
 // cancellation by ID (GET /queries, POST /queries/{id}/cancel — any
 // query, whether it came in here or through the embedded API), recent
 // query traces as Chrome trace-event JSON (GET /traces, /traces/{id}),
-// the slow-query ring (GET /slowlog) and net/http/pprof.
+// the slow-query log (GET /slowlog) and net/http/pprof.
 package simdbd
 
 import (
@@ -218,7 +218,7 @@ GET    /queries                active queries (id, text, phase, elapsed, mem)
 POST   /queries/{id}/cancel    cancel an in-flight query, however it was submitted
 GET    /traces                 recent query traces (newest first)
 GET    /traces/{id}            one trace as Chrome trace-event JSON (Perfetto)
-GET    /slowlog                recent slow-query records
+GET    /slowlog                recent queries, slowest first
 GET    /debug/pprof/           pprof index (queries carry a query_id label)
 `)
 }

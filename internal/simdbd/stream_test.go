@@ -181,15 +181,13 @@ func TestMidStreamQueryTimeout(t *testing.T) {
 // held: active registry empty, admission slot returned, no spill files
 // left behind.
 func TestDisconnectCancelsQuery(t *testing.T) {
-	db, base := bootServer(t, func(cfg *core.Config) {
-		cfg.FrameSize = 8
-		cfg.QueryMemoryBudget = 1 << 20
-	})
+	db, base := bootServer(t, func(cfg *core.Config) { cfg.FrameSize = 8 })
 	seedReviews(t, base, 300)
 	db.Cluster().SetSimNetLatency(2 * time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, "POST", base+"/query", strings.NewReader(`
+		set memorybudget '1m';
 		for $a in dataset Reviews
 		for $b in dataset Reviews
 		where $a.username = $b.username
