@@ -114,9 +114,11 @@ func run(db *core.Database, sess *core.Session, src string, showPlan bool) error
 			return err
 		}
 	}
-	if showPlan && res.Stats.LogicalPlan != "" {
-		fmt.Println("--- optimized plan ---")
-		fmt.Print(res.Stats.LogicalPlan)
+	if showPlan {
+		if plan := res.Stats.LogicalPlan(); plan != "" {
+			fmt.Println("--- optimized plan ---")
+			fmt.Print(plan)
+		}
 	}
 	if res.Stats.ExecNs > 0 {
 		fmt.Printf("(%d rows, %.1f ms exec, %d plan ops)\n",

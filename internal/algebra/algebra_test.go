@@ -345,3 +345,62 @@ func TestPrintPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestBindCopyReachesEveryTaggedConstant: BindCopy binds a tagged
+// constant in every expression an operator holds and in its key range,
+// keeps the plan's variables and shares nothing with the original, and
+// TaggedSlots sees exactly the constants it binds.
+func TestBindCopyReachesEveryTaggedConstant(t *testing.T) {
+	slot := 0
+	tagged := func() Expr {
+		slot++
+		return Const{Val: adm.NewInt(int64(slot)), Slot: slot}
+	}
+	comp := Comprehension{Clauses: []CompClause{{Kind: "for", V: "x", E: F("list", tagged())}}, Ret: tagged()}
+	op := NewOp(OpSelect, NewOp(OpEmpty))
+	op.Cond = F("and", tagged(), comp)
+	op.Expr, op.KeyExpr, op.TExpr, op.PKExpr = tagged(), tagged(), tagged(), tagged()
+	op.AssignVars, op.AssignExprs = []Var{1}, []Expr{tagged()}
+	op.FusedAssignVars, op.FusedAssignExprs = []Var{2}, []Expr{tagged()}
+	op.JoinLeftKeys, op.JoinRightKeys = []Expr{tagged()}, []Expr{tagged()}
+	op.Keys = []KeyDef{{V: 3, E: tagged()}}
+	op.Aggs = []AggDef{{V: 4, E: tagged()}}
+	op.Orders = []OrderSpec{{E: tagged()}}
+	lo, hi := tagged().(Const), tagged().(Const)
+	op.Range = &KeyRange{Lo: &lo, Hi: &hi, LoIncl: true}
+	untagged := C(adm.NewString("kept"))
+	op.Cond = F("and", op.Cond, untagged)
+
+	vals := make([]adm.Value, slot)
+	for i := range vals {
+		vals[i] = adm.NewInt(int64(100 + i + 1))
+	}
+	bound := BindCopy(op, vals)
+	var seen SlotSet
+	n := 0
+	check := func(c Const) {
+		switch {
+		case c.Slot == 0 && c.Val.Str() != "kept":
+			t.Errorf("untagged constant changed to %v", c.Val)
+		case c.Slot != 0 && c.Val.Int() != int64(100+c.Slot):
+			t.Errorf("slot %d bound to %v, want %d", c.Slot, c.Val, 100+c.Slot)
+		case c.Slot != 0:
+			seen.Add(c.Slot)
+			n++
+		}
+	}
+	for _, p := range bound.ExprSlots() {
+		WalkConsts(*p, check)
+	}
+	check(*bound.Range.Lo)
+	check(*bound.Range.Hi)
+	if n != slot {
+		t.Errorf("bound %d tagged constants, the plan has %d", n, slot)
+	}
+	if got := TaggedSlots(op); !got.Contains(seen) || !seen.Contains(got) {
+		t.Errorf("TaggedSlots %v, bound slots %v", got, seen)
+	}
+	if op.Range.Lo.Val.Int() != 15 || bound.AssignVars[0] != 1 || &bound.AssignExprs[0] == &op.AssignExprs[0] {
+		t.Error("BindCopy changed the original, renamed a variable or shared a slice")
+	}
+}

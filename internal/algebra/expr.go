@@ -35,8 +35,73 @@ type Expr interface {
 	String() string
 }
 
-// Const is a literal value.
-type Const struct{ Val adm.Value }
+// Const is a literal value. Slot is one more than the index of the
+// request literal the constant was translated from (its parameter in
+// the request's aqlp.Shape), 0 for a constant no literal stands for. A
+// plan cached by shape is bound to the next request of that shape by
+// BindCopy, which gives every tagged constant the request's value, so a
+// compile-time decision on a tagged constant's value must record its
+// slot (the optimizer's Value method) to key the cache on it. Its kind
+// is fixed by the shape and may be read freely.
+type Const struct {
+	Val  adm.Value
+	Slot int
+}
+
+// SlotSet is a set of Const slots.
+type SlotSet []uint64
+
+// Add puts slot in the set.
+func (s *SlotSet) Add(slot int) {
+	for len(*s) <= slot/64 {
+		*s = append(*s, 0)
+	}
+	(*s)[slot/64] |= 1 << (slot % 64)
+}
+
+// Has reports whether slot is in the set.
+func (s SlotSet) Has(slot int) bool {
+	return slot/64 < len(s) && s[slot/64]&(1<<(slot%64)) != 0
+}
+
+// AddAll puts every slot of t in the set.
+func (s *SlotSet) AddAll(t SlotSet) {
+	for len(*s) < len(t) {
+		*s = append(*s, 0)
+	}
+	for i, w := range t {
+		(*s)[i] |= w
+	}
+}
+
+// Contains reports whether every slot of t is in the set.
+func (s SlotSet) Contains(t SlotSet) bool {
+	for i, w := range t {
+		if w != 0 && (i >= len(s) || s[i]&w != w) {
+			return false
+		}
+	}
+	return true
+}
+
+// WalkConsts calls fn on every constant in e.
+func WalkConsts(e Expr, fn func(Const)) {
+	switch x := e.(type) {
+	case Const:
+		fn(x)
+	case Call:
+		for _, a := range x.Args {
+			WalkConsts(a, fn)
+		}
+	case Comprehension:
+		for _, c := range x.Clauses {
+			if c.E != nil {
+				WalkConsts(c.E, fn)
+			}
+		}
+		WalkConsts(x.Ret, fn)
+	}
+}
 
 // VarRef references a logical variable.
 type VarRef struct{ V Var }
@@ -153,17 +218,26 @@ func UsedVars(e Expr, dst []Var) []Var {
 // SubstVars rewrites variable references through the mapping, leaving
 // unmapped variables untouched. Expressions are immutable: a new tree
 // is returned.
-func SubstVars(e Expr, m map[Var]Var) Expr {
+func SubstVars(e Expr, m map[Var]Var) Expr { return substBind(e, m, nil) }
+
+// substBind is SubstVars that also binds each tagged constant to its
+// slot's value in vals, when vals is non-nil.
+func substBind(e Expr, m map[Var]Var, vals []adm.Value) Expr {
 	switch x := e.(type) {
 	case VarRef:
 		if nv, ok := m[x.V]; ok {
 			return VarRef{V: nv}
 		}
 		return x
+	case Const:
+		if !bindable(x, vals) {
+			return e // no new box for the interface
+		}
+		return Const{Val: vals[x.Slot-1], Slot: x.Slot}
 	case Call:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = SubstVars(a, m)
+			args[i] = substBind(a, m, vals)
 		}
 		return Call{Fn: x.Fn, Args: args, Hint: x.Hint}
 	case Comprehension:
@@ -171,14 +245,18 @@ func SubstVars(e Expr, m map[Var]Var) Expr {
 		for i, c := range x.Clauses {
 			nc := c
 			if c.E != nil {
-				nc.E = SubstVars(c.E, m)
+				nc.E = substBind(c.E, m, vals)
 			}
 			cls[i] = nc
 		}
-		return Comprehension{Clauses: cls, Ret: SubstVars(x.Ret, m)}
+		return Comprehension{Clauses: cls, Ret: substBind(x.Ret, m, vals)}
 	}
 	return e
 }
+
+// bindable reports whether binding to vals gives c a value: it has a
+// slot, and vals reaches it.
+func bindable(c Const, vals []adm.Value) bool { return c.Slot != 0 && c.Slot <= len(vals) }
 
 // ReplaceExpr rewrites e bottom-up through fn.
 func ReplaceExpr(e Expr, fn func(Expr) Expr) Expr {

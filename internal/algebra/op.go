@@ -254,25 +254,35 @@ func (b SearchBound) String() string {
 
 // KeyRange is an interval of primary keys: Lo and Hi are its ends, nil
 // for an unbounded one, and LoIncl and HiIncl say whether each end
-// belongs to it. It is sound, not authoritative: the select it was taken
-// from stays above the scan, so the scan may read more keys than the
-// interval holds, never fewer.
+// belongs to it. An end is the constant of the conjunct it came from,
+// slot and all, so binding a cached plan to a request's literals moves
+// the range with them. It is sound, not authoritative: the select it was
+// taken from stays above the scan, so the scan may read more keys than
+// the interval holds, never fewer.
 type KeyRange struct {
-	Lo, Hi         *adm.Value
+	Lo, Hi         *Const
 	LoIncl, HiIncl bool
 }
 
 // Equal reports whether two ranges (nil for none) are the same interval:
-// ends of one kind that compare equal, with the same inclusivity.
-func (r *KeyRange) Equal(s *KeyRange) bool {
+// ends of one kind that compare equal, with the same inclusivity. Two
+// ends of one slot are one literal and equal without a look at their
+// values; any other two are compared through val, the caller's way of
+// reading a constant's value.
+func (r *KeyRange) Equal(s *KeyRange, val func(Const) adm.Value) bool {
 	if r == nil || s == nil {
 		return r == s
 	}
-	end := func(a, b *adm.Value) bool {
-		if a == nil || b == nil {
+	end := func(a, b *Const) bool {
+		switch {
+		case a == nil || b == nil:
 			return a == b
+		case a.Val.Kind() != b.Val.Kind():
+			return false
+		case a.Slot != 0 && a.Slot == b.Slot:
+			return true
 		}
-		return a.Kind() == b.Kind() && adm.Compare(*a, *b) == 0
+		return adm.Compare(val(*a), val(*b)) == 0
 	}
 	return end(r.Lo, s.Lo) && end(r.Hi, s.Hi) && r.LoIncl == s.LoIncl && r.HiIncl == s.HiIncl
 }
@@ -282,14 +292,14 @@ func (r *KeyRange) Equal(s *KeyRange) bool {
 func (r *KeyRange) String() string {
 	lo, open := "-inf", "("
 	if r.Lo != nil {
-		lo = r.Lo.String()
+		lo = r.Lo.Val.String()
 		if r.LoIncl {
 			open = "["
 		}
 	}
 	hi, shut := "+inf", ")"
 	if r.Hi != nil {
-		hi = r.Hi.String()
+		hi = r.Hi.Val.String()
 		if r.HiIncl {
 			shut = "]"
 		}
@@ -480,16 +490,58 @@ func CountKind(root *Op, k OpKind) int {
 // nodes stay shared in the copy. It returns the copy and the variable
 // mapping — the machinery AQL+ meta clauses rely on to instantiate a
 // branch several times.
-func Copy(root *Op, alloc *VarAlloc) (*Op, map[Var]Var) {
-	varMap := map[Var]Var{}
-	// First pass: allocate new vars for every defined var in the DAG.
+func Copy(root *Op, alloc *VarAlloc) (*Op, map[Var]Var) { return copyPlan(root, alloc, nil) }
+
+// BindCopy deep-copies the plan like Copy, keeping its variables, and
+// binds the copy to a request of its shape: every tagged constant
+// (Const.Slot > 0), in an expression or a key range, takes its slot's
+// value in vals (vals[Slot-1]); nil vals binds nothing. TaggedSlots
+// reaches exactly the constants it binds. Bound to a request's values,
+// the copy of a plan cached as compiled prints like a fresh compile of
+// the request.
+func BindCopy(root *Op, vals []adm.Value) *Op {
+	c, _ := copyPlan(root, nil, vals)
+	return c
+}
+
+// TaggedSlots returns the slots of the tagged constants of the plan.
+func TaggedSlots(root *Op) SlotSet {
+	var s SlotSet
+	add := func(c Const) {
+		if c.Slot != 0 {
+			s.Add(c.Slot)
+		}
+	}
 	Walk(root, func(o *Op) {
-		for _, v := range o.DefinedVars() {
-			if _, ok := varMap[v]; !ok {
-				varMap[v] = alloc.New()
+		for _, p := range o.ExprSlots() {
+			WalkConsts(*p, add)
+		}
+		if r := o.Range; r != nil {
+			for _, end := range [2]*Const{r.Lo, r.Hi} {
+				if end != nil {
+					add(*end)
+				}
 			}
 		}
 	})
+	return s
+}
+
+// copyPlan is Copy with fresh variables from alloc, or the same ones if
+// alloc is nil, binding tagged constants to vals if it is non-nil.
+func copyPlan(root *Op, alloc *VarAlloc, vals []adm.Value) (*Op, map[Var]Var) {
+	var varMap map[Var]Var
+	// First pass: allocate new vars for every defined var in the DAG.
+	if alloc != nil {
+		varMap = map[Var]Var{}
+		Walk(root, func(o *Op) {
+			for _, v := range o.DefinedVars() {
+				if _, ok := varMap[v]; !ok {
+					varMap[v] = alloc.New()
+				}
+			}
+		})
+	}
 	nodeMap := map[*Op]*Op{}
 	var rec func(*Op) *Op
 	rec = func(o *Op) *Op {
@@ -508,6 +560,7 @@ func Copy(root *Op, alloc *VarAlloc) (*Op, map[Var]Var) {
 		}
 		if o.Range != nil {
 			r := *o.Range
+			r.Lo, r.Hi = bindEnd(r.Lo, vals), bindEnd(r.Hi, vals)
 			c.Range = &r
 		}
 		c.Inputs = make([]*Op, len(o.Inputs))
@@ -527,26 +580,26 @@ func Copy(root *Op, alloc *VarAlloc) (*Op, map[Var]Var) {
 		c.OutVar = remap(o.OutVar)
 		c.Var = remap(o.Var)
 		if o.Cond != nil {
-			c.Cond = SubstVars(o.Cond, varMap)
+			c.Cond = substBind(o.Cond, varMap, vals)
 		}
 		if o.Expr != nil {
-			c.Expr = SubstVars(o.Expr, varMap)
+			c.Expr = substBind(o.Expr, varMap, vals)
 		}
 		if o.KeyExpr != nil {
-			c.KeyExpr = SubstVars(o.KeyExpr, varMap)
+			c.KeyExpr = substBind(o.KeyExpr, varMap, vals)
 		}
 		if o.TExpr != nil {
-			c.TExpr = SubstVars(o.TExpr, varMap)
+			c.TExpr = substBind(o.TExpr, varMap, vals)
 		}
 		if o.PKExpr != nil {
-			c.PKExpr = SubstVars(o.PKExpr, varMap)
+			c.PKExpr = substBind(o.PKExpr, varMap, vals)
 		}
 		c.AssignVars = remapVars(o.AssignVars, varMap)
-		c.AssignExprs = substAll(o.AssignExprs, varMap)
+		c.AssignExprs = substAll(o.AssignExprs, varMap, vals)
 		c.FusedAssignVars = remapVars(o.FusedAssignVars, varMap)
-		c.FusedAssignExprs = substAll(o.FusedAssignExprs, varMap)
-		c.JoinLeftKeys = substAll(o.JoinLeftKeys, varMap)
-		c.JoinRightKeys = substAll(o.JoinRightKeys, varMap)
+		c.FusedAssignExprs = substAll(o.FusedAssignExprs, varMap, vals)
+		c.JoinLeftKeys = substAll(o.JoinLeftKeys, varMap, vals)
+		c.JoinRightKeys = substAll(o.JoinRightKeys, varMap, vals)
 		c.Vars = remapVars(o.Vars, varMap)
 		c.OutVars = remapVars(o.OutVars, varMap)
 		if o.InVars != nil {
@@ -558,25 +611,33 @@ func Copy(root *Op, alloc *VarAlloc) (*Op, map[Var]Var) {
 		if o.Keys != nil {
 			c.Keys = make([]KeyDef, len(o.Keys))
 			for i, k := range o.Keys {
-				c.Keys[i] = KeyDef{V: remap(k.V), E: SubstVars(k.E, varMap)}
+				c.Keys[i] = KeyDef{V: remap(k.V), E: substBind(k.E, varMap, vals)}
 			}
 		}
 		if o.Aggs != nil {
 			c.Aggs = make([]AggDef, len(o.Aggs))
 			for i, a := range o.Aggs {
-				c.Aggs[i] = AggDef{V: remap(a.V), Kind: a.Kind, E: SubstVars(a.E, varMap)}
+				c.Aggs[i] = AggDef{V: remap(a.V), Kind: a.Kind, E: substBind(a.E, varMap, vals)}
 			}
 		}
 		if o.Orders != nil {
 			c.Orders = make([]OrderSpec, len(o.Orders))
 			for i, os := range o.Orders {
-				c.Orders[i] = OrderSpec{E: SubstVars(os.E, varMap), Desc: os.Desc}
+				c.Orders[i] = OrderSpec{E: substBind(os.E, varMap, vals), Desc: os.Desc}
 			}
 		}
 		nodeMap[o] = c
 		return c
 	}
 	return rec(root), varMap
+}
+
+// bindEnd binds a key range's end to vals.
+func bindEnd(c *Const, vals []adm.Value) *Const {
+	if c == nil || !bindable(*c, vals) {
+		return c
+	}
+	return &Const{Val: vals[c.Slot-1], Slot: c.Slot}
 }
 
 func remapVars(vs []Var, m map[Var]Var) []Var {
@@ -594,13 +655,13 @@ func remapVars(vs []Var, m map[Var]Var) []Var {
 	return out
 }
 
-func substAll(es []Expr, m map[Var]Var) []Expr {
+func substAll(es []Expr, m map[Var]Var, vals []adm.Value) []Expr {
 	if es == nil {
 		return nil
 	}
 	out := make([]Expr, len(es))
 	for i, e := range es {
-		out[i] = SubstVars(e, m)
+		out[i] = substBind(e, m, vals)
 	}
 	return out
 }

@@ -68,8 +68,14 @@ func (DropDatasetStmt) stmtNode()     {}
 // Node is an expression AST node.
 type Node interface{ astNode() }
 
-// LitNode is a literal value.
-type LitNode struct{ Val adm.Value }
+// LitNode is a literal value. Slot is one more than the index of the
+// literal token it was read from among the request's literals (the
+// index of its Shape parameter); 0 for a literal of a statement, such as
+// a UDF body's.
+type LitNode struct {
+	Val  adm.Value
+	Slot int
+}
 
 // VarNode references a $variable.
 type VarNode struct{ Name string }

@@ -8,9 +8,13 @@ package aqlp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"simdb/internal/adm"
+	"simdb/internal/algebra"
 )
 
 // tokKind enumerates lexer token kinds.
@@ -34,7 +38,15 @@ type token struct {
 	kind tokKind
 	text string
 	pos  int // byte offset, for error messages
+	// slot is one more than the token's index among the request's
+	// literal tokens (int, double and string, counted in request order,
+	// the order Normalize lifts them in); 0 for any other token.
+	slot int
 }
+
+// isLiteral reports whether a token of kind k is a literal the shape
+// lifts into a parameter.
+func isLiteral(k tokKind) bool { return k == tokInt || k == tokDouble || k == tokString }
 
 type lexer struct {
 	src string
@@ -45,6 +57,7 @@ type lexer struct {
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	var toks []token
+	lits := 0
 	for {
 		l.skipSpaceAndComments()
 		start := l.pos
@@ -55,7 +68,12 @@ func lex(src string) ([]token, error) {
 		if err != nil {
 			return nil, err
 		}
-		toks = append(toks, token{kind, text, start})
+		slot := 0
+		if isLiteral(kind) {
+			lits++
+			slot = lits
+		}
+		toks = append(toks, token{kind, text, start, slot})
 		if kind == tokEOF {
 			return toks, nil
 		}
@@ -68,12 +86,86 @@ func lex(src string) ([]token, error) {
 // keeps its bytes exactly. The result lexes to the same tokens as src,
 // so two requests whose tokens differ never share a canonical text; a
 // malformed token and everything after it stay as written. It is the
-// plan-cache key and the request text /queries and the slow-query log
-// show. Canonical builds no tokens; on a request that lexes, it
-// allocates at most its result.
-func Canonical(src string) string {
-	l := lexer{src: src}
+// request text /queries, the traces and the slow-query log show.
+// Canonical builds no tokens; on a request that lexes, it allocates at
+// most its result.
+func Canonical(src string) string { return normalize(src, nil) }
+
+// Shape is a request as the plan cache keys it: its canonical text with
+// every int, double and string literal token lifted out into Params, in
+// request order, and replaced in Text by a placeholder naming its kind
+// (?i, ?d or ?s). Identifiers, hints, true, false and null stay in Text
+// as they are. Putting each parameter's Raw bytes back in place of its
+// placeholder gives the canonical text again, so two requests of one
+// shape and equal parameters have one canonical text.
+type Shape struct {
+	Text   string
+	Params []Param
+	// Lexed reports whether the whole request lexed. When it did not, the
+	// text from the malformed token on stays as written, and the request
+	// cannot parse.
+	Lexed bool
+}
+
+// Param is one literal lifted out of a request's shape.
+type Param struct {
+	// Raw is the literal's bytes as written: a string with its quotes
+	// and escapes, a number with its float suffix.
+	Raw  string
+	kind tokKind
+	text string // what scan reads of it
+	at   int    // the offset of its placeholder in the shape's Text
+}
+
+// Fill returns the shape's text with the Raw bytes of every parameter
+// whose slot (one more than its index) is in keep in place of its
+// placeholder. Keeping every slot gives the request's canonical text.
+func (s Shape) Fill(keep algebra.SlotSet) string {
 	var b strings.Builder
+	b.Grow(len(s.Text) + 16*len(s.Params))
+	last := 0
+	for i, p := range s.Params {
+		if keep.Has(i + 1) {
+			b.WriteString(s.Text[last:p.at])
+			b.WriteString(p.Raw)
+			last = p.at + 2
+		}
+	}
+	b.WriteString(s.Text[last:])
+	return b.String()
+}
+
+// placeholder is the text a literal of each kind leaves in its shape.
+var placeholder = map[tokKind]string{tokInt: "?i", tokDouble: "?d", tokString: "?s"}
+
+// Value returns the literal's value as the parser reads it.
+func (p Param) Value() (adm.Value, error) {
+	if p.kind == tokString {
+		s, err := unquote(p.text, 0)
+		if err != nil {
+			return adm.Value{}, err
+		}
+		return adm.NewString(s), nil
+	}
+	return numberValue(p.kind, p.text)
+}
+
+// Normalize returns Canonical(src) and src's shape, both from one pass
+// of the lexer.
+func Normalize(src string) (string, Shape) {
+	var sh Shape
+	canonical := normalize(src, &sh)
+	return canonical, sh
+}
+
+// normalize builds the canonical text of src and, when sh is non-nil,
+// its shape. The canonical text is a slice of src for as long as it
+// agrees with src's prefix, and the shape shares it until the first
+// literal.
+func normalize(src string, sh *Shape) string {
+	l := lexer{src: src}
+	var b, shape strings.Builder
+	shaping, lexed := false, true
 	n := 0 // the canonical text so far is src[:n] until b holds a copy
 	for {
 		gap := l.pos
@@ -82,10 +174,38 @@ func Canonical(src string) string {
 		if start == len(src) {
 			break
 		}
-		if _, _, err := l.scan(); err != nil {
-			l.pos = len(src)
+		kind, text, err := l.scan()
+		if err != nil {
+			l.pos, lexed = len(src), false
 		}
 		sep := start > gap && (n > 0 || b.Len() > 0)
+		if err == nil && kind == tokString && !validEscapes(text) {
+			lexed = false // lex fails on it
+		}
+		if sh != nil {
+			lit := err == nil && isLiteral(kind)
+			if lit && !shaping {
+				shaping = true
+				shape.Grow(len(src))
+				if b.Len() > 0 {
+					shape.WriteString(b.String())
+				} else {
+					shape.WriteString(src[:n])
+				}
+				sh.Params = make([]Param, 0, 8)
+			}
+			if shaping {
+				if sep {
+					shape.WriteByte(' ')
+				}
+				if lit {
+					sh.Params = append(sh.Params, Param{Raw: src[start:l.pos], kind: kind, text: text, at: shape.Len()})
+					shape.WriteString(placeholder[kind])
+				} else {
+					shape.WriteString(src[start:l.pos])
+				}
+			}
+		}
 		if b.Len() == 0 && (!sep && start == n || sep && start == n+1 && src[n] == ' ') {
 			n = l.pos
 			continue
@@ -99,10 +219,18 @@ func Canonical(src string) string {
 		}
 		b.WriteString(src[start:l.pos])
 	}
-	if b.Len() == 0 {
-		return src[:n]
+	canonical := src[:n]
+	if b.Len() > 0 {
+		canonical = b.String()
 	}
-	return b.String()
+	if sh != nil {
+		sh.Text = canonical
+		if shaping {
+			sh.Text = shape.String()
+		}
+		sh.Lexed = lexed
+	}
+	return canonical
 }
 
 // scan reads the token at l.pos and moves past it. text is what the
@@ -267,6 +395,18 @@ func (l *lexer) scanString(quote byte) (string, error) {
 	return "", fmt.Errorf("aql: unterminated string at %d", start)
 }
 
+// validEscapes reports whether unquote accepts a string literal's body.
+func validEscapes(body string) bool {
+	for i := 0; i < len(body); i++ {
+		if body[i] == '\\' {
+			if i++; i == len(body) || strings.IndexByte(`nt\'"`, body[i]) < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // unquote decodes the escapes of a string literal's body, which starts
 // at byte offset pos of the request.
 func unquote(body string, pos int) (string, error) {
@@ -342,4 +482,21 @@ func (l *lexer) lexOperator() string {
 		return l.src[l.pos-1 : l.pos]
 	}
 	return ""
+}
+
+// numberValue reads an int or double token's text (scan's, without the
+// float suffix) as the parser does.
+func numberValue(kind tokKind, text string) (adm.Value, error) {
+	if kind == tokInt {
+		i, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return adm.Value{}, fmt.Errorf("bad integer %q", text)
+		}
+		return adm.NewInt(i), nil
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return adm.Value{}, fmt.Errorf("bad double %q", text)
+	}
+	return adm.NewDouble(f), nil
 }

@@ -3,6 +3,8 @@ package aqlp
 import (
 	"strings"
 	"testing"
+
+	"simdb/internal/algebra"
 )
 
 func lexOK(t *testing.T, src string) []token {
@@ -129,7 +131,7 @@ func TestLexHyphenatedIdentifiers(t *testing.T) {
 // character that is no letter still fails.
 func TestLexNonASCIIIdentifiers(t *testing.T) {
 	toks := lexOK(t, `$é.café _ñame-x $日本`)
-	want := []token{{tokVar, "é", 0}, {tokPunct, ".", 3}, {tokIdent, "café", 4}, {tokIdent, "_ñame-x", 10}, {tokVar, "日本", 19}, {tokEOF, "", 26}}
+	want := []token{{tokVar, "é", 0, 0}, {tokPunct, ".", 3, 0}, {tokIdent, "café", 4, 0}, {tokIdent, "_ñame-x", 10, 0}, {tokVar, "日本", 19, 0}, {tokEOF, "", 26, 0}}
 	if len(toks) != len(want) {
 		t.Fatalf("tokens = %+v, want %+v", toks, want)
 	}
@@ -208,6 +210,120 @@ func FuzzCanonical(f *testing.F) {
 		}
 		if n := testing.AllocsPerRun(1, func() { Canonical(src) }); werr == nil && n > 1 {
 			t.Fatalf("Canonical(%q) allocated %v times", src, n)
+		}
+	})
+}
+
+// fillAll puts every parameter of sh back in place of its placeholder.
+func fillAll(sh Shape) string {
+	var all algebra.SlotSet
+	for i := range sh.Params {
+		all.Add(i + 1)
+	}
+	return sh.Fill(all)
+}
+
+// TestShape: literals leave placeholders of their kind and become
+// parameters in request order, numbered like the tokens the parser
+// reads; everything else stays as Canonical has it.
+func TestShape(t *testing.T) {
+	src := "for $r in dataset D /*+ hint 1 */ where $r.id >= 3 and $r.x < .5f and $r.s = 'a\\'  b'\n" +
+		"and $r.t = true and $r.n != null return {'k': $r.id, \"m\": -7}"
+	canonical, sh := Normalize(src)
+	if canonical != Canonical(src) {
+		t.Fatalf("Normalize's canonical %q, Canonical %q", canonical, Canonical(src))
+	}
+	want := "for $r in dataset D /*+ hint 1 */ where $r.id >= ?i and $r.x < ?d and $r.s = ?s " +
+		"and $r.t = true and $r.n != null return {?s: $r.id, ?s: -?i}"
+	if sh.Text != want || !sh.Lexed {
+		t.Fatalf("shape %q (lexed %v), want %q", sh.Text, sh.Lexed, want)
+	}
+	var raws []string
+	for _, p := range sh.Params {
+		raws = append(raws, p.Raw)
+	}
+	if got := strings.Join(raws, " "); got != `3 .5f 'a\'  b' 'k' "m" 7` {
+		t.Errorf("parameters %s", got)
+	}
+	if fillAll(sh) != canonical {
+		t.Errorf("filled shape %q, canonical %q", fillAll(sh), canonical)
+	}
+	for i, want := range []string{"3", "0.5", `"a'  b"`, `"k"`, `"m"`, "7"} {
+		if v, err := sh.Params[i].Value(); err != nil || v.String() != want {
+			t.Errorf("parameter %d reads %v (%v), want %s", i, v, err, want)
+		}
+	}
+	slot := 0
+	for _, tok := range lexOK(t, src) {
+		if isLiteral(tok.kind) {
+			slot++
+		}
+		if want := map[bool]int{true: slot, false: 0}[isLiteral(tok.kind)]; tok.slot != want {
+			t.Errorf("token %+v has slot %d, want %d", tok, tok.slot, want)
+		}
+	}
+	if _, sh := Normalize("return 1 @ 2"); sh.Lexed || len(sh.Params) != 1 || sh.Text != "return ?i @ 2" {
+		t.Errorf("malformed request: shape %q, %d parameters, lexed %v", sh.Text, len(sh.Params), sh.Lexed)
+	}
+	if _, sh := Normalize("for $r in dataset D return $r"); sh.Text != "for $r in dataset D return $r" || sh.Params != nil {
+		t.Errorf("request without literals: shape %q, parameters %v", sh.Text, sh.Params)
+	}
+	for _, bad := range []string{"99999999999999999999", `'a\q'`} {
+		_, sh := Normalize("return " + bad)
+		if _, err := sh.Params[0].Value(); err == nil {
+			t.Errorf("%s reads as a value", bad)
+		}
+	}
+}
+
+// FuzzShape: filling a request's shape with all of its parameters gives
+// its canonical text, so two requests of one shape and equal parameters
+// have one canonical text; Normalize's canonical text is Canonical's,
+// and a request that lexes has one parameter per literal token.
+func FuzzShape(f *testing.F) {
+	for _, s := range []string{
+		"for $r in dataset R where $r.id >= 3 and $r.id < 13 return {'o': $r.id}",
+		"  for   $r\n\tin dataset R\nreturn 'a  b'  .5f 2F",
+		"return 1 @ ?i 'x'",
+		"where /*+ ?i 'q' */ $a.id = 7 // ?s",
+		"set simthreshold '.8f'; return 1 ~= 2",
+		"return '?s' \"?d\" ?",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		canonical, sh := Normalize(src)
+		if want := Canonical(src); canonical != want {
+			t.Fatalf("Normalize(%q) canonical %q, Canonical %q", src, canonical, want)
+		}
+		if got := fillAll(sh); got != canonical {
+			t.Fatalf("shape %q of %q fills to %q, canonical %q", sh.Text, src, got, canonical)
+		}
+		toks, err := lex(src)
+		if sh.Lexed != (err == nil) {
+			t.Fatalf("%q: lexed %v, lex error %v", src, sh.Lexed, err)
+		}
+		if err == nil {
+			n := 0
+			for _, tok := range toks {
+				if isLiteral(tok.kind) {
+					n++
+				}
+			}
+			if n != len(sh.Params) {
+				t.Fatalf("%q has %d literal tokens and %d parameters", src, n, len(sh.Params))
+			}
+		}
+		// Equal shape and parameters mean equal canonical text: spacing
+		// the tokens differently changes neither.
+		spaced := strings.ReplaceAll(canonical, " ", " \n ")
+		c2, sh2 := Normalize(spaced)
+		same := sh2.Text == sh.Text && len(sh2.Params) == len(sh.Params)
+		for i := 0; same && i < len(sh.Params); i++ {
+			same = sh2.Params[i].Raw == sh.Params[i].Raw
+		}
+		if same && c2 != canonical {
+			t.Fatalf("%q and %q share shape %q and parameters but canonicalize to %q and %q", src, spaced, sh.Text, canonical, c2)
 		}
 	})
 }

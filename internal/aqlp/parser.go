@@ -60,6 +60,18 @@ func Parse(src string) (*Query, error) {
 type parser struct {
 	toks []token
 	pos  int
+	// inStmt is set while a statement parses: a literal there (a UDF
+	// body's) belongs to the statement, not to the request's query, so
+	// its LitNode carries no slot.
+	inStmt bool
+}
+
+// slot is the LitNode slot of literal token t.
+func (p *parser) slot(t token) int {
+	if p.inStmt {
+		return 0
+	}
+	return t.slot
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -102,6 +114,8 @@ func (p *parser) errf(format string, args ...any) error {
 
 // tryStatement parses one leading statement if present.
 func (p *parser) tryStatement() (Stmt, bool, error) {
+	p.inStmt = true
+	defer func() { p.inStmt = false }()
 	switch {
 	case p.peekIdent("use"):
 		p.next()
@@ -437,23 +451,16 @@ func (p *parser) parsePrimary() (Node, error) {
 			return nil, err
 		}
 		return HintNode{Hint: t.text, X: x}, nil
-	case tokInt:
+	case tokInt, tokDouble:
 		p.next()
-		i, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := numberValue(t.kind, t.text)
 		if err != nil {
-			return nil, p.errf("bad integer %q", t.text)
+			return nil, p.errf("%v", err)
 		}
-		return LitNode{Val: adm.NewInt(i)}, nil
-	case tokDouble:
-		p.next()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, p.errf("bad double %q", t.text)
-		}
-		return LitNode{Val: adm.NewDouble(f)}, nil
+		return LitNode{Val: v, Slot: p.slot(t)}, nil
 	case tokString:
 		p.next()
-		return LitNode{Val: adm.NewString(t.text)}, nil
+		return LitNode{Val: adm.NewString(t.text), Slot: p.slot(t)}, nil
 	case tokVar:
 		p.next()
 		return VarNode{Name: t.text}, nil

@@ -37,6 +37,12 @@ type Translator struct {
 	SimFunction      string // "jaccard" (default) or "edit-distance"
 	SimThreshold     string
 	Funcs            map[string]FuncDef
+	// ValueKeyed, when non-nil, has the translator tag each constant it
+	// builds from a request literal with the literal's slot
+	// (algebra.Const.Slot) and add to the set every slot whose value the
+	// translation itself reads (a limit's count): a plan cached by shape
+	// is keyed on those values.
+	ValueKeyed *algebra.SlotSet
 	// AQL+ environment, set by the optimizer during template expansion.
 	Meta     map[string]MetaBinding
 	MetaVars map[string]algebra.Var
@@ -204,6 +210,9 @@ func (c *tctx) applyClause(cl Clause) error {
 		}
 		lim := algebra.NewOp(algebra.OpLimit, c.cur)
 		lim.Count = lit.Val.Int()
+		if c.tr.ValueKeyed != nil && lit.Slot != 0 {
+			c.tr.ValueKeyed.Add(lit.Slot)
+		}
 		c.cur = lim
 		return nil
 	}
@@ -416,7 +425,10 @@ var aggregateFns = map[string]algebra.AggKind{
 func (c *tctx) translateExpr(n Node) (algebra.Expr, error) {
 	switch x := n.(type) {
 	case LitNode:
-		return algebra.C(x.Val), nil
+		if c.tr.ValueKeyed == nil {
+			return algebra.C(x.Val), nil
+		}
+		return algebra.Const{Val: x.Val, Slot: x.Slot}, nil
 	case VarNode:
 		if c.compNames != nil && c.compNames[x.Name] {
 			return algebra.NameRef{Name: x.Name}, nil

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"simdb/benchmark/gen"
 	"simdb/internal/datagen"
 )
 
@@ -70,6 +71,12 @@ import (
 // join_after_insert still scans every record for the memo subplans:
 // 81 490 and 7.69 MB.
 //
+// join_new_range runs the join with an outer id range no request has
+// sent before, after one run of its shape: the range's two literals are
+// parameters of the cached plan, so it is a cache hit bound to the new
+// range, and its ceiling is the hit's. While the plan cache keyed on the
+// whole text it was a full compile.
+//
 // The numbers may only move down: a change that raises one has put an
 // allocation back on the per-row path, or a fixed cost on every query.
 var executeAllocCeiling = map[string]float64{
@@ -82,6 +89,7 @@ var executeAllocCeiling = map[string]float64{
 	"indexed-edit-distance-2": 655,
 	"join":                    3330,
 	"join_after_insert":       83000,
+	"join_new_range":          3330,
 }
 
 // executeBytesCeiling is the number of bytes (MemStats.TotalAlloc) one
@@ -109,6 +117,7 @@ var executeBytesCeiling = map[string]float64{
 	"indexed-edit-distance-2": 58150,
 	"join":                    254000,
 	"join_after_insert":       8125000,
+	"join_new_range":          254000,
 }
 
 func TestExecuteAllocationCeiling(t *testing.T) {
@@ -137,6 +146,12 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 		where similarity-jaccard(word-tokens($r.summary), word-tokens('` + summary.Str() + `')) >= 0.8
 		return $r.id`
 	editDistance2 := `for $r in dataset ARevs where edit-distance($r.reviewerName, '` + name.Str() + `') <= 2 return $r.id`
+	// Each measured run of join_new_range takes the next of these, every
+	// one a range after benchJoin's.
+	var newRanges []string
+	for start := benchJoin.Start + 1; len(newRanges) < 25; start++ {
+		newRanges = append(newRanges, gen.Join{Start: start}.AQL("ReviewsPlain"))
+	}
 	for _, tc := range []struct {
 		name, query string
 		c           *Cluster
@@ -149,24 +164,32 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 		// before runs ahead of every measured Execute, and is measured
 		// with it.
 		before func()
+		// next, when set, gives each measured Execute its query, in
+		// place of query; its answers vary, so only the first is checked.
+		next func() string
 	}{
-		{"jaccard", jaccard, c, sess, len(recs), 0, false, nil},
-		{"edit-distance", editDistance, c, sess, len(recs), 0, false, nil},
+		{"jaccard", jaccard, c, sess, len(recs), 0, false, nil, nil},
+		{"edit-distance", editDistance, c, sess, len(recs), 0, false, nil, nil},
 		{"comprehension", `for $r in dataset ARevs
 			let $long := for $tok in word-tokens($r.summary) where string-length($tok) >= 6 return $tok
 			where count($long) >= 2
-			return $r.id`, c, sess, len(recs), 572, false, nil},
-		{"indexed-jaccard", jaccard, ic, isess, len(recs), 0, true, nil},
-		{"indexed-edit-distance", editDistance, ic, isess, len(recs), 0, true, nil},
-		{"indexed-jaccard-0.8", jaccard08, ic, isess, len(recs), 0, true, nil},
-		{"indexed-edit-distance-2", editDistance2, ic, isess, len(recs), 0, true, nil},
-		{"join", benchJoin.AQL("ReviewsPlain"), jc, jsess, len(jrecs), 0, false, nil},
+			return $r.id`, c, sess, len(recs), 572, false, nil, nil},
+		{"indexed-jaccard", jaccard, ic, isess, len(recs), 0, true, nil, nil},
+		{"indexed-edit-distance", editDistance, ic, isess, len(recs), 0, true, nil, nil},
+		{"indexed-jaccard-0.8", jaccard08, ic, isess, len(recs), 0, true, nil, nil},
+		{"indexed-edit-distance-2", editDistance2, ic, isess, len(recs), 0, true, nil, nil},
+		{"join", benchJoin.AQL("ReviewsPlain"), jc, jsess, len(jrecs), 0, false, nil, nil},
 		{"join_after_insert", benchJoin.AQL("ReviewsPlain"), jc, jsess, len(jrecs), 0, false, func() {
 			// Overwrite a record with itself: the answer stays, the data
 			// version moves, and the join misses the memo.
 			if err := jc.Insert("Default", "ReviewsPlain", benchJoinValue(jrecs[len(jrecs)-1])); err != nil {
 				t.Fatal(err)
 			}
+		}, nil},
+		{"join_new_range", benchJoin.AQL("ReviewsPlain"), jc, jsess, len(jrecs), 0, false, nil, func() string {
+			q := newRanges[0]
+			newRanges = newRanges[1:]
+			return q
 		}},
 	} {
 		res := exec(t, tc.c, tc.sess, tc.query) // compile, cache the plan, fault the pages in
@@ -182,6 +205,12 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 		allocs, bytes := allocsAndBytesPerRun(20, func() {
 			if tc.before != nil {
 				tc.before()
+			}
+			if tc.next != nil {
+				if got := exec(t, tc.c, tc.sess, tc.next()); !got.Stats.PlanCacheHit {
+					t.Fatalf("%s: warm run missed the plan cache", tc.name)
+				}
+				return
 			}
 			if got := exec(t, tc.c, tc.sess, tc.query); !got.Stats.PlanCacheHit || len(got.Rows) != len(res.Rows) {
 				t.Fatalf("%s: warm run hit=%v rows=%d, want a cache hit and %d rows", tc.name, got.Stats.PlanCacheHit, len(got.Rows), len(res.Rows))

@@ -284,8 +284,8 @@ func TestHashJoinResidualKeepsKeySemantics(t *testing.T) {
 		{"$l.k = $r.k and $l.v < $r.v", "join (lt(", "[1-11 5-15]", true},
 	} {
 		res := exec(t, c, sess, `for $l in dataset L for $r in dataset R where `+tc.where+` return {'o': $l.id, 'i': $r.id}`)
-		if !strings.Contains(res.Stats.LogicalPlan, tc.plan) {
-			t.Errorf("%s: plan has no %q:\n%s", tc.where, tc.plan, res.Stats.LogicalPlan)
+		if !strings.Contains(res.Stats.LogicalPlan(), tc.plan) {
+			t.Errorf("%s: plan has no %q:\n%s", tc.where, tc.plan, res.Stats.LogicalPlan())
 		}
 		post := false
 		for _, op := range res.Stats.PhysicalOps() {
@@ -355,7 +355,7 @@ func TestJaccardJoinIndexNestedLoop(t *testing.T) {
 	`
 	res := exec(t, c, sess, query)
 	if res.Stats.IndexSearches == 0 {
-		t.Fatalf("expected INLJ to use the index; plan:\n%s", res.Stats.LogicalPlan)
+		t.Fatalf("expected INLJ to use the index; plan:\n%s", res.Stats.LogicalPlan())
 	}
 	// Record 4 "Great Product - Fantastic Gift" vs 6 "Great product fantastic quality": J = 3/5.
 	if got := rowInts(t, res.Rows); fmt.Sprint(got) != "[6]" {
@@ -453,7 +453,7 @@ func TestMultiWayJoin(t *testing.T) {
 	res := exec(t, c, sess, query)
 	// Record 6 (marla) is Jaccard-similar to 4 (jamie); ed(jamie, marla)=4.
 	if got := rowInts(t, res.Rows); fmt.Sprint(got) != "[6]" {
-		t.Errorf("multi-way rows = %v\nplan:\n%s", got, res.Stats.LogicalPlan)
+		t.Errorf("multi-way rows = %v\nplan:\n%s", got, res.Stats.LogicalPlan())
 	}
 }
 
@@ -612,7 +612,7 @@ func TestQueryStatsPopulated(t *testing.T) {
 	loadReviews(t, c, sess)
 	res := exec(t, c, sess, `count(for $r in dataset Reviews return $r)`)
 	s := res.Stats
-	if s.ExecNs <= 0 || s.PlanOps <= 0 || s.LogicalPlan == "" {
+	if s.ExecNs <= 0 || s.PlanOps <= 0 || s.LogicalPlan() == "" {
 		t.Errorf("stats incomplete: %+v", s)
 	}
 }

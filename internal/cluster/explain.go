@@ -30,7 +30,7 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 		time.Duration(st.TranslateNs), time.Duration(st.OptimizeNs),
 		time.Duration(st.JobGenNs))
 	b.WriteString("logical plan:\n")
-	for _, line := range strings.Split(strings.TrimRight(st.LogicalPlan, "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(st.LogicalPlan(), "\n"), "\n") {
 		b.WriteString("  " + line + memoNote(line, st.Memo) + "\n")
 	}
 	// Physical operators in job order (not sorted by cost): the table

@@ -201,12 +201,12 @@ func TestExplainMatchesWhatRuns(t *testing.T) {
 				t.Fatalf("%s: run %d plan-cache hit = %v", name, run, res.Stats.PlanCacheHit)
 			}
 			if run == 0 && res.Stats.IndexSearches == 0 {
-				t.Errorf("%s: selection did not use its index:\n%s", name, res.Stats.LogicalPlan)
+				t.Errorf("%s: selection did not use its index:\n%s", name, res.Stats.LogicalPlan())
 			}
-			plans[fmt.Sprintf("run %d", run)] = res.Stats.LogicalPlan
+			plans[fmt.Sprintf("run %d", run)] = res.Stats.LogicalPlan()
 		}
 		analyzed := exec(t, c, sess, "explain analyze "+q)
-		plans["explain analyze"] = analyzed.Stats.LogicalPlan
+		plans["explain analyze"] = analyzed.Stats.LogicalPlan()
 		for what, plan := range plans {
 			if plan != explained {
 				t.Errorf("%s: plan of %s differs from explain:\n%s\nexplain:\n%s", name, what, plan, explained)

@@ -308,11 +308,11 @@ func scanBounds(r *algebra.KeyRange) (start, end []byte) {
 		return nil, nil
 	}
 	if r.Lo != nil {
-		start = adm.OrderedKey(*r.Lo)
+		start = adm.OrderedKey(r.Lo.Val)
 	}
 	if r.Hi != nil {
 		// The successor of the upper end's key: no key lies between.
-		end = append(adm.OrderedKey(*r.Hi), 0)
+		end = append(adm.OrderedKey(r.Hi.Val), 0)
 	}
 	return start, end
 }

@@ -140,8 +140,8 @@ func TestThreeStageJoinAtTheBenchmarkBudget(t *testing.T) {
 	}
 
 	st := res.Stats
-	if !strings.Contains(st.LogicalPlan, "rank") {
-		t.Fatalf("not the three-stage plan:\n%s", st.LogicalPlan)
+	if !strings.Contains(st.LogicalPlan(), "rank") {
+		t.Fatalf("not the three-stage plan:\n%s", st.LogicalPlan())
 	}
 	if st.MemBudget != benchJoinBudget {
 		t.Fatalf("ran under budget %d, want %d", st.MemBudget, benchJoinBudget)

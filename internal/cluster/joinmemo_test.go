@@ -108,8 +108,8 @@ func TestThreeStageJoinKeepsPairsAtTheThreshold(t *testing.T) {
 	res := exec(t, c, sess, `for $a in dataset E for $b in dataset E
 		where similarity-jaccard(word-tokens($a.t), word-tokens($b.t)) >= 0.55 and $a.id < $b.id
 		return {'o': $a.id, 'i': $b.id}`)
-	if !strings.Contains(res.Stats.LogicalPlan, "rank") {
-		t.Fatalf("not the three-stage plan:\n%s", res.Stats.LogicalPlan)
+	if !strings.Contains(res.Stats.LogicalPlan(), "rank") {
+		t.Fatalf("not the three-stage plan:\n%s", res.Stats.LogicalPlan())
 	}
 	if got := joinPairs(res); fmt.Sprint(got) != "[1-2]" {
 		t.Errorf("pairs %v, want [1-2]", got)
@@ -145,8 +145,8 @@ func TestJoinMemoMatchesNestedLoopAndIndexJoin(t *testing.T) {
 				lo := 1 + r.Int63n(180)
 				want := nestedLoopPairs(texts, lo, lo+20, delta)
 				three := exec(t, c, sess, memoJoinAQL("M", lo, lo+20, delta))
-				if !strings.Contains(three.Stats.LogicalPlan, "rank") {
-					t.Fatalf("M: not the three-stage plan:\n%s", three.Stats.LogicalPlan)
+				if !strings.Contains(three.Stats.LogicalPlan(), "rank") {
+					t.Fatalf("M: not the three-stage plan:\n%s", three.Stats.LogicalPlan())
 				}
 				wantOrder, wantPrefix := memoHit, memoHit
 				if k == 0 && rep == 0 {
@@ -161,8 +161,8 @@ func TestJoinMemoMatchesNestedLoopAndIndexJoin(t *testing.T) {
 					}
 				}
 				inlj := exec(t, c, sess, memoJoinAQL("MI", lo, lo+20, delta))
-				if !strings.Contains(inlj.Stats.LogicalPlan, "secondary-index-search") {
-					t.Fatalf("MI: not the index-nested-loop plan:\n%s", inlj.Stats.LogicalPlan)
+				if !strings.Contains(inlj.Stats.LogicalPlan(), "secondary-index-search") {
+					t.Fatalf("MI: not the index-nested-loop plan:\n%s", inlj.Stats.LogicalPlan())
 				}
 				if got := joinPairs(three); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("round %d, delta %g, ids [%d, %d): three-stage %v, nested loop %v", round, delta, lo, lo+20, got, want)

@@ -287,9 +287,9 @@ func BenchmarkScanPartitionRange(b *testing.B) {
 	c, _, _ := loadBenchJoin(b)
 	fields := []string{"id", "summary"}
 	keep := adm.NewKeepSet(fields)
-	lo, hi := adm.NewInt(benchJoin.Start), adm.NewInt(benchJoin.Start+gen.JoinOuter)
+	lo, hi := algebra.Const{Val: adm.NewInt(benchJoin.Start)}, algebra.Const{Val: adm.NewInt(benchJoin.Start + gen.JoinOuter)}
 	start, end := scanBounds(&algebra.KeyRange{Lo: &lo, Hi: &hi, LoIncl: true})
-	past := adm.NewInt(benchJoinRecords + 1)
+	past := algebra.Const{Val: adm.NewInt(benchJoinRecords + 1)}
 	pastStart, pastEnd := scanBounds(&algebra.KeyRange{Lo: &past, LoIncl: true})
 	parts := c.cfg.Partitions()
 	for _, bc := range []struct {

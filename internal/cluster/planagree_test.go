@@ -231,9 +231,9 @@ func TestProjectedLookupPlansAgree(t *testing.T) {
 			}
 			got := exec(t, c, sessionOpts(nil), q.q)
 			if got.Stats.IndexSearches == 0 {
-				t.Errorf("%s: did not use the index:\n%s", q.name, got.Stats.LogicalPlan)
+				t.Errorf("%s: did not use the index:\n%s", q.name, got.Stats.LogicalPlan())
 			}
-			lookup := planLine(got.Stats.LogicalPlan, "primary-index-lookup")
+			lookup := planLine(got.Stats.LogicalPlan(), "primary-index-lookup")
 			if q.project == "" && strings.Contains(lookup, "project:[") {
 				t.Errorf("%s: whole-record lookup got a projection: %s", q.name, lookup)
 			}
@@ -267,7 +267,7 @@ func TestProjectedLookupPlansAgree(t *testing.T) {
 		}
 
 		reused := exec(t, c, scan, selfJoin)
-		plan := reused.Stats.LogicalPlan
+		plan := reused.Stats.LogicalPlan()
 		if got := planLine(plan, "data-scan"); !strings.Contains(plan, "^shared(") || !strings.HasSuffix(got, " project:[id, reviewerName, summary]") {
 			t.Errorf("self-join: want one shared scan projected to three fields, scan is %q in:\n%s", got, plan)
 		}
@@ -501,7 +501,7 @@ func TestContainsSelectionUsesNgramIndex(t *testing.T) {
 		t.Error("no substring matches; test vacuous")
 	}
 	if idx.Stats.IndexSearches == 0 {
-		t.Errorf("contains() did not use the n-gram index:\n%s", idx.Stats.LogicalPlan)
+		t.Errorf("contains() did not use the n-gram index:\n%s", idx.Stats.LogicalPlan())
 	}
 	// Substring shorter than the gram length: corner case -> scan.
 	short := exec(t, c, sessionOpts(nil), `
@@ -541,7 +541,7 @@ func TestMultiwayThreeStageJoin(t *testing.T) {
 	got := exec(t, c, three, query)
 	// The plan must contain two Rank ops (one global token order per
 	// similarity join).
-	if n := countInPlan(got.Stats.LogicalPlan, "rank"); n < 2 {
+	if n := countInPlan(got.Stats.LogicalPlan(), "rank"); n < 2 {
 		t.Errorf("expected >= 2 three-stage expansions, plan has %d rank ops", n)
 	}
 	if pairKey(ref) != pairKey(got) {

@@ -320,17 +320,25 @@ func TestPlanCacheAccounting(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	pc := NewPlanCache(2)
 	k := func(s string) planKey { return planKey{text: s} }
-	pc.put(&planEntry{key: k("a")})
-	pc.put(&planEntry{key: k("b")})
-	if _, ok := pc.get(k("a"), 0); !ok { // a is now MRU
+	put := func(s string) { pc.put(k(s), aqlp.Shape{Text: s}, s, nil, &planEntry{}) }
+	get := func(s string) bool {
+		_, ok := pc.get(k(s), aqlp.Shape{Text: s}, s, 0)
+		return ok
+	}
+	put("a")
+	put("b")
+	if !get("a") { // a is now MRU
 		t.Fatal("a missing")
 	}
-	pc.put(&planEntry{key: k("c")}) // evicts b
-	if _, ok := pc.get(k("b"), 0); ok {
+	put("c") // evicts b
+	if get("b") {
 		t.Fatal("LRU entry b survived eviction")
 	}
+	if _, ok := pc.shapes[k("b")]; ok {
+		t.Fatal("evicted shape b kept its record")
+	}
 	for _, s := range []string{"a", "c"} {
-		if _, ok := pc.get(k(s), 0); !ok {
+		if !get(s) {
 			t.Fatalf("entry %s evicted unexpectedly", s)
 		}
 	}

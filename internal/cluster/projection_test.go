@@ -67,12 +67,12 @@ func TestProjectionPushdownInPlan(t *testing.T) {
 	loadReviews(t, c, sess)
 
 	res := exec(t, c, sess, `for $r in dataset Reviews where $r.username = 'maria' return $r.id`)
-	if !strings.Contains(res.Stats.LogicalPlan, "project:[id, username]") {
-		t.Errorf("plan missing projected fields:\n%s", res.Stats.LogicalPlan)
+	if !strings.Contains(res.Stats.LogicalPlan(), "project:[id, username]") {
+		t.Errorf("plan missing projected fields:\n%s", res.Stats.LogicalPlan())
 	}
 	res = exec(t, c, sess, `for $r in dataset Reviews where $r.id = 1 return $r`)
-	if strings.Contains(res.Stats.LogicalPlan, "project:[") {
-		t.Errorf("whole-record query got a projection:\n%s", res.Stats.LogicalPlan)
+	if strings.Contains(res.Stats.LogicalPlan(), "project:[") {
+		t.Errorf("whole-record query got a projection:\n%s", res.Stats.LogicalPlan())
 	}
 }
 
@@ -101,8 +101,8 @@ func TestOptionOverridesBypassPlanCache(t *testing.T) {
 		if res.Stats.PlanCacheHit {
 			t.Errorf("%s: override session reused a cached plan", tc.name)
 		}
-		if got := strings.Contains(res.Stats.LogicalPlan, "project:["); got != tc.wantProject {
-			t.Errorf("%s: plan has projection = %v:\n%s", tc.name, got, res.Stats.LogicalPlan)
+		if got := strings.Contains(res.Stats.LogicalPlan(), "project:["); got != tc.wantProject {
+			t.Errorf("%s: plan has projection = %v:\n%s", tc.name, got, res.Stats.LogicalPlan())
 		}
 	}
 	if st := c.planCache.Stats(); st != cached {

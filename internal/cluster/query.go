@@ -74,9 +74,11 @@ type QueryStats struct {
 	// left on the scan plan because of a compile-time corner case.
 	CornerCaseFallbacks int
 
-	PlanOps     int
-	LogicalPlan string
-	RuleTrace   []string
+	PlanOps   int
+	RuleTrace []string
+	// plan is the optimized plan the query ran, bound to its own
+	// literals; LogicalPlan prints it.
+	plan *algebra.Op
 
 	// Memo is the outcome of each memo operator of the plan, by key:
 	// "hit" (its entry replayed), "miss" (its input ran) or "off" (the
@@ -87,6 +89,16 @@ type QueryStats struct {
 	// instance, from every process that ran part of it. The busy, tuple
 	// and spill figures above and PhysicalOps are folds over it.
 	Spans []hyracks.OpSpan
+}
+
+// LogicalPlan prints the optimized logical plan the query ran (with its
+// own literals, also when the plan cache served it), or "" for a request
+// without one. It prints on each call: nothing is printed unless asked.
+func (s *QueryStats) LogicalPlan() string {
+	if s.plan == nil {
+		return ""
+	}
+	return algebra.Print(s.plan)
 }
 
 // PhysicalOps returns the per-operator table in job order.
@@ -232,7 +244,7 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	qid := trace.NextQueryID()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	norm := aqlp.Canonical(src)
+	norm, shape := aqlp.Normalize(src)
 	qr := &queryRun{
 		id:     qid,
 		tr:     c.tracer.Start(qid, truncateQuery(norm)),
@@ -257,7 +269,7 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 		c.unregisterQuery(qr, err)
 		return nil, err
 	}
-	res, err := c.execute(qctx, sess, entry, src, norm, admitNs, qr)
+	res, err := c.execute(qctx, sess, entry, src, norm, shape, admitNs, qr)
 	if stream != nil && err == nil && res != nil && len(res.Rows) > 0 {
 		// Paths that buffer (explain, explain analyze, a job that
 		// replays a memo entry) deliver their rows through the stream
@@ -293,29 +305,35 @@ func isExplainRequest(norm string) bool {
 // execute runs one admitted request: plan-cache fast path, else
 // parse → statements → compile (+ cache store) → run. entry is the
 // session snapshot taken at request entry, before any statement ran;
-// norm is src's aqlp.Canonical text.
-func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src, norm string, admitNs int64, qr *queryRun) (*Result, error) {
+// norm and shape are src's aqlp.Normalize.
+func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src, norm string, shape aqlp.Shape, admitNs int64, qr *queryRun) (*Result, error) {
 	key := planKey{
-		text:         norm,
+		text:         shape.Text,
 		dataverse:    entry.Dataverse,
 		simFunction:  entry.SimFunction,
 		simThreshold: entry.SimThreshold,
 		memBudget:    entry.Opts.MemoryBudgetBytes,
 	}
-	// Explain requests and ablation sessions stay out of the plan cache.
-	useCache := !isExplainRequest(norm) && sess.Opts == nil
+	// Explain requests and ablation sessions stay out of the plan cache,
+	// and so does a request that cannot parse because it does not lex or
+	// a literal does not read as a value (an int out of range).
+	useCache := !isExplainRequest(norm) && sess.Opts == nil && shape.Lexed
+	var vals []adm.Value
+	if useCache {
+		vals, useCache = paramValues(shape.Params)
+	}
 	// Epoch is read before the lookup AND before any compile below: an
 	// entry stored under this epoch can never reflect catalog state
 	// newer than what its key claims, so DDL invalidation is sound.
 	epoch := c.Catalog.Epoch()
 	if useCache {
 		lookup := qr.tr.StartSpan(trace.RootSpan, "plan-cache", trace.CatPhase)
-		e, ok := c.planCache.get(key, epoch)
+		e, ok := c.planCache.get(key, shape, norm, epoch)
 		lookup.End(trace.S("outcome", cacheOutcome(ok)))
 		if ok {
 			// Warm hit: skip parse, translate, and optimize entirely. Replay
 			// the request's session effects (use/set), then execute a private
-			// deep copy of the cached plan.
+			// deep copy of the cached plan bound to the request's literals.
 			sess.Dataverse = e.post.Dataverse
 			sess.SimFunction = e.post.SimFunction
 			sess.SimThreshold = e.post.SimThreshold
@@ -324,14 +342,13 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 				AdmissionNs:         admitNs,
 				PlanCacheHit:        true,
 				PlanOps:             e.planOps,
-				LogicalPlan:         e.logicalPlan,
 				RuleTrace:           append([]string(nil), e.ruleTrace...),
 				CornerCaseFallbacks: e.cornerCases,
 			}
 			sp := qr.tr.StartSpan(lookup.ID, "plan-copy", trace.CatPhase)
-			plan, _ := algebra.Copy(e.plan, &algebra.VarAlloc{})
+			stats.plan = algebra.BindCopy(e.plan, vals)
 			sp.End()
-			return c.runJob(ctx, plan, stats, src, e.post, qr)
+			return c.runJob(ctx, stats.plan, stats, src, e.post, qr)
 		}
 	}
 
@@ -373,7 +390,7 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 
 	st := c.snapshotSession(sess)
 	compileSpan := qr.tr.StartSpan(trace.RootSpan, "compile", trace.CatPhase)
-	plan, stats, err := c.compileState(st, q.Body)
+	plan, stats, read, err := c.compileState(st, q.Body)
 	if err != nil {
 		compileSpan.End(trace.S("error", err.Error()))
 		return nil, planErr(err)
@@ -389,18 +406,17 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 	if q.Explain && !q.Analyze {
 		// Bare explain: compile only, rows are the optimized plan text.
 		stats.QueryID = qr.id
-		return &Result{Rows: planRows(stats.LogicalPlan), Stats: *stats}, nil
+		return &Result{Rows: planRows(stats.LogicalPlan()), Stats: *stats}, nil
 	}
 
 	if cacheable {
-		cached, _ := algebra.Copy(plan, &algebra.VarAlloc{})
-		c.planCache.put(&planEntry{
-			key:         key,
+		cached := algebra.BindCopy(plan, nil)
+		keyed := valueKeyed(plan, read, len(shape.Params))
+		c.planCache.put(key, shape, norm, keyed, &planEntry{
 			plan:        cached,
 			epoch:       epoch,
 			post:        st,
 			planOps:     stats.PlanOps,
-			logicalPlan: stats.LogicalPlan,
 			ruleTrace:   append([]string(nil), stats.RuleTrace...),
 			cornerCases: stats.CornerCaseFallbacks,
 		})
@@ -545,14 +561,18 @@ func (c *Cluster) Compile(sess *Session, src string) (*algebra.Op, *QueryStats, 
 	if q.Body == nil {
 		return nil, nil, fmt.Errorf("cluster: Compile needs a query body")
 	}
-	return c.compileState(c.snapshotSession(sess), q.Body)
+	plan, stats, _, err := c.compileState(c.snapshotSession(sess), q.Body)
+	return plan, stats, err
 }
 
 // compileState translates and optimizes against an immutable session
-// snapshot, so compilation never races Session mutations.
-func (c *Cluster) compileState(st sessionState, body aqlp.Node) (*algebra.Op, *QueryStats, error) {
-	stats := &QueryStats{}
+// snapshot, so compilation never races Session mutations. Constants
+// translated from the body's literals carry their slots; read is the set
+// of those slots whose value the translator or a rule read.
+func (c *Cluster) compileState(st sessionState, body aqlp.Node) (plan *algebra.Op, stats *QueryStats, read algebra.SlotSet, err error) {
+	stats = &QueryStats{}
 	alloc := &algebra.VarAlloc{}
+	var cs optimizer.CompileStats
 	tr := &aqlp.Translator{
 		Catalog:          c.Catalog,
 		Alloc:            alloc,
@@ -560,26 +580,54 @@ func (c *Cluster) compileState(st sessionState, body aqlp.Node) (*algebra.Op, *Q
 		SimFunction:      st.SimFunction,
 		SimThreshold:     st.SimThreshold,
 		Funcs:            c.Catalog.Funcs(),
+		ValueKeyed:       &cs.ValueKeyed,
 	}
 	t0 := time.Now()
-	plan, err := tr.TranslateQuery(body)
+	plan, err = tr.TranslateQuery(body)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	stats.TranslateNs = time.Since(t0).Nanoseconds()
 
-	var cs optimizer.CompileStats
 	o := &optimizer.Optimizer{Catalog: c.Catalog, Alloc: alloc, Opts: st.Opts, Trace: &stats.RuleTrace, Stats: &cs}
 	t0 = time.Now()
 	plan, err = o.Optimize(plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	stats.OptimizeNs = time.Since(t0).Nanoseconds()
 	stats.CornerCaseFallbacks = cs.CornerCaseFallbacks
 	stats.PlanOps = algebra.CountOps(plan)
-	stats.LogicalPlan = algebra.Print(plan)
-	return plan, stats, nil
+	stats.plan = plan
+	return plan, stats, cs.ValueKeyed, nil
+}
+
+// valueKeyed returns the slots 1..n the plan cache keys plan on: all but
+// the free ones, the slots of the plan's tagged constants that are not
+// in read.
+func valueKeyed(plan *algebra.Op, read algebra.SlotSet, n int) algebra.SlotSet {
+	tagged := algebra.TaggedSlots(plan)
+	var keyed algebra.SlotSet
+	for slot := 1; slot <= n; slot++ {
+		if !tagged.Has(slot) || read.Has(slot) {
+			keyed.Add(slot)
+		}
+	}
+	return keyed
+}
+
+// paramValues reads a request's literals as the parser does, in slot
+// order; false if one does not read.
+func paramValues(params []aqlp.Param) ([]adm.Value, bool) {
+	vals := make([]adm.Value, len(params))
+	for i, p := range params {
+		v, err := p.Value()
+		if err != nil {
+			return nil, false
+		}
+		vals[i] = v
+	}
+	return vals, true
 }
 
 // localJob is one process's half of a query job: the generated DAG and
@@ -696,7 +744,7 @@ func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *Query
 	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, replay)
 	stats.JobGenNs = jobgen.End().Nanoseconds()
 	if err != nil {
-		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan)
+		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan())
 	}
 
 	// A job that replays a memo entry buffers its rows even when the

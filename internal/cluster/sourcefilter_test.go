@@ -163,9 +163,9 @@ func TestSourceFilter(t *testing.T) {
 					t.Errorf("%s: reference keeps %d of %d rows; the case is vacuous", tc.name, len(want), len(reviews))
 				}
 				if got := rowInts(t, res.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s (%s plan): engine %v != reference %v\n%s", tc.name, plan, got, want, res.Stats.LogicalPlan)
+					t.Errorf("%s (%s plan): engine %v != reference %v\n%s", tc.name, plan, got, want, res.Stats.LogicalPlan())
 				}
-				line := sourceLine(res.Stats.LogicalPlan)
+				line := sourceLine(res.Stats.LogicalPlan())
 				if tc.filter == "" && strings.Contains(line, "filter:[") || !strings.Contains(line, tc.filter) {
 					t.Errorf("%s (%s plan): source line %q, want filter %q", tc.name, plan, line, tc.filter)
 				}
@@ -187,8 +187,8 @@ func TestSourceFilter(t *testing.T) {
 		exec(t, c, sess, `create index rname on Reviews(username) type ngram(2);`)
 		check("index")
 		res = exec(t, c, sess, jaccardQuery)
-		if line := sourceLine(res.Stats.LogicalPlan); !strings.Contains(line, "primary-index-lookup") || !strings.Contains(line, "filter:[") {
-			t.Errorf("index plan's lookup carries no filter:\n%s", res.Stats.LogicalPlan)
+		if line := sourceLine(res.Stats.LogicalPlan()); !strings.Contains(line, "primary-index-lookup") || !strings.Contains(line, "filter:[") {
+			t.Errorf("index plan's lookup carries no filter:\n%s", res.Stats.LogicalPlan())
 		}
 		if res.Stats.IndexSearches == 0 || res.Stats.VerifiedTotal != int64(len(res.Rows)) || res.Stats.CandidatesTotal < res.Stats.VerifiedTotal {
 			t.Errorf("funnel: searches=%d candidates=%d verified=%d rows=%d",
@@ -204,7 +204,7 @@ func TestSourceFilter(t *testing.T) {
 		// The T <= 0 corner case keeps the scan plan (paper §5.1.1), and
 		// that scan is filtered like any other.
 		res = exec(t, c, sess, `for $r in dataset Reviews where edit-distance($r.username, 'ma') <= 3 return $r.id`)
-		if line := sourceLine(res.Stats.LogicalPlan); res.Stats.IndexSearches != 0 || !strings.Contains(line, `data-scan`) ||
+		if line := sourceLine(res.Stats.LogicalPlan()); res.Stats.IndexSearches != 0 || !strings.Contains(line, `data-scan`) ||
 			!strings.Contains(line, `filter:[edit-distance(username, "ma") <= 3]`) {
 			t.Errorf("corner-case fallback: searches=%d, source line %q", res.Stats.IndexSearches, line)
 		}
@@ -233,11 +233,11 @@ func TestSourceFilterSharedScan(t *testing.T) {
 		return $b.id`
 	shared := exec(t, c, sessWith(func(o *optimizer.Options) { o.UseIndexes = false }), q)
 	own := exec(t, c, sessWith(func(o *optimizer.Options) { o.UseIndexes, o.ReuseSubplans = false, false }), q)
-	if !strings.Contains(shared.Stats.LogicalPlan, "^shared(") || strings.Contains(shared.Stats.LogicalPlan, "filter:[") {
-		t.Errorf("shared scan: want a shared, unfiltered scan:\n%s", shared.Stats.LogicalPlan)
+	if !strings.Contains(shared.Stats.LogicalPlan(), "^shared(") || strings.Contains(shared.Stats.LogicalPlan(), "filter:[") {
+		t.Errorf("shared scan: want a shared, unfiltered scan:\n%s", shared.Stats.LogicalPlan())
 	}
-	if strings.Count(own.Stats.LogicalPlan, "filter:[") != 1 {
-		t.Errorf("without reuse: want exactly one filtered scan:\n%s", own.Stats.LogicalPlan)
+	if strings.Count(own.Stats.LogicalPlan(), "filter:[") != 1 {
+		t.Errorf("without reuse: want exactly one filtered scan:\n%s", own.Stats.LogicalPlan())
 	}
 	if got, want := resultKey(shared), resultKey(own); got != want || len(own.Rows) == 0 {
 		t.Errorf("shared scan %q, own scans %q", got, want)

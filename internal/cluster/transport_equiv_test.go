@@ -290,6 +290,28 @@ func TestTransportEquivalence(t *testing.T) {
 		}
 	})
 
+	t.Run("join-shape", func(t *testing.T) {
+		// Two joins of one shape back to back: the coordinator binds the
+		// second's id range into the plan it cached for the first, while
+		// the tcp worker compiles the second's text afresh. The two plans
+		// must agree, or the worker's half of the job diverges.
+		const join = `
+			for $a in dataset EqReviews
+			for $b in dataset EqReviews
+			where similarity-jaccard(word-tokens($a.summary), word-tokens($b.summary)) >= 0.8
+			and $a.id >= %d and $a.id < %d and $a.id < $b.id
+			return { 'l': $a.id, 'r': $b.id }`
+		for i, r := range [][2]int{{0, 50}, {70, 140}} {
+			res, tres := assertEquivalent(t, inproc, tcp, plainSession, fmt.Sprintf(join, r[0], r[1]))
+			if len(res.Rows) == 0 {
+				t.Errorf("join over ids [%d, %d) found no pairs", r[0], r[1])
+			}
+			if hit := i == 1; res.Stats.PlanCacheHit != hit || tres.Stats.PlanCacheHit != hit {
+				t.Errorf("join %d: plan cache hit inproc %v, tcp %v; want %v", i, res.Stats.PlanCacheHit, tres.Stats.PlanCacheHit, hit)
+			}
+		}
+	})
+
 	// Build identical secondary indexes on both clusters, then assert
 	// the index-backed similarity selections agree and actually touched
 	// the inverted index on both sides.

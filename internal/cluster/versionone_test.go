@@ -130,10 +130,10 @@ func TestVersionOneStoreReadsBack(t *testing.T) {
 				}
 			}
 			byScan, byIndex := exec(t, c, scan, sel.q), exec(t, c, sessionOpts(nil), sel.q)
-			if line := sourceLine(byScan.Stats.LogicalPlan); !strings.Contains(line, "data-scan") || !strings.Contains(line, "filter:[") {
+			if line := sourceLine(byScan.Stats.LogicalPlan()); !strings.Contains(line, "data-scan") || !strings.Contains(line, "filter:[") {
 				t.Errorf("%s, %s: scan plan's source is %q, want a filtered scan", when, sel.name, line)
 			}
-			if line := sourceLine(byIndex.Stats.LogicalPlan); !strings.Contains(line, "primary-index-lookup") ||
+			if line := sourceLine(byIndex.Stats.LogicalPlan()); !strings.Contains(line, "primary-index-lookup") ||
 				!strings.Contains(line, "project:[id, reviewerName, summary] filter:[") {
 				t.Errorf("%s, %s: index plan's source is %q, want a projected, filtered lookup", when, sel.name, line)
 			}

@@ -258,7 +258,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 	}
 	// Statements are NOT replayed: session effects arrived in req.State,
 	// catalog effects through the snapshot sync.
-	plan, _, err := c.compileState(req.State, q.Body)
+	plan, _, _, err := c.compileState(req.State, q.Body)
 	if err != nil {
 		return nil, err
 	}

@@ -225,7 +225,7 @@ func (db *Database) Explain(sess *Session, aql string) (*Explained, error) {
 	algebra.Walk(plan, func(op *algebra.Op) { counts[op.Kind.String()]++ })
 	return &Explained{
 		PlanOps:     stats.PlanOps,
-		Plan:        stats.LogicalPlan,
+		Plan:        stats.LogicalPlan(),
 		KindCounts:  counts,
 		TranslateNs: stats.TranslateNs,
 		OptimizeNs:  stats.OptimizeNs,

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 
+	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
 	"simdb/internal/obs"
@@ -75,6 +76,11 @@ type CompileStats struct {
 	CornerCaseFallbacks int
 	// IndexRewrites counts access paths rewritten to use an index.
 	IndexRewrites int
+	// ValueKeyed holds the slot of every tagged constant (request
+	// literal) whose value a rule read (Optimizer.Value): the plan is a
+	// function of those values, so the plan cache keys on them. A tagged
+	// constant no rule read is a free parameter of the plan.
+	ValueKeyed algebra.SlotSet
 }
 
 // Optimizer rewrites logical plans.
@@ -86,6 +92,18 @@ type Optimizer struct {
 	Trace *[]string
 	// Stats, when non-nil, collects compile-time decision counts.
 	Stats *CompileStats
+}
+
+// Value returns c's value for a compile-time decision. Every rule reads
+// a constant's value through it (its kind, which a request's shape
+// fixes, may be read directly): it adds c's slot, if c stands for a
+// request literal, to Stats.ValueKeyed, so a plan cached by shape is
+// reused only for requests with the same value there.
+func (o *Optimizer) Value(c algebra.Const) adm.Value {
+	if c.Slot != 0 && o.Stats != nil {
+		o.Stats.ValueKeyed.Add(c.Slot)
+	}
+	return c.Val
 }
 
 // noteCornerCase records one compile-time corner-case fallback.

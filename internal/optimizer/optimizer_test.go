@@ -107,7 +107,7 @@ func TestExtractJoinConditions(t *testing.T) {
 		t.Fatal("no join")
 	}
 	// The equality is the hash join's key, and leaves nothing over.
-	if len(join.JoinLeftKeys) != 1 || !isTrueConst(join.Cond) {
+	if len(join.JoinLeftKeys) != 1 || !(&Optimizer{}).isTrueConst(join.Cond) {
 		t.Errorf("join keys %v, residual condition %v: want the extracted equality as the one key and no residual", join.JoinLeftKeys, join.Cond)
 	}
 	if join.Phys != algebra.JoinPhysHash {

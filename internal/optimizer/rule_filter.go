@@ -35,7 +35,7 @@ func sourceFilterRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error)
 		}
 		var want *algebra.RecordFilter
 		if ps := parents[src]; len(ps) == 1 && ps[0].Kind == algebra.OpSelect {
-			want = selectFilter(ps[0], src.RecVar)
+			want = o.selectFilter(ps[0], src.RecVar)
 		}
 		if (want == nil) != (src.Filter == nil) || (want != nil && want.String() != src.Filter.String()) {
 			src.Filter = want
@@ -51,11 +51,11 @@ func sourceFilterRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error)
 // conjunct — its fused assigns and the conjuncts in front — so those
 // must be unable to raise: an error the query owes its client is not
 // filtered away.
-func selectFilter(sel *algebra.Op, rec algebra.Var) *algebra.RecordFilter {
+func (o *Optimizer) selectFilter(sel *algebra.Op, rec algebra.Var) *algebra.RecordFilter {
 	for _, conj := range algebra.Conjuncts(sel.Cond) {
-		if f, candidate := conjunctFilter(sel, conj, rec); f != nil {
+		if f, candidate := o.conjunctFilter(sel, conj, rec); f != nil {
 			for _, e := range sel.FusedAssignExprs {
-				if !cannotRaise(e) && resolveFused(sel, e).String() != candidate.String() {
+				if !cannotRaise(e) && o.exprString(resolveFused(sel, e)) != o.exprString(candidate) {
 					return nil
 				}
 			}
@@ -70,8 +70,8 @@ func selectFilter(sel *algebra.Op, rec algebra.Var) *algebra.RecordFilter {
 
 // conjunctFilter restates one conjunct as a filter, returning it with
 // the conjunct's per-record side (fused variables resolved).
-func conjunctFilter(sel *algebra.Op, conj algebra.Expr, rec algebra.Var) (*algebra.RecordFilter, algebra.Expr) {
-	sc, ok := parseSimCond(conj)
+func (o *Optimizer) conjunctFilter(sel *algebra.Op, conj algebra.Expr, rec algebra.Var) (*algebra.RecordFilter, algebra.Expr) {
+	sc, ok := o.parseSimCond(conj)
 	if !ok {
 		return nil, nil
 	}
@@ -82,7 +82,7 @@ func conjunctFilter(sel *algebra.Op, conj algebra.Expr, rec algebra.Var) (*algeb
 	if !constFoldable(constant) {
 		return nil, nil
 	}
-	cval, err := evalConst(constant)
+	cval, err := o.evalConst(constant)
 	if err != nil {
 		return nil, nil
 	}
@@ -92,14 +92,14 @@ func conjunctFilter(sel *algebra.Op, conj algebra.Expr, rec algebra.Var) (*algeb
 		if !ok || call.Fn != "word-tokens" || len(call.Args) != 1 {
 			return nil, nil
 		}
-		field, ok := topLevelField(call.Args[0], rec)
+		field, ok := o.topLevelField(call.Args[0], rec)
 		tokens, isList := algebra.TokensOf(cval)
 		if !ok || !isList || !(sc.Threshold > 0) {
 			return nil, nil
 		}
 		return &algebra.RecordFilter{Field: field, Jaccard: true, Tokens: tokens, Delta: sc.Threshold}, variable
 	case "edit-distance":
-		field, ok := topLevelField(variable, rec)
+		field, ok := o.topLevelField(variable, rec)
 		if !ok || cval.Kind() != adm.KindString || !(math.Abs(sc.Threshold) <= math.MaxInt32) {
 			return nil, nil
 		}
@@ -154,7 +154,7 @@ func resolveFused(sel *algebra.Op, e algebra.Expr) algebra.Expr {
 // topLevelField matches field-access($rec, "f"): one level, rooted at
 // the source's record variable. (A top-level field whose own name has a
 // dot reads as a path and gets no filter, which is safe.)
-func topLevelField(e algebra.Expr, rec algebra.Var) (string, bool) {
-	path, ok := fieldPathOf(e, rec)
+func (o *Optimizer) topLevelField(e algebra.Expr, rec algebra.Var) (string, bool) {
+	path, ok := o.fieldPathOf(e, rec)
 	return path, ok && !strings.Contains(path, ".")
 }

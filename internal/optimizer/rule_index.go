@@ -37,7 +37,7 @@ func indexSelectionRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			} else if done {
 				return op, true, nil
 			}
-			sc, ok := parseSimCond(conj)
+			sc, ok := o.parseSimCond(conj)
 			if !ok {
 				continue
 			}
@@ -49,7 +49,7 @@ func indexSelectionRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 					continue
 				}
 			}
-			field, ok := indexedArg(variable, scan.RecVar, sc.Fn)
+			field, ok := o.indexedArg(variable, scan.RecVar, sc.Fn)
 			if !ok {
 				continue
 			}
@@ -57,7 +57,7 @@ func indexSelectionRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			if !ok {
 				continue
 			}
-			cval, err := evalConst(constant)
+			cval, err := o.evalConst(constant)
 			if err != nil {
 				return nil, false, err
 			}
@@ -112,7 +112,7 @@ func (o *Optimizer) tryBTreeSelection(sel, scan *algebra.Op, conj algebra.Expr) 
 			return false, nil
 		}
 	}
-	field, ok := fieldPathOf(fieldE, scan.RecVar)
+	field, ok := o.fieldPathOf(fieldE, scan.RecVar)
 	if !ok {
 		return false, nil
 	}
@@ -127,7 +127,7 @@ func (o *Optimizer) tryBTreeSelection(sel, scan *algebra.Op, conj algebra.Expr) 
 	if !found {
 		return false, nil
 	}
-	cval, err := evalConst(constE)
+	cval, err := o.evalConst(constE)
 	if err != nil {
 		return false, err
 	}
@@ -166,7 +166,7 @@ func (o *Optimizer) tryContainsSelection(sel, scan *algebra.Op, conj algebra.Exp
 	if !ok || call.Fn != "contains" || len(call.Args) != 2 {
 		return false, nil
 	}
-	field, ok := fieldPathOf(call.Args[0], scan.RecVar)
+	field, ok := o.fieldPathOf(call.Args[0], scan.RecVar)
 	if !ok || !constFoldable(call.Args[1]) {
 		return false, nil
 	}
@@ -181,7 +181,7 @@ func (o *Optimizer) tryContainsSelection(sel, scan *algebra.Op, conj algebra.Exp
 	if !found {
 		return false, nil
 	}
-	cval, err := evalConst(call.Args[1])
+	cval, err := o.evalConst(call.Args[1])
 	if err != nil {
 		return false, err
 	}
@@ -294,16 +294,16 @@ func indexJoinRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 		outerSet := schemaSet(outer)
 		conjs := algebra.Conjuncts(op.Cond)
 		for ci, conj := range conjs {
-			sc, ok := parseSimCond(conj)
+			sc, ok := o.parseSimCond(conj)
 			if !ok {
 				continue
 			}
 			sc.OrigIdx = ci
 			outerArg, innerArg := sc.Left, sc.Right
-			field, ok := indexedArg(innerArg, inner.RecVar, sc.Fn)
+			field, ok := o.indexedArg(innerArg, inner.RecVar, sc.Fn)
 			if !ok || !varsIn(outerArg, outerSet) {
 				outerArg, innerArg = sc.Right, sc.Left
-				field, ok = indexedArg(innerArg, inner.RecVar, sc.Fn)
+				field, ok = o.indexedArg(innerArg, inner.RecVar, sc.Fn)
 				if !ok || !varsIn(outerArg, outerSet) {
 					continue
 				}

@@ -35,7 +35,7 @@ func primaryKeyRangeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, err
 		if ps := parents[scan]; len(ps) == 1 && ps[0].Kind == algebra.OpSelect && len(ps[0].FusedAssignVars) == 0 {
 			want = o.selectKeyRange(ps[0], scan)
 		}
-		if !want.Equal(scan.Range) {
+		if !want.Equal(scan.Range, o.Value) {
 			scan.Range = want
 			changed = true
 		}
@@ -53,8 +53,8 @@ func (o *Optimizer) selectKeyRange(sel, scan *algebra.Op) *algebra.KeyRange {
 	path := strings.Split(pk, ".")
 	var r *algebra.KeyRange
 	for _, conj := range algebra.Conjuncts(sel.Cond) {
-		if cmp, bound, ok := keyBound(conj, scan, path); ok {
-			r = intersect(r, cmp, bound)
+		if cmp, bound, ok := o.keyBound(conj, scan, path); ok {
+			r = o.intersect(r, cmp, bound)
 			continue
 		}
 		if !cannotRaise(conj) {
@@ -66,40 +66,47 @@ func (o *Optimizer) selectKeyRange(sel, scan *algebra.Op) *algebra.KeyRange {
 
 // keyBound matches cmp(key, c) or cmp(c, key) for a comparison cmp and a
 // variable-free c that evaluates to a scalar, and returns the comparison
-// oriented with the key on the left and c's value.
-func keyBound(conj algebra.Expr, scan *algebra.Op, path []string) (string, adm.Value, bool) {
+// oriented with the key on the left and c as a constant. A bare constant
+// is returned as it is, slot and all, without a look at its value (its
+// kind is the request shape's), so a cached plan's range follows the
+// literal it came from; any other c is evaluated.
+func (o *Optimizer) keyBound(conj algebra.Expr, scan *algebra.Op, path []string) (string, algebra.Const, bool) {
 	call, ok := conj.(algebra.Call)
 	if !ok || len(call.Args) != 2 {
-		return "", adm.Value{}, false
+		return "", algebra.Const{}, false
 	}
 	switch call.Fn {
 	case "eq", "ge", "gt", "le", "lt":
 	default:
-		return "", adm.Value{}, false
+		return "", algebra.Const{}, false
 	}
 	cmp, key, c := call.Fn, call.Args[0], call.Args[1]
-	if !isPrimaryKey(key, scan, path) {
+	if !o.isPrimaryKey(key, scan, path) {
 		cmp, key, c = flipCmp(cmp), c, key
 	}
-	if !isPrimaryKey(key, scan, path) || !constFoldable(c) {
-		return "", adm.Value{}, false
+	if !o.isPrimaryKey(key, scan, path) || !constFoldable(c) {
+		return "", algebra.Const{}, false
 	}
-	v, err := evalConst(c)
-	if err != nil {
-		return "", adm.Value{}, false
+	v, ok := c.(algebra.Const)
+	if !ok {
+		val, err := o.evalConst(c)
+		if err != nil {
+			return "", algebra.Const{}, false
+		}
+		v = algebra.Const{Val: val}
 	}
-	switch v.Kind() {
+	switch v.Val.Kind() {
 	case adm.KindNull, adm.KindBool, adm.KindInt, adm.KindDouble, adm.KindString:
 		return cmp, v, true
 	}
 	// A composite's ordered key follows Compare only within equal
 	// lengths (adm.OrderedKey), so it bounds nothing.
-	return "", adm.Value{}, false
+	return "", algebra.Const{}, false
 }
 
 // isPrimaryKey reports whether e reads the scan's primary key: its key
 // variable, or field-access($rec, …) along the key's path.
-func isPrimaryKey(e algebra.Expr, scan *algebra.Op, path []string) bool {
+func (o *Optimizer) isPrimaryKey(e algebra.Expr, scan *algebra.Op, path []string) bool {
 	if vr, ok := e.(algebra.VarRef); ok {
 		return vr.V == scan.PKVar
 	}
@@ -109,7 +116,7 @@ func isPrimaryKey(e algebra.Expr, scan *algebra.Op, path []string) bool {
 			return false
 		}
 		name, ok := call.Args[1].(algebra.Const)
-		if !ok || name.Val.Kind() != adm.KindString || name.Val.Str() != path[i] {
+		if !ok || name.Val.Kind() != adm.KindString || o.Value(name).Str() != path[i] {
 			return false
 		}
 		e = call.Args[0]
@@ -120,28 +127,29 @@ func isPrimaryKey(e algebra.Expr, scan *algebra.Op, path []string) bool {
 
 // intersect narrows r (nil: every key) by key cmp v. Of two ends that
 // compare equal, the strict one wins.
-func intersect(r *algebra.KeyRange, cmp string, v adm.Value) *algebra.KeyRange {
+func (o *Optimizer) intersect(r *algebra.KeyRange, cmp string, v algebra.Const) *algebra.KeyRange {
 	out := algebra.KeyRange{}
 	if r != nil {
 		out = *r
 	}
 	if cmp == "eq" || cmp == "ge" || cmp == "gt" {
-		out.Lo, out.LoIncl = tighter(out.Lo, out.LoIncl, v, cmp != "gt", 1)
+		out.Lo, out.LoIncl = o.tighter(out.Lo, out.LoIncl, v, cmp != "gt", 1)
 	}
 	if cmp == "eq" || cmp == "le" || cmp == "lt" {
-		out.Hi, out.HiIncl = tighter(out.Hi, out.HiIncl, v, cmp != "lt", -1)
+		out.Hi, out.HiIncl = o.tighter(out.Hi, out.HiIncl, v, cmp != "lt", -1)
 	}
 	return &out
 }
 
 // tighter returns the tighter of an interval's end and a new end v: for
 // a lower end (sign 1) the greater, for an upper end (sign -1) the
-// lesser; nil is unbounded.
-func tighter(end *adm.Value, incl bool, v adm.Value, vIncl bool, sign int) (*adm.Value, bool) {
+// lesser; nil is unbounded. Only two ends on one side are compared, so
+// only then does the range depend on the bounds' values.
+func (o *Optimizer) tighter(end *algebra.Const, incl bool, v algebra.Const, vIncl bool, sign int) (*algebra.Const, bool) {
 	if end == nil {
 		return &v, vIncl
 	}
-	switch c := adm.Compare(v, *end) * sign; {
+	switch c := adm.Compare(o.Value(v), o.Value(*end)) * sign; {
 	case c > 0:
 		return &v, vIncl
 	case c == 0:

@@ -35,7 +35,7 @@ func projectionPushdownRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, 
 	})
 	changed := false
 	for _, src := range sources {
-		want := referencedFields(root, src.RecVar)
+		want := o.referencedFields(root, src.RecVar)
 		if !sameFieldSet(src.ProjectFields, want) {
 			src.ProjectFields = want
 			changed = true
@@ -48,7 +48,7 @@ func projectionPushdownRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, 
 // top-level field names accessed on rec. It returns nil when any use is
 // opaque (the whole record is needed), otherwise a sorted non-nil slice
 // (possibly empty: the record is never read at all).
-func referencedFields(root *algebra.Op, rec algebra.Var) []string {
+func (o *Optimizer) referencedFields(root *algebra.Op, rec algebra.Var) []string {
 	fields := map[string]bool{}
 	opaque := false
 	algebra.Walk(root, func(op *algebra.Op) {
@@ -78,7 +78,7 @@ func referencedFields(root *algebra.Op, rec algebra.Var) []string {
 			// A pure copy (an assign's used expressions are its AssignExprs,
 			// in order): the alias's uses are the record's.
 			if vr, ok := e.(algebra.VarRef); ok && vr.V == rec && op.Kind == algebra.OpAssign {
-				through := referencedFields(root, op.AssignVars[i])
+				through := o.referencedFields(root, op.AssignVars[i])
 				if through == nil {
 					opaque = true
 					return
@@ -86,7 +86,7 @@ func referencedFields(root *algebra.Op, rec algebra.Var) []string {
 				for _, f := range through {
 					fields[f] = true
 				}
-			} else if !collectRecFields(e, rec, fields) {
+			} else if !o.collectRecFields(e, rec, fields) {
 				opaque = true
 				return
 			}
@@ -107,28 +107,28 @@ func referencedFields(root *algebra.Op, rec algebra.Var) []string {
 // chain rooted at rec into fields. It returns false when rec is used
 // other than through a field access — the record escapes whole and
 // projection must not narrow the scan.
-func collectRecFields(e algebra.Expr, rec algebra.Var, fields map[string]bool) bool {
+func (o *Optimizer) collectRecFields(e algebra.Expr, rec algebra.Var, fields map[string]bool) bool {
 	switch x := e.(type) {
 	case algebra.VarRef:
 		return x.V != rec
 	case algebra.Call:
-		if top, ok := topFieldOf(x, rec); ok {
+		if top, ok := o.topFieldOf(x, rec); ok {
 			fields[top] = true
 			return true
 		}
 		for _, a := range x.Args {
-			if !collectRecFields(a, rec, fields) {
+			if !o.collectRecFields(a, rec, fields) {
 				return false
 			}
 		}
 		return true
 	case algebra.Comprehension:
 		for _, c := range x.Clauses {
-			if c.E != nil && !collectRecFields(c.E, rec, fields) {
+			if c.E != nil && !o.collectRecFields(c.E, rec, fields) {
 				return false
 			}
 		}
-		return collectRecFields(x.Ret, rec, fields)
+		return o.collectRecFields(x.Ret, rec, fields)
 	}
 	return true
 }
@@ -136,7 +136,7 @@ func collectRecFields(e algebra.Expr, rec algebra.Var, fields map[string]bool) b
 // topFieldOf matches a field-access chain rooted exactly at rec and
 // returns the chain's outermost-from-the-record (top-level) field name:
 // field-access(field-access($rec, "user"), "name") -> "user".
-func topFieldOf(c algebra.Call, rec algebra.Var) (string, bool) {
+func (o *Optimizer) topFieldOf(c algebra.Call, rec algebra.Var) (string, bool) {
 	top := ""
 	var e algebra.Expr = c
 	for {
@@ -148,7 +148,7 @@ func topFieldOf(c algebra.Call, rec algebra.Var) (string, bool) {
 		if !ok || name.Val.Kind() != adm.KindString {
 			return "", false
 		}
-		top = name.Val.Str()
+		top = o.Value(name).Str()
 		e = call.Args[0]
 	}
 	if vr, ok := e.(algebra.VarRef); ok && vr.V == rec && top != "" {

@@ -100,7 +100,7 @@ func similarityJoinRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 		leftSet, rightSet := schemaSet(left), schemaSet(right)
 		conjs := algebra.Conjuncts(op.Cond)
 		for ci, conj := range conjs {
-			sc, ok := parseSimCond(conj)
+			sc, ok := o.parseSimCond(conj)
 			if !ok || sc.Fn != "jaccard" {
 				continue
 			}
@@ -115,7 +115,7 @@ func similarityJoinRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, erro
 			// Prefer an index-nested-loop plan when an index applies
 			// (paper §6.4.1: the three-stage join is the no-index plan).
 			if innerScan := op.Inputs[1]; o.Opts.UseIndexes && innerScan.Kind == algebra.OpScan {
-				if field, ok := indexedArg(rArg, innerScan.RecVar, "jaccard"); ok {
+				if field, ok := o.indexedArg(rArg, innerScan.RecVar, "jaccard"); ok {
 					if _, has := findIndex(o.Catalog, innerScan.Dataverse, innerScan.Dataset, field, "jaccard"); has {
 						continue
 					}
@@ -217,13 +217,13 @@ type tokenSource struct {
 
 // singleTokenSource reports the tokenSource of a join, if it has one.
 // The right input is preferred when both are bare scans.
-func singleTokenSource(left, right *algebra.Op, lArg, rArg algebra.Expr) (tokenSource, bool) {
+func (o *Optimizer) singleTokenSource(left, right *algebra.Op, lArg, rArg algebra.Expr) (tokenSource, bool) {
 	ls, rs := scanOfChain(left), scanOfChain(right)
 	if ls == nil || rs == nil || ls.Dataverse != rs.Dataverse || ls.Dataset != rs.Dataset {
 		return tokenSource{}, false
 	}
-	le, lok := recordExpr(lArg, ls)
-	re, rok := recordExpr(rArg, rs)
+	le, lok := o.recordExpr(lArg, ls)
+	re, rok := o.recordExpr(rArg, rs)
 	if !lok || !rok || le != re {
 		return tokenSource{}, false
 	}
@@ -238,11 +238,11 @@ func singleTokenSource(left, right *algebra.Op, lArg, rArg algebra.Expr) (tokenS
 
 // recordExpr renders arg with scan's record variable as $0, if that is
 // the only variable it reads.
-func recordExpr(arg algebra.Expr, scan *algebra.Op) (string, bool) {
+func (o *Optimizer) recordExpr(arg algebra.Expr, scan *algebra.Op) (string, bool) {
 	if !varsIn(arg, map[algebra.Var]bool{scan.RecVar: true}) {
 		return "", false
 	}
-	return algebra.SubstVars(arg, map[algebra.Var]algebra.Var{scan.RecVar: 0}).String(), true
+	return o.exprString(algebra.SubstVars(arg, map[algebra.Var]algebra.Var{scan.RecVar: 0})), true
 }
 
 // newMemo wraps in with a memo operator keyed kind(dataverse.dataset,
@@ -298,7 +298,7 @@ func memoPrefixSide(o *Optimizer, frag *algebra.Op, pk algebra.Var, src tokenSou
 	asg.AssignExprs = []algebra.Expr{algebra.F("field-access", algebra.V(recVar), algebra.CStr("pt"))}
 	join.Inputs[1] = newMemo(asg, "ranked", src, []algebra.Var{recVar, pt}, th)
 	join.Cond = algebra.ReplaceExpr(join.Cond, func(e algebra.Expr) algebra.Expr {
-		if v, field, ok := fieldAccess(e); ok && v == recVar && field == "pt" {
+		if v, field, ok := o.fieldAccess(e); ok && v == recVar && field == "pt" {
 			return algebra.V(pt)
 		}
 		return e
@@ -308,7 +308,7 @@ func memoPrefixSide(o *Optimizer, frag *algebra.Op, pk algebra.Var, src tokenSou
 
 // fieldAccess reports the variable and field name of field-access($v,
 // "name").
-func fieldAccess(e algebra.Expr) (algebra.Var, string, bool) {
+func (o *Optimizer) fieldAccess(e algebra.Expr) (algebra.Var, string, bool) {
 	c, ok := e.(algebra.Call)
 	if !ok || c.Fn != "field-access" || len(c.Args) != 2 {
 		return 0, "", false
@@ -318,13 +318,14 @@ func fieldAccess(e algebra.Expr) (algebra.Var, string, bool) {
 	if !isVar || !isConst || f.Val.Kind() != adm.KindString {
 		return 0, "", false
 	}
-	return v.V, f.Val.Str(), true
+	return v.V, o.Value(f).Str(), true
 }
 
 // keySide is a join input keyed by its scan's primary key: the key
 // variable pk, the scan's record variable rec and top-level key field,
 // and the input's other variables.
 type keySide struct {
+	o       *Optimizer
 	pk, rec algebra.Var
 	field   string
 	other   map[algebra.Var]bool
@@ -343,7 +344,7 @@ func (o *Optimizer) keySideOf(input *algebra.Op, pk algebra.Var) (keySide, bool)
 	}
 	other := schemaSet(input)
 	delete(other, pk)
-	return keySide{pk: pk, rec: scan.RecVar, field: field, other: other}, true
+	return keySide{o: o, pk: pk, rec: scan.RecVar, field: field, other: other}, true
 }
 
 // isKey reports whether e is the side's primary key: its variable, or
@@ -352,7 +353,7 @@ func (s keySide) isKey(e algebra.Expr) bool {
 	if x, ok := e.(algebra.VarRef); ok {
 		return x.V == s.pk
 	}
-	v, field, ok := fieldAccess(e)
+	v, field, ok := s.o.fieldAccess(e)
 	return ok && v == s.rec && field == s.field
 }
 
@@ -454,7 +455,7 @@ func (o *Optimizer) instantiateThreeStage(root, join, left, right *algebra.Op, l
 	// With one token source the bare side is the template's right side,
 	// whose prefix tuples the memo keeps. The pairs, and every variable
 	// the plan above reads, are the same either way round.
-	ts, single := singleTokenSource(left, right, lArg, rArg)
+	ts, single := o.singleTokenSource(left, right, lArg, rArg)
 	if single && ts.bareLeft {
 		left, right, lArg, rArg, lPK, rPK = right, left, rArg, lArg, rPK, lPK
 	}

@@ -29,7 +29,7 @@ func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 			if !isCall || !constFoldable(call) {
 				return sub
 			}
-			v, err := evalConst(call)
+			v, err := o.evalConst(call)
 			if err != nil {
 				return sub
 			}

@@ -19,9 +19,9 @@ func mergeSelects(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 }
 
 // isTrueConst reports whether e is the literal true.
-func isTrueConst(e algebra.Expr) bool {
+func (o *Optimizer) isTrueConst(e algebra.Expr) bool {
 	c, ok := e.(algebra.Const)
-	return ok && c.Val.Kind() == adm.KindBool && c.Val.Bool()
+	return ok && c.Val.Kind() == adm.KindBool && o.Value(c).Bool()
 }
 
 // extractJoinConditions turns Select over a cross join into a real join
@@ -33,7 +33,7 @@ func extractJoinConditions(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, e
 			return op, false, nil
 		}
 		join := op.Inputs[0]
-		if join.Kind != algebra.OpJoin || !isTrueConst(join.Cond) {
+		if join.Kind != algebra.OpJoin || !o.isTrueConst(join.Cond) {
 			return op, false, nil
 		}
 		leftSet := schemaSet(join.Inputs[0])
@@ -295,7 +295,7 @@ func chooseJoinAlgorithm(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, err
 			// Peel a broadcast hint and remember which side it marks.
 			peel := func(e algebra.Expr) (algebra.Expr, bool) {
 				if h, ok := e.(algebra.Call); ok && h.Fn == "hinted" {
-					if name, ok := h.Args[0].(algebra.Const); ok && name.Val.Kind() == adm.KindString && name.Val.Str() == "bcast" {
+					if name, ok := h.Args[0].(algebra.Const); ok && name.Val.Kind() == adm.KindString && o.Value(name).Str() == "bcast" {
 						return h.Args[1], true
 					}
 				}
@@ -441,7 +441,7 @@ func reuseScansRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 		key := op.Dataverse + "." + op.Dataset
 		var prev *algebra.Op
 		for _, s := range first[key] {
-			if s.Range.Equal(op.Range) {
+			if s.Range.Equal(op.Range, o.Value) {
 				prev = s
 				break
 			}

@@ -28,7 +28,7 @@ type simCond struct {
 //
 // plus the strict variants (>, <), which fold into the threshold: the
 // next double up for Jaccard, the next integer down for edit distance.
-func parseSimCond(e algebra.Expr) (simCond, bool) {
+func (o *Optimizer) parseSimCond(e algebra.Expr) (simCond, bool) {
 	call, ok := e.(algebra.Call)
 	if !ok || len(call.Args) != 2 {
 		return simCond{}, false
@@ -46,35 +46,30 @@ func parseSimCond(e algebra.Expr) (simCond, bool) {
 	if !ok || len(fcall.Args) != 2 {
 		return simCond{}, false
 	}
-	thv := cst.(algebra.Const).Val
-	th, okNum := thv.Num()
+	// The threshold's value is read only once the comparison is a
+	// similarity predicate's: a plan reads no other comparison's constant.
+	var fn string
+	switch {
+	case fcall.Fn == "similarity-jaccard" && (cmp == "ge" || cmp == "gt"):
+		fn = "jaccard"
+	case fcall.Fn == "edit-distance" && (cmp == "le" || cmp == "lt"):
+		fn = "edit-distance"
+	default:
+		return simCond{}, false
+	}
+	th, okNum := o.Value(cst.(algebra.Const)).Num()
 	if !okNum {
 		return simCond{}, false
 	}
-	switch fcall.Fn {
-	case "similarity-jaccard":
-		// need sim >= d (or sim > d).
-		switch cmp {
-		case "ge":
-		case "gt":
-			th = math.Nextafter(th, 2)
-		default:
-			return simCond{}, false
-		}
-		return simCond{Fn: "jaccard", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th}, true
-	case "edit-distance":
-		// A distance is an integer: d <= 1.5 is d <= 1, d < 1.5 too.
-		switch cmp {
-		case "le":
-			th = math.Floor(th)
-		case "lt":
-			th = math.Ceil(th) - 1
-		default:
-			return simCond{}, false
-		}
-		return simCond{Fn: "edit-distance", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th}, true
+	switch cmp {
+	case "gt": // sim > d: the next double up
+		th = math.Nextafter(th, 2)
+	case "le": // a distance is an integer: d <= 1.5 is d <= 1, d < 1.5 too
+		th = math.Floor(th)
+	case "lt":
+		th = math.Ceil(th) - 1
 	}
-	return simCond{}, false
+	return simCond{Fn: fn, Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th}, true
 }
 
 func flipCmp(fn string) string {
@@ -106,7 +101,7 @@ func IndexCompatible(simFn, indexType string) bool {
 // fieldPathOf matches a chain of field accesses rooted at the given
 // record variable and returns its dotted path:
 // field-access(field-access($rec, "user"), "name") -> "user.name".
-func fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) {
+func (o *Optimizer) fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) {
 	var parts []string
 	for {
 		call, ok := e.(algebra.Call)
@@ -117,7 +112,7 @@ func fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) {
 		if !ok || name.Val.Kind() != adm.KindString {
 			return "", false
 		}
-		parts = append([]string{name.Val.Str()}, parts...)
+		parts = append([]string{o.Value(name).Str()}, parts...)
 		e = call.Args[0]
 	}
 	if vr, ok := e.(algebra.VarRef); ok && vr.V == rec && len(parts) > 0 {
@@ -130,13 +125,13 @@ func fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) {
 // scan's record variable and reports the field path it probes:
 //   - jaccard: word-tokens(rec.path) or rec.path (pre-tokenized list)
 //   - edit-distance: rec.path directly
-func indexedArg(e algebra.Expr, rec algebra.Var, simFn string) (string, bool) {
+func (o *Optimizer) indexedArg(e algebra.Expr, rec algebra.Var, simFn string) (string, bool) {
 	if simFn == "jaccard" {
 		if call, ok := e.(algebra.Call); ok && call.Fn == "word-tokens" && len(call.Args) == 1 {
-			return fieldPathOf(call.Args[0], rec)
+			return o.fieldPathOf(call.Args[0], rec)
 		}
 	}
-	return fieldPathOf(e, rec)
+	return o.fieldPathOf(e, rec)
 }
 
 // constFoldable reports whether e references no variables (and so can
@@ -145,9 +140,24 @@ func constFoldable(e algebra.Expr) bool {
 	return len(algebra.UsedVars(e, nil)) == 0
 }
 
-// evalConst evaluates a variable-free expression.
-func evalConst(e algebra.Expr) (adm.Value, error) {
+// evalConst evaluates a variable-free expression, reading the value of
+// every constant in it.
+func (o *Optimizer) evalConst(e algebra.Expr) (adm.Value, error) {
+	o.readAll(e)
 	return algebra.Eval(e, algebra.NewEnv(map[algebra.Var]int{}, nil))
+}
+
+// exprString renders e, reading the value of every constant in it: a
+// rule that compares or keys expressions by their text decides on those
+// values.
+func (o *Optimizer) exprString(e algebra.Expr) string {
+	o.readAll(e)
+	return e.String()
+}
+
+// readAll reads the value of every constant in e.
+func (o *Optimizer) readAll(e algebra.Expr) {
+	algebra.WalkConsts(e, func(c algebra.Const) { o.Value(c) })
 }
 
 // findIndex returns the first index on the field compatible with the
