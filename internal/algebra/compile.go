@@ -39,16 +39,28 @@ type CompiledEval func(row []adm.Value) (adm.Value, error)
 // evaluation order — which the differential tests in compile_test.go
 // and FuzzCompiledEval assert.
 func Compile(e Expr, cols map[Var]int) (CompiledEval, bool) {
-	fn, _ := compileExpr(e, cols)
+	fn, _ := compileExpr(e, cols, nil)
 	return fn, true
+}
+
+// CompileBound is Compile of e bound to a request's literals: a tagged
+// constant (Const.Slot > 0) that params reaches compiles to its slot's
+// value params[Slot-1], as if BindCopy had bound the plan first, and a
+// comprehension or name reference, which the interpreter runs, is bound
+// before it is handed over. e itself is only read, so one plan shared by
+// concurrent requests compiles to each request's own values. Nil params
+// binds nothing: CompileBound(e, cols, nil) is Compile(e, cols).
+func CompileBound(e Expr, cols map[Var]int, params []adm.Value) CompiledEval {
+	fn, _ := compileExpr(e, cols, params)
+	return fn
 }
 
 // compileExpr returns the closure and whether the subtree is
 // variable-free (and therefore foldable).
-func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool) {
+func compileExpr(e Expr, cols map[Var]int, params []adm.Value) (CompiledEval, bool) {
 	switch x := e.(type) {
 	case Const:
-		v := x.Val
+		v := x.Bound(params)
 		return func([]adm.Value) (adm.Value, error) { return v, nil }, true
 	case VarRef:
 		col, bound := cols[x.V]
@@ -64,8 +76,11 @@ func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool) {
 			return row[col], nil
 		}, false
 	case Call:
-		return compileCall(x, cols)
+		return compileCall(x, cols, params)
 	case Comprehension, NameRef:
+		if params != nil {
+			e = substBind(e, nil, params)
+		}
 		cols := maps.Clone(cols)
 		fn := CompiledEval(func(row []adm.Value) (adm.Value, error) { return Eval(e, &Env{Cols: cols, Row: row}) })
 		if len(UsedVars(e, nil)) == 0 {
@@ -77,11 +92,11 @@ func compileExpr(e Expr, cols map[Var]int) (CompiledEval, bool) {
 	return func([]adm.Value) (adm.Value, error) { return adm.Null, err }, false
 }
 
-func compileCall(c Call, cols map[Var]int) (CompiledEval, bool) {
+func compileCall(c Call, cols map[Var]int, params []adm.Value) (CompiledEval, bool) {
 	args := make([]CompiledEval, len(c.Args))
 	varFree := true
 	for i, a := range c.Args {
-		fn, vf := compileExpr(a, cols)
+		fn, vf := compileExpr(a, cols, params)
 		args[i] = fn
 		varFree = varFree && vf
 	}

@@ -38,14 +38,24 @@ type Expr interface {
 // Const is a literal value. Slot is one more than the index of the
 // request literal the constant was translated from (its parameter in
 // the request's aqlp.Shape), 0 for a constant no literal stands for. A
-// plan cached by shape is bound to the next request of that shape by
-// BindCopy, which gives every tagged constant the request's value, so a
-// compile-time decision on a tagged constant's value must record its
+// plan cached by shape serves the next request of that shape with every
+// tagged constant read as the request's value (CompileBound and
+// Const.Bound at job generation, BindCopy where the plan is printed), so
+// a compile-time decision on a tagged constant's value must record its
 // slot (the optimizer's Value method) to key the cache on it. Its kind
 // is fixed by the shape and may be read freely.
 type Const struct {
 	Val  adm.Value
 	Slot int
+}
+
+// Bound returns the constant's value bound to vals: its slot's value
+// when vals reaches its slot, its own value otherwise.
+func (c Const) Bound(vals []adm.Value) adm.Value {
+	if !bindable(c, vals) {
+		return c.Val
+	}
+	return vals[c.Slot-1]
 }
 
 // SlotSet is a set of Const slots.

@@ -40,6 +40,48 @@ func (qc *QueryCounters) noteOccurrenceT(t int64) {
 	}
 }
 
+// planFacts is what job generation needs to know of a plan alone,
+// whatever literals it runs with: computed once per compile, and kept
+// with a cached plan for all of its hits.
+type planFacts struct {
+	// live is algebra.LiveVars of the plan: what the end of a pipeline
+	// keeps of the chain's variables.
+	live map[*algebra.Op]map[algebra.Var]bool
+	// others counts each memo's readers other than a hash join that can
+	// build on it: a memo can hit or be captured only if it has none.
+	others map[*algebra.Op]int
+}
+
+// analyzePlan computes the planFacts of the plan rooted at root.
+func analyzePlan(root *algebra.Op) *planFacts {
+	f := &planFacts{live: algebra.LiveVars(root), others: map[*algebra.Op]int{}}
+	algebra.Walk(root, func(op *algebra.Op) {
+		for i, in := range op.Inputs {
+			if in.Kind == algebra.OpMemo && memoSide(op) != i {
+				f.others[in]++
+			}
+		}
+	})
+	return f
+}
+
+// boundPlan is a plan as job generation reads it. Job generation never
+// writes the plan: a cached one is shared by every hit, concurrent ones
+// included. params are the request's literals, which the plan's tagged
+// constants take as job generation compiles them (nil: the plan runs as
+// compiled); facts are the plan's planFacts.
+type boundPlan struct {
+	root   *algebra.Op
+	params []adm.Value
+	facts  *planFacts
+}
+
+// asCompiled is the boundPlan of a plan fresh from the optimizer, which
+// runs with the literals it was compiled with.
+func asCompiled(root *algebra.Op) boundPlan {
+	return boundPlan{root: root, facts: analyzePlan(root)}
+}
+
 // jobGen compiles an optimized algebra plan into a hyracks job.
 type jobGen struct {
 	c        *Cluster
@@ -48,9 +90,11 @@ type jobGen struct {
 	shared   map[*algebra.Op]*genOut // shared nodes only: the others are generated once
 	parents  map[*algebra.Op]int     // over the operators the job runs: none below a memo hit
 	portUsed map[*algebra.Op]int
-	// live is algebra.LiveVars of the plan: what the end of a pipeline
-	// keeps of the chain's variables.
-	live     map[*algebra.Op]map[algebra.Var]bool
+	// params are the literals the plan's tagged constants take (see
+	// boundPlan); every constant job generation reads, it reads through
+	// them.
+	params   []adm.Value
+	live     map[*algebra.Op]map[algebra.Var]bool // planFacts.live
 	counters *QueryCounters
 	// replay is whether the job may replay memo entries. memoHits are
 	// the memo operators this job replays, memoCaps those it captures,
@@ -102,7 +146,8 @@ func colMap(schema []algebra.Var) map[algebra.Var]int {
 // returns its generator, which holds the job and its memo outcomes and
 // captures, plus the result collector. It replays memo entries only if
 // replay is set; budget is the memory budget the job will run under.
-func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay bool, budget int64) (*jobGen, *hyracks.Collector, error) {
+func (c *Cluster) generateJob(bp boundPlan, counters *QueryCounters, replay bool, budget int64) (*jobGen, *hyracks.Collector, error) {
+	root := bp.root
 	if root.Kind != algebra.OpWrite {
 		return nil, nil, fmt.Errorf("jobgen: plan root is %v, want distribute-result", root.Kind)
 	}
@@ -116,21 +161,12 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay 
 		shared:   map[*algebra.Op]*genOut{},
 		parents:  map[*algebra.Op]int{},
 		portUsed: map[*algebra.Op]int{},
-		live:     algebra.LiveVars(root),
+		params:   bp.params,
+		live:     bp.facts.live,
 		counters: counters,
 		replay:   replay,
 		budget:   budget,
 	}
-	// A memo can hit or be captured only if no reader of it is other
-	// than a hash join that can build on it.
-	others := map[*algebra.Op]int{}
-	algebra.Walk(root, func(op *algebra.Op) {
-		for i, in := range op.Inputs {
-			if in.Kind == algebra.OpMemo && memoSide(op) != i {
-				others[in]++
-			}
-		}
-	})
 	// Count each operator's readers over what the job will run: a memo
 	// hit is probed where it stands, so nothing below it is generated,
 	// and a node shared with that subtree has fewer readers.
@@ -141,7 +177,7 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay 
 			return
 		}
 		seen[op] = true
-		if op.Kind == algebra.OpMemo && g.resolveMemo(op, others[op] == 0) {
+		if op.Kind == algebra.OpMemo && g.resolveMemo(op, bp.facts.others[op] == 0) {
 			return
 		}
 		for _, in := range op.Inputs {
@@ -156,7 +192,7 @@ func (c *Cluster) generateJob(root *algebra.Op, counters *QueryCounters, replay 
 	}
 	// Project to the result column; keep any sort columns so a MergeOne
 	// sink can preserve a top-level order-by.
-	p := openPipeline(child)
+	p := g.openPipeline(child)
 	p.add("ResultProject", nil)
 	res, err := g.seal(p, append([]algebra.Var{root.Var}, p.sortVars()...))
 	if err != nil {
@@ -251,7 +287,7 @@ func (g *jobGen) genFresh(op *algebra.Op) (*genOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := openPipeline(in)
+		p := g.openPipeline(in)
 		return p.out, p.stage(op, g.counters)
 	case algebra.OpOrder:
 		return g.genOrder(op)
@@ -286,7 +322,7 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 	pkField := meta.PKField
 	fields := scanFields(op.ProjectFields, pkField)
 	keep, filter := adm.NewKeepSet(fields), op.Filter
-	start, end := scanBounds(op.Range)
+	start, end := scanBounds(op.Range, g.params)
 	c := g.c
 	node := g.job.Add("DataScan("+ds+")", g.parts, hyracks.SourceFunc(
 		func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
@@ -302,17 +338,18 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 // select keeps, while the select still drops what a closed end lets
 // through. Any scalar end is sound — adm.Compare orders kinds by rank,
 // and the ordered key leads with the same rank. An empty range yields
-// start >= end, which storage reads as no key.
-func scanBounds(r *algebra.KeyRange) (start, end []byte) {
+// start >= end, which storage reads as no key. The ends are bound to
+// params (see boundPlan).
+func scanBounds(r *algebra.KeyRange, params []adm.Value) (start, end []byte) {
 	if r == nil {
 		return nil, nil
 	}
 	if r.Lo != nil {
-		start = adm.OrderedKey(r.Lo.Val)
+		start = adm.OrderedKey(r.Lo.Bound(params))
 	}
 	if r.Hi != nil {
 		// The successor of the upper end's key: no key lies between.
-		end = append(adm.OrderedKey(r.Hi.Val), 0)
+		end = append(adm.OrderedKey(r.Hi.Bound(params)), 0)
 	}
 	return start, end
 }
@@ -365,6 +402,7 @@ type pipeline struct {
 	schema []algebra.Var       // variables visible after the last stage
 	cols   map[algebra.Var]int // visible variable -> slot
 	width  int                 // slots of the scratch row
+	params []adm.Value         // the job's jobGen.params
 	stages []stage
 	names  []string // stage names, in order: the node's name
 	// ordered: the stages so far keep in.sortCols meaningful.
@@ -373,7 +411,7 @@ type pipeline struct {
 }
 
 // openPipeline returns the pipeline out ends in, or starts one above it.
-func openPipeline(out *genOut) *pipeline {
+func (g *jobGen) openPipeline(out *genOut) *pipeline {
 	if out.pipe != nil {
 		return out.pipe
 	}
@@ -382,6 +420,7 @@ func openPipeline(out *genOut) *pipeline {
 		schema:  append([]algebra.Var(nil), out.schema...),
 		cols:    colMap(out.schema),
 		width:   len(out.schema),
+		params:  g.params,
 		ordered: true, fromIndex: out.fromIndex,
 	}
 	p.out = &genOut{pipe: p}
@@ -452,7 +491,7 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 	verifier := p.fromIndex
 	p.fromIndex = false
 	slots := p.bind(fusedVars...)
-	evals := compileEvals(p.cols, append([]algebra.Expr{cond}, fusedExprs...)...)
+	evals := compileEvals(p.cols, p.params, append([]algebra.Expr{cond}, fusedExprs...)...)
 	ev, fused := evals[0], evals[1:]
 	p.add(name, func(next step) step {
 		return func(row hyracks.Tuple) error {
@@ -496,7 +535,7 @@ func (p *pipeline) stage(op *algebra.Op, counters *QueryCounters) error {
 
 func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
 	// The expressions see the input only, not one another's variables.
-	evals := compileEvals(p.cols, exprs...)
+	evals := compileEvals(p.cols, p.params, exprs...)
 	slots := p.bind(vars...)
 	p.add("Assign", func(next step) step {
 		return func(row hyracks.Tuple) error {
@@ -539,7 +578,7 @@ func (p *pipeline) project(vars []algebra.Var) error {
 // unnest loops over the collection in its slot: the stages after it run
 // once per element.
 func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
-	evals := compileEvals(p.cols, e)
+	evals := compileEvals(p.cols, p.params, e)
 	ev := evals[0]
 	slot, posSlot := p.bind(elemVar)[0], -1
 	if posVar != 0 {
@@ -966,7 +1005,7 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 		} else {
 			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		evals := compileEvals(colMap(outSchema), cond)
+		evals := compileEvals(colMap(outSchema), g.params, cond)
 		ev := evals[0]
 		pred := func(row hyracks.Tuple) (bool, error) {
 			v, err := ev(row)
@@ -988,17 +1027,22 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	// it as the first stage of the pipeline above. That doubles as the
 	// global verification when an index subtree feeds the join.
 	out := &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}
-	if isAlwaysTrue(cond) {
+	if isAlwaysTrue(cond, g.params) {
 		return out, nil
 	}
-	p := openPipeline(out)
+	p := g.openPipeline(out)
 	p.sel("JoinPostSelect", cond, nil, nil, g.counters)
 	return p.out, nil
 }
 
-func isAlwaysTrue(e algebra.Expr) bool {
+// isAlwaysTrue reports whether e, bound to params, is the constant true.
+func isAlwaysTrue(e algebra.Expr, params []adm.Value) bool {
 	c, ok := e.(algebra.Const)
-	return ok && c.Val.Kind() == adm.KindBool && c.Val.Bool()
+	if !ok {
+		return false
+	}
+	v := c.Bound(params)
+	return v.Kind() == adm.KindBool && v.Bool()
 }
 
 func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
@@ -1011,7 +1055,7 @@ func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
 		}
 		// Align the input's columns with the union's as the last stage of
 		// the pipeline below it.
-		p := openPipeline(open)
+		p := g.openPipeline(open)
 		p.add("UnionProject", nil)
 		in, err := g.seal(p, op.InVars[i])
 		if err != nil {
@@ -1034,7 +1078,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 		return nil, err
 	}
 	cols := colMap(in.schema)
-	evals := compileEvals(cols, op.KeyExpr, op.TExpr)
+	evals := compileEvals(cols, g.params, op.KeyExpr, op.TExpr)
 	keyEval, tEval := evals[0], evals[1]
 	dv, ds, ixName, bound := op.Dataverse, op.Dataset, op.IndexName, op.Bound
 	c := g.c
@@ -1109,7 +1153,7 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 		return nil, fmt.Errorf("jobgen: unknown dataset %s.%s", op.Dataverse, op.Dataset)
 	}
 	cols := colMap(in.schema)
-	evals := compileEvals(cols, op.PKExpr)
+	evals := compileEvals(cols, g.params, op.PKExpr)
 	ev := evals[0]
 	raw := op.RawPK
 	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField

@@ -102,13 +102,24 @@ func joinPairs(res *Result) []string {
 // benchJoinReference is benchJoin's answer by a nested loop over recs,
 // in joinPairs' form.
 func benchJoinReference(recs []gen.Record) []string {
+	return joinReference(recs, summaryTokens(recs), benchJoin)
+}
+
+// summaryTokens returns the word tokens of each record's summary.
+func summaryTokens(recs []gen.Record) [][]string {
 	tokens := make([][]string, len(recs))
 	for i, r := range recs {
 		tokens[i] = tokenizer.WordTokens(r.Summary)
 	}
+	return tokens
+}
+
+// joinReference is j's answer by a nested loop over recs, whose
+// summaries' tokens are tokens, in joinPairs' form.
+func joinReference(recs []gen.Record, tokens [][]string, j gen.Join) []string {
 	want := []string{}
 	for i, o := range recs {
-		if o.ID < benchJoin.Start || o.ID >= benchJoin.Start+gen.JoinOuter {
+		if o.ID < j.Start || o.ID >= j.Start+gen.JoinOuter {
 			continue
 		}
 		for j, in := range recs {

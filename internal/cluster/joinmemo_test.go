@@ -642,7 +642,7 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := c.generateJob(plan, nil, true, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
+		g, _, err := c.generateJob(asCompiled(plan), nil, true, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -288,9 +288,9 @@ func BenchmarkScanPartitionRange(b *testing.B) {
 	fields := []string{"id", "summary"}
 	keep := adm.NewKeepSet(fields)
 	lo, hi := algebra.Const{Val: adm.NewInt(benchJoin.Start)}, algebra.Const{Val: adm.NewInt(benchJoin.Start + gen.JoinOuter)}
-	start, end := scanBounds(&algebra.KeyRange{Lo: &lo, Hi: &hi, LoIncl: true})
+	start, end := scanBounds(&algebra.KeyRange{Lo: &lo, Hi: &hi, LoIncl: true}, nil)
 	past := algebra.Const{Val: adm.NewInt(benchJoinRecords + 1)}
-	pastStart, pastEnd := scanBounds(&algebra.KeyRange{Lo: &past, LoIncl: true})
+	pastStart, pastEnd := scanBounds(&algebra.KeyRange{Lo: &past, LoIncl: true}, nil)
 	parts := c.cfg.Partitions()
 	for _, bc := range []struct {
 		name       string

@@ -359,7 +359,7 @@ func (g *jobGen) genMemo(op *algebra.Op) (*genOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := openPipeline(in)
+	p := g.openPipeline(in)
 	if len(p.names) == 0 {
 		p.add("Project", nil)
 	}

@@ -266,7 +266,7 @@ func TestFusedPipelineMatchesStagesOneAtATime(t *testing.T) {
 			}
 			return nil
 		}))
-		p := openPipeline(&genOut{node: src, schema: input, parts: 1})
+		p := g.openPipeline(&genOut{node: src, schema: input, parts: 1})
 		for _, op := range chain {
 			if err := p.stage(op, &QueryCounters{}); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

@@ -24,10 +24,10 @@ import (
 //
 // A literal the translator turned into a constant tagged with its slot
 // (algebra.Const.Slot) and no rule read the value of is a free
-// parameter of the plan: a hit binds the request's value into the copy
-// it makes (algebra.BindCopy), so requests that differ only there share
-// one entry. Every other parameter is value-keyed: its value is part of
-// the key. The cache keeps one set of value-keyed slots per shape, which
+// parameter of the plan: a hit's job generation compiles the constant
+// to the request's value (see boundPlan), so requests that differ only
+// there share one entry. Every other parameter is value-keyed: its
+// value is part of the key. The cache keeps one set of value-keyed slots per shape, which
 // only grows: a compile that keys a slot outside the set widens it and
 // drops the shape's entries. This is
 // sound because compilation is deterministic: a request that agrees with
@@ -39,10 +39,12 @@ import (
 // happened since compilation — a cached plan can never be stale with
 // respect to a new index, a dropped dataset, or a redefined UDF.
 //
-// Hits return a deep copy of the plan, so concurrent executions never
-// share mutable plan state. Only requests whose statements are all
-// session-scoped (use/set) are cacheable; requests containing DDL or
-// other statements bypass the cache entirely.
+// Hits share the entry's plan and never copy it: nothing writes a plan
+// after the optimizer, so concurrent executions read one plan, each
+// with its own literals, and the entry keeps the analyses job generation
+// needs of the plan alone (planFacts). Only requests whose statements
+// are all session-scoped (use/set) are cacheable; requests containing
+// DDL or other statements bypass the cache entirely.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -76,10 +78,14 @@ type shapeSlots struct {
 	entries int
 }
 
-// planEntry is one cached compilation result.
+// planEntry is one cached compilation result. Its plan is shared by
+// every hit and only read: each hit binds its own literals as job
+// generation compiles the plan (see boundPlan), and facts are the plan's
+// planFacts, computed once when the plan was compiled.
 type planEntry struct {
 	key, shape planKey
 	plan       *algebra.Op
+	facts      *planFacts
 	epoch      uint64
 	// post is the session state after the request's use/set statements
 	// ran; applied on a hit so the cache is transparent to session flow.

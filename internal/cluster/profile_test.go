@@ -112,7 +112,7 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, _, err := c.generateJob(plan, nil, true, 0)
+			g, _, err := c.generateJob(asCompiled(plan), nil, true, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,9 +76,12 @@ type QueryStats struct {
 
 	PlanOps   int
 	RuleTrace []string
-	// plan is the optimized plan the query ran, bound to its own
-	// literals; LogicalPlan prints it.
-	plan *algebra.Op
+	// plan is the optimized plan the query ran, and params the literals
+	// its tagged constants took: nil for a plan run as compiled, the
+	// request's own for a plan-cache hit, whose plan is the entry's,
+	// shared. LogicalPlan prints the two bound together.
+	plan   *algebra.Op
+	params []adm.Value
 
 	// Memo is the outcome of each memo operator of the plan, by key:
 	// "hit" (its entry replayed), "miss" (its input ran) or "off" (the
@@ -93,10 +96,14 @@ type QueryStats struct {
 
 // LogicalPlan prints the optimized logical plan the query ran (with its
 // own literals, also when the plan cache served it), or "" for a request
-// without one. It prints on each call: nothing is printed unless asked.
+// without one. It prints on each call: nothing is printed unless asked,
+// and a hit's plan is bound to its literals (algebra.BindCopy) only here.
 func (s *QueryStats) LogicalPlan() string {
-	if s.plan == nil {
+	switch {
+	case s.plan == nil:
 		return ""
+	case s.params != nil:
+		return algebra.Print(algebra.BindCopy(s.plan, s.params))
 	}
 	return algebra.Print(s.plan)
 }
@@ -332,23 +339,26 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		lookup.End(trace.S("outcome", cacheOutcome(ok)))
 		if ok {
 			// Warm hit: skip parse, translate, and optimize entirely. Replay
-			// the request's session effects (use/set), then execute a private
-			// deep copy of the cached plan bound to the request's literals.
+			// the request's session effects (use/set), then run the cached
+			// plan in place: job generation binds the request's literals as
+			// it compiles the plan's constants, and reads the entry's facts.
+			// The rule trace is the entry's, capped so that an append by a
+			// reader copies it.
 			sess.Dataverse = e.post.Dataverse
 			sess.SimFunction = e.post.SimFunction
 			sess.SimThreshold = e.post.SimThreshold
 			sess.MemoryBudget = e.post.MemoryBudget
+			n := len(e.ruleTrace)
 			stats := &QueryStats{
 				AdmissionNs:         admitNs,
 				PlanCacheHit:        true,
 				PlanOps:             e.planOps,
-				RuleTrace:           append([]string(nil), e.ruleTrace...),
+				RuleTrace:           e.ruleTrace[:n:n],
 				CornerCaseFallbacks: e.cornerCases,
+				plan:                e.plan,
+				params:              vals,
 			}
-			sp := qr.tr.StartSpan(lookup.ID, "plan-copy", trace.CatPhase)
-			stats.plan = algebra.BindCopy(e.plan, vals)
-			sp.End()
-			return c.runJob(ctx, stats.plan, stats, src, e.post, qr)
+			return c.runJob(ctx, boundPlan{root: e.plan, params: vals, facts: e.facts}, stats, src, e.post, qr)
 		}
 	}
 
@@ -409,11 +419,14 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		return &Result{Rows: planRows(stats.LogicalPlan()), Stats: *stats}, nil
 	}
 
+	// From here on the plan is only read: a cacheable one is stored as it
+	// is and shared with every hit, as are its facts.
+	bp := asCompiled(plan)
 	if cacheable {
-		cached := algebra.BindCopy(plan, nil)
 		keyed := valueKeyed(plan, read, len(shape.Params))
 		c.planCache.put(key, shape, norm, keyed, &planEntry{
-			plan:        cached,
+			plan:        plan,
+			facts:       bp.facts,
 			epoch:       epoch,
 			post:        st,
 			planOps:     stats.PlanOps,
@@ -427,7 +440,7 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 		// count); executeRequest streams the analysis text afterwards.
 		qr.stream = nil
 	}
-	res, err := c.runJob(ctx, plan, stats, src, st, qr)
+	res, err := c.runJob(ctx, bp, stats, src, st, qr)
 	if err == nil && q.Analyze {
 		res.Stats.QueryID = qr.id
 		res.Rows = explainAnalyzeRows(res)
@@ -645,10 +658,10 @@ type localJob struct {
 	gen *jobGen
 }
 
-// newLocalJob generates the job for plan and lays out its topology. net
+// newLocalJob generates the job for bp and lays out its topology. net
 // is nil unless nodes live in other processes.
-func (c *Cluster) newLocalJob(plan *algebra.Op, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, replay bool) (*localJob, error) {
-	g, collector, err := c.generateJob(plan, counters, replay, memBudget)
+func (c *Cluster) newLocalJob(bp boundPlan, counters *QueryCounters, id uint64, memBudget int64, net hyracks.Transport, replay bool) (*localJob, error) {
+	g, collector, err := c.generateJob(bp, counters, replay, memBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -718,11 +731,11 @@ func traceOperators(tr *trace.Trace, parent int32, execStart time.Time, spans []
 // A job that replayed a memo entry and overlapped the start of a write
 // to that entry's dataset is run once more without replaying: its live
 // side may have read records the replayed entry does not reflect.
-func (c *Cluster) runJob(ctx context.Context, plan *algebra.Op, stats *QueryStats, src string, st sessionState, qr *queryRun) (*Result, error) {
-	res, err := c.runJobOnce(ctx, plan, stats, src, st, qr, true)
+func (c *Cluster) runJob(ctx context.Context, bp boundPlan, stats *QueryStats, src string, st sessionState, qr *queryRun) (*Result, error) {
+	res, err := c.runJobOnce(ctx, bp, stats, src, st, qr, true)
 	if err == errMemoMoved {
 		c.memo.reruns.Add(1)
-		res, err = c.runJobOnce(ctx, plan, stats, src, st, qr, false)
+		res, err = c.runJobOnce(ctx, bp, stats, src, st, qr, false)
 	}
 	return res, err
 }
@@ -733,7 +746,7 @@ var errMemoMoved = errors.New("cluster: memo entry invalidated during the job")
 
 // runJobOnce is one generation and execution of runJob's job, replaying
 // memo entries if replay is set.
-func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *QueryStats, src string, st sessionState, qr *queryRun, replay bool) (*Result, error) {
+func (c *Cluster) runJobOnce(ctx context.Context, bp boundPlan, stats *QueryStats, src string, st sessionState, qr *queryRun, replay bool) (*Result, error) {
 	memBudget := st.Opts.MemoryBudgetBytes
 	counters := &QueryCounters{}
 	var net hyracks.Transport
@@ -741,7 +754,7 @@ func (c *Cluster) runJobOnce(ctx context.Context, plan *algebra.Op, stats *Query
 		net = c.remote.net
 	}
 	jobgen := qr.tr.StartSpan(trace.RootSpan, "jobgen", trace.CatPhase)
-	lj, err := c.newLocalJob(plan, counters, qr.id, memBudget, net, replay)
+	lj, err := c.newLocalJob(bp, counters, qr.id, memBudget, net, replay)
 	stats.JobGenNs = jobgen.End().Nanoseconds()
 	if err != nil {
 		return nil, fmt.Errorf("%w\nplan:\n%s", err, stats.LogicalPlan())

@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"simdb/benchmark/gen"
+	"simdb/internal/adm"
+	"simdb/internal/algebra"
 	"simdb/internal/optimizer"
 )
 
@@ -253,5 +256,163 @@ func TestPlanCacheShapesConcurrently(t *testing.T) {
 	}
 	if st := c.planCache.Stats(); st.Hits == 0 || st.Evictions == 0 {
 		t.Errorf("plan cache %+v: the run needs hits and evictions", st)
+	}
+}
+
+// idRangeQuery selects the ids of ReviewsPlain in [lo, hi): its two
+// literals are free, so every request of it after the first is a hit
+// of one entry.
+const idRangeQuery = `for $r in dataset ReviewsPlain where $r.id >= %d and $r.id < %d return $r.id`
+
+// cachedPlans prints the plan of every entry of the cache, by entry.
+func cachedPlans(pc *PlanCache) map[*planEntry]string {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	plans := map[*planEntry]string{}
+	for el := pc.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*planEntry)
+		plans[e] = algebra.Print(e.plan)
+	}
+	return plans
+}
+
+// TestCachedPlanStaysUnchanged: a hit runs its entry's plan in place,
+// so no request may write it. Four clients each run the benchmark join
+// and a key-range selection 50 times, with free literals of their own,
+// against one cache entry per shape: every answer must be its own
+// literals', the two entries must still be the cache's, and each
+// entry's plan must print byte for byte as before. Then explain analyze
+// of two hits of the range selection must each print its own range.
+func TestCachedPlanStaysUnchanged(t *testing.T) {
+	c, sess, recs := loadBenchJoin(t)
+	exec(t, c, sess, gen.Join{Start: 1}.AQL("ReviewsPlain"))
+	exec(t, c, sess, fmt.Sprintf(idRangeQuery, 1, 2))
+	before := cachedPlans(c.planCache)
+	if len(before) != 2 {
+		t.Fatalf("%d cache entries after one join and one selection, want 2", len(before))
+	}
+
+	tokens := summaryTokens(recs)
+	var starts []gen.Join
+	var refs []string
+	for k := 0; k < 16; k++ {
+		j := gen.Join{Start: int64(1 + k*61)}
+		starts = append(starts, j)
+		refs = append(refs, fmt.Sprint(joinReference(recs, tokens, j)))
+	}
+	const clients, rounds = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := NewSession()
+			s.MemoryBudget = sess.MemoryBudget
+			for i := 0; i < rounds; i++ {
+				k := (w*5 + i) % len(starts)
+				res, err := c.Execute(context.Background(), s, starts[k].AQL("ReviewsPlain"))
+				if err == nil && fmt.Sprint(joinPairs(res)) != refs[k] {
+					err = fmt.Errorf("join from %d returned %v, want %s", starts[k].Start, joinPairs(res), refs[k])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				lo := int64(1 + (w*97+i*31)%900)
+				hi := lo + int64(1+(w+i)%20)
+				res, err = c.Execute(context.Background(), s, fmt.Sprintf(idRangeQuery, lo, hi))
+				if err == nil {
+					for n, row := range sortedInts(res.Rows) {
+						if row != lo+int64(n) {
+							err = fmt.Errorf("ids [%d, %d) returned %v", lo, hi, res.Rows)
+							break
+						}
+					}
+					if int64(len(res.Rows)) != hi-lo {
+						err = fmt.Errorf("ids [%d, %d) returned %d rows", lo, hi, len(res.Rows))
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	after := cachedPlans(c.planCache)
+	if len(after) != len(before) {
+		t.Fatalf("%d cache entries after the run, %d before", len(after), len(before))
+	}
+	for e, plan := range before {
+		got, ok := after[e]
+		switch {
+		case !ok:
+			t.Errorf("entry of\n%s\nleft the cache", plan)
+		case got != plan:
+			t.Errorf("a cached plan changed under its hits:\n%s\nbefore:\n%s", got, plan)
+		}
+	}
+	if st := c.planCache.Stats(); st.Hits < 2*clients*rounds {
+		t.Errorf("%d hits, want at least %d", st.Hits, 2*clients*rounds)
+	}
+
+	first := exec(t, c, sess, fmt.Sprintf(idRangeQuery, 100, 110))
+	second := exec(t, c, sess, fmt.Sprintf(idRangeQuery, 500, 507))
+	for _, tc := range []struct {
+		res  *Result
+		want string
+	}{{first, "range:[100, 110)"}, {second, "range:[500, 507)"}} {
+		text := rowsText(&Result{Rows: explainAnalyzeRows(tc.res)})
+		if !tc.res.Stats.PlanCacheHit || !strings.Contains(text, tc.want) {
+			t.Errorf("explain analyze of a hit (%v) does not print %s:\n%s", tc.res.Stats.PlanCacheHit, tc.want, text)
+		}
+	}
+}
+
+// sortedInts returns the ints of rows in ascending order.
+func sortedInts(rows []adm.Value) []int64 {
+	out := make([]int64, len(rows))
+	for i, r := range rows {
+		out[i] = r.Int()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestHitRuleTraceIsShared: a hit hands out its entry's rule trace as
+// it is, capped at its length, so a reader's append copies it: neither
+// the next hit's trace nor another reader's append sees it, whatever
+// spare capacity the entry's trace has.
+func TestHitRuleTraceIsShared(t *testing.T) {
+	c, sess, _ := loadBenchJoin(t)
+	exec(t, c, sess, fmt.Sprintf(idRangeQuery, 1, 5))
+	for e := range cachedPlans(c.planCache) {
+		e.ruleTrace = append(make([]string, 0, 2*len(e.ruleTrace)+1), e.ruleTrace...)
+	}
+	first := exec(t, c, sess, fmt.Sprintf(idRangeQuery, 2, 6))
+	trace := first.Stats.RuleTrace
+	if !first.Stats.PlanCacheHit || len(trace) == 0 {
+		t.Fatalf("second run: hit %v, %d rules traced; want a hit with a trace", first.Stats.PlanCacheHit, len(trace))
+	}
+	want := fmt.Sprint(trace)
+	mine := append(trace, "appended by a reader")
+
+	second := exec(t, c, sess, fmt.Sprintf(idRangeQuery, 3, 7))
+	if got := fmt.Sprint(second.Stats.RuleTrace); got != want {
+		t.Errorf("the next hit's trace is %s, want %s", got, want)
+	}
+	if &second.Stats.RuleTrace[0] != &trace[0] {
+		t.Error("the hits' traces are copies, want the entry's own")
+	}
+	theirs := append(second.Stats.RuleTrace, "appended by another")
+	if mine[len(trace)] != "appended by a reader" || theirs[len(trace)] != "appended by another" {
+		t.Errorf("two readers' appends share storage: %q, %q", mine[len(trace)], theirs[len(trace)])
 	}
 }

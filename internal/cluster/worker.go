@@ -263,7 +263,7 @@ func (w *worker) runJob(req jobReq) (any, error) {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	lj, err := c.newLocalJob(plan, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, false)
+	lj, err := c.newLocalJob(asCompiled(plan), counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, false)
 	if err != nil {
 		return nil, err
 	}
