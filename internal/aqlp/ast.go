@@ -7,12 +7,6 @@ import "simdb/internal/adm"
 type Query struct {
 	Stmts []Stmt
 	Body  Node
-	// Explain marks a leading `explain` keyword: compile the body and
-	// return the optimized plan instead of rows. Analyze additionally
-	// runs the query (`explain analyze`) and annotates the plan with
-	// measured per-operator time/tuple/spill columns.
-	Explain bool
-	Analyze bool
 }
 
 // Stmt is a top-level statement.

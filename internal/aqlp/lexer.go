@@ -80,24 +80,14 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-// Canonical returns a request's text as the lexer reads it: each run of
-// whitespace and comments between two tokens becomes one space, none is
-// left at either end, and every token — literals and hints included —
-// keeps its bytes exactly. The result lexes to the same tokens as src,
-// so two requests whose tokens differ never share a canonical text; a
-// malformed token and everything after it stay as written. It is the
-// request text /queries, the traces and the slow-query log show.
-// Canonical builds no tokens; on a request that lexes, it allocates at
-// most its result.
-func Canonical(src string) string { return normalize(src, nil) }
-
-// Shape is a request as the plan cache keys it: its canonical text with
-// every int, double and string literal token lifted out into Params, in
-// request order, and replaced in Text by a placeholder naming its kind
-// (?i, ?d or ?s). Identifiers, hints, true, false and null stay in Text
-// as they are. Putting each parameter's Raw bytes back in place of its
-// placeholder gives the canonical text again, so two requests of one
-// shape and equal parameters have one canonical text.
+// Shape is a request as the plan cache keys it: the canonical text after
+// its mode (Request.Body) with every int, double and string literal
+// token lifted out into Params, in request order, and replaced in Text
+// by a placeholder naming its kind (?i, ?d or ?s). Identifiers, hints,
+// true, false and null stay in Text as they are. Putting each
+// parameter's Raw bytes back in place of its placeholder gives that
+// canonical text again, so two requests of one shape and equal
+// parameters have one.
 type Shape struct {
 	Text   string
 	Params []Param
@@ -119,7 +109,7 @@ type Param struct {
 
 // Fill returns the shape's text with the Raw bytes of every parameter
 // whose slot (one more than its index) is in keep in place of its
-// placeholder. Keeping every slot gives the request's canonical text.
+// placeholder. Keeping every slot gives the canonical text it shapes.
 func (s Shape) Fill(keep algebra.SlotSet) string {
 	var b strings.Builder
 	b.Grow(len(s.Text) + 16*len(s.Params))
@@ -150,24 +140,53 @@ func (p Param) Value() (adm.Value, error) {
 	return numberValue(p.kind, p.text)
 }
 
-// Normalize returns Canonical(src) and src's shape, both from one pass
-// of the lexer.
-func Normalize(src string) (string, Shape) {
-	var sh Shape
-	canonical := normalize(src, &sh)
-	return canonical, sh
+// Mode is what a request asks of its query: Run, its rows; Explain
+// (`explain q`), its optimized plan, a row a line, without running it;
+// Analyze (`explain analyze q`), a report of its run.
+type Mode uint8
+
+const (
+	Run Mode = iota
+	Explain
+	Analyze
+)
+
+// modeWords[m] is the keyword that steps a request's mode up from m.
+var modeWords = [...]string{Run: "explain", Explain: "analyze"}
+
+// Request is a request text as one pass of the lexer reads it. The text
+// after its mode is what it parses and the plan cache keys, so q,
+// `explain q` and `explain analyze q` share one cache entry.
+type Request struct {
+	// Canonical is the whole request as the lexer reads it: each run of
+	// whitespace and comments between two tokens becomes one space, none
+	// is left at either end, and every token — literals and hints
+	// included — keeps its bytes, so it lexes to the request's tokens; a
+	// malformed token and everything after it stay as written. /queries,
+	// the traces and the slow-query log show it.
+	Canonical string
+	Mode      Mode
+	// At is the byte offset of the text after the mode in the request;
+	// Body is its canonical text, a suffix of Canonical, and Shape its
+	// shape.
+	At    int
+	Body  string
+	Shape Shape
 }
 
-// normalize builds the canonical text of src and, when sh is non-nil,
-// its shape. The canonical text is a slice of src for as long as it
-// agrees with src's prefix, and the shape shares it until the first
-// literal.
-func normalize(src string, sh *Shape) string {
+// Normalize reads src in one pass of the lexer. The canonical text is a
+// slice of src for as long as it agrees with src's prefix, and the shape
+// shares it until the first literal: Normalize allocates only the
+// canonical text, the shape's text and its parameter list, each only
+// when the request needs it.
+func Normalize(src string) Request {
 	l := lexer{src: src}
+	var r Request
 	var b, shape strings.Builder
 	shaping, lexed := false, true
-	n := 0 // the canonical text so far is src[:n] until b holds a copy
-	for {
+	n := 0    // the canonical text so far is src[:n] until b holds a copy
+	body := 0 // the canonical text after the mode starts here, after a separator
+	for tok := 0; ; tok++ {
 		gap := l.pos
 		l.skipSpaceAndComments()
 		start := l.pos
@@ -182,55 +201,56 @@ func normalize(src string, sh *Shape) string {
 		if err == nil && kind == tokString && !validEscapes(text) {
 			lexed = false // lex fails on it
 		}
-		if sh != nil {
-			lit := err == nil && isLiteral(kind)
-			if lit && !shaping {
-				shaping = true
-				shape.Grow(len(src))
-				if b.Len() > 0 {
-					shape.WriteString(b.String())
-				} else {
-					shape.WriteString(src[:n])
-				}
-				sh.Params = make([]Param, 0, 8)
+		lit := err == nil && isLiteral(kind)
+		if lit && !shaping {
+			shaping = true
+			shape.Grow(len(src))
+			canonical := src[:n]
+			if b.Len() > 0 {
+				canonical = b.String()
 			}
-			if shaping {
-				if sep {
-					shape.WriteByte(' ')
-				}
-				if lit {
-					sh.Params = append(sh.Params, Param{Raw: src[start:l.pos], kind: kind, text: text, at: shape.Len()})
-					shape.WriteString(placeholder[kind])
-				} else {
-					shape.WriteString(src[start:l.pos])
-				}
+			shape.WriteString(strings.TrimPrefix(canonical[body:], " "))
+			r.Shape.Params = make([]Param, 0, 8)
+		}
+		if shaping {
+			if sep && shape.Len() > 0 {
+				shape.WriteByte(' ')
+			}
+			if lit {
+				r.Shape.Params = append(r.Shape.Params, Param{Raw: src[start:l.pos], kind: kind, text: text, at: shape.Len()})
+				shape.WriteString(placeholder[kind])
+			} else {
+				shape.WriteString(src[start:l.pos])
 			}
 		}
 		if b.Len() == 0 && (!sep && start == n || sep && start == n+1 && src[n] == ' ') {
 			n = l.pos
-			continue
+		} else {
+			if b.Len() == 0 {
+				b.Grow(len(src))
+				b.WriteString(src[:n])
+			}
+			if sep {
+				b.WriteByte(' ')
+			}
+			b.WriteString(src[start:l.pos])
 		}
-		if b.Len() == 0 {
-			b.Grow(len(src))
-			b.WriteString(src[:n])
+		if err == nil && kind == tokIdent && tok == int(r.Mode) && r.Mode < Analyze && text == modeWords[r.Mode] {
+			r.Mode++
+			r.At, body = l.pos, max(n, b.Len())
 		}
-		if sep {
-			b.WriteByte(' ')
-		}
-		b.WriteString(src[start:l.pos])
 	}
-	canonical := src[:n]
+	r.Canonical = src[:n]
 	if b.Len() > 0 {
-		canonical = b.String()
+		r.Canonical = b.String()
 	}
-	if sh != nil {
-		sh.Text = canonical
-		if shaping {
-			sh.Text = shape.String()
-		}
-		sh.Lexed = lexed
+	r.Body = strings.TrimPrefix(r.Canonical[body:], " ")
+	r.Shape.Text = r.Body
+	if shaping {
+		r.Shape.Text = shape.String()
 	}
-	return canonical
+	r.Shape.Lexed = lexed
+	return r
 }
 
 // scan reads the token at l.pos and moves past it. text is what the

@@ -146,11 +146,11 @@ func TestLexNonASCIIIdentifiers(t *testing.T) {
 		}
 	}
 	c := "for $é in dataset D return $é.café"
-	if Canonical(c) != c {
-		t.Errorf("Canonical(%q) = %q", c, Canonical(c))
+	if got := Normalize(c).Canonical; got != c {
+		t.Errorf("Normalize(%q).Canonical = %q", c, got)
 	}
-	if n := testing.AllocsPerRun(10, func() { Canonical(c) }); n != 0 {
-		t.Errorf("Canonical of canonical text allocated %v times", n)
+	if n := testing.AllocsPerRun(10, func() { Normalize(c) }); n != 0 {
+		t.Errorf("Normalize of canonical text without literals allocated %v times", n)
 	}
 }
 
@@ -170,10 +170,13 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
-// FuzzCanonical: Canonical's text lexes to the same tokens as the
-// request (same kinds and texts, or a failure in both), so two requests
-// share a canonical text only if they share their tokens; it is a fixed
-// point, and on a request that lexes it allocates at most once.
+// FuzzCanonical: Normalize's canonical text lexes to the same tokens as
+// the request (same kinds and texts, or a failure in both), so two
+// requests share a canonical text only if they share their tokens; it is
+// a fixed point. On a request that lexes, Normalize allocates at most the
+// canonical text when the request has no literal, and at most that, the
+// shape's text and its parameter list when it has up to eight and its
+// shape is no longer than the request.
 func FuzzCanonical(f *testing.F) {
 	for _, s := range []string{
 		"for $r in dataset R return $r",
@@ -189,11 +192,12 @@ func FuzzCanonical(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		c := Canonical(src)
+		r := Normalize(src)
+		c := r.Canonical
 		want, werr := lex(src)
 		got, gerr := lex(c)
 		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("lex(%q) err %v, lex(Canonical) = lex(%q) err %v", src, werr, c, gerr)
+			t.Fatalf("lex(%q) err %v, lex(canonical) = lex(%q) err %v", src, werr, c, gerr)
 		}
 		if werr == nil {
 			if len(got) != len(want) {
@@ -205,11 +209,16 @@ func FuzzCanonical(f *testing.F) {
 				}
 			}
 		}
-		if again := Canonical(c); again != c {
-			t.Fatalf("Canonical(%q) = %q, not a fixed point", c, again)
+		if again := Normalize(c).Canonical; again != c {
+			t.Fatalf("canonical text of %q is %q, not a fixed point", c, again)
 		}
-		if n := testing.AllocsPerRun(1, func() { Canonical(src) }); werr == nil && n > 1 {
-			t.Fatalf("Canonical(%q) allocated %v times", src, n)
+		limit := 1.0
+		if len(r.Shape.Params) > 0 {
+			limit = 3
+		}
+		fits := len(r.Shape.Params) <= 8 && len(r.Shape.Text) <= len(src)
+		if n := testing.AllocsPerRun(1, func() { Normalize(src) }); werr == nil && fits && n > limit {
+			t.Fatalf("Normalize(%q) allocated %v times", src, n)
 		}
 	})
 }
@@ -225,13 +234,14 @@ func fillAll(sh Shape) string {
 
 // TestShape: literals leave placeholders of their kind and become
 // parameters in request order, numbered like the tokens the parser
-// reads; everything else stays as Canonical has it.
+// reads; everything else stays as the canonical text has it.
 func TestShape(t *testing.T) {
 	src := "for $r in dataset D /*+ hint 1 */ where $r.id >= 3 and $r.x < .5f and $r.s = 'a\\'  b'\n" +
 		"and $r.t = true and $r.n != null return {'k': $r.id, \"m\": -7}"
-	canonical, sh := Normalize(src)
-	if canonical != Canonical(src) {
-		t.Fatalf("Normalize's canonical %q, Canonical %q", canonical, Canonical(src))
+	r := Normalize(src)
+	canonical, sh := r.Canonical, r.Shape
+	if r.Mode != Run || r.At != 0 || r.Body != canonical {
+		t.Fatalf("a query has mode %d, text after it at %d and %q; want none, 0 and %q", r.Mode, r.At, r.Body, canonical)
 	}
 	want := "for $r in dataset D /*+ hint 1 */ where $r.id >= ?i and $r.x < ?d and $r.s = ?s " +
 		"and $r.t = true and $r.n != null return {?s: $r.id, ?s: -?i}"
@@ -262,24 +272,56 @@ func TestShape(t *testing.T) {
 			t.Errorf("token %+v has slot %d, want %d", tok, tok.slot, want)
 		}
 	}
-	if _, sh := Normalize("return 1 @ 2"); sh.Lexed || len(sh.Params) != 1 || sh.Text != "return ?i @ 2" {
+	if sh := Normalize("return 1 @ 2").Shape; sh.Lexed || len(sh.Params) != 1 || sh.Text != "return ?i @ 2" {
 		t.Errorf("malformed request: shape %q, %d parameters, lexed %v", sh.Text, len(sh.Params), sh.Lexed)
 	}
-	if _, sh := Normalize("for $r in dataset D return $r"); sh.Text != "for $r in dataset D return $r" || sh.Params != nil {
+	if sh := Normalize("for $r in dataset D return $r").Shape; sh.Text != "for $r in dataset D return $r" || sh.Params != nil {
 		t.Errorf("request without literals: shape %q, parameters %v", sh.Text, sh.Params)
 	}
 	for _, bad := range []string{"99999999999999999999", `'a\q'`} {
-		_, sh := Normalize("return " + bad)
+		sh := Normalize("return " + bad).Shape
 		if _, err := sh.Params[0].Value(); err == nil {
 			t.Errorf("%s reads as a value", bad)
 		}
 	}
 }
 
+// TestMode: a leading `explain`, then `analyze`, is the request's mode,
+// and the text after it has its own canonical text and shape, the ones
+// it has on its own: q, `explain q` and `explain analyze q` share them.
+func TestMode(t *testing.T) {
+	q := "for $r in dataset D where $r.id = 3 return $r"
+	for _, tc := range []struct {
+		src, canonical string
+		mode           Mode
+		at             int
+		body, shape    string
+	}{
+		{q, q, Run, 0, q, "for $r in dataset D where $r.id = ?i return $r"},
+		{"explain " + q, "explain " + q, Explain, 7, q, "for $r in dataset D where $r.id = ?i return $r"},
+		{" explain  analyze\n" + q, "explain analyze " + q, Analyze, 17, q, "for $r in dataset D where $r.id = ?i return $r"},
+		{"explain(1)", "explain(1)", Explain, 7, "(1)", "(?i)"},
+		{"explain /* c */ 'x'", "explain 'x'", Explain, 7, "'x'", "?s"},
+		{"explain", "explain", Explain, 7, "", ""},
+		{"explain analyze analyze", "explain analyze analyze", Analyze, 15, "analyze", "analyze"},
+		{"analyze explain", "analyze explain", Run, 0, "analyze explain", "analyze explain"},
+		{"explain explain 1", "explain explain 1", Explain, 7, "explain 1", "explain ?i"},
+		{"$explain", "$explain", Run, 0, "$explain", "$explain"},
+	} {
+		r := Normalize(tc.src)
+		if r.Canonical != tc.canonical || r.Mode != tc.mode || r.At != tc.at || r.Body != tc.body || r.Shape.Text != tc.shape {
+			t.Errorf("Normalize(%q) = %q, mode %d, after it at %d %q of shape %q; want %q, %d, %d %q, %q",
+				tc.src, r.Canonical, r.Mode, r.At, r.Body, r.Shape.Text, tc.canonical, tc.mode, tc.at, tc.body, tc.shape)
+		}
+	}
+}
+
 // FuzzShape: filling a request's shape with all of its parameters gives
-// its canonical text, so two requests of one shape and equal parameters
-// have one canonical text; Normalize's canonical text is Canonical's,
-// and a request that lexes has one parameter per literal token.
+// the canonical text after its mode, so two requests of one shape and
+// equal parameters have one; that text is a suffix of the request's
+// canonical text and the canonical text of the text after the mode on
+// its own, and a request that lexes has one parameter per literal token
+// after its mode.
 func FuzzShape(f *testing.F) {
 	for _, s := range []string{
 		"for $r in dataset R where $r.id >= 3 and $r.id < 13 return {'o': $r.id}",
@@ -288,18 +330,25 @@ func FuzzShape(f *testing.F) {
 		"where /*+ ?i 'q' */ $a.id = 7 // ?s",
 		"set simthreshold '.8f'; return 1 ~= 2",
 		"return '?s' \"?d\" ?",
+		"explain analyze/**/for $r in dataset R where $r.id = 1 return $r",
+		"explain(1)",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		canonical, sh := Normalize(src)
-		if want := Canonical(src); canonical != want {
-			t.Fatalf("Normalize(%q) canonical %q, Canonical %q", src, canonical, want)
+		r := Normalize(src)
+		canonical, sh := r.Body, r.Shape
+		if !strings.HasSuffix(r.Canonical, canonical) {
+			t.Fatalf("Normalize(%q): %q after the mode, not a suffix of %q", src, canonical, r.Canonical)
+		}
+		if after := Normalize(src[r.At:]); after.Canonical != canonical || after.Mode == Run && after.Shape.Text != sh.Text {
+			t.Fatalf("the text of %q after its mode normalizes to %q of shape %q, the request has %q of shape %q",
+				src, after.Canonical, after.Shape.Text, canonical, sh.Text)
 		}
 		if got := fillAll(sh); got != canonical {
 			t.Fatalf("shape %q of %q fills to %q, canonical %q", sh.Text, src, got, canonical)
 		}
-		toks, err := lex(src)
+		toks, err := lex(src[r.At:])
 		if sh.Lexed != (err == nil) {
 			t.Fatalf("%q: lexed %v, lex error %v", src, sh.Lexed, err)
 		}
@@ -316,8 +365,9 @@ func FuzzShape(f *testing.F) {
 		}
 		// Equal shape and parameters mean equal canonical text: spacing
 		// the tokens differently changes neither.
-		spaced := strings.ReplaceAll(canonical, " ", " \n ")
-		c2, sh2 := Normalize(spaced)
+		spaced := strings.ReplaceAll(r.Canonical, " ", " \n ")
+		r2 := Normalize(spaced)
+		c2, sh2 := r2.Body, r2.Shape
 		same := sh2.Text == sh.Text && len(sh2.Params) == len(sh.Params)
 		for i := 0; same && i < len(sh.Params); i++ {
 			same = sh2.Params[i].Raw == sh.Params[i].Raw

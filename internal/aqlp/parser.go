@@ -10,8 +10,8 @@ import (
 	"simdb/internal/obs"
 )
 
-// Parse parses a full AQL/AQL+ request: statements followed by an
-// optional query body.
+// Parse parses the text of an AQL/AQL+ request after its mode
+// (Request.At): statements followed by an optional query body.
 func Parse(src string) (*Query, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -22,12 +22,6 @@ func Parse(src string) (*Query, error) {
 	}
 	p := &parser{toks: toks}
 	q := &Query{}
-	if p.accept(tokIdent, "explain") {
-		q.Explain = true
-		if p.accept(tokIdent, "analyze") {
-			q.Analyze = true
-		}
-	}
 	for {
 		if p.atEOF() {
 			return q, nil

@@ -307,27 +307,31 @@ func TestParseLimit(t *testing.T) {
 	}
 }
 
+// TestParseExplain: `explain` and `explain analyze` are the request's
+// mode, which Normalize reads before any parse; the text after the mode
+// is what parses, its statements and body alike, and the parser knows
+// no explain.
 func TestParseExplain(t *testing.T) {
-	q := mustParse(t, `explain for $x in dataset D return $x`)
-	if !q.Explain || q.Analyze {
-		t.Errorf("explain flags = %v/%v, want true/false", q.Explain, q.Analyze)
+	for _, tc := range []struct {
+		src   string
+		mode  Mode
+		stmts int
+	}{
+		{`explain for $x in dataset D return $x`, Explain, 0},
+		{`explain analyze use dataverse Default; for $x in dataset D return $x`, Analyze, 1},
+		// "explain" downstream of the leading position is no mode.
+		{`for $explain in dataset D return $explain`, Run, 0},
+	} {
+		r := Normalize(tc.src)
+		if r.Mode != tc.mode {
+			t.Errorf("%q: mode %d, want %d", tc.src, r.Mode, tc.mode)
+		}
+		q := mustParse(t, tc.src[r.At:])
+		if len(q.Stmts) != tc.stmts || q.Body == nil {
+			t.Errorf("%q: the text after the mode parses to %d statements and body %v", tc.src, len(q.Stmts), q.Body)
+		}
 	}
-	if q.Body == nil {
-		t.Fatal("explain lost the query body")
-	}
-
-	q = mustParse(t, `explain analyze use dataverse Default; for $x in dataset D return $x`)
-	if !q.Explain || !q.Analyze {
-		t.Errorf("explain analyze flags = %v/%v, want true/true", q.Explain, q.Analyze)
-	}
-	if len(q.Stmts) != 1 || q.Body == nil {
-		t.Fatalf("explain analyze dropped statements or body: %+v", q)
-	}
-
-	// Plain queries are unaffected, including ones using "explain" as a
-	// variable name downstream of the leading position.
-	q = mustParse(t, `for $x in dataset D return $x`)
-	if q.Explain || q.Analyze {
-		t.Errorf("bare query has explain flags set")
+	if _, err := Parse(`explain for $x in dataset D return $x`); err == nil {
+		t.Error("the parser read a mode")
 	}
 }

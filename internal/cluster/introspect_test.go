@@ -151,21 +151,47 @@ func rowsText(res *Result) string {
 	return b.String()
 }
 
-// TestExplainBypassesPlanCache proves an explain request neither reads
-// nor populates the cache entry of the equivalent bare query.
-func TestExplainBypassesPlanCache(t *testing.T) {
-	c := newTestCluster(t, 1, 1)
-	sess := NewSession()
-	loadReviews(t, c, sess)
+// TestExplainSharesItsQuerysEntry: explain is a mode of the request, and
+// the plan cache keys the text after it, so q, `explain q` and `explain
+// analyze q` share one entry. A bare explain of a hit prints the entry's
+// plan bound to its own literals, explain analyze of a hit says so in
+// its header, an ablation session's explain leaves the cache alone, and
+// a bare explain runs no statement but use and set.
+func TestExplainSharesItsQuerysEntry(t *testing.T) {
+	c, sess, _ := loadBenchJoin(t)
+	q := fmt.Sprintf(idRangeQuery, 100, 110)
+	base := c.planCache.Stats()
+	exec(t, c, sess, q)
 
-	exec(t, c, sess, `for $r in dataset Reviews return $r.id`) // cache the bare plan
-	res := exec(t, c, sess, `explain analyze for $r in dataset Reviews return $r.id`)
-	if res.Stats.PlanCacheHit {
-		t.Fatal("explain analyze hit the plan cache")
+	res := exec(t, c, sess, "explain "+fmt.Sprintf(idRangeQuery, 500, 507))
+	plan := rowsText(res)
+	if !res.Stats.PlanCacheHit || !strings.Contains(plan, "range:[500, 507)") || strings.Contains(plan, "range:[100, 110)") {
+		t.Errorf("explain of another range after q: hit %v, plan\n%s", res.Stats.PlanCacheHit, plan)
 	}
-	res2 := exec(t, c, sess, `explain analyze for $r in dataset Reviews return $r.id`)
-	if res2.Stats.PlanCacheHit {
-		t.Fatal("repeated explain analyze hit the plan cache")
+	for run := 0; run < 2; run++ {
+		res := exec(t, c, sess, "explain analyze "+q)
+		header := strings.SplitN(rowsText(res), "\n", 2)[0]
+		if !res.Stats.PlanCacheHit || !strings.HasSuffix(header, ", 10 rows, plan cache HIT") {
+			t.Errorf("explain analyze run %d after q: hit %v, header %q", run, res.Stats.PlanCacheHit, header)
+		}
+	}
+	if st := c.planCache.Stats(); st.Entries-base.Entries != 1 || st.Misses-base.Misses != 1 || st.Hits-base.Hits != 3 {
+		t.Errorf("plan cache %+v -> %+v over q and three explains of its shape, want one entry, 1 miss and 3 hits", base, st)
+	}
+
+	before := c.planCache.Stats()
+	for _, mode := range []string{"explain ", "explain analyze "} {
+		if res := exec(t, c, freshSession(sess), mode+q); res.Stats.PlanCacheHit {
+			t.Errorf("%sunder an options override hit the plan cache", mode)
+		}
+	}
+	if after := c.planCache.Stats(); after != before {
+		t.Errorf("explains under an options override moved the plan cache: %+v -> %+v", before, after)
+	}
+
+	mustErr(t, c, sess, "explain create dataset X primary key id; "+q)
+	if _, ok := c.Catalog.Dataset("Default", "X"); ok {
+		t.Error("a failed bare explain created its dataset")
 	}
 }
 
@@ -193,11 +219,12 @@ func TestExplainMatchesWhatRuns(t *testing.T) {
 			t.Errorf("%s: the lookup carries no record filter: %q", name, lookup)
 		}
 		plans := map[string]string{}
-		// Several warm runs: however hot the text gets, its plan stays the
-		// one explain printed.
+		// Several warm runs, every one a hit of the entry explain stored:
+		// however hot the text gets, its plan stays the one explain
+		// printed.
 		for run := 0; run < 5; run++ {
 			res := exec(t, c, sess, q)
-			if res.Stats.PlanCacheHit != (run > 0) {
+			if !res.Stats.PlanCacheHit {
 				t.Fatalf("%s: run %d plan-cache hit = %v", name, run, res.Stats.PlanCacheHit)
 			}
 			if run == 0 && res.Stats.IndexSearches == 0 {

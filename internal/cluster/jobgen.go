@@ -76,12 +76,6 @@ type boundPlan struct {
 	facts  *planFacts
 }
 
-// asCompiled is the boundPlan of a plan fresh from the optimizer, which
-// runs with the literals it was compiled with.
-func asCompiled(root *algebra.Op) boundPlan {
-	return boundPlan{root: root, facts: analyzePlan(root)}
-}
-
 // jobGen compiles an optimized algebra plan into a hyracks job.
 type jobGen struct {
 	c        *Cluster

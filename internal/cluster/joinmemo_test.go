@@ -638,11 +638,8 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 	// prefixJoin returns the build and probe inputs of the job's prefix
 	// join, the one hash join that repartitions its build side.
 	prefixJoin := func() (build, probe string) {
-		plan, _, err := c.Compile(sess, benchJoin.AQL("ReviewsPlain"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, _, err := c.generateJob(asCompiled(plan), nil, true, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
+		bp := explainedPlan(t, c, sess, benchJoin.AQL("ReviewsPlain"))
+		g, _, err := c.generateJob(bp, nil, true, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,10 @@ import (
 // pipeline — the ~900 ms per-query AQL+ compile overhead the paper's
 // §6.4.1 measures and amortizes across a workload.
 //
-// Entries are keyed by the request's shape (aqlp.Shape: the canonical
-// text with every int, double and string literal lifted into a
-// parameter and replaced by a placeholder of its kind) plus everything
+// Entries are keyed by the shape of the text after the request's mode
+// (aqlp.Shape: its canonical text with every literal lifted into a
+// parameter and replaced by a placeholder of its kind, so q, `explain
+// q` and `explain analyze q` share an entry) plus everything
 // else a client can send that feeds compilation: the session's
 // dataverse, simfunction, simthreshold and resolved memory budget at
 // request entry. A session carrying an optimizer-options override is an
@@ -78,8 +79,8 @@ type shapeSlots struct {
 	entries int
 }
 
-// planEntry is one cached compilation result. Its plan is shared by
-// every hit and only read: each hit binds its own literals as job
+// planEntry is one compilation result, as the cache keeps it. Its plan
+// is shared by every hit and only read: each hit binds its own literals as job
 // generation compiles the plan (see boundPlan), and facts are the plan's
 // planFacts, computed once when the plan was compiled.
 type planEntry struct {

@@ -11,8 +11,8 @@ import (
 	"simdb/internal/optimizer"
 )
 
-// TestNormalizeAQL: the plan-cache key is aqlp.Canonical of the
-// request: whitespace and comments between tokens collapse to one space,
+// TestNormalizeAQL: the plan-cache key is built on the canonical text
+// aqlp.Normalize reads of the request: whitespace and comments between tokens collapse to one space,
 // literals and hints keep their bytes, and a quote inside a comment does
 // not open a literal.
 func TestNormalizeAQL(t *testing.T) {
@@ -32,14 +32,14 @@ func TestNormalizeAQL(t *testing.T) {
 		{"where /*+  indexnl */ $a.id = $b.id", "where /*+  indexnl */ $a.id = $b.id"},
 	}
 	for _, c := range cases {
-		if got := aqlp.Canonical(c.in); got != c.want {
-			t.Errorf("Canonical(%q) = %q, want %q", c.in, got, c.want)
+		if got := aqlp.Normalize(c.in).Canonical; got != c.want {
+			t.Errorf("Normalize(%q).Canonical = %q, want %q", c.in, got, c.want)
 		}
 	}
 	// Two queries differing only inside a literal must key differently,
 	// also after a comment holding a quote.
 	for _, pre := range []string{"", "// it's\n", "/* it's */"} {
-		if aqlp.Canonical(pre+"return 'a  b'") == aqlp.Canonical(pre+"return 'a b'") {
+		if aqlp.Normalize(pre+"return 'a  b'").Canonical == aqlp.Normalize(pre+"return 'a b'").Canonical {
 			t.Errorf("literals with different spacing collided after %q", pre)
 		}
 	}
@@ -257,10 +257,10 @@ func TestPlanCacheDDLRequestsNotCached(t *testing.T) {
 }
 
 // TestPlanCacheAccounting pins the cache's bookkeeping: one query text
-// is one entry however often it runs, every non-explain request is
-// exactly one hit or one miss, explain requests are neither, and a
-// request reports PlanCacheHit exactly when the hit counter moved for
-// it.
+// is one entry however often it runs, explained or not; every request,
+// explain ones too, is exactly one hit or one miss, a hit exactly when
+// its text ran before in any mode; and a request reports PlanCacheHit
+// exactly when the hit counter moved for it.
 func TestPlanCacheAccounting(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -279,31 +279,31 @@ func TestPlanCacheAccounting(t *testing.T) {
 			loadReviews(t, c, sess)
 			base := c.planCache.Stats()
 			lookups, n := 0, 0
-			for run := 0; run < tc.runs; run++ {
+			seen := map[int]bool{}
+			run := func(i int, req string) {
+				before := c.planCache.Stats()
+				res := exec(t, c, sess, req)
+				after := c.planCache.Stats()
+				lookups++
+				if moved := after.Hits > before.Hits; res.Stats.PlanCacheHit != moved {
+					t.Fatalf("%q: PlanCacheHit=%v but hits %d -> %d", req, res.Stats.PlanCacheHit, before.Hits, after.Hits)
+				}
+				if res.Stats.PlanCacheHit != seen[i] {
+					t.Fatalf("%q: PlanCacheHit=%v, want %v", req, res.Stats.PlanCacheHit, seen[i])
+				}
+				seen[i] = true
+			}
+			for r := 0; r < tc.runs; r++ {
 				for i := 0; i < tc.texts; i++ {
 					q := fmt.Sprintf(`for $r in dataset Reviews
 						where similarity-jaccard(word-tokens($r.summary),
 						                         word-tokens('great product fantastic')) >= 0.%d
 						return $r.id`, i+1)
 					if n++; tc.explainEvery > 0 && n%tc.explainEvery == 0 {
-						before := c.planCache.Stats()
-						exec(t, c, sess, "explain "+q)
-						exec(t, c, sess, "explain analyze "+q)
-						if after := c.planCache.Stats(); after != before {
-							t.Fatalf("explain requests moved the cache: %+v -> %+v", before, after)
-						}
+						run(i, "explain "+q)
+						run(i, "explain analyze "+q)
 					}
-					before := c.planCache.Stats()
-					res := exec(t, c, sess, q)
-					after := c.planCache.Stats()
-					lookups++
-					if moved := after.Hits > before.Hits; res.Stats.PlanCacheHit != moved {
-						t.Fatalf("run %d text %d: PlanCacheHit=%v but hits %d -> %d",
-							run, i, res.Stats.PlanCacheHit, before.Hits, after.Hits)
-					}
-					if want := run > 0; res.Stats.PlanCacheHit != want {
-						t.Fatalf("run %d text %d: PlanCacheHit=%v, want %v", run, i, res.Stats.PlanCacheHit, want)
-					}
+					run(i, q)
 				}
 			}
 			st := c.planCache.Stats()

@@ -20,6 +20,15 @@ const profileQuery = `
 	return $r.id
 `
 
+// explainedPlan is the plan `explain q` reports under sess, as job
+// generation reads it: the plan-cache entry's with q's literals on a
+// hit, a fresh compile's otherwise.
+func explainedPlan(t *testing.T, c *Cluster, sess *Session, q string) boundPlan {
+	t.Helper()
+	st := exec(t, c, sess, "explain "+q).Stats
+	return boundPlan{root: st.plan, params: st.params, facts: analyzePlan(st.plan)}
+}
+
 // opRow is one parsed line of explain analyze's operator table.
 type opRow struct {
 	raw                       string
@@ -107,12 +116,8 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			qsess := NewSession()
 			qsess.Opts = tc.opts
-			// Job order, from a compile of the same text that runs nothing.
-			plan, _, err := c.Compile(qsess, tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, _, err := c.generateJob(asCompiled(plan), nil, true, 0)
+			// Job order, from the plan explain reports, which runs nothing.
+			g, _, err := c.generateJob(explainedPlan(t, c, qsess, tc.query), nil, true, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -108,6 +108,14 @@ func (s *QueryStats) LogicalPlan() string {
 	return algebra.Print(s.plan)
 }
 
+// KindCounts counts the operators of the plan the query ran by kind, the
+// counts of the paper's Figure 15; none for a request without a plan.
+func (s *QueryStats) KindCounts() map[string]int {
+	counts := map[string]int{}
+	algebra.Walk(s.plan, func(op *algebra.Op) { counts[op.Kind.String()]++ })
+	return counts
+}
+
 // PhysicalOps returns the per-operator table in job order.
 func (s *QueryStats) PhysicalOps() []hyracks.OpStats { return hyracks.AggregateOps(s.Spans) }
 
@@ -138,9 +146,10 @@ type Session struct {
 	MemoryBudget int64
 	// Opts overrides the optimizer options; nil means defaults. Its
 	// MemoryBudgetBytes is ignored: the budget comes from MemoryBudget
-	// alone. A session carrying an override is an ablation run: like
-	// `explain`, its requests neither probe nor store in the plan cache,
-	// so a cache entry is a function of what a client can send.
+	// alone. A session carrying an override is an ablation run: its
+	// requests, explain ones too, neither probe nor store in the plan
+	// cache, so a cache entry is a function of what a client can send,
+	// and every ablation compile is a fresh one.
 	Opts *optimizer.Options
 }
 
@@ -251,10 +260,10 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	qid := trace.NextQueryID()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	norm, shape := aqlp.Normalize(src)
+	req := aqlp.Normalize(src)
 	qr := &queryRun{
 		id:     qid,
-		tr:     c.tracer.Start(qid, truncateQuery(norm)),
+		tr:     c.tracer.Start(qid, truncateQuery(req.Canonical)),
 		cancel: cancel,
 		stream: stream,
 	}
@@ -276,7 +285,7 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 		c.unregisterQuery(qr, err)
 		return nil, err
 	}
-	res, err := c.execute(qctx, sess, entry, src, norm, shape, admitNs, qr)
+	res, err := c.execute(qctx, sess, entry, src, req, admitNs, qr)
 	if stream != nil && err == nil && res != nil && len(res.Rows) > 0 {
 		// Paths that buffer (explain, explain analyze, a job that
 		// replays a memo entry) deliver their rows through the stream
@@ -301,70 +310,95 @@ func (c *Cluster) executeRequest(ctx context.Context, sess *Session, src string,
 	return res, err
 }
 
-// isExplainRequest reports whether canonical request text carries a
-// leading `explain` keyword, before any parse happens. Explain requests
-// bypass the plan cache on both lookup and store: a cached plan replay
-// would lose the explain rendering.
-func isExplainRequest(norm string) bool {
-	return norm == "explain" || strings.HasPrefix(norm, "explain ") || strings.HasPrefix(norm, "explain(")
-}
-
-// execute runs one admitted request: plan-cache fast path, else
-// parse → statements → compile (+ cache store) → run. entry is the
-// session snapshot taken at request entry, before any statement ran;
-// norm and shape are src's aqlp.Normalize.
-func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src, norm string, shape aqlp.Shape, admitNs int64, qr *queryRun) (*Result, error) {
+// execute runs one admitted request in its mode. The plan comes from the
+// plan cache, keyed on the text after the mode, or else from compile;
+// then a bare explain prints it, and a query or explain analyze runs it.
+// entry is the session snapshot taken at request entry, before any
+// statement ran; req is src's aqlp.Normalize.
+func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState, src string, req aqlp.Request, admitNs int64, qr *queryRun) (*Result, error) {
+	// The text after the mode is what parses, and what a tcp worker
+	// compiles.
+	src = src[req.At:]
 	key := planKey{
-		text:         shape.Text,
+		text:         req.Shape.Text,
 		dataverse:    entry.Dataverse,
 		simFunction:  entry.SimFunction,
 		simThreshold: entry.SimThreshold,
 		memBudget:    entry.Opts.MemoryBudgetBytes,
 	}
-	// Explain requests and ablation sessions stay out of the plan cache,
-	// and so does a request that cannot parse because it does not lex or
-	// a literal does not read as a value (an int out of range).
-	useCache := !isExplainRequest(norm) && sess.Opts == nil && shape.Lexed
+	// Ablation sessions stay out of the plan cache, and so does a request
+	// that cannot parse because it does not lex or a literal does not
+	// read as a value (an int out of range).
+	useCache := sess.Opts == nil && req.Shape.Lexed
 	var vals []adm.Value
 	if useCache {
-		vals, useCache = paramValues(shape.Params)
+		vals, useCache = paramValues(req.Shape.Params)
 	}
 	// Epoch is read before the lookup AND before any compile below: an
 	// entry stored under this epoch can never reflect catalog state
 	// newer than what its key claims, so DDL invalidation is sound.
 	epoch := c.Catalog.Epoch()
+	var e *planEntry
 	if useCache {
 		lookup := qr.tr.StartSpan(trace.RootSpan, "plan-cache", trace.CatPhase)
-		e, ok := c.planCache.get(key, shape, norm, epoch)
-		lookup.End(trace.S("outcome", cacheOutcome(ok)))
-		if ok {
-			// Warm hit: skip parse, translate, and optimize entirely. Replay
-			// the request's session effects (use/set), then run the cached
-			// plan in place: job generation binds the request's literals as
-			// it compiles the plan's constants, and reads the entry's facts.
-			// The rule trace is the entry's, capped so that an append by a
-			// reader copies it.
-			sess.Dataverse = e.post.Dataverse
-			sess.SimFunction = e.post.SimFunction
-			sess.SimThreshold = e.post.SimThreshold
-			sess.MemoryBudget = e.post.MemoryBudget
-			n := len(e.ruleTrace)
-			stats := &QueryStats{
-				AdmissionNs:         admitNs,
-				PlanCacheHit:        true,
-				PlanOps:             e.planOps,
-				RuleTrace:           e.ruleTrace[:n:n],
-				CornerCaseFallbacks: e.cornerCases,
-				plan:                e.plan,
-				params:              vals,
-			}
-			return c.runJob(ctx, boundPlan{root: e.plan, params: vals, facts: e.facts}, stats, src, e.post, qr)
-		}
+		e, _ = c.planCache.get(key, req.Shape, req.Body, epoch)
+		lookup.End(trace.S("outcome", cacheOutcome(e != nil)))
 	}
+	stats := &QueryStats{AdmissionNs: admitNs, PlanCacheHit: e != nil}
+	if e != nil {
+		// Warm hit: skip parse, translate, and optimize entirely, and
+		// replay the request's session effects (use/set).
+		sess.Dataverse = e.post.Dataverse
+		sess.SimFunction = e.post.SimFunction
+		sess.SimThreshold = e.post.SimThreshold
+		sess.MemoryBudget = e.post.MemoryBudget
+	} else {
+		var err error
+		if e, err = c.compile(sess, src, req, key, useCache, epoch, stats, qr); err != nil {
+			return nil, err
+		}
+		if e == nil { // statements only
+			return &Result{Stats: *stats}, nil
+		}
+		vals = nil // a fresh plan holds the request's own literals
+	}
+	// The plan runs in place, shared with every hit of its entry: job
+	// generation binds a hit's literals as it compiles the plan's
+	// constants, and reads the entry's facts. The rule trace is the
+	// entry's, capped so that an append by a reader copies it.
+	n := len(e.ruleTrace)
+	stats.PlanOps, stats.RuleTrace, stats.CornerCaseFallbacks = e.planOps, e.ruleTrace[:n:n], e.cornerCases
+	stats.plan, stats.params = e.plan, vals
 
+	switch req.Mode {
+	case aqlp.Explain:
+		stats.QueryID = qr.id
+		return &Result{Rows: planRows(stats.LogicalPlan()), Stats: *stats}, nil
+	case aqlp.Analyze:
+		// explain analyze output is the annotated plan, assembled after
+		// execution: buffer the query's own rows (they only feed the row
+		// count); executeRequest streams the analysis text afterwards.
+		qr.stream = nil
+	}
+	res, err := c.runJob(ctx, boundPlan{root: e.plan, params: vals, facts: e.facts}, stats, src, e.post, qr)
+	if err == nil && req.Mode == aqlp.Analyze {
+		res.Stats.QueryID = qr.id
+		res.Rows = explainAnalyzeRows(res)
+	}
+	return res, err
+}
+
+// compile is execute's miss path: it parses src, the text after the
+// request's mode, runs its statements on sess and compiles the body
+// under the session they leave, adding the phase times to stats, and
+// stores the plan under key when the request is cacheable. A request
+// without a body has no plan (and is an error in an explain mode); a
+// bare explain accepts only use/set statements, so it changes nothing
+// but the session.
+func (c *Cluster) compile(sess *Session, src string, req aqlp.Request, key planKey, cacheable bool, epoch uint64, stats *QueryStats, qr *queryRun) (*planEntry, error) {
 	parse := qr.tr.StartSpan(trace.RootSpan, "parse", trace.CatPhase)
 	q, err := aqlp.Parse(src)
-	parseNs := parse.End().Nanoseconds()
+	stats.ParseNs = parse.End().Nanoseconds()
 	if err != nil {
 		return nil, planErr(err)
 	}
@@ -373,34 +407,36 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 	// are cacheable: their full effect is captured by the key's entry
 	// state and the entry's recorded post state. DDL and other
 	// statements bypass the cache (and bump the catalog epoch).
-	cacheable := useCache && !q.Explain
 	for _, stmt := range q.Stmts {
 		switch stmt.(type) {
 		case aqlp.UseStmt, aqlp.SetStmt:
-		case aqlp.CreateFunctionStmt:
+		default:
+			if req.Mode == aqlp.Explain {
+				return nil, planErr(fmt.Errorf("cluster: explain accepts only use/set statements"))
+			}
 			cacheable = false
+		}
+		if _, ok := stmt.(aqlp.CreateFunctionStmt); ok {
 			// Log the raw source BEFORE applying: catalog snapshots
 			// replicate UDFs to worker processes by replaying these
 			// sources, and a snapshot cut between SetFunc and the note
 			// would otherwise ship the bumped epoch without the function.
 			c.Catalog.noteFuncDDL(src)
-		default:
-			cacheable = false
 		}
 		if err := c.executeStmt(sess, stmt); err != nil {
 			return nil, planErr(err)
 		}
 	}
-	if q.Body == nil {
-		if q.Explain {
-			return nil, planErr(fmt.Errorf("cluster: explain needs a query body"))
-		}
-		return &Result{Stats: QueryStats{AdmissionNs: admitNs, ParseNs: parseNs}}, nil
+	switch {
+	case q.Body != nil:
+	case req.Mode == aqlp.Run:
+		return nil, nil
+	default:
+		return nil, planErr(fmt.Errorf("cluster: explain needs a query body"))
 	}
 
-	st := c.snapshotSession(sess)
 	compileSpan := qr.tr.StartSpan(trace.RootSpan, "compile", trace.CatPhase)
-	plan, stats, read, err := c.compileState(st, q.Body)
+	e, read, err := c.compileState(c.snapshotSession(sess), q.Body, stats)
 	if err != nil {
 		compileSpan.End(trace.S("error", err.Error()))
 		return nil, planErr(err)
@@ -408,44 +444,15 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 	compileSpan.End(
 		trace.I("translate_ns", stats.TranslateNs),
 		trace.I("optimize_ns", stats.OptimizeNs),
-		trace.I("plan_ops", int64(stats.PlanOps)),
+		trace.I("plan_ops", int64(e.planOps)),
 	)
-	stats.ParseNs = parseNs
-	stats.AdmissionNs = admitNs
-
-	if q.Explain && !q.Analyze {
-		// Bare explain: compile only, rows are the optimized plan text.
-		stats.QueryID = qr.id
-		return &Result{Rows: planRows(stats.LogicalPlan()), Stats: *stats}, nil
-	}
-
 	// From here on the plan is only read: a cacheable one is stored as it
 	// is and shared with every hit, as are its facts.
-	bp := asCompiled(plan)
 	if cacheable {
-		keyed := valueKeyed(plan, read, len(shape.Params))
-		c.planCache.put(key, shape, norm, keyed, &planEntry{
-			plan:        plan,
-			facts:       bp.facts,
-			epoch:       epoch,
-			post:        st,
-			planOps:     stats.PlanOps,
-			ruleTrace:   append([]string(nil), stats.RuleTrace...),
-			cornerCases: stats.CornerCaseFallbacks,
-		})
+		e.epoch = epoch
+		c.planCache.put(key, req.Shape, req.Body, valueKeyed(e.plan, read, len(req.Shape.Params)), e)
 	}
-	if q.Analyze {
-		// explain analyze output is the annotated plan, assembled after
-		// execution: buffer the query's own rows (they only feed the row
-		// count); executeRequest streams the analysis text afterwards.
-		qr.stream = nil
-	}
-	res, err := c.runJob(ctx, bp, stats, src, st, qr)
-	if err == nil && q.Analyze {
-		res.Stats.QueryID = qr.id
-		res.Rows = explainAnalyzeRows(res)
-	}
-	return res, err
+	return e, nil
 }
 
 // cacheOutcome labels a plan-cache lookup span.
@@ -548,44 +555,16 @@ func (c *Cluster) executeStmt(sess *Session, stmt aqlp.Stmt) error {
 	return fmt.Errorf("cluster: unsupported statement %T", stmt)
 }
 
-// Compile parses a request, applies its use/set statements to sess the
-// way Execute does, and translates and optimizes the body without
-// running it; used by plan-inspection tooling and the Figure 15
-// experiment. Any other statement, or a request without a body, is an
-// error.
-func (c *Cluster) Compile(sess *Session, src string) (*algebra.Op, *QueryStats, error) {
-	if sess == nil {
-		sess = NewSession()
-	}
-	q, err := aqlp.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, stmt := range q.Stmts {
-		switch stmt.(type) {
-		case aqlp.UseStmt, aqlp.SetStmt:
-		default:
-			return nil, nil, fmt.Errorf("cluster: Compile accepts only use/set statements")
-		}
-		if err := c.executeStmt(sess, stmt); err != nil {
-			return nil, nil, err
-		}
-	}
-	if q.Body == nil {
-		return nil, nil, fmt.Errorf("cluster: Compile needs a query body")
-	}
-	plan, stats, _, err := c.compileState(c.snapshotSession(sess), q.Body)
-	return plan, stats, err
-}
-
 // compileState translates and optimizes against an immutable session
-// snapshot, so compilation never races Session mutations. Constants
-// translated from the body's literals carry their slots; read is the set
-// of those slots whose value the translator or a rule read.
-func (c *Cluster) compileState(st sessionState, body aqlp.Node) (plan *algebra.Op, stats *QueryStats, read algebra.SlotSet, err error) {
-	stats = &QueryStats{}
+// snapshot, so compilation never races Session mutations, and sets the
+// phase times in stats. The result is an entry as the plan cache keeps
+// it, but for its epoch. Constants translated from the body's literals
+// carry their slots; read is the set of those slots whose value the
+// translator or a rule read.
+func (c *Cluster) compileState(st sessionState, body aqlp.Node, stats *QueryStats) (e *planEntry, read algebra.SlotSet, err error) {
 	alloc := &algebra.VarAlloc{}
 	var cs optimizer.CompileStats
+	var rules []string
 	tr := &aqlp.Translator{
 		Catalog:          c.Catalog,
 		Alloc:            alloc,
@@ -596,23 +575,27 @@ func (c *Cluster) compileState(st sessionState, body aqlp.Node) (plan *algebra.O
 		ValueKeyed:       &cs.ValueKeyed,
 	}
 	t0 := time.Now()
-	plan, err = tr.TranslateQuery(body)
+	plan, err := tr.TranslateQuery(body)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	stats.TranslateNs = time.Since(t0).Nanoseconds()
 
-	o := &optimizer.Optimizer{Catalog: c.Catalog, Alloc: alloc, Opts: st.Opts, Trace: &stats.RuleTrace, Stats: &cs}
+	o := &optimizer.Optimizer{Catalog: c.Catalog, Alloc: alloc, Opts: st.Opts, Trace: &rules, Stats: &cs}
 	t0 = time.Now()
 	plan, err = o.Optimize(plan)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	stats.OptimizeNs = time.Since(t0).Nanoseconds()
-	stats.CornerCaseFallbacks = cs.CornerCaseFallbacks
-	stats.PlanOps = algebra.CountOps(plan)
-	stats.plan = plan
-	return plan, stats, cs.ValueKeyed, nil
+	return &planEntry{
+		plan:        plan,
+		facts:       analyzePlan(plan),
+		post:        st,
+		planOps:     algebra.CountOps(plan),
+		ruleTrace:   rules,
+		cornerCases: cs.CornerCaseFallbacks,
+	}, cs.ValueKeyed, nil
 }
 
 // valueKeyed returns the slots 1..n the plan cache keys plan on: all but

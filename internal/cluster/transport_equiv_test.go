@@ -321,6 +321,34 @@ func TestTransportEquivalence(t *testing.T) {
 		exec(t, c, sess, `create index eq_kwx on EqReviews(summary) type keyword;`)
 	}
 
+	t.Run("explain-analyze", func(t *testing.T) {
+		// A tcp worker is shipped the text after the request's mode and
+		// parses no explain: explain analyze runs its job on both
+		// processes, whether it compiled the plan (the first request) or
+		// the plan cache served it (the second, another range of the
+		// shape).
+		const sel = `for $r in dataset EqReviews where $r.id >= %d and $r.id < %d return {'x': $r.id}`
+		for name, c := range map[string]*Cluster{"inproc": inproc, "tcp": tcp} {
+			for i, lo := range []int{10, 70} {
+				res := exec(t, c, plainSession(), "explain analyze "+fmt.Sprintf(sel, lo, lo+25))
+				report := rowsText(res)
+				if res.Stats.PlanCacheHit != (i > 0) || reportedRows(report) != 25 {
+					t.Errorf("%s: explain analyze %d: hit %v, %d rows; want hit %v, 25 rows:\n%s",
+						name, i, res.Stats.PlanCacheHit, reportedRows(report), i > 0, report)
+				}
+				scans := 0
+				for _, row := range parseOpTable(t, report) {
+					if row.name == "DataScan(EqReviews)" {
+						scans += row.inst
+					}
+				}
+				if scans != 4 {
+					t.Errorf("%s: explain analyze %d ran %d scan instances, want one a partition of both nodes:\n%s", name, i, scans, report)
+				}
+			}
+		}
+	})
+
 	t.Run("index-search", func(t *testing.T) {
 		a, b := assertEquivalent(t, inproc, tcp, plainSession, `
 			for $r in dataset EqReviews

@@ -258,12 +258,12 @@ func (w *worker) runJob(req jobReq) (any, error) {
 	}
 	// Statements are NOT replayed: session effects arrived in req.State,
 	// catalog effects through the snapshot sync.
-	plan, _, _, err := c.compileState(req.State, q.Body)
+	e, _, err := c.compileState(req.State, q.Body, &QueryStats{})
 	if err != nil {
 		return nil, err
 	}
 	counters := &QueryCounters{}
-	lj, err := c.newLocalJob(asCompiled(plan), counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, false)
+	lj, err := c.newLocalJob(boundPlan{root: e.plan, facts: e.facts}, counters, req.JobID, req.State.Opts.MemoryBudgetBytes, w.net, false)
 	if err != nil {
 		return nil, err
 	}

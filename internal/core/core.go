@@ -25,7 +25,6 @@ import (
 	"os"
 
 	"simdb/internal/adm"
-	"simdb/internal/algebra"
 	"simdb/internal/cluster"
 	"simdb/internal/obs"
 	"simdb/internal/optimizer"
@@ -212,22 +211,23 @@ type Explained struct {
 	OptimizeNs  int64
 }
 
-// Explain compiles a request (use/set statements, then a query) and
-// reports its optimized plan, the plan `explain` prints and the run
-// executes: the operator total and per-kind counts reproduce the paper's
-// Figure 15, and the timing split its §6.4.1 compile-overhead discussion.
+// Explain reports the plan of a request (use/set statements, then a
+// query) as `explain` does, and without running it: the plan `explain`
+// prints and the run executes. The operator total and per-kind counts
+// reproduce the paper's Figure 15, and the timing split its §6.4.1
+// compile-overhead discussion; a plan the plan cache served took no
+// compile, and reports none (a session with an options override always
+// compiles).
 func (db *Database) Explain(sess *Session, aql string) (*Explained, error) {
-	plan, stats, err := db.c.Compile(sess, aql)
+	res, err := db.c.Execute(context.Background(), sess, "explain "+aql)
 	if err != nil {
 		return nil, err
 	}
-	counts := map[string]int{}
-	algebra.Walk(plan, func(op *algebra.Op) { counts[op.Kind.String()]++ })
 	return &Explained{
-		PlanOps:     stats.PlanOps,
-		Plan:        stats.LogicalPlan(),
-		KindCounts:  counts,
-		TranslateNs: stats.TranslateNs,
-		OptimizeNs:  stats.OptimizeNs,
+		PlanOps:     res.Stats.PlanOps,
+		Plan:        res.Stats.LogicalPlan(),
+		KindCounts:  res.Stats.KindCounts(),
+		TranslateNs: res.Stats.TranslateNs,
+		OptimizeNs:  res.Stats.OptimizeNs,
 	}, nil
 }
