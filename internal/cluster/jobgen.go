@@ -377,12 +377,39 @@ func scanFields(project []string, pkField string) []string {
 type step func(row hyracks.Tuple) error
 
 // stage is one per-row operator compiled into a pipeline: given the
-// step that follows it, it builds an operator instance's step.
-type stage func(next step) step
+// instance it runs in and the step that follows it, it builds that
+// instance's step.
+type stage func(inst *instance, next step) (step, error)
+
+// source heads a pipeline that reads no port: it writes each row it
+// produces into the first slots of the instance's scratch row and runs
+// next over it.
+type source func(ctx *hyracks.TaskCtx, row hyracks.Tuple, next step) error
+
+// instance is one operator instance of a pipeline's node. A stage that
+// holds something for the instance's lifetime (a lookup's snapshot)
+// registers its release as it builds its step, and seal runs the
+// releases on every exit path: error, cancellation, end of input.
+type instance struct {
+	ctx *hyracks.TaskCtx
+	// cur is the input tuple the chain runs over, which a chain that
+	// hands its input on unchanged emits.
+	cur     hyracks.Tuple
+	closers []func()
+}
+
+func (inst *instance) onClose(f func()) { inst.closers = append(inst.closers, f) }
+
+func (inst *instance) close() {
+	for i := len(inst.closers) - 1; i >= 0; i-- {
+		inst.closers[i]()
+	}
+}
 
 // pipeline builds the one job node of a maximal chain of per-row
-// operators (select, assign, project, unnest, and the select or project
-// a join, a union input and the result add). Every instance owns one
+// operators (select, assign, project, unnest, primary lookup, and the
+// select or project a join, a union input and the result add), headed
+// by the port it reads or by a source. Every instance owns one
 // scratch row: the input tuple is copied into its first slots, a stage
 // writes the variables it defines into slots of their own, and the
 // compiled evaluators index the row by slot, so nothing is allocated
@@ -391,7 +418,10 @@ type stage func(next step) step
 // while it runs (the next input overwrites it); a value it returns is
 // immutable and may be kept.
 type pipeline struct {
-	in     *genOut             // the sealed producer the chain reads
+	// in is the sealed producer the chain reads; under a source it has
+	// no node and stands for the source's rows.
+	in     *genOut
+	src    source              // the chain's source, nil if it reads in
 	out    *genOut             // the open genOut that stands for the chain
 	schema []algebra.Var       // variables visible after the last stage
 	cols   map[algebra.Var]int // visible variable -> slot
@@ -487,7 +517,7 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 	slots := p.bind(fusedVars...)
 	evals := compileEvals(p.cols, p.params, append([]algebra.Expr{cond}, fusedExprs...)...)
 	ev, fused := evals[0], evals[1:]
-	p.add(name, func(next step) step {
+	p.add(name, func(_ *instance, next step) (step, error) {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, fused); err != nil {
 				return err
@@ -500,7 +530,7 @@ func (p *pipeline) sel(name string, cond algebra.Expr, fusedVars []algebra.Var, 
 				counters.VerifiedTotal.Add(1)
 			}
 			return next(row)
-		}
+		}, nil
 	})
 }
 
@@ -531,13 +561,13 @@ func (p *pipeline) assign(vars []algebra.Var, exprs []algebra.Expr) {
 	// The expressions see the input only, not one another's variables.
 	evals := compileEvals(p.cols, p.params, exprs...)
 	slots := p.bind(vars...)
-	p.add("Assign", func(next step) step {
+	p.add("Assign", func(_ *instance, next step) (step, error) {
 		return func(row hyracks.Tuple) error {
 			if err := fill(row, slots, evals); err != nil {
 				return err
 			}
 			return next(row)
-		}
+		}, nil
 	})
 }
 
@@ -579,7 +609,7 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 		posSlot = p.bind(posVar)[0]
 	}
 	p.ordered = false
-	p.add("Unnest", func(next step) step {
+	p.add("Unnest", func(_ *instance, next step) (step, error) {
 		return func(row hyracks.Tuple) error {
 			v, err := ev(row)
 			if err != nil || v.IsNull() {
@@ -598,18 +628,19 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 				}
 			}
 			return nil
-		}
+		}, nil
 	})
 }
 
 // seal ends the chain in one job node that emits vars. Only here is a
 // tuple allocated, one per surviving row; a chain that hands its input
 // on unchanged emits the input tuple itself, and one with nothing to run
-// and nothing to drop adds no node at all.
+// and nothing to drop adds no node at all. A chain headed by a source is
+// a node with no input.
 func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
-	in := p.in
+	in, src := p.in, p.src
 	slots := make([]int, len(vars))
-	same := len(vars) == len(in.schema)
+	same := src == nil && len(vars) == len(in.schema)
 	for i, v := range vars {
 		c, ok := p.cols[v]
 		if !ok {
@@ -635,12 +666,17 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 	if len(p.stages) == 0 && same {
 		return out, nil
 	}
+	var inputs []hyracks.Input
+	if src == nil {
+		inputs = append(inputs, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+	}
 	stages, width := p.stages, p.width
 	out.port = 0
 	out.node = g.job.Add(strings.Join(p.names, "+"), in.parts, func() hyracks.Operator {
 		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, ports []*hyracks.PortReader, outs []*hyracks.Emitter) error {
+			inst := &instance{ctx: ctx}
+			defer inst.close()
 			row := make(hyracks.Tuple, width)
-			var cur hyracks.Tuple
 			first := step(func(row hyracks.Tuple) error {
 				nt := make(hyracks.Tuple, len(slots))
 				for i, s := range slots {
@@ -651,31 +687,74 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 			})
 			if same {
 				first = func(hyracks.Tuple) error {
-					outs[0].Emit(cur)
+					outs[0].Emit(inst.cur)
 					return nil
 				}
 			}
 			for i := len(stages) - 1; i >= 0; i-- {
-				first = stages[i](first)
+				var err error
+				if first, err = stages[i](inst, first); err != nil {
+					return err
+				}
+			}
+			if src != nil {
+				if err := src(ctx, row, first); err != nil {
+					return err
+				}
+				return ctx.Ctx.Err()
 			}
 			for {
 				t, ok := ports[0].Next()
 				if !ok {
 					return ctx.Ctx.Err()
 				}
-				cur = t
+				inst.cur = t
 				copy(row, t)
 				if err := first(row); err != nil {
 					return err
 				}
 			}
 		})
-	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+	}, inputs...)
 	return out, nil
 }
 
+// inOrder reports whether out is already sorted by orders in each
+// partition: the order it advertises starts with theirs, variable for
+// variable and direction for direction.
+func inOrder(out *genOut, orders []algebra.OrderSpec) bool {
+	in, sorted := out, out.sortCols
+	if p := out.pipe; p != nil {
+		if !p.ordered {
+			return false
+		}
+		in, sorted = p.in, p.in.sortCols
+	}
+	if len(orders) > len(sorted) {
+		return false
+	}
+	for i, o := range orders {
+		vr, ok := o.E.(algebra.VarRef)
+		if !ok || in.schema[sorted[i].Col] != vr.V || sorted[i].Desc != o.Desc {
+			return false
+		}
+	}
+	return true
+}
+
+// genOrder sorts each partition of its input, unless the input already
+// has the order: then the Order generates nothing, and a pipeline below
+// it stays open (the plan keeps the Order, which the paper's Figure 15
+// counts).
 func (g *jobGen) genOrder(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
+	open, err := g.genOpen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	if inOrder(open, op.Orders) {
+		return open, nil
+	}
+	in, err := g.sealed(open, op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -1066,61 +1145,99 @@ func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
 	return &genOut{node: node, schema: append([]algebra.Var(nil), op.OutVars...), parts: g.parts, fromIndex: fromIndex}, nil
 }
 
+// genSecondarySearch searches the index once per input row. Over the
+// empty tuple it runs once per partition and reads no input: it is the
+// source of a pipeline, which the lookup, the verification and the rest
+// of the selection extend into one node, and its candidates, sorted and
+// distinct as SearchBounded returns them, are in pk order. The node
+// reports them as its tuples in. Any other input (an index
+// nested-loop join's outer side) is broadcast to every partition, and
+// the pks of many rows are in no order.
 func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
+	name := "SecondaryIndexSearch(" + op.IndexName + ")"
+	input := op.Inputs[0]
+	source := input.Kind == algebra.OpEmpty && g.parents[input] <= 1
+	in := &genOut{} // the empty tuple's: no variables
+	if !source {
+		var err error
+		if in, err = g.gen(input); err != nil {
+			return nil, err
+		}
 	}
-	cols := colMap(in.schema)
-	evals := compileEvals(cols, g.params, op.KeyExpr, op.TExpr)
+	evals := compileEvals(colMap(in.schema), g.params, op.KeyExpr, op.TExpr)
 	keyEval, tEval := evals[0], evals[1]
 	dv, ds, ixName, bound := op.Dataverse, op.Dataset, op.IndexName, op.Bound
 	c := g.c
 	counters, algo := g.counters, c.tOccAlgo
-	node := g.job.Add("SecondaryIndexSearch("+ixName+")", g.parts, func() hyracks.Operator {
+	// search returns the candidates of one input row, none for a null key.
+	search := func(ctx *hyracks.TaskCtx, t hyracks.Tuple) ([]adm.Value, error) {
+		keyVal, err := keyEval(t)
+		if err != nil || keyVal.IsNull() {
+			return nil, err
+		}
+		tVal, err := tEval(t)
+		if err != nil {
+			return nil, err
+		}
+		tNum, ok := tVal.Num()
+		if !ok {
+			return nil, fmt.Errorf("secondary search: non-numeric T %v", tVal)
+		}
+		if int(tNum) <= 0 {
+			return nil, fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
+		}
+		tokens, err := tokensFromValue(keyVal)
+		if err != nil {
+			return nil, err
+		}
+		return c.searchIndex(dv, ds, ixName, ctx.Part, tokens, bound.Bounds(len(tokens), int(tNum)), algo, counters)
+	}
+	schema := append(append([]algebra.Var(nil), in.schema...), op.OutVar)
+	if source {
+		head := &genOut{schema: schema, parts: g.parts, sortCols: []hyracks.SortCol{{Col: 0}}, fromIndex: true}
+		p := g.openPipeline(head)
+		p.names = append(p.names, name)
+		p.src = func(ctx *hyracks.TaskCtx, row hyracks.Tuple, next step) error {
+			pks, err := search(ctx, row)
+			if err != nil {
+				return err
+			}
+			ctx.RowsRead = int64(len(pks))
+			done := ctx.Ctx.Done()
+			for _, pk := range pks {
+				select {
+				case <-done:
+					return ctx.Ctx.Err()
+				default:
+				}
+				row[0] = pk
+				if err := next(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		return p.out, nil
+	}
+	node := g.job.Add(name, g.parts, func() hyracks.Operator {
 		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
 			for {
 				t, ok := in[0].Next()
 				if !ok {
 					return ctx.Ctx.Err()
 				}
-				keyVal, err := keyEval(t)
-				if err != nil {
-					return err
-				}
-				if keyVal.IsNull() {
-					continue
-				}
-				tVal, err := tEval(t)
-				if err != nil {
-					return err
-				}
-				tNum, ok := tVal.Num()
-				if !ok {
-					return fmt.Errorf("secondary search: non-numeric T %v", tVal)
-				}
-				if int(tNum) <= 0 {
-					return fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
-				}
-				tokens, err := tokensFromValue(keyVal)
-				if err != nil {
-					return err
-				}
-				b := bound.Bounds(len(tokens), int(tNum))
-				pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, b, algo, counters)
+				pks, err := search(ctx, t)
 				if err != nil {
 					return err
 				}
 				for _, pk := range pks {
 					nt := make(hyracks.Tuple, len(t), len(t)+1)
 					copy(nt, t)
-					nt = append(nt, pk)
-					out[0].Emit(nt)
+					out[0].Emit(append(nt, pk))
 				}
 			}
 		})
 	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Broadcast}))
-	schema := append(append([]algebra.Var(nil), in.schema...), op.OutVar)
 	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: true}, nil
 }
 
@@ -1137,8 +1254,10 @@ func tokensFromValue(v adm.Value) ([]string, error) {
 	return nil, fmt.Errorf("secondary search key is %v, want a token list", v.Kind())
 }
 
+// genPrimaryLookup adds the lookup to the pipeline its input ends in, or
+// starts one above it.
 func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
+	in, err := g.genOpen(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -1146,68 +1265,64 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 	if !ok {
 		return nil, fmt.Errorf("jobgen: unknown dataset %s.%s", op.Dataverse, op.Dataset)
 	}
-	cols := colMap(in.schema)
-	evals := compileEvals(cols, g.params, op.PKExpr)
-	ev := evals[0]
+	p := g.openPipeline(in)
+	p.lookup(g.c, op, meta.PKField)
+	return p.out, nil
+}
+
+// lookup adds a primary-index lookup: a row's key becomes the record
+// stored under it, bound with its pk to the op's PKVar and RecVar, and a
+// key with no record, or a record the op's filter rejects, ends the row.
+// Each instance resolves its partition's tree once and takes one
+// snapshot as it starts, so every lookup of the query reads the same
+// version of the partition; the snapshot is released on every exit
+// path, so a dying query never pins retired components. The rows keep
+// the order of their keys, but that order is the lookup's own locality
+// (the plan sorts the pks for it), which nothing above reads: the chain
+// stops advertising it, and the result gathers instead of merging.
+func (p *pipeline) lookup(c *Cluster, op *algebra.Op, pkField string) {
+	ev := compileEvals(p.cols, p.params, op.PKExpr)[0]
+	slots := p.bind(op.PKVar, op.RecVar)
 	raw := op.RawPK
-	dv, ds, pkField := op.Dataverse, op.Dataset, meta.PKField
+	dv, ds := op.Dataverse, op.Dataset
 	fields := scanFields(op.ProjectFields, pkField)
 	proj, keep, filter := storage.NewProjection(fields), adm.NewKeepSet(fields), op.Filter
-	c := g.c
-	// One tree resolution and one snapshot per operator instance: every
-	// lookup of the query reads the same version of the partition, and
-	// the deferred Close runs on every exit path (error, cancellation,
-	// end of input), so a dying query never pins retired components.
-	node := g.job.Add("PrimaryIndexLookup("+ds+")", g.parts, func() hyracks.Operator {
-		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
-			tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
+	p.ordered = false
+	p.add("PrimaryIndexLookup("+ds+")", func(inst *instance, next step) (step, error) {
+		tree, err := c.nodeOfPartition(inst.ctx.Part).primary(dv, ds, inst.ctx.Part)
+		if err != nil {
+			return nil, err
+		}
+		snap := tree.Snapshot()
+		inst.onClose(snap.Close)
+		rf := rowFilter(filter)
+		return func(row hyracks.Tuple) error {
+			v, err := ev(row)
+			if err != nil || v.IsNull() {
+				return err
+			}
+			var key []byte
+			if raw {
+				if v.Kind() != adm.KindString {
+					return fmt.Errorf("primary lookup: raw key is %v", v.Kind())
+				}
+				key = []byte(v.Str())
+			} else {
+				key = adm.OrderedKey(v)
+			}
+			val, found, err := snap.GetProjected(key, proj)
+			if err != nil || !found || !rf.PassRecord(val) {
+				return err
+			}
+			rec, err := decodeRecord(val, keep)
 			if err != nil {
 				return err
 			}
-			snap := tree.Snapshot()
-			defer snap.Close()
-			rf := rowFilter(filter)
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				v, err := ev(t)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					continue
-				}
-				var key []byte
-				if raw {
-					if v.Kind() != adm.KindString {
-						return fmt.Errorf("primary lookup: raw key is %v", v.Kind())
-					}
-					key = []byte(v.Str())
-				} else {
-					key = adm.OrderedKey(v)
-				}
-				val, found, err := snap.GetProjected(key, proj)
-				if err != nil {
-					return err
-				}
-				if !found || !rf.PassRecord(val) {
-					continue
-				}
-				rec, err := decodeRecord(val, keep)
-				if err != nil {
-					return err
-				}
-				pkVal, _ := rec.Rec().GetPath(pkField)
-				nt := make(hyracks.Tuple, len(t), len(t)+2)
-				copy(nt, t)
-				out[0].Emit(append(nt, pkVal, rec))
-			}
-		})
-	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	schema := append(append([]algebra.Var(nil), in.schema...), op.PKVar, op.RecVar)
-	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: in.fromIndex}, nil
+			row[slots[0]], _ = rec.Rec().GetPath(pkField)
+			row[slots[1]] = rec
+			return next(row)
+		}, nil
+	})
 }
 
 // scanPartition streams one partition of a dataset as (pk, record)

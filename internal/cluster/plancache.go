@@ -125,7 +125,9 @@ func entryKey(sk planKey, sh aqlp.Shape, canonical string, keyed algebra.SlotSet
 
 // get returns the cached entry for a request of shape sh under key sk
 // (sh's), if present and compiled under the current epoch. Stale
-// entries are evicted on sight.
+// entries are evicted on sight. A hit is counted here, a miss by the
+// caller (miss) once the request proves to have a query body: a request
+// of statements alone has no plan to find, and is neither.
 func (pc *PlanCache) get(sk planKey, sh aqlp.Shape, canonical string, epoch uint64) (*planEntry, bool) {
 	pc.mu.Lock()
 	var el *list.Element
@@ -134,7 +136,6 @@ func (pc *PlanCache) get(sk planKey, sh aqlp.Shape, canonical string, epoch uint
 	}
 	if el == nil {
 		pc.mu.Unlock()
-		pc.misses.Add(1)
 		return nil, false
 	}
 	e := el.Value.(*planEntry)
@@ -142,7 +143,6 @@ func (pc *PlanCache) get(sk planKey, sh aqlp.Shape, canonical string, epoch uint
 		pc.remove(el)
 		pc.mu.Unlock()
 		pc.invalidations.Add(1)
-		pc.misses.Add(1)
 		return nil, false
 	}
 	pc.lru.MoveToFront(el)
@@ -150,6 +150,9 @@ func (pc *PlanCache) get(sk planKey, sh aqlp.Shape, canonical string, epoch uint
 	pc.hits.Add(1)
 	return e, true
 }
+
+// miss counts a lookup that found no plan for a request with a body.
+func (pc *PlanCache) miss() { pc.misses.Add(1) }
 
 // put stores a freshly compiled plan for a request of shape sh under
 // key sk (sh's), whose compile leaves the slots in keyed value-keyed. A

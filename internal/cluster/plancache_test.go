@@ -256,6 +256,32 @@ func TestPlanCacheDDLRequestsNotCached(t *testing.T) {
 	}
 }
 
+// TestPlanCacheStatementsAloneAreNoLookup: a request of statements alone
+// (DDL, or use/set) has no plan to find, so it counts as neither a hit
+// nor a miss, however often it repeats; the hit ratio counts queries.
+func TestPlanCacheStatementsAloneAreNoLookup(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	sess := NewSession()
+	for _, req := range []string{
+		`create dataset D primary key id;`,
+		`set simfunction 'edit-distance';`,
+		`set simfunction 'edit-distance';`,
+		`use dataverse Default; set simthreshold '1';`,
+		`create index dx on D(name) type ngram(2);`,
+	} {
+		exec(t, c, sess, req)
+		if st := c.planCache.Stats(); st.Hits != 0 || st.Misses != 0 {
+			t.Fatalf("after %q: hits=%d misses=%d, want 0 and 0", req, st.Hits, st.Misses)
+		}
+	}
+	q := `count(for $d in dataset D return $d)`
+	exec(t, c, sess, q)
+	exec(t, c, sess, q)
+	if st := c.planCache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("a query run twice: hits=%d misses=%d, want 1 and 1", st.Hits, st.Misses)
+	}
+}
+
 // TestPlanCacheAccounting pins the cache's bookkeeping: one query text
 // is one entry however often it runs, explained or not; every request,
 // explain ones too, is exactly one hit or one miss, a hit exactly when

@@ -394,8 +394,10 @@ func (c *Cluster) execute(ctx context.Context, sess *Session, entry sessionState
 // stores the plan under key when the request is cacheable. A request
 // without a body has no plan (and is an error in an explain mode); a
 // bare explain accepts only use/set statements, so it changes nothing
-// but the session.
+// but the session. cacheable is whether execute probed the cache, which
+// counts as a miss only for a request with a body.
 func (c *Cluster) compile(sess *Session, src string, req aqlp.Request, key planKey, cacheable bool, epoch uint64, stats *QueryStats, qr *queryRun) (*planEntry, error) {
+	probed := cacheable
 	parse := qr.tr.StartSpan(trace.RootSpan, "parse", trace.CatPhase)
 	q, err := aqlp.Parse(src)
 	stats.ParseNs = parse.End().Nanoseconds()
@@ -433,6 +435,9 @@ func (c *Cluster) compile(sess *Session, src string, req aqlp.Request, key planK
 		return nil, nil
 	default:
 		return nil, planErr(fmt.Errorf("cluster: explain needs a query body"))
+	}
+	if probed {
+		c.planCache.miss()
 	}
 
 	compileSpan := qr.tr.StartSpan(trace.RootSpan, "compile", trace.CatPhase)

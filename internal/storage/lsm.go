@@ -1229,6 +1229,19 @@ func (t *LSMTree) Stats() Stats {
 	return s
 }
 
+// Readers returns the references open snapshots hold on the tree's
+// current disk components, summed over the components: 0 when no
+// snapshot reads one.
+func (t *LSMTree) Readers() int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var n int64
+	for _, c := range t.components {
+		n += int64(c.refs.Load()) - 1
+	}
+	return n
+}
+
 // Len returns the approximate number of live entries (disk entries may
 // include shadowed versions until a merge).
 func (t *LSMTree) Len() int64 {
