@@ -14,6 +14,7 @@ import (
 	"simdb/internal/adm"
 	"simdb/internal/datagen"
 	"simdb/internal/hyracks"
+	"simdb/internal/obs/trace"
 )
 
 func TestQueryIDStamping(t *testing.T) {
@@ -338,6 +339,31 @@ func slowRecord(t *testing.T, c *Cluster, id uint64) SlowQueryRecord {
 	}
 	t.Fatalf("slow-query log has no query %d", id)
 	return SlowQueryRecord{}
+}
+
+// TestSlowQueryOutlivesFastOnes: the slow-query log keeps the slowest
+// finished queries beside the newest, so one slow query is still listed,
+// first, after 10 000 fast ones have finished behind it; the fast ones
+// are the tracer's own records of finished queries, as every query
+// leaves one.
+func TestSlowQueryOutlivesFastOnes(t *testing.T) {
+	c := newTestCluster(t, 2, 1)
+	c.tracer = trace.NewTracer(0)
+	sess := NewSession()
+	loadReviews(t, c, sess)
+	c.SetSimNetLatency(20 * time.Millisecond)
+	slow := exec(t, c, sess, `for $r in dataset Reviews return $r.id`)
+	c.SetSimNetLatency(0)
+	for i := 0; i < 10000; i++ {
+		c.tracer.Start(trace.NextQueryID(), "fast").Finish(nil)
+	}
+	recs := c.SlowQueries()
+	if len(recs) == 0 || recs[0].QueryID != slow.Stats.QueryID || recs[0].WallNs < (20*time.Millisecond).Nanoseconds() {
+		t.Fatalf("the slow query %d is not first in the slow-query log: %d records, first %+v", slow.Stats.QueryID, len(recs), recs[0])
+	}
+	if len(recs) > 128+trace.SlowestKept {
+		t.Errorf("%d records, want at most the newest 128 and the %d slowest", len(recs), trace.SlowestKept)
+	}
 }
 
 // TestSlowQueryRing reads the slow-query log, a view over the tracer's

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -226,9 +227,10 @@ func (g *jobGen) sealed(out *genOut, op *algebra.Op) (*genOut, error) {
 
 // genOpen compiles one algebra node and leaves a pipeline it ends in
 // open for the caller to extend. Shared nodes are sealed, generated once
-// and get a materializing Replicate so each parent reads a private port.
+// and get a materializing Replicate so each parent reads a private port;
+// the empty tuple is a source of each reader's own.
 func (g *jobGen) genOpen(op *algebra.Op) (*genOut, error) {
-	if g.parents[op] <= 1 {
+	if g.parents[op] <= 1 || op.Kind == algebra.OpEmpty {
 		return g.genFresh(op)
 	}
 	out, ok := g.shared[op]
@@ -268,12 +270,11 @@ func (g *jobGen) sharedPort(op *algebra.Op, out *genOut) (*genOut, error) {
 func (g *jobGen) genFresh(op *algebra.Op) (*genOut, error) {
 	switch op.Kind {
 	case algebra.OpEmpty:
-		node := g.job.Add("EmptyTupleSource", 1, hyracks.SourceFunc(
-			func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-				emit(hyracks.Tuple{})
-				return nil
-			}))
-		return &genOut{node: node, parts: 1}, nil
+		p := g.openSource(nil, 1, func(_ *hyracks.TaskCtx, row hyracks.Tuple, next step) error {
+			return next(row)
+		})
+		p.everywhere = true
+		return p.out, nil
 	case algebra.OpScan:
 		return g.genScan(op)
 	case algebra.OpSelect, algebra.OpAssign, algebra.OpProject, algebra.OpUnnest:
@@ -318,11 +319,11 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 	keep, filter := adm.NewKeepSet(fields), op.Filter
 	start, end := scanBounds(op.Range, g.params)
 	c := g.c
-	node := g.job.Add("DataScan("+ds+")", g.parts, hyracks.SourceFunc(
-		func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-			return c.scanPartition(ctx, dv, ds, pkField, start, end, fields, keep, filter, emit)
-		}))
-	return &genOut{node: node, schema: []algebra.Var{op.PKVar, op.RecVar}, parts: g.parts}, nil
+	p := g.openSource([]algebra.Var{op.PKVar, op.RecVar}, g.parts, func(ctx *hyracks.TaskCtx, row hyracks.Tuple, next step) error {
+		return c.scanPartition(ctx, dv, ds, pkField, start, end, fields, keep, filter, row, next)
+	})
+	p.add("DataScan("+ds+")", nil)
+	return p.out, nil
 }
 
 // scanBounds turns a scan's key range into the storage key range
@@ -407,21 +408,24 @@ func (inst *instance) close() {
 }
 
 // pipeline builds the one job node of a maximal chain of per-row
-// operators (select, assign, project, unnest, primary lookup, and the
-// select or project a join, a union input and the result add), headed
-// by the port it reads or by a source. Every instance owns one
-// scratch row: the input tuple is copied into its first slots, a stage
-// writes the variables it defines into slots of their own, and the
-// compiled evaluators index the row by slot, so nothing is allocated
-// until the last stage builds the output tuple of a surviving row from
-// the slots that are still live. An evaluator may read the row only
-// while it runs (the next input overwrites it); a value it returns is
-// immutable and may be kept.
+// operators (select, assign, project, unnest, index search, primary
+// lookup, and the select or project a join, a union input and the
+// result add), headed by the port it reads or by a source: a scan, or
+// the empty tuple. Every instance owns one scratch row: the source
+// writes its row, or the input tuple is copied, into its first slots, a
+// stage writes the variables it defines into slots of their own, and
+// the compiled evaluators index the row by slot, so nothing is
+// allocated until the last stage builds the output tuple of a surviving
+// row from the slots that are still live. An evaluator may read the row
+// only while it runs (the next input overwrites it); a value it returns
+// is immutable and may be kept.
 type pipeline struct {
-	// in is the sealed producer the chain reads; under a source it has
-	// no node and stands for the source's rows.
+	// in is the sealed producer the chain reads through conn; under a
+	// source it has no node and stands for the source's rows.
 	in     *genOut
+	conn   hyracks.ConnectorSpec
 	src    source              // the chain's source, nil if it reads in
+	parts  int                 // instances of the chain's node
 	out    *genOut             // the open genOut that stands for the chain
 	schema []algebra.Var       // variables visible after the last stage
 	cols   map[algebra.Var]int // visible variable -> slot
@@ -429,9 +433,14 @@ type pipeline struct {
 	params []adm.Value         // the job's jobGen.params
 	stages []stage
 	names  []string // stage names, in order: the node's name
-	// ordered: the stages so far keep in.sortCols meaningful.
-	ordered   bool
-	fromIndex bool
+	// sorted is the order of the chain's rows within an instance, by
+	// slot of the scratch row; nil for none.
+	sorted []hyracks.SortCol
+	// everywhere: every instance yields the same rows (the chain is over
+	// the empty tuple and reads no partition), so it may run in as many
+	// instances as its reader needs.
+	everywhere bool
+	fromIndex  bool
 }
 
 // openPipeline returns the pipeline out ends in, or starts one above it.
@@ -440,14 +449,24 @@ func (g *jobGen) openPipeline(out *genOut) *pipeline {
 		return out.pipe
 	}
 	p := &pipeline{
-		in:      out,
-		schema:  append([]algebra.Var(nil), out.schema...),
-		cols:    colMap(out.schema),
-		width:   len(out.schema),
-		params:  g.params,
-		ordered: true, fromIndex: out.fromIndex,
+		in:     out,
+		conn:   hyracks.ConnectorSpec{Type: hyracks.OneToOne},
+		parts:  out.parts,
+		schema: append([]algebra.Var(nil), out.schema...),
+		cols:   colMap(out.schema),
+		width:  len(out.schema),
+		params: g.params,
+		sorted: out.sortCols, fromIndex: out.fromIndex,
 	}
 	p.out = &genOut{pipe: p}
+	return p
+}
+
+// openSource starts a pipeline headed by src, in parts instances, whose
+// rows bind vars.
+func (g *jobGen) openSource(vars []algebra.Var, parts int, src source) *pipeline {
+	p := g.openPipeline(&genOut{schema: vars, parts: parts})
+	p.src = src
 	return p
 }
 
@@ -470,15 +489,13 @@ func (p *pipeline) add(name string, st stage) {
 	}
 }
 
-// sortVars names the variables the input's sort order is on, while the
-// chain keeps that order.
+// sortVars names the variables the chain's rows are sorted on.
 func (p *pipeline) sortVars() []algebra.Var {
-	if !p.ordered {
-		return nil
-	}
-	vars := make([]algebra.Var, len(p.in.sortCols))
-	for i, sc := range p.in.sortCols {
-		vars[i] = p.in.schema[sc.Col]
+	var vars []algebra.Var
+	for _, v := range p.schema {
+		if slices.ContainsFunc(p.sorted, func(sc hyracks.SortCol) bool { return sc.Col == p.cols[v] }) {
+			vars = append(vars, v)
+		}
 	}
 	return vars
 }
@@ -549,7 +566,7 @@ func (p *pipeline) stage(op *algebra.Op, counters *QueryCounters) error {
 	case algebra.OpAssign:
 		p.assign(op.AssignVars, op.AssignExprs)
 	case algebra.OpProject:
-		p.ordered = false
+		p.sorted = nil
 		return p.project(op.Vars)
 	case algebra.OpUnnest:
 		p.unnest(op.Expr, op.UnnestVar, op.PosVar)
@@ -608,7 +625,7 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 	if posVar != 0 {
 		posSlot = p.bind(posVar)[0]
 	}
-	p.ordered = false
+	p.sorted = nil
 	p.add("Unnest", func(_ *instance, next step) (step, error) {
 		return func(row hyracks.Tuple) error {
 			v, err := ev(row)
@@ -649,30 +666,27 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 		slots[i] = c
 		same = same && c == i
 	}
-	out := &genOut{node: in.node, port: in.port, schema: vars, parts: in.parts, fromIndex: p.fromIndex}
-	// The output is sorted as the input was if every sort variable
+	out := &genOut{node: in.node, port: in.port, schema: vars, parts: p.parts, fromIndex: p.fromIndex}
+	// The output is sorted as the chain's rows are if every sort slot
 	// survives (liveVars and the result keep them).
-	for k, sv := range p.sortVars() {
-		i := 0
-		for i < len(vars) && vars[i] != sv {
-			i++
-		}
-		if i == len(vars) {
+	for _, sc := range p.sorted {
+		i := slices.Index(slots, sc.Col)
+		if i < 0 {
 			out.sortCols = nil
 			break
 		}
-		out.sortCols = append(out.sortCols, hyracks.SortCol{Col: i, Desc: in.sortCols[k].Desc})
+		out.sortCols = append(out.sortCols, hyracks.SortCol{Col: i, Desc: sc.Desc})
 	}
 	if len(p.stages) == 0 && same {
 		return out, nil
 	}
 	var inputs []hyracks.Input
 	if src == nil {
-		inputs = append(inputs, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
+		inputs = append(inputs, g.inputFrom(in, p.conn))
 	}
 	stages, width := p.stages, p.width
 	out.port = 0
-	out.node = g.job.Add(strings.Join(p.names, "+"), in.parts, func() hyracks.Operator {
+	out.node = g.job.Add(strings.Join(p.names, "+"), p.parts, func() hyracks.Operator {
 		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, ports []*hyracks.PortReader, outs []*hyracks.Emitter) error {
 			inst := &instance{ctx: ctx}
 			defer inst.close()
@@ -723,19 +737,16 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 // partition: the order it advertises starts with theirs, variable for
 // variable and direction for direction.
 func inOrder(out *genOut, orders []algebra.OrderSpec) bool {
-	in, sorted := out, out.sortCols
+	cols, sorted := colMap(out.schema), out.sortCols
 	if p := out.pipe; p != nil {
-		if !p.ordered {
-			return false
-		}
-		in, sorted = p.in, p.in.sortCols
+		cols, sorted = p.cols, p.sorted
 	}
 	if len(orders) > len(sorted) {
 		return false
 	}
 	for i, o := range orders {
 		vr, ok := o.E.(algebra.VarRef)
-		if !ok || in.schema[sorted[i].Col] != vr.V || sorted[i].Desc != o.Desc {
+		if c, in := cols[vr.V]; !ok || !in || c != sorted[i].Col || sorted[i].Desc != o.Desc {
 			return false
 		}
 	}
@@ -1145,100 +1156,88 @@ func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
 	return &genOut{node: node, schema: append([]algebra.Var(nil), op.OutVars...), parts: g.parts, fromIndex: fromIndex}, nil
 }
 
-// genSecondarySearch searches the index once per input row. Over the
-// empty tuple it runs once per partition and reads no input: it is the
-// source of a pipeline, which the lookup, the verification and the rest
-// of the selection extend into one node, and its candidates, sorted and
-// distinct as SearchBounded returns them, are in pk order. The node
-// reports them as its tuples in. Any other input (an index
-// nested-loop join's outer side) is broadcast to every partition, and
-// the pks of many rows are in no order.
+// genSecondarySearch adds the search to the pipeline its input ends in
+// as a stage: the key and T of each row select the candidates of the
+// instance's partition, and the stages after it run once per candidate,
+// its pk bound to op.OutVar. Every partition's index is searched for
+// every input row. A chain over the empty tuple yields the same rows in
+// any instance, so it runs in every partition; any other input (an
+// index nested-loop join's outer side) is read through a broadcast
+// port. Over the bare empty tuple the search runs once per partition,
+// so its candidates, sorted and distinct as SearchBounded returns them,
+// are in pk order; in a chain that reads no port they are what the node
+// reads, and the instance reports them as its tuples in.
 func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
-	name := "SecondaryIndexSearch(" + op.IndexName + ")"
-	input := op.Inputs[0]
-	source := input.Kind == algebra.OpEmpty && g.parents[input] <= 1
-	in := &genOut{} // the empty tuple's: no variables
-	if !source {
-		var err error
-		if in, err = g.gen(input); err != nil {
+	open, err := g.genOpen(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	if open.pipe == nil || !open.pipe.everywhere {
+		in, err := g.sealed(open, op.Inputs[0])
+		if err != nil {
 			return nil, err
 		}
+		p := g.openPipeline(in)
+		p.conn = hyracks.ConnectorSpec{Type: hyracks.Broadcast}
+		open = p.out
 	}
-	evals := compileEvals(colMap(in.schema), g.params, op.KeyExpr, op.TExpr)
+	p := open.pipe
+	evals := compileEvals(p.cols, p.params, op.KeyExpr, op.TExpr)
 	keyEval, tEval := evals[0], evals[1]
-	dv, ds, ixName, bound := op.Dataverse, op.Dataset, op.IndexName, op.Bound
-	c := g.c
-	counters, algo := g.counters, c.tOccAlgo
-	// search returns the candidates of one input row, none for a null key.
-	search := func(ctx *hyracks.TaskCtx, t hyracks.Tuple) ([]adm.Value, error) {
-		keyVal, err := keyEval(t)
-		if err != nil || keyVal.IsNull() {
-			return nil, err
-		}
-		tVal, err := tEval(t)
-		if err != nil {
-			return nil, err
-		}
-		tNum, ok := tVal.Num()
-		if !ok {
-			return nil, fmt.Errorf("secondary search: non-numeric T %v", tVal)
-		}
-		if int(tNum) <= 0 {
-			return nil, fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
-		}
-		tokens, err := tokensFromValue(keyVal)
-		if err != nil {
-			return nil, err
-		}
-		return c.searchIndex(dv, ds, ixName, ctx.Part, tokens, bound.Bounds(len(tokens), int(tNum)), algo, counters)
+	slot := p.bind(op.OutVar)[0]
+	p.sorted = nil
+	if p.everywhere && len(p.stages) == 0 {
+		p.sorted = []hyracks.SortCol{{Col: slot}}
 	}
-	schema := append(append([]algebra.Var(nil), in.schema...), op.OutVar)
-	if source {
-		head := &genOut{schema: schema, parts: g.parts, sortCols: []hyracks.SortCol{{Col: 0}}, fromIndex: true}
-		p := g.openPipeline(head)
-		p.names = append(p.names, name)
-		p.src = func(ctx *hyracks.TaskCtx, row hyracks.Tuple, next step) error {
-			pks, err := search(ctx, row)
+	leaf := p.src != nil
+	p.parts, p.everywhere, p.fromIndex = g.parts, false, true
+	c, counters := g.c, g.counters
+	dv, ds, ixName, bound, algo := op.Dataverse, op.Dataset, op.IndexName, op.Bound, c.tOccAlgo
+	p.add("SecondaryIndexSearch("+ixName+")", func(inst *instance, next step) (step, error) {
+		ctx := inst.ctx
+		done := ctx.Ctx.Done()
+		return func(row hyracks.Tuple) error {
+			keyVal, err := keyEval(row)
+			if err != nil || keyVal.IsNull() {
+				return err
+			}
+			tVal, err := tEval(row)
 			if err != nil {
 				return err
 			}
-			ctx.RowsRead = int64(len(pks))
-			done := ctx.Ctx.Done()
+			tNum, ok := tVal.Num()
+			if !ok {
+				return fmt.Errorf("secondary search: non-numeric T %v", tVal)
+			}
+			if int(tNum) <= 0 {
+				return fmt.Errorf("secondary search: T=%d reached the index (corner case not handled by the plan)", int(tNum))
+			}
+			tokens, err := tokensFromValue(keyVal)
+			if err != nil {
+				return err
+			}
+			pks, err := c.searchIndex(dv, ds, ixName, ctx.Part, tokens, bound.Bounds(len(tokens), int(tNum)), algo, counters)
+			if err != nil {
+				return err
+			}
+			if leaf {
+				ctx.RowsRead += int64(len(pks))
+			}
 			for _, pk := range pks {
 				select {
 				case <-done:
 					return ctx.Ctx.Err()
 				default:
 				}
-				row[0] = pk
+				row[slot] = pk
 				if err := next(row); err != nil {
 					return err
 				}
 			}
 			return nil
-		}
-		return p.out, nil
-	}
-	node := g.job.Add(name, g.parts, func() hyracks.Operator {
-		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, out []*hyracks.Emitter) error {
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				pks, err := search(ctx, t)
-				if err != nil {
-					return err
-				}
-				for _, pk := range pks {
-					nt := make(hyracks.Tuple, len(t), len(t)+1)
-					copy(nt, t)
-					out[0].Emit(append(nt, pk))
-				}
-			}
-		})
-	}, g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Broadcast}))
-	return &genOut{node: node, schema: schema, parts: g.parts, fromIndex: true}, nil
+		}, nil
+	})
+	return p.out, nil
 }
 
 // tokensFromValue converts a secondary search key to tokens: a token
@@ -1287,7 +1286,7 @@ func (p *pipeline) lookup(c *Cluster, op *algebra.Op, pkField string) {
 	dv, ds := op.Dataverse, op.Dataset
 	fields := scanFields(op.ProjectFields, pkField)
 	proj, keep, filter := storage.NewProjection(fields), adm.NewKeepSet(fields), op.Filter
-	p.ordered = false
+	p.sorted = nil
 	p.add("PrimaryIndexLookup("+ds+")", func(inst *instance, next step) (step, error) {
 		tree, err := c.nodeOfPartition(inst.ctx.Part).primary(dv, ds, inst.ctx.Part)
 		if err != nil {
@@ -1325,38 +1324,35 @@ func (p *pipeline) lookup(c *Cluster, op *algebra.Op, pkField string) {
 	})
 }
 
-// scanPartition streams one partition of a dataset as (pk, record)
-// tuples. The scan reads a refcounted LSM snapshot (never blocking
-// concurrent writers) and honors ctx cancellation between batches.
-// A non-nil fields list restricts the scan to those top-level record
-// fields: columnar components read only the matching column blocks,
-// and row components skip decoding the unreferenced fields. The
-// emitted records then carry just the projected fields, which is
-// only correct because the optimizer proved no other field is used.
-// A non-nil filter goes to storage with the projection: a row it
-// rejects is never assembled or decoded, and the instance reports the
-// rows storage read as its tuples in. Only keys in [start, end) are
+// scanPartition runs next over one partition of a dataset, each record
+// with its pk in the first two slots of row. The scan reads a refcounted
+// LSM snapshot (never blocking concurrent writers) and honors ctx
+// cancellation between batches. A non-nil fields list restricts the
+// scan to those top-level record fields: columnar components read only
+// the matching column blocks, and row components skip decoding the
+// unreferenced fields. The records then carry just the projected
+// fields, which is only correct because the optimizer proved no other
+// field is used. A non-nil filter goes to storage with the projection:
+// a row it rejects is never assembled or decoded. The instance reports
+// the rows storage read as its tuples in. Only keys in [start, end) are
 // read (nil: unbounded).
-func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, start, end []byte, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, emit func(hyracks.Tuple)) error {
+func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, start, end []byte, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, row hyracks.Tuple, next step) error {
 	tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 	if err != nil {
 		return err
 	}
-	rf := rowFilter(filter)
 	var scanErr error
-	read, err := tree.ScanProjectedContext(ctx.Ctx, start, end, fields, rf, func(key, val []byte) bool {
-		rec, derr := decodeRecord(val, keep)
-		if derr != nil {
-			scanErr = derr
-			return false
+	read, err := tree.ScanProjectedContext(ctx.Ctx, start, end, fields, rowFilter(filter), func(key, val []byte) bool {
+		rec, err := decodeRecord(val, keep)
+		if err == nil {
+			row[0], _ = rec.Rec().GetPath(pkField)
+			row[1] = rec
+			err = next(row)
 		}
-		pk, _ := rec.Rec().GetPath(pkField)
-		emit(hyracks.Tuple{pk, rec})
-		return true
+		scanErr = err
+		return err == nil
 	})
-	if rf != nil {
-		ctx.RowsRead = read
-	}
+	ctx.RowsRead = read
 	if scanErr != nil {
 		return scanErr
 	}

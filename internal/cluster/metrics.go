@@ -18,7 +18,7 @@ var (
 	queryLatency = obs.H("cluster.query_latency_ns")
 )
 
-// SlowQueryRecord is one finished query of the tracer's ring as GET
+// SlowQueryRecord is one finished query the tracer keeps as GET
 // /slowlog lists it.
 type SlowQueryRecord struct {
 	QueryID      uint64    `json:"query_id"`
@@ -30,12 +30,16 @@ type SlowQueryRecord struct {
 	Error        string    `json:"error,omitempty"`
 }
 
-// SlowQueries returns the finished queries the tracer retains, slowest
-// first; Time is when each finished.
+// SlowQueries returns the finished queries the tracer retains, the
+// newest and the slowest, slowest first; Time is when each finished.
 func (c *Cluster) SlowQueries() []SlowQueryRecord {
-	recent := c.tracer.Recent()
-	out := make([]SlowQueryRecord, len(recent))
-	for i, t := range recent {
+	out := []SlowQueryRecord{}
+	seen := map[*trace.Trace]bool{}
+	for _, t := range append(c.tracer.Slowest(), c.tracer.Recent()...) {
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
 		rec := SlowQueryRecord{
 			QueryID: t.ID,
 			WallNs:  t.DurNs(),
@@ -51,7 +55,7 @@ func (c *Cluster) SlowQueries() []SlowQueryRecord {
 				rec.PlanCacheHit = a.Val != 0
 			}
 		}
-		out[i] = rec
+		out = append(out, rec)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].WallNs > out[j].WallNs })
 	return out

@@ -26,11 +26,7 @@ func hasStage(name, stage string) bool {
 // whether any edge broadcasts or any node sorts.
 func jobShape(t *testing.T, c *Cluster, bp boundPlan) (nodes, instances int, broadcast, sorts bool) {
 	t.Helper()
-	g, _, err := c.generateJob(bp, nil, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range g.job.Nodes() {
+	for _, n := range jobNodes(t, c, bp) {
 		nodes++
 		instances += n.Parts
 		sorts = sorts || n.Name == "Sort"
@@ -39,6 +35,16 @@ func jobShape(t *testing.T, c *Cluster, bp boundPlan) (nodes, instances int, bro
 		}
 	}
 	return nodes, instances, broadcast, sorts
+}
+
+// jobNodes generates the job for bp and returns its nodes.
+func jobNodes(t *testing.T, c *Cluster, bp boundPlan) []*hyracks.OpNode {
+	t.Helper()
+	g, _, err := c.generateJob(bp, nil, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.job.Nodes()
 }
 
 // rewritePlan copies the path from op down to every operator f replaces
@@ -75,11 +81,13 @@ func runPlan(t *testing.T, c *Cluster, bp boundPlan) []adm.Value {
 
 // TestIndexedSelectionIsOneTask: an indexed selection is one node per
 // partition, whose pipeline searches the index, looks the candidates up,
-// verifies and projects, plus the gather of the result: the search over
-// the empty tuple is the pipeline's source, the Order the plan keeps on
-// the search's pks is elided because the search delivers them sorted,
-// and the lookup is a stage. Over tcp the only messages are the
-// gather's. An index nested-loop join's search reads its outer side and
+// verifies and projects, plus the gather of the result: the empty tuple
+// is the pipeline's source and the search its first stage, the Order
+// the plan keeps on the search's pks is elided because the search
+// delivers them sorted, and the lookup is a stage. Over tcp the only
+// messages are the gather's. A scan selection is the same two nodes,
+// the scan the source. An index nested-loop join's search is a stage
+// of a pipeline that reads its outer side through a broadcast port, and
 // keeps its sort, with the lookup a stage above it; an order the input
 // does not have is sorted; and a query cancelled mid-lookup releases its
 // snapshots and its instances.
@@ -95,6 +103,9 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 			return $r.id`},
 		{"edit-distance", `for $r in dataset EqReviews where edit-distance($r.username, 'marla') <= 1 return $r.id`},
 	}
+	const scan = `for $r in dataset EqReviews
+		where similarity-jaccard(word-tokens($r.username), word-tokens('marla')) >= 0.5
+		return $r.id`
 	const inlj = `set simfunction 'jaccard'; set simthreshold '0.5';
 		for $a in dataset EqReviews for $b in dataset EqReviews
 		where $a.id = 4 and word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id != $b.id
@@ -154,6 +165,16 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 				}
 			}
 
+			nodes, instances, broadcast, sorts := jobShape(t, c, explainedPlan(t, c, NewSession(), scan))
+			if nodes != 2 || instances != 5 || broadcast || sorts {
+				t.Errorf("scan selection: %d job nodes, %d instances, broadcast %v, sort %v; want 2, 5, no broadcast, no sort",
+					nodes, instances, broadcast, sorts)
+			}
+			if res := exec(t, c, NewSession(), scan); res.Stats.IndexSearches != 0 || len(res.Rows) == 0 ||
+				!hasStage(res.Stats.PhysicalOps()[0].Name, "DataScan(EqReviews)") {
+				t.Errorf("scan selection: %d searches, %d rows, operators %+v", res.Stats.IndexSearches, len(res.Rows), res.Stats.PhysicalOps())
+			}
+
 			res := exec(t, c, NewSession(), inlj)
 			if res.Stats.IndexSearches == 0 {
 				t.Fatalf("not an index nested-loop join:\n%s", res.Stats.LogicalPlan())
@@ -162,15 +183,31 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 				t.Errorf("inlj: the transports disagree")
 			}
 			answers["inlj"] = rowFingerprints(res.Rows)
-			var sorted, search, lookup bool
+			var sorted, lookup bool
 			for _, op := range res.Stats.PhysicalOps() {
 				sorted = sorted || op.Name == "Sort"
-				search = search || op.Name == "SecondaryIndexSearch(eqkw)"
 				lookup = lookup || strings.HasPrefix(op.Name, "PrimaryIndexLookup(EqReviews)+")
 			}
-			if !sorted || !search || !lookup {
-				t.Errorf("inlj: sort %v, search reading its input %v, lookup heading a pipeline %v: %+v",
-					sorted, search, lookup, res.Stats.PhysicalOps())
+			// The search is a stage of the pipeline that reads the outer
+			// rows through a broadcast port, in every partition, and the
+			// Sort reads that pipeline's node.
+			var search *hyracks.OpNode
+			sortsSearch := false
+			for _, n := range jobNodes(t, c, explainedPlan(t, c, NewSession(), inlj)) {
+				if hasStage(n.Name, "SecondaryIndexSearch(eqkw)") {
+					if search != nil {
+						t.Errorf("inlj: two nodes search, %q and %q", search.Name, n.Name)
+					}
+					search = n
+				}
+				sortsSearch = sortsSearch || n.Name == "Sort" && search != nil && n.Inputs[0].From == search
+			}
+			if search == nil || len(search.Inputs) != 1 || search.Inputs[0].Conn.Type != hyracks.Broadcast ||
+				search.Parts != c.Config().Partitions() || !sortsSearch {
+				t.Errorf("inlj: the search is no stage of a pipeline over a broadcast port that a Sort reads: %+v", search)
+			}
+			if !sorted || !lookup {
+				t.Errorf("inlj: sort %v, lookup heading a pipeline %v: %+v", sorted, lookup, res.Stats.PhysicalOps())
 			}
 		})
 	}

@@ -258,34 +258,22 @@ func TestFusedPipelineMatchesStagesOneAtATime(t *testing.T) {
 			live[v] = r.Intn(3) > 0
 		}
 
-		// The pipeline: one node between a source and a sink.
-		g := &jobGen{job: &hyracks.Job{}}
-		src := g.job.Add("Source", 1, hyracks.SourceFunc(func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-			for _, tu := range tuples {
-				emit(tu)
-			}
-			return nil
-		}))
-		p := g.openPipeline(&genOut{node: src, schema: input, parts: 1})
-		for _, op := range chain {
-			if err := p.stage(op, &QueryCounters{}); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+		// The pipeline, read from a port: one node between a source node
+		// and a sink.
+		port := runChain(t, chain, input, tuples, live, false)
+		if port.nodes > 2 {
+			t.Fatalf("seed %d: a chain of %d operators became %d job nodes", seed, len(chain), port.nodes-1)
 		}
-		keep := p.liveVars(live)
-		out, err := g.seal(p, keep)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if n := len(g.job.Nodes()); n > 2 {
-			t.Fatalf("seed %d: a chain of %d operators became %d job nodes", seed, len(chain), n-1)
-		}
-		if out.node == src {
+		if port.nodes == 1 {
 			passedInput++
 		}
-		sink := &hyracks.Collector{}
-		hyracks.MakeSink(g.job, "Sink", sink, g.inputFrom(out, hyracks.ConnectorSpec{Type: hyracks.GatherOne}))
-		_, gotErr := hyracks.Run(context.Background(), g.job, hyracks.Topology{Partitions: 1, PartsPerNode: 1})
+		// The same chain headed by a source that writes the rows into the
+		// scratch row itself: one node.
+		src := runChain(t, chain, input, tuples, live, true)
+		if src.nodes != 1 {
+			t.Fatalf("seed %d: a source and a chain of %d operators became %d job nodes", seed, len(chain), src.nodes)
+		}
+		keep := port.keep
 
 		var want []hyracks.Tuple
 		var wantErr error
@@ -312,25 +300,84 @@ func TestFusedPipelineMatchesStagesOneAtATime(t *testing.T) {
 		}
 		if wantErr != nil {
 			failed++
-			if gotErr == nil || !strings.HasSuffix(gotErr.Error(), ": "+wantErr.Error()) {
-				t.Fatalf("%spipeline error %v, one at a time: %v", desc(), gotErr, wantErr)
+			for _, e := range []error{port.err, src.err} {
+				if e == nil || !strings.HasSuffix(e.Error(), ": "+wantErr.Error()) {
+					t.Fatalf("%spipeline error %v (port) and %v (source), one at a time: %v", desc(), port.err, src.err, wantErr)
+				}
 			}
 			continue
 		}
-		if gotErr != nil {
-			t.Fatalf("%spipeline error %v, one at a time none", desc(), gotErr)
+		if port.err != nil || src.err != nil {
+			t.Fatalf("%spipeline error %v (port) and %v (source), one at a time none", desc(), port.err, src.err)
 		}
-		if len(sink.Tuples) != len(want) {
-			t.Fatalf("%spipeline emitted %d rows, one at a time %d", desc(), len(sink.Tuples), len(want))
-		}
-		for i, got := range sink.Tuples {
-			if fmt.Sprint(got) != fmt.Sprint(want[i]) {
-				t.Fatalf("%srow %d: pipeline %v, one at a time %v", desc(), i, got, want[i])
+		for head, rows := range map[string][]hyracks.Tuple{"port": port.rows, "source": src.rows} {
+			if len(rows) != len(want) {
+				t.Fatalf("%spipeline headed by a %s emitted %d rows, one at a time %d", desc(), head, len(rows), len(want))
+			}
+			for i, row := range rows {
+				if fmt.Sprint(row) != fmt.Sprint(want[i]) {
+					t.Fatalf("%srow %d: pipeline headed by a %s %v, one at a time %v", desc(), i, head, row, want[i])
+				}
 			}
 		}
 	}
-	t.Logf("600 chains: %d raised an error, %d unnests, %d selects with fused assigns, %d sealed into no node", failed, unnested, fusedAssigns, passedInput)
+	t.Logf("600 chains: %d raised an error, %d unnests, %d selects with fused assigns, %d read from a port sealed into no node", failed, unnested, fusedAssigns, passedInput)
 	if failed < 30 || failed > 400 || unnested < 100 || fusedAssigns < 50 {
 		t.Errorf("the generator no longer covers the cases: %d errors, %d unnests, %d fused assigns", failed, unnested, fusedAssigns)
 	}
+}
+
+// chainRun is one run of a chain: the rows and error it ended with, the
+// job nodes before the sink, and the variables its end kept.
+type chainRun struct {
+	rows  []hyracks.Tuple
+	err   error
+	nodes int
+	keep  []algebra.Var
+}
+
+// runChain builds chain as one pipeline over tuples of input, headed by
+// a port a source node feeds or by a source of the pipeline's own, and
+// runs it into a sink.
+func runChain(t *testing.T, chain []*algebra.Op, input []algebra.Var, tuples []hyracks.Tuple, live map[algebra.Var]bool, headed bool) chainRun {
+	t.Helper()
+	g := &jobGen{job: &hyracks.Job{}}
+	var p *pipeline
+	if headed {
+		p = g.openSource(input, 1, func(_ *hyracks.TaskCtx, row hyracks.Tuple, next step) error {
+			for _, tu := range tuples {
+				copy(row, tu)
+				if err := next(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	} else {
+		src := g.job.Add("Source", 1, func() hyracks.Operator {
+			return hyracks.OpFunc(func(_ *hyracks.TaskCtx, _ []*hyracks.PortReader, outs []*hyracks.Emitter) error {
+				for _, tu := range tuples {
+					outs[0].Emit(tu)
+				}
+				return nil
+			})
+		})
+		p = g.openPipeline(&genOut{node: src, schema: input, parts: 1})
+	}
+	for _, op := range chain {
+		if err := p.stage(op, &QueryCounters{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := chainRun{keep: p.liveVars(live)}
+	out, err := g.seal(p, run.keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.nodes = len(g.job.Nodes())
+	sink := &hyracks.Collector{}
+	hyracks.MakeSink(g.job, "Sink", sink, g.inputFrom(out, hyracks.ConnectorSpec{Type: hyracks.GatherOne}))
+	_, run.err = hyracks.Run(context.Background(), g.job, hyracks.Topology{Partitions: 1, PartsPerNode: 1})
+	run.rows = sink.Tuples
+	return run
 }

@@ -155,7 +155,7 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 						t.Fatalf("run %d row %d = %q inst %d, job operator %d is %q with %d instances",
 							run, i, row.name, row.inst, n.ID, n.Name, n.Parts)
 					}
-					if row.name == "DataScan(Reviews)" {
+					if hasStage(row.name, "DataScan(Reviews)") {
 						scans++
 						if row.inst != c.Config().Partitions() {
 							t.Errorf("run %d: scan row has inst %d, want Partitions() = %d", run, row.inst, c.Config().Partitions())

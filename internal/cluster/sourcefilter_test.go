@@ -174,12 +174,21 @@ func TestSourceFilter(t *testing.T) {
 		}
 		check("scan")
 
-		// The filtered scan reports what it read and what it let through.
+		// The filtered scan's node reports what the scan read and what
+		// it let through.
 		res := exec(t, c, sess, jaccardQuery)
+		scans := 0
 		for _, op := range res.Stats.PhysicalOps() {
-			if op.Name == "DataScan(Reviews)" && (op.TuplesIn != int64(len(reviews)) || op.TuplesOut != int64(len(res.Rows))) {
+			if !hasStage(op.Name, "DataScan(Reviews)") {
+				continue
+			}
+			scans++
+			if op.TuplesIn != int64(len(reviews)) || op.TuplesOut != int64(len(res.Rows)) {
 				t.Errorf("filtered scan reports in=%d out=%d, want %d read and %d emitted", op.TuplesIn, op.TuplesOut, len(reviews), len(res.Rows))
 			}
+		}
+		if scans != 1 {
+			t.Errorf("%d nodes scan Reviews, want 1: %+v", scans, res.Stats.PhysicalOps())
 		}
 
 		// Index plans: the same filter sits on the primary-index lookup,

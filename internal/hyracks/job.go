@@ -128,10 +128,11 @@ type TaskCtx struct {
 	// executor after Run returns.
 	SpillRuns    int64
 	SpilledBytes int64
-	// RowsRead is set by a source that reads more rows than it emits (a
-	// scan with a record filter): the executor reports it as the
-	// instance's tuples in, so read versus emitted shows on the source's
-	// line. Owned and harvested like the spill counters.
+	// RowsRead is set by an instance that reads its rows from storage
+	// rather than from a port (a scan, a search over the empty tuple):
+	// the executor reports it as the instance's tuples in, so read versus
+	// emitted shows on its line. Owned and harvested like the spill
+	// counters.
 	RowsRead int64
 }
 

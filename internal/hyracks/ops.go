@@ -11,16 +11,6 @@ import (
 // here; expression logic arrives as closures compiled by the algebra
 // layer, so the runtime stays independent of the query language.
 
-// SourceFunc builds a source operator (no inputs) that calls produce,
-// which must invoke emit for every tuple of this instance's partition.
-func SourceFunc(produce func(ctx *TaskCtx, emit func(Tuple)) error) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			return produce(ctx, func(t Tuple) { out[0].Emit(t) })
-		})
-	}
-}
-
 // Sort consumes all input, sorts it by cols, and emits it. Per
 // partition; a MergeOne connector downstream extends the order across
 // partitions. Under a memory budget it runs as an external merge sort —

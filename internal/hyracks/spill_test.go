@@ -104,12 +104,14 @@ func sortInput(kind string, n int) []Tuple {
 }
 
 func tupleSource(ts []Tuple) func() Operator {
-	return SourceFunc(func(ctx *TaskCtx, emit func(Tuple)) error {
-		for _, t := range ts {
-			emit(t)
-		}
-		return nil
-	})
+	return func() Operator {
+		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			for _, t := range ts {
+				out[0].Emit(t)
+			}
+			return nil
+		})
+	}
 }
 
 func sortJob(input []Tuple) (*Job, *Collector) {

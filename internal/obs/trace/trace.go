@@ -4,8 +4,9 @@
 // job generation, per-operator execution), recorded with one mutex-
 // protected append per span — cheap enough to leave on in production.
 // Finished traces land in a bounded ring buffer so the last N queries
-// are always inspectable after the fact, and every trace exports as
-// Chrome trace-event JSON (chrome.go) that loads directly in
+// are always inspectable after the fact, beside the slowest few, so a
+// rare slow query outlives the fast ones after it; every trace exports
+// as Chrome trace-event JSON (chrome.go) that loads directly in
 // about:tracing and Perfetto.
 //
 // Background storage work (LSM flushes, merges, WAL group-commit
@@ -17,6 +18,8 @@
 package trace
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,14 +242,19 @@ type Event struct {
 	Args  []Arg
 }
 
-// Tracer owns the ring of finished traces and the background event
-// ring; the traces of running queries are their owner's to list. One
-// process-wide Default() instance exists, mirroring the obs metrics
-// registry.
+// SlowestKept is how many of the slowest finished traces a tracer keeps
+// beside its ring of the newest.
+const SlowestKept = 32
+
+// Tracer owns the ring of finished traces, the slowest finished traces
+// and the background event ring; the traces of running queries are
+// their owner's to list. One process-wide Default() instance exists,
+// mirroring the obs metrics registry.
 type Tracer struct {
 	mu   sync.Mutex
 	cap  int
 	ring []*Trace // completed traces, oldest first
+	slow []*Trace // the SlowestKept slowest completed traces, slowest first
 
 	emu    sync.Mutex
 	ecap   int
@@ -254,7 +262,8 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer retaining the last `capacity` finished
-// traces (<= 0 takes 128) and 4x that many background events.
+// traces (<= 0 takes 128), the SlowestKept slowest, and 4x capacity
+// background events.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 128
@@ -281,9 +290,19 @@ func (tc *Tracer) Start(id uint64, query string) *Trace {
 	return &Trace{ID: id, Query: query, Start: time.Now(), tracer: tc}
 }
 
-// retire appends a finished trace to the bounded ring.
+// retire appends a finished trace to the bounded ring, and keeps it
+// among the slowest if it is one of them.
 func (tc *Tracer) retire(t *Trace) {
 	tc.mu.Lock()
+	dur := t.DurNs()
+	i := sort.Search(len(tc.slow), func(i int) bool { return tc.slow[i].DurNs() < dur })
+	if i < SlowestKept {
+		tc.slow = slices.Insert(tc.slow, i, t)
+		if len(tc.slow) > SlowestKept {
+			tc.slow[SlowestKept] = nil
+			tc.slow = tc.slow[:SlowestKept]
+		}
+	}
 	tc.ring = append(tc.ring, t)
 	if len(tc.ring) > tc.cap {
 		n := copy(tc.ring, tc.ring[len(tc.ring)-tc.cap:])
@@ -306,7 +325,14 @@ func (tc *Tracer) Recent() []*Trace {
 	return out
 }
 
-// Get finds a finished trace by query ID.
+// Slowest returns the slowest finished traces kept, slowest first.
+func (tc *Tracer) Slowest() []*Trace {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return slices.Clone(tc.slow)
+}
+
+// Get finds a finished trace of the ring by query ID.
 func (tc *Tracer) Get(id uint64) (*Trace, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()

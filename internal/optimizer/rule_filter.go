@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"math"
-	"strings"
 
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
@@ -152,9 +151,11 @@ func resolveFused(sel *algebra.Op, e algebra.Expr) algebra.Expr {
 }
 
 // topLevelField matches field-access($rec, "f"): one level, rooted at
-// the source's record variable. (A top-level field whose own name has a
-// dot reads as a path and gets no filter, which is safe.)
+// the source's record variable.
 func (o *Optimizer) topLevelField(e algebra.Expr, rec algebra.Var) (string, bool) {
-	path, ok := o.fieldPathOf(e, rec)
-	return path, ok && !strings.Contains(path, ".")
+	v, path, ok := o.fieldPath(e)
+	if !ok || v != rec || len(path) != 1 {
+		return "", false
+	}
+	return path[0], true
 }

@@ -112,7 +112,7 @@ func (o *Optimizer) tryBTreeSelection(sel, scan *algebra.Op, conj algebra.Expr) 
 			return false, nil
 		}
 	}
-	field, ok := o.fieldPathOf(fieldE, scan.RecVar)
+	field, ok := o.indexedField(fieldE, scan.RecVar)
 	if !ok {
 		return false, nil
 	}
@@ -166,7 +166,7 @@ func (o *Optimizer) tryContainsSelection(sel, scan *algebra.Op, conj algebra.Exp
 	if !ok || call.Fn != "contains" || len(call.Args) != 2 {
 		return false, nil
 	}
-	field, ok := o.fieldPathOf(call.Args[0], scan.RecVar)
+	field, ok := o.indexedField(call.Args[0], scan.RecVar)
 	if !ok || !constFoldable(call.Args[1]) {
 		return false, nil
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 
 	"simdb/internal/adm"
@@ -110,19 +111,8 @@ func (o *Optimizer) isPrimaryKey(e algebra.Expr, scan *algebra.Op, path []string
 	if vr, ok := e.(algebra.VarRef); ok {
 		return vr.V == scan.PKVar
 	}
-	for i := len(path) - 1; i >= 0; i-- {
-		call, ok := e.(algebra.Call)
-		if !ok || call.Fn != "field-access" || len(call.Args) != 2 {
-			return false
-		}
-		name, ok := call.Args[1].(algebra.Const)
-		if !ok || name.Val.Kind() != adm.KindString || o.Value(name).Str() != path[i] {
-			return false
-		}
-		e = call.Args[0]
-	}
-	vr, ok := e.(algebra.VarRef)
-	return ok && vr.V == scan.RecVar
+	v, p, ok := o.fieldPath(e)
+	return ok && v == scan.RecVar && slices.Equal(p, path)
 }
 
 // intersect narrows r (nil: every key) by key cmp v. Of two ends that

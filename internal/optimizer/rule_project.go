@@ -3,7 +3,6 @@ package optimizer
 import (
 	"sort"
 
-	"simdb/internal/adm"
 	"simdb/internal/algebra"
 )
 
@@ -112,8 +111,8 @@ func (o *Optimizer) collectRecFields(e algebra.Expr, rec algebra.Var, fields map
 	case algebra.VarRef:
 		return x.V != rec
 	case algebra.Call:
-		if top, ok := o.topFieldOf(x, rec); ok {
-			fields[top] = true
+		if v, path, ok := o.fieldPath(x); ok && v == rec {
+			fields[path[0]] = true
 			return true
 		}
 		for _, a := range x.Args {
@@ -131,30 +130,6 @@ func (o *Optimizer) collectRecFields(e algebra.Expr, rec algebra.Var, fields map
 		return o.collectRecFields(x.Ret, rec, fields)
 	}
 	return true
-}
-
-// topFieldOf matches a field-access chain rooted exactly at rec and
-// returns the chain's outermost-from-the-record (top-level) field name:
-// field-access(field-access($rec, "user"), "name") -> "user".
-func (o *Optimizer) topFieldOf(c algebra.Call, rec algebra.Var) (string, bool) {
-	top := ""
-	var e algebra.Expr = c
-	for {
-		call, ok := e.(algebra.Call)
-		if !ok || call.Fn != "field-access" || len(call.Args) != 2 {
-			break
-		}
-		name, ok := call.Args[1].(algebra.Const)
-		if !ok || name.Val.Kind() != adm.KindString {
-			return "", false
-		}
-		top = o.Value(name).Str()
-		e = call.Args[0]
-	}
-	if vr, ok := e.(algebra.VarRef); ok && vr.V == rec && top != "" {
-		return top, true
-	}
-	return "", false
 }
 
 // sameFieldSet compares two annotations, distinguishing nil (opaque)

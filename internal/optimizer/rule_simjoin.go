@@ -2,10 +2,10 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/aqlp"
 )
@@ -298,7 +298,7 @@ func memoPrefixSide(o *Optimizer, frag *algebra.Op, pk algebra.Var, src tokenSou
 	asg.AssignExprs = []algebra.Expr{algebra.F("field-access", algebra.V(recVar), algebra.CStr("pt"))}
 	join.Inputs[1] = newMemo(asg, "ranked", src, []algebra.Var{recVar, pt}, th)
 	join.Cond = algebra.ReplaceExpr(join.Cond, func(e algebra.Expr) algebra.Expr {
-		if v, field, ok := o.fieldAccess(e); ok && v == recVar && field == "pt" {
+		if v, path, ok := o.fieldPath(e); ok && v == recVar && slices.Equal(path, []string{"pt"}) {
 			return algebra.V(pt)
 		}
 		return e
@@ -306,29 +306,13 @@ func memoPrefixSide(o *Optimizer, frag *algebra.Op, pk algebra.Var, src tokenSou
 	return nil
 }
 
-// fieldAccess reports the variable and field name of field-access($v,
-// "name").
-func (o *Optimizer) fieldAccess(e algebra.Expr) (algebra.Var, string, bool) {
-	c, ok := e.(algebra.Call)
-	if !ok || c.Fn != "field-access" || len(c.Args) != 2 {
-		return 0, "", false
-	}
-	v, isVar := c.Args[0].(algebra.VarRef)
-	f, isConst := c.Args[1].(algebra.Const)
-	if !isVar || !isConst || f.Val.Kind() != adm.KindString {
-		return 0, "", false
-	}
-	return v.V, o.Value(f).Str(), true
-}
-
-// keySide is a join input keyed by its scan's primary key: the key
-// variable pk, the scan's record variable rec and top-level key field,
-// and the input's other variables.
+// keySide is a join input keyed by its scan's primary key: the scan,
+// the path of its top-level key field, and the input's other variables.
 type keySide struct {
-	o       *Optimizer
-	pk, rec algebra.Var
-	field   string
-	other   map[algebra.Var]bool
+	o     *Optimizer
+	scan  *algebra.Op
+	path  []string
+	other map[algebra.Var]bool
 }
 
 // keySideOf returns the keySide of a join input whose key is pk, if the
@@ -344,17 +328,13 @@ func (o *Optimizer) keySideOf(input *algebra.Op, pk algebra.Var) (keySide, bool)
 	}
 	other := schemaSet(input)
 	delete(other, pk)
-	return keySide{o: o, pk: pk, rec: scan.RecVar, field: field, other: other}, true
+	return keySide{o: o, scan: scan, path: []string{field}, other: other}, true
 }
 
 // isKey reports whether e is the side's primary key: its variable, or
 // the key field of its record, which the scan read the key from.
 func (s keySide) isKey(e algebra.Expr) bool {
-	if x, ok := e.(algebra.VarRef); ok {
-		return x.V == s.pk
-	}
-	v, field, ok := s.o.fieldAccess(e)
-	return ok && v == s.rec && field == s.field
+	return s.o.isPrimaryKey(e, s.scan, s.path)
 }
 
 // keysOnly rewrites e's references to either side's primary key into
@@ -364,7 +344,7 @@ func keysOnly(e algebra.Expr, sides [2]keySide) (algebra.Expr, bool) {
 	e = algebra.ReplaceExpr(e, func(x algebra.Expr) algebra.Expr {
 		for _, s := range sides {
 			if s.isKey(x) {
-				return algebra.V(s.pk)
+				return algebra.V(s.scan.PKVar)
 			}
 		}
 		return x

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"simdb/internal/adm"
@@ -98,11 +99,11 @@ func IndexCompatible(simFn, indexType string) bool {
 	return false
 }
 
-// fieldPathOf matches a chain of field accesses rooted at the given
-// record variable and returns its dotted path:
-// field-access(field-access($rec, "user"), "name") -> "user.name".
-func (o *Optimizer) fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) {
-	var parts []string
+// fieldPath matches a chain of field accesses and returns the variable
+// at its root and the field names from the root out:
+// field-access(field-access($rec, "user"), "name") -> $rec, [user name].
+func (o *Optimizer) fieldPath(e algebra.Expr) (algebra.Var, []string, bool) {
+	var path []string
 	for {
 		call, ok := e.(algebra.Call)
 		if !ok || call.Fn != "field-access" || len(call.Args) != 2 {
@@ -110,15 +111,24 @@ func (o *Optimizer) fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) 
 		}
 		name, ok := call.Args[1].(algebra.Const)
 		if !ok || name.Val.Kind() != adm.KindString {
-			return "", false
+			return 0, nil, false
 		}
-		parts = append([]string{o.Value(name).Str()}, parts...)
+		path = append(path, o.Value(name).Str())
 		e = call.Args[0]
 	}
-	if vr, ok := e.(algebra.VarRef); ok && vr.V == rec && len(parts) > 0 {
-		return strings.Join(parts, "."), true
+	vr, ok := e.(algebra.VarRef)
+	if !ok || len(path) == 0 {
+		return 0, nil, false
 	}
-	return "", false
+	slices.Reverse(path)
+	return vr.V, path, true
+}
+
+// indexedField is the path of a field-access chain rooted at rec,
+// dotted as the catalog names an indexed field.
+func (o *Optimizer) indexedField(e algebra.Expr, rec algebra.Var) (string, bool) {
+	v, path, ok := o.fieldPath(e)
+	return strings.Join(path, "."), ok && v == rec
 }
 
 // indexedArg analyzes one argument of a similarity function against a
@@ -128,10 +138,10 @@ func (o *Optimizer) fieldPathOf(e algebra.Expr, rec algebra.Var) (string, bool) 
 func (o *Optimizer) indexedArg(e algebra.Expr, rec algebra.Var, simFn string) (string, bool) {
 	if simFn == "jaccard" {
 		if call, ok := e.(algebra.Call); ok && call.Fn == "word-tokens" && len(call.Args) == 1 {
-			return o.fieldPathOf(call.Args[0], rec)
+			return o.indexedField(call.Args[0], rec)
 		}
 	}
-	return o.fieldPathOf(e, rec)
+	return o.indexedField(e, rec)
 }
 
 // constFoldable reports whether e references no variables (and so can
