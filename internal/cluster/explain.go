@@ -48,6 +48,9 @@ func explainAnalyzeRows(res *Result) []adm.Value {
 			op.Name, op.Instances, time.Duration(op.WallNs), time.Duration(op.BusyNs),
 			op.TuplesIn, op.TuplesOut, op.FramesSent, op.BytesMoved, op.SpillRuns, op.SpilledBytes)
 	}
+	if st.ScanPassed > 0 {
+		fmt.Fprintf(&b, "scan: passed=%d\n", st.ScanPassed)
+	}
 	if st.IndexSearches > 0 || st.CandidatesTotal > 0 || st.CornerCaseFallbacks > 0 {
 		fmt.Fprintf(&b, "similarity: T=%d searches=%d postings=%d pruned=%d candidates=%d verified=%d corner_fallbacks=%d\n",
 			st.OccurrenceT, st.IndexSearches, st.PostingsRead, st.PrunedTotal,

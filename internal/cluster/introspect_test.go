@@ -358,8 +358,14 @@ func TestSlowQueryOutlivesFastOnes(t *testing.T) {
 		c.tracer.Start(trace.NextQueryID(), "fast").Finish(nil)
 	}
 	recs := c.SlowQueries()
-	if len(recs) == 0 || recs[0].QueryID != slow.Stats.QueryID || recs[0].WallNs < (20*time.Millisecond).Nanoseconds() {
+	if len(recs) == 0 {
+		t.Fatal("the slow-query log is empty")
+	}
+	if recs[0].QueryID != slow.Stats.QueryID || recs[0].WallNs < (20*time.Millisecond).Nanoseconds() {
 		t.Fatalf("the slow query %d is not first in the slow-query log: %d records, first %+v", slow.Stats.QueryID, len(recs), recs[0])
+	}
+	if _, ok := c.Tracer().Get(slow.Stats.QueryID); !ok {
+		t.Errorf("the slow query %d is in the log but its trace is not found", slow.Stats.QueryID)
 	}
 	if len(recs) > 128+trace.SlowestKept {
 		t.Errorf("%d records, want at most the newest 128 and the %d slowest", len(recs), trace.SlowestKept)

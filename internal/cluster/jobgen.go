@@ -29,6 +29,7 @@ type QueryCounters struct {
 	// OccurrenceT records the largest T-occurrence threshold any index
 	// search of this query ran with (0 = no index search).
 	OccurrenceT atomic.Int64
+	ScanPassed  atomic.Int64 // rows the scans passed on, after their record filters
 }
 
 // noteOccurrenceT raises OccurrenceT to t if larger.
@@ -318,9 +319,9 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 	fields := scanFields(op.ProjectFields, pkField)
 	keep, filter := adm.NewKeepSet(fields), op.Filter
 	start, end := scanBounds(op.Range, g.params)
-	c := g.c
+	c, counters := g.c, g.counters
 	p := g.openSource([]algebra.Var{op.PKVar, op.RecVar}, g.parts, func(ctx *hyracks.TaskCtx, row hyracks.Tuple, next step) error {
-		return c.scanPartition(ctx, dv, ds, pkField, start, end, fields, keep, filter, row, next)
+		return c.scanPartition(ctx, dv, ds, pkField, start, end, fields, keep, filter, counters, row, next)
 	})
 	p.add("DataScan("+ds+")", nil)
 	return p.out, nil
@@ -1334,25 +1335,29 @@ func (p *pipeline) lookup(c *Cluster, op *algebra.Op, pkField string) {
 // fields, which is only correct because the optimizer proved no other
 // field is used. A non-nil filter goes to storage with the projection:
 // a row it rejects is never assembled or decoded. The instance reports
-// the rows storage read as its tuples in. Only keys in [start, end) are
-// read (nil: unbounded).
-func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, start, end []byte, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, row hyracks.Tuple, next step) error {
+// the rows storage read as its tuples in, and adds the rows it ran next
+// over to counters.ScanPassed. Only keys in [start, end) are read (nil:
+// unbounded).
+func (c *Cluster) scanPartition(ctx *hyracks.TaskCtx, dv, ds, pkField string, start, end []byte, fields []string, keep adm.KeepSet, filter *algebra.RecordFilter, counters *QueryCounters, row hyracks.Tuple, next step) error {
 	tree, err := c.nodeOfPartition(ctx.Part).primary(dv, ds, ctx.Part)
 	if err != nil {
 		return err
 	}
 	var scanErr error
+	var passed int64
 	read, err := tree.ScanProjectedContext(ctx.Ctx, start, end, fields, rowFilter(filter), func(key, val []byte) bool {
 		rec, err := decodeRecord(val, keep)
 		if err == nil {
 			row[0], _ = rec.Rec().GetPath(pkField)
 			row[1] = rec
+			passed++
 			err = next(row)
 		}
 		scanErr = err
 		return err == nil
 	})
 	ctx.RowsRead = read
+	counters.ScanPassed.Add(passed)
 	if scanErr != nil {
 		return scanErr
 	}

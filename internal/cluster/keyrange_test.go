@@ -303,7 +303,7 @@ func BenchmarkScanPartitionRange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx := &hyracks.TaskCtx{Ctx: context.Background(), Part: i % parts}
-				if err := c.scanPartition(ctx, "Default", "ReviewsPlain", "id", bc.start, bc.end, fields, keep, nil, row, next); err != nil {
+				if err := c.scanPartition(ctx, "Default", "ReviewsPlain", "id", bc.start, bc.end, fields, keep, nil, &QueryCounters{}, row, next); err != nil {
 					b.Fatal(err)
 				}
 			}

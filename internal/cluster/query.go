@@ -70,6 +70,7 @@ type QueryStats struct {
 	// threshold any index search used.
 	VerifiedTotal int64
 	OccurrenceT   int64
+	ScanPassed    int64 // rows the scans passed on (QueryCounters.ScanPassed)
 	// CornerCaseFallbacks counts similarity predicates the optimizer
 	// left on the scan plan because of a compile-time corner case.
 	CornerCaseFallbacks int
@@ -835,6 +836,7 @@ func (c *Cluster) runJobOnce(ctx context.Context, bp boundPlan, stats *QueryStat
 	stats.PostingsRead = counters.PostingsRead.Load()
 	stats.VerifiedTotal = counters.VerifiedTotal.Load()
 	stats.OccurrenceT = counters.OccurrenceT.Load()
+	stats.ScanPassed = counters.ScanPassed.Load()
 
 	var rows []adm.Value
 	if !stream {

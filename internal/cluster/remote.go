@@ -106,6 +106,7 @@ type counterVals struct {
 	PostingsRead    int64 `json:"postings_read"`
 	VerifiedTotal   int64 `json:"verified"`
 	OccurrenceT     int64 `json:"occurrence_t"`
+	ScanPassed      int64 `json:"scan_passed"`
 }
 
 func loadCounters(c *QueryCounters) counterVals {
@@ -116,6 +117,7 @@ func loadCounters(c *QueryCounters) counterVals {
 		PostingsRead:    c.PostingsRead.Load(),
 		VerifiedTotal:   c.VerifiedTotal.Load(),
 		OccurrenceT:     c.OccurrenceT.Load(),
+		ScanPassed:      c.ScanPassed.Load(),
 	}
 }
 
@@ -128,6 +130,7 @@ func mergeCounters(dst *QueryCounters, v counterVals) {
 	dst.PostingsRead.Add(v.PostingsRead)
 	dst.VerifiedTotal.Add(v.VerifiedTotal)
 	dst.noteOccurrenceT(v.OccurrenceT)
+	dst.ScanPassed.Add(v.ScanPassed)
 }
 
 // jobReply is a worker's per-job result: the instance records and

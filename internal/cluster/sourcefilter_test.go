@@ -174,8 +174,10 @@ func TestSourceFilter(t *testing.T) {
 		}
 		check("scan")
 
-		// The filtered scan's node reports what the scan read and what
-		// it let through.
+		// The filtered scan reports what it read (its node's tuples in)
+		// and what it let through (the query's ScanPassed). The filter is
+		// exact here, so what it let through is the answer: an unfiltered
+		// scan would pass every row on to the select.
 		res := exec(t, c, sess, jaccardQuery)
 		scans := 0
 		for _, op := range res.Stats.PhysicalOps() {
@@ -183,8 +185,9 @@ func TestSourceFilter(t *testing.T) {
 				continue
 			}
 			scans++
-			if op.TuplesIn != int64(len(reviews)) || op.TuplesOut != int64(len(res.Rows)) {
-				t.Errorf("filtered scan reports in=%d out=%d, want %d read and %d emitted", op.TuplesIn, op.TuplesOut, len(reviews), len(res.Rows))
+			if op.TuplesIn != int64(len(reviews)) || res.Stats.ScanPassed != int64(len(res.Rows)) || op.TuplesOut != int64(len(res.Rows)) {
+				t.Errorf("filtered scan reports in=%d passed=%d out=%d, want %d read and %d passed and emitted",
+					op.TuplesIn, res.Stats.ScanPassed, op.TuplesOut, len(reviews), len(res.Rows))
 			}
 		}
 		if scans != 1 {

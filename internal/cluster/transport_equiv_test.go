@@ -157,10 +157,11 @@ func TestTransportEquivalence(t *testing.T) {
 	t.Run("scan-filter", func(t *testing.T) {
 		// The worker re-derives the plan from the query text, so it must
 		// derive the scan's record filter too. The scan's node, which also
-		// runs the select, reports the rows storage read as its tuples in
-		// and the rows it passed on as out. The filter and the select keep
-		// the same rows, so the table cannot tell a worker's unfiltered
-		// scan from a filtered one: only the plan line shows the filter.
+		// runs the select, reports the rows storage read as its tuples in,
+		// and the report's scan line the rows the scans passed on, the
+		// worker's included. The filter is exact here: were the worker's
+		// scans unfiltered, they would pass on more rows than the query
+		// returns.
 		const q = `
 			for $r in dataset EqReviews
 			where similarity-jaccard(word-tokens($r.summary), word-tokens('great heart works')) >= 0.6
@@ -185,6 +186,9 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 			if !found {
 				t.Errorf("%s: no DataScan(EqReviews) row:\n%s", name, report)
+			}
+			if want := fmt.Sprintf("\nscan: passed=%d\n", len(res.Rows)); !strings.Contains(report, want) {
+				t.Errorf("%s: report has no line %q:\n%s", name, strings.TrimSpace(want), report)
 			}
 		}
 	})

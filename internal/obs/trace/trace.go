@@ -332,13 +332,18 @@ func (tc *Tracer) Slowest() []*Trace {
 	return slices.Clone(tc.slow)
 }
 
-// Get finds a finished trace of the ring by query ID.
+// Get finds a finished trace, newest or slowest, by query ID.
 func (tc *Tracer) Get(id uint64) (*Trace, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	for i := len(tc.ring) - 1; i >= 0; i-- {
 		if tc.ring[i].ID == id {
 			return tc.ring[i], true
+		}
+	}
+	for _, t := range tc.slow {
+		if t.ID == id {
+			return t, true
 		}
 	}
 	return nil, false

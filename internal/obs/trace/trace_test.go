@@ -59,19 +59,29 @@ func TestTraceSpansAndRing(t *testing.T) {
 		t.Fatalf("retire: recent=%d", len(tc.Recent()))
 	}
 
-	// Ring keeps only the newest `capacity` traces, newest first.
-	for id := uint64(2); id <= 4; id++ {
-		tc.Start(id, "q").Finish(nil)
+	// Ring keeps only the newest `capacity` traces, newest first, and Get
+	// also finds the SlowestKept slowest. Each later trace runs longer
+	// than the one before, so traces 1 to 3 leave both sets.
+	last := uint64(SlowestKept + 3)
+	for id := uint64(2); id <= last; id++ {
+		tr := tc.Start(id, "q")
+		tr.Start = tr.Start.Add(-time.Duration(id) * time.Second)
+		tr.Finish(nil)
 	}
 	recent := tc.Recent()
-	if len(recent) != 2 || recent[0].ID != 4 || recent[1].ID != 3 {
+	if len(recent) != 2 || recent[0].ID != last || recent[1].ID != last-1 {
 		t.Fatalf("ring contents: %v", ids(recent))
 	}
-	if _, ok := tc.Get(1); ok {
-		t.Fatal("evicted trace still reachable")
+	for id := uint64(1); id <= 3; id++ {
+		if _, ok := tc.Get(id); ok {
+			t.Fatalf("evicted trace %d still reachable", id)
+		}
+	}
+	if got, ok := tc.Get(last); !ok || got.ID != last {
+		t.Fatalf("Get(%d) failed", last)
 	}
 	if got, ok := tc.Get(4); !ok || got.ID != 4 {
-		t.Fatal("Get(4) failed")
+		t.Fatal("Get(4) failed: a trace among the slowest must be found after it left the ring")
 	}
 }
 
