@@ -195,12 +195,17 @@ func (c *Cluster) generateJob(bp boundPlan, counters *QueryCounters, replay bool
 		return nil, nil, err
 	}
 	collector := &hyracks.Collector{}
-	conn := hyracks.ConnectorSpec{Type: hyracks.GatherOne}
-	if res.sortCols != nil {
-		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: res.sortCols}
-	}
-	hyracks.MakeSink(g.job, "DistributeResult", collector, g.inputFrom(res, conn))
+	hyracks.MakeSink(g.job, "DistributeResult", collector, g.inputFrom(res, gatherConn(res)))
 	return g, collector, nil
+}
+
+// gatherConn gathers out into one instance, merged in its order if it
+// has one.
+func gatherConn(out *genOut) hyracks.ConnectorSpec {
+	if out.sortCols != nil {
+		return hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: out.sortCols}
+	}
+	return hyracks.ConnectorSpec{Type: hyracks.GatherOne}
 }
 
 // inputFrom builds the Input edge from a generated child.
@@ -287,10 +292,8 @@ func (g *jobGen) genFresh(op *algebra.Op) (*genOut, error) {
 		return p.out, p.stage(op, g.counters)
 	case algebra.OpOrder:
 		return g.genOrder(op)
-	case algebra.OpRank:
-		return g.genRank(op)
-	case algebra.OpLimit:
-		return g.genLimit(op)
+	case algebra.OpRank, algebra.OpLimit:
+		return g.genGathered(op)
 	case algebra.OpAggregate:
 		return g.genAggregate(op)
 	case algebra.OpGroupBy:
@@ -389,18 +392,41 @@ type stage func(inst *instance, next step) (step, error)
 type source func(ctx *hyracks.TaskCtx, row hyracks.Tuple, next step) error
 
 // instance is one operator instance of a pipeline's node. A stage that
-// holds something for the instance's lifetime (a lookup's snapshot)
-// registers its release as it builds its step, and seal runs the
-// releases on every exit path: error, cancellation, end of input.
+// holds something for the instance's lifetime (a lookup's snapshot, a
+// push form's memory and runs) registers its release as it builds its
+// step, and seal runs the releases on every exit path: error,
+// cancellation, end of input. A stage that holds rows until its input
+// ends registers its end, which seal runs once the input has ended.
 type instance struct {
 	ctx *hyracks.TaskCtx
-	// cur is the input tuple the chain runs over, which a chain that
-	// hands its input on unchanged emits.
-	cur     hyracks.Tuple
+	// cur is the tuple the chain's last segment started from, which a
+	// chain that hands it on unchanged emits.
+	cur hyracks.Tuple
+	// builds are the ports the stages read as the instance starts, in
+	// pipeline.builds order.
+	builds  []*hyracks.PortReader
 	closers []func()
+	ends    []func() error
 }
 
-func (inst *instance) onClose(f func()) { inst.closers = append(inst.closers, f) }
+func (inst *instance) onClose(f func())     { inst.closers = append(inst.closers, f) }
+func (inst *instance) onEnd(f func() error) { inst.ends = append(inst.ends, f) }
+
+// end runs the stages' ends in chain order once the input has ended:
+// the steps are built from the last stage to the first, so the first
+// stage's end was registered last. A blocking stage's end pushes its
+// rows through the stages after it, whose own ends come after.
+func (inst *instance) end() error {
+	if err := inst.ctx.Ctx.Err(); err != nil {
+		return err
+	}
+	for i := len(inst.ends) - 1; i >= 0; i-- {
+		if err := inst.ends[i](); err != nil {
+			return err
+		}
+	}
+	return inst.ctx.Ctx.Err()
+}
 
 func (inst *instance) close() {
 	for i := len(inst.closers) - 1; i >= 0; i-- {
@@ -408,18 +434,21 @@ func (inst *instance) close() {
 	}
 }
 
-// pipeline builds the one job node of a maximal chain of per-row
+// pipeline builds the one job node of a maximal chain of operators
+// between two places rows change partition, headed by the port it reads
+// or by a source: a scan, or the empty tuple. Its stages are the per-row
 // operators (select, assign, project, unnest, index search, primary
-// lookup, and the select or project a join, a union input and the
-// result add), headed by the port it reads or by a source: a scan, or
-// the empty tuple. Every instance owns one scratch row: the source
-// writes its row, or the input tuple is copied, into its first slots, a
-// stage writes the variables it defines into slots of their own, and
-// the compiled evaluators index the row by slot, so nothing is
-// allocated until the last stage builds the output tuple of a surviving
-// row from the slots that are still live. An evaluator may read the row
-// only while it runs (the next input overwrites it); a value it returns
-// is immutable and may be kept.
+// lookup, rank, limit, and the select or project a join, a union input
+// and the result add) and the push forms of hyracks (sort, group-by,
+// aggregate, join). Every instance owns a scratch row per segment: the
+// source writes its row, or the input tuple is copied, into the first
+// slots of the head segment's, a stage writes the variables it defines
+// into slots of their own, and the compiled evaluators index the row by
+// slot, so nothing is allocated until the last stage builds the output
+// tuple of a surviving row from the slots that are still live. A push
+// form's output heads a segment of its own. An evaluator may read the
+// row only while it runs (the next input overwrites it); a value it
+// returns is immutable and may be kept.
 type pipeline struct {
 	// in is the sealed producer the chain reads through conn; under a
 	// source it has no node and stands for the source's rows.
@@ -429,11 +458,15 @@ type pipeline struct {
 	parts  int                 // instances of the chain's node
 	out    *genOut             // the open genOut that stands for the chain
 	schema []algebra.Var       // variables visible after the last stage
-	cols   map[algebra.Var]int // visible variable -> slot
-	width  int                 // slots of the scratch row
+	cols   map[algebra.Var]int // visible variable -> slot of seg's row
+	head   *segment            // the segment the input starts
+	seg    *segment            // the segment the last stage ends in
 	params []adm.Value         // the job's jobGen.params
 	stages []stage
 	names  []string // stage names, in order: the node's name
+	// builds are the ports a join's stage reads its build side from as
+	// an instance starts.
+	builds []hyracks.Input
 	// sorted is the order of the chain's rows within an instance, by
 	// slot of the scratch row; nil for none.
 	sorted []hyracks.SortCol
@@ -444,23 +477,69 @@ type pipeline struct {
 	fromIndex  bool
 }
 
+// segment is a stretch of a pipeline over one scratch row: from the
+// head, or from a push form's output, to the next push form or the end.
+type segment struct {
+	width int // slots of the row
+	// n is the number of slots its start writes. owned: they are copied
+	// from one tuple nothing changes afterwards (the port's, or one a push
+	// form emits), which the end of the chain may emit as it is.
+	n     int
+	owned bool
+}
+
+// partsOf returns the instances out runs in.
+func partsOf(out *genOut) int {
+	if out.pipe != nil {
+		return out.pipe.parts
+	}
+	return out.parts
+}
+
 // openPipeline returns the pipeline out ends in, or starts one above it.
 func (g *jobGen) openPipeline(out *genOut) *pipeline {
 	if out.pipe != nil {
 		return out.pipe
 	}
+	n := len(out.schema)
 	p := &pipeline{
 		in:     out,
 		conn:   hyracks.ConnectorSpec{Type: hyracks.OneToOne},
 		parts:  out.parts,
 		schema: append([]algebra.Var(nil), out.schema...),
 		cols:   colMap(out.schema),
-		width:  len(out.schema),
+		head:   &segment{width: n, n: n, owned: true},
 		params: g.params,
 		sorted: out.sortCols, fromIndex: out.fromIndex,
 	}
+	p.seg = p.head
 	p.out = &genOut{pipe: p}
 	return p
+}
+
+// openPort starts a pipeline that reads in, a sealed node, through conn
+// in parts instances. Only a merge keeps in's order.
+func (g *jobGen) openPort(in *genOut, conn hyracks.ConnectorSpec, parts int) *pipeline {
+	p := g.openPipeline(in)
+	p.conn, p.parts = conn, parts
+	if conn.Type != hyracks.MergeOne {
+		p.sorted = nil
+	}
+	return p
+}
+
+// gathered returns a pipeline over open in one instance: open's own,
+// extended, if it runs in one, and otherwise a new one over it sealed,
+// merged in its order if it has one.
+func (g *jobGen) gathered(open *genOut, below *algebra.Op) (*pipeline, error) {
+	if partsOf(open) == 1 {
+		return g.openPipeline(open), nil
+	}
+	in, err := g.sealed(open, below)
+	if err != nil {
+		return nil, err
+	}
+	return g.openPort(in, gatherConn(in), 1), nil
 }
 
 // openSource starts a pipeline headed by src, in parts instances, whose
@@ -468,6 +547,7 @@ func (g *jobGen) openPipeline(out *genOut) *pipeline {
 func (g *jobGen) openSource(vars []algebra.Var, parts int, src source) *pipeline {
 	p := g.openPipeline(&genOut{schema: vars, parts: parts})
 	p.src = src
+	p.head.owned = false
 	return p
 }
 
@@ -475,12 +555,154 @@ func (g *jobGen) openSource(vars []algebra.Var, parts int, src source) *pipeline
 func (p *pipeline) bind(vars ...algebra.Var) []int {
 	slots := make([]int, len(vars))
 	for i, v := range vars {
-		slots[i] = p.width
-		p.cols[v] = p.width
-		p.width++
+		slots[i] = p.seg.width
+		p.cols[v] = p.seg.width
+		p.seg.width++
 	}
 	p.schema = append(p.schema, vars...)
 	return slots
+}
+
+// slotsOf returns the slots of vars.
+func (p *pipeline) slotsOf(vars []algebra.Var) ([]int, error) {
+	slots := make([]int, len(vars))
+	for i, v := range vars {
+		c, ok := p.cols[v]
+		if !ok {
+			return nil, fmt.Errorf("jobgen: var %v missing from schema %v", v, p.schema)
+		}
+		slots[i] = c
+	}
+	return slots, nil
+}
+
+// pushEmit is where a push form's stage sends what the form emits: a
+// row, or a join's build and probe rows, which head the next segment.
+type pushEmit func(a, b hyracks.Tuple) error
+
+// one sends a single row.
+func (e pushEmit) one(t hyracks.Tuple) error { return e(t, nil) }
+
+// push adds a stage that a push form runs. Each row hands the form the
+// slots of in, in that order, in a tuple the instance reuses; what the
+// form emits heads a new segment of the chain, whose variables are out:
+// one row (owned, so the end of the chain may emit it as it is) or a
+// join's pair of rows. mk makes an instance's form, given where it
+// emits; a form it returns is closed, with an error or without.
+func (p *pipeline) push(name string, in, out []algebra.Var, owned bool, mk func(inst *instance, emit pushEmit) (hyracks.Push, error)) error {
+	slots, err := p.slotsOf(in)
+	if err != nil {
+		return err
+	}
+	seg := &segment{width: len(out), n: len(out), owned: owned}
+	p.seg, p.schema, p.cols, p.sorted, p.everywhere = seg, append([]algebra.Var(nil), out...), colMap(out), nil, false
+	p.add(name, func(inst *instance, next step) (step, error) {
+		row := make(hyracks.Tuple, seg.width)
+		form, err := mk(inst, func(a, b hyracks.Tuple) error {
+			inst.cur = a
+			copy(row, a)
+			copy(row[len(a):], b)
+			return next(row)
+		})
+		if form != nil {
+			inst.onClose(form.Close)
+		}
+		if err != nil {
+			return nil, err
+		}
+		inst.onEnd(form.End)
+		buf := make(hyracks.Tuple, len(slots))
+		return func(r hyracks.Tuple) error {
+			for i, s := range slots {
+				buf[i] = r[s]
+			}
+			return form.Add(buf)
+		}, nil
+	})
+	return nil
+}
+
+// blocking adds a stage that a push form emitting single rows runs, as
+// push does.
+func (p *pipeline) blocking(name string, in, out []algebra.Var, mk func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple) error) hyracks.Push) error {
+	return p.push(name, in, out, true, func(inst *instance, emit pushEmit) (hyracks.Push, error) {
+		return mk(inst.ctx, emit.one), nil
+	})
+}
+
+// sort adds a Sort stage: the chain's rows, cut to vars, sorted by
+// orders, whose keys are variables among vars.
+func (p *pipeline) sort(vars []algebra.Var, orders []algebra.OrderSpec) error {
+	exprs := make([]algebra.Expr, len(orders))
+	for i, o := range orders {
+		exprs[i] = o.E
+	}
+	cols, err := colsOf(exprs, colMap(vars), "order key")
+	if err != nil {
+		return err
+	}
+	sortCols := make([]hyracks.SortCol, len(orders))
+	for i, o := range orders {
+		sortCols[i] = hyracks.SortCol{Col: cols[i], Desc: o.Desc}
+	}
+	err = p.blocking("Sort", vars, vars, func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple) error) hyracks.Push {
+		return hyracks.Sort(ctx, sortCols, emit)
+	})
+	p.sorted = sortCols
+	return err
+}
+
+// aggStage names the stage of a scalar aggregate by its phase.
+var aggStage = [...]string{hyracks.AggWhole: "Aggregate", hyracks.AggLocal: "AggregateLocal", hyracks.AggFinal: "AggregateFinal"}
+
+// aggregate adds a scalar aggregate's stage in phase over the chain's
+// rows, cut to in, defining out.
+func (p *pipeline) aggregate(phase hyracks.AggPhase, in, out []algebra.Var, specs []hyracks.AggSpec) error {
+	p.fromIndex = false
+	return p.blocking(aggStage[phase], in, out, func(_ *hyracks.TaskCtx, emit func(hyracks.Tuple) error) hyracks.Push {
+		return hyracks.Aggregate(specs, phase, emit)
+	})
+}
+
+// groupForm makes a group-by's push form (hyracks.SortGroup or HashGroup).
+type groupForm func(ctx *hyracks.TaskCtx, keys []int, aggs []hyracks.AggSpec, emit func(hyracks.Tuple) error) hyracks.Push
+
+// group adds a group-by's stage: form groups the chain's rows, cut to
+// in, on the columns keys of in, into rows of out.
+func (p *pipeline) group(name string, form groupForm, in, out []algebra.Var, keys []int, specs []hyracks.AggSpec) error {
+	p.fromIndex = false
+	return p.blocking(name, in, out, func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple) error) hyracks.Push {
+		return form(ctx, keys, specs, emit)
+	})
+}
+
+// rank numbers the chain's rows in order into v's slot.
+func (p *pipeline) rank(v algebra.Var) {
+	slot := p.bind(v)[0]
+	p.everywhere = false
+	p.add("Rank", func(_ *instance, next step) (step, error) {
+		var i int64
+		return func(row hyracks.Tuple) error {
+			i++
+			row[slot] = adm.NewInt(i)
+			return next(row)
+		}, nil
+	})
+}
+
+// limit passes on the chain's first n rows.
+func (p *pipeline) limit(n int64) {
+	p.everywhere = false
+	p.add("Limit", func(_ *instance, next step) (step, error) {
+		var seen int64
+		return func(row hyracks.Tuple) error {
+			if seen >= n {
+				return nil
+			}
+			seen++
+			return next(row)
+		}, nil
+	})
 }
 
 func (p *pipeline) add(name string, st stage) {
@@ -507,20 +729,11 @@ func (p *pipeline) liveVars(live map[algebra.Var]bool) []algebra.Var {
 	sorted := p.sortVars()
 	var keep []algebra.Var
 	for _, v := range p.schema {
-		if live[v] || containsVar(sorted, v) {
+		if live[v] || slices.Contains(sorted, v) {
 			keep = append(keep, v)
 		}
 	}
 	return keep
-}
-
-func containsVar(vars []algebra.Var, v algebra.Var) bool {
-	for _, x := range vars {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // sel adds a select: the fused-assign evaluators run first, filling
@@ -651,20 +864,19 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 }
 
 // seal ends the chain in one job node that emits vars. Only here is a
-// tuple allocated, one per surviving row; a chain that hands its input
-// on unchanged emits the input tuple itself, and one with nothing to run
-// and nothing to drop adds no node at all. A chain headed by a source is
-// a node with no input.
+// tuple allocated, one per surviving row; a chain that hands the tuple
+// its last segment started from on unchanged emits that tuple itself,
+// and one with nothing to run and nothing to drop adds no node at all. A
+// chain headed by a source is a node with no input but the ports its
+// joins build from.
 func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 	in, src := p.in, p.src
-	slots := make([]int, len(vars))
-	same := src == nil && len(vars) == len(in.schema)
-	for i, v := range vars {
-		c, ok := p.cols[v]
-		if !ok {
-			return nil, fmt.Errorf("jobgen: pipeline output var %v missing from schema %v", v, p.schema)
-		}
-		slots[i] = c
+	slots, err := p.slotsOf(vars)
+	if err != nil {
+		return nil, err
+	}
+	same := p.seg.owned && len(vars) == p.seg.n
+	for i, c := range slots {
 		same = same && c == i
 	}
 	out := &genOut{node: in.node, port: in.port, schema: vars, parts: p.parts, fromIndex: p.fromIndex}
@@ -678,18 +890,20 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 		}
 		out.sortCols = append(out.sortCols, hyracks.SortCol{Col: i, Desc: sc.Desc})
 	}
-	if len(p.stages) == 0 && same {
+	if len(p.stages) == 0 && same && p.conn.Type == hyracks.OneToOne {
 		return out, nil
 	}
 	var inputs []hyracks.Input
 	if src == nil {
 		inputs = append(inputs, g.inputFrom(in, p.conn))
 	}
-	stages, width := p.stages, p.width
+	heads := len(inputs)
+	inputs = append(inputs, p.builds...)
+	stages, width := p.stages, p.head.width
 	out.port = 0
 	out.node = g.job.Add(strings.Join(p.names, "+"), p.parts, func() hyracks.Operator {
 		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, ports []*hyracks.PortReader, outs []*hyracks.Emitter) error {
-			inst := &instance{ctx: ctx}
+			inst := &instance{ctx: ctx, builds: ports[heads:]}
 			defer inst.close()
 			row := make(hyracks.Tuple, width)
 			first := step(func(row hyracks.Tuple) error {
@@ -716,12 +930,12 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 				if err := src(ctx, row, first); err != nil {
 					return err
 				}
-				return ctx.Ctx.Err()
+				return inst.end()
 			}
 			for {
 				t, ok := ports[0].Next()
 				if !ok {
-					return ctx.Ctx.Err()
+					return inst.end()
 				}
 				inst.cur = t
 				copy(row, t)
@@ -754,10 +968,10 @@ func inOrder(out *genOut, orders []algebra.OrderSpec) bool {
 	return true
 }
 
-// genOrder sorts each partition of its input, unless the input already
-// has the order: then the Order generates nothing, and a pipeline below
-// it stays open (the plan keeps the Order, which the paper's Figure 15
-// counts).
+// genOrder sorts each partition of its input as a stage of the pipeline
+// it ends in, unless the input already has the order: then the Order
+// generates nothing, and the pipeline stays as it is (the plan keeps the
+// Order, which the paper's Figure 15 counts).
 func (g *jobGen) genOrder(op *algebra.Op) (*genOut, error) {
 	open, err := g.genOpen(op.Inputs[0])
 	if err != nil {
@@ -766,76 +980,28 @@ func (g *jobGen) genOrder(op *algebra.Op) (*genOut, error) {
 	if inOrder(open, op.Orders) {
 		return open, nil
 	}
-	in, err := g.sealed(open, op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	cols := colMap(in.schema)
-	sortCols := make([]hyracks.SortCol, len(op.Orders))
-	for i, o := range op.Orders {
-		vr, ok := o.E.(algebra.VarRef)
-		if !ok {
-			return nil, fmt.Errorf("jobgen: order key not normalized: %s", o.E)
-		}
-		c, ok := cols[vr.V]
-		if !ok {
-			return nil, fmt.Errorf("jobgen: order var %v missing", vr.V)
-		}
-		sortCols[i] = hyracks.SortCol{Col: c, Desc: o.Desc}
-	}
-	node := g.job.Add("Sort", in.parts, hyracks.Sort(sortCols),
-		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-	return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: sortCols, fromIndex: in.fromIndex}, nil
+	p := g.openPipeline(open)
+	return p.out, p.sort(p.liveVars(g.live[op.Inputs[0]]), op.Orders)
 }
 
-// genRank numbers the tuples of its input in order, keeping the columns
-// live above it. Its one instance emits in order, so the output stays
-// ordered for a single-instance reader even where it drops a sort
-// column and with it sortCols.
-func (g *jobGen) genRank(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
+// genGathered adds a rank or a limit: a per-row stage over all of its
+// input's rows in order, so of a pipeline in one instance, the input's
+// own if it runs in one, else one that gathers it, merged in its order.
+func (g *jobGen) genGathered(op *algebra.Op) (*genOut, error) {
+	open, err := g.genOpen(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	conn := hyracks.ConnectorSpec{Type: hyracks.GatherOne}
-	if in.sortCols != nil {
-		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: in.sortCols}
-	}
-	live := g.live[op]
-	var cols []int
-	var schema []algebra.Var
-	at := make(map[int]int, len(in.schema)) // input column -> output column
-	for c, v := range in.schema {
-		if live[v] {
-			at[c] = len(cols)
-			cols = append(cols, c)
-			schema = append(schema, v)
-		}
-	}
-	var sortCols []hyracks.SortCol
-	for _, sc := range in.sortCols {
-		c, ok := at[sc.Col]
-		if !ok {
-			sortCols = nil
-			break
-		}
-		sortCols = append(sortCols, hyracks.SortCol{Col: c, Desc: sc.Desc})
-	}
-	node := g.job.Add("Rank", 1, hyracks.Rank(cols), g.inputFrom(in, conn))
-	return &genOut{node: node, schema: append(schema, op.PosVar), parts: 1, sortCols: sortCols, fromIndex: in.fromIndex}, nil
-}
-
-func (g *jobGen) genLimit(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
+	p, err := g.gathered(open, op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	conn := hyracks.ConnectorSpec{Type: hyracks.GatherOne}
-	if in.sortCols != nil {
-		conn = hyracks.ConnectorSpec{Type: hyracks.MergeOne, SortCols: in.sortCols}
+	if op.Kind == algebra.OpRank {
+		p.rank(op.PosVar)
+	} else {
+		p.limit(op.Count)
 	}
-	node := g.job.Add("Limit", 1, hyracks.Limit(op.Count), g.inputFrom(in, conn))
-	return &genOut{node: node, schema: in.schema, parts: 1, sortCols: in.sortCols, fromIndex: in.fromIndex}, nil
+	return p.out, nil
 }
 
 // aggKindOf maps algebra aggregate kinds to runtime kinds.
@@ -884,72 +1050,88 @@ func combineKind(k algebra.AggKind) hyracks.AggKind {
 func aggSpecsFor(aggs []algebra.AggDef, cols map[algebra.Var]int) ([]hyracks.AggSpec, error) {
 	out := make([]hyracks.AggSpec, len(aggs))
 	for i, a := range aggs {
-		spec := hyracks.AggSpec{Kind: aggKindOf(a.Kind)}
+		out[i].Kind = aggKindOf(a.Kind)
 		if a.Kind != algebra.AggCount {
-			vr, ok := a.E.(algebra.VarRef)
-			if !ok {
-				return nil, fmt.Errorf("jobgen: aggregate input not normalized: %s", a.E)
+			in, err := colsOf([]algebra.Expr{a.E}, cols, "aggregate input")
+			if err != nil {
+				return nil, err
 			}
-			c, ok := cols[vr.V]
-			if !ok {
-				return nil, fmt.Errorf("jobgen: aggregate var %v missing", vr.V)
-			}
-			spec.In = c
+			out[i].In = in[0]
 		}
-		out[i] = spec
 	}
 	return out, nil
 }
 
-func (g *jobGen) genAggregate(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
-	if err != nil {
-		return nil, err
+// aggVars returns the variables the aggregates define.
+func aggVars(aggs []algebra.AggDef) []algebra.Var {
+	vars := make([]algebra.Var, len(aggs))
+	for i, a := range aggs {
+		vars[i] = a.V
 	}
-	cols := colMap(in.schema)
-	specs, err := aggSpecsFor(op.Aggs, cols)
-	if err != nil {
-		return nil, err
-	}
-	schema := make([]algebra.Var, len(op.Aggs))
-	for i, a := range op.Aggs {
-		schema[i] = a.V
-	}
-	if decomposable(op.Aggs) && in.parts > 1 {
-		local := g.job.Add("AggregateLocal", in.parts, hyracks.Aggregate(specs),
-			g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-		finalSpecs := make([]hyracks.AggSpec, len(op.Aggs))
-		for i, a := range op.Aggs {
-			finalSpecs[i] = hyracks.AggSpec{Kind: combineKind(a.Kind), In: i}
-		}
-		final := g.job.Add("AggregateFinal", 1, hyracks.Aggregate(finalSpecs),
-			hyracks.Input{From: local, Conn: hyracks.ConnectorSpec{Type: hyracks.GatherOne}})
-		return &genOut{node: final, schema: schema, parts: 1}, nil
-	}
-	node := g.job.Add("Aggregate", 1, hyracks.Aggregate(specs),
-		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.GatherOne}))
-	return &genOut{node: node, schema: schema, parts: 1}, nil
+	return vars
 }
 
-func (g *jobGen) genGroupBy(op *algebra.Op) (*genOut, error) {
-	in, err := g.gen(op.Inputs[0])
+// genAggregate aggregates its input as a stage of the pipeline it ends
+// in when the aggregates decompose and the input is partitioned: each
+// partition's rows fold into a local partial, which the final stage in
+// one instance combines. Otherwise the whole input is aggregated in one
+// instance.
+func (g *jobGen) genAggregate(op *algebra.Op) (*genOut, error) {
+	open, err := g.genOpen(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	cols := colMap(in.schema)
-	keyCols := make([]int, len(op.Keys))
+	schema := aggVars(op.Aggs)
+	phase := hyracks.AggWhole
+	var p *pipeline
+	if decomposable(op.Aggs) && partsOf(open) > 1 {
+		phase, p = hyracks.AggLocal, g.openPipeline(open)
+	} else if p, err = g.gathered(open, op.Inputs[0]); err != nil {
+		return nil, err
+	}
+	in := p.liveVars(g.live[op.Inputs[0]])
+	specs, err := aggSpecsFor(op.Aggs, colMap(in))
+	if err != nil {
+		return nil, err
+	}
+	if err := p.aggregate(phase, in, schema, specs); err != nil || phase == hyracks.AggWhole {
+		return p.out, err
+	}
+	partial, err := g.seal(p, schema)
+	if err != nil {
+		return nil, err
+	}
+	final := slices.Clone(specs)
+	for i := range final {
+		final[i].In = i
+	}
+	p = g.openPort(partial, hyracks.ConnectorSpec{Type: hyracks.GatherOne}, 1)
+	return p.out, p.aggregate(hyracks.AggFinal, schema, schema, final)
+}
+
+// groupCols resolves the keys and aggregates of a group-by through vars,
+// the row its stage is handed.
+func groupCols(op *algebra.Op, vars []algebra.Var) ([]int, []hyracks.AggSpec, error) {
+	cols := colMap(vars)
+	exprs := make([]algebra.Expr, len(op.Keys))
 	for i, k := range op.Keys {
-		vr, ok := k.E.(algebra.VarRef)
-		if !ok {
-			return nil, fmt.Errorf("jobgen: group key not normalized: %s", k.E)
-		}
-		c, ok := cols[vr.V]
-		if !ok {
-			return nil, fmt.Errorf("jobgen: group key var %v missing", vr.V)
-		}
-		keyCols[i] = c
+		exprs[i] = k.E
+	}
+	keyCols, err := colsOf(exprs, cols, "group key")
+	if err != nil {
+		return nil, nil, err
 	}
 	specs, err := aggSpecsFor(op.Aggs, cols)
+	return keyCols, specs, err
+}
+
+// genGroupBy groups its input in a pipeline over a hash port on the
+// keys. Under the hash hint, aggregates that decompose are first
+// pre-aggregated per partition, as a stage of the pipeline the input
+// ends in (Figure 12's stage 1 shape); the final stage then groups the
+// partials, keys 0..k-1 and partials k..k+n-1.
+func (g *jobGen) genGroupBy(op *algebra.Op) (*genOut, error) {
+	open, err := g.genOpen(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -957,51 +1139,88 @@ func (g *jobGen) genGroupBy(op *algebra.Op) (*genOut, error) {
 	for _, k := range op.Keys {
 		schema = append(schema, k.V)
 	}
-	for _, a := range op.Aggs {
-		schema = append(schema, a.V)
-	}
-
+	schema = append(schema, aggVars(op.Aggs)...)
+	// The default is the sort-based aggregation: hash-repartition on the
+	// keys, then sort each partition and stream-group, in one stage.
+	// (Repartition-then-sort rather than sort-then-merge: bounded merge
+	// connectors can deadlock when skewed producers fill one consumer's
+	// buffer while another consumer still waits for that producer's
+	// first frame.)
+	name, form := "SortGroup", hyracks.SortGroup
 	if op.HashHint {
-		// The paper's /*+ hash */ path: local hash pre-aggregation when
-		// the aggregates decompose, then a hash-repartitioned final
-		// aggregation (Figure 12's stage 1 shape).
-		if decomposable(op.Aggs) && in.parts > 1 {
-			local := g.job.Add("HashGroupLocal", in.parts, hyracks.HashGroup(keyCols, specs),
-				g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-			// Local output layout: keys 0..k-1, partials k..k+n-1.
-			finalKeys := make([]int, len(keyCols))
-			for i := range finalKeys {
-				finalKeys[i] = i
-			}
-			finalSpecs := make([]hyracks.AggSpec, len(op.Aggs))
-			for i, a := range op.Aggs {
-				finalSpecs[i] = hyracks.AggSpec{Kind: combineKind(a.Kind), In: len(keyCols) + i}
-			}
-			final := g.job.Add("HashGroupFinal", g.parts, hyracks.HashGroup(finalKeys, finalSpecs),
-				hyracks.Input{From: local, Conn: hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: finalKeys}})
-			return &genOut{node: final, schema: schema, parts: g.parts}, nil
+		name, form = "HashGroup", hyracks.HashGroup
+	}
+	var in *genOut
+	var keyCols []int
+	var specs []hyracks.AggSpec
+	if op.HashHint && decomposable(op.Aggs) && partsOf(open) > 1 {
+		p := g.openPipeline(open)
+		vars := p.liveVars(g.live[op.Inputs[0]])
+		if keyCols, specs, err = groupCols(op, vars); err != nil {
+			return nil, err
 		}
-		node := g.job.Add("HashGroup", g.parts, hyracks.HashGroup(keyCols, specs),
-			g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: keyCols}))
-		return &genOut{node: node, schema: schema, parts: g.parts}, nil
+		if err := p.group("HashGroupLocal", form, vars, schema, keyCols, specs); err != nil {
+			return nil, err
+		}
+		if in, err = g.seal(p, schema); err != nil {
+			return nil, err
+		}
+		keyCols, specs = make([]int, len(op.Keys)), make([]hyracks.AggSpec, len(op.Aggs))
+		for i := range keyCols {
+			keyCols[i] = i
+		}
+		for i, a := range op.Aggs {
+			specs[i] = hyracks.AggSpec{Kind: combineKind(a.Kind), In: len(keyCols) + i}
+		}
+		name = "HashGroupFinal"
+	} else {
+		if in, err = g.sealed(open, op.Inputs[0]); err != nil {
+			return nil, err
+		}
+		if keyCols, specs, err = groupCols(op, in.schema); err != nil {
+			return nil, err
+		}
 	}
-
-	// Default sort-based aggregation: hash-repartition on the keys,
-	// sort each partition, then stream-group. (Repartition-then-sort
-	// rather than sort-then-merge: bounded merge connectors can
-	// deadlock when skewed producers fill one consumer's buffer while
-	// another consumer still waits for that producer's first frame.)
-	sortCols := make([]hyracks.SortCol, len(keyCols))
-	for i, c := range keyCols {
-		sortCols[i] = hyracks.SortCol{Col: c}
-	}
-	sorted := g.job.Add("SortForGroup", g.parts, hyracks.Sort(sortCols),
-		g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: keyCols}))
-	node := g.job.Add("SortGroup", g.parts, hyracks.SortGroup(keyCols, specs),
-		hyracks.Input{From: sorted, Conn: hyracks.ConnectorSpec{Type: hyracks.OneToOne}})
-	return &genOut{node: node, schema: schema, parts: g.parts}, nil
+	p := g.openPort(in, hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: keyCols}, g.parts)
+	return p.out, p.group(name, form, in.schema, schema, keyCols, specs)
 }
 
+// colsOf resolves exprs, each a variable, to their columns in cols;
+// what names them in an error.
+func colsOf(exprs []algebra.Expr, cols map[algebra.Var]int, what string) ([]int, error) {
+	out := make([]int, len(exprs))
+	for i, e := range exprs {
+		vr, ok := e.(algebra.VarRef)
+		if !ok {
+			return nil, fmt.Errorf("jobgen: %s not normalized: %s", what, e)
+		}
+		c, ok := cols[vr.V]
+		if !ok {
+			return nil, fmt.Errorf("jobgen: %s var %v missing", what, vr.V)
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// readBuild hands a join its whole build side from port r.
+func readBuild(r *hyracks.PortReader, j hyracks.JoinPush) error {
+	for {
+		t, ok := r.Next()
+		if !ok {
+			return j.EndBuild()
+		}
+		if err := j.AddBuild(t); err != nil {
+			return err
+		}
+	}
+}
+
+// genJoin joins as a stage of the pipeline over the probe side: the
+// probe side's own when the build side is broadcast and the probe side
+// runs in every partition, else one over a port that brings the probe
+// rows to their partition. The stage reads the build side from a port of
+// its own as an instance starts, or probes the tables a memo kept.
 func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	if op.Phys == algebra.JoinPhysUnset {
 		return nil, fmt.Errorf("jobgen: join without a physical algorithm (optimizer bug)")
@@ -1016,82 +1235,77 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 	probe := 1 - build
 	memo := op.Inputs[build]
 	hit := g.memoHits[memo]
-	var sides [2]*genOut
+	var buildOut, probeOpen *genOut
 	for i, in := range op.Inputs {
-		if i == build && hit != nil {
-			sides[i] = &genOut{schema: memo.Vars, parts: g.parts}
-			continue
+		var err error
+		switch {
+		case i == probe:
+			probeOpen, err = g.genOpen(in)
+		case hit != nil:
+			buildOut = &genOut{schema: memo.Vars, parts: g.parts}
+		default:
+			buildOut, err = g.gen(in)
 		}
-		out, err := g.gen(in)
 		if err != nil {
 			return nil, err
 		}
-		sides[i] = out
 	}
-	buildOut, probeOut := sides[build], sides[probe]
-	outSchema := append(append([]algebra.Var(nil), buildOut.schema...), probeOut.schema...)
-	fromIndex := sides[0].fromIndex || sides[1].fromIndex
+	sideKeys := [2][]algebra.Expr{op.JoinLeftKeys, op.JoinRightKeys}
+	broadcast := op.Phys != algebra.JoinPhysHash
+	var p *pipeline
+	if broadcast && partsOf(probeOpen) == g.parts {
+		p = g.openPipeline(probeOpen)
+	} else {
+		in, err := g.sealed(probeOpen, op.Inputs[probe])
+		if err != nil {
+			return nil, err
+		}
+		conn := hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
+		if !broadcast {
+			keys, err := colsOf(sideKeys[probe], colMap(in.schema), "join key")
+			if err != nil {
+				return nil, err
+			}
+			conn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: keys}
+		}
+		p = g.openPort(in, conn, g.parts)
+	}
+	probeVars := p.liveVars(g.live[op.Inputs[probe]])
+	outSchema := append(append([]algebra.Var(nil), buildOut.schema...), probeVars...)
+	p.fromIndex = p.fromIndex || buildOut.fromIndex
 	cond := op.Cond
 
-	var node *hyracks.OpNode
 	switch op.Phys {
 	case algebra.JoinPhysHash, algebra.JoinPhysBroadcastHash:
-		keysOf := func(exprs []algebra.Expr, schema []algebra.Var) ([]int, error) {
-			cols := colMap(schema)
-			out := make([]int, len(exprs))
-			for i, e := range exprs {
-				vr, ok := e.(algebra.VarRef)
-				if !ok {
-					return nil, fmt.Errorf("jobgen: join key not normalized: %s", e)
-				}
-				c, ok := cols[vr.V]
-				if !ok {
-					return nil, fmt.Errorf("jobgen: join key var %v missing", vr.V)
-				}
-				out[i] = c
-			}
-			return out, nil
-		}
-		sideKeys := [2][]algebra.Expr{op.JoinLeftKeys, op.JoinRightKeys}
-		buildKeys, err := keysOf(sideKeys[build], buildOut.schema)
+		buildKeys, err := colsOf(sideKeys[build], colMap(buildOut.schema), "join key")
 		if err != nil {
 			return nil, err
 		}
-		probeKeys, err := keysOf(sideKeys[probe], probeOut.schema)
+		probeKeys, err := colsOf(sideKeys[probe], colMap(probeVars), "join key")
 		if err != nil {
 			return nil, err
-		}
-		var buildConn, probeConn hyracks.ConnectorSpec
-		slots := g.parts
-		if op.Phys == algebra.JoinPhysBroadcastHash {
-			buildConn = hyracks.ConnectorSpec{Type: hyracks.Broadcast}
-			if probeOut.parts == g.parts {
-				probeConn = hyracks.ConnectorSpec{Type: hyracks.OneToOne}
-			} else {
-				probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
-			}
-			slots = 1
-		} else {
-			buildConn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: buildKeys}
-			probeConn = hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: probeKeys}
 		}
 		if hit != nil {
-			node = g.job.Add("HashJoin(kept)", g.parts, hyracks.HashJoinKept(hit.table, probeKeys),
-				g.inputFrom(probeOut, probeConn))
-			break
-		}
-		node = g.job.Add("HashJoin", g.parts, hyracks.HashJoin(buildKeys, probeKeys, g.memoCaps[memo].keeper(slots)),
-			g.inputFrom(buildOut, buildConn),
-			g.inputFrom(probeOut, probeConn))
-	case algebra.JoinPhysNestedLoop:
-		var probeConn hyracks.ConnectorSpec
-		if probeOut.parts == g.parts {
-			probeConn = hyracks.ConnectorSpec{Type: hyracks.OneToOne}
+			err = p.push("HashJoin(kept)", probeVars, outSchema, false, func(inst *instance, emit pushEmit) (hyracks.Push, error) {
+				return hyracks.HashJoinKept(hit.table(inst.ctx.Part), probeKeys, emit), nil
+			})
 		} else {
-			probeConn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
+			buildConn, slots := hyracks.ConnectorSpec{Type: hyracks.Hash, HashCols: buildKeys}, g.parts
+			if broadcast {
+				buildConn, slots = hyracks.ConnectorSpec{Type: hyracks.Broadcast}, 1
+			}
+			port := p.addBuild(g.inputFrom(buildOut, buildConn))
+			keep := g.memoCaps[memo].keeper(slots)
+			err = p.push("HashJoin", probeVars, outSchema, false, func(inst *instance, emit pushEmit) (hyracks.Push, error) {
+				j := hyracks.HashJoin(inst.ctx, buildKeys, probeKeys, keep, emit)
+				return j, readBuild(inst.builds[port], j)
+			})
 		}
-		evals := compileEvals(colMap(outSchema), g.params, cond)
-		ev := evals[0]
+		if err != nil {
+			return nil, err
+		}
+	case algebra.JoinPhysNestedLoop:
+		ev := compileEvals(colMap(outSchema), g.params, cond)[0]
 		pred := func(row hyracks.Tuple) (bool, error) {
 			v, err := ev(row)
 			if err != nil {
@@ -1099,25 +1313,31 @@ func (g *jobGen) genJoin(op *algebra.Op) (*genOut, error) {
 			}
 			return algebra.Truthy(v), nil
 		}
-		node = g.job.Add("NestedLoopJoin", g.parts, hyracks.NestedLoopJoin(pred),
-			g.inputFrom(buildOut, hyracks.ConnectorSpec{Type: hyracks.Broadcast}),
-			g.inputFrom(probeOut, probeConn))
-		return &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}, nil
+		port := p.addBuild(g.inputFrom(buildOut, hyracks.ConnectorSpec{Type: hyracks.Broadcast}))
+		err := p.push("NestedLoopJoin", probeVars, outSchema, false, func(inst *instance, emit pushEmit) (hyracks.Push, error) {
+			j := hyracks.NestedLoopJoin(inst.ctx, pred, emit)
+			return j, readBuild(inst.builds[port], j)
+		})
+		return p.out, err
 	default:
 		return nil, fmt.Errorf("jobgen: unknown join phys %v", op.Phys)
 	}
 
 	// A hash join's condition is what its keys leave over (the optimizer
 	// took the key equalities out when it chose the algorithm): evaluate
-	// it as the first stage of the pipeline above. That doubles as the
-	// global verification when an index subtree feeds the join.
-	out := &genOut{node: node, schema: outSchema, parts: g.parts, fromIndex: fromIndex}
-	if isAlwaysTrue(cond, g.params) {
-		return out, nil
+	// it as the stage after the join. That doubles as the global
+	// verification when an index subtree feeds the join.
+	if !isAlwaysTrue(cond, g.params) {
+		p.sel("JoinPostSelect", cond, nil, nil, g.counters)
 	}
-	p := g.openPipeline(out)
-	p.sel("JoinPostSelect", cond, nil, nil, g.counters)
 	return p.out, nil
+}
+
+// addBuild adds a port a join's stage reads its build side from and
+// returns its index among them.
+func (p *pipeline) addBuild(in hyracks.Input) int {
+	p.builds = append(p.builds, in)
+	return len(p.builds) - 1
 }
 
 // isAlwaysTrue reports whether e, bound to params, is the constant true.
@@ -1178,9 +1398,7 @@ func (g *jobGen) genSecondarySearch(op *algebra.Op) (*genOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := g.openPipeline(in)
-		p.conn = hyracks.ConnectorSpec{Type: hyracks.Broadcast}
-		open = p.out
+		open = g.openPort(in, hyracks.ConnectorSpec{Type: hyracks.Broadcast}, g.parts).out
 	}
 	p := open.pipe
 	evals := compileEvals(p.cols, p.params, op.KeyExpr, op.TExpr)

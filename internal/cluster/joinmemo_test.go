@@ -431,15 +431,14 @@ func TestJoinMemoWriteAfterGenerationReruns(t *testing.T) {
 func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 	c, sess, recs := loadBenchJoin(t)
 	q := "explain analyze " + benchJoin.AQL("ReviewsPlain")
-	// count counts the job nodes by name, as "Unnest" those whose chain
-	// has an unnest, as "Scan" those whose chain scans ReviewsPlain, and
-	// as "Memo" any that a memo generated itself.
+	// count counts the stages of the job's nodes by name, as "Scan" the
+	// nodes whose chain scans ReviewsPlain, and as "Memo" any that a
+	// memo generated itself.
 	count := func(res *Result) map[string]int {
 		n := map[string]int{}
 		for _, op := range res.Stats.PhysicalOps() {
-			n[op.Name]++
-			if strings.Contains(op.Name, "Unnest") {
-				n["Unnest"]++
+			for _, stage := range strings.Split(op.Name, "+") {
+				n[stage]++
 			}
 			if hasStage(op.Name, "DataScan(ReviewsPlain)") {
 				n["Scan"]++
@@ -465,11 +464,11 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 		res        *Result
 		outcome    string
 		replicated int
-		// rank counts the Rank and HashGroupLocal nodes of stage 1,
+		// rank counts the Rank and HashGroupLocal stages of stage 1,
 		// built and kept the hash joins that build a table and those
-		// that probe a kept one, unnests the chains with an unnest:
-		// stage 1, both sides' tokens and both sides' prefixes on a
-		// miss, the outer side's two on a hit.
+		// that probe a kept one, unnests the unnests: stage 1, both
+		// sides' tokens and both sides' prefixes on a miss, the outer
+		// side's two on a hit.
 		rank, built, kept, unnests int
 	}{
 		{miss, memoMiss, 2 * len(recs), 1, 3, 0, 5},
@@ -481,7 +480,7 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 		}
 		ops := count(tc.res)
 		if ops["Rank"] != tc.rank || ops["HashGroupLocal"] != tc.rank || ops["HashJoin"] != tc.built || ops["HashJoin(kept)"] != tc.kept || ops["Unnest"] != tc.unnests {
-			t.Errorf("%s: %d Rank, %d HashGroupLocal, %d HashJoin, %d HashJoin(kept) and %d unnesting nodes, want %d, %d, %d, %d and %d",
+			t.Errorf("%s: %d Rank, %d HashGroupLocal, %d HashJoin, %d HashJoin(kept) and %d Unnest stages, want %d, %d, %d, %d and %d",
 				tc.outcome, ops["Rank"], ops["HashGroupLocal"], ops["HashJoin"], ops["HashJoin(kept)"], ops["Unnest"],
 				tc.rank, tc.rank, tc.built, tc.kept, tc.unnests)
 		}
@@ -493,10 +492,14 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 			t.Errorf("%s: %d memo nodes (a replay source or a capture) and %d scans, want none and %d", tc.outcome, ops["Memo"], ops["Scan"], scans)
 		}
 		if tc.outcome == memoHit {
-			// The outer scan heads the pipeline of the outer side's
-			// select, assign and unnest: 12 nodes, 45 instances.
-			if n, inst := len(tc.res.Stats.PhysicalOps()), len(tc.res.Stats.Spans); n != 12 || inst != 45 {
-				t.Errorf("hit: %d job nodes and %d instances, want 12 and 45", n, inst)
+			// A node exists only where rows change partition: the outer
+			// scan heads the pipeline of the outer side's select,
+			// assign, unnest and its probe of the kept token order, and
+			// each hash repartition starts the next (the group-by, the
+			// prefix join's probe, the group-by of the pairs), then the
+			// result: 5 nodes, 17 instances.
+			if n, inst := len(tc.res.Stats.PhysicalOps()), len(tc.res.Stats.Spans); n != 5 || inst != 17 {
+				t.Errorf("hit: %d job nodes and %d instances, want 5 and 17", n, inst)
 			}
 			// Both ends of the outer range are closed: the scan reads
 			// the ten keys and the one at the range's strict end.
@@ -539,10 +542,12 @@ func TestJoinMemoNonKeyResultRunsStage3(t *testing.T) {
 		}
 		n := map[string]int{}
 		for _, op := range res.Stats.PhysicalOps() {
-			n[op.Name]++
+			for _, stage := range strings.Split(op.Name, "+") {
+				n[stage]++
+			}
 		}
 		if n["HashJoin"] != tc.built || n["HashJoin(kept)"] != tc.kept {
-			t.Errorf("%s: %d HashJoin and %d HashJoin(kept) nodes, want stage 3's %d and %d", tc.outcome, n["HashJoin"], n["HashJoin(kept)"], tc.built, tc.kept)
+			t.Errorf("%s: %d HashJoin and %d HashJoin(kept) stages, want stage 3's %d and %d", tc.outcome, n["HashJoin"], n["HashJoin(kept)"], tc.built, tc.kept)
 		}
 		for key, o := range memoOutcomes(t, res) {
 			if o != tc.outcome {
@@ -645,7 +650,9 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 		t.Errorf("memo holds %d entries and %d unkept marks, want none and both keys", st.Entries, len(c.memo.unkept))
 	}
 	// prefixJoin returns the build and probe inputs of the job's prefix
-	// join, the one hash join that repartitions its build side.
+	// join, the one hash join that repartitions its build side: the
+	// node it is a stage of reads the probe side through its first port
+	// and the build side through its second.
 	prefixJoin := func() (build, probe string) {
 		bp := explainedPlan(t, c, sess, benchJoin.AQL("ReviewsPlain"))
 		g, _, err := c.generateJob(bp, nil, true, c.snapshotSession(sess).Opts.MemoryBudgetBytes)
@@ -653,8 +660,8 @@ func TestJoinMemoCaptureOverBudgetIsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range g.job.Nodes() {
-			if n.Name == "HashJoin" && n.Inputs[0].Conn.Type == hyracks.Hash {
-				return n.Inputs[0].From.Name, n.Inputs[1].From.Name
+			if hasStage(n.Name, "HashJoin") && len(n.Inputs) == 2 && n.Inputs[1].Conn.Type == hyracks.Hash {
+				return n.Inputs[1].From.Name, n.Inputs[0].From.Name
 			}
 		}
 		t.Fatal("no prefix join in the job")

@@ -23,13 +23,13 @@ func hasStage(name, stage string) bool {
 }
 
 // jobShape is the job generated for bp: its nodes, their instances, and
-// whether any edge broadcasts or any node sorts.
+// whether any edge broadcasts or any node has a sort stage.
 func jobShape(t *testing.T, c *Cluster, bp boundPlan) (nodes, instances int, broadcast, sorts bool) {
 	t.Helper()
 	for _, n := range jobNodes(t, c, bp) {
 		nodes++
 		instances += n.Parts
-		sorts = sorts || n.Name == "Sort"
+		sorts = sorts || hasStage(n.Name, "Sort")
 		for _, in := range n.Inputs {
 			broadcast = broadcast || in.Conn.Type == hyracks.Broadcast
 		}
@@ -88,9 +88,9 @@ func runPlan(t *testing.T, c *Cluster, bp boundPlan) []adm.Value {
 // messages are the gather's. A scan selection is the same two nodes,
 // the scan the source. An index nested-loop join's search is a stage
 // of a pipeline that reads its outer side through a broadcast port, and
-// keeps its sort, with the lookup a stage above it; an order the input
-// does not have is sorted; and a query cancelled mid-lookup releases its
-// snapshots and its instances.
+// its sort and lookup are stages of the same pipeline; an order the
+// input does not have is sorted; and a query cancelled mid-lookup
+// releases its snapshots and its instances.
 func TestIndexedSelectionIsOneTask(t *testing.T) {
 	inproc, tcp := transportPair(t)
 	for _, c := range []*Cluster{inproc, tcp} {
@@ -183,16 +183,11 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 				t.Errorf("inlj: the transports disagree")
 			}
 			answers["inlj"] = rowFingerprints(res.Rows)
-			var sorted, lookup bool
-			for _, op := range res.Stats.PhysicalOps() {
-				sorted = sorted || op.Name == "Sort"
-				lookup = lookup || strings.HasPrefix(op.Name, "PrimaryIndexLookup(EqReviews)+")
-			}
 			// The search is a stage of the pipeline that reads the outer
 			// rows through a broadcast port, in every partition, and the
-			// Sort reads that pipeline's node.
+			// Sort of its candidates and their lookup are stages of the
+			// same pipeline: one node, whose stages run in that order.
 			var search *hyracks.OpNode
-			sortsSearch := false
 			for _, n := range jobNodes(t, c, explainedPlan(t, c, NewSession(), inlj)) {
 				if hasStage(n.Name, "SecondaryIndexSearch(eqkw)") {
 					if search != nil {
@@ -200,14 +195,13 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 					}
 					search = n
 				}
-				sortsSearch = sortsSearch || n.Name == "Sort" && search != nil && n.Inputs[0].From == search
 			}
 			if search == nil || len(search.Inputs) != 1 || search.Inputs[0].Conn.Type != hyracks.Broadcast ||
-				search.Parts != c.Config().Partitions() || !sortsSearch {
-				t.Errorf("inlj: the search is no stage of a pipeline over a broadcast port that a Sort reads: %+v", search)
+				search.Parts != c.Config().Partitions() {
+				t.Fatalf("inlj: the search is no stage of a pipeline over a broadcast port: %+v", search)
 			}
-			if !sorted || !lookup {
-				t.Errorf("inlj: sort %v, lookup heading a pipeline %v: %+v", sorted, lookup, res.Stats.PhysicalOps())
+			if !strings.HasPrefix(search.Name, "SecondaryIndexSearch(eqkw)+Sort+PrimaryIndexLookup(EqReviews)+") {
+				t.Errorf("inlj: the search, its Sort and its lookup are not one node: %q, operators %+v", search.Name, res.Stats.PhysicalOps())
 			}
 		})
 	}

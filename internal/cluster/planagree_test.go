@@ -7,6 +7,7 @@ import (
 
 	"simdb/internal/adm"
 	"simdb/internal/datagen"
+	"simdb/internal/hyracks"
 	"simdb/internal/optimizer"
 	"simdb/internal/sim"
 	"simdb/internal/tokenizer"
@@ -385,6 +386,7 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 		t.Errorf("id-range: the scan carries no range:[100, 140):\n%s", plan)
 	}
 	for _, sel := range selections {
+		noOneToOneHop(t, c, sel.name, sel.q)
 		res := exec(t, c, NewSession(), sel.q)
 		want := selectIDs(sel.keep)
 		if len(want) == 0 {
@@ -395,14 +397,16 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 		}
 	}
 
-	join := exec(t, c, NewSession(), `
+	const joinQ = `
 		set simfunction 'jaccard';
 		set simthreshold '0.8';
 		for $a in dataset ARevs
 		for $b in dataset ARevs
 		where word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id < $b.id
 		return { 'l': $a.id, 'r': $b.id }
-	`)
+	`
+	noOneToOneHop(t, c, "join", joinQ)
+	join := exec(t, c, NewSession(), joinQ)
 	var want []string
 	for _, a := range rows {
 		for _, b := range rows {
@@ -429,6 +433,7 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 		where $a.id >= 50 and $a.id < 200 and word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id < $b.id
 		return { 'l': $a.id, 'r': $b.id }
 	`
+	noOneToOneHop(t, c, "ranged join", ranged)
 	if plan := rowsText(exec(t, c, NewSession(), "explain "+ranged)); strings.Count(plan, "range:[50, 200)") != 1 {
 		t.Errorf("ranged join: want one scan with range:[50, 200):\n%s", plan)
 	}
@@ -446,6 +451,22 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 	sortStrings(want)
 	if got := pairKey(exec(t, c, NewSession(), ranged)); got != fmt.Sprint(want) {
 		t.Errorf("ranged join: engine %s, reference %v", got, want)
+	}
+}
+
+// noOneToOneHop checks the job generated for q: a node exists only where
+// rows change partition, so a one-to-one edge only feeds a Replicate or
+// a union, or leaves one (a Replicate's port, a union's output); any
+// other would join two nodes a pipeline runs as one.
+func noOneToOneHop(t *testing.T, c *Cluster, name, q string) {
+	t.Helper()
+	fans := func(n *hyracks.OpNode) bool { return n.Name == "Replicate" || n.Name == "Union" }
+	for _, n := range jobNodes(t, c, explainedPlan(t, c, NewSession(), q)) {
+		for _, in := range n.Inputs {
+			if in.Conn.Type == hyracks.OneToOne && !fans(n) && !fans(in.From) {
+				t.Errorf("%s: a one-to-one edge joins %s to %s", name, in.From.Name, n.Name)
+			}
+		}
 	}
 }
 

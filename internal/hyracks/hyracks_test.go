@@ -207,7 +207,7 @@ func TestBroadcastConnector(t *testing.T) {
 func TestSortAndMergeOneConnector(t *testing.T) {
 	job := &Job{}
 	src := job.Add("Src", 2, partitionedSource([][]int64{{5, 1, 3}, {4, 2, 6}}))
-	srt := job.Add("Sort", 2, Sort([]SortCol{{Col: 0}}),
+	srt := job.Add("Sort", 2, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push { return Sort(ctx, []SortCol{{Col: 0}}, emit) }),
 		Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: srt, Conn: ConnectorSpec{Type: MergeOne, SortCols: []SortCol{{Col: 0}}}})
@@ -223,7 +223,9 @@ func TestSortAndMergeOneConnector(t *testing.T) {
 func TestSortDescending(t *testing.T) {
 	job := &Job{}
 	src := job.Add("Src", 1, partitionedSource([][]int64{{1, 3, 2}}))
-	srt := job.Add("Sort", 1, Sort([]SortCol{{Col: 0, Desc: true}}),
+	srt := job.Add("Sort", 1, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push {
+		return Sort(ctx, []SortCol{{Col: 0, Desc: true}}, emit)
+	}),
 		Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: srt, Conn: ConnectorSpec{Type: GatherOne}})
@@ -232,23 +234,6 @@ func TestSortDescending(t *testing.T) {
 	}
 	if got := collectInts(t, &c, 0); fmt.Sprint(got) != fmt.Sprint([]int64{3, 2, 1}) {
 		t.Errorf("desc sort: %v", got)
-	}
-}
-
-func TestRankAssignsPositions(t *testing.T) {
-	job := &Job{}
-	src := job.Add("Src", 1, partitionedSource([][]int64{{30, 10, 20}}))
-	srt := job.Add("Sort", 1, Sort([]SortCol{{Col: 0}}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-	rank := job.Add("Rank", 1, Rank([]int{0}), Input{From: srt, Conn: ConnectorSpec{Type: OneToOne}})
-	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: rank, Conn: ConnectorSpec{Type: GatherOne}})
-	if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	for i, tu := range c.Tuples {
-		if tu[1].Int() != int64(i+1) {
-			t.Errorf("rank %d = %d", i, tu[1].Int())
-		}
 	}
 }
 
@@ -267,12 +252,14 @@ func TestHashGroupWithAggregates(t *testing.T) {
 			return nil
 		})
 	})
-	grp := job.Add("HashGroup", 2, HashGroup([]int{0}, []AggSpec{
-		{Kind: AggCount},
-		{Kind: AggSum, In: 1},
-		{Kind: AggMin, In: 1},
-		{Kind: AggMax, In: 1},
-		{Kind: AggListify, In: 1},
+	grp := job.Add("HashGroup", 2, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push {
+		return HashGroup(ctx, []int{0}, []AggSpec{
+			{Kind: AggCount},
+			{Kind: AggSum, In: 1},
+			{Kind: AggMin, In: 1},
+			{Kind: AggMax, In: 1},
+			{Kind: AggListify, In: 1},
+		}, emit)
 	}), Input{From: src, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
@@ -301,7 +288,7 @@ func TestHashGroupWithAggregates(t *testing.T) {
 }
 
 func TestSortGroupMatchesHashGroup(t *testing.T) {
-	build := func(group func() Operator, needSort bool) []Tuple {
+	build := func(group func() Operator) []Tuple {
 		job := &Job{}
 		src := job.Add("Src", 1, func() Operator {
 			return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
@@ -311,12 +298,7 @@ func TestSortGroupMatchesHashGroup(t *testing.T) {
 				return nil
 			})
 		})
-		var prev *OpNode = src
-		if needSort {
-			prev = job.Add("Sort", 1, Sort([]SortCol{{Col: 0}}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-		}
-		grp := job.Add("Group", 1, func() Operator { return group() },
-			Input{From: prev, Conn: ConnectorSpec{Type: OneToOne}})
+		grp := job.Add("Group", 1, group, Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 		var c Collector
 		MakeSink(job, "Sink", &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
 		if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {
@@ -326,8 +308,8 @@ func TestSortGroupMatchesHashGroup(t *testing.T) {
 		return c.Tuples
 	}
 	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, In: 1}}
-	h := build(func() Operator { return HashGroup([]int{0}, aggs)() }, false)
-	s := build(func() Operator { return SortGroup([]int{0}, aggs)() }, true)
+	h := build(pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push { return HashGroup(ctx, []int{0}, aggs, emit) }))
+	s := build(pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push { return SortGroup(ctx, []int{0}, aggs, emit) }))
 	if len(h) != len(s) {
 		t.Fatalf("row counts differ: %d vs %d", len(h), len(s))
 	}
@@ -344,7 +326,9 @@ func TestHashJoin(t *testing.T) {
 	job := &Job{}
 	left := job.Add("L", 2, partitionedSource([][]int64{{1, 2}, {3, 4}}))
 	right := job.Add("R", 2, partitionedSource([][]int64{{2, 3}, {3, 5}}))
-	join := job.Add("HashJoin", 2, HashJoin([]int{0}, []int{0}, nil),
+	join := job.Add("HashJoin", 2, joinOp(func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush {
+		return HashJoin(ctx, []int{0}, []int{0}, nil, emit)
+	}),
 		Input{From: left, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}},
 		Input{From: right, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}})
 	var c Collector
@@ -368,8 +352,10 @@ func TestNestedLoopJoinWithPredicate(t *testing.T) {
 	left := job.Add("L", 1, partitionedSource([][]int64{{1, 2, 3}}))
 	right := job.Add("R", 2, partitionedSource([][]int64{{10, 20}, {30}}))
 	// The predicate sees build ++ probe: column 0 is the build's, 1 the probe's.
-	join := job.Add("NLJoin", 2, NestedLoopJoin(func(row Tuple) (bool, error) {
-		return row[1].Int()/10 == row[0].Int(), nil
+	join := job.Add("NLJoin", 2, joinOp(func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush {
+		return NestedLoopJoin(ctx, func(row Tuple) (bool, error) {
+			return row[1].Int()/10 == row[0].Int(), nil
+		}, emit)
 	}),
 		Input{From: left, Conn: ConnectorSpec{Type: Broadcast}},
 		Input{From: right, Conn: ConnectorSpec{Type: OneToOne}})
@@ -413,24 +399,12 @@ func TestUnionAndReplicate(t *testing.T) {
 	}
 }
 
-func TestLimitStopsEarly(t *testing.T) {
-	job := &Job{}
-	src := job.Add("Src", 1, rangeSource(100000))
-	lim := job.Add("Limit", 1, Limit(5), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
-	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: lim, Conn: ConnectorSpec{Type: GatherOne}})
-	if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Tuples) != 5 {
-		t.Errorf("limit produced %d", len(c.Tuples))
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	job := &Job{}
 	src := job.Add("Src", 2, partitionedSource([][]int64{{1, 2, 3}, {4, 5}}))
-	agg := job.Add("Agg", 1, Aggregate([]AggSpec{{Kind: AggCount}, {Kind: AggSum, In: 0}, {Kind: AggAvg, In: 0}}),
+	agg := job.Add("Agg", 1, pushOp(func(_ *TaskCtx, emit func(Tuple) error) Push {
+		return Aggregate([]AggSpec{{Kind: AggCount}, {Kind: AggSum, In: 0}, {Kind: AggAvg, In: 0}}, AggWhole, emit)
+	}),
 		Input{From: src, Conn: ConnectorSpec{Type: GatherOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: agg, Conn: ConnectorSpec{Type: GatherOne}})
@@ -561,14 +535,20 @@ func TestReplicateInterdependentPortsNoDeadlock(t *testing.T) {
 	rep.OutPorts = 2
 	// Build side: aggregate port 0 down to distinct keys (takes a while
 	// and only finishes when port 0 fully closes).
-	buildGroup := job.Add("HashGroup", 2, HashGroup([]int{1}, []AggSpec{{Kind: AggCount}}),
+	buildGroup := job.Add("HashGroup", 2, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push {
+		return HashGroup(ctx, []int{1}, []AggSpec{{Kind: AggCount}}, emit)
+	}),
 		Input{From: rep, FromPort: 0, Conn: ConnectorSpec{Type: Hash, HashCols: []int{1}}})
 	// Probe side: port 1 directly. The join reads build first, so this
 	// stream backs up completely.
-	join := job.Add("HashJoin", 2, HashJoin([]int{0}, []int{1}, nil),
+	join := job.Add("HashJoin", 2, joinOp(func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush {
+		return HashJoin(ctx, []int{0}, []int{1}, nil, emit)
+	}),
 		Input{From: buildGroup, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}},
 		Input{From: rep, FromPort: 1, Conn: ConnectorSpec{Type: Hash, HashCols: []int{1}}})
-	agg := job.Add("Agg", 1, Aggregate([]AggSpec{{Kind: AggCount}}),
+	agg := job.Add("Agg", 1, pushOp(func(_ *TaskCtx, emit func(Tuple) error) Push {
+		return Aggregate([]AggSpec{{Kind: AggCount}}, AggWhole, emit)
+	}),
 		Input{From: join, Conn: ConnectorSpec{Type: GatherOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: agg, Conn: ConnectorSpec{Type: GatherOne}})
@@ -607,5 +587,61 @@ func FlatMap(fn func(ctx *TaskCtx, t Tuple, emit func(Tuple)) error) func() Oper
 				}
 			}
 		})
+	}
+}
+
+// pushOp runs the push form mk makes as the one stage of a test node
+// over port 0, as a pipeline runs it: a row at a time, then the end.
+func pushOp(mk func(ctx *TaskCtx, emit func(Tuple) error) Push) func() Operator {
+	return func() Operator {
+		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			f := mk(ctx, func(t Tuple) error {
+				out[0].Emit(t)
+				return nil
+			})
+			defer f.Close()
+			if err := feedPort(in[0], f.Add); err != nil {
+				return err
+			}
+			return f.End()
+		})
+	}
+}
+
+// joinOp runs the join form mk makes in a test node: port 0 is its build
+// side, port 1 its probe side, and it emits build ++ probe.
+func joinOp(mk func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush) func() Operator {
+	return func() Operator {
+		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			j := mk(ctx, func(b, p Tuple) error {
+				out[0].Emit(append(b.Clone(), p...))
+				return nil
+			})
+			defer j.Close()
+			if err := feedPort(in[0], j.AddBuild); err != nil {
+				return err
+			}
+			if err := j.EndBuild(); err != nil {
+				return err
+			}
+			if err := feedPort(in[1], j.Add); err != nil {
+				return err
+			}
+			return j.End()
+		})
+	}
+}
+
+// feedPort hands every row of the port to add, then reports whether the
+// job was cancelled.
+func feedPort(r *PortReader, add func(Tuple) error) error {
+	for {
+		t, ok := r.Next()
+		if !ok {
+			return r.ctx.Err()
+		}
+		if err := add(t); err != nil {
+			return err
+		}
 	}
 }

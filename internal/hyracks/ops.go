@@ -7,68 +7,46 @@ import (
 	"simdb/internal/adm"
 )
 
-// The runtime operator library. Every operator of the paper's plans is
-// here; expression logic arrives as closures compiled by the algebra
-// layer, so the runtime stays independent of the query language.
+// The runtime operator library. Union, Replicate and the result
+// Collector are job nodes: they exist where rows change partition or
+// fan out. Every other operator of the paper's plans is a push form
+// (Push), which a pipeline runs as a stage of its one node. Expression
+// logic arrives as closures compiled by the algebra layer, so the
+// runtime stays independent of the query language.
 
-// Sort consumes all input, sorts it by cols, and emits it. Per
+// Push is an operator in push form: a stage of a pipeline, handed its
+// input one row at a time (Add) and told when the input ends (End). It
+// pushes what it emits into the function it was made with: a per-row
+// form during Add, a blocking one during End. Add reads its row only
+// while it runs, so the caller may reuse it; a form that holds rows
+// holds copies. End releases what the form holds once it has emitted
+// everything; Close releases it on every other exit path, and may run
+// after End.
+type Push interface {
+	Add(t Tuple) error
+	End() error
+	Close()
+}
+
+// JoinPush is a join in push form. Its build side is handed over first,
+// AddBuild keeping each row, and ended with EndBuild; the probe side
+// then flows through Add and End like any Push. A join emits each pair
+// as its build row and its probe row, the probe row valid only while
+// emit runs.
+type JoinPush interface {
+	Push
+	AddBuild(t Tuple) error
+	EndBuild() error
+}
+
+// Sort holds its input and, at the end, emits it sorted by cols. Per
 // partition; a MergeOne connector downstream extends the order across
 // partitions. Under a memory budget it runs as an external merge sort —
 // sorted runs spill to disk and a stable k-way merge produces the
 // output — so the sort stays stable and byte-identical to the in-memory
 // path at any budget.
-func Sort(cols []SortCol) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			return externalSort(ctx, in[0], cols, func(t Tuple) error {
-				out[0].Emit(t)
-				return ctx.Ctx.Err()
-			})
-		})
-	}
-}
-
-// Rank emits each tuple's cols followed by its 1-based int64 position in
-// arrival order. Run it single-instance after a MergeOne connector to
-// implement AQL's positional "at" variable over a globally ordered
-// stream.
-func Rank(cols []int) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			var i int64
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				i++
-				nt := make(Tuple, len(cols)+1)
-				for j, c := range cols {
-					nt[j] = t[c]
-				}
-				nt[len(cols)] = adm.NewInt(i)
-				out[0].Emit(nt)
-			}
-		})
-	}
-}
-
-// Limit emits at most n tuples then stops reading.
-func Limit(n int64) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			var c int64
-			for c < n {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				out[0].Emit(t)
-				c++
-			}
-			return ctx.Ctx.Err()
-		})
-	}
+func Sort(ctx *TaskCtx, cols []SortCol, emit func(Tuple) error) Push {
+	return &sorter{ctx: ctx, g: ctx.Grant(), cols: cols, emit: emit}
 }
 
 // AggKind enumerates aggregate functions for group-by and scalar
@@ -112,19 +90,14 @@ func (a *aggState) add(spec AggSpec, t Tuple) {
 	case AggSum, AggAvg:
 		v := t[spec.In]
 		if f, ok := v.Num(); ok {
+			isInt := v.Kind() == adm.KindInt
+			if isInt {
+				a.sumI += v.Int()
+			}
+			a.isInt = isInt && (a.isInt || !a.has)
 			a.count++
 			a.sum += f
-			if v.Kind() == adm.KindInt {
-				a.sumI += v.Int()
-			} else {
-				a.isInt = false
-			}
-			if !a.has {
-				a.isInt = v.Kind() == adm.KindInt
-				a.has = true
-			} else if v.Kind() != adm.KindInt {
-				a.isInt = false
-			}
+			a.has = true
 		}
 	case AggMin:
 		v := t[spec.In]
@@ -146,6 +119,18 @@ func (a *aggState) add(spec AggSpec, t Tuple) {
 			a.has = true
 		}
 	}
+}
+
+// addPartial folds in the partial result in column spec.In of t — the
+// result of a state over the rows of one partition that had some — as
+// merge folds that state: a count adds the partition's count, the other
+// kinds take the partial as they take a row.
+func (a *aggState) addPartial(spec AggSpec, t Tuple) {
+	if spec.Kind == AggCount {
+		a.count += t[spec.In].Int()
+		return
+	}
+	a.add(spec, t)
 }
 
 func (a *aggState) result(spec AggSpec) adm.Value {
@@ -225,266 +210,274 @@ func (a *aggState) merge(spec AggSpec, o *aggState) {
 	}
 }
 
-// HashGroup groups input by the key columns using a hash table and
-// emits one tuple per group: key columns followed by one column per
-// aggregate. Input must already be partitioned by the keys (Hash
-// connector) for global correctness; the "/*+ hash */" hint of the
+// HashGroup groups its input by the key columns using a hash table and
+// emits, at the end, one row per group: key columns followed by one
+// column per aggregate. Input must already be partitioned by the keys
+// (Hash connector) for global correctness; the "/*+ hash */" hint of the
 // paper's stage 1 maps here.
 // Under a memory budget, HashGroup spills: tuples hash into partitions,
 // and a partition whose table can no longer grow keeps its aggregated
 // groups resident while routing further raw tuples to a run file; the
 // run re-aggregates recursively and merges with the retained state.
-func HashGroup(keys []int, aggs []AggSpec) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			g := ctx.Grant()
-			defer g.ReleaseAll()
-			e := &groupByExec{
-				ctx: ctx, g: g, keys: keys, specs: aggs,
-				emit: func(t Tuple) error {
-					out[0].Emit(t)
-					return nil
-				},
-			}
-			if err := e.run(&portStream{r: in[0]}, 0, nil); err != nil {
-				return err
-			}
-			return ctx.Ctx.Err()
-		})
-	}
+func HashGroup(ctx *TaskCtx, keys []int, aggs []AggSpec, emit func(Tuple) error) Push {
+	return newGroupByExec(ctx, ctx.Grant(), keys, aggs, emit, 0, nil)
 }
 
-// SortGroup is the sort-based group-by: it requires input ordered by
-// the key columns and streams one output tuple per key run. It is the
-// default AsterixDB aggregation the paper's "/*+ hash */" hint replaces.
-func SortGroup(keys []int, aggs []AggSpec) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			var curKey Tuple
-			var states []aggState
-			flush := func() {
-				if curKey == nil {
-					return
-				}
-				row := make(Tuple, 0, len(keys)+len(aggs))
-				row = append(row, curKey...)
-				for i, spec := range aggs {
-					row = append(row, states[i].result(spec))
-				}
-				out[0].Emit(row)
-			}
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				// A new key run starts where a key column differs; only then
-				// is the key copied out of the tuple.
-				same := curKey != nil
-				for i := 0; same && i < len(keys); i++ {
-					same = adm.Compare(t[keys[i]], curKey[i]) == 0
-				}
-				if !same {
-					flush()
-					curKey = make(Tuple, len(keys))
-					for i, k := range keys {
-						curKey[i] = t[k]
-					}
-					states = make([]aggState, len(aggs))
-				}
-				for i, spec := range aggs {
-					states[i].add(spec, t)
-				}
-			}
-			flush()
-			return ctx.Ctx.Err()
-		})
+// SortGroup is the sort-based group-by: it sorts its input by the key
+// columns, as Sort does, and at the end streams one row per key run. It
+// is the default AsterixDB aggregation the paper's "/*+ hash */" hint
+// replaces.
+func SortGroup(ctx *TaskCtx, keys []int, aggs []AggSpec, emit func(Tuple) error) Push {
+	cols := make([]SortCol, len(keys))
+	for i, k := range keys {
+		cols[i] = SortCol{Col: k}
 	}
+	sg := &sortGroup{keys: keys, aggs: aggs, out: emit}
+	sg.sorter = &sorter{ctx: ctx, g: ctx.Grant(), cols: cols, emit: sg.add}
+	return sg
 }
 
-// Aggregate computes scalar aggregates over its entire input and emits
-// exactly one tuple. Run single-instance below a GatherOne connector,
-// or per-partition as a local pre-aggregation.
-func Aggregate(aggs []AggSpec) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			states := make([]aggState, len(aggs))
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				for i, spec := range aggs {
-					states[i].add(spec, t)
-				}
-			}
-			row := make(Tuple, len(aggs))
-			for i, spec := range aggs {
-				row[i] = states[i].result(spec)
-			}
-			out[0].Emit(row)
-			return ctx.Ctx.Err()
-		})
-	}
+type sortGroup struct {
+	*sorter
+	keys   []int
+	aggs   []AggSpec
+	out    func(Tuple) error
+	key    Tuple // the current key run's, nil before the first row
+	states []aggState
 }
 
-// HashJoin builds a hash table on input port 0 and probes it with port
-// 1, emitting build ++ probe concatenations for key-equal pairs. Keys
-// compare with adm equality (null keys never match). Both inputs must
-// be partitioned compatibly (Hash/Hash or Broadcast build).
+// add folds the next row in key order into its key run, emitting the
+// run before it when a key column differs; only then is the key copied
+// out of the row.
+func (s *sortGroup) add(t Tuple) error {
+	same := s.key != nil
+	for i := 0; same && i < len(s.keys); i++ {
+		same = adm.Compare(t[s.keys[i]], s.key[i]) == 0
+	}
+	if !same {
+		if err := s.flush(); err != nil {
+			return err
+		}
+		s.key = make(Tuple, len(s.keys))
+		for i, k := range s.keys {
+			s.key[i] = t[k]
+		}
+		s.states = make([]aggState, len(s.aggs))
+	}
+	for i, spec := range s.aggs {
+		s.states[i].add(spec, t)
+	}
+	return nil
+}
+
+// flush emits the current key run, if any.
+func (s *sortGroup) flush() error {
+	if s.key == nil {
+		return nil
+	}
+	row := make(Tuple, 0, len(s.keys)+len(s.aggs))
+	row = append(row, s.key...)
+	for i, spec := range s.aggs {
+		row = append(row, s.states[i].result(spec))
+	}
+	return s.out(row)
+}
+
+func (s *sortGroup) End() error {
+	if err := s.sorter.End(); err != nil {
+		return err
+	}
+	return s.flush()
+}
+
+// AggPhase is the part a scalar aggregate plays in an aggregation.
+type AggPhase int
+
+// AggWhole aggregates all the rows, and emits one row over none too.
+// AggLocal is one partition's pre-aggregation for AggFinal: over no rows
+// it emits none, so an empty partition has no partial to combine.
+// AggFinal combines the AggLocal rows of the same aggregates, aggs[i]'s
+// partial in column i: it folds each in as aggState.merge folds a state,
+// and over no partials emits the results of empty input (a count of 0,
+// a null min).
+const (
+	AggWhole AggPhase = iota
+	AggLocal
+	AggFinal
+)
+
+// Aggregate computes scalar aggregates over its input, in phase, and
+// emits their results as one row at the end.
+func Aggregate(aggs []AggSpec, phase AggPhase, emit func(Tuple) error) Push {
+	return &aggregate{specs: aggs, phase: phase, states: make([]aggState, len(aggs)), emit: emit}
+}
+
+type aggregate struct {
+	specs  []AggSpec
+	phase  AggPhase
+	states []aggState
+	emit   func(Tuple) error
+	rows   int64
+}
+
+func (a *aggregate) Add(t Tuple) error {
+	a.rows++
+	for i, spec := range a.specs {
+		if a.phase == AggFinal {
+			a.states[i].addPartial(spec, t)
+		} else {
+			a.states[i].add(spec, t)
+		}
+	}
+	return nil
+}
+
+func (a *aggregate) End() error {
+	if a.phase == AggLocal && a.rows == 0 {
+		return nil
+	}
+	row := make(Tuple, len(a.specs))
+	for i, spec := range a.specs {
+		row[i] = a.states[i].result(spec)
+	}
+	return a.emit(row)
+}
+
+func (a *aggregate) Close() {}
+
+// HashJoin builds a hash table on its build side and probes it with
+// every probe row, emitting key-equal pairs. Keys compare with adm
+// equality (null keys never match). Both inputs must be partitioned
+// compatibly (Hash/Hash or Broadcast build).
 // Under a memory budget, HashJoin runs as a hybrid hash join: build
 // partitions that outgrow the budget spill to disk (largest-resident
-// first), their probe tuples are deferred to probe runs, and each
-// spilled pair joins recursively — degrading to a block-nested-loop
-// pass for data hashing cannot split. keep, when non-nil, is offered
-// each instance's table once its probe is done, if no part of the build
-// side spilled; a table it takes is handed to HashJoinKept by later jobs
-// and must not change.
-func HashJoin(buildKeys, probeKeys []int, keep func(part int, t *JoinTable) bool) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			g := ctx.Grant()
-			defer g.ReleaseAll()
-			e := &hashJoinExec{
-				ctx: ctx, g: g, buildKeys: buildKeys, probeKeys: probeKeys, keep: keep,
-				emit: func(t Tuple) error {
-					out[0].Emit(t)
-					return nil
-				},
-			}
-			if err := e.run(&portStream{r: in[0]}, &portStream{r: in[1]}, 0); err != nil {
-				return err
-			}
-			return ctx.Ctx.Err()
-		})
-	}
+// first), their probe tuples are deferred to probe runs, and at the end
+// each spilled pair joins recursively — degrading to a
+// block-nested-loop pass for data hashing cannot split. keep, when
+// non-nil, is offered the instance's table once its probe is done, if
+// no part of the build side spilled; a table it takes is probed by
+// HashJoinKept in later jobs and must not change.
+func HashJoin(ctx *TaskCtx, buildKeys, probeKeys []int, keep func(part int, t *JoinTable) bool, emit func(b, p Tuple) error) JoinPush {
+	return newHashJoinExec(ctx, ctx.Grant(), buildKeys, probeKeys, keep, emit, 0)
 }
 
 // HashJoinKept is the probe half of a HashJoin whose build half ran in
-// an earlier job: it probes the table a HashJoin kept with its one input
-// port and emits what that HashJoin would have, build ++ probe for
-// key-equal pairs. table returns the table partition part probes.
-func HashJoinKept(table func(part int) *JoinTable, probeKeys []int) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			e := &hashJoinExec{
-				ctx: ctx, probeKeys: probeKeys,
-				emit: func(t Tuple) error {
-					out[0].Emit(t)
-					return nil
-				},
-			}
-			_, err := e.probe(table(ctx.Part), make([]*runSink, fanout), &portStream{r: in[0]}, 0)
-			return err
-		})
-	}
+// an earlier job, a per-row form: it probes table, which a HashJoin
+// kept, with each row and emits what that HashJoin would have.
+func HashJoinKept(table *JoinTable, probeKeys []int, emit func(b, p Tuple) error) Push {
+	return &keptProbe{table: table, probeKeys: probeKeys, emit: emit}
 }
 
-// NestedLoopJoin materializes input port 0 and, for each tuple of port
-// 1, emits build ++ probe rows satisfying pred. pred sees a pair as that
-// concatenation in a scratch row the instance reuses, so it may read the
-// row only while it runs; a nil pred joins every pair (a cross product).
-// Under a memory budget, the build side overflows to a spill run; the
-// spilled path then joins in probe blocks (block-nested-loop), re-
-// scanning the build buffer once per block instead of once per tuple.
-func NestedLoopJoin(pred func(row Tuple) (bool, error)) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			g := ctx.Grant()
-			defer g.ReleaseAll()
-			build := newSpillableBuffer(ctx, g, "nlj-build")
-			defer build.close()
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				if err := build.add(t); err != nil {
-					return err
-				}
-			}
-			if err := build.finish(); err != nil {
-				return err
-			}
-			var scratch Tuple
-			joinPair := func(b, t Tuple) error {
-				if pred != nil {
-					scratch = append(append(scratch[:0], b...), t...)
-					ok, err := pred(scratch)
-					if err != nil || !ok {
-						return err
-					}
-				}
-				row := make(Tuple, 0, len(b)+len(t))
-				row = append(row, b...)
-				row = append(row, t...)
-				out[0].Emit(row)
-				return nil
-			}
-			if !build.spilled() {
-				// Everything resident: keep the legacy probe-major order.
-				for {
-					t, ok := in[1].Next()
-					if !ok {
-						return ctx.Ctx.Err()
-					}
-					for _, b := range build.mem {
-						if err := joinPair(b, t); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			// Spilled: batch probe tuples into budget-sized blocks and make
-			// one pass over the build buffer (disk suffix included) per
-			// block, so build I/O is amortized across the block.
-			var (
-				block    []Tuple
-				blockMem int64
-			)
-			flush := func() error {
-				if len(block) == 0 {
-					return nil
-				}
-				err := build.each(func(b Tuple) error {
-					for _, t := range block {
-						if err := joinPair(b, t); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				block = nil
-				g.Release(blockMem)
-				blockMem = 0
-				if err != nil {
-					return err
-				}
-				return ctx.Ctx.Err()
-			}
-			for {
-				t, ok := in[1].Next()
-				if !ok {
-					break
-				}
-				sz := TupleMemSize(t)
-				if !g.Reserve(sz) {
-					if err := flush(); err != nil {
-						return err
-					}
-					if !g.Reserve(sz) {
-						g.Force(sz)
-					}
-				}
-				block = append(block, t)
-				blockMem += sz
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-			return ctx.Ctx.Err()
-		})
+type keptProbe struct {
+	table     *JoinTable
+	probeKeys []int
+	emit      func(b, p Tuple) error
+}
+
+func (k *keptProbe) Add(t Tuple) error { return k.table.match(t, k.probeKeys, k.emit) }
+func (k *keptProbe) End() error        { return nil }
+func (k *keptProbe) Close()            {}
+
+// NestedLoopJoin materializes its build side and, for each probe row,
+// emits the pairs satisfying pred. pred sees a pair as the build row
+// followed by the probe row, in a scratch row the form reuses, so it may
+// read the row only while it runs; a nil pred joins every pair (a cross
+// product). Under a memory budget, the build side overflows to a spill
+// run; the spilled path then joins in probe blocks (block-nested-loop),
+// re-scanning the build buffer once per block instead of once per row,
+// the last block at the end.
+func NestedLoopJoin(ctx *TaskCtx, pred func(row Tuple) (bool, error), emit func(b, p Tuple) error) JoinPush {
+	g := ctx.Grant()
+	return &nestedLoopJoin{ctx: ctx, g: g, build: newSpillableBuffer(ctx, g, "nlj-build"), pred: pred, emit: emit}
+}
+
+type nestedLoopJoin struct {
+	ctx      *TaskCtx
+	g        *MemGrant
+	build    *spillableBuffer
+	pred     func(row Tuple) (bool, error)
+	emit     func(b, p Tuple) error
+	scratch  Tuple
+	block    []Tuple
+	blockMem int64
+}
+
+func (j *nestedLoopJoin) AddBuild(t Tuple) error { return j.build.add(t) }
+func (j *nestedLoopJoin) EndBuild() error        { return j.build.finish() }
+
+func (j *nestedLoopJoin) pair(b, t Tuple) error {
+	if j.pred != nil {
+		j.scratch = append(append(j.scratch[:0], b...), t...)
+		ok, err := j.pred(j.scratch)
+		if err != nil || !ok {
+			return err
+		}
 	}
+	return j.emit(b, t)
+}
+
+func (j *nestedLoopJoin) Add(t Tuple) error {
+	if !j.build.spilled() {
+		// Everything resident: keep the legacy probe-major order.
+		for _, b := range j.build.mem {
+			if err := j.pair(b, t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Spilled: batch probe rows into budget-sized blocks and make one
+	// pass over the build buffer (disk suffix included) per block, so
+	// build I/O is amortized across the block.
+	t = t.Clone()
+	sz := TupleMemSize(t)
+	if !j.g.Reserve(sz) {
+		if err := j.flush(); err != nil {
+			return err
+		}
+		if !j.g.Reserve(sz) {
+			j.g.Force(sz)
+		}
+	}
+	j.block = append(j.block, t)
+	j.blockMem += sz
+	return nil
+}
+
+// flush joins the block of probe rows with one pass over the build side.
+func (j *nestedLoopJoin) flush() error {
+	if len(j.block) == 0 {
+		return nil
+	}
+	err := j.build.each(func(b Tuple) error {
+		for _, t := range j.block {
+			if err := j.pair(b, t); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	j.block = nil
+	j.g.Release(j.blockMem)
+	j.blockMem = 0
+	if err != nil {
+		return err
+	}
+	return j.ctx.Ctx.Err()
+}
+
+func (j *nestedLoopJoin) End() error {
+	defer j.Close()
+	if err := j.flush(); err != nil {
+		return err
+	}
+	return j.ctx.Ctx.Err()
+}
+
+// Close releases the build buffer and the grant.
+func (j *nestedLoopJoin) Close() {
+	j.build.close()
+	j.g.ReleaseAll()
 }
 
 // Union forwards every input port's tuples to the output (bag union,

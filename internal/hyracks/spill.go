@@ -163,27 +163,38 @@ func (c *runCursor) next() (Tuple, bool, error) {
 
 func (c *runCursor) close() { c.r.Close() }
 
-// sliceStream adapts an in-memory slice to tupleStream.
-type sliceStream struct {
-	ts []Tuple
-	i  int
+// residentStream hands on a sort's resident rows in order and gives
+// each row's bytes back to the grant as it does: the stages the sort
+// emits into reserve their own as they take the rows, so the two never
+// hold one row's bytes at once.
+type residentStream struct {
+	s *sorter
+	i int
 }
 
-func (s *sliceStream) next() (Tuple, bool, error) {
-	if s.i >= len(s.ts) {
+func (r *residentStream) next() (Tuple, bool, error) {
+	buf := r.s.buf
+	if r.i >= len(buf) {
 		return nil, false, nil
 	}
-	t := s.ts[s.i]
-	s.i++
+	t := buf[r.i]
+	buf[r.i] = nil
+	r.i++
+	r.s.g.Release(TupleMemSize(t))
 	return t, true, nil
 }
 
-// portStream adapts a PortReader to tupleStream.
-type portStream struct{ r *PortReader }
-
-func (p *portStream) next() (Tuple, bool, error) {
-	t, ok := p.r.Next()
-	return t, ok, nil
+// feed hands every tuple of s to add, in order.
+func feed(s tupleStream, add func(Tuple) error) error {
+	for {
+		t, ok, err := s.next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := add(t); err != nil {
+			return err
+		}
+	}
 }
 
 // mergeStreams k-way merges sorted streams into emit. Ties go to the
@@ -243,91 +254,94 @@ func mergeWidth(a *MemoryAccountant) int {
 
 // ---- external sort ----
 
-// externalSort sorts the input by cols within the instance's grant: it
-// accumulates budget-sized sorted runs, spills them, and k-way merges
-// (multi-pass when the run count exceeds the merge width). With no
-// budget (or no spill store) everything stays in memory, matching the
-// original Sort exactly.
-func externalSort(ctx *TaskCtx, in *PortReader, cols []SortCol, emit func(Tuple) error) error {
-	g := ctx.Grant()
-	defer g.ReleaseAll()
-	var (
-		buf      []Tuple
-		bufBytes int64
-		runs     []*storage.RunFile
-	)
-	defer func() {
-		for _, f := range runs {
-			f.Close()
-		}
-	}()
-	spill := func() error {
-		sortTuples(buf, cols)
-		f, err := ctx.writeRun("sort", buf)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, f)
-		buf = nil
-		g.Release(bufBytes)
-		bufBytes = 0
-		return nil
-	}
-	for {
-		t, ok := in.Next()
-		if !ok {
-			break
-		}
-		sz := TupleMemSize(t)
-		if !g.Reserve(sz) {
-			// Only cut a run once the buffer is worth a file: when a
-			// concurrent operator holds most of the budget, spilling on
-			// every failed reserve would flood the temp dir with
-			// single-tuple runs. Below the floor, force the small excess
-			// instead.
-			if ctx.canSpill() && bufBytes >= minSpillRunBytes {
-				if err := spill(); err != nil {
-					return err
-				}
-			}
-			if !g.Reserve(sz) {
-				g.Force(sz)
-			}
-		}
-		buf = append(buf, t)
-		bufBytes += sz
-	}
-	if err := ctx.Ctx.Err(); err != nil {
+// sorter is Sort's push form: an external merge sort within the
+// instance's grant. Add accumulates budget-sized sorted runs and spills
+// them; End k-way merges them (multi-pass when the run count exceeds the
+// merge width). With no budget (or no spill store) everything stays in
+// memory, matching the original Sort exactly.
+type sorter struct {
+	ctx      *TaskCtx
+	g        *MemGrant
+	cols     []SortCol
+	emit     func(Tuple) error
+	buf      []Tuple
+	bufBytes int64
+	runs     []*storage.RunFile
+}
+
+// spill writes the buffer as one sorted run.
+func (s *sorter) spill() error {
+	sortTuples(s.buf, s.cols)
+	f, err := s.ctx.writeRun("sort", s.buf)
+	if err != nil {
 		return err
 	}
-	sortTuples(buf, cols)
-	if len(runs) == 0 {
-		for _, t := range buf {
-			if err := emit(t); err != nil {
+	s.runs = append(s.runs, f)
+	s.buf = nil
+	s.g.Release(s.bufBytes)
+	s.bufBytes = 0
+	return nil
+}
+
+func (s *sorter) Add(t Tuple) error {
+	t = t.Clone()
+	sz := TupleMemSize(t)
+	if !s.g.Reserve(sz) {
+		// Only cut a run once the buffer is worth a file: when a
+		// concurrent operator holds most of the budget, spilling on
+		// every failed reserve would flood the temp dir with
+		// single-tuple runs. Below the floor, force the small excess
+		// instead.
+		if s.ctx.canSpill() && s.bufBytes >= minSpillRunBytes {
+			if err := s.spill(); err != nil {
 				return err
 			}
 		}
-		return nil
+		if !s.g.Reserve(sz) {
+			s.g.Force(sz)
+		}
+	}
+	s.buf = append(s.buf, t)
+	s.bufBytes += sz
+	return nil
+}
+
+func (s *sorter) End() error {
+	defer s.Close()
+	ctx, g := s.ctx, s.g
+	if err := ctx.Ctx.Err(); err != nil {
+		return err
+	}
+	// A cancelled query stops the sorted stream at the next row.
+	emit := func(t Tuple) error {
+		if err := s.emit(t); err != nil {
+			return err
+		}
+		return ctx.Ctx.Err()
+	}
+	sortTuples(s.buf, s.cols)
+	if len(s.runs) == 0 {
+		return feed(&residentStream{s: s}, emit)
 	}
 	width := mergeWidth(ctx.Mem)
 	// If keeping the sorted tail resident would crowd out the merge
 	// stream buffers, spill it as one more run: it becomes the last run,
 	// so arrival order — and with it stability — is unchanged, and the
 	// merge then runs purely from disk within budget.
-	if len(buf) > 0 && ctx.canSpill() {
-		fanin := len(runs) + 1
+	if len(s.buf) > 0 && ctx.canSpill() {
+		fanin := len(s.runs) + 1
 		if fanin > width {
 			fanin = width
 		}
 		probe := int64(fanin) * mergeStreamMem
 		if g.Reserve(probe) {
 			g.Release(probe)
-		} else if err := spill(); err != nil {
+		} else if err := s.spill(); err != nil {
 			return err
 		}
 	}
 	tail := 0
-	if len(buf) > 0 {
+	if len(s.buf) > 0 {
 		tail = 1
 	}
 	// Multi-pass: while the final fan-in (every run plus any in-memory
@@ -338,7 +352,8 @@ func externalSort(ctx *TaskCtx, in *PortReader, cols []SortCol, emit func(Tuple)
 	// every iteration, going quadratic in the run count. Merged runs
 	// replace their contiguous inputs in place, preserving run order —
 	// and with it stability — across passes.
-	for len(runs)+tail > width {
+	for len(s.runs)+tail > width {
+		runs := s.runs
 		next := runs[:0]
 		for lo := 0; lo < len(runs); lo += width {
 			hi := lo + width
@@ -349,7 +364,7 @@ func externalSort(ctx *TaskCtx, in *PortReader, cols []SortCol, emit func(Tuple)
 				next = append(next, runs[lo])
 				continue
 			}
-			merged, err := mergeRunsToRun(ctx, g, runs[lo:hi], cols)
+			merged, err := mergeRunsToRun(ctx, g, runs[lo:hi], s.cols)
 			if err != nil {
 				return err
 			}
@@ -358,23 +373,23 @@ func externalSort(ctx *TaskCtx, in *PortReader, cols []SortCol, emit func(Tuple)
 			}
 			next = append(next, merged)
 		}
-		runs = next
+		s.runs = next
 		if err := ctx.Ctx.Err(); err != nil {
 			return err
 		}
 	}
-	need := int64(len(runs)) * mergeStreamMem
+	need := int64(len(s.runs)) * mergeStreamMem
 	if !g.Reserve(need) {
 		g.Force(need)
 	}
-	streams := make([]tupleStream, 0, len(runs)+tail)
-	cursors := make([]*runCursor, 0, len(runs))
+	streams := make([]tupleStream, 0, len(s.runs)+tail)
+	cursors := make([]*runCursor, 0, len(s.runs))
 	defer func() {
 		for _, c := range cursors {
 			c.close()
 		}
 	}()
-	for _, f := range runs {
+	for _, f := range s.runs {
 		c, err := openRun(f)
 		if err != nil {
 			return err
@@ -385,9 +400,18 @@ func externalSort(ctx *TaskCtx, in *PortReader, cols []SortCol, emit func(Tuple)
 	// Any unspilled tail holds the latest-arrived tuples: merging it
 	// last keeps the tie-break ordering consistent with arrival order.
 	if tail == 1 {
-		streams = append(streams, &sliceStream{ts: buf})
+		streams = append(streams, &residentStream{s: s})
 	}
-	return mergeStreams(streams, cols, emit)
+	return mergeStreams(streams, s.cols, emit)
+}
+
+// Close releases the sort's grant and run files.
+func (s *sorter) Close() {
+	s.g.ReleaseAll()
+	for _, f := range s.runs {
+		f.Close()
+	}
+	s.runs, s.buf = nil, nil
 }
 
 // mergeRunsToRun merges sorted runs into one new (larger) run.
@@ -640,88 +664,97 @@ func groupGrowthMem(specs []AggSpec, t Tuple) int64 {
 	return n
 }
 
-// groupByExec is the spilling hash group-by. Tuples aggregate into
+// groupByExec is the spilling hash group-by, HashGroup's push form, at
+// one recursion depth: the input at depth 0, a spilled partition's run
+// below, each with an exec of its own. Tuples aggregate into
 // per-partition tables; when a reservation fails, the offending
 // partition switches to spill mode — its existing groups stay resident
 // (so no aggregation work is lost) and its further tuples go raw to a
 // run, capping memory growth. Spilled runs re-aggregate recursively at
 // the next depth; run-derived groups merge with the retained resident
 // state, preserving arrival order (resident state aggregated strictly
-// earlier arrivals than anything in the run).
+// earlier arrivals than anything in the run, and outer holds the tables
+// of the depths above).
 type groupByExec struct {
-	ctx   *TaskCtx
-	g     *MemGrant
-	keys  []int
-	specs []AggSpec
-	emit  func(Tuple) error
+	ctx    *TaskCtx
+	g      *MemGrant
+	keys   []int
+	specs  []AggSpec
+	emit   func(Tuple) error
+	depth  int
+	outer  []*groupTable
+	tables []*groupTable
+	sinks  []*runSink
 }
 
-func (e *groupByExec) run(src tupleStream, depth int, outer []*groupTable) error {
-	tables := make([]*groupTable, fanout)
-	for i := range tables {
-		tables[i] = newGroupTable()
+func newGroupByExec(ctx *TaskCtx, g *MemGrant, keys []int, specs []AggSpec, emit func(Tuple) error, depth int, outer []*groupTable) *groupByExec {
+	e := &groupByExec{ctx: ctx, g: g, keys: keys, specs: specs, emit: emit, depth: depth, outer: outer,
+		tables: make([]*groupTable, fanout), sinks: make([]*runSink, fanout)}
+	for i := range e.tables {
+		e.tables[i] = newGroupTable()
 	}
-	sinks := make([]*runSink, fanout)
-	spillable := e.ctx.canSpill() && depth < maxSpillDepth
-	for {
-		t, ok, err := src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h := groupHash(t, e.keys)
-		p := int(partMix(h, depth) % fanout)
-		if sinks[p] != nil {
-			if err := sinks[p].add(t); err != nil {
+	return e
+}
+
+func (e *groupByExec) Add(t Tuple) error {
+	h := groupHash(t, e.keys)
+	p := int(partMix(h, e.depth) % fanout)
+	if e.sinks[p] != nil {
+		return e.sinks[p].add(t)
+	}
+	tbl := e.tables[p]
+	grp := tbl.lookup(h, t, e.keys)
+	need := groupGrowthMem(e.specs, t)
+	if grp == nil {
+		need += groupCreateMem(t, e.keys, len(e.specs))
+	}
+	if !e.g.Reserve(need) {
+		if e.ctx.canSpill() && e.depth < maxSpillDepth {
+			sink, err := e.ctx.newRunSink(fmt.Sprintf("group-d%d-p%d", e.depth, p))
+			if err != nil {
 				return err
 			}
-			continue
+			e.sinks[p] = sink
+			return sink.add(t)
 		}
-		tbl := tables[p]
-		grp := tbl.lookup(h, t, e.keys)
-		need := groupGrowthMem(e.specs, t)
-		if grp == nil {
-			need += groupCreateMem(t, e.keys, len(e.specs))
-		}
-		if !e.g.Reserve(need) {
-			if spillable {
-				sink, err := e.ctx.newRunSink(fmt.Sprintf("group-d%d-p%d", depth, p))
-				if err != nil {
-					return err
-				}
-				sinks[p] = sink
-				if err := sink.add(t); err != nil {
-					return err
-				}
-				continue
-			}
-			e.g.Force(need)
-		}
-		if grp == nil {
-			grp = tbl.insert(h, t, e.keys, len(e.specs))
-		}
-		tbl.mem += need
-		for i, spec := range e.specs {
-			grp.states[i].add(spec, t)
-		}
+		e.g.Force(need)
 	}
+	if grp == nil {
+		grp = tbl.insert(h, t, e.keys, len(e.specs))
+	}
+	tbl.mem += need
+	for i, spec := range e.specs {
+		grp.states[i].add(spec, t)
+	}
+	return nil
+}
+
+func (e *groupByExec) End() error {
+	defer e.Close()
+	return e.end()
+}
+
+// Close releases the group-by's grant.
+func (e *groupByExec) Close() { e.g.ReleaseAll() }
+
+// end emits the groups: the resident partitions', then each spilled
+// partition's, re-aggregated from its run one depth down.
+func (e *groupByExec) end() error {
 	if err := e.ctx.Ctx.Err(); err != nil {
 		return err
 	}
 	for p := 0; p < fanout; p++ {
-		if sinks[p] == nil {
-			if err := e.finalizeTable(tables[p], outer); err != nil {
+		if e.sinks[p] == nil {
+			if err := e.finalizeTable(e.tables[p], e.outer); err != nil {
 				return err
 			}
 		}
 	}
 	for p := 0; p < fanout; p++ {
-		if sinks[p] == nil {
+		if e.sinks[p] == nil {
 			continue
 		}
-		f, err := sinks[p].finish()
+		f, err := e.sinks[p].finish()
 		if err != nil {
 			return err
 		}
@@ -734,8 +767,11 @@ func (e *groupByExec) run(src tupleStream, depth int, outer []*groupTable) error
 			f.Close()
 			return err
 		}
-		inner := append(append(make([]*groupTable, 0, len(outer)+1), outer...), tables[p])
-		err = e.run(cur, depth+1, inner)
+		sub := newGroupByExec(e.ctx, e.g, e.keys, e.specs, e.emit, e.depth+1, append(e.outer[:len(e.outer):len(e.outer)], e.tables[p]))
+		err = feed(cur, sub.Add)
+		if err == nil {
+			err = sub.end()
+		}
 		cur.close()
 		f.Close()
 		e.g.Release(need)
@@ -744,11 +780,11 @@ func (e *groupByExec) run(src tupleStream, depth int, outer []*groupTable) error
 		}
 		// Keys of this partition that never reappeared in the run still
 		// sit in its resident table.
-		if err := e.finalizeTable(tables[p], outer); err != nil {
+		if err := e.finalizeTable(e.tables[p], e.outer); err != nil {
 			return err
 		}
 	}
-	return nil
+	return e.ctx.Ctx.Err()
 }
 
 // finalizeTable emits every remaining group of tbl, folding in matching
@@ -816,10 +852,10 @@ type JoinTable struct {
 // plus its hash-table slot.
 func (t *JoinTable) Bytes() int64 { return t.bytes }
 
-// match emits build ++ probe for every tuple of the table key-equal to
-// probe, whose key columns are probeKeys. Keys compare with adm equality
+// match emits the pair of probe and every tuple of the table key-equal
+// to it, whose key columns are probeKeys. Keys compare with adm equality
 // and a null key matches nothing, exactly as eq() is true.
-func (t *JoinTable) match(probe Tuple, probeKeys []int, emit func(Tuple) error) error {
+func (t *JoinTable) match(probe Tuple, probeKeys []int, emit func(b, p Tuple) error) error {
 	for _, b := range t.buckets[joinHash(probe, probeKeys)] {
 		match := true
 		for i, k := range t.keys {
@@ -830,10 +866,7 @@ func (t *JoinTable) match(probe Tuple, probeKeys []int, emit func(Tuple) error) 
 			}
 		}
 		if match {
-			row := make(Tuple, 0, len(b)+len(probe))
-			row = append(row, b...)
-			row = append(row, probe...)
-			if err := emit(row); err != nil {
+			if err := emit(b, probe); err != nil {
 				return err
 			}
 		}
@@ -851,216 +884,196 @@ func (t *JoinTable) add(b Tuple, sz int64) {
 // joinSlotMem is the accounted cost of a build tuple's hash-table slot.
 const joinSlotMem = 48
 
-// hashJoinExec is the hybrid hash join, run as a build half and a probe
-// half. The build side partitions by a depth-varied hash; when a
-// reservation fails, resident partitions are evicted (largest first) to
-// build runs until the tuple fits or its own partition went to disk.
-// Probe tuples for spilled partitions are deferred to probe runs; each
-// (build run, probe run) pair then joins recursively, degrading to
+// hashJoinExec is the hybrid hash join, HashJoin's push form, at one
+// recursion depth: the inputs at depth 0, a spilled pair's runs below,
+// each with an exec of its own. The build side partitions by a
+// depth-varied hash; when a reservation fails, resident partitions are
+// evicted (largest first) to build runs (nil where resident) until the
+// tuple fits or its own partition went to disk. Probe tuples for
+// spilled partitions are deferred to probe runs; at the end each (build
+// run, probe run) pair joins recursively, degrading to
 // block-nested-loop at the depth cap (the one-giant-key case hashing
 // cannot split). keep, when set, is offered the table of a build side
 // that stayed wholly resident once the probe is done; a table it takes
 // stays reserved against the query's budget until the query ends.
 type hashJoinExec struct {
-	ctx       *TaskCtx
-	g         *MemGrant
-	buildKeys []int
-	probeKeys []int
-	emit      func(Tuple) error
-	keep      func(part int, t *JoinTable) bool
+	ctx        *TaskCtx
+	g          *MemGrant
+	buildKeys  []int
+	probeKeys  []int
+	emit       func(b, p Tuple) error
+	keep       func(part int, t *JoinTable) bool
+	depth      int
+	resident   [][]Tuple
+	memPer     []int64
+	n          int
+	buildSinks []*runSink
+	probeSinks []*runSink
+	tbl        *JoinTable
 }
 
-func (e *hashJoinExec) run(build, probe tupleStream, depth int) error {
-	tbl, buildSinks, err := e.build(build, depth)
+func newHashJoinExec(ctx *TaskCtx, g *MemGrant, buildKeys, probeKeys []int, keep func(int, *JoinTable) bool, emit func(b, p Tuple) error, depth int) *hashJoinExec {
+	return &hashJoinExec{ctx: ctx, g: g, buildKeys: buildKeys, probeKeys: probeKeys, keep: keep, emit: emit,
+		depth: depth, resident: make([][]Tuple, fanout), memPer: make([]int64, fanout),
+		buildSinks: make([]*runSink, fanout), probeSinks: make([]*runSink, fanout)}
+}
+
+func (e *hashJoinExec) End() error {
+	defer e.Close()
+	return e.end()
+}
+
+// Close releases the join's grant, but for a table keep took.
+func (e *hashJoinExec) Close() { e.g.ReleaseAll() }
+
+// reserveOrSpill makes room for sz bytes of partition p's resident
+// list, evicting partitions to disk as needed. It reports true when p
+// itself spilled (the caller routes the tuple to p's sink).
+func (e *hashJoinExec) reserveOrSpill(sz int64, p int) (bool, error) {
+	g := e.g
+	for {
+		if g.Reserve(sz) {
+			return false, nil
+		}
+		if !e.ctx.canSpill() || e.depth >= maxSpillDepth {
+			g.Force(sz)
+			return false, nil
+		}
+		victim, best := -1, int64(-1)
+		for i := range e.memPer {
+			if e.buildSinks[i] != nil {
+				continue
+			}
+			if e.memPer[i] > best {
+				best = e.memPer[i]
+				victim = i
+			}
+		}
+		if victim < 0 {
+			g.Force(sz)
+			return false, nil
+		}
+		sink, err := e.ctx.newRunSink(fmt.Sprintf("join-build-d%d-p%d", e.depth, victim))
+		if err != nil {
+			return false, err
+		}
+		for _, bt := range e.resident[victim] {
+			if err := sink.add(bt); err != nil {
+				return false, err
+			}
+		}
+		e.buildSinks[victim] = sink
+		e.resident[victim] = nil
+		g.Release(e.memPer[victim])
+		e.memPer[victim] = 0
+		if victim == p {
+			return true, nil
+		}
+	}
+}
+
+func (e *hashJoinExec) AddBuild(t Tuple) error {
+	h := joinHash(t, e.buildKeys)
+	p := int(partMix(h, e.depth) % fanout)
+	if e.buildSinks[p] != nil {
+		return e.buildSinks[p].add(t)
+	}
+	sz := TupleMemSize(t) + joinSlotMem
+	spilled, err := e.reserveOrSpill(sz, p)
 	if err != nil {
 		return err
 	}
-	probeSinks, err := e.probe(tbl, buildSinks, probe, depth)
-	if err != nil {
+	if spilled {
+		return e.buildSinks[p].add(t)
+	}
+	e.resident[p] = append(e.resident[p], t)
+	e.memPer[p] += sz
+	e.n++
+	return nil
+}
+
+// EndBuild files every resident partition in one table: a probe tuple
+// of a spilled partition goes to its run before it could look.
+func (e *hashJoinExec) EndBuild() error {
+	if err := e.ctx.Ctx.Err(); err != nil {
 		return err
 	}
-	// The resident partitions are fully joined: keep the table, or
-	// release it before recursing so the sub-joins get the whole budget
-	// back.
-	spilled := false
-	for _, s := range buildSinks {
-		spilled = spilled || s != nil
-	}
-	if depth == 0 && !spilled && e.keep != nil && e.keep(e.ctx.Part, tbl) {
-		e.g.Retain(tbl.bytes)
-	} else {
-		e.g.Release(tbl.bytes)
-	}
-	for p := 0; p < fanout; p++ {
-		if buildSinks[p] == nil {
+	e.tbl = &JoinTable{keys: e.buildKeys, buckets: make(map[uint64][]Tuple, e.n)}
+	for p := range e.resident {
+		if e.buildSinks[p] != nil {
 			continue
 		}
-		bf, err := buildSinks[p].finish()
+		for _, bt := range e.resident[p] {
+			h := joinHash(bt, e.buildKeys)
+			e.tbl.buckets[h] = append(e.tbl.buckets[h], bt)
+		}
+		e.tbl.bytes += e.memPer[p]
+	}
+	e.resident = nil
+	return nil
+}
+
+func (e *hashJoinExec) Add(t Tuple) error {
+	if p := int(partMix(joinHash(t, e.probeKeys), e.depth) % fanout); e.buildSinks[p] != nil {
+		if e.probeSinks[p] == nil {
+			s, err := e.ctx.newRunSink(fmt.Sprintf("join-probe-d%d-p%d", e.depth, p))
+			if err != nil {
+				return err
+			}
+			e.probeSinks[p] = s
+		}
+		return e.probeSinks[p].add(t)
+	}
+	return e.tbl.match(t, e.probeKeys, e.emit)
+}
+
+// end keeps or releases the table — the resident partitions are fully
+// joined, and releasing it first gives the sub-joins the whole budget
+// back — then joins the spilled pairs.
+func (e *hashJoinExec) end() error {
+	if err := e.ctx.Ctx.Err(); err != nil {
+		return err
+	}
+	spilled := false
+	for _, s := range e.buildSinks {
+		spilled = spilled || s != nil
+	}
+	if !spilled && e.keep != nil && e.keep(e.ctx.Part, e.tbl) {
+		e.g.Retain(e.tbl.bytes)
+	} else {
+		e.g.Release(e.tbl.bytes)
+	}
+	for p := 0; p < fanout; p++ {
+		if e.buildSinks[p] == nil {
+			continue
+		}
+		bf, err := e.buildSinks[p].finish()
 		if err != nil {
 			return err
 		}
-		if probeSinks[p] == nil {
+		if e.probeSinks[p] == nil {
 			bf.Close() // no probe tuples landed here: nothing can match
 			continue
 		}
-		pf, err := probeSinks[p].finish()
+		pf, err := e.probeSinks[p].finish()
 		if err != nil {
 			bf.Close()
 			return err
 		}
-		err = e.joinRunPair(bf, pf, depth)
+		err = e.joinRunPair(bf, pf)
 		bf.Close()
 		pf.Close()
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// build is the build half: it reads the build side into the table of
-// the partitions that stay resident, and returns it with the build runs
-// of the partitions that spilled (nil where resident).
-func (e *hashJoinExec) build(src tupleStream, depth int) (*JoinTable, []*runSink, error) {
-	spillable := e.ctx.canSpill() && depth < maxSpillDepth
-	resident := make([][]Tuple, fanout)
-	memPer := make([]int64, fanout)
-	buildSinks := make([]*runSink, fanout)
-
-	// reserveOrSpill makes room for sz bytes of partition p's resident
-	// list, evicting partitions to disk as needed. It reports true when
-	// p itself spilled (the caller routes the tuple to p's sink).
-	reserveOrSpill := func(sz int64, p int) (bool, error) {
-		for {
-			if e.g.Reserve(sz) {
-				return false, nil
-			}
-			if !spillable {
-				e.g.Force(sz)
-				return false, nil
-			}
-			victim, best := -1, int64(-1)
-			for i := range memPer {
-				if buildSinks[i] != nil {
-					continue
-				}
-				if memPer[i] > best {
-					best = memPer[i]
-					victim = i
-				}
-			}
-			if victim < 0 {
-				e.g.Force(sz)
-				return false, nil
-			}
-			sink, err := e.ctx.newRunSink(fmt.Sprintf("join-build-d%d-p%d", depth, victim))
-			if err != nil {
-				return false, err
-			}
-			for _, bt := range resident[victim] {
-				if err := sink.add(bt); err != nil {
-					return false, err
-				}
-			}
-			buildSinks[victim] = sink
-			resident[victim] = nil
-			e.g.Release(memPer[victim])
-			memPer[victim] = 0
-			if victim == p {
-				return true, nil
-			}
-		}
-	}
-
-	n := 0
-	for {
-		t, ok, err := src.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		h := joinHash(t, e.buildKeys)
-		p := int(partMix(h, depth) % fanout)
-		if buildSinks[p] != nil {
-			if err := buildSinks[p].add(t); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		sz := TupleMemSize(t) + joinSlotMem
-		spilled, err := reserveOrSpill(sz, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if spilled {
-			if err := buildSinks[p].add(t); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		resident[p] = append(resident[p], t)
-		memPer[p] += sz
-		n++
-	}
-	if err := e.ctx.Ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	// One table holds every resident partition: a probe tuple of a
-	// spilled partition goes to its run before it could look.
-	tbl := &JoinTable{keys: e.buildKeys, buckets: make(map[uint64][]Tuple, n)}
-	for p := range resident {
-		if buildSinks[p] != nil {
-			continue
-		}
-		for _, bt := range resident[p] {
-			h := joinHash(bt, e.buildKeys)
-			tbl.buckets[h] = append(tbl.buckets[h], bt)
-		}
-		tbl.bytes += memPer[p]
-	}
-	return tbl, buildSinks, nil
-}
-
-// probe is the probe half: it streams the probe side past tbl and
-// defers the tuples of spilled partitions to probe runs, which it
-// returns (nil where nothing was deferred).
-func (e *hashJoinExec) probe(tbl *JoinTable, buildSinks []*runSink, src tupleStream, depth int) ([]*runSink, error) {
-	probeSinks := make([]*runSink, fanout)
-	for {
-		t, ok, err := src.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if p := int(partMix(joinHash(t, e.probeKeys), depth) % fanout); buildSinks[p] != nil {
-			if probeSinks[p] == nil {
-				s, err := e.ctx.newRunSink(fmt.Sprintf("join-probe-d%d-p%d", depth, p))
-				if err != nil {
-					return nil, err
-				}
-				probeSinks[p] = s
-			}
-			if err := probeSinks[p].add(t); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := tbl.match(t, e.probeKeys, e.emit); err != nil {
-			return nil, err
-		}
-	}
-	return probeSinks, e.ctx.Ctx.Err()
+	return e.ctx.Ctx.Err()
 }
 
 // joinRunPair joins one spilled (build, probe) pair: recursively while
 // re-partitioning can still help, block-nested-loop at the depth cap.
-func (e *hashJoinExec) joinRunPair(bf, pf *storage.RunFile, depth int) error {
-	if depth+1 >= maxSpillDepth {
+func (e *hashJoinExec) joinRunPair(bf, pf *storage.RunFile) error {
+	if e.depth+1 >= maxSpillDepth {
 		return e.blockJoin(bf, pf)
 	}
 	need := 2 * mergeStreamMem
@@ -1078,7 +1091,17 @@ func (e *hashJoinExec) joinRunPair(bf, pf *storage.RunFile, depth int) error {
 		return err
 	}
 	defer pc.close()
-	return e.run(bc, pc, depth+1)
+	sub := newHashJoinExec(e.ctx, e.g, e.buildKeys, e.probeKeys, nil, e.emit, e.depth+1)
+	if err := feed(bc, sub.AddBuild); err != nil {
+		return err
+	}
+	if err := sub.EndBuild(); err != nil {
+		return err
+	}
+	if err := feed(pc, sub.Add); err != nil {
+		return err
+	}
+	return sub.end()
 }
 
 // blockJoin is the fallback for data that will not split: read the

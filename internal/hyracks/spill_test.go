@@ -117,7 +117,7 @@ func tupleSource(ts []Tuple) func() Operator {
 func sortJob(input []Tuple) (*Job, *Collector) {
 	job := &Job{}
 	src := job.Add("Src", 1, tupleSource(input))
-	srt := job.Add("Sort", 1, Sort([]SortCol{{Col: 0}}),
+	srt := job.Add("Sort", 1, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push { return Sort(ctx, []SortCol{{Col: 0}}, emit) }),
 		Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: srt, Conn: ConnectorSpec{Type: GatherOne}})
@@ -157,14 +157,16 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 func groupJob(input []Tuple) (*Job, *Collector) {
 	job := &Job{}
 	src := job.Add("Src", 1, tupleSource(input))
-	grp := job.Add("HashGroup", 1, HashGroup([]int{0}, []AggSpec{
-		{Kind: AggCount},
-		{Kind: AggSum, In: 1},
-		{Kind: AggMin, In: 1},
-		{Kind: AggMax, In: 1},
-		{Kind: AggAvg, In: 1},
-		{Kind: AggListify, In: 1},
-		{Kind: AggFirst, In: 2},
+	grp := job.Add("HashGroup", 1, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push {
+		return HashGroup(ctx, []int{0}, []AggSpec{
+			{Kind: AggCount},
+			{Kind: AggSum, In: 1},
+			{Kind: AggMin, In: 1},
+			{Kind: AggMax, In: 1},
+			{Kind: AggAvg, In: 1},
+			{Kind: AggListify, In: 1},
+			{Kind: AggFirst, In: 2},
+		}, emit)
 	}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
 	MakeSink(job, "Sink", &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
@@ -211,7 +213,9 @@ func joinJob(build, probe []Tuple, keep func(int, *JoinTable) bool) (*Job, *Coll
 	job := &Job{}
 	b := job.Add("Build", 1, tupleSource(build))
 	p := job.Add("Probe", 1, tupleSource(probe))
-	j := job.Add("HashJoin", 1, HashJoin([]int{0}, []int{0}, keep),
+	j := job.Add("HashJoin", 1, joinOp(func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush {
+		return HashJoin(ctx, []int{0}, []int{0}, keep, emit)
+	}),
 		Input{From: b, Conn: ConnectorSpec{Type: OneToOne}},
 		Input{From: p, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
@@ -299,7 +303,9 @@ func TestHashJoinKeepsAResidentTable(t *testing.T) {
 		}
 		pjob := &Job{}
 		p := pjob.Add("Probe", 1, tupleSource(probe))
-		j := pjob.Add("HashJoinKept", 1, HashJoinKept(func(int) *JoinTable { return kept }, []int{0}),
+		j := pjob.Add("HashJoinKept", 1, pushOp(func(_ *TaskCtx, emit func(Tuple) error) Push {
+			return HashJoinKept(kept, []int{0}, func(b, p Tuple) error { return emit(append(b.Clone(), p...)) })
+		}),
 			Input{From: p, Conn: ConnectorSpec{Type: OneToOne}})
 		var pc Collector
 		MakeSink(pjob, "Sink", &pc, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
@@ -323,7 +329,9 @@ func TestNestedLoopJoinSpillMatchesInMemory(t *testing.T) {
 		job := &Job{}
 		bn := job.Add("Build", 1, tupleSource(build))
 		pn := job.Add("Probe", 1, tupleSource(probe))
-		j := job.Add("NLJ", 1, NestedLoopJoin(pred),
+		j := job.Add("NLJ", 1, joinOp(func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush {
+			return NestedLoopJoin(ctx, pred, emit)
+		}),
 			Input{From: bn, Conn: ConnectorSpec{Type: OneToOne}},
 			Input{From: pn, Conn: ConnectorSpec{Type: OneToOne}})
 		var c Collector
