@@ -488,10 +488,8 @@ func TestActiveQueryExecutePhase(t *testing.T) {
 func TestLocalJobCarriesQueryLabel(t *testing.T) {
 	var profile bytes.Buffer
 	job := &hyracks.Job{}
-	n := job.Add("Probe", 1, func() hyracks.Operator {
-		return hyracks.OpFunc(func(*hyracks.TaskCtx, []*hyracks.PortReader, []*hyracks.Emitter) error {
-			return pprof.Lookup("goroutine").WriteTo(&profile, 1)
-		})
+	n := job.Add("Probe", 1, func(*hyracks.TaskCtx, []*hyracks.PortReader, []*hyracks.Emitter) error {
+		return pprof.Lookup("goroutine").WriteTo(&profile, 1)
 	})
 	n.OutPorts = 0
 	lj := &localJob{job: job, topo: hyracks.Topology{Partitions: 1, PartsPerNode: 1, JobID: 4242}}

@@ -54,10 +54,17 @@ type planFacts struct {
 	others map[*algebra.Op]int
 }
 
-// analyzePlan computes the planFacts of the plan rooted at root.
+// analyzePlan computes the planFacts of the plan rooted at root. A
+// memo's Vars are all live above it, whatever this plan reads of them:
+// its entry serves every plan with its key.
 func analyzePlan(root *algebra.Op) *planFacts {
 	f := &planFacts{live: algebra.LiveVars(root), others: map[*algebra.Op]int{}}
 	algebra.Walk(root, func(op *algebra.Op) {
+		if op.Kind == algebra.OpMemo {
+			for _, v := range op.Vars {
+				f.live[op][v] = true
+			}
+		}
 		for i, in := range op.Inputs {
 			if in.Kind == algebra.OpMemo && memoSide(op) != i {
 				f.others[in]++
@@ -80,12 +87,13 @@ type boundPlan struct {
 
 // jobGen compiles an optimized algebra plan into a hyracks job.
 type jobGen struct {
-	c        *Cluster
-	job      *hyracks.Job
-	parts    int
-	shared   map[*algebra.Op]*genOut // shared nodes only: the others are generated once
-	parents  map[*algebra.Op]int     // over the operators the job runs: none below a memo hit
-	portUsed map[*algebra.Op]int
+	c     *Cluster
+	job   *hyracks.Job
+	parts int
+	// shared holds a shared node's output, its port the next reader's;
+	// the others are generated once.
+	shared  map[*algebra.Op]*genOut
+	parents map[*algebra.Op]int // over the operators the job runs: none below a memo hit
 	// params are the literals the plan's tagged constants take (see
 	// boundPlan); every constant job generation reads, it reads through
 	// them.
@@ -111,14 +119,12 @@ type jobGen struct {
 // genOut is the generated form of one algebra operator.
 type genOut struct {
 	node   *hyracks.OpNode
-	port   int // output port to read (replicated shared nodes use >0)
+	port   int // output port to read: a shared node has one per reader
 	schema []algebra.Var
 	parts  int
 	// sortCols is non-nil when the output is per-partition sorted; it
 	// lets parents use order-preserving merge connectors.
 	sortCols []hyracks.SortCol
-	// rep is the Replicate node inserted for shared algebra nodes.
-	rep *hyracks.OpNode
 	// fromIndex marks output carrying unverified secondary-index
 	// candidates; the first Select above it is the global verification
 	// and counts its survivors into QueryCounters.VerifiedTotal.
@@ -156,7 +162,6 @@ func (c *Cluster) generateJob(bp boundPlan, counters *QueryCounters, replay bool
 		parts:    c.cfg.Partitions(),
 		shared:   map[*algebra.Op]*genOut{},
 		parents:  map[*algebra.Op]int{},
-		portUsed: map[*algebra.Op]int{},
 		params:   bp.params,
 		live:     bp.facts.live,
 		counters: counters,
@@ -186,17 +191,34 @@ func (c *Cluster) generateJob(bp boundPlan, counters *QueryCounters, replay bool
 	if err != nil {
 		return nil, nil, err
 	}
-	// Project to the result column; keep any sort columns so a MergeOne
-	// sink can preserve a top-level order-by.
+	// Project to the result column; keep any sort columns so a merge into
+	// the sink's one instance can preserve a top-level order-by.
 	p := g.openPipeline(child)
 	p.add("ResultProject", nil)
-	res, err := g.seal(p, append([]algebra.Var{root.Var}, p.sortVars()...))
-	if err != nil {
+	collector := &hyracks.Collector{}
+	if err := g.deliver(p, append([]algebra.Var{root.Var}, p.sortVars()...), collector); err != nil {
 		return nil, nil, err
 	}
-	collector := &hyracks.Collector{}
-	hyracks.MakeSink(g.job, "DistributeResult", collector, g.inputFrom(res, gatherConn(res)))
 	return g, collector, nil
+}
+
+// deliver ends p's rows, cut to vars, in the result sink c: as the last
+// stage of p if p runs in one instance, else of a pipeline over p
+// gathered into one, merged in its order if it has one. The sink runs
+// on the instance goroutine, so a Sink that blocks holds up the rows
+// behind it.
+func (g *jobGen) deliver(p *pipeline, vars []algebra.Var, c *hyracks.Collector) error {
+	if p.parts > 1 {
+		res, err := g.seal(p, vars)
+		if err != nil {
+			return err
+		}
+		p = g.openPort(res, gatherConn(res), 1)
+	}
+	p.add("DistributeResult", nil)
+	p.sink = c
+	_, err := g.seal(p, vars)
+	return err
 }
 
 // gatherConn gathers out into one instance, merged in its order if it
@@ -232,9 +254,11 @@ func (g *jobGen) sealed(out *genOut, op *algebra.Op) (*genOut, error) {
 }
 
 // genOpen compiles one algebra node and leaves a pipeline it ends in
-// open for the caller to extend. Shared nodes are sealed, generated once
-// and get a materializing Replicate so each parent reads a private port;
-// the empty tuple is a source of each reader's own.
+// open for the caller to extend. A shared node is generated once, its
+// pipeline ending in a Replicate stage, a materializing fan-out with a
+// port per reader — the runtime form of the paper's Figure 20
+// materialize/reuse; each reader is a pipeline over its own port. The
+// empty tuple is a source of each reader's own.
 func (g *jobGen) genOpen(op *algebra.Op) (*genOut, error) {
 	if g.parents[op] <= 1 || op.Kind == algebra.OpEmpty {
 		return g.genFresh(op)
@@ -245,31 +269,17 @@ func (g *jobGen) genOpen(op *algebra.Op) (*genOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		if out, err = g.sealed(fresh, op); err != nil {
+		p := g.openPipeline(fresh)
+		p.add("Replicate", nil)
+		p.readers = g.parents[op]
+		if out, err = g.seal(p, p.liveVars(g.live[op])); err != nil {
 			return nil, err
 		}
 		g.shared[op] = out
 	}
-	// Every parent, the first included, reads through the replicate.
-	return g.sharedPort(op, out)
-}
-
-// sharedPort wraps a shared node with a materializing Replicate (once)
-// and returns a view bound to the next free output port — the runtime
-// form of the paper's Figure 20 materialize/reuse.
-func (g *jobGen) sharedPort(op *algebra.Op, out *genOut) (*genOut, error) {
-	if out.rep == nil {
-		rep := g.job.Add("Replicate", out.parts, hyracks.Replicate(g.parents[op]),
-			hyracks.Input{From: out.node, FromPort: out.port, Conn: hyracks.ConnectorSpec{Type: hyracks.OneToOne}})
-		rep.OutPorts = g.parents[op]
-		out.rep = rep
-	}
-	port := g.portUsed[op]
-	g.portUsed[op]++
-	if port >= out.rep.OutPorts {
-		return nil, fmt.Errorf("jobgen: too many readers of shared %v", op.Kind)
-	}
-	return &genOut{node: out.rep, port: port, schema: out.schema, parts: out.parts, sortCols: out.sortCols, fromIndex: out.fromIndex}, nil
+	view := *out
+	out.port++
+	return &view, nil
 }
 
 // genFresh compiles a node that has not been seen yet.
@@ -436,11 +446,13 @@ func (inst *instance) close() {
 
 // pipeline builds the one job node of a maximal chain of operators
 // between two places rows change partition, headed by the port it reads
-// or by a source: a scan, or the empty tuple. Its stages are the per-row
-// operators (select, assign, project, unnest, index search, primary
-// lookup, rank, limit, and the select or project a join, a union input
-// and the result add) and the push forms of hyracks (sort, group-by,
-// aggregate, join). Every instance owns a scratch row per segment: the
+// (a union's, by each input's port in turn) or by a source: a scan, or
+// the empty tuple. Its stages are the per-row operators (select, assign,
+// project, unnest, index search, primary lookup, rank, limit, and the
+// select or project a join, a union input and the result add) and the
+// push forms of hyracks (sort, group-by, aggregate, join); it ends in a
+// port, in a fan-out to the ports of the readers that share it, or in
+// the result sink. Every instance owns a scratch row per segment: the
 // source writes its row, or the input tuple is copied, into the first
 // slots of the head segment's, a stage writes the variables it defines
 // into slots of their own, and the compiled evaluators index the row by
@@ -450,20 +462,24 @@ func (inst *instance) close() {
 // row only while it runs (the next input overwrites it); a value it
 // returns is immutable and may be kept.
 type pipeline struct {
-	// in is the sealed producer the chain reads through conn; under a
-	// source it has no node and stands for the source's rows.
-	in     *genOut
-	conn   hyracks.ConnectorSpec
-	src    source              // the chain's source, nil if it reads in
-	parts  int                 // instances of the chain's node
-	out    *genOut             // the open genOut that stands for the chain
-	schema []algebra.Var       // variables visible after the last stage
-	cols   map[algebra.Var]int // visible variable -> slot of seg's row
-	head   *segment            // the segment the input starts
-	seg    *segment            // the segment the last stage ends in
-	params []adm.Value         // the job's jobGen.params
-	stages []stage
-	names  []string // stage names, in order: the node's name
+	// in are the ports the chain reads, one after another; none under a
+	// source.
+	in    []hyracks.Input
+	src   source // the chain's source, nil if it reads in
+	parts int    // instances of the chain's node
+	// readers is how many readers share the chain, each over a port of
+	// its own; more than one ends the chain in a fan-out. sink, when
+	// set, is the result collector the chain ends in instead of a port.
+	readers int
+	sink    *hyracks.Collector
+	out     *genOut             // the open genOut that stands for the chain
+	schema  []algebra.Var       // variables visible after the last stage
+	cols    map[algebra.Var]int // visible variable -> slot of seg's row
+	head    *segment            // the segment the input starts
+	seg     *segment            // the segment the last stage ends in
+	params  []adm.Value         // the job's jobGen.params
+	stages  []stage
+	names   []string // stage names, in order: the node's name
 	// builds are the ports a join's stage reads its build side from as
 	// an instance starts.
 	builds []hyracks.Input
@@ -503,14 +519,15 @@ func (g *jobGen) openPipeline(out *genOut) *pipeline {
 	}
 	n := len(out.schema)
 	p := &pipeline{
-		in:     out,
-		conn:   hyracks.ConnectorSpec{Type: hyracks.OneToOne},
 		parts:  out.parts,
 		schema: append([]algebra.Var(nil), out.schema...),
 		cols:   colMap(out.schema),
 		head:   &segment{width: n, n: n, owned: true},
 		params: g.params,
 		sorted: out.sortCols, fromIndex: out.fromIndex,
+	}
+	if out.node != nil {
+		p.in = []hyracks.Input{g.inputFrom(out, hyracks.ConnectorSpec{Type: hyracks.OneToOne})}
 	}
 	p.seg = p.head
 	p.out = &genOut{pipe: p}
@@ -521,7 +538,7 @@ func (g *jobGen) openPipeline(out *genOut) *pipeline {
 // in parts instances. Only a merge keeps in's order.
 func (g *jobGen) openPort(in *genOut, conn hyracks.ConnectorSpec, parts int) *pipeline {
 	p := g.openPipeline(in)
-	p.conn, p.parts = conn, parts
+	p.in[0].Conn, p.parts = conn, parts
 	if conn.Type != hyracks.MergeOne {
 		p.sorted = nil
 	}
@@ -863,14 +880,14 @@ func (p *pipeline) unnest(e algebra.Expr, elemVar, posVar algebra.Var) {
 	})
 }
 
-// seal ends the chain in one job node that emits vars. Only here is a
-// tuple allocated, one per surviving row; a chain that hands the tuple
-// its last segment started from on unchanged emits that tuple itself,
-// and one with nothing to run and nothing to drop adds no node at all. A
-// chain headed by a source is a node with no input but the ports its
-// joins build from.
+// seal ends the chain in one job node that emits vars: to its port, to
+// the port of each reader that shares it, or to the result sink. Only
+// here is a tuple allocated, one per surviving row; a chain that hands
+// the tuple its last segment started from on unchanged emits that tuple
+// itself, and one over a single one-to-one port with nothing to run and
+// nothing to drop adds no node at all. A chain headed by a source is a
+// node with no input but the ports its joins build from.
 func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
-	in, src := p.in, p.src
 	slots, err := p.slotsOf(vars)
 	if err != nil {
 		return nil, err
@@ -879,7 +896,7 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 	for i, c := range slots {
 		same = same && c == i
 	}
-	out := &genOut{node: in.node, port: in.port, schema: vars, parts: p.parts, fromIndex: p.fromIndex}
+	out := &genOut{schema: vars, parts: p.parts, fromIndex: p.fromIndex}
 	// The output is sorted as the chain's rows are if every sort slot
 	// survives (liveVars and the result keep them).
 	for _, sc := range p.sorted {
@@ -890,52 +907,60 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 		}
 		out.sortCols = append(out.sortCols, hyracks.SortCol{Col: i, Desc: sc.Desc})
 	}
-	if len(p.stages) == 0 && same && p.conn.Type == hyracks.OneToOne {
+	ports := max(p.readers, 1)
+	if p.sink != nil {
+		ports = 0
+	}
+	if len(p.stages) == 0 && same && ports == 1 && len(p.in) == 1 && p.in[0].Conn.Type == hyracks.OneToOne {
+		out.node, out.port = p.in[0].From, p.in[0].FromPort
 		return out, nil
 	}
-	var inputs []hyracks.Input
-	if src == nil {
-		inputs = append(inputs, g.inputFrom(in, p.conn))
-	}
-	heads := len(inputs)
-	inputs = append(inputs, p.builds...)
-	stages, width := p.stages, p.head.width
-	out.port = 0
-	out.node = g.job.Add(strings.Join(p.names, "+"), p.parts, func() hyracks.Operator {
-		return hyracks.OpFunc(func(ctx *hyracks.TaskCtx, ports []*hyracks.PortReader, outs []*hyracks.Emitter) error {
-			inst := &instance{ctx: ctx, builds: ports[heads:]}
-			defer inst.close()
-			row := make(hyracks.Tuple, width)
-			first := step(func(row hyracks.Tuple) error {
-				nt := make(hyracks.Tuple, len(slots))
+	heads := len(p.in)
+	inputs := append(p.in, p.builds...)
+	stages, width, src, sink := p.stages, p.head.width, p.src, p.sink
+	out.node = g.job.Add(strings.Join(p.names, "+"), p.parts, func(ctx *hyracks.TaskCtx, in []*hyracks.PortReader, outs []*hyracks.Emitter) error {
+		inst := &instance{ctx: ctx, builds: in[heads:]}
+		defer inst.close()
+		var fan hyracks.Push
+		if len(outs) > 1 {
+			fan = hyracks.FanOut(ctx, outs)
+			inst.onClose(fan.Close)
+			inst.onEnd(fan.End)
+		}
+		first := step(func(row hyracks.Tuple) error {
+			t := inst.cur
+			if !same {
+				t = make(hyracks.Tuple, len(slots))
 				for i, s := range slots {
-					nt[i] = row[s]
-				}
-				outs[0].Emit(nt)
-				return nil
-			})
-			if same {
-				first = func(hyracks.Tuple) error {
-					outs[0].Emit(inst.cur)
-					return nil
+					t[i] = row[s]
 				}
 			}
-			for i := len(stages) - 1; i >= 0; i-- {
-				var err error
-				if first, err = stages[i](inst, first); err != nil {
-					return err
-				}
+			switch {
+			case sink != nil:
+				return sink.Collect(ctx, t)
+			case fan != nil:
+				return fan.Add(t)
 			}
-			if src != nil {
-				if err := src(ctx, row, first); err != nil {
-					return err
-				}
-				return inst.end()
+			outs[0].Emit(t)
+			return nil
+		})
+		for i := len(stages) - 1; i >= 0; i-- {
+			var err error
+			if first, err = stages[i](inst, first); err != nil {
+				return err
 			}
+		}
+		row := make(hyracks.Tuple, width)
+		if src != nil {
+			if err := src(ctx, row, first); err != nil {
+				return err
+			}
+		}
+		for _, port := range in[:heads] {
 			for {
-				t, ok := ports[0].Next()
+				t, ok := port.Next()
 				if !ok {
-					return inst.end()
+					break
 				}
 				inst.cur = t
 				copy(row, t)
@@ -943,8 +968,10 @@ func (g *jobGen) seal(p *pipeline, vars []algebra.Var) (*genOut, error) {
 					return err
 				}
 			}
-		})
+		}
+		return inst.end()
 	}, inputs...)
+	out.node.OutPorts = ports
 	return out, nil
 }
 
@@ -1350,16 +1377,17 @@ func isAlwaysTrue(e algebra.Expr, params []adm.Value) bool {
 	return v.Kind() == adm.KindBool && v.Bool()
 }
 
+// genUnion heads a pipeline that reads each input's port in turn, in
+// every partition (bag union, no dedup). Each input is cut to the
+// union's columns as the last stage of the pipeline below it.
 func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
-	inputs := make([]hyracks.Input, len(op.Inputs))
+	var heads []hyracks.Input
 	var fromIndex bool
 	for i, child := range op.Inputs {
 		open, err := g.genOpen(child)
 		if err != nil {
 			return nil, err
 		}
-		// Align the input's columns with the union's as the last stage of
-		// the pipeline below it.
 		p := g.openPipeline(open)
 		p.add("UnionProject", nil)
 		in, err := g.seal(p, op.InVars[i])
@@ -1371,10 +1399,12 @@ func (g *jobGen) genUnion(op *algebra.Op) (*genOut, error) {
 		if in.parts != g.parts {
 			conn = hyracks.ConnectorSpec{Type: hyracks.RoundRobin}
 		}
-		inputs[i] = g.inputFrom(in, conn)
+		heads = append(heads, g.inputFrom(in, conn))
 	}
-	node := g.job.Add("Union", g.parts, hyracks.Union(), inputs...)
-	return &genOut{node: node, schema: append([]algebra.Var(nil), op.OutVars...), parts: g.parts, fromIndex: fromIndex}, nil
+	p := g.openPipeline(&genOut{schema: op.OutVars, parts: g.parts, fromIndex: fromIndex})
+	p.in = heads
+	p.add("Union", nil)
+	return p.out, nil
 }
 
 // genSecondarySearch adds the search to the pipeline its input ends in

@@ -427,7 +427,7 @@ func TestJoinMemoWriteAfterGenerationReruns(t *testing.T) {
 // the memo kept — and, its result reading only the two keys, has no
 // stage 3: it runs only the outer side's scan, which reads the key range
 // of its select, and no Replicate. A miss also runs the memo subplans'
-// shared full scan, replicated to both of them.
+// shared full scan, whose pipeline ends in a Replicate to both of them.
 func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 	c, sess, recs := loadBenchJoin(t)
 	q := "explain analyze " + benchJoin.AQL("ReviewsPlain")
@@ -449,10 +449,12 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 		}
 		return n
 	}
+	// replicated is what the partitioned nodes whose pipeline ends in a
+	// Replicate emit to their ports, all of them together.
 	replicated := func(res *Result) int64 {
 		var out int64
 		for _, op := range res.Stats.PhysicalOps() {
-			if op.Name == "Replicate" && op.Instances == c.cfg.Partitions() {
+			if hasStage(op.Name, "Replicate") && op.Instances == c.cfg.Partitions() {
 				out += op.TuplesOut
 			}
 		}
@@ -491,13 +493,21 @@ func TestJoinMemoHitRunsNoDataOnlyOperators(t *testing.T) {
 		if ops["Memo"] != 0 || ops["Scan"] != scans {
 			t.Errorf("%s: %d memo nodes (a replay source or a capture) and %d scans, want none and %d", tc.outcome, ops["Memo"], ops["Scan"], scans)
 		}
+		// A node exists only where rows change partition, or for a shared
+		// node's readers. A miss: the shared scan ends in a Replicate to
+		// the token counts' pipeline and the inner side's, and the rank
+		// of the token order in a Replicate to both sides' prefix joins;
+		// then the two sides' group-bys, the pairs' join and group-by,
+		// and the result: 11 nodes, 38 instances.
+		if n, inst := len(tc.res.Stats.PhysicalOps()), len(tc.res.Stats.Spans); tc.outcome == memoMiss && (n != 11 || inst != 38) {
+			t.Errorf("miss: %d job nodes and %d instances, want 11 and 38", n, inst)
+		}
 		if tc.outcome == memoHit {
-			// A node exists only where rows change partition: the outer
-			// scan heads the pipeline of the outer side's select,
-			// assign, unnest and its probe of the kept token order, and
-			// each hash repartition starts the next (the group-by, the
-			// prefix join's probe, the group-by of the pairs), then the
-			// result: 5 nodes, 17 instances.
+			// A hit: the outer scan heads the pipeline of the outer
+			// side's select, assign, unnest and its probe of the kept
+			// token order, and each hash repartition starts the next (the
+			// group-by, the prefix join's probe, the group-by of the
+			// pairs), then the result: 5 nodes, 17 instances.
 			if n, inst := len(tc.res.Stats.PhysicalOps()), len(tc.res.Stats.Spans); n != 5 || inst != 17 {
 				t.Errorf("hit: %d job nodes and %d instances, want 5 and 17", n, inst)
 			}

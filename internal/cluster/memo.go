@@ -349,21 +349,19 @@ func (g *jobGen) replayMoved() bool {
 	return false
 }
 
-// genMemo generates a memo's input with its output in the memo's Vars
-// order: the layout of the build tuples a join keeps under the memo's
-// key, and that a later job's plan reads them in. A hit generates
-// nothing — genJoin probes the entry's tables instead of building — and
-// is resolved only where genJoin consumes it.
+// genMemo projects the pipeline its input ends in onto the memo's Vars,
+// in order: the layout of the build tuples a join keeps under the
+// memo's key, and that a later job's plan reads them in (analyzePlan
+// keeps all of them live). A hit generates nothing — genJoin probes the
+// entry's tables instead of building — and is resolved only where
+// genJoin consumes it.
 func (g *jobGen) genMemo(op *algebra.Op) (*genOut, error) {
 	in, err := g.genOpen(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
 	p := g.openPipeline(in)
-	if len(p.names) == 0 {
-		p.add("Project", nil)
-	}
-	return g.seal(p, op.Vars)
+	return p.out, p.project(op.Vars)
 }
 
 // commitMemos stores the captures of a job that succeeded, over a

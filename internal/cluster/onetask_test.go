@@ -90,7 +90,10 @@ func runPlan(t *testing.T, c *Cluster, bp boundPlan) []adm.Value {
 // of a pipeline that reads its outer side through a broadcast port, and
 // its sort and lookup are stages of the same pipeline; an order the
 // input does not have is sorted; and a query cancelled mid-lookup
-// releases its snapshots and its instances.
+// releases its snapshots and its instances. The join's outer scan ends
+// in a fan-out to the outer rows' two readers (6 nodes, 21 instances). A
+// count and an order-by + limit end in one instance, which delivers the
+// result itself: two nodes, five instances.
 func TestIndexedSelectionIsOneTask(t *testing.T) {
 	inproc, tcp := transportPair(t)
 	for _, c := range []*Cluster{inproc, tcp} {
@@ -110,6 +113,10 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 		for $a in dataset EqReviews for $b in dataset EqReviews
 		where $a.id = 4 and word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id != $b.id
 		return $b.id`
+	gathered := []struct{ name, query string }{
+		{"count", `count(for $r in dataset EqReviews where $r.id > 2 return $r)`},
+		{"order-by + limit", `for $r in dataset EqReviews order by $r.username limit 3 return $r.id`},
+	}
 	answers := map[string][]string{}
 	for _, tr := range []struct {
 		name string
@@ -183,6 +190,21 @@ func TestIndexedSelectionIsOneTask(t *testing.T) {
 				t.Errorf("inlj: the transports disagree")
 			}
 			answers["inlj"] = rowFingerprints(res.Rows)
+			if nodes, instances, _, _ := jobShape(t, c, explainedPlan(t, c, NewSession(), inlj)); nodes != 6 || instances != 21 {
+				t.Errorf("inlj: %d job nodes and %d instances, want 6 and 21", nodes, instances)
+			}
+			for _, q := range gathered {
+				nodes, instances, _, _ := jobShape(t, c, explainedPlan(t, c, NewSession(), q.query))
+				if nodes != 2 || instances != 5 {
+					t.Errorf("%s: %d job nodes and %d instances, want 2 and 5", q.name, nodes, instances)
+				}
+				res := exec(t, c, NewSession(), q.query)
+				got := fmt.Sprint(res.Rows)
+				if want, ok := answers[q.name]; len(res.Rows) == 0 || ok && want[0] != got {
+					t.Errorf("%s: rows %s, the other transport %v", q.name, got, want)
+				}
+				answers[q.name] = []string{got}
+			}
 			// The search is a stage of the pipeline that reads the outer
 			// rows through a broadcast port, in every partition, and the
 			// Sort of its candidates and their lookup are stages of the

@@ -636,13 +636,11 @@ func runChain(t *testing.T, chain []*chainStage, input []algebra.Var, tuples []h
 			return nil
 		})
 	} else {
-		src := g.job.Add("Source", 1, func() hyracks.Operator {
-			return hyracks.OpFunc(func(_ *hyracks.TaskCtx, _ []*hyracks.PortReader, outs []*hyracks.Emitter) error {
-				for _, tu := range tuples {
-					outs[0].Emit(tu)
-				}
-				return nil
-			})
+		src := g.job.Add("Source", 1, func(_ *hyracks.TaskCtx, _ []*hyracks.PortReader, outs []*hyracks.Emitter) error {
+			for _, tu := range tuples {
+				outs[0].Emit(tu)
+			}
+			return nil
 		})
 		p = g.openPipeline(&genOut{node: src, schema: input, parts: 1})
 	}
@@ -658,7 +656,9 @@ func runChain(t *testing.T, chain []*chainStage, input []algebra.Var, tuples []h
 	}
 	run.nodes = len(g.job.Nodes())
 	sink := &hyracks.Collector{}
-	hyracks.MakeSink(g.job, "Sink", sink, g.inputFrom(out, hyracks.ConnectorSpec{Type: hyracks.GatherOne}))
+	if err := g.deliver(g.openPort(out, hyracks.ConnectorSpec{Type: hyracks.GatherOne}, 1), run.keep, sink); err != nil {
+		t.Fatal(err)
+	}
 	_, run.err = hyracks.Run(context.Background(), g.job, hyracks.Topology{Partitions: 1, PartsPerNode: 1})
 	run.rows = sink.Tuples
 	return run

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -452,19 +453,85 @@ func TestEngineAgreesWithNaiveReference(t *testing.T) {
 	if got := pairKey(exec(t, c, NewSession(), ranged)); got != fmt.Sprint(want) {
 		t.Errorf("ranged join: engine %s, reference %v", got, want)
 	}
+
+	// A scalar count and an order-by + limit end in one instance, which
+	// delivers the result itself.
+	const countQ = `count(for $r in dataset ARevs where $r.id >= 100 return $r)`
+	noOneToOneHop(t, c, "count", countQ)
+	if got := rowInts(t, exec(t, c, NewSession(), countQ).Rows); fmt.Sprint(got) != fmt.Sprint([]int64{int64(len(selectIDs(func(r row) bool { return r.id >= 100 })))}) {
+		t.Errorf("count: engine %v", got)
+	}
+	const limitQ = `for $r in dataset ARevs order by $r.id desc limit 3 return $r.id`
+	noOneToOneHop(t, c, "order-by + limit", limitQ)
+	ids := selectIDs(func(row) bool { return true })
+	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
+	if got := exec(t, c, NewSession(), limitQ).Rows; fmt.Sprint(got) != fmt.Sprint(ids[:3]) {
+		t.Errorf("order-by + limit: engine %v, reference %v", got, ids[:3])
+	}
+
+	// Figure 14: an edit-distance index nested-loop join whose probe side
+	// has a corner case (a name too short for the index), which the plan
+	// joins without the index and unions with the indexed path.
+	exec(t, c, sess, `create dataset Probes primary key pid;`)
+	probes := []string{name, "jm"}
+	for i, p := range probes {
+		rec := adm.EmptyRecord(2)
+		rec.Set("pid", adm.NewInt(int64(i+1)))
+		rec.Set("name", adm.NewString(p))
+		if err := c.Insert("Default", "Probes", adm.NewRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec(t, c, sess, `create index rnx on ARevs(reviewerName) type ngram(2);`)
+	const cornerQ = `
+		set simfunction 'edit-distance';
+		set simthreshold '2';
+		for $p in dataset Probes
+		for $r in dataset ARevs
+		where $p.name ~= $r.reviewerName
+		return { 'l': $p.pid, 'r': $r.id }
+	`
+	noOneToOneHop(t, c, "corner-case join", cornerQ)
+	corner := exec(t, c, NewSession(), cornerQ)
+	if corner.Stats.IndexSearches == 0 {
+		t.Errorf("corner-case join searched no index:\n%s", corner.Stats.LogicalPlan())
+	}
+	want = want[:0]
+	for i, p := range probes {
+		for _, r := range rows {
+			if sim.EditDistance(p, r.name) <= 2 {
+				want = append(want, fmt.Sprintf("%d-%d", i+1, r.id))
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Error("corner-case join reference is empty; test is vacuous")
+	}
+	sortStrings(want)
+	if got := pairKey(corner); got != fmt.Sprint(want) {
+		t.Errorf("corner-case join: engine %s, reference %v", got, want)
+	}
 }
 
 // noOneToOneHop checks the job generated for q: a node exists only where
-// rows change partition, so a one-to-one edge only feeds a Replicate or
-// a union, or leaves one (a Replicate's port, a union's output); any
-// other would join two nodes a pipeline runs as one.
+// rows change partition, or for a shared node's readers. So no edge joins
+// two nodes over the same partitions — a one-to-one edge, or a gather or
+// merge out of a node in one instance — unless it leaves a node several
+// readers share (a port of its fan-out) or enters the head of a union's
+// pipeline; any other would join two nodes a pipeline runs as one. A
+// replicate and a union are stages, never nodes of their own.
 func noOneToOneHop(t *testing.T, c *Cluster, name, q string) {
 	t.Helper()
-	fans := func(n *hyracks.OpNode) bool { return n.Name == "Replicate" || n.Name == "Union" }
 	for _, n := range jobNodes(t, c, explainedPlan(t, c, NewSession(), q)) {
+		if n.Name == "Replicate" || n.Name == "Union" {
+			t.Errorf("%s: %s is a node of its own", name, n.Name)
+		}
+		union := strings.Split(n.Name, "+")[0] == "Union"
 		for _, in := range n.Inputs {
-			if in.Conn.Type == hyracks.OneToOne && !fans(n) && !fans(in.From) {
-				t.Errorf("%s: a one-to-one edge joins %s to %s", name, in.From.Name, n.Name)
+			gather := in.Conn.Type == hyracks.GatherOne || in.Conn.Type == hyracks.MergeOne
+			same := in.Conn.Type == hyracks.OneToOne || gather && in.From.Parts == 1
+			if same && in.From.OutPorts < 2 && !union {
+				t.Errorf("%s: a %v edge joins %s to %s over the same partitions", name, in.Conn.Type, in.From.Name, n.Name)
 			}
 		}
 	}

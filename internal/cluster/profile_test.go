@@ -112,6 +112,9 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 			where similarity-jaccard(word-tokens($a.summary), word-tokens($b.summary)) >= 0.5
 			  and $a.id < $b.id
 			return {'a': $a.id, 'b': $b.id}`},
+		// The final aggregate's pipeline ends in the sink: one row, in
+		// one instance, delivers the count.
+		{name: "count", wantScans: 1, query: `count(for $r in dataset Reviews return $r)`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			qsess := NewSession()
@@ -151,6 +154,14 @@ func TestExplainAnalyzeOperatorTable(t *testing.T) {
 				scans := 0
 				for i, row := range rows {
 					n := nodes[i]
+					// The node whose pipeline ends in the sink reports the
+					// rows it delivered as its out.
+					if hasStage(row.name, "DistributeResult") && (row.out != res.Stats.RowsOut || row.out == 0) {
+						t.Errorf("run %d: %q delivers %d rows, the query %d", run, row.raw, row.out, res.Stats.RowsOut)
+					}
+					if tc.name == "count" && i == len(rows)-1 && (!strings.HasPrefix(row.name, "AggregateFinal+") || row.inst != 1 || row.out != 1) {
+						t.Errorf("run %d: the count ends in %q, want the final aggregate delivering one row in one instance", run, row.raw)
+					}
 					if row.name != n.Name || row.inst != n.Parts {
 						t.Fatalf("run %d row %d = %q inst %d, job operator %d is %q with %d instances",
 							run, i, row.name, row.inst, n.ID, n.Name, n.Parts)

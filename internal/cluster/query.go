@@ -201,8 +201,8 @@ func (c *Cluster) resolveMemoryBudget(sessBudget int64) int64 {
 }
 
 // StreamHandler receives a streamed query's lifecycle callbacks. OnRow
-// is invoked once per result row, in result order, from the job's
-// collector goroutine WHILE the job is still running: a slow OnRow
+// is invoked once per result row, in result order, from the goroutine of
+// the job's result sink WHILE the job is still running: a slow OnRow
 // exerts backpressure through the runtime's bounded frame channels, so
 // per-query buffering stays bounded by a frame multiple rather than the
 // result size. A job that replays a join memo entry is the exception: it
@@ -712,7 +712,7 @@ func traceOperators(tr *trace.Trace, parent int32, execStart time.Time, spans []
 //
 // In tcp mode the job is dispatched to every worker process BEFORE the
 // local run starts: the local run hosts node 0's instances (among them
-// the collector) and is what drains the frames the workers ship here.
+// the result sink's) and is what drains the frames the workers ship here.
 // Workers recompile the shipped request text to the identical DAG and
 // return the instance records of their half, which the coordinator
 // merges into the result and into the query's trace.
@@ -756,7 +756,7 @@ func (c *Cluster) runJobOnce(ctx context.Context, bp boundPlan, stats *QueryStat
 	if stream {
 		// Streaming delivery: the collector hands each result tuple to the
 		// handler as it arrives instead of buffering it. The handler runs
-		// on the collector's goroutine, so a slow consumer backpressures
+		// on the result sink's goroutine, so a slow consumer backpressures
 		// the job through the bounded frame channels; a handler error
 		// (client gone) aborts the job.
 		onRow := qr.stream.OnRow

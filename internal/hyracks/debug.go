@@ -15,8 +15,8 @@ import (
 // consumer channel it is sending to) once the deadline passes. The
 // channel pointers let a wait-for cycle be read straight off the dump.
 
-// instanceState records what one operator instance (or one replicate
-// port writer) is currently blocked on.
+// instanceState records what one operator instance (or one port writer
+// of a fan-out) is currently blocked on.
 type instanceState struct {
 	name string
 	part int

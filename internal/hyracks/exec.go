@@ -196,10 +196,11 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 	var bytesShuffled, netMessages atomic.Int64
 	tr := topo.Transport
 
-	// Validate and build edges, indexed by (consumer op, input port).
-	// Edge indexes are assigned in DAG construction order, so every
-	// process compiling the same job derives identical StreamIDs.
-	edges := make(map[*OpNode][]*edge)
+	// Validate and build edges, indexed by (consumer op ID, input port):
+	// IDs are job order. Edge indexes are assigned in DAG construction
+	// order, so every process compiling the same job derives identical
+	// StreamIDs.
+	edges := make([][]*edge, len(job.nodes))
 	var forwarders []*forwarder
 	nextEdge := 0
 	nLocalStreams, nRemoteStreams := 0, 0
@@ -292,7 +293,7 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 					nRemoteStreams++
 				}
 			}
-			edges[n] = append(edges[n], e)
+			edges[n.ID] = append(edges[n.ID], e)
 		}
 	}
 	if nLocalStreams > 0 {
@@ -304,21 +305,21 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 
 	// Output edges per (producer, port). Each output port must feed
 	// exactly one consumer edge.
-	outEdges := make(map[*OpNode][]*edge)
+	outEdges := make([][]*edge, len(job.nodes))
 	for _, n := range job.nodes {
-		outEdges[n] = make([]*edge, n.OutPorts)
+		outEdges[n.ID] = make([]*edge, n.OutPorts)
 	}
 	for _, n := range job.nodes {
 		for i, in := range n.Inputs {
-			slot := outEdges[in.From]
+			slot := outEdges[in.From.ID]
 			if slot[in.FromPort] != nil {
 				return nil, fmt.Errorf("hyracks: output port %d of %s feeds two consumers", in.FromPort, in.From.Name)
 			}
-			slot[in.FromPort] = edges[n][i]
+			slot[in.FromPort] = edges[n.ID][i]
 		}
 	}
 	for _, n := range job.nodes {
-		for p, e := range outEdges[n] {
+		for p, e := range outEdges[n.ID] {
 			if e == nil {
 				return nil, fmt.Errorf("hyracks: output port %d of %s is unconnected", p, n.Name)
 			}
@@ -392,7 +393,7 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 
 				instState := reg.add(n.Name, p)
 				ins := make([]*PortReader, len(n.Inputs))
-				for i, e := range edges[n] {
+				for i, e := range edges[n.ID] {
 					pr := &PortReader{ctx: runCtx, waitNs: &recvWait, state: instState, portIdx: i}
 					if e.merged != nil {
 						pr.chans = e.merged[p]
@@ -403,11 +404,11 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 					ins[i] = pr
 				}
 				outs := make([]*Emitter, n.OutPorts)
-				for o, e := range outEdges[n] {
+				for o, e := range outEdges[n.ID] {
 					emState := instState
 					if n.OutPorts > 1 && reg != nil {
-						// Replicate-style ops write ports concurrently;
-						// give each emitter its own diagnostic slot.
+						// A fan-out writes its ports concurrently; give
+						// each emitter its own diagnostic slot.
 						emState = reg.add(fmt.Sprintf("%s/out%d", n.Name, o), p)
 					}
 					em := &Emitter{
@@ -440,16 +441,15 @@ func Run(ctx context.Context, job *Job, topo Topology) (*JobStats, error) {
 				}
 
 				t0 := time.Now()
-				op := n.Make()
 				tc := &TaskCtx{Ctx: runCtx, Part: p, Node: node, Mem: topo.Mem, Spill: topo.Spill}
-				err := op.Run(tc, ins, outs)
+				err := n.Run(tc, ins, outs)
 				// Drain unread input so upstream producers can finish,
 				// then close outputs.
 				for _, pr := range ins {
 					pr.Drain()
 				}
-				var tuplesOut, sendWait, frames, crossBytes int64
-				var remoteF, remoteB int64
+				tuplesOut := tc.RowsDelivered
+				var sendWait, frames, crossBytes, remoteF, remoteB int64
 				for _, em := range outs {
 					em.Close()
 					tuplesOut += em.tuplesOut

@@ -20,30 +20,66 @@ func intTuple(vals ...int64) Tuple {
 	return t
 }
 
-// rangeSource emits ints [0, n) spread across partitions round-robin.
-func rangeSource(n int64) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			// The partition count isn't visible here; emit the whole
-			// range from partition 0 keyed by Part in tests that need
-			// distribution, so tests use partitionedSource instead.
-			for i := int64(0); i < n; i++ {
-				out[0].Emit(intTuple(i))
+// runFunc is the body of a test node's instances (OpNode.Run).
+type runFunc = func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error
+
+// sinkTo adds a one-instance node that hands every row of input to c, as
+// the last stage of a job's result pipeline does.
+func sinkTo(job *Job, c *Collector, input Input) {
+	job.Add("Sink", 1, func(ctx *TaskCtx, in []*PortReader, _ []*Emitter) error {
+		return feedPort(in[0], func(t Tuple) error { return c.Collect(ctx, t) })
+	}, input).OutPorts = 0
+}
+
+// fanOutOf runs the rows rows returns through a FanOut over every output
+// port of its node, as the end of a pipeline several readers share does.
+func fanOutOf(rows func(ctx *TaskCtx) []Tuple) runFunc {
+	return func(ctx *TaskCtx, _ []*PortReader, out []*Emitter) error {
+		f := FanOut(ctx, out)
+		defer f.Close()
+		for _, t := range rows(ctx) {
+			if err := f.Add(t); err != nil {
+				return err
 			}
+		}
+		return f.End()
+	}
+}
+
+// unionOf reads its input ports one after another, as the pipeline over
+// a union's inputs does.
+func unionOf(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+	for _, port := range in {
+		if err := feedPort(port, func(t Tuple) error {
+			out[0].Emit(t)
 			return nil
-		})
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rangeSource emits ints [0, n) spread across partitions round-robin.
+func rangeSource(n int64) runFunc {
+	return func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		// The partition count isn't visible here; emit the whole
+		// range from partition 0 keyed by Part in tests that need
+		// distribution, so tests use partitionedSource instead.
+		for i := int64(0); i < n; i++ {
+			out[0].Emit(intTuple(i))
+		}
+		return nil
 	}
 }
 
 // partitionedSource emits vals[p] from instance p.
-func partitionedSource(vals [][]int64) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			for _, v := range vals[ctx.Part] {
-				out[0].Emit(intTuple(v))
-			}
-			return nil
-		})
+func partitionedSource(vals [][]int64) runFunc {
+	return func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		for _, v := range vals[ctx.Part] {
+			out[0].Emit(intTuple(v))
+		}
+		return nil
 	}
 }
 
@@ -70,7 +106,7 @@ func TestSourceToSinkGather(t *testing.T) {
 	job := &Job{}
 	src := job.Add("Src", 2, partitionedSource([][]int64{{1, 2, 3}, {4, 5}}))
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: src, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: src, Conn: ConnectorSpec{Type: GatherOne}})
 	stats, err := Run(context.Background(), job, topo(2, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +175,7 @@ func TestFlatMapSelect(t *testing.T) {
 		return nil
 	}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: sel, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: sel, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +198,7 @@ func TestHashConnectorPartitionsByKey(t *testing.T) {
 		return nil
 	}), Input{From: src, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: rec, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: rec, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +227,7 @@ func TestBroadcastConnector(t *testing.T) {
 		return nil
 	}), Input{From: src, Conn: ConnectorSpec{Type: Broadcast}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: rec, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: rec, Conn: ConnectorSpec{Type: GatherOne}})
 	stats, err := Run(context.Background(), job, topo(3, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +246,7 @@ func TestSortAndMergeOneConnector(t *testing.T) {
 	srt := job.Add("Sort", 2, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push { return Sort(ctx, []SortCol{{Col: 0}}, emit) }),
 		Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: srt, Conn: ConnectorSpec{Type: MergeOne, SortCols: []SortCol{{Col: 0}}}})
+	sinkTo(job, &c, Input{From: srt, Conn: ConnectorSpec{Type: MergeOne, SortCols: []SortCol{{Col: 0}}}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +264,7 @@ func TestSortDescending(t *testing.T) {
 	}),
 		Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: srt, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: srt, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +276,15 @@ func TestSortDescending(t *testing.T) {
 func TestHashGroupWithAggregates(t *testing.T) {
 	job := &Job{}
 	// (key, val): values grouped by key % partitioning.
-	src := job.Add("Src", 2, func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			data := [][][2]int64{
-				{{1, 10}, {2, 20}, {1, 30}},
-				{{2, 40}, {3, 50}, {1, 60}},
-			}
-			for _, kv := range data[ctx.Part] {
-				out[0].Emit(intTuple(kv[0], kv[1]))
-			}
-			return nil
-		})
+	src := job.Add("Src", 2, func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		data := [][][2]int64{
+			{{1, 10}, {2, 20}, {1, 30}},
+			{{2, 40}, {3, 50}, {1, 60}},
+		}
+		for _, kv := range data[ctx.Part] {
+			out[0].Emit(intTuple(kv[0], kv[1]))
+		}
+		return nil
 	})
 	grp := job.Add("HashGroup", 2, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push {
 		return HashGroup(ctx, []int{0}, []AggSpec{
@@ -262,7 +296,7 @@ func TestHashGroupWithAggregates(t *testing.T) {
 		}, emit)
 	}), Input{From: src, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -288,19 +322,17 @@ func TestHashGroupWithAggregates(t *testing.T) {
 }
 
 func TestSortGroupMatchesHashGroup(t *testing.T) {
-	build := func(group func() Operator) []Tuple {
+	build := func(group runFunc) []Tuple {
 		job := &Job{}
-		src := job.Add("Src", 1, func() Operator {
-			return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-				for _, kv := range [][2]int64{{2, 1}, {1, 5}, {2, 3}, {1, 7}, {3, 9}} {
-					out[0].Emit(intTuple(kv[0], kv[1]))
-				}
-				return nil
-			})
+		src := job.Add("Src", 1, func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+			for _, kv := range [][2]int64{{2, 1}, {1, 5}, {2, 3}, {1, 7}, {3, 9}} {
+				out[0].Emit(intTuple(kv[0], kv[1]))
+			}
+			return nil
 		})
 		grp := job.Add("Group", 1, group, Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 		var c Collector
-		MakeSink(job, "Sink", &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
+		sinkTo(job, &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
 		if _, err := Run(context.Background(), job, topo(1, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +364,7 @@ func TestHashJoin(t *testing.T) {
 		Input{From: left, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}},
 		Input{From: right, Conn: ConnectorSpec{Type: Hash, HashCols: []int{0}}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: join, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: join, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +392,7 @@ func TestNestedLoopJoinWithPredicate(t *testing.T) {
 		Input{From: left, Conn: ConnectorSpec{Type: Broadcast}},
 		Input{From: right, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: join, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: join, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +403,9 @@ func TestNestedLoopJoinWithPredicate(t *testing.T) {
 
 func TestUnionAndReplicate(t *testing.T) {
 	job := &Job{}
-	src := job.Add("Src", 2, partitionedSource([][]int64{{1, 2}, {3}}))
-	rep := job.Add("Replicate", 2, Replicate(2), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
+	rep := job.Add("Src+Replicate", 2, fanOutOf(func(ctx *TaskCtx) []Tuple {
+		return [][]Tuple{{intTuple(1), intTuple(2)}, {intTuple(3)}}[ctx.Part]
+	}))
 	rep.OutPorts = 2
 	evens := job.Add("SelEven", 2, FlatMap(func(ctx *TaskCtx, tu Tuple, emit func(Tuple)) error {
 		if tu[0].Int()%2 == 0 {
@@ -386,11 +419,11 @@ func TestUnionAndReplicate(t *testing.T) {
 		}
 		return nil
 	}), Input{From: rep, FromPort: 1, Conn: ConnectorSpec{Type: OneToOne}})
-	un := job.Add("Union", 2, Union(),
+	un := job.Add("Union", 2, unionOf,
 		Input{From: evens, Conn: ConnectorSpec{Type: OneToOne}},
 		Input{From: odds, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: un, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: un, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +440,7 @@ func TestAggregate(t *testing.T) {
 	}),
 		Input{From: src, Conn: ConnectorSpec{Type: GatherOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: agg, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: agg, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(context.Background(), job, topo(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +465,7 @@ func TestOperatorErrorCancelsJob(t *testing.T) {
 		return nil
 	}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: bad, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: bad, Conn: ConnectorSpec{Type: GatherOne}})
 	_, err := Run(context.Background(), job, topo(1, 1))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -442,21 +475,19 @@ func TestOperatorErrorCancelsJob(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	job := &Job{}
-	src := job.Add("Src", 1, func() Operator {
-		return OpFunc(func(tc *TaskCtx, in []*PortReader, out []*Emitter) error {
-			for i := int64(0); ; i++ {
-				if tc.Ctx.Err() != nil {
-					return tc.Ctx.Err()
-				}
-				out[0].Emit(intTuple(i))
-				if i == 100 {
-					cancel()
-				}
+	src := job.Add("Src", 1, func(tc *TaskCtx, in []*PortReader, out []*Emitter) error {
+		for i := int64(0); ; i++ {
+			if tc.Ctx.Err() != nil {
+				return tc.Ctx.Err()
 			}
-		})
+			out[0].Emit(intTuple(i))
+			if i == 100 {
+				cancel()
+			}
+		}
 	})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: src, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: src, Conn: ConnectorSpec{Type: GatherOne}})
 	if _, err := Run(ctx, job, topo(1, 1)); err == nil {
 		t.Fatal("cancelled job should error")
 	}
@@ -483,7 +514,7 @@ func TestValidationErrors(t *testing.T) {
 	// Gather into multi-instance consumer.
 	job3 := &Job{}
 	s3 := job3.Add("Src", 2, partitionedSource([][]int64{{1}, {2}}))
-	j3 := job3.Add("C", 2, Union(), Input{From: s3, Conn: ConnectorSpec{Type: GatherOne}})
+	j3 := job3.Add("C", 2, unionOf, Input{From: s3, Conn: ConnectorSpec{Type: GatherOne}})
 	_ = j3
 	if _, err := Run(context.Background(), job3, topo(2, 1)); err == nil {
 		t.Error("GatherOne into 2 instances should fail validation")
@@ -494,9 +525,9 @@ func TestNetworkAccountingLocalVsRemote(t *testing.T) {
 	run := func(partsPerNode int) int64 {
 		job := &Job{}
 		src := job.Add("Src", 2, partitionedSource([][]int64{{1, 2, 3}, {4, 5, 6}}))
-		re := job.Add("Re", 2, Union(), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
+		re := job.Add("Re", 2, unionOf, Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 		var c Collector
-		MakeSink(job, "Sink", &c, Input{From: re, Conn: ConnectorSpec{Type: GatherOne}})
+		sinkTo(job, &c, Input{From: re, Conn: ConnectorSpec{Type: GatherOne}})
 		stats, err := Run(context.Background(), job, Topology{Partitions: 2, PartsPerNode: partsPerNode})
 		if err != nil {
 			t.Fatal(err)
@@ -514,24 +545,22 @@ func TestNetworkAccountingLocalVsRemote(t *testing.T) {
 }
 
 // TestReplicateInterdependentPortsNoDeadlock reproduces the plan shape
-// that once deadlocked: one replicate port feeds a hash join's probe
+// that once deadlocked: one port of a fan-out feeds a hash join's probe
 // side while another port (through more work) feeds its build side. If
-// Replicate held every port's end-of-stream until all ports finished,
+// the fan-out held every port's end-of-stream until all ports finished,
 // the probe backpressure would block the build's tail forever. Each
 // port must close independently.
 func TestReplicateInterdependentPortsNoDeadlock(t *testing.T) {
 	job := &Job{}
 	// Enough tuples to overrun the frame/channel buffering many times.
 	const n = 100_000
-	src := job.Add("Src", 2, func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			for i := int64(0); i < n; i++ {
-				out[0].Emit(intTuple(i, i%97))
-			}
-			return nil
-		})
-	})
-	rep := job.Add("Replicate", 2, Replicate(2), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
+	rep := job.Add("Src+Replicate", 2, fanOutOf(func(*TaskCtx) []Tuple {
+		rows := make([]Tuple, n)
+		for i := range rows {
+			rows[i] = intTuple(int64(i), int64(i%97))
+		}
+		return rows
+	}))
 	rep.OutPorts = 2
 	// Build side: aggregate port 0 down to distinct keys (takes a while
 	// and only finishes when port 0 fully closes).
@@ -551,7 +580,7 @@ func TestReplicateInterdependentPortsNoDeadlock(t *testing.T) {
 	}),
 		Input{From: join, Conn: ConnectorSpec{Type: GatherOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: agg, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: agg, Conn: ConnectorSpec{Type: GatherOne}})
 
 	done := make(chan error, 1)
 	go func() {
@@ -573,62 +602,56 @@ func TestReplicateInterdependentPortsNoDeadlock(t *testing.T) {
 
 // FlatMap builds a stateless per-tuple test operator: fn emits zero or
 // more output tuples for each input tuple.
-func FlatMap(fn func(ctx *TaskCtx, t Tuple, emit func(Tuple)) error) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			emit := func(t Tuple) { out[0].Emit(t) }
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				if err := fn(ctx, t, emit); err != nil {
-					return err
-				}
+func FlatMap(fn func(ctx *TaskCtx, t Tuple, emit func(Tuple)) error) runFunc {
+	return func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		emit := func(t Tuple) { out[0].Emit(t) }
+		for {
+			t, ok := in[0].Next()
+			if !ok {
+				return ctx.Ctx.Err()
 			}
-		})
+			if err := fn(ctx, t, emit); err != nil {
+				return err
+			}
+		}
 	}
 }
 
 // pushOp runs the push form mk makes as the one stage of a test node
 // over port 0, as a pipeline runs it: a row at a time, then the end.
-func pushOp(mk func(ctx *TaskCtx, emit func(Tuple) error) Push) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			f := mk(ctx, func(t Tuple) error {
-				out[0].Emit(t)
-				return nil
-			})
-			defer f.Close()
-			if err := feedPort(in[0], f.Add); err != nil {
-				return err
-			}
-			return f.End()
+func pushOp(mk func(ctx *TaskCtx, emit func(Tuple) error) Push) runFunc {
+	return func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		f := mk(ctx, func(t Tuple) error {
+			out[0].Emit(t)
+			return nil
 		})
+		defer f.Close()
+		if err := feedPort(in[0], f.Add); err != nil {
+			return err
+		}
+		return f.End()
 	}
 }
 
 // joinOp runs the join form mk makes in a test node: port 0 is its build
 // side, port 1 its probe side, and it emits build ++ probe.
-func joinOp(mk func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			j := mk(ctx, func(b, p Tuple) error {
-				out[0].Emit(append(b.Clone(), p...))
-				return nil
-			})
-			defer j.Close()
-			if err := feedPort(in[0], j.AddBuild); err != nil {
-				return err
-			}
-			if err := j.EndBuild(); err != nil {
-				return err
-			}
-			if err := feedPort(in[1], j.Add); err != nil {
-				return err
-			}
-			return j.End()
+func joinOp(mk func(ctx *TaskCtx, emit func(b, p Tuple) error) JoinPush) runFunc {
+	return func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		j := mk(ctx, func(b, p Tuple) error {
+			out[0].Emit(append(b.Clone(), p...))
+			return nil
 		})
+		defer j.Close()
+		if err := feedPort(in[0], j.AddBuild); err != nil {
+			return err
+		}
+		if err := j.EndBuild(); err != nil {
+			return err
+		}
+		if err := feedPort(in[1], j.Add); err != nil {
+			return err
+		}
+		return j.End()
 	}
 }
 

@@ -63,33 +63,21 @@ type Input struct {
 	Conn     ConnectorSpec
 }
 
-// Operator is the runtime behavior of one operator instance. Run must
-// consume its input readers and emit to its output emitters, returning
-// only when done; the executor closes the emitters afterwards. A nil
-// error with unread input is allowed (e.g. Limit) — the executor drains
-// abandoned ports.
-type Operator interface {
-	Run(ctx *TaskCtx, in []*PortReader, out []*Emitter) error
-}
-
-// OpFunc adapts a function to the Operator interface.
-type OpFunc func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error
-
-// Run implements Operator.
-func (f OpFunc) Run(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-	return f(ctx, in, out)
-}
-
-// OpNode is one operator of a job DAG.
+// OpNode is one operator of a job DAG: the one node of a pipeline, a
+// chain of operators one task runs between two places rows change
+// partition.
 type OpNode struct {
 	ID       int
-	Name     string // for plans and stats, e.g. "HashJoin"
+	Name     string // for plans and stats, e.g. "DataScan(R)+Select"
 	Parts    int    // number of parallel instances
 	OutPorts int    // defaults to 1
 	Inputs   []Input
-	// Make builds the per-instance operator. It is called once per
-	// partition.
-	Make func() Operator
+	// Run is the body of each instance, called once per partition: it
+	// consumes its input readers and emits to its output emitters,
+	// returning only when done; the executor closes the emitters
+	// afterwards. A nil error with unread input is allowed (e.g. a
+	// limit) — the executor drains abandoned ports.
+	Run func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error
 }
 
 // Job is an executable operator DAG.
@@ -99,8 +87,8 @@ type Job struct {
 }
 
 // Add registers an operator node and returns it.
-func (j *Job) Add(name string, parts int, make func() Operator, inputs ...Input) *OpNode {
-	n := &OpNode{ID: j.nextID, Name: name, Parts: parts, OutPorts: 1, Inputs: inputs, Make: make}
+func (j *Job) Add(name string, parts int, run func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error, inputs ...Input) *OpNode {
+	n := &OpNode{ID: j.nextID, Name: name, Parts: parts, OutPorts: 1, Inputs: inputs, Run: run}
 	j.nextID++
 	j.nodes = append(j.nodes, n)
 	return n
@@ -134,6 +122,10 @@ type TaskCtx struct {
 	// emitted shows on its line. Owned and harvested like the spill
 	// counters.
 	RowsRead int64
+	// RowsDelivered counts the rows an instance hands to a Collector
+	// rather than to a port (the result sink): the executor reports them
+	// as the instance's tuples out. Owned and harvested like RowsRead.
+	RowsDelivered int64
 }
 
 // canSpill reports whether this instance may write spill runs.
@@ -315,8 +307,8 @@ func (e *Emitter) flush(dest int) {
 
 // Close flushes all buffers and releases the producer's hold on each
 // consumer channel. It is idempotent: the executor closes every output
-// after an operator returns, but a multi-output operator (Replicate)
-// must close each port itself the moment that port's stream ends —
+// after an operator returns, but a fan-out (FanOut) must close each
+// port itself the moment that port's stream ends —
 // otherwise one slow consumer would hold every other port's
 // end-of-stream hostage and plans whose ports feed interdependent
 // pipelines could deadlock.

@@ -7,12 +7,12 @@ import (
 	"simdb/internal/adm"
 )
 
-// The runtime operator library. Union, Replicate and the result
-// Collector are job nodes: they exist where rows change partition or
-// fan out. Every other operator of the paper's plans is a push form
-// (Push), which a pipeline runs as a stage of its one node. Expression
-// logic arrives as closures compiled by the algebra layer, so the
-// runtime stays independent of the query language.
+// The runtime operator library. Every operator of the paper's plans is
+// a push form (Push), which a pipeline runs as a stage of its one node;
+// a pipeline several readers share ends in a FanOut, and the result
+// pipeline in a Collector. Expression logic arrives as closures compiled
+// by the algebra layer, so the runtime stays independent of the query
+// language.
 
 // Push is an operator in push form: a stage of a pipeline, handed its
 // input one row at a time (Add) and told when the input ends (End). It
@@ -480,99 +480,83 @@ func (j *nestedLoopJoin) Close() {
 	j.g.ReleaseAll()
 }
 
-// Union forwards every input port's tuples to the output (bag union,
-// no dedup), reading ports sequentially.
-func Union() func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			for _, port := range in {
-				for {
-					t, ok := port.Next()
-					if !ok {
-						break
-					}
-					out[0].Emit(t)
-				}
-			}
-			return ctx.Ctx.Err()
-		})
-	}
+// FanOut is the end of a pipeline that several readers share, one
+// output port each (the paper's Figure 20 "Materialize" under
+// "Replicate"): Add keeps each row, spilling past the grant, and End
+// emits all of them to every port, each port on a goroutine of its own
+// and closed the moment its stream ends. Materializing first makes the
+// fan-out safe when its readers depend on one another, as in the
+// three-stage self-join where stage 1's output joins stage 2's; closing
+// each port on its own keeps one slow reader from holding every other
+// port's end of stream. Unlike the other push forms, FanOut keeps the
+// rows Add is handed, which must not change afterwards.
+func FanOut(ctx *TaskCtx, outs []*Emitter) Push {
+	g := ctx.Grant()
+	return &fanOut{ctx: ctx, g: g, buf: newSpillableBuffer(ctx, g, "replicate"), outs: outs}
 }
 
-// Replicate materializes its input, then emits the whole buffer to each
-// of its output ports concurrently. Materialization (the paper's
-// Figure 20 "Materialize" under "Replicate") makes the operator safe
-// when its consumers depend on one another, as in the three-stage
-// self-join where stage 1's output joins stage 2's.
-func Replicate(outPorts int) func() Operator {
-	_ = outPorts // documented at the OpNode level; Run uses len(out)
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			g := ctx.Grant()
-			defer g.ReleaseAll()
-			buf := newSpillableBuffer(ctx, g, "replicate")
-			defer buf.close()
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					break
-				}
-				if err := buf.add(t); err != nil {
-					return err
-				}
-			}
-			if err := buf.finish(); err != nil {
-				return err
-			}
-			if buf.spilled() {
-				// Each port goroutine re-reads the overflow run through its
-				// own reader; reserve their buffers before fanning out (the
-				// grant is single-goroutine).
-				need := int64(len(out)) * mergeStreamMem
-				if !g.Reserve(need) {
-					g.Force(need)
-				}
-			}
-			errs := make([]error, len(out))
-			var wg sync.WaitGroup
-			for i, em := range out {
-				i, em := i, em
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					errs[i] = buf.each(func(t Tuple) error {
-						em.Emit(t)
-						return nil
-					})
-					// Close this port now: holding its end-of-stream
-					// until every other port finishes can deadlock
-					// consumers that depend on one another.
-					em.Close()
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return ctx.Ctx.Err()
-		})
-	}
+type fanOut struct {
+	ctx  *TaskCtx
+	g    *MemGrant
+	buf  *spillableBuffer
+	outs []*Emitter
 }
 
-// Collector is a sink gathering result tuples; create one per job and
-// add its node with parts=1 below a GatherOne or MergeOne connector.
+func (f *fanOut) Add(t Tuple) error { return f.buf.add(t) }
+
+func (f *fanOut) End() error {
+	if err := f.buf.finish(); err != nil {
+		return err
+	}
+	if f.buf.spilled() {
+		// Each port goroutine re-reads the overflow run through its own
+		// reader; reserve their buffers before fanning out (the grant is
+		// single-goroutine).
+		need := int64(len(f.outs)) * mergeStreamMem
+		if !f.g.Reserve(need) {
+			f.g.Force(need)
+		}
+	}
+	errs := make([]error, len(f.outs))
+	var wg sync.WaitGroup
+	for i, em := range f.outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f.buf.each(func(t Tuple) error {
+				em.Emit(t)
+				return nil
+			})
+			em.Close()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return f.ctx.Ctx.Err()
+}
+
+// Close releases the buffer and the grant.
+func (f *fanOut) Close() {
+	f.buf.close()
+	f.g.ReleaseAll()
+}
+
+// Collector is the result sink of a job: the last stage of its one
+// pipeline in one instance hands it every result row through Collect.
 //
 // With Sink set, the collector streams: every tuple is handed to Sink
 // as it arrives instead of being buffered in Tuples, so a consumer sees
 // the first row while upstream operators are still producing later
-// ones. A Sink that blocks exerts backpressure through the connector's
-// bounded frame channels — upstream buffering stays bounded by a frame
-// multiple (DefaultChanCap × FrameSize per edge), never by the result size. A
-// Sink error aborts the job and propagates out of Run.
+// ones. Collect runs on the instance goroutine, so a Sink that blocks
+// exerts backpressure through the connectors' bounded frame channels —
+// upstream buffering stays bounded by a frame multiple (DefaultChanCap
+// × FrameSize per edge), never by the result size. A Sink error aborts
+// the job and propagates out of Run.
 type Collector struct {
-	mu     sync.Mutex
 	Tuples []Tuple
 	// Sink, when non-nil, receives each tuple in result order instead of
 	// buffering it. Set it before the job runs.
@@ -582,34 +566,17 @@ type Collector struct {
 	Delivered atomic.Int64
 }
 
-// Op returns the sink operator factory.
-func (c *Collector) Op() func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			for {
-				t, ok := in[0].Next()
-				if !ok {
-					return ctx.Ctx.Err()
-				}
-				if c.Sink != nil {
-					if err := c.Sink(t); err != nil {
-						return err
-					}
-				} else {
-					c.mu.Lock()
-					c.Tuples = append(c.Tuples, t)
-					c.mu.Unlock()
-				}
-				c.Delivered.Add(1)
-			}
-		})
+// Collect hands t, which must not change afterwards, to the sink or the
+// buffer, and counts it as a row ctx's instance delivered.
+func (c *Collector) Collect(ctx *TaskCtx, t Tuple) error {
+	if c.Sink != nil {
+		if err := c.Sink(t); err != nil {
+			return err
+		}
+	} else {
+		c.Tuples = append(c.Tuples, t)
 	}
-}
-
-// MakeSink adds a single-instance Collector sink node (no output
-// ports) fed by input.
-func MakeSink(j *Job, name string, c *Collector, input Input) *OpNode {
-	n := j.Add(name, 1, c.Op(), input)
-	n.OutPorts = 0
-	return n
+	c.Delivered.Add(1)
+	ctx.RowsDelivered++
+	return nil
 }

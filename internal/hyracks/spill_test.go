@@ -103,14 +103,12 @@ func sortInput(kind string, n int) []Tuple {
 	return ts
 }
 
-func tupleSource(ts []Tuple) func() Operator {
-	return func() Operator {
-		return OpFunc(func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
-			for _, t := range ts {
-				out[0].Emit(t)
-			}
-			return nil
-		})
+func tupleSource(ts []Tuple) runFunc {
+	return func(ctx *TaskCtx, in []*PortReader, out []*Emitter) error {
+		for _, t := range ts {
+			out[0].Emit(t)
+		}
+		return nil
 	}
 }
 
@@ -120,7 +118,7 @@ func sortJob(input []Tuple) (*Job, *Collector) {
 	srt := job.Add("Sort", 1, pushOp(func(ctx *TaskCtx, emit func(Tuple) error) Push { return Sort(ctx, []SortCol{{Col: 0}}, emit) }),
 		Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: srt, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: srt, Conn: ConnectorSpec{Type: GatherOne}})
 	return job, &c
 }
 
@@ -169,7 +167,7 @@ func groupJob(input []Tuple) (*Job, *Collector) {
 		}, emit)
 	}), Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: grp, Conn: ConnectorSpec{Type: GatherOne}})
 	return job, &c
 }
 
@@ -219,7 +217,7 @@ func joinJob(build, probe []Tuple, keep func(int, *JoinTable) bool) (*Job, *Coll
 		Input{From: b, Conn: ConnectorSpec{Type: OneToOne}},
 		Input{From: p, Conn: ConnectorSpec{Type: OneToOne}})
 	var c Collector
-	MakeSink(job, "Sink", &c, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
+	sinkTo(job, &c, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
 	return job, &c
 }
 
@@ -308,7 +306,7 @@ func TestHashJoinKeepsAResidentTable(t *testing.T) {
 		}),
 			Input{From: p, Conn: ConnectorSpec{Type: OneToOne}})
 		var pc Collector
-		MakeSink(pjob, "Sink", &pc, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
+		sinkTo(pjob, &pc, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
 		runBudgeted(t, pjob, 0)
 		sameMultiset(t, "kept", pc.Tuples, c.Tuples)
 	}
@@ -335,7 +333,7 @@ func TestNestedLoopJoinSpillMatchesInMemory(t *testing.T) {
 			Input{From: bn, Conn: ConnectorSpec{Type: OneToOne}},
 			Input{From: pn, Conn: ConnectorSpec{Type: OneToOne}})
 		var c Collector
-		MakeSink(job, "Sink", &c, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
+		sinkTo(job, &c, Input{From: j, Conn: ConnectorSpec{Type: GatherOne}})
 		return job, &c
 	}
 	refJob, refC := mk()
@@ -362,18 +360,14 @@ func TestMaterializeAndReplicateSpill(t *testing.T) {
 		input = append(input, Tuple{adm.NewInt(int64(i)), payload(r)})
 	}
 	for _, budget := range []int64{64 << 10, 8 << 20} {
-		// Replicate: every port sees the full buffer in arrival order,
+		// A fan-out: every port sees the full buffer in arrival order,
 		// replayed from a spill run under the tight budget.
 		job := &Job{}
-		src := job.Add("Src", 1, tupleSource(input))
-		rep := job.Add("Replicate", 1, Replicate(2),
-			Input{From: src, Conn: ConnectorSpec{Type: OneToOne}})
+		rep := job.Add("Src+Replicate", 1, fanOutOf(func(*TaskCtx) []Tuple { return input }))
 		rep.OutPorts = 2
 		var c0, c1 Collector
-		s0 := job.Add("Sink0", 1, c0.Op(), Input{From: rep, FromPort: 0, Conn: ConnectorSpec{Type: GatherOne}})
-		s0.OutPorts = 0
-		s1 := job.Add("Sink1", 1, c1.Op(), Input{From: rep, FromPort: 1, Conn: ConnectorSpec{Type: GatherOne}})
-		s1.OutPorts = 0
+		sinkTo(job, &c0, Input{From: rep, FromPort: 0, Conn: ConnectorSpec{Type: GatherOne}})
+		sinkTo(job, &c1, Input{From: rep, FromPort: 1, Conn: ConnectorSpec{Type: GatherOne}})
 		stats, _ := runBudgeted(t, job, budget)
 		sameSequence(t, "replicate-port0", c0.Tuples, input)
 		sameSequence(t, "replicate-port1", c1.Tuples, input)

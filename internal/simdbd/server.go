@@ -301,7 +301,7 @@ func tenantViolation(tenant, stmt string) *wireError {
 }
 
 // handleQuery runs one AQL request and streams its result. The row
-// callback runs on the engine's collector goroutine while the job is
+// callback runs on the engine's result-sink goroutine while the job is
 // still executing: rows reach the wire (with a flush each) as they are
 // produced, and a stalled client backpressures the job through the
 // runtime's bounded frame channels instead of growing a server-side
@@ -402,7 +402,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamWriter renders the NDJSON response. row/writeRecord run on the
-// collector goroutine during execution and on the handler goroutine
+// result-sink goroutine during execution and on the handler goroutine
 // after it; the engine joins all job goroutines before ExecuteStream
 // returns, so the fields need no locks.
 type streamWriter struct {
